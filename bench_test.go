@@ -222,7 +222,9 @@ func BenchmarkSerialEpoch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TrainSerial(ds, 1, 16, 3, 0.05, 1)
+		if _, err := RunSerial(ds, 1, ModelConfig{Hidden: 16, Layers: 3, LR: 0.05, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -101,21 +101,6 @@ func RunSerial(ds *Dataset, epochs int, cfg ModelConfig) (res *SerialResult, err
 	}, nil
 }
 
-// TestAccuracy trains the serial reference model and evaluates accuracy on
-// the dataset's test split — a convenience for examples that want an
-// end-to-end quality number.
-//
-// Deprecated: use RunSerial, which returns the full result and errors
-// instead of panicking. Zero-valued hidden/layers/lr/seed select the
-// ModelConfig defaults.
-func TestAccuracy(ds *Dataset, epochs, hidden, layers int, lr float64, seed int64) float64 {
-	res, err := RunSerial(ds, epochs, ModelConfig{Hidden: hidden, Layers: layers, LR: lr, Seed: seed})
-	if err != nil {
-		panic(err.Error())
-	}
-	return res.TestAcc
-}
-
 // MiniBatchResult reports a sampled-training run (see RunMiniBatch).
 type MiniBatchResult struct {
 	// EpochLoss is the mean batch loss per epoch.
@@ -177,7 +162,7 @@ func RunMiniBatch(ds *Dataset, epochs int, cfg ModelConfig, opts ...MiniBatchOpt
 	model := gcn.NewModel(cfg.Seed, dims)
 	tr := minibatch.New(ds.G, ds.Features, ds.Labels, ds.Train, model,
 		o.fanout, o.batchSize, opt.NewAdam(cfg.LR), cfg.Seed+1)
-	res = &MiniBatchResult{EpochLoss: make([]float64, 0, epochs)}
+	res = &MiniBatchResult{}
 	for e := 0; e < epochs; e++ {
 		loss, err := tr.Epoch()
 		if err != nil {
@@ -188,20 +173,4 @@ func RunMiniBatch(ds *Dataset, epochs int, cfg ModelConfig, opts ...MiniBatchOpt
 	res.TestAcc = tr.Accuracy(ds.G.NormalizedAdjacency(), ds.Test)
 	res.Model = &Model{m: model.Clone()}
 	return res, nil
-}
-
-// TrainMiniBatch trains with neighbor sampling using positional arguments.
-//
-// Deprecated: use RunMiniBatch, which validates inputs and returns errors
-// instead of panicking on bad shapes. Zero-valued hidden/layers/lr/seed
-// select the ModelConfig defaults.
-func TrainMiniBatch(ds *Dataset, epochs, hidden, layers, fanout, batchSize int,
-	lr float64, seed int64) MiniBatchResult {
-	res, err := RunMiniBatch(ds, epochs,
-		ModelConfig{Hidden: hidden, Layers: layers, LR: lr, Seed: seed},
-		WithFanout(fanout), WithBatchSize(batchSize))
-	if err != nil {
-		panic(err.Error())
-	}
-	return *res
 }

@@ -42,22 +42,18 @@ func TestGenerateCommunityDataset(t *testing.T) {
 		t.Fatal("shape wrong")
 	}
 	// trainable: serial accuracy on test split should beat chance (0.25)
-	if acc := TestAccuracy(ds, 40, 16, 2, 0.3, 3); acc < 0.5 {
-		t.Fatalf("community dataset not learnable: acc %v", acc)
+	res, err := RunSerial(ds, 40, ModelConfig{Hidden: 16, Layers: 2, LR: 0.3, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TestAcc < 0.5 {
+		t.Fatalf("community dataset not learnable: acc %v", res.TestAcc)
 	}
 }
 
 func TestTrainReportsHeldOutAccuracy(t *testing.T) {
 	ds := GenerateCommunityDataset("comms", 256, 4, 10, 2, 16, 0.3, 11)
-	res := Train(TrainConfig{
-		Dataset:     ds,
-		Processes:   4,
-		Algorithm:   SparsityAware1D,
-		Partitioner: NewGVB(11),
-		Epochs:      40,
-		LR:          0.3,
-		Seed:        5,
-	})
+	res, _ := trainVia(t, ds, 4, DistOpts{Algorithm: SparsityAware1D, Partitioner: NewGVB(11)}, ModelConfig{LR: 0.3, Seed: 5}, 40)
 	if res.TestAcc < 0.5 || res.ValAcc < 0.5 {
 		t.Fatalf("held-out accuracy too low: val %v test %v", res.ValAcc, res.TestAcc)
 	}
@@ -66,9 +62,12 @@ func TestTrainReportsHeldOutAccuracy(t *testing.T) {
 	}
 }
 
-func TestTrainMiniBatch(t *testing.T) {
+func TestRunMiniBatchLearns(t *testing.T) {
 	ds := GenerateCommunityDataset("comms", 256, 4, 10, 2, 16, 0.3, 13)
-	res := TrainMiniBatch(ds, 20, 16, 2, 5, 32, 0.01, 3)
+	res, err := RunMiniBatch(ds, 20, ModelConfig{Hidden: 16, Layers: 2, LR: 0.01, Seed: 3}, WithFanout(5), WithBatchSize(32))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.EpochLoss) != 20 {
 		t.Fatalf("%d epochs", len(res.EpochLoss))
 	}

@@ -9,17 +9,16 @@ import (
 // a rank can overlap a pending transfer with local compute: a Start* form
 // hands the worker one operation and returns immediately; Await blocks until
 // that operation has completed (the join point at which the landed data may
-// be read). The Start* forms are the non-blocking counterparts of the
-// blocking Into-collectives and run over the same typed exchange slots, so
-// volume accounting, the sender-pays convention, and the data moved are all
-// identical to the blocking forms — only the calling goroutine differs.
+// be read). The worker calls the blocking Into forms themselves, so volume
+// accounting, the sender-pays convention, and the data moved are all
+// identical — only the calling goroutine differs.
 //
 // At most one operation may be in flight per Async; starting a second
-// before Await panics. This mirrors the double-buffered pipelining the
-// overlapped plan executor performs (lookahead of exactly one stage) and,
-// crucially, it keeps each rank's collectives entering their groups in
-// program order — two concurrent collective entries from one rank would
-// corrupt the group's exchange slots.
+// before Await panics with ErrAsyncBusy. This mirrors the double-buffered
+// pipelining the overlapped plan executor performs (lookahead of exactly one
+// stage) and, crucially, it keeps each rank's collectives entering their
+// groups in program order — two concurrent collective entries from one rank
+// would interleave their messages on the pairwise collective-lane streams.
 //
 // The worker goroutine is spawned lazily on the first Start and then parks
 // between operations, so steady-state Start/Await pairs are allocation-free
@@ -29,7 +28,7 @@ import (
 // collectable, and a finalizer closes the worker down; long-lived processes
 // that build and discard overlap-mode engines do not accumulate parked
 // goroutines. Close releases the worker deterministically; a closed Async
-// must not be reused.
+// must not be reused (Start* panics with ErrAsyncClosed).
 type Async struct {
 	req      chan struct{}
 	done     chan struct{}
@@ -73,29 +72,23 @@ func NewAsync() *Async {
 	return a
 }
 
-// tryStart hands the already-filled operation to the worker, reporting
-// misuse as a typed error (ErrAsyncClosed, ErrAsyncBusy).
-func (a *Async) tryStart() error {
+// start hands op to the worker. Misuse panics with the typed cause
+// (ErrAsyncClosed, ErrAsyncBusy) before touching the operation slot, and a
+// launcher reports it as the run's *RankError.
+func (a *Async) start(op asyncOp) {
 	if a.closed {
-		return ErrAsyncClosed
+		panic(ErrAsyncClosed)
 	}
 	if a.inFlight {
-		return ErrAsyncBusy
+		panic(ErrAsyncBusy)
 	}
+	*a.op = op
 	if !a.started {
 		a.started = true
 		go asyncLoop(a.req, a.done, a.op)
 	}
 	a.inFlight = true
 	a.req <- struct{}{}
-	return nil
-}
-
-// start is tryStart with the legacy contract: misuse panics.
-func (a *Async) start() {
-	if err := a.tryStart(); err != nil {
-		panic(err.Error())
-	}
 }
 
 // asyncLoop is the worker: one operation per request, until the request
@@ -180,52 +173,19 @@ func (a *Async) Close() {
 // once Await returns. Volume accounting and time charges match the blocking
 // form.
 func (a *Async) StartBcastFloatsInto(g *Group, r *Rank, root int, data, dst []float64, phase string) {
-	*a.op = asyncOp{kind: asyncBcastInto, g: g, r: r, root: root, data: data, dst: dst, phase: phase}
-	a.start()
+	a.start(asyncOp{kind: asyncBcastInto, g: g, r: r, root: root, data: data, dst: dst, phase: phase})
 }
 
 // StartAllToAllvInto begins AllToAllvInto on the background worker: send[j]
 // goes to group member j and member j's contribution lands in recv[j] once
 // Await returns. The caller must not touch send or recv until Await.
 func (a *Async) StartAllToAllvInto(g *Group, r *Rank, send, recv [][]float64, phase string) {
-	*a.op = asyncOp{kind: asyncAllToAllvInto, g: g, r: r, send: send, recv: recv, phase: phase}
-	a.start()
+	a.start(asyncOp{kind: asyncAllToAllvInto, g: g, r: r, send: send, recv: recv, phase: phase})
 }
 
 // StartRecvInto begins RecvInto on the background worker: the tagged message
 // from src has landed in dst once Await returns. As with the blocking form,
 // no time is charged — the sender already paid (see the package comment).
 func (a *Async) StartRecvInto(r *Rank, src, tag int, dst []float64) {
-	*a.op = asyncOp{kind: asyncRecvInto, r: r, src: src, tag: tag, dst: dst}
-	a.start()
-}
-
-// TryStartBcastFloatsInto is StartBcastFloatsInto reporting misuse (already
-// in flight, closed) as a typed error instead of panicking.
-func (a *Async) TryStartBcastFloatsInto(g *Group, r *Rank, root int, data, dst []float64, phase string) error {
-	if a.closed || a.inFlight {
-		return a.tryStart()
-	}
-	*a.op = asyncOp{kind: asyncBcastInto, g: g, r: r, root: root, data: data, dst: dst, phase: phase}
-	return a.tryStart()
-}
-
-// TryStartAllToAllvInto is StartAllToAllvInto reporting misuse as a typed
-// error instead of panicking.
-func (a *Async) TryStartAllToAllvInto(g *Group, r *Rank, send, recv [][]float64, phase string) error {
-	if a.closed || a.inFlight {
-		return a.tryStart()
-	}
-	*a.op = asyncOp{kind: asyncAllToAllvInto, g: g, r: r, send: send, recv: recv, phase: phase}
-	return a.tryStart()
-}
-
-// TryStartRecvInto is StartRecvInto reporting misuse as a typed error
-// instead of panicking.
-func (a *Async) TryStartRecvInto(r *Rank, src, tag int, dst []float64) error {
-	if a.closed || a.inFlight {
-		return a.tryStart()
-	}
-	*a.op = asyncOp{kind: asyncRecvInto, r: r, src: src, tag: tag, dst: dst}
-	return a.tryStart()
+	a.start(asyncOp{kind: asyncRecvInto, r: r, src: src, tag: tag, dst: dst})
 }

@@ -8,63 +8,6 @@ import (
 	"sagnn/internal/machine"
 )
 
-// TestAsyncFormsMatchBlocking drives all three Start*/Await forms in a
-// two-rank world and checks the landed data and volume accounting equal the
-// blocking forms'.
-func TestAsyncFormsMatchBlocking(t *testing.T) {
-	w := NewWorld(2, machine.Perlmutter())
-	g := w.WorldGroup()
-	w.Run(func(r *Rank) {
-		a := NewAsync()
-		defer a.Close()
-
-		// Broadcast from rank 0.
-		payload := []float64{1, 2, 3}
-		dst := make([]float64, 3)
-		var own []float64
-		if r.ID == 0 {
-			own = payload
-		}
-		a.StartBcastFloatsInto(g, r, 0, own, dst, "bcast")
-		a.Await()
-		for i, v := range payload {
-			if dst[i] != v {
-				t.Errorf("rank %d: bcast landed %v", r.ID, dst)
-				break
-			}
-		}
-
-		// Point-to-point: each rank sends one tagged row to the other.
-		peer := 1 - r.ID
-		r.Send(peer, 7, []float64{float64(r.ID) + 10}, "alltoall")
-		got := make([]float64, 1)
-		a.StartRecvInto(r, peer, 7, got)
-		a.Await()
-		if got[0] != float64(peer)+10 {
-			t.Errorf("rank %d: recv %v", r.ID, got)
-		}
-
-		// All-to-allv: rank i sends {i} to everyone.
-		send := [][]float64{{float64(r.ID)}, {float64(r.ID)}}
-		recv := [][]float64{make([]float64, 1), make([]float64, 1)}
-		a.StartAllToAllvInto(g, r, send, recv, "alltoall")
-		a.Await()
-		if recv[0][0] != 0 || recv[1][0] != 1 {
-			t.Errorf("rank %d: alltoallv landed %v", r.ID, recv)
-		}
-	})
-	for rank := 0; rank < 2; rank++ {
-		// bcast (rank 0 sends 3 elems), one p2p row, one a2a row to the peer.
-		wantSent := int64(1+1) * machine.BytesPerElem
-		if rank == 0 {
-			wantSent += 3 * machine.BytesPerElem
-		}
-		if got := w.Stats().BytesSent(rank); got != wantSent {
-			t.Errorf("rank %d sent %d bytes, want %d", rank, got, wantSent)
-		}
-	}
-}
-
 // TestAsyncCloseReleasesWorker pins the lifecycle contract: Close (also the
 // finalizer) ends the parked worker goroutine, Await on an idle Async is a
 // no-op, and reuse after Close panics.

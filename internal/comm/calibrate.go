@@ -37,13 +37,13 @@ func DefaultCalibrationSizes() []int {
 
 // Calibrate runs the ping-pong latency/bandwidth sweep between ranks 0 and 1
 // and fits α and β from the measured transfers (machine.FitAlphaBeta). On
-// the simulated backend the "measurement" is the exact modeled charge read
+// an in-process world the "measurement" is the exact modeled charge read
 // off the ledger, so the fit recovers the configured machine parameters —
-// the golden test pinning the procedure itself. On the TCP backend it is
-// wall-clock RTT/2 at rank 0, producing real localhost (or cross-host)
-// parameters in logical-byte units. Collective on a TCP world: every process
-// must call it at the same point in its schedule. reps ≤ 0 selects the
-// default repetition count.
+// the golden test pinning the procedure itself. Over TCP it is wall-clock
+// RTT/2 at rank 0, producing real localhost (or cross-host) parameters in
+// logical-byte units. Collective on a TCP world: every process must call it
+// at the same point in its schedule. reps ≤ 0 selects the default repetition
+// count.
 func Calibrate(w *World, sizes []int, reps int) (Calibration, error) {
 	if w.P < 2 {
 		return Calibration{}, fmt.Errorf("comm: calibration needs at least 2 ranks, world has %d", w.P)
@@ -89,7 +89,7 @@ func Calibrate(w *World, sizes []int, reps int) (Calibration, error) {
 
 // pingpong measures the mean one-way time of an n-element transfer between
 // ranks 0 and 1 over reps round trips: the exact "calibrate"-phase ledger
-// delta on the simulated backend, wall-clock RTT/2 at rank 0 on TCP.
+// delta on an in-process world, wall-clock RTT/2 at rank 0 over TCP.
 func (w *World) pingpong(n, reps int) (float64, error) {
 	before := w.Ledger.Snapshot()
 	var rtt time.Duration

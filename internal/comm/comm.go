@@ -1,36 +1,46 @@
-// Package comm is a simulated distributed communicator: it runs P ranks as
-// goroutines in one process, moves real data between them (so algorithmic
-// correctness is exercised end to end), measures exact per-rank
-// communication volumes, and charges modeled α–β time to a machine.Ledger.
+// Package comm is the communicator under the distributed SpMM engines: one
+// collective layer — broadcast (sparsity-oblivious 1D), all-to-allv
+// (sparsity-aware 1D), point-to-point send/recv (sparsity-aware 1.5D) and
+// all-reduce (1.5D partial sums, weight gradients) — written once over a
+// small message transport with two implementations. NewWorld runs P ranks as
+// goroutines in one process over bounded mailboxes (mailbox.go); NewWorldTCP
+// runs one rank per OS process over framed TCP connections (transport.go).
+// Either way real data moves between ranks, exact per-rank volumes are
+// measured, and modeled α–β time is charged to a machine.Ledger, so results,
+// volume counters and ledgers are bit-identical across the two transports.
+// It substitutes for the paper's NCCL/torch.distributed stack.
 //
-// It substitutes for the paper's NCCL/torch.distributed stack. The
-// collectives mirror the operations the paper uses: broadcast (sparsity-
-// oblivious 1D), all-to-allv (sparsity-aware 1D), point-to-point
-// send/recv (sparsity-aware 1.5D), and all-reduce (1.5D partial-sum
-// reduction and weight-gradient reduction).
+// Every collective is explicit messages on the collective lane: the members
+// exchange pooled payloads pairwise, reductions fold contributions in group
+// member order, and a distinct tag per collective kind turns a misordered
+// stream into ErrTagMismatch. All members must enter a group's collectives
+// in the same order with at most one in flight per rank — MPI semantics —
+// which makes per-pair FIFO delivery a sufficient match discipline.
 //
 // # Time accounting convention: the sender pays
 //
 // Point-to-point α–β time is charged entirely to the sending rank at send
-// time (Send/SendOwned/SendInts take the phase to charge); the matching
-// Recv/RecvInto/RecvInts only waits and records receive volume, charging
+// time (Send/SendOwned take the phase to charge); the matching
+// RecvInto/TryRecvInto only waits and records receive volume, charging
 // nothing. This models the eager, non-blocking Isend the paper's NCCL
 // grouped send/recv uses: injection cost is paid once on the wire, and a
 // receiver that is late to post its receive shows up as idle time, not as
 // double-counted transfer time. Collectives charge every participant their
 // modeled share (each member of a broadcast, all-reduce, or all-to-allv
 // calls with the phase to charge), because all members drive the
-// collective's algorithm.
+// collective's algorithm. The charge is the model's (a broadcast is priced
+// as a pipelined tree, an all-reduce as a ring) whatever messages the
+// transport actually moves.
 //
 // # Failure model
 //
 // The world has a failure-aware execution mode (see fault.go): faults can be
 // injected at named points in a rank's operation stream, any failure aborts
-// the whole collective deterministically (every blocked primitive unwinds
-// instead of deadlocking), and RunErr/RunCtx/RunTimeout return a typed
-// *RankError. The legacy Run and the misuse panics below are thin wrappers
-// kept for source compatibility; new failure-aware callers use the Try*
-// forms and the error-returning launchers.
+// the whole collective deterministically (every blocked send or receive
+// unwinds instead of deadlocking), and RunErr/RunCtx/RunTimeout return a
+// typed *RankError. Shape misuse (a mis-sized destination, a self-send) is a
+// caller bug and panics; on a rank goroutine the launcher reports that panic
+// as the run's *RankError too.
 package comm
 
 import (
@@ -41,35 +51,29 @@ import (
 	"sagnn/internal/machine"
 )
 
-// MailboxDepth is the per-(src,dst) eager-send buffering: a sender never
-// blocks until this many messages are in flight to a single receiver.
-// Exported so the static plan verifier (distmm.Verify) can prove a compiled
-// schedule's per-pair send bursts fit the buffering — the premise under
-// which sends are modeled as non-blocking in the happens-before analysis.
-const MailboxDepth = 64
-
-// message is a tagged point-to-point payload.
+// message is a tagged float payload in flight; floats is a pooled buffer the
+// receiver recycles.
 type message struct {
 	tag    int
 	floats []float64
-	ints   []int
 }
 
-// World owns the ranks, mailboxes, and accounting for one simulated job.
+// World owns the ranks, transport, and accounting for one job.
 type World struct {
 	P      int
 	Params machine.Params
 	Ledger *machine.Ledger
 	stats  *Stats
-	mail   [][]chan message // mail[dst][src]
 	world  *Group
 	pool   bufPool
 
-	// net is the TCP backend when this world was built by NewWorldTCP; nil
-	// selects the default in-process simulated transport. hosted lists the
-	// world ranks running inside this process (every rank for the simulated
-	// backend, exactly one for TCP): Run variants spawn goroutines only for
-	// hosted ranks.
+	// tr moves messages between ranks: in-process mailboxes for NewWorld,
+	// the framed wire for NewWorldTCP, which also sets net for the wire's
+	// lifecycle (rendezvous, abort announcement, Close). hosted lists the
+	// world ranks running inside this process (every rank in process,
+	// exactly one over TCP): Run variants spawn goroutines only for hosted
+	// ranks.
+	tr     transport
 	net    *netWorld
 	hosted []int
 
@@ -91,18 +95,24 @@ type World struct {
 	faultMu    sync.Mutex
 	faults     []Fault
 	haveFaults atomic.Bool
-
-	groupMu sync.Mutex
-	groups  []*Group
 }
 
-// NewWorld creates a world of p ranks with the given machine parameters.
-// Panics on a non-positive p: a construction-time misuse, not a runtime
-// failure.
+// NewWorld creates a world of p ranks with the given machine parameters,
+// all hosted in this process and exchanging messages through bounded
+// mailboxes. Panics on a non-positive p: a construction-time misuse, not a
+// runtime failure.
 func NewWorld(p int, params machine.Params) *World {
 	if p <= 0 {
 		panic(fmt.Sprintf("comm: world size %d", p))
 	}
+	w := newWorld(p, params)
+	w.tr = newMailboxes(w)
+	return w
+}
+
+// newWorld builds the transport-independent state of a p-rank world, every
+// rank hosted; the constructor installs the transport.
+func newWorld(p int, params machine.Params) *World {
 	w := &World{
 		P:       p,
 		Params:  params,
@@ -114,18 +124,9 @@ func NewWorld(p int, params machine.Params) *World {
 	}
 	w.abortCh.Store(&abortState{ch: make(chan struct{})})
 	w.hosted = make([]int, p)
-	for i := range w.hosted {
-		w.hosted[i] = i
-	}
-	w.mail = make([][]chan message, p)
-	for d := range w.mail {
-		w.mail[d] = make([]chan message, p)
-		for s := range w.mail[d] {
-			w.mail[d][s] = make(chan message, MailboxDepth)
-		}
-	}
 	members := make([]int, p)
 	for i := range members {
+		w.hosted[i] = i
 		members[i] = i
 	}
 	w.world = w.NewGroup(members)
@@ -138,9 +139,8 @@ func (w *World) Stats() *Stats { return w.stats }
 // WorldGroup returns the group containing every rank.
 func (w *World) WorldGroup() *Group { return w.world }
 
-// NewGroup creates a communicator group over the given world ranks. Groups
-// must be created before Run starts (they are shared state). Panics on
-// out-of-range or duplicate members: construction-time misuse.
+// NewGroup creates a communicator group over the given world ranks. Panics
+// on out-of-range or duplicate members: construction-time misuse.
 func (w *World) NewGroup(members []int) *Group {
 	idx := make(map[int]int, len(members))
 	for i, m := range members {
@@ -152,25 +152,13 @@ func (w *World) NewGroup(members []int) *Group {
 		}
 		idx[m] = i
 	}
-	g := &Group{
-		w:       w,
-		members: append([]int(nil), members...),
-		idx:     idx,
-		bar:     newBarrier(len(members)),
-		fslots:  make([][]float64, len(members)),
-		vslots:  make([][][]float64, len(members)),
-		islots:  make([][][]int, len(members)),
-	}
-	w.groupMu.Lock()
-	w.groups = append(w.groups, g)
-	w.groupMu.Unlock()
-	return g
+	return &Group{w: w, members: append([]int(nil), members...), idx: idx}
 }
 
 // Run executes fn once per rank, each in its own goroutine, and blocks
 // until all return. Any failure is re-raised as a panic on the caller with
-// its rank attached — the legacy form. Failure-aware callers use RunErr,
-// RunCtx, or RunTimeout, which return the *RankError instead.
+// its rank attached; failure-aware callers use RunErr, RunCtx, or
+// RunTimeout, which return the *RankError instead.
 func (w *World) Run(fn func(r *Rank)) {
 	if err := w.RunErr(func(r *Rank) error { fn(r); return nil }); err != nil {
 		panic(err.Error())
@@ -222,143 +210,50 @@ func (r *Rank) CommFactor() float64 { return r.w.degrade.Factor(r.ID) }
 // times.
 func (r *Rank) ChargeCompute(phase string, sec float64) { r.chargeTime(phase, sec) }
 
-// sendMsg enqueues m for dst, unwinding (an abortPanic panic, recovered by
-// Run) if the world aborts while the mailbox is full. The fast path is a
-// plain buffered-channel send. On the TCP backend the message is framed and
-// handed to the peer's coalescing writer instead; wire sends never block.
-func (w *World) sendMsg(dst, src int, m message) {
-	if w.net != nil {
-		w.net.sendMessage(dst, laneP2P, m)
-		return
-	}
-	select {
-	case w.mail[dst][src] <- m:
-		return
-	default:
-	}
-	select {
-	case w.mail[dst][src] <- m:
-	case <-w.abortCh.Load().ch:
-		w.pool.put(m.floats)
-		panic(abortPanic{})
-	}
-}
-
-// recvMsg dequeues the next message from src for dst, unwinding (an
-// abortPanic panic, recovered by Run) if the world aborts while the
-// mailbox is empty. On the TCP backend it pops the (src, p2p-lane) inbox the
-// reader goroutine lands decoded frames into.
-func (w *World) recvMsg(dst, src int) message {
-	if w.net != nil {
-		return w.net.recvLane(src, laneP2P)
-	}
-	select {
-	case m := <-w.mail[dst][src]:
-		return m
-	default:
-	}
-	select {
-	case m := <-w.mail[dst][src]:
-		return m
-	case <-w.abortCh.Load().ch:
-		panic(abortPanic{})
-	}
-}
-
 // Send delivers a tagged float payload to dst. Models an eager/buffered
 // send: it never blocks (mailboxes hold MailboxDepth in-flight messages per
-// pair, far above the ≤1-per-Multiply the staged protocols use), matching
-// the paper's use of non-blocking Isend. Self-sends panic: local data needs
-// no transport.
+// pair, far above the ≤1-per-Multiply the staged protocols use, and the wire
+// queues without bound), matching the paper's use of non-blocking Isend.
+// Self-sends panic: local data needs no transport.
 //
-// The payload is copied into a pooled transport buffer, so the caller keeps
-// ownership of floats; the receiver owns the transport buffer (see Recv /
-// RecvInto). To skip the copy entirely, pack into GetFloats and use
-// SendOwned.
+// The caller keeps ownership of floats — the transport copies or encodes it
+// before Send returns. To hand a buffer over instead, pack into GetFloats
+// and use SendOwned.
 func (r *Rank) Send(dst, tag int, floats []float64, phase string) {
-	if dst == r.ID {
-		panic("comm: self-send not supported; use local data directly")
-	}
-	r.opPoint()
-	var cp []float64
-	if floats != nil {
-		cp = r.w.pool.get(len(floats))
-		copy(cp, floats)
-	}
-	r.sendOwned(dst, tag, cp, phase)
+	r.send(dst, tag, floats, false, phase)
 }
 
 // SendOwned delivers a tagged float payload to dst without copying: the
-// buffer itself (typically from GetFloats) travels to the receiver, which
-// assumes ownership. The caller must not touch floats afterwards — this is
-// the sender half of the pooled zero-copy path. Self-sends panic, as in
-// Send.
+// buffer itself (typically from GetFloats) is handed to the transport and
+// recycled once delivered. The caller must not touch floats afterwards —
+// this is the sender half of the pooled zero-copy path. Self-sends panic, as
+// in Send.
 func (r *Rank) SendOwned(dst, tag int, floats []float64, phase string) {
+	r.send(dst, tag, floats, true, phase)
+}
+
+// send is the shared point-to-point body; a self-send panics.
+func (r *Rank) send(dst, tag int, floats []float64, owned bool, phase string) {
 	if dst == r.ID {
 		panic("comm: self-send not supported; use local data directly")
 	}
 	r.opPoint()
-	r.sendOwned(dst, tag, floats, phase)
-}
-
-func (r *Rank) sendOwned(dst, tag int, floats []float64, phase string) {
-	r.w.sendMsg(dst, r.ID, message{tag: tag, floats: floats})
+	r.w.tr.send(r.ID, dst, laneP2P, tag, floats, owned)
 	n := int64(len(floats)) * machine.BytesPerElem
 	r.w.stats.addSend(r.ID, n, 1)
 	r.chargeComm(phase, r.w.Params.P2PTime(n))
 }
 
-// SendInts delivers a tagged int payload to dst (used to exchange the
-// NnzCols row-index lists during setup). Self-sends panic, as in Send.
-func (r *Rank) SendInts(dst, tag int, ints []int, phase string) {
-	if dst == r.ID {
-		panic("comm: self-send not supported")
-	}
-	r.opPoint()
-	cp := append([]int(nil), ints...)
-	r.w.sendMsg(dst, r.ID, message{tag: tag, ints: cp})
-	n := int64(len(ints)) * machine.BytesPerElem
-	r.w.stats.addSend(r.ID, n, 1)
-	r.chargeComm(phase, r.w.Params.P2PTime(n))
-}
-
-// TryRecv blocks until the next message from src arrives and returns its
-// float payload, or a typed error (ErrTagMismatch) when the head message
-// carries a different tag — the protocols in this repository are
-// deterministic, so a mismatch is a bug, not a race. No time is charged: the
-// sender already paid the message's full α–β cost (see the package comment).
-//
-// The returned buffer is owned by the caller: keep it indefinitely, or hand
-// it back with PutFloats once done. For a zero-allocation steady state use
-// RecvInto with a persistent workspace instead.
-func (r *Rank) TryRecv(src, tag int) ([]float64, error) {
-	r.opPoint()
-	m := r.w.recvMsg(r.ID, src)
-	if m.tag != tag {
-		r.w.pool.put(m.floats)
-		return nil, fmt.Errorf("%w: rank %d expected tag %d from %d, got %d", ErrTagMismatch, r.ID, tag, src, m.tag)
-	}
-	n := int64(len(m.floats)) * machine.BytesPerElem
-	r.w.stats.addRecv(r.ID, n)
-	return m.floats, nil
-}
-
-// Recv is TryRecv with the legacy contract: misuse panics.
-func (r *Rank) Recv(src, tag int) []float64 {
-	out, err := r.TryRecv(src, tag)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
-}
-
 // TryRecvInto blocks for the next message from src, copies its payload into
-// dst, and recycles the transport buffer. A tag mismatch returns
-// ErrTagMismatch; a payload whose length differs from dst returns
-// ErrSizeMismatch. Volume accounting matches TryRecv exactly.
+// dst, and recycles the transport buffer — with a persistent workspace, the
+// zero-allocation receive. A tag mismatch returns ErrTagMismatch (the
+// protocols in this repository are deterministic, so a mismatch is a bug,
+// not a race); a payload whose length differs from dst returns
+// ErrSizeMismatch. No time is charged: the sender already paid the message's
+// full α–β cost (see the package comment).
 func (r *Rank) TryRecvInto(src, tag int, dst []float64) error {
 	r.opPoint()
-	m := r.w.recvMsg(r.ID, src)
+	m := r.w.tr.recv(r.ID, src, laneP2P)
 	if m.tag != tag {
 		r.w.pool.put(m.floats)
 		return fmt.Errorf("%w: rank %d expected tag %d from %d, got %d", ErrTagMismatch, r.ID, tag, src, m.tag)
@@ -368,36 +263,15 @@ func (r *Rank) TryRecvInto(src, tag int, dst []float64) error {
 		return fmt.Errorf("%w: rank %d RecvInto dst len %d, payload len %d", ErrSizeMismatch, r.ID, len(dst), len(m.floats))
 	}
 	copy(dst, m.floats)
-	n := int64(len(m.floats)) * machine.BytesPerElem
-	r.w.stats.addRecv(r.ID, n)
+	r.w.stats.addRecv(r.ID, int64(len(m.floats))*machine.BytesPerElem)
 	r.w.pool.put(m.floats)
 	return nil
 }
 
-// RecvInto is TryRecvInto with the legacy contract: misuse panics.
+// RecvInto is TryRecvInto for callers with no error path: misuse panics,
+// which the launcher reports as the run's *RankError.
 func (r *Rank) RecvInto(src, tag int, dst []float64) {
 	if err := r.TryRecvInto(src, tag, dst); err != nil {
-		panic(err.Error())
+		panic(err)
 	}
-}
-
-// TryRecvInts is TryRecv for int payloads.
-func (r *Rank) TryRecvInts(src, tag int) ([]int, error) {
-	r.opPoint()
-	m := r.w.recvMsg(r.ID, src)
-	if m.tag != tag {
-		r.w.pool.put(m.floats)
-		return nil, fmt.Errorf("%w: rank %d expected tag %d from %d, got %d", ErrTagMismatch, r.ID, tag, src, m.tag)
-	}
-	r.w.stats.addRecv(r.ID, int64(len(m.ints))*machine.BytesPerElem)
-	return m.ints, nil
-}
-
-// RecvInts is TryRecvInts with the legacy contract: misuse panics.
-func (r *Rank) RecvInts(src, tag int) []int {
-	out, err := r.TryRecvInts(src, tag)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
 }

@@ -38,212 +38,6 @@ func TestRunPropagatesPanic(t *testing.T) {
 	})
 }
 
-func TestSendRecv(t *testing.T) {
-	w := testWorld(2)
-	w.Run(func(r *Rank) {
-		if r.ID == 0 {
-			r.Send(1, 7, []float64{1, 2, 3}, "p2p")
-		} else {
-			got := r.Recv(0, 7)
-			if len(got) != 3 || got[2] != 3 {
-				panic("bad payload")
-			}
-		}
-	})
-	if w.Stats().BytesSent(0) != 3*machine.BytesPerElem {
-		t.Fatalf("sent bytes %d", w.Stats().BytesSent(0))
-	}
-	if w.Stats().BytesRecv(1) != 3*machine.BytesPerElem {
-		t.Fatalf("recv bytes %d", w.Stats().BytesRecv(1))
-	}
-	if w.Stats().MsgsSent(0) != 1 {
-		t.Fatal("message count")
-	}
-}
-
-func TestSendCopiesPayload(t *testing.T) {
-	w := testWorld(2)
-	w.Run(func(r *Rank) {
-		if r.ID == 0 {
-			buf := []float64{42}
-			r.Send(1, 0, buf, "p2p")
-			buf[0] = -1 // mutate after send; receiver must still see 42
-		} else {
-			got := r.Recv(0, 0)
-			if got[0] != 42 {
-				panic("send did not copy payload")
-			}
-		}
-	})
-}
-
-func TestSendIntsRecvInts(t *testing.T) {
-	w := testWorld(2)
-	w.Run(func(r *Rank) {
-		if r.ID == 0 {
-			r.SendInts(1, 3, []int{9, 8}, "setup")
-		} else {
-			got := r.RecvInts(0, 3)
-			if len(got) != 2 || got[0] != 9 {
-				panic("bad int payload")
-			}
-		}
-	})
-}
-
-func TestRecvTagMismatchPanics(t *testing.T) {
-	w := testWorld(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected tag mismatch panic")
-		}
-	}()
-	w.Run(func(r *Rank) {
-		if r.ID == 0 {
-			r.Send(1, 1, []float64{1}, "p2p")
-		} else {
-			r.Recv(0, 2)
-		}
-	})
-}
-
-func TestBcast(t *testing.T) {
-	w := testWorld(4)
-	g := w.WorldGroup()
-	w.Run(func(r *Rank) {
-		var data []float64
-		if r.ID == 2 {
-			data = []float64{3.14, 2.71}
-		}
-		got := g.BcastFloats(r, 2, data, "bcast")
-		if len(got) != 2 || got[0] != 3.14 {
-			panic("bcast payload wrong")
-		}
-	})
-	// root sent once, others received
-	if w.Stats().BytesSent(2) == 0 {
-		t.Fatal("root send not counted")
-	}
-	if w.Stats().BytesRecv(0) != 2*machine.BytesPerElem {
-		t.Fatal("non-root recv not counted")
-	}
-	if w.Ledger.PhaseMax("bcast") <= 0 {
-		t.Fatal("bcast time not charged")
-	}
-}
-
-func TestBcastRepeated(t *testing.T) {
-	// Two bcasts in a row exercise slot retirement.
-	w := testWorld(3)
-	g := w.WorldGroup()
-	w.Run(func(r *Rank) {
-		for round := 0; round < 5; round++ {
-			var data []float64
-			root := round % 3
-			if r.ID == root {
-				data = []float64{float64(round)}
-			}
-			got := g.BcastFloats(r, root, data, "bcast")
-			if got[0] != float64(round) {
-				panic("wrong round data")
-			}
-		}
-	})
-}
-
-func TestAllReduceSum(t *testing.T) {
-	w := testWorld(4)
-	g := w.WorldGroup()
-	w.Run(func(r *Rank) {
-		v := []float64{float64(r.ID), 1}
-		out := g.AllReduceSum(r, v, "allreduce")
-		if out[0] != 6 || out[1] != 4 { // 0+1+2+3, 1*4
-			panic("allreduce wrong")
-		}
-	})
-	if w.Ledger.PhaseMax("allreduce") <= 0 {
-		t.Fatal("allreduce time not charged")
-	}
-}
-
-func TestAllGatherFloats(t *testing.T) {
-	w := testWorld(3)
-	g := w.WorldGroup()
-	w.Run(func(r *Rank) {
-		mine := make([]float64, r.ID+1) // variable lengths
-		for i := range mine {
-			mine[i] = float64(r.ID)
-		}
-		all := g.AllGatherFloats(r, mine, "gather")
-		for j := 0; j < 3; j++ {
-			if len(all[j]) != j+1 {
-				panic("allgather lengths wrong")
-			}
-			for _, v := range all[j] {
-				if v != float64(j) {
-					panic("allgather values wrong")
-				}
-			}
-		}
-	})
-}
-
-func TestAllToAllvExchangeAndConservation(t *testing.T) {
-	w := testWorld(4)
-	g := w.WorldGroup()
-	w.Run(func(r *Rank) {
-		send := make([][]float64, 4)
-		for j := 0; j < 4; j++ {
-			// send j copies of my id to rank j
-			send[j] = make([]float64, j)
-			for k := range send[j] {
-				send[j][k] = float64(r.ID)
-			}
-		}
-		recv := g.AllToAllv(r, send, "alltoall")
-		for j := 0; j < 4; j++ {
-			if len(recv[j]) != r.ID {
-				panic("alltoallv shape wrong")
-			}
-			for _, v := range recv[j] {
-				if v != float64(j) {
-					panic("alltoallv value wrong")
-				}
-			}
-		}
-	})
-	if w.Stats().TotalSent() != w.Stats().TotalRecv() {
-		t.Fatalf("conservation violated: sent %d recv %d",
-			w.Stats().TotalSent(), w.Stats().TotalRecv())
-	}
-}
-
-func TestAllToAllvInts(t *testing.T) {
-	w := testWorld(2)
-	g := w.WorldGroup()
-	w.Run(func(r *Rank) {
-		send := [][]int{nil, nil}
-		send[1-r.ID] = []int{r.ID * 10}
-		recv := g.AllToAllvInts(r, send, "setup")
-		if recv[1-r.ID][0] != (1-r.ID)*10 {
-			panic("ints exchange wrong")
-		}
-	})
-}
-
-func TestSubGroups(t *testing.T) {
-	// 4 ranks in a 2x2 grid: row groups {0,1},{2,3}; allreduce within rows.
-	w := testWorld(4)
-	rows := []*Group{w.NewGroup([]int{0, 1}), w.NewGroup([]int{2, 3})}
-	w.Run(func(r *Rank) {
-		g := rows[r.ID/2]
-		out := g.AllReduceSum(r, []float64{1}, "allreduce")
-		if out[0] != 2 {
-			panic("row allreduce wrong")
-		}
-	})
-}
-
 func TestGroupIndexOfPanicsForOutsider(t *testing.T) {
 	w := testWorld(2)
 	g := w.NewGroup([]int{0})
@@ -290,21 +84,43 @@ func TestSelfSendPanics(t *testing.T) {
 	})
 }
 
-func TestBarrierManyRounds(t *testing.T) {
-	w := testWorld(6)
-	g := w.WorldGroup()
-	counter := make([]int, 6)
-	w.Run(func(r *Rank) {
-		for i := 0; i < 50; i++ {
-			counter[r.ID]++
-			g.Barrier(r)
-			// after barrier every rank must have incremented i+1 times
-			for j := 0; j < 6; j++ {
-				if counter[j] != i+1 {
-					panic("barrier did not synchronize")
-				}
-			}
-			g.Barrier(r)
+func TestWorldValidation(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for empty world")
 		}
-	})
+	}()
+	NewWorld(0, machine.Perlmutter())
+}
+
+func TestNewGroupValidation(t *testing.T) {
+	w := testWorld(2)
+	for _, members := range [][]int{{0, 2}, {0, 0}, {-1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic for members %v", members)
+				}
+			}()
+			w.NewGroup(members)
+		}()
+	}
+}
+
+// TestShapeMisusePanics: a mis-sized destination is a caller bug; each
+// collective panics rather than landing a truncated payload.
+func TestShapeMisusePanics(t *testing.T) {
+	for name, misuse := range map[string]func(g *Group, r *Rank){
+		"bcast dst":        func(g *Group, r *Rank) { g.BcastFloatsInto(r, 0, []float64{1, 2}, make([]float64, 1), "bcast") },
+		"allreduce out":    func(g *Group, r *Rank) { g.AllReduceSumInto(r, []float64{1, 2}, make([]float64, 1), "allreduce") },
+		"allreduce alias":  func(g *Group, r *Rank) { v := []float64{1}; g.AllReduceSumInto(r, v, v, "allreduce") },
+		"alltoallv send":   func(g *Group, r *Rank) { g.AllToAllvInto(r, nil, make([][]float64, 1), "alltoall") },
+		"alltoallv recv":   func(g *Group, r *Rank) { g.AllToAllvInto(r, make([][]float64, 1), nil, "alltoall") },
+		"alltoallv bucket": func(g *Group, r *Rank) { g.AllToAllvInto(r, [][]float64{{1}}, [][]float64{nil}, "alltoall") },
+	} {
+		w := testWorld(1)
+		if err := w.RunErr(func(r *Rank) error { misuse(w.WorldGroup(), r); return nil }); err == nil {
+			t.Errorf("%s: misuse did not panic", name)
+		}
+	}
 }

@@ -7,11 +7,11 @@ import (
 
 // This file is the comm failure model: the typed errors the error-returning
 // paths report, and the RankError wrapper World.RunErr attributes failures
-// with. The legacy API panics on misuse (a deterministic protocol makes a
-// mismatch a bug, not a race); the Try* forms and the Run* error-returning
-// launchers convert the same conditions into errors so failure-aware callers
-// (the session recovery loop, the chaos harness, a future network transport)
-// can observe and recover from them instead of crashing.
+// with. Conditions a run can meet — a fault, a lost peer, a poisoned stream —
+// are errors (TryRecvInto, the Run* launchers) so failure-aware callers (the
+// session recovery loop, the chaos harness) can observe and recover from
+// them; caller bugs panic, and on a rank goroutine the launcher turns that
+// panic into the run's *RankError as well.
 
 // ErrInjectedFault is the default cause of a fault armed with InjectFault.
 var ErrInjectedFault = errors.New("comm: injected fault")

@@ -9,21 +9,19 @@ import (
 // This file is the failure-aware execution layer of the world: fault
 // injection (per-rank fail-at-op and slow links), the abort protocol that
 // deterministically unblocks every rank mid-collective, and the
-// error-returning Run variants. The simulated transport gets the same
-// discipline a real network backend needs — timeouts, cancellation, typed
-// failures — so everything above it (plan executors, sessions, serving) can
-// be built and tested against faults before a TCP/gRPC transport exists.
+// error-returning Run variants — timeouts, cancellation, typed failures —
+// that everything above it (plan executors, sessions, serving) is built and
+// tested against, over either transport.
 //
 // Abort protocol: the first failure (an injected fault, a rank panic, an
 // external Abort, a deadline) records its cause on the world and closes the
-// abort channel. Every blocking primitive — mailbox sends and receives,
-// barrier waits (and therefore every collective), async workers — selects on
-// that channel and unwinds with the abortPanic sentinel, which RunErr
-// absorbs on each rank goroutine. After all ranks have joined, RunErr drains
-// the mailboxes back into the buffer pool, resets every barrier and exchange
-// slot, re-arms the abort channel, and returns the recorded *RankError: the
-// world is immediately reusable, which is what makes retry-based recovery
-// possible.
+// abort channel. Every blocking primitive — a transport send or receive, and
+// therefore every collective and async worker — selects on that channel and
+// unwinds with the abortPanic sentinel, which RunErr absorbs on each rank
+// goroutine. After all ranks have joined, RunErr drains the transport's
+// undelivered payloads back into the buffer pool, re-arms the abort channel,
+// and returns the recorded *RankError: an in-process world is immediately
+// reusable, which is what makes retry-based recovery possible.
 
 // Fault describes one injected failure or degradation, armed with
 // InjectFault. Failure faults are one-shot: they disarm when they fire.
@@ -131,12 +129,12 @@ type abortState struct {
 
 // Abort aborts the current Run: the first call records err as the cause
 // (non-*RankError causes are wrapped with Rank == -1) and unblocks every
-// rank — barrier waiters, pending sends and receives, async workers — which
-// unwind and make RunErr return the cause. Later calls are no-ops. Safe to
-// call from any goroutine, including a rank's own.
+// rank — pending sends and receives, async workers — which unwind and make
+// RunErr return the cause. Later calls are no-ops. Safe to call from any
+// goroutine, including a rank's own.
 func (w *World) Abort(err error) { w.abort(err, true) }
 
-// abort is the shared abort body; broadcast selects whether the TCP backend
+// abort is the shared abort body; broadcast selects whether a TCP world
 // announces the abort to its peers (true for locally raised failures, false
 // for aborts that arrived from a peer or a detected disconnect — every
 // survivor observes those directly, and re-broadcasting would echo forever).
@@ -154,12 +152,6 @@ func (w *World) abort(err error, broadcast bool) {
 	w.abortCh.Store(&abortState{ch: st.ch, closed: true})
 	close(st.ch)
 	w.abortMu.Unlock()
-	w.groupMu.Lock()
-	groups := append([]*Group(nil), w.groups...)
-	w.groupMu.Unlock()
-	for _, g := range groups {
-		g.bar.abort()
-	}
 	if broadcast && w.net != nil {
 		w.net.broadcastAbort(err)
 	}
@@ -173,10 +165,10 @@ func (w *World) abortCause() error {
 }
 
 // reset restores an aborted world to a clean, reusable state: the abort
-// channel is re-armed, mailboxes are drained back into the buffer pool,
-// every barrier and exchange slot is cleared. Callers must ensure no rank
-// goroutine or async worker is still inside the world (RunErr guarantees it:
-// all ranks have joined and executors drain their workers while unwinding).
+// channel is re-armed and undelivered payloads are drained back into the
+// buffer pool. Callers must ensure no rank goroutine or async worker is
+// still inside the world (RunErr guarantees it: all ranks have joined and
+// executors drain their workers while unwinding).
 func (w *World) reset() {
 	w.abortMu.Lock()
 	w.abortErr = nil
@@ -184,32 +176,11 @@ func (w *World) reset() {
 		w.abortCh.Store(&abortState{ch: make(chan struct{})})
 	}
 	w.abortMu.Unlock()
-	for d := range w.mail {
-		for s := range w.mail[d] {
-		drain:
-			for {
-				select {
-				case m := <-w.mail[d][s]:
-					w.pool.put(m.floats)
-				default:
-					break drain
-				}
-			}
-		}
-	}
-	if w.net != nil {
-		w.net.drainInboxes(&w.pool)
-	}
-	w.groupMu.Lock()
-	groups := append([]*Group(nil), w.groups...)
-	w.groupMu.Unlock()
-	for _, g := range groups {
-		g.reset()
-	}
+	w.tr.drain()
 }
 
-// RunErr executes fn once per hosted rank (every rank on the in-process
-// backend, exactly one on TCP), each in its own goroutine, and blocks
+// RunErr executes fn once per hosted rank (every rank of an in-process
+// world, exactly one over TCP), each in its own goroutine, and blocks
 // until all return. Any failure — an injected fault, a rank panic, an error
 // returned by fn, an external Abort — aborts the whole collective: every
 // blocked rank unwinds deterministically, the world is reset to a reusable

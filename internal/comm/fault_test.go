@@ -3,7 +3,6 @@ package comm
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -13,34 +12,40 @@ import (
 // error within bounded wall-clock time, never a deadlock.
 const chaosTimeout = 10 * time.Second
 
-// collectiveProgram is a representative mixed workload: every rank does
-// barriers, a broadcast, an all-reduce, and neighbor p2p — enough distinct
-// blocking points that a fault at any op index strands survivors in a
-// different primitive.
+// collectiveProgram is a representative mixed workload: every rank does a
+// broadcast, an all-reduce, an all-to-allv, and neighbor p2p — enough
+// distinct blocking points that a fault at any op index strands survivors in
+// a different primitive.
 func collectiveProgram(rounds int) func(r *Rank) error {
 	return func(r *Rank) error {
-		g := r.World().WorldGroup()
-		buf := make([]float64, 8)
+		g, p := r.World().WorldGroup(), r.P()
+		buf, out := make([]float64, 8), make([]float64, 8)
 		for i := range buf {
 			buf[i] = float64(r.ID)
 		}
+		send, recv := make([][]float64, p), make([][]float64, p)
+		for j := range send {
+			send[j], recv[j] = buf[:2], make([]float64, 2)
+		}
 		for round := 0; round < rounds; round++ {
-			g.Barrier(r)
-			g.BcastFloats(r, 0, buf, "bcast")
-			g.AllReduceSum(r, buf, "allreduce")
-			next := (r.ID + 1) % r.P()
-			prev := (r.ID + r.P() - 1) % r.P()
-			if r.P() > 1 {
-				r.Send(next, round, buf, "p2p")
-				got, err := r.TryRecv(prev, round)
-				if err != nil {
+			g.BcastFloatsInto(r, 0, buf, out, "bcast")
+			g.AllReduceSumInto(r, buf, out, "allreduce")
+			g.AllToAllvInto(r, send, recv, "alltoall")
+			if p > 1 {
+				r.Send((r.ID+1)%p, round, buf, "p2p")
+				if err := r.TryRecvInto((r.ID+p-1)%p, round, out); err != nil {
 					return err
 				}
-				r.PutFloats(got)
 			}
 		}
 		return nil
 	}
+}
+
+// blockForever parks r in a receive no rank will ever satisfy: only an abort
+// releases it.
+func blockForever(r *Rank) error {
+	return r.TryRecvInto((r.ID+1)%r.P(), 99, nil)
 }
 
 func TestInjectFaultReturnsTypedError(t *testing.T) {
@@ -64,7 +69,7 @@ func TestInjectFaultReturnsTypedError(t *testing.T) {
 
 func TestFaultAtEveryOpSiteUnblocksWithinDeadline(t *testing.T) {
 	// Sweep the fault across every op index of a short program: wherever it
-	// lands — barrier, bcast, allreduce, send, recv — all ranks must unwind
+	// lands — bcast, allreduce, alltoallv, send, recv — all ranks must unwind
 	// and the run must report the fault.
 	clean := testWorld(3)
 	if err := clean.RunTimeout(chaosTimeout, collectiveProgram(2)); err != nil {
@@ -97,8 +102,8 @@ func TestWorldReusableAfterAbort(t *testing.T) {
 	// Faults cleared; the same world must now run correctly end to end.
 	sums := make([]float64, 4)
 	err := w.RunTimeout(chaosTimeout, func(r *Rank) error {
-		g := r.World().WorldGroup()
-		out := g.AllReduceSum(r, []float64{float64(r.ID)}, "allreduce")
+		out := make([]float64, 1)
+		r.World().WorldGroup().AllReduceSumInto(r, []float64{float64(r.ID)}, out, "allreduce")
 		sums[r.ID] = out[0]
 		return nil
 	})
@@ -119,9 +124,7 @@ func TestRunErrPropagatesFnError(t *testing.T) {
 		if r.ID == 1 {
 			return boom
 		}
-		// Survivors head into a barrier that can only be released by abort.
-		r.World().WorldGroup().Barrier(r)
-		return nil
+		return blockForever(r) // survivors can only be released by abort
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
@@ -138,8 +141,7 @@ func TestRunErrPropagatesRankPanic(t *testing.T) {
 		if r.ID == 2 {
 			panic("kaboom")
 		}
-		r.World().WorldGroup().Barrier(r)
-		return nil
+		return blockForever(r)
 	})
 	if err == nil {
 		t.Fatal("panic did not surface as error")
@@ -159,11 +161,7 @@ func TestRunCtxCancelUnblocksMidCollective(t *testing.T) {
 	}()
 	start := time.Now()
 	err := withDeadlockGuard(t, func() error {
-		return w.RunCtx(ctx, func(r *Rank) error {
-			// Both ranks block on receives that will never be satisfied.
-			_, err := r.TryRecv((r.ID+1)%2, 99)
-			return err
-		})
+		return w.RunCtx(ctx, blockForever)
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -190,10 +188,7 @@ func withDeadlockGuard(t *testing.T, f func() error) error {
 
 func TestRunTimeoutDeadline(t *testing.T) {
 	w := testWorld(2)
-	err := w.RunTimeout(50*time.Millisecond, func(r *Rank) error {
-		_, err := r.TryRecv((r.ID+1)%2, 7) // never sent
-		return err
-	})
+	err := w.RunTimeout(50*time.Millisecond, blockForever)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
@@ -223,7 +218,7 @@ func TestSlowLinkScalesCommTime(t *testing.T) {
 			if r.ID == 0 {
 				r.Send(1, 1, make([]float64, 1024), "p2p")
 			} else {
-				r.PutFloats(r.Recv(0, 1))
+				r.RecvInto(0, 1, make([]float64, 1024))
 			}
 			return nil
 		}); err != nil {
@@ -249,8 +244,8 @@ func TestSlowFaultDegradesFromTriggerPoint(t *testing.T) {
 			r.Send(1, 1, make([]float64, 512), "warm")     // clean
 			r.Send(1, 2, make([]float64, 512), "degraded") // op 2 arms the slowdown, then charges
 		} else {
-			r.PutFloats(r.Recv(0, 1))
-			r.PutFloats(r.Recv(0, 2))
+			r.RecvInto(0, 1, make([]float64, 512))
+			r.RecvInto(0, 2, make([]float64, 512))
 		}
 		return nil
 	}); err != nil {
@@ -278,66 +273,33 @@ func (w *World) CommFactorForTest(rank int) float64 {
 	return f
 }
 
-func TestTryRecvTagMismatchTypedError(t *testing.T) {
-	w := testWorld(2)
-	err := w.RunTimeout(chaosTimeout, func(r *Rank) error {
-		if r.ID == 0 {
-			r.Send(1, 5, []float64{1}, "")
-			return nil
-		}
-		_, err := r.TryRecv(0, 6)
-		return err
-	})
-	if !errors.Is(err, ErrTagMismatch) {
-		t.Fatalf("want ErrTagMismatch, got %v", err)
-	}
-}
-
-func TestTryRecvIntoSizeMismatchTypedError(t *testing.T) {
-	w := testWorld(2)
-	err := w.RunTimeout(chaosTimeout, func(r *Rank) error {
-		if r.ID == 0 {
-			r.Send(1, 5, []float64{1, 2, 3}, "")
-			return nil
-		}
-		return r.TryRecvInto(0, 5, make([]float64, 2))
-	})
-	if !errors.Is(err, ErrSizeMismatch) {
-		t.Fatalf("want ErrSizeMismatch, got %v", err)
-	}
-}
-
-func TestAsyncTryStartTypedErrors(t *testing.T) {
+// TestAsyncMisuseTypedErrors: starting a second operation before Await, or
+// any operation after Close, fails the run with the typed cause — and the
+// busy check fires before the in-flight operation's slot is touched.
+func TestAsyncMisuseTypedErrors(t *testing.T) {
 	w := testWorld(2)
 	err := w.RunTimeout(chaosTimeout, func(r *Rank) error {
 		if r.ID == 1 {
-			r.PutFloats(r.Recv(0, 1))
-			r.Send(0, 9, []float64{42}, "")
+			r.Send(0, 9, []float64{42}, "p2p")
 			return nil
 		}
 		a := NewAsync()
 		defer a.Close()
 		dst := make([]float64, 1)
-		if err := a.TryStartRecvInto(r, 1, 9, dst); err != nil {
-			return fmt.Errorf("first start: %w", err)
-		}
-		if err := a.TryStartRecvInto(r, 1, 9, dst); !errors.Is(err, ErrAsyncBusy) {
-			return fmt.Errorf("double start: want ErrAsyncBusy, got %v", err)
-		}
-		r.Send(1, 1, []float64{0}, "") // releases rank 1, which satisfies the recv
-		a.Await()
-		if dst[0] != 42 {
-			return fmt.Errorf("async recv landed %v", dst[0])
-		}
+		a.StartRecvInto(r, 1, 9, dst) // in flight until Await, landed or not
+		a.StartRecvInto(r, 1, 9, dst)
 		return nil
 	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
+	if !errors.Is(err, ErrAsyncBusy) {
+		t.Fatalf("double start: want ErrAsyncBusy, got %v", err)
 	}
-
-	a := NewAsync()
-	a.Close()
-	if err := a.TryStartRecvInto(nil, 0, 0, nil); !errors.Is(err, ErrAsyncClosed) {
+	err = w.RunTimeout(chaosTimeout, func(r *Rank) error {
+		a := NewAsync()
+		a.Close()
+		a.StartRecvInto(r, 1-r.ID, 0, nil)
+		return nil
+	})
+	if !errors.Is(err, ErrAsyncClosed) {
 		t.Fatalf("start on closed: want ErrAsyncClosed, got %v", err)
 	}
 }

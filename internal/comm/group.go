@@ -8,20 +8,13 @@ import (
 
 // Group is a communicator over a subset of world ranks (a process row or
 // column in the 1.5D grid, or the whole world). All collectives must be
-// entered by every member, in the same order — MPI semantics.
-//
-// Exchange slots are typed per payload shape ([]float64, [][]float64,
-// [][]int) rather than held as `any`: storing a slice header in an
-// interface boxes it on the heap, which would put one allocation in every
-// collective of the steady-state training loop.
+// entered by every member, in the same order — MPI semantics. A Group holds
+// no exchange state of its own: each collective is messages between the
+// members on the collective lane.
 type Group struct {
 	w       *World
 	members []int
 	idx     map[int]int // world rank -> group index
-	bar     *barrier
-	fslots  [][]float64   // bcast / allreduce / allgather payloads
-	vslots  [][][]float64 // alltoallv payloads
-	islots  [][][]int     // alltoallv int payloads (setup only)
 }
 
 // Size returns the number of members.
@@ -52,97 +45,64 @@ func (g *Group) IndexOf(r *Rank) int {
 	return i
 }
 
-// Barrier synchronises all members.
-func (g *Group) Barrier(r *Rank) {
-	me := g.IndexOf(r)
-	r.opPoint()
-	if g.w.net != nil {
-		g.netBarrier(r, me)
-		return
+// sendColl sends data (borrowed) to group member i on the collective lane.
+func (g *Group) sendColl(r *Rank, i, tag int, data []float64) {
+	g.w.tr.send(r.ID, g.members[i], laneColl, tag, data, false)
+}
+
+// recvColl receives group member i's next collective-lane payload with the
+// tag contract enforced: a mismatch means a corrupted or misordered stream,
+// so it aborts the world with ErrTagMismatch and unwinds with the abortPanic
+// panic. The caller recycles the returned buffer.
+func (g *Group) recvColl(r *Rank, i, tag int) []float64 {
+	m := g.w.tr.recv(r.ID, g.members[i], laneColl)
+	if m.tag != tag {
+		g.w.pool.put(m.floats)
+		g.w.Abort(&RankError{Rank: r.ID, Err: fmt.Errorf("%w: collective lane expected tag %d from rank %d, got %d", ErrTagMismatch, tag, g.members[i], m.tag)})
+		panic(abortPanic{})
 	}
-	g.bar.wait()
+	return m.floats
 }
 
-// reset clears every member's exchange slots and re-arms the barrier after
-// an aborted run (an abort can strand published payloads in the slots).
-// Called from World.reset once all ranks have unwound.
-func (g *Group) reset() {
-	g.bar.reset()
-	for i := range g.members {
-		g.fslots[i] = nil
-		g.vslots[i] = nil
-		g.islots[i] = nil
-	}
-}
-
-// retire waits for all members to finish reading, then clears the caller's
-// slots so the next collective starts clean.
-func (g *Group) retire(r *Rank) {
-	g.bar.wait()
-	me := g.IndexOf(r)
-	g.fslots[me] = nil
-	g.vslots[me] = nil
-	g.islots[me] = nil
-}
-
-// BcastFloats broadcasts root's (group-index) payload to every member and
-// returns each member's own copy. Charged as a pipelined-tree broadcast.
-func (g *Group) BcastFloats(r *Rank, root int, data []float64, phase string) []float64 {
-	return g.bcastFloats(r, root, data, nil, false, phase)
-}
-
-// BcastFloatsInto is BcastFloats copying into a caller-supplied workspace
-// (whose length must equal the payload length) instead of allocating; it
-// returns dst. Volume accounting and time charges match BcastFloats.
+// BcastFloatsInto broadcasts root's (group-index) payload into every
+// member's dst, whose length must equal the payload length (shape misuse
+// panics), and returns dst. The root sends to each other member; everyone is
+// charged the modeled pipelined-tree broadcast, and the volume is one
+// logical send at the root, one receive elsewhere.
 func (g *Group) BcastFloatsInto(r *Rank, root int, data, dst []float64, phase string) []float64 {
-	return g.bcastFloats(r, root, data, dst, true, phase)
-}
-
-// bcastFloats is the shared broadcast body; a mis-sized dst panics (shape
-// misuse is a caller bug, per the collective contract).
-func (g *Group) bcastFloats(r *Rank, root int, data, dst []float64, useDst bool, phase string) []float64 {
 	me := g.IndexOf(r)
 	r.opPoint()
-	if g.w.net != nil {
-		return g.netBcastFloats(r, me, root, data, dst, useDst, phase)
-	}
+	src := data
 	if me == root {
-		g.fslots[me] = data
-	}
-	g.bar.wait()
-	src := g.fslots[root]
-	if useDst {
-		if len(dst) != len(src) {
-			panic(fmt.Sprintf("comm: bcast dst len %d, payload len %d", len(dst), len(src)))
+		for i := range g.members {
+			if i != me {
+				g.sendColl(r, i, tagBcast, data)
+			}
 		}
 	} else {
-		dst = make([]float64, len(src))
+		src = g.recvColl(r, root, tagBcast)
+	}
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("comm: bcast dst len %d, payload len %d", len(dst), len(src)))
 	}
 	copy(dst, src)
 	nBytes := int64(len(src)) * machine.BytesPerElem
 	if me == root {
 		g.w.stats.addSend(r.ID, nBytes, 1)
 	} else {
+		g.w.pool.put(src)
 		g.w.stats.addRecv(r.ID, nBytes)
 	}
 	r.chargeComm(phase, g.w.Params.BcastTime(nBytes, g.Size()))
-	g.retire(r)
 	return dst
 }
 
-// AllReduceSum element-wise sums each member's vector and returns the
-// reduced vector to all. Vectors must share a length. Charged as a ring
-// all-reduce.
-func (g *Group) AllReduceSum(r *Rank, data []float64, phase string) []float64 {
-	out := make([]float64, len(data))
-	g.AllReduceSumInto(r, data, out, phase)
-	return out
-}
-
-// AllReduceSumInto is AllReduceSum reducing into a caller-supplied vector.
-// out must have data's length and must not alias any member's published
-// input (members read each other's inputs while writing their own out);
-// either misuse panics.
+// AllReduceSumInto element-wise sums each member's vector into out on every
+// member, folding contributions in group member order so the result is the
+// same bits on every rank and every transport. out must have data's length
+// and must not alias data (out is zeroed before the caller's own
+// contribution is folded), and members' vectors must share a length; any
+// misuse panics. Charged as a ring all-reduce.
 func (g *Group) AllReduceSumInto(r *Rank, data, out []float64, phase string) {
 	if len(out) != len(data) {
 		panic(fmt.Sprintf("comm: allreduce out len %d, data len %d", len(out), len(data)))
@@ -152,138 +112,67 @@ func (g *Group) AllReduceSumInto(r *Rank, data, out []float64, phase string) {
 	}
 	me := g.IndexOf(r)
 	r.opPoint()
-	if g.w.net != nil {
-		g.netAllReduceSum(r, me, data, out, phase)
-		return
+	for i := range g.members {
+		if i != me {
+			g.sendColl(r, i, tagAllReduce, data)
+		}
 	}
-	g.fslots[me] = data
-	g.bar.wait()
 	for j := range out {
 		out[j] = 0
 	}
 	for i := range g.members {
-		v := g.fslots[i]
+		v, wire := data, []float64(nil)
+		if i != me {
+			wire = g.recvColl(r, i, tagAllReduce)
+			v = wire
+		}
 		if len(v) != len(data) {
 			panic(fmt.Sprintf("comm: allreduce length mismatch %d vs %d", len(v), len(data)))
 		}
 		for j, x := range v {
 			out[j] += x
 		}
+		g.w.pool.put(wire)
 	}
-	nBytes := int64(len(data)) * machine.BytesPerElem
-	ringVol := nBytes // ring all-reduce moves ~2n bytes; modeled in AllReduceTime
-	if g.Size() > 1 {
-		g.w.stats.addSend(r.ID, ringVol, int64(g.Size()-1))
-		g.w.stats.addRecv(r.ID, ringVol)
-	}
-	r.chargeComm(phase, g.w.Params.AllReduceTime(nBytes, g.Size()))
-	g.retire(r)
+	sent, recvd, msgs := AllReduceVolume(len(data), g.Size())
+	g.w.stats.addSend(r.ID, sent, msgs)
+	g.w.stats.addRecv(r.ID, recvd)
+	r.chargeComm(phase, g.w.Params.AllReduceTime(int64(len(data))*machine.BytesPerElem, g.Size()))
 }
 
-// AllGatherFloats concatenates each member's variable-length contribution
-// in group order and returns the slices per contributor. Charged as a ring
-// all-gather of the concatenated size.
-func (g *Group) AllGatherFloats(r *Rank, data []float64, phase string) [][]float64 {
-	return g.allGatherFloats(r, data, nil, phase)
-}
-
-// AllGatherFloatsInto is AllGatherFloats copying into caller-supplied
-// per-contributor workspaces: dst[i] must have the length of member i's
-// contribution (shape misuse panics). Returns dst.
-func (g *Group) AllGatherFloatsInto(r *Rank, data []float64, dst [][]float64, phase string) [][]float64 {
-	if len(dst) != g.Size() {
-		panic(fmt.Sprintf("comm: allgather dst has %d buckets for group of %d", len(dst), g.Size()))
-	}
-	return g.allGatherFloats(r, data, dst, phase)
-}
-
-// allGatherFloats is the shared all-gather body; mis-sized caller-supplied
-// workspaces panic (shape misuse is a caller bug).
-func (g *Group) allGatherFloats(r *Rank, data []float64, dst [][]float64, phase string) [][]float64 {
-	me := g.IndexOf(r)
-	r.opPoint()
-	if g.w.net != nil {
-		return g.netAllGatherFloats(r, me, data, dst, phase)
-	}
-	g.fslots[me] = data
-	g.bar.wait()
-	alloc := dst == nil
-	if alloc {
-		dst = make([][]float64, g.Size())
-	}
-	var total int64
-	for i := range g.members {
-		v := g.fslots[i]
-		if alloc {
-			dst[i] = append([]float64(nil), v...)
-		} else {
-			if len(dst[i]) != len(v) {
-				panic(fmt.Sprintf("comm: allgather dst[%d] len %d, contribution len %d", i, len(dst[i]), len(v)))
-			}
-			copy(dst[i], v)
-		}
-		total += int64(len(v))
-	}
-	totalBytes := total * machine.BytesPerElem
-	ownBytes := int64(len(data)) * machine.BytesPerElem
-	if g.Size() > 1 {
-		g.w.stats.addSend(r.ID, ownBytes, int64(g.Size()-1))
-		g.w.stats.addRecv(r.ID, totalBytes-ownBytes)
-	}
-	r.chargeComm(phase, g.w.Params.AllGatherTime(totalBytes, g.Size()))
-	g.retire(r)
-	return dst
-}
-
-// AllToAllv performs a personalized exchange: send[j] goes to group member
-// j; the result's element j is what member j sent to the caller. Charged as
+// AllToAllvInto performs a personalized exchange: send[j] goes to group
+// member j (empty buckets included, so every pair stays message-aligned) and
+// member j's contribution lands in recv[j], which must have its length (zero
+// for silent partners); shape misuse panics. Returns recv. Charged as
 // grouped point-to-point traffic — one latency per communicating partner
 // plus serialized send+recv bandwidth, the model the paper uses for NCCL's
 // grouped ncclSend/ncclRecv all-to-all.
-func (g *Group) AllToAllv(r *Rank, send [][]float64, phase string) [][]float64 {
-	return g.allToAllv(r, send, nil, phase)
-}
-
-// AllToAllvInto is AllToAllv copying into caller-supplied workspaces:
-// recv[j] must have the length of what member j sends to the caller (zero
-// for silent partners); shape misuse panics. Returns recv. Volume
-// accounting and time charges match AllToAllv.
 func (g *Group) AllToAllvInto(r *Rank, send, recv [][]float64, phase string) [][]float64 {
-	if len(recv) != g.Size() {
-		panic(fmt.Sprintf("comm: alltoallv recv has %d buckets for group of %d", len(recv), g.Size()))
-	}
-	return g.allToAllv(r, send, recv, phase)
-}
-
-// allToAllv is the shared exchange body; mis-sized send or recv buckets
-// panic (shape misuse is a caller bug).
-func (g *Group) allToAllv(r *Rank, send, recv [][]float64, phase string) [][]float64 {
 	if len(send) != g.Size() {
 		panic(fmt.Sprintf("comm: alltoallv send has %d buckets for group of %d", len(send), g.Size()))
 	}
+	if len(recv) != g.Size() {
+		panic(fmt.Sprintf("comm: alltoallv recv has %d buckets for group of %d", len(recv), g.Size()))
+	}
 	me := g.IndexOf(r)
 	r.opPoint()
-	if g.w.net != nil {
-		return g.netAllToAllv(r, me, send, recv, phase)
-	}
-	g.vslots[me] = send
-	g.bar.wait()
-	alloc := recv == nil
-	if alloc {
-		recv = make([][]float64, g.Size())
+	for j := range g.members {
+		if j != me {
+			g.sendColl(r, j, tagAllToAllv, send[j])
+		}
 	}
 	var sendElems, recvElems int64
 	partners := 0
 	for j := range g.members {
-		theirs := g.vslots[j][me]
-		if alloc {
-			recv[j] = append([]float64(nil), theirs...)
-		} else {
-			if len(recv[j]) != len(theirs) {
-				panic(fmt.Sprintf("comm: alltoallv recv[%d] len %d, payload len %d", j, len(recv[j]), len(theirs)))
-			}
-			copy(recv[j], theirs)
+		theirs, wire := send[me], []float64(nil)
+		if j != me {
+			wire = g.recvColl(r, j, tagAllToAllv)
+			theirs = wire
 		}
+		if len(recv[j]) != len(theirs) {
+			panic(fmt.Sprintf("comm: alltoallv recv[%d] len %d, payload len %d", j, len(recv[j]), len(theirs)))
+		}
+		copy(recv[j], theirs)
 		if j != me {
 			recvElems += int64(len(theirs))
 			sendElems += int64(len(send[j]))
@@ -291,46 +180,12 @@ func (g *Group) allToAllv(r *Rank, send, recv [][]float64, phase string) [][]flo
 				partners++
 			}
 		}
+		g.w.pool.put(wire)
 	}
 	sendBytes := sendElems * machine.BytesPerElem
 	recvBytes := recvElems * machine.BytesPerElem
 	g.w.stats.addSend(r.ID, sendBytes, int64(partners))
 	g.w.stats.addRecv(r.ID, recvBytes)
 	r.chargeComm(phase, g.w.Params.AllToAllvTime(sendBytes, recvBytes, partners))
-	g.retire(r)
 	return recv
-}
-
-// AllToAllvInts is AllToAllv for int payloads (the NnzCols index exchange
-// during sparsity-aware setup); a mis-sized send panics.
-func (g *Group) AllToAllvInts(r *Rank, send [][]int, phase string) [][]int {
-	if len(send) != g.Size() {
-		panic(fmt.Sprintf("comm: alltoallv send has %d buckets for group of %d", len(send), g.Size()))
-	}
-	me := g.IndexOf(r)
-	r.opPoint()
-	if g.w.net != nil {
-		return g.netAllToAllvInts(r, me, send, phase)
-	}
-	g.islots[me] = send
-	g.bar.wait()
-	out := make([][]int, g.Size())
-	var sendElems, recvElems int64
-	partners := 0
-	for j := range g.members {
-		theirs := g.islots[j]
-		out[j] = append([]int(nil), theirs[me]...)
-		if j != me {
-			recvElems += int64(len(theirs[me]))
-			sendElems += int64(len(send[j]))
-			if len(theirs[me]) > 0 || len(send[j]) > 0 {
-				partners++
-			}
-		}
-	}
-	g.w.stats.addSend(r.ID, sendElems*machine.BytesPerElem, int64(partners))
-	g.w.stats.addRecv(r.ID, recvElems*machine.BytesPerElem)
-	r.chargeComm(phase, g.w.Params.AllToAllvTime(sendElems*machine.BytesPerElem, recvElems*machine.BytesPerElem, partners))
-	g.retire(r)
-	return out
 }

@@ -1,67 +1,78 @@
 package comm
 
-// bufPool is a per-world free list of float payload buffers. Send packs into
-// a pooled buffer, the matching RecvInto (or an explicit PutFloats) returns
-// it, so steady-state training reuses a fixed set of transport buffers
-// instead of allocating and GC-ing one per message.
+// bufPool is a per-world free list of float payload buffers. Every message
+// in flight — a Send's copy, a collective's per-member payloads, a decoded
+// wire frame — sits in a pooled buffer that the receiving primitive recycles
+// once it has copied the payload out, so steady-state training reuses a
+// fixed set of transport buffers instead of allocating and GC-ing one per
+// message.
 //
 // Ownership discipline:
 //
-//   - Send copies the caller's payload into a pooled buffer; the receiver
-//     owns that buffer once Recv returns it, and may keep it forever (it is
-//     simply garbage collected) or hand it back with PutFloats.
+//   - Send and the collectives lend the caller's payload: the transport
+//     copies (mailboxes) or encodes (wire) it before they return.
 //   - SendOwned transfers the caller's buffer itself — the caller must have
 //     obtained it from GetFloats and must not touch it afterwards.
-//   - RecvInto copies the payload into a caller-supplied workspace and
-//     recycles the transport buffer immediately — the zero-allocation path.
+//   - RecvInto and the Into collectives copy the payload into a
+//     caller-supplied workspace and recycle the transport buffer
+//     immediately — the zero-allocation path.
 //
-// The free list is a buffered channel: channel operations do not allocate,
+// Each free list is a buffered channel: channel operations do not allocate,
 // so recycling is itself allocation-free (unlike sync.Pool, which boxes the
-// slice header on every Put). Capacities are rounded up to powers of two so
-// recycled buffers keep matching requests of similar size.
+// slice header on every Put). There is one list per power-of-two capacity,
+// so a request is served by a buffer of its own size class or a fresh one of
+// exactly that class — a two-element loss reduction never pins the 4 MB
+// buffer the next wide exchange needs.
 type bufPool struct {
-	ch chan []float64
+	classes [poolClasses]chan []float64 // classes[c] holds capacity minPooled<<c
 }
+
+const (
+	minPooled   = 64  // smallest pooled capacity: avoids churning tiny buffers
+	poolClasses = 26  // up to minPooled<<25 = 2³¹ elements
+	poolDepth   = 256 // free buffers kept per class; the rest are left to the GC
+)
 
 func newBufPool() bufPool {
-	return bufPool{ch: make(chan []float64, 1024)}
+	var p bufPool
+	for c := range p.classes {
+		p.classes[c] = make(chan []float64, poolDepth)
+	}
+	return p
 }
 
-// roundUpPow2 returns the smallest power of two ≥ n (min 64 to avoid
-// churning tiny buffers).
-func roundUpPow2(n int) int {
-	c := 64
-	for c < n {
-		c <<= 1
+// sizeClass returns the smallest class whose capacity holds n elements.
+func sizeClass(n int) int {
+	c := 0
+	for minPooled<<c < n {
+		c++
 	}
 	return c
 }
 
-// get returns a length-n buffer with unspecified contents. It tries a few
-// pooled buffers before allocating; too-small candidates go back to the
-// FIFO's tail so they stay available for smaller requests.
+// get returns a length-n buffer with unspecified contents.
 func (p *bufPool) get(n int) []float64 {
-	for attempt := 0; attempt < 4; attempt++ {
-		select {
-		case b := <-p.ch:
-			if cap(b) >= n {
-				return b[:n]
-			}
-			p.put(b)
-		default:
-			attempt = 4
-		}
+	c := sizeClass(n)
+	select {
+	case b := <-p.classes[c]:
+		return b[:n]
+	default:
+		return make([]float64, n, minPooled<<c)
 	}
-	return make([]float64, n, roundUpPow2(n))
 }
 
-// put recycles a buffer; drops it if the free list is full.
+// put recycles a buffer into the largest class it can serve; drops it if
+// that free list is full or the buffer is below the smallest class.
 func (p *bufPool) put(b []float64) {
-	if cap(b) == 0 {
+	if cap(b) < minPooled {
 		return
 	}
+	c := sizeClass(cap(b))
+	if minPooled<<c > cap(b) {
+		c--
+	}
 	select {
-	case p.ch <- b[:0]:
+	case p.classes[c] <- b[:0]:
 	default:
 	}
 }
@@ -70,6 +81,6 @@ func (p *bufPool) put(b []float64) {
 // intended as a SendOwned payload or a scratch workspace.
 func (r *Rank) GetFloats(n int) []float64 { return r.w.pool.get(n) }
 
-// PutFloats recycles a buffer previously obtained from GetFloats, Recv, or
-// a collective's transport path. The caller must not use it afterwards.
+// PutFloats recycles a buffer previously obtained from GetFloats. The caller
+// must not use it afterwards.
 func (r *Rank) PutFloats(b []float64) { r.w.pool.put(b) }

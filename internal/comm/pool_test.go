@@ -6,55 +6,14 @@ import (
 	"sagnn/internal/machine"
 )
 
-// TestSendOwnedRecvIntoRoundtrip exercises the zero-copy path: the sender
-// packs into a pooled buffer and hands it off; the receiver lands the
-// payload in its own workspace and the transport buffer is recycled.
-func TestSendOwnedRecvIntoRoundtrip(t *testing.T) {
-	w := NewWorld(2, machine.Perlmutter())
-	w.Run(func(r *Rank) {
-		if r.ID == 0 {
-			buf := r.GetFloats(3)
-			buf[0], buf[1], buf[2] = 1, 2, 3
-			r.SendOwned(1, 9, buf, "p2p")
-		} else {
-			dst := []float64{-1, -1, -1}
-			r.RecvInto(0, 9, dst)
-			if dst[0] != 1 || dst[1] != 2 || dst[2] != 3 {
-				panic("payload corrupted")
-			}
-		}
-	})
-	if w.Stats().BytesSent(0) != 3*machine.BytesPerElem {
-		t.Fatalf("sent %d bytes", w.Stats().BytesSent(0))
-	}
-	if w.Stats().BytesRecv(1) != 3*machine.BytesPerElem {
-		t.Fatalf("recv %d bytes", w.Stats().BytesRecv(1))
-	}
-}
-
-// TestSendOwnedNilPayload covers the empty-message case the 1.5D engines
-// use for silent stage partners.
-func TestSendOwnedNilPayload(t *testing.T) {
-	w := NewWorld(2, machine.Perlmutter())
-	w.Run(func(r *Rank) {
-		if r.ID == 0 {
-			r.SendOwned(1, 0, nil, "p2p")
-		} else {
-			r.RecvInto(0, 0, nil)
-		}
-	})
-	if w.Stats().MsgsSent(0) != 1 {
-		t.Fatalf("msgs %d", w.Stats().MsgsSent(0))
-	}
-}
-
 // TestPoolRecyclesBuffers pins the free-list semantics: a returned buffer
-// is handed back for the next fitting request instead of allocating.
+// is handed back for the next request of its size class instead of
+// allocating, and never for a request of another class.
 func TestPoolRecyclesBuffers(t *testing.T) {
 	p := newBufPool()
-	b1 := p.get(32)
+	b1 := p.get(40)
 	p.put(b1)
-	b2 := p.get(8) // smaller request reuses the same backing array
+	b2 := p.get(8) // same class: reuses the same backing array
 	if &b1[:1][0] != &b2[:1][0] {
 		t.Fatal("pool did not recycle the buffer")
 	}
@@ -62,12 +21,17 @@ func TestPoolRecyclesBuffers(t *testing.T) {
 		t.Fatalf("len %d, want 8", len(b2))
 	}
 	p.put(b2)
-	b3 := p.get(1 << 20) // too small for this: falls through to a fresh alloc
-	if &b3[:1][0] == &b1[:1][0] {
-		t.Fatal("pool returned an undersized buffer")
+	b3 := p.get(1 << 20) // another class: a fresh allocation of that class
+	if &b3[:1][0] == &b1[:1][0] || cap(b3) != 1<<20 {
+		t.Fatalf("pool served a %d-element request with capacity %d", 1<<20, cap(b3))
+	}
+	p = newBufPool()
+	p.put(make([]float64, 100)) // odd capacity: files under the class it can serve
+	if b4 := p.get(64); cap(b4) != 100 {
+		t.Fatalf("capacity-100 buffer not reused for the 64-class: got cap %d", cap(b4))
 	}
 	// RecvInto recycles transport buffers into the world pool: after a
-	// Send → RecvInto cycle the pool must be non-empty.
+	// Send → RecvInto cycle the message's class must be non-empty.
 	w := NewWorld(2, machine.Perlmutter())
 	w.Run(func(r *Rank) {
 		dst := make([]float64, 4)
@@ -77,162 +41,7 @@ func TestPoolRecyclesBuffers(t *testing.T) {
 			r.RecvInto(0, 0, dst)
 		}
 	})
-	select {
-	case b := <-w.pool.ch:
-		if cap(b) < 4 {
-			t.Fatalf("recycled buffer cap %d", cap(b))
-		}
-	default:
+	if len(w.pool.classes[sizeClass(4)]) == 0 {
 		t.Fatal("RecvInto did not recycle the transport buffer")
-	}
-}
-
-// TestBcastFloatsIntoMatchesBcast pins the Into variant against the
-// allocating one: same payload, same stats.
-func TestBcastFloatsIntoMatchesBcast(t *testing.T) {
-	w1 := NewWorld(3, machine.Perlmutter())
-	data := []float64{2, 4, 8}
-	w1.Run(func(r *Rank) {
-		g := w1.WorldGroup()
-		var payload []float64
-		if r.ID == 1 {
-			payload = data
-		}
-		got := g.BcastFloats(r, 1, payload, "bcast")
-		if got[2] != 8 {
-			panic("bad bcast")
-		}
-	})
-	w2 := NewWorld(3, machine.Perlmutter())
-	w2.Run(func(r *Rank) {
-		g := w2.WorldGroup()
-		var payload []float64
-		if r.ID == 1 {
-			payload = data
-		}
-		dst := make([]float64, 3)
-		g.BcastFloatsInto(r, 1, payload, dst, "bcast")
-		if dst[2] != 8 {
-			panic("bad bcast into")
-		}
-	})
-	for rank := 0; rank < 3; rank++ {
-		if w1.Stats().BytesSent(rank) != w2.Stats().BytesSent(rank) ||
-			w1.Stats().BytesRecv(rank) != w2.Stats().BytesRecv(rank) {
-			t.Fatalf("rank %d: Into variant changed volume accounting", rank)
-		}
-	}
-}
-
-// TestAllReduceSumIntoMatchesAllReduce checks values and the aliasing guard.
-func TestAllReduceSumIntoMatchesAllReduce(t *testing.T) {
-	w := NewWorld(4, machine.Perlmutter())
-	w.Run(func(r *Rank) {
-		g := w.WorldGroup()
-		in := []float64{float64(r.ID), 1}
-		out := make([]float64, 2)
-		g.AllReduceSumInto(r, in, out, "allreduce")
-		if out[0] != 6 || out[1] != 4 {
-			panic("bad allreduce sum")
-		}
-	})
-}
-
-func TestAllReduceSumIntoAliasPanics(t *testing.T) {
-	w := NewWorld(1, machine.Perlmutter())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected alias panic")
-		}
-	}()
-	w.Run(func(r *Rank) {
-		v := []float64{1}
-		w.WorldGroup().AllReduceSumInto(r, v, v, "allreduce")
-	})
-}
-
-// TestAllGatherFloatsIntoMatchesAllGather pins payloads and per-rank
-// volumes of the workspace variant against the allocating one, including
-// the variable-length contributions the plain AllGatherFloats supports.
-func TestAllGatherFloatsIntoMatchesAllGather(t *testing.T) {
-	const p = 3
-	contrib := func(me int) []float64 {
-		out := make([]float64, me+1) // variable length per rank
-		for i := range out {
-			out[i] = float64(10*me + i)
-		}
-		return out
-	}
-	w1 := NewWorld(p, machine.Perlmutter())
-	var want [p][][]float64
-	w1.Run(func(r *Rank) {
-		want[r.ID] = w1.WorldGroup().AllGatherFloats(r, contrib(r.ID), "gather")
-	})
-	w2 := NewWorld(p, machine.Perlmutter())
-	w2.Run(func(r *Rank) {
-		dst := make([][]float64, p)
-		for i := 0; i < p; i++ {
-			dst[i] = make([]float64, i+1)
-		}
-		w2.WorldGroup().AllGatherFloatsInto(r, contrib(r.ID), dst, "gather")
-		for i := 0; i < p; i++ {
-			for k, v := range want[r.ID][i] {
-				if dst[i][k] != v {
-					panic("allgather-into payload mismatch")
-				}
-			}
-		}
-	})
-	for rank := 0; rank < p; rank++ {
-		if w1.Stats().BytesSent(rank) != w2.Stats().BytesSent(rank) ||
-			w1.Stats().BytesRecv(rank) != w2.Stats().BytesRecv(rank) {
-			t.Fatalf("rank %d: Into variant changed volume accounting", rank)
-		}
-	}
-}
-
-// TestAllToAllvIntoMatchesAllToAllv pins payloads and per-rank volumes of
-// the workspace variant against the allocating one.
-func TestAllToAllvIntoMatchesAllToAllv(t *testing.T) {
-	const p = 3
-	build := func(me int) [][]float64 {
-		send := make([][]float64, p)
-		for j := 0; j < p; j++ {
-			if j != me {
-				send[j] = []float64{float64(10*me + j)}
-			}
-		}
-		return send
-	}
-	w1 := NewWorld(p, machine.Perlmutter())
-	w1.Run(func(r *Rank) {
-		got := w1.WorldGroup().AllToAllv(r, build(r.ID), "alltoall")
-		for j := 0; j < p; j++ {
-			if j != r.ID && got[j][0] != float64(10*j+r.ID) {
-				panic("bad alltoallv payload")
-			}
-		}
-	})
-	w2 := NewWorld(p, machine.Perlmutter())
-	w2.Run(func(r *Rank) {
-		recv := make([][]float64, p)
-		for j := 0; j < p; j++ {
-			if j != r.ID {
-				recv[j] = make([]float64, 1)
-			}
-		}
-		w2.WorldGroup().AllToAllvInto(r, build(r.ID), recv, "alltoall")
-		for j := 0; j < p; j++ {
-			if j != r.ID && recv[j][0] != float64(10*j+r.ID) {
-				panic("bad alltoallv-into payload")
-			}
-		}
-	})
-	for rank := 0; rank < p; rank++ {
-		if w1.Stats().BytesSent(rank) != w2.Stats().BytesSent(rank) ||
-			w1.Stats().BytesRecv(rank) != w2.Stats().BytesRecv(rank) ||
-			w1.Stats().MsgsSent(rank) != w2.Stats().MsgsSent(rank) {
-			t.Fatalf("rank %d: Into variant changed volume accounting", rank)
-		}
 	}
 }

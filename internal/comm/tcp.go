@@ -25,11 +25,12 @@ import (
 // rendezvousTimeout; a missing peer returns an error rather than hanging.
 //
 // The returned World runs exactly one rank goroutine per Run (the hosted
-// rank); logical volume accounting and modeled α–β ledger charges use the
-// same formulas as the simulated backend, so the two transports agree bit
-// for bit on every ledger. Fault injection targets the hosted rank only, and
-// unlike the simulated backend an aborted TCP world is not reusable: peers
-// are not resynchronized after an abort. Call Close when done.
+// rank); the collective layer, its volume accounting and its modeled α–β
+// charges are the same code as over mailboxes, so the two transports agree
+// bit for bit on every result and ledger. Fault injection targets the hosted
+// rank only, and unlike an in-process world an aborted TCP world is not
+// reusable: peers are not resynchronized after an abort. Call Close when
+// done.
 func NewWorldTCP(self int, addrs []string, params machine.Params) (*World, error) {
 	p := len(addrs)
 	if p <= 0 {
@@ -38,14 +39,8 @@ func NewWorldTCP(self int, addrs []string, params machine.Params) (*World, error
 	if self < 0 || self >= p {
 		return nil, fmt.Errorf("comm: rank %d outside peer list of %d", self, p)
 	}
-	w := NewWorld(p, params)
-	nw := &netWorld{w: w, self: self, addrs: append([]string(nil), addrs...), peers: make([]*netPeer, p)}
-	nw.inboxes = make([][2]inbox, p)
-	for i := range nw.inboxes {
-		for l := range nw.inboxes[i] {
-			nw.inboxes[i][l].sig = make(chan struct{}, 1)
-		}
-	}
+	w := newWorld(p, params)
+	nw := newNetWorld(w, self, addrs)
 	if p > 1 {
 		if err := nw.rendezvous(); err != nil {
 			nw.teardown()
@@ -60,9 +55,21 @@ func NewWorldTCP(self int, addrs []string, params machine.Params) (*World, error
 			go nw.writer(pr)
 		}
 	}
-	w.net = nw
-	w.hosted = []int{self}
 	return w, nil
+}
+
+// newNetWorld installs an unconnected wire transport hosting rank self on w.
+func newNetWorld(w *World, self int, addrs []string) *netWorld {
+	nw := &netWorld{w: w, self: self, addrs: append([]string(nil), addrs...), peers: make([]*netPeer, w.P)}
+	nw.inboxes = make([][2]inbox, w.P)
+	for i := range nw.inboxes {
+		for l := range nw.inboxes[i] {
+			nw.inboxes[i][l].sig = make(chan struct{}, 1)
+		}
+	}
+	w.tr, w.net = nw, nw
+	w.hosted = []int{self}
+	return nw
 }
 
 // rendezvous listens on our address and establishes one connection per peer:
@@ -170,10 +177,10 @@ func readHello(conn net.Conn, deadline time.Time) (int, error) {
 	return src, nil
 }
 
-// Close shuts down the transport: for the TCP backend it announces an
-// orderly goodbye to every peer, waits (bounded) so closing sockets cannot
-// abort a peer still mid-run, flushes and stops the writers, and closes all
-// connections and the listener. A no-op for the in-process backend.
+// Close shuts down the transport: over TCP it announces an orderly goodbye
+// to every peer, waits (bounded) so closing sockets cannot abort a peer
+// still mid-run, flushes and stops the writers, and closes all connections
+// and the listener. A no-op for an in-process world.
 func (w *World) Close() error {
 	if w.net == nil {
 		return nil
@@ -181,8 +188,8 @@ func (w *World) Close() error {
 	return w.net.close()
 }
 
-// Transport returns the backend name: "sim" for the in-process simulated
-// communicator, "tcp" for the multi-process framed-TCP backend.
+// Transport names the transport: "sim" for in-process mailboxes, "tcp" for
+// the multi-process framed wire.
 func (w *World) Transport() string {
 	if w.net == nil {
 		return "sim"
@@ -190,14 +197,11 @@ func (w *World) Transport() string {
 	return "tcp"
 }
 
-// LocalRank returns the lowest world rank hosted by this process: 0 for the
-// in-process backend (which hosts every rank), the process's own rank for
+// LocalRank returns the lowest world rank hosted by this process: 0 for an
+// in-process world (which hosts every rank), the process's own rank over
 // TCP. "Print once" logic gates on LocalRank instead of rank 0 so it stays
 // correct across transports.
 func (w *World) LocalRank() int { return w.hosted[0] }
-
-// Hosts reports whether the given world rank runs inside this process.
-func (w *World) Hosts(rank int) bool { return w.net == nil || rank == w.net.self }
 
 // Hosted returns the world ranks this process runs, in ascending order.
 func (w *World) Hosted() []int { return append([]int(nil), w.hosted...) }

@@ -12,60 +12,49 @@ import (
 	"time"
 )
 
-// This file is the wire half of the transport split: the in-process simulated
-// backend (comm.go, group.go) stays the default and keeps powering tests,
-// fault injection, and cost-model pinning, while a World built by NewWorldTCP
-// carries a netWorld and routes the same mailbox/collective primitives over
-// persistent framed TCP connections — one process per rank, full mesh. The
-// compiled distmm.Plan IR is transport-independent, so the exact same
-// schedules execute over either backend; the conformance tests pin that the
-// outputs and the logical volume ledgers are bit-identical.
+// This file is the wire transport: a World built by NewWorldTCP carries a
+// netWorld that moves the collective layer's messages over persistent framed
+// TCP connections — one process per rank, full mesh — where NewWorld's
+// mailboxes (mailbox.go) move them between goroutines. Everything above the
+// transport interface, the compiled distmm.Plan IR included, is the same
+// code over either; the conformance tests pin that the outputs and the
+// logical volume ledgers are bit-identical.
 //
 // Wire protocol: every frame is an 18-byte header
 //
 //	kind(1) lane(1) src(4, LE) tag(8, LE int64) count(4, LE)
 //
-// followed by count elements of 8 bytes each (float64 bits or int64, LE) for
-// data frames, or count raw bytes (a cause string) for abort frames. Frames
-// travel on two logical lanes multiplexed over one connection pair: laneP2P
-// for Send/Recv traffic and laneColl for collective traffic, so an async
-// worker's pending RecvInto can never steal a collective's frame. Within a
-// lane, per-(src,dst) FIFO order is the TCP stream order — exactly the
-// ordering guarantee the simulated mailboxes provide.
+// followed by count float64s (8 bytes each, LE bits) for data frames, or
+// count raw bytes (a cause string) for abort frames. The two lanes are
+// multiplexed over one connection pair; within a lane, per-(src,dst) FIFO
+// order is the TCP stream order — exactly the ordering guarantee the
+// mailboxes provide. count is bounded (maxFrameElems, maxAbortBytes) before
+// anything is allocated for it: the header is peer-supplied.
 //
 // Note the accounting split: logical volumes and modeled α–β time are charged
-// by the caller-side primitives with the same formulas as the simulated
-// backend (a broadcast is one logical tree send even though the root writes
-// g-1 frames), while the wire moves 8-byte float64s where the logical model
-// counts machine.BytesPerElem. Calibration (calibrate.go) fits α and β in
+// by the collective layer, identically over both transports (a broadcast is
+// one logical tree send even though the root writes g-1 frames), while the
+// wire moves 8-byte float64s where the logical model counts
+// machine.BytesPerElem. Calibration (calibrate.go) fits α and β in
 // logical-byte units, absorbing that constant factor into β.
-
-// Lanes multiplex independent FIFO streams over one connection pair.
-const (
-	laneP2P  byte = 0 // Send/SendOwned/SendInts ↔ Recv*
-	laneColl byte = 1 // group collectives (netcoll.go)
-)
 
 // Frame kinds.
 const (
 	frameHello   byte = 1 // rendezvous: dialer identifies its rank
 	frameFloats  byte = 2 // float64 payload
-	frameInts    byte = 3 // int payload
 	frameAbort   byte = 4 // peer aborted; payload is the cause string
 	frameGoodbye byte = 5 // orderly shutdown: peer will send nothing more
 )
 
-// Collective-lane tags (netcoll.go): distinct per collective kind so a
-// misordered stream surfaces as ErrTagMismatch instead of silent corruption.
+// Frame payload bounds, enforced on both ends: a sender refuses to exceed
+// them and a reader treats a header that does as malformed, so a corrupt or
+// hostile count can make the reader allocate at most this much.
 const (
-	tagBcast = -(101 + iota)
-	tagAllReduce
-	tagAllGather
-	tagAllToAllv
-	tagAllToAllvInts
-	tagBarrier
-	tagBarrierAck
-	tagCalibrate
+	maxFrameElems = 1 << 26 // float64s per data frame (512 MiB on the wire)
+	maxAbortBytes = 1 << 12 // bytes of abort cause text
+	// decodeChunk is the reader's fixed scratch: payloads are read and
+	// decoded this many bytes at a time, whatever their length.
+	decodeChunk = 256 << 10
 )
 
 // frameHeaderLen is the fixed header size preceding every payload.
@@ -119,10 +108,10 @@ func putFrame(b []byte) {
 	framePool.Put(&b)
 }
 
-// inbox is one lane's receive queue from one peer: unbounded (the wire
-// replaces the simulated MailboxDepth backpressure — the reader goroutine
-// always drains the socket, so a remote sender never blocks), FIFO, and
-// abort-aware on the consumer side.
+// inbox is one lane's receive queue from one peer: unbounded (the wire has
+// no MailboxDepth backpressure — the reader goroutine always drains the
+// socket, so a remote sender never blocks), FIFO, and abort-aware on the
+// consumer side.
 type inbox struct {
 	mu  sync.Mutex
 	q   []message
@@ -248,7 +237,7 @@ type netPeer struct {
 	byeOnce sync.Once
 }
 
-// netWorld is the TCP backend state hung off a World: exactly one hosted
+// netWorld is the wire transport's state, hung off a World: exactly one hosted
 // rank (self), a persistent connection per peer, per-(src,lane) inboxes the
 // reader goroutines land decoded frames into, and orderly-shutdown state.
 type netWorld struct {
@@ -281,42 +270,29 @@ func (nw *netWorld) enqueue(dst int, b []byte) {
 	p.q.push(b)
 }
 
-// sendFloats encodes and enqueues a float frame for dst. Serialization is
-// synchronous in the caller, so a pooled payload can be recycled on return.
-func (nw *netWorld) sendFloats(dst int, lane byte, tag int, data []float64) {
+// send encodes a float frame and hands it to dst's writer; wire sends never
+// block. Serialization is synchronous in the caller, so an owned payload is
+// recycled on return. A payload over the frame bound panics (the receiver
+// would reject it as malformed).
+func (nw *netWorld) send(_, dst int, lane byte, tag int, data []float64, owned bool) {
+	if len(data) > maxFrameElems {
+		panic(fmt.Sprintf("comm: %d-element payload exceeds the %d-element frame bound", len(data), maxFrameElems))
+	}
 	b := getFrame(frameHeaderLen + len(data)*8)
 	putHeader(b, frameFloats, lane, nw.self, tag, len(data))
 	for i, v := range data {
 		binary.LittleEndian.PutUint64(b[frameHeaderLen+i*8:], math.Float64bits(v))
 	}
 	nw.enqueue(dst, b)
-}
-
-// sendInts encodes and enqueues an int frame for dst.
-func (nw *netWorld) sendInts(dst int, lane byte, tag int, data []int) {
-	b := getFrame(frameHeaderLen + len(data)*8)
-	putHeader(b, frameInts, lane, nw.self, tag, len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(b[frameHeaderLen+i*8:], uint64(int64(v)))
+	if owned {
+		nw.w.pool.put(data)
 	}
-	nw.enqueue(dst, b)
 }
 
-// sendMessage routes one mailbox message (the p2p path) onto the wire,
-// recycling the pooled float payload once encoded.
-func (nw *netWorld) sendMessage(dst int, lane byte, m message) {
-	if m.ints != nil {
-		nw.sendInts(dst, lane, m.tag, m.ints)
-		return
-	}
-	nw.sendFloats(dst, lane, m.tag, m.floats)
-	nw.w.pool.put(m.floats)
-}
-
-// recvLane pops the next frame from src on the given lane, unwinding with
-// the abort sentinel panic when the world aborts first (the caller is a rank
+// recv pops the next frame from src on the given lane, unwinding with the
+// abortPanic panic when the world aborts first (the caller is a rank
 // goroutine; RunErr recovers the panic into the recorded *RankError).
-func (nw *netWorld) recvLane(src int, lane byte) message {
+func (nw *netWorld) recv(_, src int, lane byte) message {
 	m, ok := nw.inboxes[src][lane].pop(nw.w.abortCh.Load().ch)
 	if !ok {
 		panic(abortPanic{})
@@ -324,16 +300,13 @@ func (nw *netWorld) recvLane(src int, lane byte) message {
 	return m
 }
 
-// recvColl is recvLane on the collective lane with the tag contract
-// enforced: a mismatch means a corrupted or misordered stream, so it aborts
-// the world with ErrTagMismatch and unwinds with the abort sentinel panic.
-func (nw *netWorld) recvColl(src, tag int) message {
-	m := nw.recvLane(src, laneColl)
-	if m.tag != tag {
-		nw.w.abort(&RankError{Rank: nw.self, Err: fmt.Errorf("%w: collective lane expected tag %d from rank %d, got %d", ErrTagMismatch, tag, src, m.tag)}, true)
-		panic(abortPanic{})
+// drain empties every inbox back into the buffer pool (World.reset).
+func (nw *netWorld) drain() {
+	for i := range nw.inboxes {
+		for l := range nw.inboxes[i] {
+			nw.inboxes[i][l].drainInto(&nw.w.pool)
+		}
 	}
-	return m
 }
 
 // broadcastAbort tells every peer this process has aborted (best-effort; a
@@ -343,6 +316,9 @@ func (nw *netWorld) broadcastAbort(err error) {
 		return
 	}
 	msg := err.Error()
+	if len(msg) > maxAbortBytes {
+		msg = msg[:maxAbortBytes]
+	}
 	for _, p := range nw.peers {
 		if p == nil {
 			continue
@@ -351,15 +327,6 @@ func (nw *netWorld) broadcastAbort(err error) {
 		putHeader(b, frameAbort, laneP2P, nw.self, 0, len(msg))
 		copy(b[frameHeaderLen:], msg)
 		p.q.push(b)
-	}
-}
-
-// drainInboxes empties every inbox back into the buffer pool (World.reset).
-func (nw *netWorld) drainInboxes(pool *bufPool) {
-	for i := range nw.inboxes {
-		for l := range nw.inboxes[i] {
-			nw.inboxes[i][l].drainInto(pool)
-		}
 	}
 }
 
@@ -396,58 +363,55 @@ func (nw *netWorld) writer(p *netPeer) {
 
 // reader is the per-peer receive goroutine: it decodes frames off the
 // connection into pooled buffers and lands them in the (src,lane) inbox. A
-// connection failure before the peer's goodbye aborts the world with a
-// *RankError wrapping ErrPeerDisconnected — a killed or hung peer surfaces
-// as a typed error on every survivor instead of a deadlock.
+// connection failure before the peer's goodbye — or a malformed frame —
+// aborts the world with a *RankError wrapping ErrPeerDisconnected: a killed,
+// hung or corrupt peer surfaces as a typed error on every survivor instead
+// of a deadlock.
 func (nw *netWorld) reader(p *netPeer) {
 	defer nw.markBye(p) // a vanished peer must not wedge Close's goodbye wait
 	hdr := make([]byte, frameHeaderLen)
-	var scratch []byte
+	scratch := make([]byte, decodeChunk)
 	for {
 		if _, err := io.ReadFull(p.conn, hdr); err != nil {
 			nw.peerGone(p, err)
 			return
 		}
 		kind, lane, src, tag, count := parseHeader(hdr)
-		if src != p.rank || count < 0 || lane > laneColl {
+		limit := 0
+		switch kind {
+		case frameFloats:
+			limit = maxFrameElems
+		case frameAbort:
+			limit = maxAbortBytes
+		}
+		if src != p.rank || lane > laneColl || count < 0 || count > limit {
 			nw.peerGone(p, fmt.Errorf("comm: malformed frame from rank %d (kind %d src %d lane %d count %d)", p.rank, kind, src, lane, count))
 			return
 		}
 		switch kind {
 		case frameFloats:
-			need := count * 8
-			if cap(scratch) < need {
-				scratch = make([]byte, need)
-			}
-			s := scratch[:need]
-			if _, err := io.ReadFull(p.conn, s); err != nil {
-				nw.peerGone(p, err)
-				return
-			}
-			buf := nw.w.pool.get(count)
-			for i := 0; i < count; i++ {
-				buf[i] = math.Float64frombits(binary.LittleEndian.Uint64(s[i*8:]))
+			var buf []float64
+			for done := 0; done < count; {
+				n := count - done
+				if n > decodeChunk/8 {
+					n = decodeChunk / 8
+				}
+				s := scratch[:n*8]
+				if _, err := io.ReadFull(p.conn, s); err != nil {
+					nw.w.pool.put(buf)
+					nw.peerGone(p, err)
+					return
+				}
+				if buf == nil { // only once payload has arrived behind the header
+					buf = nw.w.pool.get(count)
+				}
+				for i := 0; i < n; i++ {
+					buf[done+i] = math.Float64frombits(binary.LittleEndian.Uint64(s[i*8:]))
+				}
+				done += n
 			}
 			nw.inboxes[src][lane].push(message{tag: tag, floats: buf})
-		case frameInts:
-			need := count * 8
-			if cap(scratch) < need {
-				scratch = make([]byte, need)
-			}
-			s := scratch[:need]
-			if _, err := io.ReadFull(p.conn, s); err != nil {
-				nw.peerGone(p, err)
-				return
-			}
-			ints := make([]int, count)
-			for i := 0; i < count; i++ {
-				ints[i] = int(int64(binary.LittleEndian.Uint64(s[i*8:])))
-			}
-			nw.inboxes[src][lane].push(message{tag: tag, ints: ints})
 		case frameAbort:
-			if cap(scratch) < count {
-				scratch = make([]byte, count)
-			}
 			s := scratch[:count]
 			if _, err := io.ReadFull(p.conn, s); err != nil {
 				nw.peerGone(p, err)

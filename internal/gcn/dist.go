@@ -329,14 +329,14 @@ func (st *Stepper) StepNCtx(ctx context.Context, n int) ([]EpochResult, error) {
 	if st.dirty {
 		return nil, ErrInconsistent
 	}
-	results := make([]EpochResult, n)
+	var results []EpochResult          // appended by the recorder rank alone, read after the join
 	recorder := st.d.World.LocalRank() // loss/acc are identical on every rank
 	err := st.d.World.RunCtx(ctx, func(r *comm.Rank) error {
 		rs := st.ranks[r.ID]
 		for e := 0; e < n; e++ {
 			loss, acc := st.d.rankEpoch(r, rs)
 			if r.ID == recorder {
-				results[e] = EpochResult{Epoch: st.epoch + e, Loss: loss, TrainAcc: acc}
+				results = append(results, EpochResult{Epoch: st.epoch + e, Loss: loss, TrainAcc: acc})
 			}
 		}
 		return nil

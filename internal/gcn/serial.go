@@ -194,7 +194,7 @@ func (s *Serial) Epoch() (float64, float64) {
 
 // Train runs the given number of epochs.
 func (s *Serial) TrainEpochs(epochs int) []EpochResult {
-	out := make([]EpochResult, 0, epochs)
+	var out []EpochResult
 	for e := 0; e < epochs; e++ {
 		loss, acc := s.Epoch()
 		out = append(out, EpochResult{Epoch: e, Loss: loss, TrainAcc: acc})

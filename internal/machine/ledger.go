@@ -118,26 +118,10 @@ func (l *Ledger) Reset() {
 	l.phases = make(map[string][]float64)
 }
 
-// Scale multiplies every entry by s; used to convert an accumulated
-// multi-epoch run into per-epoch figures.
-//
-// Deprecated: Scale mutates shared state, so a second run on the same world
-// reads corrupted figures. Take a Snapshot before and after the run and
-// derive per-run numbers from the difference instead.
-func (l *Ledger) Scale(s float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, row := range l.phases {
-		for i := range row {
-			row[i] *= s
-		}
-	}
-}
-
 // Snapshot is an immutable copy of a ledger's accumulated per-rank,
 // per-phase seconds. Subtracting two snapshots isolates the time charged by
 // one run on a long-lived world, which lets sessions report per-run figures
-// without mutating shared ledger state (the bug Scale invites).
+// without mutating shared ledger state.
 type Snapshot struct {
 	p      int
 	phases map[string][]float64

@@ -68,16 +68,6 @@ func (p Params) AllReduceTime(nBytes int64, g int) float64 {
 	return 2*math.Ceil(math.Log2(gf))*p.Alpha + 2*(gf-1)/gf*float64(nBytes)*p.Beta
 }
 
-// AllGatherTime models a ring all-gather where totalBytes is the
-// concatenated result size.
-func (p Params) AllGatherTime(totalBytes int64, g int) float64 {
-	if g <= 1 || totalBytes <= 0 {
-		return 0
-	}
-	gf := float64(g)
-	return (gf-1)*p.Alpha + (gf-1)/gf*float64(totalBytes)*p.Beta
-}
-
 // P2PTime models a single point-to-point message.
 func (p Params) P2PTime(nBytes int64) float64 {
 	if nBytes < 0 {

@@ -94,13 +94,9 @@ func TestLedgerPhaseMaxAndTotal(t *testing.T) {
 	}
 }
 
-func TestLedgerScaleResetBreakdown(t *testing.T) {
+func TestLedgerResetBreakdown(t *testing.T) {
 	l := NewLedger(2)
-	l.Add(0, "x", 4)
-	l.Scale(0.25)
-	if l.PhaseMax("x") != 1 {
-		t.Fatal("Scale failed")
-	}
+	l.Add(0, "x", 1)
 	bd := l.Breakdown()
 	if bd["x"] != 1 {
 		t.Fatal("Breakdown missing phase")

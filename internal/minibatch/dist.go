@@ -421,7 +421,7 @@ func (st *DistStepper) StepNCtx(ctx context.Context, n int) ([]gcn.EpochResult, 
 	if steps == 0 {
 		return nil, ErrEmptyTrainSet
 	}
-	results := make([]gcn.EpochResult, n)
+	var results []gcn.EpochResult // appended by the recorder rank alone, read after the join
 	recorder := d.World.LocalRank()
 	err := d.World.RunCtx(ctx, func(r *comm.Rank) error {
 		rs := st.ranks[r.ID]
@@ -446,11 +446,11 @@ func (st *DistStepper) StepNCtx(ctx context.Context, n int) ([]gcn.EpochResult, 
 				}
 			}
 			if r.ID == recorder {
-				results[e] = gcn.EpochResult{
+				results = append(results, gcn.EpochResult{
 					Epoch:    epoch,
 					Loss:     lossSum / float64(globalExamples),
 					TrainAcc: correct / float64(globalExamples),
-				}
+				})
 			}
 		}
 		return nil
@@ -520,7 +520,7 @@ func (d *Dist) ReferenceEpochs(epochs int) []gcn.EpochResult {
 	L := len(d.Dims) - 1
 	steps := d.stepsPerEpoch()
 	P := d.World.P
-	results := make([]gcn.EpochResult, 0, epochs)
+	var results []gcn.EpochResult
 	grads := make([]*dense.Matrix, L)
 	for l := 0; l < L; l++ {
 		grads[l] = dense.New(d.Dims[l], d.Dims[l+1])

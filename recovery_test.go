@@ -24,7 +24,7 @@ func TestSessionAutoRecoveryBitIdentical(t *testing.T) {
 	ds := MustLoadDataset(ProteinSim, 42, 64)
 	const epochs = 6
 
-	baseline, _ := trainSessionPath(t, ds, 4, SparsityAware1D, NewGVB(42), epochs, 7)
+	baseline, _ := trainVia(t, ds, 4, DistOpts{Algorithm: SparsityAware1D, Partitioner: NewGVB(42)}, ModelConfig{Seed: 7}, epochs)
 
 	cluster, err := NewCluster(4)
 	if err != nil {
@@ -125,7 +125,7 @@ func TestSessionFaultWithoutRecoverySurfacesTypedError(t *testing.T) {
 	if err := sess.Restore(ck); err != nil {
 		t.Fatal(err)
 	}
-	clean, _ := trainSessionPath(t, ds, 4, SparsityAware1D, nil, 3, 7)
+	clean, _ := trainVia(t, ds, 4, DistOpts{Algorithm: SparsityAware1D}, ModelConfig{Seed: 7}, 3)
 	res2, err := sess.Run(context.Background(), 3)
 	if err != nil {
 		t.Fatalf("run after restore: %v", err)

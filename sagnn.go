@@ -26,8 +26,7 @@
 //
 // One Distribute (partition + engine build) can back any number of
 // sessions; sessions expose Step, epoch callbacks, context cancellation,
-// and Snapshot/Restore checkpointing. The legacy one-shot Train entry
-// point remains as a compatibility wrapper over the same path.
+// and Snapshot/Restore checkpointing.
 //
 // On the serving side, the same sparsity-aware discipline answers online
 // queries: Model.PredictSubset and ProbabilitiesSubsetInto compute a
@@ -37,9 +36,6 @@
 package sagnn
 
 import (
-	"context"
-	"fmt"
-
 	"sagnn/internal/distmm"
 	"sagnn/internal/gcn"
 	"sagnn/internal/gen"
@@ -137,52 +133,6 @@ const (
 	ExecOverlap = distmm.ExecOverlap
 )
 
-// TrainConfig configures a one-shot distributed training run via the
-// legacy Train wrapper. New code should use NewCluster / Distribute /
-// NewSession, which separate the amortizable setup from training.
-type TrainConfig struct {
-	Dataset   *Dataset
-	Processes int
-	// Replication is the 1.5D replication factor c (ignored by 1D
-	// algorithms; must satisfy c | P and c² | P·... see distmm.NewGrid).
-	Replication int
-	Algorithm   Algorithm
-	// Partitioner, if non-nil, reorders the graph before distribution.
-	Partitioner Partitioner
-	Epochs      int
-	Hidden      int
-	Layers      int
-	LR          float64
-	Seed        int64
-	// SAGE switches the layer operation from the paper's GCN convolution
-	// to a GraphSAGE-style concat layer — same communication pattern,
-	// demonstrating that the sparsity-aware methods generalize to other
-	// GNN types (Section 2 of the paper).
-	SAGE bool
-}
-
-func (c TrainConfig) withDefaults() TrainConfig {
-	if c.Replication == 0 {
-		c.Replication = 1
-	}
-	if c.Epochs == 0 {
-		c.Epochs = 100
-	}
-	if c.Hidden == 0 {
-		c.Hidden = 16
-	}
-	if c.Layers == 0 {
-		c.Layers = 3
-	}
-	if c.LR == 0 {
-		c.LR = 0.05
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
 // TrainResult reports a finished run.
 type TrainResult struct {
 	// History is the per-epoch loss/accuracy trajectory.
@@ -208,70 +158,6 @@ type TrainResult struct {
 	// Model is the trained weight set, detached from the run: evaluate it,
 	// serve it through a Predictor, or persist it with MarshalBinary.
 	Model *Model
-}
-
-// Train runs distributed full-batch GCN training under the given
-// configuration and returns the trajectory plus modeled performance. It is
-// a compatibility wrapper over the composable API (NewCluster → Distribute
-// → NewSession → Run) that rebuilds the cluster, partition, and
-// communication schedule on every call and panics on invalid configuration.
-//
-// Deprecated: new code should use the composable API directly, which
-// amortises the setup across runs and returns errors instead of panicking.
-func Train(cfg TrainConfig) TrainResult {
-	res, err := trainViaSession(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return *res
-}
-
-// trainViaSession is the one code path behind the legacy wrapper: every
-// Train call is exactly a build-once/train-once session run.
-func trainViaSession(cfg TrainConfig) (*TrainResult, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Dataset == nil {
-		return nil, fmt.Errorf("sagnn: TrainConfig.Dataset is nil")
-	}
-	cluster, err := NewCluster(cfg.Processes)
-	if err != nil {
-		return nil, err
-	}
-	dg, err := cluster.Distribute(cfg.Dataset, DistOpts{
-		Algorithm:   cfg.Algorithm,
-		Replication: cfg.Replication,
-		Partitioner: cfg.Partitioner,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sess, err := dg.NewSession(ModelConfig{
-		Hidden: cfg.Hidden,
-		Layers: cfg.Layers,
-		LR:     cfg.LR,
-		Seed:   cfg.Seed,
-		SAGE:   cfg.SAGE,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sess.Run(context.Background(), cfg.Epochs)
-}
-
-// TrainSerial runs the single-process reference trainer on a dataset —
-// the ground truth for accuracy comparisons and the quickest way to try
-// the library.
-//
-// Deprecated: use RunSerial, which validates inputs, returns errors, and
-// exposes the trained model. Note: zero-valued hidden/layers/lr/seed now
-// select the documented ModelConfig defaults (16/3/0.05/1) instead of
-// being passed through literally.
-func TrainSerial(ds *Dataset, epochs, hidden, layers int, lr float64, seed int64) []gcn.EpochResult {
-	res, err := RunSerial(ds, epochs, ModelConfig{Hidden: hidden, Layers: layers, LR: lr, Seed: seed})
-	if err != nil {
-		panic(err.Error())
-	}
-	return res.History
 }
 
 // EvaluatePartitioners compares partition quality (edgecut, total and max

@@ -7,13 +7,7 @@ import (
 
 func TestTrainPublicAPI1D(t *testing.T) {
 	ds := MustLoadDataset(ProteinSim, 42, 64)
-	res := Train(TrainConfig{
-		Dataset:     ds,
-		Processes:   4,
-		Algorithm:   SparsityAware1D,
-		Partitioner: NewGVB(42),
-		Epochs:      3,
-	})
+	res, _ := trainVia(t, ds, 4, DistOpts{Algorithm: SparsityAware1D, Partitioner: NewGVB(42)}, ModelConfig{}, 3)
 	if len(res.History) != 3 {
 		t.Fatalf("history %d", len(res.History))
 	}
@@ -27,13 +21,7 @@ func TestTrainPublicAPI1D(t *testing.T) {
 
 func TestTrainPublicAPI15D(t *testing.T) {
 	ds := MustLoadDataset(AmazonSim, 42, 64)
-	res := Train(TrainConfig{
-		Dataset:     ds,
-		Processes:   8,
-		Replication: 2,
-		Algorithm:   Oblivious15D,
-		Epochs:      2,
-	})
+	res, _ := trainVia(t, ds, 8, DistOpts{Algorithm: Oblivious15D, Replication: 2}, ModelConfig{}, 2)
 	if _, ok := res.Breakdown["allreduce"]; !ok {
 		t.Fatalf("1.5D must all-reduce: %v", res.Breakdown)
 	}
@@ -44,7 +32,11 @@ func TestTrainPublicAPI15D(t *testing.T) {
 
 func TestTrainSerialLearns(t *testing.T) {
 	ds := MustLoadDataset(RedditSim, 42, 64)
-	hist := TrainSerial(ds, 15, 16, 3, 0.05, 1)
+	res, err := RunSerial(ds, 15, ModelConfig{Hidden: 16, Layers: 3, LR: 0.05, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := res.History
 	if hist[len(hist)-1].Loss >= hist[0].Loss {
 		t.Fatalf("loss did not improve: %v -> %v", hist[0].Loss, hist[len(hist)-1].Loss)
 	}
@@ -52,18 +44,15 @@ func TestTrainSerialLearns(t *testing.T) {
 
 func TestTrainMatchesSerialTrajectory(t *testing.T) {
 	ds := MustLoadDataset(RedditSim, 42, 64)
-	serial := TrainSerial(ds, 5, 16, 3, 0.05, 7)
-	dist := Train(TrainConfig{
-		Dataset:   ds,
-		Processes: 4,
-		Algorithm: SparsityAware1D,
-		Epochs:    5,
-		LR:        0.05,
-		Seed:      7,
-	})
-	for i := range serial {
-		if math.Abs(serial[i].Loss-dist.History[i].Loss) > 1e-8 {
-			t.Fatalf("epoch %d: serial %v dist %v", i, serial[i].Loss, dist.History[i].Loss)
+	cfg := ModelConfig{Hidden: 16, Layers: 3, LR: 0.05, Seed: 7}
+	serial, err := RunSerial(ds, 5, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, _ := trainVia(t, ds, 4, DistOpts{Algorithm: SparsityAware1D}, cfg, 5)
+	for i, want := range serial.History {
+		if math.Abs(want.Loss-dist.History[i].Loss) > 1e-8 {
+			t.Fatalf("epoch %d: serial %v dist %v", i, want.Loss, dist.History[i].Loss)
 		}
 	}
 }
@@ -86,25 +75,18 @@ func TestEvaluatePartitioners(t *testing.T) {
 }
 
 func TestTrainValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on nil dataset")
-		}
-	}()
-	Train(TrainConfig{Processes: 2, Algorithm: Oblivious1D})
+	cluster, err := NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.Distribute(nil, DistOpts{Algorithm: Oblivious1D}); err == nil {
+		t.Fatal("expected an error on nil dataset")
+	}
 }
 
 func TestTrainSAGEVariant(t *testing.T) {
 	ds := GenerateCommunityDataset("comms", 256, 4, 10, 2, 16, 0.3, 19)
-	res := Train(TrainConfig{
-		Dataset:   ds,
-		Processes: 4,
-		Algorithm: SparsityAware1D,
-		Epochs:    40,
-		LR:        0.3,
-		Seed:      5,
-		SAGE:      true,
-	})
+	res, _ := trainVia(t, ds, 4, DistOpts{Algorithm: SparsityAware1D}, ModelConfig{LR: 0.3, Seed: 5, SAGE: true}, 40)
 	if res.TestAcc < 0.5 {
 		t.Fatalf("SAGE test accuracy too low: %v", res.TestAcc)
 	}

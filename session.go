@@ -256,7 +256,7 @@ func (s *Session) Run(ctx context.Context, epochs int) (*TrainResult, error) {
 	}
 	ledger0 := s.spentLedger
 	vol0 := s.spentVol
-	runHist := make([]EpochResult, 0, epochs)
+	var runHist []EpochResult // grows with what is trained; epochs may mean "until stopped"
 	var runErr error
 
 	recovery := s.opts.maxRetries > 0

@@ -10,20 +10,20 @@ import (
 	"sagnn/internal/distmm"
 )
 
-// trainSessionPath runs the composable API end to end with the same
-// parameters the legacy Train wrapper would use, returning the result and
-// the DistGraph (whose cluster exposes per-rank counters to the tests).
-func trainSessionPath(t *testing.T, ds *Dataset, p int, algo Algorithm, part Partitioner, epochs int, seed int64) (*TrainResult, *DistGraph) {
+// trainVia runs the composable API end to end — NewCluster → Distribute →
+// NewSession → Run — returning the result and the DistGraph (whose cluster
+// exposes per-rank counters to the tests).
+func trainVia(t *testing.T, ds *Dataset, p int, opts DistOpts, cfg ModelConfig, epochs int) (*TrainResult, *DistGraph) {
 	t.Helper()
 	cluster, err := NewCluster(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dg, err := cluster.Distribute(ds, DistOpts{Algorithm: algo, Partitioner: part})
+	dg, err := cluster.Distribute(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := dg.NewSession(ModelConfig{Seed: seed})
+	sess, err := dg.NewSession(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,64 +34,84 @@ func trainSessionPath(t *testing.T, ds *Dataset, p int, algo Algorithm, part Par
 	return res, dg
 }
 
-// TestSessionMatchesLegacyTrainGolden pins the compatibility contract: the
-// composable Cluster→Distribute→Session path reproduces the legacy Train()
-// losses, accuracies, modeled times, and comm volumes bit-identically, and
-// two independent session runs produce bit-identical per-rank volumes (the
-// golden ledger).
-func TestSessionMatchesLegacyTrainGolden(t *testing.T) {
+// TestSessionRunsReproduceGolden pins run-to-run determinism of the whole
+// Cluster→Distribute→Session path: two independent builds of the same
+// configuration produce bit-identical losses, accuracies, modeled times,
+// comm volumes, and per-rank byte counters (the golden ledger).
+func TestSessionRunsReproduceGolden(t *testing.T) {
 	ds := MustLoadDataset(ProteinSim, 42, 64)
 	const epochs = 3
+	opts := DistOpts{Algorithm: SparsityAware1D, Partitioner: NewGVB(42)}
 
-	legacy := Train(TrainConfig{
-		Dataset:     ds,
-		Processes:   4,
-		Algorithm:   SparsityAware1D,
-		Partitioner: NewGVB(42),
-		Epochs:      epochs,
-		Seed:        7,
-	})
-	res, dg := trainSessionPath(t, ds, 4, SparsityAware1D, NewGVB(42), epochs, 7)
+	first, dg1 := trainVia(t, ds, 4, opts, ModelConfig{Seed: 7}, epochs)
+	res, dg2 := trainVia(t, ds, 4, opts, ModelConfig{Seed: 7}, epochs)
 
-	if len(res.History) != len(legacy.History) {
-		t.Fatalf("history %d vs legacy %d", len(res.History), len(legacy.History))
+	if len(res.History) != epochs || len(first.History) != epochs {
+		t.Fatalf("history %d vs %d, want %d", len(res.History), len(first.History), epochs)
 	}
 	for i := range res.History {
-		if res.History[i].Loss != legacy.History[i].Loss {
-			t.Fatalf("epoch %d loss %v != legacy %v", i, res.History[i].Loss, legacy.History[i].Loss)
+		if res.History[i].Loss != first.History[i].Loss {
+			t.Fatalf("epoch %d loss %v != %v", i, res.History[i].Loss, first.History[i].Loss)
 		}
-		if res.History[i].TrainAcc != legacy.History[i].TrainAcc {
-			t.Fatalf("epoch %d acc %v != legacy %v", i, res.History[i].TrainAcc, legacy.History[i].TrainAcc)
+		if res.History[i].TrainAcc != first.History[i].TrainAcc {
+			t.Fatalf("epoch %d acc %v != %v", i, res.History[i].TrainAcc, first.History[i].TrainAcc)
 		}
 	}
-	if res.EpochSeconds != legacy.EpochSeconds {
-		t.Fatalf("EpochSeconds %v != legacy %v", res.EpochSeconds, legacy.EpochSeconds)
+	if res.EpochSeconds != first.EpochSeconds {
+		t.Fatalf("EpochSeconds %v != %v", res.EpochSeconds, first.EpochSeconds)
 	}
-	for ph, v := range legacy.Breakdown {
+	for ph, v := range first.Breakdown {
 		if res.Breakdown[ph] != v {
-			t.Fatalf("breakdown[%s] %v != legacy %v", ph, res.Breakdown[ph], v)
+			t.Fatalf("breakdown[%s] %v != %v", ph, res.Breakdown[ph], v)
 		}
 	}
-	if res.MaxSentMB != legacy.MaxSentMB || res.AvgSentMB != legacy.AvgSentMB {
-		t.Fatalf("volumes (%v,%v) != legacy (%v,%v)", res.MaxSentMB, res.AvgSentMB, legacy.MaxSentMB, legacy.AvgSentMB)
+	if res.MaxSentMB != first.MaxSentMB || res.AvgSentMB != first.AvgSentMB {
+		t.Fatalf("volumes (%v,%v) != (%v,%v)", res.MaxSentMB, res.AvgSentMB, first.MaxSentMB, first.AvgSentMB)
 	}
-	if res.ValAcc != legacy.ValAcc || res.TestAcc != legacy.TestAcc {
-		t.Fatalf("eval (%v,%v) != legacy (%v,%v)", res.ValAcc, res.TestAcc, legacy.ValAcc, legacy.TestAcc)
+	if res.ValAcc != first.ValAcc || res.TestAcc != first.TestAcc {
+		t.Fatalf("eval (%v,%v) != (%v,%v)", res.ValAcc, res.TestAcc, first.ValAcc, first.TestAcc)
 	}
-	if res.Model == nil || legacy.Model == nil {
+	if res.Model == nil || first.Model == nil {
 		t.Fatal("trained model not exposed")
 	}
-
-	// Per-rank golden volumes: an identical independent run must charge
-	// every rank exactly the same bytes.
-	_, dg2 := trainSessionPath(t, ds, 4, SparsityAware1D, NewGVB(42), epochs, 7)
-	v1 := dg.cluster.world.Stats().Snapshot()
+	v1 := dg1.cluster.world.Stats().Snapshot()
 	v2 := dg2.cluster.world.Stats().Snapshot()
 	for r := 0; r < 4; r++ {
 		if v1.BytesSent(r) != v2.BytesSent(r) || v1.BytesRecv(r) != v2.BytesRecv(r) {
 			t.Fatalf("rank %d volumes differ: sent %d vs %d, recv %d vs %d",
 				r, v1.BytesSent(r), v2.BytesSent(r), v1.BytesRecv(r), v2.BytesRecv(r))
 		}
+	}
+}
+
+// TestRunUntilStoppedSizesHistoryByTraining: the epochs argument may mean
+// "until a callback stops the run", so nothing may be allocated in
+// proportion to it — MaxInt32 epoch results would be tens of gigabytes.
+func TestRunUntilStoppedSizesHistoryByTraining(t *testing.T) {
+	ds := MustLoadDataset(ProteinSim, 42, 64)
+	cluster, err := NewCluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := cluster.Distribute(ds, DistOpts{Algorithm: SparsityAware1D})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := dg.NewSession(ModelConfig{Seed: 7}, WithEpochCallback(func(e EpochResult) error {
+		if e.Epoch == 1 {
+			return ErrStopTraining
+		}
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Run(context.Background(), math.MaxInt32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.History) != 2 {
+		t.Fatalf("stopped after epoch 2 with %d results", len(res.History))
 	}
 }
 
@@ -188,7 +208,7 @@ func TestConcurrentRunsIsolatedAccounting(t *testing.T) {
 	const epochs = 3
 
 	solo := func(algo Algorithm) *TrainResult {
-		res, _ := trainSessionPath(t, ds, 4, algo, nil, epochs, 7)
+		res, _ := trainVia(t, ds, 4, DistOpts{Algorithm: algo}, ModelConfig{Seed: 7}, epochs)
 		return res
 	}
 	soloSA, soloObl := solo(SparsityAware1D), solo(Oblivious1D)
@@ -642,12 +662,5 @@ func TestRunSerialAndMiniBatchResults(t *testing.T) {
 	}
 	if len(mb.EpochLoss) != 5 || mb.Model == nil {
 		t.Fatalf("bad minibatch result: %d losses, model %v", len(mb.EpochLoss), mb.Model)
-	}
-	// Legacy wrapper equivalence.
-	legacy := TrainMiniBatch(ds, 5, 16, 3, 4, 128, 0.01, 5)
-	for i := range legacy.EpochLoss {
-		if legacy.EpochLoss[i] != mb.EpochLoss[i] {
-			t.Fatalf("epoch %d: wrapper %v != RunMiniBatch %v", i, legacy.EpochLoss[i], mb.EpochLoss[i])
-		}
 	}
 }
