@@ -314,7 +314,7 @@ func BenchmarkMultiplyPerEngine(b *testing.B) {
 }
 
 // BenchmarkDistEpochSteadyState measures per-epoch cost of the distributed
-// trainer with world + engine setup excluded. TrainEpochs(b.N) runs b.N
+// trainer with world + engine setup excluded. StepNCtx(ctx, b.N) runs b.N
 // epochs inside one collective launch, so allocs/op amortises the one-time
 // model/workspace construction and reports the steady-state epoch footprint.
 func BenchmarkDistEpochSteadyState(b *testing.B) {
@@ -326,7 +326,9 @@ func BenchmarkDistEpochSteadyState(b *testing.B) {
 	trainer := gcn.NewDistributed(w, e, ds.Features, ds.Labels, ds.Train, dims, 0.05, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
-	trainer.TrainEpochs(b.N)
+	if _, err := trainer.Stepper().StepNCtx(context.Background(), b.N); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // BenchmarkSessionRecoveryOverhead prices failure-awareness in steady

@@ -149,6 +149,11 @@ func (c *Cluster) Calibrate() (Calibration, error) {
 // package so external callers can errors.Is against it.
 var ErrInjectedFault = comm.ErrInjectedFault
 
+// ErrEmptyTrainSet is returned by Session.Run, Session.RunSampled, RunSerial
+// and RunMiniBatch on a dataset with no training vertices: there is nothing
+// to average, so no loss exists.
+var ErrEmptyTrainSet = gcn.ErrEmptyTrainSet
+
 // RankError is the typed per-rank failure a faulted or aborted collective
 // surfaces from Session.Run and friends: which rank failed, at which
 // communication op, and the underlying cause (errors.As-able, Unwrap-able).
@@ -428,10 +433,15 @@ func validateDataset(ds *Dataset) error {
 	case ds.Classes < 1:
 		return fmt.Errorf("sagnn: dataset %q has %d classes", ds.Name, ds.Classes)
 	}
+	// Labels index the loss and the accuracy count, so every split vertex
+	// needs a class; vertices in no split may stay unlabeled (-1).
 	for _, set := range [][]int{ds.Train, ds.Val, ds.Test} {
 		for _, v := range set {
 			if v < 0 || v >= ds.G.NumVertices() {
 				return fmt.Errorf("sagnn: dataset %q split references vertex %d of %d", ds.Name, v, ds.G.NumVertices())
+			}
+			if l := ds.Labels[v]; l < 0 || l >= ds.Classes {
+				return fmt.Errorf("sagnn: dataset %q split vertex %d has label %d outside [0,%d)", ds.Name, v, l, ds.Classes)
 			}
 		}
 	}

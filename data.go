@@ -92,12 +92,16 @@ func RunSerial(ds *Dataset, epochs int, cfg ModelConfig) (res *SerialResult, err
 	model := gcn.NewModelVariant(cfg.Seed, dims, cfg.variant())
 	s := gcn.NewSerial(ds.G.NormalizedAdjacency(), ds.Features, ds.Labels, ds.Train, model, cfg.LR)
 	s.Variant = cfg.variant()
-	history := s.TrainEpochs(epochs)
+	history, err := s.TrainEpochs(epochs)
+	if err != nil {
+		return nil, err
+	}
+	accs := s.Accuracies(ds.Val, ds.Test)
 	return &SerialResult{
 		History: history,
 		Model:   &Model{m: model.Clone(), sage: cfg.SAGE},
-		ValAcc:  s.Accuracy(ds.Val),
-		TestAcc: s.Accuracy(ds.Test),
+		ValAcc:  accs[0],
+		TestAcc: accs[1],
 	}, nil
 }
 
@@ -170,7 +174,8 @@ func RunMiniBatch(ds *Dataset, epochs int, cfg ModelConfig, opts ...MiniBatchOpt
 		}
 		res.EpochLoss = append(res.EpochLoss, loss)
 	}
-	res.TestAcc = tr.Accuracy(ds.G.NormalizedAdjacency(), ds.Test)
+	eval := gcn.NewSerial(ds.G.NormalizedAdjacency(), ds.Features, ds.Labels, ds.Train, model, cfg.LR)
+	res.TestAcc = eval.Accuracies(ds.Test)[0]
 	res.Model = &Model{m: model.Clone()}
 	return res, nil
 }

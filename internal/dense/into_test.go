@@ -64,21 +64,6 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		requireIdentical(t, a, got)
 		mustNotAllocate(t, func() { got.CopyFrom(a) })
 	})
-	t.Run("CrossEntropyLoss", func(t *testing.T) {
-		probs := NewRandom(rng, 10, 4, 1.0)
-		probs.Apply(func(v float64) float64 { return v*v + 0.01 })
-		SoftmaxRows(probs)
-		labels := []int{0, 1, 2, 3, 0, 1, 2, 3, 0, 1}
-		mask := []int{0, 3, 5, 9}
-		wantLoss, wantGrad := CrossEntropyLoss(probs, labels, mask)
-		grad := NewRandom(rng, 10, 4, 1.0)
-		gotLoss := CrossEntropyLossInto(probs, labels, mask, grad)
-		if gotLoss != wantLoss {
-			t.Fatalf("loss %v != %v", gotLoss, wantLoss)
-		}
-		requireIdentical(t, wantGrad, grad)
-		mustNotAllocate(t, func() { CrossEntropyLossInto(probs, labels, mask, grad) })
-	})
 }
 
 func requireIdentical(t *testing.T, want, got *Matrix) {

@@ -297,39 +297,6 @@ func TestSoftmaxRows(t *testing.T) {
 	}
 }
 
-func TestCrossEntropyLossAndGrad(t *testing.T) {
-	probs := FromSlice(2, 2, []float64{0.9, 0.1, 0.2, 0.8})
-	labels := []int{0, 1}
-	loss, grad := CrossEntropyLoss(probs, labels, []int{0, 1})
-	want := -(math.Log(0.9) + math.Log(0.8)) / 2
-	if math.Abs(loss-want) > 1e-12 {
-		t.Fatalf("loss=%v want %v", loss, want)
-	}
-	// gradient rows must sum to zero (softmax-CE property)
-	for i := 0; i < 2; i++ {
-		s := 0.0
-		for j := 0; j < 2; j++ {
-			s += grad.At(i, j)
-		}
-		if math.Abs(s) > 1e-12 {
-			t.Fatalf("grad row %d sums to %v", i, s)
-		}
-	}
-	// unmasked rows get zero grad
-	_, g2 := CrossEntropyLoss(probs, labels, []int{1})
-	if g2.At(0, 0) != 0 || g2.At(0, 1) != 0 {
-		t.Fatal("unmasked row has nonzero grad")
-	}
-}
-
-func TestCrossEntropyEmptyMask(t *testing.T) {
-	probs := FromSlice(1, 2, []float64{0.5, 0.5})
-	loss, grad := CrossEntropyLoss(probs, []int{0}, nil)
-	if loss != 0 || grad.FrobeniusNorm() != 0 {
-		t.Fatal("empty mask should give zero loss/grad")
-	}
-}
-
 func TestAccuracy(t *testing.T) {
 	probs := FromSlice(3, 2, []float64{0.9, 0.1, 0.3, 0.7, 0.6, 0.4})
 	labels := []int{0, 1, 1}

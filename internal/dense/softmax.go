@@ -6,60 +6,29 @@ import "math"
 // place, turning the final GCN layer's logits into class probabilities.
 func SoftmaxRows(m *Matrix) {
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		maxv := math.Inf(-1)
-		for _, v := range row {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		sum := 0.0
-		for j, v := range row {
-			e := math.Exp(v - maxv)
-			row[j] = e
-			sum += e
-		}
-		inv := 1.0 / sum
-		for j := range row {
-			row[j] *= inv
-		}
+		SoftmaxRow(m.Row(i))
 	}
 }
 
-// CrossEntropyLoss computes the mean negative log-likelihood of labels under
-// the row-wise probability matrix probs, restricted to the rows listed in
-// mask (the training vertices). It also returns the gradient of the loss
-// with respect to the pre-softmax logits: (probs - onehot(labels)) / |mask|
-// on masked rows and zero elsewhere — the standard softmax/cross-entropy
-// fusion.
-func CrossEntropyLoss(probs *Matrix, labels []int, mask []int) (loss float64, grad *Matrix) {
-	grad = New(probs.Rows, probs.Cols)
-	return CrossEntropyLossInto(probs, labels, mask, grad), grad
-}
-
-// CrossEntropyLossInto is CrossEntropyLoss writing the logit gradient into a
-// caller-supplied matrix (zeroed here), for preallocated workspaces.
-func CrossEntropyLossInto(probs *Matrix, labels []int, mask []int, grad *Matrix) (loss float64) {
-	grad.Zero()
-	if len(mask) == 0 {
-		return 0
-	}
-	inv := 1.0 / float64(len(mask))
-	for _, i := range mask {
-		row := probs.Row(i)
-		g := grad.Row(i)
-		y := labels[i]
-		p := row[y]
-		if p < 1e-12 {
-			p = 1e-12
+// SoftmaxRow is SoftmaxRows for one row: the training loss applies it to
+// the rows it trains on only.
+func SoftmaxRow(row []float64) {
+	maxv := math.Inf(-1)
+	for _, v := range row {
+		if v > maxv {
+			maxv = v
 		}
-		loss -= math.Log(p)
-		for j, v := range row {
-			g[j] = v * inv
-		}
-		g[y] -= inv
 	}
-	return loss * inv
+	sum := 0.0
+	for j, v := range row {
+		e := math.Exp(v - maxv)
+		row[j] = e
+		sum += e
+	}
+	inv := 1.0 / sum
+	for j := range row {
+		row[j] *= inv
+	}
 }
 
 // Accuracy returns the fraction of rows in mask whose argmax equals the

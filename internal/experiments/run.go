@@ -194,7 +194,7 @@ func finishRun(cfg RunConfig, d runData, world *comm.World, results []gcn.EpochR
 	if res.AvgSentMB > 0 {
 		res.ImbalancePct = (res.MaxSentMB/res.AvgSentMB - 1) * 100
 	}
-	res.TestAcc = gcn.NewSerial(d.aHat, d.x, d.labels, d.train, model, 0.05).Accuracy(d.test)
+	res.TestAcc = gcn.NewSerial(d.aHat, d.x, d.labels, d.train, model, 0.05).Accuracies(d.test)[0]
 	return res
 }
 

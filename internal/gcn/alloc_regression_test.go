@@ -44,18 +44,18 @@ func TestSerialEpochSteadyStateAllocsSAGE(t *testing.T) {
 func TestSerialWorkspaceRebuildsOnShapeChange(t *testing.T) {
 	a, x, labels, train := tinyProblem(11)
 	s := NewSerial(a, x, labels, train, NewModel(5, LayerDims(x.Cols, 8, 4, 3)), 0.1)
-	l1, _ := s.Epoch()
+	l1, _, _ := s.Epoch()
 
 	// Swap to a wider, shallower model: shapes change everywhere.
 	s.Model = NewModel(5, LayerDims(x.Cols, 12, 4, 2))
 	s.Opt = nil
-	l2, _ := s.Epoch()
+	l2, _, _ := s.Epoch()
 
 	// And to the SAGE variant, which doubles the GEMM input widths.
 	s.Model = NewModelVariant(5, LayerDims(x.Cols, 8, 4, 3), SAGEConv)
 	s.Variant = SAGEConv
 	s.Opt = nil
-	l3, _ := s.Epoch()
+	l3, _, _ := s.Epoch()
 
 	// Fresh trainers must agree exactly with the post-swap epochs.
 	for i, got := range []float64{l1, l2, l3} {
@@ -64,7 +64,7 @@ func TestSerialWorkspaceRebuildsOnShapeChange(t *testing.T) {
 		}
 	}
 	fresh := NewSerial(a, x, labels, train, NewModel(5, LayerDims(x.Cols, 12, 4, 2)), 0.1)
-	wantL2, _ := fresh.Epoch()
+	wantL2, _, _ := fresh.Epoch()
 	if l2 != wantL2 {
 		t.Fatalf("post-swap epoch loss %v, fresh trainer %v", l2, wantL2)
 	}

@@ -1,6 +1,7 @@
 package gcn
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -24,6 +25,26 @@ func tinyProblem(seed int64) (*sparse.CSR, *dense.Matrix, []int, []int) {
 		train = append(train, v)
 	}
 	return a, x, comms, train
+}
+
+// trainSerial runs epochs on the serial trainer, failing the test on error.
+func trainSerial(t *testing.T, s *Serial, epochs int) []EpochResult {
+	t.Helper()
+	res, err := s.TrainEpochs(epochs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// stepN runs n epochs in one collective launch, failing the test on error.
+func stepN(t *testing.T, st *Stepper, n int) []EpochResult {
+	t.Helper()
+	res, err := st.StepNCtx(context.Background(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestLayerDims(t *testing.T) {
@@ -69,7 +90,7 @@ func TestSerialLossDecreases(t *testing.T) {
 	a, x, labels, train := tinyProblem(1)
 	model := NewModel(7, LayerDims(x.Cols, 16, 4, 3))
 	s := NewSerial(a, x, labels, train, model, 0.5)
-	res := s.TrainEpochs(60)
+	res := trainSerial(t, s, 60)
 	if res[len(res)-1].Loss >= res[0].Loss {
 		t.Fatalf("loss did not decrease: %v -> %v", res[0].Loss, res[len(res)-1].Loss)
 	}
@@ -82,45 +103,13 @@ func TestSerialGeneralizes(t *testing.T) {
 	a, x, labels, train := tinyProblem(2)
 	model := NewModel(8, LayerDims(x.Cols, 16, 4, 3))
 	s := NewSerial(a, x, labels, train, model, 0.5)
-	s.TrainEpochs(80)
+	trainSerial(t, s, 80)
 	test := make([]int, 0, 32)
 	for v := 1; v < 64; v += 2 {
 		test = append(test, v)
 	}
-	if acc := s.Accuracy(test); acc < 0.7 {
+	if acc := s.Accuracies(test)[0]; acc < 0.7 {
 		t.Fatalf("test accuracy %v too low", acc)
-	}
-}
-
-// TestSerialGradientsFiniteDifference verifies the backward pass against
-// numerical gradients on a tiny instance.
-func TestSerialGradientsFiniteDifference(t *testing.T) {
-	g := gen.ErdosRenyi(10, 4, 3)
-	a := g.NormalizedAdjacency()
-	rng := rand.New(rand.NewSource(4))
-	x := dense.NewRandom(rng, 10, 3, 1.0)
-	labels := []int{0, 1, 2, 0, 1, 2, 0, 1, 2, 0}
-	train := []int{0, 2, 4, 6, 8}
-	model := NewModel(5, LayerDims(3, 4, 3, 2))
-	s := NewSerial(a, x, labels, train, model, 0.1)
-
-	_, _, grads := s.Gradients()
-	const h = 1e-6
-	for l := 0; l < model.Layers(); l++ {
-		w := model.Weights[l]
-		for _, idx := range []int{0, len(w.Data) / 2, len(w.Data) - 1} {
-			orig := w.Data[idx]
-			w.Data[idx] = orig + h
-			lp, _, _ := s.Gradients()
-			w.Data[idx] = orig - h
-			lm, _, _ := s.Gradients()
-			w.Data[idx] = orig
-			numeric := (lp - lm) / (2 * h)
-			analytic := grads[l].Data[idx]
-			if math.Abs(numeric-analytic) > 1e-4*(1+math.Abs(numeric)) {
-				t.Fatalf("layer %d idx %d: numeric %g analytic %g", l, idx, numeric, analytic)
-			}
-		}
 	}
 }
 
@@ -128,7 +117,7 @@ func TestDistributedMatchesSerial1D(t *testing.T) {
 	a, x, labels, train := tinyProblem(5)
 	dims := LayerDims(x.Cols, 8, 4, 3)
 	serial := NewSerial(a, x, labels, train, NewModel(11, dims), 0.3)
-	serialRes := serial.TrainEpochs(10)
+	serialRes := trainSerial(t, serial, 10)
 
 	for _, engineKind := range []string{"oblivious", "sa"} {
 		for _, p := range []int{2, 4} {
@@ -141,7 +130,7 @@ func TestDistributedMatchesSerial1D(t *testing.T) {
 				e = distmm.NewSparsityAware1D(w, a, lay)
 			}
 			d := NewDistributed(w, e, x, labels, train, dims, 0.3, 11)
-			distRes := d.TrainEpochs(10)
+			distRes := stepN(t, d.Stepper(), 10)
 			for i := range serialRes {
 				if math.Abs(distRes[i].Loss-serialRes[i].Loss) > 1e-8 {
 					t.Fatalf("%s p=%d epoch %d: dist loss %v serial %v",
@@ -159,7 +148,7 @@ func TestDistributedMatchesSerial15D(t *testing.T) {
 	a, x, labels, train := tinyProblem(6)
 	dims := LayerDims(x.Cols, 8, 4, 3)
 	serial := NewSerial(a, x, labels, train, NewModel(13, dims), 0.3)
-	serialRes := serial.TrainEpochs(8)
+	serialRes := trainSerial(t, serial, 8)
 
 	for _, pc := range [][2]int{{4, 2}, {8, 2}, {16, 4}} {
 		p, c := pc[0], pc[1]
@@ -173,7 +162,7 @@ func TestDistributedMatchesSerial15D(t *testing.T) {
 				e = distmm.NewSparsityAware15D(w, a, c, lay)
 			}
 			d := NewDistributed(w, e, x, labels, train, dims, 0.3, 13)
-			distRes := d.TrainEpochs(8)
+			distRes := stepN(t, d.Stepper(), 8)
 			for i := range serialRes {
 				if math.Abs(distRes[i].Loss-serialRes[i].Loss) > 1e-8 {
 					t.Fatalf("%s p=%d c=%d epoch %d: dist loss %v serial %v",
@@ -190,7 +179,7 @@ func TestDistributedWithPermutation(t *testing.T) {
 	a, x, labels, train := tinyProblem(7)
 	dims := LayerDims(x.Cols, 8, 4, 3)
 	serial := NewSerial(a, x, labels, train, NewModel(17, dims), 0.3)
-	serialRes := serial.TrainEpochs(8)
+	serialRes := trainSerial(t, serial, 8)
 
 	rng := rand.New(rand.NewSource(9))
 	perm := rng.Perm(64)
@@ -200,7 +189,7 @@ func TestDistributedWithPermutation(t *testing.T) {
 	w := comm.NewWorld(4, machine.Perlmutter())
 	e := distmm.NewSparsityAware1D(w, pa, distmm.UniformLayout(64, 4))
 	d := NewDistributed(w, e, px, plabels, psets[0], dims, 0.3, 17)
-	distRes := d.TrainEpochs(8)
+	distRes := stepN(t, d.Stepper(), 8)
 	for i := range serialRes {
 		if math.Abs(distRes[i].Loss-serialRes[i].Loss) > 1e-8 {
 			t.Fatalf("epoch %d: permuted loss %v serial %v", i, distRes[i].Loss, serialRes[i].Loss)

@@ -1,16 +1,28 @@
-// Package gcn implements full-batch training of the Kipf & Welling graph
-// convolutional network, in both a serial reference form and a distributed
-// form layered over any distmm.Engine. The four training equations are the
-// paper's Section 2:
+// Package gcn is the one GCN training step and the one stepper that drives
+// it. The four training equations are the paper's Section 2:
 //
 //	Z^l  ← Â H^{l-1} W^l            (forward SpMM + GEMM)
 //	H^l  ← σ(Z^l)                   (local ReLU)
 //	G^{l-1} ← Â G^l (W^l)ᵀ ⊙ σ′(Z^{l-1})   (backward SpMM + GEMM)
 //	W^l  ← W^l − η Y^l,  Y^l = (Â H^{l-1})ᵀ G^l  (f×f reduction)
 //
-// where Â is the symmetric GCN-normalized adjacency, so Â = Âᵀ and no
+// step.go writes that recurrence once — Forward, the softmax cross-entropy
+// loss, and the transposed chain back — over an aggregation Operand, which
+// supplies the layer-0 input and Â_l·H / Â_lᵀ·G per layer, and a grow-only
+// Workspace. Only the operand changes between trainers: Serial aggregates
+// with a local SpMM over the whole Â, Distributed with a collective
+// Engine.MultiplyInto over its block rows (both symmetric, Â = Âᵀ, so no
 // transpose communication is needed — the assumption the paper makes for
-// its symmetric datasets.
+// its symmetric datasets), and package minibatch with chains of sampled
+// rectangular blocks. Distributed callers add a Collective: the all-reduce
+// of the loss pair and of every Y^l, and the ledger charge of each local
+// GEMM.
+//
+// Stepper owns what persists between epochs — one Replica per hosted rank
+// (feature slice, weights, optimizer, gradient group, workspace), the epoch
+// counter and the dirty flag — and runs whichever EpochBody it holds, so a
+// session trains full-batch and sampled over one replica set. SubsetEval is
+// the serving-side forward pass over an L-hop frontier gather.
 package gcn
 
 import (

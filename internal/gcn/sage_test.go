@@ -23,38 +23,12 @@ func TestSageModelShapes(t *testing.T) {
 	}
 }
 
-func TestSageSerialGradientsFiniteDifference(t *testing.T) {
-	a, x, labels, train := tinyProblem(41)
-	model := NewModelVariant(42, LayerDims(x.Cols, 6, 4, 3), SAGEConv)
-	s := NewSerial(a, x, labels, train, model, 0.1)
-	s.Variant = SAGEConv
-
-	_, _, grads := s.Gradients()
-	const h = 1e-6
-	for l := 0; l < model.Layers(); l++ {
-		w := model.Weights[l]
-		for _, idx := range []int{0, len(w.Data) / 2, len(w.Data) - 1} {
-			orig := w.Data[idx]
-			w.Data[idx] = orig + h
-			lp, _, _ := s.Gradients()
-			w.Data[idx] = orig - h
-			lm, _, _ := s.Gradients()
-			w.Data[idx] = orig
-			numeric := (lp - lm) / (2 * h)
-			analytic := grads[l].Data[idx]
-			if math.Abs(numeric-analytic) > 1e-4*(1+math.Abs(numeric)) {
-				t.Fatalf("layer %d idx %d: numeric %g analytic %g", l, idx, numeric, analytic)
-			}
-		}
-	}
-}
-
 func TestSageSerialLearns(t *testing.T) {
 	a, x, labels, train := tinyProblem(43)
 	model := NewModelVariant(44, LayerDims(x.Cols, 16, 4, 3), SAGEConv)
 	s := NewSerial(a, x, labels, train, model, 0.3)
 	s.Variant = SAGEConv
-	res := s.TrainEpochs(60)
+	res := trainSerial(t, s, 60)
 	if res[59].Loss >= res[0].Loss {
 		t.Fatalf("sage loss did not decrease: %v -> %v", res[0].Loss, res[59].Loss)
 	}
@@ -69,7 +43,7 @@ func TestSageDistributedMatchesSerial(t *testing.T) {
 
 	serial := NewSerial(a, x, labels, train, NewModelVariant(46, dims, SAGEConv), 0.3)
 	serial.Variant = SAGEConv
-	serialRes := serial.TrainEpochs(8)
+	serialRes := trainSerial(t, serial, 8)
 
 	for _, mk := range []struct {
 		name string
@@ -86,7 +60,7 @@ func TestSageDistributedMatchesSerial(t *testing.T) {
 		w := comm.NewWorld(p, machine.Perlmutter())
 		d := NewDistributed(w, mk.make(w), x, labels, train, dims, 0.3, 46)
 		d.Variant = SAGEConv
-		distRes := d.TrainEpochs(8)
+		distRes := stepN(t, d.Stepper(), 8)
 		for i := range serialRes {
 			if math.Abs(distRes[i].Loss-serialRes[i].Loss) > 1e-8 {
 				t.Fatalf("%s epoch %d: dist %v serial %v", mk.name, i, distRes[i].Loss, serialRes[i].Loss)
@@ -106,7 +80,7 @@ func TestSageUsesSameCommunicationPattern(t *testing.T) {
 		e := distmm.NewSparsityAware1D(w, a, distmm.UniformLayout(64, 4))
 		d := NewDistributed(w, e, x, labels, train, LayerDims(x.Cols, 8, 4, 3), 0.3, 48)
 		d.Variant = v
-		d.TrainEpochs(2)
+		stepN(t, d.Stepper(), 2)
 		for rank := 0; rank < 4; rank++ {
 			msgs += w.Stats().MsgsSent(rank)
 		}

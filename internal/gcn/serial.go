@@ -8,12 +8,13 @@ import (
 	"sagnn/internal/sparse"
 )
 
-// Serial is the single-process reference trainer. It is the ground truth
-// the distributed trainers are tested against (same seeds → same loss
-// trajectory to floating-point reassociation tolerance).
+// Serial is the single-process reference trainer: the step of step.go over
+// the whole normalized adjacency. It is the ground truth the distributed
+// trainers are tested against (same seeds → same loss trajectory to
+// floating-point reassociation tolerance), and the full-batch evaluator.
 //
-// A Serial is NOT safe for concurrent use: Predict, Gradients, and Epoch
-// all share the cached workspace below.
+// A Serial is NOT safe for concurrent use: PredictInto, Accuracies and
+// Epoch all share the workspace below.
 type Serial struct {
 	A      *sparse.CSR // GCN-normalized adjacency, symmetric
 	X      *dense.Matrix
@@ -27,17 +28,13 @@ type Serial struct {
 	// the model's weights must be shaped accordingly (NewModelVariant).
 	Variant Variant
 
-	// ws is the lazily-built epoch-persistent workspace (shared layout with
-	// the distributed trainer's per-rank workspace): every forward/backward
-	// buffer is preallocated on first use so steady-state epochs run
-	// allocation-free. Rebuilt automatically if Model shape, X, or Variant
-	// change between calls.
-	ws     *rankWorkspace
-	wsDims []int
-	wsVar  Variant
+	ws          Workspace
+	op          csrOperand
+	trainLabels []int // Labels[Train[k]], rebuilt every epoch into the same storage
 }
 
-// NewSerial validates shapes and wraps the training state.
+// NewSerial validates shapes and wraps the training state. No buffer is
+// built until the first pass, and inference grows the forward half only.
 func NewSerial(a *sparse.CSR, x *dense.Matrix, labels []int, train []int, model *Model, lr float64) *Serial {
 	if a.NumRows != a.NumCols || a.NumRows != x.Rows {
 		panic(fmt.Sprintf("gcn: A %dx%d vs X %d rows", a.NumRows, a.NumCols, x.Rows))
@@ -51,158 +48,75 @@ func NewSerial(a *sparse.CSR, x *dense.Matrix, labels []int, train []int, model 
 	return &Serial{A: a, X: x, Labels: labels, Train: train, Model: model, LR: lr}
 }
 
-// workspace builds (and caches) the preallocated buffer set for the current
-// model shape and variant, rebuilding if the caller swapped Model, X, or
-// Variant since the last pass. The cache-hit path allocates nothing.
-func (s *Serial) workspace() *rankWorkspace {
-	if s.wsValid() {
-		return s.ws
-	}
-	L := s.Model.Layers()
-	// dims[l] is the feature width of H^l, recovered from the weight chain.
-	dims := make([]int, L+1)
-	dims[0] = s.X.Cols
-	for l := 1; l <= L; l++ {
-		dims[l] = s.Model.Weights[l-1].Cols
-	}
-	s.ws = newRankWorkspace(s.X.Rows, dims, s.Model, s.Variant)
-	s.ws.hs[0] = s.X
-	s.wsDims = dims
-	s.wsVar = s.Variant
-	return s.ws
+// csrOperand is the serial operand: every layer aggregates over the one
+// symmetric Â with a local SpMM.
+type csrOperand struct {
+	a *sparse.CSR
+	x *dense.Matrix
 }
 
-// wsValid reports whether the cached workspace still matches the trainer's
-// mutable public fields (Model shape, X, Variant).
-func (s *Serial) wsValid() bool {
-	if s.ws == nil || s.wsVar != s.Variant || s.ws.hs[0] != s.X {
-		return false
-	}
-	if len(s.wsDims) != s.Model.Layers()+1 || s.wsDims[0] != s.X.Cols {
-		return false
-	}
-	for l, w := range s.Model.Weights {
-		if s.wsDims[l+1] != w.Cols {
-			return false
-		}
-		if g := s.ws.grads[l]; g.Rows != w.Rows || g.Cols != w.Cols {
-			return false
-		}
-	}
-	return true
-}
+func (o *csrOperand) Input() *dense.Matrix                   { return o.x }
+func (o *csrOperand) Rows(int) int                           { return o.a.NumRows }
+func (o *csrOperand) Aggregate(_ int, dst, h *dense.Matrix)  { o.a.SpMMInto(dst, h) }
+func (o *csrOperand) AggregateT(_ int, dst, g *dense.Matrix) { o.a.SpMMInto(dst, g) }
+func (o *csrOperand) Symmetric() bool                        { return true }
 
-// forward runs all layers through the workspace, returning pre-activations
-// Z, activations H (H[0] = X), and the cached GEMM inputs P[l] (Â·H[l-1]
-// for GCNConv, [Â·H[l-1] | H[l-1]] for SAGEConv). The returned slices are
-// workspace-backed and overwritten by the next forward.
-func (s *Serial) forward() (zs, hs, ps []*dense.Matrix) {
-	L := s.Model.Layers()
-	ws := s.workspace()
-	for l := 1; l <= L; l++ {
-		s.A.SpMMInto(ws.agg[l], ws.hs[l-1])
-		if s.Variant == SAGEConv {
-			dense.HStackInto(ws.ps[l], ws.agg[l], ws.hs[l-1])
-		}
-		dense.MatMulInto(ws.zs[l], ws.ps[l], s.Model.Weights[l-1])
-		if l < L {
-			ws.hs[l].CopyFrom(ws.zs[l])
-			ws.hs[l].ReLU()
-		}
-	}
-	return ws.zs, ws.hs, ws.ps
-}
-
-// Predict returns row-wise class probabilities for all vertices.
-func (s *Serial) Predict() *dense.Matrix {
-	probs := dense.New(s.X.Rows, s.Model.Weights[s.Model.Layers()-1].Cols)
-	s.PredictInto(probs)
-	return probs
+// operand returns the operand over the trainer's current A and X (both are
+// exported, mutable fields).
+func (s *Serial) operand() *csrOperand {
+	s.op = csrOperand{a: s.A, x: s.X}
+	return &s.op
 }
 
 // PredictInto writes row-wise class probabilities for all vertices into
-// dst (NumVertices × classes) — the allocation-free serving form of
-// Predict for callers that reuse a probability buffer across calls.
+// dst (NumVertices × classes) — allocation-free once the forward buffers
+// have grown, for callers that reuse a probability buffer across calls.
 func (s *Serial) PredictInto(dst *dense.Matrix) {
-	_, hs, _ := s.forward()
-	dst.CopyFrom(hs[len(hs)-1])
+	dst.CopyFrom(s.ws.Forward(s.Model, s.Variant, s.operand(), Collective{}))
 	dense.SoftmaxRows(dst)
 }
 
-// Gradients runs one forward/backward pass and returns (loss, trainAcc,
-// weight gradients) without updating the model. The gradients are fresh
-// copies the caller owns; the training loop uses the workspace-backed
-// gradientsInto instead.
-func (s *Serial) Gradients() (float64, float64, []*dense.Matrix) {
-	loss, acc, wsGrads := s.gradientsInto()
-	grads := make([]*dense.Matrix, len(wsGrads))
-	for l, g := range wsGrads {
-		grads[l] = g.Clone()
-	}
-	return loss, acc, grads
-}
-
-// gradientsInto runs one forward/backward pass entirely inside the
-// workspace and returns (loss, trainAcc, workspace gradients). The returned
-// matrices are overwritten by the next call.
-func (s *Serial) gradientsInto() (float64, float64, []*dense.Matrix) {
-	L := s.Model.Layers()
-	ws := s.workspace()
-	zs, hs, ps := s.forward()
-	probs := ws.probs
-	probs.CopyFrom(hs[L])
+// Accuracies evaluates classification accuracy on each vertex set from one
+// forward pass.
+func (s *Serial) Accuracies(masks ...[]int) []float64 {
+	// The logits are the workspace's own buffer until the next pass, so the
+	// softmax runs in place.
+	probs := s.ws.Forward(s.Model, s.Variant, s.operand(), Collective{})
 	dense.SoftmaxRows(probs)
-	loss := dense.CrossEntropyLossInto(probs, s.Labels, s.Train, ws.g[L])
-	acc := dense.Accuracy(probs, s.Labels, s.Train)
-
-	g := ws.g[L]
-	for l := L; l >= 1; l-- {
-		// Y^l = P^lᵀ G^l with the GEMM input cached from forward.
-		dense.MatMulTransAInto(ws.grads[l-1], ps[l], g)
-		if l == 1 {
-			break
-		}
-		if s.Variant == SAGEConv {
-			// dC = G^l (W^l)ᵀ splits into the aggregated and self paths:
-			// ∂L/∂H^{l-1} = Â·dP + dSelf.
-			dense.MatMulTransBInto(ws.dc[l], g, s.Model.Weights[l-1])
-			ws.dc[l].SplitColsInto(ws.dp[l], ws.dself[l])
-			s.A.SpMMInto(ws.g[l-1], ws.dp[l])
-			ws.g[l-1].Add(ws.dself[l])
-		} else {
-			// G^{l-1} = Â G^l (W^l)ᵀ ⊙ σ′(Z^{l-1})
-			s.A.SpMMInto(ws.ag[l], g)
-			dense.MatMulTransBInto(ws.g[l-1], ws.ag[l], s.Model.Weights[l-1])
-		}
-		zs[l-1].ReLUDerivInto(ws.deriv[l-1])
-		ws.g[l-1].Hadamard(ws.deriv[l-1])
-		g = ws.g[l-1]
+	accs := make([]float64, len(masks))
+	for i, mask := range masks {
+		accs[i] = dense.Accuracy(probs, s.Labels, mask)
 	}
-	return loss, acc, ws.grads
+	return accs
 }
 
 // Epoch runs one full-batch training step and returns loss and train
 // accuracy measured before the update.
-func (s *Serial) Epoch() (float64, float64) {
-	loss, acc, grads := s.gradientsInto()
+func (s *Serial) Epoch() (loss, acc float64, err error) {
+	s.trainLabels = s.trainLabels[:0]
+	for _, v := range s.Train {
+		s.trainLabels = append(s.trainLabels, s.Labels[v])
+	}
 	if s.Opt == nil {
 		s.Opt = &opt.SGD{LR: s.LR}
 	}
-	s.Opt.Step(s.Model.Weights, grads)
-	return loss, acc
+	n := len(s.Train)
+	lossSum, correct, err := s.ws.Step(s.Opt, s.Model, s.Variant, s.operand(), s.Train, s.trainLabels, n, Collective{})
+	if err != nil {
+		return 0, 0, err
+	}
+	return lossSum * (1 / float64(n)), correct / float64(n), nil
 }
 
-// Train runs the given number of epochs.
-func (s *Serial) TrainEpochs(epochs int) []EpochResult {
+// TrainEpochs runs the given number of epochs.
+func (s *Serial) TrainEpochs(epochs int) ([]EpochResult, error) {
 	var out []EpochResult
 	for e := 0; e < epochs; e++ {
-		loss, acc := s.Epoch()
+		loss, acc, err := s.Epoch()
+		if err != nil {
+			return out, err
+		}
 		out = append(out, EpochResult{Epoch: e, Loss: loss, TrainAcc: acc})
 	}
-	return out
-}
-
-// Accuracy evaluates classification accuracy on an arbitrary vertex set.
-func (s *Serial) Accuracy(mask []int) float64 {
-	return dense.Accuracy(s.Predict(), s.Labels, mask)
+	return out, nil
 }

@@ -36,15 +36,15 @@ func stepperFixture(seed int64) *Distributed {
 	return NewDistributed(world, engine, x, labels, train, dims, 0.1, seed)
 }
 
-// TestStepperMatchesTrainEpochs pins the refactor: stepping one epoch at a
-// time is bit-identical to the batch TrainEpochs loop.
-func TestStepperMatchesTrainEpochs(t *testing.T) {
+// TestStepperMatchesBatchLaunch pins the stepper: stepping one epoch at a
+// time is bit-identical to all epochs in one collective launch.
+func TestStepperMatchesBatchLaunch(t *testing.T) {
 	const epochs = 5
-	batch := stepperFixture(3).TrainEpochs(epochs)
+	batch := stepN(t, stepperFixture(3).Stepper(), epochs)
 
 	st := stepperFixture(3).Stepper()
 	for e := 0; e < epochs; e++ {
-		res := st.Step()
+		res := stepN(t, st, 1)[0]
 		if res.Epoch != e {
 			t.Fatalf("step %d numbered %d", e, res.Epoch)
 		}
@@ -57,11 +57,11 @@ func TestStepperMatchesTrainEpochs(t *testing.T) {
 		t.Fatalf("epoch counter %d", st.Epoch())
 	}
 
-	// Mixed StepN/Step composition is the same computation too.
+	// Mixed launch sizes compose to the same computation too.
 	st2 := stepperFixture(3).Stepper()
-	mixed := st2.StepN(2)
-	mixed = append(mixed, st2.Step())
-	mixed = append(mixed, st2.StepN(2)...)
+	mixed := stepN(t, st2, 2)
+	mixed = append(mixed, stepN(t, st2, 1)...)
+	mixed = append(mixed, stepN(t, st2, 2)...)
 	for e := range mixed {
 		if mixed[e].Loss != batch[e].Loss {
 			t.Fatalf("epoch %d: mixed %v != batch %v", e, mixed[e].Loss, batch[e].Loss)
@@ -73,16 +73,16 @@ func TestStepperMatchesTrainEpochs(t *testing.T) {
 // state: replayed epochs reproduce the original trajectory bit-for-bit.
 func TestStepperSetModelRewinds(t *testing.T) {
 	st := stepperFixture(9).Stepper()
-	st.StepN(3)
+	stepN(t, st, 3)
 	saved := st.Model().Clone()
 	savedEpoch := st.Epoch()
-	first := st.StepN(3)
+	first := stepN(t, st, 3)
 
 	if err := st.SetModel(saved); err != nil {
 		t.Fatal(err)
 	}
 	st.SetEpoch(savedEpoch)
-	replay := st.StepN(3)
+	replay := stepN(t, st, 3)
 	for e := range replay {
 		if replay[e] != first[e] {
 			t.Fatalf("epoch %d: replay %+v != original %+v", e, replay[e], first[e])
@@ -101,7 +101,7 @@ func TestStepperSetModelValidatesShape(t *testing.T) {
 		t.Fatal("SetModel accepted mismatched weight shapes")
 	}
 	before := st.Model().Clone()
-	st.Step() // trainer still healthy after rejected restores
+	stepN(t, st, 1) // trainer still healthy after rejected restores
 	if st.Model().MaxWeightDiff(before) == 0 {
 		t.Fatal("step did not train")
 	}

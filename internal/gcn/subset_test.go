@@ -17,8 +17,9 @@ func subsetCase(t *testing.T, seed int64, layers int, v Variant) (*SubsetEval, *
 	s := NewSerial(a, x, labels, train, model, 0.1)
 	s.Variant = v
 	// Train a few epochs so the weights are not symmetric in any trivial way.
-	s.TrainEpochs(3)
-	full := s.Predict()
+	trainSerial(t, s, 3)
+	full := dense.New(x.Rows, dims[layers])
+	s.PredictInto(full)
 	return NewSubsetEval(a, x, model, v), full
 }
 

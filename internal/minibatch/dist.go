@@ -1,9 +1,7 @@
 package minibatch
 
 import (
-	"context"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"sagnn/internal/comm"
@@ -32,7 +30,8 @@ import (
 // frontier aggregation, and the remaining layers run on the rank's own
 // sampled rectangular blocks. Per step, the loss term and the per-layer
 // weight gradients are all-reduced and every rank applies the same update to
-// its replica — the same replica discipline as gcn.Distributed.
+// its replica — the step is gcn.Workspace.Gradients, the one the full-batch
+// trainers run, over the sampled chain operand (minibatch.go).
 
 // DistConfig configures distributed sampled training.
 type DistConfig struct {
@@ -192,205 +191,110 @@ func globalBottom(b block, n int) *sparse.CSR {
 	return sparse.NewCSR(b.adj.NumRows, n, coords)
 }
 
-// stepBottoms compiles every rank's global bottom block for one step and
-// returns this rank's full layered blocks and batch alongside. The global
+// epochOrders returns every rank's shuffled training order for an epoch.
+func (d *Dist) epochOrders(epoch int) [][]int {
+	orders := make([][]int, d.World.P)
+	for rr := range orders {
+		orders[rr] = d.epochOrder(rr, epoch)
+	}
+	return orders
+}
+
+// examples is the global number of training examples per epoch.
+func (d *Dist) examples() int {
+	n := 0
+	for _, t := range d.trainOf {
+		n += len(t)
+	}
+	return n
+}
+
+// stepBlocks re-derives every rank's batch and layered blocks for one step,
+// plus the global bottom blocks the gather plan is compiled from. The global
 // batch size is the loss normalizer (deterministic, never exchanged).
-func (d *Dist) stepBottoms(me, epoch, step int, orders [][]int) (bottoms []*sparse.CSR, mine []block, myBatch []int, globalN int) {
-	n := d.Layout.N()
-	bottoms = make([]*sparse.CSR, d.World.P)
-	for rr := 0; rr < d.World.P; rr++ {
-		batch := d.batchOf(orders[rr], step)
-		globalN += len(batch)
-		blks := d.sampleStep(rr, epoch, step, batch)
-		bottoms[rr] = globalBottom(blks[0], n)
-		if rr == me {
-			mine, myBatch = blks, batch
-		}
+func (d *Dist) stepBlocks(epoch, step int, orders [][]int) (bottoms []*sparse.CSR, blocksOf [][]block, batches [][]int, globalN int) {
+	P := d.World.P
+	bottoms, blocksOf, batches = make([]*sparse.CSR, P), make([][]block, P), make([][]int, P)
+	for rr := 0; rr < P; rr++ {
+		batches[rr] = d.batchOf(orders[rr], step)
+		globalN += len(batches[rr])
+		blocksOf[rr] = d.sampleStep(rr, epoch, step, batches[rr])
+		bottoms[rr] = globalBottom(blocksOf[rr][0], d.Layout.N())
 	}
-	return bottoms, mine, myBatch, globalN
+	return bottoms, blocksOf, batches, globalN
 }
 
-// distRank is one rank's persistent sampled-training state.
-type distRank struct {
-	lo, hi    int
-	xLocal    *dense.Matrix
-	model     *gcn.Model
-	newOpt    func() opt.Optimizer
-	optimizer opt.Optimizer
-	gg        *comm.Group
-	gather    *distmm.SampledGather
-	// Reusable backward transpose workspaces (one per layer boundary).
-	adjT         []sparse.CSR
-	tposeScratch []int
-	grads        []*dense.Matrix
-	red, redOut  [2]float64
-}
-
-func (d *Dist) newDistRank(r *comm.Rank) *distRank {
-	lo, hi := d.Layout.Range(r.ID)
-	rs := &distRank{
-		lo: lo, hi: hi,
-		xLocal: d.X.SliceRows(lo, hi).Clone(),
-		model:  gcn.NewModel(d.ModelSeed, d.Dims),
-		newOpt: d.NewOpt,
-		gg:     d.World.WorldGroup(),
-		adjT:   make([]sparse.CSR, len(d.Dims)-1),
-		grads:  make([]*dense.Matrix, len(d.Dims)-1),
-	}
-	rs.optimizer = rs.newOpt()
-	for l := 0; l+1 < len(d.Dims); l++ {
-		rs.grads[l] = dense.New(d.Dims[l], d.Dims[l+1])
-	}
-	return rs
-}
-
-// rankStep runs one collective sampled step for one rank: compile the
-// gather, forward, globally scaled loss, backward, all-reduced update.
-// Returns the global (lossSum, correct) of the step.
-func (d *Dist) rankStep(r *comm.Rank, rs *distRank, epoch, step int, orders [][]int) (lossSum, correct float64, err error) {
-	bottoms, blocks, batch, globalN := d.stepBottoms(r.ID, epoch, step, orders)
-	if rs.gather == nil {
-		rs.gather = distmm.NewSampledGather(d.World, bottoms, d.Layout)
-	} else {
-		rs.gather.Recompile(bottoms)
-	}
-	rs.gather.SetExecMode(d.Cfg.Exec)
-	if d.Cfg.Verify {
-		if err := distmm.Verify(rs.gather.Plan()); err != nil {
-			return 0, 0, err
-		}
-	}
-
-	model := rs.model
-	L := model.Layers()
-	params := d.World.Params
-	f := d.X.Cols
-
-	// Forward: the gather lands the layer-0 frontier aggregation; the
-	// remaining layers run on this rank's own sampled rectangular blocks.
-	ps := make([]*dense.Matrix, L+1)
-	zs := make([]*dense.Matrix, L+1)
-	hs := make([]*dense.Matrix, L+1)
-	ps[1] = dense.New(rs.gather.OutRows(r.ID), f)
-	rs.gather.MultiplyInto(r, rs.xLocal, ps[1])
-	for l := 1; l <= L; l++ {
-		if l > 1 {
-			ps[l] = blocks[l-1].adj.SpMM(hs[l-1])
-			r.ChargeCompute("local", params.SpMMTime(blocks[l-1].adj.Flops(hs[l-1].Cols)))
-		}
-		w := model.Weights[l-1]
-		zs[l] = dense.MatMul(ps[l], w)
-		r.ChargeCompute("local", params.GEMMTime(2*int64(ps[l].Rows)*int64(w.Rows)*int64(w.Cols)))
-		if l < L {
-			hs[l] = zs[l].Clone()
-			hs[l].ReLU()
-		} else {
-			hs[l] = zs[l]
-		}
-	}
-
-	// Loss and output gradient over this rank's batch rows, scaled by the
-	// global step example count so the all-reduced gradients are the global
-	// per-example mean.
-	probs := hs[L].Clone()
-	dense.SoftmaxRows(probs)
-	g := dense.New(len(batch), d.Dims[L])
-	var localLoss, localCorrect float64
-	inv := 0.0
-	if globalN > 0 {
-		inv = 1.0 / float64(globalN)
-	}
-	for i, v := range batch {
-		row := probs.Row(i)
-		y := d.Labels[v]
-		p := row[y]
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		localLoss -= math.Log(p)
-		grow := g.Row(i)
-		best, bestv := 0, row[0]
-		for j, pv := range row {
-			grow[j] = pv * inv
-			if pv > bestv {
-				best, bestv = j, pv
-			}
-		}
-		grow[y] -= inv
-		if best == y {
-			localCorrect++
-		}
-	}
-	rs.red[0], rs.red[1] = localLoss, localCorrect
-	rs.gg.AllReduceSumInto(r, rs.red[:], rs.redOut[:], "allreduce")
-	lossSum, correct = rs.redOut[0], rs.redOut[1]
-
-	// Backward through the rectangular block chain; weight gradients are
-	// all-reduced so every replica applies the identical update.
-	for l := L; l >= 1; l-- {
-		yl := dense.MatMulTransA(ps[l], g)
-		r.ChargeCompute("local", params.GEMMTime(2*int64(ps[l].Rows)*int64(yl.Rows)*int64(yl.Cols)))
-		rs.gg.AllReduceSumInto(r, yl.Data, rs.grads[l-1].Data, "allreduce")
-		if l == 1 {
-			break
-		}
-		w := model.Weights[l-1]
-		upstream := dense.MatMulTransB(g, w)
-		r.ChargeCompute("local", params.GEMMTime(2*int64(g.Rows)*int64(w.Cols)*int64(w.Rows)))
-		if cap(rs.tposeScratch) < blocks[l-1].adj.NumCols {
-			rs.tposeScratch = make([]int, blocks[l-1].adj.NumCols)
-		}
-		blocks[l-1].adj.TransposeInto(&rs.adjT[l-1], rs.tposeScratch[:blocks[l-1].adj.NumCols])
-		gPrev := rs.adjT[l-1].SpMM(upstream)
-		r.ChargeCompute("local", params.SpMMTime(rs.adjT[l-1].Flops(upstream.Cols)))
-		gPrev.Hadamard(zs[l-1].ReLUDeriv())
-		g = gPrev
-	}
-	rs.optimizer.Step(model.Weights, rs.grads)
-	return lossSum, correct, nil
-}
-
-// DistStepper drives a Dist trainer one epoch at a time, keeping every
-// rank's state alive between calls — the sampled counterpart of
-// gcn.Stepper, with the same dirty/SetModel recovery contract.
-type DistStepper struct {
-	d     *Dist
-	ranks []*distRank
-	epoch int
-	dirty bool
+// sampler is the sampled epoch body and the state it keeps between steps:
+// per hosted rank, the block-chain operand with its reusable gather plan,
+// transposes and label buffer.
+type sampler struct {
+	d      *Dist
+	chains []chain
 	// predicted accumulates the byte-exact traffic prediction of every
 	// executed step: the gather plans' Volumes plus the loss and gradient
 	// all-reduces. Equal to the measured ledger delta by construction.
 	predicted []distmm.RankVolume
 }
 
-// Stepper builds the persistent per-rank state and returns the driver
-// positioned at epoch 0. On a multi-process (TCP) world only the hosted
-// rank's slot is populated.
-func (d *Dist) Stepper() *DistStepper {
-	st := &DistStepper{d: d, ranks: make([]*distRank, d.World.P), predicted: make([]distmm.RankVolume, d.World.P)}
-	d.World.Run(func(r *comm.Rank) {
-		st.ranks[r.ID] = d.newDistRank(r)
-	})
-	return st
+func (d *Dist) newSampler() *sampler {
+	P := d.World.P
+	return &sampler{d: d, chains: make([]chain, P), predicted: make([]distmm.RankVolume, P)}
+}
+
+// rankEpoch runs one collective sampled epoch for one rank: per step,
+// compile the gather, then the shared step — forward over the gathered
+// chain, loss scaled by the global step example count (so the all-reduced
+// gradients are the global per-example mean), backward, update. Returns
+// the epoch's global loss sum and correct count.
+func (sm *sampler) rankEpoch(r *comm.Rank, rep *gcn.Replica, epoch int) (lossSum, correct float64, err error) {
+	d := sm.d
+	c := &sm.chains[r.ID]
+	c.rank, c.input = r, rep.X
+	orders := d.epochOrders(epoch)
+	for s, steps := 0, d.stepsPerEpoch(); s < steps; s++ {
+		bottoms, blocksOf, batches, globalN := d.stepBlocks(epoch, s, orders)
+		if c.gather == nil {
+			c.gather = distmm.NewSampledGather(d.World, bottoms, d.Layout)
+		} else {
+			c.gather.Recompile(bottoms)
+		}
+		c.gather.SetExecMode(d.Cfg.Exec)
+		if d.Cfg.Verify {
+			if err := distmm.Verify(c.gather.Plan()); err != nil {
+				return 0, 0, err
+			}
+		}
+		c.load(blocksOf[r.ID], d.Labels, batches[r.ID])
+		ls, cr, err := rep.WS.Step(rep.Opt, rep.Model, gcn.GCNConv, c, nil, c.labels, globalN,
+			gcn.Collective{Rank: r, Group: rep.Group})
+		if err != nil {
+			return 0, 0, err
+		}
+		lossSum += ls
+		correct += cr
+		if r.ID == d.World.LocalRank() {
+			sm.addPredicted(c.gather.Plan())
+		}
+	}
+	return lossSum, correct, nil
 }
 
 // addPredicted folds one executed step's exact traffic prediction into the
 // running ledger: the gather plan at the feature width plus one loss
 // all-reduce and L weight-gradient all-reduces over the world.
-func (st *DistStepper) addPredicted(plan *distmm.Plan) {
-	d := st.d
+func (sm *sampler) addPredicted(plan *distmm.Plan) {
+	d := sm.d
 	for rank, v := range plan.Volumes(d.X.Cols) {
-		st.predicted[rank].SentBytes += v.SentBytes
-		st.predicted[rank].RecvBytes += v.RecvBytes
-		st.predicted[rank].MsgsSent += v.MsgsSent
+		sm.predicted[rank].SentBytes += v.SentBytes
+		sm.predicted[rank].RecvBytes += v.RecvBytes
+		sm.predicted[rank].MsgsSent += v.MsgsSent
 	}
 	addAll := func(n int) {
 		s, rcv, m := comm.AllReduceVolume(n, d.World.P)
-		for rank := range st.predicted {
-			st.predicted[rank].SentBytes += s
-			st.predicted[rank].RecvBytes += rcv
-			st.predicted[rank].MsgsSent += m
+		for rank := range sm.predicted {
+			sm.predicted[rank].SentBytes += s
+			sm.predicted[rank].RecvBytes += rcv
+			sm.predicted[rank].MsgsSent += m
 		}
 	}
 	addAll(2) // loss / correct reduction
@@ -399,222 +303,83 @@ func (st *DistStepper) addPredicted(plan *distmm.Plan) {
 	}
 }
 
+// Body returns a sampled epoch body for a gcn.Stepper whose replicas hold
+// this trainer's model shape and layout slices — how a session steps the
+// replicas it trains full-batch through sampled epochs too.
+func (d *Dist) Body() gcn.EpochBody { return d.newSampler().rankEpoch }
+
+// DistStepper is a gcn.Stepper running the sampled epoch body — same
+// dirty/SetModel recovery contract, and because sampling is seeded by
+// absolute epoch and step indices, the retry after a rollback replays
+// bit-identical batches — plus the traffic prediction of what it ran.
+type DistStepper struct {
+	*gcn.Stepper
+	sm *sampler
+}
+
+// Stepper builds the per-rank replicas and returns the driver positioned at
+// epoch 0.
+func (d *Dist) Stepper() *DistStepper {
+	sm := d.newSampler()
+	st := gcn.NewStepper(d.World, d.examples(), sm.rankEpoch, func(r *comm.Rank) *gcn.Replica {
+		lo, hi := d.Layout.Range(r.ID)
+		return &gcn.Replica{
+			X:      d.X.SliceRows(lo, hi).Clone(),
+			Model:  gcn.NewModel(d.ModelSeed, d.Dims),
+			NewOpt: d.NewOpt,
+			Group:  d.World.WorldGroup(),
+		}
+	})
+	return &DistStepper{Stepper: st, sm: sm}
+}
+
 // PredictedVolumes returns the cumulative byte-exact traffic prediction of
 // every epoch stepped so far, per rank.
 func (st *DistStepper) PredictedVolumes() []distmm.RankVolume {
-	return append([]distmm.RankVolume(nil), st.predicted...)
-}
-
-// StepNCtx runs n consecutive sampled epochs inside a single collective
-// launch. A fault in any rank aborts the collective mid-epoch and returns
-// the typed error; the trainer is then dirty (replicas may have diverged)
-// until SetModel restores a checkpoint. The epoch counter does not advance
-// on failure and no partial results are returned — and because sampling is
-// seeded by absolute epoch and step indices, the retry after a rollback
-// replays bit-identical batches.
-func (st *DistStepper) StepNCtx(ctx context.Context, n int) ([]gcn.EpochResult, error) {
-	if st.dirty {
-		return nil, gcn.ErrInconsistent
-	}
-	d := st.d
-	steps := d.stepsPerEpoch()
-	if steps == 0 {
-		return nil, ErrEmptyTrainSet
-	}
-	var results []gcn.EpochResult // appended by the recorder rank alone, read after the join
-	recorder := d.World.LocalRank()
-	err := d.World.RunCtx(ctx, func(r *comm.Rank) error {
-		rs := st.ranks[r.ID]
-		for e := 0; e < n; e++ {
-			epoch := st.epoch + e
-			orders := make([][]int, d.World.P)
-			globalExamples := 0
-			for rr := 0; rr < d.World.P; rr++ {
-				orders[rr] = d.epochOrder(rr, epoch)
-				globalExamples += len(orders[rr])
-			}
-			var lossSum, correct float64
-			for s := 0; s < steps; s++ {
-				ls, c, err := d.rankStep(r, rs, epoch, s, orders)
-				if err != nil {
-					return err
-				}
-				lossSum += ls
-				correct += c
-				if r.ID == recorder {
-					st.addPredicted(rs.gather.Plan())
-				}
-			}
-			if r.ID == recorder {
-				results = append(results, gcn.EpochResult{
-					Epoch:    epoch,
-					Loss:     lossSum / float64(globalExamples),
-					TrainAcc: correct / float64(globalExamples),
-				})
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		st.dirty = true
-		return nil, err
-	}
-	st.epoch += n
-	return results, nil
-}
-
-// Epoch returns the number of epochs stepped so far.
-func (st *DistStepper) Epoch() int { return st.epoch }
-
-// SetEpoch overrides the epoch counter (checkpoint restore). Sampling is
-// seeded by absolute epoch index, so restoring the counter restores the
-// exact batch sequence.
-func (st *DistStepper) SetEpoch(e int) { st.epoch = e }
-
-// Model returns the local rank's live weight replica (identical on every
-// rank). Clone before mutating.
-func (st *DistStepper) Model() *gcn.Model { return st.ranks[st.d.World.LocalRank()].model }
-
-// Dirty reports whether an aborted epoch left the replicas possibly
-// divergent.
-func (st *DistStepper) Dirty() bool { return st.dirty }
-
-// SetModel replaces every rank's replica with an independent copy of m and
-// resets optimizer state, clearing the dirty condition.
-func (st *DistStepper) SetModel(m *gcn.Model) error {
-	local := st.d.World.LocalRank()
-	have := st.ranks[local].model
-	if len(m.Weights) != len(have.Weights) {
-		return fmt.Errorf("minibatch: restore %d layers into %d-layer trainer", len(m.Weights), len(have.Weights))
-	}
-	for l, w := range m.Weights {
-		hw := have.Weights[l]
-		if w.Rows != hw.Rows || w.Cols != hw.Cols {
-			return fmt.Errorf("minibatch: restore W%d %dx%d into %dx%d", l+1, w.Rows, w.Cols, hw.Rows, hw.Cols)
-		}
-	}
-	for _, rs := range st.ranks {
-		if rs == nil {
-			continue // rank hosted by another process (TCP transport)
-		}
-		rs.model = m.Clone()
-		rs.optimizer = rs.newOpt()
-	}
-	st.dirty = false
-	return nil
+	return append([]distmm.RankVolume(nil), st.sm.predicted...)
 }
 
 // ReferenceEpochs trains the serial mirror of the distributed sampled
 // trainer: the same stateless seeds produce the same blocks, the gather
 // runs through distmm.SampledGatherReference (the executor's accumulation
-// order), and the loss and gradient reductions sum rank contributions in
-// world-group member order — so every epoch loss is bit-identical to a
-// distributed run on any transport and exec mode. The conformance anchor.
+// order), every rank's step is the shared one over its chain, and the loss
+// and gradient reductions sum rank contributions in world-group member
+// order — so every epoch loss is bit-identical to a distributed run on any
+// transport and exec mode. The conformance anchor.
 func (d *Dist) ReferenceEpochs(epochs int) []gcn.EpochResult {
 	model := gcn.NewModel(d.ModelSeed, d.Dims)
-	newOpt := d.NewOpt
-	if newOpt == nil {
-		newOpt = func() opt.Optimizer { return &opt.SGD{LR: 0.05} }
-	}
-	optimizer := newOpt()
-	L := len(d.Dims) - 1
-	steps := d.stepsPerEpoch()
-	P := d.World.P
-	var results []gcn.EpochResult
-	grads := make([]*dense.Matrix, L)
-	for l := 0; l < L; l++ {
+	optimizer := d.NewOpt()
+	grads := make([]*dense.Matrix, len(d.Dims)-1)
+	for l := range grads {
 		grads[l] = dense.New(d.Dims[l], d.Dims[l+1])
 	}
+	var (
+		ws      gcn.Workspace
+		results []gcn.EpochResult
+	)
+	c := chain{input: d.X}
+	examples := float64(d.examples())
 	for epoch := 0; epoch < epochs; epoch++ {
-		orders := make([][]int, P)
-		globalExamples := 0
-		for rr := 0; rr < P; rr++ {
-			orders[rr] = d.epochOrder(rr, epoch)
-			globalExamples += len(orders[rr])
-		}
+		orders := d.epochOrders(epoch)
 		var epochLoss, epochCorrect float64
-		for s := 0; s < steps; s++ {
-			// Re-derive every rank's blocks and the shared gather.
-			n := d.Layout.N()
-			bottoms := make([]*sparse.CSR, P)
-			blocksOf := make([][]block, P)
-			batches := make([][]int, P)
-			globalN := 0
-			for rr := 0; rr < P; rr++ {
-				batches[rr] = d.batchOf(orders[rr], s)
-				globalN += len(batches[rr])
-				blocksOf[rr] = d.sampleStep(rr, epoch, s, batches[rr])
-				bottoms[rr] = globalBottom(blocksOf[rr][0], n)
-			}
+		for s, steps := 0, d.stepsPerEpoch(); s < steps; s++ {
+			bottoms, blocksOf, batches, globalN := d.stepBlocks(epoch, s, orders)
 			aggs := distmm.SampledGatherReference(bottoms, d.Layout, d.X)
-			inv := 0.0
-			if globalN > 0 {
-				inv = 1.0 / float64(globalN)
-			}
-			// Per-rank forward/backward; reductions accumulate in rank
-			// order, matching AllReduceSumInto's member-order sum.
-			for l := 0; l < L; l++ {
+			// Reductions accumulate in rank order, matching
+			// AllReduceSumInto's member-order sum from zero.
+			for l := range grads {
 				grads[l].Zero()
 			}
 			var lossSum, correct float64
-			yls := make([][]*dense.Matrix, P)
-			for rr := 0; rr < P; rr++ {
-				blocks, batch := blocksOf[rr], batches[rr]
-				ps := make([]*dense.Matrix, L+1)
-				zs := make([]*dense.Matrix, L+1)
-				hs := make([]*dense.Matrix, L+1)
-				ps[1] = aggs[rr]
-				for l := 1; l <= L; l++ {
-					if l > 1 {
-						ps[l] = blocks[l-1].adj.SpMM(hs[l-1])
-					}
-					zs[l] = dense.MatMul(ps[l], model.Weights[l-1])
-					if l < L {
-						hs[l] = zs[l].Clone()
-						hs[l].ReLU()
-					} else {
-						hs[l] = zs[l]
-					}
-				}
-				probs := hs[L].Clone()
-				dense.SoftmaxRows(probs)
-				g := dense.New(len(batch), d.Dims[L])
-				for i, v := range batch {
-					row := probs.Row(i)
-					y := d.Labels[v]
-					p := row[y]
-					if p < 1e-12 {
-						p = 1e-12
-					}
-					lossSum -= math.Log(p)
-					grow := g.Row(i)
-					best, bestv := 0, row[0]
-					for j, pv := range row {
-						grow[j] = pv * inv
-						if pv > bestv {
-							best, bestv = j, pv
-						}
-					}
-					grow[y] -= inv
-					if best == y {
-						correct++
-					}
-				}
-				yls[rr] = make([]*dense.Matrix, L)
-				for l := L; l >= 1; l-- {
-					yls[rr][l-1] = dense.MatMulTransA(ps[l], g)
-					if l == 1 {
-						break
-					}
-					upstream := dense.MatMulTransB(g, model.Weights[l-1])
-					gPrev := blocks[l-1].adj.Transpose().SpMM(upstream)
-					gPrev.Hadamard(zs[l-1].ReLUDeriv())
-					g = gPrev
-				}
-			}
-			for l := 0; l < L; l++ {
-				for rr := 0; rr < P; rr++ {
-					grads[l].Add(yls[rr][l])
+			for rr := range blocksOf {
+				c.landed = aggs[rr]
+				c.load(blocksOf[rr], d.Labels, batches[rr])
+				// Some rank always has a batch in a step, so globalN > 0.
+				ls, cr, yl, _ := ws.Gradients(model, gcn.GCNConv, &c, nil, c.labels, globalN, gcn.Collective{})
+				lossSum += ls
+				correct += cr
+				for l := range grads {
+					grads[l].Add(yl[l])
 				}
 			}
 			optimizer.Step(model.Weights, grads)
@@ -623,8 +388,8 @@ func (d *Dist) ReferenceEpochs(epochs int) []gcn.EpochResult {
 		}
 		results = append(results, gcn.EpochResult{
 			Epoch:    epoch,
-			Loss:     epochLoss / float64(globalExamples),
-			TrainAcc: epochCorrect / float64(globalExamples),
+			Loss:     epochLoss / examples,
+			TrainAcc: epochCorrect / examples,
 		})
 	}
 	return results

@@ -1,29 +1,37 @@
 // Package minibatch implements neighbor-sampled mini-batch GNN training in
 // the style of GraphSAGE (Hamilton et al. 2017) — the training mode the
-// paper's introduction contrasts with full-batch training. It exists as a
-// baseline so the repository can demonstrate the tradeoff the paper
-// describes: sampling avoids the full-graph SpMM but suffers irregular
-// gather-heavy memory access and stochastic-gradient noise, whereas
-// full-batch training (the paper's subject) turns the epoch into a few
-// large SpMMs whose communication can then be optimized.
+// paper's introduction contrasts with full-batch training. It exists so the
+// repository can demonstrate the tradeoff the paper describes: sampling
+// avoids the full-graph SpMM but suffers irregular gather-heavy memory
+// access and stochastic-gradient noise, whereas full-batch training (the
+// paper's subject) turns the epoch into a few large SpMMs whose
+// communication can then be optimized.
+//
+// The package holds what is specific to sampling: the layered block sampler
+// and the chain operand over the sampled rectangular blocks. The step itself
+// — forward, loss, backward — is gcn.Workspace.Gradients, the one the
+// full-batch trainers run. Trainer steps it serially over blocks of gathered
+// feature rows; Dist (dist.go) is the distributed form, an epoch body for a
+// gcn.Stepper in which each batch's first layer is a halo gather compiled
+// into a distmm plan.
 package minibatch
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 
+	"sagnn/internal/comm"
 	"sagnn/internal/dense"
+	"sagnn/internal/distmm"
 	"sagnn/internal/gcn"
 	"sagnn/internal/graph"
 	"sagnn/internal/opt"
 	"sagnn/internal/sparse"
 )
 
-// ErrEmptyTrainSet is returned by Epoch when the trainer has no training
-// vertices: there is no batch to draw, so no loss exists. Callers that used
-// to compare against NaN should errors.Is against this instead.
-var ErrEmptyTrainSet = errors.New("minibatch: empty training set")
+// ErrEmptyTrainSet is gcn.ErrEmptyTrainSet: the one error every trainer
+// returns when there are no training vertices to draw a batch from.
+var ErrEmptyTrainSet = gcn.ErrEmptyTrainSet
 
 // Trainer trains a GCN with L-hop neighbor sampling.
 type Trainer struct {
@@ -39,11 +47,11 @@ type Trainer struct {
 	BatchSize int
 	Opt       opt.Optimizer
 	rng       *rand.Rand
-	// adjT and tposeScratch are the reusable transpose workspaces for the
-	// backward pass: one destination per layer boundary, grown once and
-	// reused across every mini-batch.
-	adjT         []sparse.CSR
-	tposeScratch []int
+
+	// The step's reusable state: the operand (gather buffer, transposes,
+	// batch labels) and the dense workspace.
+	chain chain
+	ws    gcn.Workspace
 }
 
 // New validates shapes, seeds the sampler, and defaults a nil optimizer to
@@ -129,69 +137,95 @@ func sampleLayeredBlocks(rng *rand.Rand, neighbors func(int) []int, batch []int,
 	return blocks
 }
 
-// Step runs one mini-batch: sample, forward, backward, update. Returns the
-// batch loss.
-func (t *Trainer) Step(batch []int) float64 {
-	L := t.Model.Layers()
-	blocks := t.sampleBlocks(batch, L)
+// chain is the sampled operand: layer l aggregates over the rectangular
+// block blocks[l-1] and its transpose, held in reusable per-layer workspaces
+// so the backward pass stops allocating once they have grown to the sampled
+// block sizes. Layer 1 comes in three forms: the block itself over feature
+// rows gathered from x (the serial trainer), the distributed halo gather of
+// the rank's feature slice, or an aggregation already landed by the
+// reference gather. With a rank set, every local SpMM is charged to it.
+type chain struct {
+	blocks []block
+	labels []int         // the batch's classes, aligned with the top block's rows
+	x      *dense.Matrix // serial: the features H⁰ is gathered from
+	input  *dense.Matrix // H⁰: the gather buffer, else the features layer 1 consumes
+	gather *distmm.SampledGather
+	landed *dense.Matrix
+	rank   *comm.Rank
 
-	// Forward through the sampled blocks.
-	hs := make([]*dense.Matrix, L+1)
-	zs := make([]*dense.Matrix, L+1)
-	ps := make([]*dense.Matrix, L+1)
-	hs[0] = t.X.GatherRows(blocks[0].srcs)
-	for l := 1; l <= L; l++ {
-		ps[l] = blocks[l-1].adj.SpMM(hs[l-1])
-		zs[l] = dense.MatMul(ps[l], t.Model.Weights[l-1])
-		if l < L {
-			h := zs[l].Clone()
-			h.ReLU()
-			hs[l] = h
-		} else {
-			hs[l] = zs[l]
-		}
-	}
-
-	probs := hs[L].Clone()
-	dense.SoftmaxRows(probs)
-	batchLabels := make([]int, len(batch))
-	for i, v := range batch {
-		batchLabels[i] = t.Labels[v]
-	}
-	all := make([]int, len(batch))
-	for i := range all {
-		all[i] = i
-	}
-	loss, g := dense.CrossEntropyLoss(probs, batchLabels, all)
-
-	// Backward through the chain of rectangular blocks.
-	grads := make([]*dense.Matrix, L)
-	for l := L; l >= 1; l-- {
-		grads[l-1] = dense.MatMulTransA(ps[l], g)
-		if l == 1 {
-			break
-		}
-		upstream := dense.MatMulTransB(g, t.Model.Weights[l-1])
-		gPrev := t.transposed(l-1, blocks[l-1].adj).SpMM(upstream)
-		gPrev.Hadamard(zs[l-1].ReLUDeriv())
-		g = gPrev
-	}
-	t.Opt.Step(t.Model.Weights, grads)
-	return loss
+	adjT         []sparse.CSR
+	tposeScratch []int
 }
 
-// transposed returns adjᵀ for the block at layer boundary l using the
-// trainer's reusable per-layer workspace, so the backward pass's transposes
-// stop allocating once the workspaces have grown to the sampled block sizes.
-func (t *Trainer) transposed(l int, adj *sparse.CSR) *sparse.CSR {
-	if t.adjT == nil {
-		t.adjT = make([]sparse.CSR, t.Model.Layers())
+func (c *chain) Input() *dense.Matrix {
+	if c.x != nil {
+		srcs := c.blocks[0].srcs
+		c.input = dense.Reshape(c.input, len(srcs), c.x.Cols)
+		c.x.GatherRowsInto(c.input.Data, srcs)
 	}
-	if cap(t.tposeScratch) < adj.NumCols {
-		t.tposeScratch = make([]int, adj.NumCols)
+	return c.input
+}
+
+func (c *chain) Rows(l int) int  { return c.blocks[l-1].adj.NumRows }
+func (c *chain) Symmetric() bool { return false }
+
+func (c *chain) Aggregate(l int, dst, h *dense.Matrix) {
+	switch {
+	case l == 1 && c.gather != nil:
+		c.gather.MultiplyInto(c.rank, h, dst)
+	case l == 1 && c.landed != nil:
+		dst.CopyFrom(c.landed)
+	default:
+		c.spmm(c.blocks[l-1].adj, dst, h)
 	}
-	adj.TransposeInto(&t.adjT[l], t.tposeScratch[:adj.NumCols])
-	return &t.adjT[l]
+}
+
+func (c *chain) AggregateT(l int, dst, g *dense.Matrix) {
+	c.spmm(c.transposed(l-1), dst, g)
+}
+
+func (c *chain) spmm(a *sparse.CSR, dst, h *dense.Matrix) {
+	a.SpMMInto(dst, h)
+	if c.rank != nil {
+		c.rank.ChargeCompute("local", c.rank.World().Params.SpMMTime(a.Flops(h.Cols)))
+	}
+}
+
+// transposed returns adjᵀ of the block at layer boundary l in the chain's
+// reusable workspace.
+func (c *chain) transposed(l int) *sparse.CSR {
+	adj := c.blocks[l].adj
+	if len(c.adjT) != len(c.blocks) {
+		c.adjT = make([]sparse.CSR, len(c.blocks))
+	}
+	if cap(c.tposeScratch) < adj.NumCols {
+		c.tposeScratch = make([]int, adj.NumCols)
+	}
+	adj.TransposeInto(&c.adjT[l], c.tposeScratch[:adj.NumCols])
+	return &c.adjT[l]
+}
+
+// load points the chain at one batch: its sampled blocks and, in reused
+// storage, its classes (the step's loss takes labels aligned with the batch
+// rows).
+func (c *chain) load(blocks []block, labels, batch []int) {
+	c.blocks, c.labels = blocks, c.labels[:0]
+	for _, v := range batch {
+		c.labels = append(c.labels, labels[v])
+	}
+}
+
+// Step runs one mini-batch: sample, forward, backward, update. Returns the
+// batch's mean loss.
+func (t *Trainer) Step(batch []int) (float64, error) {
+	c := &t.chain
+	c.x = t.X
+	c.load(t.sampleBlocks(batch, t.Model.Layers()), t.Labels, batch)
+	lossSum, _, err := t.ws.Step(t.Opt, t.Model, gcn.GCNConv, c, nil, c.labels, len(batch), gcn.Collective{})
+	if err != nil {
+		return 0, err
+	}
+	return lossSum * (1 / float64(len(batch))), nil
 }
 
 // Epoch shuffles the training set and runs it in batches, returning the
@@ -210,14 +244,11 @@ func (t *Trainer) Epoch() (float64, error) {
 		if hi > len(order) {
 			hi = len(order)
 		}
-		total += t.Step(order[lo:hi]) * float64(hi-lo)
+		loss, err := t.Step(order[lo:hi])
+		if err != nil {
+			return 0, err
+		}
+		total += loss * float64(hi-lo)
 	}
 	return total / float64(len(order)), nil
-}
-
-// Accuracy evaluates the current model full-batch (no sampling) on a
-// vertex set, the standard evaluation protocol for sampled training.
-func (t *Trainer) Accuracy(aHat *sparse.CSR, mask []int) float64 {
-	s := gcn.NewSerial(aHat, t.X, t.Labels, t.Train, t.Model, 0)
-	return dense.Accuracy(s.Predict(), t.Labels, mask)
 }

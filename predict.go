@@ -150,7 +150,9 @@ func (m *Model) probabilities(ds *Dataset) (p *dense.Matrix, err error) {
 		return nil, err
 	}
 	defer recoverToError(&err)
-	return m.fullEval().Predict(), nil
+	p = dense.New(ds.G.NumVertices(), m.Classes())
+	m.fullEval().PredictInto(p)
+	return p, nil
 }
 
 // Predict returns the predicted class of each requested vertex on the

@@ -82,6 +82,10 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := cluster.Distribute(nil, DistOpts{Algorithm: Oblivious1D}); err == nil {
 		t.Fatal("expected an error on nil dataset")
 	}
+	ds := MustLoadDataset(ProteinSim, 42, 64)
+	if _, err := cluster.Distribute(withLabel(ds, ds.Train[0], ds.Classes), DistOpts{Algorithm: Oblivious1D}); err == nil {
+		t.Fatal("expected an error on a training label outside [0, Classes)")
+	}
 }
 
 func TestTrainSAGEVariant(t *testing.T) {

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"sagnn/internal/comm"
+	"sagnn/internal/gcn"
 )
 
 // sampledSession builds a 4-process sampled-training session over the small
@@ -136,6 +139,77 @@ func TestRunSampledInterleavesWithRun(t *testing.T) {
 	}
 	if _, err := sess.Run(context.Background(), 1); err != nil {
 		t.Fatalf("full-batch run after sampled run: %v", err)
+	}
+}
+
+// TestRunSampledInterleavedRecovery runs full-batch, sampled, full-batch on
+// one session under WithRecovery with a fault injected into the sampled leg:
+// the rollback and replay must reproduce an unfaulted session's losses and
+// weights bit for bit — both modes step one replica set, so the restored
+// snapshot is the state either mode resumes from.
+func TestRunSampledInterleavedRecovery(t *testing.T) {
+	legs := func(sess *Session, fault bool) (hist []EpochResult) {
+		ctx := context.Background()
+		for i, run := range []func(context.Context, int) (*TrainResult, error){sess.Run, sess.RunSampled, sess.Run} {
+			if fault && i == 1 {
+				sess.dg.Cluster().InjectFault(1, 7, nil)
+			}
+			res, err := run(ctx, 2)
+			if err != nil {
+				t.Fatalf("leg %d (fault=%v): %v", i, fault, err)
+			}
+			hist = append(hist, res.History...)
+		}
+		return hist
+	}
+	clean := sampledSession(t, ExecSequential)
+	want := legs(clean, false)
+	faulted := sampledSession(t, ExecSequential, WithAutoSnapshot(1), WithRecovery(3, time.Millisecond))
+	got := legs(faulted, true)
+	if len(got) != 6 || len(got) != len(want) {
+		t.Fatalf("histories: %d recovered vs %d clean epochs", len(got), len(want))
+	}
+	for e := range want {
+		if got[e] != want[e] {
+			t.Fatalf("epoch %d: recovered %+v != clean %+v", e, got[e], want[e])
+		}
+	}
+	if faulted.Model().m.MaxWeightDiff(clean.Model().m) != 0 {
+		t.Fatal("recovered weights differ from the clean session's")
+	}
+}
+
+// TestSessionOneReplicaSet: a session that has trained in both modes holds
+// one replica per hosted rank — the full-batch and the sampled body are
+// handed the very same replicas (model, optimizer, feature slice).
+func TestSessionOneReplicaSet(t *testing.T) {
+	sess := sampledSession(t, ExecSequential)
+	ctx := context.Background()
+	if _, err := sess.RunSampled(ctx, 1); err != nil { // builds the sampled body
+		t.Fatal(err)
+	}
+	record := func(body gcn.EpochBody, seen []*gcn.Replica) gcn.EpochBody {
+		return func(r *comm.Rank, rep *gcn.Replica, epoch int) (float64, float64, error) {
+			seen[r.ID] = rep
+			return body(r, rep, epoch)
+		}
+	}
+	full, sampled := make([]*gcn.Replica, 4), make([]*gcn.Replica, 4)
+	sess.stepper.Body = record(sess.stepper.Body, full)
+	sess.sampledBody = record(sess.sampledBody, sampled)
+	if _, err := sess.Run(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.RunSampled(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	for rank := range full {
+		if full[rank] == nil || full[rank] != sampled[rank] {
+			t.Fatalf("rank %d: full-batch body stepped replica %p, sampled body %p", rank, full[rank], sampled[rank])
+		}
+	}
+	if sess.stepper.Model() != full[0].Model {
+		t.Fatal("the session's model is not the replica both bodies step")
 	}
 }
 

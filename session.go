@@ -12,7 +12,6 @@ import (
 	"sagnn/internal/gcn"
 	"sagnn/internal/machine"
 	"sagnn/internal/minibatch"
-	"sagnn/internal/opt"
 	"sagnn/internal/retry"
 )
 
@@ -114,36 +113,24 @@ func WithRecovery(maxRetries int, backoff time.Duration) SessionOption {
 }
 
 // Session is steppable distributed training of one model over a DistGraph.
-// Creating a session builds each rank's weight replica, optimizer, and
-// epoch workspace once; every Step afterwards runs exactly one full-batch
-// epoch. Multiple sessions can share one DistGraph — the partition and the
+// Creating a session builds each rank's feature slice, weight replica and
+// optimizer once — one gcn.Stepper; every Step afterwards runs exactly one
+// full-batch epoch over those replicas, and RunSampled steps the same
+// replicas through sampled epochs. Everything above the stepper — the run
+// loop, recovery, snapshots, ledger attribution — is mode-agnostic.
+// Multiple sessions can share one DistGraph — the partition and the
 // sparsity-aware communication schedule are built once and reused — but
 // their Step/Run calls are serialized (the engine's per-rank workspaces are
 // shared), so a Session must not be stepped from multiple goroutines.
-// epochStepper is the session-facing contract both training modes satisfy:
-// the full-batch gcn.Stepper and the sampled minibatch.DistStepper. A
-// session drives exactly one of them at a time; everything above the
-// stepper — the run loop, recovery, snapshots, ledger attribution — is
-// mode-agnostic.
-type epochStepper interface {
-	StepNCtx(ctx context.Context, n int) ([]gcn.EpochResult, error)
-	Epoch() int
-	SetEpoch(int)
-	Model() *gcn.Model
-	SetModel(*gcn.Model) error
-}
-
 type Session struct {
 	dg      *DistGraph
 	cfg     ModelConfig
 	opts    sessionOptions
-	trainer *gcn.Distributed
-	stepper epochStepper
-	// sampled is the lazily built neighbor-sampling stepper RunSampled
-	// drives; it shares the session's logical model through explicit
-	// SetModel syncs at the RunSampled boundaries.
-	sampled *minibatch.DistStepper
-	history []EpochResult
+	stepper *gcn.Stepper
+	// sampledBody is the lazily built neighbor-sampling epoch body that
+	// RunSampled swaps into the stepper for the duration of its run.
+	sampledBody gcn.EpochBody
+	history     []EpochResult
 
 	// spentLedger / spentVol accumulate this session's own modeled time and
 	// traffic, one delta per step measured under the cluster's step lock —
@@ -156,7 +143,8 @@ type Session struct {
 
 // NewSession creates a training session for the given model configuration
 // on the distributed graph. The graph's engine and partition are reused
-// as-is; only per-session state (weights, optimizer, workspaces) is built.
+// as-is; only per-session state (feature slices, weights, optimizer) is
+// built, and step workspaces grow on first use.
 func (g *DistGraph) NewSession(cfg ModelConfig, opts ...SessionOption) (s *Session, err error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -173,7 +161,7 @@ func (g *DistGraph) NewSession(cfg ModelConfig, opts ...SessionOption) (s *Sessi
 	g.cluster.mu.Lock()
 	stepper := trainer.Stepper()
 	g.cluster.mu.Unlock()
-	return &Session{dg: g, cfg: cfg, opts: o, trainer: trainer, stepper: stepper}, nil
+	return &Session{dg: g, cfg: cfg, opts: o, stepper: stepper}, nil
 }
 
 // recoverToError converts an internal invariant panic into an error on the
@@ -249,7 +237,8 @@ func (s *Session) Model() *Model {
 // replay after an exponential backoff; the replayed losses are bit-identical
 // to an uninterrupted run once the fault clears. Callbacks may re-observe
 // replayed epochs after a rollback. ErrStopTraining from a callback ends the
-// run cleanly (err = nil).
+// run cleanly (err = nil). A dataset without training vertices is
+// ErrEmptyTrainSet.
 func (s *Session) Run(ctx context.Context, epochs int) (*TrainResult, error) {
 	if epochs < 1 {
 		return nil, fmt.Errorf("sagnn: %d epochs", epochs)
@@ -379,9 +368,13 @@ loop:
 // parameters come from DistOpts.Sampling (defaults if nil). Sampling is
 // seeded per (rank, epoch, step), so losses are bit-identical across
 // transports and across recovery retries; callbacks, cancellation,
-// WithRecovery, and WithAutoSnapshot behave exactly as in Run. Sampled and
-// full-batch runs may interleave on one session: they train the same
-// logical model and share the epoch counter and history.
+// WithRecovery, and WithAutoSnapshot behave exactly as in Run — RunSampled
+// is Run with the session's stepper running the sampled epoch body. Sampled
+// and full-batch runs may interleave on one session: both step the same
+// per-rank replicas (weights, optimizer, feature slice), epoch counter and
+// history, so optimizer state carries across a mode switch and a rollback
+// restores the state either mode resumes from. An empty training set is
+// ErrEmptyTrainSet.
 func (s *Session) RunSampled(ctx context.Context, epochs int) (res *TrainResult, err error) {
 	if epochs < 1 {
 		return nil, fmt.Errorf("sagnn: %d epochs", epochs)
@@ -390,7 +383,7 @@ func (s *Session) RunSampled(ctx context.Context, epochs int) (res *TrainResult,
 		return nil, fmt.Errorf("sagnn: sampled training supports the GCN variant only")
 	}
 	defer recoverToError(&err)
-	if s.sampled == nil {
+	if s.sampledBody == nil {
 		g := s.dg
 		if g.layout.Blocks() != g.cluster.p {
 			return nil, fmt.Errorf("sagnn: sampled training needs one layout block per rank; %s distributes %d blocks over %d ranks",
@@ -402,45 +395,18 @@ func (s *Session) RunSampled(ctx context.Context, epochs int) (res *TrainResult,
 		}
 		sc = sc.withDefaults(s.cfg.Seed)
 		dims := gcn.LayerDims(g.x.Cols, s.cfg.Hidden, g.ds.Classes, s.cfg.Layers)
-		lr := s.cfg.LR
-		d := minibatch.NewDist(g.cluster.world, g.layout, g.aHat, g.x, g.labels, g.train, dims,
-			s.cfg.Seed, func() opt.Optimizer { return &opt.SGD{LR: lr} },
+		s.sampledBody = minibatch.NewDist(g.cluster.world, g.layout, g.aHat, g.x, g.labels, g.train, dims, s.cfg.Seed, nil,
 			minibatch.DistConfig{
 				Fanout: sc.Fanout, BatchSize: sc.BatchSize, Seed: sc.Seed,
 				Exec: g.opts.Exec, Verify: g.opts.VerifyPlans,
-			})
-		g.cluster.mu.Lock()
-		s.sampled = d.Stepper()
-		g.cluster.mu.Unlock()
+			}).Body()
 	}
-	// Hand the session's logical model to the sampled stepper, drive the
-	// ordinary run loop (recovery, snapshots, ledger attribution) through
-	// it, and hand the trained weights back — one coherent training state
-	// whichever mode ran.
-	full := s.stepper
-	if err := s.syncSteppers(full, s.sampled); err != nil {
-		return nil, err
-	}
-	s.stepper = s.sampled
-	res, err = s.Run(ctx, epochs)
-	if syncErr := s.syncSteppers(s.sampled, full); syncErr != nil && err == nil {
-		err = syncErr
-	}
-	s.stepper = full
-	return res, err
-}
-
-// syncSteppers copies from's weights and epoch counter into to under the
-// cluster step lock. SetModel clones and re-creates optimizer state, which
-// also clears any dirty condition left by an earlier aborted launch.
-func (s *Session) syncSteppers(from, to epochStepper) error {
-	s.dg.cluster.mu.Lock()
-	defer s.dg.cluster.mu.Unlock()
-	if err := to.SetModel(from.Model()); err != nil {
-		return err
-	}
-	to.SetEpoch(from.Epoch())
-	return nil
+	// The ordinary run loop (recovery, snapshots, ledger attribution) over
+	// the sampled body: same replicas, epoch counter and history.
+	full := s.stepper.Body
+	s.stepper.Body = s.sampledBody
+	defer func() { s.stepper.Body = full }()
+	return s.Run(ctx, epochs)
 }
 
 // result assembles a TrainResult for one run from its history and this
@@ -464,14 +430,14 @@ func (s *Session) result(hist []EpochResult, ledger0 *machine.Snapshot, vol0 *co
 		res.MaxSentMB = float64(vol.MaxSent()) / epochs / mb
 		res.AvgSentMB = vol.AvgSent() / epochs / mb
 	}
-	// Evaluate the trained weights on the held-out splits with full-batch
-	// inference in the graph's (permuted) vertex order.
+	// Evaluate the trained weights on the held-out splits with one full-batch
+	// forward pass in the graph's (permuted) vertex order.
 	s.dg.cluster.mu.Lock()
 	eval := gcn.NewSerial(s.dg.aHat, s.dg.x, s.dg.labels, s.dg.train, s.stepper.Model(), s.cfg.LR)
 	eval.Variant = s.cfg.variant()
-	res.ValAcc = eval.Accuracy(s.dg.val)
-	res.TestAcc = eval.Accuracy(s.dg.test)
+	accs := eval.Accuracies(s.dg.val, s.dg.test)
 	s.dg.cluster.mu.Unlock()
+	res.ValAcc, res.TestAcc = accs[0], accs[1]
 	return res
 }
 

@@ -633,6 +633,105 @@ func TestNewAPIValidation(t *testing.T) {
 	if _, err := RunMiniBatch(ds, 5, ModelConfig{SAGE: true}); err == nil {
 		t.Fatal("mini-batch SAGE")
 	}
+
+	// Labels of split vertices index the loss: out of [0, Classes) is an
+	// error up front, on every entry point, for every split.
+	for _, bad := range []*Dataset{
+		withLabel(ds, ds.Train[0], -1),
+		withLabel(ds, ds.Val[0], ds.Classes),
+		withLabel(ds, ds.Test[0], ds.Classes+3),
+	} {
+		if _, err := cluster.Distribute(bad, DistOpts{Algorithm: Oblivious1D}); err == nil {
+			t.Fatal("Distribute accepted an out-of-range split label")
+		}
+		if _, err := RunSerial(bad, 1, ModelConfig{}); err == nil {
+			t.Fatal("RunSerial accepted an out-of-range split label")
+		}
+		if _, err := RunMiniBatch(bad, 1, ModelConfig{}); err == nil {
+			t.Fatal("RunMiniBatch accepted an out-of-range split label")
+		}
+	}
+	// A vertex in no split may stay unlabeled.
+	unlabeled := withLabel(ds, ds.Test[0], -1)
+	unlabeled.Test = ds.Test[1:]
+	if _, err := cluster.Distribute(unlabeled, DistOpts{Algorithm: Oblivious1D}); err != nil {
+		t.Fatalf("unlabeled vertex outside every split rejected: %v", err)
+	}
+}
+
+// withLabel returns a shallow copy of ds in which vertex v has label l.
+func withLabel(ds *Dataset, v, l int) *Dataset {
+	c := *ds
+	c.Labels = append([]int(nil), ds.Labels...)
+	c.Labels[v] = l
+	return &c
+}
+
+// TestEmptyTrainSetTypedError: every trainer reports a dataset with no
+// training vertices as ErrEmptyTrainSet — not a zero loss, not NaN.
+func TestEmptyTrainSetTypedError(t *testing.T) {
+	empty := *MustLoadDataset(ProteinSim, 42, 64)
+	empty.Train = nil
+	session := func() *Session {
+		cluster, err := NewCluster(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dg, err := cluster.Distribute(&empty, DistOpts{Algorithm: SparsityAware1D})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := dg.NewSession(ModelConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	for name, run := range map[string]func() error{
+		"Session.Run":        func() error { _, err := session().Run(context.Background(), 2); return err },
+		"Session.RunSampled": func() error { _, err := session().RunSampled(context.Background(), 2); return err },
+		"RunSerial":          func() error { _, err := RunSerial(&empty, 2, ModelConfig{}); return err },
+		"RunMiniBatch":       func() error { _, err := RunMiniBatch(&empty, 2, ModelConfig{}); return err },
+	} {
+		if err := run(); !errors.Is(err, ErrEmptyTrainSet) {
+			t.Errorf("%s: got %v, want ErrEmptyTrainSet", name, err)
+		}
+	}
+}
+
+// TestHeldOutEvalMatchesPredictor: the validation and test accuracies a run
+// reports (one forward pass over the trained weights) are exactly what a
+// Predictor over the same model measures on the same splits.
+func TestHeldOutEvalMatchesPredictor(t *testing.T) {
+	ds := GenerateCommunityDataset("comms", 512, 4, 10, 2, 16, 0.3, 19)
+	dist, _ := trainVia(t, ds, 4, DistOpts{Algorithm: SparsityAware1D}, ModelConfig{Seed: 5, LR: 0.3}, 10)
+	serial, err := RunSerial(ds, 10, ModelConfig{Seed: 5, LR: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]struct {
+		model    *Model
+		val, tst float64
+	}{
+		"Session.Run": {dist.Model, dist.ValAcc, dist.TestAcc},
+		"RunSerial":   {serial.Model, serial.ValAcc, serial.TestAcc},
+	} {
+		pred, err := NewPredictor(res.model, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		val, err := pred.Accuracy(ds.Val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tst, err := pred.Accuracy(ds.Test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.val != val || res.tst != tst {
+			t.Errorf("%s: reported val/test %v/%v, predictor measures %v/%v", name, res.val, res.tst, val, tst)
+		}
+	}
 }
 
 // TestRunSerialAndMiniBatchResults checks the refreshed local entry points
