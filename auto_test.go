@@ -2,6 +2,7 @@ package sagnn
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -10,10 +11,9 @@ func autoDS() *Dataset {
 	return GenerateCommunityDataset("auto-test", 256, 4, 8, 2, 12, 0.2, 7)
 }
 
-// TestEstimateTableShape checks the full candidate table: every trainable
-// candidate plus the 2D kernels, feasibility reasons on the rows the
-// process count forbids, and exactly one Selected trainable row at the
-// minimum modeled cost.
+// TestEstimateTableShape checks the full candidate table: every 1D and 1.5D
+// candidate, feasibility reasons on the rows the process count forbids, and
+// exactly one Selected row at the minimum modeled cost.
 func TestEstimateTableShape(t *testing.T) {
 	ds := autoDS()
 	cluster, err := NewCluster(8)
@@ -24,25 +24,14 @@ func TestEstimateTableShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// P=8: 1D ×2 and c=2 ×2 feasible; c=4 ×2 skipped (c²∤P); 2D ×2 skipped
-	// (non-square): 8 rows.
-	if len(cands) != 8 {
+	// P=8: 1D ×2 and c=2 ×2 feasible; c=4 ×2 skipped (c²∤P): 6 rows.
+	if len(cands) != 6 {
 		t.Fatalf("got %d candidates: %+v", len(cands), cands)
 	}
 	selected, minCost, minIdx := -1, math.Inf(1), -1
 	for i, c := range cands {
-		switch c.Algorithm {
-		case Oblivious15D, SparsityAware15D:
-			if c.Replication == 4 && c.Skipped == "" {
-				t.Errorf("c=4 candidate should be skipped at P=8: %+v", c)
-			}
-		case Oblivious2D, SparsityAware2D:
-			if c.Skipped == "" {
-				t.Errorf("2D candidate should be skipped at P=8: %+v", c)
-			}
-			if c.Selected {
-				t.Errorf("2D candidate must never be selected: %+v", c)
-			}
+		if c.Replication == 4 && c.Skipped == "" {
+			t.Errorf("c=4 candidate should be skipped at P=8: %+v", c)
 		}
 		if c.Skipped != "" {
 			if c.EpochSeconds != 0 {
@@ -59,7 +48,7 @@ func TestEstimateTableShape(t *testing.T) {
 			}
 			selected = i
 		}
-		if c.Algorithm != Oblivious2D && c.Algorithm != SparsityAware2D && c.EpochSeconds < minCost {
+		if c.EpochSeconds < minCost {
 			minCost, minIdx = c.EpochSeconds, i
 		}
 	}
@@ -199,48 +188,20 @@ func TestExplicitAlgorithmReport(t *testing.T) {
 	}
 }
 
-// TestDistributeRejects2DAndBadAutoOpts pins the error surface: 2D
-// algorithms are Estimate-only, and Auto owns the replication choice.
+// TestDistributeRejects2DAndBadAutoOpts pins the error surface: the 2D
+// kernels are gone, so their names are unknown algorithms like any other
+// misspelling, and Auto owns the replication choice.
 func TestDistributeRejects2DAndBadAutoOpts(t *testing.T) {
 	cluster, err := NewCluster(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds := autoDS()
-	if _, err := cluster.Distribute(ds, DistOpts{Algorithm: Oblivious2D}); err == nil {
-		t.Fatal("expected error for 2D algorithm in Distribute")
+	if _, err := cluster.Distribute(ds, DistOpts{Algorithm: "oblivious-2d"}); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+		t.Fatalf("expected an unknown-algorithm error for oblivious-2d, got %v", err)
 	}
 	if _, err := cluster.Distribute(ds, DistOpts{Algorithm: AlgorithmAuto, Replication: 2}); err == nil {
 		t.Fatal("expected error for Auto with explicit replication")
-	}
-}
-
-// TestEstimatePrices2DOnSquareP checks that square process counts price
-// the 2D kernels (reaching the validated 2D grid constructor from the root
-// API) instead of skipping them.
-func TestEstimatePrices2DOnSquareP(t *testing.T) {
-	cluster, err := NewCluster(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands, err := cluster.Estimate(autoDS(), DistOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2d := 0
-	for _, c := range cands {
-		if c.Algorithm == Oblivious2D || c.Algorithm == SparsityAware2D {
-			n2d++
-			if c.Skipped != "" {
-				t.Errorf("2D candidate skipped at square P: %+v", c)
-			}
-			if c.EpochSeconds <= 0 {
-				t.Errorf("2D candidate unpriced: %+v", c)
-			}
-		}
-	}
-	if n2d != 2 {
-		t.Fatalf("%d 2D rows", n2d)
 	}
 }
 

@@ -311,13 +311,13 @@ func prepare(ds *Dataset, pt Partitioner, k int) *prepared {
 	return p
 }
 
-// buildEngine compiles the plan and executor for one trainable algorithm
-// over prepared data. Algorithm consts are exactly the distmm engine
+// buildEngine compiles the plan and executor for one algorithm over
+// prepared data. Algorithm consts are exactly the distmm engine
 // names, so this is a thin wrapper over the name-based constructor.
 func buildEngine(w *comm.World, alg Algorithm, rep int, prep *prepared) distmm.Engine {
 	e, err := distmm.NewEngine(w, string(alg), rep, prep.aHat, prep.layout)
 	if err != nil {
-		panic(fmt.Sprintf("sagnn: buildEngine on non-trainable algorithm %q", alg))
+		panic(fmt.Sprintf("sagnn: buildEngine on unknown algorithm %q", alg))
 	}
 	return e
 }
@@ -350,8 +350,6 @@ func (c *Cluster) Distribute(ds *Dataset, opts DistOpts) (*DistGraph, error) {
 		if (c.p/rep)%rep != 0 {
 			return nil, fmt.Errorf("sagnn: 1.5D needs c² | P; got P=%d c=%d", c.p, rep)
 		}
-	case Oblivious2D, SparsityAware2D:
-		return nil, fmt.Errorf("sagnn: %s is a standalone SpMM kernel without trainer wiring; use Cluster.Estimate to price it", opts.Algorithm)
 	default:
 		return nil, fmt.Errorf("sagnn: unknown algorithm %q", opts.Algorithm)
 	}

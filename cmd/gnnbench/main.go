@@ -7,41 +7,47 @@
 //	         [-dataset reddit-sim|amazon-sim|protein-sim|papers-sim] \
 //	         [-scalediv N] [-seed S]
 //	gnnbench -estimate [-p N] [-dataset ...] [-scalediv N] [-seed S] \
-//	         [-calibrate] [-alpha A] [-beta B]
-//	gnnbench -bench [-p N] [-epochs E] [-json] [-dataset ...]
+//	         [-exec seq|overlap] [-calibrate] [-alpha A] [-beta B]
 //
 // -scalediv divides the preset dataset sizes by a power-of-two factor;
 // 1 runs the full preset sizes (slow), 4 is a good laptop default.
 //
 // -estimate prints the predicted-vs-measured cost table without training:
-// every algorithm candidate (1D, 1.5D over c ∈ {2,4}, 2D where P is
-// square) priced from its compiled communication plan, verified against
-// the volumes of one executed SpMM. The α–β constants the table prices
+// every algorithm candidate (1D, 1.5D over c ∈ {2,4}) priced from its
+// compiled communication plan by Cluster.Estimate, verified against the
+// volumes of one executed SpMM. The α–β constants the table prices
 // with can come from the calibration probe (-calibrate fits them against
 // the simulated backend) or be set directly (-alpha/-beta, e.g. values a
 // TCP `train -calibrate` run measured on real links) — this is how
 // measured hardware parameters drive the AlgorithmAuto decision.
 //
-// -bench runs one training measurement (scheme SA+GVB) and reports the
-// modeled epoch time, its per-phase breakdown, the measured communication
-// volume, and the probe-fitted α–β; with -json the same report is written
-// to BENCH_<dataset>.json for downstream tooling.
+// Every experiment runs through the public API (NewCluster → Distribute →
+// NewSession → Run, Cluster.Estimate); a bad flag value — an unknown
+// dataset, a process count the grid forbids — is printed as that API's
+// error and exits 2. For one training measurement (modeled epoch, phases,
+// volumes, test accuracy, fitted α–β) use cmd/train; for wall-clock
+// numbers use benchmark/.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
-	"sagnn/internal/comm"
-	"sagnn/internal/distmm"
+	"sagnn"
 	"sagnn/internal/experiments"
 	"sagnn/internal/gen"
-	"sagnn/internal/machine"
 )
+
+// check prints a failed experiment's error and exits 2: flag values reach
+// the public API unvalidated, and its errors are the diagnostics.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+}
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: table2, table3, fig3, fig4, fig5, fig6, fig7, ablation, all")
@@ -49,38 +55,20 @@ func main() {
 	scaleDiv := flag.Int("scalediv", 4, "divide preset dataset sizes by this power-of-two factor (1 = full)")
 	seed := flag.Int64("seed", 42, "random seed")
 	estimate := flag.Bool("estimate", false, "print the predicted-vs-measured cost table (no training) and exit")
-	procs := flag.Int("p", 16, "process count for -estimate and -bench")
+	procs := flag.Int("p", 16, "process count for -estimate")
 	execMode := flag.String("exec", "seq", "plan executor for the measured multiply of -estimate: seq (stage by stage) or overlap (pipelined)")
-	bench := flag.Bool("bench", false, "run one training benchmark (SA+GVB), full-batch and sampled, and report epoch time, per-phase cost, comm volume, fitted α–β")
-	epochs := flag.Int("epochs", 4, "epochs for -bench")
-	fanout := flag.Int("fanout", 5, "with -bench: sampled neighbors per vertex per layer for the sampled half")
-	batch := flag.Int("batch", 256, "with -bench: per-rank mini-batch size for the sampled half")
-	jsonOut := flag.Bool("json", false, "with -bench: also write the report to BENCH_<dataset>.json")
 	calib := flag.Bool("calibrate", false, "fit α–β with the calibration probe (simulated backend) and price -estimate with the fitted values")
 	alphaF := flag.Float64("alpha", 0, "override machine α in seconds for -estimate (e.g. a value measured by `train -transport tcp -calibrate`)")
 	betaF := flag.Float64("beta", 0, "override machine β in seconds per logical byte for -estimate")
 	flag.Parse()
 
 	t0 := time.Now()
-	if *bench {
-		if *procs < 1 {
-			fmt.Fprintf(os.Stderr, "-p must be a positive process count, got %d\n", *procs)
-			os.Exit(2)
-		}
-		runBench(*dataset, *scaleDiv, *procs, *epochs, *fanout, *batch, *seed, *jsonOut)
-		fmt.Printf("\ncompleted in %v\n", time.Since(t0).Round(time.Millisecond))
-		return
-	}
 	if *estimate {
-		if *procs < 1 {
-			fmt.Fprintf(os.Stderr, "-p must be a positive process count, got %d\n", *procs)
-			os.Exit(2)
-		}
-		mode := distmm.ExecSequential
+		mode := sagnn.ExecSequential
 		switch *execMode {
 		case "seq", "sequential":
 		case "overlap":
-			mode = distmm.ExecOverlap
+			mode = sagnn.ExecOverlap
 		default:
 			fmt.Fprintf(os.Stderr, "-exec must be seq or overlap, got %q\n", *execMode)
 			os.Exit(2)
@@ -134,19 +122,14 @@ func datasetsOr(flagVal string, defaults []gen.Preset) []gen.Preset {
 // estimateParams assembles the machine model the estimate table prices with:
 // Perlmutter defaults, optionally replaced by probe-fitted values
 // (-calibrate) and then by explicit -alpha/-beta overrides (strongest).
-func estimateParams(calibrate bool, alpha, beta float64, p int) machine.Params {
-	params := machine.Perlmutter()
+func estimateParams(calibrate bool, alpha, beta float64, p int) sagnn.MachineParams {
+	params := sagnn.Perlmutter()
 	if calibrate {
-		probeP := p
-		if probeP < 2 {
-			probeP = 2
-		}
-		cal, err := comm.Calibrate(comm.NewWorld(probeP, params), comm.DefaultCalibrationSizes(), 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		params = cal.Apply(params)
+		cluster, err := sagnn.NewCluster(max(p, 2)) // the probe needs two ranks
+		check(err)
+		cal, err := cluster.Calibrate()
+		check(err)
+		params = cal.Params
 		fmt.Printf("calibrated α = %.3e s, β = %.3e s/B (%.2f GB/s) against the simulated backend\n\n",
 			cal.Alpha, cal.Beta, 1/(cal.Beta*1e9))
 	}
@@ -159,9 +142,10 @@ func estimateParams(calibrate bool, alpha, beta float64, p int) machine.Params {
 	return params
 }
 
-func runEstimate(dataset string, scaleDiv, p int, seed int64, mode distmm.ExecMode, params machine.Params) {
+func runEstimate(dataset string, scaleDiv, p int, seed int64, mode sagnn.ExecMode, params sagnn.MachineParams) {
 	for _, ds := range datasetsOr(dataset, []gen.Preset{gen.RedditSim, gen.AmazonSim, gen.ProteinSim}) {
-		rows := experiments.EstimateTableWith(ds, scaleDiv, p, seed, mode, params)
+		rows, err := experiments.EstimateTable(ds, scaleDiv, p, seed, mode, params)
+		check(err)
 		experiments.PrintEstimateTable(os.Stdout,
 			fmt.Sprintf("Predicted vs measured communication cost — %s, P=%d, exec=%s, α=%.2e β=%.2e",
 				ds, p, mode, params.Alpha, params.Beta), rows)
@@ -169,68 +153,16 @@ func runEstimate(dataset string, scaleDiv, p int, seed int64, mode distmm.ExecMo
 	}
 }
 
-func printPhases(phases map[string]float64) {
-	names := make([]string, 0, len(phases))
-	for ph := range phases {
-		names = append(names, ph)
-	}
-	sort.Strings(names)
-	for _, ph := range names {
-		fmt.Printf("  %-10s %.5fs\n", ph, phases[ph])
-	}
-}
-
-func runBench(dataset string, scaleDiv, p, epochs, fanout, batch int, seed int64, writeJSON bool) {
-	for _, ds := range datasetsOr(dataset, []gen.Preset{gen.ProteinSim}) {
-		rep, err := experiments.BenchSampled(experiments.SampledRunConfig{
-			RunConfig: experiments.RunConfig{
-				Dataset:  ds,
-				ScaleDiv: scaleDiv,
-				P:        p,
-				Scheme:   experiments.SchemeSAGVB,
-				Epochs:   epochs,
-				Seed:     seed,
-			},
-			Fanout:    fanout,
-			BatchSize: batch,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Printf("bench %s: P=%d epochs=%d  epoch %.5fs  sent avg %.2f / max %.2f MB  loss %.4f  test acc %.3f\n",
-			rep.Name, rep.P, rep.Epochs, rep.EpochSec, rep.AvgSentMB, rep.MaxSentMB, rep.FinalLoss, rep.TestAcc)
-		printPhases(rep.PhaseSec)
-		if s := rep.Sampled; s != nil {
-			fmt.Printf("sampled (fanout=%d batch=%d): epoch %.5fs  sent avg %.2f / max %.2f MB  loss %.4f  test acc %.3f\n",
-				s.Fanout, s.BatchSize, s.EpochSec, s.AvgSentMB, s.MaxSentMB, s.FinalLoss, s.TestAcc)
-			printPhases(s.PhaseSec)
-		}
-		fmt.Printf("  fitted α = %.3e s, β = %.3e s/B (%.2f GB/s)\n",
-			rep.AlphaSec, rep.BetaSecPerByte, rep.BandwidthGBPerS)
-		if writeJSON {
-			blob, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			name := fmt.Sprintf("BENCH_%s.json", rep.Name)
-			if err := os.WriteFile(name, append(blob, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			fmt.Printf("  wrote %s\n", name)
-		}
-	}
-}
-
 func runTable3(scaleDiv int, seed int64) {
-	experiments.PrintTable3(os.Stdout, experiments.Table3(scaleDiv, seed))
+	rows, err := experiments.Table3(scaleDiv, seed)
+	check(err)
+	experiments.PrintTable3(os.Stdout, rows)
 	fmt.Println()
 }
 
 func runTable2(scaleDiv int, seed int64) {
-	rows := experiments.Table2(scaleDiv, []int{16, 32, 64, 128, 256}, seed)
+	rows, err := experiments.Table2(scaleDiv, []int{16, 32, 64, 128, 256}, seed)
+	check(err)
 	experiments.PrintTable2(os.Stdout, rows)
 	fmt.Println()
 }
@@ -244,7 +176,8 @@ func fig3Procs(ds gen.Preset) []int {
 
 func runFig3(dataset string, scaleDiv int, seed int64) {
 	for _, ds := range datasetsOr(dataset, []gen.Preset{gen.RedditSim, gen.AmazonSim, gen.ProteinSim}) {
-		series := experiments.Figure3(ds, scaleDiv, fig3Procs(ds), seed)
+		series, err := experiments.Figure3(ds, scaleDiv, fig3Procs(ds), seed)
+		check(err)
 		experiments.PrintSeries(os.Stdout, fmt.Sprintf("Figure 3 — 1D scaling (%s)", ds), series)
 		fmt.Println()
 	}
@@ -252,7 +185,8 @@ func runFig3(dataset string, scaleDiv int, seed int64) {
 
 func runFig4(dataset string, scaleDiv int, seed int64) {
 	for _, ds := range datasetsOr(dataset, []gen.Preset{gen.RedditSim, gen.AmazonSim, gen.ProteinSim}) {
-		series := experiments.Figure3(ds, scaleDiv, []int{16, 64}, seed)
+		series, err := experiments.Figure3(ds, scaleDiv, []int{16, 64}, seed)
+		check(err)
 		experiments.PrintBreakdown(os.Stdout, fmt.Sprintf("Figure 4 — 1D breakdown (%s)", ds),
 			experiments.FlattenSeries(series))
 		fmt.Println()
@@ -260,14 +194,16 @@ func runFig4(dataset string, scaleDiv int, seed int64) {
 }
 
 func runFig5(scaleDiv int, seed int64) {
-	res := experiments.Figure5(scaleDiv, 16, seed)
+	res, err := experiments.Figure5(scaleDiv, 16, seed)
+	check(err)
 	experiments.PrintBreakdown(os.Stdout, "Figure 5 — Papers, p=16", res)
 	fmt.Println()
 }
 
 func runFig6(dataset string, scaleDiv int, seed int64) {
 	for _, ds := range datasetsOr(dataset, []gen.Preset{gen.AmazonSim, gen.ProteinSim}) {
-		series := experiments.Figure6(ds, scaleDiv, []int{4, 16, 32, 64}, seed)
+		series, err := experiments.Figure6(ds, scaleDiv, []int{4, 16, 32, 64}, seed)
+		check(err)
 		experiments.PrintSeries(os.Stdout, fmt.Sprintf("Figure 6 — GVB vs METIS (%s)", ds), series)
 		fmt.Println()
 	}
@@ -275,18 +211,22 @@ func runFig6(dataset string, scaleDiv int, seed int64) {
 
 func runFig7(dataset string, scaleDiv int, seed int64) {
 	for _, ds := range datasetsOr(dataset, []gen.Preset{gen.AmazonSim, gen.ProteinSim}) {
-		series := experiments.Figure7(ds, scaleDiv, []int{16, 32, 64, 128, 256}, []int{2, 4}, seed)
+		series, err := experiments.Figure7(ds, scaleDiv, []int{16, 32, 64, 128, 256}, []int{2, 4}, seed)
+		check(err)
 		experiments.PrintSeries(os.Stdout, fmt.Sprintf("Figure 7 — 1.5D (%s)", ds), series)
 		fmt.Println()
 	}
 }
 
 func runAblation(scaleDiv int, seed int64) {
+	rows, err := experiments.AblationGVBVolumePhase(gen.AmazonSim, scaleDiv, 64, seed)
+	check(err)
 	fmt.Println("Ablation — GVB volume-refinement phase (amazon-sim, k=64)")
-	for _, r := range experiments.AblationGVBVolumePhase(gen.AmazonSim, scaleDiv, 64, seed) {
+	for _, r := range rows {
 		fmt.Printf("  %s\n", r.Quality)
 	}
 	fmt.Println()
-	res := experiments.AblationReplication(gen.ProteinSim, scaleDiv, 64, []int{1, 2, 4, 8}, seed)
+	res, err := experiments.AblationReplication(gen.ProteinSim, scaleDiv, 64, []int{1, 2, 4, 8}, seed)
+	check(err)
 	experiments.PrintBreakdown(os.Stdout, "Ablation — replication sweep (protein-sim, p=64)", res)
 }

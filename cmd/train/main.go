@@ -182,7 +182,8 @@ func main() {
 	if cluster.Transport() == "tcp" {
 		logf("rank %d send volume: %.2f MB per epoch\n", cluster.LocalRank(), res.MaxSentMB)
 	} else {
-		logf("per-process send volume: avg %.2f MB, max %.2f MB per epoch\n", res.AvgSentMB, res.MaxSentMB)
+		logf("per-process send volume: avg %.2f MB, max %.2f MB per epoch; delivered to all processes: %.2f MB\n",
+			res.AvgSentMB, res.MaxSentMB, res.TotalRecvMB)
 	}
 	logf("val acc %.3f  test acc %.3f\n", res.ValAcc, res.TestAcc)
 	if q := res.PartitionQuality; q != nil {

@@ -37,12 +37,12 @@ type Candidate struct {
 	// epoch, exact to the byte (equal to what comm.Stats would measure).
 	MaxSentMB float64
 	AvgSentMB float64
-	// Sites counts the plan instruction sites (summed over ranks, and over
-	// every per-width compile for the 2D kernels) that the static verifier
-	// proved safe before this row was priced: the sweep runs distmm.Verify
-	// on every compiled plan and refuses to price one that fails.
+	// Sites counts the plan instruction sites (summed over ranks) that the
+	// static verifier proved safe before this row was priced: the sweep runs
+	// distmm.Verify on every compiled plan and refuses to price one that
+	// fails.
 	Sites int
-	// Selected marks the minimum-modeled-cost trainable candidate.
+	// Selected marks the minimum-modeled-cost candidate.
 	Selected bool
 	// Skipped is non-empty when the candidate cannot run at this process
 	// count (and the cost fields are zero), with the reason.
@@ -63,7 +63,7 @@ type Report struct {
 	// Auto reports whether Distribute selected the algorithm itself.
 	Auto bool
 	// Candidates is the predicted cost table, in deterministic candidate
-	// order; exactly one trainable row is Selected.
+	// order; exactly one row is Selected.
 	Candidates []Candidate
 	// PartitionQuality describes the selected layout's partition when a
 	// Partitioner ran, else nil.
@@ -149,46 +149,39 @@ func modeSeconds(c Candidate, mode ExecMode) float64 {
 	return c.EpochSeconds
 }
 
-// preparedFor returns (building and caching as needed) the dataset staged
-// for a k-block distribution.
-func preparedFor(cache map[int]*prepared, ds *Dataset, pt Partitioner, k int) *prepared {
-	if p, ok := cache[k]; ok {
-		return p
-	}
-	p := prepare(ds, pt, k)
-	cache[k] = p
-	return p
-}
-
-// sweepTrainable compiles and prices every trainable (1D/1.5D) candidate
-// on world: the shared candidate sweep behind Distribute(AlgorithmAuto)
-// and Estimate, so the two can never disagree on feasibility or selection.
-// Every compiled plan is statically verified before it is priced — a plan
-// that fails Verify is a compiler bug, and the sweep surfaces it as a hard
-// error rather than silently pricing (or worse, later running) a malformed
-// schedule. It returns the table, the index of the minimum-modeled-cost
-// row (first candidate wins ties; −1 when none is feasible), and the
-// engine and prepared data per row (nil on skipped rows).
-func sweepTrainable(world *comm.World, ds *Dataset, opts DistOpts, widths []int,
-	preps map[int]*prepared) (cands []Candidate, best int, engines []distmm.Engine, rowPreps []*prepared, err error) {
+// sweepCandidates compiles and prices every algorithm candidate on world:
+// the shared candidate sweep behind Distribute(AlgorithmAuto) and Estimate,
+// so the two can never disagree on feasibility or selection. The dataset is
+// staged (partitioned) once per distinct block count. Every compiled plan is
+// statically verified before it is priced — a plan that fails Verify is a
+// compiler bug, and the sweep surfaces it as a hard error rather than
+// silently pricing (or worse, later running) a malformed schedule. It
+// returns the table, the index of the minimum-modeled-cost row (first
+// candidate wins ties; −1 when none is feasible), and the engine and
+// prepared data per row (nil on skipped rows).
+func sweepCandidates(world *comm.World, ds *Dataset, opts DistOpts, widths []int) (
+	cands []Candidate, best int, engines []distmm.Engine, rowPreps []*prepared, err error) {
 	p := world.P
 	best = -1
 	bestCost := 0.0
+	preps := make(map[int]*prepared) // block count → staged dataset
 	for _, spec := range distmm.EnumerateCandidates(p) {
-		if spec.TwoD {
-			continue
-		}
 		alg := Algorithm(spec.Name)
 		skip := spec.Skip
-		if skip == "" && ds.G.NumVertices() < p/spec.C {
-			skip = fmt.Sprintf("%d vertices cannot fill %d blocks", ds.G.NumVertices(), p/spec.C)
+		k := p / spec.C
+		if skip == "" && ds.G.NumVertices() < k {
+			skip = fmt.Sprintf("%d vertices cannot fill %d blocks", ds.G.NumVertices(), k)
 		}
 		if skip != "" {
 			cands = append(cands, Candidate{Algorithm: alg, Replication: spec.C, Skipped: skip})
 			engines, rowPreps = append(engines, nil), append(rowPreps, nil)
 			continue
 		}
-		prep := preparedFor(preps, ds, opts.Partitioner, p/spec.C)
+		prep, ok := preps[k]
+		if !ok {
+			prep = prepare(ds, opts.Partitioner, k)
+			preps[k] = prep
+		}
 		engine := buildEngine(world, alg, spec.C, prep)
 		if verr := distmm.Verify(engine.Plan()); verr != nil {
 			return nil, -1, nil, nil, verr
@@ -217,7 +210,7 @@ func (c *Cluster) distributeAuto(ds *Dataset, opts DistOpts) (*DistGraph, error)
 	if err != nil {
 		return nil, err
 	}
-	cands, best, engines, rowPreps, err := sweepTrainable(c.world, ds, opts, widths, make(map[int]*prepared))
+	cands, best, engines, rowPreps, err := sweepCandidates(c.world, ds, opts, widths)
 	if err != nil {
 		return nil, err
 	}
@@ -236,13 +229,12 @@ func (c *Cluster) distributeAuto(ds *Dataset, opts DistOpts) (*DistGraph, error)
 }
 
 // Estimate returns the full predicted cost table for distributing ds over
-// this cluster — every trainable 1D/1.5D candidate plus the 2D kernels
-// when the process count is a perfect square — without moving any data or
-// touching the cluster's live world. The minimum-cost trainable candidate
-// is marked Selected (the one Distribute with AlgorithmAuto would pick);
-// 2D rows are priced for comparison but never selected because they have
-// no trainer wiring. opts.Algorithm is ignored; opts.Partitioner and
-// opts.CostModel shape the estimate exactly as they would shape Distribute.
+// this cluster — every 1D and 1.5D candidate the process count allows —
+// without moving any data or touching the cluster's live world. The
+// minimum-cost candidate is marked Selected (the one Distribute with
+// AlgorithmAuto would pick). opts.Algorithm is ignored; opts.Partitioner,
+// opts.CostModel and opts.Exec shape the estimate exactly as they would
+// shape Distribute.
 func (c *Cluster) Estimate(ds *Dataset, opts DistOpts) ([]Candidate, error) {
 	if err := validateDataset(ds); err != nil {
 		return nil, err
@@ -254,105 +246,6 @@ func (c *Cluster) Estimate(ds *Dataset, opts DistOpts) ([]Candidate, error) {
 	// Candidate plans compile on a throwaway world with the same size and
 	// machine parameters: groups and schedules are structural, so costs and
 	// volumes are identical, and the cluster's live world accretes nothing.
-	world := comm.NewWorld(c.p, c.world.Params)
-	preps := make(map[int]*prepared)
-	cands, _, _, _, err := sweepTrainable(world, ds, opts, widths, preps)
-	if err != nil {
-		return nil, err
-	}
-	twoD, err := estimate2D(world, ds, opts, widths, preps)
-	if err != nil {
-		return nil, err
-	}
-	return append(cands, twoD...), nil
-}
-
-// widthCount is one distinct epoch width and its multiplicity.
-type widthCount struct{ width, count int }
-
-// distinctWidths collapses an epoch's width sequence to (width, count)
-// pairs in first-appearance order.
-func distinctWidths(widths []int) []widthCount {
-	var out []widthCount
-	seen := make(map[int]int)
-	for _, w := range widths {
-		if i, ok := seen[w]; ok {
-			out[i].count++
-			continue
-		}
-		seen[w] = len(out)
-		out = append(out, widthCount{width: w, count: 1})
-	}
-	return out
-}
-
-// estimate2D prices the two 2D SUMMA kernels. 2D plans pin the dense width
-// at compile time (the width is split across grid columns), so each
-// distinct epoch width compiles — and statically verifies — its own plan;
-// a Verify failure is a compiler bug and surfaces as a hard error.
-func estimate2D(world *comm.World, ds *Dataset, opts DistOpts, widths []int, preps map[int]*prepared) ([]Candidate, error) {
-	out := make([]Candidate, 0, 2)
-	for _, spec := range distmm.EnumerateCandidates(world.P) {
-		if !spec.TwoD {
-			continue
-		}
-		alg := Algorithm(spec.Name)
-		skip := spec.Skip
-		if skip == "" && ds.G.NumVertices() < spec.C {
-			skip = fmt.Sprintf("%d vertices cannot fill %d grid rows", ds.G.NumVertices(), spec.C)
-		}
-		if skip != "" {
-			out = append(out, Candidate{Algorithm: alg, Replication: spec.C, Skipped: skip})
-			continue
-		}
-		prep := preparedFor(preps, ds, opts.Partitioner, spec.C)
-		var cost, overlap *distmm.Cost
-		per := make([]int64, world.P)
-		sites := 0
-		fail := ""
-		// One compile per distinct width (the block/NnzCols structure work
-		// dominates and is width-independent), weighted by multiplicity.
-		for _, f := range distinctWidths(widths) {
-			var e *distmm.SpMM2D
-			var err error
-			if alg == Oblivious2D {
-				e, err = distmm.NewOblivious2D(world, prep.aHat, f.width)
-			} else {
-				e, err = distmm.NewSparsityAware2D(world, prep.aHat, f.width)
-			}
-			if err != nil {
-				fail = err.Error()
-				break
-			}
-			if verr := distmm.Verify(e.Plan()); verr != nil {
-				return nil, verr
-			}
-			sites += e.Plan().Sites()
-			one := e.Plan().Cost(world.Params, f.width)
-			oneOvl := e.Plan().CostWith(world.Params, f.width, distmm.ExecOverlap)
-			for i := 0; i < f.count; i++ {
-				cost = cost.Add(one)
-				overlap = overlap.Add(oneOvl)
-			}
-			for i, b := range e.Plan().EpochSentBytes([]int{f.width}) {
-				per[i] += b * int64(f.count)
-			}
-		}
-		if fail != "" {
-			out = append(out, Candidate{Algorithm: alg, Replication: spec.C, Skipped: fail})
-			continue
-		}
-		maxMB, avgMB := distmm.SentSummaryMB(per)
-		out = append(out, Candidate{
-			Algorithm:      alg,
-			Replication:    spec.C,
-			EpochSeconds:   cost.Total(),
-			OverlapSeconds: overlap.Total(),
-			Breakdown:      cost.Breakdown(),
-			MaxSentMB:      maxMB,
-			AvgSentMB:      avgMB,
-			Sites:          sites,
-		})
-	}
-	return out, nil
+	cands, _, _, _, err := sweepCandidates(comm.NewWorld(c.p, c.world.Params), ds, opts, widths)
+	return cands, err
 }

@@ -53,34 +53,6 @@ func runMultiplyErr(w *comm.World, e Engine, h *dense.Matrix) (*dense.Matrix, er
 	return out, nil
 }
 
-// run2DErr is run2D on the error-returning launcher.
-func run2DErr(w *comm.World, e *SpMM2D, h *dense.Matrix) (*dense.Matrix, error) {
-	rows, cols := e.RowLayout(), e.ColLayout()
-	r := rows.Blocks()
-	out := dense.New(h.Rows, h.Cols)
-	var mu sync.Mutex
-	err := w.RunTimeout(chaosTimeout, func(rk *comm.Rank) error {
-		i, j := rk.ID/r, rk.ID%r
-		rlo, rhi := rows.Range(i)
-		clo, chi := cols.Range(j)
-		hij := dense.New(rhi-rlo, chi-clo)
-		for x := rlo; x < rhi; x++ {
-			copy(hij.Row(x-rlo), h.Row(x)[clo:chi])
-		}
-		z := e.Multiply(rk, hij)
-		mu.Lock()
-		for x := 0; x < z.Rows; x++ {
-			copy(out.Row(rlo + x)[clo:chi], z.Row(x))
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 func TestChaosConformance(t *testing.T) {
 	const n, f, p = 64, 5, 4
 	a := gen.ErdosRenyi(n, 5, 31).NormalizedAdjacency()
@@ -96,31 +68,18 @@ func TestChaosConformance(t *testing.T) {
 				w := comm.NewWorld(p, machine.Perlmutter())
 				// Build one engine per subtest and drive every run through it,
 				// so retries exercise engine + world reuse, not reconstruction.
-				var engine func() (*dense.Matrix, error)
-				if spec.TwoD {
-					e, err := new2DByName(w, spec.Name, a, f)
-					if err != nil {
-						t.Fatal(err)
-					}
-					// The chaos sweep only injects faults into statically
-					// verified schedules: a hang found here is an executor or
-					// abort-protocol bug, never a malformed plan.
-					if err := Verify(e.Plan()); err != nil {
-						t.Fatalf("compiled plan fails Verify: %v", err)
-					}
-					e.SetExecMode(mode)
-					engine = func() (*dense.Matrix, error) { return run2DErr(w, e, h) }
-				} else {
-					e, err := NewEngine(w, spec.Name, spec.C, a, UniformLayout(n, p/spec.C))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := Verify(e.Plan()); err != nil {
-						t.Fatalf("compiled plan fails Verify: %v", err)
-					}
-					e.SetExecMode(mode)
-					engine = func() (*dense.Matrix, error) { return runMultiplyErr(w, e, h) }
+				e, err := NewEngine(w, spec.Name, spec.C, a, UniformLayout(n, p/spec.C))
+				if err != nil {
+					t.Fatal(err)
 				}
+				// The chaos sweep only injects faults into statically verified
+				// schedules: a hang found here is an executor or abort-protocol
+				// bug, never a malformed plan.
+				if err := Verify(e.Plan()); err != nil {
+					t.Fatalf("compiled plan fails Verify: %v", err)
+				}
+				e.SetExecMode(mode)
+				engine := func() (*dense.Matrix, error) { return runMultiplyErr(w, e, h) }
 
 				want, err := engine()
 				if err != nil {

@@ -14,15 +14,14 @@ import (
 )
 
 // This file is the engine conformance harness: one table-driven suite that
-// runs every algorithm candidate EnumerateCandidates lists — 1D, 1.5D over
-// every feasible replication factor, and the 2D kernels where P is square —
-// under both execution modes, at P ∈ {4, 8, 16}, on four structurally
-// distinct graphs (Erdős–Rényi, stochastic block model, star, path). For
-// each cell it asserts:
+// runs every algorithm candidate EnumerateCandidates lists — 1D and 1.5D
+// over every feasible replication factor — under both execution modes, at
+// P ∈ {4, 8, 16}, on four structurally distinct graphs (Erdős–Rényi,
+// stochastic block model, star, path). For each cell it asserts:
 //
 //   - the distributed output matches the serial SpMM reference — exactly for
 //     the engines whose accumulation order provably equals the serial
-//     column-order sum (oblivious 1D and 2D), within 1e-10 for the engines
+//     column-order sum (oblivious 1D), within 1e-10 for the engines
 //     that reorder additions (the sparsity-aware diagonal-first schedules
 //     and the 1.5D partial-sum reduction);
 //   - the sequential and overlapped executors agree bit for bit;
@@ -31,8 +30,7 @@ import (
 // The star and path graphs exercise the extremes the random graphs miss: a
 // rank owning a hub every other rank needs (dense NnzCols columns into one
 // block) and a banded matrix where most off-diagonal blocks are empty
-// (zero-length sends, empty all-to-allv buckets). Non-square process counts
-// exercise the 2D skip path.
+// (zero-length sends, empty all-to-allv buckets).
 
 // starGraph returns a hub-and-spokes graph: vertex 0 adjacent to all others.
 func starGraph(n int) *graph.Graph {
@@ -68,11 +66,11 @@ func conformanceGraphs(n int) []struct {
 	}
 }
 
-// exactSerialOrder names the engines whose accumulation order equals the
+// exactSerialOrder names the engine whose accumulation order equals the
 // serial SpMM's (blocks multiply in ascending column order straight into the
 // output), making bit-identity to the reference a structural guarantee.
 func exactSerialOrder(name string) bool {
-	return name == "oblivious-1d" || name == "oblivious-2d"
+	return name == "oblivious-1d"
 }
 
 // checkVolumes asserts measured per-rank traffic equals the plan prediction.
@@ -125,31 +123,18 @@ func TestEngineConformance(t *testing.T) {
 				for mi, mode := range modes {
 					label := fmt.Sprintf("%s/%s/p=%d/%s", g.name, spec.Name, p, mode)
 					w := comm.NewWorld(p, machine.Perlmutter())
-					if spec.TwoD {
-						e, err := new2DByName(w, spec.Name, g.a, f)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						// Verify-at-compile smoke: every candidate plan must
-						// pass the static checker before it is allowed to run.
-						if err := Verify(e.Plan()); err != nil {
-							t.Fatalf("%s: compiled plan fails Verify: %v", label, err)
-						}
-						e.SetExecMode(mode)
-						outs[mi] = run2D(t, w, e, h)
-						checkVolumes(t, label, w, e.Plan(), f)
-					} else {
-						e, err := NewEngine(w, spec.Name, spec.C, g.a, UniformLayout(n, p/spec.C))
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if err := Verify(e.Plan()); err != nil {
-							t.Fatalf("%s: compiled plan fails Verify: %v", label, err)
-						}
-						e.SetExecMode(mode)
-						outs[mi] = runMultiply(t, w, e, h)
-						checkVolumes(t, label, w, e.Plan(), f)
+					e, err := NewEngine(w, spec.Name, spec.C, g.a, UniformLayout(n, p/spec.C))
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
 					}
+					// Verify-at-compile smoke: every candidate plan must pass
+					// the static checker before it is allowed to run.
+					if err := Verify(e.Plan()); err != nil {
+						t.Fatalf("%s: compiled plan fails Verify: %v", label, err)
+					}
+					e.SetExecMode(mode)
+					outs[mi] = runMultiply(t, w, e, h)
+					checkVolumes(t, label, w, e.Plan(), f)
 					checkAgainstSerial(t, label, spec.Name, outs[mi], want)
 				}
 				for i, v := range outs[0].Data {
@@ -164,24 +149,16 @@ func TestEngineConformance(t *testing.T) {
 	}
 }
 
-// new2DByName builds a 2D kernel from its candidate name.
-func new2DByName(w *comm.World, name string, a *sparse.CSR, f int) (*SpMM2D, error) {
-	if name == "oblivious-2d" {
-		return NewOblivious2D(w, a, f)
-	}
-	return NewSparsityAware2D(w, a, f)
-}
-
 // TestEnumerateCandidatesSkips pins the feasibility rules the conformance
-// matrix relies on: non-square process counts skip the 2D grid, and
-// replication factors whose square does not divide P skip 1.5D.
+// matrix relies on: replication factors that do not divide P, or whose
+// square does not, skip 1.5D.
 func TestEnumerateCandidatesSkips(t *testing.T) {
 	skips := make(map[string]string)
 	for _, spec := range EnumerateCandidates(8) {
 		skips[fmt.Sprintf("%s/c=%d", spec.Name, spec.C)] = spec.Skip
 	}
-	if skips["oblivious-2d/c=0"] == "" || skips["sparsity-aware-2d/c=0"] == "" {
-		t.Errorf("P=8 must skip the 2D grid, got %v", skips)
+	if len(skips) != 6 {
+		t.Errorf("P=8 must enumerate the 1D pair and the 1.5D pairs at c ∈ {2, 4}, got %v", skips)
 	}
 	if skips["oblivious-1.5d/c=4"] == "" {
 		t.Errorf("P=8 must skip 1.5D c=4 (c² ∤ P), got %v", skips)

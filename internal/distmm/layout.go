@@ -12,9 +12,6 @@
 //   - SparsityAware15D — Algorithm 2: 1.5D staging with point-to-point
 //     sends of only the needed H rows, plus the all-reduce.
 //
-// Plus the 2D SUMMA kernels the paper's conclusion points at, as standalone
-// SpMM engines.
-//
 // Every algorithm compiles its choreography into an immutable communication
 // Plan at construction (see plan.go) — per-rank instruction streams over
 // broadcast/all-to-allv/p2p/all-reduce ops — and Multiply/MultiplyInto run

@@ -172,7 +172,7 @@ func (p *Plan) pipelineFor(rank int) *pipelineProg {
 	return &p.pipes[rank]
 }
 
-// walkOverlap prices one rank's pipelined execution at global dense width f,
+// walkOverlap prices one rank's pipelined execution at dense width w,
 // emitting the exact (phase, seconds) charges the overlapped executor
 // settles with the ledger: each stage's wire time exposed only where the
 // previous stage's compute cannot hide it, the full local compute, and the
@@ -189,8 +189,7 @@ func (p *Plan) pipelineFor(rank int) *pipelineProg {
 // is identical, and each communication phase only loses the hidden portion.
 // Overlap ≤ sequential then holds per rank and per phase — so also for the
 // bulk-synchronous Total — not just on friendly graphs.
-func (p *Plan) walkOverlap(rank, f int, params machine.Params, emit func(phase string, sec float64)) {
-	w := p.widthOf(rank, f)
+func (p *Plan) walkOverlap(rank, w int, params machine.Params, emit func(phase string, sec float64)) {
 	prog := p.progs[rank]
 	pp := p.pipelineFor(rank)
 	var pl machine.Pipeline
@@ -416,16 +415,12 @@ func (p *Plan) executeOverlap(r *comm.Rank, hLocal, out *dense.Matrix, ws *execW
 	// Settle the modeled pipelined time in one deterministic pass — the same
 	// emission CostWith(ExecOverlap) performs, so prediction and execution
 	// agree float-exactly.
-	globalF := f
-	if p.widths != nil {
-		globalF = p.fFixed
-	}
 	// Fault-priced time: the self-priced settlement scales exposed
 	// communication by the rank's degradation factor, mirroring what the
 	// sequential executor's inline charges do. Healthy ranks (factor 1) keep
 	// the float-identical CostWith(ExecOverlap) emission.
 	factor := r.CommFactor()
-	p.walkOverlap(r.ID, globalF, p.world.Params, func(phase string, sec float64) {
+	p.walkOverlap(r.ID, f, p.world.Params, func(phase string, sec float64) {
 		if factor != 1 && phase != "local" {
 			sec *= factor
 		}

@@ -2,7 +2,6 @@ package distmm
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -17,8 +16,8 @@ import (
 // whom, over which collective (broadcast, all-to-allv, point-to-point,
 // all-reduce), and which sparse block multiplies the staged rows — into an
 // immutable Plan: one instruction stream per rank. Multiply/MultiplyInto are
-// then a single shared executor loop over that stream, so all six engines
-// (1D/1.5D/2D × oblivious/sparsity-aware) share one data-movement code path.
+// then a single shared executor loop over that stream, so all four engines
+// (1D/1.5D × oblivious/sparsity-aware) share one data-movement code path.
 //
 // Because the schedule that executes is also a value, exact per-rank traffic
 // (Plan.Volumes) and modeled α–β time (Plan.Cost) can be computed by walking
@@ -107,12 +106,6 @@ type Plan struct {
 	// feature rows but accumulates only its batch frontier. nil means the
 	// plan is square: input height equals outRows (the full-batch engines).
 	inRows []int
-	// widths pins each rank's dense operand width (2D plans split the dense
-	// width across the process grid at compile time); nil means the width is
-	// taken from hLocal at execution/prediction time. fFixed is the global
-	// dense width a widths-pinned plan was compiled for.
-	widths []int
-	fFixed int
 	progs  [][]instr
 	// pipes caches the per-rank pipelined stage decomposition (overlap.go),
 	// derived once from the immutable progs on first overlapped execution or
@@ -124,8 +117,7 @@ type Plan struct {
 // Name returns the algorithm name the plan was compiled from.
 func (p *Plan) Name() string { return p.name }
 
-// Replication returns the 1.5D replication factor c (1 for 1D, the grid
-// dimension r for 2D plans).
+// Replication returns the 1.5D replication factor c (1 for 1D).
 func (p *Plan) Replication() int { return p.replication }
 
 // Ranks returns the world size the plan is compiled for.
@@ -138,19 +130,6 @@ func (p *Plan) inRowsOf(rank int) int {
 		return p.outRows[rank]
 	}
 	return p.inRows[rank]
-}
-
-// widthOf resolves rank's dense operand width for a prediction at global
-// width f, validating f against a width-pinned (2D) plan; asking a pinned
-// plan about a different width panics (caller misuse).
-func (p *Plan) widthOf(rank, f int) int {
-	if p.widths == nil {
-		return f
-	}
-	if f != p.fFixed {
-		panic(fmt.Sprintf("distmm: plan %s compiled for dense width %d, asked about %d", p.name, p.fFixed, f))
-	}
-	return p.widths[rank]
 }
 
 // a2aStats computes one all-to-allv instruction's exchange shape at dense
@@ -176,7 +155,7 @@ func a2aStats(in *instr, w int) (packElems, sendBytes, recvBytes int64, partners
 }
 
 // RankVolume is one rank's exact predicted traffic for a single execution of
-// the plan at dense width f: the numbers comm.Stats would measure.
+// the plan at dense width w: the numbers comm.Stats would measure.
 type RankVolume struct {
 	SentBytes int64
 	RecvBytes int64
@@ -184,13 +163,12 @@ type RankVolume struct {
 }
 
 // Volumes walks the schedule and returns, per rank, the exact send/receive
-// bytes and message counts one execution at dense width f produces — equal,
+// bytes and message counts one execution at dense width w produces — equal,
 // by construction, to what comm.Stats measures when the plan runs (pinned by
 // TestPlanVolumesMatchMeasured). No data moves.
-func (p *Plan) Volumes(f int) []RankVolume {
+func (p *Plan) Volumes(w int) []RankVolume {
 	vols := make([]RankVolume, len(p.progs))
 	for rank, prog := range p.progs {
-		w := p.widthOf(rank, f)
 		v := &vols[rank]
 		for i := range prog {
 			in := &prog[i]
@@ -319,13 +297,12 @@ func (c *Cost) Total() float64 {
 }
 
 // Cost walks the schedule and returns the modeled α–β plus compute time of
-// one execution at dense width f, applying exactly the charges the executor
+// one execution at dense width w, applying exactly the charges the executor
 // applies — so a plan's predicted breakdown equals the ledger delta of
 // actually running it, without moving any data.
-func (p *Plan) Cost(params machine.Params, f int) *Cost {
+func (p *Plan) Cost(params machine.Params, w int) *Cost {
 	c := newCost(len(p.progs))
 	for rank, prog := range p.progs {
-		w := p.widthOf(rank, f)
 		var packed, unpacked int64
 		for i := range prog {
 			in := &prog[i]
@@ -402,11 +379,10 @@ func SentSummaryMB(per []int64) (maxMB, avgMB float64) {
 	return float64(maxSent) / mb, float64(total) / float64(len(per)) / mb
 }
 
-// NewEngine compiles the named trainable engine ("oblivious-1d",
+// NewEngine compiles the named engine ("oblivious-1d",
 // "sparsity-aware-1d", "oblivious-1.5d", "sparsity-aware-1.5d") with
-// replication factor c — the constructor the candidate sweeps drive from
-// CandidateSpec.Name, so the root API and the experiment harness build
-// candidates identically.
+// replication factor c — the constructor the candidate sweep drives from
+// CandidateSpec.Name.
 func NewEngine(w *comm.World, name string, c int, aT *sparse.CSR, layout Layout) (Engine, error) {
 	switch name {
 	case "oblivious-1d":
@@ -426,21 +402,17 @@ func NewEngine(w *comm.World, name string, c int, aT *sparse.CSR, layout Layout)
 type CandidateSpec struct {
 	// Name is the engine name the spec compiles to ("oblivious-1d", ...).
 	Name string
-	// C is the 1.5D replication factor (1 for 1D, the grid dimension for
-	// 2D, 0 when the 2D grid is infeasible).
+	// C is the 1.5D replication factor (1 for 1D).
 	C int
-	// TwoD marks the standalone 2D kernels, which have no trainer wiring.
-	TwoD bool
 	// Skip is non-empty when p's factorization forbids the configuration.
 	Skip string
 }
 
 // EnumerateCandidates lists, in deterministic order, every algorithm
-// candidate at world size p: the 1D pair, the 1.5D pairs over c ∈ {2, 4},
-// then the 2D pair, with Skip set where p forbids the grid. Keeping the
+// candidate at world size p: the 1D pair, then the 1.5D pairs over
+// c ∈ {2, 4}, with Skip set where p forbids the grid. Keeping the
 // enumeration here — next to the grid validation rules it mirrors — gives
-// AlgorithmAuto, Cluster.Estimate, and the experiment harness one sweep to
-// agree on.
+// AlgorithmAuto and Cluster.Estimate one sweep to agree on.
 func EnumerateCandidates(p int) []CandidateSpec {
 	specs := []CandidateSpec{{Name: "oblivious-1d", C: 1}, {Name: "sparsity-aware-1d", C: 1}}
 	for _, c := range []int{2, 4} {
@@ -455,15 +427,7 @@ func EnumerateCandidates(p int) []CandidateSpec {
 			CandidateSpec{Name: "oblivious-1.5d", C: c, Skip: skip},
 			CandidateSpec{Name: "sparsity-aware-1.5d", C: c, Skip: skip})
 	}
-	r := int(math.Round(math.Sqrt(float64(p))))
-	skip2d := ""
-	if r*r != p {
-		skip2d = fmt.Sprintf("2D grid needs square P, got %d", p)
-		r = 0
-	}
-	return append(specs,
-		CandidateSpec{Name: "oblivious-2d", C: r, TwoD: true, Skip: skip2d},
-		CandidateSpec{Name: "sparsity-aware-2d", C: r, TwoD: true, Skip: skip2d})
+	return specs
 }
 
 // execWS is one rank's reusable execution workspace: the staging buffer for
@@ -648,64 +612,6 @@ func (e *planEngine) Multiply(r *comm.Rank, hLocal *dense.Matrix) *dense.Matrix 
 // necessarily run the same mode).
 func (e *planEngine) MultiplyInto(r *comm.Rank, hLocal, out *dense.Matrix) {
 	checkMultiplyShapes(r.ID, e.plan.outRows[r.ID], hLocal, out)
-	if e.mode == ExecOverlap {
-		e.plan.executeOverlap(r, hLocal, out, e.ws[r.ID])
-		return
-	}
-	e.plan.execute(r, hLocal, out, e.ws[r.ID])
-}
-
-// SpMM2D is a standalone SUMMA-grid distributed SpMM kernel (oblivious or
-// sparsity-aware) backed by the same plan executor as the 1D/1.5D engines.
-// Process P(i,j) on the r×r grid holds the H block (rowBlock i, colBlock j);
-// the dense width is split across grid columns at construction, so Multiply
-// operands are the f-slice blocks rather than full-width block rows.
-type SpMM2D struct {
-	plan *Plan
-	rows Layout
-	cols Layout
-	ws   []*execWS
-	mode ExecMode
-}
-
-// Name identifies the engine.
-func (e *SpMM2D) Name() string { return e.plan.name }
-
-// RowLayout returns the distribution of matrix rows over grid rows.
-func (e *SpMM2D) RowLayout() Layout { return e.rows }
-
-// ColLayout returns the distribution of dense columns over grid columns.
-func (e *SpMM2D) ColLayout() Layout { return e.cols }
-
-// Plan returns the compiled schedule backing this kernel.
-func (e *SpMM2D) Plan() *Plan { return e.plan }
-
-// ExecMode returns the kernel's execution mode.
-func (e *SpMM2D) ExecMode() ExecMode { return e.mode }
-
-// SetExecMode selects the executor (sequential or overlapped). Must not be
-// called concurrently with Multiply/MultiplyInto.
-func (e *SpMM2D) SetExecMode(m ExecMode) { e.mode = m }
-
-// Multiply computes Z_ij for this rank given its local H_ij block.
-func (e *SpMM2D) Multiply(r *comm.Rank, hLocal *dense.Matrix) *dense.Matrix {
-	out := dense.New(e.plan.outRows[r.ID], e.plan.widths[r.ID])
-	e.MultiplyInto(r, hLocal, out)
-	return out
-}
-
-// MultiplyInto is Multiply writing into a caller-supplied block; shape
-// misuse panics, per the collective-call contract of checkMultiplyShapes.
-func (e *SpMM2D) MultiplyInto(r *comm.Rank, hLocal, out *dense.Matrix) {
-	wantRows, wantCols := e.plan.outRows[r.ID], e.plan.widths[r.ID]
-	if hLocal.Rows != wantRows || hLocal.Cols != wantCols {
-		panic(fmt.Sprintf("distmm: rank %d H block %dx%d, want %dx%d",
-			r.ID, hLocal.Rows, hLocal.Cols, wantRows, wantCols))
-	}
-	if out.Rows != wantRows || out.Cols != wantCols {
-		panic(fmt.Sprintf("distmm: rank %d out %dx%d, want %dx%d",
-			r.ID, out.Rows, out.Cols, wantRows, wantCols))
-	}
 	if e.mode == ExecOverlap {
 		e.plan.executeOverlap(r, hLocal, out, e.ws[r.ID])
 		return

@@ -89,39 +89,6 @@ func TestPlanVolumesMatchMeasured(t *testing.T) {
 	}
 }
 
-// TestPlan2DVolumesMatchMeasured extends the fidelity property to the 2D
-// SUMMA kernels on the square process counts.
-func TestPlan2DVolumesMatchMeasured(t *testing.T) {
-	const n, f = 96, 7
-	a := gen.ErdosRenyi(n, 5, 17).NormalizedAdjacency()
-	h := dense.NewRandom(rand.New(rand.NewSource(18)), n, f, 1.0)
-	for _, p := range []int{4, 9, 16} {
-		for _, mk := range []struct {
-			name string
-			make func(w *comm.World) (*SpMM2D, error)
-		}{
-			{"oblivious-2d", func(w *comm.World) (*SpMM2D, error) { return NewOblivious2D(w, a, f) }},
-			{"sparsity-aware-2d", func(w *comm.World) (*SpMM2D, error) { return NewSparsityAware2D(w, a, f) }},
-		} {
-			w := comm.NewWorld(p, machine.Perlmutter())
-			e := make2D(t, func() (*SpMM2D, error) { return mk.make(w) })
-			pred := e.Plan().Volumes(f)
-			run2D(t, w, e, h)
-			for rank := 0; rank < p; rank++ {
-				if got, want := w.Stats().BytesSent(rank), pred[rank].SentBytes; got != want {
-					t.Errorf("%s p=%d rank %d: sent %d, plan predicts %d", mk.name, p, rank, got, want)
-				}
-				if got, want := w.Stats().BytesRecv(rank), pred[rank].RecvBytes; got != want {
-					t.Errorf("%s p=%d rank %d: recv %d, plan predicts %d", mk.name, p, rank, got, want)
-				}
-				if got, want := w.Stats().MsgsSent(rank), pred[rank].MsgsSent; got != want {
-					t.Errorf("%s p=%d rank %d: %d msgs, plan predicts %d", mk.name, p, rank, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestPlanCostMatchesExecutedLedger pins the other half of plan fidelity:
 // Cost applies exactly the charges the executor applies, so a plan's
 // modeled breakdown must equal the ledger delta of actually running it.
@@ -151,18 +118,4 @@ func TestPlanCostMatchesExecutedLedger(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestPlanWidthPinned2D documents the 2D contract: a 2D plan is compiled
-// for one dense width and refuses predictions at another.
-func TestPlanWidthPinned2D(t *testing.T) {
-	a := gen.ErdosRenyi(36, 4, 19).NormalizedAdjacency()
-	w := comm.NewWorld(4, machine.Perlmutter())
-	e := make2D(t, func() (*SpMM2D, error) { return NewSparsityAware2D(w, a, 6) })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for mismatched width")
-		}
-	}()
-	e.Plan().Volumes(8)
 }

@@ -28,7 +28,7 @@ import (
 //     the stage that staged it (so parity buffers never alias an in-flight
 //     transfer), keeps compute in program order (bit-identical
 //     accumulation), and defers all-reduces to the epilogue.
-//   - Layout consistency: blockOf/outRows/widths agree with the layout, and
+//   - Layout consistency: blockOf/outRows/inRows agree with the layout, and
 //     every SpMM block's dimensions match its accumulator rows and staged
 //     operand rows.
 //
@@ -42,7 +42,7 @@ const (
 	// VerifyStructure: malformed plan metadata or instruction operands
 	// (lengths, group membership, operand ranges, epilogue placement).
 	VerifyStructure VerifyKind = iota
-	// VerifyLayout: blockOf/outRows/widths or SpMM block dimensions disagree
+	// VerifyLayout: blockOf/outRows/inRows or SpMM block dimensions disagree
 	// with the instruction payloads.
 	VerifyLayout
 	// VerifyMatching: an unmatched or misordered send/recv pair, a tag or
@@ -189,11 +189,13 @@ type verifier struct {
 	seqs   map[*comm.Group]*collSeq
 }
 
-// p2pEvent is one send or recv site with its wire signature.
+// p2pEvent is one send or recv site with its wire signature. Payloads are
+// counted in H rows: every payload of an execution scales by the same dense
+// width, so matching row counts match at every width.
 type p2pEvent struct {
-	site  int
-	tag   int
-	elems int // payload float64 count at the owning rank's width
+	site int
+	tag  int
+	rows int
 }
 
 // collEvent is one rank's entry into one collective occurrence.
@@ -214,16 +216,6 @@ func (v *verifier) err(k VerifyKind, rank, site int, format string, args ...any)
 	return &VerifyError{Plan: v.p.name, Kind: k, Rank: rank, Site: site, Detail: fmt.Sprintf(format, args...)}
 }
 
-// widthAt resolves a rank's dense element width for size matching: pinned
-// widths for 2D plans, the symbolic unit width otherwise (matching then
-// holds for every execution width, since all payloads scale by the same f).
-func (v *verifier) widthAt(rank int) int {
-	if v.p.widths == nil {
-		return 1
-	}
-	return v.p.widths[rank]
-}
-
 // newVerifier validates the plan-global metadata shape and layout agreement.
 func newVerifier(p *Plan) (*verifier, error) {
 	v := &verifier{p: p}
@@ -239,14 +231,6 @@ func newVerifier(p *Plan) (*verifier, error) {
 	}
 	if len(p.blockOf) != v.n || len(p.outRows) != v.n || len(p.gradGroups) != v.n {
 		return nil, v.err(VerifyStructure, -1, -1, "per-rank metadata length does not match %d programs", v.n)
-	}
-	if p.widths != nil {
-		if len(p.widths) != v.n {
-			return nil, v.err(VerifyStructure, -1, -1, "widths length %d for %d ranks", len(p.widths), v.n)
-		}
-		if p.fFixed <= 0 {
-			return nil, v.err(VerifyStructure, -1, -1, "width-pinned plan with non-positive global width %d", p.fFixed)
-		}
 	}
 	if p.inRows != nil && len(p.inRows) != v.n {
 		return nil, v.err(VerifyStructure, -1, -1, "inRows length %d for %d ranks", len(p.inRows), v.n)
@@ -271,9 +255,6 @@ func newVerifier(p *Plan) (*verifier, error) {
 			if p.outRows[rank] < 0 {
 				return nil, v.err(VerifyLayout, rank, -1, "negative output height %d", p.outRows[rank])
 			}
-		}
-		if p.widths != nil && p.widths[rank] < 0 {
-			return nil, v.err(VerifyLayout, rank, -1, "negative pinned width %d", p.widths[rank])
 		}
 	}
 	return v, nil
@@ -435,17 +416,16 @@ func (v *verifier) collectEvents() error {
 	v.recvs = make(map[[2]int][]p2pEvent)
 	v.seqs = make(map[*comm.Group]*collSeq)
 	for rank := 0; rank < v.n; rank++ {
-		w := v.widthAt(rank)
 		prog := v.p.progs[rank]
 		for site := range prog {
 			in := &prog[site]
 			switch in.op {
 			case opSendRows:
 				key := [2]int{rank, in.peer}
-				v.sends[key] = append(v.sends[key], p2pEvent{site: site, tag: in.tag, elems: len(in.idx) * w})
+				v.sends[key] = append(v.sends[key], p2pEvent{site: site, tag: in.tag, rows: len(in.idx)})
 			case opRecvMul:
 				key := [2]int{in.peer, rank}
-				v.recvs[key] = append(v.recvs[key], p2pEvent{site: site, tag: in.tag, elems: in.rows * w})
+				v.recvs[key] = append(v.recvs[key], p2pEvent{site: site, tag: in.tag, rows: in.rows})
 			case opBcastMul, opAllToAllv, opAllReduce:
 				s, ok := v.seqs[in.group]
 				if !ok {
@@ -469,7 +449,7 @@ func (v *verifier) collectEvents() error {
 // checkP2PMatching proves every point-to-point send meets exactly one
 // receive. Mailboxes are FIFO per (src,dst) pair, so the k-th send on a pair
 // is consumed by the k-th recv: sequences must agree pairwise on tag and
-// element count, and burst length must fit the eager buffering.
+// row count, and burst length must fit the eager buffering.
 func (v *verifier) checkP2PMatching() error {
 	for src := 0; src < v.n; src++ {
 		for dst := 0; dst < v.n; dst++ {
@@ -491,8 +471,8 @@ func (v *verifier) checkP2PMatching() error {
 				if ss[k].tag != rr[k].tag {
 					return v.err(VerifyMatching, dst, rr[k].site, "recv expects tag %d from rank %d, matching send carries tag %d", rr[k].tag, src, ss[k].tag)
 				}
-				if ss[k].elems != rr[k].elems {
-					return v.err(VerifyMatching, dst, rr[k].site, "recv expects %d elements from rank %d, matching send carries %d", rr[k].elems, src, ss[k].elems)
+				if ss[k].rows != rr[k].rows {
+					return v.err(VerifyMatching, dst, rr[k].site, "recv expects %d rows from rank %d, matching send carries %d", rr[k].rows, src, ss[k].rows)
 				}
 			}
 		}
@@ -523,26 +503,24 @@ func (v *verifier) checkCollectives() error {
 		for t := 0; t < c0; t++ {
 			e0 := s.perMember[0][t]
 			in0 := &p.progs[e0.rank][e0.site]
-			w0 := v.widthAt(e0.rank)
 			for i := 1; i < g.Size(); i++ {
 				ei := s.perMember[i][t]
 				ini := &p.progs[ei.rank][ei.site]
 				if ini.op != in0.op {
 					return v.err(VerifyMatching, ei.rank, ei.site, "collective occurrence %d: rank %d runs %s, rank %d runs %s", t, ei.rank, ini.op, e0.rank, in0.op)
 				}
-				wi := v.widthAt(ei.rank)
 				switch in0.op {
 				case opBcastMul:
 					if ini.root != in0.root {
 						return v.err(VerifyMatching, ei.rank, ei.site, "bcast occurrence %d: root %d vs rank %d's root %d", t, ini.root, e0.rank, in0.root)
 					}
-					if ini.rows*wi != in0.rows*w0 {
-						return v.err(VerifyMatching, ei.rank, ei.site, "bcast occurrence %d: payload %d×%d vs rank %d's %d×%d", t, ini.rows, wi, e0.rank, in0.rows, w0)
+					if ini.rows != in0.rows {
+						return v.err(VerifyMatching, ei.rank, ei.site, "bcast occurrence %d: payload of %d rows vs rank %d's %d", t, ini.rows, e0.rank, in0.rows)
 					}
 				case opAllReduce:
-					if p.outRows[ei.rank]*wi != p.outRows[e0.rank]*w0 {
-						return v.err(VerifyMatching, ei.rank, ei.site, "all-reduce occurrence %d: vector %d×%d vs rank %d's %d×%d",
-							t, p.outRows[ei.rank], wi, e0.rank, p.outRows[e0.rank], w0)
+					if p.outRows[ei.rank] != p.outRows[e0.rank] {
+						return v.err(VerifyMatching, ei.rank, ei.site, "all-reduce occurrence %d: vector of %d rows vs rank %d's %d",
+							t, p.outRows[ei.rank], e0.rank, p.outRows[e0.rank])
 					}
 				}
 			}
@@ -552,17 +530,15 @@ func (v *verifier) checkCollectives() error {
 				for a := 0; a < g.Size(); a++ {
 					ea := s.perMember[a][t]
 					ina := &p.progs[ea.rank][ea.site]
-					wa := v.widthAt(ea.rank)
 					for b := 0; b < g.Size(); b++ {
 						if b == a {
 							continue
 						}
 						eb := s.perMember[b][t]
 						inb := &p.progs[eb.rank][eb.site]
-						wb := v.widthAt(eb.rank)
-						if ina.recvRows[b]*wa != len(inb.sendIdx[a])*wb {
-							return v.err(VerifyMatching, ea.rank, ea.site, "all-to-allv occurrence %d: rank %d expects %d elements from rank %d, which packs %d",
-								t, ea.rank, ina.recvRows[b]*wa, eb.rank, len(inb.sendIdx[a])*wb)
+						if ina.recvRows[b] != len(inb.sendIdx[a]) {
+							return v.err(VerifyMatching, ea.rank, ea.site, "all-to-allv occurrence %d: rank %d expects %d rows from rank %d, which packs %d",
+								t, ea.rank, ina.recvRows[b], eb.rank, len(inb.sendIdx[a]))
 						}
 					}
 				}

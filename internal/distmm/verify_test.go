@@ -33,11 +33,7 @@ func clonePlan(p *Plan) *Plan {
 		blockOf:     append([]int(nil), p.blockOf...),
 		outRows:     append([]int(nil), p.outRows...),
 		gradGroups:  append([]*comm.Group(nil), p.gradGroups...),
-		fFixed:      p.fFixed,
 		progs:       make([][]instr, len(p.progs)),
-	}
-	if p.widths != nil {
-		q.widths = append([]int(nil), p.widths...)
 	}
 	for i, prog := range p.progs {
 		q.progs[i] = append([]instr(nil), prog...)
@@ -226,7 +222,7 @@ func verifyMutations() []planMutation {
 }
 
 func TestVerifyMutations(t *testing.T) {
-	const n, f = 96, 7
+	const n = 96
 	a := gen.ErdosRenyi(n, 5, 31).NormalizedAdjacency()
 	applied := make(map[string]int)
 	for _, p := range []int{4, 8, 16} {
@@ -236,20 +232,11 @@ func TestVerifyMutations(t *testing.T) {
 			}
 			label := fmt.Sprintf("%s/p=%d", spec.Name, p)
 			w := comm.NewWorld(p, machine.Perlmutter())
-			var plan *Plan
-			if spec.TwoD {
-				e, err := new2DByName(w, spec.Name, a, f)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				plan = e.Plan()
-			} else {
-				e, err := NewEngine(w, spec.Name, spec.C, a, UniformLayout(n, p/spec.C))
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				plan = e.Plan()
+			e, err := NewEngine(w, spec.Name, spec.C, a, UniformLayout(n, p/spec.C))
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
+			plan := e.Plan()
 			if err := Verify(plan); err != nil {
 				t.Fatalf("%s: unmutated plan rejected: %v", label, err)
 			}
@@ -284,23 +271,20 @@ func TestVerifyMutations(t *testing.T) {
 			}
 		}
 	}
-	// Every hazard class must have exercised Verify; the p2p-only classes
-	// apply to the sparsity-aware 1.5D and 2D engines at every P.
-	wantMin := map[string]int{
-		"drop-recv":            4, // sa-1.5d at P∈{4,16} (c=2, and c∈{2,4} at 16), sa-2d at P∈{4,16}
-		"send-recv-cycle":      4,
-		"mismatch-tag-size":    1,
-		"break-participation":  1,
-		"alias-overlap-buffer": 1,
-	}
-	for class, min := range wantMin {
-		if applied[class] < min {
-			t.Errorf("mutation class %s applied to %d plans, want ≥ %d", class, applied[class], min)
-		}
+	// Every hazard class must have exercised Verify on exactly the plans whose
+	// instruction mix offers it. The sweep compiles 14 plans: the 1D pair at
+	// P ∈ {4, 8, 16} and the 1.5D pair at (P, c) ∈ {(4,2), (8,2), (16,2),
+	// (16,4)}.
+	want := map[string]int{
+		"drop-recv":            4,  // p2p receives: sparsity-aware 1.5D, every (P, c)
+		"send-recv-cycle":      2,  // a send then a recv with one peer needs ≥ 2 stages per rank: sa-1.5d at (8,2), (16,2)
+		"mismatch-tag-size":    13, // all but oblivious-1.5d at (4,2), whose 2-member bcast groups have no other root to shift to
+		"break-participation":  14, // every plan runs a collective
+		"alias-overlap-buffer": 10, // all but the single-stage 1.5D plans at (4,2) and (16,4)
 	}
 	for _, m := range verifyMutations() {
-		if applied[m.name] == 0 {
-			t.Errorf("mutation class %s never applied", m.name)
+		if applied[m.name] != want[m.name] {
+			t.Errorf("mutation class %s applied to %d plans, want %d", m.name, applied[m.name], want[m.name])
 		}
 	}
 }

@@ -15,8 +15,11 @@ type AblationRow struct {
 // refinement phase (the design choice DESIGN.md calls out): the same
 // multilevel pipeline with and without the max-send-volume refinement, plus
 // the baselines, all evaluated on partition quality metrics.
-func AblationGVBVolumePhase(dataset gen.Preset, scaleDiv int, k int, seed int64) []AblationRow {
-	ds := loadDataset(dataset, seed, scaleDiv)
+func AblationGVBVolumePhase(dataset gen.Preset, scaleDiv int, k int, seed int64) ([]AblationRow, error) {
+	ds, err := loadDataset(dataset, seed, scaleDiv)
+	if err != nil {
+		return nil, err
+	}
 	variants := []struct {
 		name string
 		pt   partition.Partitioner
@@ -32,32 +35,22 @@ func AblationGVBVolumePhase(dataset gen.Preset, scaleDiv int, k int, seed int64)
 		p := v.pt.Partition(ds.G, k)
 		out = append(out, AblationRow{Variant: v.name, Quality: partition.Evaluate(v.name, ds.G, p)})
 	}
-	return out
+	return out, nil
 }
 
 // AblationReplication sweeps the 1.5D replication factor at fixed P for a
 // dataset, quantifying the broadcast-vs-allreduce tradeoff of Section 7.2.
-func AblationReplication(dataset gen.Preset, scaleDiv int, p int, cs []int, seed int64) []RunResult {
+func AblationReplication(dataset gen.Preset, scaleDiv int, p int, cs []int, seed int64) ([]RunResult, error) {
 	var out []RunResult
 	for _, c := range cs {
-		if p%c != 0 || (p/c)%c != 0 {
+		if !validGrid(p, c) {
 			continue
 		}
-		out = append(out, Run(RunConfig{
-			Dataset: dataset, ScaleDiv: scaleDiv, P: p, C: c, Scheme: SchemeSAGVB, Seed: seed,
-		}))
+		r, err := Run(RunConfig{Dataset: dataset, ScaleDiv: scaleDiv, P: p, C: c, Scheme: SchemeSAGVB, Seed: seed})
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, r)
 	}
-	return out
-}
-
-// AblationPermutation quantifies how a random permutation (applied for
-// "load balance") destroys the sparsity-aware volume reduction — the
-// Section 5 motivation for partitioning.
-func AblationPermutation(dataset gen.Preset, scaleDiv int, p int, seed int64) (block, random RunResult) {
-	block = Run(RunConfig{Dataset: dataset, ScaleDiv: scaleDiv, P: p, Scheme: SchemeSA, Seed: seed})
-	// SchemeSA on a randomly generated R-MAT graph is already effectively
-	// random-ordered; compare against the partitioned run to quantify the
-	// permutation effect end to end.
-	random = Run(RunConfig{Dataset: dataset, ScaleDiv: scaleDiv, P: p, Scheme: SchemeSAGVB, Seed: seed})
-	return block, random
+	return out, nil
 }

@@ -5,42 +5,24 @@ import (
 	"io"
 	"math/rand"
 
+	"sagnn"
 	"sagnn/internal/comm"
 	"sagnn/internal/dense"
 	"sagnn/internal/distmm"
-	"sagnn/internal/gcn"
 	"sagnn/internal/gen"
-	"sagnn/internal/machine"
-	"sagnn/internal/sparse"
 )
 
 // EstimateRow is one candidate of the predicted-vs-measured cost table: the
-// plan-modeled epoch time and send volumes next to the volumes actually
-// measured by executing a single distributed SpMM — no training. It
+// row Cluster.Estimate priced — candidate enumeration, feasibility, static
+// verification, both executors' epoch price, predicted volumes and the
+// AlgorithmAuto selection all come from the public API, so this table
+// cannot drift from what Distribute would select — next to the volumes and
+// modeled time actually measured by executing a single distributed SpMM. It
 // reproduces the paper's algorithm-comparison methodology from structure
-// alone: the winner can be read off the predicted column, and the Match
-// column certifies the prediction byte-for-byte. The candidate set, epoch
-// widths, and pricing come from the same distmm helpers AlgorithmAuto
-// uses, so this table cannot drift from what Distribute would select.
+// alone: the winner can be read off the predicted columns, and the Match
+// columns certify the prediction byte-for-byte.
 type EstimateRow struct {
-	Algorithm string
-	C         int
-	// Skipped is non-empty (and the figures zero) when the candidate cannot
-	// run at this process count.
-	Skipped string
-	// EpochSec / Breakdown are the modeled time of one epoch's distributed
-	// SpMMs under the α–β machine model with the sequential executor.
-	EpochSec  float64
-	Breakdown map[string]float64
-	// OverlapSec is the same epoch under the overlapped executor — per
-	// pipelined stage, max(communication, compute) instead of their sum.
-	// Speedup is EpochSec / OverlapSec, the modeled benefit of pipelining.
-	OverlapSec float64
-	Speedup    float64
-	// PredMaxMB / PredAvgMB are plan-predicted per-rank send volumes for
-	// one epoch.
-	PredMaxMB float64
-	PredAvgMB float64
+	sagnn.Candidate
 	// PredMultiplyBytes / MeasMultiplyBytes compare one multiply at the
 	// feature width, executed under the requested ExecMode: plan-predicted
 	// vs measured total send bytes. Match reports exact equality.
@@ -55,19 +37,15 @@ type EstimateRow struct {
 	PredMultSec float64
 	MeasMultSec float64
 	TimeMatch   bool
-	// Sites counts the plan instruction sites (summed over ranks, and over
-	// every per-width compile for the 2D kernels) the static verifier
-	// proved safe before this row was priced or executed: EstimateTable
-	// runs distmm.Verify on every compiled plan, always.
-	Sites int
 }
 
-// estWidths returns the dense widths of the distributed SpMMs in one epoch
-// of the default 3-layer/16-hidden GCN on ds — the same formula the root
-// API's default CostModel prices (gcn owns it, so the two cannot drift).
-func estWidths(ds *gen.Dataset) []int {
-	const hidden, layers = 16, 3
-	return gcn.EpochMultiplyWidths(ds.FeatureDim(), hidden, ds.Classes, layers, false)
+// Speedup is EpochSeconds / OverlapSeconds, the modeled benefit of
+// pipelining the candidate's epoch.
+func (r EstimateRow) Speedup() float64 {
+	if r.OverlapSeconds <= 0 {
+		return 0
+	}
+	return r.EpochSeconds / r.OverlapSeconds
 }
 
 // measureMultiply executes one collective Multiply at h's width and returns
@@ -84,92 +62,51 @@ func measureMultiply(w *comm.World, e distmm.Engine, h *dense.Matrix) (int64, fl
 	return w.Stats().TotalSent() - before, w.Ledger.Snapshot().Sub(l0).Total()
 }
 
-// measure2D executes one collective 2D Multiply and returns the total
-// bytes sent plus the modeled seconds the run charged to the ledger.
-func measure2D(w *comm.World, e *distmm.SpMM2D, h *dense.Matrix) (int64, float64) {
-	rows, cols := e.RowLayout(), e.ColLayout()
-	r := rows.Blocks()
-	before := w.Stats().TotalSent()
-	l0 := w.Ledger.Snapshot()
-	w.Run(func(rk *comm.Rank) {
-		i, j := rk.ID/r, rk.ID%r
-		rlo, rhi := rows.Range(i)
-		clo, chi := cols.Range(j)
-		hij := dense.New(rhi-rlo, chi-clo)
-		for x := rlo; x < rhi; x++ {
-			copy(hij.Row(x-rlo), h.Row(x)[clo:chi])
-		}
-		e.Multiply(rk, hij)
-	})
-	return w.Stats().TotalSent() - before, w.Ledger.Snapshot().Sub(l0).Total()
-}
-
-// new2D builds one 2D kernel by name.
-func new2D(w *comm.World, name string, aHat *sparse.CSR, f int) (*distmm.SpMM2D, error) {
-	if name == "oblivious-2d" {
-		return distmm.NewOblivious2D(w, aHat, f)
-	}
-	return distmm.NewSparsityAware2D(w, aHat, f)
-}
-
 // EstimateTable prices every algorithm candidate for a preset at process
-// count p — the same sweep AlgorithmAuto runs, plus the 2D kernels where P
-// is square — and verifies each prediction by executing exactly one
-// distributed SpMM per feasible candidate under the requested execution
-// mode. Every row carries both the sequential and the overlapped epoch
-// price, so the table shows the modeled pipelining speedup per algorithm;
-// the executed multiply certifies volumes byte-for-byte and modeled time
-// against the mode's own cost model.
-func EstimateTable(preset gen.Preset, scaleDiv, p int, seed int64, mode distmm.ExecMode) []EstimateRow {
-	return EstimateTableWith(preset, scaleDiv, p, seed, mode, machine.Perlmutter())
-}
-
-// EstimateTableWith is EstimateTable under explicit machine parameters — the
-// ingestion point for calibration: pass α–β fitted from measured transfers
-// (comm.Calibrate / machine.FitAlphaBeta) and every candidate is priced
-// against the actual hardware instead of the paper's assumed constants, so
-// the winner read off the table is the one AlgorithmAuto would select there.
-func EstimateTableWith(preset gen.Preset, scaleDiv, p int, seed int64, mode distmm.ExecMode, params machine.Params) []EstimateRow {
-	ds := loadDataset(preset, seed, scaleDiv)
-	n := ds.G.NumVertices()
-	widths := estWidths(ds)
-	f0 := widths[0]
+// count p with Cluster.Estimate under the given machine parameters — pass
+// α–β fitted from measured transfers (Cluster.Calibrate) and every candidate
+// is priced against the actual hardware instead of the paper's assumed
+// constants — and certifies each feasible row by executing exactly one
+// distributed SpMM at the feature width under the requested execution mode:
+// volumes byte-for-byte, modeled time against the mode's own cost model.
+func EstimateTable(preset gen.Preset, scaleDiv, p int, seed int64, mode sagnn.ExecMode, params sagnn.MachineParams) ([]EstimateRow, error) {
+	ds, err := loadDataset(preset, seed, scaleDiv)
+	if err != nil {
+		return nil, err
+	}
+	cluster, err := sagnn.NewCluster(p, sagnn.WithMachine(params))
+	if err != nil {
+		return nil, err
+	}
+	cands, err := cluster.Estimate(ds, sagnn.DistOpts{Exec: mode})
+	if err != nil {
+		return nil, err
+	}
+	n, f0 := ds.G.NumVertices(), ds.FeatureDim()
 	aHat := ds.G.NormalizedAdjacency()
 	h := dense.NewRandom(rand.New(rand.NewSource(seed+1)), n, f0, 1.0)
 
-	var rows []EstimateRow
-	for _, spec := range distmm.EnumerateCandidates(p) {
-		row := EstimateRow{Algorithm: spec.Name, C: spec.C, Skipped: spec.Skip}
-		if row.Skipped == "" && n < max(spec.C, p/spec.C) {
-			row.Skipped = fmt.Sprintf("%d vertices cannot fill the grid", n)
-		}
-		if row.Skipped != "" {
-			rows = append(rows, row)
-			continue
-		}
-		w := comm.NewWorld(p, params)
-		if spec.TwoD {
-			fill2DRow(&row, w, aHat, h, widths, f0, mode)
-		} else {
-			e, err := distmm.NewEngine(w, spec.Name, spec.C, aHat, distmm.UniformLayout(n, p/spec.C))
+	rows := make([]EstimateRow, 0, len(cands))
+	for _, cand := range cands {
+		row := EstimateRow{Candidate: cand}
+		if cand.Skipped == "" {
+			w := comm.NewWorld(p, params)
+			e, err := distmm.NewEngine(w, string(cand.Algorithm), cand.Replication, aHat, distmm.UniformLayout(n, p/cand.Replication))
 			if err != nil {
-				panic(err)
+				return nil, err
 			}
-			// The estimate table never prices or executes an unverified
-			// schedule: a Verify failure here is a plan-compiler bug.
-			if err := distmm.Verify(e.Plan()); err != nil {
-				panic(err)
-			}
-			row.Sites = e.Plan().Sites()
 			e.SetExecMode(mode)
-			fillRow(&row, e.Plan(), w.Params, widths, f0, mode)
+			for _, v := range e.Plan().Volumes(f0) {
+				row.PredMultiplyBytes += v.SentBytes
+			}
+			row.PredMultSec = e.Plan().CostWith(params, f0, mode).Total()
 			row.MeasMultiplyBytes, row.MeasMultSec = measureMultiply(w, e, h)
+			row.Match = row.MeasMultiplyBytes == row.PredMultiplyBytes
+			row.TimeMatch = timeAgrees(row.PredMultSec, row.MeasMultSec)
 		}
-		row.Match = row.MeasMultiplyBytes == row.PredMultiplyBytes
-		row.TimeMatch = timeAgrees(row.PredMultSec, row.MeasMultSec)
 		rows = append(rows, row)
 	}
-	return rows
+	return rows, nil
 }
 
 // timeAgrees compares a modeled multiply time against the executed ledger
@@ -188,77 +125,6 @@ func timeAgrees(pred, meas float64) bool {
 	return diff <= 1e-9*scale
 }
 
-// fillRow fills a row's modeled epoch figures (both executors) and the
-// one-multiply prediction at width f0 from a compiled plan.
-func fillRow(row *EstimateRow, pl *distmm.Plan, params machine.Params, widths []int, f0 int, mode distmm.ExecMode) {
-	cost := pl.EpochCost(params, widths)
-	overlap := pl.EpochCostWith(params, widths, distmm.ExecOverlap)
-	row.EpochSec = cost.Total()
-	row.Breakdown = cost.Breakdown()
-	row.OverlapSec = overlap.Total()
-	if row.OverlapSec > 0 {
-		row.Speedup = row.EpochSec / row.OverlapSec
-	}
-	row.PredMaxMB, row.PredAvgMB = distmm.SentSummaryMB(pl.EpochSentBytes(widths))
-	for _, b := range pl.EpochSentBytes([]int{f0}) {
-		row.PredMultiplyBytes += b
-	}
-	row.PredMultSec = pl.CostWith(params, f0, mode).Total()
-}
-
-// fill2DRow prices a 2D kernel — one compile per distinct width, since 2D
-// plans pin the dense width and the block/NnzCols structure work is
-// width-independent — and measures one multiply at the feature width.
-func fill2DRow(row *EstimateRow, w *comm.World, aHat *sparse.CSR, h *dense.Matrix, widths []int, f0 int, mode distmm.ExecMode) {
-	counts := make(map[int]int)
-	order := make([]int, 0, len(widths))
-	for _, f := range widths {
-		if counts[f] == 0 {
-			order = append(order, f)
-		}
-		counts[f]++
-	}
-	var cost, overlap *distmm.Cost
-	per := make([]int64, w.P)
-	var first *distmm.SpMM2D
-	for _, f := range order {
-		e, err := new2D(w, row.Algorithm, aHat, f)
-		if err != nil {
-			row.Skipped = err.Error()
-			return
-		}
-		if err := distmm.Verify(e.Plan()); err != nil {
-			panic(err)
-		}
-		row.Sites += e.Plan().Sites()
-		if f == f0 && first == nil {
-			first = e
-		}
-		one := e.Plan().Cost(w.Params, f)
-		oneOvl := e.Plan().CostWith(w.Params, f, distmm.ExecOverlap)
-		for i := 0; i < counts[f]; i++ {
-			cost = cost.Add(one)
-			overlap = overlap.Add(oneOvl)
-		}
-		for i, b := range e.Plan().EpochSentBytes([]int{f}) {
-			per[i] += b * int64(counts[f])
-		}
-	}
-	row.EpochSec = cost.Total()
-	row.Breakdown = cost.Breakdown()
-	row.OverlapSec = overlap.Total()
-	if row.OverlapSec > 0 {
-		row.Speedup = row.EpochSec / row.OverlapSec
-	}
-	row.PredMaxMB, row.PredAvgMB = distmm.SentSummaryMB(per)
-	for _, b := range first.Plan().EpochSentBytes([]int{f0}) {
-		row.PredMultiplyBytes += b
-	}
-	row.PredMultSec = first.Plan().CostWith(w.Params, f0, mode).Total()
-	first.SetExecMode(mode)
-	row.MeasMultiplyBytes, row.MeasMultSec = measure2D(w, first, h)
-}
-
 // PrintEstimateTable renders the predicted-vs-measured table: modeled epoch
 // time under both executors (with the pipelining speedup), predicted
 // volumes, the executed single-multiply certification of bytes and modeled
@@ -270,11 +136,11 @@ func PrintEstimateTable(w io.Writer, title string, rows []EstimateRow) {
 	for _, r := range rows {
 		if r.Skipped != "" {
 			fmt.Fprintf(w, "%-22s %2d %12s %12s %8s %10s %10s %14s %14s %6s %7s %6s  (%s)\n",
-				r.Algorithm, r.C, "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", r.Skipped)
+				r.Algorithm, r.Replication, "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", r.Skipped)
 			continue
 		}
 		fmt.Fprintf(w, "%-22s %2d %12.3f %12.3f %7.2fx %10.3f %10.3f %14d %14d %6v %7v %6d\n",
-			r.Algorithm, r.C, r.EpochSec*1e3, r.OverlapSec*1e3, r.Speedup, r.PredMaxMB, r.PredAvgMB,
+			r.Algorithm, r.Replication, r.EpochSeconds*1e3, r.OverlapSeconds*1e3, r.Speedup(), r.MaxSentMB, r.AvgSentMB,
 			r.PredMultiplyBytes, r.MeasMultiplyBytes, r.Match, r.TimeMatch, r.Sites)
 	}
 }

@@ -5,16 +5,27 @@ import (
 	"math"
 	"testing"
 
-	"sagnn/internal/distmm"
+	"sagnn"
 	"sagnn/internal/gen"
 )
 
 // Tests use heavily scaled-down datasets (scaleDiv) so the full suite stays
-// fast; the benchmark harness runs the full sizes.
+// fast; `gnnbench -scalediv` runs the larger sizes.
 const testScale = 64
 
+// must unwraps an experiment's (value, error) pair, failing the test on error.
+func must[T any](v T, err error) func(testing.TB) T {
+	return func(t testing.TB) T {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+}
+
 func TestRunCAGNET1D(t *testing.T) {
-	r := Run(RunConfig{Dataset: gen.AmazonSim, ScaleDiv: testScale, P: 4, Scheme: SchemeCAGNET})
+	r := must(Run(RunConfig{Dataset: gen.AmazonSim, ScaleDiv: testScale, P: 4, Scheme: SchemeCAGNET}))(t)
 	if r.EpochSec <= 0 {
 		t.Fatal("no modeled time")
 	}
@@ -30,7 +41,7 @@ func TestRunCAGNET1D(t *testing.T) {
 }
 
 func TestRunSAGVB1D(t *testing.T) {
-	r := Run(RunConfig{Dataset: gen.AmazonSim, ScaleDiv: testScale, P: 4, Scheme: SchemeSAGVB})
+	r := must(Run(RunConfig{Dataset: gen.AmazonSim, ScaleDiv: testScale, P: 4, Scheme: SchemeSAGVB}))(t)
 	if _, ok := r.Breakdown["alltoall"]; !ok {
 		t.Fatalf("SA run must have alltoall phase: %v", r.Breakdown)
 	}
@@ -41,7 +52,7 @@ func TestRunSAGVB1D(t *testing.T) {
 
 func TestRun15D(t *testing.T) {
 	for _, s := range []Scheme{SchemeCAGNET, SchemeSAGVB} {
-		r := Run(RunConfig{Dataset: gen.ProteinSim, ScaleDiv: testScale, P: 8, C: 2, Scheme: s})
+		r := must(Run(RunConfig{Dataset: gen.ProteinSim, ScaleDiv: testScale, P: 8, C: 2, Scheme: s}))(t)
 		if _, ok := r.Breakdown["allreduce"]; !ok {
 			t.Fatalf("%s 1.5D must have allreduce: %v", s, r.Breakdown)
 		}
@@ -53,9 +64,9 @@ func TestSchemesSameLoss(t *testing.T) {
 	// accuracy change. Loss after one epoch must agree to fp tolerance.
 	// (SA+GVB trains in a permuted vertex order, which is a similarity
 	// transform — identical loss.)
-	base := Run(RunConfig{Dataset: gen.RedditSim, ScaleDiv: testScale, P: 4, Scheme: SchemeCAGNET})
+	base := must(Run(RunConfig{Dataset: gen.RedditSim, ScaleDiv: testScale, P: 4, Scheme: SchemeCAGNET}))(t)
 	for _, s := range []Scheme{SchemeSA, SchemeSAMetis, SchemeSAGVB} {
-		r := Run(RunConfig{Dataset: gen.RedditSim, ScaleDiv: testScale, P: 4, Scheme: s})
+		r := must(Run(RunConfig{Dataset: gen.RedditSim, ScaleDiv: testScale, P: 4, Scheme: s}))(t)
 		if math.Abs(r.FinalLoss-base.FinalLoss) > 1e-6 {
 			t.Fatalf("%s loss %v != CAGNET %v", s, r.FinalLoss, base.FinalLoss)
 		}
@@ -63,7 +74,7 @@ func TestSchemesSameLoss(t *testing.T) {
 }
 
 func TestTable2ImbalanceGrowsWithP(t *testing.T) {
-	rows := Table2(testScale, []int{4, 16}, 1)
+	rows := must(Table2(testScale, []int{4, 16}, 1))(t)
 	if len(rows) != 2 {
 		t.Fatal("row count")
 	}
@@ -82,7 +93,7 @@ func TestTable2ImbalanceGrowsWithP(t *testing.T) {
 }
 
 func TestFigure3ShapeSAGVBWins(t *testing.T) {
-	series := Figure3(gen.AmazonSim, testScale, []int{8}, 1)
+	series := must(Figure3(gen.AmazonSim, testScale, []int{8}, 1))(t)
 	if len(series) != 3 {
 		t.Fatal("want 3 schemes")
 	}
@@ -104,7 +115,7 @@ func TestFigure3ShapeSAGVBWins(t *testing.T) {
 }
 
 func TestFigure6GVBNotWorseThanMetis(t *testing.T) {
-	series := Figure6(gen.AmazonSim, testScale, []int{8}, 1)
+	series := must(Figure6(gen.AmazonSim, testScale, []int{8}, 1))(t)
 	var metis, gvb RunResult
 	for _, s := range series {
 		switch s.Scheme {
@@ -120,7 +131,7 @@ func TestFigure6GVBNotWorseThanMetis(t *testing.T) {
 }
 
 func TestFigure7GridFiltering(t *testing.T) {
-	series := Figure7(gen.ProteinSim, testScale, []int{8, 12, 16}, []int{2}, 1)
+	series := must(Figure7(gen.ProteinSim, testScale, []int{8, 12, 16}, []int{2}, 1))(t)
 	for _, s := range series {
 		for _, pt := range s.Points {
 			p, c := pt.Config.P, pt.Config.C
@@ -132,7 +143,7 @@ func TestFigure7GridFiltering(t *testing.T) {
 }
 
 func TestFigure5Runs(t *testing.T) {
-	res := Figure5(testScale, 4, 1)
+	res := must(Figure5(testScale, 4, 1))(t)
 	if len(res) != 3 {
 		t.Fatal("want 3 schemes")
 	}
@@ -144,7 +155,7 @@ func TestFigure5Runs(t *testing.T) {
 }
 
 func TestAblationGVBVolumePhase(t *testing.T) {
-	rows := AblationGVBVolumePhase(gen.AmazonSim, testScale, 8, 1)
+	rows := must(AblationGVBVolumePhase(gen.AmazonSim, testScale, 8, 1))(t)
 	byName := map[string]AblationRow{}
 	for _, r := range rows {
 		byName[r.Variant] = r
@@ -159,7 +170,7 @@ func TestAblationGVBVolumePhase(t *testing.T) {
 }
 
 func TestAblationReplication(t *testing.T) {
-	res := AblationReplication(gen.ProteinSim, testScale, 16, []int{1, 2, 4}, 1)
+	res := must(AblationReplication(gen.ProteinSim, testScale, 16, []int{1, 2, 4}, 1))(t)
 	if len(res) != 3 {
 		t.Fatalf("want 3 valid grids, got %d", len(res))
 	}
@@ -167,12 +178,12 @@ func TestAblationReplication(t *testing.T) {
 
 func TestPrinters(t *testing.T) {
 	var buf bytes.Buffer
-	PrintTable2(&buf, Table2(testScale, []int{4}, 1))
+	PrintTable2(&buf, must(Table2(testScale, []int{4}, 1))(t))
 	if buf.Len() == 0 {
 		t.Fatal("empty table2 output")
 	}
 	buf.Reset()
-	series := Figure3(gen.RedditSim, testScale, []int{4}, 1)
+	series := must(Figure3(gen.RedditSim, testScale, []int{4}, 1))(t)
 	PrintSeries(&buf, "fig3", series)
 	PrintBreakdown(&buf, "fig4", FlattenSeries(series))
 	if buf.Len() == 0 {
@@ -181,15 +192,15 @@ func TestPrinters(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a := Run(RunConfig{Dataset: gen.RedditSim, ScaleDiv: testScale, P: 4, Scheme: SchemeSAGVB})
-	b := Run(RunConfig{Dataset: gen.RedditSim, ScaleDiv: testScale, P: 4, Scheme: SchemeSAGVB})
+	a := must(Run(RunConfig{Dataset: gen.RedditSim, ScaleDiv: testScale, P: 4, Scheme: SchemeSAGVB}))(t)
+	b := must(Run(RunConfig{Dataset: gen.RedditSim, ScaleDiv: testScale, P: 4, Scheme: SchemeSAGVB}))(t)
 	if a.EpochSec != b.EpochSec || a.FinalLoss != b.FinalLoss {
 		t.Fatal("Run not deterministic")
 	}
 }
 
 func TestTable3(t *testing.T) {
-	rows := Table3(testScale, 1)
+	rows := must(Table3(testScale, 1))(t)
 	if len(rows) != 4 {
 		t.Fatalf("want 4 datasets, got %d", len(rows))
 	}
@@ -209,9 +220,9 @@ func TestTable3(t *testing.T) {
 }
 
 func TestEstimateTablePredictionsMatch(t *testing.T) {
-	for _, mode := range []distmm.ExecMode{distmm.ExecSequential, distmm.ExecOverlap} {
-		rows := EstimateTable(gen.RedditSim, testScale, 8, 3, mode)
-		// P=8: 1D ×2 and c=2 ×2 feasible; c=4 and 2D rows skipped.
+	for _, mode := range []sagnn.ExecMode{sagnn.ExecSequential, sagnn.ExecOverlap} {
+		rows := must(EstimateTable(gen.RedditSim, testScale, 8, 3, mode, sagnn.Perlmutter()))(t)
+		// P=8: 1D ×2 and c=2 ×2 feasible; c=4 rows skipped.
 		feasible := 0
 		for _, r := range rows {
 			if r.Skipped != "" {
@@ -220,22 +231,22 @@ func TestEstimateTablePredictionsMatch(t *testing.T) {
 			feasible++
 			if !r.Match {
 				t.Errorf("%s: %s c=%d: predicted %d bytes per multiply, measured %d",
-					mode, r.Algorithm, r.C, r.PredMultiplyBytes, r.MeasMultiplyBytes)
+					mode, r.Algorithm, r.Replication, r.PredMultiplyBytes, r.MeasMultiplyBytes)
 			}
 			if !r.TimeMatch {
 				t.Errorf("%s: %s c=%d: predicted %g s per multiply, measured %g",
-					mode, r.Algorithm, r.C, r.PredMultSec, r.MeasMultSec)
+					mode, r.Algorithm, r.Replication, r.PredMultSec, r.MeasMultSec)
 			}
-			if r.EpochSec <= 0 || r.PredMaxMB <= 0 {
+			if r.EpochSeconds <= 0 || r.MaxSentMB <= 0 || r.Sites <= 0 {
 				t.Errorf("unpriced feasible row %+v", r)
 			}
-			if r.OverlapSec <= 0 || r.OverlapSec > r.EpochSec*(1+1e-12) || r.Speedup < 1-1e-12 {
+			if r.OverlapSeconds <= 0 || r.OverlapSeconds > r.EpochSeconds*(1+1e-12) || r.Speedup() < 1-1e-12 {
 				t.Errorf("%s c=%d: overlap pricing %g must be positive and ≤ sequential %g",
-					r.Algorithm, r.C, r.OverlapSec, r.EpochSec)
+					r.Algorithm, r.Replication, r.OverlapSeconds, r.EpochSeconds)
 			}
 		}
-		if feasible != 4 {
-			t.Fatalf("expected 4 feasible candidates at P=8, got %d", feasible)
+		if feasible != 4 || len(rows) != 6 {
+			t.Fatalf("expected 4 feasible of 6 candidates at P=8, got %d of %d", feasible, len(rows))
 		}
 		var buf bytes.Buffer
 		PrintEstimateTable(&buf, "estimate", rows)
@@ -243,12 +254,44 @@ func TestEstimateTablePredictionsMatch(t *testing.T) {
 			t.Fatal("empty output")
 		}
 
-		// On a square P the 2D kernels are priced and verified too.
-		for _, r := range EstimateTable(gen.RedditSim, testScale, 16, 3, mode) {
-			if r.Skipped == "" && (!r.Match || !r.TimeMatch) {
-				t.Errorf("%s: P=16 %s c=%d: bytes %d vs %d, time %g vs %g", mode, r.Algorithm, r.C,
+		// At P=16 every candidate is feasible, c=4 included.
+		for _, r := range must(EstimateTable(gen.RedditSim, testScale, 16, 3, mode, sagnn.Perlmutter()))(t) {
+			if r.Skipped != "" || !r.Match || !r.TimeMatch {
+				t.Errorf("%s: P=16 %s c=%d (%s): bytes %d vs %d, time %g vs %g", mode, r.Algorithm, r.Replication, r.Skipped,
 					r.PredMultiplyBytes, r.MeasMultiplyBytes, r.PredMultSec, r.MeasMultSec)
 			}
 		}
+	}
+}
+
+// TestBadConfigsReturnErrors pins the port's error surface: configurations
+// the public API rejects come back as its errors — gnnbench prints them and
+// exits 2 — instead of panicking inside a dataset loader or engine
+// constructor.
+func TestBadConfigsReturnErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  RunConfig
+	}{
+		{"unknown preset", RunConfig{Dataset: "bogus", ScaleDiv: testScale, P: 4, Scheme: SchemeSA}},
+		{"c does not divide P", RunConfig{Dataset: gen.ProteinSim, ScaleDiv: testScale, P: 6, C: 4, Scheme: SchemeSAGVB}},
+		{"c² does not divide P", RunConfig{Dataset: gen.ProteinSim, ScaleDiv: testScale, P: 8, C: 4, Scheme: SchemeCAGNET}},
+		{"unknown scheme", RunConfig{Dataset: gen.ProteinSim, ScaleDiv: testScale, P: 4, Scheme: "SA+MAGIC"}},
+		{"no processes", RunConfig{Dataset: gen.ProteinSim, ScaleDiv: testScale, Scheme: SchemeSA}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Run(tc.cfg); err == nil {
+				t.Fatalf("Run(%+v) succeeded", tc.cfg)
+			}
+		})
+	}
+	if _, err := EstimateTable("bogus", testScale, 8, 1, sagnn.ExecSequential, sagnn.Perlmutter()); err == nil {
+		t.Fatal("EstimateTable accepted an unknown preset")
+	}
+	if _, err := EstimateTable(gen.RedditSim, testScale, 0, 1, sagnn.ExecSequential, sagnn.Perlmutter()); err == nil {
+		t.Fatal("EstimateTable accepted P=0")
+	}
+	if _, err := Figure3("bogus", testScale, []int{4}, 1); err == nil {
+		t.Fatal("Figure3 accepted an unknown preset")
 	}
 }

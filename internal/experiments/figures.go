@@ -23,8 +23,11 @@ type Table2Row struct {
 // Table2 computes the METIS communication-imbalance table on the Amazon
 // stand-in with f = 300 (the paper's setting). Volumes come directly from
 // the partition's send sets; no training run is needed.
-func Table2(scaleDiv int, ps []int, seed int64) []Table2Row {
-	ds := loadDataset(gen.AmazonSim, seed, scaleDiv)
+func Table2(scaleDiv int, ps []int, seed int64) ([]Table2Row, error) {
+	ds, err := loadDataset(gen.AmazonSim, seed, scaleDiv)
+	if err != nil {
+		return nil, err
+	}
 	const f = 300
 	rows := make([]Table2Row, 0, len(ps))
 	for _, p := range ps {
@@ -40,7 +43,7 @@ func Table2(scaleDiv int, ps []int, seed int64) []Table2Row {
 			ImbalancePct: vs.Imbalance * 100,
 		})
 	}
-	return rows
+	return rows, nil
 }
 
 // Series is one line of a figure: epoch seconds (and breakdowns) per
@@ -52,73 +55,69 @@ type Series struct {
 	Points  []RunResult
 }
 
-// Figure3 reproduces the 1D scaling study: CAGNET vs SA vs SA+GVB across
-// process counts for one dataset. The same results feed Figure 4 (the
-// breakdown is captured in every RunResult).
-func Figure3(dataset gen.Preset, scaleDiv int, ps []int, seed int64) []Series {
-	schemes := []Scheme{SchemeCAGNET, SchemeSA, SchemeSAGVB}
+// oneDSchemes are the three schemes of the paper's scaling figures.
+var oneDSchemes = []Scheme{SchemeCAGNET, SchemeSA, SchemeSAGVB}
+
+// sweep runs every scheme at every process count at replication factor c:
+// one Series per scheme, one point per process count.
+func sweep(dataset gen.Preset, scaleDiv int, ps []int, c int, schemes []Scheme, seed int64) ([]Series, error) {
 	out := make([]Series, 0, len(schemes))
 	for _, s := range schemes {
-		ser := Series{Scheme: s, Dataset: dataset, C: 1}
+		ser := Series{Scheme: s, Dataset: dataset, C: c}
 		for _, p := range ps {
-			ser.Points = append(ser.Points, Run(RunConfig{
-				Dataset: dataset, ScaleDiv: scaleDiv, P: p, Scheme: s, Seed: seed,
-			}))
+			pt, err := Run(RunConfig{Dataset: dataset, ScaleDiv: scaleDiv, P: p, C: c, Scheme: s, Seed: seed})
+			if err != nil {
+				return nil, err
+			}
+			ser.Points = append(ser.Points, pt)
 		}
 		out = append(out, ser)
 	}
-	return out
+	return out, nil
+}
+
+// validGrid reports whether the 1.5D process grid exists: c | P and c² | P.
+func validGrid(p, c int) bool { return p%c == 0 && (p/c)%c == 0 }
+
+// Figure3 reproduces the 1D scaling study: CAGNET vs SA vs SA+GVB across
+// process counts for one dataset. The same results feed Figure 4 (the
+// breakdown is captured in every RunResult).
+func Figure3(dataset gen.Preset, scaleDiv int, ps []int, seed int64) ([]Series, error) {
+	return sweep(dataset, scaleDiv, ps, 1, oneDSchemes, seed)
 }
 
 // Figure5 reproduces the Papers experiment: all three 1D schemes at a
 // single process count (p=16 in the paper).
-func Figure5(scaleDiv int, p int, seed int64) []RunResult {
-	out := make([]RunResult, 0, 3)
-	for _, s := range []Scheme{SchemeCAGNET, SchemeSA, SchemeSAGVB} {
-		out = append(out, Run(RunConfig{
-			Dataset: gen.PapersSim, ScaleDiv: scaleDiv, P: p, Scheme: s, Seed: seed,
-		}))
-	}
-	return out
+func Figure5(scaleDiv int, p int, seed int64) ([]RunResult, error) {
+	series, err := sweep(gen.PapersSim, scaleDiv, []int{p}, 1, oneDSchemes, seed)
+	return FlattenSeries(series), err
 }
 
 // Figure6 compares the two partitioners under sparsity-aware training:
 // SA+GVB vs SA+METIS.
-func Figure6(dataset gen.Preset, scaleDiv int, ps []int, seed int64) []Series {
-	schemes := []Scheme{SchemeSAMetis, SchemeSAGVB}
-	out := make([]Series, 0, len(schemes))
-	for _, s := range schemes {
-		ser := Series{Scheme: s, Dataset: dataset, C: 1}
-		for _, p := range ps {
-			ser.Points = append(ser.Points, Run(RunConfig{
-				Dataset: dataset, ScaleDiv: scaleDiv, P: p, Scheme: s, Seed: seed,
-			}))
-		}
-		out = append(out, ser)
-	}
-	return out
+func Figure6(dataset gen.Preset, scaleDiv int, ps []int, seed int64) ([]Series, error) {
+	return sweep(dataset, scaleDiv, ps, 1, []Scheme{SchemeSAMetis, SchemeSAGVB}, seed)
 }
 
 // Figure7 reproduces the 1.5D study: oblivious vs SA vs SA+GVB at
 // replication factors c for one dataset. Process counts that violate
 // c² | P are skipped, mirroring the paper's grid constraints.
-func Figure7(dataset gen.Preset, scaleDiv int, ps []int, cs []int, seed int64) []Series {
+func Figure7(dataset gen.Preset, scaleDiv int, ps []int, cs []int, seed int64) ([]Series, error) {
 	var out []Series
 	for _, c := range cs {
-		for _, s := range []Scheme{SchemeCAGNET, SchemeSA, SchemeSAGVB} {
-			ser := Series{Scheme: s, Dataset: dataset, C: c}
-			for _, p := range ps {
-				if p%c != 0 || (p/c)%c != 0 {
-					continue
-				}
-				ser.Points = append(ser.Points, Run(RunConfig{
-					Dataset: dataset, ScaleDiv: scaleDiv, P: p, C: c, Scheme: s, Seed: seed,
-				}))
+		var grid []int
+		for _, p := range ps {
+			if validGrid(p, c) {
+				grid = append(grid, p)
 			}
-			out = append(out, ser)
 		}
+		series, err := sweep(dataset, scaleDiv, grid, c, oneDSchemes, seed)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, series...)
 	}
-	return out
+	return out, nil
 }
 
 // PrintTable2 renders Table 2 in the paper's format.

@@ -1,8 +1,10 @@
 // Package experiments reproduces the paper's evaluation: Table 2 and
 // Figures 3–7, plus the ablations DESIGN.md calls out. Each experiment is a
-// pure function from a configuration to structured rows/series, so the CLI
-// (cmd/gnnbench) and the benchmark harness (bench_test.go) share one
-// implementation.
+// pure function from a configuration to structured rows/series, printed by
+// cmd/gnnbench. Training measurements and cost estimates are clients of the
+// public API (sagnn.NewCluster → Distribute → NewSession → Run, and
+// Cluster.Estimate), so a regenerated figure is exactly what a library user
+// would measure, and a bad configuration is the API's error, not a panic.
 package experiments
 
 import (
@@ -10,16 +12,9 @@ import (
 	"fmt"
 	"sync"
 
-	"sagnn/internal/comm"
-	"sagnn/internal/dense"
-	"sagnn/internal/distmm"
-	"sagnn/internal/gcn"
+	"sagnn"
 	"sagnn/internal/gen"
-	"sagnn/internal/machine"
-	"sagnn/internal/minibatch"
-	"sagnn/internal/opt"
 	"sagnn/internal/partition"
-	"sagnn/internal/sparse"
 )
 
 // Scheme names a training configuration from the paper's legend.
@@ -95,7 +90,7 @@ type RunResult struct {
 	// floating-point reassociation).
 	FinalLoss float64
 	// TestAcc is the trained model's full-batch accuracy on the held-out
-	// test split — the figure the full-batch vs sampled comparison needs.
+	// test split.
 	TestAcc float64
 	// Quality is the partition quality if a partitioner was used.
 	Quality *partition.Quality
@@ -106,169 +101,89 @@ var (
 	dsCache   = map[string]*gen.Dataset{}
 )
 
-// loadDataset memoises gen.Load across experiment sweeps.
-func loadDataset(p gen.Preset, seed int64, scaleDiv int) *gen.Dataset {
+// loadDataset memoises sagnn.LoadDataset across experiment sweeps.
+func loadDataset(p gen.Preset, seed int64, scaleDiv int) (*gen.Dataset, error) {
 	key := fmt.Sprintf("%s/%d/%d", p, seed, scaleDiv)
 	dsCacheMu.Lock()
 	defer dsCacheMu.Unlock()
 	if d, ok := dsCache[key]; ok {
-		return d
+		return d, nil
 	}
-	d := gen.MustLoad(p, seed, scaleDiv)
+	d, err := sagnn.LoadDataset(p, seed, scaleDiv)
+	if err != nil {
+		return nil, err
+	}
 	dsCache[key] = d
-	return d
+	return d, nil
 }
 
-// partitionerFor maps a scheme to its partitioner (nil = plain block
-// distribution).
-func partitionerFor(s Scheme, seed int64) partition.Partitioner {
+// distOpts maps a scheme at replication factor c to the public API's
+// (algorithm, replication, partitioner) triple: c = 1 selects the 1D
+// algorithms, and a nil partitioner is the plain block distribution.
+func (s Scheme) distOpts(c int, seed int64) (sagnn.DistOpts, error) {
+	oneD, replicated := sagnn.SparsityAware1D, sagnn.SparsityAware15D
+	var pt sagnn.Partitioner
 	switch s {
-	case SchemeCAGNET, SchemeSA:
-		return nil
+	case SchemeCAGNET:
+		oneD, replicated = sagnn.Oblivious1D, sagnn.Oblivious15D
+	case SchemeSA:
 	case SchemeSAMetis:
-		return partition.MetisLike{Seed: seed}
+		pt = sagnn.NewMetis(seed)
 	case SchemeSAGVB:
-		return partition.GVB{Seed: seed}
+		pt = sagnn.NewGVB(seed)
 	default:
-		panic(fmt.Sprintf("experiments: unknown scheme %q", s))
+		return sagnn.DistOpts{}, fmt.Errorf("experiments: unknown scheme %q", s)
 	}
+	opts := sagnn.DistOpts{Algorithm: oneD, Replication: c, Partitioner: pt}
+	if c != 1 {
+		opts.Algorithm = replicated
+	}
+	return opts, nil
 }
 
-// runData is a dataset staged for one measurement: (optionally) permuted
-// adjacency, relabeled features/labels/splits, and the block layout — the
-// preparation Run and RunSampled share.
-type runData struct {
-	ds          *gen.Dataset
-	aHat        *sparse.CSR
-	x           *dense.Matrix
-	labels      []int
-	train, test []int
-	layout      distmm.Layout
-	quality     *partition.Quality
-}
-
-// prepareRun stages cfg's dataset for a k-block distribution.
-func prepareRun(cfg RunConfig, k int) runData {
-	ds := loadDataset(cfg.Dataset, cfg.Seed, cfg.ScaleDiv)
-	d := runData{
-		ds:     ds,
-		aHat:   ds.G.NormalizedAdjacency(),
-		x:      ds.Features,
-		labels: ds.Labels,
-		train:  ds.Train,
-		test:   ds.Test,
+// Run executes one configuration end to end through the public pipeline —
+// load data, NewCluster, Distribute (partition + engine), NewSession, Run —
+// and reports the session's per-epoch figures. Unknown presets and
+// infeasible process grids are returned as the API's errors.
+func Run(cfg RunConfig) (RunResult, error) {
+	cfg = cfg.withDefaults()
+	ds, err := loadDataset(cfg.Dataset, cfg.Seed, cfg.ScaleDiv)
+	if err != nil {
+		return RunResult{}, err
 	}
-	if pt := partitionerFor(cfg.Scheme, cfg.Seed); pt != nil {
-		part := pt.Partition(ds.G, k)
-		q := partition.Evaluate(pt.Name(), ds.G, part)
-		d.quality = &q
-		perm := part.Perm()
-		d.aHat = d.aHat.PermuteSymmetric(perm)
-		var sets [][]int
-		d.x, d.labels, sets = gcn.ApplyPerm(perm, d.x, d.labels, d.train, d.test)
-		d.train, d.test = sets[0], sets[1]
-		d.layout = distmm.LayoutFromOffsets(part.Offsets())
-	} else {
-		d.layout = distmm.UniformLayout(ds.G.NumVertices(), k)
+	opts, err := cfg.Scheme.distOpts(cfg.C, cfg.Seed)
+	if err != nil {
+		return RunResult{}, err
 	}
-	return d
-}
-
-// finishRun converts a world's ledger and counters into per-epoch figures
-// and evaluates the trained model full-batch on the test split.
-func finishRun(cfg RunConfig, d runData, world *comm.World, results []gcn.EpochResult, model *gcn.Model) RunResult {
-	epochs := float64(cfg.Epochs)
-	per := world.Ledger.Snapshot().Scale(1 / epochs)
+	cluster, err := sagnn.NewCluster(cfg.P)
+	if err != nil {
+		return RunResult{}, err
+	}
+	dg, err := cluster.Distribute(ds, opts)
+	if err != nil {
+		return RunResult{}, err
+	}
+	sess, err := dg.NewSession(sagnn.ModelConfig{Hidden: cfg.Hidden, Layers: cfg.Layers, Seed: cfg.Seed})
+	if err != nil {
+		return RunResult{}, err
+	}
+	tr, err := sess.Run(context.Background(), cfg.Epochs)
+	if err != nil {
+		return RunResult{}, err
+	}
 	res := RunResult{
-		Config:    cfg,
-		EpochSec:  per.Total(),
-		Breakdown: per.Breakdown(),
-		FinalLoss: results[len(results)-1].Loss,
-		Quality:   d.quality,
+		Config:      cfg,
+		EpochSec:    tr.EpochSeconds,
+		Breakdown:   tr.Breakdown,
+		AvgSentMB:   tr.AvgSentMB,
+		MaxSentMB:   tr.MaxSentMB,
+		TotalRecvMB: tr.TotalRecvMB,
+		FinalLoss:   tr.FinalLoss,
+		TestAcc:     tr.TestAcc,
+		Quality:     tr.PartitionQuality,
 	}
-	const mb = 1e6
-	vol := world.Stats().Snapshot()
-	res.AvgSentMB = vol.AvgSent() / epochs / mb
-	res.MaxSentMB = float64(vol.MaxSent()) / epochs / mb
-	res.TotalRecvMB = float64(vol.TotalRecv()) / epochs / mb
 	if res.AvgSentMB > 0 {
 		res.ImbalancePct = (res.MaxSentMB/res.AvgSentMB - 1) * 100
 	}
-	res.TestAcc = gcn.NewSerial(d.aHat, d.x, d.labels, d.train, model, 0.05).Accuracies(d.test)[0]
-	return res
-}
-
-// Run executes one configuration end to end: load data, partition, build
-// the world and engine, train, and convert the ledger into per-epoch
-// figures.
-func Run(cfg RunConfig) RunResult {
-	cfg = cfg.withDefaults()
-	d := prepareRun(cfg, cfg.P/cfg.C)
-
-	world := comm.NewWorld(cfg.P, machine.Perlmutter())
-	var engine distmm.Engine
-	switch {
-	case cfg.Scheme == SchemeCAGNET && cfg.C == 1:
-		engine = distmm.NewOblivious1D(world, d.aHat, d.layout)
-	case cfg.Scheme == SchemeCAGNET:
-		engine = distmm.NewOblivious15D(world, d.aHat, cfg.C, d.layout)
-	case cfg.C == 1:
-		engine = distmm.NewSparsityAware1D(world, d.aHat, d.layout)
-	default:
-		engine = distmm.NewSparsityAware15D(world, d.aHat, cfg.C, d.layout)
-	}
-
-	dims := gcn.LayerDims(d.x.Cols, cfg.Hidden, d.ds.Classes, cfg.Layers)
-	trainer := gcn.NewDistributed(world, engine, d.x, d.labels, d.train, dims, 0.05, cfg.Seed)
-	st := trainer.Stepper()
-	results, err := st.StepNCtx(context.Background(), cfg.Epochs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: full-batch run failed: %v", err))
-	}
-	return finishRun(cfg, d, world, results, st.Model())
-}
-
-// SampledRunConfig extends a RunConfig with neighbor-sampling parameters
-// for RunSampled.
-type SampledRunConfig struct {
-	RunConfig
-	Fanout    int // sampled neighbors per vertex per layer (default 5)
-	BatchSize int // per-rank batch size (default 256)
-}
-
-func (c SampledRunConfig) withDefaults() SampledRunConfig {
-	c.RunConfig = c.RunConfig.withDefaults()
-	if c.Fanout == 0 {
-		c.Fanout = 5
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 256
-	}
-	return c
-}
-
-// RunSampled executes one neighbor-sampled mini-batch training measurement
-// over the same staging pipeline as Run: per-rank GraphSAGE sampling with
-// each batch's halo exchange compiled into a Plan. Requires C == 1 (the
-// sampled gather is a 1D exchange). The reported figures are per-epoch like
-// Run's, so the two are directly comparable — the full-batch vs sampled
-// table in EXPERIMENTS.md.
-func RunSampled(cfg SampledRunConfig) RunResult {
-	cfg = cfg.withDefaults()
-	if cfg.C != 1 {
-		panic(fmt.Sprintf("experiments: sampled training needs C=1, got %d", cfg.C))
-	}
-	d := prepareRun(cfg.RunConfig, cfg.P)
-
-	world := comm.NewWorld(cfg.P, machine.Perlmutter())
-	dims := gcn.LayerDims(d.x.Cols, cfg.Hidden, d.ds.Classes, cfg.Layers)
-	dist := minibatch.NewDist(world, d.layout, d.aHat, d.x, d.labels, d.train, dims,
-		cfg.Seed, func() opt.Optimizer { return &opt.SGD{LR: 0.05} },
-		minibatch.DistConfig{Fanout: cfg.Fanout, BatchSize: cfg.BatchSize, Seed: cfg.Seed})
-	st := dist.Stepper()
-	results, err := st.StepNCtx(context.Background(), cfg.Epochs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: sampled run failed: %v", err))
-	}
-	return finishRun(cfg.RunConfig, d, world, results, st.Model())
+	return res, nil
 }

@@ -31,10 +31,13 @@ var paperTable3 = map[gen.Preset][2]int64{
 
 // Table3 loads every preset and reports its properties alongside the
 // paper's original dataset sizes.
-func Table3(scaleDiv int, seed int64) []Table3Row {
+func Table3(scaleDiv int, seed int64) ([]Table3Row, error) {
 	rows := make([]Table3Row, 0, len(gen.AllPresets))
 	for _, p := range gen.AllPresets {
-		ds := loadDataset(p, seed, scaleDiv)
+		ds, err := loadDataset(p, seed, scaleDiv)
+		if err != nil {
+			return nil, err
+		}
 		st := ds.G.Degrees()
 		orig := paperTable3[p]
 		rows = append(rows, Table3Row{
@@ -49,7 +52,7 @@ func Table3(scaleDiv int, seed int64) []Table3Row {
 			PaperEdges:    orig[1],
 		})
 	}
-	return rows
+	return rows, nil
 }
 
 // PrintTable3 renders the dataset table with the paper's originals.

@@ -98,6 +98,20 @@ func (v Variant) InputRows(f int) int {
 	return f
 }
 
+// CheckChain verifies that consecutive layers compose under variant v: layer
+// l must consume exactly what layer l−1 produces (InputRows of its column
+// count). Decoders call it wherever the variant is known, so a weight set
+// that could never run a forward pass is rejected at load time instead of
+// failing inside the first GEMM.
+func (m *Model) CheckChain(v Variant) error {
+	for l := 1; l < len(m.Weights); l++ {
+		if got, want := m.Weights[l].Rows, v.InputRows(m.Weights[l-1].Cols); got != want {
+			return fmt.Errorf("gcn: layer %d has %d input rows, layer %d produces %d", l, got, l-1, want)
+		}
+	}
+	return nil
+}
+
 // NewModel creates Glorot-initialised weights, deterministic in seed. Every
 // replica that constructs a model from the same seed holds bit-identical
 // parameters, which keeps distributed weight replicas in lockstep.

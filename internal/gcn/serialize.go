@@ -94,9 +94,10 @@ func readModel(data []byte) (*Model, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	const maxLayers = 1 << 16
-	if layers == 0 || layers > maxLayers {
-		return nil, nil, fmt.Errorf("gcn: implausible layer count %d", layers)
+	// A layer is at least its 8-byte shape and one weight, so the remaining
+	// payload bounds the layer count (and the slice allocated for it).
+	if layers == 0 || uint64(layers) > uint64(len(data))/16 {
+		return nil, nil, fmt.Errorf("gcn: implausible layer count %d for %d bytes", layers, len(data))
 	}
 	m := &Model{Weights: make([]*dense.Matrix, 0, layers)}
 	for l := uint32(0); l < layers; l++ {

@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"sagnn"
+	"sagnn/internal/dense"
+	"sagnn/internal/gcn"
 	"sagnn/internal/gen"
 )
 
@@ -254,6 +256,56 @@ func TestSwapRejectsIncompatibleModel(t *testing.T) {
 	}
 	if srv.Generation() != 1 {
 		t.Fatalf("generation %d after rejected swap", srv.Generation())
+	}
+}
+
+// modelBlob encodes a bare model artifact (the sagnn.Model wire format: the
+// GCN variant flag byte, then the gcn model record) with all-zero weights of
+// the given layer shapes — the way to build artifacts no trainer would
+// produce.
+func modelBlob(t *testing.T, shapes ...[2]int) []byte {
+	m := &gcn.Model{}
+	for _, sh := range shapes {
+		m.Weights = append(m.Weights, dense.New(sh[0], sh[1]))
+	}
+	rec, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte{0}, rec...)
+}
+
+// TestSwapRejectsNonComposingModel: an artifact whose first layer fits the
+// dataset and whose last layer scores the right classes, but whose middle
+// layer does not consume what the first produces, must be a 400 at
+// /admin/swap — not installed to fail every miss-path /predict afterwards.
+func TestSwapRejectsNonComposingModel(t *testing.T) {
+	srv, hs, ds, _, _ := newTestServer(t, Config{CacheSize: CacheNone})
+	f, c := ds.FeatureDim(), ds.Classes
+	for _, tc := range []struct {
+		name       string
+		blob       []byte
+		status     int
+		generation uint64
+	}{
+		{"broken chain", modelBlob(t, [2]int{f, 16}, [2]int{7, 16}, [2]int{16, c}), http.StatusBadRequest, 1},
+		// The composing twin shows only the chain decides the outcome.
+		{"composing twin", modelBlob(t, [2]int{f, 16}, [2]int{16, 16}, [2]int{16, c}), http.StatusOK, 2},
+	} {
+		resp, err := http.Post(hs.URL+"/admin/swap", "application/octet-stream", bytes.NewReader(tc.blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: swap status %d, want %d", tc.name, resp.StatusCode, tc.status)
+		}
+		if srv.Generation() != tc.generation {
+			t.Fatalf("%s: generation %d, want %d", tc.name, srv.Generation(), tc.generation)
+		}
+		if resp, pr := postPredict(t, hs.URL, []int{5, 40}); resp.StatusCode != http.StatusOK || pr.Generation != tc.generation {
+			t.Fatalf("%s: /predict after swap: status %d generation %d", tc.name, resp.StatusCode, pr.Generation)
+		}
 	}
 }
 

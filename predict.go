@@ -203,16 +203,25 @@ func (m *Model) MarshalBinary() ([]byte, error) {
 	return append([]byte{flag}, data...), nil
 }
 
-// LoadModel parses a model serialised with MarshalBinary.
+// LoadModel parses a model serialised with MarshalBinary. The decoding is
+// strict — an accepted artifact re-marshals to the same bytes — and the
+// layer chain must compose under the artifact's variant, so every model that
+// loads can run a forward pass.
 func LoadModel(data []byte) (*Model, error) {
 	if len(data) < 1 {
 		return nil, fmt.Errorf("sagnn: empty model data")
 	}
-	g := &gcn.Model{}
-	if err := g.UnmarshalBinary(data[1:]); err != nil {
+	if data[0] > 1 {
+		return nil, fmt.Errorf("sagnn: bad model variant flag %#x", data[0])
+	}
+	m := &Model{m: &gcn.Model{}, sage: data[0] == 1}
+	if err := m.m.UnmarshalBinary(data[1:]); err != nil {
 		return nil, err
 	}
-	return &Model{m: g, sage: data[0] != 0}, nil
+	if err := m.m.CheckChain(m.variant()); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // expandVertices resolves the shared "nil means every vertex" convention

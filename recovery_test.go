@@ -200,3 +200,45 @@ func TestRunCancelMidEpochAbortsPlan(t *testing.T) {
 		t.Fatalf("resumed at epoch %d, want %d", step.Epoch, resumeFrom)
 	}
 }
+
+// BenchmarkSessionRecoveryOverhead prices failure-awareness in steady
+// state: epochs/s of a 4-rank training session with auto-snapshot off vs a
+// cadence of every 4 / 2 / 1 epochs, plus a run that absorbs one injected
+// comm fault per Run and auto-resumes from its last snapshot (the rollback
+// + replay tax). Backs the EXPERIMENTS fault-tolerance table.
+func BenchmarkSessionRecoveryOverhead(b *testing.B) {
+	ds := MustLoadDataset(ProteinSim, 42, 16)
+	cluster, err := NewCluster(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dg, err := cluster.Distribute(ds, DistOpts{Algorithm: SparsityAware1D})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const epochs = 8
+	run := func(b *testing.B, fault bool, opts ...SessionOption) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sess, err := dg.NewSession(ModelConfig{Seed: 7}, opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if fault {
+				cluster.InjectFault(-1, 50, nil)
+			}
+			if _, err := sess.Run(context.Background(), epochs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(epochs)*float64(b.N)/b.Elapsed().Seconds(), "epochs/s")
+	}
+	b.Run("snapshot-off", func(b *testing.B) { run(b, false) })
+	b.Run("snapshot-every-4", func(b *testing.B) { run(b, false, WithAutoSnapshot(4)) })
+	b.Run("snapshot-every-2", func(b *testing.B) { run(b, false, WithAutoSnapshot(2)) })
+	b.Run("snapshot-every-1", func(b *testing.B) { run(b, false, WithAutoSnapshot(1)) })
+	b.Run("one-fault-recovered", func(b *testing.B) {
+		run(b, true, WithAutoSnapshot(2), WithRecovery(3, 0))
+	})
+}

@@ -106,15 +106,6 @@ const (
 // without building a DistGraph.
 const AlgorithmAuto Algorithm = "auto"
 
-// The 2D SUMMA-grid kernels. They are standalone SpMM engines (CAGNET found
-// 2D less performant than 1D/1.5D for GNN training, so they are not wired
-// into the trainer), but Cluster.Estimate prices them alongside the
-// trainable algorithms when the process count is a perfect square.
-const (
-	Oblivious2D     Algorithm = "oblivious-2d"
-	SparsityAware2D Algorithm = "sparsity-aware-2d"
-)
-
 // ExecMode selects how the distributed SpMM engine executes its compiled
 // communication plan; see DistOpts.Exec.
 type ExecMode = distmm.ExecMode
@@ -149,6 +140,11 @@ type TrainResult struct {
 	// MaxSentMB / AvgSentMB are measured per-process send volumes per epoch.
 	MaxSentMB float64
 	AvgSentMB float64
+	// TotalRecvMB is the measured volume delivered to all processes per
+	// epoch. Broadcast roots are charged their payload once on the send side
+	// (collectives forward data inside the network), so this is the figure
+	// that compares wire volume across algorithms.
+	TotalRecvMB float64
 	// ValAcc / TestAcc evaluate the trained model on the dataset's held-out
 	// splits (full-batch inference).
 	ValAcc  float64

@@ -429,6 +429,7 @@ func (s *Session) result(hist []EpochResult, ledger0 *machine.Snapshot, vol0 *co
 		vol := s.spentVol.Sub(vol0)
 		res.MaxSentMB = float64(vol.MaxSent()) / epochs / mb
 		res.AvgSentMB = vol.AvgSent() / epochs / mb
+		res.TotalRecvMB = float64(vol.TotalRecv()) / epochs / mb
 	}
 	// Evaluate the trained weights on the held-out splits with one full-batch
 	// forward pass in the graph's (permuted) vertex order.
@@ -504,7 +505,8 @@ func (c *Checkpoint) Model() *Model {
 }
 
 // Checkpoint binary format (little-endian): magic "SGCK", version, epoch
-// (int64), SAGE flag, then the embedded model record.
+// (int64), then the model exactly as Model.MarshalBinary writes it (SAGE
+// flag, model record).
 const (
 	checkpointMagic   = 0x5347434b // "SGCK"
 	checkpointVersion = 1
@@ -524,12 +526,7 @@ func (c *Checkpoint) MarshalBinary() ([]byte, error) {
 	buf.Write(scratch[:4])
 	le.PutUint64(scratch[:], uint64(c.epoch))
 	buf.Write(scratch[:])
-	if c.sage {
-		buf.WriteByte(1)
-	} else {
-		buf.WriteByte(0)
-	}
-	mb, err := c.model.MarshalBinary()
+	mb, err := (&Model{m: c.model, sage: c.sage}).MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
@@ -553,12 +550,11 @@ func LoadCheckpoint(data []byte) (*Checkpoint, error) {
 	if epoch < 0 {
 		return nil, fmt.Errorf("sagnn: negative checkpoint epoch %d", epoch)
 	}
-	sage := data[16] != 0
-	model := &gcn.Model{}
-	if err := model.UnmarshalBinary(data[17:]); err != nil {
+	m, err := LoadModel(data[16:])
+	if err != nil {
 		return nil, err
 	}
-	return &Checkpoint{epoch: epoch, sage: sage, model: model}, nil
+	return &Checkpoint{epoch: epoch, sage: m.sage, model: m.m}, nil
 }
 
 // LoadServableModel parses either a serialized Model (MarshalBinary) or a

@@ -65,8 +65,12 @@ func TestSessionRunsReproduceGolden(t *testing.T) {
 			t.Fatalf("breakdown[%s] %v != %v", ph, res.Breakdown[ph], v)
 		}
 	}
-	if res.MaxSentMB != first.MaxSentMB || res.AvgSentMB != first.AvgSentMB {
-		t.Fatalf("volumes (%v,%v) != (%v,%v)", res.MaxSentMB, res.AvgSentMB, first.MaxSentMB, first.AvgSentMB)
+	if res.MaxSentMB != first.MaxSentMB || res.AvgSentMB != first.AvgSentMB || res.TotalRecvMB != first.TotalRecvMB {
+		t.Fatalf("volumes (%v,%v,%v) != (%v,%v,%v)", res.MaxSentMB, res.AvgSentMB, res.TotalRecvMB,
+			first.MaxSentMB, first.AvgSentMB, first.TotalRecvMB)
+	}
+	if res.TotalRecvMB <= 0 {
+		t.Fatalf("TotalRecvMB %v: a 4-rank run delivers data", res.TotalRecvMB)
 	}
 	if res.ValAcc != first.ValAcc || res.TestAcc != first.TestAcc {
 		t.Fatalf("eval (%v,%v) != (%v,%v)", res.ValAcc, res.TestAcc, first.ValAcc, first.TestAcc)
@@ -248,9 +252,9 @@ func TestConcurrentRunsIsolatedAccounting(t *testing.T) {
 	}
 	for i, want := range []*TrainResult{soloSA, soloObl} {
 		got := results[i]
-		if got.MaxSentMB != want.MaxSentMB || got.AvgSentMB != want.AvgSentMB {
-			t.Fatalf("run %d: concurrent volumes (%v,%v) != solo (%v,%v) — cross-session leakage",
-				i, got.MaxSentMB, got.AvgSentMB, want.MaxSentMB, want.AvgSentMB)
+		if got.MaxSentMB != want.MaxSentMB || got.AvgSentMB != want.AvgSentMB || got.TotalRecvMB != want.TotalRecvMB {
+			t.Fatalf("run %d: concurrent volumes (%v,%v,%v) != solo (%v,%v,%v) — cross-session leakage",
+				i, got.MaxSentMB, got.AvgSentMB, got.TotalRecvMB, want.MaxSentMB, want.AvgSentMB, want.TotalRecvMB)
 		}
 		if math.Abs(got.EpochSeconds-want.EpochSeconds) > 1e-9*want.EpochSeconds {
 			t.Fatalf("run %d: concurrent EpochSeconds %v != solo %v", i, got.EpochSeconds, want.EpochSeconds)
