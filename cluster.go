@@ -206,8 +206,10 @@ type DistOpts struct {
 	// for sessions on this graph: Session.RunSampled draws per-rank
 	// GraphSAGE-style batches with these parameters and compiles each
 	// batch's halo exchange into a Plan instruction stream. Zero fields take
-	// the defaults documented on SamplingConfig. Full-batch training
-	// (Session.Run) is unaffected.
+	// the defaults documented on SamplingConfig; negative ones are an error
+	// from Distribute, which copies the struct — later changes to it do not
+	// reach the graph's sessions. Full-batch training (Session.Run) is
+	// unaffected.
 	Sampling *SamplingConfig
 	// VerifyPlans runs the static plan verifier (distmm.Verify) on the
 	// compiled communication schedule before Distribute returns: message
@@ -262,6 +264,9 @@ type DistGraph struct {
 	cluster *Cluster
 	ds      *Dataset
 	opts    DistOpts
+	// sampling is the validated copy of opts.Sampling (zero: all defaults);
+	// the seed default resolves per session.
+	sampling SamplingConfig
 
 	aHat             *sparse.CSR
 	x                *dense.Matrix
@@ -331,6 +336,12 @@ func (c *Cluster) Distribute(ds *Dataset, opts DistOpts) (*DistGraph, error) {
 	if err := validateDataset(ds); err != nil {
 		return nil, err
 	}
+	// withDefaults replaces zeros only: a negative value is the caller's error.
+	if sc := opts.Sampling; sc != nil && sc.Fanout < 0 {
+		return nil, fmt.Errorf("sagnn: SamplingConfig.Fanout %d is negative", sc.Fanout)
+	} else if sc != nil && sc.BatchSize < 0 {
+		return nil, fmt.Errorf("sagnn: SamplingConfig.BatchSize %d is negative", sc.BatchSize)
+	}
 	if opts.Algorithm == AlgorithmAuto {
 		return c.distributeAuto(ds, opts)
 	}
@@ -384,7 +395,7 @@ func (c *Cluster) Distribute(ds *Dataset, opts DistOpts) (*DistGraph, error) {
 // newDistGraph assembles a DistGraph from its prepared data, engine, and
 // decision report.
 func (c *Cluster) newDistGraph(ds *Dataset, opts DistOpts, prep *prepared, engine distmm.Engine, report *Report) *DistGraph {
-	return &DistGraph{
+	g := &DistGraph{
 		cluster: c,
 		ds:      ds,
 		opts:    opts,
@@ -399,6 +410,10 @@ func (c *Cluster) newDistGraph(ds *Dataset, opts DistOpts, prep *prepared, engin
 		quality: prep.quality,
 		report:  report,
 	}
+	if opts.Sampling != nil {
+		g.sampling, g.opts.Sampling = *opts.Sampling, nil
+	}
+	return g
 }
 
 // Cluster returns the cluster this graph is distributed over.

@@ -22,8 +22,10 @@ import (
 //
 // Compiling the exchange requires every rank's frontier block — the
 // determinism contract of the sampled trainer (seeded per rank × epoch ×
-// step) lets every process re-derive all of them locally, so no index
-// negotiation travels over the wire.
+// step) lets every process derive all of them locally, so no index
+// negotiation travels over the wire. A process does so once per step: the
+// ranks it hosts share one SampledGather, recompiled by whichever of them
+// reaches the step first (see Recompile for when that is safe).
 
 // checkSampledInputs validates the sampled-gather constructor contract;
 // violations panic (construction-time misuse).
@@ -187,31 +189,24 @@ func NewSampledGather(w *comm.World, blocks []*sparse.CSR, layout Layout) *Sampl
 	return &SampledGather{plan: plan, ws: newExecWS(plan)}
 }
 
-// Recompile replaces the schedule with the next batch's frontier blocks.
-// The per-rank workspaces persist: the all-to-allv group is always the full
-// world, so the grown buffers stay valid and only resize upward. Must not be
-// called concurrently with MultiplyInto.
+// Recompile replaces the schedule with the next batch's frontier blocks,
+// which the new plan does not retain. The per-rank workspaces persist: the
+// all-to-allv group is always the full world, so the grown buffers stay
+// valid and only resize upward. Must not be called concurrently with
+// MultiplyInto: a gather shared by the hosted ranks is recompiled only once
+// every rank has finished executing the previous plan — which any collective
+// they all join after their MultiplyInto establishes.
 func (e *SampledGather) Recompile(blocks []*sparse.CSR) {
 	w, layout := e.plan.world, e.plan.layout
 	checkSampledInputs(w, blocks, layout)
 	e.plan = newSampledGatherPlan(w, blocks, layout)
 }
 
-// Name identifies the engine.
-func (e *SampledGather) Name() string { return e.plan.name }
-
 // Plan returns the compiled schedule of the current batch.
 func (e *SampledGather) Plan() *Plan { return e.plan }
 
 // OutRows returns rank's frontier height (the gather's accumulator rows).
 func (e *SampledGather) OutRows(rank int) int { return e.plan.outRows[rank] }
-
-// GradGroup returns the group over which this batch's weight gradients and
-// loss terms reduce — the full world for the 1D sampled layout.
-func (e *SampledGather) GradGroup(rank int) *comm.Group { return e.plan.gradGroups[rank] }
-
-// ExecMode returns the executor the gather currently runs its plan with.
-func (e *SampledGather) ExecMode() ExecMode { return e.mode }
 
 // SetExecMode selects the executor (sequential or overlapped). Must not be
 // called concurrently with MultiplyInto.

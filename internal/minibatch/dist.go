@@ -2,7 +2,9 @@ package minibatch
 
 import (
 	"fmt"
-	"math/rand"
+	"sort"
+	"sync"
+	"sync/atomic"
 
 	"sagnn/internal/comm"
 	"sagnn/internal/dense"
@@ -18,9 +20,10 @@ import (
 // (SampledGather). The determinism contract is stateless seeding — every
 // batch's sampling stream is derived from (seed, rank, epoch, step), so
 //
-//   - every process re-derives every rank's frontier blocks locally and
-//     compiles the identical exchange plan with full cross-rank knowledge
-//     (no index negotiation over the wire),
+//   - every process derives every rank's frontier blocks locally, once per
+//     step, and compiles the identical exchange plan with full cross-rank
+//     knowledge (no index negotiation over the wire); the ranks a process
+//     hosts share that one derivation read-only (sampler.step),
 //   - losses are bit-identical across the sim and TCP transports and across
 //     both exec modes (the Plan executor's guarantee), and
 //   - a retry after an aborted epoch replays the exact same batches, so
@@ -68,9 +71,11 @@ type Dist struct {
 	NewOpt func() opt.Optimizer
 	Cfg    DistConfig
 
-	// nbrs[v] is v's neighbor list (Â row minus the self loop), the
-	// deterministic structure every sampling stream draws from.
-	nbrs [][]int
+	// self[v] is the position of v's own column within row v of Â (the
+	// row's length when it stores none): a vertex's neighbor list, the
+	// deterministic structure every sampling stream draws from, is its Â row
+	// around that position.
+	self []int
 	// trainOf[r] lists rank r's training vertices (global permuted ids).
 	trainOf [][]int
 }
@@ -100,27 +105,27 @@ func NewDist(w *comm.World, layout distmm.Layout, aHat *sparse.CSR, x *dense.Mat
 		World: w, Layout: layout, AHat: aHat, X: x, Labels: labels, Train: train,
 		Dims: dims, ModelSeed: modelSeed, NewOpt: newOpt, Cfg: cfg,
 	}
-	d.nbrs = make([][]int, aHat.NumRows)
-	for v := 0; v < aHat.NumRows; v++ {
-		row := aHat.ColIdx[aHat.RowPtr[v]:aHat.RowPtr[v+1]]
-		lst := make([]int, 0, len(row))
-		for _, u := range row {
-			if u != v {
-				lst = append(lst, u)
-			}
-		}
-		d.nbrs[v] = lst
-	}
+	d.self = selfPositions(aHat)
 	d.trainOf = make([][]int, w.P)
-	for b := 0; b < w.P; b++ {
-		lo, hi := layout.Range(b)
-		for _, v := range train {
-			if v >= lo && v < hi {
-				d.trainOf[b] = append(d.trainOf[b], v)
-			}
-		}
+	for _, v := range train {
+		b := layout.Owner(v)
+		d.trainOf[b] = append(d.trainOf[b], v)
 	}
 	return d
+}
+
+// selfPositions returns, per vertex, the position of its own column within
+// its row of a — the row's length when the row stores none.
+func selfPositions(a *sparse.CSR) []int {
+	self := make([]int, a.NumRows)
+	for v := range self {
+		row := a.ColIdx[a.RowPtr[v]:a.RowPtr[v+1]]
+		self[v] = sort.SearchInts(row, v)
+		if self[v] < len(row) && row[self[v]] != v {
+			self[v] = len(row)
+		}
+	}
+	return self
 }
 
 // mixSeed derives the per-(rank, epoch, step) sampling seed: an invertible
@@ -134,102 +139,92 @@ func mixSeed(seed int64, rank, epoch, step int) int64 {
 	return int64(h ^ (h >> 31))
 }
 
-// epochOrder returns rank's training vertices in epoch's deterministic
-// shuffled order (the step index selects contiguous batches from it).
-func (d *Dist) epochOrder(rank, epoch int) []int {
-	order := append([]int(nil), d.trainOf[rank]...)
-	rng := rand.New(rand.NewSource(mixSeed(d.Cfg.Seed, rank, epoch, -1)))
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	return order
-}
-
 // stepsPerEpoch is the collective step count: the slowest rank's batch
 // count. Ranks that run out of local batches participate with empty
 // frontiers so every collective stays fully subscribed.
 func (d *Dist) stepsPerEpoch() int {
 	steps := 0
 	for _, t := range d.trainOf {
-		s := (len(t) + d.Cfg.BatchSize - 1) / d.Cfg.BatchSize
-		if s > steps {
-			steps = s
-		}
+		steps = max(steps, (len(t)+d.Cfg.BatchSize-1)/d.Cfg.BatchSize)
 	}
 	return steps
 }
 
-// batchOf slices step s's batch from an epoch order (empty when exhausted).
-func (d *Dist) batchOf(order []int, s int) []int {
-	lo := s * d.Cfg.BatchSize
-	if lo >= len(order) {
-		return nil
-	}
-	hi := lo + d.Cfg.BatchSize
-	if hi > len(order) {
-		hi = len(order)
-	}
-	return order[lo:hi]
+// derivations counts step derivations process-wide. Tests use it to prove
+// that a process derives each (epoch, step) once however many ranks it
+// hosts.
+var derivations atomic.Int64
+
+// Derivations returns the number of sampled steps derived so far.
+func Derivations() int64 { return derivations.Load() }
+
+// rankStream is one rank's sampling stream: the emitter, whose rng is
+// reseeded from the coordinates of whatever it draws next so any process
+// (and any retry) reproduces it exactly, and the rank's shuffled training
+// order for one epoch (the step index selects contiguous batches from it).
+type rankStream struct {
+	em    emitter
+	order []int
+	epoch int // the epoch order is shuffled for; -1 before the first
 }
 
-// sampleStep draws rank's layered blocks for (epoch, step): the stream is
-// derived from the coordinates alone, so any process (and any retry)
-// reproduces it exactly.
-func (d *Dist) sampleStep(rank, epoch, step int, batch []int) []block {
-	rng := rand.New(rand.NewSource(mixSeed(d.Cfg.Seed, rank, epoch, step)))
-	return sampleLayeredBlocks(rng, func(v int) []int { return d.nbrs[v] }, batch, len(d.Dims)-1, d.Cfg.Fanout)
+// draw writes rank's batch — step s's slice of the epoch order, empty once
+// the rank's training vertices are exhausted — and its layered blocks for
+// (epoch, s) into st.
+func (rs *rankStream) draw(d *Dist, st *step, rank, epoch, s int) {
+	rng := rs.em.rng
+	if rs.epoch != epoch {
+		rs.order, rs.epoch = append(rs.order[:0], d.trainOf[rank]...), epoch
+		rng.Seed(mixSeed(d.Cfg.Seed, rank, epoch, -1))
+		rng.Shuffle(len(rs.order), func(i, j int) { rs.order[i], rs.order[j] = rs.order[j], rs.order[i] })
+	}
+	lo := min(s*d.Cfg.BatchSize, len(rs.order))
+	st.batches[rank] = append(st.batches[rank][:0], rs.order[lo:min(lo+d.Cfg.BatchSize, len(rs.order))]...)
+	rng.Seed(mixSeed(d.Cfg.Seed, rank, epoch, s))
+	rs.em.sample(st.chains[rank], st.batches[rank])
 }
 
-// globalBottom widens a batch's bottom block to the global vertex space:
-// columns become the global (permuted) ids the frontier touches, the shape
-// the halo-gather plan compiler partitions by layout.
-func globalBottom(b block, n int) *sparse.CSR {
-	coords := make([]sparse.Coord, 0, b.adj.NNZ())
-	for r := 0; r < b.adj.NumRows; r++ {
-		for p := b.adj.RowPtr[r]; p < b.adj.RowPtr[r+1]; p++ {
-			coords = append(coords, sparse.Coord{Row: r, Col: b.srcs[b.adj.ColIdx[p]], Val: b.adj.Val[p]})
-		}
-	}
-	return sparse.NewCSR(b.adj.NumRows, n, coords)
-}
-
-// epochOrders returns every rank's shuffled training order for an epoch.
-func (d *Dist) epochOrders(epoch int) [][]int {
-	orders := make([][]int, d.World.P)
-	for rr := range orders {
-		orders[rr] = d.epochOrder(rr, epoch)
-	}
-	return orders
-}
-
-// examples is the global number of training examples per epoch.
-func (d *Dist) examples() int {
-	n := 0
-	for _, t := range d.trainOf {
-		n += len(t)
-	}
-	return n
-}
-
-// stepBlocks re-derives every rank's batch and layered blocks for one step,
-// plus the global bottom blocks the gather plan is compiled from. The global
-// batch size is the loss normalizer (deterministic, never exchanged).
-func (d *Dist) stepBlocks(epoch, step int, orders [][]int) (bottoms []*sparse.CSR, blocksOf [][]block, batches [][]int, globalN int) {
-	P := d.World.P
-	bottoms, blocksOf, batches = make([]*sparse.CSR, P), make([][]block, P), make([][]int, P)
-	for rr := 0; rr < P; rr++ {
-		batches[rr] = d.batchOf(orders[rr], step)
-		globalN += len(batches[rr])
-		blocksOf[rr] = d.sampleStep(rr, epoch, step, batches[rr])
-		bottoms[rr] = globalBottom(blocksOf[rr][0], d.Layout.N())
-	}
-	return bottoms, blocksOf, batches, globalN
+// step is one derived collective step: every rank's batch and block chain —
+// the bottom block over global column ids, the shape the gather plan
+// compiler partitions by layout — and the gather compiled from the bottoms.
+// The global batch size is the loss normalizer (deterministic, never
+// exchanged). Hosted ranks read it; only sampler.step writes it.
+type step struct {
+	epoch, index int
+	batches      [][]int
+	chains       [][]block
+	bottoms      []*sparse.CSR // &chains[rank][0].adj
+	globalN      int
+	// plan is the compiled gather and err the verifier's verdict on it: they
+	// belong to this step, whatever the shared gather has been recompiled to
+	// since.
+	plan *distmm.Plan
+	err  error
 }
 
 // sampler is the sampled epoch body and the state it keeps between steps:
-// per hosted rank, the block-chain operand with its reusable gather plan,
+// the P sampling streams, two step slots, the one gather every step is
+// compiled into and, per hosted rank, the block-chain operand with its
 // transposes and label buffer.
 type sampler struct {
-	d      *Dist
-	chains []chain
+	d       *Dist
+	chains  []chain
+	streams []rankStream
+
+	// mu guards the derivation state below. A step is derived by whichever
+	// hosted rank asks for it first and handed to the others when they
+	// arrive. It is derived into the slot the previous derivation left
+	// alone, so step t's storage is rewritten for step t+2 — safe because a
+	// rank asks for t+2 only after it has left step t+1's last all-reduce,
+	// which no rank enters before it has finished reading step t. For the
+	// same reason the gather is recompiled for step t+1 only after every
+	// rank has executed step t's plan. A launch after an abort starts with
+	// every rank joined, so both slots are free.
+	mu     sync.Mutex
+	slots  [2]step
+	cur    int // the slot derived last
+	gather *distmm.SampledGather
+
 	// predicted accumulates the byte-exact traffic prediction of every
 	// executed step: the gather plans' Volumes plus the loss and gradient
 	// all-reduces. Equal to the measured ledger delta by construction.
@@ -237,35 +232,85 @@ type sampler struct {
 }
 
 func (d *Dist) newSampler() *sampler {
-	P := d.World.P
-	return &sampler{d: d, chains: make([]chain, P), predicted: make([]distmm.RankVolume, P)}
+	P, L := d.World.P, len(d.Dims)-1
+	sm := &sampler{d: d, chains: make([]chain, P), streams: make([]rankStream, P), predicted: make([]distmm.RankVolume, P)}
+	for rr := range sm.streams {
+		sm.streams[rr] = rankStream{em: newEmitter(d.AHat, d.self, d.Cfg.Fanout, true, 0), epoch: -1}
+	}
+	for i := range sm.slots {
+		st := &sm.slots[i]
+		st.batches, st.chains, st.bottoms = make([][]int, P), make([][]block, P), make([]*sparse.CSR, P)
+		for rr := range st.chains {
+			st.chains[rr] = make([]block, L)
+			st.bottoms[rr] = &st.chains[rr][0].adj
+		}
+	}
+	return sm
 }
 
-// rankEpoch runs one collective sampled epoch for one rank: per step,
-// compile the gather, then the shared step — forward over the gathered
-// chain, loss scaled by the global step example count (so the all-reduced
+// sample derives every rank's batch and blocks for (epoch, s) into st, the P
+// independent streams on P goroutines.
+func (sm *sampler) sample(st *step, epoch, s int) {
+	derivations.Add(1)
+	var wg sync.WaitGroup
+	for rr := range sm.streams {
+		rr := rr
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sm.streams[rr].draw(sm.d, st, rr, epoch, s)
+		}()
+	}
+	wg.Wait()
+	st.epoch, st.index, st.globalN = epoch, s, 0
+	for _, b := range st.batches {
+		st.globalN += len(b)
+	}
+}
+
+// step returns the derived step (epoch, s), deriving it and compiling its
+// gather if no hosted rank has asked for it yet. It never waits on another
+// rank's progress, only on a derivation in flight.
+func (sm *sampler) step(epoch, s int) *step {
+	d := sm.d
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	if st := &sm.slots[sm.cur]; st.plan != nil && st.epoch == epoch && st.index == s {
+		return st
+	}
+	sm.cur = 1 - sm.cur
+	st := &sm.slots[sm.cur]
+	sm.sample(st, epoch, s)
+	if sm.gather == nil {
+		sm.gather = distmm.NewSampledGather(d.World, st.bottoms, d.Layout)
+		sm.gather.SetExecMode(d.Cfg.Exec)
+	} else {
+		sm.gather.Recompile(st.bottoms)
+	}
+	st.plan, st.err = sm.gather.Plan(), nil
+	if d.Cfg.Verify {
+		st.err = distmm.Verify(st.plan)
+	}
+	return st
+}
+
+// rankEpoch runs one collective sampled epoch for one rank: per step, take
+// the derived step, then the shared step — forward over the gathered chain,
+// loss scaled by the global step example count (so the all-reduced
 // gradients are the global per-example mean), backward, update. Returns
 // the epoch's global loss sum and correct count.
 func (sm *sampler) rankEpoch(r *comm.Rank, rep *gcn.Replica, epoch int) (lossSum, correct float64, err error) {
 	d := sm.d
 	c := &sm.chains[r.ID]
 	c.rank, c.input = r, rep.X
-	orders := d.epochOrders(epoch)
 	for s, steps := 0, d.stepsPerEpoch(); s < steps; s++ {
-		bottoms, blocksOf, batches, globalN := d.stepBlocks(epoch, s, orders)
-		if c.gather == nil {
-			c.gather = distmm.NewSampledGather(d.World, bottoms, d.Layout)
-		} else {
-			c.gather.Recompile(bottoms)
+		st := sm.step(epoch, s)
+		if st.err != nil {
+			return 0, 0, st.err
 		}
-		c.gather.SetExecMode(d.Cfg.Exec)
-		if d.Cfg.Verify {
-			if err := distmm.Verify(c.gather.Plan()); err != nil {
-				return 0, 0, err
-			}
-		}
-		c.load(blocksOf[r.ID], d.Labels, batches[r.ID])
-		ls, cr, err := rep.WS.Step(rep.Opt, rep.Model, gcn.GCNConv, c, nil, c.labels, globalN,
+		c.gather = sm.gather
+		c.load(st.chains[r.ID], d.Labels, st.batches[r.ID])
+		ls, cr, err := rep.WS.Step(rep.Opt, rep.Model, gcn.GCNConv, c, nil, c.labels, st.globalN,
 			gcn.Collective{Rank: r, Group: rep.Group})
 		if err != nil {
 			return 0, 0, err
@@ -273,7 +318,7 @@ func (sm *sampler) rankEpoch(r *comm.Rank, rep *gcn.Replica, epoch int) (lossSum
 		lossSum += ls
 		correct += cr
 		if r.ID == d.World.LocalRank() {
-			sm.addPredicted(c.gather.Plan())
+			sm.addPredicted(st.plan)
 		}
 	}
 	return lossSum, correct, nil
@@ -321,7 +366,7 @@ type DistStepper struct {
 // epoch 0.
 func (d *Dist) Stepper() *DistStepper {
 	sm := d.newSampler()
-	st := gcn.NewStepper(d.World, d.examples(), sm.rankEpoch, func(r *comm.Rank) *gcn.Replica {
+	st := gcn.NewStepper(d.World, len(d.Train), sm.rankEpoch, func(r *comm.Rank) *gcn.Replica {
 		lo, hi := d.Layout.Range(r.ID)
 		return &gcn.Replica{
 			X:      d.X.SliceRows(lo, hi).Clone(),
@@ -358,24 +403,25 @@ func (d *Dist) ReferenceEpochs(epochs int) []gcn.EpochResult {
 		results []gcn.EpochResult
 	)
 	c := chain{input: d.X}
-	examples := float64(d.examples())
+	sm := d.newSampler()
+	st := &sm.slots[0]
+	examples := float64(len(d.Train))
 	for epoch := 0; epoch < epochs; epoch++ {
-		orders := d.epochOrders(epoch)
 		var epochLoss, epochCorrect float64
 		for s, steps := 0, d.stepsPerEpoch(); s < steps; s++ {
-			bottoms, blocksOf, batches, globalN := d.stepBlocks(epoch, s, orders)
-			aggs := distmm.SampledGatherReference(bottoms, d.Layout, d.X)
+			sm.sample(st, epoch, s)
+			aggs := distmm.SampledGatherReference(st.bottoms, d.Layout, d.X)
 			// Reductions accumulate in rank order, matching
 			// AllReduceSumInto's member-order sum from zero.
 			for l := range grads {
 				grads[l].Zero()
 			}
 			var lossSum, correct float64
-			for rr := range blocksOf {
+			for rr := range st.chains {
 				c.landed = aggs[rr]
-				c.load(blocksOf[rr], d.Labels, batches[rr])
+				c.load(st.chains[rr], d.Labels, st.batches[rr])
 				// Some rank always has a batch in a step, so globalN > 0.
-				ls, cr, yl, _ := ws.Gradients(model, gcn.GCNConv, &c, nil, c.labels, globalN, gcn.Collective{})
+				ls, cr, yl, _ := ws.Gradients(model, gcn.GCNConv, &c, nil, c.labels, st.globalN, gcn.Collective{})
 				lossSum += ls
 				correct += cr
 				for l := range grads {

@@ -8,17 +8,20 @@
 // communication can then be optimized.
 //
 // The package holds what is specific to sampling: the layered block sampler
-// and the chain operand over the sampled rectangular blocks. The step itself
-// — forward, loss, backward — is gcn.Workspace.Gradients, the one the
-// full-batch trainers run. Trainer steps it serially over blocks of gathered
-// feature rows; Dist (dist.go) is the distributed form, an epoch body for a
-// gcn.Stepper in which each batch's first layer is a halo gather compiled
-// into a distmm plan.
+// (emitter, which writes each batch's blocks straight into reused CSR
+// storage) and the chain operand over the sampled rectangular blocks. The
+// step itself — forward, loss, backward — is gcn.Workspace.Gradients, the
+// one the full-batch trainers run. Trainer steps it serially over blocks of
+// gathered feature rows; Dist (dist.go) is the distributed form, an epoch
+// body for a gcn.Stepper in which each batch's first layer is a halo gather
+// compiled into a distmm plan — each step derived once per process and
+// shared by the ranks the process hosts.
 package minibatch
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"sagnn/internal/comm"
 	"sagnn/internal/dense"
@@ -46,12 +49,14 @@ type Trainer struct {
 	Fanout    int
 	BatchSize int
 	Opt       opt.Optimizer
-	rng       *rand.Rand
 
-	// The step's reusable state: the operand (gather buffer, transposes,
-	// batch labels) and the dense workspace.
-	chain chain
-	ws    gcn.Workspace
+	// The step's reusable state: the sampler (whose rng also shuffles the
+	// epochs) and the blocks it emits into, the operand (gather buffer,
+	// transposes, batch labels) and the dense workspace.
+	em     emitter
+	blocks []block
+	chain  chain
+	ws     gcn.Workspace
 }
 
 // New validates shapes, seeds the sampler, and defaults a nil optimizer to
@@ -72,69 +77,145 @@ func New(g *graph.Graph, x *dense.Matrix, labels, train []int, model *gcn.Model,
 	return &Trainer{
 		G: g, X: x, Labels: labels, Train: train, Model: model,
 		Fanout: fanout, BatchSize: batchSize, Opt: o,
-		rng: rand.New(rand.NewSource(seed)),
+		em: newEmitter(g.Adj, nil, fanout, false, seed),
 	}
 }
 
 // block is one layer's sampled bipartite aggregation: rows are the layer's
-// output vertices, columns index the previous layer's vertex list.
+// output vertices, columns index the previous layer's vertex list. Its
+// storage is grow-only and rewritten by the next batch sampled into it.
 type block struct {
-	adj *sparse.CSR
-	// srcs lists the global vertex ids of the columns.
+	adj sparse.CSR
+	// srcs lists the global vertex ids of the columns; empty for a block
+	// emitted with global column ids (its columns are the ids).
 	srcs []int
 }
 
-// sampleBlocks draws the layered computation graph for a batch: layer L
-// outputs the batch vertices; each previous layer adds sampled neighbors.
-// Aggregation weights are mean over sampled neighbors plus the self loop,
-// a sampled analogue of the GCN normalization.
-func (t *Trainer) sampleBlocks(batch []int, layers int) []block {
-	return sampleLayeredBlocks(t.rng, t.G.Neighbors, batch, layers, t.Fanout)
+// emitter is the sampling core shared by the serial trainer and the
+// distributed trainer's per-rank samplers. The layered computation graph is
+// fully determined by (rng stream, adjacency, batch) — the determinism
+// contract distributed bit-identity rests on — and is written straight into
+// CSR storage: rows come out in order with at most fanout+1 entries each, so
+// every draw is inserted into its row's sorted run and nothing is sorted,
+// hashed or allocated once the storage has grown.
+type emitter struct {
+	// adj is the matrix whose rows neighbors are drawn from. self[v] is the
+	// position of v's own column within its row, skipped by the draws (Â
+	// stores the self loop every sampled row adds itself; a row without one
+	// records its length); nil when the rows hold neighbors only.
+	adj    *sparse.CSR
+	self   []int
+	fanout int
+	// global emits layer 0 with global column ids, the shape
+	// distmm.NewSampledGather takes, instead of interning its columns.
+	global bool
+	rng    *rand.Rand
+	// seen interns a layer's columns: vertex v is column seen[v]-base when
+	// seen[v] >= base. base moves past every position a layer hands out, so
+	// the array is never cleared.
+	seen []int
+	base int
 }
 
-// sampleLayeredBlocks is the sampling core shared by the serial trainer and
-// the distributed trainer's per-rank samplers: the layered computation graph
-// is fully determined by (rng stream, neighbor function, batch), which is
-// the determinism contract distributed bit-identity rests on.
-func sampleLayeredBlocks(rng *rand.Rand, neighbors func(int) []int, batch []int, layers, fanout int) []block {
-	blocks := make([]block, layers)
-	outputs := batch
-	for l := layers - 1; l >= 0; l-- {
-		srcIndex := make(map[int]int, len(outputs)*(fanout+1))
-		var srcs []int
-		intern := func(v int) int {
-			if i, ok := srcIndex[v]; ok {
-				return i
-			}
-			i := len(srcs)
-			srcIndex[v] = i
-			srcs = append(srcs, v)
-			return i
-		}
-		var coords []sparse.Coord
-		for row, v := range outputs {
-			nbrs := neighbors(v)
-			sampled := make([]int, 0, fanout+1)
-			sampled = append(sampled, v) // self loop
-			if len(nbrs) <= fanout {
-				sampled = append(sampled, nbrs...)
-			} else {
-				for k := 0; k < fanout; k++ {
-					sampled = append(sampled, nbrs[rng.Intn(len(nbrs))])
-				}
-			}
-			w := 1.0 / float64(len(sampled))
-			for _, u := range sampled {
-				coords = append(coords, sparse.Coord{Row: row, Col: intern(u), Val: w})
-			}
-		}
-		blocks[l] = block{
-			adj:  sparse.NewCSR(len(outputs), len(srcs), coords),
-			srcs: srcs,
-		}
-		outputs = srcs
+func newEmitter(adj *sparse.CSR, self []int, fanout int, global bool, seed int64) emitter {
+	return emitter{
+		adj: adj, self: self, fanout: fanout, global: global,
+		rng: rand.New(rand.NewSource(seed)), seen: make([]int, adj.NumRows), base: 1,
 	}
-	return blocks
+}
+
+// neighbors returns v's adjacency row, the position the draws skip (the
+// row's length when there is none) and the number of neighbors left.
+func (e *emitter) neighbors(v int) (row []int, skip, deg int) {
+	row = e.adj.ColIdx[e.adj.RowPtr[v]:e.adj.RowPtr[v+1]]
+	skip, deg = len(row), len(row)
+	if e.self != nil && e.self[v] < len(row) {
+		skip, deg = e.self[v], deg-1
+	}
+	return row, skip, deg
+}
+
+// room makes sure b can take n more entries, and as many more interned
+// columns, without reallocating.
+func (b *block) room(n int) {
+	b.adj.ColIdx = slices.Grow(b.adj.ColIdx, n)
+	b.adj.Val = slices.Grow(b.adj.Val, n)
+	b.srcs = slices.Grow(b.srcs, n)
+}
+
+// sample draws the layered computation graph for a batch into blocks, one
+// per layer: the top block's rows are the batch vertices and each layer
+// below adds the sampled neighbors of the one above. Aggregation weights are
+// the mean over the sampled neighbors plus the self loop, a sampled analogue
+// of the GCN normalization; a neighbor drawn twice (draws are with
+// replacement) weighs twice.
+//
+//sagnn:steadystate
+func (e *emitter) sample(blocks []block, batch []int) {
+	outputs := batch
+	for l := len(blocks) - 1; l >= 0; l-- {
+		b, intern := &blocks[l], l > 0 || !e.global
+		b.adj.RowPtr = slices.Grow(b.adj.RowPtr[:0], len(outputs)+1)[:len(outputs)+1]
+		b.adj.ColIdx, b.adj.Val, b.srcs = b.adj.ColIdx[:0], b.adj.Val[:0], b.srcs[:0]
+		for r, v := range outputs {
+			row, skip, deg := e.neighbors(v)
+			take := min(deg, e.fanout)
+			w := 1.0 / float64(take+1)
+			start := len(b.adj.ColIdx)
+			b.adj.RowPtr[r] = start
+			b.room(take + 1)
+			e.put(b, start, v, w, intern)
+			for k := 0; k < take; k++ {
+				j := k
+				if deg > e.fanout {
+					j = e.rng.Intn(deg)
+				}
+				if j >= skip {
+					j++
+				}
+				e.put(b, start, row[j], w, intern)
+			}
+		}
+		b.adj.RowPtr[len(outputs)] = len(b.adj.ColIdx)
+		b.adj.NumRows, b.adj.NumCols = len(outputs), e.adj.NumRows
+		if intern {
+			b.adj.NumCols = len(b.srcs)
+			e.base += len(b.srcs)
+		}
+		outputs = b.srcs
+	}
+}
+
+// put adds weight w at vertex u's column to the row that starts at position
+// start and ends at b's last entry, keeping the row's columns sorted and
+// folding a repeated column by addition — the merge sparse.NewCSR computes
+// over the same coordinates. The caller has made room.
+//
+//sagnn:steadystate
+func (e *emitter) put(b *block, start, u int, w float64, intern bool) {
+	c := u
+	if intern {
+		if e.seen[u] < e.base {
+			e.seen[u] = e.base + len(b.srcs)
+			b.srcs = b.srcs[:len(b.srcs)+1]
+			b.srcs[len(b.srcs)-1] = u
+		}
+		c = e.seen[u] - e.base
+	}
+	n := len(b.adj.ColIdx)
+	i := n
+	for i > start && b.adj.ColIdx[i-1] > c {
+		i--
+	}
+	if i > start && b.adj.ColIdx[i-1] == c {
+		b.adj.Val[i-1] += w
+		return
+	}
+	cols, vals := b.adj.ColIdx[:n+1], b.adj.Val[:n+1]
+	copy(cols[i+1:], cols[i:])
+	copy(vals[i+1:], vals[i:])
+	cols[i], vals[i] = c, w
+	b.adj.ColIdx, b.adj.Val = cols, vals
 }
 
 // chain is the sampled operand: layer l aggregates over the rectangular
@@ -176,7 +257,7 @@ func (c *chain) Aggregate(l int, dst, h *dense.Matrix) {
 	case l == 1 && c.landed != nil:
 		dst.CopyFrom(c.landed)
 	default:
-		c.spmm(c.blocks[l-1].adj, dst, h)
+		c.spmm(&c.blocks[l-1].adj, dst, h)
 	}
 }
 
@@ -194,7 +275,7 @@ func (c *chain) spmm(a *sparse.CSR, dst, h *dense.Matrix) {
 // transposed returns adjᵀ of the block at layer boundary l in the chain's
 // reusable workspace.
 func (c *chain) transposed(l int) *sparse.CSR {
-	adj := c.blocks[l].adj
+	adj := &c.blocks[l].adj
 	if len(c.adjT) != len(c.blocks) {
 		c.adjT = make([]sparse.CSR, len(c.blocks))
 	}
@@ -215,8 +296,23 @@ func (c *chain) load(blocks []block, labels, batch []int) {
 	}
 }
 
+// sampleBlocks draws the layered computation graph for a batch into the
+// trainer's reused blocks: layer L outputs the batch vertices; each previous
+// layer adds sampled neighbors.
+func (t *Trainer) sampleBlocks(batch []int, layers int) []block {
+	if len(t.blocks) != layers {
+		t.blocks = make([]block, layers)
+	}
+	t.em.fanout = t.Fanout
+	t.em.sample(t.blocks, batch)
+	return t.blocks
+}
+
 // Step runs one mini-batch: sample, forward, backward, update. Returns the
-// batch's mean loss.
+// batch's mean loss. Once the blocks and the workspace have grown to the
+// batch's shapes it allocates nothing.
+//
+//sagnn:steadystate
 func (t *Trainer) Step(batch []int) (float64, error) {
 	c := &t.chain
 	c.x = t.X
@@ -234,7 +330,7 @@ func (t *Trainer) Step(batch []int) (float64, error) {
 // An empty training set returns ErrEmptyTrainSet.
 func (t *Trainer) Epoch() (float64, error) {
 	order := append([]int(nil), t.Train...)
-	t.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	t.em.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	if len(order) == 0 {
 		return 0, ErrEmptyTrainSet
 	}

@@ -230,29 +230,22 @@ func TestStepSteadyStateTransposeAllocs(t *testing.T) {
 	}
 }
 
-// TestStepSteadyStateDenseAllocs pins the step's dense side: once a warm-up
-// step has grown the workspace, a step over the same batch allocates no
-// dense matrix — every forward/backward buffer, the gathered input and the
-// gradients are reused. What remains is sampling and block construction
-// (maps, coordinate lists, one CSR per layer): 109 allocations per step on
-// this fixture, against 141 at the parent, which allocated 16 dense matrices
-// (header + data) every step on top of the same sampling. The bound is the
-// sampling count measured alongside, so one dense matrix more fails.
+// TestStepSteadyStateDenseAllocs pins the whole step: once a warm-up step has
+// grown the blocks and the workspace, a step over the same batch allocates
+// nothing — sampling emits into reused CSR storage through the interning
+// array, and every forward/backward buffer, the gathered input and the
+// gradients are reused. (The parent allocated 109 times per step on this
+// fixture, all of it sampling: maps, coordinate lists, one CSR per layer.)
 func TestStepSteadyStateDenseAllocs(t *testing.T) {
 	tr, batch := stepFixture()
 	step := func() {
-		tr.rng = rand.New(rand.NewSource(9)) // same blocks every run
+		tr.em.rng.Seed(9) // same blocks every run
 		if _, err := tr.Step(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
 	step()
-	sample := func() {
-		tr.rng = rand.New(rand.NewSource(9))
-		tr.sampleBlocks(batch, tr.Model.Layers())
-	}
-	sampling := testing.AllocsPerRun(20, sample)
-	if allocs := testing.AllocsPerRun(20, step); allocs > sampling {
-		t.Fatalf("warmed-up step allocates %v times, sampling alone %v: the dense side must add none", allocs, sampling)
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		t.Fatalf("warmed-up step allocates %v times, want 0", allocs)
 	}
 }

@@ -234,3 +234,38 @@ func TestRunSampledRejectsReplicatedLayouts(t *testing.T) {
 		t.Fatal("RunSampled accepted a replicated layout")
 	}
 }
+
+// TestDistributeCopiesSamplingConfig: Distribute keeps its own validated copy
+// of DistOpts.Sampling, so changing the caller's struct afterwards — here
+// into values Distribute would have rejected — reaches no later session.
+func TestDistributeCopiesSamplingConfig(t *testing.T) {
+	want, err := sampledSession(t, ExecSequential).RunSampled(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewCluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &SamplingConfig{Fanout: 3, BatchSize: 8, Seed: 1}
+	dg, err := cl.Distribute(MustLoadDataset("protein-sim", 1, 64), DistOpts{
+		Algorithm: SparsityAware1D, Partitioner: NewGVB(1), VerifyPlans: true, Sampling: sc,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	*sc = SamplingConfig{Fanout: -1, BatchSize: -7, Seed: 99}
+	sess, err := dg.NewSession(ModelConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sess.RunSampled(context.Background(), 2)
+	if err != nil {
+		t.Fatalf("session after the caller changed its SamplingConfig: %v", err)
+	}
+	for e := range want.History {
+		if got.History[e] != want.History[e] {
+			t.Fatalf("epoch %d: %+v, want %+v (the config Distribute was given)", e, got.History[e], want.History[e])
+		}
+	}
+}

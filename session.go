@@ -389,11 +389,7 @@ func (s *Session) RunSampled(ctx context.Context, epochs int) (res *TrainResult,
 			return nil, fmt.Errorf("sagnn: sampled training needs one layout block per rank; %s distributes %d blocks over %d ranks",
 				g.Algorithm(), g.layout.Blocks(), g.cluster.p)
 		}
-		var sc SamplingConfig
-		if g.opts.Sampling != nil {
-			sc = *g.opts.Sampling
-		}
-		sc = sc.withDefaults(s.cfg.Seed)
+		sc := g.sampling.withDefaults(s.cfg.Seed)
 		dims := gcn.LayerDims(g.x.Cols, s.cfg.Hidden, g.ds.Classes, s.cfg.Layers)
 		s.sampledBody = minibatch.NewDist(g.cluster.world, g.layout, g.aHat, g.x, g.labels, g.train, dims, s.cfg.Seed, nil,
 			minibatch.DistConfig{

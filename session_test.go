@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -600,6 +601,17 @@ func TestNewAPIValidation(t *testing.T) {
 	}
 	if _, err := cluster.Distribute(ds, DistOpts{Algorithm: Oblivious15D, Replication: 3}); err == nil {
 		t.Fatal("replication 3 on 4 processes")
+	}
+	// A bad sampling config is Distribute's error naming the field, on the
+	// explicit and the auto path — not a recovered panic at the first
+	// RunSampled.
+	for _, alg := range []Algorithm{SparsityAware1D, AlgorithmAuto} {
+		for field, sc := range map[string]SamplingConfig{"Fanout": {Fanout: -1}, "BatchSize": {BatchSize: -7}} {
+			_, err := cluster.Distribute(ds, DistOpts{Algorithm: alg, Sampling: &sc})
+			if err == nil || !strings.Contains(err.Error(), "SamplingConfig."+field) {
+				t.Fatalf("%s with negative %s: got %v", alg, field, err)
+			}
+		}
 	}
 	dg, err := cluster.Distribute(ds, DistOpts{Algorithm: Oblivious1D})
 	if err != nil {
