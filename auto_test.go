@@ -1,9 +1,12 @@
 package sagnn
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
+
+	"sagnn/internal/gcn"
 )
 
 // autoDS builds a small community dataset the auto-selection tests share.
@@ -225,27 +228,87 @@ func TestCostModelValidated(t *testing.T) {
 	}
 }
 
+// observeMultiplies records, until the test ends, the dense width of every
+// collective multiply the full-batch trainers issue.
+func observeMultiplies(t *testing.T) *[]int {
+	t.Helper()
+	var widths []int
+	gcn.ObserveMultiplies(func(w int) { widths = append(widths, w) })
+	t.Cleanup(func() { gcn.ObserveMultiplies(nil) })
+	return &widths
+}
+
 // TestEpochWidthsMatchTrainerMultiplies pins the priced epoch to the
-// multiplies the trainer actually issues: L forward multiplies at the layer
-// input widths, then L−1 backward multiplies — output-gradient widths for
-// the GCN convolution, layer-input widths for SAGEConv (the backward
-// multiply runs on the aggregated-path split of G·Wᵀ).
+// multiplies the trainer actually issues, counted as they run: a DistGraph's
+// first full-batch session issues one multiply at the feature width — the
+// set-up Candidate.Setup* prices — and then, per epoch, exactly epochWidths:
+// L−1 forward multiplies at the hidden-layer input widths and L−1 backward
+// ones, at output-gradient widths for the GCN convolution and layer-input
+// widths for SAGEConv. A second session on the graph issues the epochs only,
+// and a session that only samples issues none of them.
 func TestEpochWidthsMatchTrainerMultiplies(t *testing.T) {
 	ds := autoDS() // 12 features, 4 classes → dims [12 16 16 4]
-	gcnW, err := epochWidths(ds, ModelConfig{})
-	if err != nil {
-		t.Fatal(err)
+	const epochs = 3
+	for _, tc := range []struct {
+		name string
+		opts DistOpts
+		cfg  ModelConfig
+	}{
+		{"gcn/1d", DistOpts{Algorithm: SparsityAware1D}, ModelConfig{}},
+		{"sage/1d", DistOpts{Algorithm: SparsityAware1D}, ModelConfig{SAGE: true}},
+		{"gcn/1.5d", DistOpts{Algorithm: SparsityAware15D, Replication: 2}, ModelConfig{}},
+		{"sage/1.5d", DistOpts{Algorithm: Oblivious15D, Replication: 2}, ModelConfig{SAGE: true, Layers: 4, Hidden: 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			perEpoch, err := epochWidths(ds, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			layers := tc.cfg.withDefaults().Layers
+			if len(perEpoch) != 2*layers-2 {
+				t.Fatalf("epochWidths %v: want 2L−2 = %d multiplies", perEpoch, 2*layers-2)
+			}
+			cluster, err := NewCluster(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dg, err := cluster.Distribute(ds, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := observeMultiplies(t)
+			for sess := 0; sess < 2; sess++ {
+				*got = (*got)[:0]
+				s, err := dg.NewSession(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Run(context.Background(), epochs); err != nil {
+					t.Fatal(err)
+				}
+				var want []int
+				if sess == 0 {
+					want = append(want, ds.FeatureDim())
+				}
+				for e := 0; e < epochs; e++ {
+					want = append(want, perEpoch...)
+				}
+				if !equalInts(*got, want) {
+					t.Fatalf("session %d issued multiplies at %v, want %v", sess, *got, want)
+				}
+			}
+		})
 	}
-	if want := []int{12, 16, 16, 4, 16}; !equalInts(gcnW, want) {
-		t.Fatalf("GCN widths %v, want %v", gcnW, want)
-	}
-	sageW, err := epochWidths(ds, ModelConfig{SAGE: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int{12, 16, 16, 16, 16}; !equalInts(sageW, want) {
-		t.Fatalf("SAGE widths %v, want %v", sageW, want)
-	}
+
+	t.Run("sampled-only", func(t *testing.T) {
+		got := observeMultiplies(t)
+		if _, err := sampledSession(t, ExecSequential).RunSampled(context.Background(), 2); err != nil {
+			t.Fatal(err)
+		}
+		if len(*got) != 0 {
+			t.Fatalf("a session that only sampled issued full-batch multiplies at %v", *got)
+		}
+	})
 }
 
 func equalInts(a, b []int) bool {

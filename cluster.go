@@ -254,12 +254,18 @@ func (c SamplingConfig) withDefaults(modelSeed int64) SamplingConfig {
 
 // DistGraph is a dataset distributed across a cluster: the permuted
 // normalized adjacency, relabeled features/labels/splits, the block-row
-// layout, and the communication engine with its sparsity-aware schedule.
+// layout, the communication engine with its sparsity-aware schedule, and
+// what depends on nothing else — the first layer's aggregate Â·X, which
+// training never changes, and the held-out evaluator.
 //
 // Building a DistGraph is the expensive, amortizable step the paper
 // identifies (partitioning plus NnzCols schedule construction); once built
 // it can back any number of training sessions — different seeds, model
-// shapes, or GNN variants — without repeating that work.
+// shapes, or GNN variants — without repeating that work. Â·X is part of
+// that set-up, paid lazily: the first full-batch step of any session on the
+// graph computes it (one distributed SpMM at the feature width), every
+// epoch of every session reads it, and a graph that only ever trains
+// sampled never computes it.
 type DistGraph struct {
 	cluster *Cluster
 	ds      *Dataset
@@ -276,6 +282,12 @@ type DistGraph struct {
 	engine           distmm.Engine
 	quality          *partition.Quality
 	report           *Report
+
+	// input is Â·X over engine and x, shared by every session's trainer. eval
+	// is the single-process evaluator of the held-out splits, built by the
+	// first run to finish (Session.result). Both are used under cluster.mu.
+	input *gcn.InputProduct
+	eval  *gcn.Serial
 }
 
 // prepared is a dataset staged for a k-block distribution: the (optionally
@@ -381,7 +393,7 @@ func (c *Cluster) Distribute(ds *Dataset, opts DistOpts) (*DistGraph, error) {
 		}
 	}
 	engine.SetExecMode(opts.Exec)
-	cand := priceCandidate(opts.Algorithm, engine.Plan(), c.world.Params, widths)
+	cand := priceCandidate(opts.Algorithm, engine.Plan(), c.world.Params, widths, ds.FeatureDim(), opts.Exec)
 	cand.Selected = true
 	return c.newDistGraph(ds, opts, prep, engine, &Report{
 		Algorithm:        opts.Algorithm,
@@ -409,6 +421,7 @@ func (c *Cluster) newDistGraph(ds *Dataset, opts DistOpts, prep *prepared, engin
 		engine:  engine,
 		quality: prep.quality,
 		report:  report,
+		input:   &gcn.InputProduct{World: c.world, Engine: engine, X: prep.x},
 	}
 	if opts.Sampling != nil {
 		g.sampling, g.opts.Sampling = *opts.Sampling, nil

@@ -169,8 +169,8 @@ func main() {
 		}
 	}
 
-	logf("\nmodeled epoch time: %.5fs on %d GPUs (%s, transport %s)\n",
-		res.EpochSeconds, *p, alg, cluster.Transport())
+	logf("\nmodeled epoch time: %.5fs on %d GPUs (%s, transport %s); one-time Â·X set-up beside it: %.5fs, %.2f MB max sent\n",
+		res.EpochSeconds, *p, alg, cluster.Transport(), res.SetupSeconds, res.SetupMaxSentMB)
 	phases := make([]string, 0, len(res.Breakdown))
 	for ph := range res.Breakdown {
 		phases = append(phases, ph)

@@ -12,8 +12,9 @@ import (
 
 // Candidate is one (algorithm, replication) configuration priced by the
 // communication-plan cost model: the modeled time and exact predicted
-// per-rank volumes of the distributed SpMMs in one training epoch, computed
-// by walking the compiled plan — no training, no data movement. This is the
+// per-rank volumes of the distributed SpMMs in one training epoch — and,
+// beside them, of the one multiply paid once per DistGraph — computed by
+// walking the compiled plan — no training, no data movement. This is the
 // paper's algorithm-comparison methodology turned into an API: the right
 // algorithm depends on the graph's sparsity structure and the machine's α–β
 // parameters, and both are known at plan-compile time.
@@ -22,7 +23,8 @@ type Candidate struct {
 	Replication int
 	// EpochSeconds is the modeled bulk-synchronous time of one epoch's
 	// distributed SpMMs (Σ over phases of the slowest rank) under the
-	// sequential executor. Weight-gradient reductions and dense GEMMs are
+	// sequential executor: the 2L−2 multiplies every epoch issues, at the
+	// hidden and class widths. Weight-gradient reductions and dense GEMMs are
 	// identical across candidates at a fixed layout and are not included.
 	EpochSeconds float64
 	// OverlapSeconds is the same epoch priced under the overlapped executor
@@ -37,6 +39,16 @@ type Candidate struct {
 	// epoch, exact to the byte (equal to what comm.Stats would measure).
 	MaxSentMB float64
 	AvgSentMB float64
+	// SetupSeconds and SetupMaxSentMB price the first layer's Â·X the same
+	// way: one multiply at the feature width, under the executor that will
+	// run it (DistOpts.Exec), and the most any rank sends in it. Training
+	// never changes its operands, so a DistGraph pays it once, ahead of its
+	// first full-batch epoch, and TrainResult reports the measured
+	// counterpart on the run that did. It is the widest multiply there is —
+	// the one the paper's volume tables are computed at — but it does not
+	// recur, so selection minimizes the epoch.
+	SetupSeconds   float64
+	SetupMaxSentMB float64
 	// Sites counts the plan instruction sites (summed over ranks) that the
 	// static verifier proved safe before this row was priced: the sweep runs
 	// distmm.Verify on every compiled plan and refuses to price one that
@@ -73,18 +85,18 @@ type Report struct {
 // String renders the candidate table for logs.
 func (r *Report) String() string {
 	s := fmt.Sprintf("algorithm=%s c=%d exec=%s auto=%v\n", r.Algorithm, r.Replication, r.Exec, r.Auto)
-	s += fmt.Sprintf("%-24s %2s %12s %12s %10s %10s %s\n", "candidate", "c", "epoch(ms)", "overlap(ms)", "max(MB)", "avg(MB)", "note")
+	s += fmt.Sprintf("%-24s %2s %12s %12s %10s %10s %12s %14s %s\n", "candidate", "c", "epoch(ms)", "overlap(ms)", "max(MB)", "avg(MB)", "setup(ms)", "setup max(MB)", "note")
 	for _, c := range r.Candidates {
 		note := c.Skipped
 		if c.Selected {
 			note = "<== selected"
 		}
 		if c.Skipped != "" {
-			s += fmt.Sprintf("%-24s %2d %12s %12s %10s %10s %s\n", c.Algorithm, c.Replication, "-", "-", "-", "-", note)
+			s += fmt.Sprintf("%-24s %2d %12s %12s %10s %10s %12s %14s %s\n", c.Algorithm, c.Replication, "-", "-", "-", "-", "-", "-", note)
 			continue
 		}
-		s += fmt.Sprintf("%-24s %2d %12.3f %12.3f %10.3f %10.3f %s\n",
-			c.Algorithm, c.Replication, c.EpochSeconds*1e3, c.OverlapSeconds*1e3, c.MaxSentMB, c.AvgSentMB, note)
+		s += fmt.Sprintf("%-24s %2d %12.3f %12.3f %10.3f %10.3f %12.3f %14.3f %s\n", c.Algorithm, c.Replication,
+			c.EpochSeconds*1e3, c.OverlapSeconds*1e3, c.MaxSentMB, c.AvgSentMB, c.SetupSeconds*1e3, c.SetupMaxSentMB, note)
 	}
 	return s
 }
@@ -107,12 +119,13 @@ func (g *DistGraph) Report() *Report {
 
 // epochWidths validates cfg and returns the dense operand widths of the
 // distributed SpMMs in one full-batch training epoch of a GCN (or SAGE
-// model) with cfg's shape on ds: L forward multiplies at dims[0..L−1], plus
-// L−1 backward multiplies — at dims[L..2] for the GCN convolution, or at
-// dims[L−1..1] for SAGEConv (the backward multiply runs on the
+// model) with cfg's shape on ds: L−1 forward multiplies at dims[1..L−1],
+// plus L−1 backward multiplies — at dims[L..2] for the GCN convolution, or
+// at dims[L−1..1] for SAGEConv (the backward multiply runs on the
 // aggregated-path split of G·Wᵀ, which has the layer's input width). The
-// first-layer multiply (feature width) dominates, which is why the paper's
-// volume tables are computed at the feature dimension.
+// first-layer multiply (feature width) would dominate them — which is why
+// the paper's volume tables are computed at the feature dimension — but its
+// operands are fixed, so it is set-up, priced apart (Candidate.Setup*).
 func epochWidths(ds *Dataset, cfg ModelConfig) ([]int, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -121,23 +134,25 @@ func epochWidths(ds *Dataset, cfg ModelConfig) ([]int, error) {
 	return gcn.EpochMultiplyWidths(ds.FeatureDim(), cfg.Hidden, ds.Classes, cfg.Layers, cfg.SAGE), nil
 }
 
-// priceCandidate fills a Candidate from a compiled plan, pricing the epoch
-// under both executors so the table shows what overlap would buy each
-// algorithm.
-func priceCandidate(alg Algorithm, pl *distmm.Plan, params machine.Params, widths []int) Candidate {
-	cost := pl.EpochCost(params, widths)
-	overlap := pl.EpochCostWith(params, widths, distmm.ExecOverlap)
-	maxMB, avgMB := distmm.SentSummaryMB(pl.EpochSentBytes(widths))
-	return Candidate{
-		Algorithm:      alg,
-		Replication:    pl.Replication(),
-		EpochSeconds:   cost.Total(),
-		OverlapSeconds: overlap.Total(),
-		Breakdown:      cost.Breakdown(),
-		MaxSentMB:      maxMB,
-		AvgSentMB:      avgMB,
-		Sites:          pl.Sites(),
+// priceCandidate fills a Candidate from a compiled plan: the epoch (widths)
+// under both executors, so the table shows what overlap would buy each
+// algorithm, and the one-time multiply at the feature width fin under the
+// executor in effect.
+func priceCandidate(alg Algorithm, pl *distmm.Plan, params machine.Params, widths []int, fin int, mode ExecMode) Candidate {
+	c := Candidate{
+		Algorithm:    alg,
+		Replication:  pl.Replication(),
+		SetupSeconds: pl.CostWith(params, fin, mode).Total(),
+		Sites:        pl.Sites(),
 	}
+	c.SetupMaxSentMB, _ = distmm.SentSummaryMB(pl.EpochSentBytes([]int{fin}))
+	c.MaxSentMB, c.AvgSentMB = distmm.SentSummaryMB(pl.EpochSentBytes(widths))
+	if len(widths) > 0 { // a 1-layer model's epoch issues no multiply
+		cost := pl.EpochCost(params, widths)
+		c.EpochSeconds, c.Breakdown = cost.Total(), cost.Breakdown()
+		c.OverlapSeconds = pl.EpochCostWith(params, widths, distmm.ExecOverlap).Total()
+	}
+	return c
 }
 
 // modeSeconds returns the candidate's modeled epoch cost under the executor
@@ -186,7 +201,7 @@ func sweepCandidates(world *comm.World, ds *Dataset, opts DistOpts, widths []int
 		if verr := distmm.Verify(engine.Plan()); verr != nil {
 			return nil, -1, nil, nil, verr
 		}
-		cand := priceCandidate(alg, engine.Plan(), world.Params, widths)
+		cand := priceCandidate(alg, engine.Plan(), world.Params, widths, ds.FeatureDim(), opts.Exec)
 		if sec := modeSeconds(cand, opts.Exec); best < 0 || sec < bestCost {
 			best, bestCost = len(cands), sec
 		}

@@ -235,7 +235,7 @@ func TestEstimateTablePredictionsMatch(t *testing.T) {
 			}
 			if !r.TimeMatch {
 				t.Errorf("%s: %s c=%d: predicted %g s per multiply, measured %g",
-					mode, r.Algorithm, r.Replication, r.PredMultSec, r.MeasMultSec)
+					mode, r.Algorithm, r.Replication, r.SetupSeconds, r.MeasMultSec)
 			}
 			if r.EpochSeconds <= 0 || r.MaxSentMB <= 0 || r.Sites <= 0 {
 				t.Errorf("unpriced feasible row %+v", r)
@@ -258,7 +258,7 @@ func TestEstimateTablePredictionsMatch(t *testing.T) {
 		for _, r := range must(EstimateTable(gen.RedditSim, testScale, 16, 3, mode, sagnn.Perlmutter()))(t) {
 			if r.Skipped != "" || !r.Match || !r.TimeMatch {
 				t.Errorf("%s: P=16 %s c=%d (%s): bytes %d vs %d, time %g vs %g", mode, r.Algorithm, r.Replication, r.Skipped,
-					r.PredMultiplyBytes, r.MeasMultiplyBytes, r.PredMultSec, r.MeasMultSec)
+					r.PredMultiplyBytes, r.MeasMultiplyBytes, r.SetupSeconds, r.MeasMultSec)
 			}
 		}
 	}

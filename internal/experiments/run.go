@@ -71,8 +71,12 @@ func (c RunConfig) withDefaults() RunConfig {
 // RunResult is one measured configuration.
 type RunResult struct {
 	Config RunConfig
-	// EpochSec is the modeled bulk-synchronous epoch time.
+	// EpochSec is the modeled bulk-synchronous epoch time; SetupSec the
+	// modeled time of the one-time Â·X multiply the run paid ahead of its
+	// first epoch (the feature-width layer the paper times inside every
+	// epoch).
 	EpochSec float64
+	SetupSec float64
 	// Breakdown maps phase ("bcast", "alltoall", "allreduce", "local") to
 	// modeled seconds per epoch — the paper's Figure 4/5 bars.
 	Breakdown map[string]float64
@@ -174,6 +178,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 	res := RunResult{
 		Config:      cfg,
 		EpochSec:    tr.EpochSeconds,
+		SetupSec:    tr.SetupSeconds,
 		Breakdown:   tr.Breakdown,
 		AvgSentMB:   tr.AvgSentMB,
 		MaxSentMB:   tr.MaxSentMB,

@@ -8,13 +8,16 @@
 //
 // step.go writes that recurrence once — Forward, the softmax cross-entropy
 // loss, and the transposed chain back — over an aggregation Operand, which
-// supplies the layer-0 input and Â_l·H / Â_lᵀ·G per layer, and a grow-only
-// Workspace. Only the operand changes between trainers: Serial aggregates
-// with a local SpMM over the whole Â, Distributed with a collective
-// Engine.MultiplyInto over its block rows (both symmetric, Â = Âᵀ, so no
-// transpose communication is needed — the assumption the paper makes for
-// its symmetric datasets), and package minibatch with chains of sampled
-// rectangular blocks. Distributed callers add a Collective: the all-reduce
+// hands over the first layer's Â·H⁰ and supplies Â_l·H / Â_lᵀ·G for the
+// layers above, and a grow-only Workspace. Only the operand changes between
+// trainers: Serial aggregates with a local SpMM over the whole Â,
+// Distributed with a collective Engine.MultiplyInto over its block rows
+// (both symmetric, Â = Âᵀ, so no transpose communication is needed — the
+// assumption the paper makes for its symmetric datasets), and package
+// minibatch with chains of sampled rectangular blocks. Over a fixed graph
+// Â·H⁰ = Â·X never changes, so the two full-batch operands compute it once
+// — the feature-width SpMM and its exchange are set-up, not epoch work —
+// while a sampled chain computes it per batch. Distributed callers add a Collective: the all-reduce
 // of the loss pair and of every Y^l, and the ledger charge of each local
 // GEMM.
 //
@@ -54,16 +57,19 @@ func LayerDims(fin, hidden, classes, layers int) []int {
 }
 
 // EpochMultiplyWidths returns the dense operand widths of the distributed
-// SpMMs one full-batch training epoch issues, in trainer order: L forward
-// multiplies at the layer input widths dims[0..L−1], then L−1 backward
-// multiplies — at the output-gradient widths dims[L..2] for the GCN
+// SpMMs one full-batch training epoch issues, in trainer order: L−1 forward
+// multiplies at the hidden-layer input widths dims[1..L−1], then L−1
+// backward multiplies — at the output-gradient widths dims[L..2] for the GCN
 // convolution, or at the layer input widths dims[L−1..1] for SAGEConv
 // (the backward multiply runs on the aggregated-path split of G·Wᵀ). The
+// first layer's multiply, Â·X at width dims[0], is not among them: its
+// operands never change, so it is set-up, paid once per distributed graph
+// (InputProduct) and priced apart at the width []int{fin}. The
 // communication-plan cost model prices epochs against exactly this
 // sequence, so it lives here, next to the trainer that defines it.
 func EpochMultiplyWidths(fin, hidden, classes, layers int, sage bool) []int {
 	dims := LayerDims(fin, hidden, classes, layers)
-	widths := append([]int(nil), dims[:layers]...)
+	widths := append([]int(nil), dims[1:layers]...)
 	for l := layers; l >= 2; l-- {
 		if sage {
 			widths = append(widths, dims[l-1])

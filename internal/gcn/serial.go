@@ -16,8 +16,6 @@ import (
 // A Serial is NOT safe for concurrent use: PredictInto, Accuracies and
 // Epoch all share the workspace below.
 type Serial struct {
-	A      *sparse.CSR // GCN-normalized adjacency, symmetric
-	X      *dense.Matrix
 	Labels []int
 	Train  []int
 	Model  *Model
@@ -29,12 +27,14 @@ type Serial struct {
 	Variant Variant
 
 	ws          Workspace
-	op          csrOperand
-	trainLabels []int // Labels[Train[k]], rebuilt every epoch into the same storage
+	op          csrOperand // over the constructor's Â and X, for the trainer's life
+	trainLabels []int      // Labels[Train[k]], rebuilt every epoch into the same storage
 }
 
-// NewSerial validates shapes and wraps the training state. No buffer is
-// built until the first pass, and inference grows the forward half only.
+// NewSerial validates shapes and wraps the training state over a, the
+// GCN-normalized (symmetric) adjacency, and the features x, both fixed from
+// here on. No buffer is built until the first pass — which computes Â·X,
+// once — and inference grows the forward half only.
 func NewSerial(a *sparse.CSR, x *dense.Matrix, labels []int, train []int, model *Model, lr float64) *Serial {
 	if a.NumRows != a.NumCols || a.NumRows != x.Rows {
 		panic(fmt.Sprintf("gcn: A %dx%d vs X %d rows", a.NumRows, a.NumCols, x.Rows))
@@ -45,34 +45,35 @@ func NewSerial(a *sparse.CSR, x *dense.Matrix, labels []int, train []int, model 
 	if model.Weights[0].Rows != x.Cols && model.Weights[0].Rows != 2*x.Cols {
 		panic(fmt.Sprintf("gcn: W1 expects %d input rows, X has %d features", model.Weights[0].Rows, x.Cols))
 	}
-	return &Serial{A: a, X: x, Labels: labels, Train: train, Model: model, LR: lr}
+	return &Serial{Labels: labels, Train: train, Model: model, LR: lr, op: csrOperand{a: a, x: x}}
 }
 
 // csrOperand is the serial operand: every layer aggregates over the one
-// symmetric Â with a local SpMM.
+// symmetric Â with a local SpMM, and Â·X is computed by the first pass and
+// kept.
 type csrOperand struct {
-	a *sparse.CSR
-	x *dense.Matrix
+	a  *sparse.CSR
+	x  *dense.Matrix
+	ax *dense.Matrix // Â·X; nil until the first pass
 }
 
-func (o *csrOperand) Input() *dense.Matrix                   { return o.x }
+func (o *csrOperand) First() (agg, h0 *dense.Matrix) {
+	if o.ax == nil {
+		o.ax = dense.New(o.a.NumRows, o.x.Cols)
+		o.a.SpMMInto(o.ax, o.x)
+	}
+	return o.ax, o.x
+}
 func (o *csrOperand) Rows(int) int                           { return o.a.NumRows }
 func (o *csrOperand) Aggregate(_ int, dst, h *dense.Matrix)  { o.a.SpMMInto(dst, h) }
 func (o *csrOperand) AggregateT(_ int, dst, g *dense.Matrix) { o.a.SpMMInto(dst, g) }
 func (o *csrOperand) Symmetric() bool                        { return true }
 
-// operand returns the operand over the trainer's current A and X (both are
-// exported, mutable fields).
-func (s *Serial) operand() *csrOperand {
-	s.op = csrOperand{a: s.A, x: s.X}
-	return &s.op
-}
-
 // PredictInto writes row-wise class probabilities for all vertices into
 // dst (NumVertices × classes) — allocation-free once the forward buffers
 // have grown, for callers that reuse a probability buffer across calls.
 func (s *Serial) PredictInto(dst *dense.Matrix) {
-	dst.CopyFrom(s.ws.Forward(s.Model, s.Variant, s.operand(), Collective{}))
+	dst.CopyFrom(s.ws.Forward(s.Model, s.Variant, &s.op, Collective{}))
 	dense.SoftmaxRows(dst)
 }
 
@@ -81,7 +82,7 @@ func (s *Serial) PredictInto(dst *dense.Matrix) {
 func (s *Serial) Accuracies(masks ...[]int) []float64 {
 	// The logits are the workspace's own buffer until the next pass, so the
 	// softmax runs in place.
-	probs := s.ws.Forward(s.Model, s.Variant, s.operand(), Collective{})
+	probs := s.ws.Forward(s.Model, s.Variant, &s.op, Collective{})
 	dense.SoftmaxRows(probs)
 	accs := make([]float64, len(masks))
 	for i, mask := range masks {
@@ -101,7 +102,7 @@ func (s *Serial) Epoch() (loss, acc float64, err error) {
 		s.Opt = &opt.SGD{LR: s.LR}
 	}
 	n := len(s.Train)
-	lossSum, correct, err := s.ws.Step(s.Opt, s.Model, s.Variant, s.operand(), s.Train, s.trainLabels, n, Collective{})
+	lossSum, correct, err := s.ws.Step(s.Opt, s.Model, s.Variant, &s.op, s.Train, s.trainLabels, n, Collective{})
 	if err != nil {
 		return 0, 0, err
 	}

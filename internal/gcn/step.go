@@ -13,16 +13,21 @@ import (
 // training vertices: there is nothing to average, so no loss exists.
 var ErrEmptyTrainSet = errors.New("gcn: empty training set")
 
-// Operand is the sparse side of one training step: the layer-0 input and
-// the per-layer aggregations Â_l·H and Â_lᵀ·G. The layer recurrence below is
-// written once over it; the serial trainer, the distributed engines and the
-// sampled block chains differ only in the operand they pass.
+// Operand is the sparse side of one training step: the first layer's
+// aggregate Â_1·H⁰, handed over whole, and the aggregations Â_l·H and Â_lᵀ·G
+// of the layers above it. The layer recurrence below is written once over it;
+// the serial trainer, the distributed engines and the sampled block chains
+// differ only in the operand they pass.
 type Operand interface {
-	// Input returns H⁰.
-	Input() *dense.Matrix
-	// Rows returns the row count of Â_l (and so of H^l), l = 1..L.
+	// First returns Â_1·H⁰ and H⁰. Neither depends on the weights, so an
+	// operand over a fixed graph and fixed features computes the product
+	// once and returns the same matrix on every pass; the step only reads
+	// them. H⁰ is SAGEConv's self half and may be nil where the operand
+	// never materialises it (the distributed sampled gather, GCNConv only).
+	First() (agg, h0 *dense.Matrix)
+	// Rows returns the row count of Â_l (and so of H^l), l = 2..L.
 	Rows(l int) int
-	// Aggregate writes Â_l·h into dst (Rows(l) × h.Cols).
+	// Aggregate writes Â_l·h into dst (Rows(l) × h.Cols), l = 2..L.
 	Aggregate(l int, dst, h *dense.Matrix)
 	// AggregateT writes Â_lᵀ·g into dst (Rows(l−1) × g.Cols), l = 2..L.
 	AggregateT(l int, dst, g *dense.Matrix)
@@ -63,8 +68,8 @@ type Workspace struct {
 
 // layerBufs is one layer's share of a Workspace.
 type layerBufs struct {
-	agg, cat, z, act *dense.Matrix // Â·H, SAGE [Â·H | H], pre-activation, ReLU output
-	p                *dense.Matrix // the GEMM input: agg or cat
+	agg, cat, z, act *dense.Matrix // Â·H (l ≥ 2), SAGE [Â·H | H], pre-activation, ReLU output
+	p                *dense.Matrix // the GEMM input: the aggregate (the operand's at l = 1) or cat
 	g, back, deriv   *dense.Matrix // ∂L/∂Z, Â·G or G·Wᵀ, σ′(Z)
 	dp, dself        *dense.Matrix // SAGE: aggregated / self halves of G·Wᵀ
 	yl               *dense.Matrix // local weight gradient awaiting its all-reduce
@@ -87,21 +92,26 @@ func grow(slot **dense.Matrix, rows, cols int) *dense.Matrix {
 
 // Forward runs Z^l = P^l W^l, H^l = σ(Z^l) over every layer, with P^l = Â_l
 // H^{l−1} (GCNConv) or [Â_l H^{l−1} | H^{l−1}] (SAGEConv), and returns the
-// logits Z^L. The result is workspace-backed and overwritten by the next
-// pass.
+// logits Z^L. Layer 1's aggregate is the operand's (First) and is read where
+// it lies — it may be shared, so it never enters a workspace slot; the layers
+// above aggregate into the workspace. The result is workspace-backed and
+// overwritten by the next pass.
 //
 //sagnn:steadystate
 func (ws *Workspace) Forward(m *Model, v Variant, op Operand, c Collective) *dense.Matrix {
 	L := m.Layers()
 	ws.fit(L)
-	h := op.Input()
+	agg, h := op.First()
 	for l := 1; l <= L; l++ {
 		w, b := m.Weights[l-1], &ws.layers[l]
-		b.p = grow(&b.agg, op.Rows(l), h.Cols)
-		op.Aggregate(l, b.p, h)
+		if l > 1 {
+			agg = grow(&b.agg, op.Rows(l), h.Cols)
+			op.Aggregate(l, agg, h)
+		}
+		b.p = agg
 		if v == SAGEConv {
-			b.p = grow(&b.cat, b.agg.Rows, 2*h.Cols)
-			dense.HStackInto(b.p, b.agg, h)
+			b.p = grow(&b.cat, agg.Rows, 2*h.Cols)
+			dense.HStackInto(b.p, agg, h)
 		}
 		z := grow(&b.z, b.p.Rows, w.Cols)
 		dense.MatMulInto(z, b.p, w)

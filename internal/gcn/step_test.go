@@ -12,13 +12,14 @@ import (
 )
 
 // rectChain is a rectangular operand for the tests: layer l aggregates over
-// its own blocks[l-1], transposed with the allocating sparse.Transpose.
+// its own blocks[l-1], transposed with the allocating sparse.Transpose, and
+// layer 1 is recomputed on every pass, as a sampled chain's is.
 type rectChain struct {
 	blocks []*sparse.CSR
 	x      *dense.Matrix
 }
 
-func (c *rectChain) Input() *dense.Matrix                  { return c.x }
+func (c *rectChain) First() (agg, h0 *dense.Matrix)        { return c.blocks[0].SpMM(c.x), c.x }
 func (c *rectChain) Rows(l int) int                        { return c.blocks[l-1].NumRows }
 func (c *rectChain) Aggregate(l int, dst, h *dense.Matrix) { c.blocks[l-1].SpMMInto(dst, h) }
 func (c *rectChain) AggregateT(l int, dst, g *dense.Matrix) {

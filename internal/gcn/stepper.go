@@ -17,10 +17,11 @@ import (
 // condition.
 var ErrInconsistent = errors.New("gcn: training state inconsistent after an aborted epoch; restore a model checkpoint before stepping")
 
-// Replica is one hosted rank's training state: its slice of the features,
-// its weight replica and optimizer, the group its gradients are reduced
-// over, and the step workspace. Replicas stay bit-consistent across ranks
-// because gradients are all-reduced before every update.
+// Replica is one hosted rank's training state: its slice of the features
+// (read-only, so a view of the global matrix will do), its weight replica
+// and optimizer, the group its gradients are reduced over, and the step
+// workspace. Replicas stay bit-consistent across ranks because gradients
+// are all-reduced before every update.
 type Replica struct {
 	X     *dense.Matrix
 	Model *Model
@@ -50,6 +51,14 @@ type EpochBody func(r *comm.Rank, rep *Replica, epoch int) (lossSum, correct flo
 type Stepper struct {
 	// Body is the epoch the next StepNCtx runs on every rank.
 	Body EpochBody
+	// Setup is the collective work Body needs done once before its first
+	// epoch, in launches of its own — the full-batch body's
+	// InputProduct.Ensure, a sampled body's NoSetup — and a prompt no-op once
+	// done. StepNCtx calls it ahead of every launch; a caller that accounts
+	// set-up apart from epochs calls it first. A failure has touched no
+	// replica: the stepper stays clean and the set-up owed. It travels with
+	// Body: whoever swaps one swaps both.
+	Setup func(ctx context.Context) error
 
 	world    *comm.World
 	examples int // global training examples per epoch
@@ -63,10 +72,11 @@ type Stepper struct {
 
 // NewStepper builds one replica per hosted rank (in parallel, one goroutine
 // each; on a multi-process world only the hosted rank's slot is populated)
-// and returns the driver positioned at epoch 0. examples is the global
-// number of training examples an epoch averages over.
-func NewStepper(w *comm.World, examples int, body EpochBody, build func(r *comm.Rank) *Replica) *Stepper {
-	st := &Stepper{Body: body, world: w, examples: examples, ranks: make([]*Replica, w.P)}
+// and returns the driver positioned at epoch 0, holding body and the set-up
+// it needs (NoSetup for none). examples is the global number of training
+// examples an epoch averages over.
+func NewStepper(w *comm.World, examples int, setup func(context.Context) error, body EpochBody, build func(r *comm.Rank) *Replica) *Stepper {
+	st := &Stepper{Body: body, Setup: setup, world: w, examples: examples, ranks: make([]*Replica, w.P)}
 	w.Run(func(r *comm.Rank) {
 		rep := build(r)
 		rep.Opt = rep.NewOpt()
@@ -74,6 +84,9 @@ func NewStepper(w *comm.World, examples int, body EpochBody, build func(r *comm.
 	})
 	return st
 }
+
+// NoSetup is the Setup of a body that needs none.
+func NoSetup(context.Context) error { return nil }
 
 // StepNCtx runs n consecutive epochs inside a single collective launch (one
 // goroutine per rank for the whole batch) and returns their results. A fault
@@ -88,6 +101,9 @@ func (st *Stepper) StepNCtx(ctx context.Context, n int) ([]EpochResult, error) {
 	}
 	if st.examples == 0 {
 		return nil, ErrEmptyTrainSet
+	}
+	if err := st.Setup(ctx); err != nil {
+		return nil, err
 	}
 	var results []EpochResult        // appended by the recorder rank alone, read after the join
 	recorder := st.world.LocalRank() // loss/acc are identical on every rank

@@ -13,6 +13,11 @@ import (
 
 // stepperFixture builds a small distributed trainer over a ring graph.
 func stepperFixture(seed int64) *Distributed {
+	return stepperFixtureOn(seed, "sparsity-aware-1d", 1)
+}
+
+// stepperFixtureOn is stepperFixture over the named engine at replication c.
+func stepperFixtureOn(seed int64, engineName string, c int) *Distributed {
 	const n, f, classes, p = 64, 8, 4, 4
 	edges := make([][2]int, 0, 2*n)
 	for v := 0; v < n; v++ {
@@ -30,8 +35,10 @@ func stepperFixture(seed int64) *Distributed {
 		}
 	}
 	world := comm.NewWorld(p, machine.Perlmutter())
-	layout := distmm.UniformLayout(n, p)
-	engine := distmm.NewSparsityAware1D(world, aHat, layout)
+	engine, err := distmm.NewEngine(world, engineName, c, aHat, distmm.UniformLayout(n, p/c))
+	if err != nil {
+		panic(err)
+	}
 	dims := LayerDims(f, 8, classes, 3)
 	return NewDistributed(world, engine, x, labels, train, dims, 0.1, seed)
 }

@@ -302,7 +302,7 @@ func (sm *sampler) step(epoch, s int) *step {
 func (sm *sampler) rankEpoch(r *comm.Rank, rep *gcn.Replica, epoch int) (lossSum, correct float64, err error) {
 	d := sm.d
 	c := &sm.chains[r.ID]
-	c.rank, c.input = r, rep.X
+	c.rank, c.x = r, rep.X
 	for s, steps := 0, d.stepsPerEpoch(); s < steps; s++ {
 		st := sm.step(epoch, s)
 		if st.err != nil {
@@ -366,10 +366,10 @@ type DistStepper struct {
 // epoch 0.
 func (d *Dist) Stepper() *DistStepper {
 	sm := d.newSampler()
-	st := gcn.NewStepper(d.World, len(d.Train), sm.rankEpoch, func(r *comm.Rank) *gcn.Replica {
+	st := gcn.NewStepper(d.World, len(d.Train), gcn.NoSetup, sm.rankEpoch, func(r *comm.Rank) *gcn.Replica {
 		lo, hi := d.Layout.Range(r.ID)
 		return &gcn.Replica{
-			X:      d.X.SliceRows(lo, hi).Clone(),
+			X:      d.X.SliceRows(lo, hi), // a view: the step only reads it
 			Model:  gcn.NewModel(d.ModelSeed, d.Dims),
 			NewOpt: d.NewOpt,
 			Group:  d.World.WorldGroup(),
@@ -402,7 +402,7 @@ func (d *Dist) ReferenceEpochs(epochs int) []gcn.EpochResult {
 		ws      gcn.Workspace
 		results []gcn.EpochResult
 	)
-	c := chain{input: d.X}
+	var c chain
 	sm := d.newSampler()
 	st := &sm.slots[0]
 	examples := float64(len(d.Train))

@@ -221,44 +221,47 @@ func (e *emitter) put(b *block, start, u int, w float64, intern bool) {
 // chain is the sampled operand: layer l aggregates over the rectangular
 // block blocks[l-1] and its transpose, held in reusable per-layer workspaces
 // so the backward pass stops allocating once they have grown to the sampled
-// block sizes. Layer 1 comes in three forms: the block itself over feature
-// rows gathered from x (the serial trainer), the distributed halo gather of
-// the rank's feature slice, or an aggregation already landed by the
-// reference gather. With a rank set, every local SpMM is charged to it.
+// block sizes. Layer 1 — a new product every batch — comes in three forms
+// (First). With a rank set, every local SpMM is charged to it.
 type chain struct {
 	blocks []block
-	labels []int         // the batch's classes, aligned with the top block's rows
-	x      *dense.Matrix // serial: the features H⁰ is gathered from
-	input  *dense.Matrix // H⁰: the gather buffer, else the features layer 1 consumes
-	gather *distmm.SampledGather
-	landed *dense.Matrix
+	labels []int // the batch's classes, aligned with the top block's rows
+	// x is what layer 1 reads: the features H⁰ is gathered from (serial), or
+	// the rank's feature slice the halo gather multiplies (distributed).
+	x      *dense.Matrix
+	gather *distmm.SampledGather // distributed: the step's compiled halo gather
+	landed *dense.Matrix         // reference mirror: layer 1 as the reference gather landed it
 	rank   *comm.Rank
 
+	h0, agg      *dense.Matrix // serial gather buffer; layer 1's aggregate
 	adjT         []sparse.CSR
 	tposeScratch []int
 }
 
-func (c *chain) Input() *dense.Matrix {
-	if c.x != nil {
-		srcs := c.blocks[0].srcs
-		c.input = dense.Reshape(c.input, len(srcs), c.x.Cols)
-		c.x.GatherRowsInto(c.input.Data, srcs)
+// First is layer 1: the aggregation the reference gather already landed, the
+// distributed halo gather of the rank's feature slice, or the bottom block
+// over feature rows gathered from x. Only the last materialises H⁰.
+func (c *chain) First() (agg, h0 *dense.Matrix) {
+	if c.landed != nil {
+		return c.landed, nil
 	}
-	return c.input
+	bottom := &c.blocks[0]
+	c.agg = dense.Reshape(c.agg, bottom.adj.NumRows, c.x.Cols)
+	if c.gather != nil {
+		c.gather.MultiplyInto(c.rank, c.x, c.agg)
+		return c.agg, nil
+	}
+	c.h0 = dense.Reshape(c.h0, len(bottom.srcs), c.x.Cols)
+	c.x.GatherRowsInto(c.h0.Data, bottom.srcs)
+	c.spmm(&bottom.adj, c.agg, c.h0)
+	return c.agg, c.h0
 }
 
 func (c *chain) Rows(l int) int  { return c.blocks[l-1].adj.NumRows }
 func (c *chain) Symmetric() bool { return false }
 
 func (c *chain) Aggregate(l int, dst, h *dense.Matrix) {
-	switch {
-	case l == 1 && c.gather != nil:
-		c.gather.MultiplyInto(c.rank, h, dst)
-	case l == 1 && c.landed != nil:
-		dst.CopyFrom(c.landed)
-	default:
-		c.spmm(&c.blocks[l-1].adj, dst, h)
-	}
+	c.spmm(&c.blocks[l-1].adj, dst, h)
 }
 
 func (c *chain) AggregateT(l int, dst, g *dense.Matrix) {

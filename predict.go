@@ -63,7 +63,7 @@ type Model struct {
 	mu     sync.Mutex
 	infDS  *Dataset        // dataset the cached workspaces are built for
 	aHat   *sparse.CSR     // cached GCN-normalized adjacency of infDS
-	eval   *gcn.Serial     // full-batch forward workspace
+	eval   *gcn.Serial     // full-batch forward workspace, with Â·X of infDS computed once
 	sub    *gcn.SubsetEval // L-hop subset-gather workspace
 	probs  *dense.Matrix   // full-batch probability buffer
 	subBuf *dense.Matrix   // subset probability buffer (sorted order)

@@ -132,7 +132,8 @@ type TrainResult struct {
 	FinalLoss     float64
 	FinalTrainAcc float64
 	// EpochSeconds is the modeled per-epoch time on the paper's machine
-	// (A100 + Slingshot α–β model), max-over-ranks per phase.
+	// (A100 + Slingshot α–β model), max-over-ranks per phase. Like every
+	// per-epoch figure below it holds epochs only: set-up is reported apart.
 	EpochSeconds float64
 	// Breakdown splits EpochSeconds into phases: "bcast", "alltoall",
 	// "allreduce", "local".
@@ -145,6 +146,12 @@ type TrainResult struct {
 	// (collectives forward data inside the network), so this is the figure
 	// that compares wire volume across algorithms.
 	TotalRecvMB float64
+	// SetupSeconds and SetupMaxSentMB are the modeled time and the largest
+	// measured per-process send volume of the one-time Â·X multiply — whole,
+	// not per epoch — when this run is the one that computed it: the first
+	// full-batch run on its DistGraph. Zero on every other run.
+	SetupSeconds   float64
+	SetupMaxSentMB float64
 	// ValAcc / TestAcc evaluate the trained model on the dataset's held-out
 	// splits (full-batch inference).
 	ValAcc  float64

@@ -116,8 +116,11 @@ func WithRecovery(maxRetries int, backoff time.Duration) SessionOption {
 // Creating a session builds each rank's feature slice, weight replica and
 // optimizer once — one gcn.Stepper; every Step afterwards runs exactly one
 // full-batch epoch over those replicas, and RunSampled steps the same
-// replicas through sampled epochs. Everything above the stepper — the run
-// loop, recovery, snapshots, ledger attribution — is mode-agnostic.
+// replicas through sampled epochs. The full-batch epoch reads the graph's
+// Â·X (DistGraph): the first full-batch step on a graph computes it, in a
+// launch of its own ahead of the epoch, and no later step of any session
+// does. Everything above the stepper — the run loop, recovery, snapshots,
+// ledger attribution — is mode-agnostic.
 // Multiple sessions can share one DistGraph — the partition and the
 // sparsity-aware communication schedule are built once and reused — but
 // their Step/Run calls are serialized (the engine's per-rank workspaces are
@@ -132,14 +135,27 @@ type Session struct {
 	sampledBody gcn.EpochBody
 	history     []EpochResult
 
-	// spentLedger / spentVol accumulate this session's own modeled time and
-	// traffic, one delta per step measured under the cluster's step lock —
-	// so interleaved runs of other sessions on the shared cluster never
-	// leak into this session's figures. Snapshots are immutable; Run marks
-	// a position by keeping the pointer.
-	spentLedger *machine.Snapshot
-	spentVol    *comm.VolumeSnapshot
+	// spentEpochs / spentSetup accumulate this session's own modeled time
+	// and traffic, one delta per step measured under the cluster's step lock
+	// — so interleaved runs of other sessions on the shared cluster never
+	// leak into this session's figures. Epochs and the set-up launch a step
+	// may have to run first (the graph's Â·X) go to separate accumulators,
+	// so per-epoch figures hold nothing but epochs. Snapshots are immutable;
+	// Run marks a position by keeping the value.
+	spentEpochs, spentSetup spent
 }
+
+// spent is a position in (or a stretch of) a world's accounting: modeled
+// seconds per rank and phase, and traffic per rank.
+type spent struct {
+	ledger *machine.Snapshot
+	vol    *comm.VolumeSnapshot
+}
+
+func spentBy(w *comm.World) spent { return spent{w.Ledger.Snapshot(), w.Stats().Snapshot()} }
+
+func (a spent) add(b spent) spent { return spent{a.ledger.Add(b.ledger), a.vol.Add(b.vol)} }
+func (a spent) sub(b spent) spent { return spent{a.ledger.Sub(b.ledger), a.vol.Sub(b.vol)} }
 
 // NewSession creates a training session for the given model configuration
 // on the distributed graph. The graph's engine and partition are reused
@@ -158,6 +174,7 @@ func (g *DistGraph) NewSession(cfg ModelConfig, opts ...SessionOption) (s *Sessi
 	dims := gcn.LayerDims(g.x.Cols, cfg.Hidden, g.ds.Classes, cfg.Layers)
 	trainer := gcn.NewDistributed(g.cluster.world, g.engine, g.x, g.labels, g.train, dims, cfg.LR, cfg.Seed)
 	trainer.Variant = cfg.variant()
+	trainer.Input = g.input
 	g.cluster.mu.Lock()
 	stepper := trainer.Stepper()
 	g.cluster.mu.Unlock()
@@ -196,16 +213,25 @@ func (s *Session) stepN(n int) ([]EpochResult, error) {
 // launch to finish. Charges accrued before the abort are still attributed —
 // the modeled work happened — but no partial epoch results are recorded,
 // and the underlying trainer is left dirty until a checkpoint restore.
+//
+// Set-up the body still owes runs first, in its own launch and on its own
+// account, so the epochs are charged exactly what every later epoch is. An
+// abort inside it has touched no weight: the trainer stays clean, nothing of
+// the set-up is kept, and the next step starts it over.
 func (s *Session) stepCtx(ctx context.Context, n int) (batch []EpochResult, err error) {
 	defer recoverToError(&err)
 	s.dg.cluster.mu.Lock()
 	defer s.dg.cluster.mu.Unlock()
 	world := s.dg.cluster.world
-	l0 := world.Ledger.Snapshot()
-	v0 := world.Stats().Snapshot()
+	start := spentBy(world)
+	setupErr := s.stepper.Setup(ctx)
+	ready := spentBy(world)
+	s.spentSetup = s.spentSetup.add(ready.sub(start))
+	if setupErr != nil {
+		return nil, setupErr
+	}
 	batch, stepErr := s.stepper.StepNCtx(ctx, n)
-	s.spentLedger = s.spentLedger.Add(world.Ledger.Snapshot().Sub(l0))
-	s.spentVol = s.spentVol.Add(world.Stats().Snapshot().Sub(v0))
+	s.spentEpochs = s.spentEpochs.add(spentBy(world).sub(ready))
 	if stepErr != nil {
 		return nil, stepErr
 	}
@@ -243,8 +269,7 @@ func (s *Session) Run(ctx context.Context, epochs int) (*TrainResult, error) {
 	if epochs < 1 {
 		return nil, fmt.Errorf("sagnn: %d epochs", epochs)
 	}
-	ledger0 := s.spentLedger
-	vol0 := s.spentVol
+	epochs0, setup0 := s.spentEpochs, s.spentSetup
 	var runHist []EpochResult // grows with what is trained; epochs may mean "until stopped"
 	var runErr error
 
@@ -355,7 +380,7 @@ loop:
 			}
 		}
 	}
-	return s.result(runHist, ledger0, vol0), runErr
+	return s.result(runHist, epochs0, setup0), runErr
 }
 
 // RunSampled trains for up to the given number of epochs with neighbor-
@@ -399,41 +424,52 @@ func (s *Session) RunSampled(ctx context.Context, epochs int) (res *TrainResult,
 	}
 	// The ordinary run loop (recovery, snapshots, ledger attribution) over
 	// the sampled body: same replicas, epoch counter and history.
-	full := s.stepper.Body
-	s.stepper.Body = s.sampledBody
-	defer func() { s.stepper.Body = full }()
+	// A sampled epoch computes its own first layer per batch, so it owes no
+	// set-up: a session that only ever samples never pays for Â·X.
+	full, setup := s.stepper.Body, s.stepper.Setup
+	s.stepper.Body, s.stepper.Setup = s.sampledBody, gcn.NoSetup
+	defer func() { s.stepper.Body, s.stepper.Setup = full, setup }()
 	return s.Run(ctx, epochs)
 }
 
 // result assembles a TrainResult for one run from its history and this
-// session's own accumulated charges since the run began (ledger0/vol0 are
+// session's own accumulated charges since the run began (epochs0/setup0 are
 // the accumulator positions at run start).
-func (s *Session) result(hist []EpochResult, ledger0 *machine.Snapshot, vol0 *comm.VolumeSnapshot) *TrainResult {
+func (s *Session) result(hist []EpochResult, epochs0, setup0 spent) *TrainResult {
 	res := &TrainResult{
 		History:          hist,
 		PartitionQuality: s.dg.quality,
 		Model:            s.Model(),
 	}
+	const mb = 1e6
 	if len(hist) > 0 {
 		last := hist[len(hist)-1]
 		res.FinalLoss, res.FinalTrainAcc = last.Loss, last.TrainAcc
 		epochs := float64(len(hist))
-		per := s.spentLedger.Sub(ledger0).Scale(1 / epochs)
+		run := s.spentEpochs.sub(epochs0)
+		per := run.ledger.Scale(1 / epochs)
 		res.EpochSeconds = per.Total()
 		res.Breakdown = per.Breakdown()
-		const mb = 1e6
-		vol := s.spentVol.Sub(vol0)
-		res.MaxSentMB = float64(vol.MaxSent()) / epochs / mb
-		res.AvgSentMB = vol.AvgSent() / epochs / mb
-		res.TotalRecvMB = float64(vol.TotalRecv()) / epochs / mb
+		res.MaxSentMB = float64(run.vol.MaxSent()) / epochs / mb
+		res.AvgSentMB = run.vol.AvgSent() / epochs / mb
+		res.TotalRecvMB = float64(run.vol.TotalRecv()) / epochs / mb
+	}
+	if s.spentSetup.ledger != nil { // nil: the run never got as far as a step
+		setup := s.spentSetup.sub(setup0)
+		res.SetupSeconds = setup.ledger.Total()
+		res.SetupMaxSentMB = float64(setup.vol.MaxSent()) / mb
 	}
 	// Evaluate the trained weights on the held-out splits with one full-batch
-	// forward pass in the graph's (permuted) vertex order.
-	s.dg.cluster.mu.Lock()
-	eval := gcn.NewSerial(s.dg.aHat, s.dg.x, s.dg.labels, s.dg.train, s.stepper.Model(), s.cfg.LR)
-	eval.Variant = s.cfg.variant()
-	accs := eval.Accuracies(s.dg.val, s.dg.test)
-	s.dg.cluster.mu.Unlock()
+	// forward pass in the graph's (permuted) vertex order, over the graph's
+	// one evaluator: its Â·X and forward buffers serve every run on the graph.
+	g := s.dg
+	g.cluster.mu.Lock()
+	if g.eval == nil {
+		g.eval = gcn.NewSerial(g.aHat, g.x, g.labels, g.train, s.stepper.Model(), 0)
+	}
+	g.eval.Model, g.eval.Variant = s.stepper.Model(), s.cfg.variant()
+	accs := g.eval.Accuracies(g.val, g.test)
+	g.cluster.mu.Unlock()
 	res.ValAcc, res.TestAcc = accs[0], accs[1]
 	return res
 }

@@ -122,8 +122,8 @@ func TestRunUntilStoppedSizesHistoryByTraining(t *testing.T) {
 
 // TestDistributeReusedAcrossSessions is the build-once/train-many
 // acceptance test: one Distribute backs multiple sessions with different
-// seeds, no engine is rebuilt, per-run comm volumes match the golden
-// ledger bit-identically, and — the regression the old Ledger.Scale bug
+// seeds, no engine is rebuilt, Â·X is moved by the first session only,
+// per-run comm volumes match the golden ledger bit-identically, and — the regression the old Ledger.Scale bug
 // caused — the second run reports the same EpochSeconds as the first.
 func TestDistributeReusedAcrossSessions(t *testing.T) {
 	ds := MustLoadDataset(ProteinSim, 42, 64)
@@ -164,15 +164,22 @@ func TestDistributeReusedAcrossSessions(t *testing.T) {
 	if got := distmm.EngineBuilds(); got != builds {
 		t.Fatalf("engine rebuilt: %d builds during sessions", got-builds)
 	}
-	// Different seeds → different trajectories, same communication.
+	// Different seeds → different trajectories, same communication — except
+	// that the graph's first session also moved Â·X, once, exactly as the
+	// plan predicts at the feature width.
 	if runs[0].res.FinalLoss == runs[1].res.FinalLoss {
 		t.Fatal("different seeds produced identical losses")
 	}
+	setup := dg.engine.Plan().Volumes(ds.FeatureDim())
 	for r := range runs[0].sent {
-		if runs[0].sent[r] != runs[1].sent[r] {
-			t.Fatalf("rank %d: run volumes differ %d vs %d (schedule not reused?)",
-				r, runs[0].sent[r], runs[1].sent[r])
+		if runs[0].sent[r]-setup[r].SentBytes != runs[1].sent[r] {
+			t.Fatalf("rank %d: run volumes differ %d − %d set-up vs %d (schedule not reused?)",
+				r, runs[0].sent[r], setup[r].SentBytes, runs[1].sent[r])
 		}
+	}
+	if runs[0].res.SetupMaxSentMB <= 0 || runs[1].res.SetupMaxSentMB != 0 || runs[1].res.SetupSeconds != 0 {
+		t.Fatalf("set-up reported on the wrong run: first %v MB, second %v MB / %v s",
+			runs[0].res.SetupMaxSentMB, runs[1].res.SetupMaxSentMB, runs[1].res.SetupSeconds)
 	}
 	// The second run must report the same per-epoch figures as the first:
 	// under the old Ledger.Scale(1/epochs) mutation it would have read a

@@ -59,6 +59,9 @@ type confConfig struct {
 	c       int
 	exec    ExecMode
 	sampled bool
+	// interleaved follows the full-batch run with a sampled and another
+	// full-batch run on the same session.
+	interleaved bool
 }
 
 func conformanceConfigs() []confConfig {
@@ -88,6 +91,9 @@ func conformanceConfigs() []confConfig {
 			alg:  SparsityAware1D, c: 1, exec: e.mode, sampled: true,
 		})
 	}
+	// Run → RunSampled → Run on one session: the sampled leg reshapes the
+	// step buffers around the Â·X the two full-batch legs share.
+	out = append(out, confConfig{name: "interleaved/seq", alg: SparsityAware1D, c: 1, interleaved: true})
 	return out
 }
 
@@ -129,7 +135,20 @@ func runConformanceSchedule(t *testing.T, cl *Cluster, ds *Dataset) []confRun {
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}
+		if cfg.interleaved {
+			for _, run := range []func(context.Context, int) (*TrainResult, error){sess.RunSampled, sess.Run} {
+				leg, err := run(context.Background(), confEpochs-1)
+				if err != nil {
+					t.Fatalf("%s: %v", cfg.name, err)
+				}
+				res.History = append(res.History, leg.History...)
+				res.Model = leg.Model
+			}
+		}
 		vol := cl.world.Stats().Snapshot().Sub(v0)
+		if !cfg.sampled && !cfg.interleaved {
+			checkSetupAccounting(t, cfg.name, cl, dg, sess, res)
+		}
 		run := confRun{
 			Name: cfg.name,
 			Sent: map[string]int64{},
@@ -151,6 +170,41 @@ func runConformanceSchedule(t *testing.T, cl *Cluster, ds *Dataset) []confRun {
 		out = append(out, run)
 	}
 	return out
+}
+
+// checkSetupAccounting holds a graph's first full-batch run to the plan, on
+// whichever transport cl is (a TCP process vouches for its own rank's row):
+// the set-up launch moved exactly what the plan predicts for one multiply at
+// the feature width, the epochs exactly the epoch widths plus the
+// all-reduces, and a second run reports the same epochs and no set-up.
+func checkSetupAccounting(t *testing.T, name string, cl *Cluster, dg *DistGraph, sess *Session, first *TrainResult) {
+	t.Helper()
+	widths, err := epochWidths(dg.ds, ModelConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := dg.engine.Plan()
+	hostedMax := func(per []int64) (m int64) {
+		for _, r := range cl.world.Hosted() {
+			m = max(m, per[r])
+		}
+		return m
+	}
+	if got, want := bytesOf(first.SetupMaxSentMB), hostedMax(plan.EpochSentBytes([]int{dg.x.Cols})); got != want {
+		t.Errorf("%s: set-up sent %d B, plan predicts %d", name, got, want)
+	}
+	wantEpoch := hostedMax(plan.EpochSentBytes(widths)) + allReduceBytes(dg, ModelConfig{})
+	if got := bytesOf(first.MaxSentMB); got != wantEpoch {
+		t.Errorf("%s: first run sent %d B per epoch, plan predicts %d", name, got, wantEpoch)
+	}
+	second, err := sess.Run(context.Background(), confEpochs-1)
+	if err != nil {
+		t.Fatalf("%s: second run: %v", name, err)
+	}
+	if second.MaxSentMB != first.MaxSentMB || second.AvgSentMB != first.AvgSentMB || second.SetupMaxSentMB != 0 || second.SetupSeconds != 0 {
+		t.Errorf("%s: second run (%v,%v) MB per epoch with set-up %v MB; first run (%v,%v)",
+			name, second.MaxSentMB, second.AvgSentMB, second.SetupMaxSentMB, first.MaxSentMB, first.AvgSentMB)
+	}
 }
 
 // TestTCPHelperProcess is the worker body behind the multi-process tests. It
