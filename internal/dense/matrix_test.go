@@ -318,14 +318,3 @@ func TestGlorotBounds(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkGEMM256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := randMat(rng, 256, 256)
-	y := randMat(rng, 256, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
-	}
-}

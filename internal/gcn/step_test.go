@@ -146,3 +146,21 @@ func TestGradientsEmptyTrainSet(t *testing.T) {
 		t.Fatalf("got %v, want ErrEmptyTrainSet", err)
 	}
 }
+
+// TestDivergedEpochReportsNonFiniteLoss: the kernels skip no zero of their
+// left operand, so a weight that blew up reaches every logit it feeds. A
+// diverged epoch still returns — a NaN loss and no error for the caller's
+// finiteness check to catch — and never panics.
+func TestDivergedEpochReportsNonFiniteLoss(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		a, x, labels, train := tinyProblem(9)
+		s := NewSerial(a, x, labels, train, NewModel(1, LayerDims(x.Cols, 8, 4, 2)), 0.1)
+		s.Model.Weights[1].Set(3, 2, bad)
+		for e := 0; e < 2; e++ { // the second epoch runs on weights the first one poisoned
+			loss, _, err := s.Epoch()
+			if err != nil || !math.IsNaN(loss) {
+				t.Fatalf("weight %v, epoch %d: loss %v, err %v; want NaN, nil", bad, e, loss, err)
+			}
+		}
+	}
+}
