@@ -243,8 +243,9 @@ func observeMultiplies(t *testing.T) *[]int {
 // first full-batch session issues one multiply at the feature width — the
 // set-up Candidate.Setup* prices — and then, per epoch, exactly epochWidths:
 // L−1 forward multiplies at the hidden-layer input widths and L−1 backward
-// ones, at output-gradient widths for the GCN convolution and layer-input
-// widths for SAGEConv. A second session on the graph issues the epochs only,
+// ones at the same widths, GCNConv and SAGEConv alike — for the test's dims
+// [12 16 16 4] the class width 4 never reaches a multiply. A second session
+// on the graph issues the epochs only,
 // and a session that only samples issues none of them.
 func TestEpochWidthsMatchTrainerMultiplies(t *testing.T) {
 	ds := autoDS() // 12 features, 4 classes → dims [12 16 16 4]

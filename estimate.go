@@ -23,8 +23,8 @@ type Candidate struct {
 	Replication int
 	// EpochSeconds is the modeled bulk-synchronous time of one epoch's
 	// distributed SpMMs (Σ over phases of the slowest rank) under the
-	// sequential executor: the 2L−2 multiplies every epoch issues, at the
-	// hidden and class widths. Weight-gradient reductions and dense GEMMs are
+	// sequential executor: the 2L−2 multiplies every epoch issues, all at
+	// hidden widths. Weight-gradient reductions and dense GEMMs are
 	// identical across candidates at a fixed layout and are not included.
 	EpochSeconds float64
 	// OverlapSeconds is the same epoch priced under the overlapped executor
@@ -120,9 +120,8 @@ func (g *DistGraph) Report() *Report {
 // epochWidths validates cfg and returns the dense operand widths of the
 // distributed SpMMs in one full-batch training epoch of a GCN (or SAGE
 // model) with cfg's shape on ds: L−1 forward multiplies at dims[1..L−1],
-// plus L−1 backward multiplies — at dims[L..2] for the GCN convolution, or
-// at dims[L−1..1] for SAGEConv (the backward multiply runs on the
-// aggregated-path split of G·Wᵀ, which has the layer's input width). The
+// plus L−1 backward multiplies at dims[L−1..1] (the backward aggregates
+// G·Wᵀ, which has the layer's input width, never G at the class width). The
 // first-layer multiply (feature width) would dominate them — which is why
 // the paper's volume tables are computed at the feature dimension — but its
 // operands are fixed, so it is set-up, priced apart (Candidate.Setup*).

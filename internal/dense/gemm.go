@@ -11,23 +11,19 @@ import (
 // store-to-load forward. Every output element still receives its products in
 // ascending k, and Go does not fuse multiply-add on amd64, so the results
 // equal the plain triple loop bit for bit whatever the tiling, the stripe
-// boundaries or GOMAXPROCS.
-//
-// The kernels do not skip zero entries of a. For finite inputs that changes
-// no bit of an overwriting product (a ±0 term added to an accumulator that
-// started at +0 leaves it alone); MatMulAddInto can turn a −0 already in c
-// into +0; and a non-finite entry of b now propagates as IEEE 754 says even
-// where a is zero, instead of hiding behind the skip.
+// boundaries or GOMAXPROCS. No kernel skips zero entries of a: for finite
+// inputs that changes no bit of an overwriting product (±0 added to a sum
+// that started at +0 leaves it alone), MatMulAddInto can turn a −0 already in
+// c into +0, and a non-finite entry of b propagates as IEEE 754 says even
+// where a is zero.
 const (
 	// stripeMinRows is the output row count below which a product runs on
 	// the caller's goroutine: the fan-out costs more than it saves.
 	stripeMinRows = 128
-	// packCols × packRows is the panel a transposed operand is packed into
-	// before the tile runs over it: 16 KB of stack per worker, never a
-	// transposed copy of the matrix. Wider panels make the packed stride a
-	// larger power of two and were measured slower (EXPERIMENTS.md).
-	packCols = 8
-	packRows = 256
+	// packCols × packRows is the stack panel (16 KB per worker) a transposed
+	// operand is packed into before the tile runs over it; no transposed copy
+	// of the matrix is ever made. Wider panels measured slower (EXPERIMENTS.md).
+	packCols, packRows = 8, 256
 )
 
 // MatMul returns a×b.
@@ -40,22 +36,23 @@ func MatMul(a, b *Matrix) *Matrix {
 // MatMulInto computes c = a×b, overwriting c. c must be a.Rows × b.Cols and
 // must not alias a or b.
 func MatMulInto(c, a, b *Matrix) {
-	checkMatMul(c, a, b)
+	checkShapes("MatMul", a.Cols, b.Rows, c, a.Rows, b.Cols)
 	stripes(gemmStripe, c, a, b, a.Rows)
 }
 
 // MatMulAddInto computes c += a×b. Same shapes as MatMulInto.
 func MatMulAddInto(c, a, b *Matrix) {
-	checkMatMul(c, a, b)
+	checkShapes("MatMul", a.Cols, b.Rows, c, a.Rows, b.Cols)
 	stripes(gemmAddStripe, c, a, b, a.Rows)
 }
 
-func checkMatMul(c, a, b *Matrix) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("dense: MatMul inner dim %d vs %d", a.Cols, b.Rows))
+// checkShapes panics unless the inner dimensions agree and c is rows×cols.
+func checkShapes(op string, k1, k2 int, c *Matrix, rows, cols int) {
+	if k1 != k2 {
+		panic(fmt.Sprintf("dense: %s inner dim %d vs %d", op, k1, k2))
 	}
-	if c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(fmt.Sprintf("dense: MatMul output %dx%d, want %dx%d", c.Rows, c.Cols, a.Rows, b.Cols))
+	if c.Rows != rows || c.Cols != cols {
+		panic(fmt.Sprintf("dense: %s output %dx%d, want %dx%d", op, c.Rows, c.Cols, rows, cols))
 	}
 }
 
@@ -128,8 +125,7 @@ func tile(c0, c1, a0, a1, b []float64, ldb int, add bool) {
 func gemmStripe(c, a, b *Matrix, lo, hi int)    { gemmRows(c, a, b, lo, hi, false) }
 func gemmAddStripe(c, a, b *Matrix, lo, hi int) { gemmRows(c, a, b, lo, hi, true) }
 
-// gemmRows is rows [lo,hi) of c (+)= a×b: both operands are read where they
-// lie.
+// gemmRows is rows [lo,hi) of c (+)= a×b, both operands read where they lie.
 func gemmRows(c, a, b *Matrix, lo, hi int, add bool) {
 	for i := lo; i < hi; i += 2 {
 		i1 := min(i+1, hi-1)
@@ -138,8 +134,7 @@ func gemmRows(c, a, b *Matrix, lo, hi int, add bool) {
 }
 
 // MatMulTransA returns aᵀ×b without materialising aᵀ. Used for the weight
-// gradient Y^l = (P^l)ᵀ G^l: as many rows as the layer's input is wide, as
-// few columns as its output.
+// gradient Y^l = (P^l)ᵀ G^l: the layer's input width by its output width.
 func MatMulTransA(a, b *Matrix) *Matrix {
 	c := New(a.Cols, b.Cols)
 	MatMulTransAInto(c, a, b)
@@ -149,12 +144,7 @@ func MatMulTransA(a, b *Matrix) *Matrix {
 // MatMulTransAInto computes c = aᵀ×b, overwriting c. c must be
 // a.Cols × b.Cols and must not alias a or b.
 func MatMulTransAInto(c, a, b *Matrix) {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("dense: MatMulTransA rows %d vs %d", a.Rows, b.Rows))
-	}
-	if c.Rows != a.Cols || c.Cols != b.Cols {
-		panic(fmt.Sprintf("dense: MatMulTransA output %dx%d, want %dx%d", c.Rows, c.Cols, a.Cols, b.Cols))
-	}
+	checkShapes("MatMulTransA", a.Rows, b.Rows, c, a.Cols, b.Cols)
 	stripes(transAStripe, c, a, b, a.Cols)
 }
 
@@ -193,12 +183,7 @@ func MatMulTransB(a, b *Matrix) *Matrix {
 // MatMulTransBInto computes c = a×bᵀ, overwriting c. c must be
 // a.Rows × b.Rows and must not alias a or b.
 func MatMulTransBInto(c, a, b *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("dense: MatMulTransB cols %d vs %d", a.Cols, b.Cols))
-	}
-	if c.Rows != a.Rows || c.Cols != b.Rows {
-		panic(fmt.Sprintf("dense: MatMulTransB output %dx%d, want %dx%d", c.Rows, c.Cols, a.Rows, b.Rows))
-	}
+	checkShapes("MatMulTransB", a.Cols, b.Cols, c, a.Rows, b.Rows)
 	stripes(transBStripe, c, a, b, a.Rows)
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"sagnn/internal/comm"
@@ -32,8 +33,12 @@ func bitsOf(m *dense.Matrix) []uint64 {
 // TestStepperIssuesInputProductOnce counts what a bare stepper runs: one
 // feature-width multiply ahead of its first epoch, then EpochMultiplyWidths
 // per epoch and nothing else — the steady state the benchmark ladder's
-// volume check assumes after its warm-up epochs.
+// volume check assumes after its warm-up epochs. The fixture's dims are
+// [8 8 8 4]: two forward multiplies at the hidden width and two backward ones
+// at the same width, for both variants: the class width 4 never reaches a
+// multiply.
 func TestStepperIssuesInputProductOnce(t *testing.T) {
+	perEpoch := []int{8, 8, 8, 8}
 	for _, v := range []Variant{GCNConv, SAGEConv} {
 		widths := observeWidths(t)
 		d := stepperFixture(3)
@@ -44,17 +49,15 @@ func TestStepperIssuesInputProductOnce(t *testing.T) {
 		stepN(t, st, epochs-1)
 
 		f, hidden, classes, L := d.Dims[0], d.Dims[1], d.Dims[len(d.Dims)-1], len(d.Dims)-1
+		if got := EpochMultiplyWidths(f, hidden, classes, L, v == SAGEConv); !reflect.DeepEqual(got, perEpoch) {
+			t.Fatalf("variant %d: EpochMultiplyWidths %v, want %v", v, got, perEpoch)
+		}
 		want := []int{f}
 		for e := 0; e < epochs; e++ {
-			want = append(want, EpochMultiplyWidths(f, hidden, classes, L, v == SAGEConv)...)
+			want = append(want, perEpoch...)
 		}
-		if len(*widths) != len(want) {
-			t.Fatalf("variant %d: %d multiplies %v, want %d %v", v, len(*widths), *widths, len(want), want)
-		}
-		for i := range want {
-			if (*widths)[i] != want[i] {
-				t.Fatalf("variant %d: multiply %d at width %d, want %d (%v vs %v)", v, i, (*widths)[i], want[i], *widths, want)
-			}
+		if !reflect.DeepEqual(*widths, want) {
+			t.Fatalf("variant %d: multiplies at %v, want %v", v, *widths, want)
 		}
 	}
 }

@@ -58,24 +58,23 @@ func LayerDims(fin, hidden, classes, layers int) []int {
 
 // EpochMultiplyWidths returns the dense operand widths of the distributed
 // SpMMs one full-batch training epoch issues, in trainer order: L−1 forward
-// multiplies at the hidden-layer input widths dims[1..L−1], then L−1
-// backward multiplies — at the output-gradient widths dims[L..2] for the GCN
-// convolution, or at the layer input widths dims[L−1..1] for SAGEConv
-// (the backward multiply runs on the aggregated-path split of G·Wᵀ). The
-// first layer's multiply, Â·X at width dims[0], is not among them: its
-// operands never change, so it is set-up, paid once per distributed graph
-// (InputProduct) and priced apart at the width []int{fin}. The
-// communication-plan cost model prices epochs against exactly this
+// multiplies at the layer input widths dims[1..L−1], then L−1 backward
+// multiplies at the same widths in reverse, dims[L−1..1] — the backward
+// multiplies by (W^l)ᵀ before it aggregates (Workspace.backward), GCNConv and
+// SAGEConv alike. The first layer's multiply, Â·X at width dims[0], is not
+// among them: its operands never change, so it is set-up, paid once per
+// distributed graph (InputProduct) and priced apart at the width []int{fin}.
+// The communication-plan cost model prices epochs against exactly this
 // sequence, so it lives here, next to the trainer that defines it.
+//
+// sage no longer selects anything — both variants issue the same widths — and
+// classes no longer reaches a multiply; the five-argument signature stays
+// only until the next change to benchmark/, which compiles against it.
 func EpochMultiplyWidths(fin, hidden, classes, layers int, sage bool) []int {
 	dims := LayerDims(fin, hidden, classes, layers)
 	widths := append([]int(nil), dims[1:layers]...)
 	for l := layers; l >= 2; l-- {
-		if sage {
-			widths = append(widths, dims[l-1])
-		} else {
-			widths = append(widths, dims[l])
-		}
+		widths = append(widths, dims[l-1])
 	}
 	return widths
 }

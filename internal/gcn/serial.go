@@ -67,7 +67,6 @@ func (o *csrOperand) First() (agg, h0 *dense.Matrix) {
 func (o *csrOperand) Rows(int) int                           { return o.a.NumRows }
 func (o *csrOperand) Aggregate(_ int, dst, h *dense.Matrix)  { o.a.SpMMInto(dst, h) }
 func (o *csrOperand) AggregateT(_ int, dst, g *dense.Matrix) { o.a.SpMMInto(dst, g) }
-func (o *csrOperand) Symmetric() bool                        { return true }
 
 // PredictInto writes row-wise class probabilities for all vertices into
 // dst (NumVertices × classes) — allocation-free once the forward buffers

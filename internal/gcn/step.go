@@ -14,8 +14,9 @@ import (
 var ErrEmptyTrainSet = errors.New("gcn: empty training set")
 
 // Operand is the sparse side of one training step: the first layer's
-// aggregate Â_1·H⁰, handed over whole, and the aggregations Â_l·H and Â_lᵀ·G
-// of the layers above it. The layer recurrence below is written once over it;
+// aggregate Â_1·H⁰, handed over whole, and for each layer above it the two
+// aggregations Â_l·H^{l−1} (forward) and Â_lᵀ·(G^l (W^l)ᵀ) (backward), both
+// dims[l−1] columns wide. The layer recurrence below is written once over it;
 // the serial trainer, the distributed engines and the sampled block chains
 // differ only in the operand they pass.
 type Operand interface {
@@ -31,12 +32,6 @@ type Operand interface {
 	Aggregate(l int, dst, h *dense.Matrix)
 	// AggregateT writes Â_lᵀ·g into dst (Rows(l−1) × g.Cols), l = 2..L.
 	AggregateT(l int, dst, g *dense.Matrix)
-	// Symmetric reports that every Â_l is one symmetric matrix. The GCN
-	// convolution then aggregates the output gradient before the Wᵀ GEMM, at
-	// width dims[l] — the order EpochMultiplyWidths and the volume
-	// predictions price. Rectangular chains and SAGEConv multiply by Wᵀ
-	// first.
-	Symmetric() bool
 }
 
 // Collective is what a distributed caller adds to the recurrence: the
@@ -70,7 +65,7 @@ type Workspace struct {
 type layerBufs struct {
 	agg, cat, z, act *dense.Matrix // Â·H (l ≥ 2), SAGE [Â·H | H], pre-activation, ReLU output
 	p                *dense.Matrix // the GEMM input: the aggregate (the operand's at l = 1) or cat
-	g, back, deriv   *dense.Matrix // ∂L/∂Z, Â·G or G·Wᵀ, σ′(Z)
+	g, back, deriv   *dense.Matrix // ∂L/∂Z, G·Wᵀ, σ′(Z)
 	dp, dself        *dense.Matrix // SAGE: aggregated / self halves of G·Wᵀ
 	yl               *dense.Matrix // local weight gradient awaiting its all-reduce
 }
@@ -167,12 +162,15 @@ func (ws *Workspace) loss(logits *dense.Matrix, rows, labels []int, inv float64)
 
 // backward is Forward's transposed chain from the output gradient loss
 // left behind: Y^l = (P^l)ᵀ G^l (all-reduced when distributed) and G^{l−1} =
-// ∂L/∂H^{l−1} ⊙ σ′(Z^{l−1}), from layer L down.
+// ∂L/∂H^{l−1} ⊙ σ′(Z^{l−1}), from layer L down. ∂L/∂H^{l−1} = Â_lᵀ G^l (W^l)ᵀ
+// is associated Wᵀ-first on every operand and variant: the aggregation — the
+// multiply a distributed operand exchanges rows for — then runs at dims[l−1],
+// the width the forward aggregated at, not at dims[l], which is the class
+// count at the top layer and wider than the hidden width in every preset.
 //
 //sagnn:steadystate
 func (ws *Workspace) backward(m *Model, v Variant, op Operand, c Collective) []*dense.Matrix {
 	L := m.Layers()
-	aggregateFirst := v == GCNConv && op.Symmetric()
 	g := ws.layers[L].g
 	for l := L; l >= 1; l-- {
 		w, b := m.Weights[l-1], &ws.layers[l]
@@ -192,25 +190,18 @@ func (ws *Workspace) backward(m *Model, v Variant, op Operand, c Collective) []*
 		below := &ws.layers[l-1]
 		z := below.z
 		gPrev := grow(&below.g, z.Rows, z.Cols)
-		if aggregateFirst {
-			ag := grow(&b.back, g.Rows, g.Cols)
-			op.AggregateT(l, ag, g)
-			dense.MatMulTransBInto(gPrev, ag, w)
-			c.chargeGEMM(ag.Rows, w.Cols, w.Rows)
+		dc := grow(&b.back, g.Rows, w.Rows)
+		dense.MatMulTransBInto(dc, g, w)
+		c.chargeGEMM(g.Rows, w.Cols, w.Rows)
+		if v == SAGEConv {
+			// ∂L/∂H^{l−1} = Â·dP + dSelf over the two halves of [Â·H | H].
+			dp := grow(&b.dp, g.Rows, z.Cols)
+			dself := grow(&b.dself, g.Rows, z.Cols)
+			dc.SplitColsInto(dp, dself)
+			op.AggregateT(l, gPrev, dp)
+			gPrev.Add(dself)
 		} else {
-			dc := grow(&b.back, g.Rows, w.Rows)
-			dense.MatMulTransBInto(dc, g, w)
-			c.chargeGEMM(g.Rows, w.Cols, w.Rows)
-			if v == SAGEConv {
-				// ∂L/∂H^{l−1} = Â·dP + dSelf over the two halves of [Â·H | H].
-				dp := grow(&b.dp, g.Rows, z.Cols)
-				dself := grow(&b.dself, g.Rows, z.Cols)
-				dc.SplitColsInto(dp, dself)
-				op.AggregateT(l, gPrev, dp)
-				gPrev.Add(dself)
-			} else {
-				op.AggregateT(l, gPrev, dc)
-			}
+			op.AggregateT(l, gPrev, dc)
 		}
 		deriv := grow(&below.deriv, z.Rows, z.Cols)
 		z.ReLUDerivInto(deriv)

@@ -25,7 +25,6 @@ func (c *rectChain) Aggregate(l int, dst, h *dense.Matrix) { c.blocks[l-1].SpMMI
 func (c *rectChain) AggregateT(l int, dst, g *dense.Matrix) {
 	c.blocks[l-1].Transpose().SpMMInto(dst, g)
 }
-func (c *rectChain) Symmetric() bool { return false }
 
 // randomBlock is a dense-ish rows×cols aggregation block with a diagonal, so
 // no row or column is empty.

@@ -257,8 +257,7 @@ func (c *chain) First() (agg, h0 *dense.Matrix) {
 	return c.agg, c.h0
 }
 
-func (c *chain) Rows(l int) int  { return c.blocks[l-1].adj.NumRows }
-func (c *chain) Symmetric() bool { return false }
+func (c *chain) Rows(l int) int { return c.blocks[l-1].adj.NumRows }
 
 func (c *chain) Aggregate(l int, dst, h *dense.Matrix) {
 	c.spmm(&c.blocks[l-1].adj, dst, h)

@@ -389,14 +389,10 @@ func (m *CSR) SpMMAddInto(out, h *dense.Matrix) { m.spmm(out, h, true) }
 
 // spmm runs the row stripes of out (+)= m × h, one per GOMAXPROCS worker,
 // each worker owning its rows of out. Stripes hold equal shares of the
-// nonzeros, not of the rows, so a hub row does not leave one worker with the
-// whole product.
+// nonzeros, not of the rows, so a hub row does not fall to one worker whole.
 func (m *CSR) spmm(out, h *dense.Matrix, add bool) {
-	if m.NumCols != h.Rows {
-		panic(fmt.Sprintf("sparse: SpMM dims %dx%d × %dx%d", m.NumRows, m.NumCols, h.Rows, h.Cols))
-	}
-	if out.Rows != m.NumRows || out.Cols != h.Cols {
-		panic(fmt.Sprintf("sparse: SpMM out %dx%d want %dx%d", out.Rows, out.Cols, m.NumRows, h.Cols))
+	if m.NumCols != h.Rows || out.Rows != m.NumRows || out.Cols != h.Cols {
+		panic(fmt.Sprintf("sparse: SpMM %dx%d × %dx%d into %dx%d", m.NumRows, m.NumCols, h.Rows, h.Cols, out.Rows, out.Cols))
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if m.NumRows < 256 || workers == 1 {
@@ -424,18 +420,16 @@ func (m *CSR) spmm(out, h *dense.Matrix, add bool) {
 	wg.Wait()
 }
 
-// nnzBlock is how many nonzeros of a row one pass of the strip kernel covers.
-// Each nonzero is a stream through a row of h; sixteen at a time stay within
-// what the hardware prefetchers follow, which is what keeps the feature-width
-// product (hundreds of columns) as fast as the narrow ones.
+// nnzBlock is how many nonzeros of a row one pass of the strip kernel covers:
+// each is a stream through a row of h, and sixteen at a time are few enough
+// for the hardware prefetchers to follow at the feature width.
 const nnzBlock = 16
 
 // spmmStripe is rows [lo,hi) of out (+)= m × h with the micro-kernel shape of
 // dense's GEMM tile: eight columns of the output row are held in locals
 // across a block of the row's nonzeros and stored once, starting from zero
-// only on an overwriting product's first block and from what is in out
-// otherwise. Every output element still receives its products in ascending
-// CSR position, so the result equals the plain loop bit for bit.
+// only on an overwriting product's first block. Every output element still
+// receives its products in ascending CSR position: same bits as the plain loop.
 func (m *CSR) spmmStripe(out, h *dense.Matrix, lo, hi int, add bool) {
 	f := h.Cols
 	for r := lo; r < hi; r++ {

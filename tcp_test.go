@@ -221,7 +221,10 @@ func TestTCPHelperProcess(t *testing.T) {
 		t.Fatalf("bad %s: %v", tcpEnvRank, err)
 	}
 	peers := strings.Split(os.Getenv(tcpEnvPeers), ",")
-	ds := MustLoadDataset(confDataset, confSeed, confScaleDiv)
+	var ds *Dataset
+	if mode != "estimate" {
+		ds = MustLoadDataset(confDataset, confSeed, confScaleDiv)
+	}
 
 	base := runtime.NumGoroutine()
 	cl, err := NewTCPCluster(rank, peers)
@@ -233,6 +236,17 @@ func TestTCPHelperProcess(t *testing.T) {
 	case "conformance":
 		runs := runConformanceSchedule(t, cl, ds)
 		blob, err := json.Marshal(runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(os.Getenv(tcpEnvOut), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	case "estimate":
+		blob, err := json.Marshal(estimateVsLedger(t, cl))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,6 +357,104 @@ func TestTCPConformance(t *testing.T) {
 					i, run.Name, run.Sent[key], run.Recv[key], want.Sent[key], want.Recv[key])
 			}
 		}
+	}
+}
+
+// ledgerRow is what Cluster.Estimate predicts the busiest rank sends — in one
+// epoch's multiplies and in the set-up multiply — beside what a cluster's
+// hosted ranks were measured sending, the all-reduces (which Estimate does
+// not price) taken off the epoch.
+type ledgerRow struct{ PredEpoch, PredSetup, Epoch, Setup int64 }
+
+// estimateVsLedger prices and then trains reddit-sim, sparsity-aware over GVB,
+// on cl: the benchmark's fullbatch-sa-sim configuration, at a quarter of its
+// vertices to keep tier-1 short.
+func estimateVsLedger(t *testing.T, cl *Cluster) ledgerRow {
+	t.Helper()
+	ds := MustLoadDataset(RedditSim, confSeed, 4)
+	opts := DistOpts{Algorithm: SparsityAware1D, Partitioner: NewGVB(confSeed)}
+	cands, err := cl.Estimate(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var row ledgerRow
+	for _, c := range cands {
+		if c.Algorithm == SparsityAware1D && c.Replication == 1 {
+			row.PredEpoch, row.PredSetup = bytesOf(c.MaxSentMB), bytesOf(c.SetupMaxSentMB)
+		}
+	}
+	dg, err := cl.Distribute(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := dg.NewSession(ModelConfig{Seed: confSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Run(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row.Epoch = bytesOf(res.MaxSentMB) - allReduceBytes(dg, ModelConfig{})
+	row.Setup = bytesOf(res.SetupMaxSentMB)
+	return row
+}
+
+// TestEstimatePredictsMeasuredBytesRedditSim: on reddit-sim at P = 4 the
+// per-epoch bytes Cluster.Estimate predicts for the busiest rank — 64 columns
+// an epoch, 4 multiplies at the hidden width — are the bytes the ledger
+// measures, on the simulated transport and over 4 OS processes on loopback
+// TCP (each vouches for its own rank; the busiest must hit the prediction),
+// and so is the set-up multiply at the feature width, which the backward's
+// association does not touch.
+func TestEstimatePredictsMeasuredBytesRedditSim(t *testing.T) {
+	if os.Getenv(tcpEnvMode) != "" {
+		t.Skip("inside a worker process")
+	}
+	const p = 4
+	dir := t.TempDir()
+	addrs := freeAddrs(t, p)
+	outs := make([]string, p)
+	cmds := make([]*exec.Cmd, p)
+	for i := range cmds {
+		outs[i] = filepath.Join(dir, fmt.Sprintf("rank%d.json", i))
+		cmds[i] = workerCmd(t, "estimate", i, addrs, outs[i], "")
+		if err := cmds[i].Start(); err != nil {
+			t.Fatalf("rank %d: %v", i, err)
+		}
+	}
+	simCl, err := NewCluster(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := estimateVsLedger(t, simCl)
+	if sim.PredEpoch == 0 || sim.Epoch != sim.PredEpoch || sim.Setup != sim.PredSetup {
+		t.Errorf("sim: measured %d B per epoch and %d B of set-up, Estimate predicts %d and %d", sim.Epoch, sim.Setup, sim.PredEpoch, sim.PredSetup)
+	}
+	// The widths an epoch multiplies at: the feature width is set-up only.
+	if per := float64(sim.PredSetup) / 602 * 64; float64(sim.PredEpoch) != per {
+		t.Errorf("Estimate prices %d B per epoch; 64 of the set-up's 602 columns would be %v", sim.PredEpoch, per)
+	}
+	var tcp ledgerRow
+	for i, cmd := range cmds {
+		if err := waitCmd(cmd, 3*time.Minute); err != nil {
+			t.Fatalf("rank %d: %v", i, err)
+		}
+		blob, err := os.ReadFile(outs[i])
+		if err != nil {
+			t.Fatalf("rank %d: %v", i, err)
+		}
+		var row ledgerRow
+		if err := json.Unmarshal(blob, &row); err != nil {
+			t.Fatalf("rank %d: %v", i, err)
+		}
+		if row.PredEpoch != sim.PredEpoch || row.PredSetup != sim.PredSetup {
+			t.Errorf("rank %d: Estimate predicts (%d, %d) B, sim (%d, %d)", i, row.PredEpoch, row.PredSetup, sim.PredEpoch, sim.PredSetup)
+		}
+		tcp.Epoch, tcp.Setup = max(tcp.Epoch, row.Epoch), max(tcp.Setup, row.Setup)
+	}
+	if tcp.Epoch != sim.PredEpoch || tcp.Setup != sim.PredSetup {
+		t.Errorf("tcp: busiest rank measured %d B per epoch and %d B of set-up, Estimate predicts %d and %d", tcp.Epoch, tcp.Setup, sim.PredEpoch, sim.PredSetup)
 	}
 }
 
