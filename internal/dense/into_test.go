@@ -68,14 +68,7 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 
 func requireIdentical(t *testing.T, want, got *Matrix) {
 	t.Helper()
-	if want.Rows != got.Rows || want.Cols != got.Cols {
-		t.Fatalf("shape %dx%d != %dx%d", got.Rows, got.Cols, want.Rows, want.Cols)
-	}
-	for i, v := range want.Data {
-		if got.Data[i] != v {
-			t.Fatalf("element %d: %v != %v", i, got.Data[i], v)
-		}
-	}
+	requireSameBits(t, "in-place kernel", want, got)
 }
 
 func mustNotAllocate(t *testing.T, fn func()) {

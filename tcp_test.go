@@ -221,10 +221,6 @@ func TestTCPHelperProcess(t *testing.T) {
 		t.Fatalf("bad %s: %v", tcpEnvRank, err)
 	}
 	peers := strings.Split(os.Getenv(tcpEnvPeers), ",")
-	var ds *Dataset
-	if mode != "estimate" {
-		ds = MustLoadDataset(confDataset, confSeed, confScaleDiv)
-	}
 
 	base := runtime.NumGoroutine()
 	cl, err := NewTCPCluster(rank, peers)
@@ -234,7 +230,7 @@ func TestTCPHelperProcess(t *testing.T) {
 
 	switch mode {
 	case "conformance":
-		runs := runConformanceSchedule(t, cl, ds)
+		runs := runConformanceSchedule(t, cl, MustLoadDataset(confDataset, confSeed, confScaleDiv))
 		blob, err := json.Marshal(runs)
 		if err != nil {
 			t.Fatal(err)
@@ -257,6 +253,7 @@ func TestTCPHelperProcess(t *testing.T) {
 			t.Errorf("close: %v", err)
 		}
 	case "chaos":
+		ds := MustLoadDataset(confDataset, confSeed, confScaleDiv)
 		dg, err := cl.Distribute(ds, DistOpts{Algorithm: SparsityAware1D, Partitioner: NewGVB(confSeed)})
 		if err != nil {
 			t.Fatal(err)
@@ -302,37 +299,16 @@ func TestTCPConformance(t *testing.T) {
 	if os.Getenv(tcpEnvMode) != "" {
 		t.Skip("inside a worker process")
 	}
-	const p = 4
-	dir := t.TempDir()
-	addrs := freeAddrs(t, p)
-
-	outs := make([]string, p)
-	cmds := make([]*exec.Cmd, p)
-	for i := 0; i < p; i++ {
-		outs[i] = filepath.Join(dir, fmt.Sprintf("rank%d.json", i))
-		cmds[i] = workerCmd(t, "conformance", i, addrs, outs[i], "")
-		if err := cmds[i].Start(); err != nil {
-			t.Fatalf("rank %d: %v", i, err)
-		}
-	}
-
 	// Reference: the same schedule on the simulated transport.
-	simCl, err := NewCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := runConformanceSchedule(t, simCl, MustLoadDataset(confDataset, confSeed, confScaleDiv))
-
-	for i, cmd := range cmds {
-		if err := waitCmd(cmd, 3*time.Minute); err != nil {
-			t.Fatalf("rank %d: %v", i, err)
-		}
-	}
-	for i := range cmds {
-		blob, err := os.ReadFile(outs[i])
+	var ref []confRun
+	blobs := runWorkers(t, "conformance", 4, func() {
+		simCl, err := NewCluster(4)
 		if err != nil {
-			t.Fatalf("rank %d: %v", i, err)
+			t.Fatal(err)
 		}
+		ref = runConformanceSchedule(t, simCl, MustLoadDataset(confDataset, confSeed, confScaleDiv))
+	})
+	for i, blob := range blobs {
 		var runs []confRun
 		if err := json.Unmarshal(blob, &runs); err != nil {
 			t.Fatalf("rank %d: %v", i, err)
@@ -411,39 +387,23 @@ func TestEstimatePredictsMeasuredBytesRedditSim(t *testing.T) {
 	if os.Getenv(tcpEnvMode) != "" {
 		t.Skip("inside a worker process")
 	}
-	const p = 4
-	dir := t.TempDir()
-	addrs := freeAddrs(t, p)
-	outs := make([]string, p)
-	cmds := make([]*exec.Cmd, p)
-	for i := range cmds {
-		outs[i] = filepath.Join(dir, fmt.Sprintf("rank%d.json", i))
-		cmds[i] = workerCmd(t, "estimate", i, addrs, outs[i], "")
-		if err := cmds[i].Start(); err != nil {
-			t.Fatalf("rank %d: %v", i, err)
+	var sim ledgerRow
+	blobs := runWorkers(t, "estimate", 4, func() {
+		simCl, err := NewCluster(4)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	simCl, err := NewCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := estimateVsLedger(t, simCl)
+		sim = estimateVsLedger(t, simCl)
+	})
 	if sim.PredEpoch == 0 || sim.Epoch != sim.PredEpoch || sim.Setup != sim.PredSetup {
 		t.Errorf("sim: measured %d B per epoch and %d B of set-up, Estimate predicts %d and %d", sim.Epoch, sim.Setup, sim.PredEpoch, sim.PredSetup)
 	}
 	// The widths an epoch multiplies at: the feature width is set-up only.
-	if per := float64(sim.PredSetup) / 602 * 64; float64(sim.PredEpoch) != per {
-		t.Errorf("Estimate prices %d B per epoch; 64 of the set-up's 602 columns would be %v", sim.PredEpoch, per)
+	if sim.PredEpoch*602 != sim.PredSetup*64 {
+		t.Errorf("Estimate prices %d B per epoch, not 64 of the set-up's 602 columns (%d B)", sim.PredEpoch, sim.PredSetup)
 	}
 	var tcp ledgerRow
-	for i, cmd := range cmds {
-		if err := waitCmd(cmd, 3*time.Minute); err != nil {
-			t.Fatalf("rank %d: %v", i, err)
-		}
-		blob, err := os.ReadFile(outs[i])
-		if err != nil {
-			t.Fatalf("rank %d: %v", i, err)
-		}
+	for i, blob := range blobs {
 		var row ledgerRow
 		if err := json.Unmarshal(blob, &row); err != nil {
 			t.Fatalf("rank %d: %v", i, err)
@@ -516,6 +476,36 @@ func TestTCPChaosKillRank(t *testing.T) {
 			t.Errorf("survivor rank %d report: %s", i, blob)
 		}
 	}
+}
+
+// runWorkers runs p worker processes in the given helper mode over loopback
+// TCP, calls meanwhile (the parent's simulated reference) while they run, and
+// returns what each rank wrote to its out-file.
+func runWorkers(t *testing.T, mode string, p int, meanwhile func()) [][]byte {
+	t.Helper()
+	dir := t.TempDir()
+	addrs := freeAddrs(t, p)
+	outs := make([]string, p)
+	cmds := make([]*exec.Cmd, p)
+	for i := range cmds {
+		outs[i] = filepath.Join(dir, fmt.Sprintf("rank%d.json", i))
+		cmds[i] = workerCmd(t, mode, i, addrs, outs[i], "")
+		if err := cmds[i].Start(); err != nil {
+			t.Fatalf("rank %d: %v", i, err)
+		}
+	}
+	meanwhile()
+	blobs := make([][]byte, p)
+	for i, cmd := range cmds {
+		if err := waitCmd(cmd, 3*time.Minute); err != nil {
+			t.Fatalf("rank %d: %v", i, err)
+		}
+		var err error
+		if blobs[i], err = os.ReadFile(outs[i]); err != nil {
+			t.Fatalf("rank %d: %v", i, err)
+		}
+	}
+	return blobs
 }
 
 // workerCmd builds the re-exec command for one worker rank.
