@@ -7,6 +7,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"sagnn/internal/sparse"
 )
@@ -78,12 +79,22 @@ func (g *Graph) IsSymmetric() bool { return g.Adj.IsSymmetric(0) }
 // The result is symmetric whenever A is, so Â = Âᵀ and training needs no
 // explicit transpose (Section 4 of the paper).
 func (g *Graph) NormalizedAdjacency() *sparse.CSR {
-	n := g.NumVertices()
-	coords := g.Adj.ToCoords()
-	for i := 0; i < n; i++ {
-		coords = append(coords, sparse.Coord{Row: i, Col: i, Val: 1})
+	a, n := g.Adj, g.NumVertices()
+	// A + I in one merge pass over A's sorted rows: the identity lands in
+	// each row's column order, and adds 1 to a diagonal A already stores.
+	withSelf := &sparse.CSR{NumRows: n, NumCols: n, RowPtr: make([]int, n+1),
+		ColIdx: make([]int, 0, a.NNZ()+n), Val: make([]float64, 0, a.NNZ()+n)}
+	for r := 0; r < n; r++ {
+		lo, hi := a.RowPtr[r], a.RowPtr[r+1]
+		d := lo + sort.SearchInts(a.ColIdx[lo:hi], r) // where the diagonal goes
+		e, self := d, 1.0                             // e: A's first entry right of it
+		if d < hi && a.ColIdx[d] == r {
+			e, self = d+1, a.Val[d]+1
+		}
+		withSelf.ColIdx = append(append(append(withSelf.ColIdx, a.ColIdx[lo:d]...), r), a.ColIdx[e:hi]...)
+		withSelf.Val = append(append(append(withSelf.Val, a.Val[lo:d]...), self), a.Val[e:hi]...)
+		withSelf.RowPtr[r+1] = len(withSelf.ColIdx)
 	}
-	withSelf := sparse.NewCSR(n, n, coords)
 	invSqrt := make([]float64, n)
 	for i := 0; i < n; i++ {
 		d := 0.0

@@ -197,3 +197,25 @@ func TestEdgeListFileRoundTrip(t *testing.T) {
 		t.Fatal("expected error for missing file")
 	}
 }
+
+// TestMatrixMarketDuplicatesSumInFileOrder pins NewCSR's duplicate contract
+// where a reader can see it: three entries of one coordinate are summed in
+// file order, and (0.1+0.2)+0.3 rounds differently from (0.3+0.2)+0.1.
+func TestMatrixMarketDuplicatesSumInFileOrder(t *testing.T) {
+	in := `%%MatrixMarket matrix coordinate real general
+2 2 6
+1 1 0.1
+2 2 0.3
+1 1 0.2
+2 2 0.2
+1 1 0.3
+2 2 0.1
+`
+	m, err := ReadMatrixMarket(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NNZ() != 2 || m.At(0, 0) != 0.6000000000000001 || m.At(1, 1) != 0.6 {
+		t.Fatalf("nnz %d, sums %v and %v; want 2, 0.6000000000000001 and 0.6", m.NNZ(), m.At(0, 0), m.At(1, 1))
+	}
+}

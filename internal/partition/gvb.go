@@ -2,7 +2,6 @@ package partition
 
 import (
 	"math/rand"
-	"sort"
 
 	"sagnn/internal/graph"
 )
@@ -46,9 +45,8 @@ func (g GVB) Partition(gr *graph.Graph, k int) *Partition {
 		passes = 6
 	}
 	base := MetisLike{Seed: g.Seed, Epsilon: eps}
-	parts := base.partitionInternal(gr, k)
+	parts, w := base.partitionInternal(gr, k)
 	if k > 1 && !g.DisableVolumePhase {
-		w := fromGraph(gr)
 		maxW := int64(float64(w.totalVWgt()) / float64(k) * (1 + volEps))
 		rng := rand.New(rand.NewSource(g.Seed + 7))
 		refineVolume(w, parts, k, maxW, passes, rng)
@@ -62,31 +60,18 @@ func (g GVB) Partition(gr *graph.Graph, k int) *Partition {
 type volState struct {
 	w     *wgraph
 	parts []int
-	k     int
-	cnt   []map[int]int64 // neighbor-part edge counts per vertex
+	cnt   partCounts // neighbor-part edge counts per vertex
 	partW []int64
 	send  []int64
 }
 
 func newVolState(w *wgraph, parts []int, k int) *volState {
 	cnt, partW := buildPartCounts(w, parts, k)
-	s := &volState{w: w, parts: parts, k: k, cnt: cnt, partW: partW, send: make([]int64, k)}
+	s := &volState{w: w, parts: parts, cnt: cnt, partW: partW, send: make([]int64, k)}
 	for v := 0; v < w.n; v++ {
-		s.send[parts[v]] += s.contribution(v, parts[v])
+		s.send[parts[v]] += cnt.remote(v, parts[v])
 	}
 	return s
-}
-
-// contribution returns the number of remote parts that need vertex v's H
-// row when v lives in part p.
-func (s *volState) contribution(v, p int) int64 {
-	var c int64
-	for q := range s.cnt[v] {
-		if q != p {
-			c++
-		}
-	}
-	return c
 }
 
 // maxSend returns the current bottleneck send volume.
@@ -109,23 +94,15 @@ func (s *volState) totalSend() int64 {
 	return t
 }
 
-// evalMove computes the per-part send-volume deltas of moving v from p to
-// q without mutating state.
-func (s *volState) evalMove(v, p, q int) map[int]int64 {
-	delta := make(map[int]int64, 4)
+// evalMove writes into delta (length k) the per-part send-volume deltas of
+// moving v from p to q, without mutating state.
+func (s *volState) evalMove(v, p, q int, delta []int64) {
+	clear(delta)
 	// v's own contribution relocates and changes value: neighbors in p
-	// become remote, neighbors in q become local.
-	delta[p] -= s.contribution(v, p)
-	newContrib := int64(0)
-	for r := range s.cnt[v] {
-		if r != q {
-			newContrib++
-		}
-	}
-	// After the move v has no neighbors counted in "p" unless it already
-	// does; cnt[v] is unchanged by v's own move, so contribution(v, q)
-	// computed on the same cnt is correct.
-	delta[q] += newContrib
+	// become remote, neighbors in q become local. cnt[v] is unchanged by v's
+	// own move, so both counts read the same row.
+	delta[p] -= s.cnt.remote(v, p)
+	delta[q] += s.cnt.remote(v, q)
 	// Neighbor contributions: u in part s loses a neighbor in p and gains
 	// one in q.
 	for e := s.w.xadj[v]; e < s.w.xadj[v+1]; e++ {
@@ -134,18 +111,18 @@ func (s *volState) evalMove(v, p, q int) map[int]int64 {
 		if u == v {
 			continue
 		}
-		if s.cnt[u][p]-s.w.ewgt[e] <= 0 && p != su {
+		cu := s.cnt.of(u)
+		if cu[p]-s.w.ewgt[e] <= 0 && p != su {
 			delta[su]--
 		}
-		if s.cnt[u][q] == 0 && q != su {
+		if cu[q] == 0 && q != su {
 			delta[su]++
 		}
 	}
-	return delta
 }
 
 // apply commits a move previously evaluated.
-func (s *volState) apply(v, p, q int, delta map[int]int64) {
+func (s *volState) apply(v, p, q int, delta []int64) {
 	moveVertex(s.w, s.parts, s.cnt, s.partW, v, p, q)
 	for r, d := range delta {
 		s.send[r] += d
@@ -154,13 +131,14 @@ func (s *volState) apply(v, p, q int, delta map[int]int64) {
 
 // refineVolume runs greedy passes over boundary vertices, accepting moves
 // that lexicographically improve (max send volume, total send volume)
-// within the balance ceiling.
+// within the balance ceiling. Candidate parts are tried in ascending order.
 func refineVolume(w *wgraph, parts []int, k int, maxW int64, passes int, rng *rand.Rand) int {
 	s := newVolState(w, parts, k)
 	order := make([]int, w.n)
 	for i := range order {
 		order[i] = i
 	}
+	delta, bestDelta := make([]int64, k), make([]int64, k)
 	totalMoves := 0
 	for pass := 0; pass < passes; pass++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -169,21 +147,13 @@ func refineVolume(w *wgraph, parts []int, k int, maxW int64, passes int, rng *ra
 		curTotal := s.totalSend()
 		for _, v := range order {
 			p := parts[v]
-			if len(s.cnt[v]) == 1 {
-				if _, only := s.cnt[v][p]; only {
-					continue // interior vertex: no volume effect
-				}
+			if s.cnt.remote(v, p) == 0 {
+				continue // interior vertex: no volume effect
 			}
 			bestQ := -1
 			bestMax, bestTotal := curMax, curTotal
-			var bestDelta map[int]int64
-			cands := make([]int, 0, len(s.cnt[v]))
-			for q := range s.cnt[v] {
-				cands = append(cands, q)
-			}
-			sort.Ints(cands)
-			for _, q := range cands {
-				if q == p {
+			for q, wq := range s.cnt.of(v) {
+				if q == p || wq == 0 {
 					continue
 				}
 				if s.partW[q]+w.vwgt[v] > maxW {
@@ -192,10 +162,11 @@ func refineVolume(w *wgraph, parts []int, k int, maxW int64, passes int, rng *ra
 				if s.partW[p]-w.vwgt[v] <= 0 {
 					continue // never empty a part
 				}
-				delta := s.evalMove(v, p, q)
+				s.evalMove(v, p, q, delta)
 				newMax, newTotal := projectedObjective(s.send, delta)
 				if newMax < bestMax || (newMax == bestMax && newTotal < bestTotal) {
-					bestMax, bestTotal, bestQ, bestDelta = newMax, newTotal, q, delta
+					bestMax, bestTotal, bestQ = newMax, newTotal, q
+					delta, bestDelta = bestDelta, delta
 				}
 			}
 			if bestQ < 0 {
@@ -215,12 +186,10 @@ func refineVolume(w *wgraph, parts []int, k int, maxW int64, passes int, rng *ra
 
 // projectedObjective returns (max, total) send volume after applying delta
 // to send, without mutating it.
-func projectedObjective(send []int64, delta map[int]int64) (int64, int64) {
+func projectedObjective(send, delta []int64) (int64, int64) {
 	var maxV, total int64
 	for p, v := range send {
-		if d, ok := delta[p]; ok {
-			v += d
-		}
+		v += delta[p]
 		if v > maxV {
 			maxV = v
 		}

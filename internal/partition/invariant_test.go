@@ -71,6 +71,7 @@ func TestVolStateIncrementalMatchesRecompute(t *testing.T) {
 	w := fromGraph(g)
 	s := newVolState(w, parts, k)
 	rng := rand.New(rand.NewSource(18))
+	delta := make([]int64, k)
 	for move := 0; move < 200; move++ {
 		v := rng.Intn(w.n)
 		p := parts[v]
@@ -78,7 +79,7 @@ func TestVolStateIncrementalMatchesRecompute(t *testing.T) {
 		if q == p || s.partW[p]-w.vwgt[v] <= 0 {
 			continue
 		}
-		delta := s.evalMove(v, p, q)
+		s.evalMove(v, p, q, delta)
 		s.apply(v, p, q, delta)
 	}
 	// recount from scratch
@@ -86,6 +87,11 @@ func TestVolStateIncrementalMatchesRecompute(t *testing.T) {
 	for part := 0; part < k; part++ {
 		if s.send[part] != fresh.send[part] {
 			t.Fatalf("part %d: incremental %d != recount %d", part, s.send[part], fresh.send[part])
+		}
+	}
+	for v := 0; v < w.n; v++ {
+		if s.cnt.nz[v] != fresh.cnt.nz[v] {
+			t.Fatalf("vertex %d: incremental %d nonzero parts != recount %d", v, s.cnt.nz[v], fresh.cnt.nz[v])
 		}
 	}
 	vs := Volumes(g, &Partition{K: k, Parts: parts})

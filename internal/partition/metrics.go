@@ -45,14 +45,13 @@ func Volumes(g *graph.Graph, p *Partition) VolStats {
 	a := g.Adj
 	send := make([]int64, p.K)
 	recv := make([]int64, p.K)
-	seen := make(map[int]bool, 8)
+	seen := make([]int, p.K) // seen[q] == v+1: v already counted toward part q
 	for v := 0; v < a.NumRows; v++ {
 		pv := p.Parts[v]
-		clear(seen)
 		for e := a.RowPtr[v]; e < a.RowPtr[v+1]; e++ {
 			q := p.Parts[a.ColIdx[e]]
-			if q != pv && !seen[q] {
-				seen[q] = true
+			if q != pv && seen[q] != v+1 {
+				seen[q] = v + 1
 				send[pv]++
 				recv[q]++
 			}

@@ -2,7 +2,7 @@ package partition
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"sagnn/internal/graph"
 )
@@ -28,13 +28,14 @@ func (w *wgraph) totalVWgt() int64 {
 
 // fromGraph builds the finest-level working graph. Vertex weight is
 // degree+1, a proxy for the row nonzero count (including the self loop the
-// GCN normalization adds), i.e. SpMM work per vertex.
+// GCN normalization adds), i.e. SpMM work per vertex. The structure aliases
+// g's: no stage of the pipeline writes a working graph's structure.
 func fromGraph(g *graph.Graph) *wgraph {
 	a := g.Adj
 	w := &wgraph{
 		n:    a.NumRows,
-		xadj: append([]int(nil), a.RowPtr...),
-		adj:  append([]int(nil), a.ColIdx...),
+		xadj: a.RowPtr,
+		adj:  a.ColIdx,
 		ewgt: make([]int64, a.NNZ()),
 		vwgt: make([]int64, a.NumRows),
 	}
@@ -73,69 +74,49 @@ func coarsen(w *wgraph, rng *rand.Rand) (*wgraph, []int) {
 			match[v] = v
 		}
 	}
-	// Assign coarse ids deterministically in fine-vertex order so the
-	// result does not depend on map iteration.
+	// A coarse vertex is a matched pair (or a lone vertex); matching is
+	// symmetric, so its first member is the v with match[v] ≥ v. Coarse ids
+	// follow first members in fine-vertex order.
 	cmap := make([]int, w.n)
-	for i := range cmap {
-		cmap[i] = -1
-	}
 	nc := 0
-	for v := 0; v < w.n; v++ {
-		if cmap[v] >= 0 {
-			continue
+	for v, m := range match {
+		if m >= v {
+			cmap[v], cmap[m] = nc, nc
+			nc++
 		}
-		cmap[v] = nc
-		if m := match[v]; m != v && cmap[m] < 0 {
-			cmap[m] = nc
-		}
-		nc++
 	}
-	// Build the coarse graph by merging adjacency lists.
-	cw := &wgraph{n: nc, vwgt: make([]int64, nc)}
-	for v := 0; v < w.n; v++ {
-		cw.vwgt[cmap[v]] += w.vwgt[v]
-	}
-	// Accumulate coarse edges with a per-coarse-vertex scratch map keyed by
-	// coarse neighbor; rebuilt per row to bound memory.
-	cw.xadj = make([]int, nc+1)
-	type edgeAcc struct {
-		to int
-		w  int64
-	}
-	rows := make([][]edgeAcc, nc)
-	scratch := make(map[int]int64)
-	members := make([][]int, nc)
-	for v := 0; v < w.n; v++ {
-		members[cmap[v]] = append(members[cmap[v]], v)
-	}
-	for c := 0; c < nc; c++ {
-		clear(scratch)
-		for _, v := range members[c] {
-			for p := w.xadj[v]; p < w.xadj[v+1]; p++ {
-				cu := cmap[w.adj[p]]
-				if cu == c {
-					continue
+	// Build the coarse rows in id order. acc holds the row's weight to each
+	// coarse neighbour; edge weights are positive, so zero marks one the row
+	// has not reached yet.
+	cw := &wgraph{n: nc, xadj: make([]int, nc+1), vwgt: make([]int64, nc),
+		adj: make([]int, 0, len(w.adj)), ewgt: make([]int64, 0, len(w.adj))}
+	acc := make([]int64, nc)
+	var touched []int
+	addRow := func(v, c int) {
+		cw.vwgt[c] += w.vwgt[v]
+		for p := w.xadj[v]; p < w.xadj[v+1]; p++ {
+			if cu := cmap[w.adj[p]]; cu != c {
+				if acc[cu] == 0 {
+					touched = append(touched, cu)
 				}
-				scratch[cu] += w.ewgt[p]
+				acc[cu] += w.ewgt[p]
 			}
 		}
-		row := make([]edgeAcc, 0, len(scratch))
-		for to, ew := range scratch {
-			row = append(row, edgeAcc{to: to, w: ew})
+	}
+	for v := 0; v < w.n; v++ {
+		m, c := match[v], cmap[v]
+		if m < v {
+			continue // built with its first member m
 		}
-		sort.Slice(row, func(i, j int) bool { return row[i].to < row[j].to })
-		rows[c] = row
-	}
-	total := 0
-	for _, r := range rows {
-		total += len(r)
-	}
-	cw.adj = make([]int, 0, total)
-	cw.ewgt = make([]int64, 0, total)
-	for c := 0; c < nc; c++ {
-		for _, e := range rows[c] {
-			cw.adj = append(cw.adj, e.to)
-			cw.ewgt = append(cw.ewgt, e.w)
+		touched = touched[:0]
+		addRow(v, c)
+		if m != v {
+			addRow(m, c)
+		}
+		slices.Sort(touched)
+		for _, cu := range touched {
+			cw.adj, cw.ewgt = append(cw.adj, cu), append(cw.ewgt, acc[cu])
+			acc[cu] = 0
 		}
 		cw.xadj[c+1] = len(cw.adj)
 	}
@@ -232,27 +213,58 @@ func growInitial(w *wgraph, k int, rng *rand.Rand) []int {
 	return parts
 }
 
-// buildPartCounts returns, for each vertex, a map part → summed edge weight
-// to that part, plus the per-part vertex-weight totals.
-func buildPartCounts(w *wgraph, parts []int, k int) ([]map[int]int64, []int64) {
-	cnt := make([]map[int]int64, w.n)
+// partCounts holds every vertex's summed edge weight into each of the k
+// parts, as one flat n·k array, and how many of those k sums are nonzero.
+type partCounts struct {
+	k   int
+	cnt []int64 // cnt[v*k+q]: v's edge weight into part q
+	nz  []int   // nz[v]: the parts q with cnt[v*k+q] ≠ 0
+}
+
+// of returns v's k counts.
+func (pc partCounts) of(v int) []int64 { return pc.cnt[v*pc.k : (v+1)*pc.k] }
+
+// add adds x to v's count for part q.
+func (pc partCounts) add(v, q int, x int64) {
+	c := &pc.cnt[v*pc.k+q]
+	if *c == 0 {
+		pc.nz[v]++
+	}
+	if *c += x; *c == 0 {
+		pc.nz[v]--
+	}
+}
+
+// remote returns how many parts other than p v has edge weight into: the
+// parts that need v's H row while v lives in p.
+func (pc partCounts) remote(v, p int) int64 {
+	r := int64(pc.nz[v])
+	if pc.cnt[v*pc.k+p] != 0 {
+		r--
+	}
+	return r
+}
+
+// buildPartCounts returns every vertex's edge weight into each part, plus
+// the per-part vertex-weight totals.
+func buildPartCounts(w *wgraph, parts []int, k int) (partCounts, []int64) {
+	pc := partCounts{k: k, cnt: make([]int64, w.n*k), nz: make([]int, w.n)}
 	partW := make([]int64, k)
 	for v := 0; v < w.n; v++ {
 		partW[parts[v]] += w.vwgt[v]
-		m := make(map[int]int64, 4)
 		for p := w.xadj[v]; p < w.xadj[v+1]; p++ {
-			m[parts[w.adj[p]]] += w.ewgt[p]
+			pc.add(v, parts[w.adj[p]], w.ewgt[p])
 		}
-		cnt[v] = m
 	}
-	return cnt, partW
+	return pc, partW
 }
 
 // refineEdgeCut runs greedy FM-style boundary passes: move a vertex to the
-// adjacent part with the largest positive edgecut gain, subject to the
-// balance ceiling maxW. Returns the number of moves made.
+// adjacent part with the largest positive edgecut gain (the lowest such
+// part on a tie), subject to the balance ceiling maxW. Returns the number of
+// moves made.
 func refineEdgeCut(w *wgraph, parts []int, k int, maxW int64, passes int, rng *rand.Rand) int {
-	cnt, partW := buildPartCounts(w, parts, k)
+	pc, partW := buildPartCounts(w, parts, k)
 	totalMoves := 0
 	order := make([]int, w.n)
 	for i := range order {
@@ -263,24 +275,23 @@ func refineEdgeCut(w *wgraph, parts []int, k int, maxW int64, passes int, rng *r
 		moves := 0
 		for _, v := range order {
 			p := parts[v]
-			internal := cnt[v][p]
+			if pc.remote(v, p) == 0 {
+				continue // interior vertex: every gain is ≤ 0
+			}
+			cnt := pc.of(v)
 			bestQ, bestGain := -1, int64(0)
-			for q, wq := range cnt[v] {
-				if q == p {
+			for q, wq := range cnt {
+				if q == p || partW[q]+w.vwgt[v] > maxW {
 					continue
 				}
-				if partW[q]+w.vwgt[v] > maxW {
-					continue
-				}
-				gain := wq - internal
-				if gain > bestGain || (gain == bestGain && bestQ >= 0 && q < bestQ) {
+				if gain := wq - cnt[p]; gain > bestGain {
 					bestGain, bestQ = gain, q
 				}
 			}
 			if bestQ < 0 {
 				continue
 			}
-			moveVertex(w, parts, cnt, partW, v, p, bestQ)
+			moveVertex(w, parts, pc, partW, v, p, bestQ)
 			moves++
 		}
 		totalMoves += moves
@@ -293,18 +304,13 @@ func refineEdgeCut(w *wgraph, parts []int, k int, maxW int64, passes int, rng *r
 
 // moveVertex reassigns v from p to q, updating neighbor part counts and
 // part weights incrementally.
-func moveVertex(w *wgraph, parts []int, cnt []map[int]int64, partW []int64, v, p, q int) {
+func moveVertex(w *wgraph, parts []int, pc partCounts, partW []int64, v, p, q int) {
 	parts[v] = q
 	partW[p] -= w.vwgt[v]
 	partW[q] += w.vwgt[v]
 	for e := w.xadj[v]; e < w.xadj[v+1]; e++ {
-		u := w.adj[e]
-		m := cnt[u]
-		m[p] -= w.ewgt[e]
-		if m[p] == 0 {
-			delete(m, p)
-		}
-		m[q] += w.ewgt[e]
+		pc.add(w.adj[e], p, -w.ewgt[e])
+		pc.add(w.adj[e], q, w.ewgt[e])
 	}
 }
 
@@ -325,7 +331,7 @@ func (m MetisLike) Name() string { return "metis" }
 
 // Partition implements Partitioner.
 func (m MetisLike) Partition(g *graph.Graph, k int) *Partition {
-	parts := m.partitionInternal(g, k)
+	parts, _ := m.partitionInternal(g, k)
 	return &Partition{K: k, Parts: parts}
 }
 
@@ -342,12 +348,13 @@ func (m MetisLike) params() (eps float64, passes int) {
 }
 
 // partitionInternal runs the multilevel pipeline and returns the vertex
-// assignment on the original graph.
-func (m MetisLike) partitionInternal(g *graph.Graph, k int) []int {
+// assignment on the original graph, with the finest working graph (nil when
+// k ≤ 1) for GVB's volume phase to reuse.
+func (m MetisLike) partitionInternal(g *graph.Graph, k int) ([]int, *wgraph) {
 	eps, passes := m.params()
 	rng := rand.New(rand.NewSource(m.Seed + 1))
 	if k <= 1 {
-		return make([]int, g.NumVertices())
+		return make([]int, g.NumVertices()), nil
 	}
 
 	// Coarsening phase.
@@ -386,5 +393,5 @@ func (m MetisLike) partitionInternal(g *graph.Graph, k int) []int {
 		maxW = int64(float64(fine.totalVWgt()) / float64(k) * (1 + eps))
 		refineEdgeCut(fine, parts, k, maxW, passes, rng)
 	}
-	return parts
+	return parts, levels[0]
 }

@@ -254,3 +254,15 @@ func TestGVBBalanceRespected(t *testing.T) {
 		t.Fatalf("GVB nnz balance %v exceeds its slack", b)
 	}
 }
+
+var setupSink *Partition
+
+// BenchmarkGVBSetup partitions reddit-sim at full size four ways, the
+// fullbatch-sa-sim shape.
+func BenchmarkGVBSetup(b *testing.B) {
+	g := gen.MustLoad(gen.RedditSim, 1, 1).G
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		setupSink = GVB{Seed: 1}.Partition(g, 4)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -33,8 +34,9 @@ type CSR struct {
 // NNZ returns the number of stored nonzeros.
 func (m *CSR) NNZ() int { return len(m.ColIdx) }
 
-// NewCSR builds a CSR matrix from COO triples. Duplicate (row, col) entries
-// are summed; entries are sorted by (row, col). Out-of-range coordinates
+// NewCSR builds a CSR matrix from COO triples, sorted by (row, col).
+// Duplicate (row, col) entries are summed in input order: the first value,
+// plus the second, plus the third, and so on. Out-of-range coordinates
 // panic: they always indicate a construction bug upstream.
 func NewCSR(rows, cols int, coords []Coord) *CSR {
 	for _, c := range coords {
@@ -42,42 +44,49 @@ func NewCSR(rows, cols int, coords []Coord) *CSR {
 			panic(fmt.Sprintf("sparse: coord (%d,%d) outside %dx%d", c.Row, c.Col, rows, cols))
 		}
 	}
-	sorted := make([]Coord, len(coords))
-	copy(sorted, coords)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
+	m := byColumns(rows, cols, len(coords), func(put func(r, c int, v float64)) {
+		for _, c := range coords {
+			put(c.Row, c.Col, c.Val)
 		}
-		return sorted[i].Col < sorted[j].Col
 	})
-	// Merge duplicates into a compacted prefix of sorted.
-	merged := sorted[:0]
-	for _, c := range sorted {
-		n := len(merged)
-		if n > 0 && merged[n-1].Row == c.Row && merged[n-1].Col == c.Col {
-			merged[n-1].Val += c.Val
-			continue
-		}
-		merged = append(merged, c)
-	}
-	m := &CSR{
-		NumRows: rows,
-		NumCols: cols,
-		RowPtr:  make([]int, rows+1),
-		ColIdx:  make([]int, len(merged)),
-		Val:     make([]float64, len(merged)),
-	}
-	for _, c := range merged {
-		m.RowPtr[c.Row+1]++
-	}
+	// Fold each run of equal columns into its first entry, compacting in place.
+	n, lo := 0, 0
 	for r := 0; r < rows; r++ {
-		m.RowPtr[r+1] += m.RowPtr[r]
+		first, hi := n, m.RowPtr[r+1]
+		for p := lo; p < hi; p++ {
+			if n > first && m.ColIdx[n-1] == m.ColIdx[p] {
+				m.Val[n-1] += m.Val[p]
+				continue
+			}
+			m.ColIdx[n], m.Val[n] = m.ColIdx[p], m.Val[p]
+			n++
+		}
+		lo, m.RowPtr[r+1] = hi, n
 	}
-	for i, c := range merged {
-		m.ColIdx[i] = c.Col
-		m.Val[i] = c.Val
+	if n < len(coords) {
+		m.ColIdx, m.Val = slices.Clone(m.ColIdx[:n]), slices.Clone(m.Val[:n])
 	}
 	return m
+}
+
+// byColumns builds a rows×cols CSR from the nnz entries scan hands to put,
+// with two stable counting passes and no comparison sort. scan runs twice:
+// once to count each column, once to scatter every entry into its column of
+// a staging cols×rows transpose. Transposing that back leaves every row with
+// ascending columns, and entries with equal coordinates next to each other
+// in the order scan delivered them.
+func byColumns(rows, cols, nnz int, scan func(put func(r, c int, v float64))) *CSR {
+	st := &CSR{NumRows: cols, NumCols: rows, RowPtr: make([]int, cols+1), ColIdx: make([]int, nnz), Val: make([]float64, nnz)}
+	scan(func(_, c int, _ float64) { st.RowPtr[c+1]++ })
+	for c := 0; c < cols; c++ {
+		st.RowPtr[c+1] += st.RowPtr[c]
+	}
+	next := slices.Clone(st.RowPtr[:cols])
+	scan(func(r, c int, v float64) {
+		st.ColIdx[next[c]], st.Val[next[c]] = r, v
+		next[c]++
+	})
+	return st.Transpose()
 }
 
 // FromEdges builds an n×n CSR adjacency matrix with Val=1.0 for each edge.
@@ -191,13 +200,15 @@ func (m *CSR) PermuteSymmetric(perm []int) *CSR {
 	if len(perm) != m.NumRows {
 		panic(fmt.Sprintf("sparse: perm len %d != %d", len(perm), m.NumRows))
 	}
-	coords := make([]Coord, 0, m.NNZ())
-	for r := 0; r < m.NumRows; r++ {
-		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-			coords = append(coords, Coord{Row: perm[r], Col: perm[m.ColIdx[p]], Val: m.Val[p]})
+	// A permutation maps no two entries to one coordinate, so the order the
+	// old rows are visited in cannot show.
+	return byColumns(m.NumRows, m.NumCols, m.NNZ(), func(put func(r, c int, v float64)) {
+		for r := 0; r < m.NumRows; r++ {
+			for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
+				put(perm[r], perm[m.ColIdx[p]], m.Val[p])
+			}
 		}
-	}
-	return NewCSR(m.NumRows, m.NumCols, coords)
+	})
 }
 
 // RowBlock returns rows [lo, hi) of m as a standalone (hi-lo)×NumCols CSR.
