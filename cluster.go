@@ -307,7 +307,7 @@ type prepared struct {
 // AlgorithmAuto caches it per distinct k across candidates.
 func prepare(ds *Dataset, pt Partitioner, k int) *prepared {
 	p := &prepared{
-		aHat:   ds.G.NormalizedAdjacency(),
+		aHat:   ds.NormalizedAdjacency(),
 		x:      ds.Features,
 		labels: ds.Labels,
 		train:  ds.Train, val: ds.Val, test: ds.Test,

@@ -90,7 +90,7 @@ func RunSerial(ds *Dataset, epochs int, cfg ModelConfig) (res *SerialResult, err
 	defer recoverToError(&err)
 	dims := gcn.LayerDims(ds.FeatureDim(), cfg.Hidden, ds.Classes, cfg.Layers)
 	model := gcn.NewModelVariant(cfg.Seed, dims, cfg.variant())
-	s := gcn.NewSerial(ds.G.NormalizedAdjacency(), ds.Features, ds.Labels, ds.Train, model, cfg.LR)
+	s := gcn.NewSerial(ds.NormalizedAdjacency(), ds.Features, ds.Labels, ds.Train, model, cfg.LR)
 	s.Variant = cfg.variant()
 	history, err := s.TrainEpochs(epochs)
 	if err != nil {
@@ -174,7 +174,7 @@ func RunMiniBatch(ds *Dataset, epochs int, cfg ModelConfig, opts ...MiniBatchOpt
 		}
 		res.EpochLoss = append(res.EpochLoss, loss)
 	}
-	eval := gcn.NewSerial(ds.G.NormalizedAdjacency(), ds.Features, ds.Labels, ds.Train, model, cfg.LR)
+	eval := gcn.NewSerial(ds.NormalizedAdjacency(), ds.Features, ds.Labels, ds.Train, model, cfg.LR)
 	res.TestAcc = eval.Accuracies(ds.Test)[0]
 	res.Model = &Model{m: model.Clone()}
 	return res, nil

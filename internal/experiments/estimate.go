@@ -84,7 +84,7 @@ func EstimateTable(preset gen.Preset, scaleDiv, p int, seed int64, mode sagnn.Ex
 		return nil, err
 	}
 	n, f0 := ds.G.NumVertices(), ds.FeatureDim()
-	aHat := ds.G.NormalizedAdjacency()
+	aHat := ds.NormalizedAdjacency()
 	h := dense.NewRandom(rand.New(rand.NewSource(seed+1)), n, f0, 1.0)
 
 	rows := make([]EstimateRow, 0, len(cands))

@@ -133,10 +133,11 @@ type engineOperand struct {
 	in *InputProduct
 }
 
-func (o *engineOperand) First() (agg, h0 *dense.Matrix)         { return o.in.Block(o.r.ID), o.x }
-func (o *engineOperand) Rows(int) int                           { return o.x.Rows }
-func (o *engineOperand) Aggregate(_ int, dst, h *dense.Matrix)  { multiply(o.e, o.r, h, dst) }
-func (o *engineOperand) AggregateT(_ int, dst, g *dense.Matrix) { multiply(o.e, o.r, g, dst) }
+func (o *engineOperand) First() (agg, h0 *dense.Matrix)            { return o.in.Block(o.r.ID), o.x }
+func (o *engineOperand) Rows(int) int                              { return o.x.Rows }
+func (o *engineOperand) Aggregate(_ int, dst, h *dense.Matrix)     { multiply(o.e, o.r, h, dst) }
+func (o *engineOperand) Self(_ int, h *dense.Matrix) *dense.Matrix { return h }
+func (o *engineOperand) AggregateT(_ int, dst, g *dense.Matrix)    { multiply(o.e, o.r, g, dst) }
 
 // rankTrain is one rank's share of the full-batch epoch: its operand and
 // the training vertices inside its block rows (local row indices) with

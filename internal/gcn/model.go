@@ -9,8 +9,9 @@
 // step.go writes that recurrence once — Forward, the softmax cross-entropy
 // loss, and the transposed chain back — over an aggregation Operand, which
 // hands over the first layer's Â·H⁰ and supplies Â_l·H / Â_lᵀ·G for the
-// layers above, and a grow-only Workspace. Only the operand changes between
-// trainers: Serial aggregates with a local SpMM over the whole Â,
+// layers above, and a grow-only Workspace. Forward needs only the forward
+// half (ForwardOperand). Only the operand changes between trainers: Serial
+// aggregates with a local SpMM over the whole Â,
 // Distributed with a collective Engine.MultiplyInto over its block rows
 // (both symmetric, Â = Âᵀ, so no transpose communication is needed — the
 // assumption the paper makes for its symmetric datasets), and package
@@ -25,7 +26,10 @@
 // (feature slice, weights, optimizer, gradient group, workspace), the epoch
 // counter and the dirty flag — and runs whichever EpochBody it holds, so a
 // session trains full-batch and sampled over one replica set. SubsetEval is
-// the serving-side forward pass over an L-hop frontier gather.
+// the fourth, forward-only operand: serving's frontier chain, which gathers
+// the rows of one shared Â·X its request's receptive field needs and
+// multiplies induced submatrices of Â above it — or Â itself when the
+// request is every vertex, which is how full-batch prediction runs.
 package gcn
 
 import (

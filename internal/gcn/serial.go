@@ -11,10 +11,11 @@ import (
 // Serial is the single-process reference trainer: the step of step.go over
 // the whole normalized adjacency. It is the ground truth the distributed
 // trainers are tested against (same seeds → same loss trajectory to
-// floating-point reassociation tolerance), and the full-batch evaluator.
+// floating-point reassociation tolerance), and the full-batch evaluator of
+// held-out accuracy.
 //
-// A Serial is NOT safe for concurrent use: PredictInto, Accuracies and
-// Epoch all share the workspace below.
+// A Serial is NOT safe for concurrent use: Accuracies and Epoch share the
+// workspace below.
 type Serial struct {
 	Labels []int
 	Train  []int
@@ -64,25 +65,15 @@ func (o *csrOperand) First() (agg, h0 *dense.Matrix) {
 	}
 	return o.ax, o.x
 }
-func (o *csrOperand) Rows(int) int                           { return o.a.NumRows }
-func (o *csrOperand) Aggregate(_ int, dst, h *dense.Matrix)  { o.a.SpMMInto(dst, h) }
-func (o *csrOperand) AggregateT(_ int, dst, g *dense.Matrix) { o.a.SpMMInto(dst, g) }
-
-// PredictInto writes row-wise class probabilities for all vertices into
-// dst (NumVertices × classes) — allocation-free once the forward buffers
-// have grown, for callers that reuse a probability buffer across calls.
-func (s *Serial) PredictInto(dst *dense.Matrix) {
-	dst.CopyFrom(s.ws.Forward(s.Model, s.Variant, &s.op, Collective{}))
-	dense.SoftmaxRows(dst)
-}
+func (o *csrOperand) Rows(int) int                              { return o.a.NumRows }
+func (o *csrOperand) Aggregate(_ int, dst, h *dense.Matrix)     { o.a.SpMMInto(dst, h) }
+func (o *csrOperand) Self(_ int, h *dense.Matrix) *dense.Matrix { return h }
+func (o *csrOperand) AggregateT(_ int, dst, g *dense.Matrix)    { o.a.SpMMInto(dst, g) }
 
 // Accuracies evaluates classification accuracy on each vertex set from one
 // forward pass.
 func (s *Serial) Accuracies(masks ...[]int) []float64 {
-	// The logits are the workspace's own buffer until the next pass, so the
-	// softmax runs in place.
-	probs := s.ws.Forward(s.Model, s.Variant, &s.op, Collective{})
-	dense.SoftmaxRows(probs)
+	probs := s.ws.Probabilities(s.Model, s.Variant, &s.op)
 	accs := make([]float64, len(masks))
 	for i, mask := range masks {
 		accs[i] = dense.Accuracy(probs, s.Labels, mask)

@@ -13,13 +13,13 @@ import (
 // training vertices: there is nothing to average, so no loss exists.
 var ErrEmptyTrainSet = errors.New("gcn: empty training set")
 
-// Operand is the sparse side of one training step: the first layer's
-// aggregate Â_1·H⁰, handed over whole, and for each layer above it the two
-// aggregations Â_l·H^{l−1} (forward) and Â_lᵀ·(G^l (W^l)ᵀ) (backward), both
-// dims[l−1] columns wide. The layer recurrence below is written once over it;
-// the serial trainer, the distributed engines and the sampled block chains
-// differ only in the operand they pass.
-type Operand interface {
+// ForwardOperand is the sparse side of a forward pass: the first layer's
+// aggregate Â_1·H⁰, handed over whole, and for each layer above it the
+// aggregation Â_l·H^{l−1}, dims[l−1] columns wide. The layer recurrence
+// below is written once over it; the serial trainer, the distributed
+// engines, the sampled block chains and the serving frontier differ only in
+// the operand they pass.
+type ForwardOperand interface {
 	// First returns Â_1·H⁰ and H⁰. Neither depends on the weights, so an
 	// operand over a fixed graph and fixed features computes the product
 	// once and returns the same matrix on every pass; the step only reads
@@ -30,6 +30,17 @@ type Operand interface {
 	Rows(l int) int
 	// Aggregate writes Â_l·h into dst (Rows(l) × h.Cols), l = 2..L.
 	Aggregate(l int, dst, h *dense.Matrix)
+	// Self returns SAGEConv's self half of layer l: the rows of h = H^{l−1}
+	// that Â_l's rows name, Rows(l) of them, l = 2..L. A square operand
+	// returns h.
+	Self(l int, h *dense.Matrix) *dense.Matrix
+}
+
+// Operand is the sparse side of one training step: the forward half and,
+// for each layer above the first, Â_lᵀ·(G^l (W^l)ᵀ) (backward), dims[l−1]
+// columns wide.
+type Operand interface {
+	ForwardOperand
 	// AggregateT writes Â_lᵀ·g into dst (Rows(l−1) × g.Cols), l = 2..L.
 	AggregateT(l int, dst, g *dense.Matrix)
 }
@@ -93,7 +104,7 @@ func grow(slot **dense.Matrix, rows, cols int) *dense.Matrix {
 // overwritten by the next pass.
 //
 //sagnn:steadystate
-func (ws *Workspace) Forward(m *Model, v Variant, op Operand, c Collective) *dense.Matrix {
+func (ws *Workspace) Forward(m *Model, v Variant, op ForwardOperand, c Collective) *dense.Matrix {
 	L := m.Layers()
 	ws.fit(L)
 	agg, h := op.First()
@@ -102,6 +113,9 @@ func (ws *Workspace) Forward(m *Model, v Variant, op Operand, c Collective) *den
 		if l > 1 {
 			agg = grow(&b.agg, op.Rows(l), h.Cols)
 			op.Aggregate(l, agg, h)
+			if v == SAGEConv {
+				h = op.Self(l, h)
+			}
 		}
 		b.p = agg
 		if v == SAGEConv {
@@ -119,6 +133,14 @@ func (ws *Workspace) Forward(m *Model, v Variant, op Operand, c Collective) *den
 		}
 	}
 	return h
+}
+
+// Probabilities is an inference pass: Forward, then the row-wise softmax of
+// the logits in place. The result is workspace-backed like the logits.
+func (ws *Workspace) Probabilities(m *Model, v Variant, op ForwardOperand) *dense.Matrix {
+	probs := ws.Forward(m, v, op, Collective{})
+	dense.SoftmaxRows(probs)
+	return probs
 }
 
 // loss is the softmax cross-entropy of the trained rows and its gradient:

@@ -19,9 +19,10 @@ type rectChain struct {
 	x      *dense.Matrix
 }
 
-func (c *rectChain) First() (agg, h0 *dense.Matrix)        { return c.blocks[0].SpMM(c.x), c.x }
-func (c *rectChain) Rows(l int) int                        { return c.blocks[l-1].NumRows }
-func (c *rectChain) Aggregate(l int, dst, h *dense.Matrix) { c.blocks[l-1].SpMMInto(dst, h) }
+func (c *rectChain) First() (agg, h0 *dense.Matrix)            { return c.blocks[0].SpMM(c.x), c.x }
+func (c *rectChain) Rows(l int) int                            { return c.blocks[l-1].NumRows }
+func (c *rectChain) Aggregate(l int, dst, h *dense.Matrix)     { c.blocks[l-1].SpMMInto(dst, h) }
+func (c *rectChain) Self(_ int, h *dense.Matrix) *dense.Matrix { return h }
 func (c *rectChain) AggregateT(l int, dst, g *dense.Matrix) {
 	c.blocks[l-1].Transpose().SpMMInto(dst, g)
 }

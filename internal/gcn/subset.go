@@ -9,36 +9,41 @@ import (
 )
 
 // SubsetEval computes class probabilities for a set of target vertices by
-// gathering only the rows their receptive field needs — the serving-side
-// twin of the paper's sparsity-aware communication: instead of "send only
-// the rows NnzCols says a remote rank needs", it is "compute only the rows
-// the L-hop in-neighborhood of the request needs".
+// running Forward over only the rows their receptive field needs — the
+// serving-side twin of the paper's sparsity-aware communication: instead of
+// "send only the rows NnzCols says a remote rank needs", it is "compute only
+// the rows the L-hop in-neighborhood of the request needs".
 //
-// For targets S the layer-L outputs depend on Â rows S, which depend on
-// activations at the distinct columns of those rows, and so on down to the
-// features: an L-deep chain of frontiers. Each layer multiplies the induced
-// submatrix Â[front_l, front_{l-1}] (monotone relabeling) against the
-// gathered activations. Every kernel in this package accumulates strictly
-// per output row in a fixed column/k order, so the subset rows are
+// For targets front_L, layer l's outputs at front_l read Â rows front_l,
+// whose distinct columns are front_{l−1}: an L-deep chain of frontiers. The
+// evaluator is the forward operand over that chain. Layer 1's aggregate Â·X
+// never depends on the weights, so its rows front_1 are gathered from one
+// product; each layer above multiplies the induced submatrix
+// Â[front_l, front_{l−1}] (monotone relabeling), or Â itself once the
+// frontier is every vertex. Every kernel in this package accumulates
+// strictly per output row in CSR column order, so the subset rows are
 // bit-identical to the same rows of a full-batch forward pass.
 //
 // A SubsetEval reuses grow-only workspaces across calls and is NOT safe for
 // concurrent use; callers serialize (the public API wraps it in a mutex).
 type SubsetEval struct {
-	A       *sparse.CSR // full GCN-normalized adjacency (global degrees)
-	X       *dense.Matrix
+	A *sparse.CSR // full GCN-normalized adjacency (global degrees)
+	X *dense.Matrix
+	// AX is Â·X. Callers serving several evaluators over one graph set it to
+	// their shared product before the first call; left nil, the first call
+	// computes it.
+	AX      *dense.Matrix
 	Model   *Model
 	Variant Variant
 
+	ws        Workspace
 	mark      []bool  // frontier-membership scratch, len n
 	colPos    []int   // Submatrix relabeling scratch, len n, kept at -1
-	frontiers [][]int // frontiers[l] = sorted vertices needed at layer l
+	frontiers [][]int // frontiers[l] = sorted vertices layer l outputs, l = 1..L
 	selfPos   []int   // SAGE: positions of front_l within front_{l-1}
 	sub       *sparse.CSR
-	h0        *dense.Matrix
-	agg, ps   []*dense.Matrix
-	zs, selfs []*dense.Matrix
-	gathered  int
+	agg, h0   *dense.Matrix // Â·X and X at front_1
+	self      *dense.Matrix // SAGE: H^{l-1} at front_l
 }
 
 // NewSubsetEval validates shapes and builds the reusable evaluator.
@@ -49,18 +54,12 @@ func NewSubsetEval(a *sparse.CSR, x *dense.Matrix, model *Model, v Variant) *Sub
 	if want := v.InputRows(x.Cols); model.Weights[0].Rows != want {
 		panic(fmt.Sprintf("gcn: W1 expects %d input rows, variant wants %d", model.Weights[0].Rows, want))
 	}
-	n := a.NumRows
-	L := model.Layers()
 	e := &SubsetEval{
 		A: a, X: x, Model: model, Variant: v,
-		mark:      make([]bool, n),
-		colPos:    make([]int, n),
-		frontiers: make([][]int, L+1),
+		mark:      make([]bool, a.NumRows),
+		colPos:    make([]int, a.NumRows),
+		frontiers: make([][]int, model.Layers()+1),
 		sub:       &sparse.CSR{},
-		agg:       make([]*dense.Matrix, L+1),
-		ps:        make([]*dense.Matrix, L+1),
-		zs:        make([]*dense.Matrix, L+1),
-		selfs:     make([]*dense.Matrix, L+1),
 	}
 	for i := range e.colPos {
 		e.colPos[i] = -1
@@ -71,15 +70,15 @@ func NewSubsetEval(a *sparse.CSR, x *dense.Matrix, model *Model, v Variant) *Sub
 // Classes returns the model's output width.
 func (e *SubsetEval) Classes() int { return e.Model.Weights[e.Model.Layers()-1].Cols }
 
-// GatheredRows reports how many input-feature rows the last
-// ProbabilitiesInto call touched — the size of the L-hop receptive field,
-// the serving analogue of the paper's communication-volume metric.
-func (e *SubsetEval) GatheredRows() int { return e.gathered }
+// GatheredRows reports how many rows of Â·X the last ProbabilitiesInto call
+// gathered, |front_1|: the (L−1)-hop neighbourhood of the request, the
+// serving analogue of the paper's communication-volume metric.
+func (e *SubsetEval) GatheredRows() int { return len(e.frontiers[1]) }
 
 // ProbabilitiesInto writes the class-probability rows of the given targets
 // into dst (len(targets) × Classes). targets must be strictly increasing
 // and within [0, NumVertices); dst row k corresponds to targets[k]. Rows
-// are bit-identical to the same rows of Serial.Predict on the full graph.
+// are bit-identical to the same rows of a full-batch forward pass.
 func (e *SubsetEval) ProbabilitiesInto(dst *dense.Matrix, targets []int) {
 	L := e.Model.Layers()
 	n := e.A.NumRows
@@ -95,46 +94,64 @@ func (e *SubsetEval) ProbabilitiesInto(dst *dense.Matrix, targets []int) {
 	// Â rows front_l. Â carries self loops, so front_l ⊆ front_{l-1}.
 	//lint:ignore steadyalloc append into the reused frontier buffer grows once and is amortized across calls
 	e.frontiers[L] = append(e.frontiers[L][:0], targets...)
-	for l := L; l >= 1; l-- {
+	for l := L; l > 1; l-- {
 		e.frontiers[l-1] = e.expand(e.frontiers[l], e.frontiers[l-1])
 	}
-	e.gathered = len(e.frontiers[0])
+	dst.CopyFrom(e.ws.Probabilities(e.Model, e.Variant, e))
+}
 
-	// Forward pass over the induced chain, gathering features once.
-	e.h0 = dense.Reshape(e.h0, len(e.frontiers[0]), e.X.Cols)
-	e.X.GatherRowsInto(e.h0.Data, e.frontiers[0])
-	h := e.h0
-	for l := 1; l <= L; l++ {
-		front, prev := e.frontiers[l], e.frontiers[l-1]
-		e.A.SubmatrixInto(e.sub, front, prev, e.colPos)
-		e.agg[l] = dense.Reshape(e.agg[l], len(front), h.Cols)
-		e.sub.SpMMInto(e.agg[l], h)
-		p := e.agg[l]
-		if e.Variant == SAGEConv {
-			e.selfPos = positionsOf(front, prev, e.selfPos)
-			e.selfs[l] = dense.Reshape(e.selfs[l], len(front), h.Cols)
-			h.GatherRowsInto(e.selfs[l].Data, e.selfPos)
-			e.ps[l] = dense.Reshape(e.ps[l], len(front), 2*h.Cols)
-			dense.HStackInto(e.ps[l], e.agg[l], e.selfs[l])
-			p = e.ps[l]
-		}
-		z := dst
-		if l < L {
-			e.zs[l] = dense.Reshape(e.zs[l], len(front), e.Model.Weights[l-1].Cols)
-			z = e.zs[l]
-		}
-		dense.MatMulInto(z, p, e.Model.Weights[l-1])
-		if l < L {
-			z.ReLU()
-			h = z
-		}
+// full reports whether layer l outputs every vertex; the layers below it
+// then do too, since Â's self loops keep front_l ⊆ front_{l−1}.
+func (e *SubsetEval) full(l int) bool { return len(e.frontiers[l]) == e.A.NumRows }
+
+// First gathers rows front_1 of Â·X, and of X for SAGEConv's self half.
+func (e *SubsetEval) First() (agg, h0 *dense.Matrix) {
+	if e.AX == nil {
+		e.AX = e.A.SpMM(e.X)
 	}
-	dense.SoftmaxRows(dst)
+	if e.full(1) {
+		return e.AX, e.X
+	}
+	front := e.frontiers[1]
+	e.agg = dense.Reshape(e.agg, len(front), e.AX.Cols)
+	e.AX.GatherRowsInto(e.agg.Data, front)
+	if e.Variant == SAGEConv {
+		e.h0 = dense.Reshape(e.h0, len(front), e.X.Cols)
+		e.X.GatherRowsInto(e.h0.Data, front)
+	}
+	return e.agg, e.h0
+}
+
+// Rows returns |front_l|.
+func (e *SubsetEval) Rows(l int) int { return len(e.frontiers[l]) }
+
+// Aggregate multiplies Â[front_l, front_{l−1}] by h.
+func (e *SubsetEval) Aggregate(l int, dst, h *dense.Matrix) {
+	a := e.A
+	if !e.full(l) {
+		a = e.sub
+		e.A.SubmatrixInto(a, e.frontiers[l], e.frontiers[l-1], e.colPos)
+	}
+	a.SpMMInto(dst, h)
+}
+
+// Self gathers the rows of h = H^{l−1} at front_l.
+func (e *SubsetEval) Self(l int, h *dense.Matrix) *dense.Matrix {
+	if e.full(l) {
+		return h
+	}
+	e.selfPos = positionsOf(e.frontiers[l], e.frontiers[l-1], e.selfPos)
+	e.self = dense.Reshape(e.self, len(e.selfPos), h.Cols)
+	h.GatherRowsInto(e.self.Data, e.selfPos)
+	return e.self
 }
 
 // expand returns the sorted distinct column indices of Â over the rows in
 // front, reusing dst's storage. The mark scratch is restored before return.
 func (e *SubsetEval) expand(front, dst []int) []int {
+	if len(front) == e.A.NumRows { // every vertex: its own expansion
+		return append(dst[:0], front...)
+	}
 	dst = dst[:0]
 	for _, r := range front {
 		for p := e.A.RowPtr[r]; p < e.A.RowPtr[r+1]; p++ {

@@ -5,10 +5,14 @@ import (
 	"testing"
 
 	"sagnn/internal/dense"
+	"sagnn/internal/gen"
+	"sagnn/internal/graph"
+	"sagnn/internal/sparse"
 )
 
-// subsetCase builds a SubsetEval and the matching full-batch Serial over
-// the tiny SBM problem, with a model of the given depth and variant.
+// subsetCase builds a SubsetEval and the matching full-batch probabilities
+// of the serial trainer's own operand over the tiny SBM problem, with a
+// model of the given depth and variant.
 func subsetCase(t *testing.T, seed int64, layers int, v Variant) (*SubsetEval, *dense.Matrix) {
 	t.Helper()
 	a, x, labels, train := tinyProblem(seed)
@@ -18,9 +22,13 @@ func subsetCase(t *testing.T, seed int64, layers int, v Variant) (*SubsetEval, *
 	s.Variant = v
 	// Train a few epochs so the weights are not symmetric in any trivial way.
 	trainSerial(t, s, 3)
-	full := dense.New(x.Rows, dims[layers])
-	s.PredictInto(full)
-	return NewSubsetEval(a, x, model, v), full
+	return NewSubsetEval(a, x, model, v), serialProbabilities(s)
+}
+
+// serialProbabilities is the full-batch reference: a copy of the serial
+// trainer's inference pass over the whole Â.
+func serialProbabilities(s *Serial) *dense.Matrix {
+	return s.ws.Probabilities(s.Model, s.Variant, &s.op).Clone()
 }
 
 // TestSubsetEvalBitIdentical pins the core contract: for any target set,
@@ -110,6 +118,83 @@ func TestSubsetEvalRejectsBadTargets(t *testing.T) {
 			e.ProbabilitiesInto(dst, targets)
 		}()
 	}
+}
+
+// FuzzSubsetForward fuzzes the one forward over the frontier operand: for a
+// drawn graph (ER, SBM or star), variant, depth and target set, the subset
+// rows equal the serial trainer's full-batch rows bit for bit, and
+// GatheredRows is |front_1|, the (L−1)-hop neighbourhood a BFS over Â finds.
+func FuzzSubsetForward(f *testing.F) {
+	f.Add(int64(1), uint8(0), false, uint8(2), uint16(3))
+	f.Add(int64(2), uint8(1), true, uint8(3), uint16(20))
+	f.Add(int64(3), uint8(2), true, uint8(2), uint16(1))
+	f.Add(int64(4), uint8(2), false, uint8(3), uint16(47))
+	f.Fuzz(func(t *testing.T, seed int64, family uint8, sage bool, depth uint8, size uint16) {
+		const n = 48
+		var g *graph.Graph
+		switch family % 3 {
+		case 0:
+			g = gen.ErdosRenyi(n, 3, seed)
+		case 1:
+			g, _ = gen.SBM(n, 3, 6, 1, seed)
+		default:
+			edges := make([][2]int, 0, n-1)
+			for v := 1; v < n; v++ {
+				edges = append(edges, [2]int{0, v})
+			}
+			g = graph.FromEdges(n, edges).Symmetrize()
+		}
+		v := GCNConv
+		if sage {
+			v = SAGEConv
+		}
+		layers := 1 + int(depth%3)
+		rng := rand.New(rand.NewSource(seed))
+		a, x := g.NormalizedAdjacency(), dense.NewRandom(rng, n, 5, 1.0)
+		model := NewModelVariant(seed, LayerDims(x.Cols, 6, 3, layers), v)
+		s := NewSerial(a, x, make([]int, n), nil, model, 0)
+		s.Variant = v
+		full := serialProbabilities(s)
+
+		targets := randomSubset(rng, n, 1+int(size)%n)
+		e := NewSubsetEval(a, x, model, v)
+		dst := dense.New(len(targets), e.Classes())
+		e.ProbabilitiesInto(dst, targets)
+		for k, vtx := range targets {
+			if got, want := dst.Row(k), full.Row(vtx); !equalExact(got, want) {
+				t.Fatalf("variant %v L=%d vertex %d: subset %v != full %v", v, layers, vtx, got, want)
+			}
+		}
+		if got, want := e.GatheredRows(), withinHops(a, targets, layers-1); got != want {
+			t.Fatalf("variant %v L=%d: gathered %d rows, the %d-hop neighbourhood has %d", v, layers, got, layers-1, want)
+		}
+	})
+}
+
+// withinHops counts the vertices at most h hops from targets over Â's
+// pattern, by breadth-first search.
+func withinHops(a *sparse.CSR, targets []int, h int) int {
+	dist := make([]int, a.NumRows)
+	for i := range dist {
+		dist[i] = -1
+	}
+	queue := append([]int(nil), targets...)
+	for _, v := range targets {
+		dist[v] = 0
+	}
+	for q := 0; q < len(queue); q++ {
+		v := queue[q]
+		if dist[v] == h {
+			continue
+		}
+		for _, u := range a.ColIdx[a.RowPtr[v]:a.RowPtr[v+1]] {
+			if dist[u] < 0 {
+				dist[u] = dist[v] + 1
+				queue = append(queue, u)
+			}
+		}
+	}
+	return len(queue)
 }
 
 func randomSubset(rng *rand.Rand, n, k int) []int {

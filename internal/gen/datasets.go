@@ -3,13 +3,19 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"sagnn/internal/dense"
 	"sagnn/internal/graph"
+	"sagnn/internal/sparse"
 )
 
 // Dataset bundles everything one experiment needs: the graph, vertex
-// features, labels, and train/val/test masks.
+// features, labels, and train/val/test masks. It also owns what every
+// trainer and model derives from G and Features alone — Â and Â·X — built
+// on first use and shared by all readers (NormalizedAdjacency,
+// InputProduct). A shallow copy shares them until its G or Features is
+// replaced.
 type Dataset struct {
 	Name     string
 	G        *graph.Graph
@@ -19,6 +25,47 @@ type Dataset struct {
 	Train    []int
 	Val      []int
 	Test     []int
+
+	derived *derived
+}
+
+// derived is Â and Â·X of one (G, Features) pair, each built once. Readers
+// must not write either.
+type derived struct {
+	g    *graph.Graph
+	x    *dense.Matrix
+	a    *sparse.CSR
+	once sync.Once
+	ax   *dense.Matrix
+}
+
+// derivedMu guards every Dataset's derived pointer. It is held while a cell
+// and its Â are built (a few milliseconds at the largest preset), never
+// while Â·X is.
+var derivedMu sync.Mutex
+
+// cell returns the derived cell of the dataset's current G and Features,
+// starting a new one if either has been replaced since the last call.
+func (d *Dataset) cell() *derived {
+	derivedMu.Lock()
+	defer derivedMu.Unlock()
+	if c := d.derived; c == nil || c.g != d.G || c.x != d.Features {
+		d.derived = &derived{g: d.G, x: d.Features, a: d.G.NormalizedAdjacency()}
+	}
+	return d.derived
+}
+
+// NormalizedAdjacency returns Â = D^{-1/2}(A+I)D^{-1/2} of G, built on the
+// first call and shared by every later one. Safe for concurrent use.
+func (d *Dataset) NormalizedAdjacency() *sparse.CSR { return d.cell().a }
+
+// InputProduct returns Â·X, the first layer's aggregate: it depends on no
+// weight, so it is built on the first call and shared by every model that
+// predicts on the dataset. Safe for concurrent use.
+func (d *Dataset) InputProduct() *dense.Matrix {
+	c := d.cell()
+	c.once.Do(func() { c.ax = c.a.SpMM(c.x) })
+	return c.ax
 }
 
 // FeatureDim returns f, the per-vertex feature width.

@@ -263,6 +263,9 @@ func (c *chain) Aggregate(l int, dst, h *dense.Matrix) {
 	c.spmm(&c.blocks[l-1].adj, dst, h)
 }
 
+// Self is never reached: sampled training runs GCNConv only.
+func (c *chain) Self(_ int, h *dense.Matrix) *dense.Matrix { return h }
+
 func (c *chain) AggregateT(l int, dst, g *dense.Matrix) {
 	c.spmm(c.transposed(l-1), dst, g)
 }

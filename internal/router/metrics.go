@@ -77,9 +77,8 @@ func (rt *Router) Metrics(ctx context.Context) Snapshot {
 		Swaps:         rt.swaps.Load(),
 		InFlight:      rt.inFlight.Load(),
 		MaxInFlight:   rt.cfg.MaxInFlight,
+		Latency:       rt.lat.Snapshot(),
 	}
-	p50, p99, samples := rt.lat.Quantiles()
-	snap.Latency = serve.LatencySnapshot{P50Ms: p50, P99Ms: p99, Samples: samples}
 	if up > 0 {
 		snap.QPS = float64(snap.Requests) / up
 	}

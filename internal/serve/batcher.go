@@ -20,7 +20,7 @@ var ErrInferencePanic = errors.New("serve: inference panicked")
 
 // batchExec runs one inference over a sorted set of distinct vertices,
 // returning one probability row and class per vertex (aligned to the
-// input), the number of feature rows the gather touched, and the model
+// input), the number of rows of Â·X the gather touched, and the model
 // generation that computed the batch (so callers can keep whole responses
 // generation-consistent across hot swaps).
 type batchExec func(vertices []int) (rows [][]float64, classes []int, gathered int, gen uint64, err error)

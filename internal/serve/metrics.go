@@ -63,6 +63,12 @@ func (r *LatencyRing) Quantiles() (p50, p99 float64, count int) {
 	return at(0.50), at(0.99), len(sorted)
 }
 
+// Snapshot is Quantiles as the latency block of a /metrics document.
+func (r *LatencyRing) Snapshot() LatencySnapshot {
+	p50, p99, samples := r.Quantiles()
+	return LatencySnapshot{P50Ms: p50, P99Ms: p99, Samples: samples}
+}
+
 // Metrics aggregates the serving counters the ops endpoints report:
 // request/vertex throughput, latency quantiles over a sliding window,
 // micro-batch occupancy, gather volume, and cache effectiveness. All
@@ -81,7 +87,7 @@ type Metrics struct {
 	batches       atomic.Uint64 // executed inference batches
 	batchRequests atomic.Uint64 // requests coalesced into them
 	batchVertices atomic.Uint64 // distinct vertices across them
-	gatherRows    atomic.Uint64 // feature rows gathered across them
+	gatherRows    atomic.Uint64 // rows of Â·X gathered across them
 
 	swaps atomic.Uint64 // model hot-swaps
 
@@ -95,12 +101,6 @@ type Metrics struct {
 func NewMetrics() *Metrics {
 	return &Metrics{start: time.Now(), lat: NewLatencyRing(latencyWindow)}
 }
-
-// observeLatency records one request latency into the sliding window.
-func (m *Metrics) observeLatency(d time.Duration) { m.lat.Observe(d) }
-
-// quantiles returns the p50 and p99 of the current latency window.
-func (m *Metrics) quantiles() (p50, p99 float64, count int) { return m.lat.Quantiles() }
 
 // LatencySnapshot is the quantile block of a metrics snapshot.
 type LatencySnapshot struct {
@@ -163,7 +163,6 @@ type Snapshot struct {
 func (m *Metrics) snapshot(cacheLen, cacheCap int, generation uint64, epoch, graphVertices int, inFlight int64, maxInFlight int) Snapshot {
 	up := time.Since(m.start).Seconds()
 	req := m.requests.Load()
-	p50, p99, samples := m.quantiles()
 	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
 	hitRate := 0.0
 	if hits+misses > 0 {
@@ -189,7 +188,7 @@ func (m *Metrics) snapshot(cacheLen, cacheCap int, generation uint64, epoch, gra
 		Failed:        m.failed.Load(),
 		QPS:           qps,
 		Vertices:      m.vertices.Load(),
-		Latency:       LatencySnapshot{P50Ms: p50, P99Ms: p99, Samples: samples},
+		Latency:       m.lat.Snapshot(),
 		Cache:         CacheSnapshot{Hits: hits, Misses: misses, HitRate: hitRate, Size: cacheLen, Capacity: cacheCap},
 		Batch:         bs,
 		Admission:     AdmissionSnapshot{InFlight: inFlight, MaxInFlight: maxInFlight, Shed: m.shed.Load(), Panics: m.panics.Load()},

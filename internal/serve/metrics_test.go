@@ -66,7 +66,7 @@ func TestMetricsConcurrentWritersAndSnapshots(t *testing.T) {
 				m.cacheHits.Add(2)
 				m.cacheMisses.Add(1)
 				m.shed.Add(1)
-				m.observeLatency(time.Duration(w*perWriter+i+1) * time.Microsecond)
+				m.lat.Observe(time.Duration(w*perWriter+i+1) * time.Microsecond)
 			}
 		}(w)
 	}

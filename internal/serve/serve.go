@@ -334,7 +334,7 @@ func (s *Server) finishRequest(start time.Time, vertices, hits, misses int) {
 	s.metrics.cacheMisses.Add(uint64(misses))
 	s.metrics.requests.Add(1)
 	s.metrics.vertices.Add(uint64(vertices))
-	s.metrics.observeLatency(time.Since(start))
+	s.metrics.lat.Observe(time.Since(start))
 }
 
 // Swap atomically replaces the serving model with a validated replacement,

@@ -3,11 +3,11 @@ package sagnn
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"sagnn/internal/dense"
 	"sagnn/internal/gcn"
-	"sagnn/internal/sparse"
 )
 
 // ErrInvalidVertices tags every vertex-set validation failure on the
@@ -51,23 +51,21 @@ func ValidateVertices(n int, vertices []int) error {
 // order. Models serialize with MarshalBinary / LoadModel.
 //
 // A Model is safe for concurrent use: every predict path serializes on an
-// internal mutex around a lazily-built, reusable inference workspace (the
-// normalized adjacency, full-batch forward buffers, and the sparsity-aware
-// subset-gather state). The workspace is keyed on the dataset — predicting
-// on a different dataset rebuilds it — so the steady-state serving hot path
-// allocates nothing.
+// internal mutex around one lazily-built, reusable inference evaluator, the
+// L-hop forward over the dataset's shared Â and Â·X (Dataset.
+// NormalizedAdjacency, Dataset.InputProduct). A full-batch prediction is the
+// same forward with every vertex as the target set. The evaluator is keyed
+// on the dataset's Â — predicting on another dataset, or on one whose graph
+// or features were replaced, rebuilds it — so the steady-state serving hot
+// path allocates nothing.
 type Model struct {
 	m    *gcn.Model
 	sage bool
 
 	mu     sync.Mutex
-	infDS  *Dataset        // dataset the cached workspaces are built for
-	aHat   *sparse.CSR     // cached GCN-normalized adjacency of infDS
-	eval   *gcn.Serial     // full-batch forward workspace, with Â·X of infDS computed once
-	sub    *gcn.SubsetEval // L-hop subset-gather workspace
-	probs  *dense.Matrix   // full-batch probability buffer
-	subBuf *dense.Matrix   // subset probability buffer (sorted order)
-	sorted []int           // sorted-request scratch for the subset path
+	eval   *gcn.SubsetEval // the inference forward over the last dataset's Â and Â·X
+	probs  *dense.Matrix   // probability rows of the sorted request
+	sorted []int           // the request in ascending order: every vertex for full batch
 }
 
 // Layers returns the number of GCN layers.
@@ -107,52 +105,26 @@ func (m *Model) CompatibleWith(ds *Dataset) error { return m.checkDataset(ds) }
 // Classes returns the model's output width (number of classes scored).
 func (m *Model) Classes() int { return m.m.Weights[m.m.Layers()-1].Cols }
 
-// ensureInference (re)builds the cached inference state for ds. Callers
-// hold m.mu.
-func (m *Model) ensureInference(ds *Dataset) error {
-	if err := m.checkDataset(ds); err != nil {
-		return err
+// forward runs the inference evaluator over the vertices in m.sorted on ds
+// and returns their probability rows, in m.sorted's order. Callers hold m.mu
+// and have checked ds.
+func (m *Model) forward(ds *Dataset) *dense.Matrix {
+	if a := ds.NormalizedAdjacency(); m.eval == nil || m.eval.A != a {
+		m.eval = gcn.NewSubsetEval(a, ds.Features, m.m, m.variant())
+		m.eval.AX = ds.InputProduct()
 	}
-	if m.infDS != ds {
-		m.infDS = ds
-		m.aHat = ds.G.NormalizedAdjacency()
-		m.eval = nil
-		m.sub = nil
-	}
-	return nil
+	m.probs = dense.Reshape(m.probs, len(m.sorted), m.Classes())
+	m.eval.ProbabilitiesInto(m.probs, m.sorted)
+	return m.probs
 }
 
-// fullEval returns the lazily-built full-batch forward workspace. Callers
-// hold m.mu and have run ensureInference.
-func (m *Model) fullEval() *gcn.Serial {
-	if m.eval == nil {
-		m.eval = gcn.NewSerial(m.aHat, m.infDS.Features, m.infDS.Labels, m.infDS.Train, m.m, 0)
-		m.eval.Variant = m.variant()
+// everyVertex makes the request every vertex of an n-vertex graph, so that
+// forward is full-batch inference.
+func (m *Model) everyVertex(n int) {
+	m.sorted = slices.Grow(m.sorted[:0], n)[:n]
+	for i := range m.sorted {
+		m.sorted[i] = i
 	}
-	return m.eval
-}
-
-// subsetEval returns the lazily-built L-hop gather workspace. Callers hold
-// m.mu and have run ensureInference.
-func (m *Model) subsetEval() *gcn.SubsetEval {
-	if m.sub == nil {
-		m.sub = gcn.NewSubsetEval(m.aHat, m.infDS.Features, m.m, m.variant())
-	}
-	return m.sub
-}
-
-// probabilities runs full-batch inference over the whole dataset and
-// returns row-wise class probabilities (a fresh matrix the caller owns).
-func (m *Model) probabilities(ds *Dataset) (p *dense.Matrix, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.ensureInference(ds); err != nil {
-		return nil, err
-	}
-	defer recoverToError(&err)
-	p = dense.New(ds.G.NumVertices(), m.Classes())
-	m.fullEval().PredictInto(p)
-	return p, nil
 }
 
 // Predict returns the predicted class of each requested vertex on the
@@ -180,14 +152,12 @@ func (m *Model) Predict(ds *Dataset, vertices []int) ([]int, error) {
 func (m *Model) PredictInto(dst []int, ds *Dataset, vertices []int) (err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.ensureInference(ds); err != nil {
+	if err := m.checkDataset(ds); err != nil {
 		return err
 	}
 	defer recoverToError(&err)
-	ev := m.fullEval()
-	m.probs = dense.Reshape(m.probs, ds.G.NumVertices(), m.Classes())
-	ev.PredictInto(m.probs)
-	return argmaxRowsInto(dst, m.probs, vertices)
+	m.everyVertex(ds.G.NumVertices())
+	return argmaxRowsInto(dst, m.forward(ds), vertices)
 }
 
 // MarshalBinary serialises the model.
@@ -277,20 +247,6 @@ func argmaxRowsInto(dst []int, probs *dense.Matrix, vertices []int) error {
 	return nil
 }
 
-// argmaxRows maps each requested vertex to its argmax class. nil vertices
-// selects all rows.
-func argmaxRows(probs *dense.Matrix, vertices []int) ([]int, error) {
-	count := len(vertices)
-	if vertices == nil {
-		count = probs.Rows
-	}
-	out := make([]int, count)
-	if err := argmaxRowsInto(out, probs, vertices); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Predictor serves class predictions from a frozen model without
 // re-entering training. The first query runs one full-batch forward pass
 // over its dataset and caches the class probabilities; every query after
@@ -323,8 +279,8 @@ func (p *Predictor) ensureProbs() (*dense.Matrix, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.probs == nil {
-		probs, err := p.model.probabilities(p.ds)
-		if err != nil {
+		probs := dense.New(p.ds.G.NumVertices(), p.model.Classes())
+		if _, err := p.model.ProbabilitiesSubsetInto(probs.Data, p.ds, nil); err != nil {
 			return nil, err
 		}
 		p.probs = probs
@@ -335,11 +291,14 @@ func (p *Predictor) ensureProbs() (*dense.Matrix, error) {
 // Predict returns the predicted class of each requested vertex. A nil
 // slice predicts every vertex.
 func (p *Predictor) Predict(vertices []int) ([]int, error) {
-	probs, err := p.ensureProbs()
-	if err != nil {
+	out := make([]int, len(vertices))
+	if vertices == nil {
+		out = make([]int, p.ds.G.NumVertices())
+	}
+	if err := p.PredictInto(out, vertices); err != nil {
 		return nil, err
 	}
-	return argmaxRows(probs, vertices)
+	return out, nil
 }
 
 // PredictInto is Predict writing into a caller-supplied slice

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -376,6 +377,44 @@ func TestHeldOutEvaluatorSharedAcrossSessions(t *testing.T) {
 		if res.ValAcc != fresh.ValAcc || res.TestAcc != fresh.TestAcc {
 			t.Fatalf("session %d: shared evaluator reports (%v,%v), a fresh graph's (%v,%v)",
 				i, res.ValAcc, res.TestAcc, fresh.ValAcc, fresh.TestAcc)
+		}
+	}
+}
+
+// TestDistributeLeavesDatasetAdjacency: Distribute reads the dataset's one
+// Â — PermuteSymmetric copies it under a partitioner, the engine reads it
+// as it is without one — and neither it nor the training and held-out
+// evaluation that follow write a bit of it.
+func TestDistributeLeavesDatasetAdjacency(t *testing.T) {
+	ds := MustLoadDataset(ProteinSim, 42, 64)
+	a := ds.NormalizedAdjacency()
+	want := a.Clone()
+	for _, pt := range []Partitioner{nil, NewGVB(42)} {
+		cluster, err := NewCluster(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dg, err := cluster.Distribute(ds, DistOpts{Algorithm: SparsityAware1D, Partitioner: pt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := dg.NewSession(ModelConfig{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Run(context.Background(), 2); err != nil {
+			t.Fatal(err)
+		}
+		if ds.NormalizedAdjacency() != a {
+			t.Fatalf("partitioner %v: the dataset's Â was rebuilt", pt)
+		}
+		if !slices.Equal(a.RowPtr, want.RowPtr) || !slices.Equal(a.ColIdx, want.ColIdx) {
+			t.Fatalf("partitioner %v: Distribute rewrote the dataset's Â structure", pt)
+		}
+		for i, v := range a.Val {
+			if math.Float64bits(v) != math.Float64bits(want.Val[i]) {
+				t.Fatalf("partitioner %v: Distribute rewrote Â value %d", pt, i)
+			}
 		}
 	}
 }

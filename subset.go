@@ -3,8 +3,6 @@ package sagnn
 import (
 	"fmt"
 	"sort"
-
-	"sagnn/internal/dense"
 )
 
 // This file is the serving-side face of the paper's sparsity-aware
@@ -72,22 +70,19 @@ func (m *Model) probabilitiesSubsetFlat(ds *Dataset, vertices []int) ([]float64,
 // distinct vertices into dst (row-major, len(vertices)×Classes values;
 // row i holds vertices[i]), gathering only the L-hop receptive field of the
 // request and reusing the model's inference workspace — the micro-batching
-// server's execution path. It returns the number of feature rows gathered
-// (the receptive-field size, at most NumVertices), the serving analogue of
-// the paper's communication-volume metric. A nil slice selects every
-// vertex.
+// server's execution path. It returns the number of rows of Â·X gathered:
+// the request's (L−1)-hop neighbourhood, at most NumVertices, the serving
+// analogue of the paper's communication-volume metric. A nil slice selects
+// every vertex.
 func (m *Model) ProbabilitiesSubsetInto(dst []float64, ds *Dataset, vertices []int) (gathered int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.ensureInference(ds); err != nil {
+	if err := m.checkDataset(ds); err != nil {
 		return 0, err
 	}
 	n := ds.G.NumVertices()
 	if vertices == nil {
-		m.sorted = growIntsTo(m.sorted, n)
-		for i := range m.sorted {
-			m.sorted[i] = i
-		}
+		m.everyVertex(n)
 	} else {
 		if len(vertices) == 0 {
 			return 0, fmt.Errorf("sagnn: %w: empty vertex set", ErrInvalidVertices)
@@ -104,26 +99,15 @@ func (m *Model) ProbabilitiesSubsetInto(dst []float64, ds *Dataset, vertices []i
 		return 0, fmt.Errorf("sagnn: dst holds %d values, want %d vertices × %d classes", len(dst), len(m.sorted), classes)
 	}
 	defer recoverToError(&err)
-	sub := m.subsetEval()
-	m.subBuf = dense.Reshape(m.subBuf, len(m.sorted), classes)
-	sub.ProbabilitiesInto(m.subBuf, m.sorted)
+	probs := m.forward(ds)
 	// Scatter rows back to the request order (identity when pre-sorted).
 	if vertices == nil {
-		copy(dst, m.subBuf.Data)
+		copy(dst, probs.Data)
 	} else {
 		for i, v := range vertices {
 			r := sort.SearchInts(m.sorted, v)
-			copy(dst[i*classes:(i+1)*classes], m.subBuf.Row(r))
+			copy(dst[i*classes:(i+1)*classes], probs.Row(r))
 		}
 	}
-	return sub.GatheredRows(), nil
-}
-
-// growIntsTo resizes s to length n, reallocating only when capacity is
-// short.
-func growIntsTo(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
+	return m.eval.GatheredRows(), nil
 }
