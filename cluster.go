@@ -211,23 +211,13 @@ type DistOpts struct {
 	// reach the graph's sessions. Full-batch training (Session.Run) is
 	// unaffected.
 	Sampling *SamplingConfig
-	// VerifyPlans runs the static plan verifier (distmm.Verify) on the
-	// compiled communication schedule before Distribute returns: message
-	// matching, deadlock freedom, overlap soundness, and layout consistency
-	// are proved over every rank's instruction stream, and a *distmm.
-	// VerifyError is returned instead of an engine if any check fails. The
-	// candidate sweeps behind AlgorithmAuto and Cluster.Estimate always
-	// verify; this opt-in extends the same guarantee to explicitly chosen
-	// algorithms. Verification walks the plan once and allocates only
-	// bounded bookkeeping, so it is cheap next to plan compilation.
-	VerifyPlans bool
 }
 
 // SamplingConfig configures neighbor-sampled mini-batch training
-// (DistOpts.Sampling / Session.RunSampled). Sampling is deterministic per
-// launch: every batch's neighbor draws are seeded by (Seed, rank, epoch,
-// step), so losses are bit-identical across the sim and TCP transports and
-// across retries after a fault rollback.
+// (DistOpts.Sampling / Session.RunSampled, and RunMiniBatch). Sampling is
+// deterministic per launch: every batch's neighbor draws are seeded by
+// (Seed, rank, epoch, step), so losses are bit-identical across the sim and
+// TCP transports and across retries after a fault rollback.
 type SamplingConfig struct {
 	// Fanout is the number of sampled neighbors per vertex per layer
 	// (default 5).
@@ -237,6 +227,18 @@ type SamplingConfig struct {
 	BatchSize int
 	// Seed roots the sampling streams (default: the session's weight seed).
 	Seed int64
+}
+
+// validate rejects negative fields: withDefaults replaces zeros only, so a
+// negative value is the caller's error.
+func (c SamplingConfig) validate() error {
+	switch {
+	case c.Fanout < 0:
+		return fmt.Errorf("sagnn: SamplingConfig.Fanout %d is negative", c.Fanout)
+	case c.BatchSize < 0:
+		return fmt.Errorf("sagnn: SamplingConfig.BatchSize %d is negative", c.BatchSize)
+	}
+	return nil
 }
 
 func (c SamplingConfig) withDefaults(modelSeed int64) SamplingConfig {
@@ -256,7 +258,7 @@ func (c SamplingConfig) withDefaults(modelSeed int64) SamplingConfig {
 // normalized adjacency, relabeled features/labels/splits, the block-row
 // layout, the communication engine with its sparsity-aware schedule, and
 // what depends on nothing else — the first layer's aggregate Â·X, which
-// training never changes, and the held-out evaluator.
+// training never changes.
 //
 // Building a DistGraph is the expensive, amortizable step the paper
 // identifies (partitioning plus NnzCols schedule construction); once built
@@ -274,32 +276,32 @@ type DistGraph struct {
 	// the seed default resolves per session.
 	sampling SamplingConfig
 
-	aHat             *sparse.CSR
-	x                *dense.Matrix
-	labels           []int
-	train, val, test []int
-	layout           distmm.Layout
-	engine           distmm.Engine
-	quality          *partition.Quality
-	report           *Report
+	aHat    *sparse.CSR
+	x       *dense.Matrix
+	labels  []int
+	train   []int
+	layout  distmm.Layout
+	engine  distmm.Engine
+	quality *partition.Quality
+	report  *Report
 
-	// input is Â·X over engine and x, shared by every session's trainer. eval
-	// is the single-process evaluator of the held-out splits, built by the
-	// first run to finish (Session.result). Both are used under cluster.mu.
+	// input is Â·X over engine and x, shared by every session's trainer and
+	// used under cluster.mu.
 	input *gcn.InputProduct
-	eval  *gcn.Serial
 }
 
 // prepared is a dataset staged for a k-block distribution: the (optionally
-// permuted) normalized adjacency, relabeled features/labels/splits, the
-// block-row layout, and the partition quality when a partitioner ran.
+// permuted) normalized adjacency, relabeled features, labels and training
+// set, the block-row layout, and the partition quality when a partitioner
+// ran. The held-out splits stay in the dataset's order, where runs evaluate
+// (Session.result).
 type prepared struct {
-	aHat             *sparse.CSR
-	x                *dense.Matrix
-	labels           []int
-	train, val, test []int
-	layout           distmm.Layout
-	quality          *partition.Quality
+	aHat    *sparse.CSR
+	x       *dense.Matrix
+	labels  []int
+	train   []int
+	layout  distmm.Layout
+	quality *partition.Quality
 }
 
 // prepare stages ds for a k-block distribution, running pt (if non-nil) to
@@ -310,7 +312,7 @@ func prepare(ds *Dataset, pt Partitioner, k int) *prepared {
 		aHat:   ds.NormalizedAdjacency(),
 		x:      ds.Features,
 		labels: ds.Labels,
-		train:  ds.Train, val: ds.Val, test: ds.Test,
+		train:  ds.Train,
 	}
 	if pt != nil {
 		part := pt.Partition(ds.G, k)
@@ -319,8 +321,8 @@ func prepare(ds *Dataset, pt Partitioner, k int) *prepared {
 		perm := part.Perm()
 		p.aHat = p.aHat.PermuteSymmetric(perm)
 		var sets [][]int
-		p.x, p.labels, sets = gcn.ApplyPerm(perm, p.x, p.labels, p.train, p.val, p.test)
-		p.train, p.val, p.test = sets[0], sets[1], sets[2]
+		p.x, p.labels, sets = gcn.ApplyPerm(perm, p.x, p.labels, p.train)
+		p.train = sets[0]
 		p.layout = distmm.LayoutFromOffsets(part.Offsets())
 	} else {
 		p.layout = distmm.UniformLayout(ds.G.NumVertices(), k)
@@ -343,16 +345,19 @@ func buildEngine(w *comm.World, alg Algorithm, rep int, prep *prepared) distmm.E
 // cluster, building the communication engine once for reuse by any number
 // of sessions. With Algorithm: AlgorithmAuto it compiles every candidate
 // plan the process count allows, prices each with the cluster's machine
-// model, and keeps the cheapest; Report exposes the decision table.
+// model, and keeps the cheapest; Report exposes the decision table. Every
+// plan it keeps has passed the static verifier (distmm.Verify: message
+// matching, deadlock freedom, overlap soundness and layout consistency over
+// every rank's instruction stream); one that fails is returned as its
+// *distmm.VerifyError.
 func (c *Cluster) Distribute(ds *Dataset, opts DistOpts) (*DistGraph, error) {
 	if err := validateDataset(ds); err != nil {
 		return nil, err
 	}
-	// withDefaults replaces zeros only: a negative value is the caller's error.
-	if sc := opts.Sampling; sc != nil && sc.Fanout < 0 {
-		return nil, fmt.Errorf("sagnn: SamplingConfig.Fanout %d is negative", sc.Fanout)
-	} else if sc != nil && sc.BatchSize < 0 {
-		return nil, fmt.Errorf("sagnn: SamplingConfig.BatchSize %d is negative", sc.BatchSize)
+	if sc := opts.Sampling; sc != nil {
+		if err := sc.validate(); err != nil {
+			return nil, err
+		}
 	}
 	if opts.Algorithm == AlgorithmAuto {
 		return c.distributeAuto(ds, opts)
@@ -387,10 +392,8 @@ func (c *Cluster) Distribute(ds *Dataset, opts DistOpts) (*DistGraph, error) {
 	}
 	prep := prepare(ds, opts.Partitioner, k)
 	engine := buildEngine(c.world, opts.Algorithm, rep, prep)
-	if opts.VerifyPlans {
-		if err := distmm.Verify(engine.Plan()); err != nil {
-			return nil, err
-		}
+	if err := distmm.Verify(engine.Plan()); err != nil {
+		return nil, err
 	}
 	engine.SetExecMode(opts.Exec)
 	cand := priceCandidate(opts.Algorithm, engine.Plan(), c.world.Params, widths, ds.FeatureDim(), opts.Exec)
@@ -415,8 +418,6 @@ func (c *Cluster) newDistGraph(ds *Dataset, opts DistOpts, prep *prepared, engin
 		x:       prep.x,
 		labels:  prep.labels,
 		train:   prep.train,
-		val:     prep.val,
-		test:    prep.test,
 		layout:  prep.layout,
 		engine:  engine,
 		quality: prep.quality,

@@ -1,13 +1,17 @@
 package sagnn
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
+	"sagnn/internal/comm"
 	"sagnn/internal/dense"
+	"sagnn/internal/distmm"
 	"sagnn/internal/gcn"
 	"sagnn/internal/gen"
 	"sagnn/internal/graph"
+	"sagnn/internal/machine"
 	"sagnn/internal/minibatch"
 	"sagnn/internal/opt"
 )
@@ -96,53 +100,37 @@ func RunSerial(ds *Dataset, epochs int, cfg ModelConfig) (res *SerialResult, err
 	if err != nil {
 		return nil, err
 	}
-	accs := s.Accuracies(ds.Val, ds.Test)
-	return &SerialResult{
-		History: history,
-		Model:   &Model{m: model.Clone(), sage: cfg.SAGE},
-		ValAcc:  accs[0],
-		TestAcc: accs[1],
-	}, nil
+	res = &SerialResult{History: history, Model: &Model{m: model.Clone(), sage: cfg.SAGE}}
+	accs := res.Model.accuracies(ds, ds.Val, ds.Test)
+	res.ValAcc, res.TestAcc = accs[0], accs[1]
+	return res, nil
 }
 
 // MiniBatchResult reports a sampled-training run (see RunMiniBatch).
 type MiniBatchResult struct {
-	// EpochLoss is the mean batch loss per epoch.
+	// EpochLoss is each epoch's per-example mean training loss.
 	EpochLoss []float64
 	TestAcc   float64
 	// Model is the trained weight set.
 	Model *Model
 }
 
-// MiniBatchOption customises RunMiniBatch.
-type MiniBatchOption func(*miniBatchOptions)
-
-type miniBatchOptions struct {
-	fanout    int
-	batchSize int
-}
-
-// WithFanout sets the number of sampled neighbors per vertex per layer
-// (default 5).
-func WithFanout(n int) MiniBatchOption {
-	return func(o *miniBatchOptions) { o.fanout = n }
-}
-
-// WithBatchSize sets the mini-batch size (default 256).
-func WithBatchSize(n int) MiniBatchOption {
-	return func(o *miniBatchOptions) { o.batchSize = n }
-}
-
 // RunMiniBatch trains with GraphSAGE-style neighbor sampling — the
 // mini-batch mode the paper's introduction contrasts with full-batch
 // training — under the same validated configuration conventions as the
-// session API. Optimisation uses Adam at cfg.LR; evaluation is full-batch.
-func RunMiniBatch(ds *Dataset, epochs int, cfg ModelConfig, opts ...MiniBatchOption) (res *MiniBatchResult, err error) {
+// session API. It is Session.RunSampled's epoch on a one-process world:
+// sampling takes sc as DistOpts.Sampling does (same defaults, negative
+// fields an error), optimisation uses Adam at cfg.LR, and the test accuracy
+// is the trained Model's full-batch forward.
+func RunMiniBatch(ds *Dataset, epochs int, cfg ModelConfig, sc SamplingConfig) (res *MiniBatchResult, err error) {
 	if err := validateDataset(ds); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if err := sc.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.SAGE {
@@ -151,31 +139,21 @@ func RunMiniBatch(ds *Dataset, epochs int, cfg ModelConfig, opts ...MiniBatchOpt
 	if epochs < 1 {
 		return nil, fmt.Errorf("sagnn: %d epochs", epochs)
 	}
-	o := miniBatchOptions{fanout: 5, batchSize: 256}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.fanout < 1 {
-		return nil, fmt.Errorf("sagnn: fanout %d", o.fanout)
-	}
-	if o.batchSize < 1 {
-		return nil, fmt.Errorf("sagnn: batch size %d", o.batchSize)
-	}
 	defer recoverToError(&err)
+	sc = sc.withDefaults(cfg.Seed)
 	dims := gcn.LayerDims(ds.FeatureDim(), cfg.Hidden, ds.Classes, cfg.Layers)
-	model := gcn.NewModel(cfg.Seed, dims)
-	tr := minibatch.New(ds.G, ds.Features, ds.Labels, ds.Train, model,
-		o.fanout, o.batchSize, opt.NewAdam(cfg.LR), cfg.Seed+1)
-	res = &MiniBatchResult{}
-	for e := 0; e < epochs; e++ {
-		loss, err := tr.Epoch()
-		if err != nil {
-			return nil, err
-		}
-		res.EpochLoss = append(res.EpochLoss, loss)
+	st := minibatch.NewDist(comm.NewWorld(1, machine.Perlmutter()), distmm.UniformLayout(ds.G.NumVertices(), 1),
+		ds.NormalizedAdjacency(), ds.Features, ds.Labels, ds.Train, dims, cfg.Seed,
+		func() opt.Optimizer { return opt.NewAdam(cfg.LR) },
+		minibatch.DistConfig{Fanout: sc.Fanout, BatchSize: sc.BatchSize, Seed: sc.Seed}).Stepper()
+	history, err := st.StepNCtx(context.Background(), epochs)
+	if err != nil {
+		return nil, err
 	}
-	eval := gcn.NewSerial(ds.NormalizedAdjacency(), ds.Features, ds.Labels, ds.Train, model, cfg.LR)
-	res.TestAcc = eval.Accuracies(ds.Test)[0]
-	res.Model = &Model{m: model.Clone()}
+	res = &MiniBatchResult{Model: &Model{m: st.Model().Clone()}}
+	for _, e := range history {
+		res.EpochLoss = append(res.EpochLoss, e.Loss)
+	}
+	res.TestAcc = res.Model.accuracies(ds, ds.Test)[0]
 	return res, nil
 }

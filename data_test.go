@@ -3,6 +3,12 @@ package sagnn
 import (
 	"math"
 	"testing"
+
+	"sagnn/internal/comm"
+	"sagnn/internal/distmm"
+	"sagnn/internal/gcn"
+	"sagnn/internal/minibatch"
+	"sagnn/internal/opt"
 )
 
 func TestDatasetFromEdges(t *testing.T) {
@@ -64,7 +70,7 @@ func TestTrainReportsHeldOutAccuracy(t *testing.T) {
 
 func TestRunMiniBatchLearns(t *testing.T) {
 	ds := GenerateCommunityDataset("comms", 256, 4, 10, 2, 16, 0.3, 13)
-	res, err := RunMiniBatch(ds, 20, ModelConfig{Hidden: 16, Layers: 2, LR: 0.01, Seed: 3}, WithFanout(5), WithBatchSize(32))
+	res, err := RunMiniBatch(ds, 20, ModelConfig{Hidden: 16, Layers: 2, LR: 0.01, Seed: 3}, SamplingConfig{Fanout: 5, BatchSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,5 +82,29 @@ func TestRunMiniBatchLearns(t *testing.T) {
 	}
 	if res.TestAcc < 0.5 {
 		t.Fatalf("minibatch test accuracy %v", res.TestAcc)
+	}
+}
+
+// TestRunMiniBatchMatchesReference pins RunMiniBatch to the sampled
+// trainer's serial mirror: its epoch losses are minibatch.Dist's
+// ReferenceEpochs on one rank with Adam at cfg.LR and the sampling seed
+// defaulted to the weight seed, bit for bit.
+func TestRunMiniBatchMatchesReference(t *testing.T) {
+	const epochs = 4
+	ds := GenerateCommunityDataset("comms", 256, 4, 10, 2, 16, 0.3, 13)
+	cfg := ModelConfig{Hidden: 16, Layers: 2, LR: 0.01, Seed: 3}
+	res, err := RunMiniBatch(ds, epochs, cfg, SamplingConfig{Fanout: 5, BatchSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dims := gcn.LayerDims(ds.FeatureDim(), cfg.Hidden, ds.Classes, cfg.Layers)
+	want := minibatch.NewDist(comm.NewWorld(1, Perlmutter()), distmm.UniformLayout(ds.G.NumVertices(), 1),
+		ds.NormalizedAdjacency(), ds.Features, ds.Labels, ds.Train, dims, cfg.Seed,
+		func() opt.Optimizer { return opt.NewAdam(cfg.LR) },
+		minibatch.DistConfig{Fanout: 5, BatchSize: 32, Seed: cfg.Seed}).ReferenceEpochs(epochs)
+	for e, loss := range res.EpochLoss {
+		if math.Float64bits(loss) != math.Float64bits(want[e].Loss) {
+			t.Fatalf("epoch %d: RunMiniBatch loss %v, reference %v", e, loss, want[e].Loss)
+		}
 	}
 }

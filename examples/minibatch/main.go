@@ -40,7 +40,7 @@ func main() {
 	// Mini-batch training with neighbor sampling (fanout 5, batch 256).
 	t0 = time.Now()
 	mb, err := sagnn.RunMiniBatch(ds, *epochs, sagnn.ModelConfig{LR: 0.01, Seed: 5},
-		sagnn.WithFanout(5), sagnn.WithBatchSize(256))
+		sagnn.SamplingConfig{Fanout: 5, BatchSize: 256})
 	check(err)
 	mbWall := time.Since(t0)
 

@@ -87,9 +87,11 @@ type World struct {
 	ops []atomic.Int64
 
 	// Abort protocol state: the first failure records its cause and closes
-	// the abort channel every blocking primitive selects on. See fault.go.
+	// the abort channel every blocking primitive selects on; lost is the
+	// first lost TCP peer's failure, which no reset clears. See fault.go.
 	abortMu  sync.Mutex
 	abortErr error
+	lost     error
 	abortCh  atomic.Pointer[abortState]
 
 	faultMu    sync.Mutex

@@ -508,3 +508,89 @@ func TestAbortMidCollectiveUnblocksEveryRank(t *testing.T) {
 		})
 	}
 }
+
+// TestTCPAbortBetweenLaunches: an abort that reaches a TCP world while no
+// launch runs — a peer's abort frame, or a lost peer — fails the next launch
+// at once with that cause instead of starting it against peers that have
+// moved on. A peer's abort fails one launch and the world runs again; a lost
+// peer fails every later launch with the same *RankError.
+func TestTCPAbortBetweenLaunches(t *testing.T) {
+	const p, victim = 3, 2
+	f := newFleet(t, "tcp", p)
+	allReduce := func(r *Rank) error {
+		r.World().WorldGroup().AllReduceSumInto(r, []float64{1}, make([]float64, 1), "allreduce")
+		return nil
+	}
+	launch := func(f *fleet, what string) []error {
+		start := time.Now()
+		errs := f.run(allReduce)
+		if elapsed := time.Since(start); elapsed > chaosTimeout/2 {
+			t.Fatalf("%s took %v", what, elapsed)
+		}
+		return errs
+	}
+	for i, err := range launch(f, "clean launch") {
+		if err != nil {
+			t.Fatalf("world %d: clean launch: %v", i, err)
+		}
+	}
+
+	boom := errors.New("boom")
+	f.worlds[1].Abort(boom)
+	awaitAbort(t, f.worlds...)
+	for i, err := range launch(f, "launch after a peer abort") {
+		want := ErrPeerAborted
+		if i == 1 {
+			want = boom
+		}
+		if !errors.Is(err, want) {
+			t.Fatalf("world %d: launch after rank 1 aborted returned %v", i, err)
+		}
+	}
+	for i, err := range launch(f, "relaunch") {
+		if err != nil {
+			t.Fatalf("world %d: a peer's abort outlived the launch it failed: %v", i, err)
+		}
+	}
+
+	kill(f.worlds[victim])
+	survivors := &fleet{worlds: f.worlds[:victim]}
+	awaitAbort(t, survivors.worlds...)
+	first := launch(survivors, "launch after the kill")
+	again := launch(survivors, "second launch after the kill")
+	for i, err := range first {
+		var re *RankError
+		if !errors.As(err, &re) || re.Rank != victim || !errors.Is(err, ErrPeerDisconnected) {
+			t.Fatalf("world %d: launch after the kill returned %v, want rank %d's ErrPeerDisconnected", i, err, victim)
+		}
+		if again[i] != err {
+			t.Fatalf("world %d: second launch returned %v, not the same *RankError", i, again[i])
+		}
+	}
+}
+
+// kill drops w off the wire without a goodbye, the way SIGKILL does: its
+// connections are torn down and its writers stopped.
+func kill(w *World) {
+	w.net.teardown()
+	for _, p := range w.net.peers {
+		if p != nil {
+			close(p.q.stop)
+			<-p.wdone
+		}
+	}
+}
+
+// awaitAbort waits until every world has an abort recorded.
+func awaitAbort(t *testing.T, worlds ...*World) {
+	t.Helper()
+	deadline := time.Now().Add(chaosTimeout)
+	for i, w := range worlds {
+		for w.abortCause() == nil {
+			if time.Now().After(deadline) {
+				t.Fatalf("world %d: no abort recorded within %v", i, chaosTimeout)
+			}
+			<-time.After(time.Millisecond)
+		}
+	}
+}

@@ -22,6 +22,12 @@ import (
 // undelivered payloads back into the buffer pool, re-arms the abort channel,
 // and returns the recorded *RankError: an in-process world is immediately
 // reusable, which is what makes retry-based recovery possible.
+//
+// Over TCP an abort can also arrive between launches, raised by a reader
+// goroutine: a peer's abort frame, or a lost peer. The next launch then fails
+// at once with that cause instead of starting against peers that have moved
+// on. A lost peer is sticky — the wire has no rejoin — so the world stays
+// aborted and every later launch fails with the same *RankError.
 
 // Fault describes one injected failure or degradation, armed with
 // InjectFault. Failure faults are one-shot: they disarm when they fire.
@@ -157,6 +163,17 @@ func (w *World) abort(err error, broadcast bool) {
 	}
 }
 
+// losePeer records a TCP peer's loss and aborts the world with it. reset
+// never clears it: every later launch fails with err.
+func (w *World) losePeer(err *RankError) {
+	w.abortMu.Lock()
+	if w.lost == nil {
+		w.lost = err
+	}
+	w.abortMu.Unlock()
+	w.abort(err, false)
+}
+
 // abortCause returns the recorded abort cause, nil if none.
 func (w *World) abortCause() error {
 	w.abortMu.Lock()
@@ -166,13 +183,14 @@ func (w *World) abortCause() error {
 
 // reset restores an aborted world to a clean, reusable state: the abort
 // channel is re-armed and undelivered payloads are drained back into the
-// buffer pool. Callers must ensure no rank goroutine or async worker is
-// still inside the world (RunErr guarantees it: all ranks have joined and
-// executors drain their workers while unwinding).
+// buffer pool — unless a peer is lost, in which case the world stays aborted
+// with the loss as its cause. Callers must ensure no rank goroutine or async
+// worker is still inside the world (RunErr guarantees it: all ranks have
+// joined and executors drain their workers while unwinding).
 func (w *World) reset() {
 	w.abortMu.Lock()
-	w.abortErr = nil
-	if w.abortCh.Load().closed {
+	w.abortErr = w.lost
+	if w.lost == nil && w.abortCh.Load().closed {
 		w.abortCh.Store(&abortState{ch: make(chan struct{})})
 	}
 	w.abortMu.Unlock()
@@ -185,12 +203,12 @@ func (w *World) reset() {
 // returned by fn, an external Abort — aborts the whole collective: every
 // blocked rank unwinds deterministically, the world is reset to a reusable
 // state, and the first failure's *RankError is returned. A nil return means
-// every rank completed.
+// every rank completed. An abort pending at launch — raised between launches
+// by the wire — fails the launch at once with its cause.
 func (w *World) RunErr(fn func(r *Rank) error) error {
-	// Clear any stale abort left by a watchdog that fired after the
-	// previous run's last operation (the run itself completed).
-	if w.abortCause() != nil {
+	if cause := w.abortCause(); cause != nil {
 		w.reset()
+		return cause
 	}
 	for i := range w.ops {
 		w.ops[i].Store(0)
@@ -233,21 +251,23 @@ func (w *World) RunCtx(ctx context.Context, fn func(r *Rank) error) error {
 	}
 	stop := make(chan struct{})
 	watcherDone := make(chan struct{})
+	var fired *RankError // the watcher's abort; read after watcherDone
 	go func() {
 		defer close(watcherDone)
 		select {
 		case <-ctx.Done():
-			w.Abort(&RankError{Rank: -1, Err: ctx.Err()})
+			fired = &RankError{Rank: -1, Err: ctx.Err()}
+			w.Abort(fired)
 		case <-stop:
 		}
 	}()
 	err := w.RunErr(fn)
 	close(stop)
 	<-watcherDone
-	if err == nil && w.abortCause() != nil {
+	if err == nil && fired != nil && w.abortCause() == fired {
 		// The watcher fired between the last rank finishing and RunErr's
-		// accounting: the work completed, but clear the stale abort so the
-		// next run starts clean.
+		// accounting: the work completed, so its own abort is stale. Any
+		// other pending cause came from the wire and fails the next launch.
 		w.reset()
 	}
 	return err

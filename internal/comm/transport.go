@@ -427,14 +427,15 @@ func (nw *netWorld) reader(p *netPeer) {
 	}
 }
 
-// peerGone maps a connection failure onto the abort protocol, unless the
-// failure is an expected consequence of orderly shutdown (this side already
-// closing, or the peer said goodbye and then closed its end).
+// peerGone maps a connection failure onto the abort protocol as a lost peer
+// — sticky: no later launch runs — unless the failure is an expected
+// consequence of orderly shutdown (this side already closing, or the peer
+// said goodbye and then closed its end).
 func (nw *netWorld) peerGone(p *netPeer, err error) {
 	if nw.closed.Load() || p.saidBye.Load() {
 		return
 	}
-	nw.w.abort(&RankError{Rank: p.rank, Err: fmt.Errorf("%w: %v", ErrPeerDisconnected, err)}, false)
+	nw.w.losePeer(&RankError{Rank: p.rank, Err: fmt.Errorf("%w: %v", ErrPeerDisconnected, err)})
 }
 
 // close runs the orderly shutdown: announce goodbye to every peer, wait

@@ -11,8 +11,7 @@ import (
 // Serial is the single-process reference trainer: the step of step.go over
 // the whole normalized adjacency. It is the ground truth the distributed
 // trainers are tested against (same seeds → same loss trajectory to
-// floating-point reassociation tolerance), and the full-batch evaluator of
-// held-out accuracy.
+// floating-point reassociation tolerance).
 //
 // A Serial is NOT safe for concurrent use: Accuracies and Epoch share the
 // workspace below.

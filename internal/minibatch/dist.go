@@ -34,7 +34,8 @@ import (
 // sampled rectangular blocks. Per step, the loss term and the per-layer
 // weight gradients are all-reduced and every rank applies the same update to
 // its replica — the step is gcn.Workspace.Gradients, the one the full-batch
-// trainers run, over the sampled chain operand (minibatch.go).
+// trainers run, over the sampled chain operand (minibatch.go). Every step's
+// gather plan is statically verified (distmm.Verify) before any rank runs it.
 
 // DistConfig configures distributed sampled training.
 type DistConfig struct {
@@ -48,9 +49,6 @@ type DistConfig struct {
 	Seed int64
 	// Exec selects the plan executor for the per-batch gathers.
 	Exec distmm.ExecMode
-	// Verify statically checks every compiled batch plan with distmm.Verify
-	// before executing it.
-	Verify bool
 }
 
 // Dist trains a GCN with per-rank neighbor sampling over a block-row
@@ -235,7 +233,7 @@ func (d *Dist) newSampler() *sampler {
 	P, L := d.World.P, len(d.Dims)-1
 	sm := &sampler{d: d, chains: make([]chain, P), streams: make([]rankStream, P), predicted: make([]distmm.RankVolume, P)}
 	for rr := range sm.streams {
-		sm.streams[rr] = rankStream{em: newEmitter(d.AHat, d.self, d.Cfg.Fanout, true, 0), epoch: -1}
+		sm.streams[rr] = rankStream{em: newEmitter(d.AHat, d.self, d.Cfg.Fanout), epoch: -1}
 	}
 	for i := range sm.slots {
 		st := &sm.slots[i]
@@ -287,10 +285,8 @@ func (sm *sampler) step(epoch, s int) *step {
 	} else {
 		sm.gather.Recompile(st.bottoms)
 	}
-	st.plan, st.err = sm.gather.Plan(), nil
-	if d.Cfg.Verify {
-		st.err = distmm.Verify(st.plan)
-	}
+	st.plan = sm.gather.Plan()
+	st.err = distmm.Verify(st.plan)
 	return st
 }
 

@@ -40,7 +40,7 @@ func distFixture(seed int64, exec distmm.ExecMode, newOpt func() opt.Optimizer) 
 	layout := distmm.UniformLayout(n, p)
 	dims := gcn.LayerDims(f, 8, classes, 2)
 	return NewDist(world, layout, aHat, x, labels, train, dims, seed, newOpt,
-		DistConfig{Fanout: 3, BatchSize: 4, Seed: seed, Exec: exec, Verify: true})
+		DistConfig{Fanout: 3, BatchSize: 4, Seed: seed, Exec: exec})
 }
 
 // TestDistSampledMatchesReference pins the tentpole's conformance contract:
@@ -309,11 +309,10 @@ func TestDistSampledFaultSweep(t *testing.T) {
 // allocates: deriving a step — P sampling streams, P block chains, the
 // batches — adds only the closures of the P goroutines it fans out on and
 // the wait group they share (10 for the two derivations measured) to what
-// recompiling the gather plan from the same bottoms costs on its own;
-// sampling itself adds none.
+// compiling the gather plan from the same bottoms and verifying it cost on
+// their own; sampling itself adds none.
 func TestDistStepSteadyStateAllocs(t *testing.T) {
 	d := raggedFixture(19, distmm.ExecSequential)
-	d.Cfg.Verify = false // the verifier's bookkeeping is not the step's
 	sm := d.newSampler()
 	for s := 0; s < 4; s++ { // grow both slots: even steps land in one, odd in the other
 		sm.step(0, s)
@@ -324,8 +323,12 @@ func TestDistStepSteadyStateAllocs(t *testing.T) {
 	}
 	derive() // the slots now hold the two steps every later run re-derives
 	recompile := testing.AllocsPerRun(20, func() {
-		sm.gather.Recompile(sm.slots[0].bottoms)
-		sm.gather.Recompile(sm.slots[1].bottoms)
+		for i := range sm.slots {
+			sm.gather.Recompile(sm.slots[i].bottoms)
+			if err := distmm.Verify(sm.gather.Plan()); err != nil {
+				t.Fatal(err)
+			}
+		}
 	})
 	const fanOut = 2 * (4 + 1) // per derivation: P = 4 closures and the wait group
 	if allocs := testing.AllocsPerRun(20, derive); allocs > recompile+fanOut {

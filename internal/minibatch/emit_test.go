@@ -92,12 +92,10 @@ func sameBlock(t *testing.T, what string, got *sparse.CSR, gotSrcs []int, want *
 }
 
 // checkSampledBlocks draws the same batches through the emitter and the
-// oracle from identically seeded streams, in both of the emitter's forms:
-// over the graph's neighbor rows with every layer interned (the serial
-// trainer), and over Â's rows around the self loop with the bottom layer
-// emitted under global column ids (the distributed trainer). Two batches go
-// through each emitter so reuse of its storage and interning array is
-// covered.
+// oracle from identically seeded streams, over Â's rows around the self
+// loop: the bottom layer is emitted under global column ids, the layers
+// above it interned. Two batches go through the emitter so reuse of its
+// storage and interning array is covered.
 func checkSampledBlocks(t *testing.T, g *graph.Graph, batches [][]int, layers, fanout int, seed int64) {
 	t.Helper()
 	n := g.NumVertices()
@@ -110,22 +108,16 @@ func checkSampledBlocks(t *testing.T, g *graph.Graph, batches [][]int, layers, f
 			}
 		}
 	}
-	serial := newEmitter(g.Adj, nil, fanout, false, seed)
-	dist := newEmitter(aHat, selfPositions(aHat), fanout, true, seed)
-	serialRng, distRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-	serialBlocks, distBlocks := make([]block, layers), make([]block, layers)
+	em := newEmitter(aHat, selfPositions(aHat), fanout)
+	em.rng.Seed(seed)
+	rng := rand.New(rand.NewSource(seed))
+	blocks := make([]block, layers)
 	for _, batch := range batches {
-		serial.sample(serialBlocks, batch)
-		want := oracleBlocks(serialRng, g.Neighbors, batch, layers, fanout)
-		for l := range want {
-			sameBlock(t, "serial layer", &serialBlocks[l].adj, serialBlocks[l].srcs, want[l].adj, want[l].srcs)
-		}
-
-		dist.sample(distBlocks, batch)
-		want = oracleBlocks(distRng, func(v int) []int { return nbrs[v] }, batch, layers, fanout)
-		sameBlock(t, "global bottom", &distBlocks[0].adj, distBlocks[0].srcs, oracleGlobalBottom(want[0], n), nil)
+		em.sample(blocks, batch)
+		want := oracleBlocks(rng, func(v int) []int { return nbrs[v] }, batch, layers, fanout)
+		sameBlock(t, "global bottom", &blocks[0].adj, blocks[0].srcs, oracleGlobalBottom(want[0], n), nil)
 		for l := 1; l < layers; l++ {
-			sameBlock(t, "distributed layer", &distBlocks[l].adj, distBlocks[l].srcs, want[l].adj, want[l].srcs)
+			sameBlock(t, "interned layer", &blocks[l].adj, blocks[l].srcs, want[l].adj, want[l].srcs)
 		}
 	}
 }
@@ -174,9 +166,8 @@ func sampledBlockCases() []sampledBlockCase {
 // over random, clustered, star and path graphs with isolated vertices, every
 // fanout regime (below, at and above the degrees) and batches that are
 // empty, single, repeated and whole-graph, the emitted blocks equal
-// sparse.NewCSR over the same coordinate list field for field, and the
-// directly emitted global bottom equals the re-sorted widening of the
-// interned one.
+// sparse.NewCSR over the same coordinate list field for field — the directly
+// emitted global bottom as the re-sorted widening of the interned one.
 func TestSampledBlocksMatchCoordinateOracle(t *testing.T) {
 	for _, c := range sampledBlockCases() {
 		g := graph.FromEdges(c.n, c.edges).Symmetrize()

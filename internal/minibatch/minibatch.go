@@ -11,15 +11,14 @@
 // (emitter, which writes each batch's blocks straight into reused CSR
 // storage) and the chain operand over the sampled rectangular blocks. The
 // step itself — forward, loss, backward — is gcn.Workspace.Gradients, the
-// one the full-batch trainers run. Trainer steps it serially over blocks of
-// gathered feature rows; Dist (dist.go) is the distributed form, an epoch
-// body for a gcn.Stepper in which each batch's first layer is a halo gather
-// compiled into a distmm plan — each step derived once per process and
-// shared by the ranks the process hosts.
+// one the full-batch trainers run. Dist (dist.go) is the one sampled
+// trainer, an epoch body for a gcn.Stepper in which each batch's first layer
+// is a halo gather compiled into a distmm plan — each step derived once per
+// process and shared by the ranks the process hosts; a one-rank world is the
+// single-process sampled trainer.
 package minibatch
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 
@@ -27,8 +26,6 @@ import (
 	"sagnn/internal/dense"
 	"sagnn/internal/distmm"
 	"sagnn/internal/gcn"
-	"sagnn/internal/graph"
-	"sagnn/internal/opt"
 	"sagnn/internal/sparse"
 )
 
@@ -36,80 +33,31 @@ import (
 // returns when there are no training vertices to draw a batch from.
 var ErrEmptyTrainSet = gcn.ErrEmptyTrainSet
 
-// Trainer trains a GCN with L-hop neighbor sampling.
-type Trainer struct {
-	G      *graph.Graph
-	X      *dense.Matrix
-	Labels []int
-	Train  []int
-	Model  *gcn.Model
-	// Fanout is the number of sampled neighbors per vertex per layer; the
-	// receptive field is Fanout^L vertices per batch element in the worst
-	// case — the neighborhood-explosion problem the paper cites.
-	Fanout    int
-	BatchSize int
-	Opt       opt.Optimizer
-
-	// The step's reusable state: the sampler (whose rng also shuffles the
-	// epochs) and the blocks it emits into, the operand (gather buffer,
-	// transposes, batch labels) and the dense workspace.
-	em     emitter
-	blocks []block
-	chain  chain
-	ws     gcn.Workspace
-}
-
-// New validates shapes, seeds the sampler, and defaults a nil optimizer to
-// plain SGD — the constructor-validates contract, so Step never has to
-// repair the trainer mid-flight.
-func New(g *graph.Graph, x *dense.Matrix, labels, train []int, model *gcn.Model,
-	fanout, batchSize int, o opt.Optimizer, seed int64) *Trainer {
-	if g.NumVertices() != x.Rows || len(labels) != x.Rows {
-		panic(fmt.Sprintf("minibatch: graph %d vertices, X %d rows, %d labels",
-			g.NumVertices(), x.Rows, len(labels)))
-	}
-	if fanout < 1 || batchSize < 1 {
-		panic(fmt.Sprintf("minibatch: fanout %d batch %d", fanout, batchSize))
-	}
-	if o == nil {
-		o = &opt.SGD{LR: 0.05}
-	}
-	return &Trainer{
-		G: g, X: x, Labels: labels, Train: train, Model: model,
-		Fanout: fanout, BatchSize: batchSize, Opt: o,
-		em: newEmitter(g.Adj, nil, fanout, false, seed),
-	}
-}
-
 // block is one layer's sampled bipartite aggregation: rows are the layer's
 // output vertices, columns index the previous layer's vertex list. Its
 // storage is grow-only and rewritten by the next batch sampled into it.
 type block struct {
 	adj sparse.CSR
-	// srcs lists the global vertex ids of the columns; empty for a block
-	// emitted with global column ids (its columns are the ids).
+	// srcs lists the global vertex ids of the columns; empty for the bottom
+	// block, which is emitted with global column ids (its columns are the ids).
 	srcs []int
 }
 
-// emitter is the sampling core shared by the serial trainer and the
-// distributed trainer's per-rank samplers. The layered computation graph is
+// emitter is one rank's sampling core. The layered computation graph is
 // fully determined by (rng stream, adjacency, batch) — the determinism
 // contract distributed bit-identity rests on — and is written straight into
 // CSR storage: rows come out in order with at most fanout+1 entries each, so
 // every draw is inserted into its row's sorted run and nothing is sorted,
 // hashed or allocated once the storage has grown.
 type emitter struct {
-	// adj is the matrix whose rows neighbors are drawn from. self[v] is the
-	// position of v's own column within its row, skipped by the draws (Â
-	// stores the self loop every sampled row adds itself; a row without one
-	// records its length); nil when the rows hold neighbors only.
+	// adj is Â, whose rows neighbors are drawn from. self[v] is the position
+	// of v's own column within its row, skipped by the draws (every sampled
+	// row adds its self loop itself; a row without one records its length).
 	adj    *sparse.CSR
 	self   []int
 	fanout int
-	// global emits layer 0 with global column ids, the shape
-	// distmm.NewSampledGather takes, instead of interning its columns.
-	global bool
-	rng    *rand.Rand
+	// rng is reseeded from the coordinates of whatever it draws next.
+	rng *rand.Rand
 	// seen interns a layer's columns: vertex v is column seen[v]-base when
 	// seen[v] >= base. base moves past every position a layer hands out, so
 	// the array is never cleared.
@@ -117,10 +65,10 @@ type emitter struct {
 	base int
 }
 
-func newEmitter(adj *sparse.CSR, self []int, fanout int, global bool, seed int64) emitter {
+func newEmitter(adj *sparse.CSR, self []int, fanout int) emitter {
 	return emitter{
-		adj: adj, self: self, fanout: fanout, global: global,
-		rng: rand.New(rand.NewSource(seed)), seen: make([]int, adj.NumRows), base: 1,
+		adj: adj, self: self, fanout: fanout,
+		rng: rand.New(rand.NewSource(0)), seen: make([]int, adj.NumRows), base: 1,
 	}
 }
 
@@ -128,9 +76,9 @@ func newEmitter(adj *sparse.CSR, self []int, fanout int, global bool, seed int64
 // row's length when there is none) and the number of neighbors left.
 func (e *emitter) neighbors(v int) (row []int, skip, deg int) {
 	row = e.adj.ColIdx[e.adj.RowPtr[v]:e.adj.RowPtr[v+1]]
-	skip, deg = len(row), len(row)
-	if e.self != nil && e.self[v] < len(row) {
-		skip, deg = e.self[v], deg-1
+	skip, deg = e.self[v], len(row)
+	if skip < len(row) {
+		deg--
 	}
 	return row, skip, deg
 }
@@ -145,7 +93,9 @@ func (b *block) room(n int) {
 
 // sample draws the layered computation graph for a batch into blocks, one
 // per layer: the top block's rows are the batch vertices and each layer
-// below adds the sampled neighbors of the one above. Aggregation weights are
+// below adds the sampled neighbors of the one above. The bottom block keeps
+// global column ids, the shape distmm.NewSampledGather takes; the blocks
+// above it intern theirs. Aggregation weights are
 // the mean over the sampled neighbors plus the self loop, a sampled analogue
 // of the GCN normalization; a neighbor drawn twice (draws are with
 // replacement) weighs twice.
@@ -154,7 +104,7 @@ func (b *block) room(n int) {
 func (e *emitter) sample(blocks []block, batch []int) {
 	outputs := batch
 	for l := len(blocks) - 1; l >= 0; l-- {
-		b, intern := &blocks[l], l > 0 || !e.global
+		b, intern := &blocks[l], l > 0
 		b.adj.RowPtr = slices.Grow(b.adj.RowPtr[:0], len(outputs)+1)[:len(outputs)+1]
 		b.adj.ColIdx, b.adj.Val, b.srcs = b.adj.ColIdx[:0], b.adj.Val[:0], b.srcs[:0]
 		for r, v := range outputs {
@@ -221,40 +171,30 @@ func (e *emitter) put(b *block, start, u int, w float64, intern bool) {
 // chain is the sampled operand: layer l aggregates over the rectangular
 // block blocks[l-1] and its transpose, held in reusable per-layer workspaces
 // so the backward pass stops allocating once they have grown to the sampled
-// block sizes. Layer 1 — a new product every batch — comes in three forms
+// block sizes. Layer 1 — a new product every batch — comes in two forms
 // (First). With a rank set, every local SpMM is charged to it.
 type chain struct {
 	blocks []block
-	labels []int // the batch's classes, aligned with the top block's rows
-	// x is what layer 1 reads: the features H⁰ is gathered from (serial), or
-	// the rank's feature slice the halo gather multiplies (distributed).
-	x      *dense.Matrix
-	gather *distmm.SampledGather // distributed: the step's compiled halo gather
+	labels []int                 // the batch's classes, aligned with the top block's rows
+	x      *dense.Matrix         // the rank's feature slice the halo gather multiplies
+	gather *distmm.SampledGather // the step's compiled halo gather
 	landed *dense.Matrix         // reference mirror: layer 1 as the reference gather landed it
 	rank   *comm.Rank
 
-	h0, agg      *dense.Matrix // serial gather buffer; layer 1's aggregate
+	agg          *dense.Matrix // layer 1's aggregate
 	adjT         []sparse.CSR
 	tposeScratch []int
 }
 
-// First is layer 1: the aggregation the reference gather already landed, the
-// distributed halo gather of the rank's feature slice, or the bottom block
-// over feature rows gathered from x. Only the last materialises H⁰.
+// First is layer 1: the aggregation the reference gather already landed, or
+// the halo gather of the rank's feature slice. Neither materialises H⁰.
 func (c *chain) First() (agg, h0 *dense.Matrix) {
 	if c.landed != nil {
 		return c.landed, nil
 	}
-	bottom := &c.blocks[0]
-	c.agg = dense.Reshape(c.agg, bottom.adj.NumRows, c.x.Cols)
-	if c.gather != nil {
-		c.gather.MultiplyInto(c.rank, c.x, c.agg)
-		return c.agg, nil
-	}
-	c.h0 = dense.Reshape(c.h0, len(bottom.srcs), c.x.Cols)
-	c.x.GatherRowsInto(c.h0.Data, bottom.srcs)
-	c.spmm(&bottom.adj, c.agg, c.h0)
-	return c.agg, c.h0
+	c.agg = dense.Reshape(c.agg, c.blocks[0].adj.NumRows, c.x.Cols)
+	c.gather.MultiplyInto(c.rank, c.x, c.agg)
+	return c.agg, nil
 }
 
 func (c *chain) Rows(l int) int { return c.blocks[l-1].adj.NumRows }
@@ -299,57 +239,4 @@ func (c *chain) load(blocks []block, labels, batch []int) {
 	for _, v := range batch {
 		c.labels = append(c.labels, labels[v])
 	}
-}
-
-// sampleBlocks draws the layered computation graph for a batch into the
-// trainer's reused blocks: layer L outputs the batch vertices; each previous
-// layer adds sampled neighbors.
-func (t *Trainer) sampleBlocks(batch []int, layers int) []block {
-	if len(t.blocks) != layers {
-		t.blocks = make([]block, layers)
-	}
-	t.em.fanout = t.Fanout
-	t.em.sample(t.blocks, batch)
-	return t.blocks
-}
-
-// Step runs one mini-batch: sample, forward, backward, update. Returns the
-// batch's mean loss. Once the blocks and the workspace have grown to the
-// batch's shapes it allocates nothing.
-//
-//sagnn:steadystate
-func (t *Trainer) Step(batch []int) (float64, error) {
-	c := &t.chain
-	c.x = t.X
-	c.load(t.sampleBlocks(batch, t.Model.Layers()), t.Labels, batch)
-	lossSum, _, err := t.ws.Step(t.Opt, t.Model, gcn.GCNConv, c, nil, c.labels, len(batch), gcn.Collective{})
-	if err != nil {
-		return 0, err
-	}
-	return lossSum * (1 / float64(len(batch))), nil
-}
-
-// Epoch shuffles the training set and runs it in batches, returning the
-// per-example mean loss: batch losses are weighted by batch size, so a
-// short final partial batch contributes proportionally rather than equally.
-// An empty training set returns ErrEmptyTrainSet.
-func (t *Trainer) Epoch() (float64, error) {
-	order := append([]int(nil), t.Train...)
-	t.em.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	if len(order) == 0 {
-		return 0, ErrEmptyTrainSet
-	}
-	total := 0.0
-	for lo := 0; lo < len(order); lo += t.BatchSize {
-		hi := lo + t.BatchSize
-		if hi > len(order) {
-			hi = len(order)
-		}
-		loss, err := t.Step(order[lo:hi])
-		if err != nil {
-			return 0, err
-		}
-		total += loss * float64(hi-lo)
-	}
-	return total / float64(len(order)), nil
 }

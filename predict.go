@@ -118,6 +118,20 @@ func (m *Model) forward(ds *Dataset) *dense.Matrix {
 	return m.probs
 }
 
+// accuracies is every run's held-out evaluation: one full-batch forward over
+// ds, then the accuracy on each vertex set. ds is checked by the caller.
+func (m *Model) accuracies(ds *Dataset, sets ...[]int) []float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.everyVertex(ds.G.NumVertices())
+	probs := m.forward(ds)
+	accs := make([]float64, len(sets))
+	for i, set := range sets {
+		accs[i] = dense.Accuracy(probs, ds.Labels, set)
+	}
+	return accs
+}
+
 // everyVertex makes the request every vertex of an n-vertex graph, so that
 // forward is full-batch inference.
 func (m *Model) everyVertex(n int) {

@@ -23,7 +23,6 @@ func sampledSession(t *testing.T, exec ExecMode, opts ...SessionOption) *Session
 		Algorithm:   SparsityAware1D,
 		Partitioner: NewGVB(1),
 		Exec:        exec,
-		VerifyPlans: true,
 		Sampling:    &SamplingConfig{Fanout: 3, BatchSize: 8, Seed: 1},
 	})
 	if err != nil {
@@ -249,7 +248,7 @@ func TestDistributeCopiesSamplingConfig(t *testing.T) {
 	}
 	sc := &SamplingConfig{Fanout: 3, BatchSize: 8, Seed: 1}
 	dg, err := cl.Distribute(MustLoadDataset("protein-sim", 1, 64), DistOpts{
-		Algorithm: SparsityAware1D, Partitioner: NewGVB(1), VerifyPlans: true, Sampling: sc,
+		Algorithm: SparsityAware1D, Partitioner: NewGVB(1), Sampling: sc,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -104,7 +104,8 @@ func WithAutoSnapshot(everyN int) SessionOption {
 // maxRetries consecutive failed attempts are absorbed; the counter resets on
 // progress. Replay is bit-identical to an uninterrupted run once the fault
 // clears, because restoring a snapshot re-synchronizes every weight replica
-// and the full-batch epoch is deterministic.
+// and the full-batch epoch is deterministic. A lost TCP peer
+// (comm.ErrPeerDisconnected) is not transient and is never retried.
 func WithRecovery(maxRetries int, backoff time.Duration) SessionOption {
 	return func(o *sessionOptions) {
 		o.maxRetries = maxRetries
@@ -342,7 +343,9 @@ loop:
 				runErr = cerr
 				break
 			}
-			if recovery && retries < s.opts.maxRetries && lastSnap != nil {
+			// A lost peer is not transient: the wire has no rejoin, and every
+			// later launch fails with the same error.
+			if recovery && retries < s.opts.maxRetries && lastSnap != nil && !errors.Is(err, comm.ErrPeerDisconnected) {
 				retries++
 				// Cancellation during the backoff wait is observed at the
 				// top of the next launch, so the early return is discarded.
@@ -417,10 +420,7 @@ func (s *Session) RunSampled(ctx context.Context, epochs int) (res *TrainResult,
 		sc := g.sampling.withDefaults(s.cfg.Seed)
 		dims := gcn.LayerDims(g.x.Cols, s.cfg.Hidden, g.ds.Classes, s.cfg.Layers)
 		s.sampledBody = minibatch.NewDist(g.cluster.world, g.layout, g.aHat, g.x, g.labels, g.train, dims, s.cfg.Seed, nil,
-			minibatch.DistConfig{
-				Fanout: sc.Fanout, BatchSize: sc.BatchSize, Seed: sc.Seed,
-				Exec: g.opts.Exec, Verify: g.opts.VerifyPlans,
-			}).Body()
+			minibatch.DistConfig{Fanout: sc.Fanout, BatchSize: sc.BatchSize, Seed: sc.Seed, Exec: g.opts.Exec}).Body()
 	}
 	// The ordinary run loop (recovery, snapshots, ledger attribution) over
 	// the sampled body: same replicas, epoch counter and history.
@@ -459,17 +459,10 @@ func (s *Session) result(hist []EpochResult, epochs0, setup0 spent) *TrainResult
 		res.SetupSeconds = setup.ledger.Total()
 		res.SetupMaxSentMB = float64(setup.vol.MaxSent()) / mb
 	}
-	// Evaluate the trained weights on the held-out splits with one full-batch
-	// forward pass in the graph's (permuted) vertex order, over the graph's
-	// one evaluator: its Â·X and forward buffers serve every run on the graph.
-	g := s.dg
-	g.cluster.mu.Lock()
-	if g.eval == nil {
-		g.eval = gcn.NewSerial(g.aHat, g.x, g.labels, g.train, s.stepper.Model(), 0)
-	}
-	g.eval.Model, g.eval.Variant = s.stepper.Model(), s.cfg.variant()
-	accs := g.eval.Accuracies(g.val, g.test)
-	g.cluster.mu.Unlock()
+	// The held-out splits are the trained model's full-batch forward over the
+	// original dataset, whose Â·X every model and run on it shares.
+	ds := s.dg.ds
+	accs := res.Model.accuracies(ds, ds.Val, ds.Test)
 	res.ValAcc, res.TestAcc = accs[0], accs[1]
 	return res
 }

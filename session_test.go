@@ -3,6 +3,7 @@ package sagnn
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -644,16 +645,16 @@ func TestNewAPIValidation(t *testing.T) {
 	if _, err := RunSerial(ds, 0, ModelConfig{}); err == nil {
 		t.Fatal("RunSerial 0 epochs")
 	}
-	if _, err := RunMiniBatch(nil, 5, ModelConfig{}); err == nil {
+	if _, err := RunMiniBatch(nil, 5, ModelConfig{}, SamplingConfig{}); err == nil {
 		t.Fatal("RunMiniBatch(nil)")
 	}
-	if _, err := RunMiniBatch(ds, 5, ModelConfig{}, WithFanout(0)); err == nil {
-		t.Fatal("fanout 0")
+	if _, err := RunMiniBatch(ds, 5, ModelConfig{}, SamplingConfig{Fanout: -1}); err == nil {
+		t.Fatal("negative fanout")
 	}
-	if _, err := RunMiniBatch(ds, 5, ModelConfig{}, WithBatchSize(0)); err == nil {
-		t.Fatal("batch size 0")
+	if _, err := RunMiniBatch(ds, 5, ModelConfig{}, SamplingConfig{BatchSize: -1}); err == nil {
+		t.Fatal("negative batch size")
 	}
-	if _, err := RunMiniBatch(ds, 5, ModelConfig{SAGE: true}); err == nil {
+	if _, err := RunMiniBatch(ds, 5, ModelConfig{SAGE: true}, SamplingConfig{}); err == nil {
 		t.Fatal("mini-batch SAGE")
 	}
 
@@ -670,7 +671,7 @@ func TestNewAPIValidation(t *testing.T) {
 		if _, err := RunSerial(bad, 1, ModelConfig{}); err == nil {
 			t.Fatal("RunSerial accepted an out-of-range split label")
 		}
-		if _, err := RunMiniBatch(bad, 1, ModelConfig{}); err == nil {
+		if _, err := RunMiniBatch(bad, 1, ModelConfig{}, SamplingConfig{}); err == nil {
 			t.Fatal("RunMiniBatch accepted an out-of-range split label")
 		}
 	}
@@ -714,7 +715,7 @@ func TestEmptyTrainSetTypedError(t *testing.T) {
 		"Session.Run":        func() error { _, err := session().Run(context.Background(), 2); return err },
 		"Session.RunSampled": func() error { _, err := session().RunSampled(context.Background(), 2); return err },
 		"RunSerial":          func() error { _, err := RunSerial(&empty, 2, ModelConfig{}); return err },
-		"RunMiniBatch":       func() error { _, err := RunMiniBatch(&empty, 2, ModelConfig{}); return err },
+		"RunMiniBatch":       func() error { _, err := RunMiniBatch(&empty, 2, ModelConfig{}, SamplingConfig{}); return err },
 	} {
 		if err := run(); !errors.Is(err, ErrEmptyTrainSet) {
 			t.Errorf("%s: got %v, want ErrEmptyTrainSet", name, err)
@@ -724,37 +725,43 @@ func TestEmptyTrainSetTypedError(t *testing.T) {
 
 // TestHeldOutEvalMatchesPredictor: the validation and test accuracies a run
 // reports (one forward pass over the trained weights) are exactly what a
-// Predictor over the same model measures on the same splits.
+// Predictor over the same model measures on the same splits — on a
+// partitioned graph too, where training ran in the permuted order, and for
+// both layer variants.
 func TestHeldOutEvalMatchesPredictor(t *testing.T) {
 	ds := GenerateCommunityDataset("comms", 512, 4, 10, 2, 16, 0.3, 19)
-	dist, _ := trainVia(t, ds, 4, DistOpts{Algorithm: SparsityAware1D}, ModelConfig{Seed: 5, LR: 0.3}, 10)
-	serial, err := RunSerial(ds, 10, ModelConfig{Seed: 5, LR: 0.3})
+	check := func(name string, m *Model, reported []float64, sets ...[]int) {
+		pred, err := NewPredictor(m, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, set := range sets {
+			acc, err := pred.Accuracy(set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if acc != reported[i] {
+				t.Errorf("%s: reported accuracy %v on split %d, predictor measures %v", name, reported[i], i, acc)
+			}
+		}
+	}
+	for _, sage := range []bool{false, true} {
+		cfg := ModelConfig{Seed: 5, LR: 0.3, SAGE: sage}
+		for _, pt := range []Partitioner{nil, NewGVB(19)} {
+			dist, _ := trainVia(t, ds, 4, DistOpts{Algorithm: SparsityAware1D, Partitioner: pt}, cfg, 10)
+			check(fmt.Sprintf("Session.Run/sage=%v/%v", sage, pt), dist.Model, []float64{dist.ValAcc, dist.TestAcc}, ds.Val, ds.Test)
+		}
+		serial, err := RunSerial(ds, 10, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("RunSerial/sage=%v", sage), serial.Model, []float64{serial.ValAcc, serial.TestAcc}, ds.Val, ds.Test)
+	}
+	mb, err := RunMiniBatch(ds, 3, ModelConfig{Seed: 5, LR: 0.01}, SamplingConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, res := range map[string]struct {
-		model    *Model
-		val, tst float64
-	}{
-		"Session.Run": {dist.Model, dist.ValAcc, dist.TestAcc},
-		"RunSerial":   {serial.Model, serial.ValAcc, serial.TestAcc},
-	} {
-		pred, err := NewPredictor(res.model, ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		val, err := pred.Accuracy(ds.Val)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tst, err := pred.Accuracy(ds.Test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.val != val || res.tst != tst {
-			t.Errorf("%s: reported val/test %v/%v, predictor measures %v/%v", name, res.val, res.tst, val, tst)
-		}
-	}
+	check("RunMiniBatch", mb.Model, []float64{mb.TestAcc}, ds.Test)
 }
 
 // TestRunSerialAndMiniBatchResults checks the refreshed local entry points
@@ -778,7 +785,7 @@ func TestRunSerialAndMiniBatchResults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mb, err := RunMiniBatch(ds, 5, ModelConfig{LR: 0.01, Seed: 5}, WithFanout(4), WithBatchSize(128))
+	mb, err := RunMiniBatch(ds, 5, ModelConfig{LR: 0.01, Seed: 5}, SamplingConfig{Fanout: 4, BatchSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

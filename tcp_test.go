@@ -4,9 +4,10 @@ package sagnn
 // backend computes bit-for-bit what the simulated communicator computes —
 // same losses, same trained weights, same per-rank logical volume ledger —
 // for every trainable engine under both plan executors; the chaos suite
-// SIGKILLs a rank mid-epoch and requires every survivor to surface the
-// typed *comm.RankError (cause comm.ErrPeerDisconnected) within a bounded
-// deadline and shut down without leaking goroutines.
+// SIGKILLs a rank mid-epoch, or between two launches, and requires every
+// survivor to surface the typed *comm.RankError (cause
+// comm.ErrPeerDisconnected) within a bounded deadline and shut down without
+// leaking goroutines.
 //
 // Both suites re-execute the test binary: the parent runs the reference
 // schedule on the simulated transport and spawns one child per rank with
@@ -285,6 +286,8 @@ func TestTCPHelperProcess(t *testing.T) {
 			t.Error(err)
 		}
 		cl.Close()
+	case "between":
+		betweenLaunches(t, cl, rank)
 	default:
 		t.Fatalf("unknown mode %q", mode)
 	}
@@ -418,6 +421,71 @@ func TestEstimatePredictsMeasuredBytesRedditSim(t *testing.T) {
 	}
 }
 
+// betweenLaunches is the worker body of TestTCPChaosKillBetweenLaunches:
+// one epoch, then a wait for the parent's go marker, by which time the
+// victim has been killed. Every later launch — the next full-batch epoch,
+// a sampled epoch, and a fresh graph's Â·X set-up — must fail at once with
+// the same *comm.RankError, and WithRecovery must not retry it (its first
+// backoff alone outlasts the parent's deadline).
+func betweenLaunches(t *testing.T, cl *Cluster, rank int) {
+	ds := MustLoadDataset(confDataset, confSeed, confScaleDiv)
+	dg, err := cl.Distribute(ds, DistOpts{Algorithm: SparsityAware1D, Partitioner: NewGVB(confSeed),
+		Sampling: &SamplingConfig{Fanout: 3, BatchSize: 8, Seed: confSeed}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := dg.NewSession(ModelConfig{Seed: confSeed}, WithRecovery(3, time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := cl.Distribute(ds, DistOpts{Algorithm: Oblivious1D})
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshSess, err := fresh.NewSession(ModelConfig{Seed: confSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	ready := os.Getenv(tcpEnvReady)
+	if err := os.WriteFile(ready, []byte("ready\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	waitFile(t, goMarker(ready), 2*time.Minute)
+	// The victim was reaped before the marker appeared; give the readers a
+	// moment to take the EOF, so the loss lands between launches.
+	<-time.After(100 * time.Millisecond)
+
+	var first *comm.RankError
+	for _, l := range []struct {
+		name string
+		run  func(context.Context, int) (*TrainResult, error)
+	}{
+		{"full-batch epoch", sess.Run},
+		{"sampled epoch", sess.RunSampled},
+		{"set-up launch", freshSess.Run},
+	} {
+		name := l.name
+		_, err := l.run(context.Background(), 1)
+		var re *comm.RankError
+		if !errors.As(err, &re) || !errors.Is(err, comm.ErrPeerDisconnected) {
+			t.Fatalf("rank %d %s: want *comm.RankError with cause comm.ErrPeerDisconnected, got %v", rank, name, err)
+		}
+		if first == nil {
+			first = re
+		} else if re != first {
+			t.Fatalf("rank %d %s: %v, not the first launch's %v", rank, name, re, first)
+		}
+	}
+	if err := os.WriteFile(os.Getenv(tcpEnvOut),
+		[]byte(fmt.Sprintf("rank-error from rank %d: %v\n", first.Rank, first)), 0o644); err != nil {
+		t.Error(err)
+	}
+	cl.Close()
+}
+
 // TestTCPChaosKillRank SIGKILLs one rank mid-epoch and requires every
 // survivor to exit cleanly — typed *comm.RankError observed, transport
 // closed, goroutines settled — within a bounded deadline.
@@ -425,6 +493,49 @@ func TestTCPChaosKillRank(t *testing.T) {
 	if os.Getenv(tcpEnvMode) != "" {
 		t.Skip("inside a worker process")
 	}
+	killRank(t, "chaos", func(string) {})
+}
+
+// TestTCPChaosKillBetweenLaunches SIGKILLs one rank while every rank sits
+// between two launches, then lets the survivors launch again: a lost peer
+// is sticky, so each survivor's next launches fail at once with the typed
+// error instead of starting an epoch against the dead rank and hanging.
+func TestTCPChaosKillBetweenLaunches(t *testing.T) {
+	if os.Getenv(tcpEnvMode) != "" {
+		t.Skip("inside a worker process")
+	}
+	killRank(t, "between", func(dir string) {
+		if err := os.WriteFile(goMarker(filepath.Join(dir, "ready")), []byte("go\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// goMarker is the file a between-launches worker waits for beside its ready
+// marker.
+func goMarker(ready string) string { return filepath.Join(filepath.Dir(ready), "go") }
+
+// waitFile polls until path exists, failing after within.
+func waitFile(t *testing.T, path string, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for {
+		if _, err := os.Stat(path); err == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s missing after %v", path, within)
+		}
+		<-time.After(20 * time.Millisecond)
+	}
+}
+
+// killRank starts four workers in mode, SIGKILLs one once every rank is
+// ready, calls afterKill with the markers' directory, and requires every
+// survivor's helper — which asserts the typed error — to pass and report
+// within 30 seconds.
+func killRank(t *testing.T, mode string, afterKill func(dir string)) {
+	t.Helper()
 	const p, victim = 4, 2
 	dir := t.TempDir()
 	addrs := freeAddrs(t, p)
@@ -435,28 +546,20 @@ func TestTCPChaosKillRank(t *testing.T) {
 	for i := 0; i < p; i++ {
 		readies[i] = filepath.Join(dir, fmt.Sprintf("ready%d", i))
 		outs[i] = filepath.Join(dir, fmt.Sprintf("out%d", i))
-		cmds[i] = workerCmd(t, "chaos", i, addrs, outs[i], readies[i])
+		cmds[i] = workerCmd(t, mode, i, addrs, outs[i], readies[i])
 		if err := cmds[i].Start(); err != nil {
 			t.Fatalf("rank %d: %v", i, err)
 		}
 	}
-	// Every rank has completed at least one epoch: training is in flight.
-	deadline := time.Now().Add(2 * time.Minute)
+	// Every rank has completed at least one epoch.
 	for _, ready := range readies {
-		for {
-			if _, err := os.Stat(ready); err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("workers not ready after 2m (%s missing)", ready)
-			}
-			<-time.After(20 * time.Millisecond)
-		}
+		waitFile(t, ready, 2*time.Minute)
 	}
 	if err := cmds[victim].Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	waitCmd(cmds[victim], time.Minute) // reaps the SIGKILL exit
+	afterKill(dir)
 
 	// Bounded-deadline recovery: every survivor's helper test must pass —
 	// which asserts the typed error — and exit within 30 seconds.
