@@ -200,7 +200,8 @@ type DistOpts struct {
 	// stage by stage; ExecOverlap pipelines each stage's SpMM against the
 	// next stage's communication with bit-identical results. AlgorithmAuto
 	// selects the minimum modeled epoch cost under this mode, and the
-	// candidate tables price both modes so the decision is auditable.
+	// candidate tables price both modes so the decision is auditable. Any
+	// other value is an error from Distribute and Estimate.
 	Exec ExecMode
 	// Sampling, if non-nil, configures neighbor-sampled mini-batch training
 	// for sessions on this graph: Session.RunSampled draws per-rank
@@ -252,6 +253,15 @@ func (c SamplingConfig) withDefaults(modelSeed int64) SamplingConfig {
 		c.Seed = modelSeed
 	}
 	return c
+}
+
+// validateExec rejects an ExecMode that names no executor, so the executor
+// that runs and the one Report prices are always the same.
+func validateExec(m ExecMode) error {
+	if m != ExecSequential && m != ExecOverlap {
+		return fmt.Errorf("sagnn: unknown DistOpts.Exec %v", m)
+	}
+	return nil
 }
 
 // DistGraph is a dataset distributed across a cluster: the permuted
@@ -352,6 +362,9 @@ func buildEngine(w *comm.World, alg Algorithm, rep int, prep *prepared) distmm.E
 // *distmm.VerifyError.
 func (c *Cluster) Distribute(ds *Dataset, opts DistOpts) (*DistGraph, error) {
 	if err := validateDataset(ds); err != nil {
+		return nil, err
+	}
+	if err := validateExec(opts.Exec); err != nil {
 		return nil, err
 	}
 	if sc := opts.Sampling; sc != nil {

@@ -253,6 +253,9 @@ func (c *Cluster) Estimate(ds *Dataset, opts DistOpts) ([]Candidate, error) {
 	if err := validateDataset(ds); err != nil {
 		return nil, err
 	}
+	if err := validateExec(opts.Exec); err != nil {
+		return nil, err
+	}
 	widths, err := epochWidths(ds, opts.CostModel)
 	if err != nil {
 		return nil, err

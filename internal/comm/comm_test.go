@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -53,22 +52,22 @@ func TestGroupIndexOfPanicsForOutsider(t *testing.T) {
 	})
 }
 
-func TestStatsImbalance(t *testing.T) {
+// TestVolumeSnapshotSummaries pins the over-rank summaries Table 2 reads
+// from a snapshot, and that a snapshot minus itself is zero.
+func TestVolumeSnapshotSummaries(t *testing.T) {
 	s := newStats(2)
 	s.addSend(0, 100, 1)
 	s.addSend(1, 300, 1)
-	if s.MaxSent() != 300 {
-		t.Fatal("MaxSent")
+	s.addRecv(0, 300)
+	v := s.Snapshot()
+	if v.MaxSent() != 300 || v.TotalSent() != 400 || v.TotalRecv() != 300 {
+		t.Fatalf("max %d total %d recv %d", v.MaxSent(), v.TotalSent(), v.TotalRecv())
 	}
-	if s.AvgSent() != 200 {
-		t.Fatal("AvgSent")
+	if v.AvgSent() != 200 {
+		t.Fatalf("AvgSent %v", v.AvgSent())
 	}
-	if math.Abs(s.LoadImbalance()-0.5) > 1e-12 {
-		t.Fatalf("imbalance %v want 0.5", s.LoadImbalance())
-	}
-	s.Reset()
-	if s.TotalSent() != 0 || s.LoadImbalance() != 0 {
-		t.Fatal("Reset failed")
+	if z := v.Sub(v); z.TotalSent() != 0 || z.MaxSent() != 0 || z.AvgSent() != 0 {
+		t.Fatal("snapshot minus itself is not zero")
 	}
 }
 

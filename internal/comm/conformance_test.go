@@ -135,8 +135,9 @@ func observe(t *testing.T, transport string, p int, prog func(r *Rank, rec func(
 		o.ops = append(o.ops, w.Ops(rank))
 	}
 	for _, w := range f.worlds {
-		for _, phase := range w.Ledger.Phases() {
-			o.ledger[phase] = w.Ledger.PhaseMax(phase)
+		ledger := w.Ledger.Snapshot()
+		for _, phase := range ledger.Phases() {
+			o.ledger[phase] = ledger.PhaseMax(phase)
 		}
 	}
 	return o
@@ -355,7 +356,7 @@ func TestAllToAllvConservation(t *testing.T) {
 	w.Run(func(r *Rank) {
 		g.AllToAllvInto(r, make([][]float64, 4), make([][]float64, 4), "alltoall")
 	})
-	if w.Stats().TotalSent() != 0 || w.Stats().MsgsSent(0) != 0 {
+	if w.Stats().Snapshot().TotalSent() != 0 || w.Stats().MsgsSent(0) != 0 {
 		t.Fatal("empty alltoallv should move no bytes and count no messages")
 	}
 	w.Run(func(r *Rank) {
@@ -366,7 +367,7 @@ func TestAllToAllvConservation(t *testing.T) {
 		}
 		g.AllToAllvInto(r, send, recv, "alltoall")
 	})
-	if s := w.Stats(); s.TotalSent() == 0 || s.TotalSent() != s.TotalRecv() {
+	if s := w.Stats().Snapshot(); s.TotalSent() == 0 || s.TotalSent() != s.TotalRecv() {
 		t.Fatalf("conservation violated: sent %d recv %d", s.TotalSent(), s.TotalRecv())
 	}
 }

@@ -224,7 +224,7 @@ func TestSlowLinkScalesCommTime(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		return w.Ledger.RankTotal(0)
+		return w.Ledger.Snapshot().RankTotal(0)
 	}
 	base := run(0)
 	degraded := run(8)
@@ -251,8 +251,8 @@ func TestSlowFaultDegradesFromTriggerPoint(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	warm := w.Ledger.PhaseMax("warm") // only rank 0 charges these phases
-	degraded := w.Ledger.PhaseMax("degraded")
+	ledger := w.Ledger.Snapshot() // only rank 0 charges these phases
+	warm, degraded := ledger.PhaseMax("warm"), ledger.PhaseMax("degraded")
 	if got := degraded / warm; got < 3.9 || got > 4.1 {
 		t.Fatalf("post-trigger ops priced ×%.3f, want ×4", got)
 	}

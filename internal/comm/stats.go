@@ -22,7 +22,7 @@ func AllReduceVolume(n, size int) (sentBytes, recvBytes, msgs int64) {
 
 // Stats holds exact per-rank communication volume counters, the raw data
 // behind the paper's Table 2 (average vs maximum send volume and the load
-// imbalance between them).
+// imbalance between them). Summaries over ranks are read from a Snapshot.
 type Stats struct {
 	bytesSent []atomic.Int64
 	bytesRecv []atomic.Int64
@@ -54,54 +54,6 @@ func (s *Stats) BytesRecv(rank int) int64 { return s.bytesRecv[rank].Load() }
 
 // MsgsSent returns the number of messages sent so far by rank.
 func (s *Stats) MsgsSent(rank int) int64 { return s.msgsSent[rank].Load() }
-
-// TotalSent sums bytes sent over all ranks.
-func (s *Stats) TotalSent() int64 {
-	var t int64
-	for i := range s.bytesSent {
-		t += s.bytesSent[i].Load()
-	}
-	return t
-}
-
-// TotalRecv sums bytes received over all ranks.
-func (s *Stats) TotalRecv() int64 {
-	var t int64
-	for i := range s.bytesRecv {
-		t += s.bytesRecv[i].Load()
-	}
-	return t
-}
-
-// MaxSent returns the largest per-rank send volume — the bottleneck metric
-// the GVB partitioner minimizes.
-func (s *Stats) MaxSent() int64 {
-	var m int64
-	for i := range s.bytesSent {
-		if v := s.bytesSent[i].Load(); v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// AvgSent returns the mean per-rank send volume.
-func (s *Stats) AvgSent() float64 {
-	if len(s.bytesSent) == 0 {
-		return 0
-	}
-	return float64(s.TotalSent()) / float64(len(s.bytesSent))
-}
-
-// LoadImbalance returns (max/avg − 1) of per-rank send volume, the
-// percentage reported in Table 2 when multiplied by 100.
-func (s *Stats) LoadImbalance() float64 {
-	avg := s.AvgSent()
-	if avg == 0 {
-		return 0
-	}
-	return float64(s.MaxSent())/avg - 1
-}
 
 // VolumeSnapshot is an immutable copy of the volume counters, taken with
 // Stats.Snapshot. Subtracting two snapshots isolates the traffic of one run
@@ -203,13 +155,4 @@ func (v *VolumeSnapshot) AvgSent() float64 {
 		return 0
 	}
 	return float64(v.TotalSent()) / float64(len(v.sent))
-}
-
-// Reset zeroes all counters.
-func (s *Stats) Reset() {
-	for i := range s.bytesSent {
-		s.bytesSent[i].Store(0)
-		s.bytesRecv[i].Store(0)
-		s.msgsSent[i].Store(0)
-	}
 }

@@ -34,7 +34,8 @@ func runMultiplyErr(w *comm.World, e Engine, h *dense.Matrix) (*dense.Matrix, er
 	err := w.RunTimeout(chaosTimeout, func(r *comm.Rank) error {
 		b := e.BlockOf(r.ID)
 		lo, hi := lay.Range(b)
-		z := e.Multiply(r, h.SliceRows(lo, hi).Clone())
+		z := dense.New(hi-lo, h.Cols)
+		e.MultiplyInto(r, h.SliceRows(lo, hi).Clone(), z)
 		mu.Lock()
 		blocks[b] = z // replicas write identical data
 		mu.Unlock()

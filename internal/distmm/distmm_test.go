@@ -54,7 +54,8 @@ func runMultiply(t *testing.T, w *comm.World, e Engine, h *dense.Matrix) *dense.
 	w.Run(func(r *comm.Rank) {
 		b := e.BlockOf(r.ID)
 		lo, hi := lay.Range(b)
-		z := e.Multiply(r, h.SliceRows(lo, hi).Clone())
+		z := dense.New(hi-lo, h.Cols)
+		e.MultiplyInto(r, h.SliceRows(lo, hi).Clone(), z)
 		<-mu
 		blocks[b] = z // replicas write identical data
 		mu <- struct{}{}
@@ -177,11 +178,11 @@ func TestSparsityAwareCommunicatesLess(t *testing.T) {
 
 	wO := comm.NewWorld(p, machine.Perlmutter())
 	runMultiply(t, wO, NewOblivious1D(wO, a, UniformLayout(512, p)), h)
-	oblivBytes := wO.Stats().TotalSent()
+	oblivBytes := wO.Stats().Snapshot().TotalSent()
 
 	wS := comm.NewWorld(p, machine.Perlmutter())
 	runMultiply(t, wS, NewSparsityAware1D(wS, a, UniformLayout(512, p)), h)
-	saBytes := wS.Stats().TotalSent()
+	saBytes := wS.Stats().Snapshot().TotalSent()
 
 	if saBytes*2 > oblivBytes {
 		t.Fatalf("SA bytes %d should be ≪ oblivious bytes %d", saBytes, oblivBytes)
@@ -219,6 +220,6 @@ func TestEngineShapeMismatchPanics(t *testing.T) {
 		}
 	}()
 	w.Run(func(r *comm.Rank) {
-		e.Multiply(r, dense.New(3, 4)) // wrong row count
+		e.MultiplyInto(r, dense.New(3, 4), dense.New(3, 4)) // wrong row count
 	})
 }

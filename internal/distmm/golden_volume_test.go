@@ -119,31 +119,3 @@ func TestEnginesMatchSerialAndGoldenVolumes(t *testing.T) {
 		}
 	}
 }
-
-// TestMultiplyIntoMatchesMultiply pins the wrapper contract: Multiply and
-// MultiplyInto must produce identical bits (Multiply is a thin allocation
-// wrapper over MultiplyInto).
-func TestMultiplyIntoMatchesMultiply(t *testing.T) {
-	const n, f, p = 96, 5, 4
-	a := randomSym(21, n, 6)
-	h := dense.NewRandom(rand.New(rand.NewSource(22)), n, f, 1.0)
-
-	w1 := comm.NewWorld(p, machine.Perlmutter())
-	e1 := NewSparsityAware1D(w1, a, UniformLayout(n, p))
-	viaMultiply := runMultiply(t, w1, e1, h)
-
-	w2 := comm.NewWorld(p, machine.Perlmutter())
-	e2 := NewSparsityAware1D(w2, a, UniformLayout(n, p))
-	lay := e2.Layout()
-	out := dense.New(n, f)
-	w2.Run(func(r *comm.Rank) {
-		lo, hi := lay.Range(r.ID)
-		dst := out.SliceRows(lo, hi)
-		e2.MultiplyInto(r, h.SliceRows(lo, hi).Clone(), dst)
-	})
-	for i, v := range viaMultiply.Data {
-		if out.Data[i] != v {
-			t.Fatalf("element %d: MultiplyInto %v, Multiply %v", i, out.Data[i], v)
-		}
-	}
-}

@@ -11,15 +11,21 @@
 //     processes) using broadcasts plus a partial-sum all-reduce.
 //   - SparsityAware15D — Algorithm 2: 1.5D staging with point-to-point
 //     sends of only the needed H rows, plus the all-reduce.
+//   - SampledGather — Algorithm 1 again, over each rank's sampled frontier
+//     block instead of its block row of Aᵀ: the halo gather of one
+//     neighbour-sampled mini-batch (sampled.go).
 //
 // Every algorithm compiles its choreography into an immutable communication
 // Plan at construction (see plan.go) — per-rank instruction streams over
-// broadcast/all-to-allv/p2p/all-reduce ops — and Multiply/MultiplyInto run
-// one shared executor over that plan. All engines therefore perform real
-// data movement through a comm.World, so their results are bit-identical to
-// a serial SpMM (tested), while exact volumes and modeled α–β times are
-// recorded for the experiment harness — and the same schedule predicts both
-// (Plan.Volumes, Plan.Cost) without moving data.
+// broadcast/all-to-allv/p2p/all-reduce ops. The sparse operand reaches the
+// compiler as a row source split along the layout's column blocks, and one
+// schedule builder and one program writer compile Algorithm 1 for both the
+// full-batch engine and the gather. One engine type runs every plan. All
+// engines therefore perform real data movement through a comm.World, so
+// their results are bit-identical to a serial SpMM (tested), while exact
+// volumes and modeled α–β times are recorded for the experiment harness —
+// and the same schedule predicts both (Plan.Volumes, Plan.Cost) without
+// moving data.
 package distmm
 
 import (

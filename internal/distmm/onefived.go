@@ -98,20 +98,11 @@ func new15DPlan(name string, grid *Grid, layout Layout) *Plan {
 // NewOblivious15D compiles the sparsity-oblivious 1.5D algorithm: at each
 // stage the owner broadcasts an entire H block down its process column;
 // partial sums are combined with an all-reduce across each process row.
-// aT is split into (P/c)² blocks, parallelized across block rows.
+// aT is split into (P/c)² blocks.
 func NewOblivious15D(w *comm.World, aT *sparse.CSR, c int, layout Layout) Engine {
 	grid := NewGrid(w, c)
 	check15DInputs(grid, aT, layout)
-	blocks := make([][]*sparse.CSR, grid.Rows) // [i][q] = A^T_{iq}
-	parallelBlocks(grid.Rows, func(i int) {
-		rlo, rhi := layout.Range(i)
-		rowBlock := aT.RowBlock(rlo, rhi)
-		blocks[i] = make([]*sparse.CSR, grid.Rows)
-		for q := 0; q < grid.Rows; q++ {
-			clo, chi := layout.Range(q)
-			blocks[i][q] = rowBlock.ExtractBlock(sparse.ColRange{Lo: 0, Hi: rhi - rlo}, sparse.ColRange{Lo: clo, Hi: chi})
-		}
-	})
+	blocks := layoutRows(aT, layout).split(layout) // [i][q] = A^T_{iq}
 	plan := new15DPlan(fmt.Sprintf("oblivious-1.5d(c=%d)", c), grid, layout)
 	s := grid.Stages()
 	for rank := 0; rank < w.P; rank++ {
@@ -138,7 +129,7 @@ func NewOblivious15D(w *comm.World, aT *sparse.CSR, c int, layout Layout) Engine
 func NewSparsityAware15D(w *comm.World, aT *sparse.CSR, c int, layout Layout) Engine {
 	grid := NewGrid(w, c)
 	check15DInputs(grid, aT, layout)
-	sched := buildNnzSchedule(aT, layout)
+	sched := buildNnzSchedule(layoutRows(aT, layout), layout)
 	plan := new15DPlan(fmt.Sprintf("sparsity-aware-1.5d(c=%d)", c), grid, layout)
 	s := grid.Stages()
 	for rank := 0; rank < w.P; rank++ {

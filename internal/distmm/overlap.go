@@ -249,28 +249,29 @@ func (p *Plan) walkOverlap(rank, w int, params machine.Params, emit func(phase s
 	}
 }
 
-// CostWith is Cost under an execution mode: ExecSequential prices the
-// bulk-synchronous schedule (every stage's communication fully on the
-// critical path), ExecOverlap prices the double-buffered pipeline (per-stage
-// max(comm, comp), the exposed-communication model of machine.Pipeline).
-// Both apply exactly the charges the corresponding executor applies, so
-// either mode's predicted breakdown equals the ledger delta of running it.
-func (p *Plan) CostWith(params machine.Params, f int, mode ExecMode) *Cost {
-	if mode == ExecSequential {
+// CostWith is Cost under an execution mode: ExecOverlap prices the
+// double-buffered pipeline (per-stage max(comm, comp), the
+// exposed-communication model of machine.Pipeline); any other mode prices
+// the bulk-synchronous schedule (every stage's communication fully on the
+// critical path) — the same branch planEngine.MultiplyInto takes. Both
+// apply exactly the charges the corresponding executor applies, so either
+// mode's predicted breakdown equals the ledger delta of running it.
+func (p *Plan) CostWith(params machine.Params, f int, mode ExecMode) *machine.Snapshot {
+	if mode != ExecOverlap {
 		return p.Cost(params, f)
 	}
-	c := newCost(len(p.progs))
+	l := machine.NewLedger(len(p.progs))
 	for rank := range p.progs {
 		rank := rank
-		p.walkOverlap(rank, f, params, func(ph string, sec float64) { c.add(ph, rank, sec) })
+		p.walkOverlap(rank, f, params, func(ph string, sec float64) { l.Add(rank, ph, sec) })
 	}
-	return c
+	return l.Snapshot()
 }
 
 // EpochCostWith sums CostWith over the dense widths of an epoch's
-// multiplies.
-func (p *Plan) EpochCostWith(params machine.Params, widths []int, mode ExecMode) *Cost {
-	var c *Cost
+// multiplies, one snapshot per width.
+func (p *Plan) EpochCostWith(params machine.Params, widths []int, mode ExecMode) *machine.Snapshot {
+	var c *machine.Snapshot
 	for _, w := range widths {
 		c = c.Add(p.CostWith(params, w, mode))
 	}

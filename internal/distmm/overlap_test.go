@@ -26,9 +26,6 @@ func TestOverlapBitIdenticalToSequential(t *testing.T) {
 			wOvl := comm.NewWorld(p, machine.Perlmutter())
 			e := cand.make(wOvl, a, n)
 			e.SetExecMode(ExecOverlap)
-			if e.ExecMode() != ExecOverlap {
-				t.Fatalf("%s: mode not set", e.Name())
-			}
 			ovl := runMultiply(t, wOvl, e, h)
 			for i, v := range seq.Data {
 				if ovl.Data[i] != v {

@@ -2,7 +2,6 @@ package distmm
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"sagnn/internal/comm"
@@ -15,14 +14,17 @@ import (
 // its complete per-stage choreography — who sends which H-row indices to
 // whom, over which collective (broadcast, all-to-allv, point-to-point,
 // all-reduce), and which sparse block multiplies the staged rows — into an
-// immutable Plan: one instruction stream per rank. Multiply/MultiplyInto are
-// then a single shared executor loop over that stream, so all four engines
-// (1D/1.5D × oblivious/sparsity-aware) share one data-movement code path.
+// immutable Plan: one instruction stream per rank. One engine type,
+// planEngine, runs every plan: the four full-batch engines (1D/1.5D ×
+// oblivious/sparsity-aware) and the sampled gather share its data-movement
+// code path, and it switches between the sequential executor here and the
+// overlapped one (overlap.go).
 //
 // Because the schedule that executes is also a value, exact per-rank traffic
-// (Plan.Volumes) and modeled α–β time (Plan.Cost) can be computed by walking
-// it without moving any data — the substrate for algorithm auto-selection,
-// capacity planning, plan caching, and future overlap/2.5D/3D variants.
+// (Plan.Volumes) and modeled α–β time (Plan.Cost, a machine.Snapshot of the
+// same per-rank × per-phase table a run charges) can be computed by walking
+// it without moving any data — the substrate for algorithm auto-selection
+// and cost estimation.
 
 // opcode enumerates the plan instruction set. Each opcode corresponds to one
 // staging step of the original hand-wired protocols; the executor applies
@@ -204,104 +206,12 @@ func (p *Plan) Volumes(w int) []RankVolume {
 	return vols
 }
 
-// Cost holds the modeled per-rank, per-phase seconds of one or more plan
-// executions, under the same bulk-synchronous convention as machine.Ledger:
-// the makespan is the sum over phases of the slowest rank.
-type Cost struct {
-	phases map[string][]float64
-	ranks  int
-}
-
-func newCost(ranks int) *Cost {
-	return &Cost{phases: make(map[string][]float64), ranks: ranks}
-}
-
-func (c *Cost) add(phase string, rank int, sec float64) {
-	row, ok := c.phases[phase]
-	if !ok {
-		row = make([]float64, c.ranks)
-		c.phases[phase] = row
-	}
-	row[rank] += sec
-}
-
-// Add returns the per-rank, per-phase sum c + o (phases unioned). A nil
-// receiver acts as zero, so epoch costs accumulate from nil across the
-// multiplies of an epoch.
-func (c *Cost) Add(o *Cost) *Cost {
-	if c == nil {
-		return o
-	}
-	d := newCost(c.ranks)
-	for ph, row := range c.phases {
-		d.phases[ph] = append([]float64(nil), row...)
-	}
-	if o != nil {
-		for ph, row := range o.phases {
-			dst, ok := d.phases[ph]
-			if !ok {
-				dst = make([]float64, c.ranks)
-				d.phases[ph] = dst
-			}
-			for i, v := range row {
-				dst[i] += v
-			}
-		}
-	}
-	return d
-}
-
-// RankTotal returns one rank's summed seconds across phases — the rank's
-// modeled critical path, the quantity the overlapped executor's pipeline
-// bound is stated in.
-func (c *Cost) RankTotal(rank int) float64 {
-	t := 0.0
-	for _, row := range c.phases {
-		t += row[rank]
-	}
-	return t
-}
-
-// Breakdown returns phase → slowest-rank seconds, the shape of
-// machine.Ledger.Breakdown.
-func (c *Cost) Breakdown() map[string]float64 {
-	out := make(map[string]float64, len(c.phases))
-	for ph, row := range c.phases {
-		maxv := 0.0
-		for _, v := range row {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		out[ph] = maxv
-	}
-	return out
-}
-
-// Total returns the modeled bulk-synchronous makespan: Σ over phases of the
-// per-phase maximum. Phases sum in sorted order (the machine.Ledger
-// convention) so the total is a deterministic float — auto-selection
-// compares totals exactly.
-func (c *Cost) Total() float64 {
-	bd := c.Breakdown()
-	phases := make([]string, 0, len(bd))
-	for ph := range bd {
-		phases = append(phases, ph)
-	}
-	sort.Strings(phases)
-	t := 0.0
-	for _, ph := range phases {
-		t += bd[ph]
-	}
-	return t
-}
-
 // Cost walks the schedule and returns the modeled α–β plus compute time of
-// one execution at dense width w, applying exactly the charges the executor
-// applies — so a plan's predicted breakdown equals the ledger delta of
-// actually running it, without moving any data.
-func (p *Plan) Cost(params machine.Params, w int) *Cost {
-	c := newCost(len(p.progs))
+// one execution at dense width w: it charges a fresh ledger exactly what the
+// sequential executor charges the world's, so a plan's predicted snapshot
+// equals the ledger delta of actually running it, without moving any data.
+func (p *Plan) Cost(params machine.Params, w int) *machine.Snapshot {
+	l := machine.NewLedger(len(p.progs))
 	for rank, prog := range p.progs {
 		var packed, unpacked int64
 		for i := range prog {
@@ -309,48 +219,44 @@ func (p *Plan) Cost(params machine.Params, w int) *Cost {
 			switch in.op {
 			case opBcastMul:
 				nb := int64(in.rows*w) * machine.BytesPerElem
-				c.add("bcast", rank, params.BcastTime(nb, in.group.Size()))
-				c.add("local", rank, params.SpMMTime(in.blk.Flops(w)))
+				l.Add(rank, "bcast", params.BcastTime(nb, in.group.Size()))
+				l.Add(rank, "local", params.SpMMTime(in.blk.Flops(w)))
 			case opAllToAllv:
 				packElems, sendB, recvB, partners := a2aStats(in, w)
-				c.add("local", rank, params.CopyTime(packElems*machine.BytesPerElem))
-				c.add("alltoall", rank, params.AllToAllvTime(sendB, recvB, partners))
+				l.Add(rank, "local", params.CopyTime(packElems*machine.BytesPerElem))
+				l.Add(rank, "alltoall", params.AllToAllvTime(sendB, recvB, partners))
 			case opMulOwn:
-				c.add("local", rank, params.SpMMTime(in.blk.Flops(w)))
+				l.Add(rank, "local", params.SpMMTime(in.blk.Flops(w)))
 			case opMulRecvSlot:
-				c.add("local", rank, params.SpMMTime(in.blk.Flops(w)))
+				l.Add(rank, "local", params.SpMMTime(in.blk.Flops(w)))
 				unpacked += int64(in.rows * w)
 			case opChargeUnpack:
-				c.add("local", rank, params.CopyTime(unpacked*machine.BytesPerElem))
+				l.Add(rank, "local", params.CopyTime(unpacked*machine.BytesPerElem))
 				unpacked = 0
 			case opSendRows:
 				nb := int64(len(in.idx)*w) * machine.BytesPerElem
-				c.add("alltoall", rank, params.P2PTime(nb))
+				l.Add(rank, "alltoall", params.P2PTime(nb))
 				packed += int64(len(in.idx) * w)
 			case opChargePack:
-				c.add("local", rank, params.CopyTime(packed*machine.BytesPerElem))
+				l.Add(rank, "local", params.CopyTime(packed*machine.BytesPerElem))
 				packed = 0
 			case opRecvMul:
 				if in.rows > 0 {
-					c.add("local", rank, params.SpMMTime(in.blk.Flops(w)))
+					l.Add(rank, "local", params.SpMMTime(in.blk.Flops(w)))
 				}
 			case opAllReduce:
 				nb := int64(p.outRows[rank]*w) * machine.BytesPerElem
-				c.add("allreduce", rank, params.AllReduceTime(nb, in.group.Size()))
+				l.Add(rank, "allreduce", params.AllReduceTime(nb, in.group.Size()))
 			}
 		}
 	}
-	return c
+	return l.Snapshot()
 }
 
-// EpochCost sums the plan's modeled cost over the dense widths of an
-// epoch's multiplies (one Cost per width, accumulated).
-func (p *Plan) EpochCost(params machine.Params, widths []int) *Cost {
-	var c *Cost
-	for _, w := range widths {
-		c = c.Add(p.Cost(params, w))
-	}
-	return c
+// EpochCost sums the plan's sequential-executor cost over the dense widths
+// of an epoch's multiplies (EpochCostWith under ExecSequential).
+func (p *Plan) EpochCost(params machine.Params, widths []int) *machine.Snapshot {
+	return p.EpochCostWith(params, widths, ExecSequential)
 }
 
 // EpochSentBytes sums the plan's predicted per-rank send bytes over the
@@ -564,9 +470,9 @@ func (p *Plan) execute(r *comm.Rank, hLocal, out *dense.Matrix, ws *execWS) {
 	}
 }
 
-// planEngine is the single executor behind every 1D and 1.5D engine: a Plan
-// plus per-rank workspaces. Constructors compile an algorithm into a Plan
-// and wrap it here.
+// planEngine is the one engine type: a Plan, per-rank workspaces and the
+// executor selection. The full-batch constructors compile an algorithm into
+// a Plan and wrap it here; SampledGather embeds it and swaps plans per batch.
 type planEngine struct {
 	plan *Plan
 	ws   []*execWS
@@ -593,25 +499,15 @@ func (e *planEngine) GradGroup(rank int) *comm.Group { return e.plan.gradGroups[
 // Plan implements Engine: the compiled schedule backing this engine.
 func (e *planEngine) Plan() *Plan { return e.plan }
 
-// ExecMode implements Engine.
-func (e *planEngine) ExecMode() ExecMode { return e.mode }
-
 // SetExecMode implements Engine. Must not be called concurrently with
-// Multiply/MultiplyInto.
+// MultiplyInto.
 func (e *planEngine) SetExecMode(m ExecMode) { e.mode = m }
-
-// Multiply implements Engine.
-func (e *planEngine) Multiply(r *comm.Rank, hLocal *dense.Matrix) *dense.Matrix {
-	out := dense.New(e.plan.outRows[r.ID], hLocal.Cols)
-	e.MultiplyInto(r, hLocal, out)
-	return out
-}
 
 // MultiplyInto implements Engine: one pass of the executor the engine's
 // ExecMode selects (all ranks share the engine, so all ranks of a collective
-// necessarily run the same mode).
+// necessarily run the same mode). CostWith prices the same choice.
 func (e *planEngine) MultiplyInto(r *comm.Rank, hLocal, out *dense.Matrix) {
-	checkMultiplyShapes(r.ID, e.plan.outRows[r.ID], hLocal, out)
+	checkMultiplyShapes(r.ID, e.plan.inRowsOf(r.ID), e.plan.outRows[r.ID], hLocal, out)
 	if e.mode == ExecOverlap {
 		e.plan.executeOverlap(r, hLocal, out, e.ws[r.ID])
 		return

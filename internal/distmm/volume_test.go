@@ -32,7 +32,7 @@ func TestMeasuredVolumeMatchesPartitionPrediction(t *testing.T) {
 	lay := e.Layout()
 	w.Run(func(r *comm.Rank) {
 		lo, hi := lay.Range(r.ID)
-		e.Multiply(r, h.SliceRows(lo, hi).Clone())
+		e.MultiplyInto(r, h.SliceRows(lo, hi).Clone(), dense.New(hi-lo, h.Cols))
 	})
 
 	for rank := 0; rank < p; rank++ {
@@ -48,7 +48,7 @@ func TestMeasuredVolumeMatchesPartitionPrediction(t *testing.T) {
 	eo := NewOblivious1D(wO, aHat, LayoutFromOffsets(part.Offsets()))
 	wO.Run(func(r *comm.Rank) {
 		lo, hi := lay.Range(r.ID)
-		eo.Multiply(r, h.SliceRows(lo, hi).Clone())
+		eo.MultiplyInto(r, h.SliceRows(lo, hi).Clone(), dense.New(hi-lo, h.Cols))
 	})
 	for rank := 0; rank < p; rank++ {
 		lo, hi := lay.Range(rank)
@@ -76,16 +76,16 @@ func TestSA15DVolumeCoversBlocksOnce(t *testing.T) {
 	e1 := NewSparsityAware1D(w1, aHat, UniformLayout(n, 4))
 	w1.Run(func(r *comm.Rank) {
 		lo, hi := e1.Layout().Range(r.ID)
-		e1.Multiply(r, h.SliceRows(lo, hi).Clone())
+		e1.MultiplyInto(r, h.SliceRows(lo, hi).Clone(), dense.New(hi-lo, h.Cols))
 	})
-	oneD := w1.Stats().TotalSent()
+	oneD := w1.Stats().Snapshot().TotalSent()
 
 	// 1.5D with p=8, c=2 → same 4 block rows.
 	w2 := comm.NewWorld(8, machine.Perlmutter())
 	e2 := NewSparsityAware15D(w2, aHat, 2, UniformLayout(n, 4))
 	w2.Run(func(r *comm.Rank) {
 		lo, hi := e2.Layout().Range(e2.BlockOf(r.ID))
-		e2.Multiply(r, h.SliceRows(lo, hi).Clone())
+		e2.MultiplyInto(r, h.SliceRows(lo, hi).Clone(), dense.New(hi-lo, h.Cols))
 	})
 	// subtract the all-reduce traffic (1.5D-only) to isolate stage sends:
 	// allreduce accounting adds n/k×f elements per rank.
@@ -94,7 +94,7 @@ func TestSA15DVolumeCoversBlocksOnce(t *testing.T) {
 		lo, hi := e2.Layout().Range(e2.BlockOf(rank))
 		allreduceBytes += int64(hi-lo) * f * machine.BytesPerElem
 	}
-	stageBytes := w2.Stats().TotalSent() - allreduceBytes
+	stageBytes := w2.Stats().Snapshot().TotalSent() - allreduceBytes
 	if stageBytes != oneD {
 		t.Fatalf("1.5D stage traffic %d != 1D volume %d", stageBytes, oneD)
 	}

@@ -19,7 +19,7 @@ func EngineBuilds() int64 { return engineBuilds.Load() }
 // growFloats returns a length-n slice backed by *buf, reallocating the
 // backing array only when capacity is exceeded. Engines keep one such
 // buffer per rank per role (pack, receive, partial-sum), so steady-state
-// Multiply calls stop allocating once the first call has sized them.
+// MultiplyInto calls stop allocating once the first call has sized them.
 func growFloats(buf *[]float64, n int) []float64 {
 	if cap(*buf) < n {
 		*buf = make([]float64, n)

@@ -49,18 +49,17 @@ func (r EstimateRow) Speedup() float64 {
 	return r.EpochSeconds / r.OverlapSeconds
 }
 
-// measureMultiply executes one collective Multiply at h's width and returns
-// the total bytes sent across ranks plus the modeled seconds the run
-// charged to the ledger.
+// measureMultiply executes one collective multiply at h's width and returns
+// the total bytes sent across ranks plus the modeled seconds the run charged
+// to the ledger.
 func measureMultiply(w *comm.World, e distmm.Engine, h *dense.Matrix) (int64, float64) {
 	lay := e.Layout()
-	before := w.Stats().TotalSent()
-	l0 := w.Ledger.Snapshot()
+	v0, l0 := w.Stats().Snapshot(), w.Ledger.Snapshot()
 	w.Run(func(r *comm.Rank) {
 		lo, hi := lay.Range(e.BlockOf(r.ID))
-		e.Multiply(r, h.SliceRows(lo, hi).Clone())
+		e.MultiplyInto(r, h.SliceRows(lo, hi), dense.New(hi-lo, h.Cols))
 	})
-	return w.Stats().TotalSent() - before, w.Ledger.Snapshot().Sub(l0).Total()
+	return w.Stats().Snapshot().Sub(v0).TotalSent(), w.Ledger.Snapshot().Sub(l0).Total()
 }
 
 // EstimateTable prices every algorithm candidate for a preset at process

@@ -87,7 +87,8 @@ func TestInputProductSharedAndBitIdentical(t *testing.T) {
 	want := make([]*dense.Matrix, d.World.P)
 	d.World.Run(func(r *comm.Rank) {
 		lo, hi := d.Engine.Layout().Range(d.Engine.BlockOf(r.ID))
-		want[r.ID] = d.Engine.Multiply(r, d.X.SliceRows(lo, hi).Clone())
+		want[r.ID] = dense.New(hi-lo, d.X.Cols)
+		d.Engine.MultiplyInto(r, d.X.SliceRows(lo, hi).Clone(), want[r.ID])
 	})
 	for i, b := range bitsOf(want[1]) {
 		if before[i] != b || math.Float64bits(first.Data[i]) != b {

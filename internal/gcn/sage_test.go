@@ -84,7 +84,7 @@ func TestSageUsesSameCommunicationPattern(t *testing.T) {
 		for rank := 0; rank < 4; rank++ {
 			msgs += w.Stats().MsgsSent(rank)
 		}
-		return msgs, w.Ledger.PhaseMax("alltoall")
+		return msgs, w.Ledger.Snapshot().PhaseMax("alltoall")
 	}
 	gcnMsgs, gcnTime := run(GCNConv)
 	sageMsgs, sageTime := run(SAGEConv)

@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -11,7 +10,8 @@ import (
 // run. Phases correspond to the paper's breakdown categories ("bcast",
 // "alltoall", "allreduce", "local"). The epoch time of a bulk-synchronous
 // run is the sum over phases of the slowest rank in that phase, because
-// every collective is a synchronization point.
+// every collective is a synchronization point. A ledger is only charged;
+// every reading goes through a Snapshot.
 type Ledger struct {
 	mu     sync.Mutex
 	p      int
@@ -22,9 +22,6 @@ type Ledger struct {
 func NewLedger(p int) *Ledger {
 	return &Ledger{p: p, phases: make(map[string][]float64)}
 }
-
-// Ranks returns the number of ranks the ledger tracks.
-func (l *Ledger) Ranks() int { return l.p }
 
 // Add credits sec modeled seconds to (rank, phase).
 func (l *Ledger) Add(rank int, phase string, sec float64) {
@@ -41,87 +38,12 @@ func (l *Ledger) Add(rank int, phase string, sec float64) {
 	row[rank] += sec
 }
 
-// Phases returns the phase names in sorted order.
-func (l *Ledger) Phases() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.phases))
-	for k := range l.phases {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// PhaseMax returns the slowest rank's accumulated seconds in the phase.
-func (l *Ledger) PhaseMax(phase string) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	maxv := 0.0
-	for _, v := range l.phases[phase] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	return maxv
-}
-
-// PhaseMean returns the mean over ranks of accumulated seconds in the phase.
-func (l *Ledger) PhaseMean(phase string) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	row := l.phases[phase]
-	if len(row) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range row {
-		s += v
-	}
-	return s / float64(len(row))
-}
-
-// RankTotal returns one rank's total across phases.
-func (l *Ledger) RankTotal(rank int) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	s := 0.0
-	for _, row := range l.phases {
-		s += row[rank]
-	}
-	return s
-}
-
-// Total returns the modeled bulk-synchronous makespan: Σ over phases of the
-// per-phase maximum.
-func (l *Ledger) Total() float64 {
-	s := 0.0
-	for _, ph := range l.Phases() {
-		s += l.PhaseMax(ph)
-	}
-	return s
-}
-
-// Breakdown returns phase → per-phase max seconds.
-func (l *Ledger) Breakdown() map[string]float64 {
-	out := make(map[string]float64)
-	for _, ph := range l.Phases() {
-		out[ph] = l.PhaseMax(ph)
-	}
-	return out
-}
-
-// Reset clears all accumulated time.
-func (l *Ledger) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.phases = make(map[string][]float64)
-}
-
 // Snapshot is an immutable copy of a ledger's accumulated per-rank,
-// per-phase seconds. Subtracting two snapshots isolates the time charged by
-// one run on a long-lived world, which lets sessions report per-run figures
-// without mutating shared ledger state.
+// per-phase seconds: the one modeled-time table, whether a run charged it
+// (a world's ledger) or a plan walk predicted it (distmm.Plan.Cost).
+// Subtracting two snapshots isolates the time charged by one run on a
+// long-lived world, which lets sessions report per-run figures without
+// mutating shared ledger state.
 type Snapshot struct {
 	p      int
 	phases map[string][]float64
@@ -224,7 +146,9 @@ func (s *Snapshot) PhaseMax(phase string) float64 {
 }
 
 // Total returns the modeled bulk-synchronous makespan of the snapshot:
-// Σ over phases of the per-phase maximum (same convention as Ledger.Total).
+// Σ over phases of the per-phase maximum. Phases sum in sorted order, so the
+// total is a deterministic float and auto-selection can compare totals
+// exactly.
 func (s *Snapshot) Total() float64 {
 	t := 0.0
 	for _, ph := range s.Phases() {
@@ -242,12 +166,13 @@ func (s *Snapshot) Breakdown() map[string]float64 {
 	return out
 }
 
-// String renders the breakdown for logs.
-func (l *Ledger) String() string {
-	var b strings.Builder
-	for _, ph := range l.Phases() {
-		fmt.Fprintf(&b, "%-10s %.6fs\n", ph, l.PhaseMax(ph))
+// RankTotal returns one rank's seconds summed over phases (in sorted order):
+// the rank's modeled critical path, the quantity the overlapped executor's
+// pipeline bound is stated in.
+func (s *Snapshot) RankTotal(rank int) float64 {
+	t := 0.0
+	for _, ph := range s.Phases() {
+		t += s.phases[ph][rank]
 	}
-	fmt.Fprintf(&b, "%-10s %.6fs", "total", l.Total())
-	return b.String()
+	return t
 }

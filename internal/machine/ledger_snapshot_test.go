@@ -35,7 +35,7 @@ func TestLedgerSnapshotDelta(t *testing.T) {
 	}
 
 	// The ledger itself is untouched: totals still include the first run.
-	if got := l.PhaseMax("bcast"); got != 4.0 {
+	if got := l.Snapshot().PhaseMax("bcast"); got != 4.0 {
 		t.Fatalf("ledger mutated: bcast max %v", got)
 	}
 
@@ -50,6 +50,16 @@ func TestLedgerSnapshotDelta(t *testing.T) {
 	bd := per.Breakdown()
 	if len(bd) != 3 {
 		t.Fatalf("breakdown %v", bd)
+	}
+
+	// A snapshot minus itself is zero in every phase it holds.
+	now := l.Snapshot()
+	zero := now.Sub(now)
+	if got := zero.Total(); got != 0 {
+		t.Fatalf("self-difference total %v", got)
+	}
+	if len(zero.Breakdown()) != 3 {
+		t.Fatalf("self-difference dropped phases: %v", zero.Breakdown())
 	}
 }
 

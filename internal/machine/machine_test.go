@@ -77,33 +77,21 @@ func TestLedgerPhaseMaxAndTotal(t *testing.T) {
 	l.Add(1, "bcast", 2.0)
 	l.Add(2, "local", 5.0)
 	l.Add(0, "local", 1.0)
-	if l.PhaseMax("bcast") != 2.0 {
-		t.Fatalf("PhaseMax=%v", l.PhaseMax("bcast"))
+	s := l.Snapshot()
+	if s.PhaseMax("bcast") != 2.0 {
+		t.Fatalf("PhaseMax=%v", s.PhaseMax("bcast"))
 	}
-	if l.PhaseMax("local") != 5.0 {
+	if s.PhaseMax("local") != 5.0 {
 		t.Fatal("local max")
 	}
-	if math.Abs(l.Total()-7.0) > 1e-12 {
-		t.Fatalf("Total=%v want 7", l.Total())
+	if math.Abs(s.Total()-7.0) > 1e-12 {
+		t.Fatalf("Total=%v want 7", s.Total())
 	}
-	if math.Abs(l.PhaseMean("bcast")-1.0) > 1e-12 {
-		t.Fatalf("PhaseMean=%v want 1", l.PhaseMean("bcast"))
+	if s.RankTotal(0) != 2.0 {
+		t.Fatalf("RankTotal(0)=%v", s.RankTotal(0))
 	}
-	if l.RankTotal(0) != 2.0 {
-		t.Fatalf("RankTotal(0)=%v", l.RankTotal(0))
-	}
-}
-
-func TestLedgerResetBreakdown(t *testing.T) {
-	l := NewLedger(2)
-	l.Add(0, "x", 1)
-	bd := l.Breakdown()
-	if bd["x"] != 1 {
-		t.Fatal("Breakdown missing phase")
-	}
-	l.Reset()
-	if l.Total() != 0 {
-		t.Fatal("Reset failed")
+	if bd := s.Breakdown(); len(bd) != 2 || bd["bcast"] != 2.0 || bd["local"] != 5.0 {
+		t.Fatalf("Breakdown=%v", bd)
 	}
 }
 
@@ -111,7 +99,7 @@ func TestLedgerAccumulates(t *testing.T) {
 	l := NewLedger(1)
 	l.Add(0, "p", 1)
 	l.Add(0, "p", 2)
-	if l.PhaseMax("p") != 3 {
+	if l.Snapshot().PhaseMax("p") != 3 {
 		t.Fatal("Add must accumulate")
 	}
 }
@@ -140,7 +128,7 @@ func TestLedgerConcurrentAdds(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		<-done
 	}
-	if math.Abs(l.PhaseMax("phase")-1.0) > 1e-9 {
-		t.Fatalf("concurrent adds lost updates: %v", l.PhaseMax("phase"))
+	if got := l.Snapshot().PhaseMax("phase"); math.Abs(got-1.0) > 1e-9 {
+		t.Fatalf("concurrent adds lost updates: %v", got)
 	}
 }

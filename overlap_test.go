@@ -141,3 +141,27 @@ func TestOverlapAutoAndEstimate(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownExecModeRejected pins that an ExecMode naming no executor is an
+// error from both entry points, not a run whose executor (sequential) and
+// priced set-up (overlap) disagree.
+func TestUnknownExecModeRejected(t *testing.T) {
+	ds := MustLoadDataset(ProteinSim, 42, 64)
+	cluster, err := NewCluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []Algorithm{SparsityAware1D, AlgorithmAuto} {
+		if _, err := cluster.Distribute(ds, DistOpts{Algorithm: algo, Exec: ExecMode(2)}); err == nil {
+			t.Errorf("%s: Distribute accepted ExecMode(2)", algo)
+		}
+	}
+	if _, err := cluster.Estimate(ds, DistOpts{Exec: ExecMode(2)}); err == nil {
+		t.Error("Estimate accepted ExecMode(2)")
+	}
+	for _, mode := range []ExecMode{ExecSequential, ExecOverlap} {
+		if _, err := cluster.Distribute(ds, DistOpts{Algorithm: SparsityAware1D, Exec: mode}); err != nil {
+			t.Errorf("%v: %v", mode, err)
+		}
+	}
+}
