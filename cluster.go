@@ -38,7 +38,7 @@ func WithMachine(p MachineParams) ClusterOption {
 // fixed process count. It is the build-once root of the composable API:
 //
 //	cluster → Distribute (partition + engine, reusable) → NewSession
-//	(steppable training) → Predictor (serving).
+//	(steppable training) → Model.Predict (serving).
 //
 // A cluster can host any number of distributed graphs and sessions.
 // Communication time and volume accumulate in ledgers shared cluster-wide;

@@ -1,5 +1,5 @@
 // Command train runs distributed GCN training on a dataset preset through
-// the composable session API (Cluster → Distribute → Session → Predictor)
+// the composable session API (Cluster → Distribute → Session → Model.Predict)
 // and reports the loss trajectory, accuracy, and modeled performance.
 // Training is full-batch by default; -sample switches to neighbor-sampled
 // mini-batch epochs (-fanout, -batch), whose per-batch halo exchanges are
@@ -203,7 +203,6 @@ func main() {
 
 	// Serve: classify a few vertices from the retained model. Every process
 	// holds the same trained weights; rank 0 demonstrates.
-	pred := sess.Predictor()
 	n := 5
 	if ds.G.NumVertices() < n {
 		n = ds.G.NumVertices()
@@ -212,7 +211,7 @@ func main() {
 	for i := range sample {
 		sample[i] = i
 	}
-	classes, err := pred.Predict(sample)
+	classes, err := sess.Model().Predict(ds, sample)
 	if err != nil {
 		fatal(err)
 	}

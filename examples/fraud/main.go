@@ -7,7 +7,7 @@
 // API: the cluster and the distributed graph (partition + sparsity-aware
 // schedule) are built once, then reused by several training sessions with
 // different seeds — model selection without repeating the setup — and the
-// best model is kept and served through a Predictor.
+// best run's model classifies accounts with Model.Predict.
 package main
 
 import (
@@ -76,8 +76,7 @@ func main() {
 		Partitioner: sagnn.NewGVB(1),
 	})
 	check(err)
-	var best *sagnn.Predictor
-	bestAcc := -1.0
+	var best *sagnn.TrainResult
 	fmt.Println("\nmodel selection on one distributed graph:")
 	for _, s := range []int64{3, 5, 11} {
 		sess, err := dg.NewSession(sagnn.ModelConfig{LR: 0.2, Seed: s})
@@ -85,19 +84,16 @@ func main() {
 		res, err := sess.Run(context.Background(), *epochs)
 		check(err)
 		fmt.Printf("  seed %2d: loss %.4f  val acc %.3f\n", s, res.FinalLoss, res.ValAcc)
-		if res.ValAcc > bestAcc {
-			bestAcc = res.ValAcc
-			best = sess.Predictor()
+		if best == nil || res.ValAcc > best.ValAcc {
+			best = res
 		}
 	}
 
 	// Serve the winning model: classify the first few accounts by ring.
-	testAcc, err := best.Accuracy(ds.Test)
-	check(err)
 	sample := []int{0, 1, 2, 3, 4}
-	classes, err := best.Predict(sample)
+	classes, err := best.Model.Predict(ds, sample)
 	check(err)
-	fmt.Printf("\nbest model test accuracy: %.3f\n", testAcc)
+	fmt.Printf("\nbest model test accuracy: %.3f\n", best.TestAcc)
 	for i, v := range sample {
 		fmt.Printf("  account %d → ring %d (true %d)\n", v, classes[i], ds.Labels[v])
 	}

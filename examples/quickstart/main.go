@@ -84,10 +84,7 @@ func main() {
 	}
 
 	// Serve: the trained weights answer queries without touching training.
-	pred := sess.Predictor()
-	testAcc, err := pred.Accuracy(ds.Test)
+	classes, err := res.Model.Predict(ds, []int{0, 1, 2})
 	check(err)
-	classes, err := pred.Predict([]int{0, 1, 2})
-	check(err)
-	fmt.Printf("\npredictor: test acc %.3f, vertices 0..2 → classes %v\n", testAcc, classes)
+	fmt.Printf("\npredictor: test acc %.3f, vertices 0..2 → classes %v\n", res.TestAcc, classes)
 }

@@ -306,6 +306,21 @@ func TestAccuracy(t *testing.T) {
 	if Accuracy(probs, labels, nil) != 0 {
 		t.Fatal("empty mask accuracy must be 0")
 	}
+	// The first maximum wins a tie, NaN never beats a number, and a leading
+	// NaN is never displaced.
+	for _, tc := range []struct {
+		row  []float64
+		want int
+	}{
+		{[]float64{0.2, 0.4, 0.4}, 1},
+		{[]float64{0.5, 0.5}, 0},
+		{[]float64{0.1, math.NaN(), 0.3}, 2},
+		{[]float64{math.NaN(), 0.3}, 0},
+	} {
+		if got := ArgmaxRow(tc.row); got != tc.want {
+			t.Fatalf("ArgmaxRow(%v) = %d, want %d", tc.row, got, tc.want)
+		}
+	}
 }
 
 func TestGlorotBounds(t *testing.T) {

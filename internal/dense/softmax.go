@@ -31,6 +31,18 @@ func SoftmaxRow(row []float64) {
 	}
 }
 
+// ArgmaxRow returns the index of the largest element of a non-empty row;
+// the first maximum wins a tie.
+func ArgmaxRow(row []float64) int {
+	best, bestv := 0, row[0]
+	for j, v := range row {
+		if v > bestv {
+			best, bestv = j, v
+		}
+	}
+	return best
+}
+
 // Accuracy returns the fraction of rows in mask whose argmax equals the
 // label.
 func Accuracy(probs *Matrix, labels []int, mask []int) float64 {
@@ -39,14 +51,7 @@ func Accuracy(probs *Matrix, labels []int, mask []int) float64 {
 	}
 	correct := 0
 	for _, i := range mask {
-		row := probs.Row(i)
-		best, bestv := 0, row[0]
-		for j, v := range row {
-			if v > bestv {
-				best, bestv = j, v
-			}
-		}
-		if best == labels[i] {
+		if ArgmaxRow(probs.Row(i)) == labels[i] {
 			correct++
 		}
 	}

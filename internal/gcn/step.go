@@ -167,17 +167,13 @@ func (ws *Workspace) loss(logits *dense.Matrix, rows, labels []int, inv float64)
 			p = 1e-12
 		}
 		lossSum -= math.Log(p)
-		best, bestv := 0, row[0]
+		if dense.ArgmaxRow(row) == y {
+			correct++
+		}
 		for j, v := range row {
-			if v > bestv {
-				best, bestv = j, v
-			}
 			row[j] = v * inv
 		}
 		row[y] -= inv
-		if best == y {
-			correct++
-		}
 	}
 	return lossSum, correct
 }

@@ -157,11 +157,7 @@ func tryPredictVia(rt *Router, vertices []int) (int, serve.PredictResponse, erro
 // for a model — the ground truth each served generation must match.
 func referenceProbs(t testing.TB, ds *sagnn.Dataset, m *sagnn.Model) ([][]float64, []int) {
 	t.Helper()
-	pred, err := sagnn.NewPredictor(m, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probs, err := pred.Probabilities(nil)
+	probs, err := m.Probabilities(ds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -276,15 +277,6 @@ func (rt *Router) Close() {
 // replica serves after the last completed rolling swap).
 func (rt *Router) Generation() uint64 { return rt.targetGen.Load() }
 
-// replicaFor maps a vertex to its home replica index under the configured
-// policy; callers pass the per-request random pick for PolicyRandom.
-func (rt *Router) replicaFor(v, randomPick int) int {
-	if rt.cfg.Policy == PolicyRandom {
-		return randomPick
-	}
-	return rt.cfg.PartOf(v) % len(rt.replicas)
-}
-
 // nextRandom draws a replica index from the seeded splitmix64 stream —
 // cheap, lock-free, and well spread regardless of request arrival order.
 func (rt *Router) nextRandom() int {
@@ -410,165 +402,159 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// route fans a request out and merges the responses, retrying whole on
-// generation conflict. Returns the HTTP status, a Retry-After value for
-// 503s, the merged response for 200s, and the error document otherwise.
+// group is one sub-request: the vertices one replica answers and their
+// positions in the client request.
+type group struct {
+	replica       int
+	vertices, pos []int
+}
+
+// route fans a request out as one sub-request per group and merges the
+// responses. Each vertex goes to its home replica; a PolicyRandom request,
+// one the router cannot map (empty, out-of-range vertices — the replica
+// owns validation and answers with exact single-server semantics) and the
+// retry after a generation conflict go whole, as one group pinned to one
+// replica. Returns the HTTP status, a Retry-After value for 503s, the merged
+// response for 200s, and the error document otherwise.
 func (rt *Router) route(ctx context.Context, vertices []int) (int, string, serve.PredictResponse, []byte) {
-	// Requests the router cannot map (empty, out-of-range vertices) and
-	// whole-request policies go to a single replica, which owns validation
-	// and answers with exact single-server semantics.
-	single := -1
+	pin := -1
 	if rt.cfg.Policy == PolicyRandom {
-		single = rt.nextRandom()
-	} else if len(vertices) == 0 {
-		single = 0
-	} else {
-		for _, v := range vertices {
-			if v < 0 || v >= rt.vertices {
-				single = 0 // un-mappable vertex: any replica rejects it properly
-				break
-			}
-		}
+		pin = rt.nextRandom()
+	} else if !rt.mappable(vertices) {
+		pin = 0
 	}
-	if single >= 0 {
-		return rt.routeWhole(ctx, single)(vertices)
-	}
-
-	// Partition policy: group vertices by home replica, remembering input
-	// positions for the merge.
-	nrep := len(rt.replicas)
-	groups := make([][]int, nrep) // vertices per replica
-	posIdx := make([][]int, nrep) // their positions in the request
-	for i, v := range vertices {
-		target := rt.replicaFor(v, 0)
-		if !rt.replicas[target].healthy.Load() {
-			target = rt.fallback(target)
-			if target < 0 {
-				return http.StatusServiceUnavailable, "", serve.PredictResponse{},
-					errDoc("router: no healthy replicas")
-			}
-			rt.reroutes.Add(1)
-		}
-		groups[target] = append(groups[target], v)
-		posIdx[target] = append(posIdx[target], i)
-	}
-	targets := make([]int, 0, nrep)
-	for i := range groups {
-		if len(groups[i]) > 0 {
-			targets = append(targets, i)
-		}
-	}
-	if len(targets) > 1 {
-		rt.splits.Add(1)
-	}
-
-	// Fan out concurrently; each unreachable target gets one reroute to the
-	// next healthy replica before the request fails.
-	results := make([]subResult, len(targets))
-	var wg sync.WaitGroup
-	for ti, target := range targets {
-		wg.Add(1)
-		go func(ti, target int) {
-			defer wg.Done()
-			res := rt.doPredict(ctx, rt.replicas[target], groups[target])
-			if res.unreachable() {
-				if fb := rt.fallback((target + 1) % nrep); fb >= 0 && fb != target {
-					rt.reroutes.Add(1)
-					res = rt.doPredict(ctx, rt.replicas[fb], groups[target])
+	for {
+		groups := rt.groups(vertices, pin)
+		// One health fallback per group: an ejected home sends its whole
+		// group to the next healthy replica.
+		for i := range groups {
+			if g := &groups[i]; !rt.replicas[g.replica].healthy.Load() {
+				if g.replica = rt.fallback(g.replica); g.replica < 0 {
+					return http.StatusServiceUnavailable, "", serve.PredictResponse{},
+						errDoc("router: no healthy replicas")
 				}
-			}
-			results[ti] = res
-		}(ti, target)
-	}
-	wg.Wait()
-
-	// Propagate failures: shed beats client error beats replica loss only
-	// in the sense that any non-200 fails the whole request — a partial
-	// prediction is not a prediction.
-	for _, res := range results {
-		if res.err != nil {
-			return http.StatusBadGateway, "", serve.PredictResponse{},
-				errDoc(fmt.Sprintf("router: replica unreachable: %v", res.err))
-		}
-		if res.status != http.StatusOK {
-			return res.status, maxRetryAfter(results), serve.PredictResponse{}, res.errBody
-		}
-	}
-
-	// Generation consistency: a rolling swap may have answered different
-	// groups with different models. Never merge them — retry the whole
-	// request on one replica, whose response is internally consistent.
-	if len(targets) > 1 {
-		gen := results[0].body.Generation
-		for _, res := range results[1:] {
-			if res.body.Generation != gen {
-				rt.genRetries.Add(1)
-				return rt.routeWhole(ctx, rt.dominant(groups))(vertices)
-			}
-		}
-	}
-
-	// Merge rows back into input order.
-	merged := serve.PredictResponse{
-		Generation: results[0].body.Generation,
-		Classes:    make([]int, len(vertices)),
-		Probs:      make([][]float64, len(vertices)),
-	}
-	for ti := range targets {
-		idx := posIdx[targets[ti]]
-		for j, pos := range idx {
-			merged.Classes[pos] = results[ti].body.Classes[j]
-			merged.Probs[pos] = results[ti].body.Probs[j]
-		}
-	}
-	return http.StatusOK, "", merged, nil
-}
-
-// routeWhole returns a sender that gives the entire request to one replica
-// (falling back along the ring if it is unhealthy or unreachable).
-func (rt *Router) routeWhole(ctx context.Context, preferred int) func([]int) (int, string, serve.PredictResponse, []byte) {
-	return func(vertices []int) (int, string, serve.PredictResponse, []byte) {
-		target := preferred
-		if !rt.replicas[target].healthy.Load() {
-			target = rt.fallback(target)
-			if target < 0 {
-				return http.StatusServiceUnavailable, "", serve.PredictResponse{}, errDoc("router: no healthy replicas")
-			}
-			rt.reroutes.Add(1)
-		}
-		res := rt.doPredict(ctx, rt.replicas[target], vertices)
-		if res.unreachable() {
-			if fb := rt.fallback((target + 1) % len(rt.replicas)); fb >= 0 && fb != target {
 				rt.reroutes.Add(1)
-				res = rt.doPredict(ctx, rt.replicas[fb], vertices)
 			}
 		}
-		if res.err != nil {
-			return http.StatusBadGateway, "", serve.PredictResponse{},
-				errDoc(fmt.Sprintf("router: replica unreachable: %v", res.err))
+		if len(groups) > 1 {
+			rt.splits.Add(1)
 		}
-		if res.status != http.StatusOK {
-			return res.status, res.retryAfter, serve.PredictResponse{}, res.errBody
+
+		// Fan out concurrently; each unreachable replica gets one reroute to
+		// the next healthy one before the request fails.
+		results := make([]subResult, len(groups))
+		var wg sync.WaitGroup
+		for i, g := range groups {
+			wg.Add(1)
+			go func(i int, g group) {
+				defer wg.Done()
+				res := rt.doPredict(ctx, rt.replicas[g.replica], g.vertices)
+				if res.unreachable() {
+					if fb := rt.fallback((g.replica + 1) % len(rt.replicas)); fb >= 0 && fb != g.replica {
+						rt.reroutes.Add(1)
+						res = rt.doPredict(ctx, rt.replicas[fb], g.vertices)
+					}
+				}
+				results[i] = res
+			}(i, g)
 		}
-		return http.StatusOK, "", res.body, nil
+		wg.Wait()
+
+		// Any non-200 fails the whole request — a partial prediction is not
+		// a prediction.
+		for _, res := range results {
+			if res.err != nil {
+				return http.StatusBadGateway, "", serve.PredictResponse{},
+					errDoc(fmt.Sprintf("router: replica unreachable: %v", res.err))
+			}
+			if res.status != http.StatusOK {
+				return res.status, maxRetryAfter(results), serve.PredictResponse{}, res.errBody
+			}
+		}
+		if len(groups) == 1 {
+			// One group holds the whole request in input order.
+			return http.StatusOK, "", results[0].body, nil
+		}
+
+		// Generation consistency: a rolling swap may have answered different
+		// groups with different models. Never merge them — retry the whole
+		// request on one replica, whose response is internally consistent.
+		gen := results[0].body.Generation
+		if slices.ContainsFunc(results, func(res subResult) bool { return res.body.Generation != gen }) {
+			rt.genRetries.Add(1)
+			pin = dominant(groups)
+			continue
+		}
+
+		// Merge rows back into input order.
+		merged := serve.PredictResponse{
+			Generation: gen,
+			Classes:    make([]int, len(vertices)),
+			Probs:      make([][]float64, len(vertices)),
+		}
+		for i, g := range groups {
+			for j, pos := range g.pos {
+				merged.Classes[pos] = results[i].body.Classes[j]
+				merged.Probs[pos] = results[i].body.Probs[j]
+			}
+		}
+		return http.StatusOK, "", merged, nil
 	}
 }
 
-// dominant returns the healthy replica holding the most vertices of the
-// grouped request — the natural single home for a consistency retry, since
-// most of the request's receptive field is already cached there.
-func (rt *Router) dominant(groups [][]int) int {
-	best, bestN := 0, -1
-	for i, g := range groups {
-		if len(g) > bestN && rt.replicas[i].healthy.Load() {
-			best, bestN = i, len(g)
+// mappable reports whether every vertex of a non-empty request has a home
+// replica.
+func (rt *Router) mappable(vertices []int) bool {
+	for _, v := range vertices {
+		if v < 0 || v >= rt.vertices {
+			return false
 		}
 	}
-	return best
+	return len(vertices) > 0
 }
 
-// maxRetryAfter returns the largest Retry-After any sub-response carried.
+// groups splits a request by home replica, in replica order, remembering
+// input positions for the merge; pin ≥ 0 makes the whole request one group
+// on that replica.
+func (rt *Router) groups(vertices []int, pin int) []group {
+	if pin >= 0 {
+		return []group{{replica: pin, vertices: vertices}}
+	}
+	byHome := make([]group, len(rt.replicas))
+	for i, v := range vertices {
+		g := &byHome[rt.cfg.PartOf(v)%len(rt.replicas)]
+		g.vertices = append(g.vertices, v)
+		g.pos = append(g.pos, i)
+	}
+	groups := byHome[:0]
+	for home, g := range byHome {
+		if len(g.vertices) > 0 {
+			g.replica = home
+			groups = append(groups, g)
+		}
+	}
+	return groups
+}
+
+// dominant returns the replica answering the largest group — the natural
+// single home for a consistency retry, since most of the request's
+// receptive field is already cached there.
+func dominant(groups []group) int {
+	best := groups[0]
+	for _, g := range groups[1:] {
+		if len(g.vertices) > len(best.vertices) {
+			best = g
+		}
+	}
+	return best.replica
+}
+
+// maxRetryAfter returns the largest Retry-After any sub-response carried, or
+// a lone sub-response's verbatim.
 func maxRetryAfter(results []subResult) string {
+	if len(results) == 1 {
+		return results[0].retryAfter
+	}
 	max := 0
 	for _, res := range results {
 		if res.retryAfter == "" {

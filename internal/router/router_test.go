@@ -328,6 +328,35 @@ func TestRerouteAroundDeadReplica(t *testing.T) {
 	}
 }
 
+// TestEjectedHomeDivertsItsGroup pins the request-path health fallback: the
+// vertices whose home replica is ejected travel as one sub-request to the
+// next healthy replica — the ejected one is never asked, and the diversion
+// counts once, as one sub-request, not once per vertex.
+func TestEjectedHomeDivertsItsGroup(t *testing.T) {
+	fakes, rt := newFakeFleet(t, 3, 30, nil)
+	fakes[2].setDown(true) // ejected by the health loop, /predict still answers
+	waitFor(t, time.Second, func() bool { return !rt.replicas[2].healthy.Load() })
+	verts := []int{2, 0, 5, 8} // parts 2,0,2,2
+	resp, pr := predictVia(t, rt, verts)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	for i, v := range verts {
+		if want := fakeRow(v, 1); pr.Probs[i][0] != want[0] {
+			t.Fatalf("vertex %d (pos %d): probs %v, want %v", v, i, pr.Probs[i], want)
+		}
+	}
+	fakes[2].mu.Lock()
+	asked := fakes[2].predicts
+	fakes[2].mu.Unlock()
+	if asked != 0 {
+		t.Fatalf("ejected replica answered %d sub-requests", asked)
+	}
+	if snap := rt.Metrics(context.Background()); snap.Reroutes != 1 {
+		t.Fatalf("reroutes = %d, want 1", snap.Reroutes)
+	}
+}
+
 // TestEjectAndReadmitWithCatchUp walks the full health state machine: a
 // down replica is ejected; a rolling swap happens while it is out; on
 // recovery the router pushes the missed artifact (generation catch-up)

@@ -28,7 +28,7 @@ func BenchmarkGatherCost(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var err error
-				gathered, err = model.ProbabilitiesSubsetInto(probs, ds, verts)
+				gathered, err = model.ProbabilitiesInto(probs, ds, verts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -20,11 +20,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync/atomic"
 	"time"
 
 	"sagnn"
+	"sagnn/internal/dense"
 )
 
 // Config tunes the serving path. The zero value selects the defaults; the
@@ -219,7 +221,7 @@ func (s *Server) execBatch(vertices []int) (rows [][]float64, classes []int, gat
 	}()
 	st := s.state.Load()
 	flat := make([]float64, len(vertices)*s.classes)
-	gathered, err = st.model.ProbabilitiesSubsetInto(flat, s.ds, vertices)
+	gathered, err = st.model.ProbabilitiesInto(flat, s.ds, vertices)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
@@ -227,7 +229,7 @@ func (s *Server) execBatch(vertices []int) (rows [][]float64, classes []int, gat
 	classes = make([]int, len(vertices))
 	for i, v := range vertices {
 		rows[i] = flat[i*s.classes : (i+1)*s.classes]
-		classes[i] = argmax(rows[i])
+		classes[i] = dense.ArgmaxRow(rows[i])
 		st.cache.Put(v, classes[i], rows[i])
 	}
 	return rows, classes, gathered, st.generation, nil
@@ -259,10 +261,6 @@ func (s *Server) PredictInto(ctx context.Context, vertices []int, classes []int,
 	if max := s.cfg.MaxInFlight; max > 0 && n > int64(max) {
 		s.metrics.shed.Add(1)
 		return 0, fmt.Errorf("%w: %d predictions in flight (limit %d)", ErrOverloaded, n-1, max)
-	}
-	if len(vertices) == 0 {
-		s.metrics.failed.Add(1)
-		return 0, fmt.Errorf("serve: %w: empty vertex set", sagnn.ErrInvalidVertices)
 	}
 	if len(vertices) > s.cfg.MaxRequestVertices {
 		s.metrics.failed.Add(1)
@@ -337,9 +335,11 @@ func (s *Server) finishRequest(start time.Time, vertices, hits, misses int) {
 	s.metrics.lat.Observe(time.Since(start))
 }
 
-// Swap atomically replaces the serving model with a validated replacement,
-// installing a fresh (empty) cache for the new generation. epoch records
-// the checkpoint lineage (-1 for a bare model).
+// Swap atomically replaces the serving model with a validated replacement —
+// one that fits the dataset, scores the server's classes and yields finite
+// probabilities at every vertex — installing a fresh (empty) cache for the
+// new generation. epoch records the checkpoint lineage (-1 for a bare
+// model).
 func (s *Server) Swap(model *sagnn.Model, epoch int) (uint64, error) {
 	if model == nil {
 		return 0, fmt.Errorf("serve: nil model")
@@ -349,6 +349,20 @@ func (s *Server) Swap(model *sagnn.Model, epoch int) (uint64, error) {
 	}
 	if got, want := model.Classes(), s.classes; got != want {
 		return 0, fmt.Errorf("serve: model scores %d classes, server expects %d", got, want)
+	}
+	// A model whose forward overflows answers NaN rows no JSON reply can
+	// carry: run it over every vertex once, which also warms its evaluator
+	// for the misses that follow.
+	rows, err := model.Probabilities(s.ds, nil)
+	if err != nil {
+		return 0, err
+	}
+	for v, row := range rows {
+		for _, p := range row {
+			if math.IsNaN(p) || math.IsInf(p, 0) {
+				return 0, fmt.Errorf("serve: model yields probability %v at vertex %d", p, v)
+			}
+		}
 	}
 	for {
 		old := s.state.Load()
@@ -509,15 +523,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-// argmax returns the index of the largest element.
-func argmax(row []float64) int {
-	best, bestv := 0, row[0]
-	for j, p := range row {
-		if p > bestv {
-			best, bestv = j, p
-		}
-	}
-	return best
 }

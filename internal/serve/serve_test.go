@@ -96,11 +96,7 @@ func TestPredictEndpointMatchesFullBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := sagnn.NewPredictor(modelA, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullProbs, err := pred.Probabilities(nil)
+	fullProbs, err := modelA.Probabilities(ds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,6 +302,31 @@ func TestSwapRejectsNonComposingModel(t *testing.T) {
 		if resp, pr := postPredict(t, hs.URL, []int{5, 40}); resp.StatusCode != http.StatusOK || pr.Generation != tc.generation {
 			t.Fatalf("%s: /predict after swap: status %d generation %d", tc.name, resp.StatusCode, pr.Generation)
 		}
+	}
+}
+
+// TestSwapRejectsOverflowingModel: an artifact that loads and composes but
+// whose forward overflows to NaN probabilities must be a 400 at
+// /admin/swap, not installed to answer 200s with an empty body.
+func TestSwapRejectsOverflowingModel(t *testing.T) {
+	srv, hs, ds, _, _ := newTestServer(t, Config{})
+	m := &gcn.Model{Weights: []*dense.Matrix{dense.New(ds.FeatureDim(), 16), dense.New(16, ds.Classes)}}
+	for _, w := range m.Weights {
+		for i := range w.Data {
+			w.Data[i] = 1e300
+		}
+	}
+	rec, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(hs.URL+"/admin/swap", "application/octet-stream", bytes.NewReader(append([]byte{0}, rec...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || srv.Generation() != 1 {
+		t.Fatalf("overflowing model: swap status %d, generation %d; want 400 at 1", resp.StatusCode, srv.Generation())
 	}
 }
 

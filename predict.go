@@ -10,16 +10,29 @@ import (
 	"sagnn/internal/gcn"
 )
 
+// This file is the serving-side face of the paper's sparsity-aware
+// communication idea: a prediction request for k target vertices does not
+// need a full-batch forward pass — it needs exactly the rows of the L-hop
+// in-neighborhood of those targets, the same "fetch only the rows the
+// sparsity pattern asks for" discipline the training engines apply to
+// remote activation rows. Every prediction gathers that receptive field and
+// runs the layers over it, producing probabilities bit-identical to
+// full-batch inference.
+
 // ErrInvalidVertices tags every vertex-set validation failure on the
-// prediction paths — out-of-range ids, duplicates where a set is required,
-// or empty requests. Servers match it with errors.Is to map bad requests to
-// client errors (HTTP 400) instead of internal ones.
+// prediction paths — out-of-range ids, duplicates, or empty requests.
+// Servers match it with errors.Is to map bad requests to client errors
+// (HTTP 400) instead of internal ones.
 var ErrInvalidVertices = errors.New("invalid vertices")
 
-// ValidateVertices checks that a prediction request names only vertices in
-// [0, n) and never names one twice, returning an ErrInvalidVertices-tagged
-// error otherwise. Small requests are checked allocation-free.
+// ValidateVertices checks that a prediction request is non-empty, names only
+// vertices in [0, n) and never names one twice, returning an
+// ErrInvalidVertices-tagged error otherwise. Small requests are checked
+// allocation-free.
 func ValidateVertices(n int, vertices []int) error {
+	if len(vertices) == 0 {
+		return fmt.Errorf("sagnn: %w: empty vertex set", ErrInvalidVertices)
+	}
 	for _, v := range vertices {
 		if v < 0 || v >= n {
 			return fmt.Errorf("sagnn: %w: vertex %d outside [0,%d)", ErrInvalidVertices, v, n)
@@ -50,14 +63,14 @@ func ValidateVertices(n int, vertices []int) error {
 // partitioned (permuted) graph predicts directly on the original dataset
 // order. Models serialize with MarshalBinary / LoadModel.
 //
-// A Model is safe for concurrent use: every predict path serializes on an
-// internal mutex around one lazily-built, reusable inference evaluator, the
-// L-hop forward over the dataset's shared Â and Â·X (Dataset.
-// NormalizedAdjacency, Dataset.InputProduct). A full-batch prediction is the
-// same forward with every vertex as the target set. The evaluator is keyed
-// on the dataset's Â — predicting on another dataset, or on one whose graph
-// or features were replaced, rebuilds it — so the steady-state serving hot
-// path allocates nothing.
+// A Model is safe for concurrent use: Predict, Probabilities and
+// ProbabilitiesInto serialize on an internal mutex around one lazily-built,
+// reusable inference evaluator, the L-hop forward over the dataset's shared
+// Â and Â·X (Dataset.NormalizedAdjacency, Dataset.InputProduct). A
+// full-batch prediction is the same forward with every vertex as the target
+// set. The evaluator is keyed on the dataset's Â — predicting on another
+// dataset, or on one whose graph or features were replaced, rebuilds it — so
+// the steady-state serving hot path allocates nothing.
 type Model struct {
 	m    *gcn.Model
 	sage bool
@@ -141,10 +154,26 @@ func (m *Model) everyVertex(n int) {
 	}
 }
 
-// Predict returns the predicted class of each requested vertex on the
-// given dataset (full-batch inference; no training state is touched). A nil
-// vertices slice predicts every vertex.
+// Predict returns the predicted class (the first most probable) of each
+// requested vertex on the given dataset; no training state is touched.
+// Same vertex-set contract as ProbabilitiesInto: a nil slice predicts every
+// vertex.
 func (m *Model) Predict(ds *Dataset, vertices []int) ([]int, error) {
+	probs, err := m.Probabilities(ds, vertices)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int, len(probs))
+	for i, row := range probs {
+		out[i] = dense.ArgmaxRow(row)
+	}
+	return out, nil
+}
+
+// Probabilities returns each requested vertex's class-probability row
+// (fresh copies the caller owns). Same vertex-set contract as
+// ProbabilitiesInto.
+func (m *Model) Probabilities(ds *Dataset, vertices []int) ([][]float64, error) {
 	if err := m.checkDataset(ds); err != nil {
 		return nil, err
 	}
@@ -152,26 +181,59 @@ func (m *Model) Predict(ds *Dataset, vertices []int) ([]int, error) {
 	if vertices == nil {
 		count = ds.G.NumVertices()
 	}
-	out := make([]int, count)
-	if err := m.PredictInto(out, ds, vertices); err != nil {
+	classes := m.Classes()
+	flat := make([]float64, count*classes)
+	if _, err := m.ProbabilitiesInto(flat, ds, vertices); err != nil {
 		return nil, err
+	}
+	out := make([][]float64, count)
+	for i := range out {
+		out[i] = flat[i*classes : (i+1)*classes : (i+1)*classes]
 	}
 	return out, nil
 }
 
-// PredictInto is Predict writing the classes into a caller-supplied slice
-// (len(vertices), or NumVertices for a nil slice) and reusing the model's
-// inference workspace: after the first call on a dataset, the steady-state
-// path is allocation-free.
-func (m *Model) PredictInto(dst []int, ds *Dataset, vertices []int) (err error) {
+// ProbabilitiesInto computes the class-probability rows of the requested
+// vertices into dst (row-major, len(vertices)×Classes values; row i holds
+// vertices[i]), gathering only the L-hop receptive field of the request and
+// reusing the model's inference workspace — the micro-batching server's
+// execution path. A nil slice selects every vertex; any other request must
+// be non-empty, distinct and in range (ErrInvalidVertices otherwise), in any
+// order. It returns the number of rows of Â·X gathered: the request's
+// (L−1)-hop neighbourhood, at most NumVertices, the serving analogue of the
+// paper's communication-volume metric.
+func (m *Model) ProbabilitiesInto(dst []float64, ds *Dataset, vertices []int) (gathered int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.checkDataset(ds); err != nil {
-		return err
+		return 0, err
+	}
+	if vertices == nil {
+		m.everyVertex(ds.G.NumVertices())
+	} else {
+		if err := ValidateVertices(ds.G.NumVertices(), vertices); err != nil {
+			return 0, err
+		}
+		//lint:ignore steadyalloc append into the reused m.sorted buffer grows once and is amortized across requests
+		m.sorted = append(m.sorted[:0], vertices...)
+		slices.Sort(m.sorted)
+	}
+	classes := m.Classes()
+	if len(dst) != len(m.sorted)*classes {
+		return 0, fmt.Errorf("sagnn: dst holds %d values, want %d vertices × %d classes", len(dst), len(m.sorted), classes)
 	}
 	defer recoverToError(&err)
-	m.everyVertex(ds.G.NumVertices())
-	return argmaxRowsInto(dst, m.forward(ds), vertices)
+	probs := m.forward(ds)
+	// Scatter rows back to the request order (identity when pre-sorted).
+	if vertices == nil {
+		copy(dst, probs.Data)
+	} else {
+		for i, v := range vertices {
+			r, _ := slices.BinarySearch(m.sorted, v)
+			copy(dst[i*classes:(i+1)*classes], probs.Row(r))
+		}
+	}
+	return m.eval.GatheredRows(), nil
 }
 
 // MarshalBinary serialises the model.
@@ -206,164 +268,4 @@ func LoadModel(data []byte) (*Model, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// expandVertices resolves the shared "nil means every vertex" convention
-// and bounds-checks explicit requests against n vertices.
-func expandVertices(n int, vertices []int) ([]int, error) {
-	if vertices == nil {
-		vertices = make([]int, n)
-		for i := range vertices {
-			vertices[i] = i
-		}
-		return vertices, nil
-	}
-	for _, v := range vertices {
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("sagnn: %w: vertex %d outside [0,%d)", ErrInvalidVertices, v, n)
-		}
-	}
-	return vertices, nil
-}
-
-// argmaxRow returns the index of the largest element.
-func argmaxRow(row []float64) int {
-	best, bestv := 0, row[0]
-	for j, p := range row {
-		if p > bestv {
-			best, bestv = j, p
-		}
-	}
-	return best
-}
-
-// argmaxRowsInto maps each requested vertex to its argmax class, writing
-// into dst without allocating. nil vertices selects every row of probs.
-func argmaxRowsInto(dst []int, probs *dense.Matrix, vertices []int) error {
-	if vertices == nil {
-		if len(dst) != probs.Rows {
-			return fmt.Errorf("sagnn: dst len %d for %d vertices", len(dst), probs.Rows)
-		}
-		for i := 0; i < probs.Rows; i++ {
-			dst[i] = argmaxRow(probs.Row(i))
-		}
-		return nil
-	}
-	if len(dst) != len(vertices) {
-		return fmt.Errorf("sagnn: dst len %d for %d vertices", len(dst), len(vertices))
-	}
-	for i, v := range vertices {
-		if v < 0 || v >= probs.Rows {
-			return fmt.Errorf("sagnn: %w: vertex %d outside [0,%d)", ErrInvalidVertices, v, probs.Rows)
-		}
-		dst[i] = argmaxRow(probs.Row(v))
-	}
-	return nil
-}
-
-// Predictor serves class predictions from a frozen model without
-// re-entering training. The first query runs one full-batch forward pass
-// over its dataset and caches the class probabilities; every query after
-// that is a table lookup, so a Predictor can absorb heavy read traffic.
-// Safe for concurrent use.
-type Predictor struct {
-	model *Model
-	ds    *Dataset
-
-	mu    sync.Mutex
-	probs *dense.Matrix
-}
-
-// NewPredictor builds a serving handle for a model over a dataset.
-func NewPredictor(m *Model, ds *Dataset) (*Predictor, error) {
-	if m == nil {
-		return nil, fmt.Errorf("sagnn: nil model")
-	}
-	if err := m.checkDataset(ds); err != nil {
-		return nil, err
-	}
-	return &Predictor{model: m.Clone(), ds: ds}, nil
-}
-
-// Model returns a copy of the served model.
-func (p *Predictor) Model() *Model { return p.model.Clone() }
-
-// ensureProbs computes and caches the full-batch probabilities once.
-func (p *Predictor) ensureProbs() (*dense.Matrix, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.probs == nil {
-		probs := dense.New(p.ds.G.NumVertices(), p.model.Classes())
-		if _, err := p.model.ProbabilitiesSubsetInto(probs.Data, p.ds, nil); err != nil {
-			return nil, err
-		}
-		p.probs = probs
-	}
-	return p.probs, nil
-}
-
-// Predict returns the predicted class of each requested vertex. A nil
-// slice predicts every vertex.
-func (p *Predictor) Predict(vertices []int) ([]int, error) {
-	out := make([]int, len(vertices))
-	if vertices == nil {
-		out = make([]int, p.ds.G.NumVertices())
-	}
-	if err := p.PredictInto(out, vertices); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PredictInto is Predict writing into a caller-supplied slice
-// (len(vertices), or NumVertices for a nil slice). After the first query
-// has populated the probability table, the call is a pure lookup and
-// allocates nothing — the serving hot path.
-func (p *Predictor) PredictInto(dst []int, vertices []int) error {
-	probs, err := p.ensureProbs()
-	if err != nil {
-		return err
-	}
-	return argmaxRowsInto(dst, probs, vertices)
-}
-
-// Probabilities returns each requested vertex's class-probability row
-// (fresh copies the caller owns). A nil slice selects every vertex.
-func (p *Predictor) Probabilities(vertices []int) ([][]float64, error) {
-	probs, err := p.ensureProbs()
-	if err != nil {
-		return nil, err
-	}
-	vertices, err = expandVertices(probs.Rows, vertices)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]float64, len(vertices))
-	for i, v := range vertices {
-		out[i] = append([]float64(nil), probs.Row(v)...)
-	}
-	return out, nil
-}
-
-// Accuracy evaluates prediction accuracy on a vertex set against the
-// dataset's labels (e.g. ds.Test). A nil slice evaluates every vertex.
-func (p *Predictor) Accuracy(vertices []int) (float64, error) {
-	vertices, err := expandVertices(p.ds.G.NumVertices(), vertices)
-	if err != nil {
-		return 0, err
-	}
-	if len(vertices) == 0 {
-		return 0, fmt.Errorf("sagnn: empty vertex set")
-	}
-	preds, err := p.Predict(vertices)
-	if err != nil {
-		return 0, err
-	}
-	correct := 0
-	for i, v := range vertices {
-		if preds[i] == p.ds.Labels[v] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(preds)), nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sagnn/internal/dense"
 	"sagnn/internal/gcn"
 	"sagnn/internal/gen"
 	"sagnn/internal/graph"
@@ -43,11 +44,29 @@ func subsetConformanceGraphs(n int) map[string]*graph.Graph {
 	}
 }
 
+// checkRowsMatchFull fails unless every requested vertex's subset row and
+// class equal its row of the full-batch table and that row's argmax, bit
+// for bit.
+func checkRowsMatchFull(t *testing.T, what string, vertices []int, rows [][]float64, classes []int, full [][]float64) {
+	t.Helper()
+	for i, v := range vertices {
+		for j, p := range rows[i] {
+			if p != full[v][j] {
+				t.Fatalf("%s vertex %d class %d: subset %v != full %v", what, v, j, p, full[v][j])
+			}
+		}
+		if want := dense.ArgmaxRow(full[v]); classes[i] != want {
+			t.Fatalf("%s vertex %d: class %d != %d", what, v, classes[i], want)
+		}
+	}
+}
+
 // TestPredictSubsetBitIdenticalToFullBatch is the serving conformance
 // matrix: across ER/SBM/star graphs, GCN and SAGE variants, and model
-// depths L ∈ {1,2,3}, PredictSubset and ProbabilitiesSubset must equal the
-// full-batch Predict/Probabilities bit for bit — no tolerance — on single
-// targets, random subsets in random order, and the all-vertices request.
+// depths L ∈ {1,2,3}, Probabilities and Predict over a request's receptive
+// field must equal the nil request's rows — the full-Â branch of the same
+// forward, which FuzzSubsetForward holds to the serial reference — bit for
+// bit, no tolerance, on single targets and random subsets in random order.
 func TestPredictSubsetBitIdenticalToFullBatch(t *testing.T) {
 	const n = 96
 	rng := rand.New(rand.NewSource(4))
@@ -62,54 +81,35 @@ func TestPredictSubsetBitIdenticalToFullBatch(t *testing.T) {
 				dims := gcn.LayerDims(ds.FeatureDim(), 8, ds.Classes, layers)
 				model := &Model{m: gcn.NewModelVariant(31, dims, variant), sage: sage}
 
+				full, err := model.Probabilities(ds, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
 				fullClasses, err := model.Predict(ds, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				pred, err := NewPredictor(model, ds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fullProbs, err := pred.Probabilities(nil)
-				if err != nil {
-					t.Fatal(err)
+				for v, class := range fullClasses {
+					if want := dense.ArgmaxRow(full[v]); class != want {
+						t.Fatalf("%s vertex %d: full-batch class %d != %d", name, v, class, want)
+					}
 				}
 
-				sets := [][]int{
+				for _, vertices := range [][]int{
 					{0},
 					{n - 1},
 					{7, 3, 55}, // unsorted on purpose: results align to request order
 					rng.Perm(n)[: 1+rng.Intn(n-1) : n],
-					nil, // every vertex
-				}
-				for _, vertices := range sets {
-					gotProbs, err := model.ProbabilitiesSubset(ds, vertices)
+				} {
+					rows, err := model.Probabilities(ds, vertices)
 					if err != nil {
 						t.Fatalf("%s sage=%v L=%d: %v", name, sage, layers, err)
 					}
-					gotClasses, err := model.PredictSubset(ds, vertices)
+					classes, err := model.Predict(ds, vertices)
 					if err != nil {
 						t.Fatal(err)
 					}
-					resolve := func(i int) int {
-						if vertices == nil {
-							return i
-						}
-						return vertices[i]
-					}
-					for i := range gotProbs {
-						v := resolve(i)
-						for j, p := range gotProbs[i] {
-							if p != fullProbs[v][j] {
-								t.Fatalf("%s sage=%v L=%d vertex %d class %d: subset %v != full %v",
-									name, sage, layers, v, j, p, fullProbs[v][j])
-							}
-						}
-						if gotClasses[i] != fullClasses[v] {
-							t.Fatalf("%s sage=%v L=%d vertex %d: class %d != %d",
-								name, sage, layers, v, gotClasses[i], fullClasses[v])
-						}
-					}
+					checkRowsMatchFull(t, name, vertices, rows, classes, full)
 				}
 			}
 		}
@@ -126,42 +126,66 @@ func TestPredictSubsetAfterTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := res.Model.Predict(ds, nil)
+	full, err := res.Model.Probabilities(ds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	subset, err := res.Model.PredictSubset(ds, []int{0, 11, 64, 127})
+	vertices := []int{0, 11, 64, 127}
+	rows, err := res.Model.Probabilities(ds, vertices)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range []int{0, 11, 64, 127} {
-		if subset[i] != full[v] {
-			t.Fatalf("vertex %d: subset class %d != full %d", v, subset[i], full[v])
-		}
+	classes, err := res.Model.Predict(ds, vertices)
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkRowsMatchFull(t, "trained", vertices, rows, classes, full)
 }
 
-// TestSubsetValidation pins the request-validation contract: out-of-range
-// and duplicate vertices fail with ErrInvalidVertices (so servers can map
-// them to HTTP 400), never panic.
+// TestSubsetValidation pins the one request contract of the three
+// prediction methods: empty, duplicate, negative and too-large vertex sets
+// fail with ErrInvalidVertices (so servers can map them to HTTP 400), never
+// panic, and nil selects every vertex.
 func TestSubsetValidation(t *testing.T) {
 	ds := subsetTestDataset(gen.ErdosRenyi(32, 4, 1), 6, 3, 2)
 	model := &Model{m: gcn.NewModel(1, gcn.LayerDims(6, 8, 3, 2))}
-	for _, vertices := range [][]int{{-1}, {32}, {0, 999}, {3, 3}, {1, 2, 1}, {}} {
-		if _, err := model.PredictSubset(ds, vertices); !errors.Is(err, ErrInvalidVertices) {
-			t.Fatalf("vertices %v: got %v, want ErrInvalidVertices", vertices, err)
-		}
-		if _, err := model.ProbabilitiesSubset(ds, vertices); !errors.Is(err, ErrInvalidVertices) {
-			t.Fatalf("probabilities %v: got %v, want ErrInvalidVertices", vertices, err)
-		}
+	methods := map[string]func(vertices []int) (int, error){
+		"Predict": func(vertices []int) (int, error) {
+			classes, err := model.Predict(ds, vertices)
+			return len(classes), err
+		},
+		"Probabilities": func(vertices []int) (int, error) {
+			rows, err := model.Probabilities(ds, vertices)
+			return len(rows), err
+		},
+		"ProbabilitiesInto": func(vertices []int) (int, error) {
+			count := len(vertices)
+			if vertices == nil {
+				count = ds.G.NumVertices()
+			}
+			_, err := model.ProbabilitiesInto(make([]float64, count*model.Classes()), ds, vertices)
+			return count, err
+		},
 	}
-	// The full-batch lookup paths keep their laxer contract (duplicates are
-	// fine, range errors still tagged).
-	if _, err := model.Predict(ds, []int{5, 5}); err != nil {
-		t.Fatalf("full-batch duplicate lookup: %v", err)
-	}
-	if _, err := model.Predict(ds, []int{40}); !errors.Is(err, ErrInvalidVertices) {
-		t.Fatalf("full-batch range error: got %v, want ErrInvalidVertices", err)
+	for name, call := range methods {
+		for _, tc := range []struct {
+			what     string
+			vertices []int
+		}{
+			{"empty", []int{}},
+			{"duplicate", []int{3, 3}},
+			{"duplicate later", []int{1, 2, 1}},
+			{"negative", []int{-1}},
+			{"too large", []int{32}},
+			{"far too large", []int{0, 999}},
+		} {
+			if _, err := call(tc.vertices); !errors.Is(err, ErrInvalidVertices) {
+				t.Fatalf("%s %s %v: got %v, want ErrInvalidVertices", name, tc.what, tc.vertices, err)
+			}
+		}
+		if rows, err := call(nil); err != nil || rows != ds.G.NumVertices() {
+			t.Fatalf("%s nil: %d rows, %v; want every vertex", name, rows, err)
+		}
 	}
 	if err := ValidateVertices(32, []int{0, 31}); err != nil {
 		t.Fatalf("valid set rejected: %v", err)
@@ -176,51 +200,24 @@ func TestSubsetValidation(t *testing.T) {
 	}
 }
 
-// TestPredictWorkspaceReuseAllocFlat pins the satellite fix: repeated
-// Model.PredictInto and warm Predictor.PredictInto calls must not allocate.
-// The graph stays under the parallel-kernel thresholds (SpMM 256 rows,
-// GEMM 128) so no worker goroutines launch.
+// TestPredictWorkspaceReuseAllocFlat pins the serving execution path:
+// repeated ProbabilitiesInto calls on one dataset must not allocate. The
+// graph stays under the parallel-kernel thresholds (SpMM 256 rows, GEMM 128)
+// so no worker goroutines launch.
 func TestPredictWorkspaceReuseAllocFlat(t *testing.T) {
 	ds := subsetTestDataset(gen.ErdosRenyi(100, 6, 3), 8, 4, 7)
 	model := &Model{m: gcn.NewModel(2, gcn.LayerDims(8, 8, 4, 3))}
-	dst := make([]int, 3)
 	vertices := []int{4, 40, 99}
-	if err := model.PredictInto(dst, ds, vertices); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		if err := model.PredictInto(dst, ds, vertices); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs > 0 {
-		t.Fatalf("steady-state Model.PredictInto allocates %v times, want 0", allocs)
-	}
-
 	probs := make([]float64, len(vertices)*model.Classes())
-	if _, err := model.ProbabilitiesSubsetInto(probs, ds, vertices); err != nil {
+	if _, err := model.ProbabilitiesInto(probs, ds, vertices); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if _, err := model.ProbabilitiesSubsetInto(probs, ds, vertices); err != nil {
+		if _, err := model.ProbabilitiesInto(probs, ds, vertices); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 0 {
-		t.Fatalf("steady-state ProbabilitiesSubsetInto allocates %v times, want 0", allocs)
-	}
-
-	pred, err := NewPredictor(model, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pred.PredictInto(dst, vertices); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		if err := pred.PredictInto(dst, vertices); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs > 0 {
-		t.Fatalf("warm Predictor.PredictInto allocates %v times, want 0", allocs)
+		t.Fatalf("steady-state ProbabilitiesInto allocates %v times, want 0", allocs)
 	}
 }
 

@@ -21,18 +21,18 @@
 //	})
 //	sess, _ := dg.NewSession(sagnn.ModelConfig{Seed: 7})
 //	res, _ := sess.Run(ctx, 20)           // or sess.Step() epoch by epoch
-//	pred := sess.Predictor()              // serve from the trained weights
-//	classes, _ := pred.Predict([]int{0, 1, 2})
+//	classes, _ := res.Model.Predict(ds, []int{0, 1, 2}) // serve from the trained weights
 //
 // One Distribute (partition + engine build) can back any number of
 // sessions; sessions expose Step, epoch callbacks, context cancellation,
 // and Snapshot/Restore checkpointing.
 //
 // On the serving side, the same sparsity-aware discipline answers online
-// queries: Model.PredictSubset and ProbabilitiesSubsetInto compute a
+// queries: Model.Predict, Probabilities and ProbabilitiesInto compute a
 // request's probabilities by gathering only its L-hop receptive field,
-// bit-identical to full-batch Predict, and internal/serve + cmd/serve wrap
-// that path in a micro-batching, cache-fronted, hot-swappable HTTP server.
+// bit-identical to full-batch inference (a nil request), and
+// internal/serve + cmd/serve wrap that path in a micro-batching,
+// cache-fronted, hot-swappable HTTP server.
 package sagnn
 
 import (
@@ -158,8 +158,9 @@ type TrainResult struct {
 	TestAcc float64
 	// PartitionQuality describes the partition when a Partitioner ran.
 	PartitionQuality *partition.Quality
-	// Model is the trained weight set, detached from the run: evaluate it,
-	// serve it through a Predictor, or persist it with MarshalBinary.
+	// Model is the trained weight set, detached from the run: predict with
+	// it (Predict, Probabilities, ProbabilitiesInto), serve it through
+	// internal/serve, or persist it with MarshalBinary.
 	Model *Model
 }
 

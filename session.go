@@ -467,13 +467,6 @@ func (s *Session) result(hist []EpochResult, epochs0, setup0 spent) *TrainResult
 	return res
 }
 
-// Predictor returns a serving handle over a snapshot of the current
-// weights, bound to the session's original dataset. Further training does
-// not affect it.
-func (s *Session) Predictor() *Predictor {
-	return &Predictor{model: s.Model(), ds: s.dg.ds}
-}
-
 // Checkpoint is a restorable snapshot of a session's training state: the
 // epoch counter and a detached copy of the weights. Checkpoints serialize
 // with MarshalBinary / LoadCheckpoint.

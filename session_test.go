@@ -492,9 +492,9 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
-// TestPredictorServing covers the inference path: session → predictor,
-// model → predict, serialization round-trips, and input validation.
-func TestPredictorServing(t *testing.T) {
+// TestModelServing covers the inference path: session → model → predict,
+// serialization round-trips, and input validation.
+func TestModelServing(t *testing.T) {
 	ds := GenerateCommunityDataset("comms", 512, 4, 10, 2, 16, 0.3, 19)
 	cluster, err := NewCluster(4)
 	if err != nil {
@@ -513,35 +513,29 @@ func TestPredictorServing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pred := sess.Predictor()
-	acc, err := pred.Accuracy(ds.Test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.5 {
-		t.Fatalf("predictor test accuracy %v too low (chance = 0.25)", acc)
-	}
-	if math.Abs(acc-res.TestAcc) > 0.1 {
-		t.Fatalf("predictor acc %v far from training eval %v", acc, res.TestAcc)
+	if res.TestAcc < 0.5 {
+		t.Fatalf("test accuracy %v too low (chance = 0.25)", res.TestAcc)
 	}
 
-	// Model.Predict must agree with the predictor.
+	// The session's snapshot of the weights predicts what the run's model
+	// does.
 	direct, err := res.Model.Predict(ds, ds.Test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	served, err := pred.Predict(ds.Test)
+	snapshot := sess.Model()
+	served, err := snapshot.Predict(ds, ds.Test)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range direct {
 		if direct[i] != served[i] {
-			t.Fatalf("vertex %d: model %d vs predictor %d", ds.Test[i], direct[i], served[i])
+			t.Fatalf("vertex %d: run model %d vs session snapshot %d", ds.Test[i], direct[i], served[i])
 		}
 	}
 
 	// Probabilities are rows of a distribution.
-	probs, err := pred.Probabilities([]int{0, 1})
+	probs, err := snapshot.Probabilities(ds, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,10 +569,10 @@ func TestPredictorServing(t *testing.T) {
 	}
 
 	// Validation: out-of-range vertices and mismatched datasets error.
-	if _, err := pred.Predict([]int{-1}); err == nil {
+	if _, err := snapshot.Predict(ds, []int{-1}); err == nil {
 		t.Fatal("predicted vertex -1")
 	}
-	if _, err := pred.Predict([]int{ds.G.NumVertices()}); err == nil {
+	if _, err := snapshot.Predict(ds, []int{ds.G.NumVertices()}); err == nil {
 		t.Fatal("predicted out-of-range vertex")
 	}
 	other := GenerateCommunityDataset("wrong", 128, 4, 6, 2, 8, 0.3, 3) // feature width 8 ≠ 16
@@ -724,24 +718,26 @@ func TestEmptyTrainSetTypedError(t *testing.T) {
 }
 
 // TestHeldOutEvalMatchesPredictor: the validation and test accuracies a run
-// reports (one forward pass over the trained weights) are exactly what a
-// Predictor over the same model measures on the same splits — on a
-// partitioned graph too, where training ran in the permuted order, and for
-// both layer variants.
+// reports (one full-batch forward over the trained weights) are exactly
+// what the same model's Predict measures on the same splits, each over its
+// own receptive field — on a partitioned graph too, where training ran in
+// the permuted order, and for both layer variants.
 func TestHeldOutEvalMatchesPredictor(t *testing.T) {
 	ds := GenerateCommunityDataset("comms", 512, 4, 10, 2, 16, 0.3, 19)
 	check := func(name string, m *Model, reported []float64, sets ...[]int) {
-		pred, err := NewPredictor(m, ds)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for i, set := range sets {
-			acc, err := pred.Accuracy(set)
+			classes, err := m.Predict(ds, set)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if acc != reported[i] {
-				t.Errorf("%s: reported accuracy %v on split %d, predictor measures %v", name, reported[i], i, acc)
+			correct := 0
+			for j, v := range set {
+				if classes[j] == ds.Labels[v] {
+					correct++
+				}
+			}
+			if acc := float64(correct) / float64(len(set)); acc != reported[i] {
+				t.Errorf("%s: reported accuracy %v on split %d, Predict measures %v", name, reported[i], i, acc)
 			}
 		}
 	}

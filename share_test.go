@@ -28,7 +28,7 @@ func TestInputProductSharedAcrossModels(t *testing.T) {
 		wg.Add(1)
 		go func(i int, m *sagnn.Model) {
 			defer wg.Done()
-			if _, err := m.PredictSubset(ds, []int{i, 40 + i}); err != nil {
+			if _, err := m.Predict(ds, []int{i, 40 + i}); err != nil {
 				t.Error(err)
 			}
 		}(i, m)
