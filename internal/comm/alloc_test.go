@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"runtime"
 	"testing"
 
 	"sagnn/internal/machine"
@@ -54,8 +55,8 @@ func TestCollectivesSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestInboxDrainIntoAllocs pins the wire transport's reset path: draining
-// queued frames back into the buffer pool allocates nothing.
+// TestInboxDrainIntoAllocs pins the reset path of both transports: draining
+// queued messages back into the buffer pool allocates nothing.
 func TestInboxDrainIntoAllocs(t *testing.T) {
 	pool := newBufPool()
 	b := inbox{sig: make(chan struct{}, 1)}
@@ -63,10 +64,25 @@ func TestInboxDrainIntoAllocs(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			b.push(message{floats: pool.get(128)})
 		}
-		b.drainInto(&pool)
+		drainInto(&b, &pool)
 	}
 	cycle() // size the queue and fill the pool
 	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
 		t.Fatalf("a warm push/drain cycle allocates %v times, want 0", allocs)
+	}
+}
+
+// TestNewWorldFootprint bounds what an in-process world costs to build at the
+// paper's largest P: one unbounded inbox per (dst, src, lane) is ~150 bytes,
+// 2·P² of them about 20 MB at P = 256.
+func TestNewWorldFootprint(t *testing.T) {
+	const p, limit = 256, 32 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w := NewWorld(p, machine.Perlmutter())
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(w)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("NewWorld(%d) allocates %.1f MB, want ≤ %d MB", p, float64(got)/(1<<20), limit>>20)
 	}
 }

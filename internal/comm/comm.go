@@ -3,8 +3,10 @@
 // (sparsity-aware 1D), point-to-point send/recv (sparsity-aware 1.5D) and
 // all-reduce (1.5D partial sums, weight gradients) — written once over a
 // small message transport with two implementations. NewWorld runs P ranks as
-// goroutines in one process over bounded mailboxes (mailbox.go); NewWorldTCP
-// runs one rank per OS process over framed TCP connections (transport.go).
+// goroutines in one process over in-process mailboxes (mailbox.go);
+// NewWorldTCP runs one rank per OS process over framed TCP connections
+// (transport.go). Both queue into one unbounded inbox type, so a send never
+// blocks on either.
 // Either way real data moves between ranks, exact per-rank volumes are
 // measured, and modeled α–β time is charged to a machine.Ledger, so results,
 // volume counters and ledgers are bit-identical across the two transports.
@@ -36,8 +38,8 @@
 //
 // The world has a failure-aware execution mode (see fault.go): faults can be
 // injected at named points in a rank's operation stream, any failure aborts
-// the whole collective deterministically (every blocked send or receive
-// unwinds instead of deadlocking), and RunErr/RunCtx/RunTimeout return a
+// the whole collective deterministically (every blocked receive unwinds
+// instead of deadlocking), and RunErr/RunCtx/RunTimeout return a
 // typed *RankError. Shape misuse (a mis-sized destination, a self-send) is a
 // caller bug and panics; on a rank goroutine the launcher reports that panic
 // as the run's *RankError too.
@@ -100,7 +102,7 @@ type World struct {
 }
 
 // NewWorld creates a world of p ranks with the given machine parameters,
-// all hosted in this process and exchanging messages through bounded
+// all hosted in this process and exchanging messages through in-process
 // mailboxes. Panics on a non-positive p: a construction-time misuse, not a
 // runtime failure.
 func NewWorld(p int, params machine.Params) *World {
@@ -213,10 +215,9 @@ func (r *Rank) CommFactor() float64 { return r.w.degrade.Factor(r.ID) }
 func (r *Rank) ChargeCompute(phase string, sec float64) { r.chargeTime(phase, sec) }
 
 // Send delivers a tagged float payload to dst. Models an eager/buffered
-// send: it never blocks (mailboxes hold MailboxDepth in-flight messages per
-// pair, far above the ≤1-per-Multiply the staged protocols use, and the wire
-// queues without bound), matching the paper's use of non-blocking Isend.
-// Self-sends panic: local data needs no transport.
+// send: it never blocks (both transports queue at the receiver without
+// bound), matching the paper's use of non-blocking Isend. Self-sends panic:
+// local data needs no transport.
 //
 // The caller keeps ownership of floats — the transport copies or encodes it
 // before Send returns. To hand a buffer over instead, pack into GetFloats

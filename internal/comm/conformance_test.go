@@ -480,11 +480,11 @@ func TestAbortMidCollectiveUnblocksEveryRank(t *testing.T) {
 			}
 			w := f.worlds[0]
 			mb := w.tr.(*mailboxes)
-			for lane := range mb.mail {
-				for dst := range mb.mail[lane] {
-					for src, box := range mb.mail[lane][dst] {
-						if len(box) != 0 {
-							t.Fatalf("lane %d %d→%d: %d messages stranded after reset", lane, src, dst, len(box))
+			for dst := range mb.mail {
+				for src := range mb.mail[dst] {
+					for lane := range mb.mail[dst][src] {
+						if n := len(mb.mail[dst][src][lane].q); n != 0 {
+							t.Fatalf("lane %d %d→%d: %d messages stranded after reset", lane, src, dst, n)
 						}
 					}
 				}
@@ -504,6 +504,46 @@ func TestAbortMidCollectiveUnblocksEveryRank(t *testing.T) {
 			for rank, s := range sums {
 				if s != 6 {
 					t.Fatalf("rank %d got %v after reset, want 6", rank, s)
+				}
+			}
+		})
+	}
+}
+
+// TestSendsNeverBlock pins the eager-send model on both transports: a burst
+// of 2·64+1 messages to one peer (past twice a 64-deep per-pair buffer)
+// completes before the receiver has posted a single receive, because the
+// receiver is itself parked in an all-reduce the sender enters only after
+// the burst.
+func TestSendsNeverBlock(t *testing.T) {
+	const p, burst = 2, 2*64 + 1
+	for _, transport := range transports {
+		t.Run(transport, func(t *testing.T) {
+			f := newFleet(t, transport, p)
+			errs := f.run(func(r *Rank) error {
+				g, one, out := r.World().WorldGroup(), []float64{1}, make([]float64, 1)
+				if r.ID == 0 {
+					for k := 0; k < burst; k++ {
+						r.Send(1, k, []float64{float64(k)}, "p2p")
+					}
+					g.AllReduceSumInto(r, one, out, "allreduce")
+					return nil
+				}
+				g.AllReduceSumInto(r, one, out, "allreduce")
+				got := make([]float64, 1)
+				for k := 0; k < burst; k++ {
+					if err := r.TryRecvInto(0, k, got); err != nil {
+						return err
+					}
+					if got[0] != float64(k) {
+						return fmt.Errorf("message %d carries %v", k, got[0])
+					}
+				}
+				return nil
+			})
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("world %d: %v", i, err)
 				}
 			}
 		})
@@ -576,7 +616,7 @@ func kill(w *World) {
 	w.net.teardown()
 	for _, p := range w.net.peers {
 		if p != nil {
-			close(p.q.stop)
+			close(p.stop)
 			<-p.wdone
 		}
 	}

@@ -15,8 +15,9 @@ import (
 //
 // Abort protocol: the first failure (an injected fault, a rank panic, an
 // external Abort, a deadline) records its cause on the world and closes the
-// abort channel. Every blocking primitive — a transport send or receive, and
-// therefore every collective and async worker — selects on that channel and
+// abort channel. Every blocking primitive — a transport receive (sends never
+// block), and therefore every collective and async worker — selects on that
+// channel and
 // unwinds with the abortPanic sentinel, which RunErr absorbs on each rank
 // goroutine. After all ranks have joined, RunErr drains the transport's
 // undelivered payloads back into the buffer pool, re-arms the abort channel,

@@ -41,7 +41,7 @@ func FuzzFrameReader(f *testing.F) {
 		w := newWorld(2, machine.Perlmutter())
 		nw := newNetWorld(w, 0, []string{"", ""})
 		ours, theirs := net.Pipe()
-		p := &netPeer{rank: 1, conn: ours, q: newFrameQueue(), wdone: make(chan struct{})}
+		p := newNetPeer(1, ours)
 		nw.peers[1] = p
 		nw.byeWG.Add(1)
 

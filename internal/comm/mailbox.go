@@ -2,9 +2,9 @@ package comm
 
 // transport is everything the communication layer asks of a backend:
 // per-(src, dst, lane) FIFO delivery of tagged float payloads. Both
-// implementations — mailboxes here, netWorld in transport.go — are
-// abort-aware: a send or receive that would block past a world abort unwinds
-// with the abortPanic sentinel instead.
+// implementations — mailboxes here, netWorld in transport.go — queue into
+// the same unbounded inbox, so a send never blocks on either, and a receive
+// that would block past a world abort unwinds with the abortPanic sentinel.
 type transport interface {
 	// send delivers (tag, data) from world rank src to dst on lane. data is
 	// borrowed until send returns; with owned set it is a pooled buffer the
@@ -33,38 +33,24 @@ const (
 	tagCalibrate
 )
 
-// MailboxDepth is the per-(src,dst) eager-send buffering of each in-process
-// lane: a sender never blocks until this many messages are in flight to a
-// single receiver. Exported so the static plan verifier (distmm.Verify) can
-// prove a compiled schedule's per-pair send bursts fit the buffering — the
-// premise under which sends are modeled as non-blocking in the
-// happens-before analysis.
-const MailboxDepth = 64
-
-// mailboxes is the in-process transport: one bounded channel per
-// (lane, dst, src), every rank a goroutine of this process.
+// mailboxes is the in-process transport: every rank a goroutine of this
+// process, and one inbox per (dst, src, lane) — the queue the wire's readers
+// land frames in.
 type mailboxes struct {
 	w    *World
-	mail [2][][]chan message // mail[lane][dst][src]
+	mail [][][2]inbox // mail[dst][src][lane]
 }
 
 func newMailboxes(w *World) *mailboxes {
-	mb := &mailboxes{w: w}
-	for lane := range mb.mail {
-		mb.mail[lane] = make([][]chan message, w.P)
-		for d := range mb.mail[lane] {
-			mb.mail[lane][d] = make([]chan message, w.P)
-			for s := range mb.mail[lane][d] {
-				mb.mail[lane][d][s] = make(chan message, MailboxDepth)
-			}
-		}
+	mb := &mailboxes{w: w, mail: make([][][2]inbox, w.P)}
+	for d := range mb.mail {
+		mb.mail[d] = newInboxes(w.P)
 	}
 	return mb
 }
 
-// send enqueues the payload (copied into a pooled buffer unless owned) for
-// dst, blocking only while the mailbox is full; an abort meanwhile unwinds
-// with the abortPanic panic.
+// send enqueues the payload for dst, copied into a pooled buffer unless
+// owned.
 func (mb *mailboxes) send(src, dst int, lane byte, tag int, data []float64, owned bool) {
 	if !owned {
 		var cp []float64 // an empty payload travels as nil, never as the caller's array
@@ -74,47 +60,18 @@ func (mb *mailboxes) send(src, dst int, lane byte, tag int, data []float64, owne
 		}
 		data = cp
 	}
-	box, m := mb.mail[lane][dst][src], message{tag: tag, floats: data}
-	select {
-	case box <- m:
-		return
-	default:
-	}
-	select {
-	case box <- m:
-	case <-mb.w.abortCh.Load().ch:
-		mb.w.pool.put(data)
-		panic(abortPanic{})
-	}
+	mb.mail[dst][src][lane].push(message{tag: tag, floats: data})
 }
 
-// recv dequeues the next message from src, blocking while the mailbox is
-// empty; an abort meanwhile unwinds with the abortPanic panic.
+// recv dequeues the next message from src (see recvOrUnwind).
 func (mb *mailboxes) recv(dst, src int, lane byte) message {
-	box := mb.mail[lane][dst][src]
-	select {
-	case m := <-box:
-		return m
-	default:
-	}
-	select {
-	case m := <-box:
-		return m
-	case <-mb.w.abortCh.Load().ch:
-		panic(abortPanic{})
-	}
+	return recvOrUnwind(&mb.mail[dst][src][lane], mb.w)
 }
 
-// drain empties every mailbox back into the buffer pool (World.reset: no
-// rank is running).
+// drain empties every inbox back into the buffer pool (World.reset: no rank
+// is running).
 func (mb *mailboxes) drain() {
-	for lane := range mb.mail {
-		for _, row := range mb.mail[lane] {
-			for _, box := range row {
-				for len(box) > 0 {
-					mb.w.pool.put((<-box).floats)
-				}
-			}
-		}
+	for _, row := range mb.mail {
+		drainInboxes(row, &mb.w.pool)
 	}
 }

@@ -60,13 +60,7 @@ func NewWorldTCP(self int, addrs []string, params machine.Params) (*World, error
 
 // newNetWorld installs an unconnected wire transport hosting rank self on w.
 func newNetWorld(w *World, self int, addrs []string) *netWorld {
-	nw := &netWorld{w: w, self: self, addrs: append([]string(nil), addrs...), peers: make([]*netPeer, w.P)}
-	nw.inboxes = make([][2]inbox, w.P)
-	for i := range nw.inboxes {
-		for l := range nw.inboxes[i] {
-			nw.inboxes[i][l].sig = make(chan struct{}, 1)
-		}
-	}
+	nw := &netWorld{w: w, self: self, addrs: append([]string(nil), addrs...), peers: make([]*netPeer, w.P), inboxes: newInboxes(w.P)}
 	w.tr, w.net = nw, nw
 	w.hosted = []int{self}
 	return nw
@@ -133,7 +127,7 @@ func (nw *netWorld) rendezvous() error {
 		if tc, ok := a.conn.(*net.TCPConn); ok {
 			tc.SetNoDelay(true)
 		}
-		nw.peers[a.rank] = &netPeer{rank: a.rank, conn: a.conn, q: newFrameQueue(), wdone: make(chan struct{})}
+		nw.peers[a.rank] = newNetPeer(a.rank, a.conn)
 	}
 	if tl, ok := ln.(*net.TCPListener); ok {
 		tl.SetDeadline(time.Time{})

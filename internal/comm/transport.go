@@ -15,10 +15,11 @@ import (
 // This file is the wire transport: a World built by NewWorldTCP carries a
 // netWorld that moves the collective layer's messages over persistent framed
 // TCP connections — one process per rank, full mesh — where NewWorld's
-// mailboxes (mailbox.go) move them between goroutines. Everything above the
-// transport interface, the compiled distmm.Plan IR included, is the same
-// code over either; the conformance tests pin that the outputs and the
-// logical volume ledgers are bit-identical.
+// mailboxes (mailbox.go) move them between goroutines. Both land messages in
+// the same unbounded inbox, so the transports differ only in how bytes move.
+// Everything above the transport interface, the compiled distmm.Plan IR
+// included, is the same code over either; the conformance tests pin that the
+// outputs and the logical volume ledgers are bit-identical.
 //
 // Wire protocol: every frame is an 18-byte header
 //
@@ -108,18 +109,22 @@ func putFrame(b []byte) {
 	framePool.Put(&b)
 }
 
-// inbox is one lane's receive queue from one peer: unbounded (the wire has
-// no MailboxDepth backpressure — the reader goroutine always drains the
-// socket, so a remote sender never blocks), FIFO, and abort-aware on the
-// consumer side.
-type inbox struct {
+// queue is the one unbounded FIFO under both transports: each rank's inbox
+// per (peer, lane), and each wire peer's outgoing frame queue. A push never
+// blocks, so neither does a send; a pop blocks until an element is queued or
+// stop closes, and hands out what is queued before it reports the stop.
+type queue[T any] struct {
 	mu  sync.Mutex
-	q   []message
+	q   []T
 	sig chan struct{} // buffered(1) wakeup; coalesces pushes
 }
 
-// push appends a message and wakes a waiting consumer.
-func (b *inbox) push(m message) {
+// inbox is one lane's receive queue from one peer: an in-process sender
+// pushes into it directly, the wire's reader goroutine after decoding.
+type inbox = queue[message]
+
+// push appends an element and wakes a waiting consumer.
+func (b *queue[T]) push(m T) {
 	b.mu.Lock()
 	b.q = append(b.q, m)
 	b.mu.Unlock()
@@ -129,16 +134,17 @@ func (b *inbox) push(m message) {
 	}
 }
 
-// pop dequeues the next message, blocking until one arrives or abort closes;
-// ok is false on abort. When the queue stays non-empty it re-arms the wakeup
+// pop dequeues the next element, blocking until one arrives or stop closes;
+// ok is false on stop. When the queue stays non-empty it re-arms the wakeup
 // so coalesced pushes are never lost.
-func (b *inbox) pop(abort <-chan struct{}) (message, bool) {
+func (b *queue[T]) pop(stop <-chan struct{}) (m T, ok bool) {
 	for {
 		b.mu.Lock()
 		if len(b.q) > 0 {
-			m := b.q[0]
+			var zero T
+			m = b.q[0]
 			copy(b.q, b.q[1:])
-			b.q[len(b.q)-1] = message{}
+			b.q[len(b.q)-1] = zero
 			b.q = b.q[:len(b.q)-1]
 			nonEmpty := len(b.q) > 0
 			b.mu.Unlock()
@@ -153,14 +159,32 @@ func (b *inbox) pop(abort <-chan struct{}) (message, bool) {
 		b.mu.Unlock()
 		select {
 		case <-b.sig:
-		case <-abort:
-			return message{}, false
+		case <-stop:
+			return m, false
 		}
 	}
 }
 
+// empty reports whether nothing is queued (the writer's flush-on-idle test).
+func (b *queue[T]) empty() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.q) == 0
+}
+
+// recvOrUnwind is pop on w's abort channel for a rank goroutine: an abort
+// unwinds with the abortPanic panic, which RunErr recovers into the recorded
+// *RankError.
+func recvOrUnwind(b *inbox, w *World) message {
+	m, ok := b.pop(w.abortCh.Load().ch)
+	if !ok {
+		panic(abortPanic{})
+	}
+	return m
+}
+
 // drainInto empties the inbox, recycling float payloads.
-func (b *inbox) drainInto(pool *bufPool) {
+func drainInto(b *inbox, pool *bufPool) {
 	b.mu.Lock()
 	for _, m := range b.q {
 		pool.put(m.floats)
@@ -169,61 +193,24 @@ func (b *inbox) drainInto(pool *bufPool) {
 	b.mu.Unlock()
 }
 
-// frameQueue is a per-peer unbounded queue of encoded frames feeding one
-// writer goroutine — the write-coalescing stage: many small frames enqueued
-// while a write is in progress are drained as one batch and flushed once.
-type frameQueue struct {
-	mu   sync.Mutex
-	bufs [][]byte
-	sig  chan struct{} // buffered(1) wakeup
-	stop chan struct{}
-}
-
-func newFrameQueue() *frameQueue {
-	return &frameQueue{sig: make(chan struct{}, 1), stop: make(chan struct{})}
-}
-
-// push enqueues an encoded frame; never blocks.
-func (q *frameQueue) push(b []byte) {
-	q.mu.Lock()
-	q.bufs = append(q.bufs, b)
-	q.mu.Unlock()
-	select {
-	case q.sig <- struct{}{}:
-	default:
-	}
-}
-
-// drain blocks until frames are pending and takes them all; ok is false once
-// the queue is stopped and empty (frames enqueued before stop still drain).
-func (q *frameQueue) drain() (batch [][]byte, ok bool) {
-	for {
-		q.mu.Lock()
-		if len(q.bufs) > 0 {
-			batch = q.bufs
-			q.bufs = nil
-			q.mu.Unlock()
-			return batch, true
-		}
-		q.mu.Unlock()
-		select {
-		case <-q.sig:
-		case <-q.stop:
-			q.mu.Lock()
-			batch = q.bufs
-			q.bufs = nil
-			q.mu.Unlock()
-			return batch, len(batch) > 0
+// newInboxes returns one rank's receive queues, indexed [src][lane].
+func newInboxes(p int) [][2]inbox {
+	in := make([][2]inbox, p)
+	for i := range in {
+		for l := range in[i] {
+			in[i][l].sig = make(chan struct{}, 1)
 		}
 	}
+	return in
 }
 
-// empty reports whether nothing is pending (the flush-on-idle test).
-func (q *frameQueue) empty() bool {
-	q.mu.Lock()
-	e := len(q.bufs) == 0
-	q.mu.Unlock()
-	return e
+// drainInboxes empties one rank's receive queues into the pool.
+func drainInboxes(in [][2]inbox, pool *bufPool) {
+	for i := range in {
+		for l := range in[i] {
+			drainInto(&in[i][l], pool)
+		}
+	}
 }
 
 // netPeer is one full-mesh neighbour: its connection, the outgoing frame
@@ -231,10 +218,18 @@ func (q *frameQueue) empty() bool {
 type netPeer struct {
 	rank    int
 	conn    net.Conn
-	q       *frameQueue
+	q       queue[[]byte]
+	stop    chan struct{} // closed by Close: the writer drains q and exits
 	wdone   chan struct{} // closed when the writer goroutine exits
 	saidBye atomic.Bool   // peer sent goodbye (or its reader exited)
 	byeOnce sync.Once
+}
+
+// newNetPeer wraps a rendezvoused connection; its writer is not started.
+func newNetPeer(rank int, conn net.Conn) *netPeer {
+	p := &netPeer{rank: rank, conn: conn, stop: make(chan struct{}), wdone: make(chan struct{})}
+	p.q.sig = make(chan struct{}, 1)
+	return p
 }
 
 // netWorld is the wire transport's state, hung off a World: exactly one hosted
@@ -289,25 +284,13 @@ func (nw *netWorld) send(_, dst int, lane byte, tag int, data []float64, owned b
 	}
 }
 
-// recv pops the next frame from src on the given lane, unwinding with the
-// abortPanic panic when the world aborts first (the caller is a rank
-// goroutine; RunErr recovers the panic into the recorded *RankError).
+// recv pops the next frame from src on the given lane (see recvOrUnwind).
 func (nw *netWorld) recv(_, src int, lane byte) message {
-	m, ok := nw.inboxes[src][lane].pop(nw.w.abortCh.Load().ch)
-	if !ok {
-		panic(abortPanic{})
-	}
-	return m
+	return recvOrUnwind(&nw.inboxes[src][lane], nw.w)
 }
 
 // drain empties every inbox back into the buffer pool (World.reset).
-func (nw *netWorld) drain() {
-	for i := range nw.inboxes {
-		for l := range nw.inboxes[i] {
-			nw.inboxes[i][l].drainInto(&nw.w.pool)
-		}
-	}
-}
+func (nw *netWorld) drain() { drainInboxes(nw.inboxes, &nw.w.pool) }
 
 // broadcastAbort tells every peer this process has aborted (best-effort; a
 // peer that is gone already surfaced its own disconnect).
@@ -330,31 +313,23 @@ func (nw *netWorld) broadcastAbort(err error) {
 	}
 }
 
-// writer is the per-peer send goroutine: it drains the frame queue in
-// batches through a buffered writer and flushes only when the queue runs
-// dry, coalescing the many-small-frames patterns (SendRows bursts,
-// all-to-allv) into few syscalls.
+// writer is the per-peer send goroutine: it writes queued frames through a
+// buffered writer and flushes only when the queue runs dry, coalescing the
+// many-small-frames patterns (SendRows bursts, all-to-allv) into few
+// syscalls. A write error is left for the reader on this connection to
+// surface; the bufio.Writer keeps failing fast after it while the queue
+// drains.
 func (nw *netWorld) writer(p *netPeer) {
 	defer close(p.wdone)
 	bw := bufio.NewWriterSize(p.conn, 64<<10)
 	for {
-		batch, ok := p.q.drain()
-		for _, b := range batch {
-			if _, err := bw.Write(b); err != nil {
-				putFrame(b)
-				// The reader on this connection surfaces the failure; the
-				// writer just stops transmitting.
-				if !ok {
-					return
-				}
-				continue
-			}
-			putFrame(b)
-		}
+		b, ok := p.q.pop(p.stop)
 		if !ok {
 			bw.Flush()
 			return
 		}
+		bw.Write(b)
+		putFrame(b)
 		if p.q.empty() {
 			bw.Flush()
 		}
@@ -470,7 +445,7 @@ func (nw *netWorld) close() error {
 		if p == nil {
 			continue
 		}
-		close(p.q.stop)
+		close(p.stop)
 		<-p.wdone
 		if err := p.conn.Close(); err != nil && first == nil {
 			first = err

@@ -279,10 +279,10 @@ func (p *Plan) EpochCostWith(params machine.Params, widths []int, mode ExecMode)
 }
 
 // startStageComm issues one stage's communication: non-blocking sends go out
-// inline (they never block — the mailboxes buffer them, matching the eager
-// Isend model), while the stage's single blocking landing operation is
-// handed to the rank's background worker, landing into the parity half of
-// the double buffer. Returns whether a worker operation is in flight (and
+// inline (they never block on either transport, matching the eager Isend
+// model), while the stage's single blocking landing operation is handed to
+// the rank's background worker, landing into the parity half of the double
+// buffer. Returns whether a worker operation is in flight (and
 // must be awaited before the stage's compute). Every charge is suppressed
 // (phase ""): the executor settles the stage's modeled time in bulk after
 // the pipeline drains.

@@ -2,7 +2,6 @@ package distmm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"sagnn/internal/comm"
@@ -17,11 +16,12 @@ import (
 //     (same tag, same element count, in per-pair FIFO order), and every
 //     collective occurrence is entered by all group members with consistent
 //     operation, root, and payload shape.
-//   - Deadlock-freedom: the cross-rank happens-before graph over the
-//     instruction streams — program order per rank, send→recv edges for p2p
-//     messages, one shared synchronization node per collective occurrence —
-//     is acyclic, and no per-pair eager-send burst exceeds the mailbox
-//     buffering (the premise under which sends are non-blocking).
+//   - Deadlock-freedom: one abstract run of the per-rank programs under the
+//     transports' own rules — a send never blocks and appends to its
+//     (src, dst) FIFO, a receive waits for that FIFO's oldest entry, a
+//     collective waits for every member of its group — reaches the end of
+//     every program. Matching is checked on the same run, as each receive
+//     pops and each collective completes.
 //   - Overlap soundness: the pipelined stage decomposition the ExecOverlap
 //     executor runs covers every instruction exactly once in its role, lands
 //     at most one transfer per double-buffer stage, consumes each landing in
@@ -48,8 +48,9 @@ const (
 	// VerifyMatching: an unmatched or misordered send/recv pair, a tag or
 	// size mismatch, or inconsistent collective participation.
 	VerifyMatching
-	// VerifyDeadlock: the cross-rank happens-before graph has a cycle, or an
-	// eager-send burst overflows the mailbox buffering.
+	// VerifyDeadlock: the abstract run leaves ranks blocked short of their
+	// program's end, each waiting on a message or a collective no other rank
+	// will provide.
 	VerifyDeadlock
 	// VerifyOverlap: the pipelined stage decomposition would alias a
 	// double-buffer slot, reorder accumulation, or use staged data before it
@@ -150,8 +151,7 @@ func (p *Plan) OpSites() map[string]int {
 // Verify statically checks the plan's communication choreography and
 // returns a *VerifyError describing the first violation found, or nil when
 // the schedule is provably well-formed, deadlock-free, and overlap-safe.
-// Checks run cheapest-first, and within a pass violations are reported in
-// deterministic (rank, site) order.
+// Checks run cheapest-first, and every pass reports deterministically.
 func Verify(p *Plan) error {
 	v, err := newVerifier(p)
 	if err != nil {
@@ -160,56 +160,48 @@ func Verify(p *Plan) error {
 	if err := v.checkPrograms(); err != nil {
 		return err
 	}
-	if err := v.collectEvents(); err != nil {
+	if err := v.checkCounts(); err != nil {
 		return err
 	}
-	if err := v.checkP2PMatching(); err != nil {
-		return err
-	}
-	if err := v.checkCollectives(); err != nil {
-		return err
-	}
-	if err := v.checkDeadlock(); err != nil {
+	if err := v.run(); err != nil {
 		return err
 	}
 	return v.checkOverlap()
 }
 
-// verifier holds one Verify run's derived state: the per-pair p2p event
-// sequences and per-group collective occurrence tables shared between the
-// matching pass and the happens-before graph.
+// verifier holds one Verify run's derived state: the per-pair queues and
+// per-group tables the count pre-check fills and the abstract run consumes,
+// each indexed in first-encounter order.
 type verifier struct {
 	p *Plan
 	n int
 
-	sends map[[2]int][]p2pEvent // (src,dst) → sends in program order
-	recvs map[[2]int][]p2pEvent // (src,dst) → recvs in program order
-
-	groups []*comm.Group // first-encounter order (deterministic reports)
-	seqs   map[*comm.Group]*collSeq
+	pairIdx  map[[2]int]int // (src, dst) → pairs index
+	pairs    []p2pQueue
+	groupIdx map[*comm.Group]int // → groups index
+	groups   []collGroup
 }
 
-// p2pEvent is one send or recv site with its wire signature. Payloads are
-// counted in H rows: every payload of an execution scales by the same dense
-// width, so matching row counts match at every width.
-type p2pEvent struct {
-	site int
-	tag  int
-	rows int
+// p2pQueue is one (src, dst) pair: its send and receive counts, and its FIFO
+// in the abstract run.
+type p2pQueue struct {
+	src, dst     int
+	sends, recvs int
+	q            []p2pMsg
+	head         int
 }
 
-// collEvent is one rank's entry into one collective occurrence.
-type collEvent struct {
-	rank int
-	site int
-}
+// p2pMsg is one queued send with its wire signature. Payloads are counted in
+// H rows: every payload of an execution scales by the same dense width, so
+// matching row counts match at every width.
+type p2pMsg struct{ site, tag, rows int }
 
-// collSeq is one group's collective occurrence table: perMember[i] lists
-// member i's collective sites in program order, so occurrence t is row t
-// across members.
-type collSeq struct {
-	g         *comm.Group
-	perMember [][]collEvent
+// collGroup is one group: collective entries per member, and how many
+// members are parked on their next collective in the abstract run.
+type collGroup struct {
+	g       *comm.Group
+	entries []int
+	parked  int
 }
 
 func (v *verifier) err(k VerifyKind, rank, site int, format string, args ...any) *VerifyError {
@@ -409,259 +401,188 @@ func (v *verifier) checkBlock(rank, site int, in *instr, accRows, opRows int) *V
 	return nil
 }
 
-// collectEvents builds the p2p event sequences and collective occurrence
-// tables the matching and deadlock passes share.
-func (v *verifier) collectEvents() error {
-	v.sends = make(map[[2]int][]p2pEvent)
-	v.recvs = make(map[[2]int][]p2pEvent)
-	v.seqs = make(map[*comm.Group]*collSeq)
+// checkCounts is the matching pre-check: every (src, dst) pair posts as many
+// receives as sends, and every member of a group enters as many of its
+// collectives as every other member.
+func (v *verifier) checkCounts() error {
+	v.pairIdx = make(map[[2]int]int)
+	v.groupIdx = make(map[*comm.Group]int)
 	for rank := 0; rank < v.n; rank++ {
 		prog := v.p.progs[rank]
 		for site := range prog {
 			in := &prog[site]
 			switch in.op {
 			case opSendRows:
-				key := [2]int{rank, in.peer}
-				v.sends[key] = append(v.sends[key], p2pEvent{site: site, tag: in.tag, rows: len(in.idx)})
+				v.pair(rank, in.peer).sends++
 			case opRecvMul:
-				key := [2]int{in.peer, rank}
-				v.recvs[key] = append(v.recvs[key], p2pEvent{site: site, tag: in.tag, rows: in.rows})
+				v.pair(in.peer, rank).recvs++
 			case opBcastMul, opAllToAllv, opAllReduce:
-				s, ok := v.seqs[in.group]
+				i, ok := v.groupIdx[in.group]
 				if !ok {
-					for i := 0; i < in.group.Size(); i++ {
-						if m := in.group.Member(i); m < 0 || m >= v.n {
+					for j := 0; j < in.group.Size(); j++ {
+						if m := in.group.Member(j); m < 0 || m >= v.n {
 							return v.err(VerifyStructure, rank, site, "group member rank %d outside world of %d", m, v.n)
 						}
 					}
-					s = &collSeq{g: in.group, perMember: make([][]collEvent, in.group.Size())}
-					v.seqs[in.group] = s
-					v.groups = append(v.groups, in.group)
+					i = len(v.groups)
+					v.groupIdx[in.group] = i
+					v.groups = append(v.groups, collGroup{g: in.group, entries: make([]int, in.group.Size())})
 				}
 				me, _ := in.group.Index(rank) // membership proven by checkPrograms
-				s.perMember[me] = append(s.perMember[me], collEvent{rank: rank, site: site})
+				v.groups[i].entries[me]++
+			}
+		}
+	}
+	for _, q := range v.pairs {
+		if q.sends > q.recvs {
+			return v.err(VerifyMatching, q.src, -1, "%d sends to rank %d, which posts %d receives from it", q.sends, q.dst, q.recvs)
+		}
+		if q.recvs > q.sends {
+			return v.err(VerifyMatching, q.dst, -1, "%d receives from rank %d, which posts %d sends to it", q.recvs, q.src, q.sends)
+		}
+	}
+	for _, c := range v.groups {
+		for i := 1; i < len(c.entries); i++ {
+			if c.entries[i] != c.entries[0] {
+				return v.err(VerifyMatching, c.g.Member(i), -1, "group participation: member rank %d enters %d collectives, member rank %d enters %d",
+					c.g.Member(i), c.entries[i], c.g.Member(0), c.entries[0])
 			}
 		}
 	}
 	return nil
 }
 
-// checkP2PMatching proves every point-to-point send meets exactly one
-// receive. Mailboxes are FIFO per (src,dst) pair, so the k-th send on a pair
-// is consumed by the k-th recv: sequences must agree pairwise on tag and
-// row count, and burst length must fit the eager buffering.
-func (v *verifier) checkP2PMatching() error {
-	for src := 0; src < v.n; src++ {
-		for dst := 0; dst < v.n; dst++ {
-			key := [2]int{src, dst}
-			ss, rr := v.sends[key], v.recvs[key]
-			if len(ss) > len(rr) {
-				ev := ss[len(rr)]
-				return v.err(VerifyMatching, src, ev.site, "send tag %d to rank %d has no matching recv", ev.tag, dst)
-			}
-			if len(rr) > len(ss) {
-				ev := rr[len(ss)]
-				return v.err(VerifyMatching, dst, ev.site, "recv tag %d from rank %d has no matching send", ev.tag, src)
-			}
-			if len(ss) > comm.MailboxDepth {
-				ev := ss[comm.MailboxDepth]
-				return v.err(VerifyDeadlock, src, ev.site, "%d eager sends to rank %d exceed the mailbox depth %d; sends could block", len(ss), dst, comm.MailboxDepth)
-			}
-			for k := range ss {
-				if ss[k].tag != rr[k].tag {
-					return v.err(VerifyMatching, dst, rr[k].site, "recv expects tag %d from rank %d, matching send carries tag %d", rr[k].tag, src, ss[k].tag)
-				}
-				if ss[k].rows != rr[k].rows {
-					return v.err(VerifyMatching, dst, rr[k].site, "recv expects %d rows from rank %d, matching send carries %d", rr[k].rows, src, ss[k].rows)
-				}
-			}
-		}
+// pair returns the (src, dst) queue, creating it on first use.
+func (v *verifier) pair(src, dst int) *p2pQueue {
+	i, ok := v.pairIdx[[2]int{src, dst}]
+	if !ok {
+		i = len(v.pairs)
+		v.pairIdx[[2]int{src, dst}] = i
+		v.pairs = append(v.pairs, p2pQueue{src: src, dst: dst})
 	}
-	return nil
+	return &v.pairs[i]
 }
 
-// checkCollectives proves complete, consistent group participation: every
-// member enters each occurrence of each group the same number of times, with
-// the same operation, and with consistent roots and payload shapes.
-func (v *verifier) checkCollectives() error {
+// run is one abstract execution of the per-rank programs under the
+// transports' rules. Each ready rank advances until it finishes or blocks: a
+// send appends to its (src, dst) FIFO and wakes the receiver if it waits on
+// that pair; a receive pops the FIFO's oldest entry, which must carry its tag
+// and rows, or blocks while the FIFO is empty; a collective parks the rank
+// until every member of its group is parked on one, then completes for all
+// of them (checkCollective). Ranks still short of their program's end when
+// no rank is ready are a deadlock.
+func (v *verifier) run() error {
 	p := v.p
-	for _, g := range v.groups {
-		s := v.seqs[g]
-		// Participation: all members enter the same number of occurrences.
-		c0 := len(s.perMember[0])
-		for i := 1; i < g.Size(); i++ {
-			if len(s.perMember[i]) != c0 {
-				rank := g.Member(i)
-				site := -1
-				if len(s.perMember[i]) > 0 {
-					site = s.perMember[i][len(s.perMember[i])-1].site
+	pc := make([]int, v.n)
+	waitOn := make([]int, v.n) // the peer a blocked receive waits on, or -1
+	ready := make([]int, v.n)  // a stack; rank 0 runs first
+	for r := range ready {
+		ready[r], waitOn[r] = v.n-1-r, -1
+	}
+	for len(ready) > 0 {
+		rank := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		prog := p.progs[rank]
+	advance:
+		for pc[rank] < len(prog) {
+			site := pc[rank]
+			in := &prog[site]
+			switch in.op {
+			case opSendRows:
+				q := &v.pairs[v.pairIdx[[2]int{rank, in.peer}]]
+				q.q = append(q.q, p2pMsg{site: site, tag: in.tag, rows: len(in.idx)})
+				if waitOn[in.peer] == rank {
+					waitOn[in.peer] = -1
+					ready = append(ready, in.peer)
 				}
-				return v.err(VerifyMatching, rank, site, "group participation: member rank %d enters %d collectives, member rank %d enters %d",
-					rank, len(s.perMember[i]), g.Member(0), c0)
-			}
-		}
-		for t := 0; t < c0; t++ {
-			e0 := s.perMember[0][t]
-			in0 := &p.progs[e0.rank][e0.site]
-			for i := 1; i < g.Size(); i++ {
-				ei := s.perMember[i][t]
-				ini := &p.progs[ei.rank][ei.site]
-				if ini.op != in0.op {
-					return v.err(VerifyMatching, ei.rank, ei.site, "collective occurrence %d: rank %d runs %s, rank %d runs %s", t, ei.rank, ini.op, e0.rank, in0.op)
+			case opRecvMul:
+				q := &v.pairs[v.pairIdx[[2]int{in.peer, rank}]]
+				if q.head == len(q.q) {
+					waitOn[rank] = in.peer
+					break advance
 				}
-				switch in0.op {
-				case opBcastMul:
-					if ini.root != in0.root {
-						return v.err(VerifyMatching, ei.rank, ei.site, "bcast occurrence %d: root %d vs rank %d's root %d", t, ini.root, e0.rank, in0.root)
-					}
-					if ini.rows != in0.rows {
-						return v.err(VerifyMatching, ei.rank, ei.site, "bcast occurrence %d: payload of %d rows vs rank %d's %d", t, ini.rows, e0.rank, in0.rows)
-					}
-				case opAllReduce:
-					if p.outRows[ei.rank] != p.outRows[e0.rank] {
-						return v.err(VerifyMatching, ei.rank, ei.site, "all-reduce occurrence %d: vector of %d rows vs rank %d's %d",
-							t, p.outRows[ei.rank], e0.rank, p.outRows[e0.rank])
-					}
+				m := q.q[q.head]
+				q.head++
+				if m.tag != in.tag {
+					return v.err(VerifyMatching, rank, site, "recv expects tag %d from rank %d, whose oldest queued send (instr %d) carries tag %d", in.tag, in.peer, m.site, m.tag)
 				}
-			}
-			if in0.op == opAllToAllv {
-				// Cross-consistency: what member b packs for member a must be
-				// exactly what a expects to land from b.
-				for a := 0; a < g.Size(); a++ {
-					ea := s.perMember[a][t]
-					ina := &p.progs[ea.rank][ea.site]
-					for b := 0; b < g.Size(); b++ {
-						if b == a {
-							continue
-						}
-						eb := s.perMember[b][t]
-						inb := &p.progs[eb.rank][eb.site]
-						if ina.recvRows[b] != len(inb.sendIdx[a]) {
-							return v.err(VerifyMatching, ea.rank, ea.site, "all-to-allv occurrence %d: rank %d expects %d rows from rank %d, which packs %d",
-								t, ea.rank, ina.recvRows[b], eb.rank, len(inb.sendIdx[a]))
-						}
+				if m.rows != in.rows {
+					return v.err(VerifyMatching, rank, site, "recv expects %d rows from rank %d, whose oldest queued send (instr %d) carries %d", in.rows, in.peer, m.site, m.rows)
+				}
+			case opBcastMul, opAllToAllv, opAllReduce:
+				c := &v.groups[v.groupIdx[in.group]]
+				if c.parked++; c.parked < c.g.Size() {
+					break advance
+				}
+				c.parked = 0
+				if err := v.checkCollective(c.g, pc); err != nil {
+					return err
+				}
+				for i := 0; i < c.g.Size(); i++ {
+					if m := c.g.Member(i); m != rank {
+						pc[m]++
+						ready = append(ready, m)
 					}
 				}
 			}
+			pc[rank]++
 		}
 	}
-	return nil
+	var blocked []int
+	for rank, site := range pc {
+		if site < len(p.progs[rank]) {
+			blocked = append(blocked, rank)
+		}
+	}
+	if len(blocked) == 0 {
+		return nil
+	}
+	at := make([]string, 0, 9)
+	for _, rank := range blocked[:min(len(blocked), 8)] {
+		at = append(at, fmt.Sprintf("rank %d instr %d (%s)", rank, pc[rank], p.progs[rank][pc[rank]].op))
+	}
+	if len(blocked) > 8 {
+		at = append(at, fmt.Sprintf("and %d more", len(blocked)-8))
+	}
+	first := blocked[0]
+	return v.err(VerifyDeadlock, first, pc[first], "%d ranks would wait forever at {%s}", len(blocked), strings.Join(at, ", "))
 }
 
-// checkDeadlock builds the cross-rank happens-before graph — program-order
-// edges per rank, send→recv edges for matched p2p messages, one shared
-// synchronization node per collective occurrence — and rejects cycles. A
-// cycle means some set of ranks each wait on an event another of them has
-// not reached: the schedule would hang the executor.
-func (v *verifier) checkDeadlock() error {
+// checkCollective compares the entries of one collective every member of g
+// is parked on (member m at instruction pc[m]): all run the same operation,
+// broadcasts agree on root and rows, all-reduces on vector height, and what
+// each all-to-allv member packs for another is what that one expects to land.
+func (v *verifier) checkCollective(g *comm.Group, pc []int) error {
 	p := v.p
-	// Node assignment. Collective occurrences share one node across members;
-	// p2p sends and recvs get one node each.
-	nodeOf := make(map[[2]int]int) // (rank,site) → node
-	type label struct{ rank, site int }
-	var labels []label
-	newNode := func(rank, site int) int {
-		id := len(labels)
-		labels = append(labels, label{rank, site})
-		return id
+	at := func(i int) (rank, site int, in *instr) {
+		rank = g.Member(i)
+		return rank, pc[rank], &p.progs[rank][pc[rank]]
 	}
-	for _, g := range v.groups {
-		s := v.seqs[g]
-		for t := 0; t < len(s.perMember[0]); t++ {
-			id := newNode(s.perMember[0][t].rank, s.perMember[0][t].site)
-			for i := 0; i < g.Size(); i++ {
-				e := s.perMember[i][t]
-				nodeOf[[2]int{e.rank, e.site}] = id
-			}
+	r0, _, in0 := at(0)
+	for i := 1; i < g.Size(); i++ {
+		ri, si, ini := at(i)
+		switch {
+		case ini.op != in0.op:
+			return v.err(VerifyMatching, ri, si, "collective: rank %d runs %s, rank %d runs %s", ri, ini.op, r0, in0.op)
+		case in0.op == opBcastMul && ini.root != in0.root:
+			return v.err(VerifyMatching, ri, si, "bcast: root %d vs rank %d's root %d", ini.root, r0, in0.root)
+		case in0.op == opBcastMul && ini.rows != in0.rows:
+			return v.err(VerifyMatching, ri, si, "bcast: payload of %d rows vs rank %d's %d", ini.rows, r0, in0.rows)
+		case in0.op == opAllReduce && p.outRows[ri] != p.outRows[r0]:
+			return v.err(VerifyMatching, ri, si, "all-reduce: vector of %d rows vs rank %d's %d", p.outRows[ri], r0, p.outRows[r0])
 		}
 	}
-	for rank := 0; rank < v.n; rank++ {
-		prog := p.progs[rank]
-		for site := range prog {
-			switch prog[site].op {
-			case opSendRows, opRecvMul:
-				nodeOf[[2]int{rank, site}] = newNode(rank, site)
-			}
-		}
+	if in0.op != opAllToAllv {
+		return nil
 	}
-	adj := make([][]int, len(labels))
-	addEdge := func(a, b int) {
-		if a != b {
-			adj[a] = append(adj[a], b)
-		}
-	}
-	// Program order: each rank reaches its comm events sequentially.
-	for rank := 0; rank < v.n; rank++ {
-		prog := p.progs[rank]
-		prev := -1
-		for site := range prog {
-			id, ok := nodeOf[[2]int{rank, site}]
-			if !ok {
-				continue // compute/accounting sites impose no cross-rank waits
-			}
-			if prev >= 0 {
-				addEdge(prev, id)
-			}
-			prev = id
-		}
-	}
-	// Message order: the k-th recv on a pair waits for the k-th send.
-	for src := 0; src < v.n; src++ {
-		for dst := 0; dst < v.n; dst++ {
-			key := [2]int{src, dst}
-			ss, rr := v.sends[key], v.recvs[key]
-			for k := range ss {
-				addEdge(nodeOf[[2]int{src, ss[k].site}], nodeOf[[2]int{dst, rr[k].site}])
-			}
-		}
-	}
-	// Iterative DFS cycle detection (0 unvisited, 1 on stack, 2 done).
-	state := make([]int8, len(labels))
-	parent := make([]int, len(labels))
-	for start := range adj {
-		if state[start] != 0 {
-			continue
-		}
-		stack := []int{start}
-		parent[start] = -1
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			if state[u] == 0 {
-				state[u] = 1
-			} else {
-				state[u] = 2
-				stack = stack[:len(stack)-1]
+	for a := 0; a < g.Size(); a++ {
+		ra, sa, ina := at(a)
+		for b := 0; b < g.Size(); b++ {
+			if b == a {
 				continue
 			}
-			for _, w := range adj[u] {
-				switch state[w] {
-				case 0:
-					parent[w] = u
-					stack = append(stack, w)
-				case 1:
-					// Back edge u→w closes a cycle w → ... → u → w.
-					var cyc []label
-					for x := u; x != -1 && len(cyc) < 8; x = parent[x] {
-						cyc = append(cyc, labels[x])
-						if x == w {
-							break
-						}
-					}
-					sort.Slice(cyc, func(a, b int) bool {
-						if cyc[a].rank != cyc[b].rank {
-							return cyc[a].rank < cyc[b].rank
-						}
-						return cyc[a].site < cyc[b].site
-					})
-					var b strings.Builder
-					for i, l := range cyc {
-						if i > 0 {
-							b.WriteString(", ")
-						}
-						fmt.Fprintf(&b, "rank %d instr %d", l.rank, l.site)
-					}
-					return v.err(VerifyDeadlock, labels[w].rank, labels[w].site, "happens-before cycle through {%s}: these ranks would wait on each other forever", b.String())
-				}
+			if rb, _, inb := at(b); ina.recvRows[b] != len(inb.sendIdx[a]) {
+				return v.err(VerifyMatching, ra, sa, "all-to-allv: rank %d expects %d rows from rank %d, which packs %d", ra, ina.recvRows[b], rb, len(inb.sendIdx[a]))
 			}
 		}
 	}

@@ -14,7 +14,7 @@ import (
 
 // This file is the Verify mutation suite: for every engine × P it clones the
 // compiled plan, corrupts it one hazard class at a time — dropped receive,
-// happens-before cycle, tag/size mismatch, broken group participation,
+// send/recv wait cycle, tag/size mismatch, broken group participation,
 // aliased overlap buffer — and asserts the static checker rejects each with
 // a typed, rank-attributed *VerifyError while the unmutated clone passes.
 // The clones corrupt exactly the state a buggy compiler or a future plan
@@ -287,6 +287,75 @@ func TestVerifyMutations(t *testing.T) {
 			t.Errorf("mutation class %s applied to %d plans, want %d", m.name, applied[m.name], want[m.name])
 		}
 	}
+}
+
+// FuzzVerifySound checks Verify against the executors themselves. A compiled
+// plan of every feasible engine at P ∈ {4, 8} takes one single-rank edit —
+// delete, duplicate or swap instructions, bump a tag, or change a peer or a
+// root. Verify must return nil or a *VerifyError, never panic; and whenever it
+// accepts the edited plan, both executors must run it to completion on a sim
+// world within the chaos timeout.
+func FuzzVerifySound(f *testing.F) {
+	const n, width = 48, 3
+	a := gen.ErdosRenyi(n, 5, 31).NormalizedAdjacency()
+	var plans []*Plan
+	for _, p := range []int{4, 8} {
+		w := comm.NewWorld(p, machine.Perlmutter())
+		for _, spec := range EnumerateCandidates(p) {
+			if spec.Skip != "" {
+				continue
+			}
+			e, err := NewEngine(w, spec.Name, spec.C, a, UniformLayout(n, p/spec.C))
+			if err != nil {
+				f.Fatal(err)
+			}
+			plans = append(plans, e.Plan())
+		}
+	}
+	for seed := 0; seed < 6*len(plans); seed++ { // every edit on every plan
+		f.Add(uint8(seed), uint8(seed*3), uint8(seed/len(plans)), uint16(seed*5), uint16(seed*11+1))
+	}
+	f.Fuzz(func(t *testing.T, which, rank, edit uint8, i, j uint16) {
+		mut := clonePlan(plans[int(which)%len(plans)])
+		r := int(rank) % len(mut.progs)
+		prog := mut.progs[r]
+		if len(prog) == 0 {
+			return
+		}
+		x, y := int(i)%len(prog), int(j)%len(prog)
+		switch edit % 6 {
+		case 0:
+			mut.progs[r] = append(append([]instr(nil), prog[:x]...), prog[x+1:]...)
+		case 1:
+			mut.progs[r] = append(append(append([]instr(nil), prog[:x+1]...), prog[x]), prog[x+1:]...)
+		case 2:
+			prog[x], prog[y] = prog[y], prog[x]
+		case 3:
+			prog[x].tag++
+		case 4:
+			prog[x].peer = int(j) % len(mut.progs)
+		case 5:
+			prog[x].root = int(j) % len(mut.progs)
+		}
+		err := Verify(mut)
+		if err != nil {
+			var ve *VerifyError
+			if !errors.As(err, &ve) {
+				t.Fatalf("rejection is not a *VerifyError: %v", err)
+			}
+			return
+		}
+		for _, mode := range []ExecMode{ExecSequential, ExecOverlap} {
+			e := newPlanEngine(mut)
+			e.SetExecMode(mode)
+			if err := mut.world.RunTimeout(chaosTimeout, func(rk *comm.Rank) error {
+				e.MultiplyInto(rk, dense.New(mut.inRowsOf(rk.ID), width), dense.New(mut.outRows[rk.ID], width))
+				return nil
+			}); err != nil {
+				t.Fatalf("%s: edit %d at rank %d accepted by Verify, but the %s executor fails: %v", mut.name, edit%6, r, mode, err)
+			}
+		}
+	})
 }
 
 // TestVerifyErrorText pins the rank/site attribution format of VerifyError.
