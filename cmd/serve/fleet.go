@@ -4,10 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"sagnn"
 	"sagnn/internal/partition"
@@ -49,29 +45,13 @@ func runFleet(ds *sagnn.Dataset, model *sagnn.Model, scfg serve.Config, k int, p
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Addr: addr, Handler: rt.Handler()}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
+	defer rt.Close()
 	fmt.Printf("router serving on %s fronting %d replicas (%s policy)\n", addr, k, policy)
-
-	select {
-	case err := <-errCh:
-		rt.Close()
+	if err := serveUntilSignal(addr, rt.Handler(), "fleet"); err != nil {
 		return err
-	case <-ctx.Done():
-	}
-	fmt.Println("\nshutting down fleet...")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "shutdown:", err)
 	}
 	// Snapshot before closing: the aggregation probes replica /metrics.
-	snap := rt.Metrics(shutdownCtx)
-	rt.Close()
+	snap := rt.Metrics(context.Background())
 	fmt.Printf("fleet served %d requests (%d failed, %d shed), %.1f qps, p99 %.2fms\n",
 		snap.Requests, snap.Failed, snap.Shed, snap.QPS, snap.Latency.P99Ms)
 	fmt.Printf("routing: %d splits, %d reroutes, %d generation retries, %d swaps; cache hit rate %.3f, gather fraction %.4f\n",

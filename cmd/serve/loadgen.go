@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"sagnn/internal/retry"
+	"sagnn/internal/router"
+	"sagnn/internal/serve"
 )
 
 // loadConfig parameterizes one load-generator run.
@@ -29,8 +31,6 @@ type loadConfig struct {
 	// scenario shapes the traffic and optional mid-run chaos:
 	//   uniform — uniform vertex popularity (plus the -hot fraction)
 	//   zipf    — Zipfian vertex popularity with exponent zipfS
-	//   flash   — uniform, with a flash crowd on a 32-vertex hot set
-	//             during the middle third of the run
 	//   swap    — zipf traffic; at half-time POST swapModel to /admin/swap
 	//   kill    — zipf traffic; at half-time POST /admin/kill?replica=K
 	scenario    string
@@ -39,41 +39,19 @@ type loadConfig struct {
 	killReplica int
 }
 
-// flashSetSize is the hot-set size a flash crowd collapses onto.
-const flashSetSize = 32
-
-// newPicker returns the per-client vertex picker for the scenario. frac is
-// the elapsed fraction of the run, letting time-shaped scenarios (flash)
-// switch phases.
-func (cfg loadConfig) newPicker(rng *rand.Rand, n int) (func(verts []int, frac float64), error) {
-	zipfPicker := func() (func(verts []int, frac float64), error) {
+// newPicker returns the per-client vertex picker for the scenario.
+func (cfg loadConfig) newPicker(rng *rand.Rand, n int) (func(verts []int), error) {
+	switch cfg.scenario {
+	case "", "uniform":
+		return func(verts []int) { pickDistinct(rng, verts, n, cfg.hot) }, nil
+	case "zipf", "swap", "kill":
 		if cfg.zipfS <= 1 {
 			return nil, fmt.Errorf("zipf exponent -zipfs must be > 1, got %v", cfg.zipfS)
 		}
 		z := rand.NewZipf(rng, cfg.zipfS, 1, uint64(n-1))
-		return func(verts []int, _ float64) {
-			fillDistinct(verts, func() int { return int(z.Uint64()) })
-		}, nil
-	}
-	switch cfg.scenario {
-	case "", "uniform":
-		return func(verts []int, _ float64) { pickDistinct(rng, verts, n, cfg.hot) }, nil
-	case "zipf", "swap", "kill":
-		return zipfPicker()
-	case "flash":
-		flashN := flashSetSize
-		if flashN < cfg.perReq || flashN > n {
-			flashN = n
-		}
-		return func(verts []int, frac float64) {
-			if frac >= 1.0/3 && frac < 2.0/3 {
-				pickDistinct(rng, verts, flashN, 0)
-			} else {
-				pickDistinct(rng, verts, n, cfg.hot)
-			}
-		}, nil
+		return func(verts []int) { fillDistinct(verts, func() int { return int(z.Uint64()) }) }, nil
 	default:
-		return nil, fmt.Errorf("unknown scenario %q (uniform, zipf, flash, swap, kill)", cfg.scenario)
+		return nil, fmt.Errorf("unknown scenario %q (uniform, zipf, swap, kill)", cfg.scenario)
 	}
 }
 
@@ -155,7 +133,7 @@ func runLoadgen(cfg loadConfig) error {
 			client := &http.Client{Timeout: 30 * time.Second}
 			verts := make([]int, cfg.perReq)
 			for time.Now().Before(deadline) {
-				pick(verts, float64(time.Since(start))/float64(cfg.duration))
+				pick(verts)
 				body, _ := json.Marshal(map[string][]int{"vertices": verts})
 				t0 := time.Now()
 				resp, err := client.Post(cfg.target+"/predict", "application/json", bytes.NewReader(body))
@@ -231,7 +209,7 @@ func runLoadgen(cfg loadConfig) error {
 }
 
 // printFleetMetrics reports the router's fleet-level aggregates when the
-// target is a router (a plain serve.Server's /metrics lacks these keys).
+// target is a router (a plain serve.Server's /metrics names no replicas).
 // Best-effort: a target without /metrics is not an error.
 func printFleetMetrics(target string) {
 	resp, err := http.Get(target + "/metrics")
@@ -239,20 +217,12 @@ func printFleetMetrics(target string) {
 		return
 	}
 	defer resp.Body.Close()
-	var m map[string]any
-	if json.NewDecoder(resp.Body).Decode(&m) != nil {
+	var m router.Snapshot
+	if json.NewDecoder(resp.Body).Decode(&m) != nil || m.Replicas == 0 {
 		return
 	}
-	hit, ok := m["fleet_cache_hit_rate"].(float64)
-	if !ok {
-		return
-	}
-	gather, _ := m["fleet_gather_fraction"].(float64)
-	healthy, _ := m["healthy_replicas"].(float64)
-	replicas, _ := m["replicas"].(float64)
-	gen, _ := m["generation"].(float64)
-	fmt.Printf("fleet: cache hit rate %.3f  gather fraction %.4f  healthy %.0f/%.0f  generation %.0f\n",
-		hit, gather, healthy, replicas, gen)
+	fmt.Printf("fleet: cache hit rate %.3f  gather fraction %.4f  healthy %d/%d  generation %d\n",
+		m.FleetCacheHitRate, m.FleetGatherFraction, m.Healthy, m.Replicas, m.Generation)
 }
 
 // pickDistinct fills verts with distinct vertex ids; a hot fraction of
@@ -298,9 +268,7 @@ func serverVertices(target string) (int, error) {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	var h struct {
-		Vertices int `json:"vertices"`
-	}
+	var h serve.Health
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		return 0, err
 	}

@@ -82,7 +82,7 @@ func main() {
 	duration := flag.Duration("duration", 5*time.Second, "loadgen run length")
 	perReq := flag.Int("k", 1, "vertices per loadgen request")
 	hot := flag.Float64("hot", 0, "fraction of loadgen requests drawn from a 64-vertex hot set")
-	scenario := flag.String("scenario", "uniform", "loadgen scenario: uniform, zipf, flash, swap, kill")
+	scenario := flag.String("scenario", "uniform", "loadgen scenario: uniform, zipf, swap, kill")
 	zipfS := flag.Float64("zipfs", 1.3, "Zipf popularity exponent for -scenario zipf/swap/kill (> 1)")
 	swapModel := flag.String("swapmodel", "", "model artifact POSTed to /admin/swap at half-time (-scenario swap)")
 	killReplica := flag.Int("kill-replica", 0, "replica index killed at half-time (-scenario kill)")
@@ -158,31 +158,39 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
 	fmt.Printf("serving on %s (window %v, maxbatch %d, cache %d)\n", *addr, *window, *maxBatch, *cacheSize)
-
-	select {
-	case err := <-errCh:
-		srv.Close()
-		fatal(err)
-	case <-ctx.Done():
-	}
-	fmt.Println("\nshutting down...")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "shutdown:", err)
-	}
+	err = serveUntilSignal(*addr, srv.Handler(), "server")
 	srv.Close()
+	if err != nil {
+		fatal(err)
+	}
 	snap := srv.Metrics()
 	fmt.Printf("served %d requests (%d failed, %d shed, %d panics isolated), %.1f qps, cache hit rate %.2f, %.1f req/batch\n",
 		snap.Requests, snap.Failed, snap.Admission.Shed, snap.Admission.Panics,
 		snap.QPS, snap.Cache.HitRate, snap.Batch.AvgRequests)
+}
+
+// serveUntilSignal serves h on addr until SIGINT or SIGTERM, then stops
+// accepting and drains in-flight requests for up to 5 s. It returns the
+// listener's error if serving fails first; name labels the shutdown line.
+func serveUntilSignal(addr string, h http.Handler, name string) error {
+	httpSrv := &http.Server{Addr: addr, Handler: h}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	errCh := make(chan error, 1)
+	go func() { errCh <- httpSrv.ListenAndServe() }()
+	select {
+	case err := <-errCh:
+		return err
+	case <-ctx.Done():
+	}
+	fmt.Printf("\nshutting down %s...\n", name)
+	drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := httpSrv.Shutdown(drainCtx); err != nil {
+		fmt.Fprintln(os.Stderr, "shutdown:", err)
+	}
+	return nil
 }
 
 // bootstrapModel loads a serialized model/checkpoint, or trains one with

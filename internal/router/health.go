@@ -33,7 +33,7 @@ func (rt *Router) probe(ctx context.Context, r *replica) (serve.Health, error) {
 }
 
 // healthLoop probes every replica each HealthInterval, ejecting after
-// EjectAfter consecutive failures and readmitting after ReadmitAfter
+// ejectAfter consecutive failures and readmitting after readmitAfter
 // consecutive successes — but never before catching a stale replica up to
 // the fleet generation, so a replica that slept through a rolling swap
 // cannot rejoin serving the old model.
@@ -61,7 +61,7 @@ func (rt *Router) checkReplica(ctx context.Context, r *replica) {
 		if err != nil {
 			r.fails++
 			r.oks = 0
-			if r.fails >= rt.cfg.EjectAfter {
+			if r.fails >= ejectAfter {
 				r.healthy.Store(false)
 				r.ejects.Add(1)
 			}
@@ -77,7 +77,7 @@ func (rt *Router) checkReplica(ctx context.Context, r *replica) {
 		return
 	}
 	r.oks++
-	if r.oks < rt.cfg.ReadmitAfter {
+	if r.oks < readmitAfter {
 		return
 	}
 	// Generation catch-up before readmission: re-push the latest swap

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"sagnn/internal/serve"
 )
@@ -27,26 +26,17 @@ type ReplicaSnapshot struct {
 // the per-replica serving snapshots with their fleet-weighted aggregates —
 // the cache hit rate and gather fraction the sharding exists to improve.
 type Snapshot struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Policy        string  `json:"policy"`
-	Replicas      int     `json:"replicas"`
-	Healthy       int     `json:"healthy_replicas"`
-	Generation    uint64  `json:"generation"` // fleet target
+	serve.FrontSnapshot // fleet traffic, and admission under "admission"
 
-	Requests uint64  `json:"requests"`
-	Failed   uint64  `json:"failed"`
-	Shed     uint64  `json:"shed"`
-	QPS      float64 `json:"qps"`
-
-	Latency serve.LatencySnapshot `json:"latency"`
+	Policy     string `json:"policy"`
+	Replicas   int    `json:"replicas"`
+	Healthy    int    `json:"healthy_replicas"`
+	Generation uint64 `json:"generation"` // fleet target
 
 	Splits     uint64 `json:"splits"`             // requests split across >1 replica
 	GenRetries uint64 `json:"generation_retries"` // merge-time generation conflicts retried whole
 	Reroutes   uint64 `json:"reroutes"`           // sub-requests diverted off unhealthy/unreachable replicas
 	Swaps      uint64 `json:"swaps"`              // completed rolling swaps
-
-	InFlight    int64 `json:"in_flight"`
-	MaxInFlight int   `json:"max_in_flight"`
 
 	// FleetCacheHitRate is Σ hits / Σ (hits+misses) across replicas — the
 	// number partition-aware routing multiplies by giving each replica its
@@ -62,25 +52,15 @@ type Snapshot struct {
 // Metrics assembles the aggregated fleet snapshot, probing every replica's
 // /metrics endpoint for its serving counters.
 func (rt *Router) Metrics(ctx context.Context) Snapshot {
-	up := time.Since(rt.start).Seconds()
 	snap := Snapshot{
-		UptimeSeconds: up,
+		FrontSnapshot: rt.front.Snapshot(),
 		Policy:        string(rt.cfg.Policy),
 		Replicas:      len(rt.replicas),
 		Generation:    rt.targetGen.Load(),
-		Requests:      rt.requests.Load(),
-		Failed:        rt.failed.Load(),
-		Shed:          rt.shed.Load(),
 		Splits:        rt.splits.Load(),
 		GenRetries:    rt.genRetries.Load(),
 		Reroutes:      rt.reroutes.Load(),
 		Swaps:         rt.swaps.Load(),
-		InFlight:      rt.inFlight.Load(),
-		MaxInFlight:   rt.cfg.MaxInFlight,
-		Latency:       rt.lat.Snapshot(),
-	}
-	if up > 0 {
-		snap.QPS = float64(snap.Requests) / up
 	}
 	var hits, misses uint64
 	var gatherWeighted float64
@@ -136,7 +116,7 @@ func (rt *Router) replicaMetrics(ctx context.Context, r *replica) (*serve.Snapsh
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.Metrics(r.Context()))
+	serve.WriteJSON(w, http.StatusOK, rt.Metrics(r.Context()))
 }
 
 // FleetHealth is the router's GET /healthz document.
@@ -174,5 +154,5 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	default:
 		h.Status = "ok"
 	}
-	writeJSON(w, code, h)
+	serve.WriteJSON(w, code, h)
 }

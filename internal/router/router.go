@@ -62,8 +62,15 @@ const (
 // ErrConfig tags a rejected router configuration.
 var ErrConfig = errors.New("router: invalid config")
 
-// InFlightUnlimited disables fleet-wide admission control.
-const InFlightUnlimited = -1
+// The health loop ejects a replica after ejectAfter consecutive failed
+// probes and readmits it after readmitAfter consecutive successful ones —
+// after its generation has been caught up to the fleet target.
+// PolicyRandom's replica stream starts at randomSeed.
+const (
+	ejectAfter   = 2
+	readmitAfter = 2
+	randomSeed   = 1
+)
 
 // Config tunes the router. The zero value selects the defaults (partition
 // policy, which requires PartOf).
@@ -76,24 +83,15 @@ type Config struct {
 	Policy Policy
 	// MaxInFlight is the fleet-wide admission limit: whole client requests
 	// beyond this many in flight are shed with 503 + Retry-After before any
-	// replica is touched. Default 4096; InFlightUnlimited disables.
+	// replica is touched. Default 4096; serve.InFlightUnlimited disables.
 	MaxInFlight int
 	// HealthInterval is the probe period of the health loop (default
 	// 250ms).
 	HealthInterval time.Duration
-	// EjectAfter ejects a replica after this many consecutive failed
-	// probes (default 2).
-	EjectAfter int
-	// ReadmitAfter readmits an ejected replica after this many consecutive
-	// successful probes — after its generation has been caught up to the
-	// fleet target (default 2).
-	ReadmitAfter int
 	// Kill, if set, is the chaos hook behind POST /admin/kill: it
 	// terminates replica i (in-process fleets close the serve.Server).
 	// Unset, the endpoint answers 501.
 	Kill func(i int) error
-	// Seed feeds PolicyRandom's replica choice (default 1).
-	Seed int64
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -106,32 +104,15 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Policy == PolicyPartition && c.PartOf == nil {
 		return c, fmt.Errorf("%w: PolicyPartition requires PartOf", ErrConfig)
 	}
-	switch {
-	case c.MaxInFlight == 0:
-		c.MaxInFlight = 4096
-	case c.MaxInFlight < 0 && c.MaxInFlight != InFlightUnlimited:
-		return c, fmt.Errorf("%w: MaxInFlight %d is negative (use InFlightUnlimited to disable shedding)", ErrConfig, c.MaxInFlight)
+	var err error
+	if c.MaxInFlight, err = serve.InFlightLimit(c.MaxInFlight, 4096); err != nil {
+		return c, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	if c.HealthInterval == 0 {
 		c.HealthInterval = 250 * time.Millisecond
 	}
 	if c.HealthInterval < 0 {
 		return c, fmt.Errorf("%w: HealthInterval %v is negative", ErrConfig, c.HealthInterval)
-	}
-	if c.EjectAfter == 0 {
-		c.EjectAfter = 2
-	}
-	if c.EjectAfter < 1 {
-		return c, fmt.Errorf("%w: EjectAfter %d < 1", ErrConfig, c.EjectAfter)
-	}
-	if c.ReadmitAfter == 0 {
-		c.ReadmitAfter = 2
-	}
-	if c.ReadmitAfter < 1 {
-		return c, fmt.Errorf("%w: ReadmitAfter %d < 1", ErrConfig, c.ReadmitAfter)
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c, nil
 }
@@ -170,13 +151,8 @@ type Router struct {
 	dataset  string // dataset name, from the boot probe
 	classes  int
 
-	start    time.Time
-	lat      *serve.LatencyRing
-	inFlight atomic.Int64
+	front *serve.Front // admission gate and traffic counters
 
-	requests   atomic.Uint64 // successfully answered /predict calls
-	failed     atomic.Uint64 // errored calls (not shed)
-	shed       atomic.Uint64 // router-level admission 503s
 	splits     atomic.Uint64 // requests split across >1 replica
 	genRetries atomic.Uint64 // merge-time generation conflicts retried whole
 	reroutes   atomic.Uint64 // sub-requests diverted off an unreachable replica
@@ -207,11 +183,10 @@ func New(handlers []http.Handler, cfg Config) (*Router, error) {
 	}
 	rt := &Router{
 		cfg:        cfg,
-		start:      time.Now(),
-		lat:        serve.NewLatencyRing(0),
+		front:      serve.NewFront(cfg.MaxInFlight),
 		healthDone: make(chan struct{}),
 	}
-	rt.rrState.Store(uint64(cfg.Seed))
+	rt.rrState.Store(randomSeed)
 	for i, h := range handlers {
 		name := fmt.Sprintf("replica-%d", i)
 		rt.replicas = append(rt.replicas, &replica{
@@ -308,7 +283,7 @@ type subResult struct {
 	retryAfter string
 	body       serve.PredictResponse
 	errBody    []byte // raw error document for non-200 propagation
-	err        error  // transport-level failure (unreachable replica)
+	err        error  // transport failure; in route's outcome, the router's own failure
 }
 
 // doPredict posts one sub-request to a replica and decodes the outcome.
@@ -357,48 +332,40 @@ func (res subResult) unreachable() bool {
 
 // handlePredict routes one client request across the fleet.
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
+	req, ok := rt.front.DecodePredict(w, r)
+	if !ok {
 		return
 	}
 	if rt.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("router: closed"))
-		return
-	}
-	var req serve.PredictRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		rt.failed.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		serve.WriteError(w, http.StatusServiceUnavailable, errors.New("router: closed"))
 		return
 	}
 	// Fleet-wide admission: shed whole requests before touching replicas.
-	n := rt.inFlight.Add(1)
-	defer rt.inFlight.Add(-1)
-	if max := rt.cfg.MaxInFlight; max > 0 && n > int64(max) {
-		rt.shed.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("router: fleet overloaded: %d requests in flight (limit %d)", n-1, max))
+	if err := rt.front.Enter(); err != nil {
+		serve.WriteFailure(w, err)
 		return
 	}
+	defer rt.front.Leave()
 	start := time.Now()
-	status, retryAfter, resp, errBody := rt.route(r.Context(), req.Vertices)
+	res := rt.route(r.Context(), req.Vertices)
 	switch {
-	case status == http.StatusOK:
-		rt.requests.Add(1)
-		rt.lat.Observe(time.Since(start))
-		writeJSON(w, http.StatusOK, resp)
-	case status == http.StatusServiceUnavailable:
+	case res.err != nil:
+		rt.front.Failed()
+		serve.WriteError(w, res.status, res.err)
+	case res.status == http.StatusOK:
+		rt.front.Served(start)
+		serve.WriteJSON(w, http.StatusOK, res.body)
+	case res.status == http.StatusServiceUnavailable:
 		// A replica shed the sub-request: propagate the backpressure with
 		// the largest Retry-After any replica asked for.
-		rt.shed.Add(1)
-		if retryAfter != "" {
-			w.Header().Set("Retry-After", retryAfter)
+		rt.front.Shed()
+		if res.retryAfter != "" {
+			w.Header().Set("Retry-After", res.retryAfter)
 		}
-		writeRaw(w, status, errBody)
+		writeRaw(w, res.status, res.errBody)
 	default:
-		rt.failed.Add(1)
-		writeRaw(w, status, errBody)
+		rt.front.Failed()
+		writeRaw(w, res.status, res.errBody)
 	}
 }
 
@@ -414,9 +381,10 @@ type group struct {
 // one the router cannot map (empty, out-of-range vertices — the replica
 // owns validation and answers with exact single-server semantics) and the
 // retry after a generation conflict go whole, as one group pinned to one
-// replica. Returns the HTTP status, a Retry-After value for 503s, the merged
-// response for 200s, and the error document otherwise.
-func (rt *Router) route(ctx context.Context, vertices []int) (int, string, serve.PredictResponse, []byte) {
+// replica. The outcome is one subResult: a 200 with the merged response, a
+// replica's status, Retry-After and error document, or the router's own
+// failure in err with the status that answers it.
+func (rt *Router) route(ctx context.Context, vertices []int) subResult {
 	pin := -1
 	if rt.cfg.Policy == PolicyRandom {
 		pin = rt.nextRandom()
@@ -430,8 +398,7 @@ func (rt *Router) route(ctx context.Context, vertices []int) (int, string, serve
 		for i := range groups {
 			if g := &groups[i]; !rt.replicas[g.replica].healthy.Load() {
 				if g.replica = rt.fallback(g.replica); g.replica < 0 {
-					return http.StatusServiceUnavailable, "", serve.PredictResponse{},
-						errDoc("router: no healthy replicas")
+					return subResult{status: http.StatusServiceUnavailable, err: errors.New("router: no healthy replicas")}
 				}
 				rt.reroutes.Add(1)
 			}
@@ -464,16 +431,16 @@ func (rt *Router) route(ctx context.Context, vertices []int) (int, string, serve
 		// a prediction.
 		for _, res := range results {
 			if res.err != nil {
-				return http.StatusBadGateway, "", serve.PredictResponse{},
-					errDoc(fmt.Sprintf("router: replica unreachable: %v", res.err))
+				return subResult{status: http.StatusBadGateway, err: fmt.Errorf("router: replica unreachable: %v", res.err)}
 			}
 			if res.status != http.StatusOK {
-				return res.status, maxRetryAfter(results), serve.PredictResponse{}, res.errBody
+				res.retryAfter = maxRetryAfter(results)
+				return res
 			}
 		}
 		if len(groups) == 1 {
 			// One group holds the whole request in input order.
-			return http.StatusOK, "", results[0].body, nil
+			return results[0]
 		}
 
 		// Generation consistency: a rolling swap may have answered different
@@ -498,7 +465,7 @@ func (rt *Router) route(ctx context.Context, vertices []int) (int, string, serve
 				merged.Probs[pos] = results[i].body.Probs[j]
 			}
 		}
-		return http.StatusOK, "", merged, nil
+		return subResult{status: http.StatusOK, body: merged}
 	}
 }
 
@@ -570,28 +537,13 @@ func maxRetryAfter(results []subResult) string {
 	return strconv.Itoa(max)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
 // writeRaw forwards a replica's error document verbatim.
 func writeRaw(w http.ResponseWriter, code int, body []byte) {
+	if len(body) == 0 {
+		serve.WriteError(w, code, errors.New(http.StatusText(code)))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	if len(body) == 0 {
-		body = errDoc(http.StatusText(code))
-	}
 	_, _ = w.Write(body)
-}
-
-// errDoc builds the JSON error document shape serve uses.
-func errDoc(msg string) []byte {
-	b, _ := json.Marshal(map[string]string{"error": msg})
-	return b
 }

@@ -143,8 +143,6 @@ func TestConfigValidation(t *testing.T) {
 		{"unknown policy", Config{Policy: "teleport"}},
 		{"negative MaxInFlight", Config{Policy: PolicyRandom, MaxInFlight: -2}},
 		{"negative HealthInterval", Config{Policy: PolicyRandom, HealthInterval: -time.Second}},
-		{"negative EjectAfter", Config{Policy: PolicyRandom, EjectAfter: -1}},
-		{"negative ReadmitAfter", Config{Policy: PolicyRandom, ReadmitAfter: -1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -264,8 +262,9 @@ func TestRouterAdmissionControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	started := make(chan struct{})
+	started, done := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(done)
 		body, _ := json.Marshal(serve.PredictRequest{Vertices: []int{1}})
 		req := httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body))
 		close(started)
@@ -280,6 +279,25 @@ func TestRouterAdmissionControl(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("router shed without Retry-After")
+	}
+	// The shed is on the router's /metrics under the keys CI's overload
+	// gate reads off a replica, and the gauge drains once both finish.
+	<-done
+	w := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var doc struct {
+		Admission struct {
+			Shed        *uint64 `json:"shed"`
+			MaxInFlight *int    `json:"max_in_flight"`
+			InFlight    *int64  `json:"in_flight"`
+		} `json:"admission"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if a := doc.Admission; a.Shed == nil || *a.Shed != 1 || a.MaxInFlight == nil || *a.MaxInFlight != 1 ||
+		a.InFlight == nil || *a.InFlight != 0 {
+		t.Fatalf("router /metrics admission block: %s", w.Body)
 	}
 }
 

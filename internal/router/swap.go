@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+
+	"sagnn/internal/serve"
 )
 
 // replicaSwap is one replica's outcome in a rolling swap.
@@ -43,13 +45,12 @@ func (rt *Router) pushSwap(ctx context.Context, r *replica, data []byte, wantGen
 // fleet target generation only advances when every in-service replica
 // swapped.
 func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
+	if !serve.PostOnly(w, r) {
 		return
 	}
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading model: %w", err))
+		serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading model: %w", err))
 		return
 	}
 	rt.swapMu.Lock()
@@ -65,7 +66,7 @@ func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
 		epoch, err := rt.pushSwapWithEpoch(r.Context(), rep, data, wantGen)
 		if err != nil {
 			out.Replicas = append(out.Replicas, replicaSwap{Name: rep.name, Error: err.Error()})
-			writeJSON(w, http.StatusBadGateway, out)
+			serve.WriteJSON(w, http.StatusBadGateway, out)
 			return
 		}
 		if !epochSet {
@@ -76,7 +77,7 @@ func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
 	rt.artifact.Store(&swapArtifact{data: data, gen: wantGen})
 	rt.targetGen.Store(wantGen)
 	rt.swaps.Add(1)
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 // pushSwapWithEpoch is pushSwap plus the checkpoint epoch the replica
@@ -121,30 +122,29 @@ func (rt *Router) pushSwapWithEpoch(ctx context.Context, r *replica, data []byte
 // Fleet owners wire the callback to serve.Server.Close for in-process
 // replicas; without one the endpoint answers 501.
 func (rt *Router) handleKill(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
+	if !serve.PostOnly(w, r) {
 		return
 	}
 	if rt.cfg.Kill == nil {
-		writeError(w, http.StatusNotImplemented, fmt.Errorf("router: no kill hook configured"))
+		serve.WriteError(w, http.StatusNotImplemented, fmt.Errorf("router: no kill hook configured"))
 		return
 	}
 	idx, err := strconv.Atoi(r.URL.Query().Get("replica"))
 	if err != nil || idx < 0 || idx >= len(rt.replicas) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("router: bad replica index %q", r.URL.Query().Get("replica")))
+		serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("router: bad replica index %q", r.URL.Query().Get("replica")))
 		return
 	}
 	rep := rt.replicas[idx]
 	if rep.killed.Swap(true) {
-		writeError(w, http.StatusConflict, fmt.Errorf("router: %s already killed", rep.name))
+		serve.WriteError(w, http.StatusConflict, fmt.Errorf("router: %s already killed", rep.name))
 		return
 	}
 	if rep.healthy.Swap(false) {
 		rep.ejects.Add(1)
 	}
 	if err := rt.cfg.Kill(idx); err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("router: killing %s: %w", rep.name, err))
+		serve.WriteError(w, http.StatusInternalServerError, fmt.Errorf("router: killing %s: %w", rep.name, err))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"killed": rep.name})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"killed": rep.name})
 }

@@ -40,7 +40,7 @@ type Batcher struct {
 	window   time.Duration
 	maxBatch int
 	exec     batchExec
-	onBatch  func(requests, vertices, gathered int)
+	onBatch  func(requests, vertices, gathered int, err error)
 
 	reqs chan *batchReq
 	quit chan struct{}
@@ -60,9 +60,9 @@ type batchReq struct {
 }
 
 // NewBatcher starts the collection loop. exec must be safe to call from the
-// batcher goroutine; onBatch (optional) observes each executed batch for
-// metrics.
-func NewBatcher(window time.Duration, maxBatch int, exec batchExec, onBatch func(requests, vertices, gathered int)) *Batcher {
+// batcher goroutine; onBatch (optional) observes each executed batch, and
+// the error that failed it, for metrics.
+func NewBatcher(window time.Duration, maxBatch int, exec batchExec, onBatch func(requests, vertices, gathered int, err error)) *Batcher {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
@@ -197,8 +197,8 @@ func (b *Batcher) run(batch []*batchReq) {
 		pos[v] = i
 	}
 	rows, classes, gathered, gen, err := b.safeExec(union)
-	if err == nil && b.onBatch != nil {
-		b.onBatch(len(batch), len(union), gathered)
+	if b.onBatch != nil {
+		b.onBatch(len(batch), len(union), gathered, err)
 	}
 	for _, r := range batch {
 		if err != nil {

@@ -10,7 +10,7 @@ import (
 // distribution: observing 1..1000 ms, p50 is the 500th sorted sample and
 // p99 the 990th — the p99 the CI SLO gate compares against its budget.
 func TestLatencyRingQuantiles(t *testing.T) {
-	r := NewLatencyRing(2048)
+	r := newLatencyRing(2048)
 	for i := 1; i <= 1000; i++ {
 		r.Observe(time.Duration(i) * time.Millisecond)
 	}
@@ -30,7 +30,7 @@ func TestLatencyRingQuantiles(t *testing.T) {
 // capacity samples: after overflowing a 4-slot ring with 1..8 ms, the
 // window is {5,6,7,8}.
 func TestLatencyRingWindowSlides(t *testing.T) {
-	r := NewLatencyRing(4)
+	r := newLatencyRing(4)
 	for i := 1; i <= 8; i++ {
 		r.Observe(time.Duration(i) * time.Millisecond)
 	}
@@ -51,7 +51,7 @@ func TestLatencyRingWindowSlides(t *testing.T) {
 // aggregate counters and that the quantiles summarize every sample the
 // sliding window can hold.
 func TestMetricsConcurrentWritersAndSnapshots(t *testing.T) {
-	m := NewMetrics()
+	f, m := NewFront(1024), new(Metrics)
 	// 8 × 600 = 4800 observations overflow the 4096-sample ring, so the
 	// final snapshot must report a full sliding window.
 	const writers, perWriter = 8, 600
@@ -61,12 +61,12 @@ func TestMetricsConcurrentWritersAndSnapshots(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				m.requests.Add(1)
+				f.requests.Add(1)
 				m.vertices.Add(3)
 				m.cacheHits.Add(2)
 				m.cacheMisses.Add(1)
-				m.shed.Add(1)
-				m.lat.Observe(time.Duration(w*perWriter+i+1) * time.Microsecond)
+				f.shed.Add(1)
+				f.lat.Observe(time.Duration(w*perWriter+i+1) * time.Microsecond)
 			}
 		}(w)
 	}
@@ -76,7 +76,7 @@ func TestMetricsConcurrentWritersAndSnapshots(t *testing.T) {
 	go func() {
 		defer close(readDone)
 		for i := 0; i < 200; i++ {
-			snap := m.snapshot(0, 0, 1, -1, 100, 0, 1024)
+			snap := m.snapshot(f.Snapshot(), 0, 0, 1, -1, 100)
 			if snap.Latency.P99Ms < snap.Latency.P50Ms {
 				t.Errorf("p99 %v < p50 %v", snap.Latency.P99Ms, snap.Latency.P50Ms)
 				return
@@ -86,7 +86,7 @@ func TestMetricsConcurrentWritersAndSnapshots(t *testing.T) {
 	wg.Wait()
 	<-readDone
 
-	snap := m.snapshot(5, 16, 2, 3, 100, 1, 1024)
+	snap := m.snapshot(f.Snapshot(), 5, 16, 2, 3, 100)
 	total := uint64(writers * perWriter)
 	if snap.Requests != total || snap.Vertices != 3*total || snap.Admission.Shed != total {
 		t.Fatalf("counters: requests %d vertices %d shed %d, want %d/%d/%d",

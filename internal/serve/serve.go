@@ -16,7 +16,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -113,11 +112,9 @@ func (c Config) withDefaults() (Config, error) {
 	case c.MaxRequestVertices < 1:
 		return c, fmt.Errorf("%w: MaxRequestVertices %d < 1", ErrConfig, c.MaxRequestVertices)
 	}
-	switch {
-	case c.MaxInFlight == 0:
-		c.MaxInFlight = 1024
-	case c.MaxInFlight < 0 && c.MaxInFlight != InFlightUnlimited:
-		return c, fmt.Errorf("%w: MaxInFlight %d is negative (use InFlightUnlimited to disable shedding)", ErrConfig, c.MaxInFlight)
+	var err error
+	if c.MaxInFlight, err = InFlightLimit(c.MaxInFlight, 1024); err != nil {
+		return c, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	switch {
 	case c.RequestTimeout == 0:
@@ -129,8 +126,9 @@ func (c Config) withDefaults() (Config, error) {
 }
 
 // ErrOverloaded sheds a request when MaxInFlight predictions are already
-// being served; HTTP callers map it to 503 with Retry-After.
-var ErrOverloaded = errors.New("serve: server overloaded")
+// being served (by a replica, or by the whole fleet behind a router); HTTP
+// callers map it to 503 with Retry-After.
+var ErrOverloaded = errors.New("serve: overloaded")
 
 // modelState is one immutable serving generation: the model, its private
 // cache, and its lineage. Swaps publish a whole new state through one
@@ -149,12 +147,12 @@ type Server struct {
 	classes int
 	cfg     Config
 
-	state    atomic.Pointer[modelState]
-	batcher  *Batcher
-	metrics  *Metrics
-	mux      *http.ServeMux
-	closed   atomic.Bool
-	inFlight atomic.Int64
+	state   atomic.Pointer[modelState]
+	batcher *Batcher
+	front   *Front
+	metrics Metrics
+	mux     *http.ServeMux
+	closed  atomic.Bool
 }
 
 // New builds a server for the model over the dataset and starts its
@@ -170,14 +168,20 @@ func New(ds *sagnn.Dataset, model *sagnn.Model, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ds: ds, classes: model.Classes(), cfg: cfg, metrics: NewMetrics()}
+	s := &Server{ds: ds, classes: model.Classes(), cfg: cfg, front: NewFront(cfg.MaxInFlight)}
 	s.state.Store(&modelState{
 		model:      model,
 		cache:      NewCache(s.cfg.CacheSize),
 		generation: 1,
 		epoch:      -1,
 	})
-	s.batcher = NewBatcher(s.cfg.BatchWindow, s.cfg.MaxBatch, s.execBatch, func(requests, vertices, gathered int) {
+	s.batcher = NewBatcher(s.cfg.BatchWindow, s.cfg.MaxBatch, s.execBatch, func(requests, vertices, gathered int, err error) {
+		if err != nil {
+			if errors.Is(err, ErrInferencePanic) {
+				s.front.panics.Add(1)
+			}
+			return
+		}
 		s.metrics.batches.Add(1)
 		s.metrics.batchRequests.Add(uint64(requests))
 		s.metrics.batchVertices.Add(uint64(vertices))
@@ -208,25 +212,16 @@ func (s *Server) Close() {
 // execBatch is the batcher's inference callback: one sparsity-aware gather
 // pass over the union of a batch's vertices under the current model state,
 // publishing every row into that state's cache and reporting the state's
-// generation. A panicking inference is isolated here: it fails this batch's
-// requests with ErrInferencePanic and leaves the batcher loop (and every
-// other request) untouched.
-func (s *Server) execBatch(vertices []int) (rows [][]float64, classes []int, gathered int, gen uint64, err error) {
-	defer func() {
-		if e := recover(); e != nil {
-			s.metrics.panics.Add(1)
-			rows, classes, gathered, gen = nil, nil, 0, 0
-			err = fmt.Errorf("%w: %v", ErrInferencePanic, e)
-		}
-	}()
+// generation. The batcher confines a panicking inference to its batch.
+func (s *Server) execBatch(vertices []int) ([][]float64, []int, int, uint64, error) {
 	st := s.state.Load()
 	flat := make([]float64, len(vertices)*s.classes)
-	gathered, err = st.model.ProbabilitiesInto(flat, s.ds, vertices)
+	gathered, err := st.model.ProbabilitiesInto(flat, s.ds, vertices)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	rows = make([][]float64, len(vertices))
-	classes = make([]int, len(vertices))
+	rows := make([][]float64, len(vertices))
+	classes := make([]int, len(vertices))
 	for i, v := range vertices {
 		rows[i] = flat[i*s.classes : (i+1)*s.classes]
 		classes[i] = dense.ArgmaxRow(rows[i])
@@ -254,25 +249,22 @@ func (s *Server) PredictInto(ctx context.Context, vertices []int, classes []int,
 		return 0, ErrClosed
 	}
 	// Admission control: shed rather than queue once MaxInFlight predictions
-	// are already in the system. The gauge counts every request (including
-	// unlimited-mode servers) so /metrics can report live occupancy.
-	n := s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	if max := s.cfg.MaxInFlight; max > 0 && n > int64(max) {
-		s.metrics.shed.Add(1)
-		return 0, fmt.Errorf("%w: %d predictions in flight (limit %d)", ErrOverloaded, n-1, max)
+	// are already in the system.
+	if err := s.front.Enter(); err != nil {
+		return 0, err
 	}
+	defer s.front.Leave()
 	if len(vertices) > s.cfg.MaxRequestVertices {
-		s.metrics.failed.Add(1)
+		s.front.Failed()
 		return 0, fmt.Errorf("serve: %w: %d vertices exceeds per-request limit %d",
 			sagnn.ErrInvalidVertices, len(vertices), s.cfg.MaxRequestVertices)
 	}
 	if err := sagnn.ValidateVertices(s.ds.G.NumVertices(), vertices); err != nil {
-		s.metrics.failed.Add(1)
+		s.front.Failed()
 		return 0, err
 	}
 	if len(classes) != len(vertices) || len(probs) != len(vertices) {
-		s.metrics.failed.Add(1)
+		s.front.Failed()
 		return 0, fmt.Errorf("serve: output slices hold %d/%d entries for %d vertices",
 			len(classes), len(probs), len(vertices))
 	}
@@ -308,7 +300,7 @@ func (s *Server) PredictInto(ctx context.Context, vertices []int, classes []int,
 		}
 		rows, cls, gen, err := s.batcher.Do(ctx, misses)
 		if err != nil {
-			s.metrics.failed.Add(1)
+			s.front.Failed()
 			return 0, err
 		}
 		if gen != st.generation && !bypassCache {
@@ -329,9 +321,8 @@ func (s *Server) PredictInto(ctx context.Context, vertices []int, classes []int,
 func (s *Server) finishRequest(start time.Time, vertices, hits, misses int) {
 	s.metrics.cacheHits.Add(uint64(hits))
 	s.metrics.cacheMisses.Add(uint64(misses))
-	s.metrics.requests.Add(1)
 	s.metrics.vertices.Add(uint64(vertices))
-	s.metrics.lat.Observe(time.Since(start))
+	s.front.Served(start)
 }
 
 // Swap atomically replaces the serving model with a validated replacement —
@@ -391,8 +382,8 @@ func (s *Server) SwapBytes(data []byte) (generation uint64, epoch int, err error
 // Metrics returns the current metrics snapshot.
 func (s *Server) Metrics() Snapshot {
 	st := s.state.Load()
-	return s.metrics.snapshot(st.cache.Len(), st.cache.Capacity(), st.generation, st.epoch,
-		s.ds.G.NumVertices(), s.inFlight.Load(), s.cfg.MaxInFlight)
+	return s.metrics.snapshot(s.front.Snapshot(), st.cache.Len(), st.cache.Capacity(), st.generation, st.epoch,
+		s.ds.G.NumVertices())
 }
 
 // PredictRequest is the POST /predict body. Exported so fleet routers can
@@ -412,28 +403,18 @@ type PredictResponse struct {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
-		return
-	}
-	var req PredictRequest
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.metrics.failed.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	req, ok := s.front.DecodePredict(w, r)
+	if !ok {
 		return
 	}
 	classes := make([]int, len(req.Vertices))
 	probs := make([][]float64, len(req.Vertices))
 	gen, err := s.PredictInto(r.Context(), req.Vertices, classes, probs)
 	if err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeError(w, statusFor(err), err)
+		WriteFailure(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, PredictResponse{Generation: gen, Classes: classes, Probs: probs})
+	WriteJSON(w, http.StatusOK, PredictResponse{Generation: gen, Classes: classes, Probs: probs})
 }
 
 // Health is the GET /healthz document: liveness plus the identity of the
@@ -472,29 +453,28 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, h)
+	WriteJSON(w, code, h)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
+	WriteJSON(w, http.StatusOK, s.Metrics())
 }
 
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
+	if !PostOnly(w, r) {
 		return
 	}
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading model: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("reading model: %w", err))
 		return
 	}
 	gen, epoch, err := s.SwapBytes(data)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"generation": gen, "epoch": epoch})
+	WriteJSON(w, http.StatusOK, map[string]any{"generation": gen, "epoch": epoch})
 }
 
 // statusFor maps serving errors to HTTP statuses: request-shape problems
@@ -512,14 +492,4 @@ func statusFor(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
