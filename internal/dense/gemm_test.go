@@ -50,12 +50,19 @@ func edgyMat(rng *rand.Rand, r, c int) *Matrix {
 	return m
 }
 
+// requireSameBits requires got to equal want bit for bit, except that a NaN
+// matches any NaN: when both operands of an add are NaN, IEEE 754 leaves open
+// whose payload the sum carries, and the compiler orders the operands of the
+// triple loop's adds as it likes.
 func requireSameBits(t *testing.T, what string, want, got *Matrix) {
 	t.Helper()
 	if want.Rows != got.Rows || want.Cols != got.Cols {
 		t.Fatalf("%s: shape %dx%d, want %dx%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
 	}
 	for i, v := range want.Data {
+		if math.IsNaN(v) && math.IsNaN(got.Data[i]) {
+			continue
+		}
 		if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
 			t.Fatalf("%s: element (%d,%d) = %x (%g), want %x (%g)", what, i/want.Cols, i%want.Cols,
 				math.Float64bits(got.Data[i]), got.Data[i], math.Float64bits(v), v)
@@ -63,57 +70,127 @@ func requireSameBits(t *testing.T, what string, want, got *Matrix) {
 	}
 }
 
-// checkGEMMBits requires the four kernels to reproduce the ascending-k triple
-// loop for an m×k by k×n product, on the serial path and on the striped one.
-// aᵀ and bᵀ are exact copies, so one reference serves the transposed forms.
-func checkGEMMBits(t *testing.T, seed int64, m, k, n int) {
+// tileKernels are the tiles this host runs, as tile's vector argument: the
+// portable loop, and the vector tile where the CPU has AVX2.
+var tileKernels = func() []bool {
+	if useVectorTile {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}()
+
+// logVectorSkipped notes that this host tests the portable tile alone.
+func logVectorSkipped(tb testing.TB) {
+	if !useVectorTile {
+		tb.Log("no AVX2 on this CPU: the vector tile is skipped")
+	}
+}
+
+// plantNonFinite overwrites about one entry in 64 with +Inf, −Inf or Go's
+// NaN, so products of Inf and 0, sums of opposite infinities and NaN inputs
+// all reach the kernels, which must carry them as the triple loop does.
+func plantNonFinite(rng *rand.Rand, m *Matrix) {
+	for i := range m.Data {
+		if rng.Intn(64) == 0 {
+			m.Data[i] = [...]float64{math.Inf(1), math.Inf(-1), math.NaN()}[rng.Intn(3)]
+		}
+	}
+}
+
+// checkGEMMBits requires the four GEMM forms to reproduce the ascending-k
+// triple loop for an m×k by k×n product, with every tile this host runs, on
+// the serial path and on the striped one. aᵀ and bᵀ are exact copies, so one
+// reference serves the transposed forms. nonFinite plants infinities and NaNs
+// in a and b.
+func checkGEMMBits(t *testing.T, seed int64, m, k, n int, nonFinite bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	a, b, prior := edgyMat(rng, m, k), edgyMat(rng, k, n), edgyMat(rng, m, n)
+	if nonFinite {
+		plantNonFinite(rng, a)
+		plantNonFinite(rng, b)
+	}
 	at, bt := a.Transpose(), b.Transpose()
 	want := naiveMatMul(a, b)
 	wantAdd := prior.Clone()
 	naiveMatMulAdd(wantAdd, a, b)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 4} {
-		runtime.GOMAXPROCS(procs)
-		what := fmt.Sprintf("%dx%dx%d seed %d procs %d", m, k, n, seed, procs)
-		got := edgyMat(rng, m, n) // dirty: the overwriting forms must not read it
-		MatMulInto(got, a, b)
-		requireSameBits(t, "MatMulInto "+what, want, got)
-		got.CopyFrom(prior)
-		MatMulAddInto(got, a, b)
-		requireSameBits(t, "MatMulAddInto "+what, wantAdd, got)
-		got = edgyMat(rng, m, n)
-		MatMulTransAInto(got, at, b)
-		requireSameBits(t, "MatMulTransAInto "+what, want, got)
-		got = edgyMat(rng, m, n)
-		MatMulTransBInto(got, a, bt)
-		requireSameBits(t, "MatMulTransBInto "+what, want, got)
+	for _, vector := range tileKernels {
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			what := fmt.Sprintf("%dx%dx%d seed %d vector %t procs %d", m, k, n, seed, vector, procs)
+			got := edgyMat(rng, m, n) // dirty: the overwriting forms must not read it
+			stripes(gemmStripe, got, a, b, m, vector)
+			requireSameBits(t, "MatMulInto "+what, want, got)
+			got.CopyFrom(prior)
+			stripes(gemmAddStripe, got, a, b, m, vector)
+			requireSameBits(t, "MatMulAddInto "+what, wantAdd, got)
+			got = edgyMat(rng, m, n)
+			stripes(transAStripe, got, at, b, m, vector)
+			requireSameBits(t, "MatMulTransAInto "+what, want, got)
+			got = edgyMat(rng, m, n)
+			stripes(transBStripe, got, a, bt, m, vector)
+			requireSameBits(t, "MatMulTransBInto "+what, want, got)
+		}
 	}
 }
 
-// gemmBitsShapes hit every remainder of the tile (odd row, 1–3 columns), of
-// the pack panel (8 columns, 256 rows of k) and both sides of the striping
-// threshold, plus the empty inner dimension.
+// gemmBitsShapes hit every remainder of the tile (odd row; 1–3 columns after
+// the vector tile's blocks of 16, 8 and 4), of the k passes (256 for MatMul,
+// 64 and 128 for the transposed forms' panels, 32 and 16 wide) and both
+// sides of the striping threshold, plus the empty inner dimension.
 var gemmBitsShapes = [][3]int{
 	{1, 1, 1}, {2, 3, 4}, {3, 0, 5}, {1, 300, 70}, {7, 255, 3}, {8, 256, 8}, {9, 257, 9},
 	{17, 513, 7}, {127, 31, 41}, {128, 16, 16}, {131, 602, 16}, {257, 64, 33}, {300, 260, 70},
+	{32, 64, 17}, {33, 65, 15}, {63, 127, 12}, {65, 129, 24},
 }
 
 func TestGEMMBits(t *testing.T) {
+	logVectorSkipped(t)
 	for i, s := range gemmBitsShapes {
-		checkGEMMBits(t, int64(i+1), s[0], s[1], s[2])
+		checkGEMMBits(t, int64(i+1), s[0], s[1], s[2], false)
+		checkGEMMBits(t, int64(i+1), s[0], s[1], s[2], true)
 	}
 }
 
 func FuzzGEMMBits(f *testing.F) {
-	f.Add(int64(1), uint16(2), uint16(256), uint16(4))
-	f.Add(int64(2), uint16(199), uint16(300), uint16(40))
-	f.Add(int64(3), uint16(8), uint16(0), uint16(69))
-	f.Fuzz(func(t *testing.T, seed int64, m, k, n uint16) {
-		checkGEMMBits(t, seed, int(m)%300+1, int(k)%600, int(n)%70+1)
+	f.Add(int64(1), uint16(2), uint16(256), uint16(4), false)
+	f.Add(int64(2), uint16(199), uint16(300), uint16(40), false)
+	f.Add(int64(3), uint16(8), uint16(0), uint16(69), false)
+	f.Add(int64(4), uint16(5), uint16(33), uint16(29), true)
+	f.Fuzz(func(t *testing.T, seed int64, m, k, n uint16, nonFinite bool) {
+		logVectorSkipped(t)
+		checkGEMMBits(t, seed, int(m)%300+1, int(k)%600, int(n)%70+1, nonFinite)
 	})
+}
+
+// TestTileVectorMatchesPortable calls the two tiles by name on the same
+// operands — every column count up to three 16-wide blocks and a remainder,
+// strided and contiguous a, with and without add, including kn = 0 — and
+// requires the same bits in both rows and nothing written past len(c0).
+func TestTileVectorMatchesPortable(t *testing.T) {
+	if !useVectorTile {
+		t.Skip("no AVX2 on this CPU: the vector tile is skipped")
+	}
+	rng := rand.New(rand.NewSource(9))
+	const guard = 5
+	for n := 0; n <= 51; n++ {
+		for _, kn := range []int{0, 1, 7, 70} {
+			for _, lda := range []int{1, 3} {
+				ldb := n + rng.Intn(3)
+				a := edgyMat(rng, 2, max(1, kn*lda)).Data
+				a0, a1 := a[:len(a)/2], a[len(a)/2:]
+				b := edgyMat(rng, 1, max(0, (kn-1)*ldb+n)).Data
+				prior := edgyMat(rng, 2, n+guard)
+				for _, add := range []bool{false, true} {
+					want, got := prior.Clone(), prior.Clone()
+					tilePortable(want.Row(0)[:n], want.Row(1)[:n], a0, a1, lda, kn, b, ldb, add)
+					tileVector(got.Row(0)[:n], got.Row(1)[:n], a0, a1, lda, kn, b, ldb, add)
+					requireSameBits(t, fmt.Sprintf("n %d kn %d lda %d add %t", n, kn, lda, add), want, got)
+				}
+			}
+		}
+	}
 }
 
 // TestGEMMSerialPathAllocatesNothing pins the pack panels to the stack: on
@@ -134,32 +211,49 @@ func TestGEMMSerialPathAllocatesNothing(t *testing.T) {
 // against W¹ — on reddit-sim (f = 602) and amazon-sim (f = 300), hidden 16.
 var narrowShapes = [][3]int{{1024, 602, 16}, {2048, 300, 16}}
 
-func benchNarrow(b *testing.B, run func(m, k, n int, rng *rand.Rand) func()) {
+// benchNarrow runs every narrow shape with each tile this host runs, the
+// portable one as "scalar".
+func benchNarrow(b *testing.B, kernel stripeKernel, shape func(m, k, n int) (rows int, c, x, y *Matrix)) {
 	for _, s := range narrowShapes {
 		m, k, n := s[0], s[1], s[2]
-		b.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(b *testing.B) {
-			fn := run(m, k, n, rand.New(rand.NewSource(1)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fn()
+		for _, vector := range tileKernels {
+			tile := "scalar"
+			if vector {
+				tile = "vector"
 			}
-			b.ReportMetric(2*float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-		})
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", m, k, n, tile), func(b *testing.B) {
+				rows, c, x, y := shape(m, k, n)
+				for i := 0; i < b.N; i++ {
+					stripes(kernel, c, x, y, rows, vector)
+				}
+				b.ReportMetric(2*float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
 }
 
 // BenchmarkGEMMNarrow is the forward Z¹ = (Â·X)·W¹.
 func BenchmarkGEMMNarrow(b *testing.B) {
-	benchNarrow(b, func(m, k, n int, rng *rand.Rand) func() {
-		x, w, z := randMat(rng, m, k), randMat(rng, k, n), New(m, n)
-		return func() { MatMulInto(z, x, w) }
+	benchNarrow(b, gemmStripe, func(m, k, n int) (int, *Matrix, *Matrix, *Matrix) {
+		rng := rand.New(rand.NewSource(1))
+		return m, New(m, n), randMat(rng, m, k), randMat(rng, k, n)
 	})
 }
 
 // BenchmarkTransANarrow is the weight gradient Y¹ = (Â·X)ᵀ·G¹.
 func BenchmarkTransANarrow(b *testing.B) {
-	benchNarrow(b, func(m, k, n int, rng *rand.Rand) func() {
-		x, g, y := randMat(rng, m, k), randMat(rng, m, n), New(k, n)
-		return func() { MatMulTransAInto(y, x, g) }
+	benchNarrow(b, transAStripe, func(m, k, n int) (int, *Matrix, *Matrix, *Matrix) {
+		rng := rand.New(rand.NewSource(1))
+		return k, New(k, n), randMat(rng, m, k), randMat(rng, m, n)
+	})
+}
+
+// BenchmarkTransBNarrow is the backward's G¹·(W¹)ᵀ shape with the roles
+// turned: an m×k by (n×k)ᵀ product, b copied transBCols rows at a time into
+// the stack panel.
+func BenchmarkTransBNarrow(b *testing.B) {
+	benchNarrow(b, transBStripe, func(m, k, n int) (int, *Matrix, *Matrix, *Matrix) {
+		rng := rand.New(rand.NewSource(1))
+		return m, New(m, n), randMat(rng, m, k), randMat(rng, n, k)
 	})
 }
