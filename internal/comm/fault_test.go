@@ -6,6 +6,9 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"sagnn/internal/dense"
+	"sagnn/internal/sparse"
 )
 
 // chaosTimeout bounds every faulted run: the acceptance criterion is a typed
@@ -135,21 +138,44 @@ func TestRunErrPropagatesFnError(t *testing.T) {
 	}
 }
 
+// TestRunErrPropagatesRankPanic: a rank's panic is that rank's *RankError,
+// whether the rank raised it or a kernel worker the rank fanned out to did.
 func TestRunErrPropagatesRankPanic(t *testing.T) {
-	w := testWorld(3)
-	err := w.RunTimeout(chaosTimeout, func(r *Rank) error {
-		if r.ID == 2 {
-			panic("kaboom")
-		}
-		return blockForever(r)
-	})
-	if err == nil {
-		t.Fatal("panic did not surface as error")
+	for name, boom := range map[string]func(){
+		"rank":          func() { panic("kaboom") },
+		"kernel worker": badSpMM,
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+			w := testWorld(3)
+			err := w.RunTimeout(chaosTimeout, func(r *Rank) error {
+				if r.ID == 2 {
+					boom()
+				}
+				return blockForever(r)
+			})
+			if err == nil {
+				t.Fatal("panic did not surface as error")
+			}
+			var re *RankError
+			if !errors.As(err, &re) || re.Rank != 2 {
+				t.Fatalf("panic not attributed to rank 2: %v", err)
+			}
+		})
 	}
-	var re *RankError
-	if !errors.As(err, &re) || re.Rank != 2 {
-		t.Fatalf("panic not attributed to rank 2: %v", err)
+}
+
+// badSpMM multiplies by a 1,024-row CSR whose last row has an out-of-range
+// column: at GOMAXPROCS > 1 the index panic is raised on an SpMM worker, not
+// on the calling goroutine.
+func badSpMM() {
+	const n = 1024
+	m := &sparse.CSR{NumRows: n, NumCols: n, RowPtr: make([]int, n+1), ColIdx: make([]int, n), Val: make([]float64, n)}
+	for i := range m.ColIdx {
+		m.RowPtr[i+1], m.ColIdx[i], m.Val[i] = i+1, i, 1
 	}
+	m.ColIdx[n-1] = n
+	m.SpMMInto(dense.New(n, 8), dense.New(n, 8))
 }
 
 func TestRunCtxCancelUnblocksMidCollective(t *testing.T) {

@@ -2,8 +2,8 @@ package dense
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+
+	"sagnn/internal/par"
 )
 
 // All three GEMMs run one micro-kernel shape, tile: a 2-row block of c held
@@ -70,26 +70,20 @@ func checkShapes(op string, k1, k2 int, c *Matrix, rows, cols int) {
 type stripeKernel func(c, a, b *Matrix, lo, hi int, vector bool)
 
 // stripes runs kernel over the n output rows of c, split into one contiguous
-// stripe per GOMAXPROCS worker; each worker owns its rows of c, so no locking
-// is needed. Stripes are whole panels, so a split never halves a row pair.
+// stripe per worker; each stripe owns its rows of c, so no locking is
+// needed. Stripes are whole panels, so a split never halves a row pair.
 func stripes(kernel stripeKernel, c, a, b *Matrix, n int, vector bool) {
-	workers := runtime.GOMAXPROCS(0)
+	workers := par.Workers()
 	if n < stripeMinRows || workers == 1 {
 		kernel(c, a, b, 0, n, vector)
 		return
 	}
 	chunk := (n + workers - 1) / workers
 	chunk = (chunk + transACols - 1) / transACols * transACols
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		wg.Add(1)
-		// The worker fan-out is the parallel path's one allocation.
-		go func(lo, hi int) {
-			defer wg.Done()
-			kernel(c, a, b, lo, hi, vector)
-		}(lo, min(lo+chunk, n))
-	}
-	wg.Wait()
+	par.For((n+chunk-1)/chunk, func(i int) {
+		lo := i * chunk
+		kernel(c, a, b, lo, min(lo+chunk, n), vector)
+	})
 }
 
 // tile computes c_r[j] = Σ_{k<kn} a_r[k·lda]·b[k·ldb+j] for the output rows

@@ -201,24 +201,6 @@ func (m *Matrix) Transpose() *Matrix {
 	return t
 }
 
-// FrobeniusNorm returns sqrt(Σ m_ij²).
-func (m *Matrix) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Sum returns the sum of all elements.
-func (m *Matrix) Sum() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v
-	}
-	return s
-}
-
 // GatherRows returns a new matrix whose k-th row is m.Row(idx[k]). This is
 // the pack step of sparsity-aware communication: collect exactly the rows of
 // H requested by a remote process.

@@ -5,6 +5,7 @@ import (
 
 	"sagnn/internal/comm"
 	"sagnn/internal/dense"
+	"sagnn/internal/par"
 	"sagnn/internal/sparse"
 )
 
@@ -148,7 +149,7 @@ func (rows rowSource) splitRow(i int, layout Layout) []*sparse.CSR {
 // block rows: blocks[i][j] is block row i's column block j.
 func (rows rowSource) split(layout Layout) [][]*sparse.CSR {
 	blocks := make([][]*sparse.CSR, layout.Blocks())
-	parallelBlocks(len(blocks), func(i int) { blocks[i] = rows.splitRow(i, layout) })
+	par.For(len(blocks), func(i int) { blocks[i] = rows.splitRow(i, layout) })
 	return blocks
 }
 
@@ -176,7 +177,7 @@ func buildNnzSchedule(rows rowSource, layout Layout) *nnzSchedule {
 		compact: make([][]*sparse.CSR, k),
 		diag:    make([]*sparse.CSR, k),
 	}
-	parallelBlocks(k, func(i int) {
+	par.For(k, func(i int) {
 		s.recvIdx[i] = make([][]int, k)
 		s.compact[i] = make([]*sparse.CSR, k)
 		for j, blk := range rows.splitRow(i, layout) {

@@ -136,18 +136,6 @@ func (p *Plan) Sites() int {
 	return n
 }
 
-// OpSites returns instruction-site counts by opcode name across all ranks,
-// the per-engine coverage breakdown EXPERIMENTS.md reports.
-func (p *Plan) OpSites() map[string]int {
-	out := make(map[string]int)
-	for _, prog := range p.progs {
-		for i := range prog {
-			out[prog[i].op.String()]++
-		}
-	}
-	return out
-}
-
 // Verify statically checks the plan's communication choreography and
 // returns a *VerifyError describing the first violation found, or nil when
 // the schedule is provably well-formed, deadlock-free, and overlap-safe.

@@ -1,8 +1,6 @@
 package distmm
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"sagnn/internal/dense"
@@ -33,39 +31,4 @@ func growFloats(buf *[]float64, n int) []float64 {
 func asMatrix(hdr *dense.Matrix, rows, cols int, data []float64) *dense.Matrix {
 	hdr.Rows, hdr.Cols, hdr.Data = rows, cols, data
 	return hdr
-}
-
-// parallelBlocks runs fn(i) for every i in [0, n) across up to GOMAXPROCS
-// goroutines. The engine constructors use it to parallelize their
-// per-block-row setup (ExtractBlock / NnzColsInRange / RelabelCols), which
-// is otherwise a serial O(P²) scan of the global matrix. Each fn(i) must
-// write only block row i's state, so the result is deterministic.
-func parallelBlocks(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

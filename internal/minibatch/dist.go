@@ -11,6 +11,7 @@ import (
 	"sagnn/internal/distmm"
 	"sagnn/internal/gcn"
 	"sagnn/internal/opt"
+	"sagnn/internal/par"
 	"sagnn/internal/sparse"
 )
 
@@ -247,19 +248,10 @@ func (d *Dist) newSampler() *sampler {
 }
 
 // sample derives every rank's batch and blocks for (epoch, s) into st, the P
-// independent streams on P goroutines.
+// independent streams spread over par.For's workers.
 func (sm *sampler) sample(st *step, epoch, s int) {
 	derivations.Add(1)
-	var wg sync.WaitGroup
-	for rr := range sm.streams {
-		rr := rr
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sm.streams[rr].draw(sm.d, st, rr, epoch, s)
-		}()
-	}
-	wg.Wait()
+	par.For(len(sm.streams), func(rr int) { sm.streams[rr].draw(sm.d, st, rr, epoch, s) })
 	st.epoch, st.index, st.globalN = epoch, s, 0
 	for _, b := range st.batches {
 		st.globalN += len(b)

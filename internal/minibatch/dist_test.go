@@ -307,10 +307,11 @@ func TestDistSampledFaultSweep(t *testing.T) {
 
 // TestDistStepSteadyStateAllocs pins what a warmed distributed step
 // allocates: deriving a step — P sampling streams, P block chains, the
-// batches — adds only the closures of the P goroutines it fans out on and
-// the wait group they share (10 for the two derivations measured) to what
-// compiling the gather plan from the same bottoms and verifying it cost on
-// their own; sampling itself adds none.
+// batches — adds at most P + 1 allocations for its par.For fan-out (10 for
+// the two derivations measured; AllocsPerRun runs at GOMAXPROCS 1, where
+// that is the one closure handed to par.For) to what compiling the gather
+// plan from the same bottoms and verifying it cost on their own; sampling
+// itself adds none.
 func TestDistStepSteadyStateAllocs(t *testing.T) {
 	d := raggedFixture(19, distmm.ExecSequential)
 	sm := d.newSampler()
@@ -330,7 +331,7 @@ func TestDistStepSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	})
-	const fanOut = 2 * (4 + 1) // per derivation: P = 4 closures and the wait group
+	const fanOut = 2 * (4 + 1) // per derivation: at most P + 1 with P = 4
 	if allocs := testing.AllocsPerRun(20, derive); allocs > recompile+fanOut {
 		t.Fatalf("two warmed derivations allocate %v times, recompiling their gathers %v: want at most %v more", allocs, recompile, fanOut)
 	}

@@ -10,6 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sagnn/internal/dense"
+	"sagnn/internal/sparse"
 )
 
 // This file covers the overload-protection layer: admission control that
@@ -152,30 +155,52 @@ func TestInferencePanicIsolated(t *testing.T) {
 
 // TestBatcherSurvivesPanickingExec pins the batcher-level backstop: a
 // panicking exec fails only its batch with ErrInferencePanic and the
-// collection loop keeps serving later batches.
+// collection loop keeps serving later batches — also when the panic is
+// raised on a kernel worker the exec fanned out to.
 func TestBatcherSurvivesPanickingExec(t *testing.T) {
-	arm := true
-	b := NewBatcher(-1, 8, func(vertices []int) ([][]float64, []int, int, uint64, error) {
-		if arm {
-			panic("injected inference panic")
-		}
-		rows := make([][]float64, len(vertices))
-		classes := make([]int, len(vertices))
-		for i := range vertices {
-			rows[i] = []float64{1}
-		}
-		return rows, classes, len(vertices), 1, nil
-	}, nil)
-	defer b.Close()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for name, boom := range map[string]func(){
+		"exec":          func() { panic("injected inference panic") },
+		"kernel worker": badSpMM,
+	} {
+		t.Run(name, func(t *testing.T) {
+			arm := true
+			b := NewBatcher(-1, 8, func(vertices []int) ([][]float64, []int, int, uint64, error) {
+				if arm {
+					boom()
+				}
+				rows := make([][]float64, len(vertices))
+				classes := make([]int, len(vertices))
+				for i := range vertices {
+					rows[i] = []float64{1}
+				}
+				return rows, classes, len(vertices), 1, nil
+			}, nil)
+			defer b.Close()
 
-	if _, _, _, err := b.Do(context.Background(), []int{1}); !errors.Is(err, ErrInferencePanic) {
-		t.Fatalf("want ErrInferencePanic, got %v", err)
+			if _, _, _, err := b.Do(context.Background(), []int{1}); !errors.Is(err, ErrInferencePanic) {
+				t.Fatalf("want ErrInferencePanic, got %v", err)
+			}
+			arm = false
+			rows, _, gen, err := b.Do(context.Background(), []int{2})
+			if err != nil || gen != 1 || len(rows) != 1 {
+				t.Fatalf("batcher loop did not survive: rows %v gen %d err %v", rows, gen, err)
+			}
+		})
 	}
-	arm = false
-	rows, _, gen, err := b.Do(context.Background(), []int{2})
-	if err != nil || gen != 1 || len(rows) != 1 {
-		t.Fatalf("batcher loop did not survive: rows %v gen %d err %v", rows, gen, err)
+}
+
+// badSpMM multiplies by a 1,024-row CSR whose last row has an out-of-range
+// column: at GOMAXPROCS > 1 the index panic is raised on an SpMM worker, not
+// on the calling goroutine.
+func badSpMM() {
+	const n = 1024
+	m := &sparse.CSR{NumRows: n, NumCols: n, RowPtr: make([]int, n+1), ColIdx: make([]int, n), Val: make([]float64, n)}
+	for i := range m.ColIdx {
+		m.RowPtr[i+1], m.ColIdx[i], m.Val[i] = i+1, i, 1
 	}
+	m.ColIdx[n-1] = n
+	m.SpMMInto(dense.New(n, 8), dense.New(n, 8))
 }
 
 // TestBatcherGoroutineShutdown asserts batcher loops exit on Close: after

@@ -9,12 +9,11 @@ package sparse
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"sagnn/internal/dense"
+	"sagnn/internal/par"
 )
 
 // Coord is a single nonzero in coordinate (COO) form.
@@ -396,37 +395,31 @@ func (m *CSR) SpMMInto(out, h *dense.Matrix) { m.spmm(out, h, false) }
 // SpMMAddInto computes out += m × h. Same shapes as SpMMInto.
 func (m *CSR) SpMMAddInto(out, h *dense.Matrix) { m.spmm(out, h, true) }
 
-// spmm runs the row stripes of out (+)= m × h, one per GOMAXPROCS worker,
-// each worker owning its rows of out. Stripes hold equal shares of the
-// nonzeros, not of the rows, so a hub row does not fall to one worker whole.
+// spmm runs the row stripes of out (+)= m × h, one per worker, each stripe
+// owning its rows of out. Stripes hold equal shares of the nonzeros, not of
+// the rows, so a hub row does not fall to one worker whole.
 func (m *CSR) spmm(out, h *dense.Matrix, add bool) {
 	if m.NumCols != h.Rows || out.Rows != m.NumRows || out.Cols != h.Cols {
 		panic(fmt.Sprintf("sparse: SpMM %dx%d × %dx%d into %dx%d", m.NumRows, m.NumCols, h.Rows, h.Cols, out.Rows, out.Cols))
 	}
-	workers := runtime.GOMAXPROCS(0)
+	workers := par.Workers()
 	if m.NumRows < 256 || workers == 1 {
 		m.spmmStripe(out, h, 0, m.NumRows, add)
 		return
 	}
-	var wg sync.WaitGroup
-	lo := 0
-	for w := 1; w <= workers; w++ {
-		hi := m.NumRows
-		if w < workers {
-			hi = sort.SearchInts(m.RowPtr[:m.NumRows+1], m.NNZ()*w/workers)
+	// bound(w) is where stripe w starts: the first row whose nonzeros begin
+	// at or past w/workers of them.
+	bound := func(w int) int {
+		if w == workers {
+			return m.NumRows
 		}
-		if hi == lo {
-			continue
-		}
-		wg.Add(1)
-		// The worker fan-out is the parallel path's one allocation.
-		go func(lo, hi int) {
-			defer wg.Done()
-			m.spmmStripe(out, h, lo, hi, add)
-		}(lo, hi)
-		lo = hi
+		return sort.SearchInts(m.RowPtr[:m.NumRows+1], m.NNZ()*w/workers)
 	}
-	wg.Wait()
+	par.For(workers, func(w int) {
+		if lo, hi := bound(w), bound(w+1); lo < hi {
+			m.spmmStripe(out, h, lo, hi, add)
+		}
+	})
 }
 
 // nnzBlock is how many nonzeros of a row one pass of the strip kernel covers:
