@@ -21,12 +21,14 @@
 // TCP `train -calibrate` run measured on real links) — this is how
 // measured hardware parameters drive the AlgorithmAuto decision.
 //
-// Every experiment runs through the public API (NewCluster → Distribute →
-// NewSession → Run, Cluster.Estimate); a bad flag value — an unknown
-// dataset, a process count the grid forbids — is printed as that API's
-// error and exits 2. For one training measurement (modeled epoch, phases,
-// volumes, test accuracy, fitted α–β) use cmd/train; for wall-clock
-// numbers use benchmark/.
+// Every experiment runs through the public API. The figures are priced,
+// not trained: each point is NewCluster → Distribute → DistGraph.PriceEpoch,
+// the modeled epoch Session.Run would charge, so the P = 256 points cost the
+// memory of their compiled plans. -estimate is Cluster.Estimate. A bad flag
+// value — an unknown dataset, a process count the grid forbids — is printed
+// as that API's error and exits 2. For one training measurement (modeled
+// epoch, phases, volumes, test accuracy, fitted α–β) use cmd/train; for
+// wall-clock numbers use benchmark/.
 package main
 
 import (

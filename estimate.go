@@ -25,7 +25,8 @@ type Candidate struct {
 	// distributed SpMMs (Σ over phases of the slowest rank) under the
 	// sequential executor: the 2L−2 multiplies every epoch issues, all at
 	// hidden widths. Weight-gradient reductions and dense GEMMs are
-	// identical across candidates at a fixed layout and are not included.
+	// identical across candidates at a fixed layout and are not included;
+	// DistGraph.PriceEpoch prices the whole epoch.
 	EpochSeconds float64
 	// OverlapSeconds is the same epoch priced under the overlapped executor
 	// (ExecOverlap): per pipelined stage, max(communication, compute)
@@ -152,6 +153,61 @@ func priceCandidate(alg Algorithm, pl *distmm.Plan, params machine.Params, width
 		c.OverlapSeconds = pl.EpochCostWith(params, widths, distmm.ExecOverlap).Total()
 	}
 	return c
+}
+
+// PriceEpoch prices full-batch training of a cfg-shaped model on the graph
+// without running it. The epoch is what Session.Run charges one on a healthy
+// cluster: the plan's 2L−2 multiplies (at gcn.EpochMultiplyWidths, under the
+// graph's executor) plus, on every rank, the trainer's 3L−1 local GEMMs and
+// L+1 all-reduces over its gradient group (gcn.EpochCharges), counted at
+// comm.AllReduceVolume. The set-up is the one-time Â·X multiply as the
+// graph's Report priced it. No data moves and the cluster is not touched, so
+// pricing a P = 256 epoch costs no more memory than its compiled plan.
+func (g *DistGraph) PriceEpoch(cfg ModelConfig) (*EpochPrice, error) {
+	widths, err := epochWidths(g.ds, cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg = cfg.withDefaults()
+	params, pl, p := g.cluster.world.Params, g.engine.Plan(), g.cluster.p
+	dims := gcn.LayerDims(g.x.Cols, cfg.Hidden, g.ds.Classes, cfg.Layers)
+	sent, recv := make([]int64, p), make([]int64, p)
+	for _, w := range widths {
+		for r, v := range pl.Volumes(w) {
+			sent[r] += v.SentBytes
+			recv[r] += v.RecvBytes
+		}
+	}
+	trainer := machine.NewLedger(p)
+	for r := 0; r < p; r++ {
+		lo, hi := g.layout.Range(g.engine.BlockOf(r))
+		gemms, reductions := gcn.EpochCharges(dims, cfg.variant(), hi-lo)
+		for _, flops := range gemms {
+			trainer.Add(r, "local", params.GEMMTime(flops))
+		}
+		size := g.engine.GradGroup(r).Size()
+		for _, n := range reductions {
+			// Charged even when it costs nothing, as the executed one is.
+			trainer.Add(r, "allreduce", params.AllReduceTime(int64(n)*machine.BytesPerElem, size))
+			s, rv, _ := comm.AllReduceVolume(n, size)
+			sent[r] += s
+			recv[r] += rv
+		}
+	}
+	epoch := pl.EpochCostWith(params, widths, g.opts.Exec).Add(trainer.Snapshot())
+	price := &EpochPrice{EpochSeconds: epoch.Total(), Breakdown: epoch.Breakdown(), PartitionQuality: g.quality}
+	price.MaxSentMB, price.AvgSentMB = distmm.SentSummaryMB(sent)
+	var delivered int64
+	for _, b := range recv {
+		delivered += b
+	}
+	price.TotalRecvMB = float64(delivered) / 1e6
+	for _, c := range g.report.Candidates {
+		if c.Selected {
+			price.SetupSeconds, price.SetupMaxSentMB = c.SetupSeconds, c.SetupMaxSentMB
+		}
+	}
+	return price, nil
 }
 
 // modeSeconds returns the candidate's modeled epoch cost under the executor

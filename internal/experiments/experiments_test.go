@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"sagnn"
@@ -26,16 +25,13 @@ func must[T any](v T, err error) func(testing.TB) T {
 
 func TestRunCAGNET1D(t *testing.T) {
 	r := must(Run(RunConfig{Dataset: gen.AmazonSim, ScaleDiv: testScale, P: 4, Scheme: SchemeCAGNET}))(t)
-	if r.EpochSec <= 0 {
+	if r.EpochSeconds <= 0 {
 		t.Fatal("no modeled time")
 	}
 	if _, ok := r.Breakdown["bcast"]; !ok {
 		t.Fatalf("oblivious run must have bcast phase: %v", r.Breakdown)
 	}
-	if math.IsNaN(r.FinalLoss) || r.FinalLoss <= 0 {
-		t.Fatalf("loss %v", r.FinalLoss)
-	}
-	if r.Quality != nil {
+	if r.PartitionQuality != nil {
 		t.Fatal("CAGNET should not partition")
 	}
 }
@@ -45,7 +41,7 @@ func TestRunSAGVB1D(t *testing.T) {
 	if _, ok := r.Breakdown["alltoall"]; !ok {
 		t.Fatalf("SA run must have alltoall phase: %v", r.Breakdown)
 	}
-	if r.Quality == nil || r.Quality.Partitioner != "gvb" {
+	if r.PartitionQuality == nil || r.PartitionQuality.Partitioner != "gvb" {
 		t.Fatal("missing partition quality")
 	}
 }
@@ -55,20 +51,6 @@ func TestRun15D(t *testing.T) {
 		r := must(Run(RunConfig{Dataset: gen.ProteinSim, ScaleDiv: testScale, P: 8, C: 2, Scheme: s}))(t)
 		if _, ok := r.Breakdown["allreduce"]; !ok {
 			t.Fatalf("%s 1.5D must have allreduce: %v", s, r.Breakdown)
-		}
-	}
-}
-
-func TestSchemesSameLoss(t *testing.T) {
-	// All schemes compute the same mathematics; the paper verified no
-	// accuracy change. Loss after one epoch must agree to fp tolerance.
-	// (SA+GVB trains in a permuted vertex order, which is a similarity
-	// transform — identical loss.)
-	base := must(Run(RunConfig{Dataset: gen.RedditSim, ScaleDiv: testScale, P: 4, Scheme: SchemeCAGNET}))(t)
-	for _, s := range []Scheme{SchemeSA, SchemeSAMetis, SchemeSAGVB} {
-		r := must(Run(RunConfig{Dataset: gen.RedditSim, ScaleDiv: testScale, P: 4, Scheme: s}))(t)
-		if math.Abs(r.FinalLoss-base.FinalLoss) > 1e-6 {
-			t.Fatalf("%s loss %v != CAGNET %v", s, r.FinalLoss, base.FinalLoss)
 		}
 	}
 }
@@ -108,9 +90,22 @@ func TestFigure3ShapeSAGVBWins(t *testing.T) {
 		t.Fatalf("SA+GVB recv volume %v should be < CAGNET %v",
 			byScheme[SchemeSAGVB].TotalRecvMB, byScheme[SchemeCAGNET].TotalRecvMB)
 	}
-	if byScheme[SchemeSAGVB].EpochSec >= byScheme[SchemeCAGNET].EpochSec {
+	if byScheme[SchemeSAGVB].EpochSeconds >= byScheme[SchemeCAGNET].EpochSeconds {
 		t.Fatalf("SA+GVB epoch %v should beat CAGNET %v",
-			byScheme[SchemeSAGVB].EpochSec, byScheme[SchemeCAGNET].EpochSec)
+			byScheme[SchemeSAGVB].EpochSeconds, byScheme[SchemeCAGNET].EpochSeconds)
+	}
+	// The figure's ordering at gnnbench's default seed, point by point:
+	// CAGNET > SA > SA+GVB in modeled epoch. The closest pair is reddit-sim
+	// at P = 4, SA over SA+GVB by about 0.05 %.
+	ps := []int{4, 16, 32, 64}
+	for _, ds := range []gen.Preset{gen.RedditSim, gen.ProteinSim} {
+		series := must(Figure3(ds, testScale, ps, 42))(t)
+		for i, p := range ps {
+			cagnet, sa, gvb := series[0].Points[i].EpochSeconds, series[1].Points[i].EpochSeconds, series[2].Points[i].EpochSeconds
+			if !(cagnet > sa && sa > gvb) {
+				t.Errorf("%s p=%d: epoch CAGNET %v, SA %v, SA+GVB %v; want strictly decreasing", ds, p, cagnet, sa, gvb)
+			}
+		}
 	}
 }
 
@@ -148,7 +143,7 @@ func TestFigure5Runs(t *testing.T) {
 		t.Fatal("want 3 schemes")
 	}
 	for _, r := range res {
-		if r.EpochSec <= 0 {
+		if r.EpochSeconds <= 0 {
 			t.Fatalf("%s: no time", r.Config.Scheme)
 		}
 	}
@@ -194,7 +189,7 @@ func TestPrinters(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	a := must(Run(RunConfig{Dataset: gen.RedditSim, ScaleDiv: testScale, P: 4, Scheme: SchemeSAGVB}))(t)
 	b := must(Run(RunConfig{Dataset: gen.RedditSim, ScaleDiv: testScale, P: 4, Scheme: SchemeSAGVB}))(t)
-	if a.EpochSec != b.EpochSec || a.FinalLoss != b.FinalLoss {
+	if a.EpochSeconds != b.EpochSeconds || a.MaxSentMB != b.MaxSentMB {
 		t.Fatal("Run not deterministic")
 	}
 }

@@ -140,7 +140,7 @@ func PrintSeries(w io.Writer, title string, series []Series) {
 		fmt.Fprintf(w, "  %-14s %s\n", label, s.Dataset)
 		for _, pt := range s.Points {
 			fmt.Fprintf(w, "    p=%-4d epoch=%9.5fs setup=%9.5fs  avgSent=%8.2fMB maxSent=%8.2fMB imbal=%6.1f%%\n",
-				pt.Config.P, pt.EpochSec, pt.SetupSec, pt.AvgSentMB, pt.MaxSentMB, pt.ImbalancePct)
+				pt.Config.P, pt.EpochSeconds, pt.SetupSeconds, pt.AvgSentMB, pt.MaxSentMB, pt.ImbalancePct())
 		}
 	}
 }
@@ -149,7 +149,7 @@ func PrintSeries(w io.Writer, title string, series []Series) {
 func PrintBreakdown(w io.Writer, title string, results []RunResult) {
 	fmt.Fprintln(w, title)
 	for _, r := range results {
-		fmt.Fprintf(w, "  %-10s p=%-4d total=%9.5fs setup=%9.5fs :", r.Config.Scheme, r.Config.P, r.EpochSec, r.SetupSec)
+		fmt.Fprintf(w, "  %-10s p=%-4d total=%9.5fs setup=%9.5fs :", r.Config.Scheme, r.Config.P, r.EpochSeconds, r.SetupSeconds)
 		phases := make([]string, 0, len(r.Breakdown))
 		for ph := range r.Breakdown {
 			phases = append(phases, ph)

@@ -1,20 +1,20 @@
 // Package experiments reproduces the paper's evaluation: Table 2 and
 // Figures 3–7, plus the ablations DESIGN.md calls out. Each experiment is a
 // pure function from a configuration to structured rows/series, printed by
-// cmd/gnnbench. Training measurements and cost estimates are clients of the
-// public API (sagnn.NewCluster → Distribute → NewSession → Run, and
-// Cluster.Estimate), so a regenerated figure is exactly what a library user
-// would measure, and a bad configuration is the API's error, not a panic.
+// cmd/gnnbench. The figures are priced, not trained: every point is
+// sagnn.NewCluster → Distribute → DistGraph.PriceEpoch, the modeled epoch a
+// Session.Run would charge, so a figure at P = 256 costs the memory of its
+// compiled plans rather than of a simulated training epoch. Cost estimates
+// are Cluster.Estimate. Both are clients of the public API, so a bad
+// configuration is the API's error, not a panic.
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
 	"sagnn"
 	"sagnn/internal/gen"
-	"sagnn/internal/partition"
 )
 
 // Scheme names a training configuration from the paper's legend.
@@ -33,14 +33,13 @@ const (
 	SchemeSAGVB Scheme = "SA+GVB"
 )
 
-// RunConfig describes one training measurement.
+// RunConfig describes one priced configuration.
 type RunConfig struct {
 	Dataset  gen.Preset
 	ScaleDiv int // divide preset size by this power-of-two factor (1 = full)
 	P        int // total processes (GPUs in the paper)
 	C        int // replication factor; 1 selects the 1D algorithms
 	Scheme   Scheme
-	Epochs   int // epochs to simulate (timings are reported per epoch)
 	Hidden   int
 	Layers   int
 	Seed     int64
@@ -52,9 +51,6 @@ func (c RunConfig) withDefaults() RunConfig {
 	}
 	if c.C == 0 {
 		c.C = 1
-	}
-	if c.Epochs == 0 {
-		c.Epochs = 1
 	}
 	if c.Hidden == 0 {
 		c.Hidden = 16
@@ -68,36 +64,21 @@ func (c RunConfig) withDefaults() RunConfig {
 	return c
 }
 
-// RunResult is one measured configuration.
+// RunResult is one priced configuration: the modeled epoch and set-up
+// times, phase breakdown and per-process volumes of full-batch training.
 type RunResult struct {
 	Config RunConfig
-	// EpochSec is the modeled bulk-synchronous epoch time; SetupSec the
-	// modeled time of the one-time Â·X multiply the run paid ahead of its
-	// first epoch (the feature-width layer the paper times inside every
-	// epoch).
-	EpochSec float64
-	SetupSec float64
-	// Breakdown maps phase ("bcast", "alltoall", "allreduce", "local") to
-	// modeled seconds per epoch — the paper's Figure 4/5 bars.
-	Breakdown map[string]float64
-	// AvgSentMB / MaxSentMB are exact measured per-process send volumes per
-	// epoch; ImbalancePct = (max/avg − 1)·100. Broadcast roots are charged
-	// their payload once (collectives forward data inside the network), so
-	// cross-scheme wire-volume comparisons should use the receive side.
-	AvgSentMB    float64
-	MaxSentMB    float64
-	ImbalancePct float64
-	// TotalRecvMB is the total bytes delivered to all processes per epoch —
-	// the scheme-comparable wire volume.
-	TotalRecvMB float64
-	// FinalLoss verifies the run trained (identical across schemes up to
-	// floating-point reassociation).
-	FinalLoss float64
-	// TestAcc is the trained model's full-batch accuracy on the held-out
-	// test split.
-	TestAcc float64
-	// Quality is the partition quality if a partitioner was used.
-	Quality *partition.Quality
+	sagnn.EpochPrice
+}
+
+// ImbalancePct is the send-volume imbalance (max/avg − 1)·100. Broadcast
+// roots are charged their payload once, so cross-scheme wire-volume
+// comparisons should use TotalRecvMB instead.
+func (r RunResult) ImbalancePct() float64 {
+	if r.AvgSentMB <= 0 {
+		return 0
+	}
+	return (r.MaxSentMB/r.AvgSentMB - 1) * 100
 }
 
 var (
@@ -145,10 +126,10 @@ func (s Scheme) distOpts(c int, seed int64) (sagnn.DistOpts, error) {
 	return opts, nil
 }
 
-// Run executes one configuration end to end through the public pipeline —
-// load data, NewCluster, Distribute (partition + engine), NewSession, Run —
-// and reports the session's per-epoch figures. Unknown presets and
-// infeasible process grids are returned as the API's errors.
+// Run prices one configuration through the public pipeline — load data,
+// NewCluster, Distribute (partition + engine), PriceEpoch — without training
+// it. Unknown presets and infeasible process grids are returned as the API's
+// errors.
 func Run(cfg RunConfig) (RunResult, error) {
 	cfg = cfg.withDefaults()
 	ds, err := loadDataset(cfg.Dataset, cfg.Seed, cfg.ScaleDiv)
@@ -167,28 +148,9 @@ func Run(cfg RunConfig) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	sess, err := dg.NewSession(sagnn.ModelConfig{Hidden: cfg.Hidden, Layers: cfg.Layers, Seed: cfg.Seed})
+	price, err := dg.PriceEpoch(sagnn.ModelConfig{Hidden: cfg.Hidden, Layers: cfg.Layers})
 	if err != nil {
 		return RunResult{}, err
 	}
-	tr, err := sess.Run(context.Background(), cfg.Epochs)
-	if err != nil {
-		return RunResult{}, err
-	}
-	res := RunResult{
-		Config:      cfg,
-		EpochSec:    tr.EpochSeconds,
-		SetupSec:    tr.SetupSeconds,
-		Breakdown:   tr.Breakdown,
-		AvgSentMB:   tr.AvgSentMB,
-		MaxSentMB:   tr.MaxSentMB,
-		TotalRecvMB: tr.TotalRecvMB,
-		FinalLoss:   tr.FinalLoss,
-		TestAcc:     tr.TestAcc,
-		Quality:     tr.PartitionQuality,
-	}
-	if res.AvgSentMB > 0 {
-		res.ImbalancePct = (res.MaxSentMB/res.AvgSentMB - 1) * 100
-	}
-	return res, nil
+	return RunResult{Config: cfg, EpochPrice: *price}, nil
 }

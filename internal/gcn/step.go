@@ -61,6 +61,31 @@ func (c Collective) chargeGEMM(m, k, n int) {
 	}
 }
 
+// EpochCharges is the trainer's share of one full-batch epoch on a rank that
+// holds rows block rows: what Step charges besides its operand's
+// multiplies. It returns the flops of the 3L−1 local GEMMs (L forward, then
+// from layer L down (P^l)ᵀ·G^l and, above layer 1, G^l·(W^l)ᵀ) and the
+// lengths of the L+1 all-reduces (the loss pair, then the weight gradients
+// from layer L down), in the order Step charges them. dims and v shape the
+// model as NewModelVariant does, so SAGEConv's GEMMs read 2f input rows.
+// An epoch priced without running it charges exactly these.
+func EpochCharges(dims []int, v Variant, rows int) (gemmFlops []int64, reductions []int) {
+	L := len(dims) - 1
+	gemm := func(l int) int64 { return 2 * int64(rows) * int64(v.InputRows(dims[l-1])) * int64(dims[l]) }
+	for l := 1; l <= L; l++ {
+		gemmFlops = append(gemmFlops, gemm(l))
+	}
+	reductions = append(reductions, 2) // the loss pair
+	for l := L; l >= 1; l-- {
+		gemmFlops = append(gemmFlops, gemm(l))
+		reductions = append(reductions, v.InputRows(dims[l-1])*dims[l])
+		if l > 1 {
+			gemmFlops = append(gemmFlops, gemm(l))
+		}
+	}
+	return gemmFlops, reductions
+}
+
 // Workspace holds the buffers of one training step. Every buffer grows to
 // the largest shape it has been asked for and is then reused, so full-batch
 // epochs (fixed shapes) and sampled steps (shapes bounded by the batch)

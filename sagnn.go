@@ -124,13 +124,11 @@ const (
 	ExecOverlap = distmm.ExecOverlap
 )
 
-// TrainResult reports a finished run.
-type TrainResult struct {
-	// History is the per-epoch loss/accuracy trajectory.
-	History []gcn.EpochResult
-	// FinalLoss and FinalTrainAcc summarise the last epoch.
-	FinalLoss     float64
-	FinalTrainAcc float64
+// EpochPrice is the modeled cost of full-batch training on a DistGraph: the
+// figures the paper's scaling and breakdown plots compare. PriceEpoch
+// prices it without training; a TrainResult reports a run's own figures
+// under the same names.
+type EpochPrice struct {
 	// EpochSeconds is the modeled per-epoch time on the paper's machine
 	// (A100 + Slingshot α–β model), max-over-ranks per phase. Like every
 	// per-epoch figure below it holds epochs only: set-up is reported apart.
@@ -138,26 +136,38 @@ type TrainResult struct {
 	// Breakdown splits EpochSeconds into phases: "bcast", "alltoall",
 	// "allreduce", "local".
 	Breakdown map[string]float64
-	// MaxSentMB / AvgSentMB are measured per-process send volumes per epoch.
+	// MaxSentMB / AvgSentMB are per-process send volumes per epoch.
 	MaxSentMB float64
 	AvgSentMB float64
-	// TotalRecvMB is the measured volume delivered to all processes per
-	// epoch. Broadcast roots are charged their payload once on the send side
+	// TotalRecvMB is the volume delivered to all processes per epoch.
+	// Broadcast roots are charged their payload once on the send side
 	// (collectives forward data inside the network), so this is the figure
 	// that compares wire volume across algorithms.
 	TotalRecvMB float64
 	// SetupSeconds and SetupMaxSentMB are the modeled time and the largest
-	// measured per-process send volume of the one-time Â·X multiply — whole,
-	// not per epoch — when this run is the one that computed it: the first
-	// full-batch run on its DistGraph. Zero on every other run.
+	// per-process send volume of the one-time Â·X multiply — whole, not per
+	// epoch. PriceEpoch always prices it; a TrainResult reports it only on
+	// the run that computed it, the first full-batch run on its DistGraph,
+	// and zero on every other run.
 	SetupSeconds   float64
 	SetupMaxSentMB float64
+	// PartitionQuality describes the partition when a Partitioner ran.
+	PartitionQuality *partition.Quality
+}
+
+// TrainResult reports a finished run.
+type TrainResult struct {
+	// EpochPrice holds the run's modeled time and measured volumes.
+	EpochPrice
+	// History is the per-epoch loss/accuracy trajectory.
+	History []gcn.EpochResult
+	// FinalLoss and FinalTrainAcc summarise the last epoch.
+	FinalLoss     float64
+	FinalTrainAcc float64
 	// ValAcc / TestAcc evaluate the trained model on the dataset's held-out
 	// splits (full-batch inference).
 	ValAcc  float64
 	TestAcc float64
-	// PartitionQuality describes the partition when a Partitioner ran.
-	PartitionQuality *partition.Quality
 	// Model is the trained weight set, detached from the run: predict with
 	// it (Predict, Probabilities, ProbabilitiesInto), serve it through
 	// internal/serve, or persist it with MarshalBinary.

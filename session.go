@@ -437,9 +437,9 @@ func (s *Session) RunSampled(ctx context.Context, epochs int) (res *TrainResult,
 // the accumulator positions at run start).
 func (s *Session) result(hist []EpochResult, epochs0, setup0 spent) *TrainResult {
 	res := &TrainResult{
-		History:          hist,
-		PartitionQuality: s.dg.quality,
-		Model:            s.Model(),
+		EpochPrice: EpochPrice{PartitionQuality: s.dg.quality},
+		History:    hist,
+		Model:      s.Model(),
 	}
 	const mb = 1e6
 	if len(hist) > 0 {

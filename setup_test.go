@@ -3,6 +3,7 @@ package sagnn
 import (
 	"context"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -116,6 +117,85 @@ func TestSetupAccountedApartFromEpochs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPriceEpochMatchesExecuted: PriceEpoch is what a one-epoch Session.Run
+// reports, without the run. Volumes and phase sets must match exactly and
+// seconds to rounding (the run's are differences of ledger snapshots), on
+// every scheme of the paper's Figures 3, 6 and 7 — oblivious, sparsity-aware,
+// +METIS and +GVB, in 1D and 1.5D — plus a SAGE and an overlapped graph.
+func TestPriceEpochMatchesExecuted(t *testing.T) {
+	type row struct {
+		name string
+		ds   *Dataset
+		p    int
+		opts DistOpts
+		cfg  ModelConfig
+	}
+	var rows []row
+	for _, preset := range []Preset{RedditSim, ProteinSim} {
+		ds := MustLoadDataset(preset, 42, 64)
+		for _, p := range []int{4, 8, 16} {
+			for _, c := range []int{1, 2} {
+				obl, sa := Oblivious1D, SparsityAware1D
+				if c > 1 {
+					obl, sa = Oblivious15D, SparsityAware15D
+				}
+				for _, s := range []struct {
+					name string
+					alg  Algorithm
+					pt   Partitioner
+				}{{"CAGNET", obl, nil}, {"SA", sa, nil}, {"SA+METIS", sa, NewMetis(42)}, {"SA+GVB", sa, NewGVB(42)}} {
+					rows = append(rows, row{fmt.Sprintf("%s/p=%d/c=%d/%s", preset, p, c, s.name), ds, p,
+						DistOpts{Algorithm: s.alg, Replication: c, Partitioner: s.pt}, ModelConfig{}})
+				}
+			}
+		}
+	}
+	protein := MustLoadDataset(ProteinSim, 42, 64)
+	rows = append(rows,
+		row{"sage", protein, 8, DistOpts{Algorithm: SparsityAware15D, Replication: 2, Partitioner: NewGVB(42)}, ModelConfig{SAGE: true}},
+		row{"overlap", protein, 8, DistOpts{Algorithm: Oblivious1D, Exec: ExecOverlap}, ModelConfig{}})
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b)) }
+	for _, tc := range rows {
+		cluster, err := NewCluster(tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dg, err := cluster.Distribute(tc.ds, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		priced, err := dg.PriceEpoch(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := dg.NewSession(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.Run(context.Background(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran := res.EpochPrice
+		if priced.MaxSentMB != ran.MaxSentMB || priced.AvgSentMB != ran.AvgSentMB || priced.TotalRecvMB != ran.TotalRecvMB ||
+			priced.SetupMaxSentMB != ran.SetupMaxSentMB {
+			t.Errorf("%s: priced volumes %+v, executed %+v", tc.name, *priced, ran)
+		}
+		if !near(priced.EpochSeconds, ran.EpochSeconds) || !near(priced.SetupSeconds, ran.SetupSeconds) {
+			t.Errorf("%s: priced epoch %v s + set-up %v s, executed %v s + %v s",
+				tc.name, priced.EpochSeconds, priced.SetupSeconds, ran.EpochSeconds, ran.SetupSeconds)
+		}
+		if len(priced.Breakdown) != len(ran.Breakdown) {
+			t.Errorf("%s: priced phases %v, executed %v", tc.name, priced.Breakdown, ran.Breakdown)
+		}
+		for ph, sec := range ran.Breakdown {
+			if got, ok := priced.Breakdown[ph]; !ok || !near(got, sec) {
+				t.Errorf("%s: phase %s priced %v s, executed %v s", tc.name, ph, got, sec)
+			}
+		}
 	}
 }
 
