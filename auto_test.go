@@ -3,9 +3,12 @@ package sagnn
 import (
 	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"sagnn/internal/comm"
+	"sagnn/internal/distmm"
 	"sagnn/internal/gcn"
 )
 
@@ -188,6 +191,54 @@ func TestExplicitAlgorithmReport(t *testing.T) {
 	}
 	if rep.String() == "" {
 		t.Fatal("empty report rendering")
+	}
+}
+
+// TestDistributeNamedIsSweepRow pins the one distribution path: a named
+// (Algorithm, Replication) is the candidate sweep over that one row, so its
+// Report row equals the Estimate row field for field (Selected aside), and
+// a row the sweep skips is Distribute's error carrying the same reason. The
+// grid rule behind the skips is distmm's, and distmm.NewEngine returns it
+// as an error instead of panicking.
+func TestDistributeNamedIsSweepRow(t *testing.T) {
+	ds := autoDS()
+	for _, p := range []int{4, 16} {
+		cluster, err := NewCluster(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := cluster.Estimate(ds, DistOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			dg, err := cluster.Distribute(ds, DistOpts{Algorithm: row.Algorithm, Replication: row.Replication})
+			if row.Skipped != "" {
+				if err == nil || !strings.Contains(err.Error(), row.Skipped) {
+					t.Errorf("P=%d %s c=%d: want an error containing %q, got %v", p, row.Algorithm, row.Replication, row.Skipped, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("P=%d %s c=%d: %v", p, row.Algorithm, row.Replication, err)
+			}
+			got := dg.Report().Candidates
+			if len(got) != 1 || !got[0].Selected {
+				t.Fatalf("P=%d %s c=%d: want one selected row, got %+v", p, row.Algorithm, row.Replication, got)
+			}
+			got[0].Selected = row.Selected
+			if !reflect.DeepEqual(got[0], row) {
+				t.Errorf("P=%d %s c=%d: Distribute row\n%+v\nEstimate row\n%+v", p, row.Algorithm, row.Replication, got[0], row)
+			}
+		}
+	}
+	for _, c := range []struct{ p, rep int }{{4, 3}, {8, 4}} {
+		w := comm.NewWorld(c.p, Perlmutter())
+		layout := distmm.UniformLayout(ds.G.NumVertices(), c.p)
+		e, err := distmm.NewEngine(w, string(SparsityAware15D), c.rep, ds.NormalizedAdjacency(), layout)
+		if err == nil || e != nil {
+			t.Errorf("NewEngine(1.5D, c=%d, P=%d): want an error, got engine %v, err %v", c.rep, c.p, e, err)
+		}
 	}
 }
 

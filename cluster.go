@@ -183,8 +183,9 @@ type DistOpts struct {
 	// modeled-cost one (see DistGraph.Report for the decision table).
 	Algorithm Algorithm
 	// Replication is the 1.5D replication factor c (default 1, which the
-	// 1D algorithms require). Must satisfy c | P and c² | P. Leave unset
-	// with AlgorithmAuto, which selects c itself.
+	// 1D algorithms require; negative is an error). The process count must
+	// allow the (P/c)×c grid, as distmm.Spec states. Leave unset with
+	// AlgorithmAuto, which selects c itself.
 	Replication int
 	// Partitioner, if non-nil, reorders the graph before distribution and
 	// records the resulting partition quality on the DistGraph. Under
@@ -286,14 +287,10 @@ type DistGraph struct {
 	// the seed default resolves per session.
 	sampling SamplingConfig
 
-	aHat    *sparse.CSR
-	x       *dense.Matrix
-	labels  []int
-	train   []int
-	layout  distmm.Layout
-	engine  distmm.Engine
-	quality *partition.Quality
-	report  *Report
+	// prepared is the staged data the engine was compiled over.
+	*prepared
+	engine distmm.Engine
+	report *Report
 
 	// input is Â·X over engine and x, shared by every session's trainer and
 	// used under cluster.mu.
@@ -340,26 +337,17 @@ func prepare(ds *Dataset, pt Partitioner, k int) *prepared {
 	return p
 }
 
-// buildEngine compiles the plan and executor for one algorithm over
-// prepared data. Algorithm consts are exactly the distmm engine
-// names, so this is a thin wrapper over the name-based constructor.
-func buildEngine(w *comm.World, alg Algorithm, rep int, prep *prepared) distmm.Engine {
-	e, err := distmm.NewEngine(w, string(alg), rep, prep.aHat, prep.layout)
-	if err != nil {
-		panic(fmt.Sprintf("sagnn: buildEngine on unknown algorithm %q", alg))
-	}
-	return e
-}
-
 // Distribute partitions (optionally) and distributes a dataset across the
 // cluster, building the communication engine once for reuse by any number
-// of sessions. With Algorithm: AlgorithmAuto it compiles every candidate
-// plan the process count allows, prices each with the cluster's machine
-// model, and keeps the cheapest; Report exposes the decision table. Every
-// plan it keeps has passed the static verifier (distmm.Verify: message
-// matching, deadlock freedom, overlap soundness and layout consistency over
-// every rank's instruction stream); one that fails is returned as its
-// *distmm.VerifyError.
+// of sessions. It runs the candidate sweep Estimate runs: with Algorithm:
+// AlgorithmAuto over every candidate the process count allows, keeping the
+// cheapest under the cluster's machine model; with a named algorithm over
+// that one (Algorithm, Replication) row, whose skip reason — an unknown
+// name, a replication factor the process count forbids, too few vertices —
+// is the error. Report exposes the table either way. Every plan it keeps
+// has passed the static verifier (distmm.Verify: message matching, deadlock
+// freedom, overlap soundness and layout consistency over every rank's
+// instruction stream); one that fails is returned as its *distmm.VerifyError.
 func (c *Cluster) Distribute(ds *Dataset, opts DistOpts) (*DistGraph, error) {
 	if err := validateDataset(ds); err != nil {
 		return nil, err
@@ -372,75 +360,54 @@ func (c *Cluster) Distribute(ds *Dataset, opts DistOpts) (*DistGraph, error) {
 			return nil, err
 		}
 	}
-	if opts.Algorithm == AlgorithmAuto {
-		return c.distributeAuto(ds, opts)
-	}
-	if opts.Replication == 0 {
-		opts.Replication = 1
-	}
-	rep := opts.Replication
-	switch opts.Algorithm {
-	case Oblivious1D, SparsityAware1D:
-		if rep != 1 {
-			return nil, fmt.Errorf("sagnn: %s is a 1D algorithm; replication must be 1, got %d", opts.Algorithm, rep)
+	auto := opts.Algorithm == AlgorithmAuto
+	specs := distmm.EnumerateCandidates(c.p)
+	switch {
+	case opts.Replication < 0:
+		return nil, fmt.Errorf("sagnn: DistOpts.Replication %d is negative", opts.Replication)
+	case auto && opts.Replication > 1:
+		return nil, fmt.Errorf("sagnn: AlgorithmAuto selects the replication factor; leave Replication unset, got %d", opts.Replication)
+	case !auto:
+		if opts.Replication == 0 {
+			opts.Replication = 1
 		}
-	case Oblivious15D, SparsityAware15D:
-		if rep < 1 || c.p%rep != 0 {
-			return nil, fmt.Errorf("sagnn: replication factor %d does not divide %d processes", rep, c.p)
-		}
-		if (c.p/rep)%rep != 0 {
-			return nil, fmt.Errorf("sagnn: 1.5D needs c² | P; got P=%d c=%d", c.p, rep)
-		}
-	default:
-		return nil, fmt.Errorf("sagnn: unknown algorithm %q", opts.Algorithm)
+		specs = []distmm.CandidateSpec{distmm.Spec(string(opts.Algorithm), opts.Replication, c.p)}
 	}
-	k := c.p / rep
-	if ds.G.NumVertices() < k {
-		return nil, fmt.Errorf("sagnn: %d vertices cannot fill %d blocks", ds.G.NumVertices(), k)
-	}
-
 	widths, err := epochWidths(ds, opts.CostModel)
 	if err != nil {
 		return nil, err
 	}
-	prep := prepare(ds, opts.Partitioner, k)
-	engine := buildEngine(c.world, opts.Algorithm, rep, prep)
-	if err := distmm.Verify(engine.Plan()); err != nil {
+	cands, best, engine, prep, err := sweepCandidates(c.world, ds, specs, opts, widths)
+	if err != nil {
 		return nil, err
 	}
+	switch {
+	case !auto && best < 0:
+		return nil, fmt.Errorf("sagnn: %s", cands[0].Skipped)
+	case best < 0:
+		return nil, fmt.Errorf("sagnn: no feasible algorithm candidate for %d vertices on %d processes", ds.G.NumVertices(), c.p)
+	}
 	engine.SetExecMode(opts.Exec)
-	cand := priceCandidate(opts.Algorithm, engine.Plan(), c.world.Params, widths, ds.FeatureDim(), opts.Exec)
-	cand.Selected = true
-	return c.newDistGraph(ds, opts, prep, engine, &Report{
-		Algorithm:        opts.Algorithm,
-		Replication:      rep,
-		Exec:             opts.Exec,
-		Candidates:       []Candidate{cand},
-		PartitionQuality: prep.quality,
-	}), nil
-}
-
-// newDistGraph assembles a DistGraph from its prepared data, engine, and
-// decision report.
-func (c *Cluster) newDistGraph(ds *Dataset, opts DistOpts, prep *prepared, engine distmm.Engine, report *Report) *DistGraph {
 	g := &DistGraph{
-		cluster: c,
-		ds:      ds,
-		opts:    opts,
-		aHat:    prep.aHat,
-		x:       prep.x,
-		labels:  prep.labels,
-		train:   prep.train,
-		layout:  prep.layout,
-		engine:  engine,
-		quality: prep.quality,
-		report:  report,
-		input:   &gcn.InputProduct{World: c.world, Engine: engine, X: prep.x},
+		cluster:  c,
+		ds:       ds,
+		opts:     opts,
+		prepared: prep,
+		engine:   engine,
+		report: &Report{
+			Algorithm:        cands[best].Algorithm,
+			Replication:      cands[best].Replication,
+			Exec:             opts.Exec,
+			Auto:             auto,
+			Candidates:       cands,
+			PartitionQuality: prep.quality,
+		},
+		input: &gcn.InputProduct{World: c.world, Engine: engine, X: prep.x},
 	}
 	if opts.Sampling != nil {
 		g.sampling, g.opts.Sampling = *opts.Sampling, nil
 	}
-	return g
+	return g, nil
 }
 
 // Cluster returns the cluster this graph is distributed over.

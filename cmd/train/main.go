@@ -65,6 +65,9 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown transport %q (want sim or tcp)", *transport))
 	}
+	if *c < 1 {
+		fatal(fmt.Errorf("-c %d: the replication factor must be at least 1", *c))
+	}
 	if *transport == "tcp" && *rank < 0 {
 		// Launcher mode: re-exec one child per rank and wait for all of them.
 		os.Exit(launchTCP(*p))

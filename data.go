@@ -18,7 +18,9 @@ import (
 
 // DatasetFromEdges builds a Dataset from a user-supplied undirected edge
 // list, per-vertex feature vectors, and labels. The graph is symmetrized;
-// train/val/test splits are drawn with the given fractions.
+// train/val/test splits are drawn with the given fractions. Malformed input
+// (an endpoint outside [0, n), a negative fraction or fractions summing
+// past 1, mismatched lengths, a label outside [0, classes)) is an error.
 func DatasetFromEdges(name string, n int, edges [][2]int, features [][]float64,
 	labels []int, classes int, trainFrac, valFrac float64, seed int64) (*Dataset, error) {
 	if len(features) != n || len(labels) != n {
@@ -39,6 +41,14 @@ func DatasetFromEdges(name string, n int, edges [][2]int, features [][]float64,
 		if l < 0 || l >= classes {
 			return nil, fmt.Errorf("sagnn: label %d of vertex %d outside [0,%d)", l, i, classes)
 		}
+	}
+	for i, e := range edges {
+		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
+			return nil, fmt.Errorf("sagnn: edge %d (%d,%d) has an endpoint outside [0,%d)", i, e[0], e[1], n)
+		}
+	}
+	if !(trainFrac >= 0 && valFrac >= 0 && trainFrac+valFrac <= 1) {
+		return nil, fmt.Errorf("sagnn: split fractions train %v, val %v must be non-negative with sum at most 1", trainFrac, valFrac)
 	}
 	g := graph.FromEdges(n, edges).Symmetrize()
 	rng := rand.New(rand.NewSource(seed))

@@ -40,6 +40,21 @@ func TestDatasetFromEdgesErrors(t *testing.T) {
 	if _, err := DatasetFromEdges("x", 2, nil, [][]float64{{1}, {2}}, []int{0, 5}, 2, 0.5, 0, 1); err == nil {
 		t.Fatal("expected label-range error")
 	}
+	feats, labels := [][]float64{{1}, {2}}, []int{0, 0}
+	for name, c := range map[string]struct {
+		edges        [][2]int
+		trainF, valF float64
+	}{
+		"edge endpoint out of range": {[][2]int{{0, 5}}, 0.5, 0},
+		"negative endpoint":          {[][2]int{{-1, 0}}, 0.5, 0},
+		"train fraction above 1":     {nil, 1.5, 0},
+		"negative val fraction":      {nil, 0.5, -0.5},
+		"fractions sum past 1":       {nil, 0.6, 0.6},
+	} {
+		if _, err := DatasetFromEdges("x", 2, c.edges, feats, labels, 1, c.trainF, c.valF, 1); err == nil {
+			t.Errorf("%s: expected an error", name)
+		}
+	}
 }
 
 func TestGenerateCommunityDataset(t *testing.T) {

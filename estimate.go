@@ -64,8 +64,9 @@ type Candidate struct {
 
 // Report records how a DistGraph was configured: the algorithm and
 // replication factor in effect, the per-candidate cost table behind an
-// AlgorithmAuto decision (a single self-priced row otherwise), and the
-// partition quality when a partitioner ran.
+// AlgorithmAuto decision (otherwise the named algorithm's one row, equal to
+// its row of Cluster.Estimate), and the partition quality when a
+// partitioner ran.
 type Report struct {
 	// Algorithm and Replication are the configuration in effect.
 	Algorithm   Algorithm
@@ -219,83 +220,54 @@ func modeSeconds(c Candidate, mode ExecMode) float64 {
 	return c.EpochSeconds
 }
 
-// sweepCandidates compiles and prices every algorithm candidate on world:
-// the shared candidate sweep behind Distribute(AlgorithmAuto) and Estimate,
-// so the two can never disagree on feasibility or selection. The dataset is
-// staged (partitioned) once per distinct block count. Every compiled plan is
-// statically verified before it is priced — a plan that fails Verify is a
-// compiler bug, and the sweep surfaces it as a hard error rather than
-// silently pricing (or worse, later running) a malformed schedule. It
-// returns the table, the index of the minimum-modeled-cost row (first
-// candidate wins ties; −1 when none is feasible), and the engine and
-// prepared data per row (nil on skipped rows).
-func sweepCandidates(world *comm.World, ds *Dataset, opts DistOpts, widths []int) (
-	cands []Candidate, best int, engines []distmm.Engine, rowPreps []*prepared, err error) {
-	p := world.P
+// sweepCandidates compiles and prices specs on world: the one path behind
+// Distribute (every candidate under AlgorithmAuto, one row for a named
+// algorithm) and Estimate, so they can never disagree on feasibility,
+// pricing or selection. The dataset is staged (partitioned) once per
+// distinct block count. Every compiled plan is statically verified before
+// it is priced — a plan that fails Verify is a compiler bug, and the sweep
+// surfaces it as a hard error rather than silently pricing (or worse, later
+// running) a malformed schedule. It returns the table, the index of the
+// minimum-modeled-cost row (first candidate wins ties; −1 when none is
+// feasible), and that row's engine and staged data.
+func sweepCandidates(world *comm.World, ds *Dataset, specs []distmm.CandidateSpec, opts DistOpts, widths []int) (
+	cands []Candidate, best int, engine distmm.Engine, prep *prepared, err error) {
 	best = -1
 	bestCost := 0.0
 	preps := make(map[int]*prepared) // block count → staged dataset
-	for _, spec := range distmm.EnumerateCandidates(p) {
+	for _, spec := range specs {
 		alg := Algorithm(spec.Name)
 		skip := spec.Skip
-		k := p / spec.C
-		if skip == "" && ds.G.NumVertices() < k {
-			skip = fmt.Sprintf("%d vertices cannot fill %d blocks", ds.G.NumVertices(), k)
+		if skip == "" && ds.G.NumVertices() < world.P/spec.C {
+			skip = fmt.Sprintf("%d vertices cannot fill %d blocks", ds.G.NumVertices(), world.P/spec.C)
 		}
 		if skip != "" {
 			cands = append(cands, Candidate{Algorithm: alg, Replication: spec.C, Skipped: skip})
-			engines, rowPreps = append(engines, nil), append(rowPreps, nil)
 			continue
 		}
-		prep, ok := preps[k]
+		k := world.P / spec.C
+		rowPrep, ok := preps[k]
 		if !ok {
-			prep = prepare(ds, opts.Partitioner, k)
-			preps[k] = prep
+			rowPrep = prepare(ds, opts.Partitioner, k)
+			preps[k] = rowPrep
 		}
-		engine := buildEngine(world, alg, spec.C, prep)
-		if verr := distmm.Verify(engine.Plan()); verr != nil {
+		e, nerr := distmm.NewEngine(world, spec.Name, spec.C, rowPrep.aHat, rowPrep.layout)
+		if nerr != nil {
+			return nil, -1, nil, nil, nerr
+		}
+		if verr := distmm.Verify(e.Plan()); verr != nil {
 			return nil, -1, nil, nil, verr
 		}
-		cand := priceCandidate(alg, engine.Plan(), world.Params, widths, ds.FeatureDim(), opts.Exec)
+		cand := priceCandidate(alg, e.Plan(), world.Params, widths, ds.FeatureDim(), opts.Exec)
 		if sec := modeSeconds(cand, opts.Exec); best < 0 || sec < bestCost {
-			best, bestCost = len(cands), sec
+			best, bestCost, engine, prep = len(cands), sec, e, rowPrep
 		}
 		cands = append(cands, cand)
-		engines, rowPreps = append(engines, engine), append(rowPreps, prep)
 	}
 	if best >= 0 {
 		cands[best].Selected = true
 	}
-	return cands, best, engines, rowPreps, nil
-}
-
-// distributeAuto is Distribute with Algorithm: AlgorithmAuto: one shared
-// candidate sweep on the cluster's world, keeping only the winner's engine
-// and layout.
-func (c *Cluster) distributeAuto(ds *Dataset, opts DistOpts) (*DistGraph, error) {
-	if opts.Replication > 1 {
-		return nil, fmt.Errorf("sagnn: AlgorithmAuto selects the replication factor; leave Replication unset, got %d", opts.Replication)
-	}
-	widths, err := epochWidths(ds, opts.CostModel)
-	if err != nil {
-		return nil, err
-	}
-	cands, best, engines, rowPreps, err := sweepCandidates(c.world, ds, opts, widths)
-	if err != nil {
-		return nil, err
-	}
-	if best < 0 {
-		return nil, fmt.Errorf("sagnn: no feasible algorithm candidate for %d vertices on %d processes", ds.G.NumVertices(), c.p)
-	}
-	engines[best].SetExecMode(opts.Exec)
-	return c.newDistGraph(ds, opts, rowPreps[best], engines[best], &Report{
-		Algorithm:        cands[best].Algorithm,
-		Replication:      cands[best].Replication,
-		Exec:             opts.Exec,
-		Auto:             true,
-		Candidates:       cands,
-		PartitionQuality: rowPreps[best].quality,
-	}), nil
+	return cands, best, engine, prep, nil
 }
 
 // Estimate returns the full predicted cost table for distributing ds over
@@ -319,6 +291,6 @@ func (c *Cluster) Estimate(ds *Dataset, opts DistOpts) ([]Candidate, error) {
 	// Candidate plans compile on a throwaway world with the same size and
 	// machine parameters: groups and schedules are structural, so costs and
 	// volumes are identical, and the cluster's live world accretes nothing.
-	cands, _, _, _, err := sweepCandidates(comm.NewWorld(c.p, c.world.Params), ds, opts, widths)
+	cands, _, _, _, err := sweepCandidates(comm.NewWorld(c.p, c.world.Params), ds, distmm.EnumerateCandidates(c.p), opts, widths)
 	return cands, err
 }

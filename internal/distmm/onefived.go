@@ -20,17 +20,15 @@ type Grid struct {
 	colGroups []*comm.Group
 }
 
-// NewGrid validates the replication factor and builds the sub-communicators.
-// Requires c | P and P ≥ c² (so every process handles ≥ 1 stage); an
-// infeasible factor panics (NewEngine wraps this in a typed error).
+// NewGrid builds the (P/c)×c grid's row and column sub-communicators. It
+// panics when Spec rejects a 1.5D engine at (c, P); NewEngine asks Spec
+// first and returns the same reason as an error, so only a direct call to
+// a 1.5D constructor reaches the panic.
 func NewGrid(w *comm.World, c int) *Grid {
-	if c < 1 || w.P%c != 0 {
-		panic(fmt.Sprintf("distmm: replication factor %d does not divide P=%d", c, w.P))
+	if skip := Spec("sparsity-aware-1.5d", c, w.P).Skip; skip != "" {
+		panic("distmm: " + skip)
 	}
 	rows := w.P / c
-	if rows%c != 0 {
-		panic(fmt.Sprintf("distmm: 1.5D needs c² | P; got P=%d c=%d", w.P, c))
-	}
 	g := &Grid{P: w.P, C: c, Rows: rows, world: w}
 	for i := 0; i < rows; i++ {
 		members := make([]int, c)

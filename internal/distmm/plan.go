@@ -287,9 +287,13 @@ func SentSummaryMB(per []int64) (maxMB, avgMB float64) {
 
 // NewEngine compiles the named engine ("oblivious-1d",
 // "sparsity-aware-1d", "oblivious-1.5d", "sparsity-aware-1.5d") with
-// replication factor c — the constructor the candidate sweep drives from
-// CandidateSpec.Name.
+// replication factor c on w's P ranks. A triple Spec rejects — an unknown
+// name, c ≠ 1 for a 1D engine, a 1.5D grid P does not allow — is returned
+// as an error carrying Spec's reason, before anything is compiled.
 func NewEngine(w *comm.World, name string, c int, aT *sparse.CSR, layout Layout) (Engine, error) {
+	if skip := Spec(name, c, w.P).Skip; skip != "" {
+		return nil, fmt.Errorf("distmm: %s", skip)
+	}
 	switch name {
 	case "oblivious-1d":
 		return NewOblivious1D(w, aT, layout), nil
@@ -297,10 +301,9 @@ func NewEngine(w *comm.World, name string, c int, aT *sparse.CSR, layout Layout)
 		return NewSparsityAware1D(w, aT, layout), nil
 	case "oblivious-1.5d":
 		return NewOblivious15D(w, aT, c, layout), nil
-	case "sparsity-aware-1.5d":
+	default:
 		return NewSparsityAware15D(w, aT, c, layout), nil
 	}
-	return nil, fmt.Errorf("distmm: unknown engine %q", name)
 }
 
 // CandidateSpec names one (algorithm, replication) configuration of the
@@ -310,28 +313,46 @@ type CandidateSpec struct {
 	Name string
 	// C is the 1.5D replication factor (1 for 1D).
 	C int
-	// Skip is non-empty when p's factorization forbids the configuration.
+	// Skip is non-empty when the configuration cannot compile at the
+	// spec's world size, with the reason.
 	Skip string
+}
+
+// Spec returns the configuration of engine name at replication factor c on
+// p ranks, with Skip saying why it cannot compile ("" when it can). It is
+// the one statement of the rule: the 1D engines take c = 1, and the 1.5D
+// engines need a (P/c)×c grid with P/c² ≥ 1 stages per process — c ≥ 1,
+// c | P and c² | P. NewEngine, NewGrid and EnumerateCandidates all ask it.
+func Spec(name string, c, p int) CandidateSpec {
+	s := CandidateSpec{Name: name, C: c}
+	switch name {
+	case "oblivious-1d", "sparsity-aware-1d":
+		if c != 1 {
+			s.Skip = fmt.Sprintf("%s is a 1D algorithm; replication must be 1, got %d", name, c)
+		}
+	case "oblivious-1.5d", "sparsity-aware-1.5d":
+		switch {
+		case c < 1:
+			s.Skip = fmt.Sprintf("replication factor %d is not positive", c)
+		case p%c != 0:
+			s.Skip = fmt.Sprintf("replication factor %d does not divide P=%d", c, p)
+		case (p/c)%c != 0:
+			s.Skip = fmt.Sprintf("1.5D needs c² | P; got P=%d c=%d", p, c)
+		}
+	default:
+		s.Skip = fmt.Sprintf("unknown algorithm %q", name)
+	}
+	return s
 }
 
 // EnumerateCandidates lists, in deterministic order, every algorithm
 // candidate at world size p: the 1D pair, then the 1.5D pairs over
-// c ∈ {2, 4}, with Skip set where p forbids the grid. Keeping the
-// enumeration here — next to the grid validation rules it mirrors — gives
-// AlgorithmAuto and Cluster.Estimate one sweep to agree on.
+// c ∈ {2, 4}, each as Spec reports it, so a candidate p forbids carries
+// its Skip reason.
 func EnumerateCandidates(p int) []CandidateSpec {
-	specs := []CandidateSpec{{Name: "oblivious-1d", C: 1}, {Name: "sparsity-aware-1d", C: 1}}
+	specs := []CandidateSpec{Spec("oblivious-1d", 1, p), Spec("sparsity-aware-1d", 1, p)}
 	for _, c := range []int{2, 4} {
-		skip := ""
-		switch {
-		case p%c != 0:
-			skip = fmt.Sprintf("replication factor %d does not divide P=%d", c, p)
-		case (p/c)%c != 0:
-			skip = fmt.Sprintf("1.5D needs c² | P; got P=%d c=%d", p, c)
-		}
-		specs = append(specs,
-			CandidateSpec{Name: "oblivious-1.5d", C: c, Skip: skip},
-			CandidateSpec{Name: "sparsity-aware-1.5d", C: c, Skip: skip})
+		specs = append(specs, Spec("oblivious-1.5d", c, p), Spec("sparsity-aware-1.5d", c, p))
 	}
 	return specs
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"sagnn"
+	"sagnn/internal/distmm"
 	"sagnn/internal/gen"
 	"sagnn/internal/partition"
 )
@@ -43,7 +45,7 @@ func AblationGVBVolumePhase(dataset gen.Preset, scaleDiv int, k int, seed int64)
 func AblationReplication(dataset gen.Preset, scaleDiv int, p int, cs []int, seed int64) ([]RunResult, error) {
 	var out []RunResult
 	for _, c := range cs {
-		if !validGrid(p, c) {
+		if distmm.Spec(string(sagnn.SparsityAware15D), c, p).Skip != "" {
 			continue
 		}
 		r, err := Run(RunConfig{Dataset: dataset, ScaleDiv: scaleDiv, P: p, C: c, Scheme: SchemeSAGVB, Seed: seed})

@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 
+	"sagnn"
+	"sagnn/internal/distmm"
 	"sagnn/internal/gen"
 	"sagnn/internal/machine"
 	"sagnn/internal/partition"
@@ -76,9 +78,6 @@ func sweep(dataset gen.Preset, scaleDiv int, ps []int, c int, schemes []Scheme, 
 	return out, nil
 }
 
-// validGrid reports whether the 1.5D process grid exists: c | P and c² | P.
-func validGrid(p, c int) bool { return p%c == 0 && (p/c)%c == 0 }
-
 // Figure3 reproduces the 1D scaling study: CAGNET vs SA vs SA+GVB across
 // process counts for one dataset. The same results feed Figure 4 (the
 // breakdown is captured in every RunResult).
@@ -100,14 +99,15 @@ func Figure6(dataset gen.Preset, scaleDiv int, ps []int, seed int64) ([]Series, 
 }
 
 // Figure7 reproduces the 1.5D study: oblivious vs SA vs SA+GVB at
-// replication factors c for one dataset. Process counts that violate
-// c² | P are skipped, mirroring the paper's grid constraints.
+// replication factors c for one dataset. Process counts whose grid
+// distmm.Spec rejects at c are skipped, mirroring the paper's grid
+// constraints.
 func Figure7(dataset gen.Preset, scaleDiv int, ps []int, cs []int, seed int64) ([]Series, error) {
 	var out []Series
 	for _, c := range cs {
 		var grid []int
 		for _, p := range ps {
-			if validGrid(p, c) {
+			if distmm.Spec(string(sagnn.SparsityAware15D), c, p).Skip == "" {
 				grid = append(grid, p)
 			}
 		}

@@ -14,42 +14,29 @@ import (
 // imbalance METIS leaves behind (Table 2, Figure 6).
 type GVB struct {
 	Seed int64
-	// Epsilon is the balance slack for the edgecut phase (default 0.05).
-	Epsilon float64
-	// VolEpsilon is the looser balance slack allowed during volume
-	// refinement; the paper notes GVB trades some computational balance for
-	// lower communication (default 0.30).
-	VolEpsilon float64
-	// Passes is the number of volume refinement sweeps (default 6).
-	Passes int
 	// DisableVolumePhase turns the volume refinement off, reducing GVB to
 	// the edgecut-only pipeline — used by the ablation benchmarks.
 	DisableVolumePhase bool
 }
+
+// GVB's volume phase: the looser balance slack it may spend — GVB trades
+// some computational balance for lower communication — and its sweep
+// count. The edgecut phase is MetisLike's, at metisEpsilon.
+const (
+	gvbVolEpsilon = 0.30
+	gvbPasses     = 6
+)
 
 // Name implements Partitioner.
 func (g GVB) Name() string { return "gvb" }
 
 // Partition implements Partitioner.
 func (g GVB) Partition(gr *graph.Graph, k int) *Partition {
-	eps := g.Epsilon
-	if eps == 0 {
-		eps = 0.05
-	}
-	volEps := g.VolEpsilon
-	if volEps == 0 {
-		volEps = 0.30
-	}
-	passes := g.Passes
-	if passes == 0 {
-		passes = 6
-	}
-	base := MetisLike{Seed: g.Seed, Epsilon: eps}
-	parts, w := base.partitionInternal(gr, k)
+	parts, w := MetisLike{Seed: g.Seed}.partitionInternal(gr, k)
 	if k > 1 && !g.DisableVolumePhase {
-		maxW := int64(float64(w.totalVWgt()) / float64(k) * (1 + volEps))
+		maxW := int64(float64(w.totalVWgt()) / float64(k) * (1 + gvbVolEpsilon))
 		rng := rand.New(rand.NewSource(g.Seed + 7))
-		refineVolume(w, parts, k, maxW, passes, rng)
+		refineVolume(w, parts, k, maxW, gvbPasses, rng)
 	}
 	return &Partition{K: k, Parts: parts}
 }

@@ -319,12 +319,14 @@ func moveVertex(w *wgraph, parts []int, pc partCounts, partW []int64, v, p, q in
 // METIS, and like METIS it ignores communication load balance.
 type MetisLike struct {
 	Seed int64
-	// Epsilon is the allowed balance slack: part weight ≤ (1+Epsilon)·avg.
-	// Zero means the 0.05 default.
-	Epsilon float64
-	// Passes is the number of refinement sweeps per level (default 4).
-	Passes int
 }
+
+// MetisLike's balance slack — part weight ≤ (1+metisEpsilon)·avg — and its
+// refinement sweeps per level.
+const (
+	metisEpsilon = 0.05
+	metisPasses  = 4
+)
 
 // Name implements Partitioner.
 func (m MetisLike) Name() string { return "metis" }
@@ -335,23 +337,10 @@ func (m MetisLike) Partition(g *graph.Graph, k int) *Partition {
 	return &Partition{K: k, Parts: parts}
 }
 
-func (m MetisLike) params() (eps float64, passes int) {
-	eps = m.Epsilon
-	if eps == 0 {
-		eps = 0.05
-	}
-	passes = m.Passes
-	if passes == 0 {
-		passes = 4
-	}
-	return eps, passes
-}
-
 // partitionInternal runs the multilevel pipeline and returns the vertex
 // assignment on the original graph, with the finest working graph (nil when
 // k ≤ 1) for GVB's volume phase to reuse.
 func (m MetisLike) partitionInternal(g *graph.Graph, k int) ([]int, *wgraph) {
-	eps, passes := m.params()
 	rng := rand.New(rand.NewSource(m.Seed + 1))
 	if k <= 1 {
 		return make([]int, g.NumVertices()), nil
@@ -378,8 +367,8 @@ func (m MetisLike) partitionInternal(g *graph.Graph, k int) ([]int, *wgraph) {
 	coarsest := levels[len(levels)-1]
 	parts := growInitial(coarsest, k, rng)
 	totalW := coarsest.totalVWgt()
-	maxW := int64(float64(totalW) / float64(k) * (1 + eps))
-	refineEdgeCut(coarsest, parts, k, maxW, passes, rng)
+	maxW := int64(float64(totalW) / float64(k) * (1 + metisEpsilon))
+	refineEdgeCut(coarsest, parts, k, maxW, metisPasses, rng)
 
 	// Uncoarsen with refinement at every level.
 	for lvl := len(levels) - 2; lvl >= 0; lvl-- {
@@ -390,8 +379,8 @@ func (m MetisLike) partitionInternal(g *graph.Graph, k int) ([]int, *wgraph) {
 			fineParts[v] = parts[cmap[v]]
 		}
 		parts = fineParts
-		maxW = int64(float64(fine.totalVWgt()) / float64(k) * (1 + eps))
-		refineEdgeCut(fine, parts, k, maxW, passes, rng)
+		maxW = int64(float64(fine.totalVWgt()) / float64(k) * (1 + metisEpsilon))
+		refineEdgeCut(fine, parts, k, maxW, metisPasses, rng)
 	}
 	return parts, levels[0]
 }

@@ -604,6 +604,11 @@ func TestNewAPIValidation(t *testing.T) {
 	if _, err := cluster.Distribute(ds, DistOpts{Algorithm: Oblivious15D, Replication: 3}); err == nil {
 		t.Fatal("replication 3 on 4 processes")
 	}
+	for _, alg := range []Algorithm{AlgorithmAuto, Oblivious15D} {
+		if _, err := cluster.Distribute(ds, DistOpts{Algorithm: alg, Replication: -3}); err == nil {
+			t.Fatalf("%s with replication -3", alg)
+		}
+	}
 	// A bad sampling config is Distribute's error naming the field, on the
 	// explicit and the auto path — not a recovered panic at the first
 	// RunSampled.
