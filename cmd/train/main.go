@@ -50,7 +50,7 @@ func main() {
 	layers := flag.Int("layers", 3, "GCN layers")
 	lr := flag.Float64("lr", 0.05, "learning rate")
 	seed := flag.Int64("seed", 1, "random seed")
-	sampleFlag := flag.Bool("sample", false, "train with neighbor-sampled mini-batches (Session.RunSampled) instead of full-batch epochs; requires -c 1")
+	sampleFlag := flag.Bool("sample", false, "train with neighbor-sampled mini-batches (Session.RunSampled) instead of full-batch epochs; requires -algo sa and -c 1")
 	fanout := flag.Int("fanout", 5, "with -sample: sampled neighbors per vertex per layer")
 	batch := flag.Int("batch", 256, "with -sample: per-rank mini-batch size")
 	transport := flag.String("transport", "sim", "communication backend: sim (in-process) or tcp (one OS process per rank)")
@@ -67,6 +67,16 @@ func main() {
 	}
 	if *c < 1 {
 		fatal(fmt.Errorf("-c %d: the replication factor must be at least 1", *c))
+	}
+	if *sampleFlag {
+		// Every sampled exchange is the sparsity-aware gather, so no other
+		// algorithm would run.
+		if *algo != "sa" {
+			fatal(fmt.Errorf("-sample -algo %s: sampled training runs the sparsity-aware gather only (use -algo sa)", *algo))
+		}
+		if *fanout < 1 || *batch < 1 {
+			fatal(fmt.Errorf("-fanout %d -batch %d: sampled training needs at least one neighbor and one vertex per batch", *fanout, *batch))
+		}
 	}
 	if *transport == "tcp" && *rank < 0 {
 		// Launcher mode: re-exec one child per rank and wait for all of them.
@@ -172,8 +182,12 @@ func main() {
 		}
 	}
 
-	logf("\nmodeled epoch time: %.5fs on %d GPUs (%s, transport %s); one-time Â·X set-up beside it: %.5fs, %.2f MB max sent\n",
-		res.EpochSeconds, *p, alg, cluster.Transport(), res.SetupSeconds, res.SetupMaxSentMB)
+	logf("\nmodeled epoch time: %.5fs on %d GPUs (%s, transport %s)", res.EpochSeconds, *p, alg, cluster.Transport())
+	if *sampleFlag {
+		logf("\n") // a sampled run has no set-up
+	} else {
+		logf("; one-time Â·X set-up beside it: %.5fs, %.2f MB max sent\n", res.SetupSeconds, res.SetupMaxSentMB)
+	}
 	phases := make([]string, 0, len(res.Breakdown))
 	for ph := range res.Breakdown {
 		phases = append(phases, ph)

@@ -203,9 +203,13 @@ func buildNnzSchedule(rows rowSource, layout Layout) *nnzSchedule {
 // writeAlgorithm1 writes the paper's Algorithm 1 over sched into every
 // rank's program of a 1D plan: one all-to-allv moving exactly the NnzCols
 // rows each peer needs, the diagonal block against hLocal, one multiply per
-// peer that sent rows, and the unpack charge. NewSparsityAware1D and the
-// sampled gather both compile through it.
-func writeAlgorithm1(plan *Plan, sched *nnzSchedule) {
+// peer whose block touches its rows, and the unpack charge. fills, when
+// non-nil, is a sampled step's split of each landing slot against the
+// ranks' resident stores (sampled.go): the exchange then moves only the
+// rows fills[i][j] ships, and the multiply assembles the rest from the
+// store. NewSparsityAware1D passes nil; the sampled gather compiles through
+// it too.
+func writeAlgorithm1(plan *Plan, sched *nnzSchedule, fills [][]slotFill) {
 	p := len(plan.progs)
 	g := plan.world.WorldGroup()
 	for me := 0; me < p; me++ {
@@ -214,11 +218,15 @@ func writeAlgorithm1(plan *Plan, sched *nnzSchedule) {
 		sendIdx := make([][]int, p)
 		recvRows := make([]int, p)
 		for j := 0; j < p; j++ {
-			if j == me {
-				continue
+			switch {
+			case j == me:
+			case fills != nil:
+				sendIdx[j] = fills[j][me].ship
+				recvRows[j] = len(fills[me][j].ship)
+			default:
+				sendIdx[j] = sched.recvIdx[j][me]
+				recvRows[j] = len(sched.recvIdx[me][j])
 			}
-			sendIdx[j] = sched.recvIdx[j][me]
-			recvRows[j] = len(sched.recvIdx[me][j])
 		}
 		prog := make([]instr, 0, p+3)
 		prog = append(prog, instr{op: opAllToAllv, group: g, slot: me, sendIdx: sendIdx, recvRows: recvRows})
@@ -227,7 +235,12 @@ func writeAlgorithm1(plan *Plan, sched *nnzSchedule) {
 			if j == me || len(sched.recvIdx[me][j]) == 0 {
 				continue
 			}
-			prog = append(prog, instr{op: opMulRecvSlot, slot: j, rows: len(sched.recvIdx[me][j]), blk: sched.compact[me][j]})
+			mul := instr{op: opMulRecvSlot, slot: j, rows: len(sched.recvIdx[me][j]), blk: sched.compact[me][j]}
+			if fills != nil {
+				fl := &fills[me][j]
+				mul.fill, mul.storeAt, mul.keep = fl.fill, fl.storeAt, fl.keep
+			}
+			prog = append(prog, mul)
 		}
 		prog = append(prog, instr{op: opChargeUnpack})
 		plan.progs[me] = prog
@@ -241,6 +254,6 @@ func writeAlgorithm1(plan *Plan, sched *nnzSchedule) {
 func NewSparsityAware1D(w *comm.World, aT *sparse.CSR, layout Layout) Engine {
 	check1DInputs(w, aT, layout)
 	plan := new1DPlan("sparsity-aware-1d", w, layout)
-	writeAlgorithm1(plan, buildNnzSchedule(layoutRows(aT, layout), layout))
+	writeAlgorithm1(plan, buildNnzSchedule(layoutRows(aT, layout), layout), nil)
 	return newPlanEngine(plan)
 }

@@ -48,7 +48,9 @@ const (
 	// hLocal into the accumulator.
 	opMulOwn
 	// opMulRecvSlot multiplies instr.blk (a compact relabeled block) against
-	// the rows landed in all-to-allv slot instr.slot.
+	// the rows landed in all-to-allv slot instr.slot — or, when instr.fill is
+	// set, against the slot assembled from those rows and the rank's resident
+	// store — after keeping the first instr.keep landed rows in the store.
 	opMulRecvSlot
 	// opChargeUnpack charges the device-copy time of every row consumed by
 	// opMulRecvSlot since the last charge.
@@ -84,6 +86,12 @@ type instr struct {
 	blk      *sparse.CSR // SpMM operand
 	sendIdx  [][]int     // opAllToAllv: per-peer hLocal rows to gather (nil = none)
 	recvRows []int       // opAllToAllv: per-peer landing row counts
+	// opMulRecvSlot against a resident store (sampled gathers): fill[k] is
+	// slot row k's source — landed row fill[k] when ≥ 0, store row -1-fill[k]
+	// otherwise; nil means the slot is the landed rows in order. Landed rows
+	// [0, keep) are copied to store rows [storeAt, storeAt+keep).
+	fill          []int
+	storeAt, keep int
 }
 
 // Plan is one algorithm's compiled communication schedule over a fixed
@@ -108,7 +116,11 @@ type Plan struct {
 	// feature rows but accumulates only its batch frontier. nil means the
 	// plan is square: input height equals outRows (the full-batch engines).
 	inRows []int
-	progs  [][]instr
+	// store, when non-nil, is each rank's resident-store height once the plan
+	// has run: the store rows its fill maps may read and its keeps may write.
+	// Only sampled gathers keep a store (sampled.go).
+	store []int
+	progs [][]instr
 	// pipes caches the per-rank pipelined stage decomposition (overlap.go),
 	// derived once from the immutable progs on first overlapped execution or
 	// overlap cost prediction.
@@ -369,6 +381,10 @@ type execWS struct {
 	recvPtr  [][]float64 // recvPtr[j] points into recvBufs[j]
 	recvBufs [][]float64
 	hj, zh   dense.Matrix
+	// store holds the remote feature rows a sampled gather keeps, row-major
+	// at the feature width; slot is where a slot that reads them is
+	// assembled. Both are grow-only.
+	store, slot []float64
 
 	// Overlapped-execution state (overlap.go): the background comm worker
 	// and the stage-parity double buffers it lands transfers into, kept
@@ -460,7 +476,7 @@ func (p *Plan) execute(r *comm.Rank, hLocal, out *dense.Matrix, ws *execWS) {
 			in.blk.SpMMAddInto(acc, hLocal)
 			r.ChargeCompute("local", params.SpMMTime(in.blk.Flops(f)))
 		case opMulRecvSlot:
-			in.blk.SpMMAddInto(acc, asMatrix(&ws.hj, in.rows, f, ws.recvPtr[in.slot]))
+			in.blk.SpMMAddInto(acc, asMatrix(&ws.hj, in.rows, f, ws.slotRows(in, ws.recvPtr[in.slot], f)))
 			unpacked += int64(in.rows * f)
 			r.ChargeCompute("local", params.SpMMTime(in.blk.Flops(f)))
 		case opChargeUnpack:
@@ -489,6 +505,38 @@ func (p *Plan) execute(r *comm.Rank, hLocal, out *dense.Matrix, ws *execWS) {
 			in.group.AllReduceSumInto(r, acc.Data, out.Data, "allreduce")
 		}
 	}
+}
+
+// growStore makes the resident store at least n floats long, keeping the
+// rows it holds.
+func (ws *execWS) growStore(n int) {
+	if n > len(ws.store) {
+		ws.store = append(ws.store, make([]float64, n-len(ws.store))...)
+	}
+}
+
+// slotRows returns opMulRecvSlot's dense operand. Landed rows the plan keeps
+// are copied into the resident store first. Without a fill map the operand
+// is the landed rows themselves; with one it is the slot assembled in the
+// compact block's column order, each row from the store or the landing, so
+// the multiply sees the values and order a full landing would have given it.
+// Both executors call it.
+func (ws *execWS) slotRows(in *instr, landed []float64, f int) []float64 {
+	if in.keep > 0 {
+		copy(ws.store[in.storeAt*f:], landed[:in.keep*f])
+	}
+	if in.fill == nil {
+		return landed
+	}
+	slot := growFloats(&ws.slot, in.rows*f)
+	for k, src := range in.fill {
+		from := landed
+		if src < 0 {
+			from, src = ws.store, -1-src
+		}
+		copy(slot[k*f:(k+1)*f], from[src*f:(src+1)*f])
+	}
+	return slot
 }
 
 // planEngine is the one engine type: a Plan, per-rank workspaces and the
@@ -529,6 +577,9 @@ func (e *planEngine) SetExecMode(m ExecMode) { e.mode = m }
 // necessarily run the same mode). CostWith prices the same choice.
 func (e *planEngine) MultiplyInto(r *comm.Rank, hLocal, out *dense.Matrix) {
 	checkMultiplyShapes(r.ID, e.plan.inRowsOf(r.ID), e.plan.outRows[r.ID], hLocal, out)
+	if e.plan.store != nil {
+		e.ws[r.ID].growStore(e.plan.store[r.ID] * hLocal.Cols)
+	}
 	if e.mode == ExecOverlap {
 		e.plan.executeOverlap(r, hLocal, out, e.ws[r.ID])
 		return

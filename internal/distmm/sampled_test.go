@@ -2,6 +2,7 @@ package distmm
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sagnn/internal/comm"
@@ -111,6 +112,137 @@ func TestSampledGatherRecompile(t *testing.T) {
 	}
 }
 
+// TestSampledGatherResident pins the resident stores: rounds of random
+// frontiers run through one gather, each round's plan executed in order,
+// stay bit-identical to the reference in both exec modes; every round's
+// ledger delta is its plan's Volumes; no row reaches a rank twice while the
+// rank's store has room; and a rank whose frontiers name more remote rows
+// than it owns stops keeping them at its own row count and ships the rest
+// again, still exactly as predicted.
+func TestSampledGatherResident(t *testing.T) {
+	const n, f, p, rounds = 512, 5, 4, 6
+	x := dense.NewRandom(rand.New(rand.NewSource(9)), n, f, 1)
+	layouts := map[string]Layout{
+		"uniform": UniformLayout(n, p),
+		"skewed":  LayoutFromOffsets([]int{0, 200, 202, 350, n}), // rank 1 owns 2 rows
+	}
+	for name, layout := range layouts {
+		for _, mode := range []ExecMode{ExecSequential, ExecOverlap} {
+			rng := rand.New(rand.NewSource(21))
+			w := comm.NewWorld(p, machine.Perlmutter())
+			var e *SampledGather
+			named := make([]map[int]bool, p) // distinct remote rows each rank's frontiers named
+			shipped := make([]int, p)        // rows landed at each rank so far
+			perRound := 0                    // remote rows named, summed over rounds and ranks
+			for i := range named {
+				named[i] = map[int]bool{}
+			}
+			for round := 0; round < rounds; round++ {
+				blocks := randomFrontiers(rng, p, n)
+				if e == nil {
+					e = NewSampledGather(w, blocks, layout)
+					e.SetExecMode(mode)
+				} else {
+					e.Recompile(blocks)
+				}
+				if err := Verify(e.Plan()); err != nil {
+					t.Fatalf("%s %v round %d: plan rejected: %v", name, mode, round, err)
+				}
+				pred := e.Plan().Volumes(f)
+				before := make([]RankVolume, p)
+				for rank := range before {
+					before[rank] = RankVolume{w.Stats().BytesSent(rank), w.Stats().BytesRecv(rank), w.Stats().MsgsSent(rank)}
+				}
+				want := SampledGatherReference(blocks, layout, x)
+				got := runSampledGather(w, e, x, layout)
+				for rank := 0; rank < p; rank++ {
+					if !got[rank].Equal(want[rank], 0) {
+						t.Fatalf("%s %v round %d rank %d: gather differs from reference", name, mode, round, rank)
+					}
+					delta := RankVolume{
+						w.Stats().BytesSent(rank) - before[rank].SentBytes,
+						w.Stats().BytesRecv(rank) - before[rank].RecvBytes,
+						w.Stats().MsgsSent(rank) - before[rank].MsgsSent,
+					}
+					if delta != pred[rank] {
+						t.Fatalf("%s %v round %d rank %d: measured %+v != predicted %+v", name, mode, round, rank, delta, pred[rank])
+					}
+					shipped[rank] += int(pred[rank].RecvBytes / (f * machine.BytesPerElem))
+					b := blocks[rank]
+					lo, hi := layout.Range(rank)
+					round := map[int]bool{}
+					for _, c := range b.ColIdx[:b.RowPtr[b.NumRows]] {
+						if c < lo || c >= hi {
+							named[rank][c], round[c] = true, true
+						}
+					}
+					perRound += len(round)
+				}
+			}
+			capped := false
+			for rank := 0; rank < p; rank++ {
+				own := layout.Count(rank)
+				if held := e.Plan().store[rank]; held != min(len(named[rank]), own) {
+					t.Errorf("%s %v rank %d: store holds %d rows; %d distinct remote rows named, %d owned", name, mode, rank, held, len(named[rank]), own)
+				}
+				if len(named[rank]) > own {
+					capped = true
+				} else if shipped[rank] > len(named[rank]) {
+					t.Errorf("%s %v rank %d: %d rows shipped for %d distinct rows named", name, mode, rank, shipped[rank], len(named[rank]))
+				}
+			}
+			if capped != (name == "skewed") {
+				t.Errorf("%s %v: a rank outgrew its store: %v", name, mode, capped)
+			}
+			total := 0
+			for _, n := range shipped {
+				total += n
+			}
+			if total >= perRound {
+				t.Errorf("%s %v: %d rows shipped for %d named round by round: no row was served from a store", name, mode, total, perRound)
+			}
+		}
+	}
+}
+
+// TestSampledGatherRewind checks that Rewind returns the stores to a mark:
+// after rewinding, a recompile of the same frontiers compiles the plan it
+// compiled at that mark — same bytes per rank — and still executes to the
+// reference.
+func TestSampledGatherRewind(t *testing.T) {
+	const n, f, p = 48, 4, 4
+	layout := UniformLayout(n, p)
+	x := dense.NewRandom(rand.New(rand.NewSource(13)), n, f, 1)
+	rng := rand.New(rand.NewSource(17))
+	batches := make([][]*sparse.CSR, 4)
+	for i := range batches {
+		batches[i] = randomFrontiers(rng, p, n)
+	}
+	w := comm.NewWorld(p, machine.Perlmutter())
+	e := NewSampledGather(w, batches[0], layout)
+	runSampledGather(w, e, x, layout)
+	mark := e.Resident()
+	var first [][]RankVolume
+	for _, b := range batches[1:] {
+		e.Recompile(b)
+		first = append(first, e.Plan().Volumes(f))
+		runSampledGather(w, e, x, layout)
+	}
+	e.Rewind(mark)
+	for i, b := range batches[1:] {
+		e.Recompile(b)
+		if got := e.Plan().Volumes(f); !slices.Equal(got, first[i]) {
+			t.Fatalf("batch %d after rewind: volumes %+v, first compile %+v", i+1, got, first[i])
+		}
+		want := SampledGatherReference(b, layout, x)
+		for rank, out := range runSampledGather(w, e, x, layout) {
+			if !out.Equal(want[rank], 0) {
+				t.Fatalf("batch %d rank %d after rewind: gather differs from reference", i+1, rank)
+			}
+		}
+	}
+}
+
 // TestSampledGatherShapePanics pins the collective-call contract: wrong
 // input or output heights and aliased buffers panic instead of corrupting a
 // collective.
@@ -149,7 +281,7 @@ func TestVerifyRejectsBrokenSampledPlan(t *testing.T) {
 	layout := UniformLayout(n, p)
 	w := comm.NewWorld(p, machine.Perlmutter())
 	fresh := func() *Plan {
-		return newSampledGatherPlan(w, randomFrontiers(rand.New(rand.NewSource(4)), p, n), layout)
+		return newSampledGatherPlan(w, randomFrontiers(rand.New(rand.NewSource(4)), p, n), layout, newResidentStores(layout))
 	}
 
 	if err := Verify(fresh()); err != nil {
@@ -174,5 +306,34 @@ func TestVerifyRejectsBrokenSampledPlan(t *testing.T) {
 	}
 	if err := Verify(bad); err == nil {
 		t.Fatal("verifier accepted out-of-range pack indices")
+	}
+
+	// A second compile of the same frontiers reads most rows from the
+	// stores the first one filled: its fill maps are what the last two
+	// mutations corrupt.
+	withFills := func(edit func(in *instr, landed, store int)) *Plan {
+		frontiers := randomFrontiers(rand.New(rand.NewSource(4)), p, n)
+		rs := newResidentStores(layout)
+		newSampledGatherPlan(w, frontiers, layout, rs)
+		pl := newSampledGatherPlan(w, frontiers, layout, rs)
+		for rank, prog := range pl.progs {
+			for i := range prog {
+				if in := &prog[i]; in.op == opMulRecvSlot && in.fill != nil {
+					edit(in, prog[0].recvRows[in.slot], pl.store[rank])
+					return pl
+				}
+			}
+		}
+		t.Fatal("second compile of the same frontiers reads nothing from the stores")
+		return nil
+	}
+	if err := Verify(withFills(func(*instr, int, int) {})); err != nil {
+		t.Fatalf("clean plan with fill maps rejected: %v", err)
+	}
+	if err := Verify(withFills(func(in *instr, _, store int) { in.fill[0] = -1 - store })); err == nil {
+		t.Fatal("verifier accepted a fill reference past the resident store")
+	}
+	if err := Verify(withFills(func(in *instr, landed, _ int) { in.fill[0] = landed })); err == nil {
+		t.Fatal("verifier accepted a fill reference past the landed rows")
 	}
 }

@@ -28,9 +28,10 @@ import (
 //     the stage that staged it (so parity buffers never alias an in-flight
 //     transfer), keeps compute in program order (bit-identical
 //     accumulation), and defers all-reduces to the epilogue.
-//   - Layout consistency: blockOf/outRows/inRows agree with the layout, and
+//   - Layout consistency: blockOf/outRows/inRows agree with the layout,
 //     every SpMM block's dimensions match its accumulator rows and staged
-//     operand rows.
+//     operand rows, and every fill reference and kept row of a sampled
+//     gather lies inside its slot's landing or the rank's resident store.
 //
 // Verify runs at compile time only (engine constructors, candidate sweeps,
 // test harnesses); the steady-state execute path never touches it.
@@ -215,6 +216,9 @@ func newVerifier(p *Plan) (*verifier, error) {
 	if p.inRows != nil && len(p.inRows) != v.n {
 		return nil, v.err(VerifyStructure, -1, -1, "inRows length %d for %d ranks", len(p.inRows), v.n)
 	}
+	if p.store != nil && len(p.store) != v.n {
+		return nil, v.err(VerifyStructure, -1, -1, "store length %d for %d ranks", len(p.store), v.n)
+	}
 	blocks := p.layout.Blocks()
 	for rank := 0; rank < v.n; rank++ {
 		b := p.blockOf[rank]
@@ -235,6 +239,10 @@ func newVerifier(p *Plan) (*verifier, error) {
 			if p.outRows[rank] < 0 {
 				return nil, v.err(VerifyLayout, rank, -1, "negative output height %d", p.outRows[rank])
 			}
+		}
+		// A resident store holds at most the rank's own row count.
+		if p.store != nil && (p.store[rank] < 0 || p.store[rank] > p.inRowsOf(rank)) {
+			return nil, v.err(VerifyLayout, rank, -1, "resident store of %d rows outside [0, %d]", p.store[rank], p.inRowsOf(rank))
 		}
 	}
 	return v, nil
@@ -322,8 +330,8 @@ func (v *verifier) checkPrograms() error {
 				if in.slot < 0 || in.slot >= len(lastA2A.recvRows) {
 					return v.err(VerifyStructure, rank, site, "slot %d outside the exchange's %d landings", in.slot, len(lastA2A.recvRows))
 				}
-				if in.rows != lastA2A.recvRows[in.slot] {
-					return v.err(VerifyLayout, rank, site, "consumes %d rows from slot %d, which lands %d", in.rows, in.slot, lastA2A.recvRows[in.slot])
+				if err := v.checkSlotFill(rank, site, in, lastA2A.recvRows[in.slot]); err != nil {
+					return err
 				}
 				if err := v.checkBlock(rank, site, in, own, in.rows); err != nil {
 					return err
@@ -370,6 +378,36 @@ func (v *verifier) checkPrograms() error {
 		if p.partial && !reduced {
 			return v.err(VerifyStructure, rank, -1, "partial plan never folds its accumulator (no all-reduce)")
 		}
+	}
+	return nil
+}
+
+// checkSlotFill validates how one opMulRecvSlot assembles its operand from
+// a slot that lands `landed` rows: without a fill map it consumes exactly
+// those rows; with one, every slot row references a landed row or a row of
+// the rank's resident store. The rows it keeps must have landed and must fit
+// the store.
+func (v *verifier) checkSlotFill(rank, site int, in *instr, landed int) *VerifyError {
+	store := 0
+	if v.p.store != nil {
+		store = v.p.store[rank]
+	}
+	if in.fill == nil {
+		if in.rows != landed {
+			return v.err(VerifyLayout, rank, site, "consumes %d rows from slot %d, which lands %d", in.rows, in.slot, landed)
+		}
+	} else {
+		if len(in.fill) != in.rows {
+			return v.err(VerifyLayout, rank, site, "fill map of %d rows for a %d-row slot", len(in.fill), in.rows)
+		}
+		for k, src := range in.fill {
+			if src >= landed || -1-src >= store {
+				return v.err(VerifyLayout, rank, site, "slot row %d reads %d, outside %d landed and %d stored rows", k, src, landed, store)
+			}
+		}
+	}
+	if in.keep < 0 || in.keep > landed || (in.keep > 0 && (in.storeAt < 0 || in.storeAt+in.keep > store)) {
+		return v.err(VerifyLayout, rank, site, "keeps %d of %d landed rows at store row %d of %d", in.keep, landed, in.storeAt, store)
 	}
 	return nil
 }
@@ -658,7 +696,7 @@ func (v *verifier) checkOverlap() error {
 					if landSite < 0 || prog[landSite].op != opAllToAllv {
 						return v.err(VerifyOverlap, rank, i, "stage %d consumes all-to-allv slot %d without that exchange landing in the stage", s, in.slot)
 					}
-					if in.slot < 0 || in.slot >= len(prog[landSite].recvRows) || prog[landSite].recvRows[in.slot] != in.rows {
+					if in.slot < 0 || in.slot >= len(prog[landSite].recvRows) || v.checkSlotFill(rank, i, in, prog[landSite].recvRows[in.slot]) != nil {
 						return v.err(VerifyOverlap, rank, i, "stage %d slot %d consumption does not match the stage's exchange landing", s, in.slot)
 					}
 				}

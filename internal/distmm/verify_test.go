@@ -32,6 +32,8 @@ func clonePlan(p *Plan) *Plan {
 		partial:     p.partial,
 		blockOf:     append([]int(nil), p.blockOf...),
 		outRows:     append([]int(nil), p.outRows...),
+		inRows:      append([]int(nil), p.inRows...),
+		store:       append([]int(nil), p.store...),
 		gradGroups:  append([]*comm.Group(nil), p.gradGroups...),
 		progs:       make([][]instr, len(p.progs)),
 	}
@@ -290,11 +292,12 @@ func TestVerifyMutations(t *testing.T) {
 }
 
 // FuzzVerifySound checks Verify against the executors themselves. A compiled
-// plan of every feasible engine at P ∈ {4, 8} takes one single-rank edit —
-// delete, duplicate or swap instructions, bump a tag, or change a peer or a
-// root. Verify must return nil or a *VerifyError, never panic; and whenever it
-// accepts the edited plan, both executors must run it to completion on a sim
-// world within the chaos timeout.
+// plan of every feasible engine at P ∈ {4, 8}, and a sampled gather compiled
+// against stores an earlier batch filled, takes one single-rank edit —
+// delete, duplicate or swap instructions, bump a tag, change a peer or a
+// root, or repoint a fill entry. Verify must return nil or a *VerifyError,
+// never panic; and whenever it accepts the edited plan, both executors must
+// run it to completion on a sim world within the chaos timeout.
 func FuzzVerifySound(f *testing.F) {
 	const n, width = 48, 3
 	a := gen.ErdosRenyi(n, 5, 31).NormalizedAdjacency()
@@ -311,8 +314,13 @@ func FuzzVerifySound(f *testing.F) {
 			}
 			plans = append(plans, e.Plan())
 		}
+		frontiers := randomFrontiers(rand.New(rand.NewSource(int64(p))), p, n)
+		g := NewSampledGather(w, frontiers, UniformLayout(n, p))
+		g.Recompile(frontiers)
+		plans = append(plans, g.Plan())
 	}
-	for seed := 0; seed < 6*len(plans); seed++ { // every edit on every plan
+	const edits = 7
+	for seed := 0; seed < edits*len(plans); seed++ { // every edit on every plan
 		f.Add(uint8(seed), uint8(seed*3), uint8(seed/len(plans)), uint16(seed*5), uint16(seed*11+1))
 	}
 	f.Fuzz(func(t *testing.T, which, rank, edit uint8, i, j uint16) {
@@ -323,7 +331,7 @@ func FuzzVerifySound(f *testing.F) {
 			return
 		}
 		x, y := int(i)%len(prog), int(j)%len(prog)
-		switch edit % 6 {
+		switch edit % edits {
 		case 0:
 			mut.progs[r] = append(append([]instr(nil), prog[:x]...), prog[x+1:]...)
 		case 1:
@@ -336,6 +344,12 @@ func FuzzVerifySound(f *testing.F) {
 			prog[x].peer = int(j) % len(mut.progs)
 		case 5:
 			prog[x].root = int(j) % len(mut.progs)
+		case 6:
+			if fill := prog[x].fill; len(fill) > 0 {
+				fill = append([]int(nil), fill...)
+				fill[y%len(fill)] = int(j)%(2*len(fill)+3) - len(fill) - 1
+				prog[x].fill = fill
+			}
 		}
 		err := Verify(mut)
 		if err != nil {
@@ -352,7 +366,7 @@ func FuzzVerifySound(f *testing.F) {
 				e.MultiplyInto(rk, dense.New(mut.inRowsOf(rk.ID), width), dense.New(mut.outRows[rk.ID], width))
 				return nil
 			}); err != nil {
-				t.Fatalf("%s: edit %d at rank %d accepted by Verify, but the %s executor fails: %v", mut.name, edit%6, r, mode, err)
+				t.Fatalf("%s: edit %d at rank %d accepted by Verify, but the %s executor fails: %v", mut.name, edit%edits, r, mode, err)
 			}
 		}
 	})

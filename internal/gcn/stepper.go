@@ -53,7 +53,8 @@ type Stepper struct {
 	Body EpochBody
 	// Setup is the collective work Body needs done once before its first
 	// epoch, in launches of its own — the full-batch body's
-	// InputProduct.Ensure, a sampled body's NoSetup — and a prompt no-op once
+	// InputProduct.Ensure; a sampled body's needs no launch and only settles
+	// its resident stores after an aborted launch — and a prompt no-op once
 	// done. StepNCtx calls it ahead of every launch; a caller that accounts
 	// set-up apart from epochs calls it first. A failure has touched no
 	// replica: the stepper stays clean and the set-up owed. It travels with
@@ -73,8 +74,8 @@ type Stepper struct {
 // NewStepper builds one replica per hosted rank (in parallel, one goroutine
 // each; on a multi-process world only the hosted rank's slot is populated)
 // and returns the driver positioned at epoch 0, holding body and the set-up
-// it needs (NoSetup for none). examples is the global number of training
-// examples an epoch averages over.
+// it needs. examples is the global number of training examples an epoch
+// averages over.
 func NewStepper(w *comm.World, examples int, setup func(context.Context) error, body EpochBody, build func(r *comm.Rank) *Replica) *Stepper {
 	st := &Stepper{Body: body, Setup: setup, world: w, examples: examples, ranks: make([]*Replica, w.P)}
 	w.Run(func(r *comm.Rank) {
@@ -84,9 +85,6 @@ func NewStepper(w *comm.World, examples int, setup func(context.Context) error, 
 	})
 	return st
 }
-
-// NoSetup is the Setup of a body that needs none.
-func NoSetup(context.Context) error { return nil }
 
 // StepNCtx runs n consecutive epochs inside a single collective launch (one
 // goroutine per rank for the whole batch) and returns their results. A fault

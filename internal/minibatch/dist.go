@@ -1,6 +1,7 @@
 package minibatch
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -221,14 +222,28 @@ type sampler struct {
 	// every rank joined, so both slots are free.
 	mu     sync.Mutex
 	slots  [2]step
-	cur    int // the slot derived last
+	cur    int  // the slot derived last
+	held   bool // slots[cur] may be handed out again
 	gather *distmm.SampledGather
+	// marks lists the steps compiled into the gather, in order, each with
+	// the gather's Resident mark before it. Re-deriving a step at or before
+	// the last compiled one rewinds the resident stores to that step's mark,
+	// so a retry, a recovery replay or a restore ships exactly the bytes the
+	// first run shipped.
+	marks []stepMark
+	// failed records that a hosted rank left an epoch without finishing it;
+	// prepare acts on it before the next launch.
+	failed bool
 
 	// predicted accumulates the byte-exact traffic prediction of every
 	// executed step: the gather plans' Volumes plus the loss and gradient
 	// all-reduces. Equal to the measured ledger delta by construction.
 	predicted []distmm.RankVolume
 }
+
+// stepMark pairs a compiled step, numbered across epochs, with the
+// gather's Resident mark before it.
+type stepMark struct{ step, resident int }
 
 func (d *Dist) newSampler() *sampler {
 	P, L := d.World.P, len(d.Dims)-1
@@ -265,21 +280,55 @@ func (sm *sampler) step(epoch, s int) *step {
 	d := sm.d
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	if st := &sm.slots[sm.cur]; st.plan != nil && st.epoch == epoch && st.index == s {
+	if st := &sm.slots[sm.cur]; sm.held && st.epoch == epoch && st.index == s {
 		return st
 	}
-	sm.cur = 1 - sm.cur
+	sm.cur, sm.held = 1-sm.cur, true
 	st := &sm.slots[sm.cur]
 	sm.sample(st, epoch, s)
+	t := epoch*d.stepsPerEpoch() + s
 	if sm.gather == nil {
+		sm.marks = append(sm.marks, stepMark{step: t})
 		sm.gather = distmm.NewSampledGather(d.World, st.bottoms, d.Layout)
 		sm.gather.SetExecMode(d.Cfg.Exec)
 	} else {
+		sm.rewind(t)
+		sm.marks = append(sm.marks, stepMark{step: t, resident: sm.gather.Resident()})
 		sm.gather.Recompile(st.bottoms)
 	}
 	st.plan = sm.gather.Plan()
 	st.err = distmm.Verify(st.plan)
 	return st
+}
+
+// prepare is the sampled body's Setup, run ahead of every launch while no
+// rank runs. After an aborted launch it drops the resident rows of the last
+// compiled step — that step's plan may have stopped before they landed at
+// every rank — and stops handing the step out again, so whatever step the
+// launch starts at compiles against rows every rank holds.
+func (sm *sampler) prepare(context.Context) error {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	if sm.failed {
+		sm.failed, sm.held = false, false
+		if n := len(sm.marks); n > 0 {
+			sm.rewind(sm.marks[n-1].step)
+		}
+	}
+	return nil
+}
+
+// rewind returns the resident stores to their state before step t: the
+// mark of the first compiled step at or after t, when there is one.
+func (sm *sampler) rewind(t int) {
+	i := len(sm.marks)
+	for i > 0 && sm.marks[i-1].step >= t {
+		i--
+	}
+	if i < len(sm.marks) {
+		sm.gather.Rewind(sm.marks[i].resident)
+		sm.marks = sm.marks[:i]
+	}
 }
 
 // rankEpoch runs one collective sampled epoch for one rank: per step, take
@@ -291,6 +340,14 @@ func (sm *sampler) rankEpoch(r *comm.Rank, rep *gcn.Replica, epoch int) (lossSum
 	d := sm.d
 	c := &sm.chains[r.ID]
 	c.rank, c.x = r, rep.X
+	done := false
+	defer func() {
+		if !done { // an error or an abort unwinding this rank
+			sm.mu.Lock()
+			sm.failed = true
+			sm.mu.Unlock()
+		}
+	}()
 	for s, steps := 0, d.stepsPerEpoch(); s < steps; s++ {
 		st := sm.step(epoch, s)
 		if st.err != nil {
@@ -309,6 +366,7 @@ func (sm *sampler) rankEpoch(r *comm.Rank, rep *gcn.Replica, epoch int) (lossSum
 			sm.addPredicted(st.plan)
 		}
 	}
+	done = true
 	return lossSum, correct, nil
 }
 
@@ -338,8 +396,12 @@ func (sm *sampler) addPredicted(plan *distmm.Plan) {
 
 // Body returns a sampled epoch body for a gcn.Stepper whose replicas hold
 // this trainer's model shape and layout slices — how a session steps the
-// replicas it trains full-batch through sampled epochs too.
-func (d *Dist) Body() gcn.EpochBody { return d.newSampler().rankEpoch }
+// replicas it trains full-batch through sampled epochs too — and the Setup
+// the stepper must hold beside it.
+func (d *Dist) Body() (gcn.EpochBody, func(context.Context) error) {
+	sm := d.newSampler()
+	return sm.rankEpoch, sm.prepare
+}
 
 // DistStepper is a gcn.Stepper running the sampled epoch body — same
 // dirty/SetModel recovery contract, and because sampling is seeded by
@@ -354,7 +416,7 @@ type DistStepper struct {
 // epoch 0.
 func (d *Dist) Stepper() *DistStepper {
 	sm := d.newSampler()
-	st := gcn.NewStepper(d.World, len(d.Train), gcn.NoSetup, sm.rankEpoch, func(r *comm.Rank) *gcn.Replica {
+	st := gcn.NewStepper(d.World, len(d.Train), sm.prepare, sm.rankEpoch, func(r *comm.Rank) *gcn.Replica {
 		lo, hi := d.Layout.Range(r.ID)
 		return &gcn.Replica{
 			X:      d.X.SliceRows(lo, hi), // a view: the step only reads it

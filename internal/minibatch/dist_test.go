@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -303,6 +304,127 @@ func TestDistSampledFaultSweep(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Errorf("goroutines grew from %d to %d across the fault sweep", baseGoroutines, runtime.NumGoroutine())
+}
+
+// ledger returns every rank's measured traffic so far.
+func ledger(w *comm.World) []distmm.RankVolume {
+	vols := make([]distmm.RankVolume, w.P)
+	for rank := range vols {
+		vols[rank] = distmm.RankVolume{SentBytes: w.Stats().BytesSent(rank), RecvBytes: w.Stats().BytesRecv(rank), MsgsSent: w.Stats().MsgsSent(rank)}
+	}
+	return vols
+}
+
+// delta returns the traffic one StepNCtx(epochs) moves, per rank.
+func delta(t *testing.T, st *DistStepper, w *comm.World, epochs int) []distmm.RankVolume {
+	t.Helper()
+	before := ledger(w)
+	if _, err := st.StepNCtx(context.Background(), epochs); err != nil {
+		t.Fatal(err)
+	}
+	after := ledger(w)
+	for rank := range after {
+		after[rank].SentBytes -= before[rank].SentBytes
+		after[rank].RecvBytes -= before[rank].RecvBytes
+		after[rank].MsgsSent -= before[rank].MsgsSent
+	}
+	return after
+}
+
+// TestDistSampledReplayShipsSameBytes pins the resident stores' replay
+// contract: an epoch retried after a fault at any of its op sites, in either
+// exec mode, moves per rank exactly the bytes and messages the clean epoch
+// moved — the aborted attempt's rows are not taken as resident — and so does
+// a rollback to an earlier epoch replayed over stores that later epochs
+// have filled.
+func TestDistSampledReplayShipsSameBytes(t *testing.T) {
+	ctx := context.Background()
+	for _, exec := range []distmm.ExecMode{distmm.ExecSequential, distmm.ExecOverlap} {
+		d := raggedFixture(23, exec)
+		st := d.Stepper()
+		start := st.Model().Clone()
+		clean := [][]distmm.RankVolume{delta(t, st, d.World, 1)}
+		saved := st.Model().Clone()
+		clean = append(clean, delta(t, st, d.World, 1))
+		sites := d.World.Ops(1)
+		if clean[1][1].SentBytes >= clean[0][1].SentBytes {
+			t.Fatalf("exec %v: rank 1 sent %d bytes in epoch 1, %d in epoch 0: the stores saved nothing", exec, clean[1][1].SentBytes, clean[0][1].SentBytes)
+		}
+		rollback := func(m *gcn.Model, epoch int) {
+			if err := st.SetModel(m); err != nil {
+				t.Fatal(err)
+			}
+			st.SetEpoch(epoch)
+		}
+		for site := int64(1); site <= sites; site++ {
+			rollback(saved, 1)
+			d.World.InjectFault(comm.Fault{Rank: 1, AfterOps: site})
+			if _, err := st.StepNCtx(ctx, 1); !errors.Is(err, comm.ErrInjectedFault) {
+				t.Fatalf("exec %v site %d: got %v, want ErrInjectedFault", exec, site, err)
+			}
+			rollback(saved, 1)
+			if got := delta(t, st, d.World, 1); !slices.Equal(got, clean[1]) {
+				t.Fatalf("exec %v site %d: retried epoch moved %+v, clean epoch %+v", exec, site, got, clean[1])
+			}
+		}
+		rollback(start, 0)
+		for e, want := range clean {
+			if got := delta(t, st, d.World, 1); !slices.Equal(got, want) {
+				t.Fatalf("exec %v: epoch %d replayed from epoch 0 moved %+v, first run %+v", exec, e, got, want)
+			}
+		}
+	}
+}
+
+// TestDistSampledSkipAfterFaultBitIdentical covers the one path on which a
+// fault cannot be followed by a rewind: an epoch aborted at any op site,
+// then training resumed at a later epoch. The aborted step's kept rows may
+// never have landed at some rank, so its successor must not read them from
+// the stores: the losses must be the bits of a run that skipped the epoch
+// cleanly.
+func TestDistSampledSkipAfterFaultBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	for _, exec := range []distmm.ExecMode{distmm.ExecSequential, distmm.ExecOverlap} {
+		d := raggedFixture(29, exec)
+		st := d.Stepper()
+		for e := 0; e < 2; e++ {
+			if _, err := st.StepNCtx(ctx, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sites := d.World.Ops(1) // rank 1's op sites in epoch 1
+		for site := int64(1); site <= sites; site++ {
+			d := raggedFixture(29, exec)
+			st, ref := d.Stepper(), raggedFixture(29, exec).Stepper()
+			if _, err := st.StepNCtx(ctx, 1); err != nil {
+				t.Fatal(err)
+			}
+			saved := st.Model().Clone()
+			d.World.InjectFault(comm.Fault{Rank: 1, AfterOps: site})
+			if _, err := st.StepNCtx(ctx, 1); !errors.Is(err, comm.ErrInjectedFault) {
+				t.Fatalf("exec %v site %d: got %v, want ErrInjectedFault", exec, site, err)
+			}
+			if err := st.SetModel(saved); err != nil {
+				t.Fatal(err)
+			}
+			st.SetEpoch(2)
+			got, err := st.StepNCtx(ctx, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ref.StepNCtx(ctx, 1); err != nil {
+				t.Fatal(err)
+			}
+			ref.SetEpoch(2)
+			want, err := ref.StepNCtx(ctx, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("exec %v site %d: resumed %+v, clean skip %+v", exec, site, got, want)
+			}
+		}
+	}
 }
 
 // TestDistStepSteadyStateAllocs pins what a warmed distributed step

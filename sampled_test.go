@@ -3,6 +3,7 @@ package sagnn
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -87,6 +88,55 @@ func TestRunSampledFaultRecoveryBitIdentical(t *testing.T) {
 	}
 	if res.Model.m.MaxWeightDiff(clean.Model.m) != 0 {
 		t.Fatal("recovered weights differ from clean run")
+	}
+}
+
+// sentPerRank returns the bytes each rank of the session's world has sent.
+func sentPerRank(sess *Session) []int64 {
+	w := sess.dg.cluster.world
+	sent := make([]int64, w.P)
+	for rank := range sent {
+		sent[rank] = w.Stats().BytesSent(rank)
+	}
+	return sent
+}
+
+// TestRunSampledRestoreShipsSameBytes pins the resident stores' restore
+// contract at the public API: after a Restore to an earlier snapshot, the
+// replayed sampled epochs ship, rank by rank, the bytes the original epochs
+// shipped — the rows later epochs made resident are not taken as held — and
+// train to the same losses.
+func TestRunSampledRestoreShipsSameBytes(t *testing.T) {
+	ctx := context.Background()
+	sess := sampledSession(t, ExecSequential)
+	epoch := func() ([]int64, EpochResult) {
+		before := sentPerRank(sess)
+		res, err := sess.RunSampled(ctx, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent := sentPerRank(sess)
+		for rank := range sent {
+			sent[rank] -= before[rank]
+		}
+		return sent, res.History[0]
+	}
+	epoch()
+	snap := sess.Snapshot()
+	var sent [][]int64
+	var hist []EpochResult
+	for e := 0; e < 3; e++ {
+		s, h := epoch()
+		sent, hist = append(sent, s), append(hist, h)
+	}
+	if err := sess.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	for e := range sent {
+		s, h := epoch()
+		if !slices.Equal(s, sent[e]) || h != hist[e] {
+			t.Fatalf("epoch %d after restore: sent %v, %+v; first run sent %v, %+v", h.Epoch, s, h, sent[e], hist[e])
+		}
 	}
 }
 

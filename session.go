@@ -132,9 +132,11 @@ type Session struct {
 	opts    sessionOptions
 	stepper *gcn.Stepper
 	// sampledBody is the lazily built neighbor-sampling epoch body that
-	// RunSampled swaps into the stepper for the duration of its run.
-	sampledBody gcn.EpochBody
-	history     []EpochResult
+	// RunSampled swaps into the stepper for the duration of its run, with
+	// sampledSetup, the Setup it runs with.
+	sampledBody  gcn.EpochBody
+	sampledSetup func(context.Context) error
+	history      []EpochResult
 
 	// spentEpochs / spentSetup accumulate this session's own modeled time
 	// and traffic, one delta per step measured under the cluster's step lock
@@ -419,15 +421,17 @@ func (s *Session) RunSampled(ctx context.Context, epochs int) (res *TrainResult,
 		}
 		sc := g.sampling.withDefaults(s.cfg.Seed)
 		dims := gcn.LayerDims(g.x.Cols, s.cfg.Hidden, g.ds.Classes, s.cfg.Layers)
-		s.sampledBody = minibatch.NewDist(g.cluster.world, g.layout, g.aHat, g.x, g.labels, g.train, dims, s.cfg.Seed, nil,
+		s.sampledBody, s.sampledSetup = minibatch.NewDist(g.cluster.world, g.layout, g.aHat, g.x, g.labels, g.train, dims, s.cfg.Seed, nil,
 			minibatch.DistConfig{Fanout: sc.Fanout, BatchSize: sc.BatchSize, Seed: sc.Seed, Exec: g.opts.Exec}).Body()
 	}
 	// The ordinary run loop (recovery, snapshots, ledger attribution) over
 	// the sampled body: same replicas, epoch counter and history.
 	// A sampled epoch computes its own first layer per batch, so it owes no
-	// set-up: a session that only ever samples never pays for Â·X.
+	// set-up: a session that only ever samples never pays for Â·X. Its Setup
+	// moves no data; it only settles the resident stores after an aborted
+	// launch.
 	full, setup := s.stepper.Body, s.stepper.Setup
-	s.stepper.Body, s.stepper.Setup = s.sampledBody, gcn.NoSetup
+	s.stepper.Body, s.stepper.Setup = s.sampledBody, s.sampledSetup
 	defer func() { s.stepper.Body, s.stepper.Setup = full, setup }()
 	return s.Run(ctx, epochs)
 }
