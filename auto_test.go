@@ -294,10 +294,9 @@ func observeMultiplies(t *testing.T) *[]int {
 // first full-batch session issues one multiply at the feature width — the
 // set-up Candidate.Setup* prices — and then, per epoch, exactly epochWidths:
 // L−1 forward multiplies at the hidden-layer input widths and L−1 backward
-// ones at the same widths, GCNConv and SAGEConv alike — for the test's dims
-// [12 16 16 4] the class width 4 never reaches a multiply. A second session
-// on the graph issues the epochs only,
-// and a session that only samples issues none of them.
+// ones at the same widths — for the test's dims [12 16 16 4] the class width
+// 4 never reaches a multiply. A second session on the graph issues the epochs
+// only, and a session that only samples issues none of them.
 func TestEpochWidthsMatchTrainerMultiplies(t *testing.T) {
 	ds := autoDS() // 12 features, 4 classes → dims [12 16 16 4]
 	const epochs = 3
@@ -307,9 +306,8 @@ func TestEpochWidthsMatchTrainerMultiplies(t *testing.T) {
 		cfg  ModelConfig
 	}{
 		{"gcn/1d", DistOpts{Algorithm: SparsityAware1D}, ModelConfig{}},
-		{"sage/1d", DistOpts{Algorithm: SparsityAware1D}, ModelConfig{SAGE: true}},
 		{"gcn/1.5d", DistOpts{Algorithm: SparsityAware15D, Replication: 2}, ModelConfig{}},
-		{"sage/1.5d", DistOpts{Algorithm: Oblivious15D, Replication: 2}, ModelConfig{SAGE: true, Layers: 4, Hidden: 8}},
+		{"gcn/oblivious-1.5d/4-layers", DistOpts{Algorithm: Oblivious15D, Replication: 2}, ModelConfig{Layers: 4, Hidden: 8}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			perEpoch, err := epochWidths(ds, tc.cfg)

@@ -273,8 +273,8 @@ func validateExec(m ExecMode) error {
 //
 // Building a DistGraph is the expensive, amortizable step the paper
 // identifies (partitioning plus NnzCols schedule construction); once built
-// it can back any number of training sessions — different seeds, model
-// shapes, or GNN variants — without repeating that work. Â·X is part of
+// it can back any number of training sessions — different seeds or model
+// shapes — without repeating that work. Â·X is part of
 // that set-up, paid lazily: the first full-batch step of any session on the
 // graph computes it (one distributed SpMM at the feature width), every
 // epoch of every session reads it, and a graph that only ever trains

@@ -68,6 +68,10 @@ func main() {
 	if *c < 1 {
 		fatal(fmt.Errorf("-c %d: the replication factor must be at least 1", *c))
 	}
+	// ModelConfig reads zero as "the default"; a flag set to zero means zero.
+	if *hidden < 1 || *layers < 1 || *lr <= 0 {
+		fatal(fmt.Errorf("-hidden %d -layers %d -lr %v: the model needs at least one hidden unit and one layer, and a positive learning rate", *hidden, *layers, *lr))
+	}
 	if *sampleFlag {
 		// Every sampled exchange is the sparsity-aware gather, so no other
 		// algorithm would run.

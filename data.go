@@ -103,14 +103,13 @@ func RunSerial(ds *Dataset, epochs int, cfg ModelConfig) (res *SerialResult, err
 	}
 	defer recoverToError(&err)
 	dims := gcn.LayerDims(ds.FeatureDim(), cfg.Hidden, ds.Classes, cfg.Layers)
-	model := gcn.NewModelVariant(cfg.Seed, dims, cfg.variant())
+	model := gcn.NewModel(cfg.Seed, dims)
 	s := gcn.NewSerial(ds.NormalizedAdjacency(), ds.Features, ds.Labels, ds.Train, model, cfg.LR)
-	s.Variant = cfg.variant()
 	history, err := s.TrainEpochs(epochs)
 	if err != nil {
 		return nil, err
 	}
-	res = &SerialResult{History: history, Model: &Model{m: model.Clone(), sage: cfg.SAGE}}
+	res = &SerialResult{History: history, Model: &Model{m: model.Clone()}}
 	accs := res.Model.accuracies(ds, ds.Val, ds.Test)
 	res.ValAcc, res.TestAcc = accs[0], accs[1]
 	return res, nil
@@ -142,9 +141,6 @@ func RunMiniBatch(ds *Dataset, epochs int, cfg ModelConfig, sc SamplingConfig) (
 	}
 	if err := sc.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.SAGE {
-		return nil, fmt.Errorf("sagnn: mini-batch training supports only the GCN layer variant")
 	}
 	if epochs < 1 {
 		return nil, fmt.Errorf("sagnn: %d epochs", epochs)

@@ -57,6 +57,16 @@ func TestDatasetFromEdgesErrors(t *testing.T) {
 	}
 }
 
+// TestLoadDatasetErrors: a scale divisor below 1 is an error, not the
+// full-size preset.
+func TestLoadDatasetErrors(t *testing.T) {
+	for name, scaleDiv := range map[string]int{"zero scale div": 0, "negative scale div": -4} {
+		if _, err := LoadDataset(ProteinSim, 1, scaleDiv); err == nil {
+			t.Errorf("%s: expected an error", name)
+		}
+	}
+}
+
 func TestGenerateCommunityDataset(t *testing.T) {
 	ds := GenerateCommunityDataset("comms", 400, 4, 10, 2, 16, 0.4, 9)
 	if ds.G.NumVertices() != 400 || ds.Classes != 4 {

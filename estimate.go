@@ -120,19 +120,19 @@ func (g *DistGraph) Report() *Report {
 }
 
 // epochWidths validates cfg and returns the dense operand widths of the
-// distributed SpMMs in one full-batch training epoch of a GCN (or SAGE
-// model) with cfg's shape on ds: L−1 forward multiplies at dims[1..L−1],
-// plus L−1 backward multiplies at dims[L−1..1] (the backward aggregates
-// G·Wᵀ, which has the layer's input width, never G at the class width). The
-// first-layer multiply (feature width) would dominate them — which is why
-// the paper's volume tables are computed at the feature dimension — but its
-// operands are fixed, so it is set-up, priced apart (Candidate.Setup*).
+// distributed SpMMs in one full-batch training epoch of a GCN with cfg's
+// shape on ds: L−1 forward multiplies at dims[1..L−1], plus L−1 backward
+// multiplies at dims[L−1..1] (the backward aggregates G·Wᵀ, which has the
+// layer's input width, never G at the class width). The first-layer multiply
+// (feature width) would dominate them — which is why the paper's volume
+// tables are computed at the feature dimension — but its operands are fixed,
+// so it is set-up, priced apart (Candidate.Setup*).
 func epochWidths(ds *Dataset, cfg ModelConfig) ([]int, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return gcn.EpochMultiplyWidths(ds.FeatureDim(), cfg.Hidden, ds.Classes, cfg.Layers, cfg.SAGE), nil
+	return gcn.EpochMultiplyWidths(ds.FeatureDim(), cfg.Hidden, ds.Classes, cfg.Layers, false), nil
 }
 
 // priceCandidate fills a Candidate from a compiled plan: the epoch (widths)
@@ -182,7 +182,7 @@ func (g *DistGraph) PriceEpoch(cfg ModelConfig) (*EpochPrice, error) {
 	trainer := machine.NewLedger(p)
 	for r := 0; r < p; r++ {
 		lo, hi := g.layout.Range(g.engine.BlockOf(r))
-		gemms, reductions := gcn.EpochCharges(dims, cfg.variant(), hi-lo)
+		gemms, reductions := gcn.EpochCharges(dims, hi-lo)
 		for _, flops := range gemms {
 			trainer.Add(r, "local", params.GEMMTime(flops))
 		}

@@ -36,27 +36,12 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		requireIdentical(t, want, got)
 		mustNotAllocate(t, func() { a.GatherRowsInto(got.Data, idx) })
 	})
-	t.Run("HStack", func(t *testing.T) {
-		want := HStack(a, b)
-		got := New(a.Rows, a.Cols+b.Cols)
-		HStackInto(got, a, b)
-		requireIdentical(t, want, got)
-		mustNotAllocate(t, func() { HStackInto(got, a, b) })
-	})
 	t.Run("ReLUDeriv", func(t *testing.T) {
 		want := a.ReLUDeriv()
 		got := NewRandom(rng, a.Rows, a.Cols, 1.0) // dirty destination
 		a.ReLUDerivInto(got)
 		requireIdentical(t, want, got)
 		mustNotAllocate(t, func() { a.ReLUDerivInto(got) })
-	})
-	t.Run("SplitCols", func(t *testing.T) {
-		wantL, wantR := a.SplitCols(4)
-		gotL, gotR := New(a.Rows, 4), New(a.Rows, a.Cols-4)
-		a.SplitColsInto(gotL, gotR)
-		requireIdentical(t, wantL, gotL)
-		requireIdentical(t, wantR, gotR)
-		mustNotAllocate(t, func() { a.SplitColsInto(gotL, gotR) })
 	})
 	t.Run("CopyFrom", func(t *testing.T) {
 		got := NewRandom(rng, a.Rows, a.Cols, 1.0)

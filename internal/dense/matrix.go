@@ -267,56 +267,6 @@ func VStack(ms ...*Matrix) *Matrix {
 	return out
 }
 
-// HStack concatenates a and b horizontally: [a | b]. Row counts must match.
-func HStack(a, b *Matrix) *Matrix {
-	out := New(a.Rows, a.Cols+b.Cols)
-	HStackInto(out, a, b)
-	return out
-}
-
-// HStackInto overwrites out with [a | b]. out must be a.Rows × (a.Cols+b.Cols)
-// and must not alias a or b.
-func HStackInto(out, a, b *Matrix) {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("dense: HStack rows %d vs %d", a.Rows, b.Rows))
-	}
-	if out.Rows != a.Rows || out.Cols != a.Cols+b.Cols {
-		panic(fmt.Sprintf("dense: HStack output %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, a.Cols+b.Cols))
-	}
-	for i := 0; i < a.Rows; i++ {
-		row := out.Row(i)
-		copy(row[:a.Cols], a.Row(i))
-		copy(row[a.Cols:], b.Row(i))
-	}
-}
-
-// SplitCols cuts m into its first `at` columns and the rest, as copies.
-func (m *Matrix) SplitCols(at int) (left, right *Matrix) {
-	if at < 0 || at > m.Cols {
-		panic(fmt.Sprintf("dense: SplitCols at %d of %d cols", at, m.Cols))
-	}
-	left = New(m.Rows, at)
-	right = New(m.Rows, m.Cols-at)
-	m.SplitColsInto(left, right)
-	return left, right
-}
-
-// SplitColsInto copies m's first left.Cols columns into left and the rest
-// into right; left.Cols + right.Cols must equal m.Cols and row counts must
-// match.
-func (m *Matrix) SplitColsInto(left, right *Matrix) {
-	if left.Rows != m.Rows || right.Rows != m.Rows || left.Cols+right.Cols != m.Cols {
-		panic(fmt.Sprintf("dense: SplitColsInto %dx%d into %dx%d + %dx%d",
-			m.Rows, m.Cols, left.Rows, left.Cols, right.Rows, right.Cols))
-	}
-	at := left.Cols
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		copy(left.Row(i), row[:at])
-		copy(right.Row(i), row[at:])
-	}
-}
-
 // PermuteRows returns a new matrix whose row perm[i] is m's row i
 // (i.e. new[perm[i]] = old[i]), matching the "relabel vertex i as perm[i]"
 // convention used by the partitioners.

@@ -23,22 +23,8 @@ func TestSerialEpochSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSerialEpochSteadyStateAllocsSAGE covers the SAGEConv path, whose
-// backward pass uses the split-column workspaces (dc/dp/dself).
-func TestSerialEpochSteadyStateAllocsSAGE(t *testing.T) {
-	a, x, labels, train := tinyProblem(9)
-	dims := LayerDims(x.Cols, 8, 4, 3)
-	s := NewSerial(a, x, labels, train, NewModelVariant(3, dims, SAGEConv), 0.1)
-	s.Variant = SAGEConv
-	s.Epoch()
-
-	if allocs := testing.AllocsPerRun(10, func() { s.Epoch() }); allocs > 0 {
-		t.Fatalf("steady-state SAGE serial epoch allocates %v times, want 0", allocs)
-	}
-}
-
 // TestSerialWorkspaceRebuildsOnShapeChange guards the cached-workspace trap:
-// Serial's Model and Variant are exported mutable fields, so swapping in a
+// Serial's Model is an exported mutable field, so swapping in a
 // differently-shaped model after training must rebuild the workspace rather
 // than panic on stale buffer shapes.
 func TestSerialWorkspaceRebuildsOnShapeChange(t *testing.T) {
@@ -51,9 +37,8 @@ func TestSerialWorkspaceRebuildsOnShapeChange(t *testing.T) {
 	s.Opt = nil
 	l2, _, _ := s.Epoch()
 
-	// And to the SAGE variant, which doubles the GEMM input widths.
-	s.Model = NewModelVariant(5, LayerDims(x.Cols, 8, 4, 3), SAGEConv)
-	s.Variant = SAGEConv
+	// And to a deeper one: the per-layer tables grow.
+	s.Model = NewModel(5, LayerDims(x.Cols, 6, 4, 4))
 	s.Opt = nil
 	l3, _, _ := s.Epoch()
 

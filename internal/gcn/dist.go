@@ -30,10 +30,6 @@ type Distributed struct {
 	// replica needs its own optimizer state; determinism keeps replicas
 	// identical). Nil means SGD at LR.
 	NewOpt func() opt.Optimizer
-	// Variant selects the layer operation (GCNConv default or SAGEConv).
-	// The communication pattern is identical for both — one distributed
-	// SpMM per layer per direction — which is the paper's generality claim.
-	Variant Variant
 	// Input is Â·X over Engine and X, computed ahead of the first epoch that
 	// needs it. NewDistributed starts a private one; trainers over one
 	// distributed graph (its sessions) assign the graph's and share it.
@@ -127,17 +123,16 @@ func (p *InputProduct) Block(rank int) *dense.Matrix {
 // Engine.MultiplyInto over this rank's block rows. The engine charges its
 // own SpMMs.
 type engineOperand struct {
-	e  distmm.Engine
-	r  *comm.Rank
-	x  *dense.Matrix
-	in *InputProduct
+	e    distmm.Engine
+	r    *comm.Rank
+	rows int // this rank's block rows
+	in   *InputProduct
 }
 
-func (o *engineOperand) First() (agg, h0 *dense.Matrix)            { return o.in.Block(o.r.ID), o.x }
-func (o *engineOperand) Rows(int) int                              { return o.x.Rows }
-func (o *engineOperand) Aggregate(_ int, dst, h *dense.Matrix)     { multiply(o.e, o.r, h, dst) }
-func (o *engineOperand) Self(_ int, h *dense.Matrix) *dense.Matrix { return h }
-func (o *engineOperand) AggregateT(_ int, dst, g *dense.Matrix)    { multiply(o.e, o.r, g, dst) }
+func (o *engineOperand) First() *dense.Matrix                   { return o.in.Block(o.r.ID) }
+func (o *engineOperand) Rows(int) int                           { return o.rows }
+func (o *engineOperand) Aggregate(_ int, dst, h *dense.Matrix)  { multiply(o.e, o.r, h, dst) }
+func (o *engineOperand) AggregateT(_ int, dst, g *dense.Matrix) { multiply(o.e, o.r, g, dst) }
 
 // rankTrain is one rank's share of the full-batch epoch: its operand and
 // the training vertices inside its block rows (local row indices) with
@@ -161,19 +156,19 @@ func (d *Distributed) Stepper() *Stepper {
 	body := func(r *comm.Rank, rep *Replica, _ int) (float64, float64, error) {
 		rt := &ranks[r.ID]
 		rt.op.r = r
-		return rep.WS.Step(rep.Opt, rep.Model, d.Variant, &rt.op, rt.rows, rt.labels, len(d.Train),
+		return rep.WS.Step(rep.Opt, rep.Model, &rt.op, rt.rows, rt.labels, len(d.Train),
 			Collective{Rank: r, Group: rep.Group})
 	}
 	return NewStepper(d.World, len(d.Train), d.Input.Ensure, body, func(r *comm.Rank) *Replica {
 		lo, hi := d.Engine.Layout().Range(d.Engine.BlockOf(r.ID))
 		rep := &Replica{
 			X:      d.X.SliceRows(lo, hi), // a view: the step only reads it
-			Model:  NewModelVariant(d.Seed, d.Dims, d.Variant),
+			Model:  NewModel(d.Seed, d.Dims),
 			NewOpt: newOpt,
 			Group:  d.Engine.GradGroup(r.ID),
 		}
 		rt := &ranks[r.ID]
-		rt.op = engineOperand{e: d.Engine, x: rep.X, in: d.Input}
+		rt.op = engineOperand{e: d.Engine, rows: hi - lo, in: d.Input}
 		for _, v := range d.Train {
 			if v >= lo && v < hi {
 				rt.rows = append(rt.rows, v-lo)

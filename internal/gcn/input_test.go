@@ -35,30 +35,26 @@ func bitsOf(m *dense.Matrix) []uint64 {
 // per epoch and nothing else — the steady state the benchmark ladder's
 // volume check assumes after its warm-up epochs. The fixture's dims are
 // [8 8 8 4]: two forward multiplies at the hidden width and two backward ones
-// at the same width, for both variants: the class width 4 never reaches a
-// multiply.
+// at the same width: the class width 4 never reaches a multiply.
 func TestStepperIssuesInputProductOnce(t *testing.T) {
 	perEpoch := []int{8, 8, 8, 8}
-	for _, v := range []Variant{GCNConv, SAGEConv} {
-		widths := observeWidths(t)
-		d := stepperFixture(3)
-		d.Variant = v
-		st := d.Stepper()
-		const epochs = 3
-		stepN(t, st, 1)
-		stepN(t, st, epochs-1)
+	widths := observeWidths(t)
+	d := stepperFixture(3)
+	st := d.Stepper()
+	const epochs = 3
+	stepN(t, st, 1)
+	stepN(t, st, epochs-1)
 
-		f, hidden, classes, L := d.Dims[0], d.Dims[1], d.Dims[len(d.Dims)-1], len(d.Dims)-1
-		if got := EpochMultiplyWidths(f, hidden, classes, L, v == SAGEConv); !reflect.DeepEqual(got, perEpoch) {
-			t.Fatalf("variant %d: EpochMultiplyWidths %v, want %v", v, got, perEpoch)
-		}
-		want := []int{f}
-		for e := 0; e < epochs; e++ {
-			want = append(want, perEpoch...)
-		}
-		if !reflect.DeepEqual(*widths, want) {
-			t.Fatalf("variant %d: multiplies at %v, want %v", v, *widths, want)
-		}
+	f, hidden, classes, L := d.Dims[0], d.Dims[1], d.Dims[len(d.Dims)-1], len(d.Dims)-1
+	if got := EpochMultiplyWidths(f, hidden, classes, L, false); !reflect.DeepEqual(got, perEpoch) {
+		t.Fatalf("EpochMultiplyWidths %v, want %v", got, perEpoch)
+	}
+	want := []int{f}
+	for e := 0; e < epochs; e++ {
+		want = append(want, perEpoch...)
+	}
+	if !reflect.DeepEqual(*widths, want) {
+		t.Fatalf("multiplies at %v, want %v", *widths, want)
 	}
 }
 

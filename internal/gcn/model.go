@@ -64,16 +64,16 @@ func LayerDims(fin, hidden, classes, layers int) []int {
 // SpMMs one full-batch training epoch issues, in trainer order: L−1 forward
 // multiplies at the layer input widths dims[1..L−1], then L−1 backward
 // multiplies at the same widths in reverse, dims[L−1..1] — the backward
-// multiplies by (W^l)ᵀ before it aggregates (Workspace.backward), GCNConv and
-// SAGEConv alike. The first layer's multiply, Â·X at width dims[0], is not
-// among them: its operands never change, so it is set-up, paid once per
-// distributed graph (InputProduct) and priced apart at the width []int{fin}.
+// multiplies by (W^l)ᵀ before it aggregates (Workspace.backward). The first
+// layer's multiply, Â·X at width dims[0], is not among them: its operands
+// never change, so it is set-up, paid once per distributed graph
+// (InputProduct) and priced apart at the width []int{fin}.
 // The communication-plan cost model prices epochs against exactly this
 // sequence, so it lives here, next to the trainer that defines it.
 //
-// sage no longer selects anything — both variants issue the same widths — and
-// classes no longer reaches a multiply; the five-argument signature stays
-// only until the next change to benchmark/, which compiles against it.
+// sage selects nothing — there is one layer type — and classes no longer
+// reaches a multiply; the five-argument signature stays only until the next
+// change to benchmark/, which compiles against it.
 func EpochMultiplyWidths(fin, hidden, classes, layers int, sage bool) []int {
 	dims := LayerDims(fin, hidden, classes, layers)
 	widths := append([]int(nil), dims[1:layers]...)
@@ -83,38 +83,21 @@ func EpochMultiplyWidths(fin, hidden, classes, layers int, sage bool) []int {
 	return widths
 }
 
-// Variant selects the layer operation.
+// Variant names the layer operation. GCNConv, the Kipf & Welling layer the
+// paper trains (Z^l = Â H^{l-1} W^l), is the only one; the type stays only
+// until the next change to benchmark/, which passes it to NewSubsetEval.
 type Variant int
 
-const (
-	// GCNConv is the Kipf & Welling layer the paper trains:
-	// Z^l = Â H^{l-1} W^l.
-	GCNConv Variant = iota
-	// SAGEConv is a GraphSAGE-style concat layer:
-	// Z^l = [Â H^{l-1} | H^{l-1}] W^l, demonstrating the paper's claim that
-	// the sparsity-aware methods generalize to other GNN types — the
-	// distributed communication pattern (one SpMM per direction per layer)
-	// is unchanged; only the local GEMMs differ.
-	SAGEConv
-)
+// GCNConv is the one layer operation.
+const GCNConv Variant = iota
 
-// InputRows returns the number of W^l input rows for feature width f under
-// the variant (2f for the concat layer).
-func (v Variant) InputRows(f int) int {
-	if v == SAGEConv {
-		return 2 * f
-	}
-	return f
-}
-
-// CheckChain verifies that consecutive layers compose under variant v: layer
-// l must consume exactly what layer l−1 produces (InputRows of its column
-// count). Decoders call it wherever the variant is known, so a weight set
+// CheckChain verifies that consecutive layers compose: layer l must consume
+// exactly the columns layer l−1 produces. Decoders call it, so a weight set
 // that could never run a forward pass is rejected at load time instead of
 // failing inside the first GEMM.
-func (m *Model) CheckChain(v Variant) error {
+func (m *Model) CheckChain() error {
 	for l := 1; l < len(m.Weights); l++ {
-		if got, want := m.Weights[l].Rows, v.InputRows(m.Weights[l-1].Cols); got != want {
+		if got, want := m.Weights[l].Rows, m.Weights[l-1].Cols; got != want {
 			return fmt.Errorf("gcn: layer %d has %d input rows, layer %d produces %d", l, got, l-1, want)
 		}
 	}
@@ -125,15 +108,10 @@ func (m *Model) CheckChain(v Variant) error {
 // replica that constructs a model from the same seed holds bit-identical
 // parameters, which keeps distributed weight replicas in lockstep.
 func NewModel(seed int64, dims []int) *Model {
-	return NewModelVariant(seed, dims, GCNConv)
-}
-
-// NewModelVariant creates weights shaped for the given layer variant.
-func NewModelVariant(seed int64, dims []int, v Variant) *Model {
 	rng := rand.New(rand.NewSource(seed))
 	m := &Model{}
 	for l := 0; l+1 < len(dims); l++ {
-		m.Weights = append(m.Weights, dense.NewGlorot(rng, v.InputRows(dims[l]), dims[l+1]))
+		m.Weights = append(m.Weights, dense.NewGlorot(rng, dims[l], dims[l+1]))
 	}
 	return m
 }

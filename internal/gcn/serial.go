@@ -22,9 +22,6 @@ type Serial struct {
 	LR     float64
 	// Opt overrides the optimizer; nil means SGD at LR.
 	Opt opt.Optimizer
-	// Variant selects the layer operation (GCNConv default, or SAGEConv);
-	// the model's weights must be shaped accordingly (NewModelVariant).
-	Variant Variant
 
 	ws          Workspace
 	op          csrOperand // over the constructor's Â and X, for the trainer's life
@@ -42,7 +39,7 @@ func NewSerial(a *sparse.CSR, x *dense.Matrix, labels []int, train []int, model 
 	if len(labels) != x.Rows {
 		panic("gcn: labels misaligned")
 	}
-	if model.Weights[0].Rows != x.Cols && model.Weights[0].Rows != 2*x.Cols {
+	if model.Weights[0].Rows != x.Cols {
 		panic(fmt.Sprintf("gcn: W1 expects %d input rows, X has %d features", model.Weights[0].Rows, x.Cols))
 	}
 	return &Serial{Labels: labels, Train: train, Model: model, LR: lr, op: csrOperand{a: a, x: x}}
@@ -57,22 +54,21 @@ type csrOperand struct {
 	ax *dense.Matrix // Â·X; nil until the first pass
 }
 
-func (o *csrOperand) First() (agg, h0 *dense.Matrix) {
+func (o *csrOperand) First() *dense.Matrix {
 	if o.ax == nil {
 		o.ax = dense.New(o.a.NumRows, o.x.Cols)
 		o.a.SpMMInto(o.ax, o.x)
 	}
-	return o.ax, o.x
+	return o.ax
 }
-func (o *csrOperand) Rows(int) int                              { return o.a.NumRows }
-func (o *csrOperand) Aggregate(_ int, dst, h *dense.Matrix)     { o.a.SpMMInto(dst, h) }
-func (o *csrOperand) Self(_ int, h *dense.Matrix) *dense.Matrix { return h }
-func (o *csrOperand) AggregateT(_ int, dst, g *dense.Matrix)    { o.a.SpMMInto(dst, g) }
+func (o *csrOperand) Rows(int) int                           { return o.a.NumRows }
+func (o *csrOperand) Aggregate(_ int, dst, h *dense.Matrix)  { o.a.SpMMInto(dst, h) }
+func (o *csrOperand) AggregateT(_ int, dst, g *dense.Matrix) { o.a.SpMMInto(dst, g) }
 
 // Accuracies evaluates classification accuracy on each vertex set from one
 // forward pass.
 func (s *Serial) Accuracies(masks ...[]int) []float64 {
-	probs := s.ws.Probabilities(s.Model, s.Variant, &s.op)
+	probs := s.ws.Probabilities(s.Model, &s.op)
 	accs := make([]float64, len(masks))
 	for i, mask := range masks {
 		accs[i] = dense.Accuracy(probs, s.Labels, mask)
@@ -91,7 +87,7 @@ func (s *Serial) Epoch() (loss, acc float64, err error) {
 		s.Opt = &opt.SGD{LR: s.LR}
 	}
 	n := len(s.Train)
-	lossSum, correct, err := s.ws.Step(s.Opt, s.Model, s.Variant, &s.op, s.Train, s.trainLabels, n, Collective{})
+	lossSum, correct, err := s.ws.Step(s.Opt, s.Model, &s.op, s.Train, s.trainLabels, n, Collective{})
 	if err != nil {
 		return 0, 0, err
 	}

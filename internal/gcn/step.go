@@ -20,20 +20,14 @@ var ErrEmptyTrainSet = errors.New("gcn: empty training set")
 // engines, the sampled block chains and the serving frontier differ only in
 // the operand they pass.
 type ForwardOperand interface {
-	// First returns Â_1·H⁰ and H⁰. Neither depends on the weights, so an
-	// operand over a fixed graph and fixed features computes the product
-	// once and returns the same matrix on every pass; the step only reads
-	// them. H⁰ is SAGEConv's self half and may be nil where the operand
-	// never materialises it (the distributed sampled gather, GCNConv only).
-	First() (agg, h0 *dense.Matrix)
+	// First returns Â_1·H⁰. It does not depend on the weights, so an operand
+	// over a fixed graph and fixed features computes the product once and
+	// returns the same matrix on every pass; the step only reads it.
+	First() *dense.Matrix
 	// Rows returns the row count of Â_l (and so of H^l), l = 2..L.
 	Rows(l int) int
 	// Aggregate writes Â_l·h into dst (Rows(l) × h.Cols), l = 2..L.
 	Aggregate(l int, dst, h *dense.Matrix)
-	// Self returns SAGEConv's self half of layer l: the rows of h = H^{l−1}
-	// that Â_l's rows name, Rows(l) of them, l = 2..L. A square operand
-	// returns h.
-	Self(l int, h *dense.Matrix) *dense.Matrix
 }
 
 // Operand is the sparse side of one training step: the forward half and,
@@ -66,19 +60,18 @@ func (c Collective) chargeGEMM(m, k, n int) {
 // multiplies. It returns the flops of the 3L−1 local GEMMs (L forward, then
 // from layer L down (P^l)ᵀ·G^l and, above layer 1, G^l·(W^l)ᵀ) and the
 // lengths of the L+1 all-reduces (the loss pair, then the weight gradients
-// from layer L down), in the order Step charges them. dims and v shape the
-// model as NewModelVariant does, so SAGEConv's GEMMs read 2f input rows.
-// An epoch priced without running it charges exactly these.
-func EpochCharges(dims []int, v Variant, rows int) (gemmFlops []int64, reductions []int) {
+// from layer L down), in the order Step charges them. An epoch priced
+// without running it charges exactly these.
+func EpochCharges(dims []int, rows int) (gemmFlops []int64, reductions []int) {
 	L := len(dims) - 1
-	gemm := func(l int) int64 { return 2 * int64(rows) * int64(v.InputRows(dims[l-1])) * int64(dims[l]) }
+	gemm := func(l int) int64 { return 2 * int64(rows) * int64(dims[l-1]) * int64(dims[l]) }
 	for l := 1; l <= L; l++ {
 		gemmFlops = append(gemmFlops, gemm(l))
 	}
 	reductions = append(reductions, 2) // the loss pair
 	for l := L; l >= 1; l-- {
 		gemmFlops = append(gemmFlops, gemm(l))
-		reductions = append(reductions, v.InputRows(dims[l-1])*dims[l])
+		reductions = append(reductions, dims[l-1]*dims[l])
 		if l > 1 {
 			gemmFlops = append(gemmFlops, gemm(l))
 		}
@@ -99,11 +92,10 @@ type Workspace struct {
 
 // layerBufs is one layer's share of a Workspace.
 type layerBufs struct {
-	agg, cat, z, act *dense.Matrix // Â·H (l ≥ 2), SAGE [Â·H | H], pre-activation, ReLU output
-	p                *dense.Matrix // the GEMM input: the aggregate (the operand's at l = 1) or cat
-	g, back, deriv   *dense.Matrix // ∂L/∂Z, G·Wᵀ, σ′(Z)
-	dp, dself        *dense.Matrix // SAGE: aggregated / self halves of G·Wᵀ
-	yl               *dense.Matrix // local weight gradient awaiting its all-reduce
+	agg, z, act    *dense.Matrix // Â·H (l ≥ 2), pre-activation, ReLU output
+	p              *dense.Matrix // the GEMM input: the aggregate (the operand's at l = 1)
+	g, back, deriv *dense.Matrix // ∂L/∂Z, G·Wᵀ, σ′(Z)
+	yl             *dense.Matrix // local weight gradient awaiting its all-reduce
 }
 
 // fit sizes the per-layer tables for an L-layer model.
@@ -122,29 +114,22 @@ func grow(slot **dense.Matrix, rows, cols int) *dense.Matrix {
 }
 
 // Forward runs Z^l = P^l W^l, H^l = σ(Z^l) over every layer, with P^l = Â_l
-// H^{l−1} (GCNConv) or [Â_l H^{l−1} | H^{l−1}] (SAGEConv), and returns the
-// logits Z^L. Layer 1's aggregate is the operand's (First) and is read where
-// it lies — it may be shared, so it never enters a workspace slot; the layers
-// above aggregate into the workspace. The result is workspace-backed and
-// overwritten by the next pass.
-func (ws *Workspace) Forward(m *Model, v Variant, op ForwardOperand, c Collective) *dense.Matrix {
+// H^{l−1}, and returns the logits Z^L. Layer 1's aggregate is the operand's
+// (First) and is read where it lies — it may be shared, so it never enters a
+// workspace slot; the layers above aggregate into the workspace. The result
+// is workspace-backed and overwritten by the next pass.
+func (ws *Workspace) Forward(m *Model, op ForwardOperand, c Collective) *dense.Matrix {
 	L := m.Layers()
 	ws.fit(L)
-	agg, h := op.First()
+	agg := op.First()
+	var h *dense.Matrix
 	for l := 1; l <= L; l++ {
 		w, b := m.Weights[l-1], &ws.layers[l]
 		if l > 1 {
 			agg = grow(&b.agg, op.Rows(l), h.Cols)
 			op.Aggregate(l, agg, h)
-			if v == SAGEConv {
-				h = op.Self(l, h)
-			}
 		}
 		b.p = agg
-		if v == SAGEConv {
-			b.p = grow(&b.cat, agg.Rows, 2*h.Cols)
-			dense.HStackInto(b.p, agg, h)
-		}
 		z := grow(&b.z, b.p.Rows, w.Cols)
 		dense.MatMulInto(z, b.p, w)
 		c.chargeGEMM(b.p.Rows, w.Rows, w.Cols)
@@ -160,8 +145,8 @@ func (ws *Workspace) Forward(m *Model, v Variant, op ForwardOperand, c Collectiv
 
 // Probabilities is an inference pass: Forward, then the row-wise softmax of
 // the logits in place. The result is workspace-backed like the logits.
-func (ws *Workspace) Probabilities(m *Model, v Variant, op ForwardOperand) *dense.Matrix {
-	probs := ws.Forward(m, v, op, Collective{})
+func (ws *Workspace) Probabilities(m *Model, op ForwardOperand) *dense.Matrix {
+	probs := ws.Forward(m, op, Collective{})
 	dense.SoftmaxRows(probs)
 	return probs
 }
@@ -202,11 +187,11 @@ func (ws *Workspace) loss(logits *dense.Matrix, rows, labels []int, inv float64)
 // backward is Forward's transposed chain from the output gradient loss
 // left behind: Y^l = (P^l)ᵀ G^l (all-reduced when distributed) and G^{l−1} =
 // ∂L/∂H^{l−1} ⊙ σ′(Z^{l−1}), from layer L down. ∂L/∂H^{l−1} = Â_lᵀ G^l (W^l)ᵀ
-// is associated Wᵀ-first on every operand and variant: the aggregation — the
+// is associated Wᵀ-first on every operand: the aggregation — the
 // multiply a distributed operand exchanges rows for — then runs at dims[l−1],
 // the width the forward aggregated at, not at dims[l], which is the class
 // count at the top layer and wider than the hidden width in every preset.
-func (ws *Workspace) backward(m *Model, v Variant, op Operand, c Collective) []*dense.Matrix {
+func (ws *Workspace) backward(m *Model, op Operand, c Collective) []*dense.Matrix {
 	L := m.Layers()
 	g := ws.layers[L].g
 	for l := L; l >= 1; l-- {
@@ -230,16 +215,7 @@ func (ws *Workspace) backward(m *Model, v Variant, op Operand, c Collective) []*
 		dc := grow(&b.back, g.Rows, w.Rows)
 		dense.MatMulTransBInto(dc, g, w)
 		c.chargeGEMM(g.Rows, w.Cols, w.Rows)
-		if v == SAGEConv {
-			// ∂L/∂H^{l−1} = Â·dP + dSelf over the two halves of [Â·H | H].
-			dp := grow(&b.dp, g.Rows, z.Cols)
-			dself := grow(&b.dself, g.Rows, z.Cols)
-			dc.SplitColsInto(dp, dself)
-			op.AggregateT(l, gPrev, dp)
-			gPrev.Add(dself)
-		} else {
-			op.AggregateT(l, gPrev, dc)
-		}
+		op.AggregateT(l, gPrev, dc)
 		deriv := grow(&below.deriv, z.Rows, z.Cols)
 		z.ReLUDerivInto(deriv)
 		gPrev.Hadamard(deriv)
@@ -249,8 +225,8 @@ func (ws *Workspace) backward(m *Model, v Variant, op Operand, c Collective) []*
 }
 
 // Step is one training step: Gradients, then the optimizer's update of m.
-func (ws *Workspace) Step(o opt.Optimizer, m *Model, v Variant, op Operand, rows, labels []int, n int, c Collective) (lossSum, correct float64, err error) {
-	lossSum, correct, grads, err := ws.Gradients(m, v, op, rows, labels, n, c)
+func (ws *Workspace) Step(o opt.Optimizer, m *Model, op Operand, rows, labels []int, n int, c Collective) (lossSum, correct float64, err error) {
+	lossSum, correct, grads, err := ws.Gradients(m, op, rows, labels, n, c)
 	if err == nil {
 		o.Step(m.Weights, grads)
 	}
@@ -263,16 +239,16 @@ func (ws *Workspace) Step(o opt.Optimizer, m *Model, v Variant, op Operand, rows
 // one gradient scale 1/n every path shares; zero is ErrEmptyTrainSet. It
 // returns the (reduced) loss sum and correct count and the workspace-backed
 // weight gradients, overwritten by the next call.
-func (ws *Workspace) Gradients(m *Model, v Variant, op Operand, rows, labels []int, n int, c Collective) (lossSum, correct float64, grads []*dense.Matrix, err error) {
+func (ws *Workspace) Gradients(m *Model, op Operand, rows, labels []int, n int, c Collective) (lossSum, correct float64, grads []*dense.Matrix, err error) {
 	if n == 0 {
 		return 0, 0, nil, ErrEmptyTrainSet
 	}
-	logits := ws.Forward(m, v, op, c)
+	logits := ws.Forward(m, op, c)
 	sums := &ws.red
 	sums[0], sums[1] = ws.loss(logits, rows, labels, 1/float64(n))
 	if c.Group != nil {
 		c.Group.AllReduceSumInto(c.Rank, ws.red[:], ws.redOut[:], "allreduce")
 		sums = &ws.redOut
 	}
-	return sums[0], sums[1], ws.backward(m, v, op, c), nil
+	return sums[0], sums[1], ws.backward(m, op, c), nil
 }

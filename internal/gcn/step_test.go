@@ -19,10 +19,9 @@ type rectChain struct {
 	x      *dense.Matrix
 }
 
-func (c *rectChain) First() (agg, h0 *dense.Matrix)            { return c.blocks[0].SpMM(c.x), c.x }
-func (c *rectChain) Rows(l int) int                            { return c.blocks[l-1].NumRows }
-func (c *rectChain) Aggregate(l int, dst, h *dense.Matrix)     { c.blocks[l-1].SpMMInto(dst, h) }
-func (c *rectChain) Self(_ int, h *dense.Matrix) *dense.Matrix { return h }
+func (c *rectChain) First() *dense.Matrix                  { return c.blocks[0].SpMM(c.x) }
+func (c *rectChain) Rows(l int) int                        { return c.blocks[l-1].NumRows }
+func (c *rectChain) Aggregate(l int, dst, h *dense.Matrix) { c.blocks[l-1].SpMMInto(dst, h) }
 func (c *rectChain) AggregateT(l int, dst, g *dense.Matrix) {
 	c.blocks[l-1].Transpose().SpMMInto(dst, g)
 }
@@ -42,9 +41,9 @@ func randomBlock(rng *rand.Rand, rows, cols int) *sparse.CSR {
 }
 
 // TestGradientsFiniteDifference is the numerical anchor of the one step:
-// the analytic weight gradients of every operand shape and layer variant
-// agree with central differences of the mean loss. The rectangular case is
-// the sampled chain's Wᵀ-first backward through Â_lᵀ.
+// the analytic weight gradients of every operand shape and depth agree with
+// central differences of the mean loss. The rectangular case is the sampled
+// chain's Wᵀ-first backward through Â_lᵀ.
 func TestGradientsFiniteDifference(t *testing.T) {
 	er := gen.ErdosRenyi(10, 4, 3).NormalizedAdjacency()
 	erX := dense.NewRandom(rand.New(rand.NewSource(4)), 10, 3, 1.0)
@@ -61,15 +60,14 @@ func TestGradientsFiniteDifference(t *testing.T) {
 	cases := []struct {
 		name         string
 		op           Operand
-		variant      Variant
 		model        *Model
 		rows, labels []int
 	}{
-		{"square GCNConv", &csrOperand{a: er, x: erX}, GCNConv, NewModel(5, LayerDims(3, 4, 3, 2)),
+		{"square GCNConv", &csrOperand{a: er, x: erX}, NewModel(5, LayerDims(3, 4, 3, 2)),
 			[]int{0, 2, 4, 6, 8}, []int{0, 2, 1, 0, 2}},
-		{"square SAGEConv", &csrOperand{a: sbm, x: sbmX}, SAGEConv, NewModelVariant(42, LayerDims(sbmX.Cols, 6, 4, 3), SAGEConv),
+		{"square 3 layers", &csrOperand{a: sbm, x: sbmX}, NewModel(42, LayerDims(sbmX.Cols, 6, 4, 3)),
 			sbmTrain, sbmTrainLabels},
-		{"rectangular chain", rect, GCNConv, NewModel(6, LayerDims(3, 5, 3, 2)),
+		{"rectangular chain", rect, NewModel(6, LayerDims(3, 5, 3, 2)),
 			nil, []int{0, 1, 2, 1}},
 	}
 	for _, tc := range cases {
@@ -77,13 +75,13 @@ func TestGradientsFiniteDifference(t *testing.T) {
 			var ws Workspace
 			n := len(tc.labels)
 			meanLoss := func() float64 {
-				lossSum, _, _, err := ws.Gradients(tc.model, tc.variant, tc.op, tc.rows, tc.labels, n, Collective{})
+				lossSum, _, _, err := ws.Gradients(tc.model, tc.op, tc.rows, tc.labels, n, Collective{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				return lossSum / float64(n)
 			}
-			_, _, wsGrads, _ := ws.Gradients(tc.model, tc.variant, tc.op, tc.rows, tc.labels, n, Collective{})
+			_, _, wsGrads, _ := ws.Gradients(tc.model, tc.op, tc.rows, tc.labels, n, Collective{})
 			grads := make([]*dense.Matrix, len(wsGrads))
 			for l, g := range wsGrads {
 				grads[l] = g.Clone()
@@ -141,7 +139,7 @@ func TestLossValueAndGradient(t *testing.T) {
 func TestGradientsEmptyTrainSet(t *testing.T) {
 	a, x, _, _ := tinyProblem(3)
 	var ws Workspace
-	_, _, _, err := ws.Gradients(NewModel(1, LayerDims(x.Cols, 4, 4, 2)), GCNConv, &csrOperand{a: a, x: x}, nil, nil, 0, Collective{})
+	_, _, _, err := ws.Gradients(NewModel(1, LayerDims(x.Cols, 4, 4, 2)), &csrOperand{a: a, x: x}, nil, nil, 0, Collective{})
 	if !errors.Is(err, ErrEmptyTrainSet) {
 		t.Fatalf("got %v, want ErrEmptyTrainSet", err)
 	}

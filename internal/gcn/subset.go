@@ -32,30 +32,29 @@ type SubsetEval struct {
 	// AX is Â·X. Callers serving several evaluators over one graph set it to
 	// their shared product before the first call; left nil, the first call
 	// computes it.
-	AX      *dense.Matrix
-	Model   *Model
-	Variant Variant
+	AX    *dense.Matrix
+	Model *Model
 
 	ws        Workspace
 	mark      []bool  // frontier-membership scratch, len n
 	colPos    []int   // Submatrix relabeling scratch, len n, kept at -1
 	frontiers [][]int // frontiers[l] = sorted vertices layer l outputs, l = 1..L
-	selfPos   []int   // SAGE: positions of front_l within front_{l-1}
 	sub       *sparse.CSR
-	agg, h0   *dense.Matrix // Â·X and X at front_1
-	self      *dense.Matrix // SAGE: H^{l-1} at front_l
+	agg       *dense.Matrix // Â·X at front_1
 }
 
-// NewSubsetEval validates shapes and builds the reusable evaluator.
-func NewSubsetEval(a *sparse.CSR, x *dense.Matrix, model *Model, v Variant) *SubsetEval {
+// NewSubsetEval validates shapes and builds the reusable evaluator. The
+// Variant argument selects nothing — GCNConv is the one layer type — and
+// stays only until the next change to benchmark/, which passes it.
+func NewSubsetEval(a *sparse.CSR, x *dense.Matrix, model *Model, _ Variant) *SubsetEval {
 	if a.NumRows != a.NumCols || a.NumRows != x.Rows {
 		panic(fmt.Sprintf("gcn: A %dx%d vs X %d rows", a.NumRows, a.NumCols, x.Rows))
 	}
-	if want := v.InputRows(x.Cols); model.Weights[0].Rows != want {
-		panic(fmt.Sprintf("gcn: W1 expects %d input rows, variant wants %d", model.Weights[0].Rows, want))
+	if model.Weights[0].Rows != x.Cols {
+		panic(fmt.Sprintf("gcn: W1 expects %d input rows, X has %d features", model.Weights[0].Rows, x.Cols))
 	}
 	e := &SubsetEval{
-		A: a, X: x, Model: model, Variant: v,
+		A: a, X: x, Model: model,
 		mark:      make([]bool, a.NumRows),
 		colPos:    make([]int, a.NumRows),
 		frontiers: make([][]int, model.Layers()+1),
@@ -96,29 +95,25 @@ func (e *SubsetEval) ProbabilitiesInto(dst *dense.Matrix, targets []int) {
 	for l := L; l > 1; l-- {
 		e.frontiers[l-1] = e.expand(e.frontiers[l], e.frontiers[l-1])
 	}
-	dst.CopyFrom(e.ws.Probabilities(e.Model, e.Variant, e))
+	dst.CopyFrom(e.ws.Probabilities(e.Model, e))
 }
 
 // full reports whether layer l outputs every vertex; the layers below it
 // then do too, since Â's self loops keep front_l ⊆ front_{l−1}.
 func (e *SubsetEval) full(l int) bool { return len(e.frontiers[l]) == e.A.NumRows }
 
-// First gathers rows front_1 of Â·X, and of X for SAGEConv's self half.
-func (e *SubsetEval) First() (agg, h0 *dense.Matrix) {
+// First gathers rows front_1 of Â·X.
+func (e *SubsetEval) First() *dense.Matrix {
 	if e.AX == nil {
 		e.AX = e.A.SpMM(e.X)
 	}
 	if e.full(1) {
-		return e.AX, e.X
+		return e.AX
 	}
 	front := e.frontiers[1]
 	e.agg = dense.Reshape(e.agg, len(front), e.AX.Cols)
 	e.AX.GatherRowsInto(e.agg.Data, front)
-	if e.Variant == SAGEConv {
-		e.h0 = dense.Reshape(e.h0, len(front), e.X.Cols)
-		e.X.GatherRowsInto(e.h0.Data, front)
-	}
-	return e.agg, e.h0
+	return e.agg
 }
 
 // Rows returns |front_l|.
@@ -132,17 +127,6 @@ func (e *SubsetEval) Aggregate(l int, dst, h *dense.Matrix) {
 		e.A.SubmatrixInto(a, e.frontiers[l], e.frontiers[l-1], e.colPos)
 	}
 	a.SpMMInto(dst, h)
-}
-
-// Self gathers the rows of h = H^{l−1} at front_l.
-func (e *SubsetEval) Self(l int, h *dense.Matrix) *dense.Matrix {
-	if e.full(l) {
-		return h
-	}
-	e.selfPos = positionsOf(e.frontiers[l], e.frontiers[l-1], e.selfPos)
-	e.self = dense.Reshape(e.self, len(e.selfPos), h.Cols)
-	h.GatherRowsInto(e.self.Data, e.selfPos)
-	return e.self
 }
 
 // expand returns the sorted distinct column indices of Â over the rows in
@@ -164,24 +148,6 @@ func (e *SubsetEval) expand(front, dst []int) []int {
 	sort.Ints(dst)
 	for _, c := range dst {
 		e.mark[c] = false
-	}
-	return dst
-}
-
-// positionsOf returns, for each v of sub, its index within super; both must
-// be sorted ascending and sub ⊆ super (guaranteed by Â's self loops).
-func positionsOf(sub, super, dst []int) []int {
-	dst = dst[:0]
-	j := 0
-	for _, v := range sub {
-		for j < len(super) && super[j] < v {
-			j++
-		}
-		if j >= len(super) || super[j] != v {
-			panic(fmt.Sprintf("gcn: vertex %d missing from parent frontier (no self loop?)", v))
-		}
-		dst = append(dst, j)
-		j++
 	}
 	return dst
 }

@@ -125,13 +125,16 @@ var presetSpecs = map[Preset]presetSpec{
 	PapersSim: {kind: "rmat", scaleLog2: 17, edgeFactor: 12, features: 128, classes: 172},
 }
 
-// Load materialises a preset dataset. Deterministic in seed. scaleDiv (≥1)
-// divides the preset's vertex scale by 2^log2(scaleDiv) to make quick test
-// runs cheap; pass 1 for the full benchmark size.
+// Load materialises a preset dataset. Deterministic in seed. scaleDiv (≥1,
+// else an error) divides the preset's vertex scale by 2^log2(scaleDiv) to
+// make quick test runs cheap; pass 1 for the full benchmark size.
 func Load(p Preset, seed int64, scaleDiv int) (*Dataset, error) {
 	spec, ok := presetSpecs[p]
 	if !ok {
 		return nil, fmt.Errorf("gen: unknown preset %q", p)
+	}
+	if scaleDiv < 1 {
+		return nil, fmt.Errorf("gen: scale divisor %d (want at least 1)", scaleDiv)
 	}
 	scale := spec.scaleLog2
 	for d := scaleDiv; d > 1; d /= 2 {

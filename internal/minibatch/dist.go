@@ -355,7 +355,7 @@ func (sm *sampler) rankEpoch(r *comm.Rank, rep *gcn.Replica, epoch int) (lossSum
 		}
 		c.gather = sm.gather
 		c.load(st.chains[r.ID], d.Labels, st.batches[r.ID])
-		ls, cr, err := rep.WS.Step(rep.Opt, rep.Model, gcn.GCNConv, c, nil, c.labels, st.globalN,
+		ls, cr, err := rep.WS.Step(rep.Opt, rep.Model, c, nil, c.labels, st.globalN,
 			gcn.Collective{Rank: r, Group: rep.Group})
 		if err != nil {
 			return 0, 0, err
@@ -471,7 +471,7 @@ func (d *Dist) ReferenceEpochs(epochs int) []gcn.EpochResult {
 				c.landed = aggs[rr]
 				c.load(st.chains[rr], d.Labels, st.batches[rr])
 				// Some rank always has a batch in a step, so globalN > 0.
-				ls, cr, yl, _ := ws.Gradients(model, gcn.GCNConv, &c, nil, c.labels, st.globalN, gcn.Collective{})
+				ls, cr, yl, _ := ws.Gradients(model, &c, nil, c.labels, st.globalN, gcn.Collective{})
 				lossSum += ls
 				correct += cr
 				for l := range grads {

@@ -183,14 +183,14 @@ type chain struct {
 }
 
 // First is layer 1: the aggregation the reference gather already landed, or
-// the halo gather of the rank's feature slice. Neither materialises H⁰.
-func (c *chain) First() (agg, h0 *dense.Matrix) {
+// the halo gather of the rank's feature slice.
+func (c *chain) First() *dense.Matrix {
 	if c.landed != nil {
-		return c.landed, nil
+		return c.landed
 	}
 	c.agg = dense.Reshape(c.agg, c.blocks[0].adj.NumRows, c.x.Cols)
 	c.gather.MultiplyInto(c.rank, c.x, c.agg)
-	return c.agg, nil
+	return c.agg
 }
 
 func (c *chain) Rows(l int) int { return c.blocks[l-1].adj.NumRows }
@@ -198,9 +198,6 @@ func (c *chain) Rows(l int) int { return c.blocks[l-1].adj.NumRows }
 func (c *chain) Aggregate(l int, dst, h *dense.Matrix) {
 	c.spmm(&c.blocks[l-1].adj, dst, h)
 }
-
-// Self is never reached: sampled training runs GCNConv only.
-func (c *chain) Self(_ int, h *dense.Matrix) *dense.Matrix { return h }
 
 func (c *chain) AggregateT(l int, dst, g *dense.Matrix) {
 	c.spmm(c.transposed(l-1), dst, g)

@@ -256,7 +256,7 @@ func TestStepSteadyStateDenseAllocs(t *testing.T) {
 	step := func() {
 		sm.streams[0].draw(d, st, 0, 0, 0) // same (rank, epoch, step): same blocks every run
 		c.load(st.chains[0], d.Labels, st.batches[0])
-		if _, _, err := ws.Step(o, model, gcn.GCNConv, &c, nil, c.labels, len(st.batches[0]), gcn.Collective{}); err != nil {
+		if _, _, err := ws.Step(o, model, &c, nil, c.labels, len(st.batches[0]), gcn.Collective{}); err != nil {
 			t.Fatal(err)
 		}
 	}

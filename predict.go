@@ -72,8 +72,7 @@ func ValidateVertices(n int, vertices []int) error {
 // dataset, or on one whose graph or features were replaced, rebuilds it — so
 // the steady-state serving hot path allocates nothing.
 type Model struct {
-	m    *gcn.Model
-	sage bool
+	m *gcn.Model
 
 	mu     sync.Mutex
 	eval   *gcn.SubsetEval // the inference forward over the last dataset's Â and Â·X
@@ -84,27 +83,15 @@ type Model struct {
 // Layers returns the number of GCN layers.
 func (m *Model) Layers() int { return m.m.Layers() }
 
-// SAGE reports whether the model uses the GraphSAGE-style concat layer.
-func (m *Model) SAGE() bool { return m.sage }
-
 // Clone deep-copies the model.
-func (m *Model) Clone() *Model { return &Model{m: m.m.Clone(), sage: m.sage} }
-
-// variant returns the gcn layer variant the weights are shaped for.
-func (m *Model) variant() gcn.Variant {
-	if m.sage {
-		return gcn.SAGEConv
-	}
-	return gcn.GCNConv
-}
+func (m *Model) Clone() *Model { return &Model{m: m.m.Clone()} }
 
 // checkDataset verifies the dataset's feature width matches the model.
 func (m *Model) checkDataset(ds *Dataset) error {
 	if err := validateDataset(ds); err != nil {
 		return err
 	}
-	want := m.variant().InputRows(ds.FeatureDim())
-	if got := m.m.Weights[0].Rows; got != want {
+	if got := m.m.Weights[0].Rows; got != ds.FeatureDim() {
 		return fmt.Errorf("sagnn: model expects %d input rows, dataset %q has feature width %d", got, ds.Name, ds.FeatureDim())
 	}
 	return nil
@@ -123,7 +110,7 @@ func (m *Model) Classes() int { return m.m.Weights[m.m.Layers()-1].Cols }
 // and have checked ds.
 func (m *Model) forward(ds *Dataset) *dense.Matrix {
 	if a := ds.NormalizedAdjacency(); m.eval == nil || m.eval.A != a {
-		m.eval = gcn.NewSubsetEval(a, ds.Features, m.m, m.variant())
+		m.eval = gcn.NewSubsetEval(a, ds.Features, m.m, gcn.GCNConv)
 		m.eval.AX = ds.InputProduct()
 	}
 	m.probs = dense.Reshape(m.probs, len(m.sorted), m.Classes())
@@ -235,35 +222,32 @@ func (m *Model) ProbabilitiesInto(dst []float64, ds *Dataset, vertices []int) (g
 	return m.eval.GatheredRows(), nil
 }
 
-// MarshalBinary serialises the model.
+// MarshalBinary serialises the model: a leading variant byte, always 0 (the
+// GCN layer), then the gcn model record.
 func (m *Model) MarshalBinary() ([]byte, error) {
 	data, err := m.m.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
-	flag := byte(0)
-	if m.sage {
-		flag = 1
-	}
-	return append([]byte{flag}, data...), nil
+	return append([]byte{0}, data...), nil
 }
 
 // LoadModel parses a model serialised with MarshalBinary. The decoding is
-// strict — an accepted artifact re-marshals to the same bytes — and the
-// layer chain must compose under the artifact's variant, so every model that
-// loads can run a forward pass.
+// strict — an accepted artifact re-marshals to the same bytes, so a variant
+// byte other than 0 is an error — and the layer chain must compose, so every
+// model that loads can run a forward pass.
 func LoadModel(data []byte) (*Model, error) {
 	if len(data) < 1 {
 		return nil, fmt.Errorf("sagnn: empty model data")
 	}
-	if data[0] > 1 {
-		return nil, fmt.Errorf("sagnn: bad model variant flag %#x", data[0])
+	if data[0] != 0 {
+		return nil, fmt.Errorf("sagnn: bad model variant byte %#x (only the GCN layer, 0, loads)", data[0])
 	}
-	m := &Model{m: &gcn.Model{}, sage: data[0] == 1}
+	m := &Model{m: &gcn.Model{}}
 	if err := m.m.UnmarshalBinary(data[1:]); err != nil {
 		return nil, err
 	}
-	if err := m.m.CheckChain(m.variant()); err != nil {
+	if err := m.m.CheckChain(); err != nil {
 		return nil, err
 	}
 	return m, nil

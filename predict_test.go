@@ -1,7 +1,9 @@
 package sagnn
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -62,55 +64,49 @@ func checkRowsMatchFull(t *testing.T, what string, vertices []int, rows [][]floa
 }
 
 // TestPredictSubsetBitIdenticalToFullBatch is the serving conformance
-// matrix: across ER/SBM/star graphs, GCN and SAGE variants, and model
-// depths L ∈ {1,2,3}, Probabilities and Predict over a request's receptive
-// field must equal the nil request's rows — the full-Â branch of the same
-// forward, which FuzzSubsetForward holds to the serial reference — bit for
-// bit, no tolerance, on single targets and random subsets in random order.
+// matrix: across ER/SBM/star graphs and model depths L ∈ {1,2,3},
+// Probabilities and Predict over a request's receptive field must equal the
+// nil request's rows — the full-Â branch of the same forward, which
+// FuzzSubsetForward holds to the serial reference — bit for bit, no
+// tolerance, on single targets and random subsets in random order.
 func TestPredictSubsetBitIdenticalToFullBatch(t *testing.T) {
 	const n = 96
 	rng := rand.New(rand.NewSource(4))
 	for name, g := range subsetConformanceGraphs(n) {
-		for _, sage := range []bool{false, true} {
-			for layers := 1; layers <= 3; layers++ {
-				ds := subsetTestDataset(g, 10, 5, 23)
-				variant := gcn.GCNConv
-				if sage {
-					variant = gcn.SAGEConv
-				}
-				dims := gcn.LayerDims(ds.FeatureDim(), 8, ds.Classes, layers)
-				model := &Model{m: gcn.NewModelVariant(31, dims, variant), sage: sage}
+		for layers := 1; layers <= 3; layers++ {
+			ds := subsetTestDataset(g, 10, 5, 23)
+			dims := gcn.LayerDims(ds.FeatureDim(), 8, ds.Classes, layers)
+			model := &Model{m: gcn.NewModel(31, dims)}
 
-				full, err := model.Probabilities(ds, nil)
+			full, err := model.Probabilities(ds, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fullClasses, err := model.Predict(ds, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v, class := range fullClasses {
+				if want := dense.ArgmaxRow(full[v]); class != want {
+					t.Fatalf("%s vertex %d: full-batch class %d != %d", name, v, class, want)
+				}
+			}
+
+			for _, vertices := range [][]int{
+				{0},
+				{n - 1},
+				{7, 3, 55}, // unsorted on purpose: results align to request order
+				rng.Perm(n)[: 1+rng.Intn(n-1) : n],
+			} {
+				rows, err := model.Probabilities(ds, vertices)
+				if err != nil {
+					t.Fatalf("%s L=%d: %v", name, layers, err)
+				}
+				classes, err := model.Predict(ds, vertices)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fullClasses, err := model.Predict(ds, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for v, class := range fullClasses {
-					if want := dense.ArgmaxRow(full[v]); class != want {
-						t.Fatalf("%s vertex %d: full-batch class %d != %d", name, v, class, want)
-					}
-				}
-
-				for _, vertices := range [][]int{
-					{0},
-					{n - 1},
-					{7, 3, 55}, // unsorted on purpose: results align to request order
-					rng.Perm(n)[: 1+rng.Intn(n-1) : n],
-				} {
-					rows, err := model.Probabilities(ds, vertices)
-					if err != nil {
-						t.Fatalf("%s sage=%v L=%d: %v", name, sage, layers, err)
-					}
-					classes, err := model.Predict(ds, vertices)
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkRowsMatchFull(t, name, vertices, rows, classes, full)
-				}
+				checkRowsMatchFull(t, name, vertices, rows, classes, full)
 			}
 		}
 	}
@@ -256,5 +252,79 @@ func TestLoadServableModel(t *testing.T) {
 	}
 	if _, _, err := LoadServableModel([]byte{0x42}); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// sha256Hex is the artifact fingerprint the golden tests compare.
+func sha256Hex(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
+
+// TestArtifactBytesGolden pins the serialised model and checkpoint of a
+// fixed seed to the bytes recorded while the format still carried a second
+// layer type: the leading variant byte stays 0, and nothing after it moved.
+func TestArtifactBytesGolden(t *testing.T) {
+	dims := gcn.LayerDims(8, 8, 4, 2)
+	for _, tc := range []struct {
+		name string
+		art  interface{ MarshalBinary() ([]byte, error) }
+		want string
+	}{
+		{"model", &Model{m: gcn.NewModel(6, dims)}, "a2611f21831a089c2f3b41f28f2b2422930a7748e3a632bd7d1e5598f97bfd7b"},
+		{"checkpoint", &Checkpoint{epoch: 7, model: gcn.NewModel(6, dims)}, "d869f575badaa5f3ef79e000b46bf7619aa37f42371a10ab171d3dcbbe5f5bbd"},
+	} {
+		b, err := tc.art.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sha256Hex(b); got != tc.want {
+			t.Errorf("%s bytes hash %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestLoadRejectsSAGEArtifacts: a model or checkpoint written with variant
+// byte 1 — the GraphSAGE-style concat layer this package no longer has —
+// is an error from every decoder, not a panic and not a misread GCN. The
+// artifacts are rebuilt byte for byte as such a build wrote them (weights
+// with 2f input rows, drawn from the seed in layer order), which the model
+// hashes confirm. A one-layer one has a chain that composes, so only the
+// variant byte rejects it.
+func TestLoadRejectsSAGEArtifacts(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		shape [][2]int
+		hash  string
+	}{
+		{"2-layer", [][2]int{{16, 8}, {16, 4}}, "b5ef8334a93512a7f23ec5ded082bcb536f93b86525a50a929525d7e810ae4d5"},
+		{"1-layer", [][2]int{{16, 4}}, "54c61397dd252e59424eb70abfe243314e671e4bf4c156d58dfabd1e5f9149ae"},
+	} {
+		rng := rand.New(rand.NewSource(6))
+		sage := &gcn.Model{}
+		for _, s := range tc.shape {
+			sage.Weights = append(sage.Weights, dense.NewGlorot(rng, s[0], s[1]))
+		}
+		rec, err := sage.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := append([]byte{1}, rec...)
+		if got := sha256Hex(model); got != tc.hash {
+			t.Fatalf("%s: rebuilt SAGE model hash %s, want %s", tc.name, got, tc.hash)
+		}
+		ck, err := (&Checkpoint{epoch: 7, model: sage}).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck[16] = 1 // the checkpointed model's variant byte
+		if _, err := LoadModel(model); err == nil {
+			t.Errorf("%s: LoadModel accepted a SAGE model", tc.name)
+		}
+		if _, err := LoadCheckpoint(ck); err == nil {
+			t.Errorf("%s: LoadCheckpoint accepted a SAGE checkpoint", tc.name)
+		}
+		for _, data := range [][]byte{model, ck} {
+			if _, _, err := LoadServableModel(data); err == nil {
+				t.Errorf("%s: LoadServableModel accepted a %d-byte SAGE artifact", tc.name, len(data))
+			}
+		}
 	}
 }

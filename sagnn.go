@@ -58,7 +58,8 @@ const (
 )
 
 // LoadDataset materialises a preset. scaleDiv ≥ 1 divides the vertex count
-// by that (power-of-two) factor; 1 is the full benchmark size.
+// by that (power-of-two) factor; 1 is the full benchmark size, and a divisor
+// below 1 is an error.
 func LoadDataset(p Preset, seed int64, scaleDiv int) (*Dataset, error) {
 	return gen.Load(p, seed, scaleDiv)
 }

@@ -88,13 +88,15 @@ func TestTrainValidation(t *testing.T) {
 	}
 }
 
-func TestTrainSAGEVariant(t *testing.T) {
+// TestTrainDistributedLearns: a distributed session on a community graph
+// lowers its loss and classifies held-out vertices well above chance (1/4).
+func TestTrainDistributedLearns(t *testing.T) {
 	ds := GenerateCommunityDataset("comms", 256, 4, 10, 2, 16, 0.3, 19)
-	res, _ := trainVia(t, ds, 4, DistOpts{Algorithm: SparsityAware1D}, ModelConfig{LR: 0.3, Seed: 5, SAGE: true}, 40)
+	res, _ := trainVia(t, ds, 4, DistOpts{Algorithm: SparsityAware1D}, ModelConfig{LR: 0.3, Seed: 5}, 40)
 	if res.TestAcc < 0.5 {
-		t.Fatalf("SAGE test accuracy too low: %v", res.TestAcc)
+		t.Fatalf("test accuracy too low: %v", res.TestAcc)
 	}
 	if res.History[39].Loss >= res.History[0].Loss {
-		t.Fatal("SAGE loss did not decrease")
+		t.Fatal("loss did not decrease")
 	}
 }

@@ -30,9 +30,6 @@ type ModelConfig struct {
 	Layers int     // GCN layers (default 3)
 	LR     float64 // SGD learning rate (default 0.05)
 	Seed   int64   // weight-init seed (default 1)
-	// SAGE switches the layer operation from the paper's GCN convolution to
-	// a GraphSAGE-style concat layer — same communication pattern.
-	SAGE bool
 }
 
 func (c ModelConfig) withDefaults() ModelConfig {
@@ -61,13 +58,6 @@ func (c ModelConfig) validate() error {
 		return fmt.Errorf("sagnn: learning rate %v", c.LR)
 	}
 	return nil
-}
-
-func (c ModelConfig) variant() gcn.Variant {
-	if c.SAGE {
-		return gcn.SAGEConv
-	}
-	return gcn.GCNConv
 }
 
 // SessionOption customises NewSession.
@@ -176,7 +166,6 @@ func (g *DistGraph) NewSession(cfg ModelConfig, opts ...SessionOption) (s *Sessi
 	defer recoverToError(&err)
 	dims := gcn.LayerDims(g.x.Cols, cfg.Hidden, g.ds.Classes, cfg.Layers)
 	trainer := gcn.NewDistributed(g.cluster.world, g.engine, g.x, g.labels, g.train, dims, cfg.LR, cfg.Seed)
-	trainer.Variant = cfg.variant()
 	trainer.Input = g.input
 	g.cluster.mu.Lock()
 	stepper := trainer.Stepper()
@@ -255,7 +244,7 @@ func (s *Session) History() []EpochResult {
 func (s *Session) Model() *Model {
 	s.dg.cluster.mu.Lock()
 	defer s.dg.cluster.mu.Unlock()
-	return &Model{m: s.stepper.Model().Clone(), sage: s.cfg.SAGE}
+	return &Model{m: s.stepper.Model().Clone()}
 }
 
 // Run trains for up to the given number of epochs, invoking any registered
@@ -409,9 +398,6 @@ func (s *Session) RunSampled(ctx context.Context, epochs int) (res *TrainResult,
 	if epochs < 1 {
 		return nil, fmt.Errorf("sagnn: %d epochs", epochs)
 	}
-	if s.cfg.SAGE {
-		return nil, fmt.Errorf("sagnn: sampled training supports the GCN variant only")
-	}
 	defer recoverToError(&err)
 	if s.sampledBody == nil {
 		g := s.dg
@@ -476,7 +462,6 @@ func (s *Session) result(hist []EpochResult, epochs0, setup0 spent) *TrainResult
 // with MarshalBinary / LoadCheckpoint.
 type Checkpoint struct {
 	epoch int
-	sage  bool
 	model *gcn.Model
 }
 
@@ -484,19 +469,16 @@ type Checkpoint struct {
 func (s *Session) Snapshot() *Checkpoint {
 	s.dg.cluster.mu.Lock()
 	defer s.dg.cluster.mu.Unlock()
-	return &Checkpoint{epoch: s.stepper.Epoch(), sage: s.cfg.SAGE, model: s.stepper.Model().Clone()}
+	return &Checkpoint{epoch: s.stepper.Epoch(), model: s.stepper.Model().Clone()}
 }
 
 // Restore rewinds the session to a checkpoint: every rank's weight replica
 // is reset to the checkpointed parameters, optimizer state is re-created,
-// and the epoch counter is restored. The checkpoint's model shape and
-// variant must match the session's configuration.
+// and the epoch counter is restored. The checkpoint's model shape must match
+// the session's configuration.
 func (s *Session) Restore(ck *Checkpoint) error {
 	if ck == nil || ck.model == nil {
 		return fmt.Errorf("sagnn: nil checkpoint")
-	}
-	if ck.sage != s.cfg.SAGE {
-		return fmt.Errorf("sagnn: checkpoint variant (SAGE=%v) does not match session (SAGE=%v)", ck.sage, s.cfg.SAGE)
 	}
 	s.dg.cluster.mu.Lock()
 	defer s.dg.cluster.mu.Unlock()
@@ -523,12 +505,12 @@ func (c *Checkpoint) Epoch() int { return c.epoch }
 
 // Model returns a detached copy of the checkpointed weights.
 func (c *Checkpoint) Model() *Model {
-	return &Model{m: c.model.Clone(), sage: c.sage}
+	return &Model{m: c.model.Clone()}
 }
 
 // Checkpoint binary format (little-endian): magic "SGCK", version, epoch
-// (int64), then the model exactly as Model.MarshalBinary writes it (SAGE
-// flag, model record).
+// (int64), then the model exactly as Model.MarshalBinary writes it (variant
+// byte, model record).
 const (
 	checkpointMagic   = 0x5347434b // "SGCK"
 	checkpointVersion = 1
@@ -548,7 +530,7 @@ func (c *Checkpoint) MarshalBinary() ([]byte, error) {
 	buf.Write(scratch[:4])
 	le.PutUint64(scratch[:], uint64(c.epoch))
 	buf.Write(scratch[:])
-	mb, err := (&Model{m: c.model, sage: c.sage}).MarshalBinary()
+	mb, err := (&Model{m: c.model}).MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
@@ -576,7 +558,7 @@ func LoadCheckpoint(data []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Checkpoint{epoch: epoch, sage: m.sage, model: m.m}, nil
+	return &Checkpoint{epoch: epoch, model: m.m}, nil
 }
 
 // LoadServableModel parses either a serialized Model (MarshalBinary) or a
@@ -585,7 +567,7 @@ func LoadCheckpoint(data []byte) (*Checkpoint, error) {
 // serving hot-swap endpoint needs: operators can POST whichever artifact
 // their training pipeline produced. The two formats are distinguished by
 // the checkpoint magic, which cannot collide with a model record's leading
-// SAGE flag byte.
+// variant byte.
 func LoadServableModel(data []byte) (*Model, int, error) {
 	if len(data) >= 4 && binary.LittleEndian.Uint32(data[:4]) == checkpointMagic {
 		ck, err := LoadCheckpoint(data)

@@ -653,9 +653,6 @@ func TestNewAPIValidation(t *testing.T) {
 	if _, err := RunMiniBatch(ds, 5, ModelConfig{}, SamplingConfig{BatchSize: -1}); err == nil {
 		t.Fatal("negative batch size")
 	}
-	if _, err := RunMiniBatch(ds, 5, ModelConfig{SAGE: true}, SamplingConfig{}); err == nil {
-		t.Fatal("mini-batch SAGE")
-	}
 
 	// Labels of split vertices index the loss: out of [0, Classes) is an
 	// error up front, on every entry point, for every split.
@@ -726,7 +723,7 @@ func TestEmptyTrainSetTypedError(t *testing.T) {
 // reports (one full-batch forward over the trained weights) are exactly
 // what the same model's Predict measures on the same splits, each over its
 // own receptive field — on a partitioned graph too, where training ran in
-// the permuted order, and for both layer variants.
+// the permuted order.
 func TestHeldOutEvalMatchesPredictor(t *testing.T) {
 	ds := GenerateCommunityDataset("comms", 512, 4, 10, 2, 16, 0.3, 19)
 	check := func(name string, m *Model, reported []float64, sets ...[]int) {
@@ -746,18 +743,16 @@ func TestHeldOutEvalMatchesPredictor(t *testing.T) {
 			}
 		}
 	}
-	for _, sage := range []bool{false, true} {
-		cfg := ModelConfig{Seed: 5, LR: 0.3, SAGE: sage}
-		for _, pt := range []Partitioner{nil, NewGVB(19)} {
-			dist, _ := trainVia(t, ds, 4, DistOpts{Algorithm: SparsityAware1D, Partitioner: pt}, cfg, 10)
-			check(fmt.Sprintf("Session.Run/sage=%v/%v", sage, pt), dist.Model, []float64{dist.ValAcc, dist.TestAcc}, ds.Val, ds.Test)
-		}
-		serial, err := RunSerial(ds, 10, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("RunSerial/sage=%v", sage), serial.Model, []float64{serial.ValAcc, serial.TestAcc}, ds.Val, ds.Test)
+	cfg := ModelConfig{Seed: 5, LR: 0.3}
+	for _, pt := range []Partitioner{nil, NewGVB(19)} {
+		dist, _ := trainVia(t, ds, 4, DistOpts{Algorithm: SparsityAware1D, Partitioner: pt}, cfg, 10)
+		check(fmt.Sprintf("Session.Run/%v", pt), dist.Model, []float64{dist.ValAcc, dist.TestAcc}, ds.Val, ds.Test)
 	}
+	serial, err := RunSerial(ds, 10, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("RunSerial", serial.Model, []float64{serial.ValAcc, serial.TestAcc}, ds.Val, ds.Test)
 	mb, err := RunMiniBatch(ds, 3, ModelConfig{Seed: 5, LR: 0.01}, SamplingConfig{})
 	if err != nil {
 		t.Fatal(err)

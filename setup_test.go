@@ -30,7 +30,7 @@ func allReduceBytes(g *DistGraph, cfg ModelConfig) int64 {
 	size := g.engine.GradGroup(0).Size()
 	total, _, _ := comm.AllReduceVolume(2, size)
 	for l := 0; l+1 < len(dims); l++ {
-		s, _, _ := comm.AllReduceVolume(cfg.variant().InputRows(dims[l])*dims[l+1], size)
+		s, _, _ := comm.AllReduceVolume(dims[l]*dims[l+1], size)
 		total += s
 	}
 	return total
@@ -54,7 +54,7 @@ func TestSetupAccountedApartFromEpochs(t *testing.T) {
 	}{
 		{"sa-1d+gvb", DistOpts{Algorithm: SparsityAware1D, Partitioner: NewGVB(42)}, ModelConfig{Seed: 7}},
 		{"oblivious-1d/overlap", DistOpts{Algorithm: Oblivious1D, Exec: ExecOverlap}, ModelConfig{Seed: 7}},
-		{"sa-1.5d/sage", DistOpts{Algorithm: SparsityAware15D, Replication: 2, CostModel: ModelConfig{SAGE: true}}, ModelConfig{Seed: 7, SAGE: true}},
+		{"sa-1.5d/costmodel", DistOpts{Algorithm: SparsityAware15D, Replication: 2, CostModel: ModelConfig{Hidden: 8, Layers: 4}}, ModelConfig{Seed: 7, Hidden: 8, Layers: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cluster, err := NewCluster(4)
@@ -124,7 +124,8 @@ func TestSetupAccountedApartFromEpochs(t *testing.T) {
 // reports, without the run. Volumes and phase sets must match exactly and
 // seconds to rounding (the run's are differences of ledger snapshots), on
 // every scheme of the paper's Figures 3, 6 and 7 — oblivious, sparsity-aware,
-// +METIS and +GVB, in 1D and 1.5D — plus a SAGE and an overlapped graph.
+// +METIS and +GVB, in 1D and 1.5D — plus a 4-layer model and an overlapped
+// graph.
 func TestPriceEpochMatchesExecuted(t *testing.T) {
 	type row struct {
 		name string
@@ -155,7 +156,7 @@ func TestPriceEpochMatchesExecuted(t *testing.T) {
 	}
 	protein := MustLoadDataset(ProteinSim, 42, 64)
 	rows = append(rows,
-		row{"sage", protein, 8, DistOpts{Algorithm: SparsityAware15D, Replication: 2, Partitioner: NewGVB(42)}, ModelConfig{SAGE: true}},
+		row{"4-layers", protein, 8, DistOpts{Algorithm: SparsityAware15D, Replication: 2, Partitioner: NewGVB(42)}, ModelConfig{Hidden: 8, Layers: 4}},
 		row{"overlap", protein, 8, DistOpts{Algorithm: Oblivious1D, Exec: ExecOverlap}, ModelConfig{}})
 	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b)) }
 	for _, tc := range rows {
@@ -422,12 +423,12 @@ func TestInterleavedRunsMatchParentGolden(t *testing.T) {
 }
 
 // TestHeldOutEvaluatorSharedAcrossSessions: every run on a graph — whatever
-// its model shape or variant — evaluates through its Model over the
+// its model shape — evaluates through its Model over the
 // dataset's one Â·X, and reports what a fresh graph's run would.
 func TestHeldOutEvaluatorSharedAcrossSessions(t *testing.T) {
 	ds := MustLoadDataset(ProteinSim, 42, 64)
 	opts := DistOpts{Algorithm: SparsityAware1D, Partitioner: NewGVB(42)}
-	cfgs := []ModelConfig{{Seed: 7}, {Seed: 9, SAGE: true, Hidden: 8, Layers: 2}, {Seed: 7}}
+	cfgs := []ModelConfig{{Seed: 7}, {Seed: 9, Hidden: 8, Layers: 2}, {Seed: 7}}
 
 	cluster, err := NewCluster(4)
 	if err != nil {
