@@ -43,25 +43,30 @@ func MatMul(a, b *Matrix) *Matrix {
 }
 
 // MatMulInto computes c = a×b, overwriting c. c must be a.Rows × b.Cols and
-// must not alias a or b.
+// must not alias a or b: a c that starts at an operand's first element
+// panics.
 func MatMulInto(c, a, b *Matrix) {
-	checkShapes("MatMul", a.Cols, b.Rows, c, a.Rows, b.Cols)
+	checkShapes("MatMul", c, a, b, a.Cols, b.Rows, a.Rows, b.Cols)
 	stripes(gemmStripe, c, a, b, a.Rows, useVectorTile)
 }
 
 // MatMulAddInto computes c += a×b. Same shapes as MatMulInto.
 func MatMulAddInto(c, a, b *Matrix) {
-	checkShapes("MatMul", a.Cols, b.Rows, c, a.Rows, b.Cols)
+	checkShapes("MatMul", c, a, b, a.Cols, b.Rows, a.Rows, b.Cols)
 	stripes(gemmAddStripe, c, a, b, a.Rows, useVectorTile)
 }
 
-// checkShapes panics unless the inner dimensions agree and c is rows×cols.
-func checkShapes(op string, k1, k2 int, c *Matrix, rows, cols int) {
+// checkShapes panics unless the inner dimensions agree, c is rows×cols and
+// c aliases neither operand.
+func checkShapes(op string, c, a, b *Matrix, k1, k2, rows, cols int) {
 	if k1 != k2 {
 		panic(fmt.Sprintf("dense: %s inner dim %d vs %d", op, k1, k2))
 	}
 	if c.Rows != rows || c.Cols != cols {
 		panic(fmt.Sprintf("dense: %s output %dx%d, want %dx%d", op, c.Rows, c.Cols, rows, cols))
+	}
+	if Aliased(c, a) || Aliased(c, b) {
+		panic(fmt.Sprintf("dense: %s output aliases an operand", op))
 	}
 }
 
@@ -174,9 +179,9 @@ func MatMulTransA(a, b *Matrix) *Matrix {
 }
 
 // MatMulTransAInto computes c = aᵀ×b, overwriting c. c must be
-// a.Cols × b.Cols and must not alias a or b.
+// a.Cols × b.Cols and must not alias a or b (checked as in MatMulInto).
 func MatMulTransAInto(c, a, b *Matrix) {
-	checkShapes("MatMulTransA", a.Rows, b.Rows, c, a.Cols, b.Cols)
+	checkShapes("MatMulTransA", c, a, b, a.Rows, b.Rows, a.Cols, b.Cols)
 	stripes(transAStripe, c, a, b, a.Cols, useVectorTile)
 }
 
@@ -212,9 +217,9 @@ func MatMulTransB(a, b *Matrix) *Matrix {
 }
 
 // MatMulTransBInto computes c = a×bᵀ, overwriting c. c must be
-// a.Rows × b.Rows and must not alias a or b.
+// a.Rows × b.Rows and must not alias a or b (checked as in MatMulInto).
 func MatMulTransBInto(c, a, b *Matrix) {
-	checkShapes("MatMulTransB", a.Cols, b.Cols, c, a.Rows, b.Rows)
+	checkShapes("MatMulTransB", c, a, b, a.Cols, b.Cols, a.Rows, b.Rows)
 	stripes(transBStripe, c, a, b, a.Rows, useVectorTile)
 }
 

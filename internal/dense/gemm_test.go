@@ -193,6 +193,35 @@ func TestTileVectorMatchesPortable(t *testing.T) {
 	}
 }
 
+// TestGEMMRejectsAliasedOutput: every GEMM form panics when its output
+// starts at an operand's first element — the same matrix or a second header
+// over the same storage — instead of reading entries it has overwritten.
+func TestGEMMRejectsAliasedOutput(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	a, b := randMat(rng, 4, 4), randMat(rng, 4, 4)
+	view := FromSlice(4, 4, b.Data)
+	forms := map[string]func(c, a, b *Matrix){
+		"MatMulInto": MatMulInto, "MatMulAddInto": MatMulAddInto,
+		"MatMulTransAInto": MatMulTransAInto, "MatMulTransBInto": MatMulTransBInto,
+	}
+	for name, form := range forms {
+		for _, c := range []struct {
+			what string
+			c    *Matrix
+		}{{"a", a}, {"b", b}, {"a view of b", view}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s with c = %s did not panic", name, c.what)
+					}
+				}()
+				form(c.c, a, b)
+			}()
+		}
+	}
+	MatMulInto(New(4, 4), a, b) // a fresh c is accepted
+}
+
 // TestGEMMSerialPathAllocatesNothing pins the pack panels to the stack: on
 // the serial path no kernel allocates, at shapes that fill and refill a panel.
 func TestGEMMSerialPathAllocatesNothing(t *testing.T) {

@@ -1,6 +1,8 @@
 // Package dense provides row-major dense matrices and the kernels needed by
-// GCN training: GEMM, transpose, elementwise maps, Hadamard products, and
-// row gather/scatter used by the sparsity-aware communication plans.
+// GCN training: GEMM, the row kernel of package sparse's SpMM, transpose,
+// elementwise maps, Hadamard products, and row gather/scatter used by the
+// sparsity-aware communication plans. It is the one package that holds
+// assembly (the AVX2 forms of the GEMM tile and the SpMM row).
 //
 // All matrices are float64 and stored row-major in a single contiguous
 // slice, so a row is a contiguous subslice and can be sent over the
@@ -242,6 +244,13 @@ func (m *Matrix) SliceRows(lo, hi int) *Matrix {
 		panic(fmt.Sprintf("dense: SliceRows [%d,%d) of %d rows", lo, hi, m.Rows))
 	}
 	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+}
+
+// Aliased reports whether a and b start at the same element: an output that
+// shares an operand's backing array from its first element on, which every
+// kernel rejects, since it would read rows it has already overwritten.
+func Aliased(a, b *Matrix) bool {
+	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
 }
 
 // VStack concatenates the given matrices vertically into a new matrix.

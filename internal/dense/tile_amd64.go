@@ -1,7 +1,10 @@
 package dense
 
+import "fmt"
+
 // useVectorTile is set once, from CPUID: the CPU has AVX2 and the OS saves
-// the YMM registers. The GEMMs pass it to tile.
+// the YMM registers. The GEMMs pass it to tile, the SpMM (as VectorKernels)
+// to SpMMRow.
 var useVectorTile = hasAVX2()
 
 // tileVector is tile in AVX lanes (tileAVX): the portable tile's products
@@ -24,6 +27,24 @@ func tileVector(c0, c1, a0, a1 []float64, lda, kn int, b []float64, ldb int, add
 //
 //go:noescape
 func tileAVX(c0, c1, a0, a1 []float64, lda, kn int, b []float64, ldb int, add bool)
+
+// spmmRowVector is SpMMRow in AVX lanes (spmmRowAVX): the portable row's
+// products and sums in the same order, so the bits are the same. The kernel
+// checks every index against rows before it reads that row of h and returns
+// the position of the first it rejects; the other bounds are checked here.
+func spmmRowVector(o, w []float64, idx []int, h []float64, rows int, add bool) {
+	w, h = w[:len(idx)], h[:rows*len(o)]
+	if p := spmmRowAVX(o, w, idx, h, rows, add); p >= 0 {
+		panic(fmt.Sprintf("dense: SpMM column index %d outside [0, %d)", idx[p], rows))
+	}
+}
+
+// spmmRowAVX is SpMMRow over h's first rows rows (spmm_amd64.s). It returns
+// −1, or the position of an index outside [0, rows), having read no row of h
+// for it.
+//
+//go:noescape
+func spmmRowAVX(o, w []float64, idx []int, h []float64, rows int, add bool) int
 
 func cpuid(leaf, sub uint32) (a, b, c, d uint32)
 

@@ -389,22 +389,29 @@ func (m *CSR) SpMM(h *dense.Matrix) *dense.Matrix {
 }
 
 // SpMMInto computes out = m × h, overwriting out — the allocation-free form
-// of SpMM for preallocated workspaces. out must be m.NumRows × h.Cols.
-func (m *CSR) SpMMInto(out, h *dense.Matrix) { m.spmm(out, h, false) }
+// of SpMM for preallocated workspaces. out must be m.NumRows × h.Cols and
+// must not alias h (a square product would read rows it has already
+// overwritten): an out that starts at h's first element panics.
+func (m *CSR) SpMMInto(out, h *dense.Matrix) { m.spmm(out, h, false, dense.VectorKernels()) }
 
 // SpMMAddInto computes out += m × h. Same shapes as SpMMInto.
-func (m *CSR) SpMMAddInto(out, h *dense.Matrix) { m.spmm(out, h, true) }
+func (m *CSR) SpMMAddInto(out, h *dense.Matrix) { m.spmm(out, h, true, dense.VectorKernels()) }
 
 // spmm runs the row stripes of out (+)= m × h, one per worker, each stripe
 // owning its rows of out. Stripes hold equal shares of the nonzeros, not of
-// the rows, so a hub row does not fall to one worker whole.
-func (m *CSR) spmm(out, h *dense.Matrix, add bool) {
+// the rows, so a hub row does not fall to one worker whole. vector picks the
+// row kernel's vector form; the callers pass dense.VectorKernels(), the
+// tests both.
+func (m *CSR) spmm(out, h *dense.Matrix, add, vector bool) {
 	if m.NumCols != h.Rows || out.Rows != m.NumRows || out.Cols != h.Cols {
 		panic(fmt.Sprintf("sparse: SpMM %dx%d × %dx%d into %dx%d", m.NumRows, m.NumCols, h.Rows, h.Cols, out.Rows, out.Cols))
 	}
+	if dense.Aliased(out, h) {
+		panic("sparse: SpMM output aliases its dense operand")
+	}
 	workers := par.Workers()
 	if m.NumRows < 256 || workers == 1 {
-		m.spmmStripe(out, h, 0, m.NumRows, add)
+		m.spmmStripe(out, h, 0, m.NumRows, add, vector)
 		return
 	}
 	// bound(w) is where stripe w starts: the first row whose nonzeros begin
@@ -417,62 +424,16 @@ func (m *CSR) spmm(out, h *dense.Matrix, add bool) {
 	}
 	par.For(workers, func(w int) {
 		if lo, hi := bound(w), bound(w+1); lo < hi {
-			m.spmmStripe(out, h, lo, hi, add)
+			m.spmmStripe(out, h, lo, hi, add, vector)
 		}
 	})
 }
 
-// nnzBlock is how many nonzeros of a row one pass of the strip kernel covers:
-// each is a stream through a row of h, and sixteen at a time are few enough
-// for the hardware prefetchers to follow at the feature width.
-const nnzBlock = 16
-
-// spmmStripe is rows [lo,hi) of out (+)= m × h with the micro-kernel shape of
-// dense's GEMM tile: eight columns of the output row are held in locals
-// across a block of the row's nonzeros and stored once, starting from zero
-// only on an overwriting product's first block. Every output element still
-// receives its products in ascending CSR position: same bits as the plain loop.
-func (m *CSR) spmmStripe(out, h *dense.Matrix, lo, hi int, add bool) {
-	f := h.Cols
+// spmmStripe is rows [lo,hi) of out (+)= m × h, one dense.SpMMRow per row.
+func (m *CSR) spmmStripe(out, h *dense.Matrix, lo, hi int, add, vector bool) {
 	for r := lo; r < hi; r++ {
-		orow := out.Row(r)
 		start, end := m.RowPtr[r], m.RowPtr[r+1]
-		for p0 := start; p0 == start || p0 < end; p0 += nnzBlock {
-			cols := m.ColIdx[p0:min(p0+nnzBlock, end)]
-			vals := m.Val[p0:min(p0+nnzBlock, end)][:len(cols)]
-			add := add || p0 > start
-			j := 0
-			for ; j+8 <= f; j += 8 {
-				o := orow[j : j+8 : j+8]
-				var s0, s1, s2, s3, s4, s5, s6, s7 float64
-				if add {
-					s0, s1, s2, s3, s4, s5, s6, s7 = o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7]
-				}
-				for p, c := range cols {
-					v := vals[p]
-					hr := h.Data[c*f+j : c*f+j+8 : c*f+j+8]
-					s0 += v * hr[0]
-					s1 += v * hr[1]
-					s2 += v * hr[2]
-					s3 += v * hr[3]
-					s4 += v * hr[4]
-					s5 += v * hr[5]
-					s6 += v * hr[6]
-					s7 += v * hr[7]
-				}
-				o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
-			}
-			for ; j < f; j++ {
-				var s float64
-				if add {
-					s = orow[j]
-				}
-				for p, c := range cols {
-					s += vals[p] * h.Data[c*f+j]
-				}
-				orow[j] = s
-			}
-		}
+		dense.SpMMRow(vector, out.Row(r), m.Val[start:end], m.ColIdx[start:end], h, add)
 	}
 }
 

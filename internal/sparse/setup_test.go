@@ -3,6 +3,7 @@ package sparse_test
 import (
 	"testing"
 
+	"sagnn/internal/dense"
 	"sagnn/internal/gen"
 	"sagnn/internal/partition"
 	"sagnn/internal/sparse"
@@ -36,4 +37,19 @@ func BenchmarkPermuteSymmetricSetup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		setupSink = aHat.PermuteSymmetric(perm)
 	}
+}
+
+var setupDenseSink *dense.Matrix
+
+// BenchmarkInputProductSetup is the feature-width product every full-batch
+// set-up runs once: reddit-sim's Â times its 602-wide X.
+func BenchmarkInputProductSetup(b *testing.B) {
+	ds := gen.MustLoad(gen.RedditSim, 1, 1)
+	aHat := ds.G.NormalizedAdjacency()
+	setupDenseSink = dense.New(aHat.NumRows, ds.Features.Cols)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		aHat.SpMMInto(setupDenseSink, ds.Features)
+	}
+	b.ReportMetric(float64(aHat.Flops(ds.Features.Cols))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }

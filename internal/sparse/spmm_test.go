@@ -80,8 +80,18 @@ func requireSameBits(t *testing.T, what string, want, got *dense.Matrix) {
 	}
 }
 
-// checkSpMMBits requires SpMMInto and SpMMAddInto to reproduce the plain loop
-// at width f, on the serial path and on the nnz-striped one.
+// spmmKernels are the row kernels this host runs, as spmm's vector
+// argument: the portable loop, and the vector row where the CPU has AVX2.
+var spmmKernels = func() []bool {
+	if dense.VectorKernels() {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}()
+
+// checkSpMMBits requires the overwriting and the accumulating SpMM to
+// reproduce the plain loop at width f, with every row kernel this host runs,
+// on the serial path and on the nnz-striped one.
 func checkSpMMBits(t *testing.T, seed int64, m *CSR, f int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -91,22 +101,27 @@ func checkSpMMBits(t *testing.T, seed int64, m *CSR, f int) {
 	wantAdd := prior.Clone()
 	naiveSpMMAdd(wantAdd, m, h)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 4} {
-		runtime.GOMAXPROCS(procs)
-		what := fmt.Sprintf("%dx%d nnz %d width %d seed %d procs %d", m.NumRows, m.NumCols, m.NNZ(), f, seed, procs)
-		got := edgyDense(rng, m.NumRows, f) // dirty: the overwriting form must not read it
-		m.SpMMInto(got, h)
-		requireSameBits(t, "SpMMInto "+what, want, got)
-		got.CopyFrom(prior)
-		m.SpMMAddInto(got, h)
-		requireSameBits(t, "SpMMAddInto "+what, wantAdd, got)
+	for _, vector := range spmmKernels {
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			what := fmt.Sprintf("%dx%d nnz %d width %d seed %d vector %t procs %d", m.NumRows, m.NumCols, m.NNZ(), f, seed, vector, procs)
+			got := edgyDense(rng, m.NumRows, f) // dirty: the overwriting form must not read it
+			m.spmm(got, h, false, vector)
+			requireSameBits(t, "SpMMInto "+what, want, got)
+			got.CopyFrom(prior)
+			m.spmm(got, h, true, vector)
+			requireSameBits(t, "SpMMAddInto "+what, wantAdd, got)
+		}
 	}
 }
 
+// TestSpMMBits runs widths that hit every mix of the vector row's 16-, 8-
+// and 4-column blocks and its 1–3 column tail, and of the portable row's
+// 8-column strips and 1–7 column tail.
 func TestSpMMBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	small, hub := hubMatrix(rng, 37, 50, false), hubMatrix(rng, 300, 12000, true)
-	for i, f := range []int{1, 7, 8, 16, 41, 64} {
+	for i, f := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 20, 32, 33, 41, 64} {
 		checkSpMMBits(t, int64(i), small, f)
 		checkSpMMBits(t, int64(i), hub, f)
 	}
@@ -115,29 +130,99 @@ func TestSpMMBits(t *testing.T) {
 func FuzzSpMMBits(f *testing.F) {
 	f.Add(int64(1), uint16(5), uint16(9), uint8(16))
 	f.Add(int64(2), uint16(299), uint16(40), uint8(41))
+	f.Add(int64(3), uint16(257), uint16(7), uint8(27))
 	f.Fuzz(func(t *testing.T, seed int64, rows, cols uint16, width uint8) {
 		m := hubMatrix(rand.New(rand.NewSource(seed)), int(rows)%400+1, int(cols)%200+1, false)
 		checkSpMMBits(t, seed, m, int(width)%70+1)
 	})
 }
 
+// badColumnMatrix is rows×cols with three nonzeros a row, the last row's
+// last one at column bad.
+func badColumnMatrix(rows, cols, bad int) *CSR {
+	m := &CSR{NumRows: rows, NumCols: cols, RowPtr: make([]int, rows+1)}
+	for r := 0; r < rows; r++ {
+		for k := 0; k < 3; k++ {
+			m.ColIdx = append(m.ColIdx, (r+k)%cols)
+			m.Val = append(m.Val, 1)
+		}
+		m.RowPtr[r+1] = len(m.ColIdx)
+	}
+	m.ColIdx[len(m.ColIdx)-1] = bad
+	return m
+}
+
+// TestSpMMRejectsOutOfRangeColumn: a hand-built CSR with a column index of
+// h.Rows or −1 panics under every row kernel, on the serial path and the
+// striped one, at widths that end in each kind of block. The portable row
+// gets this from Go's bounds checks; the vector row must check it itself,
+// or it reads outside h.
+func TestSpMMRejectsOutOfRangeColumn(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const cols = 40
+	for _, vector := range spmmKernels {
+		for _, rows := range []int{10, 300} {
+			for _, bad := range []int{cols, -1} {
+				for _, f := range []int{1, 4, 8, 16, 41} {
+					m := badColumnMatrix(rows, cols, bad)
+					h, out := dense.New(cols, f), dense.New(rows, f)
+					for _, add := range []bool{false, true} {
+						func() {
+							defer func() {
+								if recover() == nil {
+									t.Errorf("vector %t rows %d column %d width %d add %t: no panic", vector, rows, bad, f, add)
+								}
+							}()
+							m.spmm(out, h, add, vector)
+						}()
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSpMMRejectsAliasedOutput: SpMMInto and SpMMAddInto panic when out
+// starts at h's first element, where a square product would read rows it
+// has already overwritten.
+func TestSpMMRejectsAliasedOutput(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	m := hubMatrix(rng, 20, 20, false)
+	h := edgyDense(rng, 20, 8)
+	for name, form := range map[string]func(out, h *dense.Matrix){"SpMMInto": m.SpMMInto, "SpMMAddInto": m.SpMMAddInto} {
+		for _, out := range []*dense.Matrix{h, dense.FromSlice(20, 8, h.Data)} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s into its own operand did not panic", name)
+					}
+				}()
+				form(out, h)
+			}()
+		}
+	}
+}
+
 // TestSpMMSerialPathAllocatesNothing: on the serial path neither form
-// allocates.
+// allocates, under every row kernel this host runs.
 func TestSpMMSerialPathAllocatesNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(4))
 	m := hubMatrix(rng, 300, 500, false)
 	h, out := edgyDense(rng, 500, 41), dense.New(300, 41)
-	for _, fn := range []func(){func() { m.SpMMInto(out, h) }, func() { m.SpMMAddInto(out, h) }} {
-		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
-			t.Fatalf("SpMM allocates %v times on the serial path, want 0", allocs)
+	for _, vector := range spmmKernels {
+		for _, add := range []bool{false, true} {
+			if allocs := testing.AllocsPerRun(10, func() { m.spmm(out, h, add, vector) }); allocs != 0 {
+				t.Fatalf("SpMM (add %t, vector %t) allocates %v times on the serial path, want 0", add, vector, allocs)
+			}
 		}
 	}
 }
 
 // BenchmarkSpMMNarrow is one rank's block of a full-batch epoch's SpMM on
 // reddit-sim P = 4 — 1024 rows of ~71 nonzeros against a 4096-row H — at the
-// hidden width and at the class width.
+// hidden width and at the class width, with each row kernel this host runs,
+// the portable one as "scalar".
 func BenchmarkSpMMNarrow(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m := &CSR{NumRows: 1024, NumCols: 4096, RowPtr: make([]int, 1025)}
@@ -149,13 +234,19 @@ func BenchmarkSpMMNarrow(b *testing.B) {
 		m.RowPtr[r+1] = len(m.ColIdx)
 	}
 	for _, f := range []int{16, 41} {
-		b.Run(fmt.Sprint(f), func(b *testing.B) {
-			h, out := dense.NewRandom(rng, m.NumCols, f, 1.0), dense.New(m.NumRows, f)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.SpMMInto(out, h)
+		for _, vector := range spmmKernels {
+			kernel := "scalar"
+			if vector {
+				kernel = "vector"
 			}
-			b.ReportMetric(float64(m.Flops(f))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-		})
+			b.Run(fmt.Sprintf("%d/%s", f, kernel), func(b *testing.B) {
+				h, out := dense.NewRandom(rng, m.NumCols, f, 1.0), dense.New(m.NumRows, f)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.spmm(out, h, false, vector)
+				}
+				b.ReportMetric(float64(m.Flops(f))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
 }
