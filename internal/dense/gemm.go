@@ -15,10 +15,14 @@ import (
 // k, each rounded before it is added (Go does not fuse multiply-add on amd64,
 // and the vector tile uses no FMA), so the results equal the plain triple
 // loop bit for bit whatever the tiling, the stripe boundaries, GOMAXPROCS or
-// the CPU. No kernel skips zero entries of a: for finite inputs that changes
-// no bit of an overwriting product (±0 added to a sum that started at +0
-// leaves it alone), MatMulAddInto can turn a −0 already in c into +0, and a
-// non-finite entry of b propagates as IEEE 754 says even where a is zero.
+// the CPU. The transposed forms copy their transposed operand into a panel
+// the tile reads: MatMulTransA its stripe's columns of whole rows of a, in
+// address order, into a pooled row panel; MatMulTransB rows of b,
+// transposed, into a stack panel. No kernel skips zero entries of a: for
+// finite inputs that changes no bit of an overwriting product (±0 added to a
+// sum that started at +0 leaves it alone), MatMulAddInto can turn a −0
+// already in c into +0, and a non-finite entry of b propagates as IEEE 754
+// says even where a is zero.
 const (
 	// stripeMinRows is the output row count below which a product runs on
 	// the caller's goroutine: the fan-out costs more than it saves.
@@ -26,13 +30,15 @@ const (
 	// gemmPassRows is the k extent of one MatMul pass: the strip of b that
 	// stays in cache while every row pair of a stripe runs over it.
 	gemmPassRows = 256
-	// panel is the stack panel (16 KB per worker) a transposed operand is
-	// copied into before the tile runs over it, transACols columns of a or
-	// transBCols rows of b wide and panel/width rows of k deep; no transposed
-	// copy of the matrix is ever made. Each width measured fastest for its
-	// form (EXPERIMENTS.md).
-	panel                  = 2048
-	transACols, transBCols = 32, 16
+	// transAPassRows is the k extent of one MatMulTransA pass: the rows of a
+	// copied into the pooled row panel, and of b the tile then runs over.
+	transAPassRows = 64
+	// panel is the element count of the stack panel each MatMulTransB
+	// worker copies transBCols rows of b into, transposed, panel/transBCols
+	// rows of k deep; no transposed copy of the matrix is ever made. Its
+	// width measured fastest (EXPERIMENTS.md).
+	panel      = 2048
+	transBCols = 16
 )
 
 // MatMul returns a×b.
@@ -76,7 +82,7 @@ type stripeKernel func(c, a, b *Matrix, lo, hi int, vector bool)
 
 // stripes runs kernel over the n output rows of c, split into one contiguous
 // stripe per worker; each stripe owns its rows of c, so no locking is
-// needed. Stripes are whole panels, so a split never halves a row pair.
+// needed. Stripes are whole row pairs, so a split never halves a tile.
 func stripes(kernel stripeKernel, c, a, b *Matrix, n int, vector bool) {
 	workers := par.Workers()
 	if n < stripeMinRows || workers == 1 {
@@ -84,7 +90,7 @@ func stripes(kernel stripeKernel, c, a, b *Matrix, n int, vector bool) {
 		return
 	}
 	chunk := (n + workers - 1) / workers
-	chunk = (chunk + transACols - 1) / transACols * transACols
+	chunk += chunk & 1
 	par.For((n+chunk-1)/chunk, func(i int) {
 		lo := i * chunk
 		kernel(c, a, b, lo, min(lo+chunk, n), vector)
@@ -185,26 +191,70 @@ func MatMulTransAInto(c, a, b *Matrix) {
 	stripes(transAStripe, c, a, b, a.Cols, useVectorTile)
 }
 
-// transAStripe is rows [lo,hi) of c = aᵀ×b: transACols columns of a at a
-// time are copied, one pass of k at a time, into a stack panel whose columns
-// the tile reads as its a vectors (stride transACols). Passes after the
-// first continue from what is in c, which keeps every sum in ascending k.
+// transAStripe is rows [lo,hi) of c = aᵀ×b, k-outer: each pass copies
+// transAPassRows rows of a, columns [lo,hi) of each whole, into a row panel
+// — a read of a in address order, one contiguous copy per row — and the tile
+// then runs over the panel's row pairs with its stride as lda. Passes after
+// the first continue from what is in c, which keeps every sum in ascending k.
 func transAStripe(c, a, b *Matrix, lo, hi int, vector bool) {
-	const kPass = panel / transACols
-	var pack [panel]float64
-	for i0 := lo; i0 < hi; i0 += transACols {
-		w := min(transACols, hi-i0)
-		for k0 := 0; k0 == 0 || k0 < a.Rows; k0 += kPass {
-			kb := min(kPass, a.Rows-k0)
-			for k := 0; k < kb; k++ {
-				copy(pack[k*transACols:][:w], a.Row(k0 + k)[i0:])
-			}
-			for r := 0; r < w; r += 2 {
-				r1 := min(r+1, w-1)
-				tile(vector, c.Row(i0+r), c.Row(i0+r1), pack[r:], pack[r1:], transACols, kb,
-					b.Data[k0*b.Cols:], b.Cols, k0 > 0)
-			}
+	w := hi - lo
+	stride := panelStride(w)
+	pack := getPanel(transAPassRows * stride)
+	for k0 := 0; k0 == 0 || k0 < a.Rows; k0 += transAPassRows {
+		kb := min(transAPassRows, a.Rows-k0)
+		for k := 0; k < kb; k++ {
+			copy(pack[k*stride:][:w], a.Row(k0 + k)[lo:hi])
 		}
+		for r := 0; r < w; r += 2 {
+			r1 := min(r+1, w-1)
+			tile(vector, c.Row(lo+r), c.Row(lo+r1), pack[r:], pack[r1:], stride, kb,
+				b.Data[k0*b.Cols:], b.Cols, k0 > 0)
+		}
+	}
+	putPanel(pack)
+}
+
+// panelStride is the row stride of a panel w columns wide: w rounded up to
+// whole cache lines, an odd number of them, so the column the tile walks
+// down is spread over the cache's sets — at a power-of-two stride every row
+// of it lands in the same few sets (EXPERIMENTS.md).
+func panelStride(w int) int {
+	lines := (w + 7) / 8
+	return (lines | 1) * 8
+}
+
+// panels is the free list of TransA row panels, a buffered channel as in
+// comm's bufPool: a receive or send allocates nothing, and unlike the sync
+// package's Pool it drops no panel at random under the race detector, so a
+// warm call allocates nothing there either. Its 64 slots hold a panel for
+// every stripe of 16 ranks' concurrent products at 4 workers each; a panel
+// returned to a full list is left to the GC. A panel is at most
+// transAPassRows rows of a's width, so what the list holds is bounded by the
+// data.
+var panels = make(chan []float64, 64)
+
+// getPanel returns a panel of n elements with unspecified contents: a pooled
+// one if the list holds one that large (smaller ones are dropped on the
+// way), a fresh one otherwise.
+func getPanel(n int) []float64 {
+	for {
+		select {
+		case p := <-panels:
+			if cap(p) >= n {
+				return p[:n]
+			}
+		default:
+			return make([]float64, n)
+		}
+	}
+}
+
+// putPanel returns p to the free list, or leaves it to the GC when the list
+// is full.
+func putPanel(p []float64) {
+	select {
+	case panels <- p:
+	default:
 	}
 }
 
@@ -225,7 +275,7 @@ func MatMulTransBInto(c, a, b *Matrix) {
 
 // transBStripe is rows [lo,hi) of c = a×bᵀ: transBCols rows of b at a time
 // are copied, transposed, into a stack panel the tile reads as its b, one
-// pass of k at a time as in transAStripe.
+// pass of k at a time; passes after the first continue from what is in c.
 func transBStripe(c, a, b *Matrix, lo, hi int, vector bool) {
 	const kPass = panel / transBCols
 	var pack [panel]float64

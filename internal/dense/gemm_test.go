@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -137,12 +138,15 @@ func checkGEMMBits(t *testing.T, seed int64, m, k, n int, nonFinite bool) {
 
 // gemmBitsShapes hit every remainder of the tile (odd row; 1–3 columns after
 // the vector tile's blocks of 16, 8 and 4), of the k passes (256 for MatMul,
-// 64 and 128 for the transposed forms' panels, 32 and 16 wide) and both
-// sides of the striping threshold, plus the empty inner dimension.
+// 64 for TransA's row panel at k = 63, 64 and 65, 128 for TransB's 16-wide
+// stack panel) and both sides of the striping threshold, plus the empty
+// inner dimension on the serial and the striped path. m = 1024 is a TransA
+// panel of power-of-two width: 1024 columns at procs 1, 256 at procs 4.
 var gemmBitsShapes = [][3]int{
 	{1, 1, 1}, {2, 3, 4}, {3, 0, 5}, {1, 300, 70}, {7, 255, 3}, {8, 256, 8}, {9, 257, 9},
 	{17, 513, 7}, {127, 31, 41}, {128, 16, 16}, {131, 602, 16}, {257, 64, 33}, {300, 260, 70},
 	{32, 64, 17}, {33, 65, 15}, {63, 127, 12}, {65, 129, 24},
+	{1024, 67, 3}, {160, 0, 9}, {77, 63, 16}, {129, 64, 17}, {201, 65, 16},
 }
 
 func TestGEMMBits(t *testing.T) {
@@ -222,8 +226,9 @@ func TestGEMMRejectsAliasedOutput(t *testing.T) {
 	MatMulInto(New(4, 4), a, b) // a fresh c is accepted
 }
 
-// TestGEMMSerialPathAllocatesNothing pins the pack panels to the stack: on
-// the serial path no kernel allocates, at shapes that fill and refill a panel.
+// TestGEMMSerialPathAllocatesNothing pins the pack panels: TransB's on the
+// stack, TransA's from the free list, so on the serial path no warm kernel
+// allocates, at shapes that fill and refill a panel.
 func TestGEMMSerialPathAllocatesNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(5))
@@ -240,9 +245,15 @@ func TestGEMMSerialPathAllocatesNothing(t *testing.T) {
 // against W¹ — on reddit-sim (f = 602) and amazon-sim (f = 300), hidden 16.
 var narrowShapes = [][3]int{{1024, 602, 16}, {2048, 300, 16}}
 
+// benchOperands is the number of distinct operand sets benchNarrow cycles
+// through, one per rank of the benchmark's P = 4: a single reused operand
+// stays in cache and hides the cost of reading it.
+const benchOperands = 4
+
 // benchNarrow runs every narrow shape with each tile this host runs, the
-// portable one as "scalar".
-func benchNarrow(b *testing.B, kernel stripeKernel, shape func(m, k, n int) (rows int, c, x, y *Matrix)) {
+// portable one as "scalar", cycling benchOperands operand sets drawn by
+// shape from seeds 1, 2, ….
+func benchNarrow(b *testing.B, kernel stripeKernel, shape func(rng *rand.Rand, m, k, n int) (rows int, c, x, y *Matrix)) {
 	for _, s := range narrowShapes {
 		m, k, n := s[0], s[1], s[2]
 		for _, vector := range tileKernels {
@@ -251,9 +262,15 @@ func benchNarrow(b *testing.B, kernel stripeKernel, shape func(m, k, n int) (row
 				tile = "vector"
 			}
 			b.Run(fmt.Sprintf("%dx%dx%d/%s", m, k, n, tile), func(b *testing.B) {
-				rows, c, x, y := shape(m, k, n)
+				var rows int
+				var c, x, y [benchOperands]*Matrix
+				for o := 0; o < benchOperands; o++ {
+					rows, c[o], x[o], y[o] = shape(rand.New(rand.NewSource(int64(o+1))), m, k, n)
+				}
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					stripes(kernel, c, x, y, rows, vector)
+					o := i % benchOperands
+					stripes(kernel, c[o], x[o], y[o], rows, vector)
 				}
 				b.ReportMetric(2*float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
@@ -263,16 +280,14 @@ func benchNarrow(b *testing.B, kernel stripeKernel, shape func(m, k, n int) (row
 
 // BenchmarkGEMMNarrow is the forward Z¹ = (Â·X)·W¹.
 func BenchmarkGEMMNarrow(b *testing.B) {
-	benchNarrow(b, gemmStripe, func(m, k, n int) (int, *Matrix, *Matrix, *Matrix) {
-		rng := rand.New(rand.NewSource(1))
+	benchNarrow(b, gemmStripe, func(rng *rand.Rand, m, k, n int) (int, *Matrix, *Matrix, *Matrix) {
 		return m, New(m, n), randMat(rng, m, k), randMat(rng, k, n)
 	})
 }
 
 // BenchmarkTransANarrow is the weight gradient Y¹ = (Â·X)ᵀ·G¹.
 func BenchmarkTransANarrow(b *testing.B) {
-	benchNarrow(b, transAStripe, func(m, k, n int) (int, *Matrix, *Matrix, *Matrix) {
-		rng := rand.New(rand.NewSource(1))
+	benchNarrow(b, transAStripe, func(rng *rand.Rand, m, k, n int) (int, *Matrix, *Matrix, *Matrix) {
 		return k, New(k, n), randMat(rng, m, k), randMat(rng, m, n)
 	})
 }
@@ -281,8 +296,52 @@ func BenchmarkTransANarrow(b *testing.B) {
 // turned: an m×k by (n×k)ᵀ product, b copied transBCols rows at a time into
 // the stack panel.
 func BenchmarkTransBNarrow(b *testing.B) {
-	benchNarrow(b, transBStripe, func(m, k, n int) (int, *Matrix, *Matrix, *Matrix) {
-		rng := rand.New(rand.NewSource(1))
+	benchNarrow(b, transBStripe, func(rng *rand.Rand, m, k, n int) (int, *Matrix, *Matrix, *Matrix) {
 		return m, New(m, n), randMat(rng, m, k), randMat(rng, n, k)
 	})
+}
+
+// BenchmarkReLUPassesNarrow is one hidden layer's two ReLU passes at a
+// rank's narrow width: the forward H = σ(Z) and the backward G ⊙= σ′(Z).
+func BenchmarkReLUPassesNarrow(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	z, g := randMat(rng, 1024, 16), randMat(rng, 1024, 16)
+	h := New(1024, 16)
+	for i := 0; i < b.N; i++ {
+		z.ReLUInto(h)
+		g.HadamardReLUDeriv(z)
+	}
+}
+
+// TestTransAConcurrentCallsMatchSerial runs MatMulTransAInto from 8
+// goroutines at once, each on its own operands and width, and requires
+// every result to equal that operand's serial product bit for bit: a panel
+// handed to two calls at once would mix their columns.
+func TestTransAConcurrentCallsMatchSerial(t *testing.T) {
+	const callers, rounds = 8, 10
+	type job struct{ a, b, want *Matrix }
+	jobs := make([]job, callers)
+	for i := range jobs {
+		rng := rand.New(rand.NewSource(int64(i + 1)))
+		a, b := edgyMat(rng, 100+7*i, 130+20*i), edgyMat(rng, 100+7*i, 16)
+		want := New(a.Cols, b.Cols)
+		transAStripe(want, a, b, 0, a.Cols, useVectorTile)
+		jobs[i] = job{a, b, want}
+	}
+	got := make([]*Matrix, callers)
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		got[i] = New(j.a.Cols, j.b.Cols)
+		wg.Add(1)
+		go func(c *Matrix, j job) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				MatMulTransAInto(c, j.a, j.b)
+			}
+		}(got[i], j)
+	}
+	wg.Wait()
+	for i, j := range jobs {
+		requireSameBits(t, fmt.Sprintf("caller %d", i), j.want, got[i])
+	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // TestIntoVariantsMatchAllocating pins every *Into kernel against its
-// allocating counterpart bit-for-bit, and checks that a warm workspace call
-// allocates nothing.
+// allocating counterpart (the ReLU passes against their reference loops)
+// bit-for-bit, and checks that a warm workspace call allocates nothing.
 func TestIntoVariantsMatchAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	a := NewRandom(rng, 13, 9, 1.0)
@@ -36,12 +36,18 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		requireIdentical(t, want, got)
 		mustNotAllocate(t, func() { a.GatherRowsInto(got.Data, idx) })
 	})
-	t.Run("ReLUDeriv", func(t *testing.T) {
-		want := a.ReLUDeriv()
+	t.Run("ReLUInto", func(t *testing.T) {
 		got := NewRandom(rng, a.Rows, a.Cols, 1.0) // dirty destination
-		a.ReLUDerivInto(got)
-		requireIdentical(t, want, got)
-		mustNotAllocate(t, func() { a.ReLUDerivInto(got) })
+		a.ReLUInto(got)
+		requireIdentical(t, reluRef(a), got)
+		mustNotAllocate(t, func() { a.ReLUInto(got) })
+	})
+	t.Run("HadamardReLUDeriv", func(t *testing.T) {
+		g := NewRandom(rng, a.Rows, a.Cols, 1.0)
+		want := hadamardReLUDerivRef(g, a)
+		g.HadamardReLUDeriv(a)
+		requireIdentical(t, want, g)
+		mustNotAllocate(t, func() { g.HadamardReLUDeriv(a) })
 	})
 	t.Run("CopyFrom", func(t *testing.T) {
 		got := NewRandom(rng, a.Rows, a.Cols, 1.0)

@@ -1,6 +1,6 @@
 // Package dense provides row-major dense matrices and the kernels needed by
 // GCN training: GEMM, the row kernel of package sparse's SpMM, transpose,
-// elementwise maps, Hadamard products, and row gather/scatter used by the
+// elementwise maps, the fused ReLU passes, and row gather/scatter used by the
 // sparsity-aware communication plans. It is the one package that holds
 // assembly (the AVX2 forms of the GEMM tile and the SpMM row).
 //
@@ -12,6 +12,7 @@ package dense
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -147,15 +148,6 @@ func (m *Matrix) AXPY(a float64, o *Matrix) {
 	}
 }
 
-// Hadamard computes m *= o element-wise (the ⊙ in the paper's backward
-// pass G^{l-1} ← A G^l (W^l)ᵀ ⊙ σ′(Z^{l-1})).
-func (m *Matrix) Hadamard(o *Matrix) {
-	m.mustSameShape(o)
-	for i, v := range o.Data {
-		m.Data[i] *= v
-	}
-}
-
 // Apply maps f over every element in place.
 func (m *Matrix) Apply(f func(float64) float64) {
 	for i, v := range m.Data {
@@ -163,32 +155,51 @@ func (m *Matrix) Apply(f func(float64) float64) {
 	}
 }
 
-// ReLU applies max(0, x) in place.
-func (m *Matrix) ReLU() {
-	for i, v := range m.Data {
-		if v < 0 {
-			m.Data[i] = 0
-		}
-	}
-}
-
-// ReLUDeriv returns σ′(m) for σ=ReLU: 1 where m>0 else 0.
-func (m *Matrix) ReLUDeriv() *Matrix {
-	d := New(m.Rows, m.Cols)
-	m.ReLUDerivInto(d)
-	return d
-}
-
-// ReLUDerivInto overwrites d with σ′(m) for σ=ReLU; shapes must match.
-func (m *Matrix) ReLUDerivInto(d *Matrix) {
+// ReLUInto overwrites d with σ(m) for σ = ReLU, m's entries that are below
+// zero replaced by +0 and every other entry (−0 and NaN included) copied as
+// it is; shapes must match. It is branch-free: the signs of pre-activations
+// are random, so a compare-and-branch per element mispredicts about half the
+// time.
+func (m *Matrix) ReLUInto(d *Matrix) {
 	m.mustSameShape(d)
-	for i, v := range m.Data {
-		if v > 0 {
-			d.Data[i] = 1
-		} else {
-			d.Data[i] = 0
-		}
+	dst := d.Data
+	src := m.Data[:len(dst)]
+	for i := range dst {
+		b := math.Float64bits(src[i])
+		dst[i] = math.Float64frombits(b &^ lessMask(b-signBit-1, infBits)) // v < 0
 	}
+}
+
+// HadamardReLUDeriv computes m *= σ′(z) element-wise for σ = ReLU, σ′(z)
+// being 1 where z > 0 and 0 elsewhere (−0 and NaN included) — the ⊙ in the
+// paper's backward pass G^{l−1} ← A G^l (W^l)ᵀ ⊙ σ′(Z^{l−1}). Each entry is
+// multiplied by that 1 or 0, so an infinite or NaN gradient times 0 is NaN
+// and a negative one times 0 is −0; shapes must match. Branch-free, as
+// ReLUInto.
+func (m *Matrix) HadamardReLUDeriv(z *Matrix) {
+	m.mustSameShape(z)
+	dst := m.Data
+	src := z.Data[:len(dst)]
+	for i := range dst {
+		b := math.Float64bits(src[i])
+		dst[i] *= math.Float64frombits(lessMask(b-1, infBits) & oneBits) // z > 0
+	}
+}
+
+// The float64 bits the ReLU passes compare. Read as unsigned integers, the
+// bits of the floats above zero are exactly (0, infBits] and those below
+// zero exactly (signBit, signBit+infBits]; ±0 and the NaNs lie outside both.
+const (
+	signBit = 1 << 63
+	infBits = 0x7ff0_0000_0000_0000 // +Inf
+	oneBits = 0x3ff0_0000_0000_0000 // 1.0
+)
+
+// lessMask returns all ones when x < y as unsigned integers and zero
+// otherwise, without a branch.
+func lessMask(x, y uint64) uint64 {
+	_, borrow := bits.Sub64(x, y, 0)
+	return -borrow
 }
 
 // Transpose returns a new matrix mᵀ.

@@ -79,27 +79,63 @@ func TestAddSubScaleAXPY(t *testing.T) {
 	}
 }
 
-func TestHadamard(t *testing.T) {
-	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	b := FromSlice(2, 2, []float64{2, 0.5, -1, 0})
-	a.Hadamard(b)
-	want := []float64{2, 1, -3, 0}
-	for i, v := range want {
-		if a.Data[i] != v {
-			t.Fatalf("Hadamard[%d]=%v want %v", i, a.Data[i], v)
+// reluRef and hadamardReLUDerivRef are the branchy loops the fused passes
+// replaced: ReLU in place as "if v < 0 { v = 0 }", and the derivative
+// materialised as 1 where z > 0 else 0, then multiplied in.
+func reluRef(z *Matrix) *Matrix {
+	h := z.Clone()
+	for i, v := range h.Data {
+		if v < 0 {
+			h.Data[i] = 0
 		}
+	}
+	return h
+}
+
+func hadamardReLUDerivRef(g, z *Matrix) *Matrix {
+	out := g.Clone()
+	for i, v := range z.Data {
+		d := 0.0
+		if v > 0 {
+			d = 1
+		}
+		out.Data[i] *= d
+	}
+	return out
+}
+
+// TestReLUPassesMatchReference holds the branch-free ReLUInto and
+// HadamardReLUDeriv to the branchy loops bit for bit over ±0, denormals,
+// ±Inf and NaN in both operands: −0 and NaN pass ReLU as they are, +0 comes
+// out where the input was below zero, and the derivative multiplies by a real
+// 0, so Inf·0 is NaN and −g·0 is −0. A NaN must stay a NaN of the same bits
+// here, since neither pass adds.
+func TestReLUPassesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, shape := range [][2]int{{0, 3}, {1, 1}, {7, 5}, {64, 16}} {
+		z, g := edgyMat(rng, shape[0], shape[1]), edgyMat(rng, shape[0], shape[1])
+		plantNonFinite(rng, z)
+		plantNonFinite(rng, g)
+		if len(z.Data) > 4 {
+			copy(z.Data, []float64{math.NaN(), math.Float64frombits(0xfff8_0000_0000_0001), math.Inf(-1), -math.SmallestNonzeroFloat64})
+			copy(g.Data, []float64{math.Inf(1), math.NaN(), -1, math.Inf(-1)})
+		}
+		h := edgyMat(rng, shape[0], shape[1]) // dirty destination
+		z.ReLUInto(h)
+		requireBitsExact(t, "ReLUInto", reluRef(z), h)
+		got := g.Clone()
+		got.HadamardReLUDeriv(z)
+		requireBitsExact(t, "HadamardReLUDeriv", hadamardReLUDerivRef(g, z), got)
 	}
 }
 
-func TestReLUAndDeriv(t *testing.T) {
-	m := FromSlice(1, 4, []float64{-2, 0, 3, -0.1})
-	d := m.ReLUDeriv()
-	m.ReLU()
-	if m.Data[0] != 0 || m.Data[1] != 0 || m.Data[2] != 3 || m.Data[3] != 0 {
-		t.Fatalf("ReLU = %v", m.Data)
-	}
-	if d.Data[0] != 0 || d.Data[1] != 0 || d.Data[2] != 1 || d.Data[3] != 0 {
-		t.Fatalf("ReLUDeriv = %v", d.Data)
+// requireBitsExact is requireSameBits without its NaN allowance.
+func requireBitsExact(t *testing.T, what string, want, got *Matrix) {
+	t.Helper()
+	for i, v := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+			t.Fatalf("%s: element %d = %x (%g), want %x (%g)", what, i, math.Float64bits(got.Data[i]), got.Data[i], math.Float64bits(v), v)
+		}
 	}
 }
 

@@ -92,10 +92,10 @@ type Workspace struct {
 
 // layerBufs is one layer's share of a Workspace.
 type layerBufs struct {
-	agg, z, act    *dense.Matrix // Â·H (l ≥ 2), pre-activation, ReLU output
-	p              *dense.Matrix // the GEMM input: the aggregate (the operand's at l = 1)
-	g, back, deriv *dense.Matrix // ∂L/∂Z, G·Wᵀ, σ′(Z)
-	yl             *dense.Matrix // local weight gradient awaiting its all-reduce
+	agg, z, act *dense.Matrix // Â·H (l ≥ 2), pre-activation, ReLU output
+	p           *dense.Matrix // the GEMM input: the aggregate (the operand's at l = 1)
+	g, back     *dense.Matrix // ∂L/∂Z, G·Wᵀ
+	yl          *dense.Matrix // local weight gradient awaiting its all-reduce
 }
 
 // fit sizes the per-layer tables for an L-layer model.
@@ -136,8 +136,7 @@ func (ws *Workspace) Forward(m *Model, op ForwardOperand, c Collective) *dense.M
 		h = z
 		if l < L {
 			h = grow(&b.act, z.Rows, z.Cols)
-			h.CopyFrom(z)
-			h.ReLU()
+			z.ReLUInto(h)
 		}
 	}
 	return h
@@ -216,9 +215,7 @@ func (ws *Workspace) backward(m *Model, op Operand, c Collective) []*dense.Matri
 		dense.MatMulTransBInto(dc, g, w)
 		c.chargeGEMM(g.Rows, w.Cols, w.Rows)
 		op.AggregateT(l, gPrev, dc)
-		deriv := grow(&below.deriv, z.Rows, z.Cols)
-		z.ReLUDerivInto(deriv)
-		gPrev.Hadamard(deriv)
+		gPrev.HadamardReLUDeriv(z)
 		g = gPrev
 	}
 	return ws.grads
