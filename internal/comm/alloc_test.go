@@ -55,6 +55,63 @@ func TestCollectivesSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestWireSteadyStateAllocs is the same pin over four loopback TCP worlds,
+// at a width that spans several socket writes: once warm, a launch that runs
+// one primitive on every rank allocates no more than a bare launch. The
+// count is process-wide, so the writer and reader goroutines are in it: an
+// encoded frame, a boxed free-list entry or a decode buffer per message
+// would show above the floor.
+func TestWireSteadyStateAllocs(t *testing.T) {
+	const p, n = 4, 4096
+	f := newFleet(t, "tcp", p)
+	g := make([]*Group, p)
+	for i := range g {
+		g[i] = f.world(i).WorldGroup()
+	}
+	data, out := make([][]float64, p), make([][]float64, p)
+	send, recv := make([][][]float64, p), make([][][]float64, p)
+	for i := range data {
+		data[i], out[i] = make([]float64, n), make([]float64, n)
+		send[i], recv[i] = make([][]float64, p), make([][]float64, p)
+		for j := range send[i] {
+			send[i][j], recv[i][j] = make([]float64, n/p), make([]float64, n/p)
+		}
+	}
+	launch := func(fn func(r *Rank)) func() {
+		prog := func(r *Rank) error { fn(r); return nil }
+		return func() {
+			for i, err := range f.run(prog) {
+				if err != nil {
+					t.Fatalf("world %d: %v", i, err)
+				}
+			}
+		}
+	}
+	bare := launch(func(r *Rank) { _, _, _, _, _ = g[r.ID], data[r.ID], out[r.ID], send[r.ID], recv[r.ID] })
+	bare()
+	floor := testing.AllocsPerRun(100, bare)
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"Send+RecvInto", launch(func(r *Rank) {
+			r.Send((r.ID+1)%p, 3, data[r.ID], "p2p")
+			r.RecvInto((r.ID+p-1)%p, 3, out[r.ID])
+		})},
+		{"BcastFloatsInto", launch(func(r *Rank) { g[r.ID].BcastFloatsInto(r, 1, data[r.ID], out[r.ID], "bcast") })},
+		{"AllReduceSumInto", launch(func(r *Rank) { g[r.ID].AllReduceSumInto(r, data[r.ID], out[r.ID], "allreduce") })},
+		{"AllToAllvInto", launch(func(r *Rank) { g[r.ID].AllToAllvInto(r, send[r.ID], recv[r.ID], "alltoall") })},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			c.run() // fill the buffer pool, the frame free list and the ledger's phase
+			if allocs := testing.AllocsPerRun(100, c.run); allocs > floor {
+				t.Errorf("a steady-state launch allocates %v times, a bare launch %v", allocs, floor)
+			}
+		})
+	}
+}
+
 // TestInboxDrainIntoAllocs pins the reset path of both transports: draining
 // queued messages back into the buffer pool allocates nothing.
 func TestInboxDrainIntoAllocs(t *testing.T) {

@@ -313,6 +313,64 @@ func TestTransportConformance(t *testing.T) {
 			}
 			return nil
 		}},
+		{"wide-payloads", 4, func(r *Rank, rec func(...float64)) error {
+			// Every payload crosses the reader's decode chunk, and each
+			// borrowed one is clobbered the moment its call returns: a frame
+			// shared by several writers must be encoded before the return.
+			g, p := r.World().WorldGroup(), r.P()
+			next, prev := (r.ID+1)%p, (r.ID+p-1)%p
+			for k, n := range wideLens {
+				buf := widePayload(n, r.ID, k)
+				r.Send(next, k, buf, ph(r, "p2p"))
+				clobber(buf)
+				own := r.GetFloats(n)
+				copy(own, widePayload(n, r.ID, 100+k))
+				r.SendOwned(next, 100+k, own, ph(r, "p2p"))
+				got := make([]float64, n)
+				for _, tag := range []int{k, 100 + k} {
+					r.RecvInto(prev, tag, got)
+					if !sameBits(got, widePayload(n, prev, tag)) {
+						return fmt.Errorf("rank %d: %d-element message %d from %d changed bits", r.ID, n, tag, prev)
+					}
+					rec(got...)
+				}
+
+				for root := 0; root < p; root++ {
+					var data []float64
+					if r.ID == root {
+						data = widePayload(n, root, k)
+					}
+					g.BcastFloatsInto(r, root, data, got, ph(r, "bcast"))
+					clobber(data)
+					if !sameBits(got, widePayload(n, root, k)) {
+						return fmt.Errorf("rank %d: %d-element bcast from %d changed bits", r.ID, n, root)
+					}
+					rec(got...)
+				}
+
+				in := widePayload(n, r.ID, k)
+				g.AllReduceSumInto(r, in, got, ph(r, "allreduce"))
+				clobber(in)
+				rec(got...)
+
+				// Bucket sizes rotate through the lengths, symmetric in the
+				// pair, so recv[j] has the length j sends to me.
+				send, recv := make([][]float64, p), make([][]float64, p)
+				for j := range send {
+					m := wideLens[(k+r.ID+j)%len(wideLens)]
+					send[j], recv[j] = widePayload(m, r.ID, j), make([]float64, m)
+				}
+				g.AllToAllvInto(r, send, recv, ph(r, "alltoall"))
+				for j := range send {
+					clobber(send[j])
+					if !sameBits(recv[j], widePayload(len(recv[j]), j, r.ID)) {
+						return fmt.Errorf("rank %d: %d-element bucket from %d changed bits", r.ID, len(recv[j]), j)
+					}
+					rec(recv[j]...)
+				}
+			}
+			return nil
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -345,6 +403,55 @@ func TestTransportConformance(t *testing.T) {
 			}
 		})
 	}
+}
+
+// wideLens are payload lengths on both sides of the reader's decode chunk
+// and one several chunks long.
+var wideLens = []int{decodeChunk/8 - 1, decodeChunk / 8, decodeChunk/8 + 1, 3*decodeChunk/8 + 5}
+
+// widePayload returns n values that depend on (from, key), with the values a
+// byte-level codec could get wrong planted at the ends and on both sides of
+// every decode-chunk boundary: a NaN with payload bits, −0, the smallest
+// denormal, ±Inf and the largest finite value.
+func widePayload(n, from, key int) []float64 {
+	special := []float64{
+		math.Float64frombits(0x7ff4_0000_dead_beef), math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.MaxFloat64,
+	}
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = float64(from*1_000_003+key*7919) + float64(i)/3
+	}
+	for i := 0; i < n; i += decodeChunk / 8 {
+		for k, s := range special {
+			for _, at := range []int{i + k, i - 1 - k, n - 1 - k} {
+				if at >= 0 && at < n {
+					v[at] = s
+				}
+			}
+		}
+	}
+	return v
+}
+
+// clobber overwrites a payload its sender has lent out.
+func clobber(v []float64) {
+	for i := range v {
+		v[i] = -1
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestAllToAllvConservation pins the volume accounting itself, not just its

@@ -10,8 +10,8 @@ import (
 	"sagnn/internal/machine"
 )
 
-// frame builds one wire frame from rank 1 for the fuzz corpus.
-func frame(kind, lane byte, tag, count int, payload []byte) []byte {
+// rawFrame builds one wire frame from rank 1 for the fuzz corpus.
+func rawFrame(kind, lane byte, tag, count int, payload []byte) []byte {
 	b := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
 	putHeader(b, kind, lane, 1, tag, count)
 	return append(b, payload...)
@@ -24,22 +24,34 @@ func frame(kind, lane byte, tag, count int, payload []byte) []byte {
 // header alone: below one decode chunk of input, memory stays proportional
 // to the bytes actually received however large the declared count.
 func FuzzFrameReader(f *testing.F) {
-	f.Add(frame(frameFloats, laneColl, tagBcast, 2, make([]byte, 16)))
-	f.Add(frame(frameFloats, laneP2P, 7, 0, nil))
-	f.Add(frame(frameFloats, laneP2P, 7, maxFrameElems, make([]byte, 64))) // truncated giant
-	f.Add(frame(frameFloats, laneP2P, 7, maxFrameElems+1, nil))            // over the bound
-	f.Add(frame(frameFloats, laneP2P, 7, -1, nil))                         // negative count
-	f.Add(frame(frameAbort, laneP2P, 0, maxAbortBytes+1, nil))             // oversize cause
-	f.Add(frame(frameAbort, laneP2P, 0, 4, []byte("boom")))                // peer abort
-	f.Add(append(frame(frameGoodbye, laneP2P, 0, 0, nil), 0xff))           // bytes after goodbye
-	f.Add(frame(frameFloats, 9, 0, 0, nil))                                // bad lane
-	f.Add(frame(99, laneP2P, 0, 0, nil))                                   // unknown kind
-	f.Add([]byte{frameFloats, laneP2P, 0, 0, 0, 0})                        // short header
-	f.Add(append(frame(frameFloats, laneColl, tagAllReduce, 1, make([]byte, 8)), frame(frameFloats, laneColl, tagAllReduce, 1<<20, nil)...))
+	f.Add(rawFrame(frameFloats, laneColl, tagBcast, 2, make([]byte, 16)))
+	f.Add(rawFrame(frameFloats, laneP2P, 7, 0, nil))
+	f.Add(rawFrame(frameFloats, laneP2P, 7, maxFrameElems, make([]byte, 64))) // truncated giant
+	f.Add(rawFrame(frameFloats, laneP2P, 7, maxFrameElems+1, nil))            // over the bound
+	f.Add(rawFrame(frameFloats, laneP2P, 7, -1, nil))                         // negative count
+	f.Add(rawFrame(frameAbort, laneP2P, 0, maxAbortBytes+1, nil))             // oversize cause
+	f.Add(rawFrame(frameAbort, laneP2P, 0, 4, []byte("boom")))                // peer abort
+	f.Add(append(rawFrame(frameGoodbye, laneP2P, 0, 0, nil), 0xff))           // bytes after goodbye
+	f.Add(rawFrame(frameFloats, 9, 0, 0, nil))                                // bad lane
+	f.Add(rawFrame(99, laneP2P, 0, 0, nil))                                   // unknown kind
+	f.Add([]byte{frameFloats, laneP2P, 0, 0, 0, 0})                           // short header
+	f.Add(append(rawFrame(frameFloats, laneColl, tagAllReduce, 1, make([]byte, 8)), rawFrame(frameFloats, laneColl, tagAllReduce, 1<<20, nil)...))
+	// A frame past one decode chunk, the same one byte short, and the same
+	// followed by a truncated giant of its size class.
+	wide := rawFrame(frameFloats, laneColl, tagBcast, decodeChunk/8+1, make([]byte, decodeChunk+8))
+	f.Add(wide)
+	f.Add(wide[:len(wide)-1])
+	f.Add(append(wide, rawFrame(frameFloats, laneColl, tagBcast, decodeChunk/4, make([]byte, 64))...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w := newWorld(2, machine.Perlmutter())
 		nw := newNetWorld(w, 0, []string{"", ""})
+		// As in a running world, the pool holds free buffers of one class,
+		// so frames of that class are read straight into a free buffer and
+		// the rest take the allocate-after-the-first-chunk path.
+		for i := 0; i < 2; i++ {
+			w.pool.put(make([]float64, 0, minPooled<<sizeClass(decodeChunk/8+1)))
+		}
 		ours, theirs := net.Pipe()
 		p := newNetPeer(1, ours)
 		nw.peers[1] = p

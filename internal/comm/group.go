@@ -74,11 +74,7 @@ func (g *Group) BcastFloatsInto(r *Rank, root int, data, dst []float64, phase st
 	r.opPoint()
 	src := data
 	if me == root {
-		for i := range g.members {
-			if i != me {
-				g.sendColl(r, i, tagBcast, data)
-			}
-		}
+		g.w.tr.sendMany(r.ID, g.members, laneColl, tagBcast, data)
 	} else {
 		src = g.recvColl(r, root, tagBcast)
 	}
@@ -112,11 +108,7 @@ func (g *Group) AllReduceSumInto(r *Rank, data, out []float64, phase string) {
 	}
 	me := g.IndexOf(r)
 	r.opPoint()
-	for i := range g.members {
-		if i != me {
-			g.sendColl(r, i, tagAllReduce, data)
-		}
-	}
+	g.w.tr.sendMany(r.ID, g.members, laneColl, tagAllReduce, data)
 	for j := range out {
 		out[j] = 0
 	}

@@ -10,6 +10,9 @@ type transport interface {
 	// borrowed until send returns; with owned set it is a pooled buffer the
 	// transport takes over and recycles once delivered.
 	send(src, dst int, lane byte, tag int, data []float64, owned bool)
+	// sendMany delivers (tag, data) from src to every rank of dsts except
+	// src itself, in dsts order, on lane; data is borrowed until it returns.
+	sendMany(src int, dsts []int, lane byte, tag int, data []float64)
 	// recv blocks for the next message src sent to dst on lane. The payload
 	// is a pooled buffer the caller recycles.
 	recv(dst, src int, lane byte) message
@@ -61,6 +64,15 @@ func (mb *mailboxes) send(src, dst int, lane byte, tag int, data []float64, owne
 		data = cp
 	}
 	mb.mail[dst][src][lane].push(message{tag: tag, floats: data})
+}
+
+// sendMany gives every destination its own pooled copy, as send does.
+func (mb *mailboxes) sendMany(src int, dsts []int, lane byte, tag int, data []float64) {
+	for _, d := range dsts {
+		if d != src {
+			mb.send(src, d, lane, tag, data, false)
+		}
+	}
 }
 
 // recv dequeues the next message from src (see recvOrUnwind).

@@ -3,7 +3,8 @@ package comm
 // bufPool is a per-world free list of float payload buffers. Every message
 // in flight — a Send's copy, a collective's per-member payloads, a decoded
 // wire frame — sits in a pooled buffer that the receiving primitive recycles
-// once it has copied the payload out, so steady-state training reuses a
+// once it has copied the payload out, and an outgoing wire frame's payload
+// sits in one its last writer recycles, so steady-state training reuses a
 // fixed set of transport buffers instead of allocating and GC-ing one per
 // message.
 //
@@ -52,12 +53,20 @@ func sizeClass(n int) int {
 
 // get returns a length-n buffer with unspecified contents.
 func (p *bufPool) get(n int) []float64 {
-	c := sizeClass(n)
+	if b, ok := p.take(n); ok {
+		return b
+	}
+	return make([]float64, n, minPooled<<sizeClass(n))
+}
+
+// take is get without the allocation: a free length-n buffer of n's class,
+// or false when that class has none.
+func (p *bufPool) take(n int) ([]float64, bool) {
 	select {
-	case b := <-p.classes[c]:
-		return b[:n]
+	case b := <-p.classes[sizeClass(n)]:
+		return b[:n], true
 	default:
-		return make([]float64, n, minPooled<<c)
+		return nil, false
 	}
 }
 

@@ -60,7 +60,7 @@ func NewWorldTCP(self int, addrs []string, params machine.Params) (*World, error
 
 // newNetWorld installs an unconnected wire transport hosting rank self on w.
 func newNetWorld(w *World, self int, addrs []string) *netWorld {
-	nw := &netWorld{w: w, self: self, addrs: append([]string(nil), addrs...), peers: make([]*netPeer, w.P), inboxes: newInboxes(w.P)}
+	nw := &netWorld{w: w, self: self, addrs: append([]string(nil), addrs...), peers: make([]*netPeer, w.P), inboxes: newInboxes(w.P), frames: make(chan *frame, poolDepth)}
 	w.tr, w.net = nw, nw
 	w.hosted = []int{self}
 	return nw

@@ -5,11 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // This file is the wire transport: a World built by NewWorldTCP carries a
@@ -25,18 +25,28 @@ import (
 //
 //	kind(1) lane(1) src(4, LE) tag(8, LE int64) count(4, LE)
 //
-// followed by count float64s (8 bytes each, LE bits) for data frames, or
+// followed by count float64s as little-endian IEEE bytes for data frames, or
 // count raw bytes (a cause string) for abort frames. The two lanes are
 // multiplexed over one connection pair; within a lane, per-(src,dst) FIFO
 // order is the TCP stream order — exactly the ordering guarantee the
 // mailboxes provide. count is bounded (maxFrameElems, maxAbortBytes) before
 // anything is allocated for it: the header is peer-supplied.
 //
+// Payloads move in bulk, as the bytes of their float64s: on a little-endian
+// host a []float64's memory is already the wire format, and a big-endian
+// host byte-swaps each word (swapWords). A sender encodes a frame as its
+// header plus one copy of the payload into a pooled buffer; an owned payload
+// is the frame's buffer itself, with no copy. A one-to-many send (a
+// broadcast root, an all-reduce member) encodes one frame that every
+// destination's writer shares, and a writer sends a wide payload from that
+// buffer in place. A reader reads a payload through its buffered reader
+// straight into the pooled float buffer the message lands in.
+//
 // Note the accounting split: logical volumes and modeled α–β time are charged
 // by the collective layer, identically over both transports (a broadcast is
-// one logical tree send even though the root writes g-1 frames), while the
-// wire moves 8-byte float64s where the logical model counts
-// machine.BytesPerElem. Calibration (calibrate.go) fits α and β in
+// one logical tree send even though the root's frame goes out on g-1
+// connections), while the wire moves 8-byte float64s where the logical model
+// counts machine.BytesPerElem. Calibration (calibrate.go) fits α and β in
 // logical-byte units, absorbing that constant factor into β.
 
 // Frame kinds.
@@ -53,9 +63,15 @@ const (
 const (
 	maxFrameElems = 1 << 26 // float64s per data frame (512 MiB on the wire)
 	maxAbortBytes = 1 << 12 // bytes of abort cause text
-	// decodeChunk is the reader's fixed scratch: payloads are read and
-	// decoded this many bytes at a time, whatever their length.
+	// decodeChunk is the reader's first-chunk scratch: a payload that finds
+	// no free pooled buffer of its class is allocated only once this many of
+	// its bytes (all of them, if fewer) have arrived behind the header.
 	decodeChunk = 256 << 10
+	// wireBuf sizes the reader's buffered reader and the writer's pending
+	// buffer: large enough to take a burst of small frames in one syscall,
+	// small enough that little of a wide payload passes through them
+	// instead of moving in place.
+	wireBuf = 16 << 10
 )
 
 // frameHeaderLen is the fixed header size preceding every payload.
@@ -87,26 +103,72 @@ func parseHeader(b []byte) (kind, lane byte, src, tag, count int) {
 	return
 }
 
-// framePool recycles encoded frame buffers between senders and the per-peer
-// writer goroutines.
-var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-// getFrame returns a length-n frame buffer with unspecified contents.
-func getFrame(n int) []byte {
-	b := *framePool.Get().(*[]byte)
-	if cap(b) < n {
-		return make([]byte, n)
-	}
-	return b[:n]
+// frame is one outgoing wire frame: the header and the body behind it — a
+// float payload's bytes, in wire order in the pooled buffer data, or an
+// abort frame's cause text. A one-to-many send queues the same frame to
+// several writers; refs counts the writers yet to write it, and the last
+// recycles it: data into the world's bufPool, where it serves the next send
+// or receive of its class, and the frame into the free list.
+type frame struct {
+	hdr  [frameHeaderLen]byte
+	body []byte
+	data []float64
+	refs atomic.Int32
 }
 
-// putFrame recycles a frame buffer.
-func putFrame(b []byte) {
-	if cap(b) == 0 {
+// newFrame returns a frame from the free list (a buffered channel, as
+// bufPool's classes are: no allocation once warm) with its header written
+// and no payload, to be written by refs writers.
+func (nw *netWorld) newFrame(kind, lane byte, tag, count, refs int) *frame {
+	var f *frame
+	select {
+	case f = <-nw.frames:
+	default:
+		f = new(frame)
+	}
+	putHeader(f.hdr[:], kind, lane, nw.self, tag, count)
+	f.refs.Store(int32(refs))
+	return f
+}
+
+// release drops one writer's hold on f and recycles it after the last.
+func (nw *netWorld) release(f *frame) {
+	if f.refs.Add(-1) != 0 {
 		return
 	}
-	b = b[:0]
-	framePool.Put(&b)
+	nw.w.pool.put(f.data)
+	f.body, f.data = nil, nil
+	select {
+	case nw.frames <- f:
+	default:
+	}
+}
+
+// hostLittleEndian reports whether a float64 sits in memory in wire order.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// floatBytes views f's memory as its 8·len(f) bytes, in host order.
+func floatBytes(f []float64) []byte {
+	if len(f) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&f[0])), 8*len(f))
+}
+
+// swapWords reverses the byte order of every 8-byte word of b: the portable
+// fix-up between host and wire order on a big-endian host.
+func swapWords(b []byte) {
+	for i := 0; i+8 <= len(b); i += 8 {
+		binary.LittleEndian.PutUint64(b[i:], binary.BigEndian.Uint64(b[i:]))
+	}
+}
+
+// wireOrder converts f in place between host and wire byte order, either
+// way (the swap is its own inverse): nothing to do on a little-endian host.
+func wireOrder(f []float64) {
+	if !hostLittleEndian {
+		swapWords(floatBytes(f))
+	}
 }
 
 // queue is the one unbounded FIFO under both transports: each rank's inbox
@@ -218,7 +280,7 @@ func drainInboxes(in [][2]inbox, pool *bufPool) {
 type netPeer struct {
 	rank    int
 	conn    net.Conn
-	q       queue[[]byte]
+	q       queue[*frame]
 	stop    chan struct{} // closed by Close: the writer drains q and exits
 	wdone   chan struct{} // closed when the writer goroutine exits
 	saidBye atomic.Bool   // peer sent goodbye (or its reader exited)
@@ -246,6 +308,9 @@ type netWorld struct {
 
 	// inboxes[src][lane] queues decoded messages from src.
 	inboxes [][2]inbox
+	// frames is the free list of outgoing frames; its depth is bufPool's
+	// per class.
+	frames chan *frame
 }
 
 // markBye releases the peer's goodbye count exactly once.
@@ -256,31 +321,59 @@ func (nw *netWorld) markBye(p *netPeer) {
 
 // enqueue hands an encoded frame to dst's writer. Frames to a torn-down peer
 // are dropped — the disconnect itself is surfaced by the reader's abort.
-func (nw *netWorld) enqueue(dst int, b []byte) {
+func (nw *netWorld) enqueue(dst int, f *frame) {
 	p := nw.peers[dst]
 	if p == nil {
-		putFrame(b)
+		nw.release(f)
 		return
 	}
-	p.q.push(b)
+	p.q.push(f)
 }
 
-// send encodes a float frame and hands it to dst's writer; wire sends never
-// block. Serialization is synchronous in the caller, so an owned payload is
-// recycled on return. A payload over the frame bound panics (the receiver
-// would reject it as malformed).
-func (nw *netWorld) send(_, dst int, lane byte, tag int, data []float64, owned bool) {
+// encode returns a float frame of data for refs writers. Serialization is
+// synchronous in the caller, so a borrowed payload is free again on return;
+// an owned one becomes the frame's payload, converted in place. A payload
+// over the frame bound panics (the receiver would reject it as malformed).
+func (nw *netWorld) encode(lane byte, tag int, data []float64, owned bool, refs int) *frame {
 	if len(data) > maxFrameElems {
 		panic(fmt.Sprintf("comm: %d-element payload exceeds the %d-element frame bound", len(data), maxFrameElems))
 	}
-	b := getFrame(frameHeaderLen + len(data)*8)
-	putHeader(b, frameFloats, lane, nw.self, tag, len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(b[frameHeaderLen+i*8:], math.Float64bits(v))
+	f := nw.newFrame(frameFloats, lane, tag, len(data), refs)
+	switch {
+	case owned:
+		f.data = data
+	case len(data) > 0:
+		f.data = nw.w.pool.get(len(data))
+		copy(f.data, data)
 	}
-	nw.enqueue(dst, b)
-	if owned {
-		nw.w.pool.put(data)
+	wireOrder(f.data)
+	f.body = floatBytes(f.data)
+	return f
+}
+
+// send encodes a float frame and hands it to dst's writer; wire sends never
+// block.
+func (nw *netWorld) send(_, dst int, lane byte, tag int, data []float64, owned bool) {
+	nw.enqueue(dst, nw.encode(lane, tag, data, owned, 1))
+}
+
+// sendMany encodes data once and queues the one frame to every destination's
+// writer.
+func (nw *netWorld) sendMany(src int, dsts []int, lane byte, tag int, data []float64) {
+	refs := 0
+	for _, d := range dsts {
+		if d != src {
+			refs++
+		}
+	}
+	if refs == 0 {
+		return
+	}
+	f := nw.encode(lane, tag, data, false, refs)
+	for _, d := range dsts {
+		if d != src {
+			nw.enqueue(d, f)
+		}
 	}
 }
 
@@ -298,7 +391,7 @@ func (nw *netWorld) broadcastAbort(err error) {
 	if nw.closed.Load() {
 		return
 	}
-	msg := err.Error()
+	msg := []byte(err.Error())
 	if len(msg) > maxAbortBytes {
 		msg = msg[:maxAbortBytes]
 	}
@@ -306,48 +399,70 @@ func (nw *netWorld) broadcastAbort(err error) {
 		if p == nil {
 			continue
 		}
-		b := getFrame(frameHeaderLen + len(msg))
-		putHeader(b, frameAbort, laneP2P, nw.self, 0, len(msg))
-		copy(b[frameHeaderLen:], msg)
-		p.q.push(b)
+		f := nw.newFrame(frameAbort, laneP2P, 0, len(msg), 1)
+		f.body = msg
+		p.q.push(f)
 	}
 }
 
-// writer is the per-peer send goroutine: it writes queued frames through a
-// buffered writer and flushes only when the queue runs dry, coalescing the
-// many-small-frames patterns (SendRows bursts, all-to-allv) into few
-// syscalls. A write error is left for the reader on this connection to
-// surface; the bufio.Writer keeps failing fast after it while the queue
+// writer is the per-peer send goroutine. It gathers queued headers, and the
+// bodies that fit, in a pending buffer that goes out when the queue runs
+// dry, coalescing the many-small-frames patterns (SendRows bursts,
+// all-to-allv) into few syscalls; a body that does not fit goes out in
+// place, in one vectored write behind what is pending, so a wide payload is
+// never copied again. A write error is left for the reader on this
+// connection to surface; the writer stops writing after it while the queue
 // drains.
 func (nw *netWorld) writer(p *netPeer) {
 	defer close(p.wdone)
-	bw := bufio.NewWriterSize(p.conn, 64<<10)
+	pending := make([]byte, 0, wireBuf)
+	var vec [2][]byte
+	var out net.Buffers
+	failed := false
+	write := func(tail []byte) {
+		if !failed && len(pending)+len(tail) > 0 {
+			vec[0], vec[1] = pending, tail
+			out = vec[:]
+			_, err := out.WriteTo(p.conn)
+			failed = err != nil
+		}
+		pending = pending[:0]
+	}
 	for {
-		b, ok := p.q.pop(p.stop)
+		f, ok := p.q.pop(p.stop)
 		if !ok {
-			bw.Flush()
+			write(nil)
 			return
 		}
-		bw.Write(b)
-		putFrame(b)
+		if cap(pending)-len(pending) < frameHeaderLen {
+			write(nil)
+		}
+		pending = append(pending, f.hdr[:]...)
+		if len(f.body) <= cap(pending)-len(pending) {
+			pending = append(pending, f.body...)
+		} else {
+			write(f.body)
+		}
+		nw.release(f)
 		if p.q.empty() {
-			bw.Flush()
+			write(nil)
 		}
 	}
 }
 
-// reader is the per-peer receive goroutine: it decodes frames off the
-// connection into pooled buffers and lands them in the (src,lane) inbox. A
-// connection failure before the peer's goodbye — or a malformed frame —
-// aborts the world with a *RankError wrapping ErrPeerDisconnected: a killed,
-// hung or corrupt peer surfaces as a typed error on every survivor instead
-// of a deadlock.
+// reader is the per-peer receive goroutine: it reads frames off the
+// connection through a buffered reader, payloads straight into pooled
+// buffers, and lands them in the (src,lane) inbox. A connection failure
+// before the peer's goodbye — or a malformed frame — aborts the world with a
+// *RankError wrapping ErrPeerDisconnected: a killed, hung or corrupt peer
+// surfaces as a typed error on every survivor instead of a deadlock.
 func (nw *netWorld) reader(p *netPeer) {
 	defer nw.markBye(p) // a vanished peer must not wedge Close's goodbye wait
+	br := bufio.NewReaderSize(p.conn, wireBuf)
 	hdr := make([]byte, frameHeaderLen)
 	scratch := make([]byte, decodeChunk)
 	for {
-		if _, err := io.ReadFull(p.conn, hdr); err != nil {
+		if _, err := io.ReadFull(br, hdr); err != nil {
 			nw.peerGone(p, err)
 			return
 		}
@@ -365,30 +480,15 @@ func (nw *netWorld) reader(p *netPeer) {
 		}
 		switch kind {
 		case frameFloats:
-			var buf []float64
-			for done := 0; done < count; {
-				n := count - done
-				if n > decodeChunk/8 {
-					n = decodeChunk / 8
-				}
-				s := scratch[:n*8]
-				if _, err := io.ReadFull(p.conn, s); err != nil {
-					nw.w.pool.put(buf)
-					nw.peerGone(p, err)
-					return
-				}
-				if buf == nil { // only once payload has arrived behind the header
-					buf = nw.w.pool.get(count)
-				}
-				for i := 0; i < n; i++ {
-					buf[done+i] = math.Float64frombits(binary.LittleEndian.Uint64(s[i*8:]))
-				}
-				done += n
+			buf, err := nw.readFloats(br, scratch, count)
+			if err != nil {
+				nw.peerGone(p, err)
+				return
 			}
 			nw.inboxes[src][lane].push(message{tag: tag, floats: buf})
 		case frameAbort:
 			s := scratch[:count]
-			if _, err := io.ReadFull(p.conn, s); err != nil {
+			if _, err := io.ReadFull(br, s); err != nil {
 				nw.peerGone(p, err)
 				return
 			}
@@ -400,6 +500,33 @@ func (nw *netWorld) reader(p *netPeer) {
 			return
 		}
 	}
+}
+
+// readFloats reads a count-element payload into a pooled buffer. A free
+// buffer of the payload's class is read into at once; without one, the first
+// decode chunk is read into scratch before anything is allocated, so a
+// header alone never costs its declared size.
+func (nw *netWorld) readFloats(br *bufio.Reader, scratch []byte, count int) ([]float64, error) {
+	if count == 0 {
+		return nil, nil
+	}
+	buf, ok := nw.w.pool.take(count)
+	rest := floatBytes(buf)
+	if !ok {
+		first := scratch[:min(count*8, len(scratch))]
+		if _, err := io.ReadFull(br, first); err != nil {
+			return nil, err
+		}
+		buf = nw.w.pool.get(count)
+		rest = floatBytes(buf)
+		rest = rest[copy(rest, first):]
+	}
+	if _, err := io.ReadFull(br, rest); err != nil {
+		nw.w.pool.put(buf)
+		return nil, err
+	}
+	wireOrder(buf)
+	return buf, nil
 }
 
 // peerGone maps a connection failure onto the abort protocol as a lost peer
@@ -425,9 +552,7 @@ func (nw *netWorld) close() error {
 		if p == nil {
 			continue
 		}
-		b := getFrame(frameHeaderLen)
-		putHeader(b, frameGoodbye, laneP2P, nw.self, 0, 0)
-		p.q.push(b)
+		p.q.push(nw.newFrame(frameGoodbye, laneP2P, 0, 0, 1))
 	}
 	done := make(chan struct{})
 	go func() {
