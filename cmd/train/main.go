@@ -72,11 +72,17 @@ func main() {
 	if *hidden < 1 || *layers < 1 || *lr <= 0 {
 		fatal(fmt.Errorf("-hidden %d -layers %d -lr %v: the model needs at least one hidden unit and one layer, and a positive learning rate", *hidden, *layers, *lr))
 	}
+	if *epochs < 1 {
+		fatal(fmt.Errorf("-epochs %d: training needs at least one epoch", *epochs))
+	}
 	if *sampleFlag {
-		// Every sampled exchange is the sparsity-aware gather, so no other
-		// algorithm would run.
+		// Every sampled exchange is the sparsity-aware 1D gather, so no other
+		// algorithm or replication would run.
 		if *algo != "sa" {
 			fatal(fmt.Errorf("-sample -algo %s: sampled training runs the sparsity-aware gather only (use -algo sa)", *algo))
+		}
+		if *c != 1 {
+			fatal(fmt.Errorf("-sample -c %d: sampled training runs the 1D gather only (use -c 1)", *c))
 		}
 		if *fanout < 1 || *batch < 1 {
 			fatal(fmt.Errorf("-fanout %d -batch %d: sampled training needs at least one neighbor and one vertex per batch", *fanout, *batch))

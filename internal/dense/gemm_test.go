@@ -141,12 +141,17 @@ func checkGEMMBits(t *testing.T, seed int64, m, k, n int, nonFinite bool) {
 // 64 for TransA's row panel at k = 63, 64 and 65, 128 for TransB's 16-wide
 // stack panel) and both sides of the striping threshold, plus the empty
 // inner dimension on the serial and the striped path. m = 1024 is a TransA
-// panel of power-of-two width: 1024 columns at procs 1, 256 at procs 4.
+// panel of power-of-two width: 1024 columns at procs 1, 256 at procs 4. The
+// last four are layer 1's weight gradient Pᵀ·G at the presets' feature
+// widths (m = f, k = a rank's rows, below stripeMinRows and above it), which
+// the trainer runs as MatMul over a transposed copy of P where TransA reads
+// P itself: both must give the triple loop's bits.
 var gemmBitsShapes = [][3]int{
 	{1, 1, 1}, {2, 3, 4}, {3, 0, 5}, {1, 300, 70}, {7, 255, 3}, {8, 256, 8}, {9, 257, 9},
 	{17, 513, 7}, {127, 31, 41}, {128, 16, 16}, {131, 602, 16}, {257, 64, 33}, {300, 260, 70},
 	{32, 64, 17}, {33, 65, 15}, {63, 127, 12}, {65, 129, 24},
 	{1024, 67, 3}, {160, 0, 9}, {77, 63, 16}, {129, 64, 17}, {201, 65, 16},
+	{300, 37, 16}, {300, 260, 16}, {602, 127, 16}, {602, 129, 16},
 }
 
 func TestGEMMBits(t *testing.T) {

@@ -14,6 +14,8 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+
+	"sagnn/internal/par"
 )
 
 // Matrix is a row-major dense matrix.
@@ -205,13 +207,53 @@ func lessMask(x, y uint64) uint64 {
 // Transpose returns a new matrix mᵀ.
 func (m *Matrix) Transpose() *Matrix {
 	t := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.Data[j*m.Rows+i] = v
+	m.TransposeInto(t)
+	return t
+}
+
+const (
+	// transposeBlock is the side of the square tiles TransposeInto copies:
+	// a tile's rows of m and its rows of mᵀ stay in cache together.
+	transposeBlock = 32
+	// transposeMinElems is the size below which TransposeInto runs on the
+	// caller's goroutine.
+	transposeMinElems = 1 << 15
+)
+
+// TransposeInto writes mᵀ into t, which must be m.Cols × m.Rows and must
+// not alias m. It copies transposeBlock-square tiles, so neither matrix is
+// walked down a column across more rows than the cache holds, and above
+// transposeMinElems it fans panels of t's rows out through par.For. On the
+// serial path it allocates nothing.
+func (m *Matrix) TransposeInto(t *Matrix) {
+	if t.Rows != m.Cols || t.Cols != m.Rows {
+		panic(fmt.Sprintf("dense: transpose of %dx%d into %dx%d", m.Rows, m.Cols, t.Rows, t.Cols))
+	}
+	if Aliased(t, m) {
+		panic("dense: transpose output aliases its input")
+	}
+	if len(m.Data) < transposeMinElems || par.Workers() == 1 {
+		m.transposeRows(t, 0, t.Rows)
+		return
+	}
+	par.For((t.Rows+transposeBlock-1)/transposeBlock, func(i int) {
+		lo := i * transposeBlock
+		m.transposeRows(t, lo, min(lo+transposeBlock, t.Rows))
+	})
+}
+
+// transposeRows writes rows [lo,hi) of t = mᵀ, columns [lo,hi) of m, one
+// tile of transposeBlock rows of m at a time.
+func (m *Matrix) transposeRows(t *Matrix, lo, hi int) {
+	for i0 := 0; i0 < m.Rows; i0 += transposeBlock {
+		i1 := min(i0+transposeBlock, m.Rows)
+		for j := lo; j < hi; j++ {
+			row := t.Data[j*t.Cols+i0 : j*t.Cols+i1]
+			for k := range row {
+				row[k] = m.Data[(i0+k)*m.Cols+j]
+			}
 		}
 	}
-	return t
 }
 
 // GatherRows returns a new matrix whose k-th row is m.Row(idx[k]). This is

@@ -5,7 +5,8 @@
 //     each process broadcasts its entire block row of H.
 //   - SparsityAware1D — Algorithm 1: processes exchange only the H rows
 //     named by the nonzero column indices (NnzCols) of the local sparse
-//     blocks, via a single all-to-allv.
+//     blocks, via a single all-to-allv into one halo buffer, and multiply
+//     their own and the received rows in one pass.
 //   - Oblivious15D — the communication-avoiding 1.5D algorithm with
 //     replication factor c (block rows of A and H replicated on c
 //     processes) using broadcasts plus a partial-sum all-reduce.

@@ -157,11 +157,17 @@ func (rows rowSource) split(layout Layout) [][]*sparse.CSR {
 // partition: recvIdx[i][j] lists the (j-local) rows of H_j block row i
 // needs, and compact[i][j] is block (i, j) with columns relabeled to
 // positions in recvIdx[i][j] so received rows multiply without scattering;
-// diag[i] is the full-width diagonal block.
+// diag[i] is the full-width diagonal block. haloAt[i] stacks block row i's
+// received rows by peer — peer j's at halo rows [haloAt[i][j],
+// haloAt[i][j+1]) — and halo[i] is every compact block of the row merged
+// side by side in that order, the operand the local sweep multiplies
+// against the stacked rows.
 type nnzSchedule struct {
 	recvIdx [][][]int
 	compact [][]*sparse.CSR
 	diag    []*sparse.CSR
+	haloAt  [][]int
+	halo    []*sparse.CSR
 }
 
 // buildNnzSchedule computes the NnzCols structure for every block pair of
@@ -176,11 +182,16 @@ func buildNnzSchedule(rows rowSource, layout Layout) *nnzSchedule {
 		recvIdx: make([][][]int, k),
 		compact: make([][]*sparse.CSR, k),
 		diag:    make([]*sparse.CSR, k),
+		haloAt:  make([][]int, k),
+		halo:    make([]*sparse.CSR, k),
 	}
 	par.For(k, func(i int) {
 		s.recvIdx[i] = make([][]int, k)
 		s.compact[i] = make([]*sparse.CSR, k)
+		at := make([]int, k+1)
+		peers := make([]*sparse.CSR, 0, k-1)
 		for j, blk := range rows.splitRow(i, layout) {
+			at[j+1] = at[j]
 			if j == i {
 				s.diag[i] = blk
 				continue
@@ -195,20 +206,26 @@ func buildNnzSchedule(rows rowSource, layout Layout) *nnzSchedule {
 				remap[c] = pos
 			}
 			s.compact[i][j] = blk.RelabelCols(remap, len(nnzCols))
+			at[j+1] += len(nnzCols)
+			peers = append(peers, s.compact[i][j])
 		}
+		s.haloAt[i] = at
+		s.halo[i] = sparse.HConcat(s.diag[i].NumRows, peers)
 	})
 	return s
 }
 
 // writeAlgorithm1 writes the paper's Algorithm 1 over sched into every
 // rank's program of a 1D plan: one all-to-allv moving exactly the NnzCols
-// rows each peer needs, the diagonal block against hLocal, one multiply per
-// peer whose block touches its rows, and the unpack charge. fills, when
-// non-nil, is a sampled step's split of each landing slot against the
-// ranks' resident stores (sampled.go): the exchange then moves only the
-// rows fills[i][j] ships, and the multiply assembles the rest from the
-// store. NewSparsityAware1D passes nil; the sampled gather compiles through
-// it too.
+// rows each peer needs into the rank's halo, the diagonal block against
+// hLocal, one multiply per peer whose block touches its rows, and the
+// unpack charge. The exchange carries the halo layout and the merged peer
+// blocks, so the sequential executor runs the diagonal block and every peer
+// multiply as one sweep at opMulOwn (plan.go). fills, when non-nil, is a
+// sampled step's split of each landing slot against the ranks' resident
+// stores (sampled.go): the exchange then moves only the rows fills[i][j]
+// ships, and the multiply assembles the rest from the store.
+// NewSparsityAware1D passes nil; the sampled gather compiles through it too.
 func writeAlgorithm1(plan *Plan, sched *nnzSchedule, fills [][]slotFill) {
 	p := len(plan.progs)
 	g := plan.world.WorldGroup()
@@ -229,7 +246,8 @@ func writeAlgorithm1(plan *Plan, sched *nnzSchedule, fills [][]slotFill) {
 			}
 		}
 		prog := make([]instr, 0, p+3)
-		prog = append(prog, instr{op: opAllToAllv, group: g, slot: me, sendIdx: sendIdx, recvRows: recvRows})
+		prog = append(prog, instr{op: opAllToAllv, group: g, slot: me, sendIdx: sendIdx, recvRows: recvRows,
+			at: sched.haloAt[me], halo: sched.halo[me]})
 		prog = append(prog, instr{op: opMulOwn, blk: sched.diag[me]})
 		for j := 0; j < p; j++ {
 			if j == me || len(sched.recvIdx[me][j]) == 0 {

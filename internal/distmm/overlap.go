@@ -344,7 +344,7 @@ func (p *Plan) runStageComp(prog []instr, st *pipeStage, hLocal, acc *dense.Matr
 		case opMulOwn:
 			in.blk.SpMMAddInto(acc, hLocal)
 		case opMulRecvSlot:
-			in.blk.SpMMAddInto(acc, asMatrix(&ws.hj, in.rows, f, ws.slotRows(in, ws.pipeRecvPtr[parity][in.slot], f)))
+			in.blk.SpMMAddInto(acc, asMatrix(&ws.hj, in.rows, f, ws.slotRows(in, ws.pipeRecvPtr[parity][in.slot], nil, f)))
 		case opRecvMul:
 			if in.rows > 0 {
 				in.blk.SpMMAddInto(acc, asMatrix(&ws.hj, in.rows, f, ws.pipeRecv[parity]))

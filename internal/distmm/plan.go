@@ -42,15 +42,24 @@ const (
 	// opAllToAllv packs the requested H rows per peer (instr.sendIdx),
 	// charges the pack time, and runs one personalized exchange landing
 	// instr.recvRows[j] rows from each peer j. The sparsity-aware 1D
-	// exchange.
+	// exchange. With instr.at set it lands into the rank's halo: peer j's
+	// slot is halo rows [at[j], at[j+1]), and a landing that fills its slot
+	// lands there in place (a shorter one, which a fill map completes, lands
+	// in a buffer of its own).
 	opAllToAllv
 	// opMulOwn multiplies instr.blk (a full-width diagonal block) against
-	// hLocal into the accumulator.
+	// hLocal into the accumulator. After an exchange with a merged operand
+	// (instr.halo) the sequential executor runs it as the local sweep: it
+	// writes the accumulator with, per row, the diagonal block's products and
+	// then the merged operand's against the halo — the multiplies of the
+	// opMulRecvSlot sites that directly follow it, in their order.
 	opMulOwn
 	// opMulRecvSlot multiplies instr.blk (a compact relabeled block) against
 	// the rows landed in all-to-allv slot instr.slot — or, when instr.fill is
 	// set, against the slot assembled from those rows and the rank's resident
 	// store — after keeping the first instr.keep landed rows in the store.
+	// The sequential executor has multiplied it in the local sweep before it
+	// and only charges it here; the overlap executor multiplies it here.
 	opMulRecvSlot
 	// opChargeUnpack charges the device-copy time of every row consumed by
 	// opMulRecvSlot since the last charge.
@@ -92,6 +101,12 @@ type instr struct {
 	// [0, keep) are copied to store rows [storeAt, storeAt+keep).
 	fill          []int
 	storeAt, keep int
+	// opAllToAllv into a halo: at[j] is peer slot j's first halo row
+	// (len(at) = group size + 1, at[len-1] the halo height), and halo the
+	// peers' blocks merged side by side in slot order, halo rows as columns:
+	// the operand the local sweep multiplies against the halo. nil = no halo.
+	at   []int
+	halo *sparse.CSR
 }
 
 // Plan is one algorithm's compiled communication schedule over a fixed
@@ -383,8 +398,9 @@ type execWS struct {
 	hj, zh   dense.Matrix
 	// store holds the remote feature rows a sampled gather keeps, row-major
 	// at the feature width; slot is where a slot that reads them is
-	// assembled. Both are grow-only.
-	store, slot []float64
+	// assembled outside a sweep; halo is where an exchange with a halo lands
+	// and the local sweep reads. All are grow-only.
+	store, slot, halo []float64
 
 	// Overlapped-execution state (overlap.go): the background comm worker
 	// and the stage-parity double buffers it lands transfers into, kept
@@ -438,9 +454,13 @@ func (p *Plan) execute(r *comm.Rank, hLocal, out *dense.Matrix, ws *execWS) {
 	if p.partial {
 		acc = asMatrix(&ws.zh, out.Rows, f, growFloats(&ws.zhat, out.Rows*f))
 	}
-	acc.Zero()
-	var packed, unpacked int64
 	prog := p.progs[r.ID]
+	if !sweepsFirst(prog) {
+		acc.Zero()
+	}
+	var packed, unpacked int64
+	var exch *instr // the last all-to-allv
+	var halo []float64
 	for i := range prog {
 		in := &prog[i]
 		switch in.op {
@@ -468,15 +488,33 @@ func (p *Plan) execute(r *comm.Rank, hLocal, out *dense.Matrix, ws *execWS) {
 			// sparsity-aware communication introduces (the larger "local"
 			// bars of the paper's Figure 4 breakdown).
 			r.ChargeCompute("local", params.CopyTime(packElems*machine.BytesPerElem))
+			exch, halo = in, nil
+			if in.at != nil {
+				halo = growFloats(&ws.halo, in.at[len(in.at)-1]*f)
+			}
 			for j, rows := range in.recvRows {
-				ws.recvPtr[j] = growFloats(&ws.recvBufs[j], rows*f)
+				if halo != nil && rows == in.at[j+1]-in.at[j] {
+					ws.recvPtr[j] = halo[in.at[j]*f : in.at[j+1]*f]
+				} else {
+					ws.recvPtr[j] = growFloats(&ws.recvBufs[j], rows*f)
+				}
 			}
 			in.group.AllToAllvInto(r, ws.send, ws.recvPtr, "alltoall")
 		case opMulOwn:
-			in.blk.SpMMAddInto(acc, hLocal)
+			if exch == nil || exch.halo == nil {
+				in.blk.SpMMAddInto(acc, hLocal)
+			} else {
+				// The local sweep: complete the slots that follow in the
+				// halo, then one pass over the accumulator's rows.
+				for k := i + 1; k < len(prog) && prog[k].op == opMulRecvSlot; k++ {
+					s := &prog[k]
+					ws.slotRows(s, ws.recvPtr[s.slot], halo[exch.at[s.slot]*f:exch.at[s.slot+1]*f], f)
+				}
+				in.blk.SpMMPairInto(acc, hLocal, exch.halo, asMatrix(&ws.hj, exch.halo.NumCols, f, halo))
+			}
 			r.ChargeCompute("local", params.SpMMTime(in.blk.Flops(f)))
 		case opMulRecvSlot:
-			in.blk.SpMMAddInto(acc, asMatrix(&ws.hj, in.rows, f, ws.slotRows(in, ws.recvPtr[in.slot], f)))
+			// Multiplied in the local sweep.
 			unpacked += int64(in.rows * f)
 			r.ChargeCompute("local", params.SpMMTime(in.blk.Flops(f)))
 		case opChargeUnpack:
@@ -507,6 +545,24 @@ func (p *Plan) execute(r *comm.Rank, hLocal, out *dense.Matrix, ws *execWS) {
 	}
 }
 
+// sweepsFirst reports whether the first multiply of prog is a local sweep,
+// which writes every accumulator row itself, so the sequential executor
+// need not zero the accumulator first.
+func sweepsFirst(prog []instr) bool {
+	halo := false
+	for i := range prog {
+		switch prog[i].op {
+		case opAllToAllv:
+			halo = prog[i].halo != nil
+		case opMulOwn:
+			return halo
+		case opBcastMul, opMulRecvSlot, opRecvMul, opAllReduce:
+			return false
+		}
+	}
+	return false
+}
+
 // growStore makes the resident store at least n floats long, keeping the
 // rows it holds.
 func (ws *execWS) growStore(n int) {
@@ -520,23 +576,26 @@ func (ws *execWS) growStore(n int) {
 // is the landed rows themselves; with one it is the slot assembled in the
 // compact block's column order, each row from the store or the landing, so
 // the multiply sees the values and order a full landing would have given it.
-// Both executors call it.
-func (ws *execWS) slotRows(in *instr, landed []float64, f int) []float64 {
+// The slot is assembled into dst — its halo rows, in a sweep — or, when dst
+// is nil, into the workspace's slot buffer. Both executors call it.
+func (ws *execWS) slotRows(in *instr, landed, dst []float64, f int) []float64 {
 	if in.keep > 0 {
 		copy(ws.store[in.storeAt*f:], landed[:in.keep*f])
 	}
 	if in.fill == nil {
 		return landed
 	}
-	slot := growFloats(&ws.slot, in.rows*f)
+	if dst == nil {
+		dst = growFloats(&ws.slot, in.rows*f)
+	}
 	for k, src := range in.fill {
 		from := landed
 		if src < 0 {
 			from, src = ws.store, -1-src
 		}
-		copy(slot[k*f:(k+1)*f], from[src*f:(src+1)*f])
+		copy(dst[k*f:(k+1)*f], from[src*f:(src+1)*f])
 	}
-	return slot
+	return dst
 }
 
 // planEngine is the one engine type: a Plan, per-rank workspaces and the

@@ -2,6 +2,7 @@ package distmm
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"sagnn/internal/comm"
@@ -30,8 +31,9 @@ import (
 //     accumulation), and defers all-reduces to the epilogue.
 //   - Layout consistency: blockOf/outRows/inRows agree with the layout,
 //     every SpMM block's dimensions match its accumulator rows and staged
-//     operand rows, and every fill reference and kept row of a sampled
-//     gather lies inside its slot's landing or the rank's resident store.
+//     operand rows, every fill reference and kept row of a sampled gather
+//     lies inside its slot's landing or the rank's resident store, and every
+//     local sweep's merged operand is exactly the slot blocks it replaces.
 //
 // Verify runs at compile time only (engine constructors, candidate sweeps,
 // test harnesses); the steady-state execute path never touches it.
@@ -44,7 +46,8 @@ const (
 	// (lengths, group membership, operand ranges, epilogue placement).
 	VerifyStructure VerifyKind = iota
 	// VerifyLayout: blockOf/outRows/inRows or SpMM block dimensions disagree
-	// with the instruction payloads.
+	// with the instruction payloads, or a local sweep's merged operand with
+	// the slots it multiplies.
 	VerifyLayout
 	// VerifyMatching: an unmatched or misordered send/recv pair, a tag or
 	// size mismatch, or inconsistent collective participation.
@@ -318,6 +321,9 @@ func (v *verifier) checkPrograms() error {
 						return v.err(VerifyStructure, rank, site, "negative landing count %d from peer slot %d", in.recvRows[j], j)
 					}
 				}
+				if err := v.checkHalo(rank, site, in, own); err != nil {
+					return err
+				}
 				lastA2A = in
 			case opMulOwn:
 				if err := v.checkBlock(rank, site, in, own, hRows); err != nil {
@@ -377,6 +383,114 @@ func (v *verifier) checkPrograms() error {
 		}
 		if p.partial && !reduced {
 			return v.err(VerifyStructure, rank, -1, "partial plan never folds its accumulator (no all-reduce)")
+		}
+		if err := v.checkSweeps(rank); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkHalo validates an all-to-allv's halo layout: at is one first row per
+// group member plus the halo height, starting at 0 and never decreasing, and
+// the merged operand is as tall as the accumulator and as wide as the halo.
+func (v *verifier) checkHalo(rank, site int, in *instr, accRows int) *VerifyError {
+	if (in.at == nil) != (in.halo == nil) {
+		return v.err(VerifyStructure, rank, site, "halo layout and merged operand must come together")
+	}
+	if in.at == nil {
+		return nil
+	}
+	if len(in.at) != len(in.recvRows)+1 || in.at[0] != 0 {
+		return v.err(VerifyStructure, rank, site, "halo layout of %d offsets from %d for a group of %d", len(in.at), in.at[0], len(in.recvRows))
+	}
+	for j := 1; j < len(in.at); j++ {
+		if in.at[j] < in.at[j-1] {
+			return v.err(VerifyStructure, rank, site, "halo slot %d starts at row %d, before slot %d's %d", j, in.at[j], j-1, in.at[j-1])
+		}
+	}
+	if in.halo.NumRows != accRows || in.halo.NumCols != in.at[len(in.at)-1] {
+		return v.err(VerifyLayout, rank, site, "merged operand is %dx%d, accumulator %d rows, halo %d rows",
+			in.halo.NumRows, in.halo.NumCols, accRows, in.at[len(in.at)-1])
+	}
+	return nil
+}
+
+// checkSweeps validates every local sweep of rank's program — an opMulOwn
+// after an all-to-allv with a merged operand — once every site has passed
+// its own checks. The sequential executor multiplies an opMulRecvSlot only
+// in the sweep right before it, so every slot must directly follow a sweep
+// or another slot. A sweep writes the accumulator, so it must be the first
+// multiply; and the merged operand must be, row for row, the blocks of the
+// slots that follow it, in their order, each with its columns shifted to
+// its slot's halo rows — so the one pass adds the products the per-slot
+// multiplies would, in their order. Each swept slot must fill its halo
+// rows, and one with a fill map must land fewer rows than it holds: such a
+// landing leaves the halo for a buffer of its own, which the slot is
+// assembled from.
+func (v *verifier) checkSweeps(rank int) *VerifyError {
+	prog := v.p.progs[rank]
+	var exch *instr
+	multiplied, swept := false, false
+	for site := range prog {
+		in := &prog[site]
+		switch in.op {
+		case opAllToAllv:
+			exch = in
+		case opMulRecvSlot:
+			if !swept {
+				return v.err(VerifyLayout, rank, site, "slot %d is not in a local sweep: the sequential executor would not multiply it", in.slot)
+			}
+			multiplied = true
+			continue
+		case opBcastMul, opRecvMul:
+			multiplied = true
+		case opMulOwn:
+			if exch != nil && exch.halo != nil {
+				if multiplied {
+					return v.err(VerifyLayout, rank, site, "local sweep after an earlier multiply would overwrite it")
+				}
+				if err := v.checkSweep(rank, site, exch); err != nil {
+					return err
+				}
+				multiplied, swept = true, true
+				continue
+			}
+			multiplied = true
+		}
+		swept = false
+	}
+	return nil
+}
+
+// checkSweep matches the merged operand of exch against the slots the
+// sweep at site multiplies.
+func (v *verifier) checkSweep(rank, site int, exch *instr) *VerifyError {
+	prog, h := v.p.progs[rank], exch.halo
+	next := append([]int(nil), h.RowPtr[:h.NumRows]...) // each row's next unmatched entry
+	for k := site + 1; k < len(prog) && prog[k].op == opMulRecvSlot; k++ {
+		s := &prog[k]
+		lo, hi := exch.at[s.slot], exch.at[s.slot+1]
+		if s.rows != hi-lo {
+			return v.err(VerifyLayout, rank, k, "swept slot %d holds %d rows, its halo rows are [%d, %d)", s.slot, s.rows, lo, hi)
+		}
+		if s.fill != nil && exch.recvRows[s.slot] >= s.rows {
+			return v.err(VerifyLayout, rank, k, "swept slot %d has a fill map but lands all %d of its rows in place", s.slot, s.rows)
+		}
+		b := s.blk
+		for r := 0; r < b.NumRows; r++ {
+			for p := b.RowPtr[r]; p < b.RowPtr[r+1]; p++ {
+				q := next[r]
+				if q == h.RowPtr[r+1] || h.ColIdx[q] != lo+b.ColIdx[p] || math.Float64bits(h.Val[q]) != math.Float64bits(b.Val[p]) {
+					return v.err(VerifyLayout, rank, k, "merged operand row %d disagrees with slot %d's block at its entry %d", r, s.slot, p-b.RowPtr[r])
+				}
+				next[r]++
+			}
+		}
+	}
+	for r, q := range next {
+		if q != h.RowPtr[r+1] {
+			return v.err(VerifyLayout, rank, site, "merged operand row %d holds %d entries no swept slot has", r, h.RowPtr[r+1]-q)
 		}
 	}
 	return nil

@@ -10,6 +10,7 @@ import (
 	"sagnn/internal/dense"
 	"sagnn/internal/gen"
 	"sagnn/internal/machine"
+	"sagnn/internal/sparse"
 )
 
 // This file is the Verify mutation suite: for every engine × P it clones the
@@ -287,6 +288,133 @@ func TestVerifyMutations(t *testing.T) {
 	for _, m := range verifyMutations() {
 		if applied[m.name] != want[m.name] {
 			t.Errorf("mutation class %s applied to %d plans, want %d", m.name, applied[m.name], want[m.name])
+		}
+	}
+}
+
+// withHalo gives the first exchange edit applies to a private copy of its
+// merged operand for edit to corrupt, and reports whether one did.
+func withHalo(p *Plan, edit func(h *sparse.CSR, at []int) bool) bool {
+	for rank, prog := range p.progs {
+		for site := range prog {
+			in := &prog[site]
+			if in.op != opAllToAllv || in.halo == nil {
+				continue
+			}
+			h := in.halo.Clone()
+			if edit(h, in.at) {
+				p.progs[rank][site].halo = h
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// sweepMutations corrupt a local sweep one way each: an entry of the
+// merged operand moved to the next row, an entry moved out of its slot's
+// halo rows, two swept slots multiplied in the other order (their segments
+// now disagree with the merged rows that hold both), and a fill map on a
+// slot whose landing fills its halo rows in place.
+func sweepMutations() []planMutation {
+	return []planMutation{
+		{name: "entry-row", kind: VerifyLayout, apply: func(p *Plan) bool {
+			return withHalo(p, func(h *sparse.CSR, _ []int) bool {
+				for r := 0; r+1 < h.NumRows; r++ {
+					if h.RowNNZ(r) > 0 {
+						h.RowPtr[r+1]--
+						return true
+					}
+				}
+				return false
+			})
+		}},
+		{name: "entry-column", kind: VerifyLayout, apply: func(p *Plan) bool {
+			return withHalo(p, func(h *sparse.CSR, at []int) bool {
+				for q, c := range h.ColIdx {
+					for j := 0; j+1 < len(at); j++ {
+						if lo, hi := at[j], at[j+1]; c >= lo && c < hi && hi < h.NumCols {
+							h.ColIdx[q] = hi
+							return true
+						}
+					}
+				}
+				return false
+			})
+		}},
+		{name: "segment-order", kind: VerifyLayout, apply: func(p *Plan) bool {
+			for rank, prog := range p.progs {
+				for k := 1; k+1 < len(prog); k++ {
+					a, b := &prog[k], &prog[k+1]
+					if prog[k-1].op != opMulOwn && prog[k-1].op != opMulRecvSlot || a.op != opMulRecvSlot || b.op != opMulRecvSlot {
+						continue
+					}
+					for r := 0; r < a.blk.NumRows; r++ {
+						if a.blk.RowNNZ(r) > 0 && b.blk.RowNNZ(r) > 0 {
+							p.progs[rank][k], p.progs[rank][k+1] = *b, *a
+							return true
+						}
+					}
+				}
+			}
+			return false
+		}},
+		{name: "fill-in-place", kind: VerifyLayout, apply: func(p *Plan) bool {
+			for _, prog := range p.progs {
+				for k := range prog {
+					if in := &prog[k]; in.op == opMulRecvSlot && in.fill == nil && in.rows > 0 {
+						in.fill = make([]int, in.rows)
+						for i := range in.fill {
+							in.fill[i] = i
+						}
+						return true
+					}
+				}
+			}
+			return false
+		}},
+	}
+}
+
+// TestVerifyRejectsBrokenSweep: Verify rejects a local sweep whose merged
+// operand disagrees with the slots it replaces — in an entry's row, in an
+// entry's column span, in the slots' order — or whose fill-mapped slot
+// would be assembled over its own landing, each as a rank-attributed
+// layout error, on every sparsity-aware 1D plan at P ∈ {4, 8, 16} and on a
+// sampled gather whose stores an earlier batch filled.
+func TestVerifyRejectsBrokenSweep(t *testing.T) {
+	const n = 96
+	a := gen.ErdosRenyi(n, 5, 31).NormalizedAdjacency()
+	var plans []*Plan
+	for _, p := range []int{4, 8, 16} {
+		w := comm.NewWorld(p, machine.Perlmutter())
+		plans = append(plans, NewSparsityAware1D(w, a, UniformLayout(n, p)).Plan())
+	}
+	w := comm.NewWorld(4, machine.Perlmutter())
+	rng := rand.New(rand.NewSource(12))
+	g := NewSampledGather(w, randomFrontiers(rng, 4, n), UniformLayout(n, 4))
+	g.Recompile(randomFrontiers(rng, 4, n))
+	plans = append(plans, g.Plan())
+	applied := make(map[string]int)
+	for _, plan := range plans {
+		if err := Verify(clonePlan(plan)); err != nil {
+			t.Fatalf("%s: unmutated clone rejected: %v", plan.name, err)
+		}
+		for _, m := range sweepMutations() {
+			mut := clonePlan(plan)
+			if !m.apply(mut) {
+				continue
+			}
+			applied[m.name]++
+			var ve *VerifyError
+			if err := Verify(mut); !errors.As(err, &ve) || ve.Kind != m.kind || ve.Rank < 0 {
+				t.Errorf("%s/%s: Verify returned %v, want a rank-attributed %s error", plan.name, m.name, err, m.kind)
+			}
+		}
+	}
+	for _, m := range sweepMutations() {
+		if applied[m.name] != len(plans) {
+			t.Errorf("mutation %s applied to %d of %d plans", m.name, applied[m.name], len(plans))
 		}
 	}
 }

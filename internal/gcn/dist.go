@@ -76,16 +76,18 @@ func multiply(e distmm.Engine, r *comm.Rank, h, out *dense.Matrix) {
 // computed once, by the collective Engine.MultiplyInto an epoch would have
 // issued, so on every engine, replication factor, exec mode and transport
 // its bits are that multiply's; every epoch of every trainer over it then
-// reads it. Not safe for concurrent use: Ensure is collective over the
+// reads it, and layer 1's weight gradient reads its transpose, built in the
+// same launch. Not safe for concurrent use: Ensure is collective over the
 // world, like a step.
 type InputProduct struct {
 	World  *comm.World
 	Engine distmm.Engine
 	// X is the global feature matrix, in the engine's vertex order.
 	X *dense.Matrix
-	// blocks[rank] is a hosted rank's block rows of Â·X. Nil until Ensure
-	// has succeeded: no rank's block is kept unless every rank's is.
-	blocks []*dense.Matrix
+	// blocks[rank] is a hosted rank's block rows of Â·X, and blocksT[rank]
+	// their transpose. Nil until Ensure has succeeded: no rank's block is
+	// kept unless every rank's is.
+	blocks, blocksT []*dense.Matrix
 }
 
 // Ensure computes the product unless an earlier call has, in one collective
@@ -96,15 +98,16 @@ func (p *InputProduct) Ensure(ctx context.Context) error {
 	if p.blocks != nil {
 		return nil
 	}
-	blocks := make([]*dense.Matrix, p.World.P)
+	blocks, blocksT := make([]*dense.Matrix, p.World.P), make([]*dense.Matrix, p.World.P)
 	err := p.World.RunCtx(ctx, func(r *comm.Rank) error {
 		lo, hi := p.Engine.Layout().Range(p.Engine.BlockOf(r.ID))
 		blocks[r.ID] = dense.New(hi-lo, p.X.Cols)
 		multiply(p.Engine, r, p.X.SliceRows(lo, hi), blocks[r.ID])
+		blocksT[r.ID] = blocks[r.ID].Transpose()
 		return nil
 	})
 	if err == nil {
-		p.blocks = blocks
+		p.blocks, p.blocksT = blocks, blocksT
 	}
 	return err
 }
@@ -130,6 +133,7 @@ type engineOperand struct {
 }
 
 func (o *engineOperand) First() *dense.Matrix                   { return o.in.Block(o.r.ID) }
+func (o *engineOperand) FirstT() *dense.Matrix                  { return o.in.blocksT[o.r.ID] }
 func (o *engineOperand) Rows(int) int                           { return o.rows }
 func (o *engineOperand) Aggregate(_ int, dst, h *dense.Matrix)  { multiply(o.e, o.r, h, dst) }
 func (o *engineOperand) AggregateT(_ int, dst, g *dense.Matrix) { multiply(o.e, o.r, g, dst) }

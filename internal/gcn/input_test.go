@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"sagnn/internal/comm"
 	"sagnn/internal/dense"
 	"sagnn/internal/distmm"
+	"sagnn/internal/gen"
 )
 
 // observeWidths records the multiply widths the full-batch trainers issue
@@ -59,8 +61,8 @@ func TestStepperIssuesInputProductOnce(t *testing.T) {
 }
 
 // TestInputProductSharedAndBitIdentical: two trainers naming one product
-// compute it once, and its bits are those of the engine's own multiply of
-// the rank's feature rows.
+// compute it once, its bits are those of the engine's own multiply of the
+// rank's feature rows, and the transpose kept beside it is exact.
 func TestInputProductSharedAndBitIdentical(t *testing.T) {
 	widths := observeWidths(t)
 	d := stepperFixture(5)
@@ -89,6 +91,11 @@ func TestInputProductSharedAndBitIdentical(t *testing.T) {
 	for i, b := range bitsOf(want[1]) {
 		if before[i] != b || math.Float64bits(first.Data[i]) != b {
 			t.Fatalf("product element %d differs from the engine's multiply (or was written during training)", i)
+		}
+	}
+	for rank := range want {
+		if !reflect.DeepEqual(bitsOf(d.Input.blocksT[rank]), bitsOf(want[rank].Transpose())) {
+			t.Fatalf("rank %d: the kept transpose differs from its block's", rank)
 		}
 	}
 }
@@ -169,5 +176,58 @@ func TestSerialComputesInputProductOnce(t *testing.T) {
 		if b != before[i] || b != want[i] {
 			t.Fatalf("Â·X element %d changed or differs from the SpMM", i)
 		}
+	}
+}
+
+// hiddenT is an operand with its kept transpose hidden, so layer 1's weight
+// gradient reads First with MatMulTransA.
+type hiddenT struct{ Operand }
+
+func (hiddenT) FirstT() *dense.Matrix { return nil }
+
+// TestFirstTGradientsMatchTransA: every weight gradient of a step whose
+// layer 1 reads the kept transpose of Â·X equals, bit for bit, the step's
+// that reads Â·X through MatMulTransA — at the feature widths of the
+// presets' inputs and with row counts on both sides of the GEMM's striping
+// threshold.
+func TestFirstTGradientsMatchTransA(t *testing.T) {
+	for _, f := range []int{300, 602} {
+		for _, n := range []int{40, 200} {
+			a := gen.ErdosRenyi(n, 4, int64(f+n)).NormalizedAdjacency()
+			x := dense.NewRandom(rand.New(rand.NewSource(int64(n))), n, f, 1)
+			rows, labels := []int{0, 3, 7, n - 1}, []int{1, 0, 3, 2}
+			model := NewModel(7, LayerDims(f, 16, 4, 2))
+			op := &csrOperand{a: a, x: x}
+			var ws, wsT Workspace
+			_, _, want, err := ws.Gradients(model, hiddenT{op}, rows, labels, len(rows), Collective{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, got, _ := wsT.Gradients(model, op, rows, labels, len(rows), Collective{})
+			if op.axT == nil {
+				t.Fatal("the serial operand kept no transpose for the backward pass")
+			}
+			for l := range want {
+				if !reflect.DeepEqual(bitsOf(got[l]), bitsOf(want[l])) {
+					t.Fatalf("f %d n %d: layer %d gradient over the kept transpose differs from MatMulTransA's", f, n, l+1)
+				}
+			}
+		}
+	}
+}
+
+// TestInferenceNeverBuildsTranspose: prediction reads Â·X but never its
+// transpose — a serial trainer's accuracy pass builds none, and the subset
+// evaluator behind Model.Probabilities is a forward-only operand, which has
+// no FirstT to build one with.
+func TestInferenceNeverBuildsTranspose(t *testing.T) {
+	a, x, labels, train := tinyProblem(17)
+	s := NewSerial(a, x, labels, train, NewModel(3, LayerDims(x.Cols, 8, 4, 3)), 0.1)
+	s.Accuracies(train)
+	if s.op.ax == nil || s.op.axT != nil {
+		t.Fatalf("after inference: Â·X built %t, transpose built %t; want true, false", s.op.ax != nil, s.op.axT != nil)
+	}
+	if _, ok := any(&SubsetEval{}).(Operand); ok {
+		t.Fatal("SubsetEval is a training operand: inference could build a transpose")
 	}
 }

@@ -37,6 +37,11 @@ type Operand interface {
 	ForwardOperand
 	// AggregateT writes Â_lᵀ·g into dst (Rows(l−1) × g.Cols), l = 2..L.
 	AggregateT(l int, dst, g *dense.Matrix)
+	// FirstT returns First()ᵀ when the operand keeps one — an operand whose
+	// first product never changes builds it once, beside the product — and
+	// nil otherwise. Layer 1's weight gradient then reads it with a plain
+	// product instead of a transposed one; the bits are the same.
+	FirstT() *dense.Matrix
 }
 
 // Collective is what a distributed caller adds to the recurrence: the
@@ -200,7 +205,15 @@ func (ws *Workspace) backward(m *Model, op Operand, c Collective) []*dense.Matri
 		if c.Group != nil {
 			yl = grow(&b.yl, w.Rows, w.Cols)
 		}
-		dense.MatMulTransAInto(yl, b.p, g)
+		var pT *dense.Matrix // (P^l)ᵀ, where the operand keeps it
+		if l == 1 {
+			pT = op.FirstT()
+		}
+		if pT != nil {
+			dense.MatMulInto(yl, pT, g)
+		} else {
+			dense.MatMulTransAInto(yl, b.p, g)
+		}
 		c.chargeGEMM(b.p.Rows, w.Rows, w.Cols)
 		if c.Group != nil {
 			c.Group.AllReduceSumInto(c.Rank, yl.Data, grad.Data, "allreduce")

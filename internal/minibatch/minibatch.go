@@ -193,6 +193,10 @@ func (c *chain) First() *dense.Matrix {
 	return c.agg
 }
 
+// FirstT is nil: layer 1 is a new product every step, so its weight
+// gradient reads it transposed in place.
+func (c *chain) FirstT() *dense.Matrix { return nil }
+
 func (c *chain) Rows(l int) int { return c.blocks[l-1].adj.NumRows }
 
 func (c *chain) Aggregate(l int, dst, h *dense.Matrix) {

@@ -381,6 +381,34 @@ func (m *CSR) RelabelCols(newIdx []int, numCols int) *CSR {
 	return out
 }
 
+// HConcat returns blocks side by side as one rows-row CSR: row r is every
+// block's row r in block order, each block's columns shifted past the
+// columns of the blocks before it. Every block must have rows rows.
+func HConcat(rows int, blocks []*CSR) *CSR {
+	out := &CSR{NumRows: rows, RowPtr: make([]int, rows+1)}
+	nnz := 0
+	for _, b := range blocks {
+		if b.NumRows != rows {
+			panic(fmt.Sprintf("sparse: HConcat of a %d-row block into %d rows", b.NumRows, rows))
+		}
+		out.NumCols += b.NumCols
+		nnz += b.NNZ()
+	}
+	out.ColIdx, out.Val = make([]int, 0, nnz), make([]float64, 0, nnz)
+	for r := 0; r < rows; r++ {
+		off := 0
+		for _, b := range blocks {
+			for p := b.RowPtr[r]; p < b.RowPtr[r+1]; p++ {
+				out.ColIdx = append(out.ColIdx, off+b.ColIdx[p])
+				out.Val = append(out.Val, b.Val[p])
+			}
+			off += b.NumCols
+		}
+		out.RowPtr[r+1] = len(out.ColIdx)
+	}
+	return out
+}
+
 // SpMM computes m × h into a new dense matrix.
 func (m *CSR) SpMM(h *dense.Matrix) *dense.Matrix {
 	out := dense.New(m.NumRows, h.Cols)
@@ -392,48 +420,86 @@ func (m *CSR) SpMM(h *dense.Matrix) *dense.Matrix {
 // of SpMM for preallocated workspaces. out must be m.NumRows × h.Cols and
 // must not alias h (a square product would read rows it has already
 // overwritten): an out that starts at h's first element panics.
-func (m *CSR) SpMMInto(out, h *dense.Matrix) { m.spmm(out, h, false, dense.VectorKernels()) }
+func (m *CSR) SpMMInto(out, h *dense.Matrix) { m.spmm(out, h, false, nil, nil, dense.VectorKernels()) }
 
 // SpMMAddInto computes out += m × h. Same shapes as SpMMInto.
-func (m *CSR) SpMMAddInto(out, h *dense.Matrix) { m.spmm(out, h, true, dense.VectorKernels()) }
+func (m *CSR) SpMMAddInto(out, h *dense.Matrix) {
+	m.spmm(out, h, true, nil, nil, dense.VectorKernels())
+}
 
-// spmm runs the row stripes of out (+)= m × h, one per worker, each stripe
-// owning its rows of out. Stripes hold equal shares of the nonzeros, not of
-// the rows, so a hub row does not fall to one worker whole. vector picks the
+// SpMMPairInto computes out = m × h + b × g in one pass over out's rows:
+// each row's products against h, then the same row's products against g,
+// in ascending position. The bits are those of SpMMInto(out, h) followed by
+// b.SpMMAddInto(out, g), with one fan-out and one write of each row instead
+// of two. b must have out.Rows rows and g out.Cols columns; out must alias
+// neither h nor g.
+func (m *CSR) SpMMPairInto(out, h *dense.Matrix, b *CSR, g *dense.Matrix) {
+	m.spmm(out, h, false, b, g, dense.VectorKernels())
+}
+
+// spmm runs the row stripes of out (+)= m × h, plus b × g after each row's
+// first product when b is non-nil, one stripe per worker, each stripe owning
+// its rows of out. Stripes hold equal shares of the nonzeros, not of the
+// rows, so a hub row does not fall to one worker whole. vector picks the
 // row kernel's vector form; the callers pass dense.VectorKernels(), the
 // tests both.
-func (m *CSR) spmm(out, h *dense.Matrix, add, vector bool) {
+func (m *CSR) spmm(out, h *dense.Matrix, add bool, b *CSR, g *dense.Matrix, vector bool) {
 	if m.NumCols != h.Rows || out.Rows != m.NumRows || out.Cols != h.Cols {
 		panic(fmt.Sprintf("sparse: SpMM %dx%d × %dx%d into %dx%d", m.NumRows, m.NumCols, h.Rows, h.Cols, out.Rows, out.Cols))
 	}
 	if dense.Aliased(out, h) {
 		panic("sparse: SpMM output aliases its dense operand")
 	}
+	if b != nil {
+		if b.NumCols != g.Rows || b.NumRows != out.Rows || g.Cols != out.Cols {
+			panic(fmt.Sprintf("sparse: SpMM second term %dx%d × %dx%d into %dx%d", b.NumRows, b.NumCols, g.Rows, g.Cols, out.Rows, out.Cols))
+		}
+		if dense.Aliased(out, g) {
+			panic("sparse: SpMM output aliases its dense operand")
+		}
+	}
 	workers := par.Workers()
 	if m.NumRows < 256 || workers == 1 {
-		m.spmmStripe(out, h, 0, m.NumRows, add, vector)
+		m.spmmStripe(out, h, 0, m.NumRows, add, b, g, vector)
 		return
 	}
-	// bound(w) is where stripe w starts: the first row whose nonzeros begin
-	// at or past w/workers of them.
+	// bound(w) is where stripe w starts: the first row whose nonzeros (both
+	// terms') begin at or past w/workers of them.
+	total := m.NNZ()
+	if b != nil {
+		total += b.NNZ()
+	}
 	bound := func(w int) int {
 		if w == workers {
 			return m.NumRows
 		}
-		return sort.SearchInts(m.RowPtr[:m.NumRows+1], m.NNZ()*w/workers)
+		return sort.Search(m.NumRows, func(r int) bool {
+			before := m.RowPtr[r]
+			if b != nil {
+				before += b.RowPtr[r]
+			}
+			return before >= total*w/workers
+		})
 	}
 	par.For(workers, func(w int) {
 		if lo, hi := bound(w), bound(w+1); lo < hi {
-			m.spmmStripe(out, h, lo, hi, add, vector)
+			m.spmmStripe(out, h, lo, hi, add, b, g, vector)
 		}
 	})
 }
 
-// spmmStripe is rows [lo,hi) of out (+)= m × h, one dense.SpMMRow per row.
-func (m *CSR) spmmStripe(out, h *dense.Matrix, lo, hi int, add, vector bool) {
+// spmmStripe is rows [lo,hi) of out (+)= m × h (+ b × g), one or two
+// dense.SpMMRow calls per row: the second continues the sums the first left.
+func (m *CSR) spmmStripe(out, h *dense.Matrix, lo, hi int, add bool, b *CSR, g *dense.Matrix, vector bool) {
 	for r := lo; r < hi; r++ {
+		o := out.Row(r)
 		start, end := m.RowPtr[r], m.RowPtr[r+1]
-		dense.SpMMRow(vector, out.Row(r), m.Val[start:end], m.ColIdx[start:end], h, add)
+		dense.SpMMRow(vector, o, m.Val[start:end], m.ColIdx[start:end], h, add)
+		if b != nil {
+			if start, end = b.RowPtr[r], b.RowPtr[r+1]; start < end {
+				dense.SpMMRow(vector, o, b.Val[start:end], b.ColIdx[start:end], g, true)
+			}
+		}
 	}
 }
 

@@ -106,10 +106,10 @@ func checkSpMMBits(t *testing.T, seed int64, m *CSR, f int) {
 			runtime.GOMAXPROCS(procs)
 			what := fmt.Sprintf("%dx%d nnz %d width %d seed %d vector %t procs %d", m.NumRows, m.NumCols, m.NNZ(), f, seed, vector, procs)
 			got := edgyDense(rng, m.NumRows, f) // dirty: the overwriting form must not read it
-			m.spmm(got, h, false, vector)
+			m.spmm(got, h, false, nil, nil, vector)
 			requireSameBits(t, "SpMMInto "+what, want, got)
 			got.CopyFrom(prior)
-			m.spmm(got, h, true, vector)
+			m.spmm(got, h, true, nil, nil, vector)
 			requireSameBits(t, "SpMMAddInto "+what, wantAdd, got)
 		}
 	}
@@ -173,7 +173,7 @@ func TestSpMMRejectsOutOfRangeColumn(t *testing.T) {
 									t.Errorf("vector %t rows %d column %d width %d add %t: no panic", vector, rows, bad, f, add)
 								}
 							}()
-							m.spmm(out, h, add, vector)
+							m.spmm(out, h, add, nil, nil, vector)
 						}()
 					}
 				}
@@ -212,7 +212,7 @@ func TestSpMMSerialPathAllocatesNothing(t *testing.T) {
 	h, out := edgyDense(rng, 500, 41), dense.New(300, 41)
 	for _, vector := range spmmKernels {
 		for _, add := range []bool{false, true} {
-			if allocs := testing.AllocsPerRun(10, func() { m.spmm(out, h, add, vector) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(10, func() { m.spmm(out, h, add, nil, nil, vector) }); allocs != 0 {
 				t.Fatalf("SpMM (add %t, vector %t) allocates %v times on the serial path, want 0", add, vector, allocs)
 			}
 		}
@@ -243,10 +243,87 @@ func BenchmarkSpMMNarrow(b *testing.B) {
 				h, out := dense.NewRandom(rng, m.NumCols, f, 1.0), dense.New(m.NumRows, f)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					m.spmm(out, h, false, vector)
+					m.spmm(out, h, false, nil, nil, vector)
 				}
 				b.ReportMetric(float64(m.Flops(f))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
+		}
+	}
+}
+
+// pairOperands is a local multiply shaped like one rank's Algorithm 1
+// product: a diagonal block against h, and peer blocks — one empty, one with
+// no columns (a silent partner), the rest hubMatrix-shaped — merged side by
+// side against their stacked rows in g. It returns the peer blocks and the
+// dense row block of g each one reads.
+func pairOperands(rng *rand.Rand, rows, f int, hub bool) (diag *CSR, h *dense.Matrix, peers []*CSR, hs []*dense.Matrix) {
+	diag, h = hubMatrix(rng, rows, 60, hub), edgyDense(rng, 60, f)
+	for j, cols := range []int{40, 0, 13, 7000} {
+		b := hubMatrix(rng, rows, cols, false)
+		if j == 0 {
+			b = &CSR{NumRows: rows, NumCols: cols, RowPtr: make([]int, rows+1)}
+		}
+		peers = append(peers, b)
+		hs = append(hs, edgyDense(rng, cols, f))
+	}
+	return diag, h, peers, hs
+}
+
+// stack is hs one above another: the halo the merged peer blocks read.
+func stack(hs []*dense.Matrix, f int) *dense.Matrix {
+	var data []float64
+	for _, m := range hs {
+		data = append(data, m.Data...)
+	}
+	return dense.FromSlice(len(data)/f, f, data)
+}
+
+// TestSpMMPairBits: the two-operand pass over a diagonal block and the
+// merged peer blocks reproduces Zero, then the diagonal block's adds, then
+// each peer block's adds in order, bit for bit — with every row kernel this
+// host runs, serial and striped, including rows empty in either term and a
+// second term with no entries at all.
+func TestSpMMPairBits(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for seed, rows := range []int{37, 300} {
+		for _, f := range []int{1, 5, 16, 17, 41} {
+			rng := rand.New(rand.NewSource(int64(seed*100 + f)))
+			diag, h, peers, hs := pairOperands(rng, rows, f, rows > 256)
+			for _, drop := range []bool{false, true} {
+				if drop { // no off-diagonal entries: every peer block empty
+					for j := range peers {
+						peers[j] = &CSR{NumRows: rows, NumCols: peers[j].NumCols, RowPtr: make([]int, rows+1)}
+					}
+				}
+				want := dense.New(rows, f)
+				naiveSpMMAdd(want, diag, h)
+				for j, b := range peers {
+					naiveSpMMAdd(want, b, hs[j])
+				}
+				merged, g := HConcat(rows, peers), stack(hs, f)
+				for _, vector := range spmmKernels {
+					for _, procs := range []int{1, 4} {
+						runtime.GOMAXPROCS(procs)
+						got := edgyDense(rng, rows, f) // dirty: the pass overwrites
+						diag.spmm(got, h, false, merged, g, vector)
+						requireSameBits(t, fmt.Sprintf("rows %d width %d empty peers %t vector %t procs %d", rows, f, drop, vector, procs), want, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSpMMPairSerialPathAllocatesNothing: the two-operand pass allocates
+// nothing on the serial path, under every row kernel this host runs.
+func TestSpMMPairSerialPathAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(5))
+	diag, h, peers, hs := pairOperands(rng, 300, 41, false)
+	merged, g, out := HConcat(300, peers), stack(hs, 41), dense.New(300, 41)
+	for _, vector := range spmmKernels {
+		if allocs := testing.AllocsPerRun(10, func() { diag.spmm(out, h, false, merged, g, vector) }); allocs != 0 {
+			t.Fatalf("two-operand SpMM (vector %t) allocates %v times on the serial path, want 0", vector, allocs)
 		}
 	}
 }
