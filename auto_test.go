@@ -352,7 +352,7 @@ func TestEpochWidthsMatchTrainerMultiplies(t *testing.T) {
 
 	t.Run("sampled-only", func(t *testing.T) {
 		got := observeMultiplies(t)
-		if _, err := sampledSession(t, ExecSequential).RunSampled(context.Background(), 2); err != nil {
+		if _, err := sampledSession(t).RunSampled(context.Background(), 2); err != nil {
 			t.Fatal(err)
 		}
 		if len(*got) != 0 {
@@ -397,5 +397,33 @@ func TestReportDetached(t *testing.T) {
 		if v < 0 {
 			t.Fatalf("report breakdown aliased: %s = %v", ph, v)
 		}
+	}
+}
+
+// TestUnknownExecModeRejected pins that ExecSequential is the only
+// DistOpts.Exec either entry point accepts: every other value, 1 (the
+// deleted overlap executor's) included, is an error from Distribute (named
+// and AlgorithmAuto) and from Estimate.
+func TestUnknownExecModeRejected(t *testing.T) {
+	ds := MustLoadDataset(ProteinSim, 42, 64)
+	cluster, err := NewCluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []ExecMode{1, 2, 255} {
+		for _, algo := range []Algorithm{SparsityAware1D, AlgorithmAuto} {
+			if _, err := cluster.Distribute(ds, DistOpts{Algorithm: algo, Exec: mode}); err == nil {
+				t.Errorf("%s: Distribute accepted ExecMode(%d)", algo, mode)
+			}
+		}
+		if _, err := cluster.Estimate(ds, DistOpts{Exec: mode}); err == nil {
+			t.Errorf("Estimate accepted ExecMode(%d)", mode)
+		}
+	}
+	if _, err := cluster.Distribute(ds, DistOpts{Algorithm: SparsityAware1D, Exec: ExecSequential}); err != nil {
+		t.Error(err)
+	}
+	if _, err := cluster.Estimate(ds, DistOpts{Exec: ExecSequential}); err != nil {
+		t.Error(err)
 	}
 }

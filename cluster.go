@@ -197,12 +197,9 @@ type DistOpts struct {
 	// distributed SpMMs a GCN of this configuration performs. The zero
 	// value selects the ModelConfig defaults (3 layers, 16 hidden).
 	CostModel ModelConfig
-	// Exec selects the plan executor: ExecSequential (the zero value) runs
-	// stage by stage; ExecOverlap pipelines each stage's SpMM against the
-	// next stage's communication with bit-identical results. AlgorithmAuto
-	// selects the minimum modeled epoch cost under this mode, and the
-	// candidate tables price both modes so the decision is auditable. Any
-	// other value is an error from Distribute and Estimate.
+	// Exec names the plan executor. ExecSequential, the zero value, is the
+	// only one; any other value is an error from Distribute and Estimate.
+	// The field remains for callers that still set it (see ExecMode).
 	Exec ExecMode
 	// Sampling, if non-nil, configures neighbor-sampled mini-batch training
 	// for sessions on this graph: Session.RunSampled draws per-rank
@@ -256,11 +253,10 @@ func (c SamplingConfig) withDefaults(modelSeed int64) SamplingConfig {
 	return c
 }
 
-// validateExec rejects an ExecMode that names no executor, so the executor
-// that runs and the one Report prices are always the same.
+// validateExec rejects every ExecMode but ExecSequential, the one executor.
 func validateExec(m ExecMode) error {
-	if m != ExecSequential && m != ExecOverlap {
-		return fmt.Errorf("sagnn: unknown DistOpts.Exec %v", m)
+	if m != ExecSequential {
+		return fmt.Errorf("sagnn: unknown DistOpts.Exec %d: ExecSequential is the only executor", m)
 	}
 	return nil
 }
@@ -346,8 +342,8 @@ func prepare(ds *Dataset, pt Partitioner, k int) *prepared {
 // name, a replication factor the process count forbids, too few vertices —
 // is the error. Report exposes the table either way. Every plan it keeps
 // has passed the static verifier (distmm.Verify: message matching, deadlock
-// freedom, overlap soundness and layout consistency over every rank's
-// instruction stream); one that fails is returned as its *distmm.VerifyError.
+// freedom and layout consistency over every rank's instruction stream); one
+// that fails is returned as its *distmm.VerifyError.
 func (c *Cluster) Distribute(ds *Dataset, opts DistOpts) (*DistGraph, error) {
 	if err := validateDataset(ds); err != nil {
 		return nil, err
@@ -387,7 +383,6 @@ func (c *Cluster) Distribute(ds *Dataset, opts DistOpts) (*DistGraph, error) {
 	case best < 0:
 		return nil, fmt.Errorf("sagnn: no feasible algorithm candidate for %d vertices on %d processes", ds.G.NumVertices(), c.p)
 	}
-	engine.SetExecMode(opts.Exec)
 	g := &DistGraph{
 		cluster:  c,
 		ds:       ds,
@@ -397,7 +392,6 @@ func (c *Cluster) Distribute(ds *Dataset, opts DistOpts) (*DistGraph, error) {
 		report: &Report{
 			Algorithm:        cands[best].Algorithm,
 			Replication:      cands[best].Replication,
-			Exec:             opts.Exec,
 			Auto:             auto,
 			Candidates:       cands,
 			PartitionQuality: prep.quality,

@@ -7,7 +7,7 @@
 //	         [-dataset reddit-sim|amazon-sim|protein-sim|papers-sim] \
 //	         [-scalediv N] [-seed S]
 //	gnnbench -estimate [-p N] [-dataset ...] [-scalediv N] [-seed S] \
-//	         [-exec seq|overlap] [-calibrate] [-alpha A] [-beta B]
+//	         [-calibrate] [-alpha A] [-beta B]
 //
 // -scalediv divides the preset dataset sizes by a power-of-two factor;
 // 1 runs the full preset sizes (slow), 4 is a good laptop default.
@@ -19,7 +19,8 @@
 // with can come from the calibration probe (-calibrate fits them against
 // the simulated backend) or be set directly (-alpha/-beta, e.g. values a
 // TCP `train -calibrate` run measured on real links) — this is how
-// measured hardware parameters drive the AlgorithmAuto decision.
+// measured hardware parameters drive the AlgorithmAuto decision. A set
+// -alpha or -beta must be a finite positive number.
 //
 // Every experiment runs through the public API. The figures are priced,
 // not trained: each point is NewCluster → Distribute → DistGraph.PriceEpoch,
@@ -34,6 +35,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -58,25 +60,25 @@ func main() {
 	seed := flag.Int64("seed", 42, "random seed")
 	estimate := flag.Bool("estimate", false, "print the predicted-vs-measured cost table (no training) and exit")
 	procs := flag.Int("p", 16, "process count for -estimate")
-	execMode := flag.String("exec", "seq", "plan executor for the measured multiply of -estimate: seq (stage by stage) or overlap (pipelined)")
 	calib := flag.Bool("calibrate", false, "fit α–β with the calibration probe (simulated backend) and price -estimate with the fitted values")
 	alphaF := flag.Float64("alpha", 0, "override machine α in seconds for -estimate (e.g. a value measured by `train -transport tcp -calibrate`)")
 	betaF := flag.Float64("beta", 0, "override machine β in seconds per logical byte for -estimate")
 	flag.Parse()
+	// Unset, -alpha and -beta keep the machine's constants; set, they must be
+	// ones it can price with.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name != "alpha" && f.Name != "beta" {
+			return
+		}
+		if v := f.Value.(flag.Getter).Get().(float64); !(v > 0) || math.IsInf(v, 0) {
+			check(fmt.Errorf("-%s %v: must be a finite positive number of seconds", f.Name, v))
+		}
+	})
 
 	t0 := time.Now()
 	if *estimate {
-		mode := sagnn.ExecSequential
-		switch *execMode {
-		case "seq", "sequential":
-		case "overlap":
-			mode = sagnn.ExecOverlap
-		default:
-			fmt.Fprintf(os.Stderr, "-exec must be seq or overlap, got %q\n", *execMode)
-			os.Exit(2)
-		}
 		params := estimateParams(*calib, *alphaF, *betaF, *procs)
-		runEstimate(*dataset, *scaleDiv, *procs, *seed, mode, params)
+		runEstimate(*dataset, *scaleDiv, *procs, *seed, params)
 		fmt.Printf("\ncompleted in %v\n", time.Since(t0).Round(time.Millisecond))
 		return
 	}
@@ -144,13 +146,13 @@ func estimateParams(calibrate bool, alpha, beta float64, p int) sagnn.MachinePar
 	return params
 }
 
-func runEstimate(dataset string, scaleDiv, p int, seed int64, mode sagnn.ExecMode, params sagnn.MachineParams) {
+func runEstimate(dataset string, scaleDiv, p int, seed int64, params sagnn.MachineParams) {
 	for _, ds := range datasetsOr(dataset, []gen.Preset{gen.RedditSim, gen.AmazonSim, gen.ProteinSim}) {
-		rows, err := experiments.EstimateTable(ds, scaleDiv, p, seed, mode, params)
+		rows, err := experiments.EstimateTable(ds, scaleDiv, p, seed, params)
 		check(err)
 		experiments.PrintEstimateTable(os.Stdout,
-			fmt.Sprintf("Predicted vs measured communication cost — %s, P=%d, exec=%s, α=%.2e β=%.2e",
-				ds, p, mode, params.Alpha, params.Beta), rows)
+			fmt.Sprintf("Predicted vs measured communication cost — %s, P=%d, α=%.2e β=%.2e",
+				ds, p, params.Alpha, params.Beta), rows)
 		fmt.Println()
 	}
 }

@@ -22,17 +22,11 @@ type Candidate struct {
 	Algorithm   Algorithm
 	Replication int
 	// EpochSeconds is the modeled bulk-synchronous time of one epoch's
-	// distributed SpMMs (Σ over phases of the slowest rank) under the
-	// sequential executor: the 2L−2 multiplies every epoch issues, all at
-	// hidden widths. Weight-gradient reductions and dense GEMMs are
+	// distributed SpMMs (Σ over phases of the slowest rank): the 2L−2
+	// multiplies every epoch issues, all at hidden widths. Weight-gradient reductions and dense GEMMs are
 	// identical across candidates at a fixed layout and are not included;
 	// DistGraph.PriceEpoch prices the whole epoch.
 	EpochSeconds float64
-	// OverlapSeconds is the same epoch priced under the overlapped executor
-	// (ExecOverlap): per pipelined stage, max(communication, compute)
-	// instead of their sum, so only the communication the SpMMs cannot hide
-	// remains on the critical path.
-	OverlapSeconds float64
 	// Breakdown splits EpochSeconds into phases ("bcast", "alltoall",
 	// "allreduce", "local").
 	Breakdown map[string]float64
@@ -41,11 +35,10 @@ type Candidate struct {
 	MaxSentMB float64
 	AvgSentMB float64
 	// SetupSeconds and SetupMaxSentMB price the first layer's Â·X the same
-	// way: one multiply at the feature width, under the executor that will
-	// run it (DistOpts.Exec), and the most any rank sends in it. Training
-	// never changes its operands, so a DistGraph pays it once, ahead of its
-	// first full-batch epoch, and TrainResult reports the measured
-	// counterpart on the run that did. It is the widest multiply there is —
+	// way: one multiply at the feature width, and the most any rank sends in
+	// it. Training never changes its operands, so a DistGraph pays it once,
+	// ahead of its first full-batch epoch, and TrainResult reports the
+	// measured counterpart on the run that did. It is the widest multiply there is —
 	// the one the paper's volume tables are computed at — but it does not
 	// recur, so selection minimizes the epoch.
 	SetupSeconds   float64
@@ -71,9 +64,6 @@ type Report struct {
 	// Algorithm and Replication are the configuration in effect.
 	Algorithm   Algorithm
 	Replication int
-	// Exec is the plan executor in effect; under AlgorithmAuto the selection
-	// minimized this mode's modeled epoch cost.
-	Exec ExecMode
 	// Auto reports whether Distribute selected the algorithm itself.
 	Auto bool
 	// Candidates is the predicted cost table, in deterministic candidate
@@ -86,19 +76,19 @@ type Report struct {
 
 // String renders the candidate table for logs.
 func (r *Report) String() string {
-	s := fmt.Sprintf("algorithm=%s c=%d exec=%s auto=%v\n", r.Algorithm, r.Replication, r.Exec, r.Auto)
-	s += fmt.Sprintf("%-24s %2s %12s %12s %10s %10s %12s %14s %s\n", "candidate", "c", "epoch(ms)", "overlap(ms)", "max(MB)", "avg(MB)", "setup(ms)", "setup max(MB)", "note")
+	s := fmt.Sprintf("algorithm=%s c=%d auto=%v\n", r.Algorithm, r.Replication, r.Auto)
+	s += fmt.Sprintf("%-24s %2s %12s %10s %10s %12s %14s %s\n", "candidate", "c", "epoch(ms)", "max(MB)", "avg(MB)", "setup(ms)", "setup max(MB)", "note")
 	for _, c := range r.Candidates {
 		note := c.Skipped
 		if c.Selected {
 			note = "<== selected"
 		}
 		if c.Skipped != "" {
-			s += fmt.Sprintf("%-24s %2d %12s %12s %10s %10s %12s %14s %s\n", c.Algorithm, c.Replication, "-", "-", "-", "-", "-", "-", note)
+			s += fmt.Sprintf("%-24s %2d %12s %10s %10s %12s %14s %s\n", c.Algorithm, c.Replication, "-", "-", "-", "-", "-", note)
 			continue
 		}
-		s += fmt.Sprintf("%-24s %2d %12.3f %12.3f %10.3f %10.3f %12.3f %14.3f %s\n", c.Algorithm, c.Replication,
-			c.EpochSeconds*1e3, c.OverlapSeconds*1e3, c.MaxSentMB, c.AvgSentMB, c.SetupSeconds*1e3, c.SetupMaxSentMB, note)
+		s += fmt.Sprintf("%-24s %2d %12.3f %10.3f %10.3f %12.3f %14.3f %s\n", c.Algorithm, c.Replication,
+			c.EpochSeconds*1e3, c.MaxSentMB, c.AvgSentMB, c.SetupSeconds*1e3, c.SetupMaxSentMB, note)
 	}
 	return s
 }
@@ -136,14 +126,12 @@ func epochWidths(ds *Dataset, cfg ModelConfig) ([]int, error) {
 }
 
 // priceCandidate fills a Candidate from a compiled plan: the epoch (widths)
-// under both executors, so the table shows what overlap would buy each
-// algorithm, and the one-time multiply at the feature width fin under the
-// executor in effect.
-func priceCandidate(alg Algorithm, pl *distmm.Plan, params machine.Params, widths []int, fin int, mode ExecMode) Candidate {
+// and the one-time multiply at the feature width fin.
+func priceCandidate(alg Algorithm, pl *distmm.Plan, params machine.Params, widths []int, fin int) Candidate {
 	c := Candidate{
 		Algorithm:    alg,
 		Replication:  pl.Replication(),
-		SetupSeconds: pl.CostWith(params, fin, mode).Total(),
+		SetupSeconds: pl.Cost(params, fin).Total(),
 		Sites:        pl.Sites(),
 	}
 	c.SetupMaxSentMB, _ = distmm.SentSummaryMB(pl.EpochSentBytes([]int{fin}))
@@ -151,15 +139,13 @@ func priceCandidate(alg Algorithm, pl *distmm.Plan, params machine.Params, width
 	if len(widths) > 0 { // a 1-layer model's epoch issues no multiply
 		cost := pl.EpochCost(params, widths)
 		c.EpochSeconds, c.Breakdown = cost.Total(), cost.Breakdown()
-		c.OverlapSeconds = pl.EpochCostWith(params, widths, distmm.ExecOverlap).Total()
 	}
 	return c
 }
 
 // PriceEpoch prices full-batch training of a cfg-shaped model on the graph
 // without running it. The epoch is what Session.Run charges one on a healthy
-// cluster: the plan's 2L−2 multiplies (at gcn.EpochMultiplyWidths, under the
-// graph's executor) plus, on every rank, the trainer's 3L−1 local GEMMs and
+// cluster: the plan's 2L−2 multiplies (at gcn.EpochMultiplyWidths) plus, on every rank, the trainer's 3L−1 local GEMMs and
 // L+1 all-reduces over its gradient group (gcn.EpochCharges), counted at
 // comm.AllReduceVolume. The set-up is the one-time Â·X multiply as the
 // graph's Report priced it. No data moves and the cluster is not touched, so
@@ -195,7 +181,7 @@ func (g *DistGraph) PriceEpoch(cfg ModelConfig) (*EpochPrice, error) {
 			recv[r] += rv
 		}
 	}
-	epoch := pl.EpochCostWith(params, widths, g.opts.Exec).Add(trainer.Snapshot())
+	epoch := pl.EpochCost(params, widths).Add(trainer.Snapshot())
 	price := &EpochPrice{EpochSeconds: epoch.Total(), Breakdown: epoch.Breakdown(), PartitionQuality: g.quality}
 	price.MaxSentMB, price.AvgSentMB = distmm.SentSummaryMB(sent)
 	var delivered int64
@@ -209,15 +195,6 @@ func (g *DistGraph) PriceEpoch(cfg ModelConfig) (*EpochPrice, error) {
 		}
 	}
 	return price, nil
-}
-
-// modeSeconds returns the candidate's modeled epoch cost under the executor
-// the caller will actually run — the figure auto-selection minimizes.
-func modeSeconds(c Candidate, mode ExecMode) float64 {
-	if mode == ExecOverlap {
-		return c.OverlapSeconds
-	}
-	return c.EpochSeconds
 }
 
 // sweepCandidates compiles and prices specs on world: the one path behind
@@ -258,9 +235,9 @@ func sweepCandidates(world *comm.World, ds *Dataset, specs []distmm.CandidateSpe
 		if verr := distmm.Verify(e.Plan()); verr != nil {
 			return nil, -1, nil, nil, verr
 		}
-		cand := priceCandidate(alg, e.Plan(), world.Params, widths, ds.FeatureDim(), opts.Exec)
-		if sec := modeSeconds(cand, opts.Exec); best < 0 || sec < bestCost {
-			best, bestCost, engine, prep = len(cands), sec, e, rowPrep
+		cand := priceCandidate(alg, e.Plan(), world.Params, widths, ds.FeatureDim())
+		if best < 0 || cand.EpochSeconds < bestCost {
+			best, bestCost, engine, prep = len(cands), cand.EpochSeconds, e, rowPrep
 		}
 		cands = append(cands, cand)
 	}
@@ -274,9 +251,9 @@ func sweepCandidates(world *comm.World, ds *Dataset, specs []distmm.CandidateSpe
 // this cluster — every 1D and 1.5D candidate the process count allows —
 // without moving any data or touching the cluster's live world. The
 // minimum-cost candidate is marked Selected (the one Distribute with
-// AlgorithmAuto would pick). opts.Algorithm is ignored; opts.Partitioner,
-// opts.CostModel and opts.Exec shape the estimate exactly as they would
-// shape Distribute.
+// AlgorithmAuto would pick). opts.Algorithm is ignored; opts.Partitioner
+// and opts.CostModel shape the estimate exactly as they would shape
+// Distribute, and an opts.Exec other than ExecSequential is an error.
 func (c *Cluster) Estimate(ds *Dataset, opts DistOpts) ([]Candidate, error) {
 	if err := validateDataset(ds); err != nil {
 		return nil, err

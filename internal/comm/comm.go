@@ -83,9 +83,9 @@ type World struct {
 	degrade *machine.Degradation
 
 	// ops counts communication operations per rank within the current Run;
-	// fault sites are addressed in this coordinate. In overlap mode a rank
-	// and its async worker advance the same counter concurrently, hence
-	// atomics.
+	// fault sites are addressed in this coordinate. Only the rank's own
+	// goroutine advances its counter, but Ops may read it from any
+	// goroutine, a Run in flight included, hence atomics.
 	ops []atomic.Int64
 
 	// Abort protocol state: the first failure records its cause and closes
@@ -181,38 +181,18 @@ func (r *Rank) World() *World { return r.w }
 // P returns the world size.
 func (r *Rank) P() int { return r.w.P }
 
-// chargeTime credits modeled seconds to this rank in the given phase. An
-// empty phase suppresses the charge: self-priced executors (the overlapped
-// plan executor, which settles pipelined max(comm, comp) time in one bulk
-// charge after the collective) pass "" so the inline per-operation charges
-// do not double-count. Volume accounting is never suppressed.
-func (r *Rank) chargeTime(phase string, sec float64) {
-	if phase == "" {
-		return
-	}
-	r.w.Ledger.Add(r.ID, phase, sec)
-}
-
-// chargeComm is chargeTime for communication seconds: the rank's current
-// degradation factor (slow-link faults, SlowRank) scales the charge, so a
-// degraded link is priced where a real one would be. Compute charges are
-// never scaled.
+// chargeComm credits modeled communication seconds to this rank in the
+// given phase. The rank's current degradation factor (slow-link faults,
+// SlowRank) scales the charge, so a degraded link is priced where a real
+// one would be. Compute charges are never scaled.
 func (r *Rank) chargeComm(phase string, sec float64) {
-	if phase == "" {
-		return
-	}
 	r.w.Ledger.Add(r.ID, phase, sec*r.w.degrade.Factor(r.ID))
 }
-
-// CommFactor returns this rank's current communication-time multiplier
-// (1 when healthy). Self-priced executors that settle communication time in
-// bulk apply it themselves, since their inline charges are suppressed.
-func (r *Rank) CommFactor() float64 { return r.w.degrade.Factor(r.ID) }
 
 // ChargeCompute credits modeled local-computation seconds (SpMM, GEMM,
 // packing) to this rank. Algorithms call this with machine.Params-derived
 // times.
-func (r *Rank) ChargeCompute(phase string, sec float64) { r.chargeTime(phase, sec) }
+func (r *Rank) ChargeCompute(phase string, sec float64) { r.w.Ledger.Add(r.ID, phase, sec) }
 
 // Send delivers a tagged float payload to dst. Models an eager/buffered
 // send: it never blocks (both transports queue at the receiver without

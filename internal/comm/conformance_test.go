@@ -283,36 +283,6 @@ func TestTransportConformance(t *testing.T) {
 			}
 			return nil
 		}},
-		{"async-start-forms", 2, func(r *Rank, rec func(...float64)) error {
-			g, peer := r.World().WorldGroup(), 1-r.ID
-			a := NewAsync()
-			defer a.Close()
-
-			var own []float64
-			if r.ID == 0 {
-				own = []float64{1, 2, 3}
-			}
-			dst := make([]float64, 3)
-			a.StartBcastFloatsInto(g, r, 0, own, dst, ph(r, "bcast"))
-			a.Await()
-			rec(dst...)
-
-			r.Send(peer, 7, []float64{float64(r.ID) + 10}, ph(r, "p2p"))
-			got := make([]float64, 1)
-			a.StartRecvInto(r, peer, 7, got)
-			a.Await()
-			rec(got...)
-
-			send := [][]float64{{float64(r.ID)}, {float64(r.ID)}}
-			recv := [][]float64{make([]float64, 1), make([]float64, 1)}
-			a.StartAllToAllvInto(g, r, send, recv, ph(r, "alltoall"))
-			a.Await()
-			rec(recv[0][0], recv[1][0])
-			if dst[2] != 3 || got[0] != float64(peer)+10 || recv[0][0] != 0 || recv[1][0] != 1 {
-				return fmt.Errorf("rank %d: async landed bcast %v recv %v alltoallv %v", r.ID, dst, got, recv)
-			}
-			return nil
-		}},
 		{"wide-payloads", 4, func(r *Rank, rec func(...float64)) error {
 			// Every payload crosses the reader's decode chunk, and each
 			// borrowed one is clobbered the moment its call returns: a frame

@@ -24,13 +24,6 @@ var ErrTagMismatch = errors.New("comm: receive tag mismatch")
 // caller-supplied destination buffer.
 var ErrSizeMismatch = errors.New("comm: payload size mismatch")
 
-// ErrAsyncBusy reports a Start* on an Async that already has an operation in
-// flight (the pipelined executors keep a lookahead of exactly one).
-var ErrAsyncBusy = errors.New("comm: async operation already in flight")
-
-// ErrAsyncClosed reports a Start* on an Async after Close.
-var ErrAsyncClosed = errors.New("comm: async runner closed")
-
 // ErrPeerDisconnected reports a TCP peer whose connection failed or closed
 // before an orderly goodbye — a killed or wedged rank process. Surfaced on
 // every survivor as the cause of a *RankError naming the lost rank.
@@ -77,11 +70,9 @@ func (e *RankError) Unwrap() error { return e.Err }
 // (the cause is already on the world, so the unwind itself carries nothing).
 type abortPanic struct{}
 
-// IsAbortPanic reports whether a recovered panic value is the comm abort
-// unwind sentinel. Executors that must clean up mid-unwind (draining a
-// background comm worker) use it to distinguish an already-recorded abort
-// from a fresh failure they still need to report via World.Abort.
-func IsAbortPanic(e any) bool { _, ok := e.(abortPanic); return ok }
+// isAbortPanic reports whether a recovered panic value is the unwind
+// sentinel, whose cause the world has already recorded.
+func isAbortPanic(e any) bool { _, ok := e.(abortPanic); return ok }
 
 // toError converts a recovered panic value into an error.
 func toError(e any) error {

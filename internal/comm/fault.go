@@ -16,8 +16,7 @@ import (
 // Abort protocol: the first failure (an injected fault, a rank panic, an
 // external Abort, a deadline) records its cause on the world and closes the
 // abort channel. Every blocking primitive — a transport receive (sends never
-// block), and therefore every collective and async worker — selects on that
-// channel and
+// block), and therefore every collective — selects on that channel and
 // unwinds with the abortPanic sentinel, which RunErr absorbs on each rank
 // goroutine. After all ranks have joined, RunErr drains the transport's
 // undelivered payloads back into the buffer pool, re-arms the abort channel,
@@ -136,7 +135,7 @@ type abortState struct {
 
 // Abort aborts the current Run: the first call records err as the cause
 // (non-*RankError causes are wrapped with Rank == -1) and unblocks every
-// rank — pending sends and receives, async workers — which unwind and make
+// rank — pending sends and receives — which unwind and make
 // RunErr return the cause. Later calls are no-ops. Safe to call from any
 // goroutine, including a rank's own.
 func (w *World) Abort(err error) { w.abort(err, true) }
@@ -185,9 +184,8 @@ func (w *World) abortCause() error {
 // reset restores an aborted world to a clean, reusable state: the abort
 // channel is re-armed and undelivered payloads are drained back into the
 // buffer pool — unless a peer is lost, in which case the world stays aborted
-// with the loss as its cause. Callers must ensure no rank goroutine or async
-// worker is still inside the world (RunErr guarantees it: all ranks have
-// joined and executors drain their workers while unwinding).
+// with the loss as its cause. Callers must ensure no rank goroutine is still
+// inside the world (RunErr guarantees it: all ranks have joined).
 func (w *World) reset() {
 	w.abortMu.Lock()
 	w.abortErr = w.lost
@@ -221,7 +219,7 @@ func (w *World) RunErr(fn func(r *Rank) error) error {
 			defer wg.Done()
 			defer func() {
 				e := recover()
-				if e == nil || IsAbortPanic(e) {
+				if e == nil || isAbortPanic(e) {
 					return // abort cause already recorded by the aborter
 				}
 				w.Abort(&RankError{Rank: id, Op: w.ops[id].Load(), Err: toError(e)})

@@ -289,46 +289,7 @@ func TestSlowFaultDegradesFromTriggerPoint(t *testing.T) {
 }
 
 // CommFactorForTest exposes the degradation factor for assertions.
-func (w *World) CommFactorForTest(rank int) float64 {
-	var f float64
-	w.Run(func(r *Rank) {
-		if r.ID == rank {
-			f = r.CommFactor()
-		}
-	})
-	return f
-}
-
-// TestAsyncMisuseTypedErrors: starting a second operation before Await, or
-// any operation after Close, fails the run with the typed cause — and the
-// busy check fires before the in-flight operation's slot is touched.
-func TestAsyncMisuseTypedErrors(t *testing.T) {
-	w := testWorld(2)
-	err := w.RunTimeout(chaosTimeout, func(r *Rank) error {
-		if r.ID == 1 {
-			r.Send(0, 9, []float64{42}, "p2p")
-			return nil
-		}
-		a := NewAsync()
-		defer a.Close()
-		dst := make([]float64, 1)
-		a.StartRecvInto(r, 1, 9, dst) // in flight until Await, landed or not
-		a.StartRecvInto(r, 1, 9, dst)
-		return nil
-	})
-	if !errors.Is(err, ErrAsyncBusy) {
-		t.Fatalf("double start: want ErrAsyncBusy, got %v", err)
-	}
-	err = w.RunTimeout(chaosTimeout, func(r *Rank) error {
-		a := NewAsync()
-		a.Close()
-		a.StartRecvInto(r, 1-r.ID, 0, nil)
-		return nil
-	})
-	if !errors.Is(err, ErrAsyncClosed) {
-		t.Fatalf("start on closed: want ErrAsyncClosed, got %v", err)
-	}
-}
+func (w *World) CommFactorForTest(rank int) float64 { return w.degrade.Factor(rank) }
 
 func TestOpCountersDeterministic(t *testing.T) {
 	counts := func() []int64 {

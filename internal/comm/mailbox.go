@@ -20,8 +20,8 @@ type transport interface {
 	drain()
 }
 
-// Lanes are independent FIFO streams between each pair of ranks, so an async
-// worker's pending RecvInto can never take a collective's message.
+// Lanes are independent FIFO streams between each pair of ranks, so a
+// point-to-point receive can never take a collective's message.
 const (
 	laneP2P  byte = 0 // Send/SendOwned ↔ RecvInto
 	laneColl byte = 1 // group collectives

@@ -1,7 +1,6 @@
 package distmm
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,10 +10,9 @@ import (
 )
 
 // TestMultiplyIntoSteadyStateAllocs pins every feasible engine's
-// steady-state MultiplyInto, under both executors, at the launch floor:
-// after a warm-up call has sized the per-rank workspaces (and, overlapped,
-// the double buffers and comm workers), a collective allocates no more than
-// a World.Run whose closure captures the same operands and does nothing.
+// steady-state MultiplyInto at the launch floor: after a warm-up call has
+// sized the per-rank workspaces, a collective allocates no more than a
+// World.Run whose closure captures the same operands and does nothing.
 // What is left is the launch's per-rank goroutine fan-out; a per-message,
 // per-row or per-stage allocation shows above it. The count does not depend
 // on n or f, so both are small enough for -race.
@@ -26,20 +24,16 @@ func TestMultiplyIntoSteadyStateAllocs(t *testing.T) {
 		if spec.Skip != "" {
 			continue
 		}
-		for _, mode := range []ExecMode{ExecSequential, ExecOverlap} {
-			spec, mode := spec, mode
-			t.Run(fmt.Sprintf("%s/%s", spec.Name, mode), func(t *testing.T) {
-				w := comm.NewWorld(p, machine.Perlmutter())
-				e, err := NewEngine(w, spec.Name, spec.C, a, UniformLayout(n, p/spec.C))
-				if err != nil {
-					t.Fatal(err)
-				}
-				e.SetExecMode(mode)
-				if allocs, floor := multiplyAllocs(w, e, h); allocs > floor {
-					t.Errorf("steady-state collective allocates %v times, a bare launch %v", allocs, floor)
-				}
-			})
-		}
+		t.Run(spec.Name, func(t *testing.T) {
+			w := comm.NewWorld(p, machine.Perlmutter())
+			e, err := NewEngine(w, spec.Name, spec.C, a, UniformLayout(n, p/spec.C))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if allocs, floor := multiplyAllocs(w, e, h); allocs > floor {
+				t.Errorf("steady-state collective allocates %v times, a bare launch %v", allocs, floor)
+			}
+		})
 	}
 }
 

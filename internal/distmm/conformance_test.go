@@ -15,16 +15,15 @@ import (
 
 // This file is the engine conformance harness: one table-driven suite that
 // runs every algorithm candidate EnumerateCandidates lists — 1D and 1.5D
-// over every feasible replication factor — under both execution modes, at
-// P ∈ {4, 8, 16}, on four structurally distinct graphs (Erdős–Rényi,
-// stochastic block model, star, path). For each cell it asserts:
+// over every feasible replication factor — at P ∈ {4, 8, 16}, on four
+// structurally distinct graphs (Erdős–Rényi, stochastic block model, star,
+// path). For each cell it asserts:
 //
 //   - the distributed output matches the serial SpMM reference — exactly for
 //     the engines whose accumulation order provably equals the serial
 //     column-order sum (oblivious 1D), within 1e-10 for the engines
 //     that reorder additions (the sparsity-aware diagonal-first schedules
 //     and the 1.5D partial-sum reduction);
-//   - the sequential and overlapped executors agree bit for bit;
 //   - measured per-rank volumes equal Plan.Volumes to the byte and message.
 //
 // The star and path graphs exercise the extremes the random graphs miss: a
@@ -110,7 +109,6 @@ func checkAgainstSerial(t *testing.T, label, engine string, got, want *dense.Mat
 
 func TestEngineConformance(t *testing.T) {
 	const n, f = 96, 7
-	modes := []ExecMode{ExecSequential, ExecOverlap}
 	for _, g := range conformanceGraphs(n) {
 		h := dense.NewRandom(rand.New(rand.NewSource(33)), n, f, 1.0)
 		want := g.a.SpMM(h)
@@ -119,31 +117,20 @@ func TestEngineConformance(t *testing.T) {
 				if spec.Skip != "" {
 					continue // infeasibility itself is pinned by TestEnumerateCandidatesSkips
 				}
-				outs := make([]*dense.Matrix, len(modes))
-				for mi, mode := range modes {
-					label := fmt.Sprintf("%s/%s/p=%d/%s", g.name, spec.Name, p, mode)
-					w := comm.NewWorld(p, machine.Perlmutter())
-					e, err := NewEngine(w, spec.Name, spec.C, g.a, UniformLayout(n, p/spec.C))
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					// Verify-at-compile smoke: every candidate plan must pass
-					// the static checker before it is allowed to run.
-					if err := Verify(e.Plan()); err != nil {
-						t.Fatalf("%s: compiled plan fails Verify: %v", label, err)
-					}
-					e.SetExecMode(mode)
-					outs[mi] = runMultiply(t, w, e, h)
-					checkVolumes(t, label, w, e.Plan(), f)
-					checkAgainstSerial(t, label, spec.Name, outs[mi], want)
+				label := fmt.Sprintf("%s/%s/p=%d", g.name, spec.Name, p)
+				w := comm.NewWorld(p, machine.Perlmutter())
+				e, err := NewEngine(w, spec.Name, spec.C, g.a, UniformLayout(n, p/spec.C))
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
-				for i, v := range outs[0].Data {
-					if outs[1].Data[i] != v {
-						t.Errorf("%s/%s/p=%d: element %d differs between modes: sequential %v, overlap %v",
-							g.name, spec.Name, p, i, v, outs[1].Data[i])
-						break
-					}
+				// Verify-at-compile smoke: every candidate plan must pass the
+				// static checker before it is allowed to run.
+				if err := Verify(e.Plan()); err != nil {
+					t.Fatalf("%s: compiled plan fails Verify: %v", label, err)
 				}
+				got := runMultiply(t, w, e, h)
+				checkVolumes(t, label, w, e.Plan(), f)
+				checkAgainstSerial(t, label, spec.Name, got, want)
 			}
 		}
 	}

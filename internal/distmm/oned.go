@@ -35,11 +35,8 @@ type Engine interface {
 	// value exactly once: the world for 1D layouts, the process column for
 	// 1.5D grids (each column holds every block row exactly once).
 	GradGroup(rank int) *comm.Group
-	// SetExecMode selects the executor: ExecSequential (stage by stage) or
-	// ExecOverlap (double-buffered comm/compute pipelining, bit-identical
-	// outputs and volumes, pipelined time accounting). Engine-wide, so every
-	// rank of a collective runs the same mode; must not be called
-	// concurrently with MultiplyInto.
+	// SetExecMode does nothing; it is kept for callers that still name an
+	// executor (compat.go).
 	SetExecMode(m ExecMode)
 }
 
@@ -220,7 +217,7 @@ func buildNnzSchedule(rows rowSource, layout Layout) *nnzSchedule {
 // rows each peer needs into the rank's halo, the diagonal block against
 // hLocal, one multiply per peer whose block touches its rows, and the
 // unpack charge. The exchange carries the halo layout and the merged peer
-// blocks, so the sequential executor runs the diagonal block and every peer
+// blocks, so the executor runs the diagonal block and every peer
 // multiply as one sweep at opMulOwn (plan.go). fills, when non-nil, is a
 // sampled step's split of each landing slot against the ranks' resident
 // stores (sampled.go): the exchange then moves only the rows fills[i][j]

@@ -2,7 +2,6 @@ package distmm
 
 import (
 	"fmt"
-	"sync"
 
 	"sagnn/internal/comm"
 	"sagnn/internal/dense"
@@ -17,8 +16,7 @@ import (
 // immutable Plan: one instruction stream per rank. One engine type,
 // planEngine, runs every plan: the four full-batch engines (1D/1.5D ×
 // oblivious/sparsity-aware) and the sampled gather share its data-movement
-// code path, and it switches between the sequential executor here and the
-// overlapped one (overlap.go).
+// code path and its one executor, Plan.execute.
 //
 // Because the schedule that executes is also a value, exact per-rank traffic
 // (Plan.Volumes) and modeled α–β time (Plan.Cost, a machine.Snapshot of the
@@ -49,7 +47,7 @@ const (
 	opAllToAllv
 	// opMulOwn multiplies instr.blk (a full-width diagonal block) against
 	// hLocal into the accumulator. After an exchange with a merged operand
-	// (instr.halo) the sequential executor runs it as the local sweep: it
+	// (instr.halo) the executor runs it as the local sweep: it
 	// writes the accumulator with, per row, the diagonal block's products and
 	// then the merged operand's against the halo — the multiplies of the
 	// opMulRecvSlot sites that directly follow it, in their order.
@@ -58,8 +56,8 @@ const (
 	// the rows landed in all-to-allv slot instr.slot — or, when instr.fill is
 	// set, against the slot assembled from those rows and the rank's resident
 	// store — after keeping the first instr.keep landed rows in the store.
-	// The sequential executor has multiplied it in the local sweep before it
-	// and only charges it here; the overlap executor multiplies it here.
+	// The executor has multiplied it in the local sweep before it and only
+	// charges it here.
 	opMulRecvSlot
 	// opChargeUnpack charges the device-copy time of every row consumed by
 	// opMulRecvSlot since the last charge.
@@ -136,11 +134,6 @@ type Plan struct {
 	// Only sampled gathers keep a store (sampled.go).
 	store []int
 	progs [][]instr
-	// pipes caches the per-rank pipelined stage decomposition (overlap.go),
-	// derived once from the immutable progs on first overlapped execution or
-	// overlap cost prediction.
-	pipeOnce sync.Once
-	pipes    []pipelineProg
 }
 
 // Name returns the algorithm name the plan was compiled from.
@@ -164,7 +157,7 @@ func (p *Plan) inRowsOf(rank int) int {
 // a2aStats computes one all-to-allv instruction's exchange shape at dense
 // width w — packed elements, bytes sent and received, and communicating
 // partners — in the exact aggregation order the executor's accounting uses.
-// Volume prediction and both cost models share it, so the three can never
+// Volume prediction and the cost model share it, so the two can never
 // drift on the partner/pack arithmetic.
 func a2aStats(in *instr, w int) (packElems, sendBytes, recvBytes int64, partners int) {
 	for j := range in.sendIdx {
@@ -235,7 +228,7 @@ func (p *Plan) Volumes(w int) []RankVolume {
 
 // Cost walks the schedule and returns the modeled α–β plus compute time of
 // one execution at dense width w: it charges a fresh ledger exactly what the
-// sequential executor charges the world's, so a plan's predicted snapshot
+// executor charges the world's, so a plan's predicted snapshot
 // equals the ledger delta of actually running it, without moving any data.
 func (p *Plan) Cost(params machine.Params, w int) *machine.Snapshot {
 	l := machine.NewLedger(len(p.progs))
@@ -280,10 +273,14 @@ func (p *Plan) Cost(params machine.Params, w int) *machine.Snapshot {
 	return l.Snapshot()
 }
 
-// EpochCost sums the plan's sequential-executor cost over the dense widths
-// of an epoch's multiplies (EpochCostWith under ExecSequential).
+// EpochCost sums Cost over the dense widths of an epoch's multiplies, one
+// snapshot per width.
 func (p *Plan) EpochCost(params machine.Params, widths []int) *machine.Snapshot {
-	return p.EpochCostWith(params, widths, ExecSequential)
+	var c *machine.Snapshot
+	for _, w := range widths {
+		c = c.Add(p.Cost(params, w))
+	}
+	return c
 }
 
 // EpochSentBytes sums the plan's predicted per-rank send bytes over the
@@ -397,21 +394,9 @@ type execWS struct {
 	recvBufs [][]float64
 	hj, zh   dense.Matrix
 	// store holds the remote feature rows a sampled gather keeps, row-major
-	// at the feature width; slot is where a slot that reads them is
-	// assembled outside a sweep; halo is where an exchange with a halo lands
-	// and the local sweep reads. All are grow-only.
-	store, slot, halo []float64
-
-	// Overlapped-execution state (overlap.go): the background comm worker
-	// and the stage-parity double buffers it lands transfers into, kept
-	// separate from the sequential buffers above so a transfer in flight for
-	// stage s+1 can never touch rows stage s is still multiplying.
-	async        *comm.Async
-	pipeRecv     [2][]float64
-	pipeSend     [2][][]float64
-	pipeSendBufs [2][][]float64
-	pipeRecvPtr  [2][][]float64
-	pipeRecvBufs [2][][]float64
+	// at the feature width; halo is where an exchange with a halo lands and
+	// the local sweep reads. Both are grow-only.
+	store, halo []float64
 }
 
 // newExecWS builds the per-rank workspaces for a plan, pre-sizing the
@@ -433,12 +418,6 @@ func newExecWS(p *Plan) []*execWS {
 			w.sendBufs = make([][]float64, a2a)
 			w.recvPtr = make([][]float64, a2a)
 			w.recvBufs = make([][]float64, a2a)
-			for par := 0; par < 2; par++ {
-				w.pipeSend[par] = make([][]float64, a2a)
-				w.pipeSendBufs[par] = make([][]float64, a2a)
-				w.pipeRecvPtr[par] = make([][]float64, a2a)
-				w.pipeRecvBufs[par] = make([][]float64, a2a)
-			}
 		}
 		ws[i] = w
 	}
@@ -546,8 +525,8 @@ func (p *Plan) execute(r *comm.Rank, hLocal, out *dense.Matrix, ws *execWS) {
 }
 
 // sweepsFirst reports whether the first multiply of prog is a local sweep,
-// which writes every accumulator row itself, so the sequential executor
-// need not zero the accumulator first.
+// which writes every accumulator row itself, so the executor need not zero
+// the accumulator first.
 func sweepsFirst(prog []instr) bool {
 	halo := false
 	for i := range prog {
@@ -571,22 +550,15 @@ func (ws *execWS) growStore(n int) {
 	}
 }
 
-// slotRows returns opMulRecvSlot's dense operand. Landed rows the plan keeps
-// are copied into the resident store first. Without a fill map the operand
-// is the landed rows themselves; with one it is the slot assembled in the
-// compact block's column order, each row from the store or the landing, so
-// the multiply sees the values and order a full landing would have given it.
-// The slot is assembled into dst — its halo rows, in a sweep — or, when dst
-// is nil, into the workspace's slot buffer. Both executors call it.
-func (ws *execWS) slotRows(in *instr, landed, dst []float64, f int) []float64 {
+// slotRows completes opMulRecvSlot's dense operand in its halo rows dst.
+// Landed rows the plan keeps are copied into the resident store first.
+// Without a fill map the landing is the operand and already sits in dst;
+// with one the slot is assembled into dst in the compact block's column
+// order, each row from the store or the landing, so the multiply sees the
+// values and order a full landing would have given it.
+func (ws *execWS) slotRows(in *instr, landed, dst []float64, f int) {
 	if in.keep > 0 {
 		copy(ws.store[in.storeAt*f:], landed[:in.keep*f])
-	}
-	if in.fill == nil {
-		return landed
-	}
-	if dst == nil {
-		dst = growFloats(&ws.slot, in.rows*f)
 	}
 	for k, src := range in.fill {
 		from := landed
@@ -595,16 +567,14 @@ func (ws *execWS) slotRows(in *instr, landed, dst []float64, f int) []float64 {
 		}
 		copy(dst[k*f:(k+1)*f], from[src*f:(src+1)*f])
 	}
-	return dst
 }
 
-// planEngine is the one engine type: a Plan, per-rank workspaces and the
-// executor selection. The full-batch constructors compile an algorithm into
-// a Plan and wrap it here; SampledGather embeds it and swaps plans per batch.
+// planEngine is the one engine type: a Plan and its per-rank workspaces.
+// The full-batch constructors compile an algorithm into a Plan and wrap it
+// here; SampledGather embeds it and swaps plans per batch.
 type planEngine struct {
 	plan *Plan
 	ws   []*execWS
-	mode ExecMode
 }
 
 func newPlanEngine(p *Plan) *planEngine {
@@ -627,21 +597,12 @@ func (e *planEngine) GradGroup(rank int) *comm.Group { return e.plan.gradGroups[
 // Plan implements Engine: the compiled schedule backing this engine.
 func (e *planEngine) Plan() *Plan { return e.plan }
 
-// SetExecMode implements Engine. Must not be called concurrently with
-// MultiplyInto.
-func (e *planEngine) SetExecMode(m ExecMode) { e.mode = m }
-
-// MultiplyInto implements Engine: one pass of the executor the engine's
-// ExecMode selects (all ranks share the engine, so all ranks of a collective
-// necessarily run the same mode). CostWith prices the same choice.
+// MultiplyInto implements Engine: one pass of the executor, which Cost
+// prices.
 func (e *planEngine) MultiplyInto(r *comm.Rank, hLocal, out *dense.Matrix) {
 	checkMultiplyShapes(r.ID, e.plan.inRowsOf(r.ID), e.plan.outRows[r.ID], hLocal, out)
 	if e.plan.store != nil {
 		e.ws[r.ID].growStore(e.plan.store[r.ID] * hLocal.Cols)
-	}
-	if e.mode == ExecOverlap {
-		e.plan.executeOverlap(r, hLocal, out, e.ws[r.ID])
-		return
 	}
 	e.plan.execute(r, hLocal, out, e.ws[r.ID])
 }

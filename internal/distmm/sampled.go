@@ -20,8 +20,8 @@ import (
 // one all-to-allv moves them, and compact relabeled blocks multiply the
 // landed rows into an accumulator as tall as the frontier. Because the
 // choreography is an ordinary Plan run by the shared engine, sampled batches
-// inherit byte-exact Volumes prediction, overlapped execution, static
-// verification, and the abort protocol unchanged.
+// inherit byte-exact Volumes prediction, static verification, and the
+// abort protocol unchanged.
 //
 // The features are static, so a row need cross the wire to a rank only
 // once. Each rank keeps the remote rows it receives in a grow-only resident
@@ -224,9 +224,8 @@ func (s *residentSet) split(recvIdx [][]int, me int, layout Layout) []slotFill {
 // accumulation order (diagonal block first, then peers in ascending rank
 // order over the same compact relabeled blocks). A distributed execution of
 // NewSampledGather over the same frontier blocks produces bit-identical
-// outputs on any transport and exec mode — the reference the gather and
-// sampled-trainer tests pin against. Shape violations panic
-// (construction-time misuse).
+// outputs on any transport — the reference the gather and sampled-trainer
+// tests pin against. Shape violations panic (construction-time misuse).
 func SampledGatherReference(blocks []*sparse.CSR, layout Layout, x *dense.Matrix) []*dense.Matrix {
 	p := layout.Blocks()
 	if len(blocks) != p {
@@ -260,11 +259,11 @@ func SampledGatherReference(blocks []*sparse.CSR, layout Layout, x *dense.Matrix
 // SampledGather is the compiled halo gather of one sampled mini-batch: each
 // rank contributes its layout block of the distributed feature matrix and
 // receives its frontier block of the aggregation. It is the shared plan
-// engine — the same executors, shape check and SetExecMode as the
-// full-batch engines — plus the ranks' resident stores and Recompile, which
-// swaps in the next batch's frontier blocks while keeping the grown per-rank
-// workspaces, so steady-state batches reuse buffers the way the full-batch
-// engines do across epochs.
+// engine — the same executor and shape check as the full-batch engines —
+// plus the ranks' resident stores and Recompile, which swaps in the next
+// batch's frontier blocks while keeping the grown per-rank workspaces, so
+// steady-state batches reuse buffers the way the full-batch engines do
+// across epochs.
 //
 // The stores hold rows of the feature slices earlier calls multiplied, so
 // every MultiplyInto must pass each rank the same (static) feature slice, at

@@ -49,8 +49,8 @@ func runSampledGather(w *comm.World, e *SampledGather, x *dense.Matrix, layout L
 
 // TestSampledGatherMatchesReference pins the tentpole's numeric contract:
 // the distributed rectangular gather is bit-identical to the serial
-// reference, in both exec modes, its plan passes static verification, and
-// Plan.Volumes matches the executed ledger byte-exactly.
+// reference, its plan passes static verification, and Plan.Volumes matches
+// the executed ledger byte-exactly.
 func TestSampledGatherMatchesReference(t *testing.T) {
 	const n, f, p = 64, 6, 4
 	rng := rand.New(rand.NewSource(7))
@@ -59,27 +59,24 @@ func TestSampledGatherMatchesReference(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		blocks := randomFrontiers(rng, p, n)
 		want := SampledGatherReference(blocks, layout, x)
-		for _, mode := range []ExecMode{ExecSequential, ExecOverlap} {
-			w := comm.NewWorld(p, machine.Perlmutter())
-			e := NewSampledGather(w, blocks, layout)
-			e.SetExecMode(mode)
-			if err := Verify(e.Plan()); err != nil {
-				t.Fatalf("round %d mode %v: plan rejected: %v", round, mode, err)
+		w := comm.NewWorld(p, machine.Perlmutter())
+		e := NewSampledGather(w, blocks, layout)
+		if err := Verify(e.Plan()); err != nil {
+			t.Fatalf("round %d: plan rejected: %v", round, err)
+		}
+		pred := e.Plan().Volumes(f)
+		got := runSampledGather(w, e, x, layout)
+		for rank := 0; rank < p; rank++ {
+			if !got[rank].Equal(want[rank], 0) {
+				t.Fatalf("round %d rank %d: gather differs from reference", round, rank)
 			}
-			pred := e.Plan().Volumes(f)
-			got := runSampledGather(w, e, x, layout)
-			for rank := 0; rank < p; rank++ {
-				if !got[rank].Equal(want[rank], 0) {
-					t.Fatalf("round %d mode %v rank %d: gather differs from reference", round, mode, rank)
-				}
-				if w.Stats().BytesSent(rank) != pred[rank].SentBytes ||
-					w.Stats().BytesRecv(rank) != pred[rank].RecvBytes ||
-					w.Stats().MsgsSent(rank) != pred[rank].MsgsSent {
-					t.Fatalf("round %d mode %v rank %d: measured (%d,%d,%d) != predicted (%d,%d,%d)",
-						round, mode, rank,
-						w.Stats().BytesSent(rank), w.Stats().BytesRecv(rank), w.Stats().MsgsSent(rank),
-						pred[rank].SentBytes, pred[rank].RecvBytes, pred[rank].MsgsSent)
-				}
+			if w.Stats().BytesSent(rank) != pred[rank].SentBytes ||
+				w.Stats().BytesRecv(rank) != pred[rank].RecvBytes ||
+				w.Stats().MsgsSent(rank) != pred[rank].MsgsSent {
+				t.Fatalf("round %d rank %d: measured (%d,%d,%d) != predicted (%d,%d,%d)",
+					round, rank,
+					w.Stats().BytesSent(rank), w.Stats().BytesRecv(rank), w.Stats().MsgsSent(rank),
+					pred[rank].SentBytes, pred[rank].RecvBytes, pred[rank].MsgsSent)
 			}
 		}
 	}
@@ -114,11 +111,11 @@ func TestSampledGatherRecompile(t *testing.T) {
 
 // TestSampledGatherResident pins the resident stores: rounds of random
 // frontiers run through one gather, each round's plan executed in order,
-// stay bit-identical to the reference in both exec modes; every round's
-// ledger delta is its plan's Volumes; no row reaches a rank twice while the
-// rank's store has room; and a rank whose frontiers name more remote rows
-// than it owns stops keeping them at its own row count and ships the rest
-// again, still exactly as predicted.
+// stay bit-identical to the reference; every round's ledger delta is its
+// plan's Volumes; no row reaches a rank twice while the rank's store has
+// room; and a rank whose frontiers name more remote rows than it owns stops
+// keeping them at its own row count and ships the rest again, still exactly
+// as predicted.
 func TestSampledGatherResident(t *testing.T) {
 	const n, f, p, rounds = 512, 5, 4, 6
 	x := dense.NewRandom(rand.New(rand.NewSource(9)), n, f, 1)
@@ -127,80 +124,77 @@ func TestSampledGatherResident(t *testing.T) {
 		"skewed":  LayoutFromOffsets([]int{0, 200, 202, 350, n}), // rank 1 owns 2 rows
 	}
 	for name, layout := range layouts {
-		for _, mode := range []ExecMode{ExecSequential, ExecOverlap} {
-			rng := rand.New(rand.NewSource(21))
-			w := comm.NewWorld(p, machine.Perlmutter())
-			var e *SampledGather
-			named := make([]map[int]bool, p) // distinct remote rows each rank's frontiers named
-			shipped := make([]int, p)        // rows landed at each rank so far
-			perRound := 0                    // remote rows named, summed over rounds and ranks
-			for i := range named {
-				named[i] = map[int]bool{}
+		rng := rand.New(rand.NewSource(21))
+		w := comm.NewWorld(p, machine.Perlmutter())
+		var e *SampledGather
+		named := make([]map[int]bool, p) // distinct remote rows each rank's frontiers named
+		shipped := make([]int, p)        // rows landed at each rank so far
+		perRound := 0                    // remote rows named, summed over rounds and ranks
+		for i := range named {
+			named[i] = map[int]bool{}
+		}
+		for round := 0; round < rounds; round++ {
+			blocks := randomFrontiers(rng, p, n)
+			if e == nil {
+				e = NewSampledGather(w, blocks, layout)
+			} else {
+				e.Recompile(blocks)
 			}
-			for round := 0; round < rounds; round++ {
-				blocks := randomFrontiers(rng, p, n)
-				if e == nil {
-					e = NewSampledGather(w, blocks, layout)
-					e.SetExecMode(mode)
-				} else {
-					e.Recompile(blocks)
-				}
-				if err := Verify(e.Plan()); err != nil {
-					t.Fatalf("%s %v round %d: plan rejected: %v", name, mode, round, err)
-				}
-				pred := e.Plan().Volumes(f)
-				before := make([]RankVolume, p)
-				for rank := range before {
-					before[rank] = RankVolume{w.Stats().BytesSent(rank), w.Stats().BytesRecv(rank), w.Stats().MsgsSent(rank)}
-				}
-				want := SampledGatherReference(blocks, layout, x)
-				got := runSampledGather(w, e, x, layout)
-				for rank := 0; rank < p; rank++ {
-					if !got[rank].Equal(want[rank], 0) {
-						t.Fatalf("%s %v round %d rank %d: gather differs from reference", name, mode, round, rank)
-					}
-					delta := RankVolume{
-						w.Stats().BytesSent(rank) - before[rank].SentBytes,
-						w.Stats().BytesRecv(rank) - before[rank].RecvBytes,
-						w.Stats().MsgsSent(rank) - before[rank].MsgsSent,
-					}
-					if delta != pred[rank] {
-						t.Fatalf("%s %v round %d rank %d: measured %+v != predicted %+v", name, mode, round, rank, delta, pred[rank])
-					}
-					shipped[rank] += int(pred[rank].RecvBytes / (f * machine.BytesPerElem))
-					b := blocks[rank]
-					lo, hi := layout.Range(rank)
-					round := map[int]bool{}
-					for _, c := range b.ColIdx[:b.RowPtr[b.NumRows]] {
-						if c < lo || c >= hi {
-							named[rank][c], round[c] = true, true
-						}
-					}
-					perRound += len(round)
-				}
+			if err := Verify(e.Plan()); err != nil {
+				t.Fatalf("%s round %d: plan rejected: %v", name, round, err)
 			}
-			capped := false
+			pred := e.Plan().Volumes(f)
+			before := make([]RankVolume, p)
+			for rank := range before {
+				before[rank] = RankVolume{w.Stats().BytesSent(rank), w.Stats().BytesRecv(rank), w.Stats().MsgsSent(rank)}
+			}
+			want := SampledGatherReference(blocks, layout, x)
+			got := runSampledGather(w, e, x, layout)
 			for rank := 0; rank < p; rank++ {
-				own := layout.Count(rank)
-				if held := e.Plan().store[rank]; held != min(len(named[rank]), own) {
-					t.Errorf("%s %v rank %d: store holds %d rows; %d distinct remote rows named, %d owned", name, mode, rank, held, len(named[rank]), own)
+				if !got[rank].Equal(want[rank], 0) {
+					t.Fatalf("%s round %d rank %d: gather differs from reference", name, round, rank)
 				}
-				if len(named[rank]) > own {
-					capped = true
-				} else if shipped[rank] > len(named[rank]) {
-					t.Errorf("%s %v rank %d: %d rows shipped for %d distinct rows named", name, mode, rank, shipped[rank], len(named[rank]))
+				delta := RankVolume{
+					w.Stats().BytesSent(rank) - before[rank].SentBytes,
+					w.Stats().BytesRecv(rank) - before[rank].RecvBytes,
+					w.Stats().MsgsSent(rank) - before[rank].MsgsSent,
 				}
+				if delta != pred[rank] {
+					t.Fatalf("%s round %d rank %d: measured %+v != predicted %+v", name, round, rank, delta, pred[rank])
+				}
+				shipped[rank] += int(pred[rank].RecvBytes / (f * machine.BytesPerElem))
+				b := blocks[rank]
+				lo, hi := layout.Range(rank)
+				round := map[int]bool{}
+				for _, c := range b.ColIdx[:b.RowPtr[b.NumRows]] {
+					if c < lo || c >= hi {
+						named[rank][c], round[c] = true, true
+					}
+				}
+				perRound += len(round)
 			}
-			if capped != (name == "skewed") {
-				t.Errorf("%s %v: a rank outgrew its store: %v", name, mode, capped)
+		}
+		capped := false
+		for rank := 0; rank < p; rank++ {
+			own := layout.Count(rank)
+			if held := e.Plan().store[rank]; held != min(len(named[rank]), own) {
+				t.Errorf("%s rank %d: store holds %d rows; %d distinct remote rows named, %d owned", name, rank, held, len(named[rank]), own)
 			}
-			total := 0
-			for _, n := range shipped {
-				total += n
+			if len(named[rank]) > own {
+				capped = true
+			} else if shipped[rank] > len(named[rank]) {
+				t.Errorf("%s rank %d: %d rows shipped for %d distinct rows named", name, rank, shipped[rank], len(named[rank]))
 			}
-			if total >= perRound {
-				t.Errorf("%s %v: %d rows shipped for %d named round by round: no row was served from a store", name, mode, total, perRound)
-			}
+		}
+		if capped != (name == "skewed") {
+			t.Errorf("%s: a rank outgrew its store: %v", name, capped)
+		}
+		total := 0
+		for _, n := range shipped {
+			total += n
+		}
+		if total >= perRound {
+			t.Errorf("%s: %d rows shipped for %d named round by round: no row was served from a store", name, total, perRound)
 		}
 	}
 }

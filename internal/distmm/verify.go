@@ -23,12 +23,6 @@ import (
 //     collective waits for every member of its group — reaches the end of
 //     every program. Matching is checked on the same run, as each receive
 //     pops and each collective completes.
-//   - Overlap soundness: the pipelined stage decomposition the ExecOverlap
-//     executor runs covers every instruction exactly once in its role, lands
-//     at most one transfer per double-buffer stage, consumes each landing in
-//     the stage that staged it (so parity buffers never alias an in-flight
-//     transfer), keeps compute in program order (bit-identical
-//     accumulation), and defers all-reduces to the epilogue.
 //   - Layout consistency: blockOf/outRows/inRows agree with the layout,
 //     every SpMM block's dimensions match its accumulator rows and staged
 //     operand rows, every fill reference and kept row of a sampled gather
@@ -56,10 +50,6 @@ const (
 	// program's end, each waiting on a message or a collective no other rank
 	// will provide.
 	VerifyDeadlock
-	// VerifyOverlap: the pipelined stage decomposition would alias a
-	// double-buffer slot, reorder accumulation, or use staged data before it
-	// is defined.
-	VerifyOverlap
 )
 
 // String names the kind for error text and tables.
@@ -73,8 +63,6 @@ func (k VerifyKind) String() string {
 		return "matching"
 	case VerifyDeadlock:
 		return "deadlock"
-	case VerifyOverlap:
-		return "overlap"
 	}
 	return fmt.Sprintf("VerifyKind(%d)", uint8(k))
 }
@@ -142,7 +130,7 @@ func (p *Plan) Sites() int {
 
 // Verify statically checks the plan's communication choreography and
 // returns a *VerifyError describing the first violation found, or nil when
-// the schedule is provably well-formed, deadlock-free, and overlap-safe.
+// the schedule is provably well-formed and deadlock-free.
 // Checks run cheapest-first, and every pass reports deterministically.
 func Verify(p *Plan) error {
 	v, err := newVerifier(p)
@@ -155,10 +143,7 @@ func Verify(p *Plan) error {
 	if err := v.checkCounts(); err != nil {
 		return err
 	}
-	if err := v.run(); err != nil {
-		return err
-	}
-	return v.checkOverlap()
+	return v.run()
 }
 
 // verifier holds one Verify run's derived state: the per-pair queues and
@@ -418,7 +403,7 @@ func (v *verifier) checkHalo(rank, site int, in *instr, accRows int) *VerifyErro
 
 // checkSweeps validates every local sweep of rank's program — an opMulOwn
 // after an all-to-allv with a merged operand — once every site has passed
-// its own checks. The sequential executor multiplies an opMulRecvSlot only
+// its own checks. The executor multiplies an opMulRecvSlot only
 // in the sweep right before it, so every slot must directly follow a sweep
 // or another slot. A sweep writes the accumulator, so it must be the first
 // multiply; and the merged operand must be, row for row, the blocks of the
@@ -439,7 +424,7 @@ func (v *verifier) checkSweeps(rank int) *VerifyError {
 			exch = in
 		case opMulRecvSlot:
 			if !swept {
-				return v.err(VerifyLayout, rank, site, "slot %d is not in a local sweep: the sequential executor would not multiply it", in.slot)
+				return v.err(VerifyLayout, rank, site, "slot %d is not in a local sweep: the executor would not multiply it", in.slot)
 			}
 			multiplied = true
 			continue
@@ -723,138 +708,6 @@ func (v *verifier) checkCollective(g *comm.Group, pc []int) error {
 			}
 			if rb, _, inb := at(b); ina.recvRows[b] != len(inb.sendIdx[a]) {
 				return v.err(VerifyMatching, ra, sa, "all-to-allv: rank %d expects %d rows from rank %d, which packs %d", ra, ina.recvRows[b], rb, len(inb.sendIdx[a]))
-			}
-		}
-	}
-	return nil
-}
-
-// overlapCommOp reports whether op may appear in a pipeline stage's comm
-// list: the landing operations plus the non-blocking sends and their
-// accounting. None of these read the accumulator, so issuing stage s+1's
-// comm before stage s's compute respects every true data dependency.
-func overlapCommOp(op opcode) bool {
-	return landingOp(op) || op == opSendRows || op == opChargePack
-}
-
-// overlapCompOp reports whether op may appear in a pipeline stage's comp
-// list.
-func overlapCompOp(op opcode) bool {
-	switch op {
-	case opBcastMul, opRecvMul, opMulOwn, opMulRecvSlot, opChargeUnpack:
-		return true
-	}
-	return false
-}
-
-// checkOverlap validates the pipelined stage decomposition the ExecOverlap
-// executor actually runs (the cached pipelineFor derivation): every
-// instruction covered exactly once in its role, at most one landing per
-// double-buffer stage, landings consumed in the stage that staged them (the
-// parity half a transfer lands in is never read while a later stage's
-// transfer is in flight), compute in program order, and all-reduces only in
-// the epilogue.
-func (v *verifier) checkOverlap() error {
-	p := v.p
-	for rank := 0; rank < v.n; rank++ {
-		prog := p.progs[rank]
-		pp := p.pipelineFor(rank)
-		const (
-			commCovered = 1 << iota
-			compCovered
-			epiCovered
-		)
-		covered := make([]uint8, len(prog))
-		prevComp := -1
-		for s := range pp.stages {
-			st := &pp.stages[s]
-			landSite := -1
-			prevComm := -1
-			for _, i := range st.comm {
-				if i < 0 || i >= len(prog) {
-					return v.err(VerifyOverlap, rank, -1, "stage %d comm references instr %d outside the %d-instruction program", s, i, len(prog))
-				}
-				in := &prog[i]
-				if !overlapCommOp(in.op) {
-					return v.err(VerifyOverlap, rank, i, "%s scheduled as stage %d communication", in.op, s)
-				}
-				if landingOp(in.op) {
-					if landSite >= 0 {
-						return v.err(VerifyOverlap, rank, i, "stage %d lands two transfers (instr %d and %d) into one double-buffer parity", s, landSite, i)
-					}
-					landSite = i
-				}
-				if i <= prevComm {
-					return v.err(VerifyOverlap, rank, i, "stage %d comm issue order breaks program order", s)
-				}
-				prevComm = i
-				if covered[i]&commCovered != 0 {
-					return v.err(VerifyOverlap, rank, i, "instr issued by two stages")
-				}
-				covered[i] |= commCovered
-			}
-			for _, i := range st.comp {
-				if i < 0 || i >= len(prog) {
-					return v.err(VerifyOverlap, rank, -1, "stage %d comp references instr %d outside the %d-instruction program", s, i, len(prog))
-				}
-				in := &prog[i]
-				if !overlapCompOp(in.op) {
-					return v.err(VerifyOverlap, rank, i, "%s scheduled as stage %d compute", in.op, s)
-				}
-				switch in.op {
-				case opBcastMul, opRecvMul:
-					if i != landSite {
-						return v.err(VerifyOverlap, rank, i, "stage %d consumes a landing staged by a different stage: the parity buffer may still be in flight", s)
-					}
-				case opMulRecvSlot:
-					if landSite < 0 || prog[landSite].op != opAllToAllv {
-						return v.err(VerifyOverlap, rank, i, "stage %d consumes all-to-allv slot %d without that exchange landing in the stage", s, in.slot)
-					}
-					if in.slot < 0 || in.slot >= len(prog[landSite].recvRows) || v.checkSlotFill(rank, i, in, prog[landSite].recvRows[in.slot]) != nil {
-						return v.err(VerifyOverlap, rank, i, "stage %d slot %d consumption does not match the stage's exchange landing", s, in.slot)
-					}
-				}
-				if i <= prevComp {
-					return v.err(VerifyOverlap, rank, i, "stage %d compute diverges from program order: overlapped accumulation would not be bit-identical", s)
-				}
-				prevComp = i
-				if covered[i]&compCovered != 0 {
-					return v.err(VerifyOverlap, rank, i, "instr computed by two stages")
-				}
-				covered[i] |= compCovered
-			}
-		}
-		prevEpi := -1
-		for _, i := range pp.epilogue {
-			if i < 0 || i >= len(prog) {
-				return v.err(VerifyOverlap, rank, -1, "epilogue references instr %d outside the %d-instruction program", i, len(prog))
-			}
-			if prog[i].op != opAllReduce {
-				return v.err(VerifyOverlap, rank, i, "%s scheduled in the all-reduce epilogue", prog[i].op)
-			}
-			if i <= prevEpi {
-				return v.err(VerifyOverlap, rank, i, "epilogue order breaks program order")
-			}
-			prevEpi = i
-			if covered[i]&epiCovered != 0 {
-				return v.err(VerifyOverlap, rank, i, "all-reduce folded twice")
-			}
-			covered[i] |= epiCovered
-		}
-		for site := range prog {
-			var want uint8
-			switch prog[site].op {
-			case opBcastMul, opRecvMul:
-				want = commCovered | compCovered
-			case opAllToAllv, opSendRows, opChargePack:
-				want = commCovered
-			case opMulOwn, opMulRecvSlot, opChargeUnpack:
-				want = compCovered
-			case opAllReduce:
-				want = epiCovered
-			}
-			if covered[site] != want {
-				return v.err(VerifyOverlap, rank, site, "%s dropped from the pipeline decomposition (covered %03b, want %03b)", prog[site].op, covered[site], want)
 			}
 		}
 	}

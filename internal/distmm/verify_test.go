@@ -15,15 +15,15 @@ import (
 
 // This file is the Verify mutation suite: for every engine × P it clones the
 // compiled plan, corrupts it one hazard class at a time — dropped receive,
-// send/recv wait cycle, tag/size mismatch, broken group participation,
-// aliased overlap buffer — and asserts the static checker rejects each with
-// a typed, rank-attributed *VerifyError while the unmutated clone passes.
+// send/recv wait cycle, tag/size mismatch, broken group participation —
+// and asserts the static checker rejects each with a typed,
+// rank-attributed *VerifyError while the unmutated clone passes.
 // The clones corrupt exactly the state a buggy compiler or a future plan
 // transformation could produce; the executor never runs them.
 
 // clonePlan deep-copies the instruction streams (instr values are copied;
 // operand slices are shared and must be replaced, never mutated, by
-// mutations) with a fresh pipeline cache.
+// mutations).
 func clonePlan(p *Plan) *Plan {
 	q := &Plan{
 		name:        p.name,
@@ -181,46 +181,12 @@ func breakParticipation(p *Plan) bool {
 	return false
 }
 
-// aliasOverlapBuffer corrupts the cached pipeline decomposition: a compute
-// instruction that consumes a stage's landing is moved to a different
-// stage, so it would read a double-buffer parity half whose transfer is
-// still in flight (or not yet issued).
-func aliasOverlapBuffer(p *Plan) bool {
-	for rank := range p.progs {
-		pp := p.pipelineFor(rank) // force + expose the cache
-		prog := p.progs[rank]
-		for s := range pp.stages {
-			for c, i := range pp.stages[s].comp {
-				switch prog[i].op {
-				case opBcastMul, opRecvMul, opMulRecvSlot:
-				default:
-					continue
-				}
-				st := &p.pipes[rank].stages[s]
-				st.comp = append(append([]int(nil), st.comp[:c]...), st.comp[c+1:]...)
-				if s > 0 {
-					dst := &p.pipes[rank].stages[s-1]
-					dst.comp = append(append([]int(nil), dst.comp...), i)
-				} else if len(pp.stages) > 1 {
-					dst := &p.pipes[rank].stages[s+1]
-					dst.comp = append([]int{i}, dst.comp...)
-				} else {
-					return false
-				}
-				return true
-			}
-		}
-	}
-	return false
-}
-
 func verifyMutations() []planMutation {
 	return []planMutation{
 		{name: "drop-recv", kind: VerifyMatching, apply: dropRecv},
 		{name: "send-recv-cycle", kind: VerifyDeadlock, apply: swapSendRecvCycle},
 		{name: "mismatch-tag-size", kind: VerifyMatching, apply: mismatchTagOrSize},
 		{name: "break-participation", kind: VerifyMatching, apply: breakParticipation},
-		{name: "alias-overlap-buffer", kind: VerifyOverlap, apply: aliasOverlapBuffer},
 	}
 }
 
@@ -279,11 +245,10 @@ func TestVerifyMutations(t *testing.T) {
 	// P ∈ {4, 8, 16} and the 1.5D pair at (P, c) ∈ {(4,2), (8,2), (16,2),
 	// (16,4)}.
 	want := map[string]int{
-		"drop-recv":            4,  // p2p receives: sparsity-aware 1.5D, every (P, c)
-		"send-recv-cycle":      2,  // a send then a recv with one peer needs ≥ 2 stages per rank: sa-1.5d at (8,2), (16,2)
-		"mismatch-tag-size":    13, // all but oblivious-1.5d at (4,2), whose 2-member bcast groups have no other root to shift to
-		"break-participation":  14, // every plan runs a collective
-		"alias-overlap-buffer": 10, // all but the single-stage 1.5D plans at (4,2) and (16,4)
+		"drop-recv":           4,  // p2p receives: sparsity-aware 1.5D, every (P, c)
+		"send-recv-cycle":     2,  // a send then a recv with one peer needs ≥ 2 stages per rank: sa-1.5d at (8,2), (16,2)
+		"mismatch-tag-size":   13, // all but oblivious-1.5d at (4,2), whose 2-member bcast groups have no other root to shift to
+		"break-participation": 14, // every plan runs a collective
 	}
 	for _, m := range verifyMutations() {
 		if applied[m.name] != want[m.name] {
@@ -419,12 +384,12 @@ func TestVerifyRejectsBrokenSweep(t *testing.T) {
 	}
 }
 
-// FuzzVerifySound checks Verify against the executors themselves. A compiled
+// FuzzVerifySound checks Verify against the executor itself. A compiled
 // plan of every feasible engine at P ∈ {4, 8}, and a sampled gather compiled
 // against stores an earlier batch filled, takes one single-rank edit —
 // delete, duplicate or swap instructions, bump a tag, change a peer or a
 // root, or repoint a fill entry. Verify must return nil or a *VerifyError,
-// never panic; and whenever it accepts the edited plan, both executors must
+// never panic; and whenever it accepts the edited plan, the executor must
 // run it to completion on a sim world within the chaos timeout.
 func FuzzVerifySound(f *testing.F) {
 	const n, width = 48, 3
@@ -487,15 +452,12 @@ func FuzzVerifySound(f *testing.F) {
 			}
 			return
 		}
-		for _, mode := range []ExecMode{ExecSequential, ExecOverlap} {
-			e := newPlanEngine(mut)
-			e.SetExecMode(mode)
-			if err := mut.world.RunTimeout(chaosTimeout, func(rk *comm.Rank) error {
-				e.MultiplyInto(rk, dense.New(mut.inRowsOf(rk.ID), width), dense.New(mut.outRows[rk.ID], width))
-				return nil
-			}); err != nil {
-				t.Fatalf("%s: edit %d at rank %d accepted by Verify, but the %s executor fails: %v", mut.name, edit%edits, r, mode, err)
-			}
+		e := newPlanEngine(mut)
+		if err := mut.world.RunTimeout(chaosTimeout, func(rk *comm.Rank) error {
+			e.MultiplyInto(rk, dense.New(mut.inRowsOf(rk.ID), width), dense.New(mut.outRows[rk.ID], width))
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: edit %d at rank %d accepted by Verify, but the executor fails: %v", mut.name, edit%edits, r, err)
 		}
 	})
 }

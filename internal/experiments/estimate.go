@@ -14,8 +14,8 @@ import (
 
 // EstimateRow is one candidate of the predicted-vs-measured cost table: the
 // row Cluster.Estimate priced — candidate enumeration, feasibility, static
-// verification, both executors' epoch price, predicted volumes and the
-// AlgorithmAuto selection all come from the public API, so this table
+// verification, the epoch price, predicted volumes and the AlgorithmAuto
+// selection all come from the public API, so this table
 // cannot drift from what Distribute would select — next to the volumes and
 // modeled time actually measured by executing a single distributed SpMM. It
 // reproduces the paper's algorithm-comparison methodology from structure
@@ -25,28 +25,16 @@ type EstimateRow struct {
 	sagnn.Candidate
 	// PredMultiplyBytes / MeasMultiplyBytes compare one multiply at the
 	// feature width — the set-up multiply Â·X a DistGraph pays once, which
-	// Candidate.Setup* prices — executed under the requested ExecMode:
-	// plan-predicted vs measured total send bytes. Match reports exact
-	// equality.
+	// Candidate.Setup* prices — executed: plan-predicted vs measured total
+	// send bytes. Match reports exact equality.
 	PredMultiplyBytes int64
 	MeasMultiplyBytes int64
 	Match             bool
-	// MeasMultSec is the ledger delta of executing that same multiply under
-	// the requested mode; TimeMatch reports that it agrees with the
-	// candidate's SetupSeconds within floating-point noise (the overlapped
-	// executor settles exactly its predicted charges, so there it is
-	// equality).
+	// MeasMultSec is the ledger delta of executing that same multiply;
+	// TimeMatch reports that it agrees with the candidate's SetupSeconds
+	// within floating-point noise.
 	MeasMultSec float64
 	TimeMatch   bool
-}
-
-// Speedup is EpochSeconds / OverlapSeconds, the modeled benefit of
-// pipelining the candidate's epoch.
-func (r EstimateRow) Speedup() float64 {
-	if r.OverlapSeconds <= 0 {
-		return 0
-	}
-	return r.EpochSeconds / r.OverlapSeconds
 }
 
 // measureMultiply executes one collective multiply at h's width and returns
@@ -67,9 +55,9 @@ func measureMultiply(w *comm.World, e distmm.Engine, h *dense.Matrix) (int64, fl
 // α–β fitted from measured transfers (Cluster.Calibrate) and every candidate
 // is priced against the actual hardware instead of the paper's assumed
 // constants — and certifies each feasible row by executing exactly one
-// distributed SpMM at the feature width under the requested execution mode:
-// volumes byte-for-byte, modeled time against the mode's own cost model.
-func EstimateTable(preset gen.Preset, scaleDiv, p int, seed int64, mode sagnn.ExecMode, params sagnn.MachineParams) ([]EstimateRow, error) {
+// distributed SpMM at the feature width: volumes byte-for-byte, modeled
+// time against the cost model.
+func EstimateTable(preset gen.Preset, scaleDiv, p int, seed int64, params sagnn.MachineParams) ([]EstimateRow, error) {
 	ds, err := loadDataset(preset, seed, scaleDiv)
 	if err != nil {
 		return nil, err
@@ -78,7 +66,7 @@ func EstimateTable(preset gen.Preset, scaleDiv, p int, seed int64, mode sagnn.Ex
 	if err != nil {
 		return nil, err
 	}
-	cands, err := cluster.Estimate(ds, sagnn.DistOpts{Exec: mode})
+	cands, err := cluster.Estimate(ds, sagnn.DistOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +83,6 @@ func EstimateTable(preset gen.Preset, scaleDiv, p int, seed int64, mode sagnn.Ex
 			if err != nil {
 				return nil, err
 			}
-			e.SetExecMode(mode)
 			for _, v := range e.Plan().Volumes(f0) {
 				row.PredMultiplyBytes += v.SentBytes
 			}
@@ -109,9 +96,9 @@ func EstimateTable(preset gen.Preset, scaleDiv, p int, seed int64, mode sagnn.Ex
 }
 
 // timeAgrees compares a modeled multiply time against the executed ledger
-// delta: equal within accumulated floating-point rounding (the overlapped
-// executor settles its prediction exactly; the sequential one re-derives the
-// same charges in a slightly different summation order).
+// delta: equal within accumulated floating-point rounding (the executor
+// makes the charges the cost model predicts, summed in a slightly different
+// order).
 func timeAgrees(pred, meas float64) bool {
 	diff := pred - meas
 	if diff < 0 {
@@ -125,22 +112,21 @@ func timeAgrees(pred, meas float64) bool {
 }
 
 // PrintEstimateTable renders the predicted-vs-measured table: modeled epoch
-// time under both executors (with the pipelining speedup), predicted
-// per-epoch volumes, the modeled one-time set-up multiply with the executed
+// time, predicted per-epoch volumes, the modeled one-time set-up multiply with the executed
 // certification of its bytes and modeled time, and the instruction-site
 // count the static verifier proved safe.
 func PrintEstimateTable(w io.Writer, title string, rows []EstimateRow) {
 	fmt.Fprintln(w, title)
-	fmt.Fprintf(w, "%-22s %2s %12s %12s %8s %10s %10s %10s %14s %14s %6s %7s %6s\n",
-		"algorithm", "c", "epoch(ms)", "overlap(ms)", "speedup", "max(MB)", "avg(MB)", "setup(ms)", "setup pred(B)", "setup meas(B)", "match", "tmatch", "sites")
+	fmt.Fprintf(w, "%-22s %2s %12s %10s %10s %10s %14s %14s %6s %7s %6s\n",
+		"algorithm", "c", "epoch(ms)", "max(MB)", "avg(MB)", "setup(ms)", "setup pred(B)", "setup meas(B)", "match", "tmatch", "sites")
 	for _, r := range rows {
 		if r.Skipped != "" {
-			fmt.Fprintf(w, "%-22s %2d %12s %12s %8s %10s %10s %10s %14s %14s %6s %7s %6s  (%s)\n",
-				r.Algorithm, r.Replication, "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", r.Skipped)
+			fmt.Fprintf(w, "%-22s %2d %12s %10s %10s %10s %14s %14s %6s %7s %6s  (%s)\n",
+				r.Algorithm, r.Replication, "-", "-", "-", "-", "-", "-", "-", "-", "-", r.Skipped)
 			continue
 		}
-		fmt.Fprintf(w, "%-22s %2d %12.3f %12.3f %7.2fx %10.3f %10.3f %10.3f %14d %14d %6v %7v %6d\n",
-			r.Algorithm, r.Replication, r.EpochSeconds*1e3, r.OverlapSeconds*1e3, r.Speedup(), r.MaxSentMB, r.AvgSentMB,
+		fmt.Fprintf(w, "%-22s %2d %12.3f %10.3f %10.3f %10.3f %14d %14d %6v %7v %6d\n",
+			r.Algorithm, r.Replication, r.EpochSeconds*1e3, r.MaxSentMB, r.AvgSentMB,
 			r.SetupSeconds*1e3, r.PredMultiplyBytes, r.MeasMultiplyBytes, r.Match, r.TimeMatch, r.Sites)
 	}
 }

@@ -24,7 +24,7 @@ func must[T any](v T, err error) func(testing.TB) T {
 }
 
 func TestRunCAGNET1D(t *testing.T) {
-	r := must(Run(RunConfig{Dataset: gen.AmazonSim, ScaleDiv: testScale, P: 4, Scheme: SchemeCAGNET}))(t)
+	r := must(Run(RunConfig{Dataset: gen.AmazonSim, ScaleDiv: testScale, P: 4, Scheme: SchemeCAGNET, Seed: 42}))(t)
 	if r.EpochSeconds <= 0 {
 		t.Fatal("no modeled time")
 	}
@@ -37,7 +37,7 @@ func TestRunCAGNET1D(t *testing.T) {
 }
 
 func TestRunSAGVB1D(t *testing.T) {
-	r := must(Run(RunConfig{Dataset: gen.AmazonSim, ScaleDiv: testScale, P: 4, Scheme: SchemeSAGVB}))(t)
+	r := must(Run(RunConfig{Dataset: gen.AmazonSim, ScaleDiv: testScale, P: 4, Scheme: SchemeSAGVB, Seed: 42}))(t)
 	if _, ok := r.Breakdown["alltoall"]; !ok {
 		t.Fatalf("SA run must have alltoall phase: %v", r.Breakdown)
 	}
@@ -48,7 +48,7 @@ func TestRunSAGVB1D(t *testing.T) {
 
 func TestRun15D(t *testing.T) {
 	for _, s := range []Scheme{SchemeCAGNET, SchemeSAGVB} {
-		r := must(Run(RunConfig{Dataset: gen.ProteinSim, ScaleDiv: testScale, P: 8, C: 2, Scheme: s}))(t)
+		r := must(Run(RunConfig{Dataset: gen.ProteinSim, ScaleDiv: testScale, P: 8, C: 2, Scheme: s, Seed: 42}))(t)
 		if _, ok := r.Breakdown["allreduce"]; !ok {
 			t.Fatalf("%s 1.5D must have allreduce: %v", s, r.Breakdown)
 		}
@@ -187,8 +187,8 @@ func TestPrinters(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a := must(Run(RunConfig{Dataset: gen.RedditSim, ScaleDiv: testScale, P: 4, Scheme: SchemeSAGVB}))(t)
-	b := must(Run(RunConfig{Dataset: gen.RedditSim, ScaleDiv: testScale, P: 4, Scheme: SchemeSAGVB}))(t)
+	a := must(Run(RunConfig{Dataset: gen.RedditSim, ScaleDiv: testScale, P: 4, Scheme: SchemeSAGVB, Seed: 42}))(t)
+	b := must(Run(RunConfig{Dataset: gen.RedditSim, ScaleDiv: testScale, P: 4, Scheme: SchemeSAGVB, Seed: 42}))(t)
 	if a.EpochSeconds != b.EpochSeconds || a.MaxSentMB != b.MaxSentMB {
 		t.Fatal("Run not deterministic")
 	}
@@ -215,47 +215,61 @@ func TestTable3(t *testing.T) {
 }
 
 func TestEstimateTablePredictionsMatch(t *testing.T) {
-	for _, mode := range []sagnn.ExecMode{sagnn.ExecSequential, sagnn.ExecOverlap} {
-		rows := must(EstimateTable(gen.RedditSim, testScale, 8, 3, mode, sagnn.Perlmutter()))(t)
-		// P=8: 1D ×2 and c=2 ×2 feasible; c=4 rows skipped.
-		feasible := 0
-		for _, r := range rows {
-			if r.Skipped != "" {
-				continue
-			}
-			feasible++
-			if !r.Match {
-				t.Errorf("%s: %s c=%d: predicted %d bytes per multiply, measured %d",
-					mode, r.Algorithm, r.Replication, r.PredMultiplyBytes, r.MeasMultiplyBytes)
-			}
-			if !r.TimeMatch {
-				t.Errorf("%s: %s c=%d: predicted %g s per multiply, measured %g",
-					mode, r.Algorithm, r.Replication, r.SetupSeconds, r.MeasMultSec)
-			}
-			if r.EpochSeconds <= 0 || r.MaxSentMB <= 0 || r.Sites <= 0 {
-				t.Errorf("unpriced feasible row %+v", r)
-			}
-			if r.OverlapSeconds <= 0 || r.OverlapSeconds > r.EpochSeconds*(1+1e-12) || r.Speedup() < 1-1e-12 {
-				t.Errorf("%s c=%d: overlap pricing %g must be positive and ≤ sequential %g",
-					r.Algorithm, r.Replication, r.OverlapSeconds, r.EpochSeconds)
-			}
+	rows := must(EstimateTable(gen.RedditSim, testScale, 8, 3, sagnn.Perlmutter()))(t)
+	// P=8: 1D ×2 and c=2 ×2 feasible; c=4 rows skipped.
+	feasible := 0
+	for _, r := range rows {
+		if r.Skipped != "" {
+			continue
 		}
-		if feasible != 4 || len(rows) != 6 {
-			t.Fatalf("expected 4 feasible of 6 candidates at P=8, got %d of %d", feasible, len(rows))
+		feasible++
+		if !r.Match {
+			t.Errorf("%s c=%d: predicted %d bytes per multiply, measured %d",
+				r.Algorithm, r.Replication, r.PredMultiplyBytes, r.MeasMultiplyBytes)
 		}
-		var buf bytes.Buffer
-		PrintEstimateTable(&buf, "estimate", rows)
-		if buf.Len() == 0 {
-			t.Fatal("empty output")
+		if !r.TimeMatch {
+			t.Errorf("%s c=%d: predicted %g s per multiply, measured %g",
+				r.Algorithm, r.Replication, r.SetupSeconds, r.MeasMultSec)
 		}
+		if r.EpochSeconds <= 0 || r.MaxSentMB <= 0 || r.Sites <= 0 {
+			t.Errorf("unpriced feasible row %+v", r)
+		}
+	}
+	if feasible != 4 || len(rows) != 6 {
+		t.Fatalf("expected 4 feasible of 6 candidates at P=8, got %d of %d", feasible, len(rows))
+	}
+	var buf bytes.Buffer
+	PrintEstimateTable(&buf, "estimate", rows)
+	if buf.Len() == 0 {
+		t.Fatal("empty output")
+	}
 
-		// At P=16 every candidate is feasible, c=4 included.
-		for _, r := range must(EstimateTable(gen.RedditSim, testScale, 16, 3, mode, sagnn.Perlmutter()))(t) {
-			if r.Skipped != "" || !r.Match || !r.TimeMatch {
-				t.Errorf("%s: P=16 %s c=%d (%s): bytes %d vs %d, time %g vs %g", mode, r.Algorithm, r.Replication, r.Skipped,
-					r.PredMultiplyBytes, r.MeasMultiplyBytes, r.SetupSeconds, r.MeasMultSec)
-			}
+	// At P=16 every candidate is feasible, c=4 included.
+	for _, r := range must(EstimateTable(gen.RedditSim, testScale, 16, 3, sagnn.Perlmutter()))(t) {
+		if r.Skipped != "" || !r.Match || !r.TimeMatch {
+			t.Errorf("P=16 %s c=%d (%s): bytes %d vs %d, time %g vs %g", r.Algorithm, r.Replication, r.Skipped,
+				r.PredMultiplyBytes, r.MeasMultiplyBytes, r.SetupSeconds, r.MeasMultSec)
 		}
+	}
+}
+
+// TestRunTakesSeedAndScaleAsGiven pins that RunConfig has no sentinels:
+// ScaleDiv 0 is the loader's error, not the full preset, and seed 0 prices
+// its own dataset, as gnnbench -exp fig3 -seed 0 asks, not seed 42's.
+func TestRunTakesSeedAndScaleAsGiven(t *testing.T) {
+	if _, err := Run(RunConfig{Dataset: gen.AmazonSim, P: 4, Scheme: SchemeSAGVB, Seed: 42}); err == nil {
+		t.Error("Run priced ScaleDiv 0")
+	}
+	point := func(seed int64) RunResult {
+		series := must(Figure3(gen.AmazonSim, testScale, []int{4}, seed))(t)
+		return series[0].Points[0]
+	}
+	zero, def := point(0), point(42)
+	if zero.Config.Seed != 0 {
+		t.Fatalf("seed 0 point ran seed %d", zero.Config.Seed)
+	}
+	if zero.EpochSeconds == def.EpochSeconds && zero.MaxSentMB == def.MaxSentMB && zero.TotalRecvMB == def.TotalRecvMB {
+		t.Errorf("seed 0 and seed 42 price the same point: %+v", zero.EpochPrice)
 	}
 }
 
@@ -268,11 +282,11 @@ func TestBadConfigsReturnErrors(t *testing.T) {
 		name string
 		cfg  RunConfig
 	}{
-		{"unknown preset", RunConfig{Dataset: "bogus", ScaleDiv: testScale, P: 4, Scheme: SchemeSA}},
-		{"c does not divide P", RunConfig{Dataset: gen.ProteinSim, ScaleDiv: testScale, P: 6, C: 4, Scheme: SchemeSAGVB}},
-		{"c² does not divide P", RunConfig{Dataset: gen.ProteinSim, ScaleDiv: testScale, P: 8, C: 4, Scheme: SchemeCAGNET}},
-		{"unknown scheme", RunConfig{Dataset: gen.ProteinSim, ScaleDiv: testScale, P: 4, Scheme: "SA+MAGIC"}},
-		{"no processes", RunConfig{Dataset: gen.ProteinSim, ScaleDiv: testScale, Scheme: SchemeSA}},
+		{"unknown preset", RunConfig{Dataset: "bogus", ScaleDiv: testScale, P: 4, Scheme: SchemeSA, Seed: 42}},
+		{"c does not divide P", RunConfig{Dataset: gen.ProteinSim, ScaleDiv: testScale, P: 6, C: 4, Scheme: SchemeSAGVB, Seed: 42}},
+		{"c² does not divide P", RunConfig{Dataset: gen.ProteinSim, ScaleDiv: testScale, P: 8, C: 4, Scheme: SchemeCAGNET, Seed: 42}},
+		{"unknown scheme", RunConfig{Dataset: gen.ProteinSim, ScaleDiv: testScale, P: 4, Scheme: "SA+MAGIC", Seed: 42}},
+		{"no processes", RunConfig{Dataset: gen.ProteinSim, ScaleDiv: testScale, Scheme: SchemeSA, Seed: 42}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := Run(tc.cfg); err == nil {
@@ -280,10 +294,10 @@ func TestBadConfigsReturnErrors(t *testing.T) {
 			}
 		})
 	}
-	if _, err := EstimateTable("bogus", testScale, 8, 1, sagnn.ExecSequential, sagnn.Perlmutter()); err == nil {
+	if _, err := EstimateTable("bogus", testScale, 8, 1, sagnn.Perlmutter()); err == nil {
 		t.Fatal("EstimateTable accepted an unknown preset")
 	}
-	if _, err := EstimateTable(gen.RedditSim, testScale, 0, 1, sagnn.ExecSequential, sagnn.Perlmutter()); err == nil {
+	if _, err := EstimateTable(gen.RedditSim, testScale, 0, 1, sagnn.Perlmutter()); err == nil {
 		t.Fatal("EstimateTable accepted P=0")
 	}
 	if _, err := Figure3("bogus", testScale, []int{4}, 1); err == nil {

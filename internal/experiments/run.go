@@ -36,19 +36,16 @@ const (
 // RunConfig describes one priced configuration.
 type RunConfig struct {
 	Dataset  gen.Preset
-	ScaleDiv int // divide preset size by this power-of-two factor (1 = full)
+	ScaleDiv int // divide preset size by this power-of-two factor (1 = full; 0 is an error)
 	P        int // total processes (GPUs in the paper)
 	C        int // replication factor; 1 selects the 1D algorithms
 	Scheme   Scheme
 	Hidden   int
 	Layers   int
-	Seed     int64
+	Seed     int64 // dataset and partitioner seed, 0 included
 }
 
 func (c RunConfig) withDefaults() RunConfig {
-	if c.ScaleDiv == 0 {
-		c.ScaleDiv = 1
-	}
 	if c.C == 0 {
 		c.C = 1
 	}
@@ -57,9 +54,6 @@ func (c RunConfig) withDefaults() RunConfig {
 	}
 	if c.Layers == 0 {
 		c.Layers = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
 	}
 	return c
 }

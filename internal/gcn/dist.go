@@ -74,10 +74,10 @@ func multiply(e distmm.Engine, r *comm.Rank, h, out *dense.Matrix) {
 // full-batch epoch whose operands training never changes — Â and H⁰ = X are
 // fixed by the distribution — and the widest, at the feature width. It is
 // computed once, by the collective Engine.MultiplyInto an epoch would have
-// issued, so on every engine, replication factor, exec mode and transport
-// its bits are that multiply's; every epoch of every trainer over it then
-// reads it, and layer 1's weight gradient reads its transpose, built in the
-// same launch. Not safe for concurrent use: Ensure is collective over the
+// issued, so on every engine, replication factor and transport its bits
+// are that multiply's; every epoch of every trainer over it then reads it,
+// and layer 1's weight gradient reads its transpose, built in the same
+// launch. Not safe for concurrent use: Ensure is collective over the
 // world, like a step.
 type InputProduct struct {
 	World  *comm.World

@@ -10,7 +10,6 @@ import (
 
 	"sagnn/internal/comm"
 	"sagnn/internal/dense"
-	"sagnn/internal/distmm"
 	"sagnn/internal/gen"
 )
 
@@ -101,53 +100,47 @@ func TestInputProductSharedAndBitIdentical(t *testing.T) {
 }
 
 // TestInputProductFaultKeepsNothing injects a fault at every op site of the
-// set-up launch, on every rank, under every engine and both executors: the
-// typed error comes back, no block is kept, the stepper stays clean (no
-// weight was touched), and the retry trains bit-identically to a stepper
-// that was never interrupted.
+// set-up launch, on every rank, under every engine: the typed error comes
+// back, no block is kept, the stepper stays clean (no weight was touched),
+// and the retry trains bit-identically to a stepper that was never
+// interrupted.
 func TestInputProductFaultKeepsNothing(t *testing.T) {
 	for _, eng := range []struct {
 		name string
 		c    int
 	}{{"sparsity-aware-1d", 1}, {"oblivious-1d", 1}, {"sparsity-aware-1.5d", 2}, {"oblivious-1.5d", 2}} {
-		for _, mode := range []distmm.ExecMode{distmm.ExecSequential, distmm.ExecOverlap} {
-			fixture := func() *Distributed {
-				d := stepperFixtureOn(7, eng.name, eng.c)
-				d.Engine.SetExecMode(mode)
-				return d
+		fixture := func() *Distributed { return stepperFixtureOn(7, eng.name, eng.c) }
+		clean := stepN(t, fixture().Stepper(), 3)
+		probe := fixture()
+		if err := probe.Stepper().Setup(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for rank := 0; rank < probe.World.P; rank++ {
+			ops := probe.World.Ops(rank)
+			if ops == 0 {
+				t.Fatalf("%s: rank %d entered no communication op in the set-up launch", eng.name, rank)
 			}
-			clean := stepN(t, fixture().Stepper(), 3)
-			probe := fixture()
-			if err := probe.Stepper().Setup(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			for rank := 0; rank < probe.World.P; rank++ {
-				ops := probe.World.Ops(rank)
-				if ops == 0 {
-					t.Fatalf("%s: rank %d entered no communication op in the set-up launch", eng.name, rank)
+			for op := int64(1); op <= ops; op++ {
+				d := fixture()
+				st := d.Stepper()
+				d.World.InjectFault(comm.Fault{Rank: rank, AfterOps: op})
+				_, err := st.StepNCtx(context.Background(), 3)
+				var re *comm.RankError
+				if !errors.As(err, &re) || !errors.Is(err, comm.ErrInjectedFault) || re.Rank != rank {
+					t.Fatalf("%s rank %d op %d: got %v, want the injected *comm.RankError", eng.name, rank, op, err)
 				}
-				for op := int64(1); op <= ops; op++ {
-					d := fixture()
-					st := d.Stepper()
-					d.World.InjectFault(comm.Fault{Rank: rank, AfterOps: op})
-					_, err := st.StepNCtx(context.Background(), 3)
-					var re *comm.RankError
-					if !errors.As(err, &re) || !errors.Is(err, comm.ErrInjectedFault) || re.Rank != rank {
-						t.Fatalf("%s rank %d op %d: got %v, want the injected *comm.RankError", eng.name, rank, op, err)
+				if st.Dirty() || st.Epoch() != 0 {
+					t.Fatalf("%s rank %d op %d: set-up abort left the stepper dirty=%v at epoch %d", eng.name, rank, op, st.Dirty(), st.Epoch())
+				}
+				for r := 0; r < d.World.P; r++ {
+					if d.Input.Block(r) != nil {
+						t.Fatalf("%s rank %d op %d: rank %d's block survived the aborted launch", eng.name, rank, op, r)
 					}
-					if st.Dirty() || st.Epoch() != 0 {
-						t.Fatalf("%s rank %d op %d: set-up abort left the stepper dirty=%v at epoch %d", eng.name, rank, op, st.Dirty(), st.Epoch())
-					}
-					for r := 0; r < d.World.P; r++ {
-						if d.Input.Block(r) != nil {
-							t.Fatalf("%s rank %d op %d: rank %d's block survived the aborted launch", eng.name, rank, op, r)
-						}
-					}
-					retried := stepN(t, st, 3)
-					for e := range clean {
-						if retried[e] != clean[e] {
-							t.Fatalf("%s rank %d op %d: retried epoch %d %+v, uninterrupted %+v", eng.name, rank, op, e, retried[e], clean[e])
-						}
+				}
+				retried := stepN(t, st, 3)
+				for e := range clean {
+					if retried[e] != clean[e] {
+						t.Fatalf("%s rank %d op %d: retried epoch %d %+v, uninterrupted %+v", eng.name, rank, op, e, retried[e], clean[e])
 					}
 				}
 			}

@@ -167,8 +167,7 @@ func (s *Snapshot) Breakdown() map[string]float64 {
 }
 
 // RankTotal returns one rank's seconds summed over phases (in sorted order):
-// the rank's modeled critical path, the quantity the overlapped executor's
-// pipeline bound is stated in.
+// the rank's modeled critical path.
 func (s *Snapshot) RankTotal(rank int) float64 {
 	t := 0.0
 	for _, ph := range s.Phases() {

@@ -26,8 +26,7 @@ import (
 //     step, and compiles the identical exchange plan with full cross-rank
 //     knowledge (no index negotiation over the wire); the ranks a process
 //     hosts share that one derivation read-only (sampler.step),
-//   - losses are bit-identical across the sim and TCP transports and across
-//     both exec modes (the Plan executor's guarantee), and
+//   - losses are bit-identical across the sim and TCP transports, and
 //   - a retry after an aborted epoch replays the exact same batches, so
 //     recovery is bit-identical too.
 //
@@ -49,8 +48,6 @@ type DistConfig struct {
 	// Seed roots the sampling streams; each (rank, epoch, step) derives its
 	// own deterministic stream from it.
 	Seed int64
-	// Exec selects the plan executor for the per-batch gathers.
-	Exec distmm.ExecMode
 }
 
 // Dist trains a GCN with per-rank neighbor sampling over a block-row
@@ -290,7 +287,6 @@ func (sm *sampler) step(epoch, s int) *step {
 	if sm.gather == nil {
 		sm.marks = append(sm.marks, stepMark{step: t})
 		sm.gather = distmm.NewSampledGather(d.World, st.bottoms, d.Layout)
-		sm.gather.SetExecMode(d.Cfg.Exec)
 	} else {
 		sm.rewind(t)
 		sm.marks = append(sm.marks, stepMark{step: t, resident: sm.gather.Resident()})
@@ -440,7 +436,7 @@ func (st *DistStepper) PredictedVolumes() []distmm.RankVolume {
 // order), every rank's step is the shared one over its chain, and the loss
 // and gradient reductions sum rank contributions in world-group member
 // order — so every epoch loss is bit-identical to a distributed run on any
-// transport and exec mode. The conformance anchor.
+// transport. The conformance anchor.
 func (d *Dist) ReferenceEpochs(epochs int) []gcn.EpochResult {
 	model := gcn.NewModel(d.ModelSeed, d.Dims)
 	optimizer := d.NewOpt()

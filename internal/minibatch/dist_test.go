@@ -20,7 +20,7 @@ import (
 
 // distFixture builds a 4-rank distributed sampled trainer over a ring
 // graph; newOpt selects the shared optimizer family (nil → SGD default).
-func distFixture(seed int64, exec distmm.ExecMode, newOpt func() opt.Optimizer) *Dist {
+func distFixture(seed int64, newOpt func() opt.Optimizer) *Dist {
 	const n, f, classes, p = 64, 8, 4, 4
 	edges := make([][2]int, 0, 2*n)
 	for v := 0; v < n; v++ {
@@ -41,12 +41,12 @@ func distFixture(seed int64, exec distmm.ExecMode, newOpt func() opt.Optimizer) 
 	layout := distmm.UniformLayout(n, p)
 	dims := gcn.LayerDims(f, 8, classes, 2)
 	return NewDist(world, layout, aHat, x, labels, train, dims, seed, newOpt,
-		DistConfig{Fanout: 3, BatchSize: 4, Seed: seed, Exec: exec})
+		DistConfig{Fanout: 3, BatchSize: 4, Seed: seed})
 }
 
 // TestDistSampledMatchesReference pins the tentpole's conformance contract:
 // distributed sampled epochs are bit-identical to the serial sampled
-// reference, in both plan exec modes and for both optimizer families.
+// reference for both optimizer families.
 func TestDistSampledMatchesReference(t *testing.T) {
 	const epochs = 3
 	opts := map[string]func() opt.Optimizer{
@@ -54,18 +54,16 @@ func TestDistSampledMatchesReference(t *testing.T) {
 		"adam": func() opt.Optimizer { return opt.NewAdam(0.01) },
 	}
 	for name, newOpt := range opts {
-		want := distFixture(3, distmm.ExecSequential, newOpt).ReferenceEpochs(epochs)
-		for _, exec := range []distmm.ExecMode{distmm.ExecSequential, distmm.ExecOverlap} {
-			st := distFixture(3, exec, newOpt).Stepper()
-			got, err := st.StepNCtx(context.Background(), epochs)
-			if err != nil {
-				t.Fatalf("%s exec %v: %v", name, exec, err)
-			}
-			for e := range got {
-				if got[e] != want[e] {
-					t.Fatalf("%s exec %v epoch %d: distributed %+v != reference %+v",
-						name, exec, e, got[e], want[e])
-				}
+		want := distFixture(3, newOpt).ReferenceEpochs(epochs)
+		st := distFixture(3, newOpt).Stepper()
+		got, err := st.StepNCtx(context.Background(), epochs)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for e := range got {
+			if got[e] != want[e] {
+				t.Fatalf("%s epoch %d: distributed %+v != reference %+v",
+					name, e, got[e], want[e])
 			}
 		}
 	}
@@ -75,7 +73,7 @@ func TestDistSampledMatchesReference(t *testing.T) {
 // per-rank traffic the stepper predicts from Plan.Volumes plus the explicit
 // all-reduce model equals what comm.Stats measures, to the byte and message.
 func TestDistSampledPredictedVolumesExact(t *testing.T) {
-	d := distFixture(5, distmm.ExecSequential, nil)
+	d := distFixture(5, nil)
 	st := d.Stepper()
 	if _, err := st.StepNCtx(context.Background(), 2); err != nil {
 		t.Fatal(err)
@@ -101,12 +99,12 @@ func TestDistSampledPredictedVolumesExact(t *testing.T) {
 // step), never on how many attempts it took to get there.
 func TestDistSampledFaultRetryBitIdentical(t *testing.T) {
 	ctx := context.Background()
-	clean, err := distFixture(7, distmm.ExecSequential, nil).Stepper().StepNCtx(ctx, 3)
+	clean, err := distFixture(7, nil).Stepper().StepNCtx(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	d := distFixture(7, distmm.ExecSequential, nil)
+	d := distFixture(7, nil)
 	st := d.Stepper()
 	first, err := st.StepNCtx(ctx, 1)
 	if err != nil || first[0] != clean[0] {
@@ -144,7 +142,7 @@ func TestDistSampledFaultRetryBitIdentical(t *testing.T) {
 // TestDistSampledEmptyTrainSet pins the typed-error contract of the
 // distributed trainer, matching the serial Epoch fix.
 func TestDistSampledEmptyTrainSet(t *testing.T) {
-	d := distFixture(2, distmm.ExecSequential, nil)
+	d := distFixture(2, nil)
 	d.Train = nil
 	for b := range d.trainOf {
 		d.trainOf[b] = nil
@@ -174,12 +172,12 @@ func retrain(d *Dist, keep func(v int) bool) *Dist {
 // vertex space) and checks the collective still conforms to the reference —
 // the empty-frontier ranks must keep participating in every collective.
 func TestDistSampledUnevenTrainSkew(t *testing.T) {
-	mk := func(exec distmm.ExecMode) *Dist {
+	mk := func() *Dist {
 		// ranks 2 and 3 own no training vertices
-		return retrain(distFixture(11, exec, nil), func(v int) bool { return v < 24 })
+		return retrain(distFixture(11, nil), func(v int) bool { return v < 24 })
 	}
-	want := mk(distmm.ExecSequential).ReferenceEpochs(2)
-	got, err := mk(distmm.ExecOverlap).Stepper().StepNCtx(context.Background(), 2)
+	want := mk().ReferenceEpochs(2)
+	got, err := mk().Stepper().StepNCtx(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +192,8 @@ func TestDistSampledUnevenTrainSkew(t *testing.T) {
 // vertices on ranks 0..3: four collective steps per epoch, ranks dropping
 // out one by one — enough steps for both step slots to be rewritten within
 // an epoch and across the epoch boundary.
-func raggedFixture(seed int64, exec distmm.ExecMode) *Dist {
-	d := distFixture(seed, exec, nil)
+func raggedFixture(seed int64) *Dist {
+	d := distFixture(seed, nil)
 	d.Cfg.BatchSize = 2
 	limit := []int{16, 26, 36, 0} // exclusive bound on each rank's (even) training vertices
 	return retrain(d, func(v int) bool { return v < limit[d.Layout.Owner(v)] })
@@ -208,93 +206,89 @@ func raggedFixture(seed int64, exec distmm.ExecMode) *Dist {
 // prediction still matches the measured traffic.
 func TestDistSampledDerivesEachStepOnce(t *testing.T) {
 	const epochs, steps = 3, 4
-	for _, exec := range []distmm.ExecMode{distmm.ExecSequential, distmm.ExecOverlap} {
-		d := raggedFixture(13, exec)
-		if got := d.stepsPerEpoch(); got != steps {
-			t.Fatalf("fixture has %d steps per epoch, want %d", got, steps)
+	d := raggedFixture(13)
+	if got := d.stepsPerEpoch(); got != steps {
+		t.Fatalf("fixture has %d steps per epoch, want %d", got, steps)
+	}
+	want := raggedFixture(13).ReferenceEpochs(epochs)
+	st := d.Stepper()
+	before := Derivations()
+	got, err := st.StepNCtx(context.Background(), epochs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := Derivations() - before; n != epochs*steps {
+		t.Fatalf("%d derivations for %d epochs x %d steps on %d hosted ranks, want %d",
+			n, epochs, steps, d.World.P, epochs*steps)
+	}
+	for e := range got {
+		if got[e] != want[e] {
+			t.Fatalf("epoch %d: distributed %+v != reference %+v", e, got[e], want[e])
 		}
-		want := raggedFixture(13, exec).ReferenceEpochs(epochs)
-		st := d.Stepper()
-		before := Derivations()
-		got, err := st.StepNCtx(context.Background(), epochs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := Derivations() - before; n != epochs*steps {
-			t.Fatalf("exec %v: %d derivations for %d epochs x %d steps on %d hosted ranks, want %d",
-				exec, n, epochs, steps, d.World.P, epochs*steps)
-		}
-		for e := range got {
-			if got[e] != want[e] {
-				t.Fatalf("exec %v epoch %d: distributed %+v != reference %+v", exec, e, got[e], want[e])
-			}
-		}
-		for rank, pred := range st.PredictedVolumes() {
-			if sent := d.World.Stats().BytesSent(rank); sent != pred.SentBytes {
-				t.Fatalf("exec %v rank %d: sent %d, predicted %d", exec, rank, sent, pred.SentBytes)
-			}
+	}
+	for rank, pred := range st.PredictedVolumes() {
+		if sent := d.World.Stats().BytesSent(rank); sent != pred.SentBytes {
+			t.Fatalf("rank %d: sent %d, predicted %d", rank, sent, pred.SentBytes)
 		}
 	}
 }
 
 // TestDistSampledFaultSweep injects a fault at every communication op site
-// of one multi-step epoch, in both exec modes: each surfaces as a typed
+// of one multi-step epoch: each surfaces as a typed
 // *comm.RankError, the rollback replays the epoch to the clean run's bits
 // re-deriving no more than the steps it replays, and the derivation workers
 // leave no goroutine behind.
 func TestDistSampledFaultSweep(t *testing.T) {
 	ctx := context.Background()
 	baseGoroutines := runtime.NumGoroutine()
-	for _, exec := range []distmm.ExecMode{distmm.ExecSequential, distmm.ExecOverlap} {
-		d := raggedFixture(17, exec)
-		steps := int64(d.stepsPerEpoch())
-		st := d.Stepper()
-		clean, err := st.StepNCtx(ctx, 1)
-		if err != nil {
+	d := raggedFixture(17)
+	steps := int64(d.stepsPerEpoch())
+	st := d.Stepper()
+	clean, err := st.StepNCtx(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := st.Model().Clone()
+	next, err := st.StepNCtx(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean = append(clean, next...)
+	sites := d.World.Ops(1)
+	if sites < 4*steps { // a gather, a loss pair and two gradients per step
+		t.Fatalf("clean epoch recorded %d comm ops on rank 1", sites)
+	}
+	rollback := func() {
+		if err := st.SetModel(saved); err != nil {
 			t.Fatal(err)
 		}
-		saved := st.Model().Clone()
-		next, err := st.StepNCtx(ctx, 1)
+		st.SetEpoch(1)
+	}
+	for site := int64(1); site <= sites; site++ {
+		rollback()
+		d.World.InjectFault(comm.Fault{Rank: 1, AfterOps: site})
+		_, err := st.StepNCtx(ctx, 1)
+		var re *comm.RankError
+		if !errors.As(err, &re) || !errors.Is(err, comm.ErrInjectedFault) {
+			t.Fatalf("site %d: got %v, want *RankError wrapping ErrInjectedFault", site, err)
+		}
+		rollback()
+		before := Derivations()
+		retry, err := st.StepNCtx(ctx, 1)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("site %d: retry: %v", site, err)
 		}
-		clean = append(clean, next...)
-		sites := d.World.Ops(1)
-		if sites < 4*steps { // a gather, a loss pair and two gradients per step
-			t.Fatalf("clean epoch recorded %d comm ops on rank 1", sites)
+		if retry[0] != clean[1] {
+			t.Fatalf("site %d: retry %+v != clean %+v", site, retry[0], clean[1])
 		}
-		rollback := func() {
-			if err := st.SetModel(saved); err != nil {
-				t.Fatal(err)
-			}
-			st.SetEpoch(1)
-		}
-		for site := int64(1); site <= sites; site++ {
-			rollback()
-			d.World.InjectFault(comm.Fault{Rank: 1, AfterOps: site})
-			_, err := st.StepNCtx(ctx, 1)
-			var re *comm.RankError
-			if !errors.As(err, &re) || !errors.Is(err, comm.ErrInjectedFault) {
-				t.Fatalf("exec %v site %d: got %v, want *RankError wrapping ErrInjectedFault", exec, site, err)
-			}
-			rollback()
-			before := Derivations()
-			retry, err := st.StepNCtx(ctx, 1)
-			if err != nil {
-				t.Fatalf("exec %v site %d: retry: %v", exec, site, err)
-			}
-			if retry[0] != clean[1] {
-				t.Fatalf("exec %v site %d: retry %+v != clean %+v", exec, site, retry[0], clean[1])
-			}
-			// The aborted launch's last derived step is still held; it is
-			// reused only when it is the first one replayed.
-			if n := Derivations() - before; n != steps && n != steps-1 {
-				t.Fatalf("exec %v site %d: retry derived %d steps to replay %d", exec, site, n, steps)
-			}
+		// The aborted launch's last derived step is still held; it is
+		// reused only when it is the first one replayed.
+		if n := Derivations() - before; n != steps && n != steps-1 {
+			t.Fatalf("site %d: retry derived %d steps to replay %d", site, n, steps)
 		}
 	}
-	// Overlap workers close via finalizer once their gathers are unreachable;
-	// give the collector a bounded window to converge back to the baseline.
+	// Give exiting goroutines a bounded window to converge back to the
+	// baseline.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		runtime.GC()
@@ -332,46 +326,43 @@ func delta(t *testing.T, st *DistStepper, w *comm.World, epochs int) []distmm.Ra
 }
 
 // TestDistSampledReplayShipsSameBytes pins the resident stores' replay
-// contract: an epoch retried after a fault at any of its op sites, in either
-// exec mode, moves per rank exactly the bytes and messages the clean epoch
-// moved — the aborted attempt's rows are not taken as resident — and so does
-// a rollback to an earlier epoch replayed over stores that later epochs
-// have filled.
+// contract: an epoch retried after a fault at any of its op sites moves per
+// rank exactly the bytes and messages the clean epoch moved — the aborted
+// attempt's rows are not taken as resident — and so does a rollback to an
+// earlier epoch replayed over stores that later epochs have filled.
 func TestDistSampledReplayShipsSameBytes(t *testing.T) {
 	ctx := context.Background()
-	for _, exec := range []distmm.ExecMode{distmm.ExecSequential, distmm.ExecOverlap} {
-		d := raggedFixture(23, exec)
-		st := d.Stepper()
-		start := st.Model().Clone()
-		clean := [][]distmm.RankVolume{delta(t, st, d.World, 1)}
-		saved := st.Model().Clone()
-		clean = append(clean, delta(t, st, d.World, 1))
-		sites := d.World.Ops(1)
-		if clean[1][1].SentBytes >= clean[0][1].SentBytes {
-			t.Fatalf("exec %v: rank 1 sent %d bytes in epoch 1, %d in epoch 0: the stores saved nothing", exec, clean[1][1].SentBytes, clean[0][1].SentBytes)
+	d := raggedFixture(23)
+	st := d.Stepper()
+	start := st.Model().Clone()
+	clean := [][]distmm.RankVolume{delta(t, st, d.World, 1)}
+	saved := st.Model().Clone()
+	clean = append(clean, delta(t, st, d.World, 1))
+	sites := d.World.Ops(1)
+	if clean[1][1].SentBytes >= clean[0][1].SentBytes {
+		t.Fatalf("rank 1 sent %d bytes in epoch 1, %d in epoch 0: the stores saved nothing", clean[1][1].SentBytes, clean[0][1].SentBytes)
+	}
+	rollback := func(m *gcn.Model, epoch int) {
+		if err := st.SetModel(m); err != nil {
+			t.Fatal(err)
 		}
-		rollback := func(m *gcn.Model, epoch int) {
-			if err := st.SetModel(m); err != nil {
-				t.Fatal(err)
-			}
-			st.SetEpoch(epoch)
+		st.SetEpoch(epoch)
+	}
+	for site := int64(1); site <= sites; site++ {
+		rollback(saved, 1)
+		d.World.InjectFault(comm.Fault{Rank: 1, AfterOps: site})
+		if _, err := st.StepNCtx(ctx, 1); !errors.Is(err, comm.ErrInjectedFault) {
+			t.Fatalf("site %d: got %v, want ErrInjectedFault", site, err)
 		}
-		for site := int64(1); site <= sites; site++ {
-			rollback(saved, 1)
-			d.World.InjectFault(comm.Fault{Rank: 1, AfterOps: site})
-			if _, err := st.StepNCtx(ctx, 1); !errors.Is(err, comm.ErrInjectedFault) {
-				t.Fatalf("exec %v site %d: got %v, want ErrInjectedFault", exec, site, err)
-			}
-			rollback(saved, 1)
-			if got := delta(t, st, d.World, 1); !slices.Equal(got, clean[1]) {
-				t.Fatalf("exec %v site %d: retried epoch moved %+v, clean epoch %+v", exec, site, got, clean[1])
-			}
+		rollback(saved, 1)
+		if got := delta(t, st, d.World, 1); !slices.Equal(got, clean[1]) {
+			t.Fatalf("site %d: retried epoch moved %+v, clean epoch %+v", site, got, clean[1])
 		}
-		rollback(start, 0)
-		for e, want := range clean {
-			if got := delta(t, st, d.World, 1); !slices.Equal(got, want) {
-				t.Fatalf("exec %v: epoch %d replayed from epoch 0 moved %+v, first run %+v", exec, e, got, want)
-			}
+	}
+	rollback(start, 0)
+	for e, want := range clean {
+		if got := delta(t, st, d.World, 1); !slices.Equal(got, want) {
+			t.Fatalf("epoch %d replayed from epoch 0 moved %+v, first run %+v", e, got, want)
 		}
 	}
 }
@@ -384,45 +375,43 @@ func TestDistSampledReplayShipsSameBytes(t *testing.T) {
 // cleanly.
 func TestDistSampledSkipAfterFaultBitIdentical(t *testing.T) {
 	ctx := context.Background()
-	for _, exec := range []distmm.ExecMode{distmm.ExecSequential, distmm.ExecOverlap} {
-		d := raggedFixture(29, exec)
-		st := d.Stepper()
-		for e := 0; e < 2; e++ {
-			if _, err := st.StepNCtx(ctx, 1); err != nil {
-				t.Fatal(err)
-			}
+	d := raggedFixture(29)
+	st := d.Stepper()
+	for e := 0; e < 2; e++ {
+		if _, err := st.StepNCtx(ctx, 1); err != nil {
+			t.Fatal(err)
 		}
-		sites := d.World.Ops(1) // rank 1's op sites in epoch 1
-		for site := int64(1); site <= sites; site++ {
-			d := raggedFixture(29, exec)
-			st, ref := d.Stepper(), raggedFixture(29, exec).Stepper()
-			if _, err := st.StepNCtx(ctx, 1); err != nil {
-				t.Fatal(err)
-			}
-			saved := st.Model().Clone()
-			d.World.InjectFault(comm.Fault{Rank: 1, AfterOps: site})
-			if _, err := st.StepNCtx(ctx, 1); !errors.Is(err, comm.ErrInjectedFault) {
-				t.Fatalf("exec %v site %d: got %v, want ErrInjectedFault", exec, site, err)
-			}
-			if err := st.SetModel(saved); err != nil {
-				t.Fatal(err)
-			}
-			st.SetEpoch(2)
-			got, err := st.StepNCtx(ctx, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ref.StepNCtx(ctx, 1); err != nil {
-				t.Fatal(err)
-			}
-			ref.SetEpoch(2)
-			want, err := ref.StepNCtx(ctx, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("exec %v site %d: resumed %+v, clean skip %+v", exec, site, got, want)
-			}
+	}
+	sites := d.World.Ops(1) // rank 1's op sites in epoch 1
+	for site := int64(1); site <= sites; site++ {
+		d := raggedFixture(29)
+		st, ref := d.Stepper(), raggedFixture(29).Stepper()
+		if _, err := st.StepNCtx(ctx, 1); err != nil {
+			t.Fatal(err)
+		}
+		saved := st.Model().Clone()
+		d.World.InjectFault(comm.Fault{Rank: 1, AfterOps: site})
+		if _, err := st.StepNCtx(ctx, 1); !errors.Is(err, comm.ErrInjectedFault) {
+			t.Fatalf("site %d: got %v, want ErrInjectedFault", site, err)
+		}
+		if err := st.SetModel(saved); err != nil {
+			t.Fatal(err)
+		}
+		st.SetEpoch(2)
+		got, err := st.StepNCtx(ctx, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.StepNCtx(ctx, 1); err != nil {
+			t.Fatal(err)
+		}
+		ref.SetEpoch(2)
+		want, err := ref.StepNCtx(ctx, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("site %d: resumed %+v, clean skip %+v", site, got, want)
 		}
 	}
 }
@@ -435,7 +424,7 @@ func TestDistSampledSkipAfterFaultBitIdentical(t *testing.T) {
 // plan from the same bottoms and verifying it cost on their own; sampling
 // itself adds none.
 func TestDistStepSteadyStateAllocs(t *testing.T) {
-	d := raggedFixture(19, distmm.ExecSequential)
+	d := raggedFixture(19)
 	sm := d.newSampler()
 	for s := 0; s < 4; s++ { // grow both slots: even steps land in one, odd in the other
 		sm.step(0, s)

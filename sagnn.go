@@ -107,23 +107,14 @@ const (
 // without building a DistGraph.
 const AlgorithmAuto Algorithm = "auto"
 
-// ExecMode selects how the distributed SpMM engine executes its compiled
-// communication plan; see DistOpts.Exec.
+// ExecMode names the plan executor DistOpts.Exec selects. There is one,
+// ExecSequential: each plan stage's communication completes before the SpMM
+// that consumes it. The type and DistOpts.Exec remain for callers that
+// still set them.
 type ExecMode = distmm.ExecMode
 
-const (
-	// ExecSequential runs each plan stage to completion before the SpMM that
-	// consumes it — the bulk-synchronous default.
-	ExecSequential = distmm.ExecSequential
-	// ExecOverlap pipelines the plan: the next stage's communication is in
-	// flight while the current stage's SpMM runs (CAGNET-style
-	// comm/compute overlap), joined at the plan's true data dependencies.
-	// Training results are bit-identical to ExecSequential — the compute
-	// operations run in the same order on the same staged rows — and the
-	// traffic is byte-identical; only the modeled epoch time changes, to
-	// max(comm, compute) per pipelined stage instead of their sum.
-	ExecOverlap = distmm.ExecOverlap
-)
+// ExecSequential is the plan executor and DistOpts.Exec's zero value.
+const ExecSequential = distmm.ExecSequential
 
 // EpochPrice is the modeled cost of full-batch training on a DistGraph: the
 // figures the paper's scaling and breakdown plots compare. PriceEpoch

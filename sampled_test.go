@@ -13,7 +13,7 @@ import (
 
 // sampledSession builds a 4-process sampled-training session over the small
 // protein-sim dataset.
-func sampledSession(t *testing.T, exec ExecMode, opts ...SessionOption) *Session {
+func sampledSession(t *testing.T, opts ...SessionOption) *Session {
 	t.Helper()
 	ds := MustLoadDataset("protein-sim", 1, 64)
 	cl, err := NewCluster(4)
@@ -23,7 +23,6 @@ func sampledSession(t *testing.T, exec ExecMode, opts ...SessionOption) *Session
 	dg, err := cl.Distribute(ds, DistOpts{
 		Algorithm:   SparsityAware1D,
 		Partitioner: NewGVB(1),
-		Exec:        exec,
 		Sampling:    &SamplingConfig{Fanout: 3, BatchSize: 8, Seed: 1},
 	})
 	if err != nil {
@@ -36,24 +35,24 @@ func sampledSession(t *testing.T, exec ExecMode, opts ...SessionOption) *Session
 	return sess
 }
 
-// TestRunSampledBitIdenticalAcrossExecModes pins launch determinism at the
-// public API: the same sampled run under the sequential and the overlapped
-// plan executor produces bit-identical epoch losses and accuracies.
-func TestRunSampledBitIdenticalAcrossExecModes(t *testing.T) {
-	seq, err := sampledSession(t, ExecSequential).RunSampled(context.Background(), 3)
+// TestRunSampledDeterministic pins launch determinism at the public API:
+// two identical sampled runs produce bit-identical epoch losses and
+// accuracies, and training reduces the loss.
+func TestRunSampledDeterministic(t *testing.T) {
+	seq, err := sampledSession(t).RunSampled(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ovl, err := sampledSession(t, ExecOverlap).RunSampled(context.Background(), 3)
+	again, err := sampledSession(t).RunSampled(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq.History) != 3 || len(ovl.History) != len(seq.History) {
-		t.Fatalf("histories: %d vs %d epochs", len(seq.History), len(ovl.History))
+	if len(seq.History) != 3 || len(again.History) != len(seq.History) {
+		t.Fatalf("histories: %d vs %d epochs", len(seq.History), len(again.History))
 	}
 	for e := range seq.History {
-		if seq.History[e] != ovl.History[e] {
-			t.Fatalf("epoch %d: seq %+v != overlap %+v", e, seq.History[e], ovl.History[e])
+		if seq.History[e] != again.History[e] {
+			t.Fatalf("epoch %d: first run %+v != second %+v", e, seq.History[e], again.History[e])
 		}
 	}
 	if seq.FinalLoss <= 0 || seq.History[2].Loss >= seq.History[0].Loss {
@@ -66,12 +65,12 @@ func TestRunSampledBitIdenticalAcrossExecModes(t *testing.T) {
 // same final losses and weights an unfaulted run produces — sampling streams
 // depend only on absolute epoch indices, never on the retry count.
 func TestRunSampledFaultRecoveryBitIdentical(t *testing.T) {
-	clean, err := sampledSession(t, ExecSequential).RunSampled(context.Background(), 4)
+	clean, err := sampledSession(t).RunSampled(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sess := sampledSession(t, ExecSequential,
+	sess := sampledSession(t,
 		WithAutoSnapshot(1), WithRecovery(3, time.Millisecond))
 	sess.dg.Cluster().InjectFault(1, 7, nil)
 	res, err := sess.RunSampled(context.Background(), 4)
@@ -108,7 +107,7 @@ func sentPerRank(sess *Session) []int64 {
 // train to the same losses.
 func TestRunSampledRestoreShipsSameBytes(t *testing.T) {
 	ctx := context.Background()
-	sess := sampledSession(t, ExecSequential)
+	sess := sampledSession(t)
 	epoch := func() ([]int64, EpochResult) {
 		before := sentPerRank(sess)
 		res, err := sess.RunSampled(ctx, 1)
@@ -145,7 +144,7 @@ func TestRunSampledRestoreShipsSameBytes(t *testing.T) {
 // cause, and the session remains usable afterwards (the run loop rolled the
 // steppers back to the last completed launch).
 func TestRunSampledFaultWithoutRecovery(t *testing.T) {
-	sess := sampledSession(t, ExecSequential, WithAutoSnapshot(1))
+	sess := sampledSession(t, WithAutoSnapshot(1))
 	sess.dg.Cluster().InjectFault(2, 7, nil)
 	_, err := sess.RunSampled(context.Background(), 3)
 	if !errors.Is(err, ErrInjectedFault) {
@@ -164,7 +163,7 @@ func TestRunSampledFaultWithoutRecovery(t *testing.T) {
 // sampled and full-batch runs on the same session share weights, the epoch
 // counter, and history numbering.
 func TestRunSampledInterleavesWithRun(t *testing.T) {
-	sess := sampledSession(t, ExecSequential)
+	sess := sampledSession(t)
 	if _, err := sess.Run(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
@@ -211,9 +210,9 @@ func TestRunSampledInterleavedRecovery(t *testing.T) {
 		}
 		return hist
 	}
-	clean := sampledSession(t, ExecSequential)
+	clean := sampledSession(t)
 	want := legs(clean, false)
-	faulted := sampledSession(t, ExecSequential, WithAutoSnapshot(1), WithRecovery(3, time.Millisecond))
+	faulted := sampledSession(t, WithAutoSnapshot(1), WithRecovery(3, time.Millisecond))
 	got := legs(faulted, true)
 	if len(got) != 6 || len(got) != len(want) {
 		t.Fatalf("histories: %d recovered vs %d clean epochs", len(got), len(want))
@@ -232,7 +231,7 @@ func TestRunSampledInterleavedRecovery(t *testing.T) {
 // one replica per hosted rank — the full-batch and the sampled body are
 // handed the very same replicas (model, optimizer, feature slice).
 func TestSessionOneReplicaSet(t *testing.T) {
-	sess := sampledSession(t, ExecSequential)
+	sess := sampledSession(t)
 	ctx := context.Background()
 	if _, err := sess.RunSampled(ctx, 1); err != nil { // builds the sampled body
 		t.Fatal(err)
@@ -288,7 +287,7 @@ func TestRunSampledRejectsReplicatedLayouts(t *testing.T) {
 // of DistOpts.Sampling, so changing the caller's struct afterwards — here
 // into values Distribute would have rejected — reaches no later session.
 func TestDistributeCopiesSamplingConfig(t *testing.T) {
-	want, err := sampledSession(t, ExecSequential).RunSampled(context.Background(), 2)
+	want, err := sampledSession(t).RunSampled(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -382,8 +382,8 @@ loop:
 // GraphSAGE-style fixed-fanout batches over its own training vertices, and
 // every batch's boundary-feature halo exchange is compiled into a Plan
 // instruction stream — so sampled epochs inherit the full-batch machinery
-// unchanged: byte-exact volume prediction, overlapped execution, static
-// plan verification, typed-error aborts, and both transports. Sampling
+// unchanged: byte-exact volume prediction, static plan verification,
+// typed-error aborts, and both transports. Sampling
 // parameters come from DistOpts.Sampling (defaults if nil). Sampling is
 // seeded per (rank, epoch, step), so losses are bit-identical across
 // transports and across recovery retries; callbacks, cancellation,
@@ -408,7 +408,7 @@ func (s *Session) RunSampled(ctx context.Context, epochs int) (res *TrainResult,
 		sc := g.sampling.withDefaults(s.cfg.Seed)
 		dims := gcn.LayerDims(g.x.Cols, s.cfg.Hidden, g.ds.Classes, s.cfg.Layers)
 		s.sampledBody, s.sampledSetup = minibatch.NewDist(g.cluster.world, g.layout, g.aHat, g.x, g.labels, g.train, dims, s.cfg.Seed, nil,
-			minibatch.DistConfig{Fanout: sc.Fanout, BatchSize: sc.BatchSize, Seed: sc.Seed, Exec: g.opts.Exec}).Body()
+			minibatch.DistConfig{Fanout: sc.Fanout, BatchSize: sc.BatchSize, Seed: sc.Seed}).Body()
 	}
 	// The ordinary run loop (recovery, snapshots, ledger attribution) over
 	// the sampled body: same replicas, epoch counter and history.

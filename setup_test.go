@@ -53,7 +53,6 @@ func TestSetupAccountedApartFromEpochs(t *testing.T) {
 		cfg  ModelConfig
 	}{
 		{"sa-1d+gvb", DistOpts{Algorithm: SparsityAware1D, Partitioner: NewGVB(42)}, ModelConfig{Seed: 7}},
-		{"oblivious-1d/overlap", DistOpts{Algorithm: Oblivious1D, Exec: ExecOverlap}, ModelConfig{Seed: 7}},
 		{"sa-1.5d/costmodel", DistOpts{Algorithm: SparsityAware15D, Replication: 2, CostModel: ModelConfig{Hidden: 8, Layers: 4}}, ModelConfig{Seed: 7, Hidden: 8, Layers: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -124,8 +123,7 @@ func TestSetupAccountedApartFromEpochs(t *testing.T) {
 // reports, without the run. Volumes and phase sets must match exactly and
 // seconds to rounding (the run's are differences of ledger snapshots), on
 // every scheme of the paper's Figures 3, 6 and 7 — oblivious, sparsity-aware,
-// +METIS and +GVB, in 1D and 1.5D — plus a 4-layer model and an overlapped
-// graph.
+// +METIS and +GVB, in 1D and 1.5D — plus a 4-layer model.
 func TestPriceEpochMatchesExecuted(t *testing.T) {
 	type row struct {
 		name string
@@ -156,8 +154,7 @@ func TestPriceEpochMatchesExecuted(t *testing.T) {
 	}
 	protein := MustLoadDataset(ProteinSim, 42, 64)
 	rows = append(rows,
-		row{"4-layers", protein, 8, DistOpts{Algorithm: SparsityAware15D, Replication: 2, Partitioner: NewGVB(42)}, ModelConfig{Hidden: 8, Layers: 4}},
-		row{"overlap", protein, 8, DistOpts{Algorithm: Oblivious1D, Exec: ExecOverlap}, ModelConfig{}})
+		row{"4-layers", protein, 8, DistOpts{Algorithm: SparsityAware15D, Replication: 2, Partitioner: NewGVB(42)}, ModelConfig{Hidden: 8, Layers: 4}})
 	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b)) }
 	for _, tc := range rows {
 		cluster, err := NewCluster(tc.p)
@@ -379,7 +376,7 @@ func TestInterleavedRunsMatchParentGolden(t *testing.T) {
 	}
 	const wantWeights = 0x4f6635dab1dd5bbd
 
-	sess := sampledSession(t, ExecSequential)
+	sess := sampledSession(t)
 	productHash := func() uint64 {
 		h := fnv.New64a()
 		for r := 0; r < 4; r++ {

@@ -3,11 +3,10 @@ package sagnn
 // Multi-process transport tests: the conformance suite proves the TCP
 // backend computes bit-for-bit what the simulated communicator computes —
 // same losses, same trained weights, same per-rank logical volume ledger —
-// for every trainable engine under both plan executors; the chaos suite
-// SIGKILLs a rank mid-epoch, or between two launches, and requires every
-// survivor to surface the typed *comm.RankError (cause
-// comm.ErrPeerDisconnected) within a bounded deadline and shut down without
-// leaking goroutines.
+// for every trainable engine; the chaos suite SIGKILLs a rank mid-epoch, or
+// between two launches, and requires every survivor to surface the typed
+// *comm.RankError (cause comm.ErrPeerDisconnected) within a bounded deadline
+// and shut down without leaking goroutines.
 //
 // Both suites re-execute the test binary: the parent runs the reference
 // schedule on the simulated transport and spawns one child per rank with
@@ -58,7 +57,6 @@ type confConfig struct {
 	name    string
 	alg     Algorithm
 	c       int
-	exec    ExecMode
 	sampled bool
 	// interleaved follows the full-batch run with a sampled and another
 	// full-batch run on the same session.
@@ -67,34 +65,23 @@ type confConfig struct {
 
 func conformanceConfigs() []confConfig {
 	var out []confConfig
-	for _, e := range []struct {
-		tag  string
-		mode ExecMode
-	}{{"seq", ExecSequential}, {"overlap", ExecOverlap}} {
-		for _, a := range []struct {
-			alg Algorithm
-			c   int
-		}{
-			{Oblivious1D, 1},
-			{SparsityAware1D, 1},
-			{Oblivious15D, 2},
-			{SparsityAware15D, 2},
-		} {
-			out = append(out, confConfig{
-				name: fmt.Sprintf("%s/c%d/%s", a.alg, a.c, e.tag),
-				alg:  a.alg, c: a.c, exec: e.mode,
-			})
-		}
-		// Sampled mini-batch training over the 1D layout: per-batch compiled
-		// halo-gather plans must stay bit-identical across transports too.
-		out = append(out, confConfig{
-			name: fmt.Sprintf("sampled/%s", e.tag),
-			alg:  SparsityAware1D, c: 1, exec: e.mode, sampled: true,
-		})
+	for _, a := range []struct {
+		alg Algorithm
+		c   int
+	}{
+		{Oblivious1D, 1},
+		{SparsityAware1D, 1},
+		{Oblivious15D, 2},
+		{SparsityAware15D, 2},
+	} {
+		out = append(out, confConfig{name: fmt.Sprintf("%s/c%d", a.alg, a.c), alg: a.alg, c: a.c})
 	}
+	// Sampled mini-batch training over the 1D layout: per-batch compiled
+	// halo-gather plans must stay bit-identical across transports too.
+	out = append(out, confConfig{name: "sampled", alg: SparsityAware1D, c: 1, sampled: true})
 	// Run → RunSampled → Run on one session: the sampled leg reshapes the
 	// step buffers around the Â·X the two full-batch legs share.
-	out = append(out, confConfig{name: "interleaved/seq", alg: SparsityAware1D, c: 1, interleaved: true})
+	out = append(out, confConfig{name: "interleaved", alg: SparsityAware1D, c: 1, interleaved: true})
 	return out
 }
 
@@ -105,8 +92,8 @@ const (
 	confSeed     = 1
 )
 
-// runConformanceSchedule runs every engine × exec mode on cl and records
-// losses, trained weights, and this cluster's volume-ledger rows per config.
+// runConformanceSchedule runs every engine on cl and records losses, trained
+// weights, and this cluster's volume-ledger rows per config.
 // The schedule is identical on every process and transport by construction.
 func runConformanceSchedule(t *testing.T, cl *Cluster, ds *Dataset) []confRun {
 	t.Helper()
@@ -116,7 +103,6 @@ func runConformanceSchedule(t *testing.T, cl *Cluster, ds *Dataset) []confRun {
 			Algorithm:   cfg.alg,
 			Replication: cfg.c,
 			Partitioner: NewGVB(confSeed),
-			Exec:        cfg.exec,
 			Sampling:    &SamplingConfig{Fanout: 3, BatchSize: 8, Seed: confSeed},
 		})
 		if err != nil {
@@ -294,10 +280,10 @@ func TestTCPHelperProcess(t *testing.T) {
 	waitGoroutinesSettle(t, base+2, 10*time.Second)
 }
 
-// TestTCPConformance runs the full engine × exec-mode schedule as 4 real OS
-// processes over localhost TCP and as the in-process simulated world, and
-// requires bit-identical losses and trained weights plus an identical
-// per-rank logical volume ledger.
+// TestTCPConformance runs the full engine schedule as 4 real OS processes
+// over localhost TCP and as the in-process simulated world, and requires
+// bit-identical losses and trained weights plus an identical per-rank
+// logical volume ledger.
 func TestTCPConformance(t *testing.T) {
 	if os.Getenv(tcpEnvMode) != "" {
 		t.Skip("inside a worker process")
