@@ -259,23 +259,56 @@ func TestDistributeRejects2DAndBadAutoOpts(t *testing.T) {
 	}
 }
 
-// TestCostModelValidated pins that a malformed CostModel surfaces as an
-// error from the root entry points instead of a panic deep in the stack.
-func TestCostModelValidated(t *testing.T) {
-	cluster, err := NewCluster(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := autoDS()
-	bad := ModelConfig{Layers: -1}
-	if _, err := cluster.Estimate(ds, DistOpts{CostModel: bad}); err == nil {
-		t.Fatal("Estimate accepted a negative layer count")
-	}
-	if _, err := cluster.Distribute(ds, DistOpts{Algorithm: SparsityAware1D, CostModel: bad}); err == nil {
-		t.Fatal("Distribute accepted a negative layer count")
-	}
-	if _, err := cluster.Distribute(ds, DistOpts{Algorithm: AlgorithmAuto, CostModel: bad}); err == nil {
-		t.Fatal("Auto Distribute accepted a negative layer count")
+// TestAutoPicksWholeEpochArgmin pins the one epoch price: every feasible
+// Estimate row's EpochSeconds is, bit for bit, what its named Distribute's
+// PriceEpoch charges a default-shaped epoch — multiplies, GEMMs and
+// gradient all-reduces — so the Selected row, Auto's pick, is the argmin of
+// the full price. A 1.5D candidate changes the block rows each rank's GEMMs
+// cover and the group the gradients reduce over, which is how a
+// multiplies-only price picks SA-1D at P = 4 where SA-1.5D is cheaper.
+func TestAutoPicksWholeEpochArgmin(t *testing.T) {
+	for _, tc := range []struct {
+		preset   Preset
+		scaleDiv int
+	}{{RedditSim, 32}, {AmazonSim, 32}, {ProteinSim, 32}, {ProteinSim, 8}} {
+		ds := MustLoadDataset(tc.preset, 1, tc.scaleDiv)
+		for _, p := range []int{4, 16, 64} {
+			cluster, err := NewCluster(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := DistOpts{Partitioner: NewGVB(1)}
+			rows, err := cluster.Estimate(ds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best, bestCost := -1, 0.0
+			for i, row := range rows {
+				if row.Skipped != "" {
+					continue
+				}
+				opts.Algorithm, opts.Replication = row.Algorithm, row.Replication
+				dg, err := cluster.Distribute(ds, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				price, err := dg.PriceEpoch(ModelConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if row.EpochSeconds != price.EpochSeconds {
+					t.Errorf("%s ÷%d P=%d %s c=%d: row prices %g s, PriceEpoch %g s",
+						tc.preset, tc.scaleDiv, p, row.Algorithm, row.Replication, row.EpochSeconds, price.EpochSeconds)
+				}
+				if best < 0 || price.EpochSeconds < bestCost {
+					best, bestCost = i, price.EpochSeconds
+				}
+			}
+			if !rows[best].Selected {
+				t.Errorf("%s ÷%d P=%d: argmin is %s c=%d, but Estimate did not select it",
+					tc.preset, tc.scaleDiv, p, rows[best].Algorithm, rows[best].Replication)
+			}
+		}
 	}
 }
 
@@ -292,7 +325,8 @@ func observeMultiplies(t *testing.T) *[]int {
 // TestEpochWidthsMatchTrainerMultiplies pins the priced epoch to the
 // multiplies the trainer actually issues, counted as they run: a DistGraph's
 // first full-batch session issues one multiply at the feature width — the
-// set-up Candidate.Setup* prices — and then, per epoch, exactly epochWidths:
+// set-up Candidate.Setup* prices — and then, per epoch, exactly
+// gcn.EpochMultiplyWidths:
 // L−1 forward multiplies at the hidden-layer input widths and L−1 backward
 // ones at the same widths — for the test's dims [12 16 16 4] the class width
 // 4 never reaches a multiply. A second session on the graph issues the epochs
@@ -310,13 +344,10 @@ func TestEpochWidthsMatchTrainerMultiplies(t *testing.T) {
 		{"gcn/oblivious-1.5d/4-layers", DistOpts{Algorithm: Oblivious15D, Replication: 2}, ModelConfig{Layers: 4, Hidden: 8}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			perEpoch, err := epochWidths(ds, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			layers := tc.cfg.withDefaults().Layers
-			if len(perEpoch) != 2*layers-2 {
-				t.Fatalf("epochWidths %v: want 2L−2 = %d multiplies", perEpoch, 2*layers-2)
+			cfg := tc.cfg.withDefaults()
+			perEpoch := gcn.EpochMultiplyWidths(ds.FeatureDim(), cfg.Hidden, ds.Classes, cfg.Layers, false)
+			if len(perEpoch) != 2*cfg.Layers-2 {
+				t.Fatalf("EpochMultiplyWidths %v: want 2L−2 = %d multiplies", perEpoch, 2*cfg.Layers-2)
 			}
 			cluster, err := NewCluster(4)
 			if err != nil {

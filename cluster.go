@@ -192,11 +192,6 @@ type DistOpts struct {
 	// AlgorithmAuto it runs once per distinct block count the candidates
 	// need.
 	Partitioner Partitioner
-	// CostModel shapes the training epoch that AlgorithmAuto and
-	// Cluster.Estimate price: the modeled epoch is the sequence of
-	// distributed SpMMs a GCN of this configuration performs. The zero
-	// value selects the ModelConfig defaults (3 layers, 16 hidden).
-	CostModel ModelConfig
 	// Exec names the plan executor. ExecSequential, the zero value, is the
 	// only one; any other value is an error from Distribute and Estimate.
 	// The field remains for callers that still set it (see ExecMode).
@@ -369,11 +364,7 @@ func (c *Cluster) Distribute(ds *Dataset, opts DistOpts) (*DistGraph, error) {
 		}
 		specs = []distmm.CandidateSpec{distmm.Spec(string(opts.Algorithm), opts.Replication, c.p)}
 	}
-	widths, err := epochWidths(ds, opts.CostModel)
-	if err != nil {
-		return nil, err
-	}
-	cands, best, engine, prep, err := sweepCandidates(c.world, ds, specs, opts, widths)
+	cands, best, engine, prep, err := sweepCandidates(c.world, ds, specs, opts)
 	if err != nil {
 		return nil, err
 	}

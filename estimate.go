@@ -11,27 +11,31 @@ import (
 )
 
 // Candidate is one (algorithm, replication) configuration priced by the
-// communication-plan cost model: the modeled time and exact predicted
-// per-rank volumes of the distributed SpMMs in one training epoch — and,
-// beside them, of the one multiply paid once per DistGraph — computed by
-// walking the compiled plan — no training, no data movement. This is the
-// paper's algorithm-comparison methodology turned into an API: the right
-// algorithm depends on the graph's sparsity structure and the machine's α–β
-// parameters, and both are known at plan-compile time.
+// communication-plan cost model: the modeled time of one training epoch of
+// a default-shaped GCN and the exact predicted per-rank volumes of its
+// distributed SpMMs — and, beside them, of the one multiply paid once per
+// DistGraph — computed by walking the compiled plan — no training, no data
+// movement. This is the paper's algorithm-comparison methodology turned
+// into an API: the right algorithm depends on the graph's sparsity
+// structure and the machine's α–β parameters, and both are known at
+// plan-compile time.
 type Candidate struct {
 	Algorithm   Algorithm
 	Replication int
-	// EpochSeconds is the modeled bulk-synchronous time of one epoch's
-	// distributed SpMMs (Σ over phases of the slowest rank): the 2L−2
-	// multiplies every epoch issues, all at hidden widths. Weight-gradient reductions and dense GEMMs are
-	// identical across candidates at a fixed layout and are not included;
-	// DistGraph.PriceEpoch prices the whole epoch.
+	// EpochSeconds is the modeled bulk-synchronous time of one whole epoch
+	// of a GCN of the ModelConfig defaults' shape (Σ over phases of the
+	// slowest rank): the 2L−2 distributed SpMMs at hidden widths, each
+	// rank's dense GEMMs over its block rows and the all-reduces over its
+	// gradient group. Replication changes all three, so selection minimizes
+	// this sum; it equals the named graph's PriceEpoch(ModelConfig{}).
 	EpochSeconds float64
 	// Breakdown splits EpochSeconds into phases ("bcast", "alltoall",
 	// "allreduce", "local").
 	Breakdown map[string]float64
 	// MaxSentMB / AvgSentMB are the predicted per-rank send volumes of one
-	// epoch, exact to the byte (equal to what comm.Stats would measure).
+	// epoch's distributed SpMMs, exact to the byte (equal to what comm.Stats
+	// would measure). The gradient all-reduces are not included; PriceEpoch
+	// counts them.
 	MaxSentMB float64
 	AvgSentMB float64
 	// SetupSeconds and SetupMaxSentMB price the first layer's Â·X the same
@@ -109,70 +113,35 @@ func (g *DistGraph) Report() *Report {
 	return &r
 }
 
-// epochWidths validates cfg and returns the dense operand widths of the
-// distributed SpMMs in one full-batch training epoch of a GCN with cfg's
-// shape on ds: L−1 forward multiplies at dims[1..L−1], plus L−1 backward
-// multiplies at dims[L−1..1] (the backward aggregates G·Wᵀ, which has the
-// layer's input width, never G at the class width). The first-layer multiply
-// (feature width) would dominate them — which is why the paper's volume
-// tables are computed at the feature dimension — but its operands are fixed,
-// so it is set-up, priced apart (Candidate.Setup*).
-func epochWidths(ds *Dataset, cfg ModelConfig) ([]int, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return gcn.EpochMultiplyWidths(ds.FeatureDim(), cfg.Hidden, ds.Classes, cfg.Layers, false), nil
-}
-
-// priceCandidate fills a Candidate from a compiled plan: the epoch (widths)
-// and the one-time multiply at the feature width fin.
-func priceCandidate(alg Algorithm, pl *distmm.Plan, params machine.Params, widths []int, fin int) Candidate {
-	c := Candidate{
-		Algorithm:    alg,
-		Replication:  pl.Replication(),
-		SetupSeconds: pl.Cost(params, fin).Total(),
-		Sites:        pl.Sites(),
-	}
-	c.SetupMaxSentMB, _ = distmm.SentSummaryMB(pl.EpochSentBytes([]int{fin}))
-	c.MaxSentMB, c.AvgSentMB = distmm.SentSummaryMB(pl.EpochSentBytes(widths))
-	if len(widths) > 0 { // a 1-layer model's epoch issues no multiply
-		cost := pl.EpochCost(params, widths)
-		c.EpochSeconds, c.Breakdown = cost.Total(), cost.Breakdown()
-	}
-	return c
-}
-
-// PriceEpoch prices full-batch training of a cfg-shaped model on the graph
-// without running it. The epoch is what Session.Run charges one on a healthy
-// cluster: the plan's 2L−2 multiplies (at gcn.EpochMultiplyWidths) plus, on every rank, the trainer's 3L−1 local GEMMs and
-// L+1 all-reduces over its gradient group (gcn.EpochCharges), counted at
-// comm.AllReduceVolume. The set-up is the one-time Â·X multiply as the
-// graph's Report priced it. No data moves and the cluster is not touched, so
-// pricing a P = 256 epoch costs no more memory than its compiled plan.
-func (g *DistGraph) PriceEpoch(cfg ModelConfig) (*EpochPrice, error) {
-	widths, err := epochWidths(g.ds, cfg)
-	if err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	params, pl, p := g.cluster.world.Params, g.engine.Plan(), g.cluster.p
-	dims := gcn.LayerDims(g.x.Cols, cfg.Hidden, g.ds.Classes, cfg.Layers)
-	sent, recv := make([]int64, p), make([]int64, p)
+// priceEpoch prices one full-batch training epoch of a GCN with layer
+// widths dims on e under params — what Session.Run charges one on a healthy
+// cluster: the plan's 2L−2 multiplies (at gcn.EpochMultiplyWidths) plus, on
+// every rank, the trainer's 3L−1 local GEMMs over its block rows and L+1
+// all-reduces over its gradient group (gcn.EpochCharges), counted at
+// comm.AllReduceVolume. It returns the epoch's modeled phases, each rank's
+// sent and received bytes, and each rank's sent bytes of the multiplies
+// alone. Candidates, Estimate and PriceEpoch all read this one price.
+func priceEpoch(e distmm.Engine, params machine.Params, dims []int) (epoch *machine.Snapshot, sent, recv, multSent []int64) {
+	// dims[1] is the hidden width whenever L ≥ 2; L = 1 issues no multiply.
+	L, pl := len(dims)-1, e.Plan()
+	widths := gcn.EpochMultiplyWidths(dims[0], dims[1], dims[L], L, false)
+	p := pl.Ranks()
+	sent, recv = make([]int64, p), make([]int64, p)
 	for _, w := range widths {
 		for r, v := range pl.Volumes(w) {
 			sent[r] += v.SentBytes
 			recv[r] += v.RecvBytes
 		}
 	}
+	multSent = append([]int64(nil), sent...)
 	trainer := machine.NewLedger(p)
 	for r := 0; r < p; r++ {
-		lo, hi := g.layout.Range(g.engine.BlockOf(r))
+		lo, hi := e.Layout().Range(e.BlockOf(r))
 		gemms, reductions := gcn.EpochCharges(dims, hi-lo)
 		for _, flops := range gemms {
 			trainer.Add(r, "local", params.GEMMTime(flops))
 		}
-		size := g.engine.GradGroup(r).Size()
+		size := e.GradGroup(r).Size()
 		for _, n := range reductions {
 			// Charged even when it costs nothing, as the executed one is.
 			trainer.Add(r, "allreduce", params.AllReduceTime(int64(n)*machine.BytesPerElem, size))
@@ -181,7 +150,21 @@ func (g *DistGraph) PriceEpoch(cfg ModelConfig) (*EpochPrice, error) {
 			recv[r] += rv
 		}
 	}
-	epoch := pl.EpochCost(params, widths).Add(trainer.Snapshot())
+	return pl.EpochCost(params, widths).Add(trainer.Snapshot()), sent, recv, multSent
+}
+
+// PriceEpoch prices full-batch training of a cfg-shaped model on the graph
+// without running it: the epoch priceEpoch prices, plus the set-up — the
+// one-time Â·X multiply as the graph's Report priced it. No data moves and
+// the cluster is not touched, so pricing a P = 256 epoch costs no more
+// memory than its compiled plan.
+func (g *DistGraph) PriceEpoch(cfg ModelConfig) (*EpochPrice, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	dims := gcn.LayerDims(g.x.Cols, cfg.Hidden, g.ds.Classes, cfg.Layers)
+	epoch, sent, recv, _ := priceEpoch(g.engine, g.cluster.world.Params, dims)
 	price := &EpochPrice{EpochSeconds: epoch.Total(), Breakdown: epoch.Breakdown(), PartitionQuality: g.quality}
 	price.MaxSentMB, price.AvgSentMB = distmm.SentSummaryMB(sent)
 	var delivered int64
@@ -204,13 +187,16 @@ func (g *DistGraph) PriceEpoch(cfg ModelConfig) (*EpochPrice, error) {
 // distinct block count. Every compiled plan is statically verified before
 // it is priced — a plan that fails Verify is a compiler bug, and the sweep
 // surfaces it as a hard error rather than silently pricing (or worse, later
-// running) a malformed schedule. It returns the table, the index of the
+// running) a malformed schedule. Each row is priced by priceEpoch at the
+// ModelConfig defaults' shape. It returns the table, the index of the
 // minimum-modeled-cost row (first candidate wins ties; −1 when none is
 // feasible), and that row's engine and staged data.
-func sweepCandidates(world *comm.World, ds *Dataset, specs []distmm.CandidateSpec, opts DistOpts, widths []int) (
+func sweepCandidates(world *comm.World, ds *Dataset, specs []distmm.CandidateSpec, opts DistOpts) (
 	cands []Candidate, best int, engine distmm.Engine, prep *prepared, err error) {
 	best = -1
 	bestCost := 0.0
+	cfg, fin := ModelConfig{}.withDefaults(), ds.FeatureDim()
+	dims := gcn.LayerDims(fin, cfg.Hidden, ds.Classes, cfg.Layers)
 	preps := make(map[int]*prepared) // block count → staged dataset
 	for _, spec := range specs {
 		alg := Algorithm(spec.Name)
@@ -232,10 +218,21 @@ func sweepCandidates(world *comm.World, ds *Dataset, specs []distmm.CandidateSpe
 		if nerr != nil {
 			return nil, -1, nil, nil, nerr
 		}
-		if verr := distmm.Verify(e.Plan()); verr != nil {
+		pl := e.Plan()
+		if verr := distmm.Verify(pl); verr != nil {
 			return nil, -1, nil, nil, verr
 		}
-		cand := priceCandidate(alg, e.Plan(), world.Params, widths, ds.FeatureDim())
+		epoch, _, _, multSent := priceEpoch(e, world.Params, dims)
+		cand := Candidate{
+			Algorithm:    alg,
+			Replication:  pl.Replication(),
+			EpochSeconds: epoch.Total(),
+			Breakdown:    epoch.Breakdown(),
+			SetupSeconds: pl.Cost(world.Params, fin).Total(),
+			Sites:        pl.Sites(),
+		}
+		cand.MaxSentMB, cand.AvgSentMB = distmm.SentSummaryMB(multSent)
+		cand.SetupMaxSentMB, _ = distmm.SentSummaryMB(pl.EpochSentBytes([]int{fin}))
 		if best < 0 || cand.EpochSeconds < bestCost {
 			best, bestCost, engine, prep = len(cands), cand.EpochSeconds, e, rowPrep
 		}
@@ -251,9 +248,10 @@ func sweepCandidates(world *comm.World, ds *Dataset, specs []distmm.CandidateSpe
 // this cluster — every 1D and 1.5D candidate the process count allows —
 // without moving any data or touching the cluster's live world. The
 // minimum-cost candidate is marked Selected (the one Distribute with
-// AlgorithmAuto would pick). opts.Algorithm is ignored; opts.Partitioner
-// and opts.CostModel shape the estimate exactly as they would shape
-// Distribute, and an opts.Exec other than ExecSequential is an error.
+// AlgorithmAuto would pick). Every row prices an epoch of the ModelConfig
+// defaults' shape. opts.Algorithm is ignored; opts.Partitioner shapes the
+// estimate exactly as it would shape Distribute, and an opts.Exec other
+// than ExecSequential is an error.
 func (c *Cluster) Estimate(ds *Dataset, opts DistOpts) ([]Candidate, error) {
 	if err := validateDataset(ds); err != nil {
 		return nil, err
@@ -261,13 +259,9 @@ func (c *Cluster) Estimate(ds *Dataset, opts DistOpts) ([]Candidate, error) {
 	if err := validateExec(opts.Exec); err != nil {
 		return nil, err
 	}
-	widths, err := epochWidths(ds, opts.CostModel)
-	if err != nil {
-		return nil, err
-	}
 	// Candidate plans compile on a throwaway world with the same size and
 	// machine parameters: groups and schedules are structural, so costs and
 	// volumes are identical, and the cluster's live world accretes nothing.
-	cands, _, _, _, err := sweepCandidates(comm.NewWorld(c.p, c.world.Params), ds, distmm.EnumerateCandidates(c.p), opts, widths)
+	cands, _, _, _, err := sweepCandidates(comm.NewWorld(c.p, c.world.Params), ds, distmm.EnumerateCandidates(c.p), opts)
 	return cands, err
 }

@@ -12,7 +12,8 @@ import (
 // to machine.Params) and the per-size samples they were fitted from. On a
 // TCP world every process returns the same Alpha/Beta bit for bit: rank 0's
 // fit is authoritative and is broadcast to all ranks, so every process's
-// CostModel — and therefore every process's AlgorithmAuto decision — agrees.
+// machine parameters — and therefore every process's AlgorithmAuto decision —
+// agree.
 type Calibration struct {
 	Alpha float64
 	Beta  float64

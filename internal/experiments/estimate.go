@@ -114,7 +114,8 @@ func timeAgrees(pred, meas float64) bool {
 // PrintEstimateTable renders the predicted-vs-measured table: modeled epoch
 // time, predicted per-epoch volumes, the modeled one-time set-up multiply with the executed
 // certification of its bytes and modeled time, and the instruction-site
-// count the static verifier proved safe.
+// count the static verifier proved safe. The row AlgorithmAuto would pick
+// carries the "<== selected" note Report.String prints.
 func PrintEstimateTable(w io.Writer, title string, rows []EstimateRow) {
 	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "%-22s %2s %12s %10s %10s %10s %14s %14s %6s %7s %6s\n",
@@ -125,8 +126,12 @@ func PrintEstimateTable(w io.Writer, title string, rows []EstimateRow) {
 				r.Algorithm, r.Replication, "-", "-", "-", "-", "-", "-", "-", "-", "-", r.Skipped)
 			continue
 		}
-		fmt.Fprintf(w, "%-22s %2d %12.3f %10.3f %10.3f %10.3f %14d %14d %6v %7v %6d\n",
+		note := ""
+		if r.Selected {
+			note = "  <== selected"
+		}
+		fmt.Fprintf(w, "%-22s %2d %12.3f %10.3f %10.3f %10.3f %14d %14d %6v %7v %6d%s\n",
 			r.Algorithm, r.Replication, r.EpochSeconds*1e3, r.MaxSentMB, r.AvgSentMB,
-			r.SetupSeconds*1e3, r.PredMultiplyBytes, r.MeasMultiplyBytes, r.Match, r.TimeMatch, r.Sites)
+			r.SetupSeconds*1e3, r.PredMultiplyBytes, r.MeasMultiplyBytes, r.Match, r.TimeMatch, r.Sites, note)
 	}
 }

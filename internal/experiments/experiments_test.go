@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"sagnn"
@@ -240,8 +241,8 @@ func TestEstimateTablePredictionsMatch(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	PrintEstimateTable(&buf, "estimate", rows)
-	if buf.Len() == 0 {
-		t.Fatal("empty output")
+	if n := strings.Count(buf.String(), "<== selected"); n != 1 {
+		t.Fatalf("printed table marks %d selected rows, want 1:\n%s", n, buf.String())
 	}
 
 	// At P=16 every candidate is feasible, c=4 included.

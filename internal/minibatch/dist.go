@@ -367,8 +367,9 @@ func (sm *sampler) rankEpoch(r *comm.Rank, rep *gcn.Replica, epoch int) (lossSum
 }
 
 // addPredicted folds one executed step's exact traffic prediction into the
-// running ledger: the gather plan at the feature width plus one loss
-// all-reduce and L weight-gradient all-reduces over the world.
+// running ledger: the gather plan at the feature width plus a step's
+// all-reduces over the world — the loss pair and the L weight gradients,
+// as gcn.EpochCharges lists them.
 func (sm *sampler) addPredicted(plan *distmm.Plan) {
 	d := sm.d
 	for rank, v := range plan.Volumes(d.X.Cols) {
@@ -376,17 +377,14 @@ func (sm *sampler) addPredicted(plan *distmm.Plan) {
 		sm.predicted[rank].RecvBytes += v.RecvBytes
 		sm.predicted[rank].MsgsSent += v.MsgsSent
 	}
-	addAll := func(n int) {
+	_, reductions := gcn.EpochCharges(d.Dims, 0)
+	for _, n := range reductions {
 		s, rcv, m := comm.AllReduceVolume(n, d.World.P)
 		for rank := range sm.predicted {
 			sm.predicted[rank].SentBytes += s
 			sm.predicted[rank].RecvBytes += rcv
 			sm.predicted[rank].MsgsSent += m
 		}
-	}
-	addAll(2) // loss / correct reduction
-	for l := 0; l+1 < len(d.Dims); l++ {
-		addAll(d.Dims[l] * d.Dims[l+1])
 	}
 }
 

@@ -53,7 +53,7 @@ func TestSetupAccountedApartFromEpochs(t *testing.T) {
 		cfg  ModelConfig
 	}{
 		{"sa-1d+gvb", DistOpts{Algorithm: SparsityAware1D, Partitioner: NewGVB(42)}, ModelConfig{Seed: 7}},
-		{"sa-1.5d/costmodel", DistOpts{Algorithm: SparsityAware15D, Replication: 2, CostModel: ModelConfig{Hidden: 8, Layers: 4}}, ModelConfig{Seed: 7, Hidden: 8, Layers: 4}},
+		{"sa-1.5d", DistOpts{Algorithm: SparsityAware15D, Replication: 2}, ModelConfig{Seed: 7}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cluster, err := NewCluster(4)
@@ -494,8 +494,9 @@ func TestDistributeLeavesDatasetAdjacency(t *testing.T) {
 }
 
 // TestSingleLayerModelHasNoEpochMultiplies: a one-layer model's only
-// multiply is Â·X, so its epochs exchange nothing but the all-reduces and
-// its priced epoch is empty — on the explicit and the auto path alike.
+// multiply is Â·X, so its epochs exchange nothing but the all-reduces, and
+// its priced epoch has no multiply phase and sends the all-reduces' bytes —
+// on the explicit and the auto path alike.
 func TestSingleLayerModelHasNoEpochMultiplies(t *testing.T) {
 	ds := autoDS()
 	cfg := ModelConfig{Layers: 1}
@@ -504,16 +505,25 @@ func TestSingleLayerModelHasNoEpochMultiplies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dg, err := cluster.Distribute(ds, DistOpts{Algorithm: alg, CostModel: cfg})
+		dg, err := cluster.Distribute(ds, DistOpts{Algorithm: alg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := dg.Report()
-		_ = rep.String()
-		for _, c := range rep.Candidates {
-			if c.Skipped == "" && (c.EpochSeconds != 0 || c.MaxSentMB != 0 || c.SetupSeconds <= 0) {
-				t.Fatalf("%s: epoch priced at %v s / %v MB, set-up at %v s", c.Algorithm, c.EpochSeconds, c.MaxSentMB, c.SetupSeconds)
+		price, err := dg.PriceEpoch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ph := range []string{"bcast", "alltoall"} {
+			if v, ok := price.Breakdown[ph]; ok {
+				t.Fatalf("%s: a one-layer epoch priced a %s phase of %v s", alg, ph, v)
 			}
+		}
+		if got, want := bytesOf(price.MaxSentMB), allReduceBytes(dg, cfg); got != want || price.SetupSeconds <= 0 {
+			t.Fatalf("%s: epoch priced at %d B sent, want the all-reduces' %d; set-up at %v s", alg, got, want, price.SetupSeconds)
+		}
+		// Below one layer there is no model: an error, not a panic.
+		if _, err := dg.PriceEpoch(ModelConfig{Layers: -1}); err == nil {
+			t.Fatalf("%s: PriceEpoch accepted a negative layer count", alg)
 		}
 		sess, err := dg.NewSession(cfg)
 		if err != nil {

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"sagnn/internal/comm"
+	"sagnn/internal/gcn"
 )
 
 const (
@@ -166,10 +167,8 @@ func runConformanceSchedule(t *testing.T, cl *Cluster, ds *Dataset) []confRun {
 // all-reduces, and a second run reports the same epochs and no set-up.
 func checkSetupAccounting(t *testing.T, name string, cl *Cluster, dg *DistGraph, sess *Session, first *TrainResult) {
 	t.Helper()
-	widths, err := epochWidths(dg.ds, ModelConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := ModelConfig{}.withDefaults()
+	widths := gcn.EpochMultiplyWidths(dg.x.Cols, cfg.Hidden, dg.ds.Classes, cfg.Layers, false)
 	plan := dg.engine.Plan()
 	hostedMax := func(per []int64) (m int64) {
 		for _, r := range cl.world.Hosted() {
