@@ -12,10 +12,10 @@ import (
 )
 
 // runFleet boots the sharded serving tier: k in-process serve.Server
-// replicas over the same dataset and model, fronted by the partition-aware
-// router. The dataset is GVB-partitioned into k parts so each replica's
-// cache concentrates on the part the router sends it; /admin/kill closes
-// the chosen replica's server to exercise failure handling.
+// replicas over the same dataset and model, fronted by the router. The
+// dataset is GVB-partitioned into k parts, which the partition policy maps
+// to replicas; /admin/kill closes the chosen replica's server to exercise
+// failure handling.
 func runFleet(ds *sagnn.Dataset, model *sagnn.Model, scfg serve.Config, k int, policy router.Policy, seed int64, addr string) error {
 	fmt.Printf("partitioning %s into %d parts (gvb)...\n", ds.Name, k)
 	part := partition.GVB{Seed: seed}.Partition(ds.G, k)
@@ -54,8 +54,7 @@ func runFleet(ds *sagnn.Dataset, model *sagnn.Model, scfg serve.Config, k int, p
 	snap := rt.Metrics(context.Background())
 	fmt.Printf("fleet served %d requests (%d failed, %d shed), %.1f qps, p99 %.2fms\n",
 		snap.Requests, snap.Failed, snap.Shed, snap.QPS, snap.Latency.P99Ms)
-	fmt.Printf("routing: %d splits, %d reroutes, %d generation retries, %d swaps; cache hit rate %.3f, gather fraction %.4f\n",
-		snap.Splits, snap.Reroutes, snap.GenRetries, snap.Swaps,
-		snap.FleetCacheHitRate, snap.FleetGatherFraction)
+	fmt.Printf("routing: %d splits, %d reroutes, %d generation retries, %d swaps\n",
+		snap.Splits, snap.Reroutes, snap.GenRetries, snap.Swaps)
 	return nil
 }

@@ -221,12 +221,12 @@ func printFleetMetrics(target string) {
 	if json.NewDecoder(resp.Body).Decode(&m) != nil || m.Replicas == 0 {
 		return
 	}
-	fmt.Printf("fleet: cache hit rate %.3f  gather fraction %.4f  healthy %d/%d  generation %d\n",
-		m.FleetCacheHitRate, m.FleetGatherFraction, m.Healthy, m.Replicas, m.Generation)
+	fmt.Printf("fleet: healthy %d/%d  generation %d  splits %d  reroutes %d\n",
+		m.Healthy, m.Replicas, m.Generation, m.Splits, m.Reroutes)
 }
 
 // pickDistinct fills verts with distinct vertex ids; a hot fraction of
-// requests samples from a fixed 64-vertex hot set to exercise the cache.
+// requests samples from a fixed 64-vertex hot set.
 func pickDistinct(rng *rand.Rand, verts []int, n int, hot float64) {
 	limit := n
 	if hot > 0 && rng.Float64() < hot {

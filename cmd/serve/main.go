@@ -1,8 +1,8 @@
 // Command serve runs the online-inference HTTP server: it loads (or
 // quickly trains) a model over a dataset preset and answers per-vertex
-// class predictions with micro-batched, cache-fronted, sparsity-aware
-// L-hop gather inference. Models hot-swap through POST /admin/swap without
-// dropping traffic.
+// class predictions from the model's full-batch answer table, built once
+// per model. Models hot-swap through POST /admin/swap without dropping
+// traffic.
 //
 // Server mode:
 //
@@ -18,7 +18,7 @@
 // Sharded fleet mode (router fronting N in-process replicas):
 //
 //	serve -dataset protein-sim -replicas 3 -router -addr :8080
-//	curl -s localhost:8080/metrics | jq .fleet_cache_hit_rate
+//	curl -s localhost:8080/metrics | jq .latency.p99_ms
 //	curl -s -XPOST localhost:8080/admin/kill?replica=1
 //
 // Load-generator mode (drive a running server, report QPS and latency;
@@ -63,12 +63,8 @@ func main() {
 
 	// Serving knobs.
 	addr := flag.String("addr", ":8080", "listen address")
-	window := flag.Duration("window", 2*time.Millisecond, "micro-batch collection window (negative disables the wait)")
-	maxBatch := flag.Int("maxbatch", 256, "distinct vertices per inference batch")
-	cacheSize := flag.Int("cache", 4096, "probability-cache capacity (negative disables)")
 	maxReq := flag.Int("maxreq", 1024, "max vertices per request")
 	maxInFlight := flag.Int("maxinflight", 1024, "admission limit: in-flight predictions before shedding 503s (negative = unlimited)")
-	reqTimeout := flag.Duration("reqtimeout", 5*time.Second, "per-request deadline, admission to answer (negative disables)")
 
 	// Sharded fleet mode.
 	replicas := flag.Int("replicas", 1, "number of in-process serve replicas (with -router)")
@@ -135,14 +131,7 @@ func main() {
 		return
 	}
 
-	scfg := serve.Config{
-		BatchWindow:        *window,
-		MaxBatch:           *maxBatch,
-		CacheSize:          *cacheSize,
-		MaxRequestVertices: *maxReq,
-		MaxInFlight:        *maxInFlight,
-		RequestTimeout:     *reqTimeout,
-	}
+	scfg := serve.Config{MaxRequestVertices: *maxReq, MaxInFlight: *maxInFlight}
 
 	if *routerMode || *replicas > 1 {
 		if *replicas < 1 {
@@ -158,16 +147,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("serving on %s (window %v, maxbatch %d, cache %d)\n", *addr, *window, *maxBatch, *cacheSize)
+	fmt.Printf("serving on %s (maxreq %d, maxinflight %d)\n", *addr, *maxReq, *maxInFlight)
 	err = serveUntilSignal(*addr, srv.Handler(), "server")
 	srv.Close()
 	if err != nil {
 		fatal(err)
 	}
 	snap := srv.Metrics()
-	fmt.Printf("served %d requests (%d failed, %d shed, %d panics isolated), %.1f qps, cache hit rate %.2f, %.1f req/batch\n",
-		snap.Requests, snap.Failed, snap.Admission.Shed, snap.Admission.Panics,
-		snap.QPS, snap.Cache.HitRate, snap.Batch.AvgRequests)
+	fmt.Printf("served %d requests (%d failed, %d shed), %.1f qps, p99 %.3fms\n",
+		snap.Requests, snap.Failed, snap.Admission.Shed, snap.QPS, snap.Latency.P99Ms)
 }
 
 // serveUntilSignal serves h on addr until SIGINT or SIGTERM, then stops

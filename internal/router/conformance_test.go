@@ -296,63 +296,3 @@ func TestFleetServesBitExactWithReplicaKilled(t *testing.T) {
 		t.Fatal("killed replica was readmitted")
 	}
 }
-
-// TestPartitionPolicyBeatsRandomOnFleetCache is the experiment the sharded
-// tier exists for: under repeated sweeps of the vertex space with
-// part-sized per-replica caches, partition-aware routing concentrates each
-// part on one replica (fleet cache ≈ sum of replica caches) while random
-// routing makes every replica cache the same global set (fleet cache ≈ one
-// replica's capacity). Every request names one vertex of each part, so
-// partition routing gathers one part's receptive field per batch where
-// random routing gathers the union of three. The fleet cache hit rate and
-// gather fraction must show it.
-func TestPartitionPolicyBeatsRandomOnFleetCache(t *testing.T) {
-	ds, _, _, part := fleetProblem(t)
-	// Caches big enough for one part (~40 vertices), far too small for the
-	// whole vertex space ×3.
-	scfg := serve.Config{BatchWindow: serve.WindowNone, CacheSize: 48}
-	byPart := make([][]int, 3)
-	for v := 0; v < ds.G.NumVertices(); v++ {
-		byPart[part.PartOf(v)] = append(byPart[part.PartOf(v)], v)
-	}
-	var sweep [][]int
-	for i := 0; ; i++ {
-		var req []int
-		for _, vs := range byPart {
-			if i < len(vs) {
-				req = append(req, vs[i])
-			}
-		}
-		if req == nil {
-			break
-		}
-		sweep = append(sweep, req)
-	}
-
-	run := func(policy Policy) Snapshot {
-		_, rt := newServeFleet(t, 3, scfg, func(cfg *Config) { cfg.Policy = policy })
-		for pass := 0; pass < 4; pass++ {
-			for _, req := range sweep {
-				resp, _ := predictVia(t, rt, req)
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("%s policy: status %d for vertices %v", policy, resp.StatusCode, req)
-				}
-			}
-		}
-		return rt.Metrics(context.Background())
-	}
-
-	partSnap := run(PolicyPartition)
-	randSnap := run(PolicyRandom)
-	t.Logf("partition: hit=%.3f gather=%.4f; random: hit=%.3f gather=%.4f",
-		partSnap.FleetCacheHitRate, partSnap.FleetGatherFraction,
-		randSnap.FleetCacheHitRate, randSnap.FleetGatherFraction)
-	if partSnap.FleetCacheHitRate < randSnap.FleetCacheHitRate+0.1 {
-		t.Fatalf("partition routing hit rate %.3f does not beat random %.3f",
-			partSnap.FleetCacheHitRate, randSnap.FleetCacheHitRate)
-	}
-	if partSnap.FleetGatherFraction >= randSnap.FleetGatherFraction {
-		t.Fatalf("partition routing gather fraction %.4f not below random %.4f",
-			partSnap.FleetGatherFraction, randSnap.FleetGatherFraction)
-	}
-}

@@ -23,8 +23,7 @@ type ReplicaSnapshot struct {
 
 // Snapshot is the router's GET /metrics document: fleet-level traffic and
 // latency, routing behavior (splits, reroutes, generation retries), and
-// the per-replica serving snapshots with their fleet-weighted aggregates —
-// the cache hit rate and gather fraction the sharding exists to improve.
+// the per-replica serving snapshots.
 type Snapshot struct {
 	serve.FrontSnapshot // fleet traffic, and admission under "admission"
 
@@ -37,14 +36,6 @@ type Snapshot struct {
 	GenRetries uint64 `json:"generation_retries"` // merge-time generation conflicts retried whole
 	Reroutes   uint64 `json:"reroutes"`           // sub-requests diverted off unhealthy/unreachable replicas
 	Swaps      uint64 `json:"swaps"`              // completed rolling swaps
-
-	// FleetCacheHitRate is Σ hits / Σ (hits+misses) across replicas — the
-	// number partition-aware routing multiplies by giving each replica its
-	// own slice of the vertex space to cache.
-	FleetCacheHitRate float64 `json:"fleet_cache_hit_rate"`
-	// FleetGatherFraction is the batch-weighted mean of the per-replica
-	// gathered-rows fraction — low when same-part receptive fields overlap.
-	FleetGatherFraction float64 `json:"fleet_gather_fraction"`
 
 	ReplicaStats []ReplicaSnapshot `json:"replica_stats"`
 }
@@ -62,9 +53,6 @@ func (rt *Router) Metrics(ctx context.Context) Snapshot {
 		Reroutes:      rt.reroutes.Load(),
 		Swaps:         rt.swaps.Load(),
 	}
-	var hits, misses uint64
-	var gatherWeighted float64
-	var batches uint64
 	for _, r := range rt.replicas {
 		rs := ReplicaSnapshot{
 			Name:        r.name,
@@ -78,18 +66,8 @@ func (rt *Router) Metrics(ctx context.Context) Snapshot {
 		}
 		if sv, err := rt.replicaMetrics(ctx, r); err == nil {
 			rs.Serve = sv
-			hits += sv.Cache.Hits
-			misses += sv.Cache.Misses
-			gatherWeighted += float64(sv.Batch.Count) * sv.Batch.GatherRowFraction
-			batches += sv.Batch.Count
 		}
 		snap.ReplicaStats = append(snap.ReplicaStats, rs)
-	}
-	if hits+misses > 0 {
-		snap.FleetCacheHitRate = float64(hits) / float64(hits+misses)
-	}
-	if batches > 0 {
-		snap.FleetGatherFraction = gatherWeighted / float64(batches)
 	}
 	return snap
 }

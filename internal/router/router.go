@@ -1,12 +1,8 @@
-// Package router is the sharded serving tier: a partition-aware HTTP
-// router fronting N serve.Server replicas that all hold the same dataset
-// and model. The paper's discipline — communication cost is governed by
-// which rows you actually need — extends from one serving process to a
-// fleet: vertices in the same partition part share gather rows, so routing
-// each vertex to the replica owning its part multiplies the per-replica
-// probability cache (each replica caches its part of the vertex space
-// instead of N copies of the global hot set) and keeps per-replica gather
-// fractions low (same-part receptive fields overlap).
+// Package router is the sharded serving tier: an HTTP router fronting N
+// serve.Server replicas that all hold the same dataset and model, and so
+// the same answer table per generation. Any replica can answer any vertex;
+// the router spreads load, survives replica loss and keeps responses
+// generation-consistent while a swap rolls through the fleet.
 //
 // The router provides:
 //
@@ -20,8 +16,8 @@
 //     replica-by-replica with generation verification, and a merge-time
 //     generation check guarantees no response ever mixes model
 //     generations, and
-//   - an aggregated GET /metrics endpoint (fleet QPS, p50/p99, per-replica
-//     cache hit rate and gather fraction).
+//   - an aggregated GET /metrics endpoint (fleet QPS, p50/p99, and every
+//     replica's serving snapshot).
 //
 // Endpoints: POST /predict, GET /healthz, GET /metrics, POST /admin/swap,
 // POST /admin/kill (optional chaos hook).
@@ -49,13 +45,11 @@ type Policy string
 
 const (
 	// PolicyPartition routes each vertex to the replica owning its
-	// partition part (Config.PartOf), splitting mixed requests. This is the
-	// locality-aware default the EXPERIMENTS table measures.
+	// partition part (Config.PartOf), splitting mixed requests. It is the
+	// default; EXPERIMENTS.md measures it against PolicyRandom.
 	PolicyPartition Policy = "partition"
 	// PolicyRandom sends each whole request to a uniformly chosen replica —
-	// the classic load-balancer baseline. Every replica ends up caching the
-	// same global hot set, so the fleet cache is effectively one replica's
-	// capacity; the policy exists to quantify exactly that loss.
+	// the classic load-balancer baseline.
 	PolicyRandom Policy = "random"
 )
 
@@ -503,9 +497,8 @@ func (rt *Router) groups(vertices []int, pin int) []group {
 	return groups
 }
 
-// dominant returns the replica answering the largest group — the natural
-// single home for a consistency retry, since most of the request's
-// receptive field is already cached there.
+// dominant returns the replica answering the largest group — the single
+// home for a consistency retry.
 func dominant(groups []group) int {
 	best := groups[0]
 	for _, g := range groups[1:] {

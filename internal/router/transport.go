@@ -13,8 +13,7 @@ import (
 // serve.Server costs one function call per request (no sockets, no
 // serialization beyond the JSON bodies both sides already speak), and a
 // future remote replica is just a client with the default transport and a
-// real URL. The round trip runs on the caller's goroutine — a replica
-// handler blocking on its micro-batcher blocks only this sub-request.
+// real URL. The round trip runs on the caller's goroutine.
 type handlerTransport struct{ h http.Handler }
 
 // RoundTrip serves req directly through the wrapped handler and packages

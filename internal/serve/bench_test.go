@@ -4,9 +4,7 @@ import (
 	"context"
 	"os"
 	"strconv"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"sagnn"
 )
@@ -30,12 +28,11 @@ func benchProblem(b *testing.B) (*sagnn.Dataset, *sagnn.Model) {
 	return ds, res.Model
 }
 
-// BenchmarkServeSequential is the baseline the tentpole is measured
-// against: one client, one vertex per request, no cache — every request
-// pays its own L-hop gather inference.
+// BenchmarkServeSequential times one client, one vertex per request, each
+// vertex once per pass over the graph: a lookup into the answer table.
 func BenchmarkServeSequential(b *testing.B) {
 	ds, model := benchProblem(b)
-	srv, err := New(ds, model, Config{BatchWindow: -1, CacheSize: -1})
+	srv, err := New(ds, model, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -56,62 +53,16 @@ func BenchmarkServeSequential(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
-// BenchmarkServeMicroBatched is the tentpole configuration: many concurrent
-// single-vertex clients coalesced by the batch window into shared gather
-// passes (cache still off, so the speedup is pure batching).
-func BenchmarkServeMicroBatched(b *testing.B) {
+// BenchmarkServeTable times what a model generation costs the server: the
+// full-batch forward, the finiteness check and the argmax behind New and
+// every Swap.
+func BenchmarkServeTable(b *testing.B) {
 	ds, model := benchProblem(b)
-	srv, err := New(ds, model, Config{BatchWindow: 2 * time.Millisecond, CacheSize: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	n := ds.G.NumVertices()
-	var next atomic.Int64
-	ctx := context.Background()
-	// Hundreds of concurrent single-vertex clients: the regime micro-batching
-	// is built for. Batches fill to MaxBatch, so each gather pass (which
-	// saturates toward the full graph on this dense dataset) is amortized
-	// over ~256 requests instead of paid per request.
-	b.SetParallelism(256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		classes := make([]int, 1)
-		probs := make([][]float64, 1)
-		vert := make([]int, 1)
-		for pb.Next() {
-			vert[0] = int(next.Add(1)) % n
-			if _, err := srv.PredictInto(ctx, vert, classes, probs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-}
-
-// BenchmarkServeCacheHit pins the hot path: every vertex cached, so a
-// request is validation + LRU lookups. Allocation-flat by contract.
-func BenchmarkServeCacheHit(b *testing.B) {
-	ds, model := benchProblem(b)
-	srv, err := New(ds, model, Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	vertices := []int{1, 17, 33, 65}
-	classes := make([]int, len(vertices))
-	probs := make([][]float64, len(vertices))
-	ctx := context.Background()
-	if _, err := srv.PredictInto(ctx, vertices, classes, probs); err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := srv.PredictInto(ctx, vertices, classes, probs); err != nil {
+		if _, err := answers(ds, model, -1); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }

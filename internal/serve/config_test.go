@@ -3,13 +3,12 @@ package serve
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 // TestConfigWithDefaults pins the three-way field contract: zero selects
 // the default, the exact disable sentinel stays legal, and every other
 // out-of-range value is rejected with the typed ErrConfig instead of being
-// silently reinterpreted.
+// silently reinterpreted. CacheSize is ignored whatever its value.
 func TestConfigWithDefaults(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -18,19 +17,8 @@ func TestConfigWithDefaults(t *testing.T) {
 		check   func(t *testing.T, c Config)
 	}{
 		{name: "zero value selects defaults", cfg: Config{}, check: func(t *testing.T, c Config) {
-			if c.BatchWindow != 2*time.Millisecond || c.MaxBatch != 256 || c.CacheSize != 4096 ||
-				c.MaxRequestVertices != 1024 || c.MaxInFlight != 1024 || c.RequestTimeout != 5*time.Second {
+			if c.MaxRequestVertices != 1024 || c.MaxInFlight != 1024 {
 				t.Fatalf("defaults = %+v", c)
-			}
-		}},
-		{name: "WindowNone disables the wait", cfg: Config{BatchWindow: WindowNone}, check: func(t *testing.T, c Config) {
-			if c.BatchWindow != 0 {
-				t.Fatalf("BatchWindow = %v, want 0", c.BatchWindow)
-			}
-		}},
-		{name: "CacheNone disables caching", cfg: Config{CacheSize: CacheNone}, check: func(t *testing.T, c Config) {
-			if c.CacheSize != CacheNone {
-				t.Fatalf("CacheSize = %d", c.CacheSize)
 			}
 		}},
 		{name: "InFlightUnlimited disables shedding", cfg: Config{MaxInFlight: InFlightUnlimited}, check: func(t *testing.T, c Config) {
@@ -38,24 +26,18 @@ func TestConfigWithDefaults(t *testing.T) {
 				t.Fatalf("MaxInFlight = %d", c.MaxInFlight)
 			}
 		}},
-		{name: "TimeoutNone disables the deadline", cfg: Config{RequestTimeout: TimeoutNone}, check: func(t *testing.T, c Config) {
-			if c.RequestTimeout != TimeoutNone {
-				t.Fatalf("RequestTimeout = %v", c.RequestTimeout)
-			}
-		}},
-		{name: "explicit values pass through", cfg: Config{BatchWindow: time.Millisecond, MaxBatch: 7, CacheSize: 9,
-			MaxRequestVertices: 3, MaxInFlight: 5, RequestTimeout: time.Second}, check: func(t *testing.T, c Config) {
-			if c.BatchWindow != time.Millisecond || c.MaxBatch != 7 || c.CacheSize != 9 ||
-				c.MaxRequestVertices != 3 || c.MaxInFlight != 5 || c.RequestTimeout != time.Second {
+		{name: "explicit values pass through", cfg: Config{MaxRequestVertices: 3, MaxInFlight: 5}, check: func(t *testing.T, c Config) {
+			if c.MaxRequestVertices != 3 || c.MaxInFlight != 5 {
 				t.Fatalf("explicit = %+v", c)
 			}
 		}},
-		{name: "negative window rejected", cfg: Config{BatchWindow: -3 * time.Millisecond}, wantErr: true},
-		{name: "negative MaxBatch rejected", cfg: Config{MaxBatch: -1}, wantErr: true},
-		{name: "negative cache beyond sentinel rejected", cfg: Config{CacheSize: -2}, wantErr: true},
+		{name: "CacheSize is ignored", cfg: Config{CacheSize: -2}, check: func(t *testing.T, c Config) {
+			if c.MaxRequestVertices != 1024 || c.MaxInFlight != 1024 {
+				t.Fatalf("with CacheSize = %+v", c)
+			}
+		}},
 		{name: "negative MaxRequestVertices rejected", cfg: Config{MaxRequestVertices: -1}, wantErr: true},
 		{name: "negative MaxInFlight beyond sentinel rejected", cfg: Config{MaxInFlight: -7}, wantErr: true},
-		{name: "negative timeout beyond sentinel rejected", cfg: Config{RequestTimeout: -2 * time.Second}, wantErr: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

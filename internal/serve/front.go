@@ -15,7 +15,7 @@ import (
 // and the fleet's router: the admission gate with its in-flight gauge, the
 // traffic counters with their latency window, the /predict body decode and
 // the JSON writers. Admitting, Leave, Served and Failed allocate nothing, so
-// a cache-hit prediction stays allocation-free. Safe for concurrent use.
+// a prediction stays allocation-free. Safe for concurrent use.
 type Front struct {
 	start       time.Time
 	maxInFlight int // <= 0 means unlimited
@@ -24,7 +24,6 @@ type Front struct {
 	requests atomic.Uint64 // answered predictions
 	failed   atomic.Uint64 // rejected or errored predictions (not shed)
 	shed     atomic.Uint64 // predictions refused with 503 under overload
-	panics   atomic.Uint64 // inference panics isolated to their batch
 
 	lat *latencyRing
 }
@@ -93,13 +92,11 @@ func (f *Front) DecodePredict(w http.ResponseWriter, r *http.Request) (req Predi
 }
 
 // Admission is the admission block of a /metrics document: live occupancy
-// against the in-flight limit, predictions shed with 503, and inference
-// panics isolated to their batch.
+// against the in-flight limit, and predictions shed with 503.
 type Admission struct {
 	InFlight    int64  `json:"in_flight"`
 	MaxInFlight int    `json:"max_in_flight"` // <= 0 means unlimited
 	Shed        uint64 `json:"shed"`
-	Panics      uint64 `json:"panics"`
 }
 
 // FrontSnapshot is a front's part of its tier's /metrics document: the
@@ -126,7 +123,6 @@ func (f *Front) Snapshot() FrontSnapshot {
 			InFlight:    f.inFlight.Load(),
 			MaxInFlight: f.maxInFlight,
 			Shed:        f.shed.Load(),
-			Panics:      f.panics.Load(),
 		},
 	}
 	if s.UptimeSeconds > 0 {

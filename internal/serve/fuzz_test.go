@@ -38,7 +38,7 @@ func FuzzPredictBody(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	srv, err := New(ds, model, Config{BatchWindow: WindowNone})
+	srv, err := New(ds, model, Config{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func FuzzSwapBody(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// A server per input, so a failure replays from its input alone.
-		srv, err := New(ds, modelA, Config{BatchWindow: WindowNone})
+		srv, err := New(ds, modelA, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,8 +63,6 @@ func TestMetricsConcurrentWritersAndSnapshots(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				f.requests.Add(1)
 				m.vertices.Add(3)
-				m.cacheHits.Add(2)
-				m.cacheMisses.Add(1)
 				f.shed.Add(1)
 				f.lat.Observe(time.Duration(w*perWriter+i+1) * time.Microsecond)
 			}
@@ -76,7 +74,7 @@ func TestMetricsConcurrentWritersAndSnapshots(t *testing.T) {
 	go func() {
 		defer close(readDone)
 		for i := 0; i < 200; i++ {
-			snap := m.snapshot(f.Snapshot(), 0, 0, 1, -1, 100)
+			snap := m.snapshot(f.Snapshot(), 1, -1)
 			if snap.Latency.P99Ms < snap.Latency.P50Ms {
 				t.Errorf("p99 %v < p50 %v", snap.Latency.P99Ms, snap.Latency.P50Ms)
 				return
@@ -86,14 +84,14 @@ func TestMetricsConcurrentWritersAndSnapshots(t *testing.T) {
 	wg.Wait()
 	<-readDone
 
-	snap := m.snapshot(f.Snapshot(), 5, 16, 2, 3, 100)
+	snap := m.snapshot(f.Snapshot(), 2, 3)
 	total := uint64(writers * perWriter)
 	if snap.Requests != total || snap.Vertices != 3*total || snap.Admission.Shed != total {
 		t.Fatalf("counters: requests %d vertices %d shed %d, want %d/%d/%d",
 			snap.Requests, snap.Vertices, snap.Admission.Shed, total, 3*total, total)
 	}
-	if want := float64(2*total) / float64(3*total); snap.Cache.HitRate != want {
-		t.Fatalf("hit rate = %v, want %v", snap.Cache.HitRate, want)
+	if snap.Model.Generation != 2 || snap.Model.Epoch != 3 {
+		t.Fatalf("model %+v, want generation 2 at epoch 3", snap.Model)
 	}
 	if snap.Latency.Samples != latencyWindow {
 		t.Fatalf("latency samples = %d, want full window %d", snap.Latency.Samples, latencyWindow)

@@ -1,15 +1,14 @@
 // Package serve is the online-inference subsystem: an HTTP JSON server that
 // answers per-vertex class predictions from a trained model over a fixed
-// dataset. It applies the paper's sparsity-aware discipline to serving —
-// a request computes only the rows its L-hop receptive field needs — and
-// stacks three layers of traffic absorption on top:
-//
-//   - a micro-batcher that coalesces concurrent requests arriving within a
-//     latency window into one gathered inference over their union,
-//   - a per-vertex LRU probability cache (fresh per model generation, so a
-//     hot swap invalidates it atomically), and
-//   - lock-free atomic model hot-swap via an admin endpoint, fed by the
-//     session checkpoint format.
+// dataset. The graph and features are static, as in the paper's full-graph
+// training, so one model generation has exactly one set of answers: an
+// n × classes probability table. The server builds it with one full-batch
+// forward when a model arrives (New, or a hot swap through the admin
+// endpoint, fed by the session checkpoint format), rejects a model whose
+// table is not finite, and publishes the table with one atomic pointer
+// store. A prediction is a lookup into the table it loaded: it never waits,
+// never allocates, and never mixes generations. Serving memory is bounded
+// by n × classes, not by a caller-chosen size.
 //
 // Endpoints: POST /predict, GET /healthz, GET /metrics, POST /admin/swap.
 package serve
@@ -28,84 +27,34 @@ import (
 	"sagnn/internal/dense"
 )
 
-// Config tunes the serving path. The zero value selects the defaults; the
-// exact sentinel values WindowNone / CacheNone / InFlightUnlimited /
-// TimeoutNone disable the corresponding mechanism; any other out-of-range
-// value is rejected by New with a typed ErrConfig.
+// Config tunes the serving path. The zero value selects the defaults;
+// InFlightUnlimited disables admission control; any other out-of-range
+// value is rejected by New with a typed ErrConfig. Nothing else is sized by
+// the caller: a generation's answers are one n × classes table.
 type Config struct {
-	// BatchWindow is how long the first request of a batch waits for company
-	// before inference runs. Zero (the unset value) selects the 2ms default,
-	// matching the zero-value convention of the other configs; WindowNone
-	// disables the wait — batches only coalesce requests already queued,
-	// effectively sequential under a single client.
-	BatchWindow time.Duration
-	// MaxBatch closes a batch early once this many distinct vertices are
-	// pending (default 256; must be ≥ 1).
-	MaxBatch int
-	// CacheSize is the per-vertex probability LRU capacity (default 4096);
-	// CacheNone disables caching.
-	CacheSize int
 	// MaxRequestVertices rejects single requests larger than this
 	// (default 1024; must be ≥ 1).
 	MaxRequestVertices int
 	// MaxInFlight is the admission-control limit: requests beyond this many
 	// concurrently-served predictions are shed immediately with ErrOverloaded
-	// (HTTP 503) instead of queueing without bound behind the batcher.
-	// Default 1024; InFlightUnlimited disables shedding.
+	// (HTTP 503). Default 1024; InFlightUnlimited disables shedding.
 	MaxInFlight int
-	// RequestTimeout bounds how long one prediction may wait on batched
-	// inference (pure cache hits never wait and are exempt). Expired
-	// requests fail with context.DeadlineExceeded (HTTP 503). Default 5s;
-	// TimeoutNone disables the deadline.
-	RequestTimeout time.Duration
+	// CacheSize is ignored, whatever its value (see compat.go).
+	CacheSize int
 }
 
-// The explicit "disable" sentinels. Each zero-valued Config field selects
-// its default, and each of these exact values disables the corresponding
-// mechanism; any other out-of-range value is a misconfiguration that
-// withDefaults rejects with ErrConfig instead of silently reinterpreting.
-const (
-	// WindowNone disables the micro-batch wait: batches only coalesce
-	// requests already queued, effectively sequential under a single client.
-	WindowNone time.Duration = -1
-	// CacheNone disables the per-vertex probability cache.
-	CacheNone = -1
-	// InFlightUnlimited disables admission control (never shed).
-	InFlightUnlimited = -1
-	// TimeoutNone disables the per-request deadline.
-	TimeoutNone time.Duration = -1
-)
+// InFlightUnlimited disables admission control (never shed).
+const InFlightUnlimited = -1
 
 // ErrConfig tags a rejected Config: a field outside its meaningful range
-// that is not one of the documented disable sentinels. errors.Is-able.
+// that is not the documented disable sentinel. errors.Is-able.
 var ErrConfig = errors.New("serve: invalid config")
 
 // withDefaults validates the config and fills in defaults: zero fields
-// select the documented defaults, the exact sentinel values above select
-// "disabled", and anything else out of range is rejected with a typed
-// ErrConfig — a -3ms window or a -7 admission limit is a typo, not a
-// request to disable.
+// select the documented defaults, InFlightUnlimited selects "never shed",
+// and anything else out of range is rejected with a typed ErrConfig — a -7
+// admission limit is a typo, not a request to disable.
 func (c Config) withDefaults() (Config, error) {
-	switch {
-	case c.BatchWindow == 0:
-		c.BatchWindow = 2 * time.Millisecond
-	case c.BatchWindow == WindowNone:
-		c.BatchWindow = 0
-	case c.BatchWindow < 0:
-		return c, fmt.Errorf("%w: BatchWindow %v is negative (use WindowNone to disable the wait)", ErrConfig, c.BatchWindow)
-	}
-	switch {
-	case c.MaxBatch == 0:
-		c.MaxBatch = 256
-	case c.MaxBatch < 1:
-		return c, fmt.Errorf("%w: MaxBatch %d < 1", ErrConfig, c.MaxBatch)
-	}
-	switch {
-	case c.CacheSize == 0:
-		c.CacheSize = 4096
-	case c.CacheSize < 0 && c.CacheSize != CacheNone:
-		return c, fmt.Errorf("%w: CacheSize %d is negative (use CacheNone to disable caching)", ErrConfig, c.CacheSize)
-	}
 	switch {
 	case c.MaxRequestVertices == 0:
 		c.MaxRequestVertices = 1024
@@ -116,12 +65,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxInFlight, err = InFlightLimit(c.MaxInFlight, 1024); err != nil {
 		return c, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
-	switch {
-	case c.RequestTimeout == 0:
-		c.RequestTimeout = 5 * time.Second
-	case c.RequestTimeout < 0 && c.RequestTimeout != TimeoutNone:
-		return c, fmt.Errorf("%w: RequestTimeout %v is negative (use TimeoutNone to disable the deadline)", ErrConfig, c.RequestTimeout)
-	}
 	return c, nil
 }
 
@@ -130,15 +73,42 @@ func (c Config) withDefaults() (Config, error) {
 // callers map it to 503 with Retry-After.
 var ErrOverloaded = errors.New("serve: overloaded")
 
-// modelState is one immutable serving generation: the model, its private
-// cache, and its lineage. Swaps publish a whole new state through one
-// atomic pointer, so readers never observe a model paired with another
-// generation's cache.
+// ErrClosed is returned for predictions attempted after the server began
+// shutting down.
+var ErrClosed = errors.New("serve: server closed")
+
+// modelState is one immutable serving generation: every vertex's
+// probability row and class under one model, and its lineage. The graph
+// and features are static, so a generation's answers are this one table,
+// built once by a full-batch forward. Swaps publish a whole new state
+// through one atomic pointer, so a request that loads it once answers from
+// a single generation.
 type modelState struct {
-	model      *sagnn.Model
-	cache      *Cache
+	probs      [][]float64 // row v is vertex v's probabilities; read-only
+	classes    []int       // argmax of each row
 	generation uint64
 	epoch      int // checkpoint epoch the model came from, -1 for a bare model
+}
+
+// answers runs model's full-batch forward over ds once and freezes the
+// result as an unpublished serving state of the given lineage; the caller
+// numbers its generation. A model whose forward overflows answers rows no
+// JSON reply can carry, so any non-finite probability rejects it.
+func answers(ds *sagnn.Dataset, model *sagnn.Model, epoch int) (*modelState, error) {
+	probs, err := model.Probabilities(ds, nil)
+	if err != nil {
+		return nil, err
+	}
+	classes := make([]int, len(probs))
+	for v, row := range probs {
+		for _, p := range row {
+			if math.IsNaN(p) || math.IsInf(p, 0) {
+				return nil, fmt.Errorf("serve: model yields probability %v at vertex %d", p, v)
+			}
+		}
+		classes[v] = dense.ArgmaxRow(row)
+	}
+	return &modelState{probs: probs, classes: classes, epoch: epoch}, nil
 }
 
 // Server serves predictions for one dataset. Safe for concurrent use.
@@ -148,15 +118,14 @@ type Server struct {
 	cfg     Config
 
 	state   atomic.Pointer[modelState]
-	batcher *Batcher
 	front   *Front
 	metrics Metrics
 	mux     *http.ServeMux
 	closed  atomic.Bool
 }
 
-// New builds a server for the model over the dataset and starts its
-// micro-batching loop. Callers must Close it to flush in-flight batches.
+// New builds a server for the model over the dataset, computing the
+// model's answer table up front.
 func New(ds *sagnn.Dataset, model *sagnn.Model, cfg Config) (*Server, error) {
 	if model == nil {
 		return nil, fmt.Errorf("serve: nil model")
@@ -168,25 +137,13 @@ func New(ds *sagnn.Dataset, model *sagnn.Model, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	st, err := answers(ds, model, -1)
+	if err != nil {
+		return nil, err
+	}
+	st.generation = 1
 	s := &Server{ds: ds, classes: model.Classes(), cfg: cfg, front: NewFront(cfg.MaxInFlight)}
-	s.state.Store(&modelState{
-		model:      model,
-		cache:      NewCache(s.cfg.CacheSize),
-		generation: 1,
-		epoch:      -1,
-	})
-	s.batcher = NewBatcher(s.cfg.BatchWindow, s.cfg.MaxBatch, s.execBatch, func(requests, vertices, gathered int, err error) {
-		if err != nil {
-			if errors.Is(err, ErrInferencePanic) {
-				s.front.panics.Add(1)
-			}
-			return
-		}
-		s.metrics.batches.Add(1)
-		s.metrics.batchRequests.Add(uint64(requests))
-		s.metrics.batchVertices.Add(uint64(vertices))
-		s.metrics.gatherRows.Add(uint64(gathered))
-	})
+	s.state.Store(st)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/predict", s.handlePredict)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -202,48 +159,19 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // swap).
 func (s *Server) Generation() uint64 { return s.state.Load().generation }
 
-// Close stops accepting predictions and flushes the in-flight batch.
-// Idempotent.
-func (s *Server) Close() {
-	s.closed.Store(true)
-	s.batcher.Close()
-}
-
-// execBatch is the batcher's inference callback: one sparsity-aware gather
-// pass over the union of a batch's vertices under the current model state,
-// publishing every row into that state's cache and reporting the state's
-// generation. The batcher confines a panicking inference to its batch.
-func (s *Server) execBatch(vertices []int) ([][]float64, []int, int, uint64, error) {
-	st := s.state.Load()
-	flat := make([]float64, len(vertices)*s.classes)
-	gathered, err := st.model.ProbabilitiesInto(flat, s.ds, vertices)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	rows := make([][]float64, len(vertices))
-	classes := make([]int, len(vertices))
-	for i, v := range vertices {
-		rows[i] = flat[i*s.classes : (i+1)*s.classes]
-		classes[i] = dense.ArgmaxRow(rows[i])
-		st.cache.Put(v, classes[i], rows[i])
-	}
-	return rows, classes, gathered, st.generation, nil
-}
+// Close stops accepting predictions. Idempotent.
+func (s *Server) Close() { s.closed.Store(true) }
 
 // PredictInto answers one prediction request: classes[i] and probs[i]
 // receive the class and probability row of vertices[i] (probs rows alias
-// cache-owned immutable storage; treat them as read-only). Vertices must be
+// the generation's table; treat them as read-only). Vertices must be
 // distinct and in range — sagnn.ErrInvalidVertices tags violations so HTTP
-// callers map them to 400. When every vertex hits the cache the call
-// allocates nothing; misses join the current micro-batch.
+// callers map them to 400. An answer is a lookup that never waits, so ctx
+// is not consulted, and the call allocates nothing.
 //
-// Every response is generation-consistent: all returned rows were computed
-// by the single model generation the call returns. If a hot swap lands
-// mid-request (cache hits from the old state, batch computed by the new
-// one), the request retries against the new state — whose cache the batch
-// just populated — and as a last resort bypasses the cache so one batch
-// computes the whole answer.
-func (s *Server) PredictInto(ctx context.Context, vertices []int, classes []int, probs [][]float64) (uint64, error) {
+// Every response is generation-consistent: the call loads the serving state
+// once, and every returned row comes from that generation's table.
+func (s *Server) PredictInto(_ context.Context, vertices []int, classes []int, probs [][]float64) (uint64, error) {
 	start := time.Now()
 	if s.closed.Load() {
 		return 0, ErrClosed
@@ -268,68 +196,19 @@ func (s *Server) PredictInto(ctx context.Context, vertices []int, classes []int,
 		return 0, fmt.Errorf("serve: output slices hold %d/%d entries for %d vertices",
 			len(classes), len(probs), len(vertices))
 	}
-	const maxAttempts = 3
-	var cancel context.CancelFunc
-	for attempt := 0; ; attempt++ {
-		st := s.state.Load()
-		bypassCache := attempt == maxAttempts-1
-		var misses, missIdx []int
-		hits := 0
-		for i, v := range vertices {
-			if !bypassCache {
-				if row, class, ok := st.cache.Get(v); ok {
-					probs[i], classes[i] = row, class
-					hits++
-					continue
-				}
-			}
-			// Only a miss allocates: the all-hit path is allocation-free.
-			misses = append(misses, v)
-			missIdx = append(missIdx, i)
-		}
-		if len(misses) == 0 {
-			// Pure cache hits are trivially consistent with st.
-			s.finishRequest(start, len(vertices), hits, 0)
-			return st.generation, nil
-		}
-		// Arm the per-request deadline only when the request must wait on a
-		// batch: pure cache hits stay allocation-free and never expire.
-		if d := s.cfg.RequestTimeout; d > 0 && cancel == nil {
-			ctx, cancel = context.WithTimeout(ctx, d)
-			defer cancel()
-		}
-		rows, cls, gen, err := s.batcher.Do(ctx, misses)
-		if err != nil {
-			s.front.Failed()
-			return 0, err
-		}
-		if gen != st.generation && !bypassCache {
-			// A swap raced this request: the hits came from st, the batch
-			// from a newer state. Retry against the new state — the batch's
-			// rows are already in its cache, so the redo is cheap.
-			continue
-		}
-		for j, i := range missIdx {
-			probs[i], classes[i] = rows[j], cls[j]
-		}
-		s.finishRequest(start, len(vertices), hits, len(misses))
-		return gen, nil
+	st := s.state.Load()
+	for i, v := range vertices {
+		probs[i], classes[i] = st.probs[v], st.classes[v]
 	}
-}
-
-// finishRequest records the counters of one successfully-answered request.
-func (s *Server) finishRequest(start time.Time, vertices, hits, misses int) {
-	s.metrics.cacheHits.Add(uint64(hits))
-	s.metrics.cacheMisses.Add(uint64(misses))
-	s.metrics.vertices.Add(uint64(vertices))
+	s.metrics.vertices.Add(uint64(len(vertices)))
 	s.front.Served(start)
+	return st.generation, nil
 }
 
 // Swap atomically replaces the serving model with a validated replacement —
 // one that fits the dataset, scores the server's classes and yields finite
-// probabilities at every vertex — installing a fresh (empty) cache for the
-// new generation. epoch records the checkpoint lineage (-1 for a bare
-// model).
+// probabilities at every vertex — publishing its answer table as the next
+// generation. epoch records the checkpoint lineage (-1 for a bare model).
 func (s *Server) Swap(model *sagnn.Model, epoch int) (uint64, error) {
 	if model == nil {
 		return 0, fmt.Errorf("serve: nil model")
@@ -340,28 +219,13 @@ func (s *Server) Swap(model *sagnn.Model, epoch int) (uint64, error) {
 	if got, want := model.Classes(), s.classes; got != want {
 		return 0, fmt.Errorf("serve: model scores %d classes, server expects %d", got, want)
 	}
-	// A model whose forward overflows answers NaN rows no JSON reply can
-	// carry: run it over every vertex once, which also warms its evaluator
-	// for the misses that follow.
-	rows, err := model.Probabilities(s.ds, nil)
+	next, err := answers(s.ds, model, epoch)
 	if err != nil {
 		return 0, err
 	}
-	for v, row := range rows {
-		for _, p := range row {
-			if math.IsNaN(p) || math.IsInf(p, 0) {
-				return 0, fmt.Errorf("serve: model yields probability %v at vertex %d", p, v)
-			}
-		}
-	}
 	for {
 		old := s.state.Load()
-		next := &modelState{
-			model:      model,
-			cache:      NewCache(s.cfg.CacheSize),
-			generation: old.generation + 1,
-			epoch:      epoch,
-		}
+		next.generation = old.generation + 1
 		if s.state.CompareAndSwap(old, next) {
 			s.metrics.swaps.Add(1)
 			return next.generation, nil
@@ -382,8 +246,7 @@ func (s *Server) SwapBytes(data []byte) (generation uint64, epoch int, err error
 // Metrics returns the current metrics snapshot.
 func (s *Server) Metrics() Snapshot {
 	st := s.state.Load()
-	return s.metrics.snapshot(s.front.Snapshot(), st.cache.Len(), st.cache.Capacity(), st.generation, st.epoch,
-		s.ds.G.NumVertices())
+	return s.metrics.snapshot(s.front.Snapshot(), st.generation, st.epoch)
 }
 
 // PredictRequest is the POST /predict body. Exported so fleet routers can
@@ -478,16 +341,13 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 }
 
 // statusFor maps serving errors to HTTP statuses: request-shape problems
-// are the client's (400), shutdown / shedding / deadline expiry are
-// unavailability (503), anything else — including an isolated inference
-// panic — is internal (500).
+// are the client's (400), shutdown and shedding are unavailability (503),
+// anything else is internal (500).
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, sagnn.ErrInvalidVertices):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrClosed), errors.Is(err, ErrOverloaded):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError

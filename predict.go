@@ -63,14 +63,14 @@ func ValidateVertices(n int, vertices []int) error {
 // partitioned (permuted) graph predicts directly on the original dataset
 // order. Models serialize with MarshalBinary / LoadModel.
 //
-// A Model is safe for concurrent use: Predict, Probabilities and
-// ProbabilitiesInto serialize on an internal mutex around one lazily-built,
-// reusable inference evaluator, the L-hop forward over the dataset's shared
-// Â and Â·X (Dataset.NormalizedAdjacency, Dataset.InputProduct). A
-// full-batch prediction is the same forward with every vertex as the target
-// set. The evaluator is keyed on the dataset's Â — predicting on another
-// dataset, or on one whose graph or features were replaced, rebuilds it — so
-// the steady-state serving hot path allocates nothing.
+// A Model is safe for concurrent use: Predict and Probabilities serialize
+// on an internal mutex around one lazily-built, reusable inference
+// evaluator, the L-hop forward over the dataset's shared Â and Â·X
+// (Dataset.NormalizedAdjacency, Dataset.InputProduct). A full-batch
+// prediction is the same forward with every vertex as the target set. The
+// evaluator is keyed on the dataset's Â — predicting on another dataset, or
+// on one whose graph or features were replaced, rebuilds it — so repeated
+// predictions allocate only the rows they return.
 type Model struct {
 	m *gcn.Model
 
@@ -143,7 +143,7 @@ func (m *Model) everyVertex(n int) {
 
 // Predict returns the predicted class (the first most probable) of each
 // requested vertex on the given dataset; no training state is touched.
-// Same vertex-set contract as ProbabilitiesInto: a nil slice predicts every
+// Same vertex-set contract as Probabilities: a nil slice predicts every
 // vertex.
 func (m *Model) Predict(ds *Dataset, vertices []int) ([]int, error) {
 	probs, err := m.Probabilities(ds, vertices)
@@ -158,68 +158,41 @@ func (m *Model) Predict(ds *Dataset, vertices []int) ([]int, error) {
 }
 
 // Probabilities returns each requested vertex's class-probability row
-// (fresh copies the caller owns). Same vertex-set contract as
-// ProbabilitiesInto.
-func (m *Model) Probabilities(ds *Dataset, vertices []int) ([][]float64, error) {
-	if err := m.checkDataset(ds); err != nil {
-		return nil, err
-	}
-	count := len(vertices)
-	if vertices == nil {
-		count = ds.G.NumVertices()
-	}
-	classes := m.Classes()
-	flat := make([]float64, count*classes)
-	if _, err := m.ProbabilitiesInto(flat, ds, vertices); err != nil {
-		return nil, err
-	}
-	out := make([][]float64, count)
-	for i := range out {
-		out[i] = flat[i*classes : (i+1)*classes : (i+1)*classes]
-	}
-	return out, nil
-}
-
-// ProbabilitiesInto computes the class-probability rows of the requested
-// vertices into dst (row-major, len(vertices)×Classes values; row i holds
-// vertices[i]), gathering only the L-hop receptive field of the request and
-// reusing the model's inference workspace — the micro-batching server's
-// execution path. A nil slice selects every vertex; any other request must
-// be non-empty, distinct and in range (ErrInvalidVertices otherwise), in any
-// order. It returns the number of rows of Â·X gathered: the request's
-// (L−1)-hop neighbourhood, at most NumVertices, the serving analogue of the
-// paper's communication-volume metric.
-func (m *Model) ProbabilitiesInto(dst []float64, ds *Dataset, vertices []int) (gathered int, err error) {
+// (fresh copies the caller owns; row i holds vertices[i]), gathering only
+// the L-hop receptive field of the request and reusing the model's
+// inference workspace. A nil slice selects every vertex; any other request
+// must be non-empty, distinct and in range (ErrInvalidVertices otherwise),
+// in any order.
+func (m *Model) Probabilities(ds *Dataset, vertices []int) (rows [][]float64, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.checkDataset(ds); err != nil {
-		return 0, err
+		return nil, err
 	}
 	if vertices == nil {
 		m.everyVertex(ds.G.NumVertices())
 	} else {
 		if err := ValidateVertices(ds.G.NumVertices(), vertices); err != nil {
-			return 0, err
+			return nil, err
 		}
 		m.sorted = append(m.sorted[:0], vertices...)
 		slices.Sort(m.sorted)
 	}
-	classes := m.Classes()
-	if len(dst) != len(m.sorted)*classes {
-		return 0, fmt.Errorf("sagnn: dst holds %d values, want %d vertices × %d classes", len(dst), len(m.sorted), classes)
-	}
 	defer recoverToError(&err)
 	probs := m.forward(ds)
-	// Scatter rows back to the request order (identity when pre-sorted).
-	if vertices == nil {
-		copy(dst, probs.Data)
-	} else {
-		for i, v := range vertices {
-			r, _ := slices.BinarySearch(m.sorted, v)
-			copy(dst[i*classes:(i+1)*classes], probs.Row(r))
+	classes := m.Classes()
+	flat := make([]float64, len(m.sorted)*classes)
+	rows = make([][]float64, len(m.sorted))
+	for i := range rows {
+		// Rows come back in request order (identity when pre-sorted).
+		r := i
+		if vertices != nil {
+			r, _ = slices.BinarySearch(m.sorted, vertices[i])
 		}
+		rows[i] = flat[i*classes : (i+1)*classes : (i+1)*classes]
+		copy(rows[i], probs.Row(r))
 	}
-	return m.eval.GatheredRows(), nil
+	return rows, nil
 }
 
 // MarshalBinary serialises the model: a leading variant byte, always 0 (the

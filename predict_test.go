@@ -138,7 +138,7 @@ func TestPredictSubsetAfterTraining(t *testing.T) {
 	checkRowsMatchFull(t, "trained", vertices, rows, classes, full)
 }
 
-// TestSubsetValidation pins the one request contract of the three
+// TestSubsetValidation pins the one request contract of the two
 // prediction methods: empty, duplicate, negative and too-large vertex sets
 // fail with ErrInvalidVertices (so servers can map them to HTTP 400), never
 // panic, and nil selects every vertex.
@@ -153,14 +153,6 @@ func TestSubsetValidation(t *testing.T) {
 		"Probabilities": func(vertices []int) (int, error) {
 			rows, err := model.Probabilities(ds, vertices)
 			return len(rows), err
-		},
-		"ProbabilitiesInto": func(vertices []int) (int, error) {
-			count := len(vertices)
-			if vertices == nil {
-				count = ds.G.NumVertices()
-			}
-			_, err := model.ProbabilitiesInto(make([]float64, count*model.Classes()), ds, vertices)
-			return count, err
 		},
 	}
 	for name, call := range methods {
@@ -193,27 +185,6 @@ func TestSubsetValidation(t *testing.T) {
 	big[63] = 0 // duplicate beyond the quadratic-scan threshold
 	if err := ValidateVertices(64, big); !errors.Is(err, ErrInvalidVertices) {
 		t.Fatalf("large duplicate set: got %v, want ErrInvalidVertices", err)
-	}
-}
-
-// TestPredictWorkspaceReuseAllocFlat pins the serving execution path:
-// repeated ProbabilitiesInto calls on one dataset must not allocate. The
-// graph stays under the parallel-kernel thresholds (SpMM 256 rows, GEMM 128)
-// so no worker goroutines launch.
-func TestPredictWorkspaceReuseAllocFlat(t *testing.T) {
-	ds := subsetTestDataset(gen.ErdosRenyi(100, 6, 3), 8, 4, 7)
-	model := &Model{m: gcn.NewModel(2, gcn.LayerDims(8, 8, 4, 3))}
-	vertices := []int{4, 40, 99}
-	probs := make([]float64, len(vertices)*model.Classes())
-	if _, err := model.ProbabilitiesInto(probs, ds, vertices); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		if _, err := model.ProbabilitiesInto(probs, ds, vertices); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs > 0 {
-		t.Fatalf("steady-state ProbabilitiesInto allocates %v times, want 0", allocs)
 	}
 }
 

@@ -28,11 +28,11 @@
 // and Snapshot/Restore checkpointing.
 //
 // On the serving side, the same sparsity-aware discipline answers online
-// queries: Model.Predict, Probabilities and ProbabilitiesInto compute a
-// request's probabilities by gathering only its L-hop receptive field,
-// bit-identical to full-batch inference (a nil request), and
-// internal/serve + cmd/serve wrap that path in a micro-batching,
-// cache-fronted, hot-swappable HTTP server.
+// queries: Model.Predict and Probabilities compute a request's
+// probabilities by gathering only its L-hop receptive field, bit-identical
+// to full-batch inference (a nil request), and internal/serve + cmd/serve
+// serve one model generation's full-batch answer table over HTTP, with
+// atomic hot swaps.
 package sagnn
 
 import (
@@ -161,8 +161,8 @@ type TrainResult struct {
 	ValAcc  float64
 	TestAcc float64
 	// Model is the trained weight set, detached from the run: predict with
-	// it (Predict, Probabilities, ProbabilitiesInto), serve it through
-	// internal/serve, or persist it with MarshalBinary.
+	// it (Predict, Probabilities), serve it through internal/serve, or
+	// persist it with MarshalBinary.
 	Model *Model
 }
 

@@ -41,7 +41,7 @@ func TestInputProductSharedAcrossModels(t *testing.T) {
 		}
 	}
 
-	srv, err := serve.New(ds, clones[0], serve.Config{CacheSize: serve.CacheNone})
+	srv, err := serve.New(ds, clones[0], serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
