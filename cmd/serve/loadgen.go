@@ -24,12 +24,11 @@ type loadConfig struct {
 	target   string
 	clients  int
 	perReq   int
-	hot      float64
 	duration time.Duration
 	seed     int64
 
 	// scenario shapes the traffic and optional mid-run chaos:
-	//   uniform — uniform vertex popularity (plus the -hot fraction)
+	//   uniform — uniform vertex popularity
 	//   zipf    — Zipfian vertex popularity with exponent zipfS
 	//   swap    — zipf traffic; at half-time POST swapModel to /admin/swap
 	//   kill    — zipf traffic; at half-time POST /admin/kill?replica=K
@@ -39,29 +38,44 @@ type loadConfig struct {
 	killReplica int
 }
 
-// newPicker returns the per-client vertex picker for the scenario.
-func (cfg loadConfig) newPicker(rng *rand.Rand, n int) (func(verts []int), error) {
+// check rejects a configuration no run can use. runLoadgen calls it before
+// it sends anything, so a bad flag never leaves a swap or a kill behind.
+func (cfg loadConfig) check() error {
 	switch cfg.scenario {
 	case "", "uniform":
-		return func(verts []int) { pickDistinct(rng, verts, n, cfg.hot) }, nil
 	case "zipf", "swap", "kill":
-		if cfg.zipfS <= 1 {
-			return nil, fmt.Errorf("zipf exponent -zipfs must be > 1, got %v", cfg.zipfS)
+		if !(cfg.zipfS > 1) {
+			return fmt.Errorf("zipf exponent -zipfs must be > 1, got %v", cfg.zipfS)
 		}
-		z := rand.NewZipf(rng, cfg.zipfS, 1, uint64(n-1))
-		return func(verts []int) { fillDistinct(verts, func() int { return int(z.Uint64()) }) }, nil
 	default:
-		return nil, fmt.Errorf("unknown scenario %q (uniform, zipf, swap, kill)", cfg.scenario)
+		return fmt.Errorf("unknown scenario %q (uniform, zipf, swap, kill)", cfg.scenario)
 	}
+	if cfg.scenario == "swap" && cfg.swapModel == "" {
+		return errors.New("scenario swap needs -swapmodel")
+	}
+	if cfg.perReq < 1 {
+		return fmt.Errorf("-k %d < 1", cfg.perReq)
+	}
+	if cfg.clients < 1 {
+		return fmt.Errorf("-clients %d < 1", cfg.clients)
+	}
+	return nil
+}
+
+// newPicker returns the per-client vertex picker for a checked scenario.
+func (cfg loadConfig) newPicker(rng *rand.Rand, n int) func(verts []int) {
+	next := func() int { return rng.Intn(n) }
+	if cfg.scenario == "zipf" || cfg.scenario == "swap" || cfg.scenario == "kill" {
+		z := rand.NewZipf(rng, cfg.zipfS, 1, uint64(n-1))
+		next = func() int { return int(z.Uint64()) }
+	}
+	return func(verts []int) { fillDistinct(verts, next) }
 }
 
 // fireEvent runs the scenario's mid-run chaos action, if any.
 func (cfg loadConfig) fireEvent() error {
 	switch cfg.scenario {
 	case "swap":
-		if cfg.swapModel == "" {
-			return errors.New("scenario swap needs -swapmodel")
-		}
 		data, err := os.ReadFile(cfg.swapModel)
 		if err != nil {
 			return err
@@ -96,6 +110,9 @@ func (cfg loadConfig) fireEvent() error {
 // throughput, shed rate, and latency quantiles — the harness behind the
 // EXPERIMENTS serving tables and the CI SLO gates.
 func runLoadgen(cfg loadConfig) error {
+	if err := cfg.check(); err != nil {
+		return err
+	}
 	n, err := serverVertices(cfg.target)
 	if err != nil {
 		return fmt.Errorf("probing %s: %w", cfg.target, err)
@@ -119,17 +136,11 @@ func runLoadgen(cfg loadConfig) error {
 	deadline := start.Add(cfg.duration)
 	results := make([]result, cfg.clients)
 	var wg sync.WaitGroup
-	pickErr := make(chan error, cfg.clients)
 	for c := 0; c < cfg.clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.seed + int64(c)))
-			pick, err := cfg.newPicker(rng, n)
-			if err != nil {
-				pickErr <- err
-				return
-			}
+			pick := cfg.newPicker(rand.New(rand.NewSource(cfg.seed+int64(c))), n)
 			client := &http.Client{Timeout: 30 * time.Second}
 			verts := make([]int, cfg.perReq)
 			for time.Now().Before(deadline) {
@@ -180,11 +191,6 @@ func runLoadgen(cfg loadConfig) error {
 	if err := <-eventDone; err != nil {
 		return fmt.Errorf("scenario event: %w", err)
 	}
-	select {
-	case err := <-pickErr:
-		return err
-	default:
-	}
 
 	var all []time.Duration
 	errs, shed := 0, 0
@@ -221,24 +227,8 @@ func printFleetMetrics(target string) {
 	if json.NewDecoder(resp.Body).Decode(&m) != nil || m.Replicas == 0 {
 		return
 	}
-	fmt.Printf("fleet: healthy %d/%d  generation %d  splits %d  reroutes %d\n",
-		m.Healthy, m.Replicas, m.Generation, m.Splits, m.Reroutes)
-}
-
-// pickDistinct fills verts with distinct vertex ids; a hot fraction of
-// requests samples from a fixed 64-vertex hot set.
-func pickDistinct(rng *rand.Rand, verts []int, n int, hot float64) {
-	limit := n
-	if hot > 0 && rng.Float64() < hot {
-		limit = 64
-		if limit > n {
-			limit = n
-		}
-		if limit < len(verts) {
-			limit = n // hot set smaller than the request: fall back to uniform
-		}
-	}
-	fillDistinct(verts, func() int { return rng.Intn(limit) })
+	fmt.Printf("fleet: healthy %d/%d  generation %d  reroutes %d\n",
+		m.Healthy, m.Replicas, m.Generation, m.Reroutes)
 }
 
 // fillDistinct fills verts with distinct draws from next.

@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"sagnn"
-	"sagnn/internal/router"
 	"sagnn/internal/serve"
 )
 
@@ -68,8 +67,7 @@ func main() {
 
 	// Sharded fleet mode.
 	replicas := flag.Int("replicas", 1, "number of in-process serve replicas (with -router)")
-	routerMode := flag.Bool("router", false, "front the replicas with the partition-aware router")
-	route := flag.String("route", "partition", "routing policy: partition or random")
+	routerMode := flag.Bool("router", false, "front the replicas with the router (each request goes whole to one replica)")
 
 	// Load-generator mode.
 	loadgen := flag.Bool("loadgen", false, "run as a load generator against -target")
@@ -77,7 +75,6 @@ func main() {
 	clients := flag.Int("clients", 32, "concurrent loadgen clients")
 	duration := flag.Duration("duration", 5*time.Second, "loadgen run length")
 	perReq := flag.Int("k", 1, "vertices per loadgen request")
-	hot := flag.Float64("hot", 0, "fraction of loadgen requests drawn from a 64-vertex hot set")
 	scenario := flag.String("scenario", "uniform", "loadgen scenario: uniform, zipf, swap, kill")
 	zipfS := flag.Float64("zipfs", 1.3, "Zipf popularity exponent for -scenario zipf/swap/kill (> 1)")
 	swapModel := flag.String("swapmodel", "", "model artifact POSTed to /admin/swap at half-time (-scenario swap)")
@@ -89,7 +86,6 @@ func main() {
 			target:      *target,
 			clients:     *clients,
 			perReq:      *perReq,
-			hot:         *hot,
 			duration:    *duration,
 			seed:        *seed,
 			scenario:    *scenario,
@@ -137,7 +133,7 @@ func main() {
 		if *replicas < 1 {
 			fatal(fmt.Errorf("-replicas %d < 1", *replicas))
 		}
-		if err := runFleet(ds, model, scfg, *replicas, router.Policy(*route), *seed, *addr); err != nil {
+		if err := runFleet(ds, model, scfg, *replicas, *addr); err != nil {
 			fatal(err)
 		}
 		return

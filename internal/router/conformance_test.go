@@ -14,23 +14,21 @@ import (
 
 	"sagnn"
 	"sagnn/internal/gen"
-	"sagnn/internal/partition"
 	"sagnn/internal/retry"
 	"sagnn/internal/serve"
 )
 
-// The conformance fixture: a 120-vertex SBM dataset, two differently
-// trained models (B is the hot-swap candidate), and a GVB partition into 3
-// parts. Built once — training is the expensive step.
+// The conformance fixture: a 120-vertex SBM dataset and two differently
+// trained models (B is the hot-swap candidate). Built once — training is
+// the expensive step.
 var (
 	fleetOnce sync.Once
 	fleetDS   *sagnn.Dataset
 	fleetA    *sagnn.Model
 	fleetB    *sagnn.Model
-	fleetPart *partition.Partition
 )
 
-func fleetProblem(t testing.TB) (*sagnn.Dataset, *sagnn.Model, *sagnn.Model, *partition.Partition) {
+func fleetProblem(t testing.TB) (*sagnn.Dataset, *sagnn.Model, *sagnn.Model) {
 	t.Helper()
 	fleetOnce.Do(func() {
 		g, comms := gen.SBM(120, 3, 8, 2, 11)
@@ -48,17 +46,16 @@ func fleetProblem(t testing.TB) (*sagnn.Dataset, *sagnn.Model, *sagnn.Model, *pa
 			panic(err)
 		}
 		fleetA, fleetB = resA.Model, resB.Model
-		fleetPart = partition.GVB{}.Partition(g, 3)
 	})
-	return fleetDS, fleetA, fleetB, fleetPart
+	return fleetDS, fleetA, fleetB
 }
 
 // newServeFleet boots k real serve.Server replicas over the fixture
 // dataset/model and fronts them with a router. The Kill hook closes the
 // replica's server, as cmd/serve wires it.
-func newServeFleet(t *testing.T, k int, scfg serve.Config, mutate func(cfg *Config)) ([]*serve.Server, *Router) {
+func newServeFleet(t testing.TB, k int, scfg serve.Config, mutate func(cfg *Config)) ([]*serve.Server, *Router) {
 	t.Helper()
-	ds, modelA, _, part := fleetProblem(t)
+	ds, modelA, _ := fleetProblem(t)
 	servers := make([]*serve.Server, k)
 	handlers := make([]http.Handler, k)
 	for i := range servers {
@@ -71,7 +68,6 @@ func newServeFleet(t *testing.T, k int, scfg serve.Config, mutate func(cfg *Conf
 		handlers[i] = srv.Handler()
 	}
 	cfg := Config{
-		PartOf:         part.PartOf,
 		HealthInterval: 20 * time.Millisecond,
 		Kill:           func(i int) error { servers[i].Close(); return nil },
 	}
@@ -86,29 +82,22 @@ func newServeFleet(t *testing.T, k int, scfg serve.Config, mutate func(cfg *Conf
 	return servers, rt
 }
 
-// mixedBatches returns request vertex sets that deliberately span partition
-// parts (plus single-part and singleton shapes for contrast).
-func mixedBatches(part *partition.Partition, n int) [][]int {
-	// One vertex from each part, in part order.
-	byPart := make([][]int, 3)
-	for v := 0; v < n; v++ {
-		p := part.PartOf(v)
-		byPart[p] = append(byPart[p], v)
-	}
-	return [][]int{
-		{byPart[0][0], byPart[1][0], byPart[2][0]},                             // one per part
-		{byPart[2][1], byPart[0][1], byPart[1][1], byPart[2][2], byPart[0][2]}, // interleaved
-		byPart[1][:4],  // single part
-		{byPart[0][3]}, // singleton
-		{byPart[0][4], byPart[0][5], byPart[1][4], byPart[2][3], byPart[1][5]}, // lopsided
-	}
+// conformanceBatches are the request vertex sets the fleet tests replay
+// over the 120-vertex fixture: scattered, interleaved, contiguous,
+// singleton and unordered shapes.
+var conformanceBatches = [][]int{
+	{0, 41, 87},
+	{119, 3, 64, 65, 2},
+	{10, 11, 12, 13},
+	{7},
+	{5, 100, 6, 50, 99},
 }
 
-// TestRoutedBitIdenticalToSingleServer is the acceptance pin: for
-// mixed-part batches, the routed fleet's /predict responses must be
-// bit-identical to a single un-routed serve.Server over the same model.
+// TestRoutedBitIdenticalToSingleServer is the acceptance pin: the routed
+// fleet's /predict replies must equal a single un-routed serve.Server's
+// over the same model, status and body byte for byte.
 func TestRoutedBitIdenticalToSingleServer(t *testing.T) {
-	ds, modelA, _, part := fleetProblem(t)
+	ds, modelA, _ := fleetProblem(t)
 	single, err := serve.New(ds, modelA.Clone(), serve.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -116,23 +105,24 @@ func TestRoutedBitIdenticalToSingleServer(t *testing.T) {
 	defer single.Close()
 	_, rt := newServeFleet(t, 3, serve.Config{}, nil)
 
-	for _, verts := range mixedBatches(part, ds.G.NumVertices()) {
-		resp, routed := predictVia(t, rt, verts)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("routed status %d for %v", resp.StatusCode, verts)
-		}
-		w := httptest.NewRecorder()
+	for _, verts := range conformanceBatches {
 		body, _ := json.Marshal(serve.PredictRequest{Vertices: verts})
-		single.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
-		if w.Code != http.StatusOK {
-			t.Fatalf("single status %d for %v", w.Code, verts)
+		routed, ref := postRaw(rt.Handler(), body), postRaw(single.Handler(), body)
+		if routed.Code != http.StatusOK || ref.Code != http.StatusOK {
+			t.Fatalf("status routed %d, single %d for %v", routed.Code, ref.Code, verts)
 		}
-		var ref serve.PredictResponse
-		if err := json.Unmarshal(w.Body.Bytes(), &ref); err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(routed.Body.Bytes(), ref.Body.Bytes()) {
+			t.Fatalf("routed reply diverges from single server for %v:\nrouted: %s\nsingle: %s", verts, routed.Body, ref.Body)
 		}
-		if !reflect.DeepEqual(routed, ref) {
-			t.Fatalf("routed response diverges from single server for %v:\nrouted: %+v\nsingle: %+v", verts, routed, ref)
+	}
+	// Bodies past serve.MaxPredictBody: a request that ends inside the
+	// bound (200) and one the bound cuts off (400).
+	pad := bytes.Repeat([]byte(" "), 2*serve.MaxPredictBody)
+	for want, head := range map[int]string{http.StatusOK: `{"vertices":[1]}`, http.StatusBadRequest: `{"vertices":[1`} {
+		body := append([]byte(head), pad...)
+		routed, ref := postRaw(rt.Handler(), body), postRaw(single.Handler(), body)
+		if ref.Code != want || routed.Code != want || !bytes.Equal(routed.Body.Bytes(), ref.Body.Bytes()) {
+			t.Fatalf("oversized %s…: routed %d %s, single %d %s, want %d", head, routed.Code, routed.Body, ref.Code, ref.Body, want)
 		}
 	}
 }
@@ -141,9 +131,7 @@ func TestRoutedBitIdenticalToSingleServer(t *testing.T) {
 // worker goroutines, where t.Fatal is off limits.
 func tryPredictVia(rt *Router, vertices []int) (int, serve.PredictResponse, error) {
 	body, _ := json.Marshal(serve.PredictRequest{Vertices: vertices})
-	req := httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body))
-	w := httptest.NewRecorder()
-	rt.Handler().ServeHTTP(w, req)
+	w := postRaw(rt.Handler(), body)
 	var pr serve.PredictResponse
 	if w.Code == http.StatusOK {
 		if err := json.Unmarshal(w.Body.Bytes(), &pr); err != nil {
@@ -169,15 +157,15 @@ func referenceProbs(t testing.TB, ds *sagnn.Dataset, m *sagnn.Model) ([][]float6
 }
 
 // TestRollingSwapUnderLoadNeverMixesGenerations hammers the fleet with
-// mixed-part requests while a rolling hot-swap runs, and checks every
+// requests while a rolling hot-swap runs, and checks every
 // single 200 against the full-batch table of the generation it reports:
 // responses are generation-1 exact or generation-2 exact, never a blend.
 func TestRollingSwapUnderLoadNeverMixesGenerations(t *testing.T) {
-	ds, modelA, modelB, part := fleetProblem(t)
+	ds, modelA, modelB := fleetProblem(t)
 	_, rt := newServeFleet(t, 3, serve.Config{}, nil)
 	probsA, classesA := referenceProbs(t, ds, modelA)
 	probsB, classesB := referenceProbs(t, ds, modelB)
-	batches := mixedBatches(part, ds.G.NumVertices())
+	batches := conformanceBatches
 
 	type mismatch struct{ msg string }
 	var mu sync.Mutex
@@ -264,10 +252,10 @@ func TestRollingSwapUnderLoadNeverMixesGenerations(t *testing.T) {
 }
 
 // TestFleetServesBitExactWithReplicaKilled kills one replica through the
-// admin chaos hook and checks the fleet still answers every mixed-part
-// batch bit-identically to the reference model.
+// admin chaos hook and checks the fleet still answers every batch
+// bit-identically to the reference model.
 func TestFleetServesBitExactWithReplicaKilled(t *testing.T) {
-	ds, modelA, _, part := fleetProblem(t)
+	ds, modelA, _ := fleetProblem(t)
 	_, rt := newServeFleet(t, 3, serve.Config{}, nil)
 	probsA, classesA := referenceProbs(t, ds, modelA)
 
@@ -278,7 +266,7 @@ func TestFleetServesBitExactWithReplicaKilled(t *testing.T) {
 	}
 	waitFor(t, time.Second, func() bool { return !rt.replicas[1].healthy.Load() })
 
-	for _, verts := range mixedBatches(part, ds.G.NumVertices()) {
+	for _, verts := range conformanceBatches {
 		resp, pr := predictVia(t, rt, verts)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d for %v with replica-1 dead", resp.StatusCode, verts)

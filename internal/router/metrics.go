@@ -10,32 +10,29 @@ import (
 )
 
 // ReplicaSnapshot is one replica's row in the aggregated metrics: the
-// router's view (health, generation, routed sub-requests, ejections) plus
+// router's view (health, generation, forwarded requests, ejections) plus
 // the replica's own full serving snapshot when it is reachable.
 type ReplicaSnapshot struct {
 	Name        string          `json:"name"`
 	Healthy     bool            `json:"healthy"`
 	Generation  uint64          `json:"generation"`
 	Ejects      uint64          `json:"ejects"`
-	SubRequests uint64          `json:"sub_requests"`
+	SubRequests uint64          `json:"sub_requests"`    // requests forwarded here
 	Serve       *serve.Snapshot `json:"serve,omitempty"` // nil when unreachable
 }
 
 // Snapshot is the router's GET /metrics document: fleet-level traffic and
-// latency, routing behavior (splits, reroutes, generation retries), and
-// the per-replica serving snapshots.
+// latency, reroutes and swaps, and the per-replica serving snapshots.
 type Snapshot struct {
 	serve.FrontSnapshot // fleet traffic, and admission under "admission"
+	legacySnapshot      // always zero (compat.go)
 
-	Policy     string `json:"policy"`
 	Replicas   int    `json:"replicas"`
 	Healthy    int    `json:"healthy_replicas"`
 	Generation uint64 `json:"generation"` // fleet target
 
-	Splits     uint64 `json:"splits"`             // requests split across >1 replica
-	GenRetries uint64 `json:"generation_retries"` // merge-time generation conflicts retried whole
-	Reroutes   uint64 `json:"reroutes"`           // sub-requests diverted off unhealthy/unreachable replicas
-	Swaps      uint64 `json:"swaps"`              // completed rolling swaps
+	Reroutes uint64 `json:"reroutes"` // requests diverted off ejected or unreachable replicas
+	Swaps    uint64 `json:"swaps"`    // completed rolling swaps
 
 	ReplicaStats []ReplicaSnapshot `json:"replica_stats"`
 }
@@ -45,11 +42,8 @@ type Snapshot struct {
 func (rt *Router) Metrics(ctx context.Context) Snapshot {
 	snap := Snapshot{
 		FrontSnapshot: rt.front.Snapshot(),
-		Policy:        string(rt.cfg.Policy),
 		Replicas:      len(rt.replicas),
 		Generation:    rt.targetGen.Load(),
-		Splits:        rt.splits.Load(),
-		GenRetries:    rt.genRetries.Load(),
 		Reroutes:      rt.reroutes.Load(),
 		Swaps:         rt.swaps.Load(),
 	}

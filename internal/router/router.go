@@ -1,21 +1,21 @@
 // Package router is the sharded serving tier: an HTTP router fronting N
 // serve.Server replicas that all hold the same dataset and model, and so
-// the same answer table per generation. Any replica can answer any vertex;
-// the router spreads load, survives replica loss and keeps responses
-// generation-consistent while a swap rolls through the fleet.
+// the same answer table per generation. Any replica can answer any
+// request; the router spreads load, survives replica loss and rolls model
+// swaps through the fleet.
 //
 // The router provides:
 //
-//   - partition-aware routing: each request vertex goes to the replica
-//     owning its part; mixed requests are split into per-replica
-//     sub-requests and the responses merged in input order,
+//   - one hop per request: each POST /predict goes whole to one replica
+//     drawn from a seeded stream, and the replica's status, Retry-After
+//     and body bytes go back to the client unchanged — the replica
+//     validates the request, and its reply comes from one generation's
+//     table, so no response ever mixes model generations,
 //   - per-replica health checking with eject/readmit (and generation
 //     catch-up before readmission),
 //   - fleet-wide admission control that honors and propagates Retry-After,
 //   - rolling hot-swap orchestration: POST /admin/swap fans out
-//     replica-by-replica with generation verification, and a merge-time
-//     generation check guarantees no response ever mixes model
-//     generations, and
+//     replica-by-replica with generation verification, and
 //   - an aggregated GET /metrics endpoint (fleet QPS, p50/p99, and every
 //     replica's serving snapshot).
 //
@@ -26,13 +26,10 @@ package router
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,40 +37,24 @@ import (
 	"sagnn/internal/serve"
 )
 
-// Policy selects how vertices map to replicas.
-type Policy string
-
-const (
-	// PolicyPartition routes each vertex to the replica owning its
-	// partition part (Config.PartOf), splitting mixed requests. It is the
-	// default; EXPERIMENTS.md measures it against PolicyRandom.
-	PolicyPartition Policy = "partition"
-	// PolicyRandom sends each whole request to a uniformly chosen replica —
-	// the classic load-balancer baseline.
-	PolicyRandom Policy = "random"
-)
-
 // ErrConfig tags a rejected router configuration.
 var ErrConfig = errors.New("router: invalid config")
 
 // The health loop ejects a replica after ejectAfter consecutive failed
 // probes and readmits it after readmitAfter consecutive successful ones —
-// after its generation has been caught up to the fleet target.
-// PolicyRandom's replica stream starts at randomSeed.
+// after its generation has been caught up to the fleet target. The replica
+// stream starts at randomSeed.
 const (
 	ejectAfter   = 2
 	readmitAfter = 2
 	randomSeed   = 1
 )
 
-// Config tunes the router. The zero value selects the defaults (partition
-// policy, which requires PartOf).
+// Config tunes the router. The zero value selects the defaults.
 type Config struct {
-	// PartOf maps a vertex id in [0, Vertices) to its partition part.
-	// Required under PolicyPartition; parts map to replicas modulo the
-	// replica count. Typically (*partition.Partition).PartOf.
+	// PartOf and Policy are ignored whatever their value: every request
+	// goes whole to one replica (see compat.go).
 	PartOf func(v int) int
-	// Policy selects the routing policy (default PolicyPartition).
 	Policy Policy
 	// MaxInFlight is the fleet-wide admission limit: whole client requests
 	// beyond this many in flight are shed with 503 + Retry-After before any
@@ -89,15 +70,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() (Config, error) {
-	if c.Policy == "" {
-		c.Policy = PolicyPartition
-	}
-	if c.Policy != PolicyPartition && c.Policy != PolicyRandom {
-		return c, fmt.Errorf("%w: unknown policy %q", ErrConfig, c.Policy)
-	}
-	if c.Policy == PolicyPartition && c.PartOf == nil {
-		return c, fmt.Errorf("%w: PolicyPartition requires PartOf", ErrConfig)
-	}
 	var err error
 	if c.MaxInFlight, err = serve.InFlightLimit(c.MaxInFlight, 4096); err != nil {
 		return c, fmt.Errorf("%w: %v", ErrConfig, err)
@@ -122,7 +94,7 @@ type replica struct {
 	gen     atomic.Uint64 // last observed serving generation
 
 	ejects      atomic.Uint64
-	subRequests atomic.Uint64
+	subRequests atomic.Uint64 // requests forwarded here, reroutes included
 
 	// Health-loop-private consecutive-probe counters (single goroutine).
 	fails, oks int
@@ -147,15 +119,13 @@ type Router struct {
 
 	front *serve.Front // admission gate and traffic counters
 
-	splits     atomic.Uint64 // requests split across >1 replica
-	genRetries atomic.Uint64 // merge-time generation conflicts retried whole
-	reroutes   atomic.Uint64 // sub-requests diverted off an unreachable replica
-	swaps      atomic.Uint64 // completed rolling swaps
+	reroutes atomic.Uint64 // requests diverted off an ejected or unreachable replica
+	swaps    atomic.Uint64 // completed rolling swaps
 
 	targetGen atomic.Uint64                // fleet generation every replica should serve
 	artifact  atomic.Pointer[swapArtifact] // latest fanned-out model blob
 	swapMu    sync.Mutex                   // one rolling swap at a time
-	rrState   atomic.Uint64                // PolicyRandom stream state
+	rrState   atomic.Uint64                // replica stream state
 
 	closed       atomic.Bool
 	healthCancel context.CancelFunc
@@ -271,50 +241,46 @@ func (rt *Router) fallback(idx int) int {
 	return -1
 }
 
-// subResult is one replica sub-request outcome.
-type subResult struct {
-	status     int
-	retryAfter string
-	body       serve.PredictResponse
-	errBody    []byte // raw error document for non-200 propagation
-	err        error  // transport failure; in route's outcome, the router's own failure
+// reply is one replica's answer to a forwarded request, kept as bytes.
+type reply struct {
+	status      int
+	retryAfter  string
+	contentType string
+	body        []byte
+	err         error // transport failure; in route's outcome, the router's own failure
 }
 
-// doPredict posts one sub-request to a replica and decodes the outcome.
-func (rt *Router) doPredict(ctx context.Context, r *replica, vertices []int) subResult {
+// forward posts the client's body bytes to one replica and reads its
+// answer back unparsed.
+func (rt *Router) forward(ctx context.Context, r *replica, body []byte) reply {
 	r.subRequests.Add(1)
-	body, err := json.Marshal(serve.PredictRequest{Vertices: vertices})
-	if err != nil {
-		return subResult{err: err}
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.base+"/predict", bytes.NewReader(body))
 	if err != nil {
-		return subResult{err: err}
+		return reply{err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return subResult{err: err}
+		return reply{err: err}
 	}
 	defer resp.Body.Close()
-	res := subResult{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After")}
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&res.body); err != nil {
-			return subResult{err: fmt.Errorf("decoding %s response: %w", r.name, err)}
-		}
-		r.gen.Store(res.body.Generation)
-		return res
+	res := reply{
+		status:      resp.StatusCode,
+		retryAfter:  resp.Header.Get("Retry-After"),
+		contentType: resp.Header.Get("Content-Type"),
 	}
-	res.errBody, _ = io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	if res.body, err = io.ReadAll(resp.Body); err != nil {
+		return reply{err: fmt.Errorf("reading %s response: %w", r.name, err)}
+	}
 	return res
 }
 
-// unreachable reports whether a sub-result means "this replica cannot
-// serve right now" (transport failure, 5xx other than a shed, or a 503
-// without Retry-After — serve sets the header only when shedding, so a
-// bare 503 is a closing or deadline-blown replica), as opposed to a
-// client-error or shed outcome that must propagate.
-func (res subResult) unreachable() bool {
+// unreachable reports whether a reply means "this replica cannot serve
+// right now" (transport failure, 5xx other than a shed, or a 503 without
+// Retry-After — serve sets the header only when shedding, so a bare 503 is
+// a closing replica), as opposed to an answer or a shed that must reach
+// the client.
+func (res reply) unreachable() bool {
 	if res.err != nil {
 		return true
 	}
@@ -324,10 +290,19 @@ func (res subResult) unreachable() bool {
 	return res.status >= 500 && res.status != http.StatusServiceUnavailable
 }
 
-// handlePredict routes one client request across the fleet.
+// handlePredict forwards one client request whole to one replica and
+// passes its reply through: status, Retry-After and body bytes. The
+// replica validates the request; the router never parses it.
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
-	req, ok := rt.front.DecodePredict(w, r)
-	if !ok {
+	if !serve.PostOnly(w, r) {
+		return
+	}
+	// One byte past the limit is enough for the replica's own bound to
+	// reject an oversized body exactly as a single server would.
+	body, err := io.ReadAll(io.LimitReader(r.Body, serve.MaxPredictBody+1))
+	if err != nil {
+		rt.front.Failed()
+		serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	if rt.closed.Load() {
@@ -341,202 +316,52 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rt.front.Leave()
 	start := time.Now()
-	res := rt.route(r.Context(), req.Vertices)
-	switch {
-	case res.err != nil:
+	res := rt.route(r.Context(), body)
+	if res.err != nil {
 		rt.front.Failed()
 		serve.WriteError(w, res.status, res.err)
-	case res.status == http.StatusOK:
-		rt.front.Served(start)
-		serve.WriteJSON(w, http.StatusOK, res.body)
-	case res.status == http.StatusServiceUnavailable:
-		// A replica shed the sub-request: propagate the backpressure with
-		// the largest Retry-After any replica asked for.
-		rt.front.Shed()
-		if res.retryAfter != "" {
-			w.Header().Set("Retry-After", res.retryAfter)
-		}
-		writeRaw(w, res.status, res.errBody)
-	default:
-		rt.front.Failed()
-		writeRaw(w, res.status, res.errBody)
-	}
-}
-
-// group is one sub-request: the vertices one replica answers and their
-// positions in the client request.
-type group struct {
-	replica       int
-	vertices, pos []int
-}
-
-// route fans a request out as one sub-request per group and merges the
-// responses. Each vertex goes to its home replica; a PolicyRandom request,
-// one the router cannot map (empty, out-of-range vertices — the replica
-// owns validation and answers with exact single-server semantics) and the
-// retry after a generation conflict go whole, as one group pinned to one
-// replica. The outcome is one subResult: a 200 with the merged response, a
-// replica's status, Retry-After and error document, or the router's own
-// failure in err with the status that answers it.
-func (rt *Router) route(ctx context.Context, vertices []int) subResult {
-	pin := -1
-	if rt.cfg.Policy == PolicyRandom {
-		pin = rt.nextRandom()
-	} else if !rt.mappable(vertices) {
-		pin = 0
-	}
-	for {
-		groups := rt.groups(vertices, pin)
-		// One health fallback per group: an ejected home sends its whole
-		// group to the next healthy replica.
-		for i := range groups {
-			if g := &groups[i]; !rt.replicas[g.replica].healthy.Load() {
-				if g.replica = rt.fallback(g.replica); g.replica < 0 {
-					return subResult{status: http.StatusServiceUnavailable, err: errors.New("router: no healthy replicas")}
-				}
-				rt.reroutes.Add(1)
-			}
-		}
-		if len(groups) > 1 {
-			rt.splits.Add(1)
-		}
-
-		// Fan out concurrently; each unreachable replica gets one reroute to
-		// the next healthy one before the request fails.
-		results := make([]subResult, len(groups))
-		var wg sync.WaitGroup
-		for i, g := range groups {
-			wg.Add(1)
-			go func(i int, g group) {
-				defer wg.Done()
-				res := rt.doPredict(ctx, rt.replicas[g.replica], g.vertices)
-				if res.unreachable() {
-					if fb := rt.fallback((g.replica + 1) % len(rt.replicas)); fb >= 0 && fb != g.replica {
-						rt.reroutes.Add(1)
-						res = rt.doPredict(ctx, rt.replicas[fb], g.vertices)
-					}
-				}
-				results[i] = res
-			}(i, g)
-		}
-		wg.Wait()
-
-		// Any non-200 fails the whole request — a partial prediction is not
-		// a prediction.
-		for _, res := range results {
-			if res.err != nil {
-				return subResult{status: http.StatusBadGateway, err: fmt.Errorf("router: replica unreachable: %v", res.err)}
-			}
-			if res.status != http.StatusOK {
-				res.retryAfter = maxRetryAfter(results)
-				return res
-			}
-		}
-		if len(groups) == 1 {
-			// One group holds the whole request in input order.
-			return results[0]
-		}
-
-		// Generation consistency: a rolling swap may have answered different
-		// groups with different models. Never merge them — retry the whole
-		// request on one replica, whose response is internally consistent.
-		gen := results[0].body.Generation
-		if slices.ContainsFunc(results, func(res subResult) bool { return res.body.Generation != gen }) {
-			rt.genRetries.Add(1)
-			pin = dominant(groups)
-			continue
-		}
-
-		// Merge rows back into input order.
-		merged := serve.PredictResponse{
-			Generation: gen,
-			Classes:    make([]int, len(vertices)),
-			Probs:      make([][]float64, len(vertices)),
-		}
-		for i, g := range groups {
-			for j, pos := range g.pos {
-				merged.Classes[pos] = results[i].body.Classes[j]
-				merged.Probs[pos] = results[i].body.Probs[j]
-			}
-		}
-		return subResult{status: http.StatusOK, body: merged}
-	}
-}
-
-// mappable reports whether every vertex of a non-empty request has a home
-// replica.
-func (rt *Router) mappable(vertices []int) bool {
-	for _, v := range vertices {
-		if v < 0 || v >= rt.vertices {
-			return false
-		}
-	}
-	return len(vertices) > 0
-}
-
-// groups splits a request by home replica, in replica order, remembering
-// input positions for the merge; pin ≥ 0 makes the whole request one group
-// on that replica.
-func (rt *Router) groups(vertices []int, pin int) []group {
-	if pin >= 0 {
-		return []group{{replica: pin, vertices: vertices}}
-	}
-	byHome := make([]group, len(rt.replicas))
-	for i, v := range vertices {
-		g := &byHome[rt.cfg.PartOf(v)%len(rt.replicas)]
-		g.vertices = append(g.vertices, v)
-		g.pos = append(g.pos, i)
-	}
-	groups := byHome[:0]
-	for home, g := range byHome {
-		if len(g.vertices) > 0 {
-			g.replica = home
-			groups = append(groups, g)
-		}
-	}
-	return groups
-}
-
-// dominant returns the replica answering the largest group — the single
-// home for a consistency retry.
-func dominant(groups []group) int {
-	best := groups[0]
-	for _, g := range groups[1:] {
-		if len(g.vertices) > len(best.vertices) {
-			best = g
-		}
-	}
-	return best.replica
-}
-
-// maxRetryAfter returns the largest Retry-After any sub-response carried, or
-// a lone sub-response's verbatim.
-func maxRetryAfter(results []subResult) string {
-	if len(results) == 1 {
-		return results[0].retryAfter
-	}
-	max := 0
-	for _, res := range results {
-		if res.retryAfter == "" {
-			continue
-		}
-		if v, err := strconv.Atoi(res.retryAfter); err == nil && v > max {
-			max = v
-		}
-	}
-	if max == 0 {
-		return ""
-	}
-	return strconv.Itoa(max)
-}
-
-// writeRaw forwards a replica's error document verbatim.
-func writeRaw(w http.ResponseWriter, code int, body []byte) {
-	if len(body) == 0 {
-		serve.WriteError(w, code, errors.New(http.StatusText(code)))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_, _ = w.Write(body)
+	switch res.status {
+	case http.StatusOK:
+		rt.front.Served(start)
+	case http.StatusServiceUnavailable:
+		rt.front.Shed()
+	default:
+		rt.front.Failed()
+	}
+	if res.retryAfter != "" {
+		w.Header().Set("Retry-After", res.retryAfter)
+	}
+	if res.contentType != "" {
+		w.Header().Set("Content-Type", res.contentType)
+	}
+	w.WriteHeader(res.status)
+	_, _ = w.Write(res.body)
+}
+
+// route sends the body to one replica drawn from the splitmix stream — the
+// next healthy one if it is ejected — and, if that replica is unreachable,
+// once more to the next healthy replica after it. The outcome is the
+// replica's reply, or the router's own failure in err with the status that
+// answers it.
+func (rt *Router) route(ctx context.Context, body []byte) reply {
+	pick := rt.nextRandom()
+	if !rt.replicas[pick].healthy.Load() {
+		if pick = rt.fallback(pick); pick < 0 {
+			return reply{status: http.StatusServiceUnavailable, err: errors.New("router: no healthy replicas")}
+		}
+		rt.reroutes.Add(1)
+	}
+	res := rt.forward(ctx, rt.replicas[pick], body)
+	if res.unreachable() {
+		if fb := rt.fallback((pick + 1) % len(rt.replicas)); fb >= 0 && fb != pick {
+			rt.reroutes.Add(1)
+			res = rt.forward(ctx, rt.replicas[fb], body)
+		}
+	}
+	if res.err != nil {
+		return reply{status: http.StatusBadGateway, err: fmt.Errorf("router: replica unreachable: %v", res.err)}
+	}
+	return res
 }

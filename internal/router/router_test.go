@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -18,7 +19,7 @@ import (
 
 // fakeReplica is a minimal scriptable replica: it speaks the four serve
 // endpoints with fully deterministic bodies, so routing-layer behavior
-// (splits, merges, generation conflicts, Retry-After propagation,
+// (replica choice, pass-through of replies and Retry-After, reroutes,
 // readmission catch-up) is testable without real inference.
 type fakeReplica struct {
 	mu         sync.Mutex
@@ -33,8 +34,8 @@ type fakeReplica struct {
 }
 
 // fakeRow is the deterministic probability row a fake replica returns for
-// vertex v at generation gen — distinct across both axes, so any
-// cross-generation mixing or misrouted merge shows up as a wrong value.
+// vertex v at generation gen — distinct across both axes, so a reply from
+// the wrong generation or for the wrong vertex shows up as a wrong value.
 func fakeRow(v int, gen uint64) []float64 {
 	return []float64{float64(v) + 1000*float64(gen), float64(v % 3)}
 }
@@ -91,8 +92,11 @@ func (f *fakeReplica) setGen(g uint64) { f.mu.Lock(); f.gen = g; f.mu.Unlock() }
 func (f *fakeReplica) setDown(d bool)  { f.mu.Lock(); f.down = d; f.mu.Unlock() }
 func (f *fakeReplica) setDead(d bool)  { f.mu.Lock(); f.dead = d; f.mu.Unlock() }
 
-// newFakeFleet builds k fakes over n vertices with PartOf(v) = v % k and a
-// router configured for fast, test-friendly health checking.
+// predictCount reads how many /predict requests the fake has received.
+func (f *fakeReplica) predictCount() int { f.mu.Lock(); defer f.mu.Unlock(); return f.predicts }
+
+// newFakeFleet builds k fakes over n vertices and a router configured for
+// fast, test-friendly health checking.
 func newFakeFleet(t *testing.T, k, n int, mutate func(cfg *Config)) ([]*fakeReplica, *Router) {
 	t.Helper()
 	fakes := make([]*fakeReplica, k)
@@ -101,10 +105,7 @@ func newFakeFleet(t *testing.T, k, n int, mutate func(cfg *Config)) ([]*fakeRepl
 		fakes[i] = &fakeReplica{gen: 1, n: n}
 		handlers[i] = fakes[i]
 	}
-	cfg := Config{
-		PartOf:         func(v int) int { return v % k },
-		HealthInterval: 20 * time.Millisecond,
-	}
+	cfg := Config{HealthInterval: 20 * time.Millisecond}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -120,10 +121,7 @@ func newFakeFleet(t *testing.T, k, n int, mutate func(cfg *Config)) ([]*fakeRepl
 func predictVia(t *testing.T, rt *Router, vertices []int) (*http.Response, serve.PredictResponse) {
 	t.Helper()
 	body, _ := json.Marshal(serve.PredictRequest{Vertices: vertices})
-	req := httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body))
-	w := httptest.NewRecorder()
-	rt.Handler().ServeHTTP(w, req)
-	resp := w.Result()
+	resp := postRaw(rt.Handler(), body).Result()
 	defer resp.Body.Close()
 	var pr serve.PredictResponse
 	if resp.StatusCode == http.StatusOK {
@@ -136,22 +134,26 @@ func predictVia(t *testing.T, rt *Router, vertices []int) (*http.Response, serve
 
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  Config
+		name    string
+		cfg     Config
+		wantErr bool
 	}{
-		{"missing PartOf", Config{Policy: PolicyPartition}},
-		{"unknown policy", Config{Policy: "teleport"}},
-		{"negative MaxInFlight", Config{Policy: PolicyRandom, MaxInFlight: -2}},
-		{"negative HealthInterval", Config{Policy: PolicyRandom, HealthInterval: -time.Second}},
+		{"Policy and PartOf are ignored", Config{Policy: "teleport", PartOf: func(int) int { return -1 }}, false},
+		{"negative MaxInFlight", Config{MaxInFlight: -2}, true},
+		{"negative HealthInterval", Config{HealthInterval: -time.Second}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := tc.cfg.withDefaults(); !errors.Is(err, ErrConfig) {
+			_, err := tc.cfg.withDefaults()
+			if tc.wantErr && !errors.Is(err, ErrConfig) {
 				t.Fatalf("err = %v, want ErrConfig", err)
+			}
+			if !tc.wantErr && err != nil {
+				t.Fatalf("err = %v, want nil", err)
 			}
 		})
 	}
-	if _, err := New(nil, Config{Policy: PolicyRandom}); !errors.Is(err, ErrConfig) {
+	if _, err := New(nil, Config{}); !errors.Is(err, ErrConfig) {
 		t.Fatalf("New(no replicas) err = %v, want ErrConfig", err)
 	}
 }
@@ -160,94 +162,75 @@ func TestConfigValidation(t *testing.T) {
 // different generations (or different datasets) refuse to form a fleet.
 func TestBootProbeRejectsMixedFleet(t *testing.T) {
 	a, b := &fakeReplica{gen: 1, n: 10}, &fakeReplica{gen: 2, n: 10}
-	_, err := New([]http.Handler{a, b}, Config{Policy: PolicyRandom})
+	_, err := New([]http.Handler{a, b}, Config{})
 	if err == nil || !strings.Contains(err.Error(), "generation") {
 		t.Fatalf("mixed-generation boot err = %v", err)
 	}
 	c := &fakeReplica{gen: 1, n: 11}
-	_, err = New([]http.Handler{a, c}, Config{Policy: PolicyRandom})
+	_, err = New([]http.Handler{a, c}, Config{})
 	if err == nil || !strings.Contains(err.Error(), "serves") {
 		t.Fatalf("mixed-dataset boot err = %v", err)
 	}
 }
 
-// TestSplitMergeInputOrder pins the core routing move: a mixed request is
-// split per owning replica and merged back in input order, with each
-// vertex answered by its home replica.
-func TestSplitMergeInputOrder(t *testing.T) {
-	fakes, rt := newFakeFleet(t, 3, 30, nil)
-	verts := []int{7, 0, 11, 2, 28, 9, 1} // parts 1,0,2,2,1,0,1
-	resp, pr := predictVia(t, rt, verts)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	for i, v := range verts {
-		want := fakeRow(v, 1)
-		if len(pr.Probs[i]) != len(want) || pr.Probs[i][0] != want[0] || pr.Probs[i][1] != want[1] {
-			t.Fatalf("vertex %d (pos %d): probs %v, want %v", v, i, pr.Probs[i], want)
-		}
-		if pr.Classes[i] != v%3 {
-			t.Fatalf("vertex %d class %d, want %d", v, pr.Classes[i], v%3)
-		}
-	}
-	// Every fake served at least one sub-request: the request really split.
-	for i, f := range fakes {
-		f.mu.Lock()
-		n := f.predicts
-		f.mu.Unlock()
-		if n == 0 {
-			t.Fatalf("replica %d saw no sub-request", i)
-		}
-	}
-	snap := rt.Metrics(context.Background())
-	if snap.Splits != 1 {
-		t.Fatalf("splits = %d, want 1", snap.Splits)
-	}
-}
-
-// TestGenerationConflictNeverMixes pins the hot-swap consistency
-// guarantee: when replicas disagree on generation mid-roll, the merged
-// response must come wholly from one generation — the router retries the
-// request on a single replica instead of mixing models.
-func TestGenerationConflictNeverMixes(t *testing.T) {
-	fakes, rt := newFakeFleet(t, 3, 30, nil)
-	fakes[1].setGen(2)               // replica-1 swapped; 0 and 2 still at gen 1
-	verts := []int{0, 1, 2, 3, 4, 5} // spans all three replicas
-	resp, pr := predictVia(t, rt, verts)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	gen := pr.Generation
-	for i, v := range verts {
-		want := fakeRow(v, gen)
-		if pr.Probs[i][0] != want[0] {
-			t.Fatalf("vertex %d: probs %v from a different generation than reported %d", v, pr.Probs[i], gen)
-		}
-	}
-	snap := rt.Metrics(context.Background())
-	if snap.GenRetries == 0 {
-		t.Fatal("generation conflict did not register a retry")
-	}
-}
-
-// TestRetryAfterPropagation pins fleet admission etiquette: a replica
-// shedding with Retry-After fails the whole request with 503 and the
-// largest Retry-After any replica asked for.
+// TestRetryAfterPropagation pins fleet admission etiquette: a shedding
+// replica's 503, its Retry-After and its error document reach the client
+// verbatim, and the shed is not retried on another replica.
 func TestRetryAfterPropagation(t *testing.T) {
 	fakes, rt := newFakeFleet(t, 3, 30, nil)
-	fakes[1].mu.Lock()
-	fakes[1].shed, fakes[1].retryAfter = true, "7"
-	fakes[1].mu.Unlock()
-	resp, _ := predictVia(t, rt, []int{0, 1, 2})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503", resp.StatusCode)
+	for i, f := range fakes {
+		f.mu.Lock()
+		f.shed, f.retryAfter = true, strconv.Itoa(5+i)
+		f.mu.Unlock()
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "7" {
-		t.Fatalf("Retry-After %q, want 7", ra)
+	for n := 1; n <= 6; n++ {
+		before := make([]int, len(fakes))
+		for i, f := range fakes {
+			before[i] = f.predictCount()
+		}
+		w := postRaw(rt.Handler(), []byte(`{"vertices":[0,1,2]}`))
+		asked := -1
+		for i, f := range fakes {
+			if d := f.predictCount() - before[i]; d == 1 && asked < 0 {
+				asked = i
+			} else if d != 0 {
+				t.Fatalf("request %d reached replica %d %d times", n, i, d)
+			}
+		}
+		if asked < 0 {
+			t.Fatalf("request %d reached no replica", n)
+		}
+		if w.Code != http.StatusServiceUnavailable {
+			t.Fatalf("status %d, want 503", w.Code)
+		}
+		if ra, want := w.Header().Get("Retry-After"), strconv.Itoa(5+asked); ra != want {
+			t.Fatalf("Retry-After %q, want replica %d's %q", ra, asked, want)
+		}
+		if got, want := w.Body.String(), "{\"error\":\"overloaded\"}\n"; got != want {
+			t.Fatalf("body %q, want the replica's %q", got, want)
+		}
+		if snap := rt.Metrics(context.Background()); snap.Shed != uint64(n) || snap.Reroutes != 0 {
+			t.Fatalf("shed = %d, reroutes = %d, want %d and 0", snap.Shed, snap.Reroutes, n)
+		}
 	}
-	snap := rt.Metrics(context.Background())
-	if snap.Shed != 1 {
-		t.Fatalf("shed = %d, want 1", snap.Shed)
+}
+
+// TestReplicaErrorPassesThrough pins that a replica's 4xx answer reaches
+// the client byte for byte: the router validates nothing itself.
+func TestReplicaErrorPassesThrough(t *testing.T) {
+	fakes, rt := newFakeFleet(t, 3, 30, nil)
+	for _, body := range []string{`{"vertices":[0,99]}`, `{"vertices":[-1]}`, `{"vertices":`, `[1,2]`} {
+		want := postRaw(fakes[0], []byte(body))
+		got := postRaw(rt.Handler(), []byte(body))
+		if want.Code != http.StatusBadRequest {
+			t.Fatalf("%s: the fake answered %d, want a 400 to pass through", body, want.Code)
+		}
+		if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("%s: routed %d %q, replica %d %q", body, got.Code, got.Body, want.Code, want.Body)
+		}
+	}
+	if snap := rt.Metrics(context.Background()); snap.Failed != 4 || snap.Requests != 0 {
+		t.Fatalf("failed = %d, requests = %d, want 4 and 0", snap.Failed, snap.Requests)
 	}
 }
 
@@ -257,7 +240,7 @@ func TestRetryAfterPropagation(t *testing.T) {
 func TestRouterAdmissionControl(t *testing.T) {
 	block := make(chan struct{})
 	slow := &blockingReplica{n: 30, release: block, entered: make(chan struct{})}
-	rt, err := New([]http.Handler{slow}, Config{Policy: PolicyRandom, MaxInFlight: 1})
+	rt, err := New([]http.Handler{slow}, Config{MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,55 +306,59 @@ func (b *blockingReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // TestRerouteAroundDeadReplica pins the request-path fallback: a replica
-// answering bare 503s (closing, not shedding) does not fail requests —
-// its sub-requests divert to the next healthy replica immediately, before
-// the health loop has even noticed.
+// answering bare 503s (closing, not shedding) does not fail requests — a
+// request drawn to it goes to the next healthy replica at once, before the
+// health loop has even noticed.
 func TestRerouteAroundDeadReplica(t *testing.T) {
-	fakes, rt := newFakeFleet(t, 3, 30, func(cfg *Config) {
+	fakes, rt := newFakeFleet(t, 2, 30, func(cfg *Config) {
 		cfg.HealthInterval = time.Hour // the health loop must not help
 	})
-	fakes[2].setDead(true)
-	resp, pr := predictVia(t, rt, []int{2, 5, 8}) // all part 2
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	for i, v := range []int{2, 5, 8} {
-		if want := fakeRow(v, 1); pr.Probs[i][0] != want[0] {
-			t.Fatalf("vertex %d: probs %v, want %v", v, pr.Probs[i], want)
+	fakes[1].setDead(true)
+	for n := 0; n < 10; n++ {
+		resp, pr := predictVia(t, rt, []int{2, 5, 8})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		for i, v := range []int{2, 5, 8} {
+			if want := fakeRow(v, 1); pr.Probs[i][0] != want[0] {
+				t.Fatalf("vertex %d: probs %v, want %v", v, pr.Probs[i], want)
+			}
 		}
 	}
 	snap := rt.Metrics(context.Background())
-	if snap.Reroutes == 0 {
-		t.Fatal("no reroute recorded")
+	if asked := fakes[1].predictCount(); snap.Reroutes == 0 || snap.Reroutes != uint64(asked) {
+		t.Fatalf("reroutes = %d for %d requests to the dead replica, want equal and > 0", snap.Reroutes, asked)
 	}
 }
 
-// TestEjectedHomeDivertsItsGroup pins the request-path health fallback: the
-// vertices whose home replica is ejected travel as one sub-request to the
-// next healthy replica — the ejected one is never asked, and the diversion
-// counts once, as one sub-request, not once per vertex.
+// TestEjectedHomeDivertsItsGroup pins the request-path health fallback: an
+// ejected replica receives no request, and the healthy ones answer every
+// one; each request drawn to the ejected replica counts one reroute.
 func TestEjectedHomeDivertsItsGroup(t *testing.T) {
 	fakes, rt := newFakeFleet(t, 3, 30, nil)
 	fakes[2].setDown(true) // ejected by the health loop, /predict still answers
 	waitFor(t, time.Second, func() bool { return !rt.replicas[2].healthy.Load() })
-	verts := []int{2, 0, 5, 8} // parts 2,0,2,2
-	resp, pr := predictVia(t, rt, verts)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	for i, v := range verts {
-		if want := fakeRow(v, 1); pr.Probs[i][0] != want[0] {
-			t.Fatalf("vertex %d (pos %d): probs %v, want %v", v, i, pr.Probs[i], want)
+	const requests = 30
+	for n := 0; n < requests; n++ {
+		verts := []int{n % 30, (n + 7) % 30}
+		resp, pr := predictVia(t, rt, verts)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		for i, v := range verts {
+			if want := fakeRow(v, 1); pr.Probs[i][0] != want[0] {
+				t.Fatalf("vertex %d (pos %d): probs %v, want %v", v, i, pr.Probs[i], want)
+			}
 		}
 	}
-	fakes[2].mu.Lock()
-	asked := fakes[2].predicts
-	fakes[2].mu.Unlock()
-	if asked != 0 {
-		t.Fatalf("ejected replica answered %d sub-requests", asked)
+	if asked := fakes[2].predictCount(); asked != 0 {
+		t.Fatalf("ejected replica answered %d requests", asked)
 	}
-	if snap := rt.Metrics(context.Background()); snap.Reroutes != 1 {
-		t.Fatalf("reroutes = %d, want 1", snap.Reroutes)
+	if got := fakes[0].predictCount() + fakes[1].predictCount(); got != requests {
+		t.Fatalf("healthy replicas answered %d requests, want %d", got, requests)
+	}
+	if snap := rt.Metrics(context.Background()); snap.Reroutes == 0 || snap.Reroutes > requests {
+		t.Fatalf("reroutes = %d, want 1..%d", snap.Reroutes, requests)
 	}
 }
 
@@ -441,7 +428,7 @@ func TestKillEndpoint(t *testing.T) {
 	if rt.replicas[0].healthy.Load() {
 		t.Fatal("killed replica still marked healthy")
 	}
-	// Its vertices reroute; the fleet keeps answering.
+	// A request drawn to it reroutes; the fleet keeps answering.
 	resp, _ := predictVia(t, rt, []int{0, 3, 6})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-kill status %d", resp.StatusCode)

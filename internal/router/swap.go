@@ -38,9 +38,9 @@ func (rt *Router) pushSwap(ctx context.Context, r *replica, data []byte, wantGen
 // handleSwap orchestrates a rolling hot-swap: the model artifact fans out
 // replica-by-replica, each push verified against the replica's reported
 // generation before the next one starts, so at most one replica is
-// mid-swap at any instant and clients keep being served throughout (the
-// merge-time generation check keeps every individual response on a single
-// model). Ejected replicas are skipped and caught up at readmission. A
+// mid-swap at any instant and clients keep being served throughout (each
+// reply comes whole from one replica's table, so it carries one model).
+// Ejected replicas are skipped and caught up at readmission. A
 // failed push aborts the roll with 502 and the per-replica outcomes; the
 // fleet target generation only advances when every in-service replica
 // swapped.

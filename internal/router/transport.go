@@ -18,7 +18,7 @@ type handlerTransport struct{ h http.Handler }
 
 // RoundTrip serves req directly through the wrapped handler and packages
 // the recorded output as an *http.Response. A panicking handler is
-// confined to this sub-request and surfaces as a transport error, which
+// confined to this forwarded request and surfaces as a transport error, which
 // the routing layer treats like an unreachable replica (reroute, then let
 // health checking eject it).
 func (t handlerTransport) RoundTrip(req *http.Request) (resp *http.Response, err error) {

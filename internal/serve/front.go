@@ -76,6 +76,10 @@ func (f *Front) Failed() { f.failed.Add(1) }
 // propagating a replica's shed).
 func (f *Front) Shed() { f.shed.Add(1) }
 
+// MaxPredictBody bounds a POST /predict body in bytes, on a replica and on
+// the router that forwards to it.
+const MaxPredictBody = 1 << 20
+
 // DecodePredict reads a POST /predict body. It answers a wrong method (405)
 // or an undecodable body (400, counted as failed) itself and then reports
 // false.
@@ -83,7 +87,7 @@ func (f *Front) DecodePredict(w http.ResponseWriter, r *http.Request) (req Predi
 	if !PostOnly(w, r) {
 		return req, false
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxPredictBody)).Decode(&req); err != nil {
 		f.Failed()
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return req, false

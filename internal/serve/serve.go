@@ -249,9 +249,9 @@ func (s *Server) Metrics() Snapshot {
 	return s.metrics.snapshot(s.front.Snapshot(), st.generation, st.epoch)
 }
 
-// PredictRequest is the POST /predict body. Exported so fleet routers can
-// build and split replica sub-requests with the same typed document the
-// server decodes.
+// PredictRequest is the POST /predict body. Exported so clients encode
+// requests with the same typed document the server decodes (the router
+// forwards the body bytes without decoding them).
 type PredictRequest struct {
 	Vertices []int `json:"vertices"`
 }
