@@ -6,16 +6,20 @@ import (
 	"sagnn/internal/par"
 )
 
-// All three GEMMs run one micro-kernel shape, tile: a 2-row block of c held
-// in registers across the whole k loop, so no multiply-add waits on a
-// store-to-load forward. It has two implementations with one contract:
-// tilePortable, the Go loop (4 columns at a time) every architecture runs,
-// and on amd64 CPUs with AVX2 tileVector (tile_amd64.s: 16, 8 or 4 columns
-// in vector lanes). Every output element receives its products in ascending
-// k, each rounded before it is added (Go does not fuse multiply-add on amd64,
-// and the vector tile uses no FMA), so the results equal the plain triple
-// loop bit for bit whatever the tiling, the stripe boundaries, GOMAXPROCS or
-// the CPU. The transposed forms copy their transposed operand into a panel
+// All three GEMMs run one micro-kernel contract: a block of c held in
+// registers across the whole k loop, so no multiply-add waits on a
+// store-to-load forward. It has three tiers (tier.go), picked once from
+// CPUID: tilePortable, the Go loop over 2-row blocks (4 columns at a time)
+// every architecture runs; on amd64 CPUs with AVX2 tileVector, the same
+// 2-row blocks in 256-bit lanes (tile_amd64.s: 16, 8 or 4 columns); and on
+// amd64 CPUs with AVX-512F tile8, 8-row × 16-column blocks in 512-bit
+// lanes over every whole block, with tileVector over the rows and columns
+// left over (a 41-class output's last 9 columns, a stripe's last 1–7 rows).
+// Every output element receives its products in ascending k, each rounded
+// before it is added (Go does not fuse multiply-add on amd64, and the
+// vector tiles use no FMA), so the results equal the plain triple loop bit
+// for bit whatever the tier, the tiling, the stripe boundaries, GOMAXPROCS
+// or the CPU. The transposed forms copy their transposed operand into a panel
 // the tile reads: MatMulTransA its stripe's columns of whole rows of a, in
 // address order, into a pooled row panel; MatMulTransB rows of b,
 // transposed, into a stack panel. No kernel skips zero entries of a: for
@@ -30,6 +34,10 @@ const (
 	// gemmPassRows is the k extent of one MatMul pass: the strip of b that
 	// stays in cache while every row pair of a stripe runs over it.
 	gemmPassRows = 256
+	// gemmPassRows8 is the same for the 8-row tile, which reads 8 rows of a
+	// at once: the longer pass leaves each a longer stream to prefetch, and
+	// at hidden width 16 its strip of b is 128 KB (EXPERIMENTS.md).
+	gemmPassRows8 = 1024
 	// transAPassRows is the k extent of one MatMulTransA pass: the rows of a
 	// copied into the pooled row panel, and of b the tile then runs over.
 	transAPassRows = 64
@@ -53,13 +61,13 @@ func MatMul(a, b *Matrix) *Matrix {
 // panics.
 func MatMulInto(c, a, b *Matrix) {
 	checkShapes("MatMul", c, a, b, a.Cols, b.Rows, a.Rows, b.Cols)
-	stripes(gemmStripe, c, a, b, a.Rows, useVectorTile)
+	stripes(gemmStripe, c, a, b, a.Rows, hostTier)
 }
 
 // MatMulAddInto computes c += a×b. Same shapes as MatMulInto.
 func MatMulAddInto(c, a, b *Matrix) {
 	checkShapes("MatMul", c, a, b, a.Cols, b.Rows, a.Rows, b.Cols)
-	stripes(gemmAddStripe, c, a, b, a.Rows, useVectorTile)
+	stripes(gemmAddStripe, c, a, b, a.Rows, hostTier)
 }
 
 // checkShapes panics unless the inner dimensions agree, c is rows×cols and
@@ -76,35 +84,57 @@ func checkShapes(op string, c, a, b *Matrix, k1, k2, rows, cols int) {
 	}
 }
 
-// stripeKernel is rows [lo,hi) of one GEMM form, run with the vector tile
-// or the portable one.
-type stripeKernel func(c, a, b *Matrix, lo, hi int, vector bool)
+// stripeKernel is rows [lo,hi) of one GEMM form, run at one tier.
+type stripeKernel func(c, a, b *Matrix, lo, hi int, t tier)
 
 // stripes runs kernel over the n output rows of c, split into one contiguous
 // stripe per worker; each stripe owns its rows of c, so no locking is
-// needed. Stripes are whole row pairs, so a split never halves a tile.
-func stripes(kernel stripeKernel, c, a, b *Matrix, n int, vector bool) {
+// needed. Stripes are whole blocks of t's rows, so a split never halves a
+// tile. The callers pass hostTier, the tests every tier the host runs.
+func stripes(kernel stripeKernel, c, a, b *Matrix, n int, t tier) {
 	workers := par.Workers()
 	if n < stripeMinRows || workers == 1 {
-		kernel(c, a, b, 0, n, vector)
+		kernel(c, a, b, 0, n, t)
 		return
 	}
-	chunk := (n + workers - 1) / workers
-	chunk += chunk & 1
+	rb := t.rowBlock()
+	chunk := ((n+workers-1)/workers + rb - 1) / rb * rb
 	par.For((n+chunk-1)/chunk, func(i int) {
 		lo := i * chunk
-		kernel(c, a, b, lo, min(lo+chunk, n), vector)
+		kernel(c, a, b, lo, min(lo+chunk, n), t)
 	})
+}
+
+// rowsTile runs t's tiles over the rows r < rows of c and its columns
+// j < n, c_r[j] (+)= Σ_{k<kn} a[r·rowA+k·lda]·b[k·ldb+j], row r of c at
+// c[r·ldc:]: at tierAVX512, tile8 over each whole 8-row block's whole
+// 16-column blocks and tileVector over the block's other columns, then
+// tile over the rows left, in pairs.
+func rowsTile(t tier, c []float64, ldc, n, rows int, a []float64, rowA, lda, kn int, b []float64, ldb int, add bool) {
+	r := 0
+	if n16 := n &^ 15; t == tierAVX512 && n16 > 0 {
+		bRest := b[min(n16, len(b)):] // b is empty when kn is 0
+		for ; r+8 <= rows; r += 8 {
+			tile8(c[r*ldc:], ldc, a[r*rowA:], rowA, lda, kn, b, ldb, n16, add)
+			for q := r; q < r+8 && n16 < n; q += 2 {
+				tileVector(c[q*ldc+n16:q*ldc+n], c[(q+1)*ldc+n16:(q+1)*ldc+n], a[q*rowA:], a[(q+1)*rowA:],
+					lda, kn, bRest, ldb, add)
+			}
+		}
+	}
+	for ; r < rows; r += 2 {
+		r1 := min(r+1, rows-1)
+		tile(t, c[r*ldc:r*ldc+n], c[r1*ldc:r1*ldc+n], a[r*rowA:], a[r1*rowA:], lda, kn, b, ldb, add)
+	}
 }
 
 // tile computes c_r[j] = Σ_{k<kn} a_r[k·lda]·b[k·ldb+j] for the output rows
 // r = 0, 1 and every j < len(c0), starting each sum from c_r[j] when add is
 // set and from zero otherwise; lda ≥ 1. An odd last row is passed as both
 // rows — the same sum computed and stored twice — rather than given a second
-// kernel. vector picks tileVector over tilePortable; the callers pass
-// useVectorTile, the tests both.
-func tile(vector bool, c0, c1, a0, a1 []float64, lda, kn int, b []float64, ldb int, add bool) {
-	if vector {
+// kernel. Every tier but tierPortable runs tileVector.
+func tile(t tier, c0, c1, a0, a1 []float64, lda, kn int, b []float64, ldb int, add bool) {
+	if t >= tierAVX2 {
 		tileVector(c0, c1, a0, a1, lda, kn, b, ldb, add)
 	} else {
 		tilePortable(c0, c1, a0, a1, lda, kn, b, ldb, add)
@@ -155,24 +185,25 @@ func tilePortable(c0, c1, a0, a1 []float64, lda, kn int, b []float64, ldb int, a
 	}
 }
 
-func gemmStripe(c, a, b *Matrix, lo, hi int, vector bool) {
-	gemmRows(c, a, b, lo, hi, false, vector)
+func gemmStripe(c, a, b *Matrix, lo, hi int, t tier) {
+	gemmRows(c, a, b, lo, hi, false, t)
 }
 
-func gemmAddStripe(c, a, b *Matrix, lo, hi int, vector bool) {
-	gemmRows(c, a, b, lo, hi, true, vector)
+func gemmAddStripe(c, a, b *Matrix, lo, hi int, t tier) {
+	gemmRows(c, a, b, lo, hi, true, t)
 }
 
 // gemmRows is rows [lo,hi) of c (+)= a×b, both operands read where they lie,
-// gemmPassRows of k per pass.
-func gemmRows(c, a, b *Matrix, lo, hi int, add, vector bool) {
-	for k0 := 0; k0 == 0 || k0 < a.Cols; k0 += gemmPassRows {
-		kb := min(gemmPassRows, a.Cols-k0)
-		for i := lo; i < hi; i += 2 {
-			i1 := min(i+1, hi-1)
-			tile(vector, c.Row(i), c.Row(i1), a.Row(i)[k0:], a.Row(i1)[k0:], 1, kb,
-				b.Data[k0*b.Cols:], b.Cols, add || k0 > 0)
-		}
+// gemmPassRows of k per pass (gemmPassRows8 at tierAVX512).
+func gemmRows(c, a, b *Matrix, lo, hi int, add bool, t tier) {
+	pass := gemmPassRows
+	if t == tierAVX512 {
+		pass = gemmPassRows8
+	}
+	for k0 := 0; k0 == 0 || k0 < a.Cols; k0 += pass {
+		kb := min(pass, a.Cols-k0)
+		rowsTile(t, c.Data[lo*c.Cols:], c.Cols, c.Cols, hi-lo, a.Data[lo*a.Cols+k0:], a.Cols, 1, kb,
+			b.Data[k0*b.Cols:], b.Cols, add || k0 > 0)
 	}
 }
 
@@ -188,15 +219,16 @@ func MatMulTransA(a, b *Matrix) *Matrix {
 // a.Cols × b.Cols and must not alias a or b (checked as in MatMulInto).
 func MatMulTransAInto(c, a, b *Matrix) {
 	checkShapes("MatMulTransA", c, a, b, a.Rows, b.Rows, a.Cols, b.Cols)
-	stripes(transAStripe, c, a, b, a.Cols, useVectorTile)
+	stripes(transAStripe, c, a, b, a.Cols, hostTier)
 }
 
 // transAStripe is rows [lo,hi) of c = aᵀ×b, k-outer: each pass copies
 // transAPassRows rows of a, columns [lo,hi) of each whole, into a row panel
 // — a read of a in address order, one contiguous copy per row — and the tile
-// then runs over the panel's row pairs with its stride as lda. Passes after
-// the first continue from what is in c, which keeps every sum in ascending k.
-func transAStripe(c, a, b *Matrix, lo, hi int, vector bool) {
+// then runs over the panel's columns, its row stride as lda and 1 as the
+// stride between rows of c. Passes after the first continue from what is in
+// c, which keeps every sum in ascending k.
+func transAStripe(c, a, b *Matrix, lo, hi int, t tier) {
 	w := hi - lo
 	stride := panelStride(w)
 	pack := getPanel(transAPassRows * stride)
@@ -205,11 +237,8 @@ func transAStripe(c, a, b *Matrix, lo, hi int, vector bool) {
 		for k := 0; k < kb; k++ {
 			copy(pack[k*stride:][:w], a.Row(k0 + k)[lo:hi])
 		}
-		for r := 0; r < w; r += 2 {
-			r1 := min(r+1, w-1)
-			tile(vector, c.Row(lo+r), c.Row(lo+r1), pack[r:], pack[r1:], stride, kb,
-				b.Data[k0*b.Cols:], b.Cols, k0 > 0)
-		}
+		rowsTile(t, c.Data[lo*c.Cols:], c.Cols, c.Cols, w, pack, 1, stride, kb,
+			b.Data[k0*b.Cols:], b.Cols, k0 > 0)
 	}
 	putPanel(pack)
 }
@@ -270,13 +299,13 @@ func MatMulTransB(a, b *Matrix) *Matrix {
 // a.Rows × b.Rows and must not alias a or b (checked as in MatMulInto).
 func MatMulTransBInto(c, a, b *Matrix) {
 	checkShapes("MatMulTransB", c, a, b, a.Cols, b.Cols, a.Rows, b.Rows)
-	stripes(transBStripe, c, a, b, a.Rows, useVectorTile)
+	stripes(transBStripe, c, a, b, a.Rows, hostTier)
 }
 
 // transBStripe is rows [lo,hi) of c = a×bᵀ: transBCols rows of b at a time
 // are copied, transposed, into a stack panel the tile reads as its b, one
 // pass of k at a time; passes after the first continue from what is in c.
-func transBStripe(c, a, b *Matrix, lo, hi int, vector bool) {
+func transBStripe(c, a, b *Matrix, lo, hi int, t tier) {
 	const kPass = panel / transBCols
 	var pack [panel]float64
 	for j0 := 0; j0 < b.Rows; j0 += transBCols {
@@ -288,11 +317,8 @@ func transBStripe(c, a, b *Matrix, lo, hi int, vector bool) {
 					pack[k*transBCols+r] = v
 				}
 			}
-			for i := lo; i < hi; i += 2 {
-				i1 := min(i+1, hi-1)
-				tile(vector, c.Row(i)[j0:j0+w], c.Row(i1)[j0:j0+w], a.Row(i)[k0:], a.Row(i1)[k0:], 1, kb,
-					pack[:], transBCols, k0 > 0)
-			}
+			rowsTile(t, c.Data[lo*c.Cols+j0:], c.Cols, w, hi-lo, a.Data[lo*a.Cols+k0:], a.Cols, 1, kb,
+				pack[:], transBCols, k0 > 0)
 		}
 	}
 }

@@ -71,19 +71,66 @@ func requireSameBits(t *testing.T, what string, want, got *Matrix) {
 	}
 }
 
-// tileKernels are the tiles this host runs, as tile's vector argument: the
-// portable loop, and the vector tile where the CPU has AVX2.
-var tileKernels = func() []bool {
-	if useVectorTile {
-		return []bool{false, true}
+// tileKernels are the tiers this host runs, each passed to stripes in turn:
+// the portable loop, the AVX2 tile where the CPU has AVX2 and the 8-row
+// tile where it also has AVX-512F. An AVX-512 host still tests the AVX2
+// tier, the path AVX2-only hosts run.
+var tileKernels = func() []tier {
+	var tiers []tier
+	for t := tierPortable; t <= hostTier; t++ {
+		tiers = append(tiers, t)
 	}
-	return []bool{false}
+	return tiers
 }()
 
-// logVectorSkipped notes that this host tests the portable tile alone.
-func logVectorSkipped(tb testing.TB) {
-	if !useVectorTile {
-		tb.Log("no AVX2 on this CPU: the vector tile is skipped")
+// logTiersSkipped notes the tiers this host cannot test.
+func logTiersSkipped(tb testing.TB) {
+	if hostTier < tierAVX2 {
+		tb.Log("no AVX2 on this CPU: the vector tiles are skipped")
+	} else if hostTier < tierAVX512 {
+		tb.Log("no AVX-512F on this CPU: the 8-row tile is skipped")
+	}
+}
+
+// TestTileTiers logs the tiers this host's kernel tests exercise, so a
+// test log shows which tiles a run held to the triple loop.
+func TestTileTiers(t *testing.T) {
+	t.Logf("tile tiers exercised: %v (this CPU runs %v)", tileKernels, hostTier)
+	logTiersSkipped(t)
+}
+
+// TestTierFor is the CPUID gate as a table: a tier needs its instructions
+// reported and every register state it uses saved by the OS.
+func TestTierFor(t *testing.T) {
+	const (
+		avx2, avx512f = 1 << 5, 1 << 16
+		xmmYMM        = 0x06
+		all           = 0xE6 // XMM, YMM, opmask, ZMM_Hi256, Hi16_ZMM
+	)
+	for _, c := range []struct {
+		what    string
+		ebx     uint32
+		osxsave bool
+		xcr0    uint32
+		want    tier
+	}{
+		{"nothing reported", 0, true, all, tierPortable},
+		{"AVX2, OS saves YMM", avx2, true, xmmYMM, tierAVX2},
+		{"AVX2 without OSXSAVE", avx2, false, all, tierPortable},
+		{"AVX2, OS saves XMM only", avx2, true, 0x02, tierPortable},
+		{"AVX2, OS saves YMM only", avx2, true, 0x04, tierPortable},
+		{"AVX2 and AVX-512F, OS saves every state", avx2 | avx512f, true, all, tierAVX512},
+		{"AVX2 and AVX-512F, the states beside other bits", avx2 | avx512f | 1<<3, true, all | 1<<9, tierAVX512},
+		{"AVX-512F reported, XCR0 lacks opmask and ZMM state", avx2 | avx512f, true, xmmYMM, tierAVX2},
+		{"AVX-512F reported, XCR0 lacks opmask", avx2 | avx512f, true, all &^ (1 << 5), tierAVX2},
+		{"AVX-512F reported, XCR0 lacks Hi16_ZMM", avx2 | avx512f, true, all &^ (1 << 7), tierAVX2},
+		{"AVX-512F reported, XCR0 lacks ZMM_Hi256", avx2 | avx512f, true, all &^ (1 << 6), tierAVX2},
+		{"AVX-512F without AVX2", avx512f, true, all, tierPortable},
+		{"AVX-512F without OSXSAVE", avx2 | avx512f, false, all, tierPortable},
+	} {
+		if got := tierFor(c.ebx, c.osxsave, c.xcr0); got != c.want {
+			t.Errorf("%s: tierFor(%#x, %t, %#x) = %v, want %v", c.what, c.ebx, c.osxsave, c.xcr0, got, c.want)
+		}
 	}
 }
 
@@ -116,21 +163,21 @@ func checkGEMMBits(t *testing.T, seed int64, m, k, n int, nonFinite bool) {
 	wantAdd := prior.Clone()
 	naiveMatMulAdd(wantAdd, a, b)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, vector := range tileKernels {
+	for _, tier := range tileKernels {
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
-			what := fmt.Sprintf("%dx%dx%d seed %d vector %t procs %d", m, k, n, seed, vector, procs)
+			what := fmt.Sprintf("%dx%dx%d seed %d tier %v procs %d", m, k, n, seed, tier, procs)
 			got := edgyMat(rng, m, n) // dirty: the overwriting forms must not read it
-			stripes(gemmStripe, got, a, b, m, vector)
+			stripes(gemmStripe, got, a, b, m, tier)
 			requireSameBits(t, "MatMulInto "+what, want, got)
 			got.CopyFrom(prior)
-			stripes(gemmAddStripe, got, a, b, m, vector)
+			stripes(gemmAddStripe, got, a, b, m, tier)
 			requireSameBits(t, "MatMulAddInto "+what, wantAdd, got)
 			got = edgyMat(rng, m, n)
-			stripes(transAStripe, got, at, b, m, vector)
+			stripes(transAStripe, got, at, b, m, tier)
 			requireSameBits(t, "MatMulTransAInto "+what, want, got)
 			got = edgyMat(rng, m, n)
-			stripes(transBStripe, got, a, bt, m, vector)
+			stripes(transBStripe, got, a, bt, m, tier)
 			requireSameBits(t, "MatMulTransBInto "+what, want, got)
 		}
 	}
@@ -154,9 +201,33 @@ var gemmBitsShapes = [][3]int{
 	{300, 37, 16}, {300, 260, 16}, {602, 127, 16}, {602, 129, 16},
 }
 
+// gemmBlockShapes cut the 8-row tile's blocks at every remainder: m on
+// both sides of 8 and 16 rows, n whole 16-column blocks and a 41-class
+// output's 2 blocks and 9 columns, k at the empty inner dimension, one
+// product and both sides of MatMul's 256-deep pass (and of TransA's 64-deep
+// and TransB's 128-deep ones); two more cross the 8-row tile's 1024-deep
+// MatMul pass. m = 1023 and 1025 split into stripes of whole 8-row blocks
+// at procs 4 with rows left over; they run at k ≤ 1 and at two deeper
+// shapes across the TransA and TransB passes, because the denormals
+// edgyMat plants cost a microcode assist per product and their whole cross
+// product with k near 256 ran for two minutes.
+var gemmBlockShapes = func() [][3]int {
+	shapes := [][3]int{{1023, 65, 41}, {1025, 129, 16}, {9, 1025, 41}, {16, 2049, 32}}
+	for _, m := range []int{7, 8, 9, 15, 17, 1023, 1025} {
+		for _, n := range []int{16, 32, 41, 48} {
+			for _, k := range []int{0, 1, 255, 256, 257} {
+				if m < stripeMinRows || k <= 1 {
+					shapes = append(shapes, [3]int{m, k, n})
+				}
+			}
+		}
+	}
+	return shapes
+}()
+
 func TestGEMMBits(t *testing.T) {
-	logVectorSkipped(t)
-	for i, s := range gemmBitsShapes {
+	logTiersSkipped(t)
+	for i, s := range append(gemmBitsShapes, gemmBlockShapes...) {
 		checkGEMMBits(t, int64(i+1), s[0], s[1], s[2], false)
 		checkGEMMBits(t, int64(i+1), s[0], s[1], s[2], true)
 	}
@@ -168,7 +239,7 @@ func FuzzGEMMBits(f *testing.F) {
 	f.Add(int64(3), uint16(8), uint16(0), uint16(69), false)
 	f.Add(int64(4), uint16(5), uint16(33), uint16(29), true)
 	f.Fuzz(func(t *testing.T, seed int64, m, k, n uint16, nonFinite bool) {
-		logVectorSkipped(t)
+		logTiersSkipped(t)
 		checkGEMMBits(t, seed, int(m)%300+1, int(k)%600, int(n)%70+1, nonFinite)
 	})
 }
@@ -178,7 +249,7 @@ func FuzzGEMMBits(f *testing.F) {
 // strided and contiguous a, with and without add, including kn = 0 — and
 // requires the same bits in both rows and nothing written past len(c0).
 func TestTileVectorMatchesPortable(t *testing.T) {
-	if !useVectorTile {
+	if hostTier < tierAVX2 {
 		t.Skip("no AVX2 on this CPU: the vector tile is skipped")
 	}
 	rng := rand.New(rand.NewSource(9))
@@ -196,6 +267,39 @@ func TestTileVectorMatchesPortable(t *testing.T) {
 					tilePortable(want.Row(0)[:n], want.Row(1)[:n], a0, a1, lda, kn, b, ldb, add)
 					tileVector(got.Row(0)[:n], got.Row(1)[:n], a0, a1, lda, kn, b, ldb, add)
 					requireSameBits(t, fmt.Sprintf("n %d kn %d lda %d add %t", n, kn, lda, add), want, got)
+				}
+			}
+		}
+	}
+}
+
+// TestTile8MatchesPortable calls the 8-row tile and the portable tile by
+// name on the same operands — one to three 16-column blocks, a's rows
+// strided and contiguous (MatMul's and MatMulTransA's layouts), with and
+// without add, including kn = 0 — and requires the same bits in all 8 rows
+// and nothing written past each row's n columns.
+func TestTile8MatchesPortable(t *testing.T) {
+	if hostTier < tierAVX512 {
+		t.Skip("no AVX-512F on this CPU: the 8-row tile is skipped")
+	}
+	rng := rand.New(rand.NewSource(13))
+	const guard = 5
+	for _, n := range []int{16, 32, 48} {
+		for _, kn := range []int{0, 1, 7, 70} {
+			for _, ab := range [][2]int{{kn + 3, 1}, {1, 11}} { // a's row stride, k stride
+				rowA, lda := ab[0], ab[1]
+				ldb := n + rng.Intn(3)
+				a := edgyMat(rng, 1, 7*rowA+max(0, kn-1)*lda+1).Data
+				b := edgyMat(rng, 1, max(0, (kn-1)*ldb+n)).Data
+				plantNonFinite(rng, FromSlice(1, len(b), b))
+				prior := edgyMat(rng, 8, n+guard)
+				for _, add := range []bool{false, true} {
+					want, got := prior.Clone(), prior.Clone()
+					for r := 0; r < 8; r += 2 {
+						tilePortable(want.Row(r)[:n], want.Row(r + 1)[:n], a[r*rowA:], a[(r+1)*rowA:], lda, kn, b, ldb, add)
+					}
+					tile8(got.Data, got.Cols, a, rowA, lda, kn, b, ldb, n, add)
+					requireSameBits(t, fmt.Sprintf("n %d kn %d row stride %d k stride %d add %t", n, kn, rowA, lda, add), want, got)
 				}
 			}
 		}
@@ -255,18 +359,14 @@ var narrowShapes = [][3]int{{1024, 602, 16}, {2048, 300, 16}}
 // stays in cache and hides the cost of reading it.
 const benchOperands = 4
 
-// benchNarrow runs every narrow shape with each tile this host runs, the
-// portable one as "scalar", cycling benchOperands operand sets drawn by
+// benchNarrow runs every narrow shape at each tier this host runs, named by
+// tier, cycling benchOperands operand sets drawn by
 // shape from seeds 1, 2, ….
 func benchNarrow(b *testing.B, kernel stripeKernel, shape func(rng *rand.Rand, m, k, n int) (rows int, c, x, y *Matrix)) {
 	for _, s := range narrowShapes {
 		m, k, n := s[0], s[1], s[2]
-		for _, vector := range tileKernels {
-			tile := "scalar"
-			if vector {
-				tile = "vector"
-			}
-			b.Run(fmt.Sprintf("%dx%dx%d/%s", m, k, n, tile), func(b *testing.B) {
+		for _, tier := range tileKernels {
+			b.Run(fmt.Sprintf("%dx%dx%d/%v", m, k, n, tier), func(b *testing.B) {
 				var rows int
 				var c, x, y [benchOperands]*Matrix
 				for o := 0; o < benchOperands; o++ {
@@ -275,7 +375,7 @@ func benchNarrow(b *testing.B, kernel stripeKernel, shape func(rng *rand.Rand, m
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					o := i % benchOperands
-					stripes(kernel, c[o], x[o], y[o], rows, vector)
+					stripes(kernel, c[o], x[o], y[o], rows, tier)
 				}
 				b.ReportMetric(2*float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
@@ -330,7 +430,7 @@ func TestTransAConcurrentCallsMatchSerial(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(i + 1)))
 		a, b := edgyMat(rng, 100+7*i, 130+20*i), edgyMat(rng, 100+7*i, 16)
 		want := New(a.Cols, b.Cols)
-		transAStripe(want, a, b, 0, a.Cols, useVectorTile)
+		transAStripe(want, a, b, 0, a.Cols, hostTier)
 		jobs[i] = job{a, b, want}
 	}
 	got := make([]*Matrix, callers)

@@ -2,7 +2,8 @@
 // GCN training: GEMM, the row kernel of package sparse's SpMM, transpose,
 // elementwise maps, the fused ReLU passes, and row gather/scatter used by the
 // sparsity-aware communication plans. It is the one package that holds
-// assembly (the AVX2 forms of the GEMM tile and the SpMM row).
+// assembly (the AVX2 and AVX-512 tiers of the GEMM tile, the AVX2 form of
+// the SpMM row).
 //
 // All matrices are float64 and stored row-major in a single contiguous
 // slice, so a row is a contiguous subslice and can be sent over the

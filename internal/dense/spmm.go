@@ -5,12 +5,12 @@ import "fmt"
 // SpMMRow is the row kernel of a sparse × dense product: one CSR row's
 // nonzeros (values w, column indices idx, in CSR order) against the rows of
 // h, o[j] = Σ_p w[p]·h[idx[p]][j] for every j < len(o), continued from o[j]
-// when add is set. Like the GEMM tile it has two implementations with one
-// contract: spmmRowPortable, the Go loop every architecture runs, and on
-// amd64 CPUs with AVX2 spmmRowVector (spmm_amd64.s: 16, 8 or 4 columns in
-// vector lanes). Each output element receives its products in ascending
-// position p, each rounded before it is added (no fused multiply-add), so
-// both equal the plain loop bit for bit. vector picks the vector form; the
+// when add is set. Like the GEMM tile's first two tiers it has two
+// implementations with one contract: spmmRowPortable, the Go loop every
+// architecture runs, and on amd64 CPUs with AVX2 spmmRowVector
+// (spmm_amd64.s: 16, 8 or 4 columns in vector lanes). Each output element
+// receives its products in ascending position p, each rounded before it is
+// added (no fused multiply-add), so both equal the plain loop bit for bit. vector picks the vector form; the
 // callers pass VectorKernels(), the tests both. len(o) must be h.Cols, w as
 // long as idx; an index outside [0, h.Rows) panics under either form (when
 // there is a column to compute).
@@ -29,7 +29,7 @@ func SpMMRow(vector bool, o, w []float64, idx []int, h *Matrix, add bool) {
 
 // VectorKernels reports whether this CPU runs the vector forms of the
 // kernels: amd64 with AVX2, checked once from CPUID.
-func VectorKernels() bool { return useVectorTile }
+func VectorKernels() bool { return hostTier >= tierAVX2 }
 
 // nnzBlock is how many nonzeros of a row one pass of the portable kernel
 // covers: each is a stream through a row of h, and sixteen at a time are few

@@ -12,7 +12,7 @@ import (
 // add, with ±0, denormals, ±Inf and NaN among h, w and the prior o — and
 // requires the same bits and nothing written past len(o).
 func TestSpMMRowVectorMatchesPortable(t *testing.T) {
-	if !useVectorTile {
+	if hostTier < tierAVX2 {
 		t.Skip("no AVX2 on this CPU: the vector SpMM row is skipped")
 	}
 	rng := rand.New(rand.NewSource(11))

@@ -1,6 +1,6 @@
 #include "textflag.h"
 
-// The vector tile keeps the portable tile's arithmetic: one VMULPD and one
+// The AVX2 tile keeps the portable tile's arithmetic: one VMULPD and one
 // VADDPD per product (VMULSD and VADDSD in the last 1–3 columns), each
 // rounded, lane j of an accumulator holding column j of one output row, k
 // ascending. It has no fused multiply-add, which would round once where the
@@ -203,6 +203,142 @@ end1:
 	JMP    wide1
 
 done:
+	VZEROUPPER
+	RET
+
+// The 8-row tile keeps the same arithmetic in 512-bit lanes: for each k one
+// VBROADCASTSD of a_r[k] per row r, then one VMULPD and one VADDPD per 8
+// lanes, never a fused multiply-add. Lane j of an accumulator holds one
+// column of one output row, and k ascends, so every output equals the
+// portable loop's bit for bit.
+//
+// Registers: R8 c at (row 0, the current block's first column), R9 c's row
+// stride in bytes; SI a_0[k] and DI a_4[k], R12 a's row stride in bytes and
+// R13 three times it, so (SI), (SI)(R12*1), (SI)(R12*2), (SI)(R13*1) and
+// the same from DI are the 8 rows; R10 a's k stride in bytes; BX b at
+// (0, the block's first column), AX b at (k, that column), DX b's row
+// stride in bytes; CX the k left; R11 the columns left. Z0–Z15 accumulate,
+// two per row (Z2r the block's first 8 columns of row r, Z2r+1 the last 8);
+// Z16 and Z17 hold b's 16 columns at k, Z18 a broadcast a_r[k], Z20 and
+// Z21 the products.
+
+// C8ROWS points SI at c's row 4 and DI at three row strides, so that
+// (R8), (R8)(R9*1), (R8)(R9*2), (R8)(DI*1) and the same from SI are the
+// current block's 8 rows of c.
+#define C8ROWS \
+	LEAQ (R8)(R9*4), SI; \
+	LEAQ (R9)(R9*2), DI
+
+// ROW8 adds a_r[k]·b[k][0:16] to row r's two accumulators, a_r[k] at addr.
+#define ROW8(addr, lo, hi) \
+	VBROADCASTSD addr, Z18; \
+	VMULPD       Z16, Z18, Z20; \
+	VADDPD       Z20, lo, lo; \
+	VMULPD       Z17, Z18, Z21; \
+	VADDPD       Z21, hi, hi
+
+// func tileAVX512(c []float64, ldc int, a []float64, rowA, lda, kn int, b []float64, ldb, n int, add bool)
+TEXT ·tileAVX512(SB), NOSPLIT, $0-121
+	MOVQ c_base+0(FP), R8
+	MOVQ ldc+24(FP), R9
+	SHLQ $3, R9
+	MOVQ rowA+56(FP), R12
+	SHLQ $3, R12
+	LEAQ (R12)(R12*2), R13
+	MOVQ lda+64(FP), R10
+	SHLQ $3, R10
+	MOVQ b_base+80(FP), BX
+	MOVQ ldb+104(FP), DX
+	SHLQ $3, DX
+	MOVQ n+112(FP), R11
+
+block8:
+	CMPB add+120(FP), $0
+	JNE  load8
+	VXORPD Z0, Z0, Z0
+	VXORPD Z1, Z1, Z1
+	VXORPD Z2, Z2, Z2
+	VXORPD Z3, Z3, Z3
+	VXORPD Z4, Z4, Z4
+	VXORPD Z5, Z5, Z5
+	VXORPD Z6, Z6, Z6
+	VXORPD Z7, Z7, Z7
+	VXORPD Z8, Z8, Z8
+	VXORPD Z9, Z9, Z9
+	VXORPD Z10, Z10, Z10
+	VXORPD Z11, Z11, Z11
+	VXORPD Z12, Z12, Z12
+	VXORPD Z13, Z13, Z13
+	VXORPD Z14, Z14, Z14
+	VXORPD Z15, Z15, Z15
+	JMP  k8start
+
+load8:
+	C8ROWS
+	VMOVUPD (R8), Z0
+	VMOVUPD 64(R8), Z1
+	VMOVUPD (R8)(R9*1), Z2
+	VMOVUPD 64(R8)(R9*1), Z3
+	VMOVUPD (R8)(R9*2), Z4
+	VMOVUPD 64(R8)(R9*2), Z5
+	VMOVUPD (R8)(DI*1), Z6
+	VMOVUPD 64(R8)(DI*1), Z7
+	VMOVUPD (SI), Z8
+	VMOVUPD 64(SI), Z9
+	VMOVUPD (SI)(R9*1), Z10
+	VMOVUPD 64(SI)(R9*1), Z11
+	VMOVUPD (SI)(R9*2), Z12
+	VMOVUPD 64(SI)(R9*2), Z13
+	VMOVUPD (SI)(DI*1), Z14
+	VMOVUPD 64(SI)(DI*1), Z15
+
+k8start:
+	MOVQ  a_base+32(FP), SI
+	LEAQ  (SI)(R12*4), DI
+	MOVQ  BX, AX
+	MOVQ  kn+72(FP), CX
+	TESTQ CX, CX
+	JZ    store8
+
+loop8x16:
+	VMOVUPD (AX), Z16
+	VMOVUPD 64(AX), Z17
+	ROW8((SI), Z0, Z1)
+	ROW8((SI)(R12*1), Z2, Z3)
+	ROW8((SI)(R12*2), Z4, Z5)
+	ROW8((SI)(R13*1), Z6, Z7)
+	ROW8((DI), Z8, Z9)
+	ROW8((DI)(R12*1), Z10, Z11)
+	ROW8((DI)(R12*2), Z12, Z13)
+	ROW8((DI)(R13*1), Z14, Z15)
+	ADDQ DX, AX
+	ADDQ R10, SI
+	ADDQ R10, DI
+	DECQ CX
+	JNZ  loop8x16
+
+store8:
+	C8ROWS
+	VMOVUPD Z0, (R8)
+	VMOVUPD Z1, 64(R8)
+	VMOVUPD Z2, (R8)(R9*1)
+	VMOVUPD Z3, 64(R8)(R9*1)
+	VMOVUPD Z4, (R8)(R9*2)
+	VMOVUPD Z5, 64(R8)(R9*2)
+	VMOVUPD Z6, (R8)(DI*1)
+	VMOVUPD Z7, 64(R8)(DI*1)
+	VMOVUPD Z8, (SI)
+	VMOVUPD Z9, 64(SI)
+	VMOVUPD Z10, (SI)(R9*1)
+	VMOVUPD Z11, 64(SI)(R9*1)
+	VMOVUPD Z12, (SI)(R9*2)
+	VMOVUPD Z13, 64(SI)(R9*2)
+	VMOVUPD Z14, (SI)(DI*1)
+	VMOVUPD Z15, 64(SI)(DI*1)
+	ADDQ    $128, R8
+	ADDQ    $128, BX
+	SUBQ    $16, R11
+	JNZ     block8
 	VZEROUPPER
 	RET
 

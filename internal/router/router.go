@@ -216,16 +216,43 @@ func (rt *Router) Close() {
 // replica serves after the last completed rolling swap).
 func (rt *Router) Generation() uint64 { return rt.targetGen.Load() }
 
-// nextRandom draws a replica index from the seeded splitmix64 stream —
+// nextRandom draws an index in [0, n) from the seeded splitmix64 stream —
 // cheap, lock-free, and well spread regardless of request arrival order.
-func (rt *Router) nextRandom() int {
+func (rt *Router) nextRandom(n int) int {
 	x := rt.rrState.Add(0x9e3779b97f4a7c15)
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	return int(x % uint64(len(rt.replicas)))
+	return int(x % uint64(n))
+}
+
+// drawHealthy draws a replica uniformly among the healthy ones from the
+// splitmix stream, or returns -1 when the whole fleet is down. An ejected
+// replica's share is spread over the rest this way instead of landing on
+// its ring successor.
+func (rt *Router) drawHealthy() int {
+	healthy := 0
+	for _, r := range rt.replicas {
+		if r.healthy.Load() {
+			healthy++
+		}
+	}
+	if healthy == 0 {
+		return -1
+	}
+	k := rt.nextRandom(healthy)
+	for i, r := range rt.replicas {
+		if r.healthy.Load() {
+			if k == 0 {
+				return i
+			}
+			k--
+		}
+	}
+	// The health loop ejected a replica between the two passes.
+	return rt.fallback(0)
 }
 
 // fallback returns the first healthy replica at or after idx in ring
@@ -340,15 +367,15 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(res.body)
 }
 
-// route sends the body to one replica drawn from the splitmix stream — the
-// next healthy one if it is ejected — and, if that replica is unreachable,
-// once more to the next healthy replica after it. The outcome is the
-// replica's reply, or the router's own failure in err with the status that
-// answers it.
+// route sends the body to one replica drawn from the splitmix stream — if
+// that one is ejected, to one drawn again among the healthy replicas — and,
+// if the replica is unreachable, once more to the next healthy replica after
+// it. The outcome is the replica's reply, or the router's own failure in err
+// with the status that answers it.
 func (rt *Router) route(ctx context.Context, body []byte) reply {
-	pick := rt.nextRandom()
+	pick := rt.nextRandom(len(rt.replicas))
 	if !rt.replicas[pick].healthy.Load() {
-		if pick = rt.fallback(pick); pick < 0 {
+		if pick = rt.drawHealthy(); pick < 0 {
 			return reply{status: http.StatusServiceUnavailable, err: errors.New("router: no healthy replicas")}
 		}
 		rt.reroutes.Add(1)

@@ -362,6 +362,30 @@ func TestEjectedHomeDivertsItsGroup(t *testing.T) {
 	}
 }
 
+// TestEjectedShareSpreadsEvenly pins how an ejected replica's share is
+// spread: a request drawn to it is drawn again among the healthy replicas,
+// so with replica 1 of 3 ejected each of the other two answers about half
+// the requests, not the ring successor two thirds of them.
+func TestEjectedShareSpreadsEvenly(t *testing.T) {
+	fakes, rt := newFakeFleet(t, 3, 30, nil)
+	fakes[1].setDown(true)
+	waitFor(t, time.Second, func() bool { return !rt.replicas[1].healthy.Load() })
+	const requests = 1200
+	for n := 0; n < requests; n++ {
+		if resp, _ := predictVia(t, rt, []int{n % 30}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+	}
+	if asked := fakes[1].predictCount(); asked != 0 {
+		t.Fatalf("ejected replica answered %d requests", asked)
+	}
+	for _, i := range []int{0, 2} {
+		if got, want := fakes[i].predictCount(), requests/2; got < want*9/10 || got > want*11/10 {
+			t.Errorf("replica %d answered %d of %d requests, want %d ± 10%%", i, got, requests, want)
+		}
+	}
+}
+
 // TestEjectAndReadmitWithCatchUp walks the full health state machine: a
 // down replica is ejected; a rolling swap happens while it is out; on
 // recovery the router pushes the missed artifact (generation catch-up)
