@@ -350,20 +350,26 @@ func TestGEMMSerialPathAllocatesNothing(t *testing.T) {
 	mustNotAllocate(t, func() { MatMulTransBInto(c, a, bt) })
 }
 
-// narrowShapes are layer 1 of a full-batch epoch — a rank's rows of Â·X
-// against W¹ — on reddit-sim (f = 602) and amazon-sim (f = 300), hidden 16.
+// narrowShapes are a rank's rows of Â·X against a width-16 operand on
+// reddit-sim (f = 602, 1024 rows) and amazon-sim (f = 300, 2048 rows): the
+// full-batch forward Z¹ = (Â·X)·W¹ as m×k·k×n.
 var narrowShapes = [][3]int{{1024, 602, 16}, {2048, 300, 16}}
+
+// gradShapes are the full-batch layer-1 weight gradient Y¹ = (Â·X)ᵀ·G¹ as
+// the trainer runs it: a MatMul over the set-up transpose of a rank's Â·X,
+// f×rows · rows×16, the long inner dimension on the row panel's side.
+var gradShapes = [][3]int{{602, 1024, 16}, {300, 2048, 16}}
 
 // benchOperands is the number of distinct operand sets benchNarrow cycles
 // through, one per rank of the benchmark's P = 4: a single reused operand
 // stays in cache and hides the cost of reading it.
 const benchOperands = 4
 
-// benchNarrow runs every narrow shape at each tier this host runs, named by
-// tier, cycling benchOperands operand sets drawn by
+// benchNarrow runs every one of shapes at each tier this host runs, named
+// by tier, cycling benchOperands operand sets drawn by
 // shape from seeds 1, 2, ….
-func benchNarrow(b *testing.B, kernel stripeKernel, shape func(rng *rand.Rand, m, k, n int) (rows int, c, x, y *Matrix)) {
-	for _, s := range narrowShapes {
+func benchNarrow(b *testing.B, shapes [][3]int, kernel stripeKernel, shape func(rng *rand.Rand, m, k, n int) (rows int, c, x, y *Matrix)) {
+	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
 		for _, tier := range tileKernels {
 			b.Run(fmt.Sprintf("%dx%dx%d/%v", m, k, n, tier), func(b *testing.B) {
@@ -383,16 +389,24 @@ func benchNarrow(b *testing.B, kernel stripeKernel, shape func(rng *rand.Rand, m
 	}
 }
 
-// BenchmarkGEMMNarrow is the forward Z¹ = (Â·X)·W¹.
-func BenchmarkGEMMNarrow(b *testing.B) {
-	benchNarrow(b, gemmStripe, func(rng *rand.Rand, m, k, n int) (int, *Matrix, *Matrix, *Matrix) {
-		return m, New(m, n), randMat(rng, m, k), randMat(rng, k, n)
-	})
+// gemmShape draws the operands of an m×k·k×n MatMul.
+func gemmShape(rng *rand.Rand, m, k, n int) (int, *Matrix, *Matrix, *Matrix) {
+	return m, New(m, n), randMat(rng, m, k), randMat(rng, k, n)
 }
 
-// BenchmarkTransANarrow is the weight gradient Y¹ = (Â·X)ᵀ·G¹.
+// BenchmarkGEMMNarrow is the forward Z¹ = (Â·X)·W¹.
+func BenchmarkGEMMNarrow(b *testing.B) { benchNarrow(b, narrowShapes, gemmStripe, gemmShape) }
+
+// BenchmarkGradNarrow is the full-batch layer-1 weight gradient: MatMul
+// over the set-up transpose (Â·X)ᵀ, against G¹.
+func BenchmarkGradNarrow(b *testing.B) { benchNarrow(b, gradShapes, gemmStripe, gemmShape) }
+
+// BenchmarkTransANarrow is a weight gradient Pᵀ·G read through TransA at
+// the narrow shapes: (Â·X)ᵀ·G¹ on the sampled chain, which keeps no
+// transpose. Full-batch layer 1 runs BenchmarkGradNarrow's MatMul instead,
+// and layers above 1 run TransA on width-16 operands.
 func BenchmarkTransANarrow(b *testing.B) {
-	benchNarrow(b, transAStripe, func(rng *rand.Rand, m, k, n int) (int, *Matrix, *Matrix, *Matrix) {
+	benchNarrow(b, narrowShapes, transAStripe, func(rng *rand.Rand, m, k, n int) (int, *Matrix, *Matrix, *Matrix) {
 		return k, New(k, n), randMat(rng, m, k), randMat(rng, m, n)
 	})
 }
@@ -401,7 +415,7 @@ func BenchmarkTransANarrow(b *testing.B) {
 // turned: an m×k by (n×k)ᵀ product, b copied transBCols rows at a time into
 // the stack panel.
 func BenchmarkTransBNarrow(b *testing.B) {
-	benchNarrow(b, transBStripe, func(rng *rand.Rand, m, k, n int) (int, *Matrix, *Matrix, *Matrix) {
+	benchNarrow(b, narrowShapes, transBStripe, func(rng *rand.Rand, m, k, n int) (int, *Matrix, *Matrix, *Matrix) {
 		return m, New(m, n), randMat(rng, m, k), randMat(rng, n, k)
 	})
 }

@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strconv"
 	"testing"
@@ -54,8 +58,8 @@ func BenchmarkServeSequential(b *testing.B) {
 }
 
 // BenchmarkServeTable times what a model generation costs the server: the
-// full-batch forward, the finiteness check and the argmax behind New and
-// every Swap.
+// full-batch forward, the finiteness check, the argmax and the rows' JSON
+// text behind New and every Swap.
 func BenchmarkServeTable(b *testing.B) {
 	ds, model := benchProblem(b)
 	b.ReportAllocs()
@@ -63,6 +67,50 @@ func BenchmarkServeTable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := answers(ds, model, -1); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEncodeRows times the JSON text alone: a generation's rows
+// encoded once, striped over par.For.
+func BenchmarkEncodeRows(b *testing.B) {
+	ds, model := benchProblem(b)
+	probs, err := model.Probabilities(ds, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		encodeRows(probs)
+	}
+}
+
+// BenchmarkPredictHandler times the /predict handler alone, without a
+// socket: decoding an 8-vertex body, the lookup and the reply.
+func BenchmarkPredictHandler(b *testing.B) {
+	ds, model := benchProblem(b)
+	srv, err := New(ds, model, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	n := ds.G.NumVertices()
+	bodies := make([][]byte, 64)
+	for i := range bodies {
+		vertices := make([]int, 8)
+		for j := range vertices {
+			vertices[j] = (i*8 + j) * 7919 % n
+		}
+		bodies[i], _ = json.Marshal(PredictRequest{Vertices: vertices})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(bodies[i%len(bodies)])))
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.Code, w.Body.Bytes())
 		}
 	}
 }

@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -31,7 +33,9 @@ func checkErrorDoc(t *testing.T, code int, reply []byte) {
 
 // FuzzPredictBody sends arbitrary bytes to /predict: the answer is a 200
 // whose classes are the model's full-batch classes at the requested
-// vertices, or a 4xx error document — never a 500, never a panic.
+// vertices, or a 4xx error document — never a 500, never a panic. A 200's
+// bytes are json.Encoder's for the PredictResponse PredictInto fills on the
+// same body: the spliced reply is the encoded one, byte for byte.
 func FuzzPredictBody(f *testing.F) {
 	ds, model, _ := testProblem(f)
 	want, err := model.Predict(ds, nil)
@@ -77,7 +81,68 @@ func FuzzPredictBody(f *testing.F) {
 				t.Fatalf("vertex %d: served class %d, Predict says %d", v, resp.Classes[i], want[v])
 			}
 		}
+		classes := make([]int, len(req.Vertices))
+		probs := make([][]float64, len(req.Vertices))
+		gen, err := srv.PredictInto(context.Background(), req.Vertices, classes, probs)
+		if err != nil {
+			t.Fatalf("200 over HTTP, PredictInto says %v", err)
+		}
+		if encoded := encodeReply(t, PredictResponse{Generation: gen, Classes: classes, Probs: probs}); !bytes.Equal(reply, encoded) {
+			t.Fatalf("reply for %v\n got %q\nwant %q", req.Vertices, reply, encoded)
+		}
 	})
+}
+
+// encodeReply is the /predict reply json.Encoder writes for resp.
+func encodeReply(t testing.TB, resp PredictResponse) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzRowJSON holds the row encoder to encoding/json: for any row of finite
+// float64s (the input's 8-byte little-endian words, non-finite ones
+// dropped) appendRow writes json.Marshal's bytes, within rowBound.
+func FuzzRowJSON(f *testing.F) {
+	negZero := math.Copysign(0, -1)
+	edges := []float64{0, negZero, 1, 1e-6, 9.999999e-7, 1e-7, 5e-324, 9.99e20, 1e21}
+	for _, p := range edges {
+		f.Add(rowBytes(p))
+	}
+	f.Add(rowBytes(edges...))
+	f.Add(rowBytes(-1.2345678901234567e-6, -math.MaxFloat64, -math.SmallestNonzeroFloat64, 0.1, 1.0/3))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		row := make([]float64, 0, len(data)/8)
+		for ; len(data) >= 8; data = data[8:] {
+			if p := math.Float64frombits(binary.LittleEndian.Uint64(data)); !math.IsNaN(p) && !math.IsInf(p, 0) {
+				row = append(row, p)
+			}
+		}
+		want, err := json.Marshal(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := appendRow(nil, row)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("row %v\n got %s\nwant %s", row, got, want)
+		}
+		if len(got) > rowBound(len(row)) {
+			t.Fatalf("row %v: %d bytes exceed rowBound %d", row, len(got), rowBound(len(row)))
+		}
+	})
+}
+
+// rowBytes is a FuzzRowJSON input: row's values as little-endian words.
+func rowBytes(row ...float64) []byte {
+	b := make([]byte, 0, 8*len(row))
+	for _, p := range row {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p))
+	}
+	return b
 }
 
 // FuzzSwapBody sends arbitrary bytes to /admin/swap: a 400 leaves the

@@ -5,10 +5,11 @@
 // n × classes probability table. The server builds it with one full-batch
 // forward when a model arrives (New, or a hot swap through the admin
 // endpoint, fed by the session checkpoint format), rejects a model whose
-// table is not finite, and publishes the table with one atomic pointer
-// store. A prediction is a lookup into the table it loaded: it never waits,
-// never allocates, and never mixes generations. Serving memory is bounded
-// by n × classes, not by a caller-chosen size.
+// table is not finite, writes the table's rows as JSON text once, and
+// publishes both with one atomic pointer store. A prediction is a lookup
+// into the table it loaded: it never waits, never allocates, and never
+// mixes generations, and a /predict reply splices the requested rows' text.
+// Serving memory is bounded by n × classes, not by a caller-chosen size.
 //
 // Endpoints: POST /predict, GET /healthz, GET /metrics, POST /admin/swap.
 package serve
@@ -78,22 +79,25 @@ var ErrOverloaded = errors.New("serve: overloaded")
 var ErrClosed = errors.New("serve: server closed")
 
 // modelState is one immutable serving generation: every vertex's
-// probability row and class under one model, and its lineage. The graph
-// and features are static, so a generation's answers are this one table,
-// built once by a full-batch forward. Swaps publish a whole new state
-// through one atomic pointer, so a request that loads it once answers from
-// a single generation.
+// probability row, its JSON text and its class under one model, and its
+// lineage. The graph and features are static, so a generation's answers are
+// this one table, built once by a full-batch forward. Swaps publish a whole
+// new state through one atomic pointer, so a request that loads it once
+// answers from a single generation.
 type modelState struct {
 	probs      [][]float64 // row v is vertex v's probabilities; read-only
 	classes    []int       // argmax of each row
+	text       []byte      // the rows as JSON: row v is text[at[v]:at[v+1]]
+	at         []int       // n + 1 offsets into text
 	generation uint64
 	epoch      int // checkpoint epoch the model came from, -1 for a bare model
 }
 
 // answers runs model's full-batch forward over ds once and freezes the
-// result as an unpublished serving state of the given lineage; the caller
-// numbers its generation. A model whose forward overflows answers rows no
-// JSON reply can carry, so any non-finite probability rejects it.
+// result, and its JSON text, as an unpublished serving state of the given
+// lineage; the caller numbers its generation. A model whose forward
+// overflows answers rows no JSON reply can carry, so any non-finite
+// probability rejects it.
 func answers(ds *sagnn.Dataset, model *sagnn.Model, epoch int) (*modelState, error) {
 	probs, err := model.Probabilities(ds, nil)
 	if err != nil {
@@ -108,7 +112,8 @@ func answers(ds *sagnn.Dataset, model *sagnn.Model, epoch int) (*modelState, err
 		}
 		classes[v] = dense.ArgmaxRow(row)
 	}
-	return &modelState{probs: probs, classes: classes, epoch: epoch}, nil
+	text, at := encodeRows(probs)
+	return &modelState{probs: probs, text: text, at: at, classes: classes, epoch: epoch}, nil
 }
 
 // Server serves predictions for one dataset. Safe for concurrent use.
@@ -172,37 +177,47 @@ func (s *Server) Close() { s.closed.Store(true) }
 // Every response is generation-consistent: the call loads the serving state
 // once, and every returned row comes from that generation's table.
 func (s *Server) PredictInto(_ context.Context, vertices []int, classes []int, probs [][]float64) (uint64, error) {
-	start := time.Now()
-	if s.closed.Load() {
-		return 0, ErrClosed
-	}
-	// Admission control: shed rather than queue once MaxInFlight predictions
-	// are already in the system.
-	if err := s.front.Enter(); err != nil {
-		return 0, err
-	}
-	defer s.front.Leave()
-	if len(vertices) > s.cfg.MaxRequestVertices {
-		s.front.Failed()
-		return 0, fmt.Errorf("serve: %w: %d vertices exceeds per-request limit %d",
-			sagnn.ErrInvalidVertices, len(vertices), s.cfg.MaxRequestVertices)
-	}
-	if err := sagnn.ValidateVertices(s.ds.G.NumVertices(), vertices); err != nil {
-		s.front.Failed()
-		return 0, err
-	}
 	if len(classes) != len(vertices) || len(probs) != len(vertices) {
 		s.front.Failed()
 		return 0, fmt.Errorf("serve: output slices hold %d/%d entries for %d vertices",
 			len(classes), len(probs), len(vertices))
 	}
-	st := s.state.Load()
+	st, err := s.lookup(vertices)
+	if err != nil {
+		return 0, err
+	}
 	for i, v := range vertices {
 		probs[i], classes[i] = st.probs[v], st.classes[v]
 	}
+	return st.generation, nil
+}
+
+// lookup admits one request for vertices, counts it, and returns the
+// generation that answers all of it. A request that is shed, or names too
+// many vertices or an invalid one, is an error typed for statusFor.
+func (s *Server) lookup(vertices []int) (*modelState, error) {
+	start := time.Now()
+	if s.closed.Load() {
+		return nil, ErrClosed
+	}
+	// Admission control: shed rather than queue once MaxInFlight predictions
+	// are already in the system.
+	if err := s.front.Enter(); err != nil {
+		return nil, err
+	}
+	defer s.front.Leave()
+	if len(vertices) > s.cfg.MaxRequestVertices {
+		s.front.Failed()
+		return nil, fmt.Errorf("serve: %w: %d vertices exceeds per-request limit %d",
+			sagnn.ErrInvalidVertices, len(vertices), s.cfg.MaxRequestVertices)
+	}
+	if err := sagnn.ValidateVertices(s.ds.G.NumVertices(), vertices); err != nil {
+		s.front.Failed()
+		return nil, err
+	}
 	s.metrics.vertices.Add(uint64(len(vertices)))
 	s.front.Served(start)
-	return st.generation, nil
+	return s.state.Load(), nil
 }
 
 // Swap atomically replaces the serving model with a validated replacement —
@@ -265,19 +280,22 @@ type PredictResponse struct {
 	Probs      [][]float64 `json:"probs"`
 }
 
+// handlePredict answers with the generation it looked up, in one Write:
+// the reply is that generation's text spliced, byte for byte what
+// WriteJSON would write for the PredictResponse PredictInto fills.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.front.DecodePredict(w, r)
 	if !ok {
 		return
 	}
-	classes := make([]int, len(req.Vertices))
-	probs := make([][]float64, len(req.Vertices))
-	gen, err := s.PredictInto(r.Context(), req.Vertices, classes, probs)
+	st, err := s.lookup(req.Vertices)
 	if err != nil {
 		WriteFailure(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, PredictResponse{Generation: gen, Classes: classes, Probs: probs})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(st.reply(req.Vertices))
 }
 
 // Health is the GET /healthz document: liveness plus the identity of the

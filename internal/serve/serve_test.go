@@ -53,21 +53,28 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server, *sagnn.
 	return srv, hs, ds, modelA, modelB
 }
 
-// tryPredict POSTs a /predict request; safe to call from any goroutine.
+// tryPredict POSTs a /predict request and decodes a 200's reply; safe to
+// call from any goroutine.
 func tryPredict(url string, vertices []int) (int, PredictResponse, error) {
+	code, reply, err := postRaw(url, vertices)
+	var pr PredictResponse
+	if err == nil && code == http.StatusOK {
+		err = json.Unmarshal(reply, &pr)
+	}
+	return code, pr, err
+}
+
+// postRaw POSTs a /predict request and returns the status and reply bytes;
+// safe to call from any goroutine.
+func postRaw(url string, vertices []int) (int, []byte, error) {
 	body, _ := json.Marshal(PredictRequest{Vertices: vertices})
 	resp, err := http.Post(url+"/predict", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return 0, PredictResponse{}, err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	var pr PredictResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-			return resp.StatusCode, pr, err
-		}
-	}
-	return resp.StatusCode, pr, nil
+	reply, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, reply, err
 }
 
 func postPredict(t testing.TB, url string, vertices []int) (*http.Response, PredictResponse) {
@@ -500,18 +507,72 @@ func TestPredictAllocFlat(t *testing.T) {
 	}
 }
 
+// TestPredictReplyAllocFlat pins the /predict handler: past what decoding
+// the body and writing a reply cost anyway, the one allocation it adds is
+// the reply buffer, at one vertex and at 64 (TestPredictAllocFlat pins
+// PredictInto itself at zero).
+func TestPredictReplyAllocFlat(t *testing.T) {
+	srv, _, _, _, _ := newTestServer(t, Config{})
+	for _, k := range []int{1, 64} {
+		vertices := make([]int, k)
+		for i := range vertices {
+			vertices[i] = i * 37 % 96 // distinct: 37 is prime to 96
+		}
+		body, _ := json.Marshal(PredictRequest{Vertices: vertices})
+		code, reply := serveBody(srv, "/predict", body)
+		if code != http.StatusOK {
+			t.Fatalf("k=%d: status %d: %s", k, code, reply)
+		}
+		allocs := func(handle http.HandlerFunc) float64 {
+			return testing.AllocsPerRun(50, func() {
+				w := httptest.NewRecorder()
+				handle(w, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
+				if w.Code != http.StatusOK {
+					t.Fatalf("k=%d: status %d", k, w.Code)
+				}
+			})
+		}
+		handler := allocs(srv.handlePredict)
+		floor := allocs(func(w http.ResponseWriter, r *http.Request) {
+			if _, ok := srv.front.DecodePredict(w, r); ok {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusOK)
+				_, _ = w.Write(reply)
+			}
+		})
+		if handler != floor+1 {
+			t.Fatalf("k=%d: /predict allocates %v times, decode and write alone %v: want exactly one more, the reply", k, handler, floor)
+		}
+	}
+}
+
 // TestConcurrentPredictAndSwap hammers predictions while swapping models,
-// under the race detector in CI: every response must be internally
-// consistent with the generation it reports.
+// under the race detector in CI: every reply must be, byte for byte, the
+// encoded reply of the generation before the swap or the one after it —
+// header and rows from one generation. After the swap every vertex's
+// spliced row must decode to the new model's probabilities bit for bit.
 func TestConcurrentPredictAndSwap(t *testing.T) {
 	srv, hs, ds, modelA, modelB := newTestServer(t, Config{})
-	byGen := map[uint64][]int{}
-	for gen, m := range map[uint64]*sagnn.Model{1: modelA, 2: modelB} {
-		full, err := m.Predict(ds, nil)
+	n := ds.G.NumVertices()
+	probsB, err := modelB.Probabilities(ds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// want[g][v] is generation g+1's reply to a request for vertex v alone.
+	want := make([][][]byte, 2)
+	for g, m := range []*sagnn.Model{modelA, modelB} {
+		classes, err := m.Predict(ds, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		byGen[gen] = full
+		probs, err := m.Probabilities(ds, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < n; v++ {
+			want[g] = append(want[g], encodeReply(t, PredictResponse{
+				Generation: uint64(g + 1), Classes: classes[v : v+1], Probs: probs[v : v+1]}))
+		}
 	}
 	blob, err := modelB.MarshalBinary()
 	if err != nil {
@@ -529,23 +590,16 @@ func TestConcurrentPredictAndSwap(t *testing.T) {
 					return
 				default:
 				}
-				v := (c*17 + i) % 96
-				code, pr, err := tryPredict(hs.URL, []int{v})
+				v := (c*17 + i) % n
+				code, reply, err := postRaw(hs.URL, []int{v})
 				if err != nil || code != http.StatusOK {
 					t.Errorf("status %d err %v", code, err)
 					return
 				}
-				// Responses are generation-consistent by contract: the class
-				// must match exactly the generation the response reports,
-				// even while the swap is in flight.
-				want, ok := byGen[pr.Generation]
-				if !ok {
-					t.Errorf("vertex %d: unknown generation %d", v, pr.Generation)
-					return
-				}
-				if pr.Classes[0] != want[v] {
-					t.Errorf("vertex %d: class %d does not match generation %d (want %d)",
-						v, pr.Classes[0], pr.Generation, want[v])
+				// Replies are generation-consistent by contract, also while
+				// the swap is in flight.
+				if !bytes.Equal(reply, want[0][v]) && !bytes.Equal(reply, want[1][v]) {
+					t.Errorf("vertex %d: reply %q is neither generation's\n1: %q\n2: %q", v, reply, want[0][v], want[1][v])
 					return
 				}
 			}
@@ -562,6 +616,24 @@ func TestConcurrentPredictAndSwap(t *testing.T) {
 	wg.Wait()
 	if srv.Generation() != 2 {
 		t.Fatalf("generation %d, want 2", srv.Generation())
+	}
+	all := make([]int, n)
+	for v := range all {
+		all[v] = v
+	}
+	_, pr := postPredict(t, hs.URL, all)
+	if pr.Generation != 2 || len(pr.Probs) != n {
+		t.Fatalf("generation %d, %d rows after the swap", pr.Generation, len(pr.Probs))
+	}
+	for v, row := range pr.Probs {
+		for j, p := range row {
+			if math.Float64bits(p) != math.Float64bits(probsB[v][j]) {
+				t.Fatalf("vertex %d class %d: spliced %v, Probabilities %v", v, j, p, probsB[v][j])
+			}
+		}
+		if len(row) != len(probsB[v]) {
+			t.Fatalf("vertex %d: %d probabilities, want %d", v, len(row), len(probsB[v]))
+		}
 	}
 }
 

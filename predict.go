@@ -27,8 +27,8 @@ var ErrInvalidVertices = errors.New("invalid vertices")
 
 // ValidateVertices checks that a prediction request is non-empty, names only
 // vertices in [0, n) and never names one twice, returning an
-// ErrInvalidVertices-tagged error otherwise. Small requests are checked
-// allocation-free.
+// ErrInvalidVertices-tagged error otherwise. A valid request of up to
+// sortedCheckMax vertices is checked allocation-free.
 func ValidateVertices(n int, vertices []int) error {
 	if len(vertices) == 0 {
 		return fmt.Errorf("sagnn: %w: empty vertex set", ErrInvalidVertices)
@@ -48,14 +48,28 @@ func ValidateVertices(n int, vertices []int) error {
 		}
 		return nil
 	}
-	seen := make(map[int]struct{}, len(vertices))
-	for _, v := range vertices {
-		if _, ok := seen[v]; ok {
-			return fmt.Errorf("sagnn: %w: duplicate vertex %d", ErrInvalidVertices, v)
-		}
-		seen[v] = struct{}{}
+	if v, ok := repeated(vertices); ok {
+		return fmt.Errorf("sagnn: %w: duplicate vertex %d", ErrInvalidVertices, v)
 	}
 	return nil
+}
+
+// sortedCheckMax is the largest request whose sorted copy repeated keeps on
+// the stack: the serving tier's default request limit.
+const sortedCheckMax = 1024
+
+// repeated returns the smallest vertex that vertices name twice, if any, by
+// sorting a copy of them.
+func repeated(vertices []int) (int, bool) {
+	var scratch [sortedCheckMax]int
+	sorted := append(scratch[:0], vertices...)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return sorted[i], true
+		}
+	}
+	return 0, false
 }
 
 // Model is a trained GCN parameter set, detached from the session that

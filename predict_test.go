@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sagnn/internal/dense"
@@ -185,6 +186,29 @@ func TestSubsetValidation(t *testing.T) {
 	big[63] = 0 // duplicate beyond the quadratic-scan threshold
 	if err := ValidateVertices(64, big); !errors.Is(err, ErrInvalidVertices) {
 		t.Fatalf("large duplicate set: got %v, want ErrInvalidVertices", err)
+	}
+	// Up to sortedCheckMax vertices a valid set is checked allocation-free;
+	// past it the sorted copy moves to the heap.
+	wide := make([]int, sortedCheckMax+1)
+	for i := range wide {
+		wide[i] = len(wide) - 1 - i
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := ValidateVertices(len(wide), wide[:sortedCheckMax]); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("checking %d distinct vertices allocates %v times, want 0", sortedCheckMax, allocs)
+	}
+	if err := ValidateVertices(len(wide), wide); err != nil {
+		t.Fatalf("valid set of %d rejected: %v", len(wide), err)
+	}
+	wide[sortedCheckMax] = wide[7]
+	if err := ValidateVertices(len(wide), wide); !errors.Is(err, ErrInvalidVertices) {
+		t.Fatalf("duplicate past sortedCheckMax: got %v, want ErrInvalidVertices", err)
+	}
+	if err := ValidateVertices(len(wide), wide[1:]); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("duplicate vertex %d", wide[7])) {
+		t.Fatalf("duplicate within sortedCheckMax: got %v, want vertex %d named", err, wide[7])
 	}
 }
 
