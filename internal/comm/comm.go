@@ -195,12 +195,13 @@ func (r *Rank) chargeComm(phase string, sec float64) {
 func (r *Rank) ChargeCompute(phase string, sec float64) { r.w.Ledger.Add(r.ID, phase, sec) }
 
 // Send delivers a tagged float payload to dst. Models an eager/buffered
-// send: it never blocks (both transports queue at the receiver without
-// bound), matching the paper's use of non-blocking Isend. Self-sends panic:
-// local data needs no transport.
+// send: it never blocks (the mailboxes queue at the receiver, the wire
+// writes what the socket takes and queues the rest, both without bound),
+// matching the paper's use of non-blocking Isend. Self-sends panic: local
+// data needs no transport.
 //
-// The caller keeps ownership of floats — the transport copies or encodes it
-// before Send returns. To hand a buffer over instead, pack into GetFloats
+// The caller keeps ownership of floats — the transport copies it, or writes
+// it and copies what it could not write, before Send returns. To hand a buffer over instead, pack into GetFloats
 // and use SendOwned.
 func (r *Rank) Send(dst, tag int, floats []float64, phase string) {
 	r.send(dst, tag, floats, false, phase)

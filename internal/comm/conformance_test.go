@@ -285,8 +285,8 @@ func TestTransportConformance(t *testing.T) {
 		}},
 		{"wide-payloads", 4, func(r *Rank, rec func(...float64)) error {
 			// Every payload crosses the reader's decode chunk, and each
-			// borrowed one is clobbered the moment its call returns: a frame
-			// shared by several writers must be encoded before the return.
+			// borrowed one is clobbered the moment its call returns: what an
+			// inline write leaves over must be copied before the return.
 			g, p := r.World().WorldGroup(), r.P()
 			next, prev := (r.ID+1)%p, (r.ID+p-1)%p
 			for k, n := range wideLens {
@@ -591,29 +591,45 @@ func TestAbortMidCollectiveUnblocksEveryRank(t *testing.T) {
 // of 2·64+1 messages to one peer (past twice a 64-deep per-pair buffer)
 // completes before the receiver has posted a single receive, because the
 // receiver is itself parked in an all-reduce the sender enters only after
-// the burst.
+// the burst. A second burst of as many 32,768-float payloads (256 KB each,
+// 33 MB in all) overruns the sockets' buffers, so the wire's inline writes
+// come up short and their remainders queue behind each other; every payload
+// is clobbered once its send returns.
 func TestSendsNeverBlock(t *testing.T) {
 	const p, burst = 2, 2*64 + 1
+	widths := []int{1, 1 << 15}
+	payload := func(wi, k int) []float64 {
+		if widths[wi] == 1 {
+			return []float64{float64(k)}
+		}
+		return widePayload(widths[wi], wi, k)
+	}
 	for _, transport := range transports {
 		t.Run(transport, func(t *testing.T) {
 			f := newFleet(t, transport, p)
 			errs := f.run(func(r *Rank) error {
 				g, one, out := r.World().WorldGroup(), []float64{1}, make([]float64, 1)
 				if r.ID == 0 {
-					for k := 0; k < burst; k++ {
-						r.Send(1, k, []float64{float64(k)}, "p2p")
+					for wi := range widths {
+						for k := 0; k < burst; k++ {
+							buf := payload(wi, k)
+							r.Send(1, wi*burst+k, buf, "p2p")
+							clobber(buf)
+						}
 					}
 					g.AllReduceSumInto(r, one, out, "allreduce")
 					return nil
 				}
 				g.AllReduceSumInto(r, one, out, "allreduce")
-				got := make([]float64, 1)
-				for k := 0; k < burst; k++ {
-					if err := r.TryRecvInto(0, k, got); err != nil {
-						return err
-					}
-					if got[0] != float64(k) {
-						return fmt.Errorf("message %d carries %v", k, got[0])
+				for wi, n := range widths {
+					got := make([]float64, n)
+					for k := 0; k < burst; k++ {
+						if err := r.TryRecvInto(0, wi*burst+k, got); err != nil {
+							return err
+						}
+						if !sameBits(got, payload(wi, k)) {
+							return fmt.Errorf("%d-float message %d changed bits", n, k)
+						}
 					}
 				}
 				return nil

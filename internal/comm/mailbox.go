@@ -1,14 +1,19 @@
 package comm
 
 // transport is everything the communication layer asks of a backend:
-// per-(src, dst, lane) FIFO delivery of tagged float payloads. Both
-// implementations — mailboxes here, netWorld in transport.go — queue into
-// the same unbounded inbox, so a send never blocks on either, and a receive
-// that would block past a world abort unwinds with the abortPanic sentinel.
+// per-(src, dst, lane) FIFO delivery of tagged float payloads. Neither
+// implementation ever waits in a send: the mailboxes here push into the
+// receiver's unbounded inbox, and the wire (netWorld, transport.go) writes
+// what the socket takes at once and queues the rest for a writer goroutine
+// without bound. Both land received messages in the same inbox type, and a
+// receive that would block past a world abort unwinds with the abortPanic
+// sentinel.
 type transport interface {
 	// send delivers (tag, data) from world rank src to dst on lane. data is
-	// borrowed until send returns; with owned set it is a pooled buffer the
-	// transport takes over and recycles once delivered.
+	// borrowed until send returns — the mailboxes copy it, the wire writes
+	// it or copies what it could not write — and with owned set it is a
+	// pooled buffer the transport takes over and recycles once delivered
+	// (the mailboxes) or written (the wire).
 	send(src, dst int, lane byte, tag int, data []float64, owned bool)
 	// sendMany delivers (tag, data) from src to every rank of dsts except
 	// src itself, in dsts order, on lane; data is borrowed until it returns.

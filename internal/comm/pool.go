@@ -3,15 +3,16 @@ package comm
 // bufPool is a per-world free list of float payload buffers. Every message
 // in flight — a Send's copy, a collective's per-member payloads, a decoded
 // wire frame — sits in a pooled buffer that the receiving primitive recycles
-// once it has copied the payload out, and an outgoing wire frame's payload
-// sits in one its last writer recycles, so steady-state training reuses a
-// fixed set of transport buffers instead of allocating and GC-ing one per
-// message.
+// once it has copied the payload out, and what an outgoing wire frame's
+// inline write left over sits in one its peer's writer recycles, so
+// steady-state training reuses a fixed set of transport buffers instead of
+// allocating and GC-ing one per message.
 //
 // Ownership discipline:
 //
-//   - Send and the collectives lend the caller's payload: the transport
-//     copies (mailboxes) or encodes (wire) it before they return.
+//   - Send and the collectives lend the caller's payload: before they
+//     return, the mailboxes copy it, and the wire writes it into the socket
+//     and copies whatever the socket did not take.
 //   - SendOwned transfers the caller's buffer itself — the caller must have
 //     obtained it from GetFloats and must not touch it afterwards.
 //   - RecvInto and the Into collectives copy the payload into a

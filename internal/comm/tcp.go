@@ -20,8 +20,9 @@ import (
 // Rendezvous builds the full mesh: rank i listens on addrs[i], dials every
 // lower rank (with capped exponential backoff, so processes may start in any
 // order), and accepts from every higher rank; a hello frame identifies the
-// dialer. Connections are persistent, TCP_NODELAY, with per-peer coalescing
-// writers and decoding readers (transport.go). Setup is bounded by
+// dialer. Connections are persistent, TCP_NODELAY: a send writes into the
+// socket itself, and per-peer writers finish what it could not write while
+// decoding readers land frames (transport.go). Setup is bounded by
 // rendezvousTimeout; a missing peer returns an error rather than hanging.
 //
 // The returned World runs exactly one rank goroutine per Run (the hosted
@@ -60,7 +61,7 @@ func NewWorldTCP(self int, addrs []string, params machine.Params) (*World, error
 
 // newNetWorld installs an unconnected wire transport hosting rank self on w.
 func newNetWorld(w *World, self int, addrs []string) *netWorld {
-	nw := &netWorld{w: w, self: self, addrs: append([]string(nil), addrs...), peers: make([]*netPeer, w.P), inboxes: newInboxes(w.P), frames: make(chan *frame, poolDepth)}
+	nw := &netWorld{w: w, self: self, addrs: append([]string(nil), addrs...), peers: make([]*netPeer, w.P), inboxes: newInboxes(w.P), frames: make(chan *frame, poolDepth), inlineCap: -1}
 	w.tr, w.net = nw, nw
 	w.hosted = []int{self}
 	return nw

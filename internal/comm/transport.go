@@ -34,13 +34,22 @@ import (
 //
 // Payloads move in bulk, as the bytes of their float64s: on a little-endian
 // host a []float64's memory is already the wire format, and a big-endian
-// host byte-swaps each word (swapWords). A sender encodes a frame as its
-// header plus one copy of the payload into a pooled buffer; an owned payload
-// is the frame's buffer itself, with no copy. A one-to-many send (a
-// broadcast root, an all-reduce member) encodes one frame that every
-// destination's writer shares, and a writer sends a wide payload from that
-// buffer in place. A reader reads a payload through its buffered reader
-// straight into the pooled float buffer the message lands in.
+// host byte-swaps each word (swapWords), a sender into a pooled copy first
+// and a reader in place. A sender writes each data frame into its peer's
+// socket itself, in one non-blocking writev of the header and the payload's
+// own memory (tryWriter), so nothing is copied and no goroutine hand-off
+// sits between a send and the kernel. What the kernel does not take — all
+// of the frame when the socket buffer is full, or a tail that may start
+// inside the header — is queued before the send returns, for the peer's
+// writer goroutine to finish: a borrowed payload's tail in a pooled copy,
+// an owned payload as itself. A one-to-many send (a broadcast root, an
+// all-reduce member) writes the same bytes to each destination in turn, and
+// the destinations that come up short share one copy. A frame goes inline
+// only while nothing to that peer is queued or being written, so per-peer
+// order is the order of the sends. The writer also sends abort and goodbye
+// frames, and coalesces whatever queues into few syscalls. A reader reads a
+// payload through its buffered reader straight into the pooled float buffer
+// the message lands in.
 //
 // Note the accounting split: logical volumes and modeled α–β time are charged
 // by the collective layer, identically over both transports (a broadcast is
@@ -103,23 +112,24 @@ func parseHeader(b []byte) (kind, lane byte, src, tag, count int) {
 	return
 }
 
-// frame is one outgoing wire frame: the header and the body behind it — a
-// float payload's bytes, in wire order in the pooled buffer data, or an
-// abort frame's cause text. A one-to-many send queues the same frame to
-// several writers; refs counts the writers yet to write it, and the last
-// recycles it: data into the world's bufPool, where it serves the next send
-// or receive of its class, and the frame into the free list.
+// frame is one outgoing frame for a peer's writer goroutine to send: what
+// a sender's inline write left of a float frame — the header from byte head
+// on, and the payload bytes behind it (in the pooled buffer data, unless
+// they are a one-to-many send's shared copy) — or a whole abort or goodbye
+// frame. The writer recycles it once written: data into the world's
+// bufPool, where it serves the next send or receive of its class, and the
+// frame into the free list.
 type frame struct {
 	hdr  [frameHeaderLen]byte
+	head int
 	body []byte
 	data []float64
-	refs atomic.Int32
 }
 
 // newFrame returns a frame from the free list (a buffered channel, as
 // bufPool's classes are: no allocation once warm) with its header written
-// and no payload, to be written by refs writers.
-func (nw *netWorld) newFrame(kind, lane byte, tag, count, refs int) *frame {
+// and no payload.
+func (nw *netWorld) newFrame(kind, lane byte, tag, count int) *frame {
 	var f *frame
 	select {
 	case f = <-nw.frames:
@@ -127,17 +137,13 @@ func (nw *netWorld) newFrame(kind, lane byte, tag, count, refs int) *frame {
 		f = new(frame)
 	}
 	putHeader(f.hdr[:], kind, lane, nw.self, tag, count)
-	f.refs.Store(int32(refs))
 	return f
 }
 
-// release drops one writer's hold on f and recycles it after the last.
+// release recycles a written (or dropped) frame.
 func (nw *netWorld) release(f *frame) {
-	if f.refs.Add(-1) != 0 {
-		return
-	}
 	nw.w.pool.put(f.data)
-	f.body, f.data = nil, nil
+	f.head, f.body, f.data = 0, nil, nil
 	select {
 	case nw.frames <- f:
 	default:
@@ -171,6 +177,23 @@ func wireOrder(f []float64) {
 	}
 }
 
+// inWireOrder returns data in wire order and whether the result is owned:
+// on a little-endian host data itself, as it came; on a big-endian one an
+// owned payload swapped in place, a borrowed one swapped into a pooled copy,
+// which is owned.
+func (nw *netWorld) inWireOrder(data []float64, owned bool) ([]float64, bool) {
+	if hostLittleEndian || len(data) == 0 {
+		return data, owned
+	}
+	if !owned {
+		cp := nw.w.pool.get(len(data))
+		copy(cp, data)
+		data = cp
+	}
+	wireOrder(data)
+	return data, true
+}
+
 // queue is the one unbounded FIFO under both transports: each rank's inbox
 // per (peer, lane), and each wire peer's outgoing frame queue. A push never
 // blocks, so neither does a send; a pop blocks until an element is queued or
@@ -202,14 +225,10 @@ func (b *queue[T]) push(m T) {
 func (b *queue[T]) pop(stop <-chan struct{}) (m T, ok bool) {
 	for {
 		b.mu.Lock()
-		if len(b.q) > 0 {
-			var zero T
-			m = b.q[0]
-			copy(b.q, b.q[1:])
-			b.q[len(b.q)-1] = zero
-			b.q = b.q[:len(b.q)-1]
-			nonEmpty := len(b.q) > 0
-			b.mu.Unlock()
+		m, ok = b.shift()
+		nonEmpty := len(b.q) > 0
+		b.mu.Unlock()
+		if ok {
 			if nonEmpty {
 				select {
 				case b.sig <- struct{}{}:
@@ -218,7 +237,6 @@ func (b *queue[T]) pop(stop <-chan struct{}) (m T, ok bool) {
 			}
 			return m, true
 		}
-		b.mu.Unlock()
 		select {
 		case <-b.sig:
 		case <-stop:
@@ -227,7 +245,28 @@ func (b *queue[T]) pop(stop <-chan struct{}) (m T, ok bool) {
 	}
 }
 
-// empty reports whether nothing is queued (the writer's flush-on-idle test).
+// tryPop dequeues the next element without blocking; ok is false when
+// nothing is queued.
+func (b *queue[T]) tryPop() (m T, ok bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.shift()
+}
+
+// shift removes the head element; the caller holds mu.
+func (b *queue[T]) shift() (m T, ok bool) {
+	if len(b.q) == 0 {
+		return m, false
+	}
+	var zero T
+	m = b.q[0]
+	copy(b.q, b.q[1:])
+	b.q[len(b.q)-1] = zero
+	b.q = b.q[:len(b.q)-1]
+	return m, true
+}
+
+// empty reports whether nothing is queued.
 func (b *queue[T]) empty() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -275,15 +314,26 @@ func drainInboxes(in [][2]inbox, pool *bufPool) {
 	}
 }
 
-// netPeer is one full-mesh neighbour: its connection, the outgoing frame
-// queue its writer goroutine drains, and shutdown bookkeeping.
+// netPeer is one full-mesh neighbour: its connection, the frames its
+// writer goroutine is to finish, and shutdown bookkeeping. mu orders a
+// sender's inline write against the writer: a sender writes inline only
+// while q is empty and the writer holds no frame (busy), and queues any
+// remainder before it unlocks; the writer takes a frame and sets busy under
+// mu, and clears busy under mu once q is empty and all it took is written.
+// Neither blocks while holding mu — the inline write never waits and the
+// writer writes unlocked — so a send never waits on a slow peer.
 type netPeer struct {
 	rank    int
 	conn    net.Conn
+	mu      sync.Mutex
 	q       queue[*frame]
-	stop    chan struct{} // closed by Close: the writer drains q and exits
-	wdone   chan struct{} // closed when the writer goroutine exits
-	saidBye atomic.Bool   // peer sent goodbye (or its reader exited)
+	busy    bool                 // guarded by mu
+	hdr     [frameHeaderLen]byte // the inline write's header; guarded by mu
+	tw      tryWriter            // guarded by mu
+	failed  atomic.Bool          // a write on conn failed: later frames are dropped
+	stop    chan struct{}        // closed by Close: the writer drains q and exits
+	wdone   chan struct{}        // closed when the writer goroutine exits
+	saidBye atomic.Bool          // peer sent goodbye (or its reader exited)
 	byeOnce sync.Once
 }
 
@@ -291,6 +341,7 @@ type netPeer struct {
 func newNetPeer(rank int, conn net.Conn) *netPeer {
 	p := &netPeer{rank: rank, conn: conn, stop: make(chan struct{}), wdone: make(chan struct{})}
 	p.q.sig = make(chan struct{}, 1)
+	p.tw.init(conn)
 	return p
 }
 
@@ -311,6 +362,9 @@ type netWorld struct {
 	// frames is the free list of outgoing frames; its depth is bufPool's
 	// per class.
 	frames chan *frame
+	// inlineCap is a test seam: when ≥ 0, an inline write sends at most
+	// this many bytes of its frame and queues the rest.
+	inlineCap int
 }
 
 // markBye releases the peer's goodbye count exactly once.
@@ -319,62 +373,107 @@ func (nw *netWorld) markBye(p *netPeer) {
 	p.byeOnce.Do(nw.byeWG.Done)
 }
 
-// enqueue hands an encoded frame to dst's writer. Frames to a torn-down peer
-// are dropped — the disconnect itself is surfaced by the reader's abort.
-func (nw *netWorld) enqueue(dst int, f *frame) {
+// enqueue queues a frame for p's writer.
+func (nw *netWorld) enqueue(p *netPeer, f *frame) {
+	p.mu.Lock()
+	p.q.push(f)
+	p.mu.Unlock()
+}
+
+// send writes a float frame to dst; wire sends never block.
+func (nw *netWorld) send(_, dst int, lane byte, tag int, data []float64, owned bool) {
+	data, owned = nw.inWireOrder(data, owned)
+	nw.sendFrame(dst, lane, tag, data, owned, nil)
+}
+
+// sendMany writes the same float frame to every destination but src, in
+// dsts order. The destinations whose sockets come up short resume from one
+// copy of the payload that they share (see sendFrame).
+func (nw *netWorld) sendMany(src int, dsts []int, lane byte, tag int, data []float64) {
+	wire, copied := nw.inWireOrder(data, false)
+	var shared []byte
+	for _, d := range dsts {
+		if d != src {
+			nw.sendFrame(d, lane, tag, wire, false, &shared)
+		}
+	}
+	if copied {
+		nw.w.pool.put(wire)
+	}
+}
+
+// sendFrame sends a float frame of data, already in wire order, to dst.
+// While nothing to dst is queued or being written, the frame goes straight
+// into the socket; what the kernel does not take is queued for dst's writer
+// before sendFrame returns, so the caller may reuse a borrowed payload at
+// once. An owned payload's tail stays in the payload, recycled once
+// written. A borrowed payload's tail is copied into a pooled buffer — or,
+// for a one-to-many send (shared non-nil), read from one garbage-collected
+// copy of the whole payload made at the first short destination. A pooled
+// copy per destination measured about 20 MB more peak RSS on the oblivious
+// TCP benchmark row, whose only short one-to-many sends are the set-up's
+// 4.9 MB broadcasts (EXPERIMENTS.md "Write-through sends").
+// Frames to a torn-down or failed peer are dropped: the reader on that
+// connection surfaces the loss. A payload over the frame bound panics (the
+// receiver would reject it as malformed).
+func (nw *netWorld) sendFrame(dst int, lane byte, tag int, data []float64, owned bool, shared *[]byte) {
+	if len(data) > maxFrameElems {
+		panic(fmt.Sprintf("comm: %d-element payload exceeds the %d-element frame bound", len(data), maxFrameElems))
+	}
 	p := nw.peers[dst]
-	if p == nil {
-		nw.release(f)
+	if p == nil || p.failed.Load() {
+		if owned {
+			nw.w.pool.put(data)
+		}
 		return
+	}
+	body := floatBytes(data)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	if !p.busy && p.q.empty() {
+		putHeader(p.hdr[:], frameFloats, lane, nw.self, tag, len(data))
+		n = nw.writeInline(p, body)
+	}
+	if n == frameHeaderLen+len(body) || p.failed.Load() {
+		if owned {
+			nw.w.pool.put(data)
+		}
+		return
+	}
+	f := nw.newFrame(frameFloats, lane, tag, len(data))
+	f.head = min(n, frameHeaderLen)
+	rest := body[max(n-frameHeaderLen, 0):]
+	switch {
+	case owned:
+		f.data, f.body = data, rest
+	case shared != nil && len(rest) > 0:
+		if *shared == nil {
+			*shared = append([]byte(nil), body...)
+		}
+		f.body = (*shared)[len(body)-len(rest):]
+	case len(rest) > 0:
+		f.data = nw.w.pool.get((len(rest) + 7) / 8)
+		f.body = floatBytes(f.data)[:len(rest)]
+		copy(f.body, rest)
 	}
 	p.q.push(f)
 }
 
-// encode returns a float frame of data for refs writers. Serialization is
-// synchronous in the caller, so a borrowed payload is free again on return;
-// an owned one becomes the frame's payload, converted in place. A payload
-// over the frame bound panics (the receiver would reject it as malformed).
-func (nw *netWorld) encode(lane byte, tag int, data []float64, owned bool, refs int) *frame {
-	if len(data) > maxFrameElems {
-		panic(fmt.Sprintf("comm: %d-element payload exceeds the %d-element frame bound", len(data), maxFrameElems))
+// writeInline writes the frame in p.hdr and body into p's socket without
+// waiting (at most inlineCap bytes of it when that seam is set) and returns
+// the bytes the kernel took. The caller holds p.mu.
+func (nw *netWorld) writeInline(p *netPeer, body []byte) int {
+	hdr := p.hdr[:]
+	if c := nw.inlineCap; c >= 0 {
+		hdr = hdr[:min(c, len(hdr))]
+		body = body[:min(c-len(hdr), len(body))]
 	}
-	f := nw.newFrame(frameFloats, lane, tag, len(data), refs)
-	switch {
-	case owned:
-		f.data = data
-	case len(data) > 0:
-		f.data = nw.w.pool.get(len(data))
-		copy(f.data, data)
+	n, failed := p.tw.write(hdr, body)
+	if failed {
+		p.failed.Store(true)
 	}
-	wireOrder(f.data)
-	f.body = floatBytes(f.data)
-	return f
-}
-
-// send encodes a float frame and hands it to dst's writer; wire sends never
-// block.
-func (nw *netWorld) send(_, dst int, lane byte, tag int, data []float64, owned bool) {
-	nw.enqueue(dst, nw.encode(lane, tag, data, owned, 1))
-}
-
-// sendMany encodes data once and queues the one frame to every destination's
-// writer.
-func (nw *netWorld) sendMany(src int, dsts []int, lane byte, tag int, data []float64) {
-	refs := 0
-	for _, d := range dsts {
-		if d != src {
-			refs++
-		}
-	}
-	if refs == 0 {
-		return
-	}
-	f := nw.encode(lane, tag, data, false, refs)
-	for _, d := range dsts {
-		if d != src {
-			nw.enqueue(d, f)
-		}
-	}
+	return n
 }
 
 // recv pops the next frame from src on the given lane (see recvOrUnwind).
@@ -399,55 +498,78 @@ func (nw *netWorld) broadcastAbort(err error) {
 		if p == nil {
 			continue
 		}
-		f := nw.newFrame(frameAbort, laneP2P, 0, len(msg), 1)
+		f := nw.newFrame(frameAbort, laneP2P, 0, len(msg))
 		f.body = msg
-		p.q.push(f)
+		nw.enqueue(p, f)
 	}
 }
 
-// writer is the per-peer send goroutine. It gathers queued headers, and the
-// bodies that fit, in a pending buffer that goes out when the queue runs
-// dry, coalescing the many-small-frames patterns (SendRows bursts,
-// all-to-allv) into few syscalls; a body that does not fit goes out in
-// place, in one vectored write behind what is pending, so a wide payload is
-// never copied again. A write error is left for the reader on this
-// connection to surface; the writer stops writing after it while the queue
-// drains.
+// writer is the per-peer send goroutine: it finishes the frames senders
+// could not write inline. It gathers queued headers (or what is left of
+// one), and the bodies that fit, in a pending buffer that goes out when the
+// queue runs dry, coalescing bursts of small frames into few syscalls; a
+// body that does not fit goes out in place, in one vectored write behind
+// what is pending, so a wide payload is never copied again. It stays busy
+// (see netPeer) from the frame it takes until the queue is empty and all of
+// it is written. A write error is left for the reader on this connection to
+// surface; the writer stops writing after it while the queue drains. Once
+// stop closes it writes what is queued and exits.
 func (nw *netWorld) writer(p *netPeer) {
 	defer close(p.wdone)
 	pending := make([]byte, 0, wireBuf)
 	var vec [2][]byte
 	var out net.Buffers
-	failed := false
 	write := func(tail []byte) {
-		if !failed && len(pending)+len(tail) > 0 {
+		if !p.failed.Load() && len(pending)+len(tail) > 0 {
 			vec[0], vec[1] = pending, tail
 			out = vec[:]
-			_, err := out.WriteTo(p.conn)
-			failed = err != nil
+			if _, err := out.WriteTo(p.conn); err != nil {
+				p.failed.Store(true)
+			}
 		}
 		pending = pending[:0]
 	}
+	stopping := false
 	for {
-		f, ok := p.q.pop(p.stop)
+		f, ok := p.next(len(pending) > 0)
 		if !ok {
-			write(nil)
-			return
+			if len(pending) > 0 {
+				write(nil)
+				continue
+			}
+			if stopping {
+				return
+			}
+			select {
+			case <-p.q.sig:
+			case <-p.stop:
+				stopping = true
+			}
+			continue
 		}
-		if cap(pending)-len(pending) < frameHeaderLen {
+		hdr := f.hdr[f.head:]
+		if cap(pending)-len(pending) < len(hdr) {
 			write(nil)
 		}
-		pending = append(pending, f.hdr[:]...)
+		pending = append(pending, hdr...)
 		if len(f.body) <= cap(pending)-len(pending) {
 			pending = append(pending, f.body...)
 		} else {
 			write(f.body)
 		}
 		nw.release(f)
-		if p.q.empty() {
-			write(nil)
-		}
 	}
+}
+
+// next takes the writer's next frame from p's queue. The writer is busy
+// while it holds a frame or pending bytes, so a sender writes nothing inline
+// until both are gone.
+func (p *netPeer) next(pending bool) (*frame, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f, ok := p.q.tryPop()
+	p.busy = ok || pending
+	return f, ok
 }
 
 // reader is the per-peer receive goroutine: it reads frames off the
@@ -552,7 +674,7 @@ func (nw *netWorld) close() error {
 		if p == nil {
 			continue
 		}
-		p.q.push(nw.newFrame(frameGoodbye, laneP2P, 0, 0, 1))
+		nw.enqueue(p, nw.newFrame(frameGoodbye, laneP2P, 0, 0))
 	}
 	done := make(chan struct{})
 	go func() {

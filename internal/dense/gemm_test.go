@@ -11,14 +11,15 @@ import (
 
 // naiveMatMulAdd is the reference every kernel must equal bit for bit: each
 // element of c continued with its products in ascending k, nothing skipped.
+// It walks k in the outer loop and b's rows in address order, so every sum
+// still runs in ascending k while b is read contiguously, once per row of a.
 func naiveMatMulAdd(c, a, b *Matrix) {
 	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
-			s := c.At(i, j)
-			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * b.At(k, j)
+		ci := c.Row(i)
+		for k, aik := range a.Row(i) {
+			for j, bkj := range b.Row(k) {
+				ci[j] += aik * bkj
 			}
-			c.Set(i, j, s)
 		}
 	}
 }
