@@ -10,24 +10,19 @@ import (
 	"sagnn/internal/serve"
 )
 
-// probe asks one replica's /healthz for its typed health document. Any
-// transport failure or non-200 is a failed probe.
+// probe asks one replica's /healthz for its typed health document. A
+// panicked handler, an undecodable document or a non-200 is a failed probe.
 func (rt *Router) probe(ctx context.Context, r *replica) (serve.Health, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+"/healthz", nil)
-	if err != nil {
-		return serve.Health{}, err
+	res := r.call(ctx, http.MethodGet, "/healthz", nil)
+	if res.err != nil {
+		return serve.Health{}, res.err
 	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return serve.Health{}, err
-	}
-	defer resp.Body.Close()
 	var h serve.Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+	if err := json.Unmarshal(res.body, &h); err != nil {
 		return serve.Health{}, fmt.Errorf("decoding healthz: %w", err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return h, fmt.Errorf("healthz %d (%s)", resp.StatusCode, h.Status)
+	if res.status != http.StatusOK {
+		return h, fmt.Errorf("healthz %d (%s)", res.status, h.Status)
 	}
 	return h, nil
 }
@@ -84,7 +79,7 @@ func (rt *Router) checkReplica(ctx context.Context, r *replica) {
 	// artifact to a replica that missed it. Failure keeps it ejected —
 	// better one replica down than mixed generations in the fleet.
 	if art := rt.artifact.Load(); art != nil && h.Generation < art.gen {
-		if err := rt.pushSwap(ctx, r, art.data, art.gen); err != nil {
+		if _, err := rt.pushSwap(ctx, r, art.data, art.gen); err != nil {
 			r.oks = 0
 			return
 		}

@@ -68,20 +68,15 @@ func (rt *Router) Metrics(ctx context.Context) Snapshot {
 
 // replicaMetrics fetches one replica's serving snapshot.
 func (rt *Router) replicaMetrics(ctx context.Context, r *replica) (*serve.Snapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+"/metrics", nil)
-	if err != nil {
-		return nil, err
+	res := r.call(ctx, http.MethodGet, "/metrics", nil)
+	if res.err != nil {
+		return nil, res.err
 	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("metrics %d", resp.StatusCode)
+	if res.status != http.StatusOK {
+		return nil, fmt.Errorf("metrics %d", res.status)
 	}
 	var sv serve.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&sv); err != nil {
+	if err := json.Unmarshal(res.body, &sv); err != nil {
 		return nil, err
 	}
 	return &sv, nil

@@ -2,7 +2,9 @@
 // serve.Server replicas that all hold the same dataset and model, and so
 // the same answer table per generation. Any replica can answer any
 // request; the router spreads load, survives replica loss and rolls model
-// swaps through the fleet.
+// swaps through the fleet. Replicas are in-process http.Handlers: the router
+// calls each one's handler directly on the request's goroutine and records
+// its reply, with no HTTP client, socket or copied response in between.
 //
 // The router provides:
 //
@@ -10,7 +12,9 @@
 //     drawn from a seeded stream, and the replica's status, Retry-After
 //     and body bytes go back to the client unchanged — the replica
 //     validates the request, and its reply comes from one generation's
-//     table, so no response ever mixes model generations,
+//     table, so no response ever mixes model generations; a request drawn
+//     to an ejected or unreachable replica is drawn again among the other
+//     healthy ones,
 //   - per-replica health checking with eject/readmit (and generation
 //     catch-up before readmission),
 //   - fleet-wide admission control that honors and propagates Retry-After,
@@ -24,7 +28,6 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -83,11 +86,10 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// replica is the router's view of one backend.
+// replica is the router's view of one backend, an in-process handler.
 type replica struct {
-	name   string
-	base   string // URL prefix the client routes, e.g. "http://replica-0"
-	client *http.Client
+	name string
+	h    http.Handler
 
 	healthy atomic.Bool
 	killed  atomic.Bool   // administratively terminated; never readmitted
@@ -152,12 +154,7 @@ func New(handlers []http.Handler, cfg Config) (*Router, error) {
 	}
 	rt.rrState.Store(randomSeed)
 	for i, h := range handlers {
-		name := fmt.Sprintf("replica-%d", i)
-		rt.replicas = append(rt.replicas, &replica{
-			name:   name,
-			base:   "http://" + name,
-			client: newHandlerClient(h),
-		})
+		rt.replicas = append(rt.replicas, &replica{name: fmt.Sprintf("replica-%d", i), h: h})
 	}
 	if err := rt.bootProbe(); err != nil {
 		return nil, err
@@ -228,98 +225,57 @@ func (rt *Router) nextRandom(n int) int {
 	return int(x % uint64(n))
 }
 
-// drawHealthy draws a replica uniformly among the healthy ones from the
-// splitmix stream, or returns -1 when the whole fleet is down. An ejected
-// replica's share is spread over the rest this way instead of landing on
-// its ring successor.
-func (rt *Router) drawHealthy() int {
+// drawHealthy draws a replica uniformly among the healthy ones other than
+// skip from the splitmix stream, or returns -1 when there is none. An
+// ejected or unreachable replica's share is spread over the rest this way
+// instead of landing on its ring successor.
+func (rt *Router) drawHealthy(skip int) int {
 	healthy := 0
-	for _, r := range rt.replicas {
-		if r.healthy.Load() {
+	for i, r := range rt.replicas {
+		if i != skip && r.healthy.Load() {
 			healthy++
 		}
 	}
 	if healthy == 0 {
 		return -1
 	}
-	k := rt.nextRandom(healthy)
+	k, last := rt.nextRandom(healthy), -1
 	for i, r := range rt.replicas {
-		if r.healthy.Load() {
-			if k == 0 {
+		if i != skip && r.healthy.Load() {
+			if last = i; k == 0 {
 				return i
 			}
 			k--
 		}
 	}
 	// The health loop ejected a replica between the two passes.
-	return rt.fallback(0)
+	return last
 }
 
-// fallback returns the first healthy replica at or after idx in ring
-// order, or -1 when the whole fleet is down.
-func (rt *Router) fallback(idx int) int {
-	n := len(rt.replicas)
-	for off := 0; off < n; off++ {
-		i := (idx + off) % n
-		if rt.replicas[i].healthy.Load() {
-			return i
-		}
-	}
-	return -1
-}
-
-// reply is one replica's answer to a forwarded request, kept as bytes.
-type reply struct {
-	status      int
-	retryAfter  string
-	contentType string
-	body        []byte
-	err         error // transport failure; in route's outcome, the router's own failure
-}
-
-// forward posts the client's body bytes to one replica and reads its
-// answer back unparsed.
-func (rt *Router) forward(ctx context.Context, r *replica, body []byte) reply {
+// forward posts the client's body bytes to one replica.
+func (rt *Router) forward(ctx context.Context, r *replica, body []byte) *reply {
 	r.subRequests.Add(1)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.base+"/predict", bytes.NewReader(body))
-	if err != nil {
-		return reply{err: err}
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return reply{err: err}
-	}
-	defer resp.Body.Close()
-	res := reply{
-		status:      resp.StatusCode,
-		retryAfter:  resp.Header.Get("Retry-After"),
-		contentType: resp.Header.Get("Content-Type"),
-	}
-	if res.body, err = io.ReadAll(resp.Body); err != nil {
-		return reply{err: fmt.Errorf("reading %s response: %w", r.name, err)}
-	}
-	return res
+	return r.call(ctx, http.MethodPost, "/predict", body)
 }
 
 // unreachable reports whether a reply means "this replica cannot serve
-// right now" (transport failure, 5xx other than a shed, or a 503 without
+// right now" (a panicked handler, 5xx other than a shed, or a 503 without
 // Retry-After — serve sets the header only when shedding, so a bare 503 is
 // a closing replica), as opposed to an answer or a shed that must reach
 // the client.
-func (res reply) unreachable() bool {
+func (res *reply) unreachable() bool {
 	if res.err != nil {
 		return true
 	}
-	if res.status == http.StatusServiceUnavailable && res.retryAfter == "" {
+	if res.status == http.StatusServiceUnavailable && res.header.Get("Retry-After") == "" {
 		return true
 	}
 	return res.status >= 500 && res.status != http.StatusServiceUnavailable
 }
 
 // handlePredict forwards one client request whole to one replica and
-// passes its reply through: status, Retry-After and body bytes. The
-// replica validates the request; the router never parses it.
+// passes its reply through: status, Retry-After, Content-Type and body
+// bytes. The replica validates the request; the router never parses it.
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !serve.PostOnly(w, r) {
 		return
@@ -357,11 +313,10 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	default:
 		rt.front.Failed()
 	}
-	if res.retryAfter != "" {
-		w.Header().Set("Retry-After", res.retryAfter)
-	}
-	if res.contentType != "" {
-		w.Header().Set("Content-Type", res.contentType)
+	for _, key := range [...]string{"Retry-After", "Content-Type"} {
+		if v := res.header.Get(key); v != "" {
+			w.Header().Set(key, v)
+		}
 	}
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
@@ -369,26 +324,26 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 // route sends the body to one replica drawn from the splitmix stream — if
 // that one is ejected, to one drawn again among the healthy replicas — and,
-// if the replica is unreachable, once more to the next healthy replica after
-// it. The outcome is the replica's reply, or the router's own failure in err
-// with the status that answers it.
-func (rt *Router) route(ctx context.Context, body []byte) reply {
+// if the replica is unreachable, once more to one drawn among the healthy
+// replicas other than it. The outcome is the replica's reply, or the
+// router's own failure in err with the status that answers it.
+func (rt *Router) route(ctx context.Context, body []byte) *reply {
 	pick := rt.nextRandom(len(rt.replicas))
 	if !rt.replicas[pick].healthy.Load() {
-		if pick = rt.drawHealthy(); pick < 0 {
-			return reply{status: http.StatusServiceUnavailable, err: errors.New("router: no healthy replicas")}
+		if pick = rt.drawHealthy(pick); pick < 0 {
+			return &reply{status: http.StatusServiceUnavailable, err: errors.New("router: no healthy replicas")}
 		}
 		rt.reroutes.Add(1)
 	}
 	res := rt.forward(ctx, rt.replicas[pick], body)
 	if res.unreachable() {
-		if fb := rt.fallback((pick + 1) % len(rt.replicas)); fb >= 0 && fb != pick {
+		if other := rt.drawHealthy(pick); other >= 0 {
 			rt.reroutes.Add(1)
-			res = rt.forward(ctx, rt.replicas[fb], body)
+			res = rt.forward(ctx, rt.replicas[other], body)
 		}
 	}
 	if res.err != nil {
-		return reply{status: http.StatusBadGateway, err: fmt.Errorf("router: replica unreachable: %v", res.err)}
+		return &reply{status: http.StatusBadGateway, err: fmt.Errorf("router: replica unreachable: %v", res.err)}
 	}
 	return res
 }

@@ -29,6 +29,7 @@ type fakeReplica struct {
 	shed       bool   // predict answers 503 with Retry-After
 	retryAfter string // the Retry-After value when shedding
 	dead       bool   // predict answers bare 503 (a closing replica)
+	panics     bool   // predict panics (a replica bug)
 	swaps      int
 	predicts   int
 }
@@ -53,6 +54,9 @@ func (f *fakeReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, serve.Health{Status: status, Generation: f.gen, Dataset: "fake", Vertices: f.n, Classes: 2})
 	case "/predict":
 		f.predicts++
+		if f.panics {
+			panic("fake replica: predict bug")
+		}
 		if f.shed {
 			w.Header().Set("Retry-After", f.retryAfter)
 			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "overloaded"})
@@ -307,7 +311,7 @@ func (b *blockingReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // TestRerouteAroundDeadReplica pins the request-path fallback: a replica
 // answering bare 503s (closing, not shedding) does not fail requests — a
-// request drawn to it goes to the next healthy replica at once, before the
+// request drawn to it goes to another healthy replica at once, before the
 // health loop has even noticed.
 func TestRerouteAroundDeadReplica(t *testing.T) {
 	fakes, rt := newFakeFleet(t, 2, 30, func(cfg *Config) {
@@ -362,27 +366,86 @@ func TestEjectedHomeDivertsItsGroup(t *testing.T) {
 	}
 }
 
-// TestEjectedShareSpreadsEvenly pins how an ejected replica's share is
-// spread: a request drawn to it is drawn again among the healthy replicas,
-// so with replica 1 of 3 ejected each of the other two answers about half
-// the requests, not the ring successor two thirds of them.
+// TestEjectedShareSpreadsEvenly pins how a lost replica's share is
+// spread: a request drawn to a replica that is ejected, or healthy but
+// unreachable, is drawn again among the other healthy replicas, so with
+// replica 1 of 3 lost each of the other two answers about half the
+// requests, not the ring successor two thirds of them.
 func TestEjectedShareSpreadsEvenly(t *testing.T) {
-	fakes, rt := newFakeFleet(t, 3, 30, nil)
-	fakes[1].setDown(true)
-	waitFor(t, time.Second, func() bool { return !rt.replicas[1].healthy.Load() })
-	const requests = 1200
+	for _, tc := range []struct {
+		name    string
+		ejected bool // else healthy but answering bare 503s
+	}{{"ejected", true}, {"unreachable", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			fakes, rt := newFakeFleet(t, 3, 30, func(cfg *Config) {
+				if !tc.ejected {
+					cfg.HealthInterval = time.Hour // the health loop must not help
+				}
+			})
+			if tc.ejected {
+				fakes[1].setDown(true)
+				waitFor(t, time.Second, func() bool { return !rt.replicas[1].healthy.Load() })
+			} else {
+				fakes[1].setDead(true)
+			}
+			const requests = 1200
+			for n := 0; n < requests; n++ {
+				if resp, _ := predictVia(t, rt, []int{n % 30}); resp.StatusCode != http.StatusOK {
+					t.Fatalf("status %d", resp.StatusCode)
+				}
+			}
+			asked := fakes[1].predictCount()
+			if tc.ejected && asked != 0 {
+				t.Fatalf("ejected replica answered %d requests", asked)
+			}
+			if snap := rt.Metrics(context.Background()); !tc.ejected && snap.Reroutes != uint64(asked) {
+				t.Fatalf("reroutes = %d for %d requests to the unreachable replica, want equal", snap.Reroutes, asked)
+			}
+			for _, i := range []int{0, 2} {
+				if got, want := fakes[i].predictCount(), requests/2; got < want*9/10 || got > want*11/10 {
+					t.Errorf("replica %d answered %d of %d requests, want %d ± 10%%", i, got, requests, want)
+				}
+			}
+		})
+	}
+}
+
+// TestPanickingReplicaIsConfined pins that a replica handler's panic stays
+// inside its request: every request drawn to the panicking replica is
+// answered 200 by another replica and counted as one reroute, and the
+// router keeps serving, probing and reporting metrics afterwards.
+func TestPanickingReplicaIsConfined(t *testing.T) {
+	fakes, rt := newFakeFleet(t, 3, 30, func(cfg *Config) {
+		cfg.HealthInterval = time.Hour // the health loop must not help
+	})
+	fakes[1].mu.Lock()
+	fakes[1].panics = true
+	fakes[1].mu.Unlock()
+	const requests = 60
 	for n := 0; n < requests; n++ {
-		if resp, _ := predictVia(t, rt, []int{n % 30}); resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
+		verts := []int{n % 30}
+		resp, pr := predictVia(t, rt, verts)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", n, resp.StatusCode)
+		}
+		if want := fakeRow(verts[0], 1); pr.Probs[0][0] != want[0] {
+			t.Fatalf("vertex %d: probs %v, want %v", verts[0], pr.Probs[0], want)
 		}
 	}
-	if asked := fakes[1].predictCount(); asked != 0 {
-		t.Fatalf("ejected replica answered %d requests", asked)
+	asked := fakes[1].predictCount()
+	if asked == 0 {
+		t.Fatal("no request was drawn to the panicking replica")
 	}
-	for _, i := range []int{0, 2} {
-		if got, want := fakes[i].predictCount(), requests/2; got < want*9/10 || got > want*11/10 {
-			t.Errorf("replica %d answered %d of %d requests, want %d ± 10%%", i, got, requests, want)
-		}
+	if got := fakes[0].predictCount() + fakes[2].predictCount(); got != requests {
+		t.Fatalf("the other replicas answered %d requests, want %d", got, requests)
+	}
+	snap := rt.Metrics(context.Background())
+	if snap.Reroutes != uint64(asked) || snap.Requests != requests || snap.Failed != 0 {
+		t.Fatalf("reroutes = %d for %d panics, requests = %d, failed = %d; want %d, %d, 0",
+			snap.Reroutes, asked, snap.Requests, snap.Failed, asked, requests)
+	}
+	if _, err := rt.probe(context.Background(), rt.replicas[1]); err != nil {
+		t.Fatalf("probing the panicking replica's /healthz: %v", err)
 	}
 }
 

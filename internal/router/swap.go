@@ -27,14 +27,6 @@ type swapResponse struct {
 	Replicas   []replicaSwap `json:"replicas"`
 }
 
-// pushSwap posts a model artifact to one replica and verifies — via a
-// fresh health probe — that the replica actually serves the expected
-// generation before the roll moves on.
-func (rt *Router) pushSwap(ctx context.Context, r *replica, data []byte, wantGen uint64) error {
-	_, err := rt.pushSwapWithEpoch(ctx, r, data, wantGen)
-	return err
-}
-
 // handleSwap orchestrates a rolling hot-swap: the model artifact fans out
 // replica-by-replica, each push verified against the replica's reported
 // generation before the next one starts, so at most one replica is
@@ -63,7 +55,7 @@ func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
 			out.Replicas = append(out.Replicas, replicaSwap{Name: rep.name, Skipped: true})
 			continue
 		}
-		epoch, err := rt.pushSwapWithEpoch(r.Context(), rep, data, wantGen)
+		epoch, err := rt.pushSwap(r.Context(), rep, data, wantGen)
 		if err != nil {
 			out.Replicas = append(out.Replicas, replicaSwap{Name: rep.name, Error: err.Error()})
 			serve.WriteJSON(w, http.StatusBadGateway, out)
@@ -80,27 +72,23 @@ func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, out)
 }
 
-// pushSwapWithEpoch is pushSwap plus the checkpoint epoch the replica
-// reported — the swap response surfaces it for lineage.
-func (rt *Router) pushSwapWithEpoch(ctx context.Context, r *replica, data []byte, wantGen uint64) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.base+"/admin/swap", bytes.NewReader(data))
-	if err != nil {
-		return 0, err
+// pushSwap posts a model artifact to one replica and verifies — via a
+// fresh health probe — that the replica actually serves the expected
+// generation before the roll moves on. It returns the checkpoint epoch the
+// replica reported; the swap response surfaces it for lineage.
+func (rt *Router) pushSwap(ctx context.Context, r *replica, data []byte, wantGen uint64) (int, error) {
+	res := r.call(ctx, http.MethodPost, "/admin/swap", data)
+	if res.err != nil {
+		return 0, res.err
 	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		doc, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		return 0, fmt.Errorf("swap on %s: %d: %s", r.name, resp.StatusCode, bytes.TrimSpace(doc))
+	if res.status != http.StatusOK {
+		return 0, fmt.Errorf("swap on %s: %d: %s", r.name, res.status, bytes.TrimSpace(res.body))
 	}
 	var sr struct {
 		Generation uint64 `json:"generation"`
 		Epoch      int    `json:"epoch"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	if err := json.Unmarshal(res.body, &sr); err != nil {
 		return 0, fmt.Errorf("decoding swap response of %s: %w", r.name, err)
 	}
 	if sr.Generation != wantGen {

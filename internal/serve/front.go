@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -82,17 +84,77 @@ const MaxPredictBody = 1 << 20
 
 // DecodePredict reads a POST /predict body. It answers a wrong method (405)
 // or an undecodable body (400, counted as failed) itself and then reports
-// false.
+// false. Its verdict is a json.Decoder's on the body cut at MaxPredictBody:
+// the first JSON value is decoded and any bytes after it are ignored. A
+// whole body that is one valid document — every well-formed request — is
+// read into a reused buffer and decoded into a vertex slice sized once, so
+// its allocations do not grow with the number of vertices.
 func (f *Front) DecodePredict(w http.ResponseWriter, r *http.Request) (req PredictRequest, ok bool) {
 	if !PostOnly(w, r) {
 		return req, false
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxPredictBody)).Decode(&req); err != nil {
+	body := getBody()
+	defer putBody(body)
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, MaxPredictBody))
+	if err == nil {
+		// A comma ends each element but the last, so the count bounds the
+		// vertices; the body's bound caps the slice.
+		req.Vertices = make([]int, 0, bytes.Count(body.Bytes(), []byte{','})+1)
+		if json.Unmarshal(body.Bytes(), &req) == nil {
+			if len(req.Vertices) == 0 && cap(req.Vertices) > 0 {
+				req.Vertices = nil // no "vertices" key, or a null body: untouched
+			}
+			return req, true
+		}
+	}
+	// Trailing bytes, a bad document or a cut-off body: json.Decoder's
+	// verdict, and its error, over the same bytes.
+	req = PredictRequest{}
+	src := io.MultiReader(bytes.NewReader(body.Bytes()), failReader{err})
+	if err := json.NewDecoder(src).Decode(&req); err != nil {
 		f.Failed()
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return req, false
 	}
 	return req, true
+}
+
+// failReader ends a body read in full with the error that ended it (io.EOF
+// when nil).
+type failReader struct{ err error }
+
+func (f failReader) Read([]byte) (int, error) {
+	if f.err == nil {
+		return 0, io.EOF
+	}
+	return 0, f.err
+}
+
+// bodies is the free list of /predict body buffers: a buffered channel, not
+// a sync.Pool, whose entries the race detector drops at random. Buffers
+// grown past keepBody are left to the collector.
+var bodies = make(chan *bytes.Buffer, 32)
+
+const keepBody = 64 << 10
+
+func getBody() *bytes.Buffer {
+	select {
+	case b := <-bodies:
+		return b
+	default:
+		return new(bytes.Buffer)
+	}
+}
+
+func putBody(b *bytes.Buffer) {
+	if b.Cap() > keepBody {
+		return
+	}
+	b.Reset()
+	select {
+	case bodies <- b:
+	default:
+	}
 }
 
 // Admission is the admission block of a /metrics document: live occupancy

@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -33,7 +36,8 @@ func checkErrorDoc(t *testing.T, code int, reply []byte) {
 
 // FuzzPredictBody sends arbitrary bytes to /predict: the answer is a 200
 // whose classes are the model's full-batch classes at the requested
-// vertices, or a 4xx error document — never a 500, never a panic. A 200's
+// vertices, or a 4xx error document — never a 500, never a panic. A body
+// json.Decoder cannot decode is a 400 carrying the decoder's error. A 200's
 // bytes are json.Encoder's for the PredictResponse PredictInto fills on the
 // same body: the spliced reply is the encoded one, byte for byte.
 func FuzzPredictBody(f *testing.F) {
@@ -52,22 +56,27 @@ func FuzzPredictBody(f *testing.F) {
 		`{"vertices":[]}`, `{"vertices":null}`, `{}`, `{"vertices":[-1]}`,
 		`{"vertices":[96]}`, `{"vertices":[1.5]}`, `{"vertices":[1e30]}`,
 		`{"vertices":[7]} trailing`, `[1,2]`, `{nope`, ``,
+		`{"vertices":[1]}{"vertices":[2]}`, `{"vertices":[3]}]`, `null x`, `5 {`, " \n\t",
+		`{"vertices":[1e`, `{"vertices":[-`, `tru`, `{"vertices":[1],"vertices":[]}`,
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		code, reply := serveBody(srv, "/predict", body)
+		// The server reads the first JSON value of the body, as here.
+		req, decErr := decoderVerdict(body)
+		if decErr != nil {
+			if want := badBodyDoc(decErr); code != http.StatusBadRequest || !bytes.Equal(reply, want) {
+				t.Fatalf("body %q: status %d %q, want 400 %q", body, code, reply, want)
+			}
+			return
+		}
 		if code != http.StatusOK {
 			if code < 400 || code >= 500 {
 				t.Fatalf("status %d for body %q: %s", code, body, reply)
 			}
 			checkErrorDoc(t, code, reply)
 			return
-		}
-		// The server reads the first JSON value of the body, as here.
-		var req PredictRequest
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-			t.Fatalf("200 for an undecodable body %q: %v", body, err)
 		}
 		var resp PredictResponse
 		if err := json.Unmarshal(reply, &resp); err != nil {
@@ -91,6 +100,57 @@ func FuzzPredictBody(f *testing.F) {
 			t.Fatalf("reply for %v\n got %q\nwant %q", req.Vertices, reply, encoded)
 		}
 	})
+}
+
+// decoderVerdict decodes a /predict body as a json.Decoder over the body
+// cut at MaxPredictBody does; DecodePredict must agree, error text included.
+func decoderVerdict(body []byte) (PredictRequest, error) {
+	var req PredictRequest
+	src := http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(body)), MaxPredictBody)
+	err := json.NewDecoder(src).Decode(&req)
+	return req, err
+}
+
+// badBodyDoc is the error document DecodePredict answers a body that fails
+// to decode with.
+func badBodyDoc(err error) []byte {
+	w := httptest.NewRecorder()
+	WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	return w.Body.Bytes()
+}
+
+// TestDecodePredictMatchesDecoder holds DecodePredict to json.Decoder's
+// verdict on bodies the fuzzer does not reach: ones at and past
+// MaxPredictBody, where the bound cuts a value or leaves it whole.
+func TestDecodePredictMatchesDecoder(t *testing.T) {
+	pad := func(n int, tail string) string { return strings.Repeat(" ", n) + tail }
+	for _, body := range []string{
+		pad(MaxPredictBody-20, `{"vertices":[1,2]}`) + pad(MaxPredictBody, "x"),
+		pad(MaxPredictBody-4, `null`) + "x",
+		pad(MaxPredictBody-5, `null`) + " x",
+		pad(MaxPredictBody-4, `null`),
+		pad(MaxPredictBody-2, `{}`) + "}",
+		pad(MaxPredictBody-6, `{"vert`) + `ices":[1]}`,
+		pad(MaxPredictBody+1, ""),
+		pad(MaxPredictBody, ""),
+		`{"vertices":[1,2,3]}`, `{}`, `null`, `{"vertices":[]}`, `{"vertices":null}`,
+		`{"vertices":[4]} {"vertices":[5]}`, `{"vertices":[1e`, ``, "\n",
+	} {
+		front := NewFront(InFlightUnlimited)
+		w := httptest.NewRecorder()
+		got, ok := front.DecodePredict(w, httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(body)))
+		want, err := decoderVerdict([]byte(body))
+		short := body
+		if len(short) > 40 {
+			short = "…" + short[len(short)-40:]
+		}
+		if ok != (err == nil) || (ok && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("body %q (%d bytes): decoded %#v ok=%v, json.Decoder %#v err=%v", short, len(body), got, ok, want, err)
+		}
+		if !ok && !bytes.Equal(w.Body.Bytes(), badBodyDoc(err)) {
+			t.Fatalf("body %q (%d bytes): reply %q, want %q", short, len(body), w.Body, badBodyDoc(err))
+		}
+	}
 }
 
 // encodeReply is the /predict reply json.Encoder writes for resp.

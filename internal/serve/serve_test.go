@@ -546,6 +546,34 @@ func TestPredictReplyAllocFlat(t *testing.T) {
 	}
 }
 
+// TestDecodePredictAllocFlat pins the /predict body decode: it costs the
+// same number of allocations at 1, 8, 64 and 1024 vertices — the body is
+// read into a reused buffer and the vertex slice is sized once.
+func TestDecodePredictAllocFlat(t *testing.T) {
+	front := NewFront(InFlightUnlimited)
+	var counts []float64
+	for _, k := range []int{1, 8, 64, 1024} {
+		vertices := make([]int, k)
+		for i := range vertices {
+			vertices[i] = i * 37 % 1031
+		}
+		body, _ := json.Marshal(PredictRequest{Vertices: vertices})
+		counts = append(counts, testing.AllocsPerRun(50, func() {
+			w := httptest.NewRecorder()
+			req, ok := front.DecodePredict(w, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
+			if !ok || len(req.Vertices) != k {
+				t.Fatalf("k=%d: decoded %d vertices, ok=%v: %s", k, len(req.Vertices), ok, w.Body)
+			}
+		}))
+	}
+	t.Logf("allocations at 1, 8, 64 and 1024 vertices: %v", counts)
+	for i := range counts {
+		if counts[i] != counts[0] {
+			t.Fatalf("DecodePredict allocates %v times at 1, 8, 64 and 1024 vertices, want one count", counts)
+		}
+	}
+}
+
 // TestConcurrentPredictAndSwap hammers predictions while swapping models,
 // under the race detector in CI: every reply must be, byte for byte, the
 // encoded reply of the generation before the swap or the one after it —
