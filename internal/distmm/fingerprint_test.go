@@ -69,10 +69,65 @@ func (f *fingerprinter) csr(m *sparse.CSR) {
 	}
 }
 
+// recordedOps numbers each opcode as the IR did when the goldens were
+// recorded. That IR also had two opcodes it no longer has: a multiply site
+// per non-empty peer slot after a sweep (3) and the unpack charge closing
+// them (4).
+var recordedOps = map[opcode]int{
+	opBcastMul:   0,
+	opAllToAllv:  1,
+	opMulOwn:     2,
+	opSendRows:   5,
+	opChargePack: 6,
+	opRecvMul:    7,
+	opAllReduce:  8,
+}
+
+const recordedMulRecvSlot, recordedChargeUnpack = 3, 4
+
+// recordedInstr is one instruction in the form the goldens were recorded
+// from: its opcode number and its operands.
+type recordedInstr struct {
+	op int
+	in instr
+}
+
+// recordedForm rewrites a program into the form the goldens were recorded
+// from: after each sweep, one slot site per non-empty peer slot j of the
+// exchange before it, with rows at[j+1]−at[j], slot j and the merged
+// operand's columns [at[j], at[j+1]) shifted by −at[j] as its block (the
+// compact block bit for bit: sparse.HConcat keeps each block's entries of a
+// row contiguous and in order), and then the unpack charge.
+func recordedForm(prog []instr) []recordedInstr {
+	out := make([]recordedInstr, 0, len(prog))
+	var exch *instr
+	for i := range prog {
+		in := &prog[i]
+		out = append(out, recordedInstr{recordedOps[in.op], *in})
+		switch {
+		case in.op == opAllToAllv:
+			exch = in
+		case in.op == opMulOwn && exch != nil:
+			h := exch.halo
+			for j := 0; j+1 < len(exch.at); j++ {
+				lo, hi := exch.at[j], exch.at[j+1]
+				if lo == hi {
+					continue
+				}
+				blk := h.ExtractBlock(sparse.ColRange{Lo: 0, Hi: h.NumRows}, sparse.ColRange{Lo: lo, Hi: hi})
+				out = append(out, recordedInstr{recordedMulRecvSlot, instr{rows: hi - lo, slot: j, blk: blk}})
+			}
+			out = append(out, recordedInstr{recordedChargeUnpack, instr{}})
+		}
+	}
+	return out
+}
+
 // planFingerprint hashes a plan's metadata (name, replication, partial-sum
 // shape, layout, per-rank block, heights and gradient group) and every
-// rank's instructions: op, group members, root, own, peer, tag, rows, slot,
-// idx, sendIdx, recvRows and the SpMM block's RowPtr/ColIdx/value bits.
+// rank's instructions in their recorded form: op, group members, root, own,
+// peer, tag, rows, slot, idx, sendIdx, recvRows and the SpMM block's
+// RowPtr/ColIdx/value bits.
 func planFingerprint(p *Plan) uint64 {
 	f := &fingerprinter{h: fnv.New64a()}
 	f.int(len(p.name))
@@ -92,10 +147,11 @@ func planFingerprint(p *Plan) uint64 {
 	}
 	f.int(len(p.progs))
 	for _, prog := range p.progs {
-		f.int(len(prog))
-		for i := range prog {
-			in := &prog[i]
-			f.int(int(in.op))
+		rec := recordedForm(prog)
+		f.int(len(rec))
+		for _, r := range rec {
+			in := &r.in
+			f.int(r.op)
 			f.group(in.group)
 			f.int(in.root)
 			f.bool(in.own)
@@ -245,15 +301,17 @@ func TestPlanFingerprintGolden(t *testing.T) {
 		t.Errorf("%d plans, %d golden fingerprints", len(plans), len(goldenFingerprints))
 	}
 
-	// One-entry mutations: a block value's last bit, one pack index.
+	// One-entry mutations: the last bit of a diagonal block's value and of
+	// a merged operand's, one pack index.
 	pl := plans["er96/p=4/sparsity-aware-1d/c=1"]
 	base := planFingerprint(pl)
-	blk := pl.progs[1][1].blk
-	blk.Val[0] = math.Float64frombits(math.Float64bits(blk.Val[0]) ^ 1)
-	if planFingerprint(pl) == base {
-		t.Fatal("fingerprint missed a one-bit change to a block value")
+	for _, blk := range []*sparse.CSR{pl.progs[1][1].blk, pl.progs[1][0].halo} {
+		blk.Val[0] = math.Float64frombits(math.Float64bits(blk.Val[0]) ^ 1)
+		if planFingerprint(pl) == base {
+			t.Fatal("fingerprint missed a one-bit change to a block value")
+		}
+		blk.Val[0] = math.Float64frombits(math.Float64bits(blk.Val[0]) ^ 1)
 	}
-	blk.Val[0] = math.Float64frombits(math.Float64bits(blk.Val[0]) ^ 1)
 	send := pl.progs[2][0].sendIdx[0]
 	send[0]++
 	if planFingerprint(pl) == base {

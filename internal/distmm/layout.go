@@ -21,7 +21,8 @@
 // broadcast/all-to-allv/p2p/all-reduce ops. The sparse operand reaches the
 // compiler as a row source split along the layout's column blocks, and one
 // schedule builder and one program writer compile Algorithm 1 for both the
-// full-batch engine and the gather. One engine type runs every plan. All
+// full-batch engine and the gather, to one exchange and one local sweep per
+// rank. One engine type runs every plan. All
 // engines therefore perform real data movement through a comm.World, so
 // their results are bit-identical to a serial SpMM (tested), while exact
 // volumes and modeled α–β times are recorded for the experiment harness —

@@ -213,16 +213,16 @@ func buildNnzSchedule(rows rowSource, layout Layout) *nnzSchedule {
 }
 
 // writeAlgorithm1 writes the paper's Algorithm 1 over sched into every
-// rank's program of a 1D plan: one all-to-allv moving exactly the NnzCols
-// rows each peer needs into the rank's halo, the diagonal block against
-// hLocal, one multiply per peer whose block touches its rows, and the
-// unpack charge. The exchange carries the halo layout and the merged peer
-// blocks, so the executor runs the diagonal block and every peer
-// multiply as one sweep at opMulOwn (plan.go). fills, when non-nil, is a
-// sampled step's split of each landing slot against the ranks' resident
-// stores (sampled.go): the exchange then moves only the rows fills[i][j]
-// ships, and the multiply assembles the rest from the store.
-// NewSparsityAware1D passes nil; the sampled gather compiles through it too.
+// rank's program of a 1D plan as two instructions: one all-to-allv moving
+// exactly the NnzCols rows each peer needs into the rank's halo, and the
+// local sweep (opMulOwn), which multiplies the diagonal block against
+// hLocal and the peers' blocks, merged side by side, against the halo in
+// one pass (plan.go). The exchange carries each peer slot's halo rows, its
+// nonzero count, which the sweep charges, and, for a sampled step, its
+// split against the ranks' resident stores: fills (sampled.go), when
+// non-nil, makes the exchange move only the rows fills[i][j] ships, and the
+// sweep assembles the rest from the store. NewSparsityAware1D passes nil;
+// the sampled gather compiles through it too.
 func writeAlgorithm1(plan *Plan, sched *nnzSchedule, fills [][]slotFill) {
 	p := len(plan.progs)
 	g := plan.world.WorldGroup()
@@ -231,9 +231,11 @@ func writeAlgorithm1(plan *Plan, sched *nnzSchedule, fills [][]slotFill) {
 		// recvIdx[j][me], read off the schedule for the pack step.
 		sendIdx := make([][]int, p)
 		recvRows := make([]int, p)
+		nnz := make([]int, p)
 		for j := 0; j < p; j++ {
 			switch {
 			case j == me:
+				continue
 			case fills != nil:
 				sendIdx[j] = fills[j][me].ship
 				recvRows[j] = len(fills[me][j].ship)
@@ -241,24 +243,14 @@ func writeAlgorithm1(plan *Plan, sched *nnzSchedule, fills [][]slotFill) {
 				sendIdx[j] = sched.recvIdx[j][me]
 				recvRows[j] = len(sched.recvIdx[me][j])
 			}
+			nnz[j] = sched.compact[me][j].NNZ()
 		}
-		prog := make([]instr, 0, p+3)
-		prog = append(prog, instr{op: opAllToAllv, group: g, slot: me, sendIdx: sendIdx, recvRows: recvRows,
-			at: sched.haloAt[me], halo: sched.halo[me]})
-		prog = append(prog, instr{op: opMulOwn, blk: sched.diag[me]})
-		for j := 0; j < p; j++ {
-			if j == me || len(sched.recvIdx[me][j]) == 0 {
-				continue
-			}
-			mul := instr{op: opMulRecvSlot, slot: j, rows: len(sched.recvIdx[me][j]), blk: sched.compact[me][j]}
-			if fills != nil {
-				fl := &fills[me][j]
-				mul.fill, mul.storeAt, mul.keep = fl.fill, fl.storeAt, fl.keep
-			}
-			prog = append(prog, mul)
+		exch := instr{op: opAllToAllv, group: g, slot: me, sendIdx: sendIdx, recvRows: recvRows,
+			at: sched.haloAt[me], halo: sched.halo[me], nnz: nnz}
+		if fills != nil {
+			exch.fills = fills[me]
 		}
-		prog = append(prog, instr{op: opChargeUnpack})
-		plan.progs[me] = prog
+		plan.progs[me] = []instr{exch, {op: opMulOwn, blk: sched.diag[me]}}
 	}
 }
 

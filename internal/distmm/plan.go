@@ -13,7 +13,9 @@ import (
 // its complete per-stage choreography — who sends which H-row indices to
 // whom, over which collective (broadcast, all-to-allv, point-to-point,
 // all-reduce), and which sparse block multiplies the staged rows — into an
-// immutable Plan: one instruction stream per rank. One engine type,
+// immutable Plan: one instruction stream per rank. Algorithm 1 is two
+// instructions per rank, the exchange and one local sweep over the rank's
+// own and the received rows. One engine type,
 // planEngine, runs every plan: the four full-batch engines (1D/1.5D ×
 // oblivious/sparsity-aware) and the sampled gather share its data-movement
 // code path and its one executor, Plan.execute.
@@ -24,11 +26,12 @@ import (
 // it without moving any data — the substrate for algorithm auto-selection
 // and cost estimation.
 
-// opcode enumerates the plan instruction set. Each opcode corresponds to one
-// staging step of the original hand-wired protocols; the executor applies
-// exactly the communication calls, SpMM accumulations, and machine-time
-// charges the pre-IR engines performed, in the same per-rank order, so plan
-// execution is bit-identical to them.
+// opcode enumerates the plan instruction set. Each opcode is one staging
+// step of the original hand-wired protocols, except the sweep, which is
+// Algorithm 1's local multiplies in one pass; the executor applies exactly
+// the communication calls, SpMM products, and machine-time charges the
+// pre-IR engines performed, in the same per-rank order, so plan execution
+// is bit-identical to them.
 type opcode uint8
 
 const (
@@ -39,29 +42,19 @@ const (
 	opBcastMul opcode = iota
 	// opAllToAllv packs the requested H rows per peer (instr.sendIdx),
 	// charges the pack time, and runs one personalized exchange landing
-	// instr.recvRows[j] rows from each peer j. The sparsity-aware 1D
-	// exchange. With instr.at set it lands into the rank's halo: peer j's
-	// slot is halo rows [at[j], at[j+1]), and a landing that fills its slot
-	// lands there in place (a shorter one, which a fill map completes, lands
-	// in a buffer of its own).
+	// instr.recvRows[j] rows from each peer j into the rank's halo: the
+	// sparsity-aware 1D exchange. Peer j's slot is halo rows [at[j],
+	// at[j+1]); a landing that fills its slot lands there in place, a
+	// shorter one, which a fill map completes, lands in a buffer of its own.
 	opAllToAllv
 	// opMulOwn multiplies instr.blk (a full-width diagonal block) against
-	// hLocal into the accumulator. After an exchange with a merged operand
-	// (instr.halo) the executor runs it as the local sweep: it
-	// writes the accumulator with, per row, the diagonal block's products and
-	// then the merged operand's against the halo — the multiplies of the
-	// opMulRecvSlot sites that directly follow it, in their order.
+	// hLocal into the accumulator. After an exchange it is the local sweep:
+	// it completes the fill-mapped slots in the halo and writes the
+	// accumulator with, per row, the diagonal block's products and then the
+	// exchange's merged operand's against the halo, and charges the
+	// diagonal block, each non-empty slot's multiply in ascending peer order
+	// and the unpack copy of every slot row.
 	opMulOwn
-	// opMulRecvSlot multiplies instr.blk (a compact relabeled block) against
-	// the rows landed in all-to-allv slot instr.slot — or, when instr.fill is
-	// set, against the slot assembled from those rows and the rank's resident
-	// store — after keeping the first instr.keep landed rows in the store.
-	// The executor has multiplied it in the local sweep before it and only
-	// charges it here.
-	opMulRecvSlot
-	// opChargeUnpack charges the device-copy time of every row consumed by
-	// opMulRecvSlot since the last charge.
-	opChargeUnpack
 	// opSendRows gathers instr.idx rows of hLocal into a pooled buffer and
 	// hands it zero-copy to world rank instr.peer (tag instr.tag). An empty
 	// index list still sends the (empty) stage message.
@@ -87,24 +80,23 @@ type instr struct {
 	own      bool        // opBcastMul: this rank is the root
 	peer     int         // opSendRows dst / opRecvMul src (world rank)
 	tag      int         // opSendRows / opRecvMul stage tag
-	rows     int         // staged H rows (opBcastMul, opMulRecvSlot, opRecvMul)
-	slot     int         // opAllToAllv: own group index; opMulRecvSlot: landing slot
+	rows     int         // staged H rows (opBcastMul, opRecvMul)
+	slot     int         // opAllToAllv: own group index
 	idx      []int       // opSendRows: hLocal rows to gather
 	blk      *sparse.CSR // SpMM operand
 	sendIdx  [][]int     // opAllToAllv: per-peer hLocal rows to gather (nil = none)
 	recvRows []int       // opAllToAllv: per-peer landing row counts
-	// opMulRecvSlot against a resident store (sampled gathers): fill[k] is
-	// slot row k's source — landed row fill[k] when ≥ 0, store row -1-fill[k]
-	// otherwise; nil means the slot is the landed rows in order. Landed rows
-	// [0, keep) are copied to store rows [storeAt, storeAt+keep).
-	fill          []int
-	storeAt, keep int
-	// opAllToAllv into a halo: at[j] is peer slot j's first halo row
-	// (len(at) = group size + 1, at[len-1] the halo height), and halo the
-	// peers' blocks merged side by side in slot order, halo rows as columns:
-	// the operand the local sweep multiplies against the halo. nil = no halo.
-	at   []int
-	halo *sparse.CSR
+	// opAllToAllv's halo: at[j] is peer slot j's first halo row (len(at) =
+	// group size + 1, at[len-1] the halo height); halo is the peers' blocks
+	// merged side by side in slot order, halo rows as columns, the operand
+	// the local sweep multiplies against the halo; nnz[j] counts its entries
+	// in slot j's columns. fills, for a sampled step, completes each slot
+	// from its landing and the rank's resident store (nil: every slot is
+	// its landing).
+	at    []int
+	halo  *sparse.CSR
+	nnz   []int
+	fills []slotFill
 }
 
 // Plan is one algorithm's compiled communication schedule over a fixed
@@ -233,7 +225,8 @@ func (p *Plan) Volumes(w int) []RankVolume {
 func (p *Plan) Cost(params machine.Params, w int) *machine.Snapshot {
 	l := machine.NewLedger(len(p.progs))
 	for rank, prog := range p.progs {
-		var packed, unpacked int64
+		var packed int64
+		var exch *instr // the last all-to-allv
 		for i := range prog {
 			in := &prog[i]
 			switch in.op {
@@ -245,14 +238,9 @@ func (p *Plan) Cost(params machine.Params, w int) *machine.Snapshot {
 				packElems, sendB, recvB, partners := a2aStats(in, w)
 				l.Add(rank, "local", params.CopyTime(packElems*machine.BytesPerElem))
 				l.Add(rank, "alltoall", params.AllToAllvTime(sendB, recvB, partners))
+				exch = in
 			case opMulOwn:
-				l.Add(rank, "local", params.SpMMTime(in.blk.Flops(w)))
-			case opMulRecvSlot:
-				l.Add(rank, "local", params.SpMMTime(in.blk.Flops(w)))
-				unpacked += int64(in.rows * w)
-			case opChargeUnpack:
-				l.Add(rank, "local", params.CopyTime(unpacked*machine.BytesPerElem))
-				unpacked = 0
+				mulOwnCharges(in.blk, exch, params, w, func(sec float64) { l.Add(rank, "local", sec) })
 			case opSendRows:
 				nb := int64(len(in.idx)*w) * machine.BytesPerElem
 				l.Add(rank, "alltoall", params.P2PTime(nb))
@@ -271,6 +259,26 @@ func (p *Plan) Cost(params machine.Params, w int) *machine.Snapshot {
 		}
 	}
 	return l.Snapshot()
+}
+
+// mulOwnCharges calls charge with each local-phase time an opMulOwn with
+// diagonal block diag charges at width w, in the executor's order: the
+// diagonal block's multiply and, when it sweeps after exchange exch, each
+// non-empty slot's multiply in ascending peer order and then the unpack
+// copy of every slot row.
+func mulOwnCharges(diag *sparse.CSR, exch *instr, params machine.Params, w int, charge func(sec float64)) {
+	charge(params.SpMMTime(diag.Flops(w)))
+	if exch == nil {
+		return
+	}
+	var unpacked int64
+	for j, nnz := range exch.nnz {
+		if rows := exch.at[j+1] - exch.at[j]; rows > 0 {
+			charge(params.SpMMTime(2 * int64(nnz) * int64(w)))
+			unpacked += int64(rows * w)
+		}
+	}
+	charge(params.CopyTime(unpacked * machine.BytesPerElem))
 }
 
 // EpochCost sums Cost over the dense widths of an epoch's multiplies, one
@@ -437,7 +445,7 @@ func (p *Plan) execute(r *comm.Rank, hLocal, out *dense.Matrix, ws *execWS) {
 	if !sweepsFirst(prog) {
 		acc.Zero()
 	}
-	var packed, unpacked int64
+	var packed int64
 	var exch *instr // the last all-to-allv
 	var halo []float64
 	for i := range prog {
@@ -467,12 +475,10 @@ func (p *Plan) execute(r *comm.Rank, hLocal, out *dense.Matrix, ws *execWS) {
 			// sparsity-aware communication introduces (the larger "local"
 			// bars of the paper's Figure 4 breakdown).
 			r.ChargeCompute("local", params.CopyTime(packElems*machine.BytesPerElem))
-			exch, halo = in, nil
-			if in.at != nil {
-				halo = growFloats(&ws.halo, in.at[len(in.at)-1]*f)
-			}
+			exch = in
+			halo = growFloats(&ws.halo, in.at[len(in.at)-1]*f)
 			for j, rows := range in.recvRows {
-				if halo != nil && rows == in.at[j+1]-in.at[j] {
+				if rows == in.at[j+1]-in.at[j] {
 					ws.recvPtr[j] = halo[in.at[j]*f : in.at[j+1]*f]
 				} else {
 					ws.recvPtr[j] = growFloats(&ws.recvBufs[j], rows*f)
@@ -480,25 +486,17 @@ func (p *Plan) execute(r *comm.Rank, hLocal, out *dense.Matrix, ws *execWS) {
 			}
 			in.group.AllToAllvInto(r, ws.send, ws.recvPtr, "alltoall")
 		case opMulOwn:
-			if exch == nil || exch.halo == nil {
+			if exch == nil {
 				in.blk.SpMMAddInto(acc, hLocal)
 			} else {
-				// The local sweep: complete the slots that follow in the
+				// The local sweep: complete the fill-mapped slots in the
 				// halo, then one pass over the accumulator's rows.
-				for k := i + 1; k < len(prog) && prog[k].op == opMulRecvSlot; k++ {
-					s := &prog[k]
-					ws.slotRows(s, ws.recvPtr[s.slot], halo[exch.at[s.slot]*f:exch.at[s.slot+1]*f], f)
+				for j := range exch.fills {
+					ws.slotRows(&exch.fills[j], ws.recvPtr[j], halo[exch.at[j]*f:exch.at[j+1]*f], f)
 				}
 				in.blk.SpMMPairInto(acc, hLocal, exch.halo, asMatrix(&ws.hj, exch.halo.NumCols, f, halo))
 			}
-			r.ChargeCompute("local", params.SpMMTime(in.blk.Flops(f)))
-		case opMulRecvSlot:
-			// Multiplied in the local sweep.
-			unpacked += int64(in.rows * f)
-			r.ChargeCompute("local", params.SpMMTime(in.blk.Flops(f)))
-		case opChargeUnpack:
-			r.ChargeCompute("local", params.CopyTime(unpacked*machine.BytesPerElem))
-			unpacked = 0
+			mulOwnCharges(in.blk, exch, params, f, func(sec float64) { r.ChargeCompute("local", sec) })
 		case opSendRows:
 			if len(in.idx) == 0 {
 				r.SendOwned(in.peer, in.tag, nil, "alltoall")
@@ -528,14 +526,14 @@ func (p *Plan) execute(r *comm.Rank, hLocal, out *dense.Matrix, ws *execWS) {
 // which writes every accumulator row itself, so the executor need not zero
 // the accumulator first.
 func sweepsFirst(prog []instr) bool {
-	halo := false
+	exchanged := false
 	for i := range prog {
 		switch prog[i].op {
 		case opAllToAllv:
-			halo = prog[i].halo != nil
+			exchanged = true
 		case opMulOwn:
-			return halo
-		case opBcastMul, opMulRecvSlot, opRecvMul, opAllReduce:
+			return exchanged
+		case opBcastMul, opRecvMul, opAllReduce:
 			return false
 		}
 	}
@@ -550,13 +548,13 @@ func (ws *execWS) growStore(n int) {
 	}
 }
 
-// slotRows completes opMulRecvSlot's dense operand in its halo rows dst.
-// Landed rows the plan keeps are copied into the resident store first.
-// Without a fill map the landing is the operand and already sits in dst;
-// with one the slot is assembled into dst in the compact block's column
-// order, each row from the store or the landing, so the multiply sees the
-// values and order a full landing would have given it.
-func (ws *execWS) slotRows(in *instr, landed, dst []float64, f int) {
+// slotRows completes one slot of a sampled step in its halo rows dst from
+// its landing. Landed rows the step keeps are copied into the resident
+// store first. Without a fill map the landing is the slot and already sits
+// in dst; with one the slot is assembled into dst in the compact block's
+// column order, each row from the store or the landing, so the sweep sees
+// the values and order a full landing would have given it.
+func (ws *execWS) slotRows(in *slotFill, landed, dst []float64, f int) {
 	if in.keep > 0 {
 		copy(ws.store[in.storeAt*f:], landed[:in.keep*f])
 	}

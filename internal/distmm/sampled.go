@@ -17,11 +17,11 @@ import (
 // builder and program writer as NewSparsityAware1D over a row source whose
 // block row i is rank i's frontier block: each rank packs the feature rows
 // its peers' frontier blocks touch (NnzCols of the off-diagonal sub-blocks),
-// one all-to-allv moves them, and compact relabeled blocks multiply the
-// landed rows into an accumulator as tall as the frontier. Because the
-// choreography is an ordinary Plan run by the shared engine, sampled batches
-// inherit byte-exact Volumes prediction, static verification, and the
-// abort protocol unchanged.
+// one all-to-allv moves them, and one sweep multiplies the rank's own rows
+// and the landed ones into an accumulator as tall as the frontier. Because
+// the choreography is an ordinary Plan run by the shared engine, sampled
+// batches inherit byte-exact Volumes prediction, static verification, and
+// the abort protocol unchanged.
 //
 // The features are static, so a row need cross the wire to a rank only
 // once. Each rank keeps the remote rows it receives in a grow-only resident
@@ -91,9 +91,10 @@ func newSampledGatherPlan(w *comm.World, blocks []*sparse.CSR, layout Layout, rs
 
 // slotFill is one landing slot (i, j) of a sampled step split against rank
 // i's resident store: ship lists the j-local rows peer j sends (the slot's
-// rows i does not hold), fill maps each slot row to its source (nil when
-// ship is the whole slot), and the first keep shipped rows join i's store at
-// rows [storeAt, storeAt+keep).
+// rows i does not hold); fill[k] is slot row k's source, landed row fill[k]
+// when ≥ 0 and store row -1-fill[k] otherwise (nil when ship is the whole
+// slot); and the first keep shipped rows join i's store at rows [storeAt,
+// storeAt+keep).
 type slotFill struct {
 	ship          []int
 	fill          []int

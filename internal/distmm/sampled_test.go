@@ -305,15 +305,16 @@ func TestVerifyRejectsBrokenSampledPlan(t *testing.T) {
 	// A second compile of the same frontiers reads most rows from the
 	// stores the first one filled: its fill maps are what the last two
 	// mutations corrupt.
-	withFills := func(edit func(in *instr, landed, store int)) *Plan {
+	withFills := func(edit func(fl *slotFill, landed, store int)) *Plan {
 		frontiers := randomFrontiers(rand.New(rand.NewSource(4)), p, n)
 		rs := newResidentStores(layout)
 		newSampledGatherPlan(w, frontiers, layout, rs)
 		pl := newSampledGatherPlan(w, frontiers, layout, rs)
 		for rank, prog := range pl.progs {
-			for i := range prog {
-				if in := &prog[i]; in.op == opMulRecvSlot && in.fill != nil {
-					edit(in, prog[0].recvRows[in.slot], pl.store[rank])
+			exch := &prog[0]
+			for j := range exch.fills {
+				if fl := &exch.fills[j]; fl.fill != nil {
+					edit(fl, exch.recvRows[j], pl.store[rank])
 					return pl
 				}
 			}
@@ -321,13 +322,13 @@ func TestVerifyRejectsBrokenSampledPlan(t *testing.T) {
 		t.Fatal("second compile of the same frontiers reads nothing from the stores")
 		return nil
 	}
-	if err := Verify(withFills(func(*instr, int, int) {})); err != nil {
+	if err := Verify(withFills(func(*slotFill, int, int) {})); err != nil {
 		t.Fatalf("clean plan with fill maps rejected: %v", err)
 	}
-	if err := Verify(withFills(func(in *instr, _, store int) { in.fill[0] = -1 - store })); err == nil {
+	if err := Verify(withFills(func(fl *slotFill, _, store int) { fl.fill[0] = -1 - store })); err == nil {
 		t.Fatal("verifier accepted a fill reference past the resident store")
 	}
-	if err := Verify(withFills(func(in *instr, landed, _ int) { in.fill[0] = landed })); err == nil {
+	if err := Verify(withFills(func(fl *slotFill, landed, _ int) { fl.fill[0] = landed })); err == nil {
 		t.Fatal("verifier accepted a fill reference past the landed rows")
 	}
 }

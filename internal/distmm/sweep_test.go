@@ -51,12 +51,58 @@ func requireBits(t *testing.T, what string, want, got *dense.Matrix) {
 	}
 }
 
+// requireExchangeAndSweep fails unless every rank's program is Algorithm
+// 1's two instructions: the exchange, then the sweep.
+func requireExchangeAndSweep(t *testing.T, plan *Plan) {
+	t.Helper()
+	for rank, prog := range plan.progs {
+		if len(prog) != 2 || prog[0].op != opAllToAllv || prog[1].op != opMulOwn {
+			t.Fatalf("%s: rank %d runs %d instructions, want an all-to-allv and a sweep", plan.name, rank, len(prog))
+		}
+	}
+}
+
+// slotBySlotCost prices plan the way its per-block form charged: per rank,
+// the exchange's pack and transfer, then the diagonal block, one multiply
+// per non-empty peer block in ascending peer order, and the unpack of every
+// such block's rows.
+func slotBySlotCost(plan *Plan, sched *nnzSchedule, params machine.Params, f int) *machine.Snapshot {
+	l := machine.NewLedger(len(plan.progs))
+	for rank, prog := range plan.progs {
+		packElems, sendB, recvB, partners := a2aStats(&prog[0], f)
+		l.Add(rank, "local", params.CopyTime(packElems*machine.BytesPerElem))
+		l.Add(rank, "alltoall", params.AllToAllvTime(sendB, recvB, partners))
+		l.Add(rank, "local", params.SpMMTime(sched.diag[rank].Flops(f)))
+		var unpacked int64
+		for _, blk := range sched.compact[rank] {
+			if blk != nil && blk.NumCols > 0 {
+				l.Add(rank, "local", params.SpMMTime(blk.Flops(f)))
+				unpacked += int64(blk.NumCols * f)
+			}
+		}
+		l.Add(rank, "local", params.CopyTime(unpacked*machine.BytesPerElem))
+	}
+	return l.Snapshot()
+}
+
+// requireSameTotals fails unless got and want charge every rank the same
+// seconds, bit for bit.
+func requireSameTotals(t *testing.T, what string, want, got *machine.Snapshot, p int) {
+	t.Helper()
+	for r := 0; r < p; r++ {
+		if math.Float64bits(got.RankTotal(r)) != math.Float64bits(want.RankTotal(r)) {
+			t.Fatalf("%s rank %d: charged %g, want %g", what, r, got.RankTotal(r), want.RankTotal(r))
+		}
+	}
+}
+
 // TestSweepMatchesSlotBySlot: the sparsity-aware 1D engine's local sweep
 // gives the bits of a zeroed accumulator plus the diagonal block's and then
 // each peer block's multiply (SampledGatherReference over the layout's block
-// rows, which is that serial form), charges what Plan.Cost predicts to the
-// bit, and its rank without off-diagonal entries, its silent partner and
-// its empty rows are all present in the compiled plan.
+// rows, which is that serial form), charges what Plan.Cost predicts and the
+// per-block form charged, to the bit, and its rank without off-diagonal
+// entries, its silent partner and its empty rows are all present in the
+// compiled plan of one exchange and one sweep per rank.
 func TestSweepMatchesSlotBySlot(t *testing.T) {
 	const n, p = 64, 4
 	for seed := int64(1); seed <= 3; seed++ {
@@ -75,6 +121,7 @@ func TestSweepMatchesSlotBySlot(t *testing.T) {
 			if err := Verify(plan); err != nil {
 				t.Fatal(err)
 			}
+			requireExchangeAndSweep(t, plan)
 			if a2a := plan.progs[0][0]; a2a.recvRows[2] != 0 || a2a.halo == nil {
 				t.Fatalf("rank 0 lands %d rows from rank 2, want a silent partner", a2a.recvRows[2])
 			}
@@ -87,12 +134,10 @@ func TestSweepMatchesSlotBySlot(t *testing.T) {
 				lo, hi := layout.Range(i)
 				requireBits(t, fmt.Sprintf("seed %d width %d rank %d", seed, f, i), want[i], got.SliceRows(lo, hi))
 			}
-			ran, cost := w.Ledger.Snapshot(), plan.Cost(w.Params, f)
-			for r := 0; r < p; r++ {
-				if math.Float64bits(ran.RankTotal(r)) != math.Float64bits(cost.RankTotal(r)) {
-					t.Fatalf("seed %d width %d rank %d: charged %g, plan cost %g", seed, f, r, ran.RankTotal(r), cost.RankTotal(r))
-				}
-			}
+			what := fmt.Sprintf("seed %d width %d", seed, f)
+			ran := w.Ledger.Snapshot()
+			requireSameTotals(t, what+" plan cost", plan.Cost(w.Params, f), ran, p)
+			requireSameTotals(t, what+" per-block form", slotBySlotCost(plan, buildNnzSchedule(layoutRows(a, layout), layout), w.Params, f), ran, p)
 		}
 	}
 }
@@ -100,7 +145,8 @@ func TestSweepMatchesSlotBySlot(t *testing.T) {
 // TestSweepSampledMixedSlots: a sampled step whose slots mix landings that
 // fill their halo rows in place with fill-mapped ones assembled from a
 // smaller landing and the resident store equals the serial slot-by-slot
-// reference bit for bit, step after step.
+// reference bit for bit, step after step, and its plan prices what the
+// per-block form charged.
 func TestSweepSampledMixedSlots(t *testing.T) {
 	const n, f, p = 64, 5, 4
 	layout := UniformLayout(n, p)
@@ -119,15 +165,17 @@ func TestSweepSampledMixedSlots(t *testing.T) {
 		if err := Verify(plan); err != nil {
 			t.Fatal(err)
 		}
+		requireExchangeAndSweep(t, plan)
 		for _, prog := range plan.progs {
-			for _, in := range prog[2:] {
+			exch := &prog[0]
+			for j, fl := range exch.fills {
 				switch {
-				case in.op != opMulRecvSlot:
-				case in.fill == nil:
+				case exch.at[j+1] == exch.at[j]:
+				case fl.fill == nil:
 					inPlace++
 				default:
 					filled++
-					for _, src := range in.fill {
+					for _, src := range fl.fill {
 						if src < 0 {
 							stored++
 						}
@@ -139,6 +187,8 @@ func TestSweepSampledMixedSlots(t *testing.T) {
 		for r, got := range runSampledGather(w, g, x, layout) {
 			requireBits(t, "sampled sweep", want[r], got)
 		}
+		sched := buildNnzSchedule(frontierRows(blocks), layout)
+		requireSameTotals(t, fmt.Sprintf("step %d", step), slotBySlotCost(plan, sched, w.Params, f), plan.Cost(w.Params, f), p)
 	}
 	if inPlace == 0 || filled == 0 || stored == 0 {
 		t.Fatalf("steps swept %d in-place and %d fill-mapped slots reading %d store rows; want all three", inPlace, filled, stored)

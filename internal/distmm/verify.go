@@ -2,7 +2,6 @@ package distmm
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"sagnn/internal/comm"
@@ -25,9 +24,10 @@ import (
 //     pops and each collective completes.
 //   - Layout consistency: blockOf/outRows/inRows agree with the layout,
 //     every SpMM block's dimensions match its accumulator rows and staged
-//     operand rows, every fill reference and kept row of a sampled gather
-//     lies inside its slot's landing or the rank's resident store, and every
-//     local sweep's merged operand is exactly the slot blocks it replaces.
+//     operand rows, every halo slot is filled by its landing or by a fill
+//     map whose references and kept rows lie inside that landing or the
+//     rank's resident store, and every slot's nonzero count is the merged
+//     operand's entries in its halo columns.
 //
 // Verify runs at compile time only (engine constructors, candidate sweeps,
 // test harnesses); the steady-state execute path never touches it.
@@ -40,8 +40,8 @@ const (
 	// (lengths, group membership, operand ranges, epilogue placement).
 	VerifyStructure VerifyKind = iota
 	// VerifyLayout: blockOf/outRows/inRows or SpMM block dimensions disagree
-	// with the instruction payloads, or a local sweep's merged operand with
-	// the slots it multiplies.
+	// with the instruction payloads, or an exchange's merged operand with
+	// its slots.
 	VerifyLayout
 	// VerifyMatching: an unmatched or misordered send/recv pair, a tag or
 	// size mismatch, or inconsistent collective participation.
@@ -102,10 +102,6 @@ func (op opcode) String() string {
 		return "all-to-allv"
 	case opMulOwn:
 		return "mul-own"
-	case opMulRecvSlot:
-		return "mul-recv-slot"
-	case opChargeUnpack:
-		return "charge-unpack"
 	case opSendRows:
 		return "send-rows"
 	case opChargePack:
@@ -246,7 +242,7 @@ func (v *verifier) checkPrograms() error {
 		prog := p.progs[rank]
 		own := p.outRows[rank]    // accumulator height
 		hRows := p.inRowsOf(rank) // dense input (hLocal) height
-		var lastA2A *instr
+		exchanged, multiplied := false, false
 		reduced := false // a trailing all-reduce has started
 		for site := range prog {
 			in := &prog[site]
@@ -278,6 +274,7 @@ func (v *verifier) checkPrograms() error {
 				if err := v.checkBlock(rank, site, in, own, in.rows); err != nil {
 					return err
 				}
+				multiplied = true
 			case opAllToAllv:
 				g := in.group
 				if g == nil {
@@ -309,25 +306,17 @@ func (v *verifier) checkPrograms() error {
 				if err := v.checkHalo(rank, site, in, own); err != nil {
 					return err
 				}
-				lastA2A = in
+				exchanged = true
 			case opMulOwn:
 				if err := v.checkBlock(rank, site, in, own, hRows); err != nil {
 					return err
 				}
-			case opMulRecvSlot:
-				if lastA2A == nil {
-					return v.err(VerifyStructure, rank, site, "consumes an all-to-allv slot before any exchange landed")
+				// A sweep writes the accumulator rather than adding to it.
+				if exchanged && multiplied {
+					return v.err(VerifyLayout, rank, site, "local sweep after an earlier multiply would overwrite it")
 				}
-				if in.slot < 0 || in.slot >= len(lastA2A.recvRows) {
-					return v.err(VerifyStructure, rank, site, "slot %d outside the exchange's %d landings", in.slot, len(lastA2A.recvRows))
-				}
-				if err := v.checkSlotFill(rank, site, in, lastA2A.recvRows[in.slot]); err != nil {
-					return err
-				}
-				if err := v.checkBlock(rank, site, in, own, in.rows); err != nil {
-					return err
-				}
-			case opChargeUnpack, opChargePack:
+				multiplied = true
+			case opChargePack:
 				// Accounting-only sites carry no operands to validate.
 			case opSendRows:
 				if in.peer < 0 || in.peer >= v.n || in.peer == rank {
@@ -350,6 +339,7 @@ func (v *verifier) checkPrograms() error {
 						return err
 					}
 				}
+				multiplied = true
 			case opAllReduce:
 				g := in.group
 				if g == nil {
@@ -369,144 +359,89 @@ func (v *verifier) checkPrograms() error {
 		if p.partial && !reduced {
 			return v.err(VerifyStructure, rank, -1, "partial plan never folds its accumulator (no all-reduce)")
 		}
-		if err := v.checkSweeps(rank); err != nil {
-			return err
-		}
 	}
 	return nil
 }
 
-// checkHalo validates an all-to-allv's halo layout: at is one first row per
-// group member plus the halo height, starting at 0 and never decreasing, and
-// the merged operand is as tall as the accumulator and as wide as the halo.
+// checkHalo validates an all-to-allv's halo: at is one first row per group
+// member plus the halo height, starting at 0 and never decreasing; the
+// merged operand is as tall as the accumulator and as wide as the halo, and
+// holds nnz[j] entries in slot j's columns [at[j], at[j+1]); and every slot
+// is completed by its landing (checkSlotFill).
 func (v *verifier) checkHalo(rank, site int, in *instr, accRows int) *VerifyError {
-	if (in.at == nil) != (in.halo == nil) {
-		return v.err(VerifyStructure, rank, site, "halo layout and merged operand must come together")
-	}
-	if in.at == nil {
-		return nil
-	}
-	if len(in.at) != len(in.recvRows)+1 || in.at[0] != 0 {
-		return v.err(VerifyStructure, rank, site, "halo layout of %d offsets from %d for a group of %d", len(in.at), in.at[0], len(in.recvRows))
+	g := len(in.recvRows)
+	if len(in.at) != g+1 || in.at[0] != 0 {
+		return v.err(VerifyStructure, rank, site, "halo layout of %d offsets for a group of %d", len(in.at), g)
 	}
 	for j := 1; j < len(in.at); j++ {
 		if in.at[j] < in.at[j-1] {
 			return v.err(VerifyStructure, rank, site, "halo slot %d starts at row %d, before slot %d's %d", j, in.at[j], j-1, in.at[j-1])
 		}
 	}
-	if in.halo.NumRows != accRows || in.halo.NumCols != in.at[len(in.at)-1] {
-		return v.err(VerifyLayout, rank, site, "merged operand is %dx%d, accumulator %d rows, halo %d rows",
-			in.halo.NumRows, in.halo.NumCols, accRows, in.at[len(in.at)-1])
+	if in.halo == nil || len(in.nnz) != g || (in.fills != nil && len(in.fills) != g) {
+		return v.err(VerifyStructure, rank, site, "exchange without a merged operand and one nonzero count (and fill) per slot of %d", g)
 	}
-	return nil
-}
-
-// checkSweeps validates every local sweep of rank's program — an opMulOwn
-// after an all-to-allv with a merged operand — once every site has passed
-// its own checks. The executor multiplies an opMulRecvSlot only
-// in the sweep right before it, so every slot must directly follow a sweep
-// or another slot. A sweep writes the accumulator, so it must be the first
-// multiply; and the merged operand must be, row for row, the blocks of the
-// slots that follow it, in their order, each with its columns shifted to
-// its slot's halo rows — so the one pass adds the products the per-slot
-// multiplies would, in their order. Each swept slot must fill its halo
-// rows, and one with a fill map must land fewer rows than it holds: such a
-// landing leaves the halo for a buffer of its own, which the slot is
-// assembled from.
-func (v *verifier) checkSweeps(rank int) *VerifyError {
-	prog := v.p.progs[rank]
-	var exch *instr
-	multiplied, swept := false, false
-	for site := range prog {
-		in := &prog[site]
-		switch in.op {
-		case opAllToAllv:
-			exch = in
-		case opMulRecvSlot:
-			if !swept {
-				return v.err(VerifyLayout, rank, site, "slot %d is not in a local sweep: the executor would not multiply it", in.slot)
-			}
-			multiplied = true
-			continue
-		case opBcastMul, opRecvMul:
-			multiplied = true
-		case opMulOwn:
-			if exch != nil && exch.halo != nil {
-				if multiplied {
-					return v.err(VerifyLayout, rank, site, "local sweep after an earlier multiply would overwrite it")
-				}
-				if err := v.checkSweep(rank, site, exch); err != nil {
-					return err
-				}
-				multiplied, swept = true, true
-				continue
-			}
-			multiplied = true
-		}
-		swept = false
+	h, height := in.halo, in.at[g]
+	if h.NumRows != accRows || h.NumCols != height {
+		return v.err(VerifyLayout, rank, site, "merged operand is %dx%d, accumulator %d rows, halo %d rows", h.NumRows, h.NumCols, accRows, height)
 	}
-	return nil
-}
-
-// checkSweep matches the merged operand of exch against the slots the
-// sweep at site multiplies.
-func (v *verifier) checkSweep(rank, site int, exch *instr) *VerifyError {
-	prog, h := v.p.progs[rank], exch.halo
-	next := append([]int(nil), h.RowPtr[:h.NumRows]...) // each row's next unmatched entry
-	for k := site + 1; k < len(prog) && prog[k].op == opMulRecvSlot; k++ {
-		s := &prog[k]
-		lo, hi := exch.at[s.slot], exch.at[s.slot+1]
-		if s.rows != hi-lo {
-			return v.err(VerifyLayout, rank, k, "swept slot %d holds %d rows, its halo rows are [%d, %d)", s.slot, s.rows, lo, hi)
+	perRow := make([]int, height) // entries per halo row
+	for _, c := range h.ColIdx {
+		if c < 0 || c >= height {
+			return v.err(VerifyLayout, rank, site, "merged operand entry in column %d, outside the halo's %d rows", c, height)
 		}
-		if s.fill != nil && exch.recvRows[s.slot] >= s.rows {
-			return v.err(VerifyLayout, rank, k, "swept slot %d has a fill map but lands all %d of its rows in place", s.slot, s.rows)
-		}
-		b := s.blk
-		for r := 0; r < b.NumRows; r++ {
-			for p := b.RowPtr[r]; p < b.RowPtr[r+1]; p++ {
-				q := next[r]
-				if q == h.RowPtr[r+1] || h.ColIdx[q] != lo+b.ColIdx[p] || math.Float64bits(h.Val[q]) != math.Float64bits(b.Val[p]) {
-					return v.err(VerifyLayout, rank, k, "merged operand row %d disagrees with slot %d's block at its entry %d", r, s.slot, p-b.RowPtr[r])
-				}
-				next[r]++
-			}
-		}
+		perRow[c]++
 	}
-	for r, q := range next {
-		if q != h.RowPtr[r+1] {
-			return v.err(VerifyLayout, rank, site, "merged operand row %d holds %d entries no swept slot has", r, h.RowPtr[r+1]-q)
+	for j := 0; j < g; j++ {
+		nnz := 0
+		for _, n := range perRow[in.at[j]:in.at[j+1]] {
+			nnz += n
+		}
+		if nnz != in.nnz[j] {
+			return v.err(VerifyLayout, rank, site, "slot %d counts %d nonzeros, the merged operand has %d in its halo rows [%d, %d)", j, in.nnz[j], nnz, in.at[j], in.at[j+1])
+		}
+		if err := v.checkSlotFill(rank, site, in, j); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// checkSlotFill validates how one opMulRecvSlot assembles its operand from
-// a slot that lands `landed` rows: without a fill map it consumes exactly
-// those rows; with one, every slot row references a landed row or a row of
+// checkSlotFill validates how exchange in completes slot j in its halo
+// rows: without a fill map the slot is exactly its landing; with one, it
+// lands fewer rows than it holds (so the landing leaves the halo for a
+// buffer of its own) and every slot row references a landed row or a row of
 // the rank's resident store. The rows it keeps must have landed and must fit
 // the store.
-func (v *verifier) checkSlotFill(rank, site int, in *instr, landed int) *VerifyError {
+func (v *verifier) checkSlotFill(rank, site int, in *instr, j int) *VerifyError {
+	rows, landed := in.at[j+1]-in.at[j], in.recvRows[j]
+	var fl slotFill
+	if in.fills != nil {
+		fl = in.fills[j]
+	}
 	store := 0
 	if v.p.store != nil {
 		store = v.p.store[rank]
 	}
-	if in.fill == nil {
-		if in.rows != landed {
-			return v.err(VerifyLayout, rank, site, "consumes %d rows from slot %d, which lands %d", in.rows, in.slot, landed)
+	if fl.fill == nil {
+		if rows != landed {
+			return v.err(VerifyLayout, rank, site, "slot %d holds %d halo rows and lands %d", j, rows, landed)
 		}
 	} else {
-		if len(in.fill) != in.rows {
-			return v.err(VerifyLayout, rank, site, "fill map of %d rows for a %d-row slot", len(in.fill), in.rows)
+		if landed >= rows {
+			return v.err(VerifyLayout, rank, site, "slot %d has a fill map but lands all %d of its rows in place", j, rows)
 		}
-		for k, src := range in.fill {
+		if len(fl.fill) != rows {
+			return v.err(VerifyLayout, rank, site, "fill map of %d rows for slot %d of %d", len(fl.fill), j, rows)
+		}
+		for k, src := range fl.fill {
 			if src >= landed || -1-src >= store {
-				return v.err(VerifyLayout, rank, site, "slot row %d reads %d, outside %d landed and %d stored rows", k, src, landed, store)
+				return v.err(VerifyLayout, rank, site, "slot %d row %d reads %d, outside %d landed and %d stored rows", j, k, src, landed, store)
 			}
 		}
 	}
-	if in.keep < 0 || in.keep > landed || (in.keep > 0 && (in.storeAt < 0 || in.storeAt+in.keep > store)) {
-		return v.err(VerifyLayout, rank, site, "keeps %d of %d landed rows at store row %d of %d", in.keep, landed, in.storeAt, store)
+	if fl.keep < 0 || fl.keep > landed || (fl.keep > 0 && (fl.storeAt < 0 || fl.storeAt+fl.keep > store)) {
+		return v.err(VerifyLayout, rank, site, "slot %d keeps %d of %d landed rows at store row %d of %d", j, fl.keep, landed, fl.storeAt, store)
 	}
 	return nil
 }

@@ -141,33 +141,16 @@ func mismatchTagOrSize(p *Plan) bool {
 }
 
 // breakParticipation makes one rank's collective sequence diverge from its
-// group: drop a non-root broadcast entry, drop an all-to-allv (and its
-// dependent consumers, so the per-rank structure stays valid), or duplicate
-// an all-reduce.
+// group: drop a non-root broadcast entry or an all-to-allv (its slots go
+// with it, and the sweep after it multiplies the diagonal block alone, so
+// the per-rank structure stays valid), or duplicate an all-reduce.
 func breakParticipation(p *Plan) bool {
 	for rank, prog := range p.progs {
 		for site := range prog {
-			if prog[site].op == opBcastMul && !prog[site].own {
+			if in := &prog[site]; in.op == opBcastMul && !in.own || in.op == opAllToAllv {
 				p.progs[rank] = append(append([]instr(nil), prog[:site]...), prog[site+1:]...)
 				return true
 			}
-		}
-	}
-	for rank, prog := range p.progs {
-		for site := range prog {
-			if prog[site].op != opAllToAllv {
-				continue
-			}
-			keep := make([]instr, 0, len(prog))
-			for i := range prog {
-				switch {
-				case i == site, prog[i].op == opMulRecvSlot, prog[i].op == opChargeUnpack:
-				default:
-					keep = append(keep, prog[i])
-				}
-			}
-			p.progs[rank] = keep
-			return true
 		}
 	}
 	for rank, prog := range p.progs {
@@ -276,24 +259,13 @@ func withHalo(p *Plan, edit func(h *sparse.CSR, at []int) bool) bool {
 	return false
 }
 
-// sweepMutations corrupt a local sweep one way each: an entry of the
-// merged operand moved to the next row, an entry moved out of its slot's
-// halo rows, two swept slots multiplied in the other order (their segments
-// now disagree with the merged rows that hold both), and a fill map on a
-// slot whose landing fills its halo rows in place.
+// sweepMutations corrupt Algorithm 1's program one way each: an entry of
+// the merged operand moved out of its slot's halo rows (the slots' nonzero
+// counts no longer match it), a fill map on a slot whose landing fills its
+// halo rows in place, and a second sweep, which would overwrite the first
+// one's products.
 func sweepMutations() []planMutation {
 	return []planMutation{
-		{name: "entry-row", kind: VerifyLayout, apply: func(p *Plan) bool {
-			return withHalo(p, func(h *sparse.CSR, _ []int) bool {
-				for r := 0; r+1 < h.NumRows; r++ {
-					if h.RowNNZ(r) > 0 {
-						h.RowPtr[r+1]--
-						return true
-					}
-				}
-				return false
-			})
-		}},
 		{name: "entry-column", kind: VerifyLayout, apply: func(p *Plan) bool {
 			return withHalo(p, func(h *sparse.CSR, at []int) bool {
 				for q, c := range h.ColIdx {
@@ -307,31 +279,35 @@ func sweepMutations() []planMutation {
 				return false
 			})
 		}},
-		{name: "segment-order", kind: VerifyLayout, apply: func(p *Plan) bool {
-			for rank, prog := range p.progs {
-				for k := 1; k+1 < len(prog); k++ {
-					a, b := &prog[k], &prog[k+1]
-					if prog[k-1].op != opMulOwn && prog[k-1].op != opMulRecvSlot || a.op != opMulRecvSlot || b.op != opMulRecvSlot {
+		{name: "fill-in-place", kind: VerifyLayout, apply: func(p *Plan) bool {
+			for _, prog := range p.progs {
+				for k := range prog {
+					in := &prog[k]
+					if in.op != opAllToAllv {
 						continue
 					}
-					for r := 0; r < a.blk.NumRows; r++ {
-						if a.blk.RowNNZ(r) > 0 && b.blk.RowNNZ(r) > 0 {
-							p.progs[rank][k], p.progs[rank][k+1] = *b, *a
-							return true
+					for j, landed := range in.recvRows {
+						if landed == 0 || landed != in.at[j+1]-in.at[j] || in.fills != nil && in.fills[j].fill != nil {
+							continue
 						}
+						fills := make([]slotFill, len(in.recvRows))
+						copy(fills, in.fills)
+						fills[j].fill = make([]int, landed)
+						for i := range fills[j].fill {
+							fills[j].fill[i] = i
+						}
+						in.fills = fills
+						return true
 					}
 				}
 			}
 			return false
 		}},
-		{name: "fill-in-place", kind: VerifyLayout, apply: func(p *Plan) bool {
-			for _, prog := range p.progs {
-				for k := range prog {
-					if in := &prog[k]; in.op == opMulRecvSlot && in.fill == nil && in.rows > 0 {
-						in.fill = make([]int, in.rows)
-						for i := range in.fill {
-							in.fill[i] = i
-						}
+		{name: "second-sweep", kind: VerifyLayout, apply: func(p *Plan) bool {
+			for rank, prog := range p.progs {
+				for k := 1; k < len(prog); k++ {
+					if prog[k-1].op == opAllToAllv && prog[k].op == opMulOwn {
+						p.progs[rank] = append(append(append([]instr(nil), prog[:k+1]...), prog[k]), prog[k+1:]...)
 						return true
 					}
 				}
@@ -341,12 +317,12 @@ func sweepMutations() []planMutation {
 	}
 }
 
-// TestVerifyRejectsBrokenSweep: Verify rejects a local sweep whose merged
-// operand disagrees with the slots it replaces — in an entry's row, in an
-// entry's column span, in the slots' order — or whose fill-mapped slot
-// would be assembled over its own landing, each as a rank-attributed
-// layout error, on every sparsity-aware 1D plan at P ∈ {4, 8, 16} and on a
-// sampled gather whose stores an earlier batch filled.
+// TestVerifyRejectsBrokenSweep: Verify rejects an exchange whose merged
+// operand disagrees with its slots' nonzero counts in an entry's column
+// span, or whose fill-mapped slot would be assembled over its own landing,
+// and a sweep after an earlier multiply, each as a rank-attributed layout
+// error, on every sparsity-aware 1D plan at P ∈ {4, 8, 16} and on a sampled
+// gather whose stores an earlier batch filled.
 func TestVerifyRejectsBrokenSweep(t *testing.T) {
 	const n = 96
 	a := gen.ErdosRenyi(n, 5, 31).NormalizedAdjacency()
@@ -388,7 +364,7 @@ func TestVerifyRejectsBrokenSweep(t *testing.T) {
 // plan of every feasible engine at P ∈ {4, 8}, and a sampled gather compiled
 // against stores an earlier batch filled, takes one single-rank edit —
 // delete, duplicate or swap instructions, bump a tag, change a peer or a
-// root, or repoint a fill entry. Verify must return nil or a *VerifyError,
+// root, or repoint an entry of an exchange's fill map. Verify must return nil or a *VerifyError,
 // never panic; and whenever it accepts the edited plan, the executor must
 // run it to completion on a sim world within the chaos timeout.
 func FuzzVerifySound(f *testing.F) {
@@ -438,10 +414,14 @@ func FuzzVerifySound(f *testing.F) {
 		case 5:
 			prog[x].root = int(j) % len(mut.progs)
 		case 6:
-			if fill := prog[x].fill; len(fill) > 0 {
-				fill = append([]int(nil), fill...)
-				fill[y%len(fill)] = int(j)%(2*len(fill)+3) - len(fill) - 1
-				prog[x].fill = fill
+			if fills := prog[x].fills; len(fills) > 0 {
+				fills = append([]slotFill(nil), fills...)
+				if fl := &fills[int(j)%len(fills)]; len(fl.fill) > 0 {
+					fill := append([]int(nil), fl.fill...)
+					fill[int(i)/len(prog)%len(fill)] = int(j)/len(fills)%(2*len(fill)+3) - len(fill) - 1
+					fl.fill = fill
+				}
+				prog[x].fills = fills
 			}
 		}
 		err := Verify(mut)

@@ -127,6 +127,45 @@ func TestRoutedBitIdenticalToSingleServer(t *testing.T) {
 	}
 }
 
+// TestRoutedRequestAllocFlat pins the router's body read: a routed
+// /predict costs as many allocations at 22 bytes as at 4 KB and 20 KB of
+// the same request padded with JSON whitespace, because the router reads
+// the body into the serving tiers' pooled buffers rather than into a slice
+// grown to its size.
+func TestRoutedRequestAllocFlat(t *testing.T) {
+	_, rt := newServeFleet(t, 2, serve.Config{}, func(cfg *Config) {
+		cfg.HealthInterval = time.Hour // no probe may allocate in between
+	})
+	h := rt.Handler()
+	const doc = `{"vertices":[0,41,87]}`
+	var bodies [][]byte
+	for _, size := range []int{len(doc), 4 << 10, 20 << 10} {
+		bodies = append(bodies, append([]byte(doc), bytes.Repeat([]byte(" "), size-len(doc))...))
+	}
+	want := postRaw(h, bodies[0])
+	if want.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", want.Code, want.Body)
+	}
+	// Grow every buffer the free list can hold to the largest body first.
+	for i := 0; i < 64; i++ {
+		postRaw(h, bodies[len(bodies)-1])
+	}
+	counts := make([]float64, len(bodies))
+	for i, body := range bodies {
+		counts[i] = testing.AllocsPerRun(50, func() {
+			if got := postRaw(h, body); got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Fatalf("%d-byte body: status %d: %s", len(body), got.Code, got.Body)
+			}
+		})
+	}
+	t.Logf("allocations at 22 B, 4 KB and 20 KB: %v", counts)
+	for i := range counts {
+		if counts[i] != counts[0] {
+			t.Fatalf("a routed request allocates %v times at 22 B, 4 KB and 20 KB, want one count", counts)
+		}
+	}
+}
+
 // tryPredictVia is predictVia without the testing.T — safe to call from
 // worker goroutines, where t.Fatal is off limits.
 func tryPredictVia(rt *Router, vertices []int) (int, serve.PredictResponse, error) {

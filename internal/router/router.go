@@ -281,8 +281,10 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// One byte past the limit is enough for the replica's own bound to
-	// reject an oversized body exactly as a single server would.
-	body, err := io.ReadAll(io.LimitReader(r.Body, serve.MaxPredictBody+1))
+	// reject an oversized body exactly as a single server would. The
+	// replica is done with the body when route returns.
+	body, err := serve.ReadBody(io.LimitReader(r.Body, serve.MaxPredictBody+1))
+	defer serve.PutBody(body)
 	if err != nil {
 		rt.front.Failed()
 		serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
@@ -299,7 +301,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rt.front.Leave()
 	start := time.Now()
-	res := rt.route(r.Context(), body)
+	res := rt.route(r.Context(), body.Bytes())
 	if res.err != nil {
 		rt.front.Failed()
 		serve.WriteError(w, res.status, res.err)

@@ -93,9 +93,8 @@ func (f *Front) DecodePredict(w http.ResponseWriter, r *http.Request) (req Predi
 	if !PostOnly(w, r) {
 		return req, false
 	}
-	body := getBody()
-	defer putBody(body)
-	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, MaxPredictBody))
+	body, err := ReadBody(http.MaxBytesReader(w, r.Body, MaxPredictBody))
+	defer PutBody(body)
 	if err == nil {
 		// A comma ends each element but the last, so the count bounds the
 		// vertices; the body's bound caps the slice.
@@ -137,16 +136,24 @@ var bodies = make(chan *bytes.Buffer, 32)
 
 const keepBody = 64 << 10
 
-func getBody() *bytes.Buffer {
+// ReadBody reads src to its end into a buffer from the free list of
+// /predict bodies, so a request's body costs no allocation once the list's
+// buffers have grown to its size. Both tiers read /predict bodies through
+// it. The caller hands the buffer back with PutBody once nothing reads its
+// bytes.
+func ReadBody(src io.Reader) (*bytes.Buffer, error) {
+	var b *bytes.Buffer
 	select {
-	case b := <-bodies:
-		return b
+	case b = <-bodies:
 	default:
-		return new(bytes.Buffer)
+		b = new(bytes.Buffer)
 	}
+	_, err := b.ReadFrom(src)
+	return b, err
 }
 
-func putBody(b *bytes.Buffer) {
+// PutBody returns a buffer from ReadBody to the free list.
+func PutBody(b *bytes.Buffer) {
 	if b.Cap() > keepBody {
 		return
 	}
