@@ -96,8 +96,8 @@ type recordedInstr struct {
 // from: after each sweep, one slot site per non-empty peer slot j of the
 // exchange before it, with rows at[j+1]−at[j], slot j and the merged
 // operand's columns [at[j], at[j+1]) shifted by −at[j] as its block (the
-// compact block bit for bit: sparse.HConcat keeps each block's entries of a
-// row contiguous and in order), and then the unpack charge.
+// compact block bit for bit: the merged operand keeps each block's entries
+// of a row contiguous and in order), and then the unpack charge.
 func recordedForm(prog []instr) []recordedInstr {
 	out := make([]recordedInstr, 0, len(prog))
 	var exch *instr

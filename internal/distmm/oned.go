@@ -129,87 +129,184 @@ func layoutRows(aT *sparse.CSR, layout Layout) rowSource {
 	}
 }
 
-// splitRow cuts block row i into one block per layout column range: block j
-// holds the row's entries in columns layout.Range(j), rebased to the range.
+// split cuts every block row (one per layout block) into one block per
+// layout column range, in parallel across block rows: blocks[i][j] holds
+// block row i's entries in columns layout.Range(j), rebased to the range.
 // It reads the rows in place, so no block row is copied first.
-func (rows rowSource) splitRow(i int, layout Layout) []*sparse.CSR {
-	src, lo, hi := rows(i)
-	blocks := make([]*sparse.CSR, layout.Blocks())
-	for j := range blocks {
-		clo, chi := layout.Range(j)
-		blocks[j] = src.ExtractBlock(sparse.ColRange{Lo: lo, Hi: hi}, sparse.ColRange{Lo: clo, Hi: chi})
-	}
-	return blocks
-}
-
-// split cuts every block row (one per layout block), in parallel across
-// block rows: blocks[i][j] is block row i's column block j.
 func (rows rowSource) split(layout Layout) [][]*sparse.CSR {
 	blocks := make([][]*sparse.CSR, layout.Blocks())
-	par.For(len(blocks), func(i int) { blocks[i] = rows.splitRow(i, layout) })
+	par.For(len(blocks), func(i int) {
+		src, lo, hi := rows(i)
+		blocks[i] = make([]*sparse.CSR, layout.Blocks())
+		for j := range blocks[i] {
+			clo, chi := layout.Range(j)
+			blocks[i][j] = src.ExtractBlock(sparse.ColRange{Lo: lo, Hi: hi}, sparse.ColRange{Lo: clo, Hi: chi})
+		}
+	})
 	return blocks
 }
 
 // nnzSchedule is the sparsity-aware NnzCols structure for one block
 // partition: recvIdx[i][j] lists the (j-local) rows of H_j block row i
-// needs, and compact[i][j] is block (i, j) with columns relabeled to
-// positions in recvIdx[i][j] so received rows multiply without scattering;
-// diag[i] is the full-width diagonal block. haloAt[i] stacks block row i's
-// received rows by peer — peer j's at halo rows [haloAt[i][j],
-// haloAt[i][j+1]) — and halo[i] is every compact block of the row merged
-// side by side in that order, the operand the local sweep multiplies
-// against the stacked rows.
+// needs, diag[i] is the full-width diagonal block, haloAt[i] stacks block
+// row i's received rows by peer — peer j's at halo rows [haloAt[i][j],
+// haloAt[i][j+1]) — and halo[i] is the row's off-diagonal entries with
+// their columns relabeled to those halo rows, the operand the local sweep
+// multiplies against the stacked rows; nnz[i][j] counts its entries in
+// peer j's slot (0 on the diagonal). Peer j's block alone, its columns
+// relabeled to positions in recvIdx[i][j], is the halo's slot j (slot).
 type nnzSchedule struct {
 	recvIdx [][][]int
-	compact [][]*sparse.CSR
 	diag    []*sparse.CSR
 	haloAt  [][]int
 	halo    []*sparse.CSR
+	nnz     [][]int
 }
 
-// buildNnzSchedule computes the NnzCols structure for every block pair of
-// rows split along layout, parallelized across block rows. The paper
-// performs this as a cheap preprocessing step excluded from training time;
-// here it is computed directly from the global operand. The engines, the
-// sampled gather and its serial reference all consume it, so the exchanged
-// indices and the accumulation blocks cannot drift between them.
-func buildNnzSchedule(rows rowSource, layout Layout) *nnzSchedule {
+// buildNnzSchedule computes the NnzCols structure for every block row of
+// rows split along layout, in parallel across block rows. The paper
+// computes it once, as preprocessing outside training time, and so do the
+// full-batch engines, at set-up; but the sampled gather builds it inside
+// every training step (Recompile). So it is two passes over each block row
+// and nothing per block: a marking pass counts each off-diagonal column's
+// entries, and an emitting pass writes the diagonal block and the halo
+// straight from the row. Rows must keep their columns sorted (the CSR
+// invariant), which makes the halo's entries of a row ascend by slot. The
+// engines, the sampled gather and its serial reference all consume the
+// schedule, so the exchanged indices and the accumulation blocks cannot
+// drift between them.
+//
+// marks is the marking scratch, which a caller that builds every step
+// keeps; nil makes one for this build.
+func buildNnzSchedule(rows rowSource, layout Layout, marks scheduleMarks) *nnzSchedule {
 	k := layout.Blocks()
+	if marks == nil {
+		marks = newScheduleMarks()
+	}
 	s := &nnzSchedule{
 		recvIdx: make([][][]int, k),
-		compact: make([][]*sparse.CSR, k),
 		diag:    make([]*sparse.CSR, k),
 		haloAt:  make([][]int, k),
 		halo:    make([]*sparse.CSR, k),
+		nnz:     make([][]int, k),
 	}
 	par.For(k, func(i int) {
-		s.recvIdx[i] = make([][]int, k)
-		s.compact[i] = make([]*sparse.CSR, k)
-		at := make([]int, k+1)
-		peers := make([]*sparse.CSR, 0, k-1)
-		for j, blk := range rows.splitRow(i, layout) {
-			at[j+1] = at[j]
-			if j == i {
-				s.diag[i] = blk
-				continue
-			}
-			nnzCols := blk.NnzColsInRange(sparse.ColRange{Lo: 0, Hi: blk.NumCols})
-			s.recvIdx[i][j] = nnzCols
-			remap := make([]int, blk.NumCols)
-			for x := range remap {
-				remap[x] = -1
-			}
-			for pos, c := range nnzCols {
-				remap[c] = pos
-			}
-			s.compact[i][j] = blk.RelabelCols(remap, len(nnzCols))
-			at[j+1] += len(nnzCols)
-			peers = append(peers, s.compact[i][j])
-		}
-		s.haloAt[i] = at
-		s.halo[i] = sparse.HConcat(s.diag[i].NumRows, peers)
+		mark := marks.get(layout.N())
+		s.buildRow(i, rows, layout, mark)
+		marks.put(mark)
 	})
 	return s
+}
+
+// scheduleMarks is buildNnzSchedule's marking scratch for one layout: a
+// free list of zeroed arrays, one entry per column of the operand, taken by
+// each block row in flight and handed back zeroed. A buffered channel, like
+// dense's panel list, so a warm build takes and returns them without
+// allocating; its par.Workers() slots hold one for every block row par.For
+// runs at once, so the scratch is bounded by the worker count, not by the
+// block count.
+type scheduleMarks chan []int
+
+func newScheduleMarks() scheduleMarks { return make(scheduleMarks, par.Workers()) }
+
+// get returns a zeroed array of n entries, a kept one if the list holds one.
+func (m scheduleMarks) get(n int) []int {
+	select {
+	case mark := <-m:
+		return mark
+	default:
+		return make([]int, n)
+	}
+}
+
+// put hands a zeroed array back, or leaves it to the GC when the list is
+// full.
+func (m scheduleMarks) put(mark []int) {
+	select {
+	case m <- mark:
+	default:
+	}
+}
+
+// buildRow writes block row i of the schedule. mark[c] first counts the
+// row's entries in off-diagonal column c; the slot scan then turns each
+// marked count into the column's halo row, which the emitting pass reads,
+// and the columns are zeroed once the row is written.
+func (s *nnzSchedule) buildRow(i int, rows rowSource, layout Layout, mark []int) {
+	src, lo, hi := rows(i)
+	k := layout.Blocks()
+	mlo, mhi := layout.Range(i)
+	begin, end := src.RowPtr[lo], src.RowPtr[hi]
+	diagNNZ, width := 0, 0
+	for _, c := range src.ColIdx[begin:end] {
+		switch {
+		case c >= mlo && c < mhi:
+			diagNNZ++
+		case mark[c] == 0:
+			width++
+			fallthrough
+		default:
+			mark[c]++
+		}
+	}
+
+	recvIdx, at, nnz := make([][]int, k), make([]int, k+1), make([]int, k)
+	idx := make([]int, 0, width)
+	for j := 0; j < k; j++ {
+		at[j] = len(idx)
+		if j == i {
+			continue
+		}
+		clo, chi := layout.Range(j)
+		first := len(idx)
+		for c := clo; c < chi; c++ {
+			if m := mark[c]; m > 0 {
+				nnz[j] += m
+				mark[c] = len(idx)
+				idx = append(idx, c-clo)
+			}
+		}
+		recvIdx[j] = idx[first:len(idx):len(idx)]
+	}
+	at[k] = len(idx)
+
+	// One array of each kind backs both blocks; the diagonal's part is
+	// capped so neither can grow into the other.
+	n, nnzAll := hi-lo, end-begin
+	rowPtr, colIdx, val := make([]int, 2*(n+1)), make([]int, nnzAll), make([]float64, nnzAll)
+	diag := &sparse.CSR{NumRows: n, NumCols: mhi - mlo,
+		RowPtr: rowPtr[: n+1 : n+1], ColIdx: colIdx[:diagNNZ:diagNNZ], Val: val[:diagNNZ:diagNNZ]}
+	halo := &sparse.CSR{NumRows: n, NumCols: len(idx),
+		RowPtr: rowPtr[n+1:], ColIdx: colIdx[diagNNZ:], Val: val[diagNNZ:]}
+	d, h := 0, 0
+	for r := lo; r < hi; r++ {
+		for p := src.RowPtr[r]; p < src.RowPtr[r+1]; p++ {
+			if c := src.ColIdx[p]; c >= mlo && c < mhi {
+				diag.ColIdx[d], diag.Val[d] = c-mlo, src.Val[p]
+				d++
+			} else {
+				halo.ColIdx[h], halo.Val[h] = mark[c], src.Val[p]
+				h++
+			}
+		}
+		diag.RowPtr[r-lo+1], halo.RowPtr[r-lo+1] = d, h
+	}
+	for j, cols := range recvIdx {
+		clo, _ := layout.Range(j)
+		for _, c := range cols {
+			mark[clo+c] = 0
+		}
+	}
+	s.recvIdx[i], s.diag[i], s.haloAt[i], s.halo[i], s.nnz[i] = recvIdx, diag, at, halo, nnz
+}
+
+// slot returns block (i, j) of the schedule, j ≠ i, with its columns
+// relabeled to positions in recvIdx[i][j]: the halo's columns [haloAt[i][j],
+// haloAt[i][j+1]), rebased. Only the multiplies that take one peer's rows at
+// a time need it — the 1.5D engine's and the serial reference's.
+func (s *nnzSchedule) slot(i, j int) *sparse.CSR {
+	h, at := s.halo[i], s.haloAt[i]
+	return h.ExtractBlock(sparse.ColRange{Lo: 0, Hi: h.NumRows}, sparse.ColRange{Lo: at[j], Hi: at[j+1]})
 }
 
 // writeAlgorithm1 writes the paper's Algorithm 1 over sched into every
@@ -231,7 +328,6 @@ func writeAlgorithm1(plan *Plan, sched *nnzSchedule, fills [][]slotFill) {
 		// recvIdx[j][me], read off the schedule for the pack step.
 		sendIdx := make([][]int, p)
 		recvRows := make([]int, p)
-		nnz := make([]int, p)
 		for j := 0; j < p; j++ {
 			switch {
 			case j == me:
@@ -243,10 +339,9 @@ func writeAlgorithm1(plan *Plan, sched *nnzSchedule, fills [][]slotFill) {
 				sendIdx[j] = sched.recvIdx[j][me]
 				recvRows[j] = len(sched.recvIdx[me][j])
 			}
-			nnz[j] = sched.compact[me][j].NNZ()
 		}
 		exch := instr{op: opAllToAllv, group: g, slot: me, sendIdx: sendIdx, recvRows: recvRows,
-			at: sched.haloAt[me], halo: sched.halo[me], nnz: nnz}
+			at: sched.haloAt[me], halo: sched.halo[me], nnz: sched.nnz[me]}
 		if fills != nil {
 			exch.fills = fills[me]
 		}
@@ -261,6 +356,6 @@ func writeAlgorithm1(plan *Plan, sched *nnzSchedule, fills [][]slotFill) {
 func NewSparsityAware1D(w *comm.World, aT *sparse.CSR, layout Layout) Engine {
 	check1DInputs(w, aT, layout)
 	plan := new1DPlan("sparsity-aware-1d", w, layout)
-	writeAlgorithm1(plan, buildNnzSchedule(layoutRows(aT, layout), layout), nil)
+	writeAlgorithm1(plan, buildNnzSchedule(layoutRows(aT, layout), layout, nil), nil)
 	return newPlanEngine(plan)
 }

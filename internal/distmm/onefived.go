@@ -127,7 +127,7 @@ func NewOblivious15D(w *comm.World, aT *sparse.CSR, c int, layout Layout) Engine
 func NewSparsityAware15D(w *comm.World, aT *sparse.CSR, c int, layout Layout) Engine {
 	grid := NewGrid(w, c)
 	check15DInputs(grid, aT, layout)
-	sched := buildNnzSchedule(layoutRows(aT, layout), layout)
+	sched := buildNnzSchedule(layoutRows(aT, layout), layout, nil)
 	plan := new15DPlan(fmt.Sprintf("sparsity-aware-1.5d(c=%d)", c), grid, layout)
 	s := grid.Stages()
 	for rank := 0; rank < w.P; rank++ {
@@ -149,7 +149,7 @@ func NewSparsityAware15D(w *comm.World, aT *sparse.CSR, c int, layout Layout) En
 				prog = append(prog, instr{op: opMulOwn, blk: sched.diag[i]})
 				continue
 			}
-			prog = append(prog, instr{op: opRecvMul, peer: q*grid.C + j, tag: k, rows: len(sched.recvIdx[i][q]), blk: sched.compact[i][q]})
+			prog = append(prog, instr{op: opRecvMul, peer: q*grid.C + j, tag: k, rows: len(sched.recvIdx[i][q]), blk: sched.slot(i, q)})
 		}
 		prog = append(prog, instr{op: opAllReduce, group: grid.rowGroups[i]})
 		plan.progs[rank] = prog

@@ -43,7 +43,11 @@ import (
 // epoch × step) lets every process derive all of them locally, so no index
 // negotiation travels over the wire. A process does so once per step: the
 // ranks it hosts share one SampledGather, recompiled by whichever of them
-// reaches the step first (see Recompile for when that is safe).
+// reaches the step first (see Recompile for when that is safe) while the
+// others wait. So the NnzCols schedule, which the paper computes once as
+// preprocessing outside training time, is here built inside every step:
+// buildNnzSchedule makes it in two passes over each frontier block, with a
+// marking scratch the gather keeps across Recompiles.
 
 // checkSampledInputs validates the sampled-gather constructor contract;
 // violations panic (construction-time misuse).
@@ -72,7 +76,7 @@ func frontierRows(blocks []*sparse.CSR) rowSource {
 // Algorithm 1 on a rectangular 1D plan whose input heights are the layout
 // blocks, whose accumulator heights are the frontiers, and whose exchange
 // ships only the rows not yet resident at their destination.
-func newSampledGatherPlan(w *comm.World, blocks []*sparse.CSR, layout Layout, rs *residentStores) *Plan {
+func newSampledGatherPlan(w *comm.World, blocks []*sparse.CSR, layout Layout, rs *residentStores, marks scheduleMarks) *Plan {
 	plan := new1DPlan("sampled-gather", w, layout)
 	plan.inRows = make([]int, w.P)
 	plan.store = make([]int, w.P)
@@ -80,7 +84,7 @@ func newSampledGatherPlan(w *comm.World, blocks []*sparse.CSR, layout Layout, rs
 		plan.inRows[i] = layout.Count(i)
 		plan.outRows[i] = blocks[i].NumRows
 	}
-	sched := buildNnzSchedule(frontierRows(blocks), layout)
+	sched := buildNnzSchedule(frontierRows(blocks), layout, marks)
 	fills := rs.advance(sched.recvIdx, layout)
 	for i := range plan.store {
 		plan.store[i] = len(rs.sets[i].rows)
@@ -222,8 +226,9 @@ func (s *residentSet) split(recvIdx [][]int, me int, layout Layout) []slotFill {
 
 // SampledGatherReference computes every rank's frontier aggregation of one
 // batch serially, without a world, in the executor's exact per-rank
-// accumulation order (diagonal block first, then peers in ascending rank
-// order over the same compact relabeled blocks). A distributed execution of
+// accumulation order: the diagonal block first, then each peer's block in
+// ascending rank order — the same schedule's halo cut into one block per
+// peer slot, its columns the peer's landed rows. A distributed execution of
 // NewSampledGather over the same frontier blocks produces bit-identical
 // outputs on any transport — the reference the gather and sampled-trainer
 // tests pin against. Shape violations panic (construction-time misuse).
@@ -235,7 +240,7 @@ func SampledGatherReference(blocks []*sparse.CSR, layout Layout, x *dense.Matrix
 	if x.Rows != layout.N() {
 		panic(fmt.Sprintf("distmm: features have %d rows, layout n=%d", x.Rows, layout.N()))
 	}
-	sched := buildNnzSchedule(frontierRows(blocks), layout)
+	sched := buildNnzSchedule(frontierRows(blocks), layout, nil)
 	outs := make([]*dense.Matrix, p)
 	for me := 0; me < p; me++ {
 		out := dense.New(blocks[me].NumRows, x.Cols)
@@ -250,7 +255,7 @@ func SampledGatherReference(blocks []*sparse.CSR, layout Layout, x *dense.Matrix
 			for pos, c := range sched.recvIdx[me][j] {
 				copy(land.Row(pos), x.Row(clo+c))
 			}
-			sched.compact[me][j].SpMMAddInto(out, land)
+			sched.slot(me, j).SpMMAddInto(out, land)
 		}
 		outs[me] = out
 	}
@@ -272,6 +277,7 @@ func SampledGatherReference(blocks []*sparse.CSR, layout Layout, x *dense.Matrix
 type SampledGather struct {
 	planEngine
 	resident *residentStores
+	marks    scheduleMarks // the schedule builder's, kept across Recompiles
 }
 
 // NewSampledGather compiles the gather plan for one batch's frontier
@@ -281,9 +287,9 @@ type SampledGather struct {
 // plan ships every row it names.
 func NewSampledGather(w *comm.World, blocks []*sparse.CSR, layout Layout) *SampledGather {
 	checkSampledInputs(w, blocks, layout)
-	rs := newResidentStores(layout)
-	plan := newSampledGatherPlan(w, blocks, layout, rs)
-	return &SampledGather{planEngine{plan: plan, ws: newExecWS(plan)}, rs}
+	rs, marks := newResidentStores(layout), newScheduleMarks()
+	plan := newSampledGatherPlan(w, blocks, layout, rs, marks)
+	return &SampledGather{planEngine{plan: plan, ws: newExecWS(plan)}, rs, marks}
 }
 
 // Recompile replaces the schedule with the next batch's frontier blocks,
@@ -297,7 +303,7 @@ func NewSampledGather(w *comm.World, blocks []*sparse.CSR, layout Layout) *Sampl
 func (e *SampledGather) Recompile(blocks []*sparse.CSR) {
 	w, layout := e.plan.world, e.plan.layout
 	checkSampledInputs(w, blocks, layout)
-	e.plan = newSampledGatherPlan(w, blocks, layout, e.resident)
+	e.plan = newSampledGatherPlan(w, blocks, layout, e.resident, e.marks)
 }
 
 // Resident returns how many rows the ranks' stores hold together once the

@@ -275,7 +275,7 @@ func TestVerifyRejectsBrokenSampledPlan(t *testing.T) {
 	layout := UniformLayout(n, p)
 	w := comm.NewWorld(p, machine.Perlmutter())
 	fresh := func() *Plan {
-		return newSampledGatherPlan(w, randomFrontiers(rand.New(rand.NewSource(4)), p, n), layout, newResidentStores(layout))
+		return newSampledGatherPlan(w, randomFrontiers(rand.New(rand.NewSource(4)), p, n), layout, newResidentStores(layout), nil)
 	}
 
 	if err := Verify(fresh()); err != nil {
@@ -308,8 +308,8 @@ func TestVerifyRejectsBrokenSampledPlan(t *testing.T) {
 	withFills := func(edit func(fl *slotFill, landed, store int)) *Plan {
 		frontiers := randomFrontiers(rand.New(rand.NewSource(4)), p, n)
 		rs := newResidentStores(layout)
-		newSampledGatherPlan(w, frontiers, layout, rs)
-		pl := newSampledGatherPlan(w, frontiers, layout, rs)
+		newSampledGatherPlan(w, frontiers, layout, rs, nil)
+		pl := newSampledGatherPlan(w, frontiers, layout, rs, nil)
 		for rank, prog := range pl.progs {
 			exch := &prog[0]
 			for j := range exch.fills {

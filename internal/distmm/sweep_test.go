@@ -74,8 +74,8 @@ func slotBySlotCost(plan *Plan, sched *nnzSchedule, params machine.Params, f int
 		l.Add(rank, "alltoall", params.AllToAllvTime(sendB, recvB, partners))
 		l.Add(rank, "local", params.SpMMTime(sched.diag[rank].Flops(f)))
 		var unpacked int64
-		for _, blk := range sched.compact[rank] {
-			if blk != nil && blk.NumCols > 0 {
+		for j := range sched.recvIdx[rank] {
+			if blk := sched.slot(rank, j); j != rank && blk.NumCols > 0 {
 				l.Add(rank, "local", params.SpMMTime(blk.Flops(f)))
 				unpacked += int64(blk.NumCols * f)
 			}
@@ -137,7 +137,7 @@ func TestSweepMatchesSlotBySlot(t *testing.T) {
 			what := fmt.Sprintf("seed %d width %d", seed, f)
 			ran := w.Ledger.Snapshot()
 			requireSameTotals(t, what+" plan cost", plan.Cost(w.Params, f), ran, p)
-			requireSameTotals(t, what+" per-block form", slotBySlotCost(plan, buildNnzSchedule(layoutRows(a, layout), layout), w.Params, f), ran, p)
+			requireSameTotals(t, what+" per-block form", slotBySlotCost(plan, buildNnzSchedule(layoutRows(a, layout), layout, nil), w.Params, f), ran, p)
 		}
 	}
 }
@@ -187,7 +187,7 @@ func TestSweepSampledMixedSlots(t *testing.T) {
 		for r, got := range runSampledGather(w, g, x, layout) {
 			requireBits(t, "sampled sweep", want[r], got)
 		}
-		sched := buildNnzSchedule(frontierRows(blocks), layout)
+		sched := buildNnzSchedule(frontierRows(blocks), layout, nil)
 		requireSameTotals(t, fmt.Sprintf("step %d", step), slotBySlotCost(plan, sched, w.Params, f), plan.Cost(w.Params, f), p)
 	}
 	if inPlace == 0 || filled == 0 || stored == 0 {

@@ -6,8 +6,14 @@ import (
 	"slices"
 	"testing"
 
+	"sagnn/internal/comm"
+	"sagnn/internal/dense"
+	"sagnn/internal/distmm"
+	"sagnn/internal/gcn"
 	"sagnn/internal/gen"
 	"sagnn/internal/graph"
+	"sagnn/internal/machine"
+	"sagnn/internal/partition"
 	"sagnn/internal/sparse"
 )
 
@@ -159,7 +165,19 @@ func sampledBlockCases() []sampledBlockCase {
 			cases = append(cases, g)
 		}
 	}
-	return cases
+	// Hubs of 32 neighbors (a power of two, which rand.Intn draws by
+	// masking) and of 40 (by rejection), each above its fanout; fanout 20
+	// draws more neighbors per row than any case above, so the draw buffer
+	// grows again.
+	hub := func(deg int) (edges [][2]int) {
+		for v := 1; v <= deg; v++ {
+			edges = append(edges, [2]int{0, v}, [2]int{v, 1 + v%deg})
+		}
+		return edges
+	}
+	return append(cases,
+		sampledBlockCase{name: "hub32", n: 36, edges: hub(32), fanout: 3, layers: 2},
+		sampledBlockCase{name: "hub40-fanout20", n: 44, edges: hub(40), fanout: 20, layers: 2})
 }
 
 // TestSampledBlocksMatchCoordinateOracle is the emitter's property test:
@@ -206,4 +224,29 @@ func FuzzSampledBlocks(f *testing.F) {
 		g := graph.FromEdges(n, edges).Symmetrize()
 		checkSampledBlocks(t, g, [][]int{batch, batch[:len(batch)/2]}, layers, fanout, seed)
 	})
+}
+
+// BenchmarkSampledDraw derives one step's blocks the way the sampled-sa-sim
+// workload does — protein-sim ÷4 in its GVB k = 4 order, four rank
+// streams, batch 256, fanout 5, three layers — op after op through the
+// epoch's steps.
+func BenchmarkSampledDraw(b *testing.B) {
+	const p = 4
+	ds := gen.MustLoad(gen.ProteinSim, 1, 4)
+	part := partition.GVB{Seed: 1}.Partition(ds.G, p)
+	perm := part.Perm()
+	train := make([]int, len(ds.Train))
+	for i, v := range ds.Train {
+		train[i] = perm[v]
+	}
+	n := ds.G.NumVertices()
+	d := NewDist(comm.NewWorld(p, machine.Perlmutter()), distmm.LayoutFromOffsets(part.Offsets()),
+		ds.G.NormalizedAdjacency().PermuteSymmetric(perm), dense.New(n, 1), make([]int, n), train,
+		gcn.LayerDims(1, 16, 2, 3), 1, nil, DistConfig{Fanout: 5, BatchSize: 256, Seed: 1})
+	sm, steps := d.newSampler(), d.stepsPerEpoch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sm.sample(&sm.slots[i%2], i/steps, i%steps)
+	}
 }

@@ -48,7 +48,9 @@ type block struct {
 // contract distributed bit-identity rests on — and is written straight into
 // CSR storage: rows come out in order with at most fanout+1 entries each, so
 // every draw is inserted into its row's sorted run and nothing is sorted,
-// hashed or allocated once the storage has grown.
+// hashed or allocated once the storage has grown. A row's draws are made
+// first and their column ids loaded together, so the loads' cache misses
+// overlap instead of each waiting behind the insert before it.
 type emitter struct {
 	// adj is Â, whose rows neighbors are drawn from. self[v] is the position
 	// of v's own column within its row, skipped by the draws (every sampled
@@ -63,6 +65,8 @@ type emitter struct {
 	// the array is never cleared.
 	seen []int
 	base int
+	// draws holds one row's drawn neighbors; it grows to the fanout once.
+	draws []int
 }
 
 func newEmitter(adj *sparse.CSR, self []int, fanout int) emitter {
@@ -113,15 +117,8 @@ func (e *emitter) sample(blocks []block, batch []int) {
 			b.adj.RowPtr[r] = start
 			b.room(take + 1)
 			e.put(b, start, v, w, intern)
-			for k := 0; k < take; k++ {
-				j := k
-				if deg > e.fanout {
-					j = e.rng.Intn(deg)
-				}
-				if j >= skip {
-					j++
-				}
-				e.put(b, start, row[j], w, intern)
+			for _, u := range e.draw(row, skip, deg, take) {
+				e.put(b, start, u, w, intern)
 			}
 		}
 		b.adj.RowPtr[len(outputs)] = len(b.adj.ColIdx)
@@ -132,6 +129,31 @@ func (e *emitter) sample(blocks []block, batch []int) {
 		}
 		outputs = b.srcs
 	}
+}
+
+// draw returns take of a row's neighbors, in draw order: every neighbor
+// when the row has no more than the fanout, else take positions drawn with
+// replacement. The positions are drawn first, then their column ids are
+// loaded in one pass.
+func (e *emitter) draw(row []int, skip, deg, take int) []int {
+	e.draws = slices.Grow(e.draws[:0], take)[:take]
+	d := e.draws
+	if deg > e.fanout {
+		for k := range d {
+			d[k] = e.rng.Intn(deg)
+		}
+	} else {
+		for k := range d {
+			d[k] = k
+		}
+	}
+	for k, j := range d {
+		if j >= skip {
+			j++
+		}
+		d[k] = row[j]
+	}
+	return d
 }
 
 // put adds weight w at vertex u's column to the row that starts at position
@@ -149,17 +171,19 @@ func (e *emitter) put(b *block, start, u int, w float64, intern bool) {
 		c = e.seen[u] - e.base
 	}
 	n := len(b.adj.ColIdx)
+	cols, vals := b.adj.ColIdx[:n+1], b.adj.Val[:n+1]
 	i := n
-	for i > start && b.adj.ColIdx[i-1] > c {
+	for i > start && cols[i-1] > c {
 		i--
 	}
-	if i > start && b.adj.ColIdx[i-1] == c {
-		b.adj.Val[i-1] += w
+	if i > start && cols[i-1] == c {
+		vals[i-1] += w
 		return
 	}
-	cols, vals := b.adj.ColIdx[:n+1], b.adj.Val[:n+1]
-	copy(cols[i+1:], cols[i:])
-	copy(vals[i+1:], vals[i:])
+	// The run past i is at most fanout entries: shift it in place.
+	for k := n; k > i; k-- {
+		cols[k], vals[k] = cols[k-1], vals[k-1]
+	}
 	cols[i], vals[i] = c, w
 	b.adj.ColIdx, b.adj.Val = cols, vals
 }

@@ -359,56 +359,6 @@ func (m *CSR) ExtractBlock(rows, cols ColRange) *CSR {
 	return b
 }
 
-// RelabelCols returns a copy of m whose column index c is replaced by
-// newIdx[c]; NumCols becomes numCols. Used to compact a block's columns to
-// the received-row ordering in sparsity-aware SpMM. Every stored column must
-// have a mapping (newIdx[c] >= 0).
-func (m *CSR) RelabelCols(newIdx []int, numCols int) *CSR {
-	out := &CSR{
-		NumRows: m.NumRows,
-		NumCols: numCols,
-		RowPtr:  append([]int(nil), m.RowPtr...),
-		ColIdx:  make([]int, m.NNZ()),
-		Val:     append([]float64(nil), m.Val...),
-	}
-	for i, c := range m.ColIdx {
-		nc := newIdx[c]
-		if nc < 0 || nc >= numCols {
-			panic(fmt.Sprintf("sparse: RelabelCols maps %d to %d (numCols %d)", c, nc, numCols))
-		}
-		out.ColIdx[i] = nc
-	}
-	return out
-}
-
-// HConcat returns blocks side by side as one rows-row CSR: row r is every
-// block's row r in block order, each block's columns shifted past the
-// columns of the blocks before it. Every block must have rows rows.
-func HConcat(rows int, blocks []*CSR) *CSR {
-	out := &CSR{NumRows: rows, RowPtr: make([]int, rows+1)}
-	nnz := 0
-	for _, b := range blocks {
-		if b.NumRows != rows {
-			panic(fmt.Sprintf("sparse: HConcat of a %d-row block into %d rows", b.NumRows, rows))
-		}
-		out.NumCols += b.NumCols
-		nnz += b.NNZ()
-	}
-	out.ColIdx, out.Val = make([]int, 0, nnz), make([]float64, 0, nnz)
-	for r := 0; r < rows; r++ {
-		off := 0
-		for _, b := range blocks {
-			for p := b.RowPtr[r]; p < b.RowPtr[r+1]; p++ {
-				out.ColIdx = append(out.ColIdx, off+b.ColIdx[p])
-				out.Val = append(out.Val, b.Val[p])
-			}
-			off += b.NumCols
-		}
-		out.RowPtr[r+1] = len(out.ColIdx)
-	}
-	return out
-}
-
 // SpMM computes m × h into a new dense matrix.
 func (m *CSR) SpMM(h *dense.Matrix) *dense.Matrix {
 	out := dense.New(m.NumRows, h.Cols)

@@ -160,15 +160,6 @@ func TestNnzColsInRange(t *testing.T) {
 	}
 }
 
-func TestRelabelCols(t *testing.T) {
-	m := NewCSR(2, 6, []Coord{{0, 2, 1}, {1, 5, 2}})
-	newIdx := []int{-1, -1, 0, -1, -1, 1}
-	r := m.RelabelCols(newIdx, 2)
-	if r.NumCols != 2 || r.At(0, 0) != 1 || r.At(1, 1) != 2 {
-		t.Fatal("RelabelCols wrong")
-	}
-}
-
 func TestSpMMAgainstDense(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -300,7 +300,7 @@ func TestSpMMPairBits(t *testing.T) {
 				for j, b := range peers {
 					naiveSpMMAdd(want, b, hs[j])
 				}
-				merged, g := HConcat(rows, peers), stack(hs, f)
+				merged, g := hconcat(rows, peers), stack(hs, f)
 				for _, vector := range spmmKernels {
 					for _, procs := range []int{1, 4} {
 						runtime.GOMAXPROCS(procs)
@@ -320,10 +320,38 @@ func TestSpMMPairSerialPathAllocatesNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(5))
 	diag, h, peers, hs := pairOperands(rng, 300, 41, false)
-	merged, g, out := HConcat(300, peers), stack(hs, 41), dense.New(300, 41)
+	merged, g, out := hconcat(300, peers), stack(hs, 41), dense.New(300, 41)
 	for _, vector := range spmmKernels {
 		if allocs := testing.AllocsPerRun(10, func() { diag.spmm(out, h, false, merged, g, vector) }); allocs != 0 {
 			t.Fatalf("two-operand SpMM (vector %t) allocates %v times on the serial path, want 0", vector, allocs)
 		}
 	}
+}
+
+// hconcat returns blocks side by side as one rows-row CSR: row r is every
+// block's row r in block order, each block's columns shifted past the
+// columns of the blocks before it. Every block must have rows rows.
+func hconcat(rows int, blocks []*CSR) *CSR {
+	out := &CSR{NumRows: rows, RowPtr: make([]int, rows+1)}
+	nnz := 0
+	for _, b := range blocks {
+		if b.NumRows != rows {
+			panic(fmt.Sprintf("sparse: hconcat of a %d-row block into %d rows", b.NumRows, rows))
+		}
+		out.NumCols += b.NumCols
+		nnz += b.NNZ()
+	}
+	out.ColIdx, out.Val = make([]int, 0, nnz), make([]float64, 0, nnz)
+	for r := 0; r < rows; r++ {
+		off := 0
+		for _, b := range blocks {
+			for p := b.RowPtr[r]; p < b.RowPtr[r+1]; p++ {
+				out.ColIdx = append(out.ColIdx, off+b.ColIdx[p])
+				out.Val = append(out.Val, b.Val[p])
+			}
+			off += b.NumCols
+		}
+		out.RowPtr[r+1] = len(out.ColIdx)
+	}
+	return out
 }
