@@ -344,15 +344,36 @@ func (m *Matrix) PermuteRows(perm []int) *Matrix {
 	return out
 }
 
-// Reshape resizes m to rows×cols, reallocating only when the backing slice
-// is too small — the grow-only buffer discipline of the serving and subset
-// workspaces. Contents are unspecified after a reshape; callers overwrite.
+// Grow resizes *buf to n elements and returns it, reallocating only when
+// its capacity is short: the one grow rule of every reused buffer. A buffer's
+// first allocation (from no capacity) is exact, so a buffer that only ever
+// holds one shape — a full-batch epoch's, a serving table's — holds no
+// more than it needs. A later one takes at least 5/4 of n, so a buffer whose
+// requests creep upward — a sampled step's, sized by its frontier —
+// reallocates a few times rather than at every new high. Contents are
+// unspecified after a grow; callers overwrite.
+func Grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		c := n
+		if cap(*buf) > 0 {
+			c += (n + 3) / 4
+		}
+		*buf = make([]T, n, c)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// Reshape resizes m to rows×cols in place, its data by Grow, and returns it;
+// a nil m is a new matrix. It is the grow-only buffer discipline of the
+// training, serving and subset workspaces. Contents are unspecified after a
+// reshape; callers overwrite.
 func Reshape(m *Matrix, rows, cols int) *Matrix {
-	if m == nil || cap(m.Data) < rows*cols {
+	if m == nil {
 		return New(rows, cols)
 	}
+	Grow(&m.Data, rows*cols)
 	m.Rows, m.Cols = rows, cols
-	m.Data = m.Data[:rows*cols]
 	return m
 }
 

@@ -24,6 +24,51 @@ func TestNewZeroed(t *testing.T) {
 	}
 }
 
+// TestGrowRule pins the one grow rule of reused buffers: a buffer with no
+// capacity is allocated exactly; a request that fits keeps the backing
+// array; one that does not gets at least 5/4 of the request. Contents are
+// unspecified, so nothing here reads them. Reshape follows the same rule
+// for its data and keeps its header.
+func TestGrowRule(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 7, 100, 1 << 20} {
+		var buf []float64
+		if got := Grow(&buf, n); len(got) != n || cap(got) != n || len(buf) != n {
+			t.Fatalf("nil buffer grown to %d: len %d cap %d (kept len %d), want exact", n, len(got), cap(got), len(buf))
+		}
+		if n == 0 {
+			continue
+		}
+		base := &buf[0]
+		for _, m := range []int{n, n / 2, 0} {
+			if got := Grow(&buf, m); len(got) != m || cap(got) != n || &buf[:1][0] != base {
+				t.Fatalf("buffer of cap %d asked for %d: len %d cap %d, reallocated %v", n, m, len(got), cap(got), &buf[:1][0] != base)
+			}
+		}
+		for _, m := range []int{n + 1, 2 * n, 5*n + 3} {
+			before := cap(buf)
+			got := Grow(&buf, m)
+			if len(got) != m || len(buf) != m || (m > before && 4*cap(got) < 5*m) {
+				t.Fatalf("buffer of cap %d asked for %d: len %d cap %d, want cap ≥ 5/4 of the request", before, m, len(got), cap(got))
+			}
+		}
+	}
+	ints := []int{1, 2, 3}
+	if got := Grow(&ints, 2); &got[0] != &ints[0] || len(ints) != 2 {
+		t.Fatal("Grow[int] reallocated a request that fits")
+	}
+
+	m := Reshape(nil, 3, 4)
+	if m.Rows != 3 || m.Cols != 4 || cap(m.Data) != 12 {
+		t.Fatalf("Reshape(nil) is %dx%d with cap %d, want 3x4 exact", m.Rows, m.Cols, cap(m.Data))
+	}
+	if got := Reshape(m, 2, 5); got != m || len(m.Data) != 10 || cap(m.Data) != 12 {
+		t.Fatalf("Reshape to a fitting 2x5: header kept %v, len %d cap %d", got == m, len(m.Data), cap(m.Data))
+	}
+	if got := Reshape(m, 4, 4); got != m || m.Rows != 4 || m.Cols != 4 || len(m.Data) != 16 || cap(m.Data) < 20 {
+		t.Fatalf("Reshape to 4x4 past cap 12: header kept %v, %dx%d len %d cap %d, want cap ≥ 20", got == m, m.Rows, m.Cols, len(m.Data), cap(m.Data))
+	}
+}
+
 func TestAtSetRow(t *testing.T) {
 	m := New(2, 3)
 	m.Set(1, 2, 7.5)

@@ -70,24 +70,23 @@ func check1DInputs(w *comm.World, aT *sparse.CSR, layout Layout) {
 	}
 }
 
-// new1DPlan allocates the per-rank metadata every 1D plan shares: rank i
-// owns block row i and reduces gradients over the whole world.
+// new1DPlan allocates the per-rank metadata every 1D plan shares.
 func new1DPlan(name string, w *comm.World, layout Layout) *Plan {
+	return init1DPlan(new(Plan), name, w, layout)
+}
+
+// init1DPlan writes into plan the per-rank metadata every 1D plan shares:
+// rank i owns block row i and reduces gradients over the whole world. The
+// arrays are plan's own, grown to the world, so a plan written again (a
+// sampled gather's compile arena) keeps them, and its programs' storage for
+// writeAlgorithm1 to reuse.
+func init1DPlan(plan *Plan, name string, w *comm.World, layout Layout) *Plan {
 	p := w.P
-	plan := &Plan{
-		name:        name,
-		world:       w,
-		layout:      layout,
-		replication: 1,
-		blockOf:     make([]int, p),
-		outRows:     make([]int, p),
-		gradGroups:  make([]*comm.Group, p),
-		progs:       make([][]instr, p),
-	}
+	plan.name, plan.world, plan.layout, plan.replication = name, w, layout, 1
+	blockOf, outRows, groups := dense.Grow(&plan.blockOf, p), dense.Grow(&plan.outRows, p), dense.Grow(&plan.gradGroups, p)
+	dense.Grow(&plan.progs, p)
 	for i := 0; i < p; i++ {
-		plan.blockOf[i] = i
-		plan.outRows[i] = layout.Count(i)
-		plan.gradGroups[i] = w.WorldGroup()
+		blockOf[i], outRows[i], groups[i] = i, layout.Count(i), w.WorldGroup()
 	}
 	return plan
 }
@@ -155,41 +154,59 @@ func (rows rowSource) split(layout Layout) [][]*sparse.CSR {
 // multiplies against the stacked rows; nnz[i][j] counts its entries in
 // peer j's slot (0 on the diagonal). Peer j's block alone, its columns
 // relabeled to positions in recvIdx[i][j], is the halo's slot j (slot).
+//
+// A schedule is also the arena it is built in: rows[i] holds every array
+// of block row i, and a build into a schedule that held another overwrites
+// them in place, growing only those too short (dense.Grow).
 type nnzSchedule struct {
 	recvIdx [][][]int
 	diag    []*sparse.CSR
 	haloAt  [][]int
 	halo    []*sparse.CSR
 	nnz     [][]int
+	rows    []schedRow
+}
+
+// schedRow is the storage of one block row of a schedule: its peers' row
+// lists (recvIdx, cut from idx), halo offsets and slot counts, and its
+// diagonal block and merged halo operand, whose arrays share rowPtr,
+// colIdx and val.
+type schedRow struct {
+	recvIdx        [][]int
+	at, nnz, idx   []int
+	rowPtr, colIdx []int
+	val            []float64
+	diag, halo     sparse.CSR
 }
 
 // buildNnzSchedule computes the NnzCols structure for every block row of
-// rows split along layout, in parallel across block rows. The paper
-// computes it once, as preprocessing outside training time, and so do the
-// full-batch engines, at set-up; but the sampled gather builds it inside
-// every training step (Recompile). So it is two passes over each block row
-// and nothing per block: a marking pass counts each off-diagonal column's
-// entries, and an emitting pass writes the diagonal block and the halo
-// straight from the row. Rows must keep their columns sorted (the CSR
-// invariant), which makes the halo's entries of a row ascend by slot. The
-// engines, the sampled gather and its serial reference all consume the
-// schedule, so the exchanged indices and the accumulation blocks cannot
-// drift between them.
+// rows split along layout into s, in parallel across block rows, and
+// returns s. The paper computes it once, as preprocessing outside training
+// time, and so do the full-batch engines, at set-up, each into a fresh
+// schedule; but the sampled gather builds it inside every training step
+// (Recompile), into one of the two schedules it keeps, so a warmed step
+// writes the arrays the step before last wrote. So it is two passes over
+// each block row and nothing per block: a marking pass counts each
+// off-diagonal column's entries, and an emitting pass writes the diagonal
+// block and the halo straight from the row. Rows must keep their columns
+// sorted (the CSR invariant), which makes the halo's entries of a row
+// ascend by slot. The engines, the sampled gather and its serial reference
+// all consume the schedule, so the exchanged indices and the accumulation
+// blocks cannot drift between them.
 //
 // marks is the marking scratch, which a caller that builds every step
 // keeps; nil makes one for this build.
-func buildNnzSchedule(rows rowSource, layout Layout, marks scheduleMarks) *nnzSchedule {
+func buildNnzSchedule(rows rowSource, layout Layout, marks scheduleMarks, s *nnzSchedule) *nnzSchedule {
 	k := layout.Blocks()
 	if marks == nil {
 		marks = newScheduleMarks()
 	}
-	s := &nnzSchedule{
-		recvIdx: make([][][]int, k),
-		diag:    make([]*sparse.CSR, k),
-		haloAt:  make([][]int, k),
-		halo:    make([]*sparse.CSR, k),
-		nnz:     make([][]int, k),
-	}
+	dense.Grow(&s.recvIdx, k)
+	dense.Grow(&s.diag, k)
+	dense.Grow(&s.haloAt, k)
+	dense.Grow(&s.halo, k)
+	dense.Grow(&s.nnz, k)
+	dense.Grow(&s.rows, k)
 	par.For(k, func(i int) {
 		mark := marks.get(layout.N())
 		s.buildRow(i, rows, layout, mark)
@@ -250,11 +267,14 @@ func (s *nnzSchedule) buildRow(i int, rows rowSource, layout Layout, mark []int)
 		}
 	}
 
-	recvIdx, at, nnz := make([][]int, k), make([]int, k+1), make([]int, k)
-	idx := make([]int, 0, width)
+	st := &s.rows[i]
+	recvIdx, at, nnz := dense.Grow(&st.recvIdx, k), dense.Grow(&st.at, k+1), dense.Grow(&st.nnz, k)
+	clear(nnz)
+	idx := dense.Grow(&st.idx, width)[:0]
 	for j := 0; j < k; j++ {
 		at[j] = len(idx)
 		if j == i {
+			recvIdx[j] = nil
 			continue
 		}
 		clo, chi := layout.Range(j)
@@ -270,14 +290,17 @@ func (s *nnzSchedule) buildRow(i int, rows rowSource, layout Layout, mark []int)
 	}
 	at[k] = len(idx)
 
-	// One array of each kind backs both blocks; the diagonal's part is
-	// capped so neither can grow into the other.
+	// One array of each kind backs both blocks, each block's part capped so
+	// neither can grow into the other. Both row pointers start at 0, which
+	// an array the last build wrote need not hold.
 	n, nnzAll := hi-lo, end-begin
-	rowPtr, colIdx, val := make([]int, 2*(n+1)), make([]int, nnzAll), make([]float64, nnzAll)
-	diag := &sparse.CSR{NumRows: n, NumCols: mhi - mlo,
+	rowPtr, colIdx, val := dense.Grow(&st.rowPtr, 2*(n+1)), dense.Grow(&st.colIdx, nnzAll), dense.Grow(&st.val, nnzAll)
+	rowPtr[0], rowPtr[n+1] = 0, 0
+	st.diag = sparse.CSR{NumRows: n, NumCols: mhi - mlo,
 		RowPtr: rowPtr[: n+1 : n+1], ColIdx: colIdx[:diagNNZ:diagNNZ], Val: val[:diagNNZ:diagNNZ]}
-	halo := &sparse.CSR{NumRows: n, NumCols: len(idx),
+	st.halo = sparse.CSR{NumRows: n, NumCols: len(idx),
 		RowPtr: rowPtr[n+1:], ColIdx: colIdx[diagNNZ:], Val: val[diagNNZ:]}
+	diag, halo := &st.diag, &st.halo
 	d, h := 0, 0
 	for r := lo; r < hi; r++ {
 		for p := src.RowPtr[r]; p < src.RowPtr[r+1]; p++ {
@@ -320,18 +343,22 @@ func (s *nnzSchedule) slot(i, j int) *sparse.CSR {
 // non-nil, makes the exchange move only the rows fills[i][j] ships, and the
 // sweep assembles the rest from the store. NewSparsityAware1D passes nil;
 // the sampled gather compiles through it too.
+//
+// The programs are written into the storage plan's programs already hold,
+// so a plan written again (a sampled gather's compile arena) allocates
+// nothing here.
 func writeAlgorithm1(plan *Plan, sched *nnzSchedule, fills [][]slotFill) {
 	p := len(plan.progs)
 	g := plan.world.WorldGroup()
 	for me := 0; me < p; me++ {
+		prog := dense.Grow(&plan.progs[me], 2)
 		// sendIdx[j] lists the (me-local) rows of H_me that peer j needs —
 		// recvIdx[j][me], read off the schedule for the pack step.
-		sendIdx := make([][]int, p)
-		recvRows := make([]int, p)
+		sendIdx, recvRows := dense.Grow(&prog[0].sendIdx, p), dense.Grow(&prog[0].recvRows, p)
 		for j := 0; j < p; j++ {
 			switch {
 			case j == me:
-				continue
+				sendIdx[j], recvRows[j] = nil, 0
 			case fills != nil:
 				sendIdx[j] = fills[j][me].ship
 				recvRows[j] = len(fills[me][j].ship)
@@ -340,12 +367,12 @@ func writeAlgorithm1(plan *Plan, sched *nnzSchedule, fills [][]slotFill) {
 				recvRows[j] = len(sched.recvIdx[me][j])
 			}
 		}
-		exch := instr{op: opAllToAllv, group: g, slot: me, sendIdx: sendIdx, recvRows: recvRows,
+		prog[0] = instr{op: opAllToAllv, group: g, slot: me, sendIdx: sendIdx, recvRows: recvRows,
 			at: sched.haloAt[me], halo: sched.halo[me], nnz: sched.nnz[me]}
 		if fills != nil {
-			exch.fills = fills[me]
+			prog[0].fills = fills[me]
 		}
-		plan.progs[me] = []instr{exch, {op: opMulOwn, blk: sched.diag[me]}}
+		prog[1] = instr{op: opMulOwn, blk: sched.diag[me]}
 	}
 }
 
@@ -356,6 +383,6 @@ func writeAlgorithm1(plan *Plan, sched *nnzSchedule, fills [][]slotFill) {
 func NewSparsityAware1D(w *comm.World, aT *sparse.CSR, layout Layout) Engine {
 	check1DInputs(w, aT, layout)
 	plan := new1DPlan("sparsity-aware-1d", w, layout)
-	writeAlgorithm1(plan, buildNnzSchedule(layoutRows(aT, layout), layout, nil), nil)
+	writeAlgorithm1(plan, buildNnzSchedule(layoutRows(aT, layout), layout, nil, new(nnzSchedule)), nil)
 	return newPlanEngine(plan)
 }

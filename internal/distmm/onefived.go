@@ -127,7 +127,7 @@ func NewOblivious15D(w *comm.World, aT *sparse.CSR, c int, layout Layout) Engine
 func NewSparsityAware15D(w *comm.World, aT *sparse.CSR, c int, layout Layout) Engine {
 	grid := NewGrid(w, c)
 	check15DInputs(grid, aT, layout)
-	sched := buildNnzSchedule(layoutRows(aT, layout), layout, nil)
+	sched := buildNnzSchedule(layoutRows(aT, layout), layout, nil, new(nnzSchedule))
 	plan := new15DPlan(fmt.Sprintf("sparsity-aware-1.5d(c=%d)", c), grid, layout)
 	s := grid.Stages()
 	for rank := 0; rank < w.P; rank++ {

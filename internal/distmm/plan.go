@@ -439,7 +439,7 @@ func (p *Plan) execute(r *comm.Rank, hLocal, out *dense.Matrix, ws *execWS) {
 	params := p.world.Params
 	acc := out
 	if p.partial {
-		acc = asMatrix(&ws.zh, out.Rows, f, growFloats(&ws.zhat, out.Rows*f))
+		acc = asMatrix(&ws.zh, out.Rows, f, dense.Grow(&ws.zhat, out.Rows*f))
 	}
 	prog := p.progs[r.ID]
 	if !sweepsFirst(prog) {
@@ -456,7 +456,7 @@ func (p *Plan) execute(r *comm.Rank, hLocal, out *dense.Matrix, ws *execWS) {
 			if in.own {
 				payload = hLocal.Data
 			}
-			data := in.group.BcastFloatsInto(r, in.root, payload, growFloats(&ws.recv, in.rows*f), "bcast")
+			data := in.group.BcastFloatsInto(r, in.root, payload, dense.Grow(&ws.recv, in.rows*f), "bcast")
 			in.blk.SpMMAddInto(acc, asMatrix(&ws.hj, in.rows, f, data))
 			r.ChargeCompute("local", params.SpMMTime(in.blk.Flops(f)))
 		case opAllToAllv:
@@ -466,7 +466,7 @@ func (p *Plan) execute(r *comm.Rank, hLocal, out *dense.Matrix, ws *execWS) {
 				if len(idx) == 0 {
 					continue
 				}
-				buf := growFloats(&ws.sendBufs[j], len(idx)*f)
+				buf := dense.Grow(&ws.sendBufs[j], len(idx)*f)
 				hLocal.GatherRowsInto(buf, idx)
 				ws.send[j] = buf
 				packElems += int64(len(buf))
@@ -476,12 +476,12 @@ func (p *Plan) execute(r *comm.Rank, hLocal, out *dense.Matrix, ws *execWS) {
 			// bars of the paper's Figure 4 breakdown).
 			r.ChargeCompute("local", params.CopyTime(packElems*machine.BytesPerElem))
 			exch = in
-			halo = growFloats(&ws.halo, in.at[len(in.at)-1]*f)
+			halo = dense.Grow(&ws.halo, in.at[len(in.at)-1]*f)
 			for j, rows := range in.recvRows {
 				if rows == in.at[j+1]-in.at[j] {
 					ws.recvPtr[j] = halo[in.at[j]*f : in.at[j+1]*f]
 				} else {
-					ws.recvPtr[j] = growFloats(&ws.recvBufs[j], rows*f)
+					ws.recvPtr[j] = dense.Grow(&ws.recvBufs[j], rows*f)
 				}
 			}
 			in.group.AllToAllvInto(r, ws.send, ws.recvPtr, "alltoall")
@@ -510,7 +510,7 @@ func (p *Plan) execute(r *comm.Rank, hLocal, out *dense.Matrix, ws *execWS) {
 			r.ChargeCompute("local", params.CopyTime(packed*machine.BytesPerElem))
 			packed = 0
 		case opRecvMul:
-			data := growFloats(&ws.recv, in.rows*f)
+			data := dense.Grow(&ws.recv, in.rows*f)
 			r.RecvInto(in.peer, in.tag, data)
 			if in.rows > 0 {
 				in.blk.SpMMAddInto(acc, asMatrix(&ws.hj, in.rows, f, data))
@@ -541,11 +541,18 @@ func sweepsFirst(prog []instr) bool {
 }
 
 // growStore makes the resident store at least n floats long, keeping the
-// rows it holds.
+// rows it holds. It grows by the one grow rule (dense.Grow): a store that
+// fills step by step reallocates a few times, each time with a quarter's
+// headroom. (Growing it at once to its bound, the rank's own row count at
+// the feature width, costs more: the runtime zeroes the whole bound, while
+// a store fills only as rows first reach the rank.)
 func (ws *execWS) growStore(n int) {
-	if n > len(ws.store) {
-		ws.store = append(ws.store, make([]float64, n-len(ws.store))...)
+	if n <= cap(ws.store) {
+		ws.store = ws.store[:max(n, len(ws.store))]
+		return
 	}
+	held := ws.store
+	copy(dense.Grow(&ws.store, n), held)
 }
 
 // slotRows completes one slot of a sampled step in its halo rows dst from

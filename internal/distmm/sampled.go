@@ -2,6 +2,7 @@ package distmm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sagnn/internal/comm"
 	"sagnn/internal/dense"
@@ -47,7 +48,11 @@ import (
 // others wait. So the NnzCols schedule, which the paper computes once as
 // preprocessing outside training time, is here built inside every step:
 // buildNnzSchedule makes it in two passes over each frontier block, with a
-// marking scratch the gather keeps across Recompiles.
+// marking scratch the gather keeps across Recompiles. Nor does a step's
+// compile make garbage: the gather keeps two compile arenas — schedule,
+// slot fills and plan — and compiles each step into the one the step
+// before last used, so a warmed step allocates nothing that grows with its
+// frontier, and a compiled plan stays readable while the next one compiles.
 
 // checkSampledInputs validates the sampled-gather constructor contract;
 // violations panic (construction-time misuse).
@@ -71,23 +76,35 @@ func frontierRows(blocks []*sparse.CSR) rowSource {
 	return func(i int) (*sparse.CSR, int, int) { return blocks[i], 0, blocks[i].NumRows }
 }
 
+// compileArena is the storage one compile of a sampled step writes, all of
+// it overwritten by the next compile into the same arena: the schedule
+// with its per-block-row arrays, the slot fills (fills[i] is rank i's row
+// of the table, shipBufs[i] the array behind its fill maps and ship
+// lists) and the plan.
+type compileArena struct {
+	sched    nnzSchedule
+	fills    [][]slotFill
+	shipBufs [][]int
+	plan     Plan
+}
+
 // newSampledGatherPlan compiles the halo-gather schedule for one batch's
-// frontier blocks against the resident stores rs, and advances rs past it:
-// Algorithm 1 on a rectangular 1D plan whose input heights are the layout
-// blocks, whose accumulator heights are the frontiers, and whose exchange
-// ships only the rows not yet resident at their destination.
-func newSampledGatherPlan(w *comm.World, blocks []*sparse.CSR, layout Layout, rs *residentStores, marks scheduleMarks) *Plan {
-	plan := new1DPlan("sampled-gather", w, layout)
-	plan.inRows = make([]int, w.P)
-	plan.store = make([]int, w.P)
-	for i := range plan.inRows {
-		plan.inRows[i] = layout.Count(i)
+// frontier blocks against the resident stores rs into arena a, and
+// advances rs past it: Algorithm 1 on a rectangular 1D plan whose input
+// heights are the layout blocks, whose accumulator heights are the
+// frontiers, and whose exchange ships only the rows not yet resident at
+// their destination. The plan it returns is a's.
+func newSampledGatherPlan(w *comm.World, blocks []*sparse.CSR, layout Layout, rs *residentStores, marks scheduleMarks, a *compileArena) *Plan {
+	plan := init1DPlan(&a.plan, "sampled-gather", w, layout)
+	inRows, store := dense.Grow(&plan.inRows, w.P), dense.Grow(&plan.store, w.P)
+	for i := range inRows {
+		inRows[i] = layout.Count(i)
 		plan.outRows[i] = blocks[i].NumRows
 	}
-	sched := buildNnzSchedule(frontierRows(blocks), layout, marks)
-	fills := rs.advance(sched.recvIdx, layout)
-	for i := range plan.store {
-		plan.store[i] = len(rs.sets[i].rows)
+	sched := buildNnzSchedule(frontierRows(blocks), layout, marks, &a.sched)
+	fills := rs.advance(sched.recvIdx, layout, a)
+	for i := range store {
+		store[i] = len(rs.sets[i].rows)
 	}
 	writeAlgorithm1(plan, sched, fills)
 	return plan
@@ -106,27 +123,50 @@ type slotFill struct {
 }
 
 // residentSet indexes one rank's resident store: rows[pos] is the global
-// feature row at store row pos, and pos maps it back. Both hold at most the
-// rank's own row count, so all ranks' together are O(n).
+// feature row at store row pos, and slots finds it again — an
+// open-addressed table of pos+1 (0 is an empty slot) probed linearly from
+// a multiplicative hash, at least twice the store's bound in size. Both
+// are sized once by the rank's own row count, so all ranks' together are
+// O(n). Rows leave only in the reverse of the order they came (pop), so
+// emptying a row's slot returns the table to its state before the row
+// came: no row that came earlier probed past that slot, which was empty
+// then.
 type residentSet struct {
-	rows []int
-	pos  map[int]int
+	rows  []int
+	slots []int
+	shift uint // 64 − log2(len(slots)): the hash keeps the top bits
 }
 
 func newResidentSet(capacity int) residentSet {
-	return residentSet{rows: make([]int, 0, capacity), pos: make(map[int]int, capacity)}
+	size := 1
+	for size < 2*capacity {
+		size <<= 1
+	}
+	return residentSet{rows: make([]int, 0, capacity), slots: make([]int, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
 }
 
-// add makes g resident at the next store row; the caller checks capacity.
+// find returns g's slot: the one holding it, or the empty one where it
+// would go.
+func (s *residentSet) find(g int) int {
+	i := int(uint64(g) * 0x9E3779B97F4A7C15 >> s.shift)
+	for s.slots[i] != 0 && s.rows[s.slots[i]-1] != g {
+		i = (i + 1) & (len(s.slots) - 1)
+	}
+	return i
+}
+
+// add makes g, which is not resident, resident at the next store row; the
+// caller checks capacity.
 func (s *residentSet) add(g int) {
-	s.pos[g] = len(s.rows)
+	i := s.find(g)
 	s.rows = append(s.rows, g)
+	s.slots[i] = len(s.rows)
 }
 
 // pop forgets the row added last.
 func (s *residentSet) pop() {
 	last := len(s.rows) - 1
-	delete(s.pos, s.rows[last])
+	s.slots[s.find(s.rows[last])] = 0
 	s.rows = s.rows[:last]
 }
 
@@ -157,12 +197,12 @@ func (rs *residentStores) rewind(n int) {
 }
 
 // advance splits every landing slot of one step (recvIdx, the step's
-// NnzCols schedule) against the resident stores and makes the shipped rows
-// resident while their destination's store has room. fills[i][j] is slot
-// (i, j).
-func (rs *residentStores) advance(recvIdx [][][]int, layout Layout) [][]slotFill {
-	fills := make([][]slotFill, len(recvIdx))
-	par.For(len(recvIdx), func(i int) { fills[i] = rs.sets[i].split(recvIdx[i], i, layout) })
+// NnzCols schedule) against the resident stores into arena a's fill table
+// and makes the shipped rows resident while their destination's store has
+// room. fills[i][j] is slot (i, j).
+func (rs *residentStores) advance(recvIdx [][][]int, layout Layout, a *compileArena) [][]slotFill {
+	fills, bufs := dense.Grow(&a.fills, len(recvIdx)), dense.Grow(&a.shipBufs, len(recvIdx))
+	par.For(len(recvIdx), func(i int) { rs.sets[i].split(recvIdx[i], i, layout, &fills[i], &bufs[i]) })
 	for i := range fills {
 		for _, fl := range fills[i] {
 			for k := 0; k < fl.keep; k++ {
@@ -174,22 +214,24 @@ func (rs *residentStores) advance(recvIdx [][][]int, layout Layout) [][]slotFill
 }
 
 // split splits rank me's landing slots (its NnzCols rows by peer) against
-// its store, then keeps the shipped rows while the store has room, first
-// come first kept. Peers come in cyclic order from me+1 and rows in
-// ascending order: once stores fill, each sender is some rank's first peer,
-// so the room left is shared across senders rather than spent on rank 0's
-// rows everywhere, which would leave the highest rank shipping all it did.
-func (s *residentSet) split(recvIdx [][]int, me int, layout Layout) []slotFill {
-	fills := make([]slotFill, len(recvIdx))
-	// One array backs every fill map and ship list of the step; nothing is
-	// resident in an empty store, so that step needs none.
-	var buf []int
+// its store into *fills, one per peer, then keeps the shipped rows while
+// the store has room, first come first kept. Peers come in cyclic order
+// from me+1 and rows in ascending order: once stores fill, each sender is
+// some rank's first peer, so the room left is shared across senders rather
+// than spent on rank 0's rows everywhere, which would leave the highest
+// rank shipping all it did. *buf backs every fill map and ship list.
+func (s *residentSet) split(recvIdx [][]int, me int, layout Layout, fills *[]slotFill, buf *[]int) {
+	out := dense.Grow(fills, len(recvIdx))
+	clear(out)
+	// Nothing is resident in an empty store, so that step needs no fill
+	// maps.
+	var free []int
 	if len(s.rows) > 0 {
 		n := 0
 		for _, idx := range recvIdx {
 			n += len(idx)
 		}
-		buf = make([]int, 2*n)
+		free = dense.Grow(buf, 2*n)
 	}
 	for d := 1; d < len(recvIdx); d++ {
 		j := (me + d) % len(recvIdx)
@@ -198,14 +240,14 @@ func (s *residentSet) split(recvIdx [][]int, me int, layout Layout) []slotFill {
 			continue
 		}
 		lo, _ := layout.Range(j)
-		fl := &fills[j]
+		fl := &out[j]
 		fl.ship = idx
-		if buf != nil {
-			fill, ship := buf[:len(idx):len(idx)], buf[len(idx):len(idx):2*len(idx)]
-			buf = buf[2*len(idx):]
+		if free != nil {
+			fill, ship := free[:len(idx):len(idx)], free[len(idx):len(idx):2*len(idx)]
+			free = free[2*len(idx):]
 			for k, c := range idx {
-				if pos, ok := s.pos[lo+c]; ok {
-					fill[k] = -1 - pos
+				if p := s.slots[s.find(lo+c)]; p != 0 {
+					fill[k] = -p
 				} else {
 					fill[k] = len(ship)
 					ship = append(ship, c)
@@ -221,7 +263,6 @@ func (s *residentSet) split(recvIdx [][]int, me int, layout Layout) []slotFill {
 			s.add(lo + c)
 		}
 	}
-	return fills
 }
 
 // SampledGatherReference computes every rank's frontier aggregation of one
@@ -240,7 +281,7 @@ func SampledGatherReference(blocks []*sparse.CSR, layout Layout, x *dense.Matrix
 	if x.Rows != layout.N() {
 		panic(fmt.Sprintf("distmm: features have %d rows, layout n=%d", x.Rows, layout.N()))
 	}
-	sched := buildNnzSchedule(frontierRows(blocks), layout, nil)
+	sched := buildNnzSchedule(frontierRows(blocks), layout, nil, new(nnzSchedule))
 	outs := make([]*dense.Matrix, p)
 	for me := 0; me < p; me++ {
 		out := dense.New(blocks[me].NumRows, x.Cols)
@@ -269,7 +310,9 @@ func SampledGatherReference(blocks []*sparse.CSR, layout Layout, x *dense.Matrix
 // plus the ranks' resident stores and Recompile, which swaps in the next
 // batch's frontier blocks while keeping the grown per-rank workspaces, so
 // steady-state batches reuse buffers the way the full-batch engines do
-// across epochs.
+// across epochs. It compiles into two arenas in turn, and verifies with
+// scratch it keeps, so a warmed step's compile and Verify reuse storage
+// too.
 //
 // The stores hold rows of the feature slices earlier calls multiplied, so
 // every MultiplyInto must pass each rank the same (static) feature slice, at
@@ -278,6 +321,9 @@ type SampledGather struct {
 	planEngine
 	resident *residentStores
 	marks    scheduleMarks // the schedule builder's, kept across Recompiles
+	arenas   [2]compileArena
+	cur      int // the arena plan was compiled into
+	verifier verifier
 }
 
 // NewSampledGather compiles the gather plan for one batch's frontier
@@ -287,24 +333,34 @@ type SampledGather struct {
 // plan ships every row it names.
 func NewSampledGather(w *comm.World, blocks []*sparse.CSR, layout Layout) *SampledGather {
 	checkSampledInputs(w, blocks, layout)
-	rs, marks := newResidentStores(layout), newScheduleMarks()
-	plan := newSampledGatherPlan(w, blocks, layout, rs, marks)
-	return &SampledGather{planEngine{plan: plan, ws: newExecWS(plan)}, rs, marks}
+	e := &SampledGather{resident: newResidentStores(layout), marks: newScheduleMarks()}
+	e.plan = newSampledGatherPlan(w, blocks, layout, e.resident, e.marks, &e.arenas[0])
+	e.ws = newExecWS(e.plan)
+	return e
 }
 
 // Recompile replaces the schedule with the next batch's frontier blocks,
 // which the new plan does not retain, compiled against the resident stores
-// the plans before it filled. The per-rank workspaces persist: the
-// all-to-allv group is always the full world, so the grown buffers stay
-// valid and only resize upward. Must not be called concurrently with
-// MultiplyInto: a gather shared by the hosted ranks is recompiled only once
-// every rank has finished executing the previous plan — which any collective
-// they all join after their MultiplyInto establishes.
+// the plans before it filled. It compiles into the arena the plan before
+// the current one used, so the current plan stays valid: a plan Plan
+// returns is valid until the second Recompile after it. The per-rank
+// workspaces persist: the all-to-allv group is always the full world, so
+// the grown buffers stay valid and only resize upward. Must not be called
+// concurrently with MultiplyInto: a gather shared by the hosted ranks is
+// recompiled only once every rank has finished executing the previous plan
+// — which any collective they all join after their MultiplyInto
+// establishes.
 func (e *SampledGather) Recompile(blocks []*sparse.CSR) {
 	w, layout := e.plan.world, e.plan.layout
 	checkSampledInputs(w, blocks, layout)
-	e.plan = newSampledGatherPlan(w, blocks, layout, e.resident, e.marks)
+	e.cur = 1 - e.cur
+	e.plan = newSampledGatherPlan(w, blocks, layout, e.resident, e.marks, &e.arenas[e.cur])
 }
+
+// Verify is Verify of the current plan, with scratch the gather keeps for
+// the next plan's. Must not be called concurrently with Recompile or
+// another Verify.
+func (e *SampledGather) Verify() error { return e.verifier.verify(e.plan) }
 
 // Resident returns how many rows the ranks' stores hold together once the
 // current plan has run: the mark Rewind returns them to.

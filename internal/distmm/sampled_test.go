@@ -1,6 +1,7 @@
 package distmm
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -237,6 +238,75 @@ func TestSampledGatherRewind(t *testing.T) {
 	}
 }
 
+// TestSampledPlanSurvivesNextRecompile pins the compile arenas' lifetime:
+// a plan Plan returns is valid until the second Recompile after it. Over
+// frontiers alternately taller and shorter than the step before, step t's
+// plan keeps its fingerprint (every field and instruction in recorded
+// form), its slot fills and store heights, its volumes and its verdict
+// across step t+1's compile, and runs to the reference's bits after it;
+// step t+2 compiles into step t's arena, so the gather holds two plans'
+// storage, not one a step.
+func TestSampledPlanSurvivesNextRecompile(t *testing.T) {
+	const n, p, f = 96, 4, 3
+	layout := UniformLayout(n, p)
+	w := comm.NewWorld(p, machine.Perlmutter())
+	rng := rand.New(rand.NewSource(21))
+	x := dense.NewRandom(rng, n, f, 1)
+	frontiers := func(step int) []*sparse.CSR {
+		blocks := make([]*sparse.CSR, p)
+		for i := range blocks {
+			rows := rng.Intn(8) + 24*(step%2)
+			var coords []sparse.Coord
+			for r := 0; r < rows; r++ {
+				for k := rng.Intn(6); k >= 0; k-- {
+					coords = append(coords, sparse.Coord{Row: r, Col: rng.Intn(n), Val: 1 + rng.Float64()})
+				}
+			}
+			blocks[i] = sparse.NewCSR(rows, n, coords)
+		}
+		return blocks
+	}
+	snapshot := func(pl *Plan) (uint64, string) {
+		fills := fmt.Sprint(pl.store)
+		for _, prog := range pl.progs {
+			fills += fmt.Sprint(prog[0].fills)
+		}
+		return planFingerprint(pl), fills
+	}
+	blocks := frontiers(0)
+	g := NewSampledGather(w, blocks, layout)
+	var older *Plan
+	for step := 1; step <= 8; step++ {
+		plan := g.Plan()
+		fp, fills := snapshot(plan)
+		vols := plan.Volumes(f)
+		want := SampledGatherReference(blocks, layout, x)
+		next := frontiers(step)
+		g.Recompile(next)
+		if gotFP, gotFills := snapshot(plan); gotFP != fp || gotFills != fills {
+			t.Fatalf("step %d: the plan changed when step %d compiled", step-1, step)
+		}
+		if !slices.Equal(plan.Volumes(f), vols) {
+			t.Fatalf("step %d: volumes changed when step %d compiled", step-1, step)
+		}
+		if err := Verify(plan); err != nil {
+			t.Fatalf("step %d after step %d compiled: %v", step-1, step, err)
+		}
+		cur := g.Plan()
+		g.plan = plan // run step t's plan once more, as a hosted rank still may
+		for rank, out := range runSampledGather(w, g, x, layout) {
+			if !slices.Equal(out.Data, want[rank].Data) {
+				t.Fatalf("step %d rank %d: the plan ran to other bits after step %d compiled", step-1, rank, step)
+			}
+		}
+		g.plan = cur
+		if cur == plan || (older != nil && cur != older) {
+			t.Fatalf("step %d compiled into a third arena", step)
+		}
+		older, blocks = plan, next
+	}
+}
+
 // TestSampledGatherShapePanics pins the collective-call contract: wrong
 // input or output heights and aliased buffers panic instead of corrupting a
 // collective.
@@ -275,7 +345,7 @@ func TestVerifyRejectsBrokenSampledPlan(t *testing.T) {
 	layout := UniformLayout(n, p)
 	w := comm.NewWorld(p, machine.Perlmutter())
 	fresh := func() *Plan {
-		return newSampledGatherPlan(w, randomFrontiers(rand.New(rand.NewSource(4)), p, n), layout, newResidentStores(layout), nil)
+		return newSampledGatherPlan(w, randomFrontiers(rand.New(rand.NewSource(4)), p, n), layout, newResidentStores(layout), nil, new(compileArena))
 	}
 
 	if err := Verify(fresh()); err != nil {
@@ -308,8 +378,8 @@ func TestVerifyRejectsBrokenSampledPlan(t *testing.T) {
 	withFills := func(edit func(fl *slotFill, landed, store int)) *Plan {
 		frontiers := randomFrontiers(rand.New(rand.NewSource(4)), p, n)
 		rs := newResidentStores(layout)
-		newSampledGatherPlan(w, frontiers, layout, rs, nil)
-		pl := newSampledGatherPlan(w, frontiers, layout, rs, nil)
+		newSampledGatherPlan(w, frontiers, layout, rs, nil, new(compileArena))
+		pl := newSampledGatherPlan(w, frontiers, layout, rs, nil, new(compileArena))
 		for rank, prog := range pl.progs {
 			exch := &prog[0]
 			for j := range exch.fills {

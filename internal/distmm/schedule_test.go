@@ -100,14 +100,22 @@ func requireSameCSR(t *testing.T, what string, got, want *sparse.CSR) {
 
 // requireOracleSchedule compares the builder's schedule of rows with the
 // oracle's field for field, and each peer slot with the oracle's compact
-// block. It builds twice with one marking scratch, so a scratch the first
-// build leaves dirty shows in the second.
+// block. It builds into a fresh schedule, as the full-batch engines do,
+// and into one that first held a larger operand and then a smaller one, as
+// a sampled gather's arena does, so a stale row-pointer head or an entry
+// left over from an earlier build shows; and every build shares one
+// marking scratch, so a scratch a build leaves dirty shows in the next.
 func requireOracleSchedule(t *testing.T, rows rowSource, layout Layout) {
 	t.Helper()
 	want := oracleSchedule(rows, layout)
 	marks := newScheduleMarks()
-	for build := 0; build < 2; build++ {
-		got := buildNnzSchedule(rows, layout, marks)
+	larger, smaller := dirtyOperands(rows, layout)
+	for build, before := range [][]rowSource{nil, {larger, smaller}} {
+		s := new(nnzSchedule)
+		for _, src := range before {
+			buildNnzSchedule(src, layout, marks, s)
+		}
+		got := buildNnzSchedule(rows, layout, marks, s)
 		for i := range want.diag {
 			what := fmt.Sprintf("build %d block row %d", build, i)
 			requireSameCSR(t, what+" diag", got.diag[i], want.diag[i])
@@ -135,6 +143,31 @@ func requireOracleSchedule(t *testing.T, rows rowSource, layout Layout) {
 			t.Fatal("a marking array is not zeroed after the build")
 		}
 	}
+}
+
+// dirtyOperands returns two frontier-shaped operands over layout that fill
+// a schedule with other contents than rows: larger's block row i is three
+// rows taller than rows' and has every column in every row, smaller's is
+// half as tall with a third of the columns. Their values are negative,
+// which no case's are.
+func dirtyOperands(rows rowSource, layout Layout) (larger, smaller rowSource) {
+	k, n := layout.Blocks(), layout.N()
+	big, small := make([]*sparse.CSR, k), make([]*sparse.CSR, k)
+	for i := range big {
+		_, lo, hi := rows(i)
+		var full, third []sparse.Coord
+		for r := 0; r < hi-lo+3; r++ {
+			for c := 0; c < n; c++ {
+				full = append(full, sparse.Coord{Row: r, Col: c, Val: -float64(1 + r*n + c)})
+				if r < (hi-lo+1)/2 && (r+c)%3 == 0 {
+					third = append(third, sparse.Coord{Row: r, Col: c, Val: -float64(1 + c)})
+				}
+			}
+		}
+		big[i] = sparse.NewCSR(hi-lo+3, n, full)
+		small[i] = sparse.NewCSR((hi-lo+1)/2, n, third)
+	}
+	return frontierRows(big), frontierRows(small)
 }
 
 // require15DSlots compiles the sparsity-aware 1.5D engine at c = 2 over a
@@ -293,14 +326,16 @@ func recompileFrontiers(seed int64) (Layout, []*sparse.CSR) {
 	return UniformLayout(n, p), blocks
 }
 
-// TestSampledRecompileAllocs pins what compiling one sampled step
-// allocates: its plan, schedule and slot fills, a fixed number of arrays
-// per rank whatever the frontier's nonzeros. Built block by block, the
-// schedule made the step allocate 511 times here (every (i, j) block, its
-// column list and relabeled copy, grown entry by entry); built in two
-// passes, 73.
+// TestSampledRecompileAllocs pins what compiling one warmed sampled step
+// allocates: the schedule, slot fills and plan are written into the compile
+// arena the step before last used, so what is left is three closures — the
+// row source and the two par.For bodies (AllocsPerRun runs at GOMAXPROCS
+// 1, where par.For is a plain loop) — whatever the frontier. Built block by
+// block, the schedule made the step allocate 511 times here (every (i, j)
+// block, its column list and relabeled copy, grown entry by entry); built
+// in two passes into fresh arrays, 73.
 func TestSampledRecompileAllocs(t *testing.T) {
-	const bound = 80
+	const bound = 3
 	layout, first := recompileFrontiers(1)
 	_, next := recompileFrontiers(2)
 	g := NewSampledGather(comm.NewWorld(layout.Blocks(), machine.Perlmutter()), first, layout)

@@ -22,7 +22,7 @@ func BenchmarkLocalMultiplyNarrow(b *testing.B) {
 	part := partition.GVB{Seed: 1}.Partition(ds.G, p)
 	aHat := ds.G.NormalizedAdjacency().PermuteSymmetric(part.Perm())
 	layout := LayoutFromOffsets(part.Offsets())
-	sched := buildNnzSchedule(layoutRows(aHat, layout), layout, nil)
+	sched := buildNnzSchedule(layoutRows(aHat, layout), layout, nil, new(nnzSchedule))
 	me := 0
 	for i := range sched.diag {
 		if sched.diag[i].NNZ()+sched.halo[i].NNZ() > sched.diag[me].NNZ()+sched.halo[me].NNZ() {

@@ -137,7 +137,7 @@ func TestSweepMatchesSlotBySlot(t *testing.T) {
 			what := fmt.Sprintf("seed %d width %d", seed, f)
 			ran := w.Ledger.Snapshot()
 			requireSameTotals(t, what+" plan cost", plan.Cost(w.Params, f), ran, p)
-			requireSameTotals(t, what+" per-block form", slotBySlotCost(plan, buildNnzSchedule(layoutRows(a, layout), layout, nil), w.Params, f), ran, p)
+			requireSameTotals(t, what+" per-block form", slotBySlotCost(plan, buildNnzSchedule(layoutRows(a, layout), layout, nil, new(nnzSchedule)), w.Params, f), ran, p)
 		}
 	}
 }
@@ -187,7 +187,7 @@ func TestSweepSampledMixedSlots(t *testing.T) {
 		for r, got := range runSampledGather(w, g, x, layout) {
 			requireBits(t, "sampled sweep", want[r], got)
 		}
-		sched := buildNnzSchedule(frontierRows(blocks), layout, nil)
+		sched := buildNnzSchedule(frontierRows(blocks), layout, nil, new(nnzSchedule))
 		requireSameTotals(t, fmt.Sprintf("step %d", step), slotBySlotCost(plan, sched, w.Params, f), plan.Cost(w.Params, f), p)
 	}
 	if inPlace == 0 || filled == 0 || stored == 0 {

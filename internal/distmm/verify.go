@@ -2,9 +2,11 @@ package distmm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"sagnn/internal/comm"
+	"sagnn/internal/dense"
 )
 
 // This file is the static plan verifier. A Plan is a complete, immutable
@@ -129,8 +131,15 @@ func (p *Plan) Sites() int {
 // the schedule is provably well-formed and deadlock-free.
 // Checks run cheapest-first, and every pass reports deterministically.
 func Verify(p *Plan) error {
-	v, err := newVerifier(p)
-	if err != nil {
+	var v verifier
+	return v.verify(p)
+}
+
+// verify is Verify on v's storage, which it leaves grown for the next plan:
+// a verifier kept across plans (a sampled gather's) checks a warmed step
+// without allocating.
+func (v *verifier) verify(p *Plan) error {
+	if err := v.reset(p); err != nil {
 		return err
 	}
 	if err := v.checkPrograms(); err != nil {
@@ -144,7 +153,7 @@ func Verify(p *Plan) error {
 
 // verifier holds one Verify run's derived state: the per-pair queues and
 // per-group tables the count pre-check fills and the abstract run consumes,
-// each indexed in first-encounter order.
+// each indexed in first-encounter order, and the checks' scratch.
 type verifier struct {
 	p *Plan
 	n int
@@ -153,6 +162,9 @@ type verifier struct {
 	pairs    []p2pQueue
 	groupIdx map[*comm.Group]int // → groups index
 	groups   []collGroup
+
+	perRow            []int // checkHalo: entries per halo row
+	pc, waitOn, ready []int // run: per-rank program counter, awaited peer, ready stack
 }
 
 // p2pQueue is one (src, dst) pair: its send and receive counts, and its FIFO
@@ -181,55 +193,58 @@ func (v *verifier) err(k VerifyKind, rank, site int, format string, args ...any)
 	return &VerifyError{Plan: v.p.name, Kind: k, Rank: rank, Site: site, Detail: fmt.Sprintf(format, args...)}
 }
 
-// newVerifier validates the plan-global metadata shape and layout agreement.
-func newVerifier(p *Plan) (*verifier, error) {
-	v := &verifier{p: p}
+// reset points v at plan p, keeping its storage, and validates the
+// plan-global metadata shape and layout agreement.
+func (v *verifier) reset(p *Plan) error {
+	v.p, v.pairs, v.groups = p, v.pairs[:0], v.groups[:0]
+	clear(v.pairIdx)
+	clear(v.groupIdx)
 	if p == nil {
-		return nil, &VerifyError{Plan: "<nil>", Kind: VerifyStructure, Rank: -1, Site: -1, Detail: "nil plan"}
+		return &VerifyError{Plan: "<nil>", Kind: VerifyStructure, Rank: -1, Site: -1, Detail: "nil plan"}
 	}
 	v.n = len(p.progs)
 	if v.n == 0 {
-		return nil, v.err(VerifyStructure, -1, -1, "plan has no per-rank programs")
+		return v.err(VerifyStructure, -1, -1, "plan has no per-rank programs")
 	}
 	if p.world == nil || p.world.P != v.n {
-		return nil, v.err(VerifyStructure, -1, -1, "plan compiled for %d ranks does not match its world", v.n)
+		return v.err(VerifyStructure, -1, -1, "plan compiled for %d ranks does not match its world", v.n)
 	}
 	if len(p.blockOf) != v.n || len(p.outRows) != v.n || len(p.gradGroups) != v.n {
-		return nil, v.err(VerifyStructure, -1, -1, "per-rank metadata length does not match %d programs", v.n)
+		return v.err(VerifyStructure, -1, -1, "per-rank metadata length does not match %d programs", v.n)
 	}
 	if p.inRows != nil && len(p.inRows) != v.n {
-		return nil, v.err(VerifyStructure, -1, -1, "inRows length %d for %d ranks", len(p.inRows), v.n)
+		return v.err(VerifyStructure, -1, -1, "inRows length %d for %d ranks", len(p.inRows), v.n)
 	}
 	if p.store != nil && len(p.store) != v.n {
-		return nil, v.err(VerifyStructure, -1, -1, "store length %d for %d ranks", len(p.store), v.n)
+		return v.err(VerifyStructure, -1, -1, "store length %d for %d ranks", len(p.store), v.n)
 	}
 	blocks := p.layout.Blocks()
 	for rank := 0; rank < v.n; rank++ {
 		b := p.blockOf[rank]
 		if b < 0 || b >= blocks {
-			return nil, v.err(VerifyLayout, rank, -1, "block row %d outside layout of %d blocks", b, blocks)
+			return v.err(VerifyLayout, rank, -1, "block row %d outside layout of %d blocks", b, blocks)
 		}
 		if p.inRows == nil {
 			// Square plan: the output block is the layout block.
 			if want := p.layout.Count(b); p.outRows[rank] != want {
-				return nil, v.err(VerifyLayout, rank, -1, "output block has %d rows, layout block %d has %d", p.outRows[rank], b, want)
+				return v.err(VerifyLayout, rank, -1, "output block has %d rows, layout block %d has %d", p.outRows[rank], b, want)
 			}
 		} else {
 			// Rectangular plan: the dense input is the layout block; the
 			// accumulator height is free (the rank's batch frontier).
 			if want := p.layout.Count(b); p.inRows[rank] != want {
-				return nil, v.err(VerifyLayout, rank, -1, "input block has %d rows, layout block %d has %d", p.inRows[rank], b, want)
+				return v.err(VerifyLayout, rank, -1, "input block has %d rows, layout block %d has %d", p.inRows[rank], b, want)
 			}
 			if p.outRows[rank] < 0 {
-				return nil, v.err(VerifyLayout, rank, -1, "negative output height %d", p.outRows[rank])
+				return v.err(VerifyLayout, rank, -1, "negative output height %d", p.outRows[rank])
 			}
 		}
 		// A resident store holds at most the rank's own row count.
 		if p.store != nil && (p.store[rank] < 0 || p.store[rank] > p.inRowsOf(rank)) {
-			return nil, v.err(VerifyLayout, rank, -1, "resident store of %d rows outside [0, %d]", p.store[rank], p.inRowsOf(rank))
+			return v.err(VerifyLayout, rank, -1, "resident store of %d rows outside [0, %d]", p.store[rank], p.inRowsOf(rank))
 		}
 	}
-	return v, nil
+	return nil
 }
 
 // checkPrograms validates every instruction site locally: operand ranges,
@@ -385,7 +400,8 @@ func (v *verifier) checkHalo(rank, site int, in *instr, accRows int) *VerifyErro
 	if h.NumRows != accRows || h.NumCols != height {
 		return v.err(VerifyLayout, rank, site, "merged operand is %dx%d, accumulator %d rows, halo %d rows", h.NumRows, h.NumCols, accRows, height)
 	}
-	perRow := make([]int, height) // entries per halo row
+	perRow := dense.Grow(&v.perRow, height)
+	clear(perRow)
 	for _, c := range h.ColIdx {
 		if c < 0 || c >= height {
 			return v.err(VerifyLayout, rank, site, "merged operand entry in column %d, outside the halo's %d rows", c, height)
@@ -465,8 +481,9 @@ func (v *verifier) checkBlock(rank, site int, in *instr, accRows, opRows int) *V
 // receives as sends, and every member of a group enters as many of its
 // collectives as every other member.
 func (v *verifier) checkCounts() error {
-	v.pairIdx = make(map[[2]int]int)
-	v.groupIdx = make(map[*comm.Group]int)
+	if v.pairIdx == nil {
+		v.pairIdx, v.groupIdx = make(map[[2]int]int), make(map[*comm.Group]int)
+	}
 	for rank := 0; rank < v.n; rank++ {
 		prog := v.p.progs[rank]
 		for site := range prog {
@@ -486,7 +503,10 @@ func (v *verifier) checkCounts() error {
 					}
 					i = len(v.groups)
 					v.groupIdx[in.group] = i
-					v.groups = append(v.groups, collGroup{g: in.group, entries: make([]int, in.group.Size())})
+					v.groups = slices.Grow(v.groups, 1)[:i+1]
+					c := &v.groups[i]
+					c.g, c.parked = in.group, 0
+					clear(dense.Grow(&c.entries, in.group.Size()))
 				}
 				me, _ := in.group.Index(rank) // membership proven by checkPrograms
 				v.groups[i].entries[me]++
@@ -518,7 +538,8 @@ func (v *verifier) pair(src, dst int) *p2pQueue {
 	if !ok {
 		i = len(v.pairs)
 		v.pairIdx[[2]int{src, dst}] = i
-		v.pairs = append(v.pairs, p2pQueue{src: src, dst: dst})
+		v.pairs = slices.Grow(v.pairs, 1)[:i+1]
+		v.pairs[i] = p2pQueue{src: src, dst: dst, q: v.pairs[i].q[:0]}
 	}
 	return &v.pairs[i]
 }
@@ -533,11 +554,13 @@ func (v *verifier) pair(src, dst int) *p2pQueue {
 // no rank is ready are a deadlock.
 func (v *verifier) run() error {
 	p := v.p
-	pc := make([]int, v.n)
-	waitOn := make([]int, v.n) // the peer a blocked receive waits on, or -1
-	ready := make([]int, v.n)  // a stack; rank 0 runs first
+	pc := dense.Grow(&v.pc, v.n)
+	waitOn := dense.Grow(&v.waitOn, v.n) // the peer a blocked receive waits on, or -1
+	// A stack, rank 0 on top. A rank is on it at most once, so it never
+	// outgrows v.ready.
+	ready := dense.Grow(&v.ready, v.n)
 	for r := range ready {
-		ready[r], waitOn[r] = v.n-1-r, -1
+		pc[r], ready[r], waitOn[r] = 0, v.n-1-r, -1
 	}
 	for len(ready) > 0 {
 		rank := ready[len(ready)-1]

@@ -194,7 +194,7 @@ type step struct {
 	globalN      int
 	// plan is the compiled gather and err the verifier's verdict on it: they
 	// belong to this step, whatever the shared gather has been recompiled to
-	// since.
+	// since (the plan lives in the gather's arena for this step's turn).
 	plan *distmm.Plan
 	err  error
 }
@@ -215,8 +215,11 @@ type sampler struct {
 	// rank asks for t+2 only after it has left step t+1's last all-reduce,
 	// which no rank enters before it has finished reading step t. For the
 	// same reason the gather is recompiled for step t+1 only after every
-	// rank has executed step t's plan. A launch after an abort starts with
-	// every rank joined, so both slots are free.
+	// rank has executed step t's plan. The gather compiles into two arenas
+	// in the same turn as the slots, so a slot's plan stays valid exactly
+	// as long as the slot: step t's is rewritten by step t+2's compile. A
+	// launch after an abort starts with every rank joined, so both slots
+	// are free.
 	mu     sync.Mutex
 	slots  [2]step
 	cur    int  // the slot derived last
@@ -234,8 +237,10 @@ type sampler struct {
 
 	// predicted accumulates the byte-exact traffic prediction of every
 	// executed step: the gather plans' Volumes plus the loss and gradient
-	// all-reduces. Equal to the measured ledger delta by construction.
-	predicted []distmm.RankVolume
+	// all-reduces, whose lengths reductions lists (gcn.EpochCharges). Equal
+	// to the measured ledger delta by construction.
+	predicted  []distmm.RankVolume
+	reductions []int
 }
 
 // stepMark pairs a compiled step, numbered across epochs, with the
@@ -245,6 +250,7 @@ type stepMark struct{ step, resident int }
 func (d *Dist) newSampler() *sampler {
 	P, L := d.World.P, len(d.Dims)-1
 	sm := &sampler{d: d, chains: make([]chain, P), streams: make([]rankStream, P), predicted: make([]distmm.RankVolume, P)}
+	_, sm.reductions = gcn.EpochCharges(d.Dims, 0)
 	for rr := range sm.streams {
 		sm.streams[rr] = rankStream{em: newEmitter(d.AHat, d.self, d.Cfg.Fanout), epoch: -1}
 	}
@@ -292,8 +298,7 @@ func (sm *sampler) step(epoch, s int) *step {
 		sm.marks = append(sm.marks, stepMark{step: t, resident: sm.gather.Resident()})
 		sm.gather.Recompile(st.bottoms)
 	}
-	st.plan = sm.gather.Plan()
-	st.err = distmm.Verify(st.plan)
+	st.plan, st.err = sm.gather.Plan(), sm.gather.Verify()
 	return st
 }
 
@@ -377,8 +382,7 @@ func (sm *sampler) addPredicted(plan *distmm.Plan) {
 		sm.predicted[rank].RecvBytes += v.RecvBytes
 		sm.predicted[rank].MsgsSent += v.MsgsSent
 	}
-	_, reductions := gcn.EpochCharges(d.Dims, 0)
-	for _, n := range reductions {
+	for _, n := range sm.reductions {
 		s, rcv, m := comm.AllReduceVolume(n, d.World.P)
 		for rank := range sm.predicted {
 			sm.predicted[rank].SentBytes += s

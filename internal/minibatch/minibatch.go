@@ -245,10 +245,7 @@ func (c *chain) transposed(l int) *sparse.CSR {
 	if len(c.adjT) != len(c.blocks) {
 		c.adjT = make([]sparse.CSR, len(c.blocks))
 	}
-	if cap(c.tposeScratch) < adj.NumCols {
-		c.tposeScratch = make([]int, adj.NumCols)
-	}
-	adj.TransposeInto(&c.adjT[l], c.tposeScratch[:adj.NumCols])
+	adj.TransposeInto(&c.adjT[l], dense.Grow(&c.tposeScratch, adj.NumCols))
 	return &c.adjT[l]
 }
 

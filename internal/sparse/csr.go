@@ -128,15 +128,15 @@ func (m *CSR) Transpose() *CSR {
 	return t
 }
 
-// TransposeInto computes mᵀ into a reusable destination: dst's slices are
-// grown once and reused across calls, so steady-state transposition of
+// TransposeInto computes mᵀ into a reusable destination: dst's slices grow
+// by dense.Grow and are reused across calls, so steady-state transposition of
 // same-shaped matrices allocates nothing. next, when non-nil, must be a
 // scratch slice of length ≥ NumCols; a nil next allocates a fresh one.
 func (m *CSR) TransposeInto(dst *CSR, next []int) {
 	dst.NumRows, dst.NumCols = m.NumCols, m.NumRows
-	dst.RowPtr = growInts(dst.RowPtr, m.NumCols+1)
-	dst.ColIdx = growInts(dst.ColIdx, m.NNZ())
-	dst.Val = growFloats(dst.Val, m.NNZ())
+	dense.Grow(&dst.RowPtr, m.NumCols+1)
+	dense.Grow(&dst.ColIdx, m.NNZ())
+	dense.Grow(&dst.Val, m.NNZ())
 	for i := range dst.RowPtr {
 		dst.RowPtr[i] = 0
 	}
@@ -277,7 +277,7 @@ func (m *CSR) Submatrix(rows, cols []int, colPos []int) *CSR {
 }
 
 // SubmatrixInto is Submatrix writing into a reusable destination: dst's
-// slices are grown once and reused across calls, so steady-state extraction
+// slices grow by dense.Grow and are reused across calls, so steady-state extraction
 // of same-sized receptive fields allocates nothing.
 func (m *CSR) SubmatrixInto(dst *CSR, rows, cols []int, colPos []int) {
 	if colPos == nil {
@@ -300,9 +300,9 @@ func (m *CSR) SubmatrixInto(dst *CSR, rows, cols []int, colPos []int) {
 		nnz += m.RowNNZ(r)
 	}
 	dst.NumRows, dst.NumCols = len(rows), len(cols)
-	dst.RowPtr = growInts(dst.RowPtr, len(rows)+1)
-	dst.ColIdx = growInts(dst.ColIdx, nnz)
-	dst.Val = growFloats(dst.Val, nnz)
+	dense.Grow(&dst.RowPtr, len(rows)+1)
+	dense.Grow(&dst.ColIdx, nnz)
+	dense.Grow(&dst.Val, nnz)
 	q := 0
 	dst.RowPtr[0] = 0
 	for i, r := range rows {
@@ -320,22 +320,6 @@ func (m *CSR) SubmatrixInto(dst *CSR, rows, cols []int, colPos []int) {
 	for _, c := range cols {
 		colPos[c] = -1
 	}
-}
-
-// growInts resizes s to length n, reallocating only when capacity is short.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// growFloats resizes s to length n, reallocating only when capacity is short.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }
 
 // ExtractBlock returns the submatrix of rows [rows.Lo, rows.Hi) and columns
