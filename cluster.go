@@ -257,17 +257,18 @@ func validateExec(m ExecMode) error {
 }
 
 // DistGraph is a dataset distributed across a cluster: the permuted
-// normalized adjacency, relabeled features/labels/splits, the block-row
-// layout, the communication engine with its sparsity-aware schedule, and
-// what depends on nothing else — the first layer's aggregate Â·X, which
-// training never changes.
+// normalized adjacency, relabeled labels/splits, the feature rows the
+// process's ranks read, the block-row layout, the communication engine with
+// its sparsity-aware schedule, and what depends on nothing else — the first
+// layer's aggregate Â·X, which training never changes.
 //
 // Building a DistGraph is the expensive, amortizable step the paper
 // identifies (partitioning plus NnzCols schedule construction); once built
 // it can back any number of training sessions — different seeds or model
 // shapes — without repeating that work. Â·X is part of
 // that set-up, paid lazily: the first full-batch step of any session on the
-// graph computes it (one distributed SpMM at the feature width), every
+// graph computes it (one launch: a distributed SpMM per column panel of
+// the features), every
 // epoch of every session reads it, and a graph that only ever trains
 // sampled never computes it.
 type DistGraph struct {
@@ -282,6 +283,11 @@ type DistGraph struct {
 	*prepared
 	engine distmm.Engine
 	report *Report
+	// x holds the features the ranks this process hosts own, in the
+	// engine's vertex order (gcn.HostedRows): every row on a simulated
+	// cluster, one rank's block on a TCP one. Without a partitioner it is a
+	// view of the dataset's features, else their one permuted copy.
+	x *dense.Matrix
 
 	// input is Â·X over engine and x, shared by every session's trainer and
 	// used under cluster.mu.
@@ -289,15 +295,17 @@ type DistGraph struct {
 }
 
 // prepared is a dataset staged for a k-block distribution: the (optionally
-// permuted) normalized adjacency, relabeled features, labels and training
-// set, the block-row layout, and the partition quality when a partitioner
-// ran. The held-out splits stay in the dataset's order, where runs evaluate
-// (Session.result).
+// permuted) normalized adjacency, relabeled labels and training set, the
+// permutation, the block-row layout, and the partition quality when a
+// partitioner ran. The features stay unpermuted until Distribute has picked
+// a row and knows which ranks the process hosts (hostedFeatures), so
+// pricing copies none. The held-out splits stay in the dataset's order,
+// where runs evaluate (Session.result).
 type prepared struct {
 	aHat    *sparse.CSR
-	x       *dense.Matrix
 	labels  []int
 	train   []int
+	perm    []int // vertex v's id in the staged order; nil: the dataset's own
 	layout  distmm.Layout
 	quality *partition.Quality
 }
@@ -308,7 +316,6 @@ type prepared struct {
 func prepare(ds *Dataset, pt Partitioner, k int) *prepared {
 	p := &prepared{
 		aHat:   ds.NormalizedAdjacency(),
-		x:      ds.Features,
 		labels: ds.Labels,
 		train:  ds.Train,
 	}
@@ -316,10 +323,10 @@ func prepare(ds *Dataset, pt Partitioner, k int) *prepared {
 		part := pt.Partition(ds.G, k)
 		q := partition.Evaluate(pt.Name(), ds.G, part)
 		p.quality = &q
-		perm := part.Perm()
-		p.aHat = p.aHat.PermuteSymmetric(perm)
+		p.perm = part.Perm()
+		p.aHat = p.aHat.PermuteSymmetric(p.perm)
 		var sets [][]int
-		p.x, p.labels, sets = gcn.ApplyPerm(perm, p.x, p.labels, p.train)
+		p.labels, sets = gcn.Relabel(p.perm, p.labels, p.train)
 		p.train = sets[0]
 		p.layout = distmm.LayoutFromOffsets(part.Offsets())
 	} else {
@@ -387,12 +394,25 @@ func (c *Cluster) Distribute(ds *Dataset, opts DistOpts) (*DistGraph, error) {
 			Candidates:       cands,
 			PartitionQuality: prep.quality,
 		},
-		input: &gcn.InputProduct{World: c.world, Engine: engine, X: prep.x},
 	}
+	g.x = hostedFeatures(c.world, engine, ds.Features, prep.perm)
+	g.input = &gcn.InputProduct{World: c.world, Engine: engine, X: g.x}
 	if opts.Sampling != nil {
 		g.sampling, g.opts.Sampling = *opts.Sampling, nil
 	}
 	return g, nil
+}
+
+// hostedFeatures returns the rows of x, permuted by perm (nil: as they
+// are), that the ranks this process hosts own under e: all of them in one
+// copy on a simulated world, one block's over TCP, gathered straight from
+// x. Unpermuted rows are a view of x.
+func hostedFeatures(w *comm.World, e distmm.Engine, x *dense.Matrix, perm []int) *dense.Matrix {
+	lo, hi := gcn.HostedSpan(w, func(rank int) (int, int) { return e.Layout().Range(e.BlockOf(rank)) })
+	if perm == nil {
+		return x.SliceRows(lo, hi)
+	}
+	return x.PermutedRows(perm, lo, hi)
 }
 
 // Cluster returns the cluster this graph is distributed over.

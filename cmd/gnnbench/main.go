@@ -15,7 +15,8 @@
 // -estimate prints the predicted-vs-measured cost table without training:
 // every algorithm candidate (1D, 1.5D over c ∈ {2,4}) priced from its
 // compiled communication plan by Cluster.Estimate, verified against the
-// volumes of one executed SpMM. The α–β constants the table prices
+// volumes and modeled time of its executed set-up product Â·X (the feature
+// width in column panels). The α–β constants the table prices
 // with can come from the calibration probe (-calibrate fits them against
 // the simulated backend) or be set directly (-alpha/-beta, e.g. values a
 // TCP `train -calibrate` run measured on real links) — this is how

@@ -39,12 +39,14 @@ type Candidate struct {
 	MaxSentMB float64
 	AvgSentMB float64
 	// SetupSeconds and SetupMaxSentMB price the first layer's Â·X the same
-	// way: one multiply at the feature width, and the most any rank sends in
-	// it. Training never changes its operands, so a DistGraph pays it once,
-	// ahead of its first full-batch epoch, and TrainResult reports the
-	// measured counterpart on the run that did. It is the widest multiply there is —
-	// the one the paper's volume tables are computed at — but it does not
-	// recur, so selection minimizes the epoch.
+	// way, as it runs: the feature width in column panels
+	// (distmm.SetupWidths), one multiply each, and the most any rank
+	// sends in them — the bytes of one feature-width multiply, the α terms
+	// of one per panel. Training never changes its operands, so a DistGraph
+	// pays it once, ahead of its first full-batch epoch, and TrainResult
+	// reports the measured counterpart on the run that did. It is the widest
+	// product there is — the one the paper's volume tables are computed
+	// at — but it does not recur, so selection minimizes the epoch.
 	SetupSeconds   float64
 	SetupMaxSentMB float64
 	// Sites counts the plan instruction sites (summed over ranks) that the
@@ -124,16 +126,9 @@ func (g *DistGraph) Report() *Report {
 func priceEpoch(e distmm.Engine, params machine.Params, dims []int) (epoch *machine.Snapshot, sent, recv, multSent []int64) {
 	// dims[1] is the hidden width whenever L ≥ 2; L = 1 issues no multiply.
 	L, pl := len(dims)-1, e.Plan()
-	widths := gcn.EpochMultiplyWidths(dims[0], dims[1], dims[L], L, false)
-	p := pl.Ranks()
-	sent, recv = make([]int64, p), make([]int64, p)
-	for _, w := range widths {
-		for r, v := range pl.Volumes(w) {
-			sent[r] += v.SentBytes
-			recv[r] += v.RecvBytes
-		}
-	}
+	mult, sent, recv := priceMultiplies(pl, params, gcn.EpochMultiplyWidths(dims[0], dims[1], dims[L], L, false))
 	multSent = append([]int64(nil), sent...)
+	p := pl.Ranks()
 	trainer := machine.NewLedger(p)
 	for r := 0; r < p; r++ {
 		lo, hi := e.Layout().Range(e.BlockOf(r))
@@ -150,7 +145,22 @@ func priceEpoch(e distmm.Engine, params machine.Params, dims []int) (epoch *mach
 			recv[r] += rv
 		}
 	}
-	return pl.EpochCost(params, widths).Add(trainer.Snapshot()), sent, recv, multSent
+	return mult.Add(trainer.Snapshot()), sent, recv, multSent
+}
+
+// priceMultiplies prices a sequence of collective multiplies on pl at the
+// given dense widths: their modeled phases and each rank's sent and
+// received bytes. An epoch's multiplies (priceEpoch) and the set-up product
+// (distmm.SetupWidths) are both such sequences.
+func priceMultiplies(pl *distmm.Plan, params machine.Params, widths []int) (cost *machine.Snapshot, sent, recv []int64) {
+	sent, recv = make([]int64, pl.Ranks()), make([]int64, pl.Ranks())
+	for _, w := range widths {
+		for r, v := range pl.Volumes(w) {
+			sent[r] += v.SentBytes
+			recv[r] += v.RecvBytes
+		}
+	}
+	return pl.EpochCost(params, widths), sent, recv
 }
 
 // PriceEpoch prices full-batch training of a cfg-shaped model on the graph
@@ -197,6 +207,7 @@ func sweepCandidates(world *comm.World, ds *Dataset, specs []distmm.CandidateSpe
 	bestCost := 0.0
 	cfg, fin := ModelConfig{}.withDefaults(), ds.FeatureDim()
 	dims := gcn.LayerDims(fin, cfg.Hidden, ds.Classes, cfg.Layers)
+	setup := distmm.SetupWidths(fin)
 	preps := make(map[int]*prepared) // block count → staged dataset
 	for _, spec := range specs {
 		alg := Algorithm(spec.Name)
@@ -223,16 +234,17 @@ func sweepCandidates(world *comm.World, ds *Dataset, specs []distmm.CandidateSpe
 			return nil, -1, nil, nil, verr
 		}
 		epoch, _, _, multSent := priceEpoch(e, world.Params, dims)
+		setupCost, setupSent, _ := priceMultiplies(pl, world.Params, setup)
 		cand := Candidate{
 			Algorithm:    alg,
 			Replication:  pl.Replication(),
 			EpochSeconds: epoch.Total(),
 			Breakdown:    epoch.Breakdown(),
-			SetupSeconds: pl.Cost(world.Params, fin).Total(),
+			SetupSeconds: setupCost.Total(),
 			Sites:        pl.Sites(),
 		}
 		cand.MaxSentMB, cand.AvgSentMB = distmm.SentSummaryMB(multSent)
-		cand.SetupMaxSentMB, _ = distmm.SentSummaryMB(pl.EpochSentBytes([]int{fin}))
+		cand.SetupMaxSentMB, _ = distmm.SentSummaryMB(setupSent)
 		if best < 0 || cand.EpochSeconds < bestCost {
 			best, bestCost, engine, prep = len(cands), cand.EpochSeconds, e, rowPrep
 		}

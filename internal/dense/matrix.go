@@ -333,15 +333,37 @@ func VStack(ms ...*Matrix) *Matrix {
 // PermuteRows returns a new matrix whose row perm[i] is m's row i
 // (i.e. new[perm[i]] = old[i]), matching the "relabel vertex i as perm[i]"
 // convention used by the partitioners.
-func (m *Matrix) PermuteRows(perm []int) *Matrix {
+func (m *Matrix) PermuteRows(perm []int) *Matrix { return m.PermutedRows(perm, 0, m.Rows) }
+
+// PermutedRows returns rows [lo, hi) of m.PermuteRows(perm) without building
+// the rest: the rows a process keeps of a permuted matrix it holds only a
+// block of.
+func (m *Matrix) PermutedRows(perm []int, lo, hi int) *Matrix {
 	if len(perm) != m.Rows {
 		panic(fmt.Sprintf("dense: PermuteRows perm len %d != rows %d", len(perm), m.Rows))
 	}
-	out := New(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		copy(out.Row(perm[i]), m.Row(i))
+	if lo < 0 || hi > m.Rows || lo > hi {
+		panic(fmt.Sprintf("dense: PermutedRows [%d,%d) of %d rows", lo, hi, m.Rows))
+	}
+	out := New(hi-lo, m.Cols)
+	for i, p := range perm {
+		if p >= lo && p < hi {
+			copy(out.Row(p-lo), m.Row(i))
+		}
 	}
 	return out
+}
+
+// CopyCols copies w columns of src, from column sc on, into dst's columns
+// from dc on, row by row; dst and src have the same row count. It moves a
+// column panel in or out of a matrix (dense storage has no column view).
+func CopyCols(dst *Matrix, dc int, src *Matrix, sc, w int) {
+	if dst.Rows != src.Rows || dc < 0 || sc < 0 || w < 0 || dc+w > dst.Cols || sc+w > src.Cols {
+		panic(fmt.Sprintf("dense: CopyCols %d columns from %dx%d at %d into %dx%d at %d", w, src.Rows, src.Cols, sc, dst.Rows, dst.Cols, dc))
+	}
+	for i := 0; i < dst.Rows; i++ {
+		copy(dst.Data[i*dst.Cols+dc:i*dst.Cols+dc+w], src.Data[i*src.Cols+sc:i*src.Cols+sc+w])
+	}
 }
 
 // Grow resizes *buf to n elements and returns it, reallocating only when

@@ -460,3 +460,37 @@ func TestGlorotBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestPermutedRowsAreRowsOfPermuteRows: every row range of the permuted
+// matrix, built alone, is those rows of the whole permuted matrix.
+func TestPermutedRowsAreRowsOfPermuteRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := randMat(rng, 9, 4)
+	perm := rng.Perm(9)
+	whole := m.PermuteRows(perm)
+	for lo := 0; lo <= 9; lo++ {
+		for hi := lo; hi <= 9; hi++ {
+			if got := m.PermutedRows(perm, lo, hi); !got.Equal(whole.SliceRows(lo, hi), 0) {
+				t.Fatalf("rows [%d,%d): %v, want %v", lo, hi, got, whole.SliceRows(lo, hi))
+			}
+		}
+	}
+}
+
+// TestCopyColsRoundTrip: cutting a matrix into column panels and writing
+// them back rebuilds it, at every panel width.
+func TestCopyColsRoundTrip(t *testing.T) {
+	m := randMat(rand.New(rand.NewSource(5)), 7, 11)
+	for w := 1; w <= 11; w++ {
+		out := New(7, 11)
+		for c := 0; c < 11; c += w {
+			n := min(w, 11-c)
+			panel := New(7, n)
+			CopyCols(panel, 0, m, c, n)
+			CopyCols(out, c, panel, 0, n)
+		}
+		if !out.Equal(m, 0) {
+			t.Fatalf("panels of %d: %v, want %v", w, out, m)
+		}
+	}
+}

@@ -291,6 +291,30 @@ func (p *Plan) EpochCost(params machine.Params, widths []int) *machine.Snapshot 
 	return c
 }
 
+// setupPanel is the column width of the multiplies the set-up product
+// Â·X runs as (SetupWidths). Every executor workspace and pooled transport
+// buffer a multiply grows is sized by its width and kept for the next
+// multiply, so one at the feature width (300 or 602 on the presets) would
+// size them for the rest of the run; in panels they stay this wide. 64 is
+// wider than every epoch multiply of the default model (16 hidden units:
+// an epoch multiplies at hidden widths only), so no epoch regrows one, and
+// a wider panel saves only α terms (EXPERIMENTS.md "What set-up keeps").
+const setupPanel = 64
+
+// SetupWidths returns the dense widths of the multiplies the set-up product
+// Â·X of an f-feature input runs as, in order: f in column panels of
+// setupPanel, the last one narrower when setupPanel does not divide f.
+// gcn.InputProduct issues exactly these and the candidate sweep prices them
+// (EpochCost over these widths): the bytes are one f-wide multiply's,
+// since volume is linear in width, and each panel adds its α terms.
+func SetupWidths(f int) []int {
+	widths := make([]int, 0, (f+setupPanel-1)/setupPanel)
+	for c := 0; c < f; c += setupPanel {
+		widths = append(widths, min(setupPanel, f-c))
+	}
+	return widths
+}
+
 // EpochSentBytes sums the plan's predicted per-rank send bytes over the
 // dense widths of an epoch's multiplies.
 func (p *Plan) EpochSentBytes(widths []int) []int64 {

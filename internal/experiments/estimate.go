@@ -17,35 +17,43 @@ import (
 // verification, the epoch price, predicted volumes and the AlgorithmAuto
 // selection all come from the public API, so this table
 // cannot drift from what Distribute would select — next to the volumes and
-// modeled time actually measured by executing a single distributed SpMM. It
+// modeled time actually measured by executing the set-up product Â·X. It
 // reproduces the paper's algorithm-comparison methodology from structure
 // alone: the winner can be read off the predicted columns, and the Match
 // columns certify the prediction byte-for-byte.
 type EstimateRow struct {
 	sagnn.Candidate
-	// PredMultiplyBytes / MeasMultiplyBytes compare one multiply at the
-	// feature width — the set-up multiply Â·X a DistGraph pays once, which
-	// Candidate.Setup* prices — executed: plan-predicted vs measured total
-	// send bytes. Match reports exact equality.
+	// PredMultiplyBytes / MeasMultiplyBytes compare the set-up product Â·X
+	// a DistGraph pays once, which Candidate.Setup* prices — the feature
+	// width in column panels (distmm.SetupWidths), one multiply each —
+	// executed: plan-predicted vs measured total send bytes. Match reports
+	// exact equality.
 	PredMultiplyBytes int64
 	MeasMultiplyBytes int64
 	Match             bool
-	// MeasMultSec is the ledger delta of executing that same multiply;
+	// MeasMultSec is the ledger delta of executing that same product;
 	// TimeMatch reports that it agrees with the candidate's SetupSeconds
 	// within floating-point noise.
 	MeasMultSec float64
 	TimeMatch   bool
 }
 
-// measureMultiply executes one collective multiply at h's width and returns
-// the total bytes sent across ranks plus the modeled seconds the run charged
-// to the ledger.
-func measureMultiply(w *comm.World, e distmm.Engine, h *dense.Matrix) (int64, float64) {
+// measureSetup executes the set-up product of h in one launch, as
+// gcn.InputProduct runs it: one collective multiply per column panel of
+// h (distmm.SetupWidths). It returns the total bytes sent across ranks plus
+// the modeled seconds the launch charged to the ledger.
+func measureSetup(w *comm.World, e distmm.Engine, h *dense.Matrix) (int64, float64) {
 	lay := e.Layout()
 	v0, l0 := w.Stats().Snapshot(), w.Ledger.Snapshot()
 	w.Run(func(r *comm.Rank) {
 		lo, hi := lay.Range(e.BlockOf(r.ID))
-		e.MultiplyInto(r, h.SliceRows(lo, hi), dense.New(hi-lo, h.Cols))
+		c := 0
+		for _, f := range distmm.SetupWidths(h.Cols) {
+			panel := dense.New(hi-lo, f)
+			dense.CopyCols(panel, 0, h.SliceRows(lo, hi), c, f)
+			e.MultiplyInto(r, panel, dense.New(hi-lo, f))
+			c += f
+		}
 	})
 	return w.Stats().Snapshot().Sub(v0).TotalSent(), w.Ledger.Snapshot().Sub(l0).Total()
 }
@@ -54,9 +62,9 @@ func measureMultiply(w *comm.World, e distmm.Engine, h *dense.Matrix) (int64, fl
 // count p with Cluster.Estimate under the given machine parameters — pass
 // α–β fitted from measured transfers (Cluster.Calibrate) and every candidate
 // is priced against the actual hardware instead of the paper's assumed
-// constants — and certifies each feasible row by executing exactly one
-// distributed SpMM at the feature width: volumes byte-for-byte, modeled
-// time against the cost model.
+// constants — and certifies each feasible row by executing its set-up
+// product, the feature width in column panels: volumes byte-for-byte,
+// modeled time against the cost model.
 func EstimateTable(preset gen.Preset, scaleDiv, p int, seed int64, params sagnn.MachineParams) ([]EstimateRow, error) {
 	ds, err := loadDataset(preset, seed, scaleDiv)
 	if err != nil {
@@ -83,10 +91,10 @@ func EstimateTable(preset gen.Preset, scaleDiv, p int, seed int64, params sagnn.
 			if err != nil {
 				return nil, err
 			}
-			for _, v := range e.Plan().Volumes(f0) {
-				row.PredMultiplyBytes += v.SentBytes
+			for _, b := range e.Plan().EpochSentBytes(distmm.SetupWidths(f0)) {
+				row.PredMultiplyBytes += b
 			}
-			row.MeasMultiplyBytes, row.MeasMultSec = measureMultiply(w, e, h)
+			row.MeasMultiplyBytes, row.MeasMultSec = measureSetup(w, e, h)
 			row.Match = row.MeasMultiplyBytes == row.PredMultiplyBytes
 			row.TimeMatch = timeAgrees(row.SetupSeconds, row.MeasMultSec)
 		}
@@ -112,7 +120,7 @@ func timeAgrees(pred, meas float64) bool {
 }
 
 // PrintEstimateTable renders the predicted-vs-measured table: modeled epoch
-// time, predicted per-epoch volumes, the modeled one-time set-up multiply with the executed
+// time, predicted per-epoch volumes, the modeled one-time set-up product with the executed
 // certification of its bytes and modeled time, and the instruction-site
 // count the static verifier proved safe. The row AlgorithmAuto would pick
 // carries the "<== selected" note Report.String prints.

@@ -18,8 +18,9 @@ import (
 type Distributed struct {
 	World  *comm.World
 	Engine distmm.Engine
-	// X, Labels, Train are global and already permuted into the engine's
-	// vertex order (see ApplyPerm).
+	// X is the feature matrix in the engine's vertex order (see ApplyPerm):
+	// every row, or exactly the rows of the ranks this process hosts
+	// (HostedRows). Labels and Train are global and permuted alike.
 	X      *dense.Matrix
 	Labels []int
 	Train  []int
@@ -36,12 +37,11 @@ type Distributed struct {
 	Input *InputProduct
 }
 
-// NewDistributed validates shapes.
+// NewDistributed validates shapes. x holds every feature row or only the
+// hosted ones (HostedRows).
 func NewDistributed(w *comm.World, e distmm.Engine, x *dense.Matrix, labels []int, train []int, dims []int, lr float64, seed int64) *Distributed {
-	if e.Layout().N() != x.Rows {
-		panic(fmt.Sprintf("gcn: engine layout n=%d, X has %d rows", e.Layout().N(), x.Rows))
-	}
-	if len(labels) != x.Rows {
+	HostedOffset(w, e.Layout().N(), blockRange(e), x)
+	if len(labels) != e.Layout().N() {
 		panic("gcn: labels misaligned")
 	}
 	if dims[0] != x.Cols {
@@ -57,9 +57,10 @@ func NewDistributed(w *comm.World, e distmm.Engine, x *dense.Matrix, labels []in
 var multiplyObserver atomic.Pointer[func(width int)]
 
 // ObserveMultiplies installs fn as the process-wide multiply observer; nil
-// removes it. Tests use it to count what a session runs — one feature-width
-// multiply per distributed graph, EpochMultiplyWidths per epoch — instead
-// of trusting a hand-written width list.
+// removes it. Tests use it to count what a session runs — the set-up's
+// panels (distmm.SetupWidths) once per distributed graph,
+// EpochMultiplyWidths per epoch — instead of trusting a hand-written width
+// list.
 func ObserveMultiplies(fn func(width int)) { multiplyObserver.Store(&fn) }
 
 // multiply is this rank's part of one collective Â·h over the engine.
@@ -70,19 +71,68 @@ func multiply(e distmm.Engine, r *comm.Rank, h, out *dense.Matrix) {
 	e.MultiplyInto(r, h, out)
 }
 
+// blockRange returns the engine's rank → block rows map.
+func blockRange(e distmm.Engine) func(rank int) (lo, hi int) {
+	return func(rank int) (int, int) { return e.Layout().Range(e.BlockOf(rank)) }
+}
+
+// HostedSpan returns the rows [lo, hi) of the global vertex order that the
+// ranks this process hosts own, given each rank's rows: every row on an
+// in-process world, one rank's block over TCP.
+func HostedSpan(w *comm.World, rowsOf func(rank int) (lo, hi int)) (lo, hi int) {
+	lo = -1
+	for _, rank := range w.Hosted() {
+		l, h := rowsOf(rank)
+		if lo < 0 || l < lo {
+			lo = l
+		}
+		hi = max(hi, h)
+	}
+	return lo, hi
+}
+
+// HostedOffset returns the global row of x's first row: x, a matrix in an
+// n-row vertex order, holds either every row (0) or exactly the process's
+// HostedSpan. Anything else panics.
+func HostedOffset(w *comm.World, n int, rowsOf func(rank int) (lo, hi int), x *dense.Matrix) int {
+	if x.Rows == n {
+		return 0
+	}
+	lo, hi := HostedSpan(w, rowsOf)
+	if x.Rows != hi-lo {
+		panic(fmt.Sprintf("gcn: X has %d rows: neither the layout's %d nor the %d rows [%d,%d) this process hosts", x.Rows, n, hi-lo, lo, hi))
+	}
+	return lo
+}
+
+// HostedRows returns a hosted rank's rows of x (a view), where x is a
+// matrix in an n-row vertex order held whole or as exactly the process's
+// HostedSpan — how a multi-process rank keeps its features: only its own
+// block's rows, which is all it reads.
+func HostedRows(w *comm.World, n int, rowsOf func(rank int) (lo, hi int), x *dense.Matrix, rank int) *dense.Matrix {
+	off := HostedOffset(w, n, rowsOf, x)
+	lo, hi := rowsOf(rank)
+	return x.SliceRows(lo-off, hi-off)
+}
+
 // InputProduct is Â·H⁰ of a distributed graph: the one multiply of the
 // full-batch epoch whose operands training never changes — Â and H⁰ = X are
 // fixed by the distribution — and the widest, at the feature width. It is
-// computed once, by the collective Engine.MultiplyInto an epoch would have
-// issued, so on every engine, replication factor and transport its bits
-// are that multiply's; every epoch of every trainer over it then reads it,
-// and layer 1's weight gradient reads its transpose, built in the same
-// launch. Not safe for concurrent use: Ensure is collective over the
-// world, like a step.
+// computed once, in one launch, as the collective Engine.MultiplyInto of
+// each column panel of X (distmm.SetupWidths), each written into its
+// columns of the block: every output element sums its products in
+// ascending CSR position without FMA on every engine, replication factor
+// and transport, so a column's bits do not depend on the columns beside it
+// and the product is that of one feature-width multiply, while the
+// executor and transport buffers the launch grows stay panel-wide. Every
+// epoch of every trainer over it then reads it, and layer 1's weight
+// gradient reads its transpose, built in the same launch. Not safe for
+// concurrent use: Ensure is collective over the world, like a step.
 type InputProduct struct {
 	World  *comm.World
 	Engine distmm.Engine
-	// X is the global feature matrix, in the engine's vertex order.
+	// X is the feature matrix in the engine's vertex order, whole or the
+	// hosted rows (HostedRows).
 	X *dense.Matrix
 	// blocks[rank] is a hosted rank's block rows of Â·X, and blocksT[rank]
 	// their transpose. Nil until Ensure has succeeded: no rank's block is
@@ -99,11 +149,20 @@ func (p *InputProduct) Ensure(ctx context.Context) error {
 		return nil
 	}
 	blocks, blocksT := make([]*dense.Matrix, p.World.P), make([]*dense.Matrix, p.World.P)
+	widths := distmm.SetupWidths(p.X.Cols)
 	err := p.World.RunCtx(ctx, func(r *comm.Rank) error {
-		lo, hi := p.Engine.Layout().Range(p.Engine.BlockOf(r.ID))
-		blocks[r.ID] = dense.New(hi-lo, p.X.Cols)
-		multiply(p.Engine, r, p.X.SliceRows(lo, hi), blocks[r.ID])
-		blocksT[r.ID] = blocks[r.ID].Transpose()
+		x := HostedRows(p.World, p.Engine.Layout().N(), blockRange(p.Engine), p.X, r.ID)
+		block := dense.New(x.Rows, x.Cols)
+		var in, out *dense.Matrix
+		c := 0
+		for _, w := range widths {
+			in, out = dense.Reshape(in, x.Rows, w), dense.Reshape(out, x.Rows, w)
+			dense.CopyCols(in, 0, x, c, w)
+			multiply(p.Engine, r, in, out)
+			dense.CopyCols(block, c, out, 0, w)
+			c += w
+		}
+		blocks[r.ID], blocksT[r.ID] = block, block.Transpose()
 		return nil
 	})
 	if err == nil {
@@ -166,7 +225,7 @@ func (d *Distributed) Stepper() *Stepper {
 	return NewStepper(d.World, len(d.Train), d.Input.Ensure, body, func(r *comm.Rank) *Replica {
 		lo, hi := d.Engine.Layout().Range(d.Engine.BlockOf(r.ID))
 		rep := &Replica{
-			X:      d.X.SliceRows(lo, hi), // a view: the step only reads it
+			X:      HostedRows(d.World, d.Engine.Layout().N(), blockRange(d.Engine), d.X, r.ID), // a view: the step only reads it
 			Model:  NewModel(d.Seed, d.Dims),
 			NewOpt: newOpt,
 			Group:  d.Engine.GradGroup(r.ID),
@@ -188,7 +247,14 @@ func (d *Distributed) Stepper() *Stepper {
 // the "rearranging the rows of H to match the new vertex ids" preprocessing
 // step of Section 6.2.
 func ApplyPerm(perm []int, x *dense.Matrix, labels []int, idxSets ...[]int) (*dense.Matrix, []int, [][]int) {
-	px := x.PermuteRows(perm)
+	plabels, psets := Relabel(perm, labels, idxSets...)
+	return x.PermuteRows(perm), plabels, psets
+}
+
+// Relabel is ApplyPerm without the features: labels move to permuted
+// vertices and index sets are mapped. A process that keeps only some
+// feature rows permutes those itself (dense.Matrix.PermutedRows).
+func Relabel(perm []int, labels []int, idxSets ...[]int) ([]int, [][]int) {
 	plabels := make([]int, len(labels))
 	for v, l := range labels {
 		plabels[perm[v]] = l
@@ -201,5 +267,5 @@ func ApplyPerm(perm []int, x *dense.Matrix, labels []int, idxSets ...[]int) (*de
 		}
 		psets[s] = ps
 	}
-	return px, plabels, psets
+	return plabels, psets
 }

@@ -6,11 +6,15 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"sagnn/internal/comm"
 	"sagnn/internal/dense"
+	"sagnn/internal/distmm"
 	"sagnn/internal/gen"
+	"sagnn/internal/machine"
 )
 
 // observeWidths records the multiply widths the full-batch trainers issue
@@ -222,5 +226,117 @@ func TestInferenceNeverBuildsTranspose(t *testing.T) {
 	}
 	if _, ok := any(&SubsetEval{}).(Operand); ok {
 		t.Fatal("SubsetEval is a training operand: inference could build a transpose")
+	}
+}
+
+// panelFixture is an InputProduct over an Erdős–Rényi graph of n vertices
+// and average degree deg with f random features, on the named engine at
+// replication c over four simulated ranks.
+func panelFixture(n, deg, f int, engineName string, c int) *InputProduct {
+	aHat := gen.ErdosRenyi(n, deg, int64(n+f)).NormalizedAdjacency()
+	x := dense.NewRandom(rand.New(rand.NewSource(int64(f))), n, f, 1)
+	world := comm.NewWorld(4, machine.Perlmutter())
+	engine, err := distmm.NewEngine(world, engineName, c, aHat, distmm.UniformLayout(n, 4/c))
+	if err != nil {
+		panic(err)
+	}
+	return &InputProduct{World: world, Engine: engine, X: x}
+}
+
+// panelEngines are the engines the set-up product runs on: both 1D ones
+// and both 1.5D ones at c = 2.
+var panelEngines = []struct {
+	name string
+	c    int
+}{{"oblivious-1d", 1}, {"sparsity-aware-1d", 1}, {"oblivious-1.5d", 2}, {"sparsity-aware-1.5d", 2}}
+
+// TestInputProductPanelsBitIdentical: Â·X computed in column panels equals,
+// bit for bit, one feature-width MultiplyInto of the same engine, at
+// feature widths around and across the panel width on every engine; the
+// launch issues exactly the panel widths distmm.SetupWidths lists, and its
+// ledger and traffic are what the plan prices at those widths.
+func TestInputProductPanelsBitIdentical(t *testing.T) {
+	w := distmm.SetupWidths(1 << 20)[0] // the panel width
+	for _, f := range []int{1, w - 1, w, w + 1, 2*w + 3} {
+		widths := distmm.SetupWidths(f)
+		sum := 0
+		for _, pw := range widths {
+			sum += pw
+		}
+		if sum != f || len(widths) != (f+w-1)/w || slices.Max(widths) > w {
+			t.Fatalf("SetupWidths(%d) = %v", f, widths)
+		}
+		for _, eng := range panelEngines {
+			p := panelFixture(96, 6, f, eng.name, eng.c)
+			observed := observeWidths(t)
+			l0, v0 := p.World.Ledger.Snapshot(), p.World.Stats().Snapshot()
+			if err := p.Ensure(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			ledger, vol := p.World.Ledger.Snapshot().Sub(l0), p.World.Stats().Snapshot().Sub(v0)
+			ObserveMultiplies(nil)
+			if !reflect.DeepEqual(*observed, widths) {
+				t.Fatalf("f %d %s: set-up multiplies at %v, want %v", f, eng.name, *observed, widths)
+			}
+			// Equal to rounding: the launch sums each rank's charges one by
+			// one, the price multiply by multiply (as for an epoch).
+			priced := p.Engine.Plan().EpochCost(p.World.Params, widths)
+			got, want := ledger.Breakdown(), priced.Breakdown()
+			near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b)) }
+			ok := len(got) == len(want) && near(ledger.Total(), priced.Total())
+			for ph, sec := range want {
+				ok = ok && near(got[ph], sec)
+			}
+			if !ok {
+				t.Fatalf("f %d %s: the set-up charged %v, priced %v", f, eng.name, got, want)
+			}
+			if got, want := vol.MaxSent(), slices.Max(p.Engine.Plan().EpochSentBytes(widths)); got != want {
+				t.Fatalf("f %d %s: the set-up sent at most %d bytes a rank, priced %d", f, eng.name, got, want)
+			}
+
+			whole := make([]*dense.Matrix, p.World.P)
+			p.World.Run(func(r *comm.Rank) {
+				lo, hi := p.Engine.Layout().Range(p.Engine.BlockOf(r.ID))
+				whole[r.ID] = dense.New(hi-lo, f)
+				p.Engine.MultiplyInto(r, p.X.SliceRows(lo, hi), whole[r.ID])
+			})
+			for rank := range whole {
+				if !reflect.DeepEqual(bitsOf(p.Block(rank)), bitsOf(whole[rank])) {
+					t.Fatalf("f %d %s: rank %d's panelled product differs from one width-%d multiply", f, eng.name, rank, f)
+				}
+				if !reflect.DeepEqual(bitsOf(p.blocksT[rank]), bitsOf(whole[rank].Transpose())) {
+					t.Fatalf("f %d %s: rank %d's kept transpose differs", f, eng.name, rank)
+				}
+			}
+		}
+	}
+}
+
+// TestInputProductBuffersStayPanelWide pins what the set-up launch leaves
+// behind: the executor workspaces and pooled transport buffers its
+// multiplies grow are panel-wide, not feature-wide, so at a feature width
+// sixteen panels wide the launch allocates the product and its transpose
+// plus at most four rows × panel-width matrices per rank of the whole graph
+// (measured: 1.1–2.8 on the four engines). The same launch run as one
+// feature-wide multiply allocates 17–42 of them.
+func TestInputProductBuffersStayPanelWide(t *testing.T) {
+	w := distmm.SetupWidths(1 << 20)[0]
+	const n, deg = 256, 16
+	f := 16 * w
+	for _, eng := range panelEngines {
+		p := panelFixture(n, deg, f, eng.name, eng.c)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := p.Ensure(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		product := uint64(2 * eng.c * n * f * 8) // every replica's block and transpose
+		unit := uint64(p.World.P * n * w * 8)
+		if got := after.TotalAlloc - before.TotalAlloc; got > product+4*unit {
+			t.Errorf("%s: the set-up launch allocated %d bytes: the product's %d plus %.1f rows × panel-width matrices per rank, want ≤ 4",
+				eng.name, got, product, float64(got-product)/float64(unit))
+		}
 	}
 }

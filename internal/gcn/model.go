@@ -67,7 +67,8 @@ func LayerDims(fin, hidden, classes, layers int) []int {
 // multiplies by (W^l)ᵀ before it aggregates (Workspace.backward). The first
 // layer's multiply, Â·X at width dims[0], is not among them: its operands
 // never change, so it is set-up, paid once per distributed graph
-// (InputProduct) and priced apart at the width []int{fin}.
+// (InputProduct) and priced apart at distmm.SetupWidths(fin): fin in
+// column panels.
 // The communication-plan cost model prices epochs against exactly this
 // sequence, so it lives here, next to the trainer that defines it.
 //

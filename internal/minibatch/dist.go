@@ -51,9 +51,11 @@ type DistConfig struct {
 }
 
 // Dist trains a GCN with per-rank neighbor sampling over a block-row
-// layout. X, Labels, Train are global and already permuted into the
-// layout's vertex order (gcn.ApplyPerm); AHat is the global permuted Â
-// whose structure defines the neighbor lists sampling draws from.
+// layout. Labels and Train are global and already permuted into the
+// layout's vertex order (gcn.ApplyPerm); X is too, and holds every row or
+// exactly the rows of the ranks this process hosts (gcn.HostedRows): a
+// rank reads only its own block's. AHat is the global permuted Â whose
+// structure defines the neighbor lists sampling draws from.
 type Dist struct {
 	World  *comm.World
 	Layout distmm.Layout
@@ -83,10 +85,11 @@ func NewDist(w *comm.World, layout distmm.Layout, aHat *sparse.CSR, x *dense.Mat
 	if layout.Blocks() != w.P {
 		panic(fmt.Sprintf("minibatch: layout has %d blocks for %d ranks", layout.Blocks(), w.P))
 	}
-	if layout.N() != x.Rows || aHat.NumRows != x.Rows || aHat.NumCols != x.Rows {
-		panic(fmt.Sprintf("minibatch: Â %dx%d, X %d rows, layout n=%d", aHat.NumRows, aHat.NumCols, x.Rows, layout.N()))
+	if aHat.NumRows != layout.N() || aHat.NumCols != layout.N() {
+		panic(fmt.Sprintf("minibatch: Â %dx%d, layout n=%d", aHat.NumRows, aHat.NumCols, layout.N()))
 	}
-	if len(labels) != x.Rows {
+	gcn.HostedOffset(w, layout.N(), layout.Range, x)
+	if len(labels) != layout.N() {
 		panic("minibatch: labels misaligned")
 	}
 	if dims[0] != x.Cols {
@@ -415,9 +418,8 @@ type DistStepper struct {
 func (d *Dist) Stepper() *DistStepper {
 	sm := d.newSampler()
 	st := gcn.NewStepper(d.World, len(d.Train), sm.prepare, sm.rankEpoch, func(r *comm.Rank) *gcn.Replica {
-		lo, hi := d.Layout.Range(r.ID)
 		return &gcn.Replica{
-			X:      d.X.SliceRows(lo, hi), // a view: the step only reads it
+			X:      gcn.HostedRows(d.World, d.Layout.N(), d.Layout.Range, d.X, r.ID), // a view: the step only reads it
 			Model:  gcn.NewModel(d.ModelSeed, d.Dims),
 			NewOpt: d.NewOpt,
 			Group:  d.World.WorldGroup(),
@@ -438,7 +440,8 @@ func (st *DistStepper) PredictedVolumes() []distmm.RankVolume {
 // order), every rank's step is the shared one over its chain, and the loss
 // and gradient reductions sum rank contributions in world-group member
 // order — so every epoch loss is bit-identical to a distributed run on any
-// transport. The conformance anchor.
+// transport. The conformance anchor. It reads every rank's features, so X
+// must hold every row.
 func (d *Dist) ReferenceEpochs(epochs int) []gcn.EpochResult {
 	model := gcn.NewModel(d.ModelSeed, d.Dims)
 	optimizer := d.NewOpt()

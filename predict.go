@@ -132,6 +132,21 @@ func (m *Model) forward(ds *Dataset) *dense.Matrix {
 	return m.probs
 }
 
+// handOver moves m's inference evaluator and its buffers to next, a Model
+// no one else holds yet, repointed at next's weights: the evaluator is
+// weight-free apart from that pointer (frontiers, Â·X rows and workspace
+// are rewritten by every forward), so next predicts warm and bit-identically
+// to a fresh evaluator. m builds a new one if it is used again.
+func (m *Model) handOver(next *Model) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	next.eval, next.probs, next.sorted = m.eval, m.probs, m.sorted
+	m.eval, m.probs, m.sorted = nil, nil, nil
+	if next.eval != nil {
+		next.eval.Model = next.m
+	}
+}
+
 // accuracies is every run's held-out evaluation: one full-batch forward over
 // ds, then the accuracy on each vertex set. ds is checked by the caller.
 func (m *Model) accuracies(ds *Dataset, sets ...[]int) []float64 {

@@ -99,7 +99,27 @@ func TestSessionFaultWithoutRecoverySurfacesTypedError(t *testing.T) {
 	}
 	ck := sess.Snapshot()
 
-	cluster.InjectFault(2, 4, nil)
+	// The run's first launch is the set-up (Â·X, one multiply per column
+	// panel), and an armed fault waits through a launch that never reaches
+	// its op: counters restart every launch. Offsetting the site by the
+	// set-up's op count on rank 2 (read from a twin session's world after
+	// its Setup) keeps it out of the set-up, so it lands in the epochs.
+	twinCl, err := NewCluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twinDG, err := twinCl.Distribute(ds, DistOpts{Algorithm: SparsityAware1D})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := twinDG.NewSession(ModelConfig{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.stepper.Setup(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cluster.InjectFault(2, twinCl.world.Ops(2)+4, nil)
 	res, err := sess.Run(context.Background(), 3)
 	var re *comm.RankError
 	if !errors.As(err, &re) {

@@ -8,11 +8,13 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"sagnn/internal/comm"
 	"sagnn/internal/dense"
+	"sagnn/internal/distmm"
 	"sagnn/internal/gcn"
 )
 
@@ -284,14 +286,17 @@ func TestSetupLaunchFaultAtEverySite(t *testing.T) {
 				t.Fatalf("rank %d op %d: recovering run: %v", rank, op, err)
 			}
 			sameHistory(t, "recovered", recovered.History, clean.History)
-			n := 0
-			for _, w := range *wide {
-				if w == dg.x.Cols {
-					n++
-				}
-			}
-			if n != 2 {
-				t.Fatalf("rank %d op %d: %d feature-width multiplies under recovery, want the aborted one and its replay", rank, op, n)
+			// The recorder rank enters the aborted launch's first panel
+			// before any op and stops where the abort catches it: a
+			// non-empty prefix of the set-up's panels, then every panel of
+			// the replay, then the epochs.
+			setup := distmm.SetupWidths(dg.x.Cols)
+			cfg := ModelConfig{}.withDefaults() // setupFixture's shape
+			perEpoch := gcn.EpochMultiplyWidths(dg.x.Cols, cfg.Hidden, dg.ds.Classes, cfg.Layers, false)
+			seen := (*wide)[:len(*wide)-epochs*len(perEpoch)]
+			aborted := len(seen) - len(setup)
+			if aborted < 1 || aborted > len(setup) || !slices.Equal(seen[:aborted], setup[:aborted]) || !slices.Equal(seen[aborted:], setup) {
+				t.Fatalf("rank %d op %d: set-up multiplies under recovery at %v, want a prefix of the panels %v and then all of them", rank, op, seen, setup)
 			}
 			gcn.ObserveMultiplies(nil)
 		}
@@ -455,6 +460,88 @@ func TestHeldOutEvaluatorSharedAcrossSessions(t *testing.T) {
 	}
 }
 
+// TestRunHandsOverHeldOutEvaluator: a session's results hold one
+// inference evaluator between them, the newest result's, so a warmed
+// session's run allocates no evaluator (measured 61–71 KB a run on
+// protein-sim ÷16, once 143 KB under -race; 2.5 MB at ÷16 and 9.8 MB at ÷4
+// when each result built its own). The newest result predicts warm; an older one rebuilds its
+// evaluator when used again, and every result predicts what a fresh copy
+// of its weights does, bit for bit.
+func TestRunHandsOverHeldOutEvaluator(t *testing.T) {
+	ds := MustLoadDataset(ProteinSim, 42, 16)
+	cluster, err := NewCluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := cluster.Distribute(ds, DistOpts{Algorithm: SparsityAware1D, Partitioner: NewGVB(42)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := dg.NewSession(ModelConfig{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() *TrainResult {
+		res, err := sess.Run(context.Background(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	probs := func(m *Model) []uint64 {
+		rows, err := m.Probabilities(ds, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bits []uint64
+		for _, row := range rows {
+			for _, v := range row {
+				bits = append(bits, math.Float64bits(v))
+			}
+		}
+		return bits
+	}
+	first := run()
+	firstBits := probs(first.Model)
+	second := run()
+	if InferenceProduct(first.Model) != nil || InferenceProduct(second.Model) != ds.InputProduct() {
+		t.Fatal("the second result did not take over the first one's evaluator")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	third := run()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 512<<10 {
+		t.Errorf("a warmed session's run allocated %d bytes, want ≤ 512 KB", got)
+	}
+	if !slices.Equal(probs(first.Model), firstBits) {
+		t.Fatal("an older result predicts differently after handing its evaluator over")
+	}
+	for i, res := range []*TrainResult{second, third} {
+		if !slices.Equal(probs(res.Model), probs(res.Model.Clone())) {
+			t.Fatalf("result %d predicts differently from a fresh copy of its weights", i+2)
+		}
+	}
+
+	// An older result may be predicting while a run hands its evaluator on.
+	done := make(chan error)
+	go func() {
+		var err error
+		for i := 0; i < 20 && err == nil; i++ {
+			_, err = third.Model.Predict(ds, []int{i, 100 + i})
+		}
+		done <- err
+	}()
+	fourth := run()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(probs(fourth.Model), probs(fourth.Model.Clone())) {
+		t.Fatal("a result handed an evaluator mid-prediction predicts differently from a fresh copy of its weights")
+	}
+}
+
 // TestDistributeLeavesDatasetAdjacency: Distribute reads the dataset's one
 // Â — PermuteSymmetric copies it under a partitioner, the engine reads it
 // as it is without one — and neither it nor the training and held-out
@@ -536,5 +623,111 @@ func TestSingleLayerModelHasNoEpochMultiplies(t *testing.T) {
 		if got, want := bytesOf(res.MaxSentMB), allReduceBytes(dg, cfg); got != want {
 			t.Fatalf("%s: %d B sent per epoch, want the all-reduces' %d", alg, got, want)
 		}
+	}
+}
+
+// TestTCPDistGraphHoldsItsBlock: a rank of a TCP cluster keeps only its own
+// block's feature rows — (hi − lo) × f elements, permuted straight from the
+// dataset under a partitioner and a view of it without one — where a
+// simulated cluster keeps every row, and both train full-batch and sampled
+// to the same bits.
+func TestTCPDistGraphHoldsItsBlock(t *testing.T) {
+	ds := MustLoadDataset(ProteinSim, 42, 64)
+	n, f := ds.G.NumVertices(), ds.FeatureDim()
+	for _, tc := range []struct {
+		name    string
+		opts    DistOpts
+		sampled bool
+	}{
+		{"sa-1d+gvb", DistOpts{Algorithm: SparsityAware1D, Partitioner: NewGVB(42)}, true},
+		{"oblivious-1d", DistOpts{Algorithm: Oblivious1D}, false},
+		{"sa-1.5d+gvb", DistOpts{Algorithm: SparsityAware15D, Replication: 2, Partitioner: NewGVB(42)}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ModelConfig{Seed: 7}
+			run := func(s *Session) []EpochResult {
+				res, err := s.Run(context.Background(), 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hist := res.History
+				if tc.sampled {
+					if res, err = s.RunSampled(context.Background(), 2); err != nil {
+						t.Fatal(err)
+					}
+					hist = append(hist, res.History...)
+				}
+				return hist
+			}
+			_, simDG := trainVia(t, ds, 4, tc.opts, cfg, 1)
+			if got := len(simDG.x.Data); got != n*f {
+				t.Fatalf("a simulated cluster holds %d feature elements, want all %d", got, n*f)
+			}
+			simSess, err := simDG.NewSession(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := run(simSess)
+
+			addrs := freeAddrs(t, 4)
+			hists := make([][]EpochResult, 4)
+			errs := make([]error, 4)
+			clusters := make([]*Cluster, 4)
+			var wg sync.WaitGroup
+			for i := range clusters {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					cl, err := NewTCPCluster(i, addrs)
+					if errs[i] = err; err != nil {
+						return
+					}
+					clusters[i] = cl
+					dg, err := cl.Distribute(ds, tc.opts)
+					if errs[i] = err; err != nil {
+						return
+					}
+					lo, hi := dg.layout.Range(dg.engine.BlockOf(i))
+					if dg.x.Rows != hi-lo || len(dg.x.Data) != (hi-lo)*f {
+						errs[i] = fmt.Errorf("rank %d holds %d feature elements in %d rows, want its block's %d × %d", i, len(dg.x.Data), dg.x.Rows, hi-lo, f)
+						return
+					}
+					for r := lo; r < hi; r++ {
+						if !slices.Equal(dg.x.Row(r-lo), simDG.x.Row(r)) {
+							errs[i] = fmt.Errorf("rank %d: feature row %d differs from the simulated cluster's", i, r)
+							return
+						}
+					}
+					sess, err := dg.NewSession(cfg)
+					if errs[i] = err; err != nil {
+						return
+					}
+					res, err := sess.Run(context.Background(), 2)
+					if errs[i] = err; err != nil {
+						return
+					}
+					hists[i] = res.History
+					if tc.sampled {
+						if res, errs[i] = sess.RunSampled(context.Background(), 2); errs[i] == nil {
+							hists[i] = append(hists[i], res.History...)
+						}
+					}
+				}(i)
+			}
+			wg.Wait()
+			for _, cl := range clusters {
+				if cl != nil {
+					wg.Add(1)
+					go func(cl *Cluster) { defer wg.Done(); cl.Close() }(cl)
+				}
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("rank %d: %v", i, err)
+				}
+				sameHistory(t, fmt.Sprintf("tcp rank %d", i), hists[i], want)
+			}
+		})
 	}
 }
