@@ -1,7 +1,9 @@
 package distmm
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -141,6 +143,57 @@ func TestSparsityAware15DMatchesSerial(t *testing.T) {
 		got := runMultiply(t, w, e, h)
 		if got.MaxAbsDiff(want) > 1e-10 {
 			t.Fatalf("p=%d c=%d diff %g", p, c, got.MaxAbsDiff(want))
+		}
+	}
+}
+
+// TestSparsityAware15DProgramShape: every rank of every sparsity-aware 1.5D
+// plan runs Algorithm 1 over its process column and then the process-row
+// all-reduce — an exchange, a sweep and a reduction, nothing else.
+func TestSparsityAware15DProgramShape(t *testing.T) {
+	a := randomSym(9, 64, 6)
+	want := []opcode{opAllToAllv, opMulOwn, opAllReduce}
+	for _, pc := range [][2]int{{4, 1}, {4, 2}, {8, 2}, {16, 2}, {16, 4}} {
+		p, c := pc[0], pc[1]
+		grid := NewGrid(comm.NewWorld(p, machine.Perlmutter()), c)
+		plan := NewSparsityAware15D(grid.world, a, c, UniformLayout(64, p/c)).Plan()
+		for rank, prog := range plan.progs {
+			ops := make([]opcode, len(prog))
+			for k := range prog {
+				ops[k] = prog[k].op
+			}
+			if !slices.Equal(ops, want) {
+				t.Fatalf("p=%d c=%d rank %d runs %v, want %v", p, c, rank, ops, want)
+			}
+			if g := prog[0].group.Members(); !slices.Equal(g, grid.colGroups[grid.ColOf(rank)].Members()) {
+				t.Fatalf("p=%d c=%d rank %d exchanges over %v, not its process column", p, c, rank, g)
+			}
+		}
+	}
+}
+
+// TestSparsityAware15DAtC1IsAlgorithm1: on a P×1 grid the one process column
+// is the world and the row all-reduce has one member, so the sparsity-aware
+// 1.5D engine is Algorithm 1 exactly: the 1D engine's output bits and its
+// per-rank predicted and measured volumes.
+func TestSparsityAware15DAtC1IsAlgorithm1(t *testing.T) {
+	const n, f = 96, 7
+	a := randomSym(1234, n, 5)
+	h := dense.NewRandom(rand.New(rand.NewSource(99)), n, f, 1.0)
+	for _, p := range []int{4, 8, 16} {
+		layout := UniformLayout(n, p)
+		w1, w15 := comm.NewWorld(p, machine.Perlmutter()), comm.NewWorld(p, machine.Perlmutter())
+		e1, e15 := NewSparsityAware1D(w1, a, layout), NewSparsityAware15D(w15, a, 1, layout)
+		requireBits(t, fmt.Sprintf("p=%d", p), runMultiply(t, w1, e1, h), runMultiply(t, w15, e15, h))
+		if v1, v15 := e1.Plan().Volumes(f), e15.Plan().Volumes(f); !slices.Equal(v1, v15) {
+			t.Fatalf("p=%d: 1.5D at c=1 predicts %v, 1D %v", p, v15, v1)
+		}
+		for rank := 0; rank < p; rank++ {
+			s1, s15 := w1.Stats(), w15.Stats()
+			if s1.BytesSent(rank) != s15.BytesSent(rank) || s1.BytesRecv(rank) != s15.BytesRecv(rank) || s1.MsgsSent(rank) != s15.MsgsSent(rank) {
+				t.Fatalf("p=%d rank %d: 1.5D at c=1 measures (%d,%d,%d), 1D (%d,%d,%d)", p, rank,
+					s15.BytesSent(rank), s15.BytesRecv(rank), s15.MsgsSent(rank), s1.BytesSent(rank), s1.BytesRecv(rank), s1.MsgsSent(rank))
+			}
 		}
 	}
 }

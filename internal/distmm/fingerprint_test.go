@@ -70,17 +70,15 @@ func (f *fingerprinter) csr(m *sparse.CSR) {
 }
 
 // recordedOps numbers each opcode as the IR did when the goldens were
-// recorded. That IR also had two opcodes it no longer has: a multiply site
-// per non-empty peer slot after a sweep (3) and the unpack charge closing
-// them (4).
+// recorded. That IR also had five opcodes it no longer has: a multiply site
+// per non-empty peer slot after a sweep (3), the unpack charge closing them
+// (4), and the point-to-point stages of the sparsity-aware 1.5D engine
+// (5–7), which compiles to an exchange and a sweep now.
 var recordedOps = map[opcode]int{
-	opBcastMul:   0,
-	opAllToAllv:  1,
-	opMulOwn:     2,
-	opSendRows:   5,
-	opChargePack: 6,
-	opRecvMul:    7,
-	opAllReduce:  8,
+	opBcastMul:  0,
+	opAllToAllv: 1,
+	opMulOwn:    2,
+	opAllReduce: 8,
 }
 
 const recordedMulRecvSlot, recordedChargeUnpack = 3, 4
@@ -127,7 +125,9 @@ func recordedForm(prog []instr) []recordedInstr {
 // shape, layout, per-rank block, heights and gradient group) and every
 // rank's instructions in their recorded form: op, group members, root, own,
 // peer, tag, rows, slot, idx, sendIdx, recvRows and the SpMM block's
-// RowPtr/ColIdx/value bits.
+// RowPtr/ColIdx/value bits. The point-to-point operands (peer, tag, idx)
+// are gone from the IR; they hash as the zero values every recorded
+// instruction without them carried.
 func planFingerprint(p *Plan) uint64 {
 	f := &fingerprinter{h: fnv.New64a()}
 	f.int(len(p.name))
@@ -155,11 +155,11 @@ func planFingerprint(p *Plan) uint64 {
 			f.group(in.group)
 			f.int(in.root)
 			f.bool(in.own)
-			f.int(in.peer)
-			f.int(in.tag)
+			f.int(0) // peer
+			f.int(0) // tag
 			f.int(in.rows)
 			f.int(in.slot)
-			f.ints(in.idx)
+			f.ints(nil) // idx
 			f.int(len(in.sendIdx))
 			for _, idx := range in.sendIdx {
 				f.ints(idx)
@@ -224,8 +224,10 @@ func fingerprintPlans(t *testing.T) map[string]*Plan {
 }
 
 // goldenFingerprints were recorded before the full-batch and sampled
-// Algorithm 1 compilers were merged: a compiler change that moves any plan
-// entry — an index, a block value's bits, an instruction's order — fails here.
+// Algorithm 1 compilers were merged, and the sparsity-aware 1.5D entries
+// again when that engine became Algorithm 1 over each process column: a
+// compiler change that moves any plan entry — an index, a block value's
+// bits, an instruction's order — fails here.
 var goldenFingerprints = map[string]uint64{
 	"er96/p=16/oblivious-1.5d/c=1":        0xab62577c71efa521,
 	"er96/p=16/oblivious-1.5d/c=2":        0xef02515f06e582fd,
@@ -233,25 +235,25 @@ var goldenFingerprints = map[string]uint64{
 	"er96/p=16/oblivious-1d/c=1":          0x93b998d15a670f78,
 	"er96/p=16/sampled-gather/round=0":    0xe5de8d2353ea2c57,
 	"er96/p=16/sampled-gather/round=1":    0xb7da7e875f77fac,
-	"er96/p=16/sparsity-aware-1.5d/c=1":   0x92c664c955a7bb66,
-	"er96/p=16/sparsity-aware-1.5d/c=2":   0xcf31e2673b84e24e,
-	"er96/p=16/sparsity-aware-1.5d/c=4":   0x5052c3c74142ef7d,
+	"er96/p=16/sparsity-aware-1.5d/c=1":   0x990262cb5b0c866e,
+	"er96/p=16/sparsity-aware-1.5d/c=2":   0x9fc6d6c95d79ad38,
+	"er96/p=16/sparsity-aware-1.5d/c=4":   0x8f07a8a431e91933,
 	"er96/p=16/sparsity-aware-1d/c=1":     0x7a2837649bd8e50d,
 	"er96/p=4/oblivious-1.5d/c=1":         0x56040f8595be8c47,
 	"er96/p=4/oblivious-1.5d/c=2":         0x58318e707e269bd1,
 	"er96/p=4/oblivious-1d/c=1":           0x878cdde9a79d1266,
 	"er96/p=4/sampled-gather/round=0":     0x7305f420c619edda,
 	"er96/p=4/sampled-gather/round=1":     0x23ff28d26d0fb64e,
-	"er96/p=4/sparsity-aware-1.5d/c=1":    0xbe2b12bb0346869d,
-	"er96/p=4/sparsity-aware-1.5d/c=2":    0x362478a89c5237fc,
+	"er96/p=4/sparsity-aware-1.5d/c=1":    0x91d1aded20ca4627,
+	"er96/p=4/sparsity-aware-1.5d/c=2":    0x5e79ba8e47e28c4,
 	"er96/p=4/sparsity-aware-1d/c=1":      0x3a52ff3a6a2dd58,
 	"er96/p=8/oblivious-1.5d/c=1":         0x53cd6b121bf3fe7d,
 	"er96/p=8/oblivious-1.5d/c=2":         0xd10a7760d09d573,
 	"er96/p=8/oblivious-1d/c=1":           0x6955d253b457aecc,
 	"er96/p=8/sampled-gather/round=0":     0x981a637158016210,
 	"er96/p=8/sampled-gather/round=1":     0xba80a753bb3a4d97,
-	"er96/p=8/sparsity-aware-1.5d/c=1":    0x70a19307b6e9fd8e,
-	"er96/p=8/sparsity-aware-1.5d/c=2":    0x3a1219cdf7c39881,
+	"er96/p=8/sparsity-aware-1.5d/c=1":    0x84d5eb86dea34df0,
+	"er96/p=8/sparsity-aware-1.5d/c=2":    0x4a17296aeb3abcf,
 	"er96/p=8/sparsity-aware-1d/c=1":      0x2470a87a6aad2d67,
 	"sbm160/p=16/oblivious-1.5d/c=1":      0x10ff07e8f26b688,
 	"sbm160/p=16/oblivious-1.5d/c=2":      0x1a892049b7541e31,
@@ -259,25 +261,25 @@ var goldenFingerprints = map[string]uint64{
 	"sbm160/p=16/oblivious-1d/c=1":        0xb8daaab7a9cc13d5,
 	"sbm160/p=16/sampled-gather/round=0":  0x39d1a3b17db1a314,
 	"sbm160/p=16/sampled-gather/round=1":  0x4fd35b5cd5064f7c,
-	"sbm160/p=16/sparsity-aware-1.5d/c=1": 0x595d79132ddf5bc0,
-	"sbm160/p=16/sparsity-aware-1.5d/c=2": 0x6d8b8669a52858f1,
-	"sbm160/p=16/sparsity-aware-1.5d/c=4": 0x629d016f67d91e1d,
+	"sbm160/p=16/sparsity-aware-1.5d/c=1": 0xbe80b6716d330ae2,
+	"sbm160/p=16/sparsity-aware-1.5d/c=2": 0x443f7aae8c05c22d,
+	"sbm160/p=16/sparsity-aware-1.5d/c=4": 0x337b445834562a92,
 	"sbm160/p=16/sparsity-aware-1d/c=1":   0x44982c9e69b509bd,
 	"sbm160/p=4/oblivious-1.5d/c=1":       0x3bc780768bd5c938,
 	"sbm160/p=4/oblivious-1.5d/c=2":       0x3ab93a3de2e6eda8,
 	"sbm160/p=4/oblivious-1d/c=1":         0x66bf37685cf5a5e9,
 	"sbm160/p=4/sampled-gather/round=0":   0x78cf219619110df4,
 	"sbm160/p=4/sampled-gather/round=1":   0x1ad777b96785f7af,
-	"sbm160/p=4/sparsity-aware-1.5d/c=1":  0x7023b02bcd41aa41,
-	"sbm160/p=4/sparsity-aware-1.5d/c=2":  0xe2d25f22cef585da,
+	"sbm160/p=4/sparsity-aware-1.5d/c=1":  0x8a087b1ee7020e3a,
+	"sbm160/p=4/sparsity-aware-1.5d/c=2":  0x8a0654fccf175c00,
 	"sbm160/p=4/sparsity-aware-1d/c=1":    0xdbd9d19e1a46991d,
 	"sbm160/p=8/oblivious-1.5d/c=1":       0x4bf57928b36719b9,
 	"sbm160/p=8/oblivious-1.5d/c=2":       0x55d6d7c514eaa9ac,
 	"sbm160/p=8/oblivious-1d/c=1":         0x6c60ff04985e54fc,
 	"sbm160/p=8/sampled-gather/round=0":   0x12a0ff248fdb66bc,
 	"sbm160/p=8/sampled-gather/round=1":   0xcb521d1ef8edba1b,
-	"sbm160/p=8/sparsity-aware-1.5d/c=1":  0xe583ebfa1b7b0961,
-	"sbm160/p=8/sparsity-aware-1.5d/c=2":  0xf98ccd5c562defc5,
+	"sbm160/p=8/sparsity-aware-1.5d/c=1":  0xf1d7b1f01598aa6d,
+	"sbm160/p=8/sparsity-aware-1.5d/c=2":  0x62a0ac94b3aab00a,
 	"sbm160/p=8/sparsity-aware-1d/c=1":    0x7b5f143c8a3e0f06,
 }
 

@@ -47,10 +47,13 @@ var goldenVolumes = map[string]struct {
 			{2688, 1344, 2}, {1344, 2688, 1}, {1344, 2688, 1}, {2688, 1344, 2},
 		},
 	},
+	// Ranks 1 and 2 only receive in their column's all-to-allv, which
+	// counts a message for each partner a rank exchanges rows with, in
+	// either direction.
 	"sparsity-aware-1.5d(c=2)": {
 		checksum: 4627545849529018520,
 		ranks: [4]goldenRank{
-			{2632, 1344, 2}, {1344, 2548, 1}, {1344, 2632, 1}, {2548, 1344, 2},
+			{2632, 1344, 2}, {1344, 2548, 2}, {1344, 2632, 2}, {2548, 1344, 2},
 		},
 	},
 }

@@ -153,7 +153,8 @@ func (rows rowSource) split(layout Layout) [][]*sparse.CSR {
 // their columns relabeled to those halo rows, the operand the local sweep
 // multiplies against the stacked rows; nnz[i][j] counts its entries in
 // peer j's slot (0 on the diagonal). Peer j's block alone, its columns
-// relabeled to positions in recvIdx[i][j], is the halo's slot j (slot).
+// relabeled to positions in recvIdx[i][j], is the halo's slot j, and a
+// range of peers' blocks is a range of slots (slots).
 //
 // A schedule is also the arena it is built in: rows[i] holds every array
 // of block row i, and a build into a schedule that held another overwrites
@@ -323,13 +324,15 @@ func (s *nnzSchedule) buildRow(i int, rows rowSource, layout Layout, mark []int)
 	s.recvIdx[i], s.diag[i], s.haloAt[i], s.halo[i], s.nnz[i] = recvIdx, diag, at, halo, nnz
 }
 
-// slot returns block (i, j) of the schedule, j ≠ i, with its columns
-// relabeled to positions in recvIdx[i][j]: the halo's columns [haloAt[i][j],
-// haloAt[i][j+1]), rebased. Only the multiplies that take one peer's rows at
-// a time need it — the 1.5D engine's and the serial reference's.
-func (s *nnzSchedule) slot(i, j int) *sparse.CSR {
+// slots returns block row i's peer blocks lo through hi−1 merged side by
+// side, their columns relabeled to positions in recvIdx[i][lo..hi): the
+// halo's columns [haloAt[i][lo], haloAt[i][hi]), rebased (block i's own
+// slot, when in range, is empty). The 1.5D engine's exchange takes its
+// column's range of peers at once; the serial reference multiplies one
+// peer's block at a time, slots(i, j, j+1).
+func (s *nnzSchedule) slots(i, lo, hi int) *sparse.CSR {
 	h, at := s.halo[i], s.haloAt[i]
-	return h.ExtractBlock(sparse.ColRange{Lo: 0, Hi: h.NumRows}, sparse.ColRange{Lo: at[j], Hi: at[j+1]})
+	return h.ExtractBlock(sparse.ColRange{Lo: 0, Hi: h.NumRows}, sparse.ColRange{Lo: at[lo], Hi: at[hi]})
 }
 
 // writeAlgorithm1 writes the paper's Algorithm 1 over sched into every

@@ -16,7 +16,8 @@ type Grid struct {
 	world *comm.World
 	// rowGroups[i] spans P(i,:) — the all-reduce group.
 	rowGroups []*comm.Group
-	// colGroups[j] spans P(:,j) — the broadcast/p2p group, ordered by row.
+	// colGroups[j] spans P(:,j) — the broadcast/all-to-allv group, ordered
+	// by row.
 	colGroups []*comm.Group
 }
 
@@ -53,7 +54,8 @@ func (g *Grid) RowOf(rank int) int { return rank / g.C }
 // ColOf returns the process-column index j of a world rank.
 func (g *Grid) ColOf(rank int) int { return rank % g.C }
 
-// Stages returns s = P/c², the number of SpMM stages per process.
+// Stages returns s = P/c², the number of block columns each process column
+// serves: the oblivious engine's broadcast stages per process.
 func (g *Grid) Stages() int { return g.Rows / g.C }
 
 // check15DInputs validates the shared 1.5D constructor contract; violations
@@ -119,40 +121,47 @@ func NewOblivious15D(w *comm.World, aT *sparse.CSR, c int, layout Layout) Engine
 	return newPlanEngine(plan)
 }
 
-// NewSparsityAware15D compiles the paper's Algorithm 2: the same staged
-// 1.5D schedule, but at each stage the owner point-to-point sends each
-// consumer only the H rows its block's nonzero columns require. The stage
-// schedule is a perfect matching — every owner serves exactly its column's
-// members — so no drain messages are needed.
+// NewSparsityAware15D compiles the paper's sparsity-aware 1.5D algorithm as
+// Algorithm 1 over each process column. Column j serves the s = P/c² block
+// columns [j·s, (j+1)·s), and rank (i, j) runs three instructions: one
+// all-to-allv over P(:,j) in which each member owning a block column of that
+// range sends every other member the rows of it that member's blocks need,
+// the sweep over its diagonal block (an empty one when it owns no block
+// column of the range) and the range's merged operand against the landed
+// rows, and the process-row all-reduce that folds the partial sums. The
+// same rows move as in Algorithm 1; only the column groups carry them.
 func NewSparsityAware15D(w *comm.World, aT *sparse.CSR, c int, layout Layout) Engine {
 	grid := NewGrid(w, c)
 	check15DInputs(grid, aT, layout)
 	sched := buildNnzSchedule(layoutRows(aT, layout), layout, nil, new(nnzSchedule))
 	plan := new15DPlan(fmt.Sprintf("sparsity-aware-1.5d(c=%d)", c), grid, layout)
-	s := grid.Stages()
+	s, rows := grid.Stages(), grid.Rows
 	for rank := 0; rank < w.P; rank++ {
 		i, j := grid.RowOf(rank), grid.ColOf(rank)
-		prog := make([]instr, 0, s+grid.Rows)
-		for k := 0; k < s; k++ {
-			q := j*s + k
-			if q == i {
-				// Stage owner: serve every other member of my column the
-				// rows its blocks need, then multiply my own (full-width)
-				// diagonal-stage block locally.
-				for l := 0; l < grid.Rows; l++ {
-					if l == i {
-						continue
-					}
-					prog = append(prog, instr{op: opSendRows, peer: l*grid.C + j, tag: k, idx: sched.recvIdx[l][q]})
-				}
-				prog = append(prog, instr{op: opChargePack})
-				prog = append(prog, instr{op: opMulOwn, blk: sched.diag[i]})
-				continue
+		lo, hi := j*s, (j+1)*s
+		owns := i >= lo && i < hi
+		// The column group is ordered by row, so member l holds block row l.
+		sendIdx, recvRows, at, nnz := make([][]int, rows), make([]int, rows), make([]int, rows+1), make([]int, rows)
+		for l := 0; l < rows; l++ {
+			if owns && l != i {
+				sendIdx[l] = sched.recvIdx[l][i]
 			}
-			prog = append(prog, instr{op: opRecvMul, peer: q*grid.C + j, tag: k, rows: len(sched.recvIdx[i][q]), blk: sched.slot(i, q)})
+			if l >= lo && l < hi {
+				recvRows[l], nnz[l] = len(sched.recvIdx[i][l]), sched.nnz[i][l]
+			}
+			at[l+1] = at[l] + recvRows[l]
 		}
-		prog = append(prog, instr{op: opAllReduce, group: grid.rowGroups[i]})
-		plan.progs[rank] = prog
+		diag := sched.diag[i]
+		if !owns {
+			n := layout.Count(i)
+			diag = &sparse.CSR{NumRows: n, NumCols: n, RowPtr: make([]int, n+1)}
+		}
+		plan.progs[rank] = []instr{
+			{op: opAllToAllv, group: grid.colGroups[j], slot: i, sendIdx: sendIdx, recvRows: recvRows,
+				at: at, halo: sched.slots(i, lo, hi), nnz: nnz},
+			{op: opMulOwn, blk: diag},
+			{op: opAllReduce, group: grid.rowGroups[i]},
+		}
 	}
 	return newPlanEngine(plan)
 }

@@ -11,11 +11,12 @@ import (
 
 // This file is the communication-plan IR. At setup, each algorithm compiles
 // its complete per-stage choreography — who sends which H-row indices to
-// whom, over which collective (broadcast, all-to-allv, point-to-point,
-// all-reduce), and which sparse block multiplies the staged rows — into an
-// immutable Plan: one instruction stream per rank. Algorithm 1 is two
-// instructions per rank, the exchange and one local sweep over the rank's
-// own and the received rows. One engine type,
+// whom, over which collective (broadcast, all-to-allv, all-reduce), and
+// which sparse block multiplies the staged rows — into an immutable Plan:
+// one instruction stream per rank. Every sparsity-aware plan is Algorithm 1
+// over some group of ranks: two instructions per rank, the exchange and one
+// local sweep over the rank's own and the received rows, which the 1.5D
+// engine follows with its process-row all-reduce. One engine type,
 // planEngine, runs every plan: the four full-batch engines (1D/1.5D ×
 // oblivious/sparsity-aware) and the sampled gather share its data-movement
 // code path and its one executor, Plan.execute.
@@ -26,12 +27,11 @@ import (
 // it without moving any data — the substrate for algorithm auto-selection
 // and cost estimation.
 
-// opcode enumerates the plan instruction set. Each opcode is one staging
-// step of the original hand-wired protocols, except the sweep, which is
-// Algorithm 1's local multiplies in one pass; the executor applies exactly
-// the communication calls, SpMM products, and machine-time charges the
-// pre-IR engines performed, in the same per-rank order, so plan execution
-// is bit-identical to them.
+// opcode enumerates the plan instruction set: a broadcast stage of the
+// sparsity-oblivious engines, Algorithm 1's exchange and local sweep, and
+// the 1.5D partial-sum reduction. The executor applies exactly the
+// communication calls, SpMM products, and machine-time charges each one
+// names, in program order, and Plan.Cost charges the same.
 type opcode uint8
 
 const (
@@ -41,31 +41,23 @@ const (
 	// engines are sequences of this op.
 	opBcastMul opcode = iota
 	// opAllToAllv packs the requested H rows per peer (instr.sendIdx),
-	// charges the pack time, and runs one personalized exchange landing
-	// instr.recvRows[j] rows from each peer j into the rank's halo: the
-	// sparsity-aware 1D exchange. Peer j's slot is halo rows [at[j],
-	// at[j+1]); a landing that fills its slot lands there in place, a
-	// shorter one, which a fill map completes, lands in a buffer of its own.
+	// charges the pack time, and runs one personalized exchange over
+	// instr.group landing instr.recvRows[j] rows from each member j into the
+	// rank's halo: Algorithm 1's exchange, over the world for the 1D engine
+	// and a sampled gather, over the rank's process column for the 1.5D
+	// engine. Member j's slot is halo rows [at[j], at[j+1]); a landing that
+	// fills its slot lands there in place, a shorter one, which a fill map
+	// completes, lands in a buffer of its own.
 	opAllToAllv
-	// opMulOwn multiplies instr.blk (a full-width diagonal block) against
-	// hLocal into the accumulator. After an exchange it is the local sweep:
-	// it completes the fill-mapped slots in the halo and writes the
+	// opMulOwn multiplies instr.blk (a full-width diagonal block, empty on a
+	// 1.5D rank whose column's range holds no block column of its own)
+	// against hLocal into the accumulator. After an exchange it is the local
+	// sweep: it completes the fill-mapped slots in the halo and writes the
 	// accumulator with, per row, the diagonal block's products and then the
 	// exchange's merged operand's against the halo, and charges the
 	// diagonal block, each non-empty slot's multiply in ascending peer order
 	// and the unpack copy of every slot row.
 	opMulOwn
-	// opSendRows gathers instr.idx rows of hLocal into a pooled buffer and
-	// hands it zero-copy to world rank instr.peer (tag instr.tag). An empty
-	// index list still sends the (empty) stage message.
-	opSendRows
-	// opChargePack charges the device-copy time of every row packed by
-	// opSendRows since the last charge.
-	opChargePack
-	// opRecvMul receives the stage message from world rank instr.peer into
-	// the staging buffer and, when rows arrived, multiplies instr.blk
-	// against them.
-	opRecvMul
 	// opAllReduce sums the per-rank partial accumulators over instr.group
 	// into the output block (the 1.5D partial-sum reduction).
 	opAllReduce
@@ -78,11 +70,8 @@ type instr struct {
 	group    *comm.Group // opBcastMul, opAllToAllv, opAllReduce
 	root     int         // opBcastMul: root's group index
 	own      bool        // opBcastMul: this rank is the root
-	peer     int         // opSendRows dst / opRecvMul src (world rank)
-	tag      int         // opSendRows / opRecvMul stage tag
-	rows     int         // staged H rows (opBcastMul, opRecvMul)
+	rows     int         // opBcastMul: staged H rows
 	slot     int         // opAllToAllv: own group index
-	idx      []int       // opSendRows: hLocal rows to gather
 	blk      *sparse.CSR // SpMM operand
 	sendIdx  [][]int     // opAllToAllv: per-peer hLocal rows to gather (nil = none)
 	recvRows []int       // opAllToAllv: per-peer landing row counts
@@ -200,11 +189,6 @@ func (p *Plan) Volumes(w int) []RankVolume {
 				v.SentBytes += sendB
 				v.RecvBytes += recvB
 				v.MsgsSent += int64(partners)
-			case opSendRows:
-				v.SentBytes += int64(len(in.idx)*w) * machine.BytesPerElem
-				v.MsgsSent++
-			case opRecvMul:
-				v.RecvBytes += int64(in.rows*w) * machine.BytesPerElem
 			case opAllReduce:
 				if g := in.group.Size(); g > 1 {
 					nb := int64(p.outRows[rank]*w) * machine.BytesPerElem
@@ -225,7 +209,6 @@ func (p *Plan) Volumes(w int) []RankVolume {
 func (p *Plan) Cost(params machine.Params, w int) *machine.Snapshot {
 	l := machine.NewLedger(len(p.progs))
 	for rank, prog := range p.progs {
-		var packed int64
 		var exch *instr // the last all-to-allv
 		for i := range prog {
 			in := &prog[i]
@@ -241,17 +224,6 @@ func (p *Plan) Cost(params machine.Params, w int) *machine.Snapshot {
 				exch = in
 			case opMulOwn:
 				mulOwnCharges(in.blk, exch, params, w, func(sec float64) { l.Add(rank, "local", sec) })
-			case opSendRows:
-				nb := int64(len(in.idx)*w) * machine.BytesPerElem
-				l.Add(rank, "alltoall", params.P2PTime(nb))
-				packed += int64(len(in.idx) * w)
-			case opChargePack:
-				l.Add(rank, "local", params.CopyTime(packed*machine.BytesPerElem))
-				packed = 0
-			case opRecvMul:
-				if in.rows > 0 {
-					l.Add(rank, "local", params.SpMMTime(in.blk.Flops(w)))
-				}
 			case opAllReduce:
 				nb := int64(p.outRows[rank]*w) * machine.BytesPerElem
 				l.Add(rank, "allreduce", params.AllReduceTime(nb, in.group.Size()))
@@ -469,7 +441,6 @@ func (p *Plan) execute(r *comm.Rank, hLocal, out *dense.Matrix, ws *execWS) {
 	if !sweepsFirst(prog) {
 		acc.Zero()
 	}
-	var packed int64
 	var exch *instr // the last all-to-allv
 	var halo []float64
 	for i := range prog {
@@ -521,25 +492,6 @@ func (p *Plan) execute(r *comm.Rank, hLocal, out *dense.Matrix, ws *execWS) {
 				in.blk.SpMMPairInto(acc, hLocal, exch.halo, asMatrix(&ws.hj, exch.halo.NumCols, f, halo))
 			}
 			mulOwnCharges(in.blk, exch, params, f, func(sec float64) { r.ChargeCompute("local", sec) })
-		case opSendRows:
-			if len(in.idx) == 0 {
-				r.SendOwned(in.peer, in.tag, nil, "alltoall")
-				continue
-			}
-			buf := r.GetFloats(len(in.idx) * f)
-			hLocal.GatherRowsInto(buf, in.idx)
-			packed += int64(len(buf))
-			r.SendOwned(in.peer, in.tag, buf, "alltoall")
-		case opChargePack:
-			r.ChargeCompute("local", params.CopyTime(packed*machine.BytesPerElem))
-			packed = 0
-		case opRecvMul:
-			data := dense.Grow(&ws.recv, in.rows*f)
-			r.RecvInto(in.peer, in.tag, data)
-			if in.rows > 0 {
-				in.blk.SpMMAddInto(acc, asMatrix(&ws.hj, in.rows, f, data))
-				r.ChargeCompute("local", params.SpMMTime(in.blk.Flops(f)))
-			}
 		case opAllReduce:
 			in.group.AllReduceSumInto(r, acc.Data, out.Data, "allreduce")
 		}
@@ -557,7 +509,7 @@ func sweepsFirst(prog []instr) bool {
 			exchanged = true
 		case opMulOwn:
 			return exchanged
-		case opBcastMul, opRecvMul, opAllReduce:
+		case opBcastMul, opAllReduce:
 			return false
 		}
 	}

@@ -296,7 +296,7 @@ func SampledGatherReference(blocks []*sparse.CSR, layout Layout, x *dense.Matrix
 			for pos, c := range sched.recvIdx[me][j] {
 				copy(land.Row(pos), x.Row(clo+c))
 			}
-			sched.slot(me, j).SpMMAddInto(out, land)
+			sched.slots(me, j, j+1).SpMMAddInto(out, land)
 		}
 		outs[me] = out
 	}

@@ -129,7 +129,7 @@ func requireOracleSchedule(t *testing.T, rows rowSource, layout Layout) {
 				}
 				nnz := 0
 				if j != i {
-					requireSameCSR(t, fmt.Sprintf("%s slot %d", what, j), got.slot(i, j), want.compact[i][j])
+					requireSameCSR(t, fmt.Sprintf("%s slot %d", what, j), got.slots(i, j, j+1), want.compact[i][j])
 					nnz = want.compact[i][j].NNZ()
 				}
 				if got.nnz[i][j] != nnz {
@@ -171,21 +171,25 @@ func dirtyOperands(rows rowSource, layout Layout) (larger, smaller rowSource) {
 }
 
 // require15DSlots compiles the sparsity-aware 1.5D engine at c = 2 over a
-// square operand and checks every staged multiply's block is the oracle's
-// compact block of its stage.
+// square operand and checks every rank's exchange operand is the oracle's
+// compact blocks of its column's range of block columns merged side by side
+// in slot order, its own block (when in range) contributing none.
 func require15DSlots(t *testing.T, a *sparse.CSR, layout Layout) {
 	t.Helper()
 	const c = 2
 	want := oracleSchedule(layoutRows(a, layout), layout)
 	e := NewSparsityAware15D(comm.NewWorld(c*layout.Blocks(), machine.Perlmutter()), a, c, layout)
+	s := layout.Blocks() / c
 	for rank, prog := range e.Plan().progs {
-		i := rank / c
-		for _, in := range prog {
-			if in.op == opRecvMul {
-				q := in.peer / c
-				requireSameCSR(t, fmt.Sprintf("1.5D rank %d stage block %d", rank, q), in.blk, want.compact[i][q])
+		i, j := rank/c, rank%c
+		lo, hi := layout.Range(i)
+		var blocks []*sparse.CSR
+		for q := j * s; q < (j+1)*s; q++ {
+			if q != i {
+				blocks = append(blocks, want.compact[i][q])
 			}
 		}
+		requireSameCSR(t, fmt.Sprintf("1.5D rank %d exchange operand", rank), prog[0].halo, hconcat(hi-lo, blocks))
 	}
 }
 
@@ -276,7 +280,7 @@ func haloCases() []haloCase {
 // empty rows, a zero-count layout block, a block row without remote
 // columns, one needing every column of a peer, an empty frontier — the
 // two-pass schedule equals the block-by-block one field for field, values
-// by their bits, as do the 1.5D engine's staged blocks cut from it.
+// by their bits, as do the 1.5D engine's exchange operands cut from it.
 func TestHaloScheduleMatchesOracle(t *testing.T) {
 	for _, c := range haloCases() {
 		t.Run(c.name, func(t *testing.T) {

@@ -41,7 +41,7 @@ func BenchmarkLocalMultiplyNarrow(b *testing.B) {
 	slots := make([]*sparse.CSR, len(sched.recvIdx[me]))
 	for j := range slots {
 		if j != me {
-			slots[j] = sched.slot(me, j)
+			slots[j] = sched.slots(me, j, j+1)
 		}
 	}
 	out := dense.New(diag.NumRows, f)

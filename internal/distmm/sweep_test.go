@@ -75,7 +75,7 @@ func slotBySlotCost(plan *Plan, sched *nnzSchedule, params machine.Params, f int
 		l.Add(rank, "local", params.SpMMTime(sched.diag[rank].Flops(f)))
 		var unpacked int64
 		for j := range sched.recvIdx[rank] {
-			if blk := sched.slot(rank, j); j != rank && blk.NumCols > 0 {
+			if blk := sched.slots(rank, j, j+1); j != rank && blk.NumCols > 0 {
 				l.Add(rank, "local", params.SpMMTime(blk.Flops(f)))
 				unpacked += int64(blk.NumCols * f)
 			}

@@ -14,16 +14,13 @@ import (
 // properties can be proven before a single byte moves — the static
 // counterpart of the chaos harness's runtime deadlock detection:
 //
-//   - Matching: every point-to-point send has exactly one matching receive
-//     (same tag, same element count, in per-pair FIFO order), and every
-//     collective occurrence is entered by all group members with consistent
-//     operation, root, and payload shape.
+//   - Matching: every collective occurrence is entered by all group members
+//     with consistent operation, root, and payload shape, and what each
+//     all-to-allv member packs for another is what that one expects to land.
 //   - Deadlock-freedom: one abstract run of the per-rank programs under the
-//     transports' own rules — a send never blocks and appends to its
-//     (src, dst) FIFO, a receive waits for that FIFO's oldest entry, a
-//     collective waits for every member of its group — reaches the end of
-//     every program. Matching is checked on the same run, as each receive
-//     pops and each collective completes.
+//     transports' own rule — a collective waits for every member of its
+//     group — reaches the end of every program. Matching is checked on the
+//     same run, as each collective completes.
 //   - Layout consistency: blockOf/outRows/inRows agree with the layout,
 //     every SpMM block's dimensions match its accumulator rows and staged
 //     operand rows, every halo slot is filled by its landing or by a fill
@@ -45,12 +42,12 @@ const (
 	// with the instruction payloads, or an exchange's merged operand with
 	// its slots.
 	VerifyLayout
-	// VerifyMatching: an unmatched or misordered send/recv pair, a tag or
-	// size mismatch, or inconsistent collective participation.
+	// VerifyMatching: inconsistent collective participation, or members of
+	// one collective that disagree on its operation, root or shapes.
 	VerifyMatching
 	// VerifyDeadlock: the abstract run leaves ranks blocked short of their
-	// program's end, each waiting on a message or a collective no other rank
-	// will provide.
+	// program's end, each waiting on a collective some member of its group
+	// never enters while it waits.
 	VerifyDeadlock
 )
 
@@ -104,12 +101,6 @@ func (op opcode) String() string {
 		return "all-to-allv"
 	case opMulOwn:
 		return "mul-own"
-	case opSendRows:
-		return "send-rows"
-	case opChargePack:
-		return "charge-pack"
-	case opRecvMul:
-		return "recv-mul"
 	case opAllReduce:
 		return "all-reduce"
 	}
@@ -151,35 +142,19 @@ func (v *verifier) verify(p *Plan) error {
 	return v.run()
 }
 
-// verifier holds one Verify run's derived state: the per-pair queues and
-// per-group tables the count pre-check fills and the abstract run consumes,
-// each indexed in first-encounter order, and the checks' scratch.
+// verifier holds one Verify run's derived state: the per-group tables the
+// count pre-check fills and the abstract run consumes, indexed in
+// first-encounter order, and the checks' scratch.
 type verifier struct {
 	p *Plan
 	n int
 
-	pairIdx  map[[2]int]int // (src, dst) → pairs index
-	pairs    []p2pQueue
 	groupIdx map[*comm.Group]int // → groups index
 	groups   []collGroup
 
-	perRow            []int // checkHalo: entries per halo row
-	pc, waitOn, ready []int // run: per-rank program counter, awaited peer, ready stack
+	perRow    []int // checkHalo: entries per halo row
+	pc, ready []int // run: per-rank program counter, ready stack
 }
-
-// p2pQueue is one (src, dst) pair: its send and receive counts, and its FIFO
-// in the abstract run.
-type p2pQueue struct {
-	src, dst     int
-	sends, recvs int
-	q            []p2pMsg
-	head         int
-}
-
-// p2pMsg is one queued send with its wire signature. Payloads are counted in
-// H rows: every payload of an execution scales by the same dense width, so
-// matching row counts match at every width.
-type p2pMsg struct{ site, tag, rows int }
 
 // collGroup is one group: collective entries per member, and how many
 // members are parked on their next collective in the abstract run.
@@ -196,8 +171,7 @@ func (v *verifier) err(k VerifyKind, rank, site int, format string, args ...any)
 // reset points v at plan p, keeping its storage, and validates the
 // plan-global metadata shape and layout agreement.
 func (v *verifier) reset(p *Plan) error {
-	v.p, v.pairs, v.groups = p, v.pairs[:0], v.groups[:0]
-	clear(v.pairIdx)
+	v.p, v.groups = p, v.groups[:0]
 	clear(v.groupIdx)
 	if p == nil {
 		return &VerifyError{Plan: "<nil>", Kind: VerifyStructure, Rank: -1, Site: -1, Detail: "nil plan"}
@@ -331,30 +305,6 @@ func (v *verifier) checkPrograms() error {
 					return v.err(VerifyLayout, rank, site, "local sweep after an earlier multiply would overwrite it")
 				}
 				multiplied = true
-			case opChargePack:
-				// Accounting-only sites carry no operands to validate.
-			case opSendRows:
-				if in.peer < 0 || in.peer >= v.n || in.peer == rank {
-					return v.err(VerifyStructure, rank, site, "send peer %d invalid in world of %d", in.peer, v.n)
-				}
-				for _, r := range in.idx {
-					if r < 0 || r >= hRows {
-						return v.err(VerifyLayout, rank, site, "pack index %d outside the rank's %d H rows", r, hRows)
-					}
-				}
-			case opRecvMul:
-				if in.peer < 0 || in.peer >= v.n || in.peer == rank {
-					return v.err(VerifyStructure, rank, site, "recv peer %d invalid in world of %d", in.peer, v.n)
-				}
-				if in.rows < 0 {
-					return v.err(VerifyStructure, rank, site, "negative staged row count %d", in.rows)
-				}
-				if in.rows > 0 {
-					if err := v.checkBlock(rank, site, in, own, in.rows); err != nil {
-						return err
-					}
-				}
-				multiplied = true
 			case opAllReduce:
 				g := in.group
 				if g == nil {
@@ -477,22 +427,17 @@ func (v *verifier) checkBlock(rank, site int, in *instr, accRows, opRows int) *V
 	return nil
 }
 
-// checkCounts is the matching pre-check: every (src, dst) pair posts as many
-// receives as sends, and every member of a group enters as many of its
-// collectives as every other member.
+// checkCounts is the matching pre-check: every member of a group enters as
+// many of its collectives as every other member.
 func (v *verifier) checkCounts() error {
-	if v.pairIdx == nil {
-		v.pairIdx, v.groupIdx = make(map[[2]int]int), make(map[*comm.Group]int)
+	if v.groupIdx == nil {
+		v.groupIdx = make(map[*comm.Group]int)
 	}
 	for rank := 0; rank < v.n; rank++ {
 		prog := v.p.progs[rank]
 		for site := range prog {
 			in := &prog[site]
 			switch in.op {
-			case opSendRows:
-				v.pair(rank, in.peer).sends++
-			case opRecvMul:
-				v.pair(in.peer, rank).recvs++
 			case opBcastMul, opAllToAllv, opAllReduce:
 				i, ok := v.groupIdx[in.group]
 				if !ok {
@@ -513,14 +458,6 @@ func (v *verifier) checkCounts() error {
 			}
 		}
 	}
-	for _, q := range v.pairs {
-		if q.sends > q.recvs {
-			return v.err(VerifyMatching, q.src, -1, "%d sends to rank %d, which posts %d receives from it", q.sends, q.dst, q.recvs)
-		}
-		if q.recvs > q.sends {
-			return v.err(VerifyMatching, q.dst, -1, "%d receives from rank %d, which posts %d sends to it", q.recvs, q.src, q.sends)
-		}
-	}
 	for _, c := range v.groups {
 		for i := 1; i < len(c.entries); i++ {
 			if c.entries[i] != c.entries[0] {
@@ -532,35 +469,20 @@ func (v *verifier) checkCounts() error {
 	return nil
 }
 
-// pair returns the (src, dst) queue, creating it on first use.
-func (v *verifier) pair(src, dst int) *p2pQueue {
-	i, ok := v.pairIdx[[2]int{src, dst}]
-	if !ok {
-		i = len(v.pairs)
-		v.pairIdx[[2]int{src, dst}] = i
-		v.pairs = slices.Grow(v.pairs, 1)[:i+1]
-		v.pairs[i] = p2pQueue{src: src, dst: dst, q: v.pairs[i].q[:0]}
-	}
-	return &v.pairs[i]
-}
-
 // run is one abstract execution of the per-rank programs under the
-// transports' rules. Each ready rank advances until it finishes or blocks: a
-// send appends to its (src, dst) FIFO and wakes the receiver if it waits on
-// that pair; a receive pops the FIFO's oldest entry, which must carry its tag
-// and rows, or blocks while the FIFO is empty; a collective parks the rank
-// until every member of its group is parked on one, then completes for all
-// of them (checkCollective). Ranks still short of their program's end when
-// no rank is ready are a deadlock.
+// transports' rule. Each ready rank advances until it finishes or blocks: a
+// local instruction never blocks, and a collective parks the rank until
+// every member of its group is parked on one, then completes for all of
+// them (checkCollective). Ranks still short of their program's end when no
+// rank is ready are a deadlock.
 func (v *verifier) run() error {
 	p := v.p
 	pc := dense.Grow(&v.pc, v.n)
-	waitOn := dense.Grow(&v.waitOn, v.n) // the peer a blocked receive waits on, or -1
 	// A stack, rank 0 on top. A rank is on it at most once, so it never
 	// outgrows v.ready.
 	ready := dense.Grow(&v.ready, v.n)
 	for r := range ready {
-		pc[r], ready[r], waitOn[r] = 0, v.n-1-r, -1
+		pc[r], ready[r] = 0, v.n-1-r
 	}
 	for len(ready) > 0 {
 		rank := ready[len(ready)-1]
@@ -568,30 +490,7 @@ func (v *verifier) run() error {
 		prog := p.progs[rank]
 	advance:
 		for pc[rank] < len(prog) {
-			site := pc[rank]
-			in := &prog[site]
-			switch in.op {
-			case opSendRows:
-				q := &v.pairs[v.pairIdx[[2]int{rank, in.peer}]]
-				q.q = append(q.q, p2pMsg{site: site, tag: in.tag, rows: len(in.idx)})
-				if waitOn[in.peer] == rank {
-					waitOn[in.peer] = -1
-					ready = append(ready, in.peer)
-				}
-			case opRecvMul:
-				q := &v.pairs[v.pairIdx[[2]int{in.peer, rank}]]
-				if q.head == len(q.q) {
-					waitOn[rank] = in.peer
-					break advance
-				}
-				m := q.q[q.head]
-				q.head++
-				if m.tag != in.tag {
-					return v.err(VerifyMatching, rank, site, "recv expects tag %d from rank %d, whose oldest queued send (instr %d) carries tag %d", in.tag, in.peer, m.site, m.tag)
-				}
-				if m.rows != in.rows {
-					return v.err(VerifyMatching, rank, site, "recv expects %d rows from rank %d, whose oldest queued send (instr %d) carries %d", in.rows, in.peer, m.site, m.rows)
-				}
+			switch in := &prog[pc[rank]]; in.op {
 			case opBcastMul, opAllToAllv, opAllReduce:
 				c := &v.groups[v.groupIdx[in.group]]
 				if c.parked++; c.parked < c.g.Size() {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sagnn/internal/comm"
@@ -14,10 +15,10 @@ import (
 )
 
 // This file is the Verify mutation suite: for every engine × P it clones the
-// compiled plan, corrupts it one hazard class at a time — dropped receive,
-// send/recv wait cycle, tag/size mismatch, broken group participation —
-// and asserts the static checker rejects each with a typed,
-// rank-attributed *VerifyError while the unmutated clone passes.
+// compiled plan, corrupts it one hazard class at a time — a shape or root
+// mismatch, broken group participation, a cycle of collectives entered in
+// different orders — and asserts the static checker rejects each with a
+// typed, rank-attributed *VerifyError while the unmutated clone passes.
 // The clones corrupt exactly the state a buggy compiler or a future plan
 // transformation could produce; the executor never runs them.
 
@@ -53,55 +54,11 @@ type planMutation struct {
 	apply func(p *Plan) bool
 }
 
-// dropRecv removes the first point-to-point receive, leaving its send
-// unmatched.
-func dropRecv(p *Plan) bool {
-	for rank, prog := range p.progs {
-		for site := range prog {
-			if prog[site].op == opRecvMul {
-				p.progs[rank] = append(append([]instr(nil), prog[:site]...), prog[site+1:]...)
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// swapSendRecvCycle reorders one rank's send-then-recv with the same peer
-// into recv-then-send, closing a cross-rank wait cycle with the peer's
-// (unchanged) recv-then-send order.
-func swapSendRecvCycle(p *Plan) bool {
-	for rank, prog := range p.progs {
-		for s1 := range prog {
-			if prog[s1].op != opSendRows {
-				continue
-			}
-			peer := prog[s1].peer
-			for s2 := s1 + 1; s2 < len(prog); s2++ {
-				if prog[s2].op == opRecvMul && prog[s2].peer == peer {
-					p.progs[rank][s1], p.progs[rank][s2] = prog[s2], prog[s1]
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// mismatchTagOrSize corrupts one wire signature: a p2p tag bump where the
-// plan has point-to-point traffic, a shrunken all-to-allv pack list, or a
-// shifted broadcast root — whichever the instruction mix offers first. All
-// leave the per-rank structure locally valid, so only cross-rank matching
-// can catch them.
-func mismatchTagOrSize(p *Plan) bool {
-	for rank, prog := range p.progs {
-		for site := range prog {
-			if prog[site].op == opSendRows {
-				p.progs[rank][site].tag++
-				return true
-			}
-		}
-	}
+// mismatchSizeOrRoot corrupts one wire signature: a shrunken all-to-allv
+// pack list or a shifted broadcast root — whichever the instruction mix
+// offers first. Both leave the per-rank structure locally valid, so only
+// cross-rank matching can catch them.
+func mismatchSizeOrRoot(p *Plan) bool {
 	for rank, prog := range p.progs {
 		for site := range prog {
 			in := &prog[site]
@@ -164,12 +121,49 @@ func breakParticipation(p *Plan) bool {
 	return false
 }
 
+// collectiveOrderCycle makes every rank enter a world-group broadcast of an
+// empty block first, except rank 0, which enters it after its first
+// collective. Rank 0 then waits in that collective's group for members that
+// wait in the world group for rank 0: a cycle no count check sees, since
+// every member still enters every group equally often. It applies where
+// rank 0's first collective is not over the world group (there the two
+// entries would pair up instead) and no sweep follows an exchange (a sweep
+// must be a rank's first multiply).
+func collectiveOrderCycle(p *Plan) bool {
+	world := p.world.WorldGroup()
+	first := -1
+	for rank, prog := range p.progs {
+		for site, in := range prog {
+			if in.op == opAllToAllv {
+				return false
+			}
+			if rank == 0 && first < 0 && in.op != opMulOwn {
+				first = site
+			}
+		}
+	}
+	if first < 0 || p.progs[0][first].group == world {
+		return false
+	}
+	rows := p.inRowsOf(0)
+	for rank, prog := range p.progs {
+		out := p.outRows[rank]
+		bcast := instr{op: opBcastMul, group: world, root: 0, own: rank == 0, rows: rows,
+			blk: &sparse.CSR{NumRows: out, NumCols: rows, RowPtr: make([]int, out+1)}}
+		at := 0
+		if rank == 0 {
+			at = first + 1
+		}
+		p.progs[rank] = slices.Insert(slices.Clone(prog), at, bcast)
+	}
+	return true
+}
+
 func verifyMutations() []planMutation {
 	return []planMutation{
-		{name: "drop-recv", kind: VerifyMatching, apply: dropRecv},
-		{name: "send-recv-cycle", kind: VerifyDeadlock, apply: swapSendRecvCycle},
-		{name: "mismatch-tag-size", kind: VerifyMatching, apply: mismatchTagOrSize},
+		{name: "mismatch-size-root", kind: VerifyMatching, apply: mismatchSizeOrRoot},
 		{name: "break-participation", kind: VerifyMatching, apply: breakParticipation},
+		{name: "collective-order-cycle", kind: VerifyDeadlock, apply: collectiveOrderCycle},
 	}
 }
 
@@ -228,10 +222,9 @@ func TestVerifyMutations(t *testing.T) {
 	// P ∈ {4, 8, 16} and the 1.5D pair at (P, c) ∈ {(4,2), (8,2), (16,2),
 	// (16,4)}.
 	want := map[string]int{
-		"drop-recv":           4,  // p2p receives: sparsity-aware 1.5D, every (P, c)
-		"send-recv-cycle":     2,  // a send then a recv with one peer needs ≥ 2 stages per rank: sa-1.5d at (8,2), (16,2)
-		"mismatch-tag-size":   13, // all but oblivious-1.5d at (4,2), whose 2-member bcast groups have no other root to shift to
-		"break-participation": 14, // every plan runs a collective
+		"mismatch-size-root":     13, // all but oblivious-1.5d at (4,2), whose 2-member bcast groups have no other root to shift to
+		"break-participation":    14, // every plan runs a collective
+		"collective-order-cycle": 4,  // oblivious-1.5d, every (P, c): rank 0 first broadcasts in its process column
 	}
 	for _, m := range verifyMutations() {
 		if applied[m.name] != want[m.name] {
@@ -363,10 +356,11 @@ func TestVerifyRejectsBrokenSweep(t *testing.T) {
 // FuzzVerifySound checks Verify against the executor itself. A compiled
 // plan of every feasible engine at P ∈ {4, 8}, and a sampled gather compiled
 // against stores an earlier batch filled, takes one single-rank edit —
-// delete, duplicate or swap instructions, bump a tag, change a peer or a
-// root, or repoint an entry of an exchange's fill map. Verify must return nil or a *VerifyError,
-// never panic; and whenever it accepts the edited plan, the executor must
-// run it to completion on a sim world within the chaos timeout.
+// delete, duplicate or swap instructions, bump a staged row count or a
+// landing count, change a slot or a root, or repoint an entry of an
+// exchange's fill map. Verify must return nil or a *VerifyError, never
+// panic; and whenever it accepts the edited plan, the executor must run it
+// to completion on a sim world within the chaos timeout.
 func FuzzVerifySound(f *testing.F) {
 	const n, width = 48, 3
 	a := gen.ErdosRenyi(n, 5, 31).NormalizedAdjacency()
@@ -388,7 +382,7 @@ func FuzzVerifySound(f *testing.F) {
 		g.Recompile(frontiers)
 		plans = append(plans, g.Plan())
 	}
-	const edits = 7
+	const edits = 8
 	for seed := 0; seed < edits*len(plans); seed++ { // every edit on every plan
 		f.Add(uint8(seed), uint8(seed*3), uint8(seed/len(plans)), uint16(seed*5), uint16(seed*11+1))
 	}
@@ -408,9 +402,9 @@ func FuzzVerifySound(f *testing.F) {
 		case 2:
 			prog[x], prog[y] = prog[y], prog[x]
 		case 3:
-			prog[x].tag++
+			prog[x].rows++
 		case 4:
-			prog[x].peer = int(j) % len(mut.progs)
+			prog[x].slot = int(j) % len(mut.progs)
 		case 5:
 			prog[x].root = int(j) % len(mut.progs)
 		case 6:
@@ -422,6 +416,12 @@ func FuzzVerifySound(f *testing.F) {
 					fl.fill = fill
 				}
 				prog[x].fills = fills
+			}
+		case 7:
+			if recv := prog[x].recvRows; len(recv) > 0 {
+				recv = slices.Clone(recv)
+				recv[int(j)%len(recv)]++
+				prog[x].recvRows = recv
 			}
 		}
 		err := Verify(mut)
