@@ -257,10 +257,10 @@ func validateExec(m ExecMode) error {
 }
 
 // DistGraph is a dataset distributed across a cluster: the permuted
-// normalized adjacency, relabeled labels/splits, the feature rows the
-// process's ranks read, the block-row layout, the communication engine with
-// its sparsity-aware schedule, and what depends on nothing else — the first
-// layer's aggregate Â·X, which training never changes.
+// normalized adjacency, relabeled labels/splits, the block-row layout, the
+// communication engine with its sparsity-aware schedule, and what depends
+// on nothing else — the first layer's aggregate Â·X, which training never
+// changes.
 //
 // Building a DistGraph is the expensive, amortizable step the paper
 // identifies (partitioning plus NnzCols schedule construction); once built
@@ -270,7 +270,11 @@ func validateExec(m ExecMode) error {
 // graph computes it (one launch: a distributed SpMM per column panel of
 // the features), every
 // epoch of every session reads it, and a graph that only ever trains
-// sampled never computes it.
+// sampled never computes it. The features stay where they lie: Â·X reads
+// the dataset's own rows through the inverse relabeling, so a full-batch
+// graph holds no copy of X. Only sampled training reads features in the
+// engine's order; the first RunSampled on the graph builds them once for
+// every session on it.
 type DistGraph struct {
 	cluster *Cluster
 	ds      *Dataset
@@ -283,24 +287,28 @@ type DistGraph struct {
 	*prepared
 	engine distmm.Engine
 	report *Report
-	// x holds the features the ranks this process hosts own, in the
-	// engine's vertex order (gcn.HostedRows): every row on a simulated
-	// cluster, one rank's block on a TCP one. Without a partitioner it is a
-	// view of the dataset's features, else their one permuted copy.
-	x *dense.Matrix
 
-	// input is Â·X over engine and x, shared by every session's trainer and
-	// used under cluster.mu.
+	// input is Â·X over engine and the dataset's features as Distribute saw
+	// them, shared by every session's trainer and used under cluster.mu.
 	input *gcn.InputProduct
+
+	// sampledX holds the features the ranks this process hosts own, in the
+	// engine's vertex order (gcn.HostedRows), for sampled training:
+	// every row on a simulated cluster, one rank's block on a TCP one; a
+	// view of the dataset's features without a partitioner, else their one
+	// permuted copy. Nil until the first RunSampled (sampledFeatures).
+	sampledX    *dense.Matrix
+	sampledOnce sync.Once
 }
 
 // prepared is a dataset staged for a k-block distribution: the (optionally
 // permuted) normalized adjacency, relabeled labels and training set, the
 // permutation, the block-row layout, and the partition quality when a
-// partitioner ran. The features stay unpermuted until Distribute has picked
-// a row and knows which ranks the process hosts (hostedFeatures), so
-// pricing copies none. The held-out splits stay in the dataset's order,
-// where runs evaluate (Session.result).
+// partitioner ran. The features are never permuted here: Â·X reads them
+// through the inverse of perm (gcn.InputProduct.Rows), and only the
+// sampled trainer takes a permuted copy (DistGraph.sampledFeatures). The
+// held-out splits stay in the dataset's order, where runs evaluate
+// (Session.result).
 type prepared struct {
 	aHat    *sparse.CSR
 	labels  []int
@@ -395,24 +403,33 @@ func (c *Cluster) Distribute(ds *Dataset, opts DistOpts) (*DistGraph, error) {
 			PartitionQuality: prep.quality,
 		},
 	}
-	g.x = hostedFeatures(c.world, engine, ds.Features, prep.perm)
-	g.input = &gcn.InputProduct{World: c.world, Engine: engine, X: g.x}
+	g.input = &gcn.InputProduct{World: c.world, Engine: engine, X: ds.Features}
+	if prep.perm != nil {
+		g.input.Rows = make([]int, len(prep.perm))
+		for v, i := range prep.perm {
+			g.input.Rows[i] = v
+		}
+	}
 	if opts.Sampling != nil {
 		g.sampling, g.opts.Sampling = *opts.Sampling, nil
 	}
 	return g, nil
 }
 
-// hostedFeatures returns the rows of x, permuted by perm (nil: as they
-// are), that the ranks this process hosts own under e: all of them in one
-// copy on a simulated world, one block's over TCP, gathered straight from
-// x. Unpermuted rows are a view of x.
-func hostedFeatures(w *comm.World, e distmm.Engine, x *dense.Matrix, perm []int) *dense.Matrix {
-	lo, hi := gcn.HostedSpan(w, func(rank int) (int, int) { return e.Layout().Range(e.BlockOf(rank)) })
-	if perm == nil {
-		return x.SliceRows(lo, hi)
-	}
-	return x.PermutedRows(perm, lo, hi)
+// sampledFeatures returns sampledX, building it on the first call: the
+// rows of the features Distribute saw, permuted like the graph (as they
+// are without a partitioner, a view), that the ranks this process hosts
+// own — all of them in one copy on a simulated world, one block's over
+// TCP, gathered straight from the dataset's.
+func (g *DistGraph) sampledFeatures() *dense.Matrix {
+	g.sampledOnce.Do(func() {
+		lo, hi := gcn.HostedSpan(g.cluster.world, g.layout.Range) // one block per rank, as RunSampled checked
+		g.sampledX = g.input.X.SliceRows(lo, hi)
+		if g.perm != nil {
+			g.sampledX = g.input.X.PermutedRows(g.perm, lo, hi)
+		}
+	})
+	return g.sampledX
 }
 
 // Cluster returns the cluster this graph is distributed over.

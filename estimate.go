@@ -173,7 +173,7 @@ func (g *DistGraph) PriceEpoch(cfg ModelConfig) (*EpochPrice, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	dims := gcn.LayerDims(g.x.Cols, cfg.Hidden, g.ds.Classes, cfg.Layers)
+	dims := gcn.LayerDims(g.input.X.Cols, cfg.Hidden, g.ds.Classes, cfg.Layers)
 	epoch, sent, recv, _ := priceEpoch(g.engine, g.cluster.world.Params, dims)
 	price := &EpochPrice{EpochSeconds: epoch.Total(), Breakdown: epoch.Breakdown(), PartitionQuality: g.quality}
 	price.MaxSentMB, price.AvgSentMB = distmm.SentSummaryMB(sent)

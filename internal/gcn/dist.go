@@ -18,10 +18,8 @@ import (
 type Distributed struct {
 	World  *comm.World
 	Engine distmm.Engine
-	// X is the feature matrix in the engine's vertex order (see ApplyPerm):
-	// every row, or exactly the rows of the ranks this process hosts
-	// (HostedRows). Labels and Train are global and permuted alike.
-	X      *dense.Matrix
+	// Labels and Train are global and in the engine's vertex order (see
+	// ApplyPerm); the features are Input's.
 	Labels []int
 	Train  []int
 	Dims   []int
@@ -31,23 +29,20 @@ type Distributed struct {
 	// replica needs its own optimizer state; determinism keeps replicas
 	// identical). Nil means SGD at LR.
 	NewOpt func() opt.Optimizer
-	// Input is Â·X over Engine and X, computed ahead of the first epoch that
-	// needs it. NewDistributed starts a private one; trainers over one
-	// distributed graph (its sessions) assign the graph's and share it.
+	// Input is Â·X over Engine, computed ahead of the first epoch that needs
+	// it; the epoch reads nothing else of the features. NewDistributed
+	// starts a private one; trainers over one distributed graph (its
+	// sessions) share the graph's.
 	Input *InputProduct
 }
 
-// NewDistributed validates shapes. x holds every feature row or only the
-// hosted ones (HostedRows).
+// NewDistributed validates shapes. x holds every feature row, in the
+// engine's vertex order.
 func NewDistributed(w *comm.World, e distmm.Engine, x *dense.Matrix, labels []int, train []int, dims []int, lr float64, seed int64) *Distributed {
-	HostedOffset(w, e.Layout().N(), blockRange(e), x)
-	if len(labels) != e.Layout().N() {
-		panic("gcn: labels misaligned")
+	if n := e.Layout().N(); x.Rows != n || len(labels) != n || dims[0] != x.Cols {
+		panic(fmt.Sprintf("gcn: %d×%d features and %d labels for %d vertices and dims[0]=%d", x.Rows, x.Cols, len(labels), n, dims[0]))
 	}
-	if dims[0] != x.Cols {
-		panic(fmt.Sprintf("gcn: dims[0]=%d, X has %d features", dims[0], x.Cols))
-	}
-	return &Distributed{World: w, Engine: e, X: x, Labels: labels, Train: train, Dims: dims, LR: lr, Seed: seed,
+	return &Distributed{World: w, Engine: e, Labels: labels, Train: train, Dims: dims, LR: lr, Seed: seed,
 		Input: &InputProduct{World: w, Engine: e, X: x}}
 }
 
@@ -71,11 +66,6 @@ func multiply(e distmm.Engine, r *comm.Rank, h, out *dense.Matrix) {
 	e.MultiplyInto(r, h, out)
 }
 
-// blockRange returns the engine's rank → block rows map.
-func blockRange(e distmm.Engine) func(rank int) (lo, hi int) {
-	return func(rank int) (int, int) { return e.Layout().Range(e.BlockOf(rank)) }
-}
-
 // HostedSpan returns the rows [lo, hi) of the global vertex order that the
 // ranks this process hosts own, given each rank's rows: every row on an
 // in-process world, one rank's block over TCP.
@@ -91,27 +81,20 @@ func HostedSpan(w *comm.World, rowsOf func(rank int) (lo, hi int)) (lo, hi int) 
 	return lo, hi
 }
 
-// HostedOffset returns the global row of x's first row: x, a matrix in an
-// n-row vertex order, holds either every row (0) or exactly the process's
-// HostedSpan. Anything else panics.
-func HostedOffset(w *comm.World, n int, rowsOf func(rank int) (lo, hi int), x *dense.Matrix) int {
-	if x.Rows == n {
-		return 0
-	}
-	lo, hi := HostedSpan(w, rowsOf)
-	if x.Rows != hi-lo {
-		panic(fmt.Sprintf("gcn: X has %d rows: neither the layout's %d nor the %d rows [%d,%d) this process hosts", x.Rows, n, hi-lo, lo, hi))
-	}
-	return lo
-}
-
 // HostedRows returns a hosted rank's rows of x (a view), where x is a
 // matrix in an n-row vertex order held whole or as exactly the process's
-// HostedSpan — how a multi-process rank keeps its features: only its own
-// block's rows, which is all it reads.
+// HostedSpan — how a multi-process rank keeps its sampled trainer's
+// features: only its own block's rows, which is all it reads. Any other x
+// panics.
 func HostedRows(w *comm.World, n int, rowsOf func(rank int) (lo, hi int), x *dense.Matrix, rank int) *dense.Matrix {
-	off := HostedOffset(w, n, rowsOf, x)
 	lo, hi := rowsOf(rank)
+	if x.Rows == n {
+		return x.SliceRows(lo, hi)
+	}
+	off, end := HostedSpan(w, rowsOf)
+	if x.Rows != end-off {
+		panic(fmt.Sprintf("gcn: X has %d rows: neither the layout's %d nor the %d rows [%d,%d) this process hosts", x.Rows, n, end-off, off, end))
+	}
 	return x.SliceRows(lo-off, hi-off)
 }
 
@@ -119,8 +102,9 @@ func HostedRows(w *comm.World, n int, rowsOf func(rank int) (lo, hi int), x *den
 // full-batch epoch whose operands training never changes — Â and H⁰ = X are
 // fixed by the distribution — and the widest, at the feature width. It is
 // computed once, in one launch, as the collective Engine.MultiplyInto of
-// each column panel of X (distmm.SetupWidths), each written into its
-// columns of the block: every output element sums its products in
+// each column panel of X (distmm.SetupWidths), each gathered from X's rows
+// of the rank's block and its output written into its columns of the
+// block: every output element sums its products in
 // ascending CSR position without FMA on every engine, replication factor
 // and transport, so a column's bits do not depend on the columns beside it
 // and the product is that of one feature-width multiply, while the
@@ -131,9 +115,13 @@ func HostedRows(w *comm.World, n int, rowsOf func(rank int) (lo, hi int), x *den
 type InputProduct struct {
 	World  *comm.World
 	Engine distmm.Engine
-	// X is the feature matrix in the engine's vertex order, whole or the
-	// hosted rows (HostedRows).
-	X *dense.Matrix
+	// X is the feature matrix, every row, read only by Ensure. Rows[i] is
+	// the row of X that holds engine-order vertex i; nil means X is in the
+	// engine's vertex order. A distributed graph passes its dataset's
+	// features and the inverse of the partitioner's relabeling, so no
+	// permuted copy of X exists.
+	X    *dense.Matrix
+	Rows []int
 	// blocks[rank] is a hosted rank's block rows of Â·X, and blocksT[rank]
 	// their transpose. Nil until Ensure has succeeded: no rank's block is
 	// kept unless every rank's is.
@@ -151,13 +139,19 @@ func (p *InputProduct) Ensure(ctx context.Context) error {
 	blocks, blocksT := make([]*dense.Matrix, p.World.P), make([]*dense.Matrix, p.World.P)
 	widths := distmm.SetupWidths(p.X.Cols)
 	err := p.World.RunCtx(ctx, func(r *comm.Rank) error {
-		x := HostedRows(p.World, p.Engine.Layout().N(), blockRange(p.Engine), p.X, r.ID)
-		block := dense.New(x.Rows, x.Cols)
+		lo, hi := p.Engine.Layout().Range(p.Engine.BlockOf(r.ID))
+		block := dense.New(hi-lo, p.X.Cols)
 		var in, out *dense.Matrix
 		c := 0
 		for _, w := range widths {
-			in, out = dense.Reshape(in, x.Rows, w), dense.Reshape(out, x.Rows, w)
-			dense.CopyCols(in, 0, x, c, w)
+			in, out = dense.Reshape(in, hi-lo, w), dense.Reshape(out, hi-lo, w)
+			for i := 0; i < in.Rows; i++ {
+				v := lo + i
+				if p.Rows != nil {
+					v = p.Rows[v]
+				}
+				copy(in.Row(i), p.X.Row(v)[c:c+w])
+			}
 			multiply(p.Engine, r, in, out)
 			dense.CopyCols(block, c, out, 0, w)
 			c += w
@@ -225,7 +219,6 @@ func (d *Distributed) Stepper() *Stepper {
 	return NewStepper(d.World, len(d.Train), d.Input.Ensure, body, func(r *comm.Rank) *Replica {
 		lo, hi := d.Engine.Layout().Range(d.Engine.BlockOf(r.ID))
 		rep := &Replica{
-			X:      HostedRows(d.World, d.Engine.Layout().N(), blockRange(d.Engine), d.X, r.ID), // a view: the step only reads it
 			Model:  NewModel(d.Seed, d.Dims),
 			NewOpt: newOpt,
 			Group:  d.Engine.GradGroup(r.ID),
@@ -252,8 +245,9 @@ func ApplyPerm(perm []int, x *dense.Matrix, labels []int, idxSets ...[]int) (*de
 }
 
 // Relabel is ApplyPerm without the features: labels move to permuted
-// vertices and index sets are mapped. A process that keeps only some
-// feature rows permutes those itself (dense.Matrix.PermutedRows).
+// vertices and index sets are mapped. The features of a distributed graph
+// stay where they lie: InputProduct reads them through the inverse
+// relabeling (InputProduct.Rows).
 func Relabel(perm []int, labels []int, idxSets ...[]int) ([]int, [][]int) {
 	plabels := make([]int, len(labels))
 	for v, l := range labels {

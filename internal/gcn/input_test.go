@@ -88,8 +88,8 @@ func TestInputProductSharedAndBitIdentical(t *testing.T) {
 	want := make([]*dense.Matrix, d.World.P)
 	d.World.Run(func(r *comm.Rank) {
 		lo, hi := d.Engine.Layout().Range(d.Engine.BlockOf(r.ID))
-		want[r.ID] = dense.New(hi-lo, d.X.Cols)
-		d.Engine.MultiplyInto(r, d.X.SliceRows(lo, hi).Clone(), want[r.ID])
+		want[r.ID] = dense.New(hi-lo, d.Input.X.Cols)
+		d.Engine.MultiplyInto(r, d.Input.X.SliceRows(lo, hi).Clone(), want[r.ID])
 	})
 	for i, b := range bitsOf(want[1]) {
 		if before[i] != b || math.Float64bits(first.Data[i]) != b {
@@ -337,6 +337,34 @@ func TestInputProductBuffersStayPanelWide(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got > product+4*unit {
 			t.Errorf("%s: the set-up launch allocated %d bytes: the product's %d plus %.1f rows × panel-width matrices per rank, want ≤ 4",
 				eng.name, got, product, float64(got-product)/float64(unit))
+		}
+	}
+}
+
+// TestInputProductReadsThroughRows: a product over unpermuted features and
+// a row map equals, bit for bit, the product over the permuted copy the
+// map stands for, on every engine and at a width across two panels.
+func TestInputProductReadsThroughRows(t *testing.T) {
+	const n = 96
+	f := distmm.SetupWidths(1 << 20)[0] + 5
+	perm := rand.New(rand.NewSource(3)).Perm(n)
+	rows := make([]int, n)
+	for v, i := range perm {
+		rows[i] = v
+	}
+	for _, eng := range panelEngines {
+		copied := panelFixture(n, 6, f, eng.name, eng.c)
+		mapped := &InputProduct{World: copied.World, Engine: copied.Engine, X: copied.X, Rows: rows}
+		copied.X = copied.X.PermuteRows(perm)
+		for _, p := range []*InputProduct{copied, mapped} {
+			if err := p.Ensure(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for rank := 0; rank < copied.World.P; rank++ {
+			if !reflect.DeepEqual(bitsOf(mapped.Block(rank)), bitsOf(copied.Block(rank))) {
+				t.Fatalf("%s: rank %d's product through the row map differs from the permuted copy's", eng.name, rank)
+			}
 		}
 	}
 }

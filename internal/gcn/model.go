@@ -23,7 +23,7 @@
 // GEMM.
 //
 // Stepper owns what persists between epochs — one Replica per hosted rank
-// (feature slice, weights, optimizer, gradient group, workspace), the epoch
+// (weights, optimizer, gradient group, workspace), the epoch
 // counter and the dirty flag — and runs whichever EpochBody it holds, so a
 // session trains full-batch and sampled over one replica set. SubsetEval is
 // the fourth, forward-only operand: serving's frontier chain, which gathers

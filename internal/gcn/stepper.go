@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"sagnn/internal/comm"
-	"sagnn/internal/dense"
 	"sagnn/internal/opt"
 )
 
@@ -17,13 +16,12 @@ import (
 // condition.
 var ErrInconsistent = errors.New("gcn: training state inconsistent after an aborted epoch; restore a model checkpoint before stepping")
 
-// Replica is one hosted rank's training state: its slice of the features
-// (read-only, so a view of the global matrix will do), its weight replica
-// and optimizer, the group its gradients are reduced over, and the step
-// workspace. Replicas stay bit-consistent across ranks because gradients
-// are all-reduced before every update.
+// Replica is one hosted rank's training state: its weight replica and
+// optimizer, the group its gradients are reduced over, and the step
+// workspace. The features are the epoch body's. Replicas stay
+// bit-consistent across ranks because gradients are all-reduced before
+// every update.
 type Replica struct {
-	X     *dense.Matrix
 	Model *Model
 	// NewOpt constructs the optimizer; NewStepper and SetModel call it, so
 	// each replica owns its optimizer state.

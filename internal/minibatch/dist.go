@@ -88,12 +88,9 @@ func NewDist(w *comm.World, layout distmm.Layout, aHat *sparse.CSR, x *dense.Mat
 	if aHat.NumRows != layout.N() || aHat.NumCols != layout.N() {
 		panic(fmt.Sprintf("minibatch: Â %dx%d, layout n=%d", aHat.NumRows, aHat.NumCols, layout.N()))
 	}
-	gcn.HostedOffset(w, layout.N(), layout.Range, x)
-	if len(labels) != layout.N() {
-		panic("minibatch: labels misaligned")
-	}
-	if dims[0] != x.Cols {
-		panic(fmt.Sprintf("minibatch: dims[0]=%d, X has %d features", dims[0], x.Cols))
+	gcn.HostedRows(w, layout.N(), layout.Range, x, w.LocalRank()) // panics unless x holds every row or the hosted ones
+	if len(labels) != layout.N() || dims[0] != x.Cols {
+		panic(fmt.Sprintf("minibatch: %d labels for %d vertices, dims[0]=%d for %d features", len(labels), layout.N(), dims[0], x.Cols))
 	}
 	if cfg.Fanout < 1 || cfg.BatchSize < 1 {
 		panic(fmt.Sprintf("minibatch: fanout %d batch %d", cfg.Fanout, cfg.BatchSize))
@@ -343,7 +340,7 @@ func (sm *sampler) rewind(t int) {
 func (sm *sampler) rankEpoch(r *comm.Rank, rep *gcn.Replica, epoch int) (lossSum, correct float64, err error) {
 	d := sm.d
 	c := &sm.chains[r.ID]
-	c.rank, c.x = r, rep.X
+	c.rank, c.x = r, gcn.HostedRows(d.World, d.Layout.N(), d.Layout.Range, d.X, r.ID) // a view: the step only reads it
 	done := false
 	defer func() {
 		if !done { // an error or an abort unwinding this rank
@@ -419,7 +416,6 @@ func (d *Dist) Stepper() *DistStepper {
 	sm := d.newSampler()
 	st := gcn.NewStepper(d.World, len(d.Train), sm.prepare, sm.rankEpoch, func(r *comm.Rank) *gcn.Replica {
 		return &gcn.Replica{
-			X:      gcn.HostedRows(d.World, d.Layout.N(), d.Layout.Range, d.X, r.ID), // a view: the step only reads it
 			Model:  gcn.NewModel(d.ModelSeed, d.Dims),
 			NewOpt: d.NewOpt,
 			Group:  d.World.WorldGroup(),

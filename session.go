@@ -104,8 +104,8 @@ func WithRecovery(maxRetries int, backoff time.Duration) SessionOption {
 }
 
 // Session is steppable distributed training of one model over a DistGraph.
-// Creating a session builds each rank's feature slice, weight replica and
-// optimizer once — one gcn.Stepper; every Step afterwards runs exactly one
+// Creating a session builds each rank's weight replica and optimizer once
+// — one gcn.Stepper; every Step afterwards runs exactly one
 // full-batch epoch over those replicas, and RunSampled steps the same
 // replicas through sampled epochs. The full-batch epoch reads the graph's
 // Â·X (DistGraph): the first full-batch step on a graph computes it, in a
@@ -156,8 +156,8 @@ func (a spent) sub(b spent) spent { return spent{a.ledger.Sub(b.ledger), a.vol.S
 
 // NewSession creates a training session for the given model configuration
 // on the distributed graph. The graph's engine and partition are reused
-// as-is; only per-session state (feature slices, weights, optimizer) is
-// built, and step workspaces grow on first use.
+// as-is; only per-session state (weights, optimizer) is built, and step
+// workspaces grow on first use.
 func (g *DistGraph) NewSession(cfg ModelConfig, opts ...SessionOption) (s *Session, err error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -168,9 +168,8 @@ func (g *DistGraph) NewSession(cfg ModelConfig, opts ...SessionOption) (s *Sessi
 		opt(&o)
 	}
 	defer recoverToError(&err)
-	dims := gcn.LayerDims(g.x.Cols, cfg.Hidden, g.ds.Classes, cfg.Layers)
-	trainer := gcn.NewDistributed(g.cluster.world, g.engine, g.x, g.labels, g.train, dims, cfg.LR, cfg.Seed)
-	trainer.Input = g.input
+	trainer := &gcn.Distributed{World: g.cluster.world, Engine: g.engine, Labels: g.labels, Train: g.train,
+		Dims: gcn.LayerDims(g.input.X.Cols, cfg.Hidden, g.ds.Classes, cfg.Layers), LR: cfg.LR, Seed: cfg.Seed, Input: g.input}
 	g.cluster.mu.Lock()
 	stepper := trainer.Stepper()
 	g.cluster.mu.Unlock()
@@ -394,7 +393,7 @@ loop:
 // WithRecovery, and WithAutoSnapshot behave exactly as in Run — RunSampled
 // is Run with the session's stepper running the sampled epoch body. Sampled
 // and full-batch runs may interleave on one session: both step the same
-// per-rank replicas (weights, optimizer, feature slice), epoch counter and
+// per-rank replicas (weights, optimizer), epoch counter and
 // history, so optimizer state carries across a mode switch and a rollback
 // restores the state either mode resumes from. An empty training set is
 // ErrEmptyTrainSet.
@@ -410,8 +409,9 @@ func (s *Session) RunSampled(ctx context.Context, epochs int) (res *TrainResult,
 				g.Algorithm(), g.layout.Blocks(), g.cluster.p)
 		}
 		sc := g.sampling.withDefaults(s.cfg.Seed)
-		dims := gcn.LayerDims(g.x.Cols, s.cfg.Hidden, g.ds.Classes, s.cfg.Layers)
-		s.sampledBody, s.sampledSetup = minibatch.NewDist(g.cluster.world, g.layout, g.aHat, g.x, g.labels, g.train, dims, s.cfg.Seed, nil,
+		x := g.sampledFeatures()
+		dims := gcn.LayerDims(x.Cols, s.cfg.Hidden, g.ds.Classes, s.cfg.Layers)
+		s.sampledBody, s.sampledSetup = minibatch.NewDist(g.cluster.world, g.layout, g.aHat, x, g.labels, g.train, dims, s.cfg.Seed, nil,
 			minibatch.DistConfig{Fanout: sc.Fanout, BatchSize: sc.BatchSize, Seed: sc.Seed}).Body()
 	}
 	// The ordinary run loop (recovery, snapshots, ledger attribution) over

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -28,7 +29,7 @@ import (
 // over the engine's gradient group.
 func allReduceBytes(g *DistGraph, cfg ModelConfig) int64 {
 	cfg = cfg.withDefaults()
-	dims := gcn.LayerDims(g.x.Cols, cfg.Hidden, g.ds.Classes, cfg.Layers)
+	dims := gcn.LayerDims(g.input.X.Cols, cfg.Hidden, g.ds.Classes, cfg.Layers)
 	size := g.engine.GradGroup(0).Size()
 	total, _, _ := comm.AllReduceVolume(2, size)
 	for l := 0; l+1 < len(dims); l++ {
@@ -290,9 +291,9 @@ func TestSetupLaunchFaultAtEverySite(t *testing.T) {
 			// before any op and stops where the abort catches it: a
 			// non-empty prefix of the set-up's panels, then every panel of
 			// the replay, then the epochs.
-			setup := distmm.SetupWidths(dg.x.Cols)
+			setup := distmm.SetupWidths(dg.input.X.Cols)
 			cfg := ModelConfig{}.withDefaults() // setupFixture's shape
-			perEpoch := gcn.EpochMultiplyWidths(dg.x.Cols, cfg.Hidden, dg.ds.Classes, cfg.Layers, false)
+			perEpoch := gcn.EpochMultiplyWidths(dg.input.X.Cols, cfg.Hidden, dg.ds.Classes, cfg.Layers, false)
 			seen := (*wide)[:len(*wide)-epochs*len(perEpoch)]
 			aborted := len(seen) - len(setup)
 			if aborted < 1 || aborted > len(setup) || !slices.Equal(seen[:aborted], setup[:aborted]) || !slices.Equal(seen[aborted:], setup) {
@@ -626,11 +627,122 @@ func TestSingleLayerModelHasNoEpochMultiplies(t *testing.T) {
 	}
 }
 
-// TestTCPDistGraphHoldsItsBlock: a rank of a TCP cluster keeps only its own
-// block's feature rows — (hi − lo) × f elements, permuted straight from the
-// dataset under a partitioner and a view of it without one — where a
-// simulated cluster keeps every row, and both train full-batch and sampled
-// to the same bits.
+// featureCopies walks everything reachable from roots — past *comm.World,
+// whose transport state other goroutines may be writing — and lists every
+// dense matrix as wide as x that neither views x's storage nor is one of
+// keep: a copy of the features, in whatever order.
+func featureCopies(x *dense.Matrix, keep []*dense.Matrix, roots ...any) []string {
+	matrix, world := reflect.TypeOf(x), reflect.TypeOf((*comm.World)(nil))
+	lo := reflect.ValueOf(x.Data).Pointer()
+	hi := lo + uintptr(cap(x.Data))*8
+	kept := map[uintptr]bool{}
+	for _, m := range keep {
+		kept[reflect.ValueOf(m.Data).Pointer()] = true
+	}
+	type visit struct {
+		p uintptr
+		t reflect.Type
+	}
+	seen := map[visit]bool{}
+	var found []string
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() || v.Type() == world || seen[visit{v.Pointer(), v.Type()}] {
+				return
+			}
+			seen[visit{v.Pointer(), v.Type()}] = true
+			if v.Type() != matrix {
+				walk(v.Elem())
+				return
+			}
+			m := v.Elem()
+			data := m.FieldByName("Data")
+			if p := data.Pointer(); m.FieldByName("Cols").Int() == int64(x.Cols) && data.Len() > 0 && (p < lo || p >= hi) && !kept[p] {
+				found = append(found, fmt.Sprintf("%d×%d", m.FieldByName("Rows").Int(), x.Cols))
+			}
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Slice, reflect.Array:
+			if k := v.Type().Elem().Kind(); k >= reflect.Bool && k <= reflect.Complex128 || k == reflect.String {
+				return // no pointers to follow
+			}
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Key())
+				walk(it.Value())
+			}
+		}
+	}
+	for _, r := range roots {
+		walk(reflect.ValueOf(r))
+	}
+	return found
+}
+
+// products returns the copies of Â·X a graph and its sessions may hold: the
+// blocks the ranks this process hosts computed, and the dataset's own, which
+// held-out evaluation reads.
+func products(g *DistGraph) []*dense.Matrix {
+	blocks := []*dense.Matrix{g.ds.InputProduct()}
+	for _, r := range g.cluster.world.Hosted() {
+		if b := g.input.Block(r); b != nil {
+			blocks = append(blocks, b)
+		}
+	}
+	return blocks
+}
+
+// TestFullBatchGraphHoldsFeaturesOnce: a partitioned graph trains
+// full-batch from the dataset's own feature matrix. After Distribute and a
+// first run, nothing the graph or its session reaches holds a matrix as
+// wide as the features but the dataset's and the blocks of Â·X — the set-up
+// gathers its panels straight from the dataset's rows — and no sampled copy
+// exists.
+func TestFullBatchGraphHoldsFeaturesOnce(t *testing.T) {
+	ds := MustLoadDataset(RedditSim, 42, 4)
+	cluster, err := NewCluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := cluster.Distribute(ds, DistOpts{Algorithm: SparsityAware1D, Partitioner: NewGVB(42)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := dg.NewSession(ModelConfig{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if dg.input.Block(0) == nil {
+		t.Fatal("the first run computed no Â·X")
+	}
+	if copies := featureCopies(ds.Features, products(dg), dg, sess); len(copies) > 0 {
+		t.Fatalf("the graph and its session hold feature copies %v beside the dataset's %d×%d", copies, ds.Features.Rows, ds.Features.Cols)
+	}
+	if dg.sampledX != nil {
+		t.Fatal("a full-batch run built the sampled features")
+	}
+}
+
+// TestTCPDistGraphHoldsItsBlock: a full-batch rank of a TCP cluster holds no
+// feature rows of its own — Â·X reads the dataset's — and the features its
+// first sampled run builds are exactly its own block's rows, (hi − lo) × f
+// elements equal to the simulated cluster's (permuted from the dataset
+// under a partitioner, a view of it without one), where a simulated cluster
+// builds every row. Both train full-batch and sampled to the same bits.
 func TestTCPDistGraphHoldsItsBlock(t *testing.T) {
 	ds := MustLoadDataset(ProteinSim, 42, 64)
 	n, f := ds.G.NumVertices(), ds.FeatureDim()
@@ -640,34 +752,49 @@ func TestTCPDistGraphHoldsItsBlock(t *testing.T) {
 		sampled bool
 	}{
 		{"sa-1d+gvb", DistOpts{Algorithm: SparsityAware1D, Partitioner: NewGVB(42)}, true},
-		{"oblivious-1d", DistOpts{Algorithm: Oblivious1D}, false},
+		{"oblivious-1d", DistOpts{Algorithm: Oblivious1D}, true},
 		{"sa-1.5d+gvb", DistOpts{Algorithm: SparsityAware15D, Replication: 2, Partitioner: NewGVB(42)}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := ModelConfig{Seed: 7}
-			run := func(s *Session) []EpochResult {
+			// run trains full-batch, checks the graph still holds no feature
+			// rows, then trains sampled when the case does.
+			run := func(dg *DistGraph, s *Session) ([]EpochResult, error) {
 				res, err := s.Run(context.Background(), 2)
 				if err != nil {
-					t.Fatal(err)
+					return nil, err
+				}
+				if copies := featureCopies(ds.Features, products(dg), dg, s); len(copies) > 0 || dg.sampledX != nil {
+					return nil, fmt.Errorf("after full-batch training the graph holds feature copies %v (sampled copy built: %t)", copies, dg.sampledX != nil)
 				}
 				hist := res.History
 				if tc.sampled {
 					if res, err = s.RunSampled(context.Background(), 2); err != nil {
-						t.Fatal(err)
+						return nil, err
 					}
 					hist = append(hist, res.History...)
 				}
-				return hist
+				return hist, nil
 			}
-			_, simDG := trainVia(t, ds, 4, tc.opts, cfg, 1)
-			if got := len(simDG.x.Data); got != n*f {
-				t.Fatalf("a simulated cluster holds %d feature elements, want all %d", got, n*f)
+			cluster, err := NewCluster(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			simDG, err := cluster.Distribute(ds, tc.opts)
+			if err != nil {
+				t.Fatal(err)
 			}
 			simSess, err := simDG.NewSession(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := run(simSess)
+			want, err := run(simDG, simSess)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := simDG.sampledX; tc.sampled && (got.Rows != n || len(got.Data) != n*f) {
+				t.Fatalf("a simulated cluster's sampled features hold %d elements in %d rows, want all %d × %d", len(got.Data), got.Rows, n, f)
+			}
 
 			addrs := freeAddrs(t, 4)
 			hists := make([][]EpochResult, 4)
@@ -687,29 +814,22 @@ func TestTCPDistGraphHoldsItsBlock(t *testing.T) {
 					if errs[i] = err; err != nil {
 						return
 					}
-					lo, hi := dg.layout.Range(dg.engine.BlockOf(i))
-					if dg.x.Rows != hi-lo || len(dg.x.Data) != (hi-lo)*f {
-						errs[i] = fmt.Errorf("rank %d holds %d feature elements in %d rows, want its block's %d × %d", i, len(dg.x.Data), dg.x.Rows, hi-lo, f)
-						return
-					}
-					for r := lo; r < hi; r++ {
-						if !slices.Equal(dg.x.Row(r-lo), simDG.x.Row(r)) {
-							errs[i] = fmt.Errorf("rank %d: feature row %d differs from the simulated cluster's", i, r)
-							return
-						}
-					}
 					sess, err := dg.NewSession(cfg)
 					if errs[i] = err; err != nil {
 						return
 					}
-					res, err := sess.Run(context.Background(), 2)
-					if errs[i] = err; err != nil {
+					if hists[i], errs[i] = run(dg, sess); errs[i] != nil || !tc.sampled {
 						return
 					}
-					hists[i] = res.History
-					if tc.sampled {
-						if res, errs[i] = sess.RunSampled(context.Background(), 2); errs[i] == nil {
-							hists[i] = append(hists[i], res.History...)
+					lo, hi := dg.layout.Range(dg.engine.BlockOf(i))
+					if x := dg.sampledX; x.Rows != hi-lo || len(x.Data) != (hi-lo)*f {
+						errs[i] = fmt.Errorf("sampled features hold %d elements in %d rows, want its block's %d × %d", len(x.Data), x.Rows, hi-lo, f)
+						return
+					}
+					for r := lo; r < hi; r++ {
+						if !slices.Equal(dg.sampledX.Row(r-lo), simDG.sampledX.Row(r)) {
+							errs[i] = fmt.Errorf("sampled feature row %d differs from the simulated cluster's", r)
+							return
 						}
 					}
 				}(i)

@@ -168,7 +168,7 @@ func runConformanceSchedule(t *testing.T, cl *Cluster, ds *Dataset) []confRun {
 func checkSetupAccounting(t *testing.T, name string, cl *Cluster, dg *DistGraph, sess *Session, first *TrainResult) {
 	t.Helper()
 	cfg := ModelConfig{}.withDefaults()
-	widths := gcn.EpochMultiplyWidths(dg.x.Cols, cfg.Hidden, dg.ds.Classes, cfg.Layers, false)
+	widths := gcn.EpochMultiplyWidths(dg.input.X.Cols, cfg.Hidden, dg.ds.Classes, cfg.Layers, false)
 	plan := dg.engine.Plan()
 	hostedMax := func(per []int64) (m int64) {
 		for _, r := range cl.world.Hosted() {
@@ -176,7 +176,7 @@ func checkSetupAccounting(t *testing.T, name string, cl *Cluster, dg *DistGraph,
 		}
 		return m
 	}
-	if got, want := bytesOf(first.SetupMaxSentMB), hostedMax(plan.EpochSentBytes([]int{dg.x.Cols})); got != want {
+	if got, want := bytesOf(first.SetupMaxSentMB), hostedMax(plan.EpochSentBytes([]int{dg.input.X.Cols})); got != want {
 		t.Errorf("%s: set-up sent %d B, plan predicts %d", name, got, want)
 	}
 	wantEpoch := hostedMax(plan.EpochSentBytes(widths)) + allReduceBytes(dg, ModelConfig{})
