@@ -306,9 +306,7 @@ type DistGraph struct {
 // permutation, the block-row layout, and the partition quality when a
 // partitioner ran. The features are never permuted here: Â·X reads them
 // through the inverse of perm (gcn.InputProduct.Rows), and only the
-// sampled trainer takes a permuted copy (DistGraph.sampledFeatures). The
-// held-out splits stay in the dataset's order, where runs evaluate
-// (Session.result).
+// sampled trainer takes a permuted copy (DistGraph.sampledFeatures).
 type prepared struct {
 	aHat    *sparse.CSR
 	labels  []int

@@ -200,8 +200,12 @@ func bootstrapModel(ds *sagnn.Dataset, path string, epochs int, seed int64) (*sa
 	if err != nil {
 		return nil, err
 	}
+	accs, err := res.Model.Accuracy(ds, ds.Val, ds.Test)
+	if err != nil {
+		return nil, err
+	}
 	last := res.History[len(res.History)-1]
 	fmt.Printf("bootstrap model: loss %.4f, val acc %.3f, test acc %.3f\n",
-		last.Loss, res.ValAcc, res.TestAcc)
+		last.Loss, accs[0], accs[1])
 	return res.Model, nil
 }

@@ -212,7 +212,13 @@ func main() {
 		logf("per-process send volume: avg %.2f MB, max %.2f MB per epoch; delivered to all processes: %.2f MB\n",
 			res.AvgSentMB, res.MaxSentMB, res.TotalRecvMB)
 	}
-	logf("val acc %.3f  test acc %.3f\n", res.ValAcc, res.TestAcc)
+	if chatty {
+		accs, err := res.Model.Accuracy(ds, ds.Val, ds.Test)
+		if err != nil {
+			fatal(err)
+		}
+		logf("val acc %.3f  test acc %.3f\n", accs[0], accs[1])
+	}
 	if q := res.PartitionQuality; q != nil {
 		logf("partition: %s\n", q)
 	}
@@ -230,6 +236,9 @@ func main() {
 
 	// Serve: classify a few vertices from the retained model. Every process
 	// holds the same trained weights; rank 0 demonstrates.
+	if !chatty {
+		return
+	}
 	n := 5
 	if ds.G.NumVertices() < n {
 		n = ds.G.NumVertices()
@@ -238,7 +247,7 @@ func main() {
 	for i := range sample {
 		sample[i] = i
 	}
-	classes, err := sess.Model().Predict(ds, sample)
+	classes, err := res.Model.Predict(ds, sample)
 	if err != nil {
 		fatal(err)
 	}

@@ -80,11 +80,9 @@ func GenerateCommunityDataset(name string, n, k, degIn, degOut, featureDim int,
 type SerialResult struct {
 	// History is the per-epoch loss/accuracy trajectory.
 	History []EpochResult
-	// Model is the trained weight set, ready for Predict or serialization.
+	// Model is the trained weight set, ready for Accuracy, Predict or
+	// serialization.
 	Model *Model
-	// ValAcc / TestAcc evaluate the trained model on the held-out splits.
-	ValAcc  float64
-	TestAcc float64
 }
 
 // RunSerial trains the single-process reference model — the ground truth
@@ -109,18 +107,15 @@ func RunSerial(ds *Dataset, epochs int, cfg ModelConfig) (res *SerialResult, err
 	if err != nil {
 		return nil, err
 	}
-	res = &SerialResult{History: history, Model: &Model{m: model.Clone()}}
-	accs := res.Model.accuracies(ds, ds.Val, ds.Test)
-	res.ValAcc, res.TestAcc = accs[0], accs[1]
-	return res, nil
+	return &SerialResult{History: history, Model: &Model{m: model.Clone()}}, nil
 }
 
 // MiniBatchResult reports a sampled-training run (see RunMiniBatch).
 type MiniBatchResult struct {
 	// EpochLoss is each epoch's per-example mean training loss.
 	EpochLoss []float64
-	TestAcc   float64
-	// Model is the trained weight set.
+	// Model is the trained weight set, ready for Accuracy, Predict or
+	// serialization.
 	Model *Model
 }
 
@@ -129,8 +124,7 @@ type MiniBatchResult struct {
 // training — under the same validated configuration conventions as the
 // session API. It is Session.RunSampled's epoch on a one-process world:
 // sampling takes sc as DistOpts.Sampling does (same defaults, negative
-// fields an error), optimisation uses Adam at cfg.LR, and the test accuracy
-// is the trained Model's full-batch forward.
+// fields an error), and optimisation uses Adam at cfg.LR.
 func RunMiniBatch(ds *Dataset, epochs int, cfg ModelConfig, sc SamplingConfig) (res *MiniBatchResult, err error) {
 	if err := validateDataset(ds); err != nil {
 		return nil, err
@@ -160,6 +154,5 @@ func RunMiniBatch(ds *Dataset, epochs int, cfg ModelConfig, sc SamplingConfig) (
 	for _, e := range history {
 		res.EpochLoss = append(res.EpochLoss, e.Loss)
 	}
-	res.TestAcc = res.Model.accuracies(ds, ds.Test)[0]
 	return res, nil
 }

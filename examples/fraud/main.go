@@ -76,24 +76,27 @@ func main() {
 		Partitioner: sagnn.NewGVB(1),
 	})
 	check(err)
-	var best *sagnn.TrainResult
+	var best *sagnn.Model
+	var bestAcc []float64 // validation, test
 	fmt.Println("\nmodel selection on one distributed graph:")
 	for _, s := range []int64{3, 5, 11} {
 		sess, err := dg.NewSession(sagnn.ModelConfig{LR: 0.2, Seed: s})
 		check(err)
 		res, err := sess.Run(context.Background(), *epochs)
 		check(err)
-		fmt.Printf("  seed %2d: loss %.4f  val acc %.3f\n", s, res.FinalLoss, res.ValAcc)
-		if best == nil || res.ValAcc > best.ValAcc {
-			best = res
+		accs, err := res.Model.Accuracy(ds, ds.Val, ds.Test)
+		check(err)
+		fmt.Printf("  seed %2d: loss %.4f  val acc %.3f\n", s, res.FinalLoss, accs[0])
+		if best == nil || accs[0] > bestAcc[0] {
+			best, bestAcc = res.Model, accs
 		}
 	}
 
 	// Serve the winning model: classify the first few accounts by ring.
 	sample := []int{0, 1, 2, 3, 4}
-	classes, err := best.Model.Predict(ds, sample)
+	classes, err := best.Predict(ds, sample)
 	check(err)
-	fmt.Printf("\nbest model test accuracy: %.3f\n", best.TestAcc)
+	fmt.Printf("\nbest model test accuracy: %.3f\n", bestAcc[1])
 	for i, v := range sample {
 		fmt.Printf("  account %d → ring %d (true %d)\n", v, classes[i], ds.Labels[v])
 	}

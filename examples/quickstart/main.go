@@ -84,7 +84,9 @@ func main() {
 	}
 
 	// Serve: the trained weights answer queries without touching training.
+	test, err := res.Model.Accuracy(ds, ds.Test)
+	check(err)
 	classes, err := res.Model.Predict(ds, []int{0, 1, 2})
 	check(err)
-	fmt.Printf("\npredictor: test acc %.3f, vertices 0..2 → classes %v\n", res.TestAcc, classes)
+	fmt.Printf("\npredictor: test acc %.3f, vertices 0..2 → classes %v\n", test[0], classes)
 }

@@ -1,7 +1,7 @@
 // Package comm is the communicator under the distributed SpMM engines: one
-// collective layer — broadcast (sparsity-oblivious 1D), all-to-allv
-// (sparsity-aware 1D), point-to-point send/recv (sparsity-aware 1.5D) and
-// all-reduce (1.5D partial sums, weight gradients) — written once over a
+// collective layer — broadcast (sparsity-oblivious 1D and 1.5D), all-to-allv
+// (sparsity-aware 1D, and 1.5D over each process column) and all-reduce
+// (1.5D partial sums, weight gradients) — written once over a
 // small message transport with two implementations. NewWorld runs P ranks as
 // goroutines in one process over in-process mailboxes (mailbox.go);
 // NewWorldTCP runs one rank per OS process over framed TCP connections
@@ -11,6 +11,10 @@
 // measured, and modeled α–β time is charged to a machine.Ledger, so results,
 // volume counters and ledgers are bit-identical across the two transports.
 // It substitutes for the paper's NCCL/torch.distributed stack.
+//
+// Point-to-point Send/RecvInto carry no engine's traffic: no compiled plan
+// sends point to point. Calibration's ping-pong (Calibrate) and the
+// benchmark's ping rung do.
 //
 // Every collective is explicit messages on the collective lane: the members
 // exchange pooled payloads pairwise, reductions fold contributions in group

@@ -28,7 +28,7 @@ type transport interface {
 // Lanes are independent FIFO streams between each pair of ranks, so a
 // point-to-point receive can never take a collective's message.
 const (
-	laneP2P  byte = 0 // Send/SendOwned ↔ RecvInto
+	laneP2P  byte = 0 // Send ↔ TryRecvInto: calibration's ping-pong, the benchmark's ping rung
 	laneColl byte = 1 // group collectives
 )
 

@@ -1,6 +1,6 @@
 package router
 
-// Policy, PolicyPartition, PolicyRandom, Config.Policy, Config.PartOf and
+// Policy, PolicyPartition, Config.Policy, Config.PartOf and
 // Snapshot's Splits and GenRetries are a compatibility shim: every request
 // goes whole to one replica, so there is no policy, nothing is split and
 // no reply is retried for its generation, and the benchmark module still
@@ -11,11 +11,8 @@ package router
 // Policy names a routing policy; the router has one.
 type Policy string
 
-// The two policy names the router once told apart.
-const (
-	PolicyPartition Policy = "partition"
-	PolicyRandom    Policy = "random"
-)
+// PolicyPartition is the one policy name the benchmark module still sets.
+const PolicyPartition Policy = "partition"
 
 // legacySnapshot carries the zero counters inside Snapshot.
 type legacySnapshot struct {

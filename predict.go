@@ -77,8 +77,8 @@ func repeated(vertices []int) (int, bool) {
 // partitioned (permuted) graph predicts directly on the original dataset
 // order. Models serialize with MarshalBinary / LoadModel.
 //
-// A Model is safe for concurrent use: Predict and Probabilities serialize
-// on an internal mutex around one lazily-built, reusable inference
+// A Model is safe for concurrent use: Predict, Probabilities and Accuracy
+// serialize on an internal mutex around one lazily-built, reusable inference
 // evaluator, the L-hop forward over the dataset's shared Â and Â·X
 // (Dataset.NormalizedAdjacency, Dataset.InputProduct). A full-batch
 // prediction is the same forward with every vertex as the target set. The
@@ -132,33 +132,24 @@ func (m *Model) forward(ds *Dataset) *dense.Matrix {
 	return m.probs
 }
 
-// handOver moves m's inference evaluator and its buffers to next, a Model
-// no one else holds yet, repointed at next's weights: the evaluator is
-// weight-free apart from that pointer (frontiers, Â·X rows and workspace
-// are rewritten by every forward), so next predicts warm and bit-identically
-// to a fresh evaluator. m builds a new one if it is used again.
-func (m *Model) handOver(next *Model) {
+// Accuracy returns the model's accuracy on each vertex set of ds: one
+// full-batch forward over every vertex, then the share of each set whose
+// predicted class (what Predict returns) is its label. An empty set reads
+// 0. Training computes no accuracy; callers that report one ask here.
+func (m *Model) Accuracy(ds *Dataset, sets ...[]int) (accs []float64, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	next.eval, next.probs, next.sorted = m.eval, m.probs, m.sorted
-	m.eval, m.probs, m.sorted = nil, nil, nil
-	if next.eval != nil {
-		next.eval.Model = next.m
+	if err := m.checkDataset(ds); err != nil {
+		return nil, err
 	}
-}
-
-// accuracies is every run's held-out evaluation: one full-batch forward over
-// ds, then the accuracy on each vertex set. ds is checked by the caller.
-func (m *Model) accuracies(ds *Dataset, sets ...[]int) []float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	defer recoverToError(&err)
 	m.everyVertex(ds.G.NumVertices())
 	probs := m.forward(ds)
-	accs := make([]float64, len(sets))
+	accs = make([]float64, len(sets))
 	for i, set := range sets {
 		accs[i] = dense.Accuracy(probs, ds.Labels, set)
 	}
-	return accs
+	return accs, nil
 }
 
 // everyVertex makes the request every vertex of an n-vertex graph, so that

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -209,6 +210,51 @@ func TestSubsetValidation(t *testing.T) {
 	}
 	if err := ValidateVertices(len(wide), wide[1:]); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("duplicate vertex %d", wide[7])) {
 		t.Fatalf("duplicate within sortedCheckMax: got %v, want vertex %d named", err, wide[7])
+	}
+}
+
+// accuracy is Model.Accuracy with an error fatal to the test.
+func accuracy(t testing.TB, m *Model, ds *Dataset, sets ...[]int) []float64 {
+	t.Helper()
+	accs, err := m.Accuracy(ds, sets...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return accs
+}
+
+// TestAccuracyChecksItsInput: Model.Accuracy refuses a dataset the model
+// cannot read and a vertex outside the graph with an error, not a panic;
+// an empty set reads 0, and each set's accuracy is the share of it Predict
+// classifies as labelled.
+func TestAccuracyChecksItsInput(t *testing.T) {
+	ds := subsetTestDataset(gen.ErdosRenyi(32, 4, 1), 6, 3, 2)
+	model := &Model{m: gcn.NewModel(1, gcn.LayerDims(6, 8, 3, 2))}
+	if _, err := model.Accuracy(subsetTestDataset(gen.ErdosRenyi(32, 4, 1), 5, 3, 2), []int{0}); err == nil {
+		t.Fatal("a dataset of another feature width was evaluated")
+	}
+	for _, bad := range [][]int{{-1}, {0, 32}} {
+		if _, err := model.Accuracy(ds, []int{1}, bad); err == nil {
+			t.Fatalf("set %v outside the graph was evaluated", bad)
+		}
+	}
+	all := make([]int, ds.G.NumVertices())
+	for i := range all {
+		all[i] = i
+	}
+	classes, err := model.Predict(ds, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	correct := 0
+	for v, c := range classes {
+		if c == ds.Labels[v] {
+			correct++
+		}
+	}
+	accs := accuracy(t, model, ds, nil, all, []int{})
+	if want := []float64{0, float64(correct) / float64(len(all)), 0}; !slices.Equal(accs, want) {
+		t.Fatalf("accuracies %v, want %v", accs, want)
 	}
 }
 

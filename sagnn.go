@@ -147,7 +147,8 @@ type EpochPrice struct {
 	PartitionQuality *partition.Quality
 }
 
-// TrainResult reports a finished run.
+// TrainResult reports a finished run. A run computes no held-out
+// accuracy: Model.Accuracy does, when asked.
 type TrainResult struct {
 	// EpochPrice holds the run's modeled time and measured volumes.
 	EpochPrice
@@ -156,13 +157,10 @@ type TrainResult struct {
 	// FinalLoss and FinalTrainAcc summarise the last epoch.
 	FinalLoss     float64
 	FinalTrainAcc float64
-	// ValAcc / TestAcc evaluate the trained model on the dataset's held-out
-	// splits (full-batch inference).
-	ValAcc  float64
-	TestAcc float64
-	// Model is the trained weight set, detached from the run: predict with
-	// it (Predict, Probabilities), serve it through internal/serve, or
-	// persist it with MarshalBinary.
+	// Model is the trained weight set, detached from the run: evaluate it
+	// on the held-out splits (Accuracy), predict with it (Predict,
+	// Probabilities), serve it through internal/serve, or persist it with
+	// MarshalBinary.
 	Model *Model
 }
 

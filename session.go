@@ -136,10 +136,6 @@ type Session struct {
 	// so per-epoch figures hold nothing but epochs. Snapshots are immutable;
 	// Run marks a position by keeping the value.
 	spentEpochs, spentSetup spent
-
-	// last is the Model of the latest run's result, which holds the
-	// session's held-out evaluator until the next result takes it over.
-	last *Model
 }
 
 // spent is a position in (or a stretch of) a world's accounting: modeled
@@ -428,21 +424,13 @@ func (s *Session) RunSampled(ctx context.Context, epochs int) (res *TrainResult,
 
 // result assembles a TrainResult for one run from its history and this
 // session's own accumulated charges since the run began (epochs0/setup0 are
-// the accumulator positions at run start). Its Model takes over the
-// inference evaluator of the session's previous result (Model.handOver),
-// so a session's results hold one evaluator between them, the newest
-// result's — warm for the held-out evaluation here and for whoever
-// predicts with it next — and each run allocates none.
+// the accumulator positions at run start).
 func (s *Session) result(hist []EpochResult, epochs0, setup0 spent) *TrainResult {
 	res := &TrainResult{
 		EpochPrice: EpochPrice{PartitionQuality: s.dg.quality},
 		History:    hist,
 		Model:      s.Model(),
 	}
-	if s.last != nil {
-		s.last.handOver(res.Model)
-	}
-	s.last = res.Model
 	const mb = 1e6
 	if len(hist) > 0 {
 		last := hist[len(hist)-1]
@@ -461,11 +449,6 @@ func (s *Session) result(hist []EpochResult, epochs0, setup0 spent) *TrainResult
 		res.SetupSeconds = setup.ledger.Total()
 		res.SetupMaxSentMB = float64(setup.vol.MaxSent()) / mb
 	}
-	// The held-out splits are the trained model's full-batch forward over the
-	// original dataset, whose Â·X every model and run on it shares.
-	ds := s.dg.ds
-	accs := res.Model.accuracies(ds, ds.Val, ds.Test)
-	res.ValAcc, res.TestAcc = accs[0], accs[1]
 	return res
 }
 

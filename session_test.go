@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -74,8 +75,8 @@ func TestSessionRunsReproduceGolden(t *testing.T) {
 	if res.TotalRecvMB <= 0 {
 		t.Fatalf("TotalRecvMB %v: a 4-rank run delivers data", res.TotalRecvMB)
 	}
-	if res.ValAcc != first.ValAcc || res.TestAcc != first.TestAcc {
-		t.Fatalf("eval (%v,%v) != (%v,%v)", res.ValAcc, res.TestAcc, first.ValAcc, first.TestAcc)
+	if got, want := accuracy(t, res.Model, ds, ds.Val, ds.Test), accuracy(t, first.Model, ds, ds.Val, ds.Test); !slices.Equal(got, want) {
+		t.Fatalf("eval %v != %v", got, want)
 	}
 	if res.Model == nil || first.Model == nil {
 		t.Fatal("trained model not exposed")
@@ -513,8 +514,8 @@ func TestModelServing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if res.TestAcc < 0.5 {
-		t.Fatalf("test accuracy %v too low (chance = 0.25)", res.TestAcc)
+	if acc := accuracy(t, res.Model, ds, ds.Test)[0]; acc < 0.5 {
+		t.Fatalf("test accuracy %v too low (chance = 0.25)", acc)
 	}
 
 	// The session's snapshot of the weights predicts what the run's model
@@ -719,8 +720,9 @@ func TestEmptyTrainSetTypedError(t *testing.T) {
 	}
 }
 
-// TestHeldOutEvalMatchesPredictor: the validation and test accuracies a run
-// reports (one full-batch forward over the trained weights) are exactly
+// TestHeldOutEvalMatchesPredictor: the validation and test accuracies
+// Model.Accuracy reports for a run's model (one full-batch forward over the
+// trained weights) are exactly
 // what the same model's Predict measures on the same splits, each over its
 // own receptive field — on a partitioned graph too, where training ran in
 // the permuted order.
@@ -746,18 +748,18 @@ func TestHeldOutEvalMatchesPredictor(t *testing.T) {
 	cfg := ModelConfig{Seed: 5, LR: 0.3}
 	for _, pt := range []Partitioner{nil, NewGVB(19)} {
 		dist, _ := trainVia(t, ds, 4, DistOpts{Algorithm: SparsityAware1D, Partitioner: pt}, cfg, 10)
-		check(fmt.Sprintf("Session.Run/%v", pt), dist.Model, []float64{dist.ValAcc, dist.TestAcc}, ds.Val, ds.Test)
+		check(fmt.Sprintf("Session.Run/%v", pt), dist.Model, accuracy(t, dist.Model, ds, ds.Val, ds.Test), ds.Val, ds.Test)
 	}
 	serial, err := RunSerial(ds, 10, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("RunSerial", serial.Model, []float64{serial.ValAcc, serial.TestAcc}, ds.Val, ds.Test)
+	check("RunSerial", serial.Model, accuracy(t, serial.Model, ds, ds.Val, ds.Test), ds.Val, ds.Test)
 	mb, err := RunMiniBatch(ds, 3, ModelConfig{Seed: 5, LR: 0.01}, SamplingConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("RunMiniBatch", mb.Model, []float64{mb.TestAcc}, ds.Test)
+	check("RunMiniBatch", mb.Model, accuracy(t, mb.Model, ds, ds.Test), ds.Test)
 }
 
 // TestRunSerialAndMiniBatchResults checks the refreshed local entry points

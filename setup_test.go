@@ -402,7 +402,9 @@ func TestInterleavedRunsMatchParentGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		hist = append(hist, res.History...)
-		if got := [2]uint64{math.Float64bits(res.ValAcc), math.Float64bits(res.TestAcc)}; got != wantEval[leg] {
+		ds := sess.dg.ds
+		accs := accuracy(t, res.Model, ds, ds.Val, ds.Test)
+		if got := [2]uint64{math.Float64bits(accs[0]), math.Float64bits(accs[1])}; got != wantEval[leg] {
 			t.Fatalf("leg %d: held-out accuracies %x, parent build %x", leg, got, wantEval[leg])
 		}
 		if leg == 0 {
@@ -425,9 +427,9 @@ func TestInterleavedRunsMatchParentGolden(t *testing.T) {
 	}
 }
 
-// TestHeldOutEvaluatorSharedAcrossSessions: every run on a graph — whatever
-// its model shape — evaluates through its Model over the
-// dataset's one Â·X, and reports what a fresh graph's run would.
+// TestHeldOutEvaluatorSharedAcrossSessions: every run's model on a graph —
+// whatever its shape — evaluates over the dataset's one Â·X, and reports
+// what a fresh graph's run's model would.
 func TestHeldOutEvaluatorSharedAcrossSessions(t *testing.T) {
 	ds := MustLoadDataset(ProteinSim, 42, 64)
 	opts := DistOpts{Algorithm: SparsityAware1D, Partitioner: NewGVB(42)}
@@ -450,25 +452,123 @@ func TestHeldOutEvaluatorSharedAcrossSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		accs := accuracy(t, res.Model, ds, ds.Val, ds.Test)
 		if got := InferenceProduct(res.Model); got == nil || got != ds.InputProduct() {
 			t.Fatalf("session %d: evaluated over Â·X %p, not the dataset's %p", i, got, ds.InputProduct())
 		}
 		fresh, _ := trainVia(t, ds, 4, opts, cfg, 3)
-		if res.ValAcc != fresh.ValAcc || res.TestAcc != fresh.TestAcc {
-			t.Fatalf("session %d: shared evaluator reports (%v,%v), a fresh graph's (%v,%v)",
-				i, res.ValAcc, res.TestAcc, fresh.ValAcc, fresh.TestAcc)
+		if want := accuracy(t, fresh.Model, ds, ds.Val, ds.Test); !slices.Equal(accs, want) {
+			t.Fatalf("session %d: shared evaluator reports %v, a fresh graph's %v", i, accs, want)
 		}
 	}
 }
 
-// TestRunHandsOverHeldOutEvaluator: a session's results hold one
-// inference evaluator between them, the newest result's, so a warmed
-// session's run allocates no evaluator (measured 61–71 KB a run on
-// protein-sim ÷16, once 143 KB under -race; 2.5 MB at ÷16 and 9.8 MB at ÷4
-// when each result built its own). The newest result predicts warm; an older one rebuilds its
-// evaluator when used again, and every result predicts what a fresh copy
-// of its weights does, bit for bit.
-func TestRunHandsOverHeldOutEvaluator(t *testing.T) {
+// TestRunBuildsNoEvaluator: training evaluates nothing. No result of Run,
+// RunSampled, RunSerial or RunMiniBatch — nor of any rank of a TCP
+// cluster — has built an inference evaluator when it is returned: a
+// held-out accuracy is computed only when a caller asks its Model
+// (Accuracy).
+func TestRunBuildsNoEvaluator(t *testing.T) {
+	ds := MustLoadDataset(ProteinSim, 42, 64)
+	cfg := ModelConfig{Seed: 7}
+	noEvaluator := func(what string, m *Model) error {
+		if InferenceProduct(m) != nil {
+			return fmt.Errorf("%s: the result's model holds an inference evaluator", what)
+		}
+		return nil
+	}
+	// train runs one full-batch and then one sampled epoch on a fresh
+	// session, checking each result as it is returned; a TCP rank runs both
+	// whatever it finds, so that no peer waits on it.
+	train := func(cl *Cluster) error {
+		dg, err := cl.Distribute(ds, DistOpts{Algorithm: SparsityAware1D, Partitioner: NewGVB(42)})
+		if err != nil {
+			return err
+		}
+		sess, err := dg.NewSession(cfg)
+		if err != nil {
+			return err
+		}
+		var found error
+		for _, run := range []struct {
+			name string
+			run  func(context.Context, int) (*TrainResult, error)
+		}{{"Run", sess.Run}, {"RunSampled", sess.RunSampled}} {
+			res, err := run.run(context.Background(), 1)
+			if err != nil {
+				return err
+			}
+			found = errors.Join(found, noEvaluator(run.name, res.Model))
+		}
+		return found
+	}
+
+	cluster, err := NewCluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := train(cluster); err != nil {
+		t.Error(err)
+	}
+	serial, err := RunSerial(ds, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := noEvaluator("RunSerial", serial.Model); err != nil {
+		t.Error(err)
+	}
+	mb, err := RunMiniBatch(ds, 1, cfg, SamplingConfig{Fanout: 3, BatchSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := noEvaluator("RunMiniBatch", mb.Model); err != nil {
+		t.Error(err)
+	}
+
+	for i, err := range onTCPRanks(t, 4, func(_ int, cl *Cluster) error { return train(cl) }) {
+		if err != nil {
+			t.Errorf("tcp rank %d: %v", i, err)
+		}
+	}
+}
+
+// onTCPRanks runs fn on every rank of a p-rank loopback TCP cluster, each
+// rank in its own goroutine, then closes every rank's cluster and returns
+// each rank's error.
+func onTCPRanks(t *testing.T, p int, fn func(rank int, cl *Cluster) error) []error {
+	t.Helper()
+	addrs := freeAddrs(t, p)
+	errs := make([]error, p)
+	clusters := make([]*Cluster, p)
+	var wg sync.WaitGroup
+	for i := range clusters {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if clusters[i], errs[i] = NewTCPCluster(i, addrs); errs[i] == nil {
+				errs[i] = fn(i, clusters[i])
+			}
+		}(i)
+	}
+	wg.Wait()
+	for _, cl := range clusters {
+		if cl != nil {
+			wg.Add(1)
+			go func(cl *Cluster) { defer wg.Done(); cl.Close() }(cl)
+		}
+	}
+	wg.Wait()
+	return errs
+}
+
+// TestWarmRunAllocatesNoEvaluator: a warmed session's run allocates no
+// inference evaluator (measured 62–79 KB a run on protein-sim ÷16, 61–71
+// KB when each run still evaluated through an evaluator it took over from
+// the last, 2.5 MB at ÷16 and 9.8 MB at ÷4 when each built its own), and
+// every result — an older one after later runs, and one that
+// predicts while the session runs — predicts what a fresh copy of its
+// weights does, bit for bit.
+func TestWarmRunAllocatesNoEvaluator(t *testing.T) {
 	ds := MustLoadDataset(ProteinSim, 42, 16)
 	cluster, err := NewCluster(4)
 	if err != nil {
@@ -505,9 +605,6 @@ func TestRunHandsOverHeldOutEvaluator(t *testing.T) {
 	first := run()
 	firstBits := probs(first.Model)
 	second := run()
-	if InferenceProduct(first.Model) != nil || InferenceProduct(second.Model) != ds.InputProduct() {
-		t.Fatal("the second result did not take over the first one's evaluator")
-	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -517,7 +614,7 @@ func TestRunHandsOverHeldOutEvaluator(t *testing.T) {
 		t.Errorf("a warmed session's run allocated %d bytes, want ≤ 512 KB", got)
 	}
 	if !slices.Equal(probs(first.Model), firstBits) {
-		t.Fatal("an older result predicts differently after handing its evaluator over")
+		t.Fatal("an older result predicts differently after later runs")
 	}
 	for i, res := range []*TrainResult{second, third} {
 		if !slices.Equal(probs(res.Model), probs(res.Model.Clone())) {
@@ -525,7 +622,7 @@ func TestRunHandsOverHeldOutEvaluator(t *testing.T) {
 		}
 	}
 
-	// An older result may be predicting while a run hands its evaluator on.
+	// An older result may be predicting while the session runs.
 	done := make(chan error)
 	go func() {
 		var err error
@@ -539,7 +636,7 @@ func TestRunHandsOverHeldOutEvaluator(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !slices.Equal(probs(fourth.Model), probs(fourth.Model.Clone())) {
-		t.Fatal("a result handed an evaluator mid-prediction predicts differently from a fresh copy of its weights")
+		t.Fatal("a result trained while another predicted predicts differently from a fresh copy of its weights")
 	}
 }
 
@@ -691,10 +788,9 @@ func featureCopies(x *dense.Matrix, keep []*dense.Matrix, roots ...any) []string
 }
 
 // products returns the copies of Â·X a graph and its sessions may hold: the
-// blocks the ranks this process hosts computed, and the dataset's own, which
-// held-out evaluation reads.
+// blocks the ranks this process hosts computed.
 func products(g *DistGraph) []*dense.Matrix {
-	blocks := []*dense.Matrix{g.ds.InputProduct()}
+	var blocks []*dense.Matrix
 	for _, r := range g.cluster.world.Hosted() {
 		if b := g.input.Block(r); b != nil {
 			blocks = append(blocks, b)
@@ -796,52 +892,30 @@ func TestTCPDistGraphHoldsItsBlock(t *testing.T) {
 				t.Fatalf("a simulated cluster's sampled features hold %d elements in %d rows, want all %d × %d", len(got.Data), got.Rows, n, f)
 			}
 
-			addrs := freeAddrs(t, 4)
 			hists := make([][]EpochResult, 4)
-			errs := make([]error, 4)
-			clusters := make([]*Cluster, 4)
-			var wg sync.WaitGroup
-			for i := range clusters {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					cl, err := NewTCPCluster(i, addrs)
-					if errs[i] = err; err != nil {
-						return
-					}
-					clusters[i] = cl
-					dg, err := cl.Distribute(ds, tc.opts)
-					if errs[i] = err; err != nil {
-						return
-					}
-					sess, err := dg.NewSession(cfg)
-					if errs[i] = err; err != nil {
-						return
-					}
-					if hists[i], errs[i] = run(dg, sess); errs[i] != nil || !tc.sampled {
-						return
-					}
-					lo, hi := dg.layout.Range(dg.engine.BlockOf(i))
-					if x := dg.sampledX; x.Rows != hi-lo || len(x.Data) != (hi-lo)*f {
-						errs[i] = fmt.Errorf("sampled features hold %d elements in %d rows, want its block's %d × %d", len(x.Data), x.Rows, hi-lo, f)
-						return
-					}
-					for r := lo; r < hi; r++ {
-						if !slices.Equal(dg.sampledX.Row(r-lo), simDG.sampledX.Row(r)) {
-							errs[i] = fmt.Errorf("sampled feature row %d differs from the simulated cluster's", r)
-							return
-						}
-					}
-				}(i)
-			}
-			wg.Wait()
-			for _, cl := range clusters {
-				if cl != nil {
-					wg.Add(1)
-					go func(cl *Cluster) { defer wg.Done(); cl.Close() }(cl)
+			errs := onTCPRanks(t, 4, func(i int, cl *Cluster) error {
+				dg, err := cl.Distribute(ds, tc.opts)
+				if err != nil {
+					return err
 				}
-			}
-			wg.Wait()
+				sess, err := dg.NewSession(cfg)
+				if err != nil {
+					return err
+				}
+				if hists[i], err = run(dg, sess); err != nil || !tc.sampled {
+					return err
+				}
+				lo, hi := dg.layout.Range(dg.engine.BlockOf(i))
+				if x := dg.sampledX; x.Rows != hi-lo || len(x.Data) != (hi-lo)*f {
+					return fmt.Errorf("sampled features hold %d elements in %d rows, want its block's %d × %d", len(x.Data), x.Rows, hi-lo, f)
+				}
+				for r := lo; r < hi; r++ {
+					if !slices.Equal(dg.sampledX.Row(r-lo), simDG.sampledX.Row(r)) {
+						return fmt.Errorf("sampled feature row %d differs from the simulated cluster's", r)
+					}
+				}
+				return nil
+			})
 			for i, err := range errs {
 				if err != nil {
 					t.Fatalf("rank %d: %v", i, err)
