@@ -205,19 +205,9 @@ func (r *Rank) ChargeCompute(phase string, sec float64) { r.w.Ledger.Add(r.ID, p
 // data needs no transport.
 //
 // The caller keeps ownership of floats — the transport copies it, or writes
-// it and copies what it could not write, before Send returns. To hand a buffer over instead, pack into GetFloats
-// and use SendOwned.
+// it and copies what it could not write, before Send returns.
 func (r *Rank) Send(dst, tag int, floats []float64, phase string) {
 	r.send(dst, tag, floats, false, phase)
-}
-
-// SendOwned delivers a tagged float payload to dst without copying: the
-// buffer itself (typically from GetFloats) is handed to the transport and
-// recycled once delivered. The caller must not touch floats afterwards —
-// this is the sender half of the pooled zero-copy path. Self-sends panic, as
-// in Send.
-func (r *Rank) SendOwned(dst, tag int, floats []float64, phase string) {
-	r.send(dst, tag, floats, true, phase)
 }
 
 // send is the shared point-to-point body; a self-send panics.
@@ -254,12 +244,4 @@ func (r *Rank) TryRecvInto(src, tag int, dst []float64) error {
 	r.w.stats.addRecv(r.ID, int64(len(m.floats))*machine.BytesPerElem)
 	r.w.pool.put(m.floats)
 	return nil
-}
-
-// RecvInto is TryRecvInto for callers with no error path: misuse panics,
-// which the launcher reports as the run's *RankError.
-func (r *Rank) RecvInto(src, tag int, dst []float64) {
-	if err := r.TryRecvInto(src, tag, dst); err != nil {
-		panic(err)
-	}
 }

@@ -3,7 +3,6 @@ package comm
 import (
 	"context"
 	"sync"
-	"time"
 )
 
 // This file is the failure-aware execution layer of the world: fault
@@ -270,16 +269,6 @@ func (w *World) RunCtx(ctx context.Context, fn func(r *Rank) error) error {
 		w.reset()
 	}
 	return err
-}
-
-// RunTimeout is RunErr under a wall-clock deadline: a run that has not
-// completed within d aborts and returns a *RankError wrapping
-// context.DeadlineExceeded. This is the bounded-time guarantee the chaos
-// harness pins: no fault can wedge a world for longer than the deadline.
-func (w *World) RunTimeout(d time.Duration, fn func(r *Rank) error) error {
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	return w.RunCtx(ctx, fn)
 }
 
 // Ops returns the number of communication operations rank has entered in

@@ -20,12 +20,9 @@ type Group struct {
 // Size returns the number of members.
 func (g *Group) Size() int { return len(g.members) }
 
-// Members returns the world ranks in group order.
-func (g *Group) Members() []int { return append([]int(nil), g.members...) }
-
-// Member returns the world rank at group index i. Unlike Members it does not
-// copy, so schedule walkers (the static plan verifier, the cost models) can
-// resolve group shapes without allocating.
+// Member returns the world rank at group index i, without copying, so
+// schedule walkers (the static plan verifier, the cost models) can resolve
+// group shapes without allocating.
 func (g *Group) Member(i int) int { return g.members[i] }
 
 // Index returns worldRank's position within the group and whether it is a

@@ -23,10 +23,9 @@ import (
 // the tile reads: MatMulTransA its stripe's columns of whole rows of a, in
 // address order, into a pooled row panel; MatMulTransB rows of b,
 // transposed, into a stack panel. No kernel skips zero entries of a: for
-// finite inputs that changes no bit of an overwriting product (±0 added to a
-// sum that started at +0 leaves it alone), MatMulAddInto can turn a −0
-// already in c into +0, and a non-finite entry of b propagates as IEEE 754
-// says even where a is zero.
+// finite inputs that changes no bit of a product (±0 added to a sum that
+// started at +0 leaves it alone), and a non-finite entry of b propagates as
+// IEEE 754 says even where a is zero.
 const (
 	// stripeMinRows is the output row count below which a product runs on
 	// the caller's goroutine: the fan-out costs more than it saves.
@@ -49,25 +48,12 @@ const (
 	transBCols = 16
 )
 
-// MatMul returns a×b.
-func MatMul(a, b *Matrix) *Matrix {
-	c := New(a.Rows, b.Cols)
-	MatMulInto(c, a, b)
-	return c
-}
-
 // MatMulInto computes c = a×b, overwriting c. c must be a.Rows × b.Cols and
 // must not alias a or b: a c that starts at an operand's first element
 // panics.
 func MatMulInto(c, a, b *Matrix) {
 	checkShapes("MatMul", c, a, b, a.Cols, b.Rows, a.Rows, b.Cols)
 	stripes(gemmStripe, c, a, b, a.Rows, hostTier)
-}
-
-// MatMulAddInto computes c += a×b. Same shapes as MatMulInto.
-func MatMulAddInto(c, a, b *Matrix) {
-	checkShapes("MatMul", c, a, b, a.Cols, b.Rows, a.Rows, b.Cols)
-	stripes(gemmAddStripe, c, a, b, a.Rows, hostTier)
 }
 
 // checkShapes panics unless the inner dimensions agree, c is rows×cols and
@@ -185,17 +171,10 @@ func tilePortable(c0, c1, a0, a1 []float64, lda, kn int, b []float64, ldb int, a
 	}
 }
 
+// gemmStripe is rows [lo,hi) of c = a×b, both operands read where they lie,
+// gemmPassRows of k per pass (gemmPassRows8 at tierAVX512); passes after the
+// first continue from what is in c.
 func gemmStripe(c, a, b *Matrix, lo, hi int, t tier) {
-	gemmRows(c, a, b, lo, hi, false, t)
-}
-
-func gemmAddStripe(c, a, b *Matrix, lo, hi int, t tier) {
-	gemmRows(c, a, b, lo, hi, true, t)
-}
-
-// gemmRows is rows [lo,hi) of c (+)= a×b, both operands read where they lie,
-// gemmPassRows of k per pass (gemmPassRows8 at tierAVX512).
-func gemmRows(c, a, b *Matrix, lo, hi int, add bool, t tier) {
 	pass := gemmPassRows
 	if t == tierAVX512 {
 		pass = gemmPassRows8
@@ -203,20 +182,14 @@ func gemmRows(c, a, b *Matrix, lo, hi int, add bool, t tier) {
 	for k0 := 0; k0 == 0 || k0 < a.Cols; k0 += pass {
 		kb := min(pass, a.Cols-k0)
 		rowsTile(t, c.Data[lo*c.Cols:], c.Cols, c.Cols, hi-lo, a.Data[lo*a.Cols+k0:], a.Cols, 1, kb,
-			b.Data[k0*b.Cols:], b.Cols, add || k0 > 0)
+			b.Data[k0*b.Cols:], b.Cols, k0 > 0)
 	}
 }
 
-// MatMulTransA returns aᵀ×b without materialising aᵀ. Used for the weight
-// gradient Y^l = (P^l)ᵀ G^l: the layer's input width by its output width.
-func MatMulTransA(a, b *Matrix) *Matrix {
-	c := New(a.Cols, b.Cols)
-	MatMulTransAInto(c, a, b)
-	return c
-}
-
-// MatMulTransAInto computes c = aᵀ×b, overwriting c. c must be
-// a.Cols × b.Cols and must not alias a or b (checked as in MatMulInto).
+// MatMulTransAInto computes c = aᵀ×b without materialising aᵀ, overwriting
+// c. Used for the weight gradient Y^l = (P^l)ᵀ G^l: the layer's input width
+// by its output width. c must be a.Cols × b.Cols and must not alias a or b
+// (checked as in MatMulInto).
 func MatMulTransAInto(c, a, b *Matrix) {
 	checkShapes("MatMulTransA", c, a, b, a.Rows, b.Rows, a.Cols, b.Cols)
 	stripes(transAStripe, c, a, b, a.Cols, hostTier)
@@ -287,16 +260,9 @@ func putPanel(p []float64) {
 	}
 }
 
-// MatMulTransB returns a×bᵀ without materialising bᵀ. Used for the input
-// gradient term G^l (W^l)ᵀ.
-func MatMulTransB(a, b *Matrix) *Matrix {
-	c := New(a.Rows, b.Rows)
-	MatMulTransBInto(c, a, b)
-	return c
-}
-
-// MatMulTransBInto computes c = a×bᵀ, overwriting c. c must be
-// a.Rows × b.Rows and must not alias a or b (checked as in MatMulInto).
+// MatMulTransBInto computes c = a×bᵀ without materialising bᵀ, overwriting
+// c. Used for the input gradient term G^l (W^l)ᵀ. c must be a.Rows × b.Rows
+// and must not alias a or b (checked as in MatMulInto).
 func MatMulTransBInto(c, a, b *Matrix) {
 	checkShapes("MatMulTransB", c, a, b, a.Cols, b.Cols, a.Rows, b.Rows)
 	stripes(transBStripe, c, a, b, a.Rows, hostTier)

@@ -257,38 +257,16 @@ func (m *Matrix) transposeRows(t *Matrix, lo, hi int) {
 	}
 }
 
-// GatherRows returns a new matrix whose k-th row is m.Row(idx[k]). This is
-// the pack step of sparsity-aware communication: collect exactly the rows of
-// H requested by a remote process.
-func (m *Matrix) GatherRows(idx []int) *Matrix {
-	out := New(len(idx), m.Cols)
-	m.GatherRowsInto(out.Data, idx)
-	return out
-}
-
 // GatherRowsInto packs m.Row(idx[k]) into dst[k*Cols : (k+1)*Cols] for every
-// k — the allocation-free pack step used by the pooled communication path.
-// dst must have length len(idx)*Cols.
+// k: the pack step of sparsity-aware communication, which collects exactly
+// the rows of H a remote process requested, without allocating. dst must
+// have length len(idx)*Cols.
 func (m *Matrix) GatherRowsInto(dst []float64, idx []int) {
 	if len(dst) != len(idx)*m.Cols {
 		panic(fmt.Sprintf("dense: GatherRowsInto dst len %d, want %d rows × %d cols", len(dst), len(idx), m.Cols))
 	}
 	for k, i := range idx {
 		copy(dst[k*m.Cols:(k+1)*m.Cols], m.Row(i))
-	}
-}
-
-// ScatterRows copies src.Row(k) into m.Row(idx[k]) for every k; the unpack
-// step on the receiving side of a sparsity-aware exchange.
-func (m *Matrix) ScatterRows(idx []int, src *Matrix) {
-	if len(idx) != src.Rows {
-		panic(fmt.Sprintf("dense: ScatterRows %d indices for %d rows", len(idx), src.Rows))
-	}
-	if src.Cols != m.Cols {
-		panic(fmt.Sprintf("dense: ScatterRows col mismatch %d vs %d", src.Cols, m.Cols))
-	}
-	for k, i := range idx {
-		copy(m.Row(i), src.Row(k))
 	}
 }
 
@@ -305,29 +283,6 @@ func (m *Matrix) SliceRows(lo, hi int) *Matrix {
 // kernel rejects, since it would read rows it has already overwritten.
 func Aliased(a, b *Matrix) bool {
 	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
-}
-
-// VStack concatenates the given matrices vertically into a new matrix.
-// All inputs must have the same column count.
-func VStack(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return New(0, 0)
-	}
-	cols := ms[0].Cols
-	rows := 0
-	for _, m := range ms {
-		if m.Cols != cols {
-			panic(fmt.Sprintf("dense: VStack col mismatch %d vs %d", m.Cols, cols))
-		}
-		rows += m.Rows
-	}
-	out := New(rows, cols)
-	off := 0
-	for _, m := range ms {
-		copy(out.Data[off:off+len(m.Data)], m.Data)
-		off += len(m.Data)
-	}
-	return out
 }
 
 // PermuteRows returns a new matrix whose row perm[i] is m's row i

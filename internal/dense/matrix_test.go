@@ -263,7 +263,9 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 		}
 	}
 	dst := New(10, 3)
-	dst.ScatterRows(idx, g)
+	for k, i := range idx {
+		copy(dst.Row(i), g.Row(k))
+	}
 	for _, i := range idx {
 		for j := 0; j < 3; j++ {
 			if dst.At(i, j) != m.At(i, j) {
@@ -283,24 +285,6 @@ func TestSliceRowsAliases(t *testing.T) {
 	s.Set(0, 0, 42)
 	if m.At(2, 0) != 42 {
 		t.Fatal("SliceRows must alias")
-	}
-}
-
-func TestVStack(t *testing.T) {
-	a := FromSlice(1, 2, []float64{1, 2})
-	b := FromSlice(2, 2, []float64{3, 4, 5, 6})
-	v := VStack(a, b)
-	if v.Rows != 3 || v.Cols != 2 {
-		t.Fatalf("VStack shape %dx%d", v.Rows, v.Cols)
-	}
-	want := []float64{1, 2, 3, 4, 5, 6}
-	for i, w := range want {
-		if v.Data[i] != w {
-			t.Fatalf("VStack[%d]=%v", i, v.Data[i])
-		}
-	}
-	if VStack().Rows != 0 {
-		t.Fatal("empty VStack")
 	}
 }
 

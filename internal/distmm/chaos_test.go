@@ -1,6 +1,7 @@
 package distmm
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -30,7 +31,9 @@ func runMultiplyErr(w *comm.World, e Engine, h *dense.Matrix) (*dense.Matrix, er
 	lay := e.Layout()
 	blocks := make([]*dense.Matrix, lay.Blocks())
 	var mu sync.Mutex
-	err := w.RunTimeout(chaosTimeout, func(r *comm.Rank) error {
+	ctx, cancel := context.WithTimeout(context.Background(), chaosTimeout)
+	defer cancel()
+	err := w.RunCtx(ctx, func(r *comm.Rank) error {
 		b := e.BlockOf(r.ID)
 		lo, hi := lay.Range(b)
 		z := dense.New(hi-lo, h.Cols)

@@ -3,6 +3,7 @@ package distmm
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sagnn/internal/comm"
@@ -41,9 +42,9 @@ func TestOverlapBitIdenticalToSequential(t *testing.T) {
 					t.Errorf("%s p=%d rank %d: sequential moved (%d, %d, %d), overlap (%d, %d, %d)", cand.name, p, r,
 						seq.BytesSent(r), seq.BytesRecv(r), seq.MsgsSent(r), ovl.BytesSent(r), ovl.BytesRecv(r), ovl.MsgsSent(r))
 				}
-				if math.Float64bits(seqL.RankTotal(r)) != math.Float64bits(ovlL.RankTotal(r)) {
-					t.Errorf("%s p=%d rank %d: sequential charged %g, overlap %g", cand.name, p, r, seqL.RankTotal(r), ovlL.RankTotal(r))
-				}
+			}
+			if !reflect.DeepEqual(ovlL, seqL) {
+				t.Errorf("%s p=%d: sequential charged %v, overlap %v", cand.name, p, seqL, ovlL)
 			}
 			if got, want := ovlL.Breakdown(), seqL.Breakdown(); len(got) != len(want) {
 				t.Errorf("%s p=%d: phases %v, want %v", cand.name, p, got, want)

@@ -51,7 +51,7 @@ func (f *fingerprinter) group(g *comm.Group) {
 		f.int(-1)
 		return
 	}
-	f.ints(g.Members())
+	f.ints(members(g))
 }
 
 func (f *fingerprinter) csr(m *sparse.CSR) {

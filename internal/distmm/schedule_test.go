@@ -52,7 +52,8 @@ func oracleSchedule(rows rowSource, layout Layout) oracleSched {
 			}
 			cols := blk.NnzColsInRange(sparse.ColRange{Lo: 0, Hi: blk.NumCols})
 			s.recvIdx[i][j] = cols
-			s.compact[i][j] = blk.Submatrix(all, cols, nil)
+			s.compact[i][j] = &sparse.CSR{}
+			blk.SubmatrixInto(s.compact[i][j], all, cols, nil)
 			at[j+1] += len(cols)
 			peers = append(peers, s.compact[i][j])
 		}

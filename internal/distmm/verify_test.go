@@ -1,6 +1,7 @@
 package distmm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -433,7 +434,9 @@ func FuzzVerifySound(f *testing.F) {
 			return
 		}
 		e := newPlanEngine(mut)
-		if err := mut.world.RunTimeout(chaosTimeout, func(rk *comm.Rank) error {
+		ctx, cancel := context.WithTimeout(context.Background(), chaosTimeout)
+		defer cancel()
+		if err := mut.world.RunCtx(ctx, func(rk *comm.Rank) error {
 			e.MultiplyInto(rk, dense.New(mut.inRowsOf(rk.ID), width), dense.New(mut.outRows[rk.ID], width))
 			return nil
 		}); err != nil {

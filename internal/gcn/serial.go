@@ -13,8 +13,8 @@ import (
 // trainers are tested against (same seeds → same loss trajectory to
 // floating-point reassociation tolerance).
 //
-// A Serial is NOT safe for concurrent use: Accuracies and Epoch share the
-// workspace below.
+// A Serial is NOT safe for concurrent use: its epochs share the workspace
+// below.
 type Serial struct {
 	Labels []int
 	Train  []int
@@ -71,17 +71,6 @@ func (o *csrOperand) FirstT() *dense.Matrix {
 func (o *csrOperand) Rows(int) int                           { return o.a.NumRows }
 func (o *csrOperand) Aggregate(_ int, dst, h *dense.Matrix)  { o.a.SpMMInto(dst, h) }
 func (o *csrOperand) AggregateT(_ int, dst, g *dense.Matrix) { o.a.SpMMInto(dst, g) }
-
-// Accuracies evaluates classification accuracy on each vertex set from one
-// forward pass.
-func (s *Serial) Accuracies(masks ...[]int) []float64 {
-	probs := s.ws.Probabilities(s.Model, &s.op)
-	accs := make([]float64, len(masks))
-	for i, mask := range masks {
-		accs[i] = dense.Accuracy(probs, s.Labels, mask)
-	}
-	return accs
-}
 
 // Epoch runs one full-batch training step and returns loss and train
 // accuracy measured before the update.

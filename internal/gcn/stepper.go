@@ -166,7 +166,3 @@ func (st *Stepper) SetModel(m *Model) error {
 	st.dirty = false
 	return nil
 }
-
-// Dirty reports whether an aborted epoch has left the replicas possibly
-// divergent (stepping will refuse until SetModel).
-func (st *Stepper) Dirty() bool { return st.dirty }

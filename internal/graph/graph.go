@@ -1,11 +1,10 @@
 // Package graph provides the graph substrate for GNN training: an adjacency
 // structure built on CSR, symmetrization, the GCN normalization
-// D^{-1/2}(A+I)D^{-1/2} of Kipf & Welling, and traversal utilities used by
-// the partitioners.
+// D^{-1/2}(A+I)D^{-1/2} of Kipf & Welling, degree statistics and vertex
+// permutation.
 package graph
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -109,51 +108,6 @@ func (g *Graph) NormalizedAdjacency() *sparse.CSR {
 		}
 	}
 	return withSelf
-}
-
-// BFS returns the order in which vertices are visited starting from src,
-// following out-edges. Unreachable vertices are absent.
-func (g *Graph) BFS(src int) []int {
-	n := g.NumVertices()
-	if src < 0 || src >= n {
-		panic(fmt.Sprintf("graph: BFS source %d out of range [0,%d)", src, n))
-	}
-	visited := make([]bool, n)
-	order := make([]int, 0, n)
-	queue := []int{src}
-	visited[src] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, w := range g.Neighbors(v) {
-			if !visited[w] {
-				visited[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	return order
-}
-
-// ConnectedComponents returns, for a symmetric graph, the component id of
-// every vertex and the number of components.
-func (g *Graph) ConnectedComponents() (comp []int, count int) {
-	n := g.NumVertices()
-	comp = make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	for s := 0; s < n; s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		for _, v := range g.BFS(s) {
-			comp[v] = count
-		}
-		count++
-	}
-	return comp, count
 }
 
 // DegreeStats summarises the degree distribution; used to report dataset

@@ -88,30 +88,6 @@ func TestNormalizedAdjacencyIsolatedVertex(t *testing.T) {
 	}
 }
 
-func TestBFSOrderAndReachability(t *testing.T) {
-	g := pathGraph(6)
-	order := g.BFS(0)
-	if len(order) != 6 || order[0] != 0 || order[5] != 5 {
-		t.Fatalf("BFS order %v", order)
-	}
-	// disconnected piece unreachable
-	g2 := FromEdges(4, [][2]int{{0, 1}, {1, 0}})
-	if len(g2.BFS(0)) != 2 {
-		t.Fatal("BFS should not cross components")
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	g := FromEdges(5, [][2]int{{0, 1}, {1, 0}, {2, 3}, {3, 2}})
-	comp, n := g.ConnectedComponents()
-	if n != 3 {
-		t.Fatalf("components=%d want 3", n)
-	}
-	if comp[0] != comp[1] || comp[2] != comp[3] || comp[0] == comp[2] || comp[4] == comp[0] {
-		t.Fatalf("component ids %v", comp)
-	}
-}
-
 func TestDegreeStats(t *testing.T) {
 	g := FromEdges(3, [][2]int{{0, 1}, {0, 2}, {1, 2}})
 	st := g.Degrees()

@@ -3,12 +3,10 @@ package graph_test
 import (
 	"math"
 	"slices"
-	"strings"
 	"testing"
 
 	"sagnn/internal/gen"
 	"sagnn/internal/graph"
-	"sagnn/internal/graphio"
 	"sagnn/internal/sparse"
 )
 
@@ -39,25 +37,16 @@ func refNormalizedAdjacency(a *sparse.CSR) *sparse.CSR {
 }
 
 // TestNormalizedAdjacencyBits compares NormalizedAdjacency with
-// refNormalizedAdjacency by Float64bits. The MatrixMarket input stores
+// refNormalizedAdjacency by Float64bits. The first input stores
 // diagonal entries (FromEdges would drop them), has an empty row (1) and an
 // isolated vertex (5), and is not symmetric.
 func TestNormalizedAdjacencyBits(t *testing.T) {
-	withDiag, err := graphio.ReadMatrixMarket(strings.NewReader(`%%MatrixMarket matrix coordinate real general
-6 6 9
-1 1 0.25
-1 3 0.7
-1 5 0.3
-3 1 0.7
-3 3 2.5
-4 2 0.1
-4 5 0.9
-5 1 1.3
-5 5 1.5
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	withDiag := sparse.NewCSR(6, 6, []sparse.Coord{
+		{Row: 0, Col: 0, Val: 0.25}, {Row: 0, Col: 2, Val: 0.7}, {Row: 0, Col: 4, Val: 0.3},
+		{Row: 2, Col: 0, Val: 0.7}, {Row: 2, Col: 2, Val: 2.5},
+		{Row: 3, Col: 1, Val: 0.1}, {Row: 3, Col: 4, Val: 0.9},
+		{Row: 4, Col: 0, Val: 1.3}, {Row: 4, Col: 4, Val: 1.5},
+	})
 	for name, a := range map[string]*sparse.CSR{
 		"diagonal":     withDiag,
 		"amazon-sim":   gen.MustLoad(gen.AmazonSim, 1, 64).G.Adj,

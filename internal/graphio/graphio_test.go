@@ -9,8 +9,40 @@ import (
 
 	"sagnn/internal/dense"
 	"sagnn/internal/gen"
+	"sagnn/internal/graph"
 	"sagnn/internal/sparse"
 )
+
+// TestWritersGoldenBytes pins each writer's exact output on a tiny input:
+// the files cmd/datagen writes are these bytes.
+func TestWritersGoldenBytes(t *testing.T) {
+	g := graph.FromEdges(3, [][2]int{{0, 1}, {2, 1}, {1, 1}})
+	adj := sparse.NewCSR(2, 3, []sparse.Coord{{Row: 1, Col: 2, Val: 0.1}, {Row: 0, Col: 0, Val: -2.5}})
+	feats := dense.FromSlice(2, 2, []float64{0.1, -2, 3, 1e-20})
+	cases := []struct {
+		name  string
+		write func(*bytes.Buffer) error
+		want  string
+	}{
+		{"WriteEdgeList", func(b *bytes.Buffer) error { return WriteEdgeList(b, g) },
+			"# 3 vertices, 2 edges\n0 1\n2 1\n"},
+		{"WriteMatrixMarket", func(b *bytes.Buffer) error { return WriteMatrixMarket(b, adj) },
+			"%%MatrixMarket matrix coordinate real general\n2 3 2\n1 1 -2.5\n2 3 0.10000000000000001\n"},
+		{"WriteFeatures", func(b *bytes.Buffer) error { return WriteFeatures(b, feats) },
+			"2 2\n0.10000000000000001 -2\n3 9.9999999999999995e-21\n"},
+		{"WriteLabels", func(b *bytes.Buffer) error { return WriteLabels(b, []int{2, 0, 1}) },
+			"3\n2\n0\n1\n"},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		if err := c.write(&buf); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := buf.String(); got != c.want {
+			t.Errorf("%s wrote %q, want %q", c.name, got, c.want)
+		}
+	}
+}
 
 func TestReadEdgeListBasic(t *testing.T) {
 	in := `# comment

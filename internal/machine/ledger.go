@@ -165,13 +165,3 @@ func (s *Snapshot) Breakdown() map[string]float64 {
 	}
 	return out
 }
-
-// RankTotal returns one rank's seconds summed over phases (in sorted order):
-// the rank's modeled critical path.
-func (s *Snapshot) RankTotal(rank int) float64 {
-	t := 0.0
-	for _, ph := range s.Phases() {
-		t += s.phases[ph][rank]
-	}
-	return t
-}

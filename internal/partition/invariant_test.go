@@ -22,7 +22,7 @@ func TestMultilevelInvariants(t *testing.T) {
 		for _, k := range []int{2, 5, 8} {
 			for _, pt := range []Partitioner{MetisLike{Seed: 4}, GVB{Seed: 4}} {
 				p := pt.Partition(g, k)
-				if err := p.Validate(g.NumVertices()); err != nil {
+				if err := assigned(p, g.NumVertices()); err != nil {
 					t.Fatalf("graph %d %s k=%d: %v", gi, pt.Name(), k, err)
 				}
 				// every part non-empty for graphs with ≥ k vertices

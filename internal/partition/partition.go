@@ -19,7 +19,6 @@
 package partition
 
 import (
-	"fmt"
 	"math/rand"
 
 	"sagnn/internal/graph"
@@ -31,19 +30,6 @@ type Partition struct {
 	Parts []int
 }
 
-// Validate checks structural invariants: every vertex has a part in [0, K).
-func (p *Partition) Validate(n int) error {
-	if len(p.Parts) != n {
-		return fmt.Errorf("partition: %d assignments for %d vertices", len(p.Parts), n)
-	}
-	for v, pt := range p.Parts {
-		if pt < 0 || pt >= p.K {
-			return fmt.Errorf("partition: vertex %d assigned to part %d of %d", v, pt, p.K)
-		}
-	}
-	return nil
-}
-
 // PartOf returns the part owning vertex v (in the original, un-permuted
 // vertex numbering). It is the ownership lookup consumers outside the
 // training stack — the serving router above all — should use instead of
@@ -51,15 +37,6 @@ func (p *Partition) Validate(n int) error {
 // [0, len(p.Parts)); out-of-range lookups panic like the slice access
 // they are.
 func (p *Partition) PartOf(v int) int { return p.Parts[v] }
-
-// Sizes returns the number of vertices in each part.
-func (p *Partition) Sizes() []int {
-	s := make([]int, p.K)
-	for _, pt := range p.Parts {
-		s[pt]++
-	}
-	return s
-}
 
 // Perm returns the relabeling perm[old] = new that makes every part a
 // contiguous vertex range, preserving relative order within a part.

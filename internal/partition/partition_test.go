@@ -20,7 +20,7 @@ func ringGraph(n int) *graph.Graph {
 func TestBlockPartition(t *testing.T) {
 	g := ringGraph(10)
 	p := Block{}.Partition(g, 3)
-	if err := p.Validate(10); err != nil {
+	if err := assigned(p, 10); err != nil {
 		t.Fatal(err)
 	}
 	sizes := p.Sizes()
@@ -36,7 +36,7 @@ func TestBlockPartition(t *testing.T) {
 func TestRandomPartitionBalanced(t *testing.T) {
 	g := ringGraph(100)
 	p := Random{Seed: 5}.Partition(g, 4)
-	if err := p.Validate(100); err != nil {
+	if err := assigned(p, 100); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range p.Sizes() {
@@ -101,10 +101,10 @@ func TestOffsetsMatchSizes(t *testing.T) {
 
 func TestValidateCatchesBadPart(t *testing.T) {
 	p := &Partition{K: 2, Parts: []int{0, 5}}
-	if p.Validate(2) == nil {
+	if assigned(p, 2) == nil {
 		t.Fatal("expected validation error")
 	}
-	if p.Validate(3) == nil {
+	if assigned(p, 3) == nil {
 		t.Fatal("expected length error")
 	}
 }
@@ -113,7 +113,7 @@ func TestMetisLikeOnBandedGraphFindsSmallCut(t *testing.T) {
 	g := gen.Banded(2048, 8, 16, 1)
 	k := 8
 	p := MetisLike{Seed: 1}.Partition(g, k)
-	if err := p.Validate(g.NumVertices()); err != nil {
+	if err := assigned(p, g.NumVertices()); err != nil {
 		t.Fatal(err)
 	}
 	metisCut := EdgeCut(g, p)
@@ -156,7 +156,7 @@ func TestGVBReducesMaxSendVolume(t *testing.T) {
 	k := 8
 	metis := MetisLike{Seed: 9}.Partition(g, k)
 	gvb := GVB{Seed: 9}.Partition(g, k)
-	if err := gvb.Validate(g.NumVertices()); err != nil {
+	if err := assigned(gvb, g.NumVertices()); err != nil {
 		t.Fatal(err)
 	}
 	mv := Volumes(g, metis)

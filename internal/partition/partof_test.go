@@ -10,7 +10,7 @@ func TestPartOf(t *testing.T) {
 	g := ringGraph(97)
 	for _, pt := range []Partitioner{Block{}, Random{Seed: 3}, MetisLike{Seed: 3}, GVB{Seed: 3}} {
 		p := pt.Partition(g, 4)
-		if err := p.Validate(97); err != nil {
+		if err := assigned(p, 97); err != nil {
 			t.Fatalf("%s: %v", pt.Name(), err)
 		}
 		perm, offsets := p.Perm(), p.Offsets()

@@ -257,28 +257,21 @@ func (m *CSR) NnzColsInRange(cr ColRange) []int {
 	return out
 }
 
-// Submatrix returns the induced submatrix m[rows, cols] as a standalone
-// len(rows)×len(cols) CSR. Both index lists must be strictly increasing and
-// in range, and cols must cover every stored column of the selected rows —
-// the caller supplies exactly the receptive field, as an L-hop frontier
-// expansion produces it. Because both lists are monotone, every selected
-// row keeps its nonzeros in the original order with the original values,
-// which is what makes subset inference bit-identical to full-batch
-// inference row by row.
+// SubmatrixInto writes the induced submatrix m[rows, cols] into dst as a
+// standalone len(rows)×len(cols) CSR. Both index lists must be strictly
+// increasing and in range, and cols must cover every stored column of the
+// selected rows — the caller supplies exactly the receptive field, as an
+// L-hop frontier expansion produces it. Because both lists are monotone,
+// every selected row keeps its nonzeros in the original order with the
+// original values, which is what makes subset inference bit-identical to
+// full-batch inference row by row.
 //
 // colPos, when non-nil, must be a scratch slice of length ≥ NumCols filled
 // with -1; it is used and restored before returning, so callers can
 // amortise the O(NumCols) map across many calls. A nil colPos allocates a
-// fresh scratch.
-func (m *CSR) Submatrix(rows, cols []int, colPos []int) *CSR {
-	out := &CSR{}
-	m.SubmatrixInto(out, rows, cols, colPos)
-	return out
-}
-
-// SubmatrixInto is Submatrix writing into a reusable destination: dst's
-// slices grow by dense.Grow and are reused across calls, so steady-state extraction
-// of same-sized receptive fields allocates nothing.
+// fresh scratch. dst's slices grow by dense.Grow and are reused across
+// calls, so steady-state extraction of same-sized receptive fields
+// allocates nothing.
 func (m *CSR) SubmatrixInto(dst *CSR, rows, cols []int, colPos []int) {
 	if colPos == nil {
 		colPos = make([]int, m.NumCols)
@@ -472,15 +465,4 @@ func NewRandom(rng *rand.Rand, n int, p float64) *CSR {
 		}
 	}
 	return NewCSR(n, n, coords)
-}
-
-// ToDense materialises the matrix; intended for tests on small inputs.
-func (m *CSR) ToDense() *dense.Matrix {
-	d := dense.New(m.NumRows, m.NumCols)
-	for r := 0; r < m.NumRows; r++ {
-		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-			d.Set(r, m.ColIdx[p], m.Val[p])
-		}
-	}
-	return d
 }

@@ -28,6 +28,18 @@ func TestNewCSRBasic(t *testing.T) {
 	}
 }
 
+// TestNewCSRDuplicatesSumInInputOrder pins NewCSR's duplicate contract at a
+// fixed case: three entries of one coordinate are summed in input order,
+// and (0.1+0.2)+0.3 rounds differently from (0.3+0.2)+0.1.
+func TestNewCSRDuplicatesSumInInputOrder(t *testing.T) {
+	m := NewCSR(2, 2, []Coord{
+		{0, 0, 0.1}, {1, 1, 0.3}, {0, 0, 0.2}, {1, 1, 0.2}, {0, 0, 0.3}, {1, 1, 0.1},
+	})
+	if m.NNZ() != 2 || m.At(0, 0) != 0.6000000000000001 || m.At(1, 1) != 0.6 {
+		t.Fatalf("nnz %d, sums %v and %v; want 2, 0.6000000000000001 and 0.6", m.NNZ(), m.At(0, 0), m.At(1, 1))
+	}
+}
+
 func TestNewCSREmptyAndPanic(t *testing.T) {
 	m := NewCSR(5, 5, nil)
 	if m.NNZ() != 0 || len(m.RowPtr) != 6 {
@@ -170,7 +182,8 @@ func TestSpMMAgainstDense(t *testing.T) {
 		m := NewRandom(rng, n, 0.2)
 		h := dense.NewRandom(rng, n, 7, 1.0)
 		got := m.SpMM(h)
-		want := dense.MatMul(m.ToDense(), h)
+		want := dense.New(n, h.Cols)
+		dense.MatMulInto(want, m.ToDense(), h)
 		return got.MaxAbsDiff(want) < 1e-10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -190,7 +203,8 @@ func TestSpMMLargeParallel(t *testing.T) {
 	m := NewCSR(n, n, coords)
 	h := dense.NewRandom(rng, n, 9, 1.0)
 	got := m.SpMM(h)
-	want := dense.MatMul(m.ToDense(), h)
+	want := dense.New(n, h.Cols)
+	dense.MatMulInto(want, m.ToDense(), h)
 	if got.MaxAbsDiff(want) > 1e-9 {
 		t.Fatalf("parallel SpMM diff %g", got.MaxAbsDiff(want))
 	}

@@ -260,15 +260,17 @@ func TestSetupLaunchFaultAtEverySite(t *testing.T) {
 			if !errors.As(err, &re) || !errors.Is(err, ErrInjectedFault) || re.Rank != rank {
 				t.Fatalf("rank %d op %d: got %v, want the injected *RankError", rank, op, err)
 			}
-			if len(res.History) != 0 || sess.Epoch() != 0 || sess.stepper.Dirty() {
-				t.Fatalf("rank %d op %d: aborted set-up left %d epochs, epoch counter %d, dirty=%v",
-					rank, op, len(res.History), sess.Epoch(), sess.stepper.Dirty())
+			if len(res.History) != 0 || sess.Epoch() != 0 {
+				t.Fatalf("rank %d op %d: aborted set-up left %d epochs, epoch counter %d",
+					rank, op, len(res.History), sess.Epoch())
 			}
 			for r := 0; r < 4; r++ {
 				if dg.input.Block(r) != nil {
 					t.Fatalf("rank %d op %d: rank %d's block of Â·X survived the aborted launch", rank, op, r)
 				}
 			}
+			// Under a context that cannot be cancelled Run takes no rollback
+			// point, so a replica left inconsistent fails this retry.
 			retried, err := sess.Run(context.Background(), epochs)
 			if err != nil {
 				t.Fatalf("rank %d op %d: retry: %v", rank, op, err)
@@ -338,8 +340,8 @@ func TestSetupLaunchCancelledMidFlight(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if len(res.History) != 0 || sess.stepper.Dirty() || dg.input.Block(0) != nil {
-		t.Fatalf("cancelled set-up left %d epochs, dirty=%v, cached=%v", len(res.History), sess.stepper.Dirty(), dg.input.Block(0) != nil)
+	if len(res.History) != 0 || dg.input.Block(0) != nil {
+		t.Fatalf("cancelled set-up left %d epochs, cached=%v", len(res.History), dg.input.Block(0) != nil)
 	}
 	waitGoroutinesSettle(t, base, 5*time.Second)
 
