@@ -21,6 +21,17 @@ func MatMulTransB(a, b *Matrix) *Matrix {
 	return c
 }
 
+// Transpose returns a new matrix mᵀ.
+func (m *Matrix) Transpose() *Matrix {
+	t := New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			t.Data[j*m.Rows+i] = v
+		}
+	}
+	return t
+}
+
 // GatherRows returns a new matrix whose k-th row is m.Row(idx[k]).
 func (m *Matrix) GatherRows(idx []int) *Matrix {
 	out := New(len(idx), m.Cols)

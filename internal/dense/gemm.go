@@ -19,13 +19,12 @@ import (
 // before it is added (Go does not fuse multiply-add on amd64, and the
 // vector tiles use no FMA), so the results equal the plain triple loop bit
 // for bit whatever the tier, the tiling, the stripe boundaries, GOMAXPROCS
-// or the CPU. The transposed forms copy their transposed operand into a panel
-// the tile reads: MatMulTransA its stripe's columns of whole rows of a, in
-// address order, into a pooled row panel; MatMulTransB rows of b,
-// transposed, into a stack panel. No kernel skips zero entries of a: for
-// finite inputs that changes no bit of a product (±0 added to a sum that
-// started at +0 leaves it alone), and a non-finite entry of b propagates as
-// IEEE 754 says even where a is zero.
+// or the CPU. MatMulTransA reads both operands where they lie, as MatMul
+// does; MatMulTransB copies rows of b, transposed, into a stack panel the
+// tile reads. No kernel skips zero entries of a: for finite inputs that
+// changes no bit of a product (±0 added to a sum that started at +0 leaves
+// it alone), and a non-finite entry of b propagates as IEEE 754 says even
+// where a is zero.
 const (
 	// stripeMinRows is the output row count below which a product runs on
 	// the caller's goroutine: the fan-out costs more than it saves.
@@ -38,8 +37,11 @@ const (
 	// at hidden width 16 its strip of b is 128 KB (EXPERIMENTS.md).
 	gemmPassRows8 = 1024
 	// transAPassRows is the k extent of one MatMulTransA pass: the rows of a
-	// copied into the pooled row panel, and of b the tile then runs over.
-	transAPassRows = 64
+	// and of b the tile runs over. At tierAVX512 each 8-row tile step reads
+	// 8 adjacent entries of one row of a, about one cache line, so a pass
+	// opens one stream per row of a it spans; 32 rows keep them few enough
+	// for the prefetcher (EXPERIMENTS.md "Layer 1 holds Â·X once").
+	transAPassRows = 32
 	// panel is the element count of the stack panel each MatMulTransB
 	// worker copies transBCols rows of b into, transposed, panel/transBCols
 	// rows of k deep; no transposed copy of the matrix is ever made. Its
@@ -195,68 +197,21 @@ func MatMulTransAInto(c, a, b *Matrix) {
 	stripes(transAStripe, c, a, b, a.Cols, hostTier)
 }
 
-// transAStripe is rows [lo,hi) of c = aᵀ×b, k-outer: each pass copies
-// transAPassRows rows of a, columns [lo,hi) of each whole, into a row panel
-// — a read of a in address order, one contiguous copy per row — and the tile
-// then runs over the panel's columns, its row stride as lda and 1 as the
-// stride between rows of c. Passes after the first continue from what is in
-// c, which keeps every sum in ascending k.
+// transAStripe is rows [lo,hi) of c = aᵀ×b, k-outer, a read where it lies:
+// row r of c is column lo+r of a, so the tile's rows of a are adjacent
+// entries (1 apart) and its k stride is a's row stride. Each pass runs
+// transAPassRows rows of a and of b; passes after the first continue from
+// what is in c, which keeps every sum in ascending k. With k = 0 a holds
+// nothing to read and the stripe of c is zeroed.
 func transAStripe(c, a, b *Matrix, lo, hi int, t tier) {
-	w := hi - lo
-	stride := panelStride(w)
-	pack := getPanel(transAPassRows * stride)
-	for k0 := 0; k0 == 0 || k0 < a.Rows; k0 += transAPassRows {
+	if a.Rows == 0 {
+		clear(c.Data[lo*c.Cols : hi*c.Cols])
+		return
+	}
+	for k0 := 0; k0 < a.Rows; k0 += transAPassRows {
 		kb := min(transAPassRows, a.Rows-k0)
-		for k := 0; k < kb; k++ {
-			copy(pack[k*stride:][:w], a.Row(k0 + k)[lo:hi])
-		}
-		rowsTile(t, c.Data[lo*c.Cols:], c.Cols, c.Cols, w, pack, 1, stride, kb,
+		rowsTile(t, c.Data[lo*c.Cols:], c.Cols, c.Cols, hi-lo, a.Data[k0*a.Cols+lo:], 1, a.Cols, kb,
 			b.Data[k0*b.Cols:], b.Cols, k0 > 0)
-	}
-	putPanel(pack)
-}
-
-// panelStride is the row stride of a panel w columns wide: w rounded up to
-// whole cache lines, an odd number of them, so the column the tile walks
-// down is spread over the cache's sets — at a power-of-two stride every row
-// of it lands in the same few sets (EXPERIMENTS.md).
-func panelStride(w int) int {
-	lines := (w + 7) / 8
-	return (lines | 1) * 8
-}
-
-// panels is the free list of TransA row panels, a buffered channel as in
-// comm's bufPool: a receive or send allocates nothing, and unlike the sync
-// package's Pool it drops no panel at random under the race detector, so a
-// warm call allocates nothing there either. Its 64 slots hold a panel for
-// every stripe of 16 ranks' concurrent products at 4 workers each; a panel
-// returned to a full list is left to the GC. A panel is at most
-// transAPassRows rows of a's width, so what the list holds is bounded by the
-// data.
-var panels = make(chan []float64, 64)
-
-// getPanel returns a panel of n elements with unspecified contents: a pooled
-// one if the list holds one that large (smaller ones are dropped on the
-// way), a fresh one otherwise.
-func getPanel(n int) []float64 {
-	for {
-		select {
-		case p := <-panels:
-			if cap(p) >= n {
-				return p[:n]
-			}
-		default:
-			return make([]float64, n)
-		}
-	}
-}
-
-// putPanel returns p to the free list, or leaves it to the GC when the list
-// is full.
-func putPanel(p []float64) {
-	select {
-	case panels <- p:
-	default:
 	}
 }
 

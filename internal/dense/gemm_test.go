@@ -181,32 +181,35 @@ func checkGEMMBits(t *testing.T, seed int64, m, k, n int, nonFinite bool) {
 
 // gemmBitsShapes hit every remainder of the tile (odd row; 1–3 columns after
 // the vector tile's blocks of 16, 8 and 4), of the k passes (256 for MatMul,
-// 64 for TransA's row panel at k = 63, 64 and 65, 128 for TransB's 16-wide
-// stack panel) and both sides of the striping threshold, plus the empty
-// inner dimension on the serial and the striped path. m = 1024 is a TransA
-// panel of power-of-two width: 1024 columns at procs 1, 256 at procs 4. The
-// last four are layer 1's weight gradient Pᵀ·G at the presets' feature
-// widths (m = f, k = a rank's rows, below stripeMinRows and above it), which
-// the trainer runs as MatMul over a transposed copy of P where TransA reads
-// P itself: both must give the triple loop's bits.
+// 32 for TransA at k = 31, 32 and 33 and 63, 64 and 65, 128 for TransB's
+// 16-wide stack panel) and both sides of the striping threshold, plus the
+// empty inner dimension on the serial and the striped path: TransA's stripes
+// then start at a column lo > 0 of an empty a, which they must not slice
+// into. m = 1024 reads a TransA operand 1024 columns wide, a power-of-two
+// row stride. The last six are layer 1's weight gradient Pᵀ·G at width 16:
+// the presets' feature widths (m = f) over a rank's rows (k) below
+// stripeMinRows and above it, and f on both sides of stripeMinRows over
+// 1024 rows, so the gradient runs serial and in stripes whose a starts
+// inside a row.
 var gemmBitsShapes = [][3]int{
 	{1, 1, 1}, {2, 3, 4}, {3, 0, 5}, {1, 300, 70}, {7, 255, 3}, {8, 256, 8}, {9, 257, 9},
 	{17, 513, 7}, {127, 31, 41}, {128, 16, 16}, {131, 602, 16}, {257, 64, 33}, {300, 260, 70},
 	{32, 64, 17}, {33, 65, 15}, {63, 127, 12}, {65, 129, 24},
-	{1024, 67, 3}, {160, 0, 9}, {77, 63, 16}, {129, 64, 17}, {201, 65, 16},
-	{300, 37, 16}, {300, 260, 16}, {602, 127, 16}, {602, 129, 16},
+	{40, 31, 16}, {136, 32, 48}, {17, 33, 41},
+	{1024, 67, 3}, {160, 0, 9}, {1024, 0, 16}, {77, 63, 16}, {129, 64, 17}, {201, 65, 16},
+	{300, 37, 16}, {300, 260, 16}, {602, 127, 16}, {602, 129, 16}, {127, 1024, 16}, {129, 1024, 16},
 }
 
 // gemmBlockShapes cut the 8-row tile's blocks at every remainder: m on
 // both sides of 8 and 16 rows, n whole 16-column blocks and a 41-class
 // output's 2 blocks and 9 columns, k at the empty inner dimension, one
-// product and both sides of MatMul's 256-deep pass (and of TransA's 64-deep
-// and TransB's 128-deep ones); two more cross the 8-row tile's 1024-deep
-// MatMul pass. m = 1023 and 1025 split into stripes of whole 8-row blocks
-// at procs 4 with rows left over; they run at k ≤ 1 and at two deeper
-// shapes across the TransA and TransB passes, because the denormals
-// edgyMat plants cost a microcode assist per product and their whole cross
-// product with k near 256 ran for two minutes.
+// product and both sides of MatMul's 256-deep pass (TransA's 32-deep and
+// TransB's 128-deep ones fall inside it); two more cross the 8-row tile's
+// 1024-deep MatMul pass. m = 1023 and 1025 split into stripes of whole
+// 8-row blocks at procs 4 with rows left over; they run at k ≤ 1 and at
+// two deeper shapes across the TransA and TransB passes, because the
+// denormals edgyMat plants cost a microcode assist per product and their
+// whole cross product with k near 256 ran for two minutes.
 var gemmBlockShapes = func() [][3]int {
 	shapes := [][3]int{{1023, 65, 41}, {1025, 129, 16}, {9, 1025, 41}, {16, 2049, 32}}
 	for _, m := range []int{7, 8, 9, 15, 17, 1023, 1025} {
@@ -330,9 +333,10 @@ func TestGEMMRejectsAliasedOutput(t *testing.T) {
 	MatMulInto(New(4, 4), a, b) // a fresh c is accepted
 }
 
-// TestGEMMSerialPathAllocatesNothing pins the pack panels: TransB's on the
-// stack, TransA's from the free list, so on the serial path no warm kernel
-// allocates, at shapes that fill and refill a panel.
+// TestGEMMSerialPathAllocatesNothing: on the serial path no GEMM form
+// allocates — TransA reads both operands where they lie and TransB packs
+// into a stack panel — at shapes that fill and refill TransB's panel and run
+// several TransA passes.
 func TestGEMMSerialPathAllocatesNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(5))
@@ -348,11 +352,6 @@ func TestGEMMSerialPathAllocatesNothing(t *testing.T) {
 // reddit-sim (f = 602, 1024 rows) and amazon-sim (f = 300, 2048 rows): the
 // full-batch forward Z¹ = (Â·X)·W¹ as m×k·k×n.
 var narrowShapes = [][3]int{{1024, 602, 16}, {2048, 300, 16}}
-
-// gradShapes are the full-batch layer-1 weight gradient Y¹ = (Â·X)ᵀ·G¹ as
-// the trainer runs it: a MatMul over the set-up transpose of a rank's Â·X,
-// f×rows · rows×16, the long inner dimension on the row panel's side.
-var gradShapes = [][3]int{{602, 1024, 16}, {300, 2048, 16}}
 
 // benchOperands is the number of distinct operand sets benchNarrow cycles
 // through, one per rank of the benchmark's P = 4: a single reused operand
@@ -391,14 +390,10 @@ func gemmShape(rng *rand.Rand, m, k, n int) (int, *Matrix, *Matrix, *Matrix) {
 // BenchmarkGEMMNarrow is the forward Z¹ = (Â·X)·W¹.
 func BenchmarkGEMMNarrow(b *testing.B) { benchNarrow(b, narrowShapes, gemmStripe, gemmShape) }
 
-// BenchmarkGradNarrow is the full-batch layer-1 weight gradient: MatMul
-// over the set-up transpose (Â·X)ᵀ, against G¹.
-func BenchmarkGradNarrow(b *testing.B) { benchNarrow(b, gradShapes, gemmStripe, gemmShape) }
-
-// BenchmarkTransANarrow is a weight gradient Pᵀ·G read through TransA at
-// the narrow shapes: (Â·X)ᵀ·G¹ on the sampled chain, which keeps no
-// transpose. Full-batch layer 1 runs BenchmarkGradNarrow's MatMul instead,
-// and layers above 1 run TransA on width-16 operands.
+// BenchmarkTransANarrow is layer 1's weight gradient Y¹ = (Â·X)ᵀ·G¹ as
+// every trainer runs it: TransA over a rank's rows of Â·X, read where they
+// lie, against G¹ (f×rows · rows×16). Layers above 1 run the same kernel on
+// width-16 operands.
 func BenchmarkTransANarrow(b *testing.B) {
 	benchNarrow(b, narrowShapes, transAStripe, func(rng *rand.Rand, m, k, n int) (int, *Matrix, *Matrix, *Matrix) {
 		return k, New(k, n), randMat(rng, m, k), randMat(rng, m, n)
@@ -428,8 +423,8 @@ func BenchmarkReLUPassesNarrow(b *testing.B) {
 
 // TestTransAConcurrentCallsMatchSerial runs MatMulTransAInto from 8
 // goroutines at once, each on its own operands and width, and requires
-// every result to equal that operand's serial product bit for bit: a panel
-// handed to two calls at once would mix their columns.
+// every result to equal that operand's serial product bit for bit: calls
+// share no state, so no call can see another's operands.
 func TestTransAConcurrentCallsMatchSerial(t *testing.T) {
 	const callers, rounds = 8, 10
 	type job struct{ a, b, want *Matrix }

@@ -3,7 +3,6 @@ package dense
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -199,51 +198,6 @@ func TestTransposeInvolution(t *testing.T) {
 				t.Fatalf("transpose wrong at %d,%d", i, j)
 			}
 		}
-	}
-}
-
-// TestTransposeIntoBits: the tiled transpose equals the plain loop bit for
-// bit — NaN payloads and −0 included — on empty, single-row, ragged-tile
-// and set-up-sized shapes, on the serial path and the panelled one.
-func TestTransposeIntoBits(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	rng := rand.New(rand.NewSource(5))
-	for _, shape := range [][2]int{{0, 9}, {9, 0}, {1, 70}, {33, 65}, {1024, 602}} {
-		m := randMat(rng, shape[0], shape[1])
-		for i := range m.Data {
-			switch i % 11 {
-			case 3:
-				m.Data[i] = math.Copysign(0, -1)
-			case 7:
-				m.Data[i] = math.Float64frombits(0x7ff8_dead_beef_0001)
-			}
-		}
-		want := New(m.Cols, m.Rows)
-		for i := 0; i < m.Rows; i++ {
-			for j := 0; j < m.Cols; j++ {
-				want.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
-			}
-		}
-		for _, procs := range []int{1, 4} {
-			runtime.GOMAXPROCS(procs)
-			got := randMat(rng, m.Cols, m.Rows) // dirty: every element is written
-			m.TransposeInto(got)
-			for i, v := range want.Data {
-				if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
-					t.Fatalf("%dx%d procs %d: element %d = %x, want %x", m.Rows, m.Cols, procs, i, math.Float64bits(got.Data[i]), math.Float64bits(v))
-				}
-			}
-		}
-	}
-}
-
-// TestTransposeIntoSerialPathAllocatesNothing: one worker, no allocation.
-func TestTransposeIntoSerialPathAllocatesNothing(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	m := randMat(rand.New(rand.NewSource(6)), 1024, 602)
-	out := New(602, 1024)
-	if allocs := testing.AllocsPerRun(5, func() { m.TransposeInto(out) }); allocs != 0 {
-		t.Fatalf("TransposeInto allocates %v times on the serial path, want 0", allocs)
 	}
 }
 

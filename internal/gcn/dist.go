@@ -109,9 +109,10 @@ func HostedRows(w *comm.World, n int, rowsOf func(rank int) (lo, hi int), x *den
 // and transport, so a column's bits do not depend on the columns beside it
 // and the product is that of one feature-width multiply, while the
 // executor and transport buffers the launch grows stay panel-wide. Every
-// epoch of every trainer over it then reads it, and layer 1's weight
-// gradient reads its transpose, built in the same launch. Not safe for
-// concurrent use: Ensure is collective over the world, like a step.
+// epoch of every trainer over it then reads it, in the one orientation it
+// is held in: layer 1's weight gradient reads it transposed in place. Not
+// safe for concurrent use: Ensure is collective over the world, like a
+// step.
 type InputProduct struct {
 	World  *comm.World
 	Engine distmm.Engine
@@ -122,10 +123,9 @@ type InputProduct struct {
 	// permuted copy of X exists.
 	X    *dense.Matrix
 	Rows []int
-	// blocks[rank] is a hosted rank's block rows of Â·X, and blocksT[rank]
-	// their transpose. Nil until Ensure has succeeded: no rank's block is
-	// kept unless every rank's is.
-	blocks, blocksT []*dense.Matrix
+	// blocks[rank] is a hosted rank's block rows of Â·X. Nil until Ensure
+	// has succeeded: no rank's block is kept unless every rank's is.
+	blocks []*dense.Matrix
 }
 
 // Ensure computes the product unless an earlier call has, in one collective
@@ -136,7 +136,7 @@ func (p *InputProduct) Ensure(ctx context.Context) error {
 	if p.blocks != nil {
 		return nil
 	}
-	blocks, blocksT := make([]*dense.Matrix, p.World.P), make([]*dense.Matrix, p.World.P)
+	blocks := make([]*dense.Matrix, p.World.P)
 	widths := distmm.SetupWidths(p.X.Cols)
 	err := p.World.RunCtx(ctx, func(r *comm.Rank) error {
 		lo, hi := p.Engine.Layout().Range(p.Engine.BlockOf(r.ID))
@@ -156,11 +156,11 @@ func (p *InputProduct) Ensure(ctx context.Context) error {
 			dense.CopyCols(block, c, out, 0, w)
 			c += w
 		}
-		blocks[r.ID], blocksT[r.ID] = block, block.Transpose()
+		blocks[r.ID] = block
 		return nil
 	})
 	if err == nil {
-		p.blocks, p.blocksT = blocks, blocksT
+		p.blocks = blocks
 	}
 	return err
 }
@@ -186,7 +186,6 @@ type engineOperand struct {
 }
 
 func (o *engineOperand) First() *dense.Matrix                   { return o.in.Block(o.r.ID) }
-func (o *engineOperand) FirstT() *dense.Matrix                  { return o.in.blocksT[o.r.ID] }
 func (o *engineOperand) Rows(int) int                           { return o.rows }
 func (o *engineOperand) Aggregate(_ int, dst, h *dense.Matrix)  { multiply(o.e, o.r, h, dst) }
 func (o *engineOperand) AggregateT(_ int, dst, g *dense.Matrix) { multiply(o.e, o.r, g, dst) }

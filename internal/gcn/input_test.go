@@ -64,8 +64,8 @@ func TestStepperIssuesInputProductOnce(t *testing.T) {
 }
 
 // TestInputProductSharedAndBitIdentical: two trainers naming one product
-// compute it once, its bits are those of the engine's own multiply of the
-// rank's feature rows, and the transpose kept beside it is exact.
+// compute it once, and its bits are those of the engine's own multiply of
+// the rank's feature rows.
 func TestInputProductSharedAndBitIdentical(t *testing.T) {
 	widths := observeWidths(t)
 	d := stepperFixture(5)
@@ -94,11 +94,6 @@ func TestInputProductSharedAndBitIdentical(t *testing.T) {
 	for i, b := range bitsOf(want[1]) {
 		if before[i] != b || math.Float64bits(first.Data[i]) != b {
 			t.Fatalf("product element %d differs from the engine's multiply (or was written during training)", i)
-		}
-	}
-	for rank := range want {
-		if !reflect.DeepEqual(bitsOf(d.Input.blocksT[rank]), bitsOf(want[rank].Transpose())) {
-			t.Fatalf("rank %d: the kept transpose differs from its block's", rank)
 		}
 	}
 }
@@ -173,59 +168,6 @@ func TestSerialComputesInputProductOnce(t *testing.T) {
 		if b != before[i] || b != want[i] {
 			t.Fatalf("Â·X element %d changed or differs from the SpMM", i)
 		}
-	}
-}
-
-// hiddenT is an operand with its kept transpose hidden, so layer 1's weight
-// gradient reads First with MatMulTransA.
-type hiddenT struct{ Operand }
-
-func (hiddenT) FirstT() *dense.Matrix { return nil }
-
-// TestFirstTGradientsMatchTransA: every weight gradient of a step whose
-// layer 1 reads the kept transpose of Â·X equals, bit for bit, the step's
-// that reads Â·X through MatMulTransA — at the feature widths of the
-// presets' inputs and with row counts on both sides of the GEMM's striping
-// threshold.
-func TestFirstTGradientsMatchTransA(t *testing.T) {
-	for _, f := range []int{300, 602} {
-		for _, n := range []int{40, 200} {
-			a := gen.ErdosRenyi(n, 4, int64(f+n)).NormalizedAdjacency()
-			x := dense.NewRandom(rand.New(rand.NewSource(int64(n))), n, f, 1)
-			rows, labels := []int{0, 3, 7, n - 1}, []int{1, 0, 3, 2}
-			model := NewModel(7, LayerDims(f, 16, 4, 2))
-			op := &csrOperand{a: a, x: x}
-			var ws, wsT Workspace
-			_, _, want, err := ws.Gradients(model, hiddenT{op}, rows, labels, len(rows), Collective{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, _, got, _ := wsT.Gradients(model, op, rows, labels, len(rows), Collective{})
-			if op.axT == nil {
-				t.Fatal("the serial operand kept no transpose for the backward pass")
-			}
-			for l := range want {
-				if !reflect.DeepEqual(bitsOf(got[l]), bitsOf(want[l])) {
-					t.Fatalf("f %d n %d: layer %d gradient over the kept transpose differs from MatMulTransA's", f, n, l+1)
-				}
-			}
-		}
-	}
-}
-
-// TestInferenceNeverBuildsTranspose: prediction reads Â·X but never its
-// transpose — a serial trainer's accuracy pass builds none, and the subset
-// evaluator behind Model.Probabilities is a forward-only operand, which has
-// no FirstT to build one with.
-func TestInferenceNeverBuildsTranspose(t *testing.T) {
-	a, x, labels, train := tinyProblem(17)
-	s := NewSerial(a, x, labels, train, NewModel(3, LayerDims(x.Cols, 8, 4, 3)), 0.1)
-	s.Accuracies(train)
-	if s.op.ax == nil || s.op.axT != nil {
-		t.Fatalf("after inference: Â·X built %t, transpose built %t; want true, false", s.op.ax != nil, s.op.axT != nil)
-	}
-	if _, ok := any(&SubsetEval{}).(Operand); ok {
-		t.Fatal("SubsetEval is a training operand: inference could build a transpose")
 	}
 }
 
@@ -304,9 +246,6 @@ func TestInputProductPanelsBitIdentical(t *testing.T) {
 				if !reflect.DeepEqual(bitsOf(p.Block(rank)), bitsOf(whole[rank])) {
 					t.Fatalf("f %d %s: rank %d's panelled product differs from one width-%d multiply", f, eng.name, rank, f)
 				}
-				if !reflect.DeepEqual(bitsOf(p.blocksT[rank]), bitsOf(whole[rank].Transpose())) {
-					t.Fatalf("f %d %s: rank %d's kept transpose differs", f, eng.name, rank)
-				}
 			}
 		}
 	}
@@ -315,10 +254,10 @@ func TestInputProductPanelsBitIdentical(t *testing.T) {
 // TestInputProductBuffersStayPanelWide pins what the set-up launch leaves
 // behind: the executor workspaces and pooled transport buffers its
 // multiplies grow are panel-wide, not feature-wide, so at a feature width
-// sixteen panels wide the launch allocates the product and its transpose
-// plus at most four rows × panel-width matrices per rank of the whole graph
-// (measured: 1.1–2.8 on the four engines). The same launch run as one
-// feature-wide multiply allocates 17–42 of them.
+// sixteen panels wide the launch allocates the product plus at most four
+// rows × panel-width matrices per rank of the whole graph (measured: 1.1–2.8
+// on the four engines). The same launch run as one feature-wide multiply
+// allocates 17–42 of them.
 func TestInputProductBuffersStayPanelWide(t *testing.T) {
 	w := distmm.SetupWidths(1 << 20)[0]
 	const n, deg = 256, 16
@@ -332,11 +271,46 @@ func TestInputProductBuffersStayPanelWide(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		product := uint64(2 * eng.c * n * f * 8) // every replica's block and transpose
+		product := uint64(eng.c * n * f * 8) // every replica's block
 		unit := uint64(p.World.P * n * w * 8)
 		if got := after.TotalAlloc - before.TotalAlloc; got > product+4*unit {
 			t.Errorf("%s: the set-up launch allocated %d bytes: the product's %d plus %.1f rows × panel-width matrices per rank, want ≤ 4",
 				eng.name, got, product, float64(got-product)/float64(unit))
+		}
+	}
+}
+
+// TestInputProductHoldsOneOrientation pins what the product keeps: after
+// Ensure and a collection, the heap it retains is the ranks' blocks of Â·X
+// and little else — no second orientation of them (a kept transpose read
+// 2× the blocks) — on every engine. Panel-wide multiplies first grow the
+// executor and transport buffers the launch reuses, so what Ensure adds is
+// the product's own.
+func TestInputProductHoldsOneOrientation(t *testing.T) {
+	w := distmm.SetupWidths(1 << 20)[0]
+	for _, eng := range panelEngines {
+		p := panelFixture(256, 16, 16*w, eng.name, eng.c)
+		for i := 0; i < 3; i++ {
+			p.World.Run(func(r *comm.Rank) {
+				lo, hi := p.Engine.Layout().Range(p.Engine.BlockOf(r.ID))
+				p.Engine.MultiplyInto(r, dense.New(hi-lo, w), dense.New(hi-lo, w))
+			})
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := p.Ensure(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		var blocks int64
+		for rank := 0; rank < p.World.P; rank++ {
+			blocks += int64(len(p.Block(rank).Data) * 8)
+		}
+		if got := int64(after.HeapAlloc) - int64(before.HeapAlloc); float64(got) > 1.1*float64(blocks) {
+			t.Errorf("%s: the product retains %d bytes, %.2f× its blocks' %d, want ≤ 1.1×",
+				eng.name, got, float64(got)/float64(blocks), blocks)
 		}
 	}
 }

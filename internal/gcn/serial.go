@@ -46,13 +46,12 @@ func NewSerial(a *sparse.CSR, x *dense.Matrix, labels []int, train []int, model 
 }
 
 // csrOperand is the serial operand: every layer aggregates over the one
-// symmetric Â with a local SpMM, Â·X is computed by the first pass and
-// kept, and its transpose by the first backward pass, which inference never
-// runs.
+// symmetric Â with a local SpMM, and Â·X is computed by the first pass and
+// kept.
 type csrOperand struct {
-	a       *sparse.CSR
-	x       *dense.Matrix
-	ax, axT *dense.Matrix // Â·X and its transpose; nil until first needed
+	a  *sparse.CSR
+	x  *dense.Matrix
+	ax *dense.Matrix // Â·X; nil until first needed
 }
 
 func (o *csrOperand) First() *dense.Matrix {
@@ -61,12 +60,6 @@ func (o *csrOperand) First() *dense.Matrix {
 		o.a.SpMMInto(o.ax, o.x)
 	}
 	return o.ax
-}
-func (o *csrOperand) FirstT() *dense.Matrix {
-	if o.axT == nil {
-		o.axT = o.First().Transpose()
-	}
-	return o.axT
 }
 func (o *csrOperand) Rows(int) int                           { return o.a.NumRows }
 func (o *csrOperand) Aggregate(_ int, dst, h *dense.Matrix)  { o.a.SpMMInto(dst, h) }

@@ -20,7 +20,6 @@ type rectChain struct {
 }
 
 func (c *rectChain) First() *dense.Matrix                  { return c.blocks[0].SpMM(c.x) }
-func (c *rectChain) FirstT() *dense.Matrix                 { return nil }
 func (c *rectChain) Rows(l int) int                        { return c.blocks[l-1].NumRows }
 func (c *rectChain) Aggregate(l int, dst, h *dense.Matrix) { c.blocks[l-1].SpMMInto(dst, h) }
 func (c *rectChain) AggregateT(l int, dst, g *dense.Matrix) {

@@ -95,7 +95,8 @@ func TestPermutationIsSimilarityForSpMM(t *testing.T) {
 }
 
 // TestTransposeSpMMAdjoint: (Aᵀ H) computed via Transpose matches the
-// explicit dense computation — backs the mini-batch backward pass.
+// explicit dense computation, A densified and read transposed by
+// MatMulTransA — backs the mini-batch backward pass.
 func TestTransposeSpMMAdjoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := NewCSR(6, 9, []Coord{
@@ -104,7 +105,7 @@ func TestTransposeSpMMAdjoint(t *testing.T) {
 	h := dense.NewRandom(rng, 6, 3, 1.0)
 	got := a.Transpose().SpMM(h)
 	want := dense.New(9, h.Cols)
-	dense.MatMulInto(want, a.ToDense().Transpose(), h)
+	dense.MatMulTransAInto(want, a.ToDense(), h)
 	if got.MaxAbsDiff(want) > 1e-12 {
 		t.Fatalf("adjoint mismatch %g", got.MaxAbsDiff(want))
 	}
